@@ -256,30 +256,23 @@ def cmd_compare(sideout_n, rallypoint_n, p_grid, fmt, out):
         "sideout_e_win_a", "sideout_sd_win_a", "sideout_e_win_b", "sideout_sd_win_b",
         "rallypoint_e_win_a", "rallypoint_sd_win_a", "rallypoint_e_win_b", "rallypoint_sd_win_b",
     ]
-    rows = []
     count = int(round((stop - start) / step)) + 1
-    for i in range(count):
-        p = start + i * step
-        if not (0.0 < p < 1.0):
-            continue
-        probs = RallyProbs.no_server(p)
-        so = duration.aggregate_moments(probs, so_cfg)
-        rp = rallypoint.aggregate_moments(probs, rp_cfg)
-        so_win = so.win_probs[(Player.A, Player.A)]
-        rp_win = rp.win_probs[(Player.A, Player.A)]
-        rows.append([
-            "grid", p, so_win, rp_win, rp_win / so_win if so_win > 0 else None,
-            so.by_server[Player.A].mean, so.by_server[Player.A].sd,
-            rp.by_server[Player.A].mean, rp.by_server[Player.A].sd,
-            so.by_server_winner[(Player.A, Player.A)].mean,
-            so.by_server_winner[(Player.A, Player.A)].sd,
-            so.by_server_winner[(Player.A, Player.B)].mean,
-            so.by_server_winner[(Player.A, Player.B)].sd,
-            rp.by_server_winner[(Player.A, Player.A)].mean,
-            rp.by_server_winner[(Player.A, Player.A)].sd,
-            rp.by_server_winner[(Player.A, Player.B)].mean,
-            rp.by_server_winner[(Player.A, Player.B)].sd,
-        ])
+    p = start + np.arange(max(count, 0)) * step
+    p = p[(0.0 < p) & (p < 1.0)]
+
+    def grid_columns(cfg):
+        # the whole grid in one kernel evaluation: no-server model (p_a = p,
+        # p_b = 1 - p), first server A; rows: A wins, B wins, unconditional
+        win, mean, var = duration._server_moments(cfg.system, cfg.n, p, 1.0 - p)
+        if (win[:2] <= duration._TINY).any():
+            raise ConditioningError("conditioning event has vanished")
+        sd = np.sqrt(var)
+        return win[0], [mean[2], sd[2]], [mean[0], sd[0], mean[1], sd[1]]
+
+    so_win, so_unc, so_by_winner = grid_columns(so_cfg)
+    rp_win, rp_unc, rp_by_winner = grid_columns(rp_cfg)
+    cols = [p, so_win, rp_win, rp_win / so_win, *so_unc, *rp_unc, *so_by_winner, *rp_by_winner]
+    rows = [["grid", *vals] for vals in zip(*cols)]
     for p_lim, direction in ((0.0, asymptotics.Direction.P_TO_0), (1.0, asymptotics.Direction.P_TO_1)):
         so_a = asymptotics.limit_moments(ScoringSystem.SIDE_OUT, Player.A, direction, sideout_n)
         so_b = asymptotics.limit_moments(ScoringSystem.SIDE_OUT, Player.B, direction, sideout_n)

@@ -7,6 +7,7 @@ package is safe to use from concurrent callers.
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass
 
 
@@ -98,9 +99,13 @@ class GameConfig:
     s_a: float = 1.0
 
     def __post_init__(self):
+        if not isinstance(self.n, numbers.Integral):
+            raise ConfigError(f"target score n={self.n!r} must be an integer")
         if self.n < 1:
             raise ConfigError(f"target score n={self.n} must be >= 1")
         if self.tiebreak is not None:
+            if not isinstance(self.tiebreak, numbers.Integral):
+                raise ConfigError(f"tie-break extension l={self.tiebreak!r} must be an integer")
             if self.tiebreak < 2:
                 raise ConfigError(f"tie-break extension l={self.tiebreak} must be >= 2")
             if self.system is not ScoringSystem.SIDE_OUT:
@@ -122,6 +127,8 @@ class TerminalScore:
     last_scorer: Player
 
     def __post_init__(self):
+        if not (isinstance(self.alpha, numbers.Integral) and isinstance(self.beta, numbers.Integral)):
+            raise DomainError(f"non-integer score ({self.alpha!r}, {self.beta!r})")
         if self.alpha < 0 or self.beta < 0:
             raise DomainError(f"negative score ({self.alpha}, {self.beta})")
         if self.last_scorer is Player.A and self.alpha < 1:
@@ -157,8 +164,8 @@ def binom(m: int, k: int) -> float:
 
     Outside that special case the coefficient is zero whenever k < 0 or
     k > m.  Computed by a multiplicative recurrence (relative error a few
-    ulp per factor), which is ample for the coefficient sizes this package
-    meets (n <= 50).
+    ulp per factor).  The interruption coefficients, which overflow double
+    precision for large games, are built in log form in `kernel` instead.
     """
     if m == -1 and k == -1:
         return 1.0
@@ -172,16 +179,13 @@ def binom(m: int, k: int) -> float:
 
 
 def validate(probs: RallyProbs, config: GameConfig | None = None, *, exact: bool = True) -> None:
-    """Check every invariant the engines rely on; raise DomainError otherwise.
+    """Check the invariants the engines rely on beyond those `RallyProbs`
+    and `GameConfig` enforce on construction; raise DomainError otherwise.
 
-    `exact=True` additionally requires q < 1 (with q = 1 no rally ever
-    scores and the game never terminates); this is also what the
-    simulation engine needs.
+    `exact=True` requires q < 1 (with q = 1 no rally ever scores and the
+    game never terminates); this is also what the simulation engine needs.
+    Public engine functions call this once, never per terminal score.
     """
-    if not (0.0 <= probs.p_a <= 1.0):
-        raise DomainError(f"p_a={probs.p_a} outside [0, 1]")
-    if not (0.0 <= probs.p_b <= 1.0):
-        raise DomainError(f"p_b={probs.p_b} outside [0, 1]")
     if exact and probs.q >= 1.0:
         raise DomainError("q=1, game never terminates (p_a=0 and p_b=0)")
     if config is not None and config.n < 1:

@@ -21,19 +21,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernel
 from .core import (
     ConditioningError,
     ConfigError,
     DomainError,
     GameConfig,
-    GammaBounds,
     Player,
     RallyProbs,
     ScoringSystem,
-    binom,
     validate,
 )
-from .sideout import _score_prob_a_game
 
 _TINY = 1e-300  # below this a conditioning event counts as underflowed
 
@@ -128,27 +126,10 @@ def interruption_weights(alpha: int, beta: int, last_scorer: Player, q: float) -
     """
     if not (0.0 <= q < 1.0):
         raise DomainError(f"q={q} outside [0, 1)")
-    g = GammaBounds.for_score(alpha, beta)
-    if last_scorer is Player.A:
-        if alpha < 1:
-            raise ConfigError("last scorer A requires alpha >= 1")
-        rs = np.arange(g.gamma0, g.gamma1 + 1)
-        raw = np.array(
-            [binom(alpha, r) * binom(beta - 1, r - 1) * q ** (r - g.gamma0) for r in rs]
-        )
-        shift = rs
-    else:
-        if beta < 1:
-            raise ConfigError("last scorer B requires beta >= 1")
-        rs = np.arange(1, g.gamma2 + 2)
-        raw = np.array(
-            [binom(alpha, r - 1) * binom(beta - 1, r - 1) * q ** (r - 1) for r in rs]
-        )
-        shift = rs - 1
-    total = raw.sum()
-    if total <= 0.0:
-        raise ConditioningError("interruption weights degenerate")
-    return InterruptionWeights(rs, raw / total, shift)
+    rows = kernel.tally(alpha, beta, last_scorer is Player.A)
+    # j is the power of q (pair shift); r = j + 1 when the receiver scores last
+    shift = np.arange(int(rows.j0[0]), int(rows.top[0]) + 1)
+    return InterruptionWeights(shift + int(last_scorer is Player.B), kernel.interruption_law(rows, q), shift)
 
 
 def mgf_conditional(alpha: int, beta: int, last_scorer: Player, q: float, t: float) -> float:
@@ -217,12 +198,18 @@ def _exchange_pmf(m0: int, q: float, epsilon: float) -> tuple[np.ndarray, float]
             raise DomainError("exchange series failed to converge")
 
 
-def _a_game_coords(
-    alpha: int, beta: int, last_scorer: Player, server: Player, probs: RallyProbs
-) -> tuple[int, int, Player, RallyProbs]:
-    if server is Player.A:
-        return alpha, beta, last_scorer, probs
-    return beta, alpha, last_scorer.other, probs.swapped()
+def _conditional_pmf(alpha: int, beta: int, last_scorer: Player, q: float, epsilon: float) -> DurationPMF:
+    """`duration_pmf_conditional` for an A-game tally."""
+    w = interruption_weights(alpha, beta, last_scorer, q)
+    nb, bound = _exchange_pmf(alpha + beta, q, epsilon)
+    delta = 1 if last_scorer is Player.B else 0
+    shift_max = int(w.pair_shift.max())
+    pairs = np.zeros(len(nb) + shift_max)
+    for weight, shift in zip(w.weights, w.pair_shift):
+        pairs[shift : shift + len(nb)] += weight * nb
+    masses = np.zeros(2 * len(pairs) - 1)
+    masses[::2] = pairs
+    return DurationPMF(offset=alpha + beta + delta, masses=masses, truncation_bound=bound)
 
 
 def duration_pmf_conditional(
@@ -240,18 +227,9 @@ def duration_pmf_conditional(
     on alpha+beta+2j+1 otherwise (the server-effect parity).
     """
     validate(probs)
-    a, b, c, pr = _a_game_coords(alpha, beta, last_scorer, server, probs)
-    q = pr.q
-    w = interruption_weights(a, b, c, q)
-    nb, bound = _exchange_pmf(a + b, q, epsilon)
-    delta = 1 if c is Player.B else 0
-    shift_max = int(w.pair_shift.max())
-    pairs = np.zeros(len(nb) + shift_max)
-    for weight, shift in zip(w.weights, w.pair_shift):
-        pairs[shift : shift + len(nb)] += weight * nb
-    masses = np.zeros(2 * len(pairs) - 1)
-    masses[::2] = pairs
-    return DurationPMF(offset=a + b + delta, masses=masses, truncation_bound=bound)
+    if server is not Player.A:
+        alpha, beta, last_scorer = beta, alpha, last_scorer.other
+    return _conditional_pmf(alpha, beta, last_scorer, probs.q, epsilon)
 
 
 def _mix_pmfs(parts: list[tuple[float, DurationPMF]]) -> DurationPMF:
@@ -276,21 +254,23 @@ def _require_sideout(config: GameConfig) -> None:
         raise ConfigError("durations of tie-break-extended games are not supported")
 
 
-def _score_weights(pr: RallyProbs, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """A-game score probabilities (serving side wins on (n,k); receiving
-    side wins on (k,n)) for role-swapped reuse."""
-    win = np.array([_score_prob_a_game(n, k, Player.A, pr) for k in range(n)])
-    loss = np.array([_score_prob_a_game(k, n, Player.B, pr) for k in range(n)])
-    return win, loss
+def _mix_arrays(w: np.ndarray, mean: np.ndarray, var: np.ndarray, axis: int):
+    """Mix the laws of the parts along `axis` with weights w: the total
+    weight, mean and variance of each mixture (NaN moments where a mixture
+    carries no weight)."""
+    total = w.sum(axis=axis)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        m = (w * mean).sum(axis=axis) / total
+        second = (w * (var + mean**2)).sum(axis=axis) / total
+    return total, m, np.maximum(second - m * m, 0.0)
 
 
 def _mix_moments(parts: list[tuple[float, Moments]]) -> Moments:
-    total = sum(wt for wt, _ in parts)
+    w, mean, var = (np.array(col) for col in zip(*((wt, m.mean, m.variance) for wt, m in parts)))
+    total, mean, var = _mix_arrays(w, mean, var, axis=0)
     if total <= _TINY:
         raise ConditioningError("conditioning event has vanished")
-    mean = sum(wt * m.mean for wt, m in parts) / total
-    second = sum(wt * (m.variance + m.mean**2) for wt, m in parts) / total
-    return Moments(mean, max(second - mean * mean, 0.0))
+    return Moments(float(mean), float(var))
 
 
 @dataclass(frozen=True)
@@ -309,23 +289,45 @@ class DurationAggregates:
     win_probs: dict[tuple[Player, Player], float]
 
 
-def _aggregate_from_parts(
-    score_moments,  # (server, winner) -> list of (weight, Moments) per score
-    win_probs: dict[tuple[Player, Player], float],
-    s_a: float,
-) -> DurationAggregates:
+def _server_moments(system: ScoringSystem, n: int, p_a, p_b):
+    """Moments of D in games to n first served by the side with rally
+    probability p_a, over arrays of (p_a, p_b).  Returns (probability,
+    mean, variance), each of shape (3, points): row 0 conditions on a win
+    by the first server, row 1 on a win by the receiver, row 2 on nothing."""
+    rows = kernel.table(n)
+    ev = kernel.evaluate(system, rows, p_a, p_b)
+    d = (rows.alpha + rows.beta)[:, None].astype(float)
+    if system is ScoringSystem.SIDE_OUT:
+        # expected_duration_conditional and variance_duration_conditional,
+        # for every terminal tally at once
+        q = (1.0 - np.asarray(p_a)) * (1.0 - np.asarray(p_b))
+        mean = d * (1.0 + q) / (1.0 - q) - (~rows.server_last)[:, None] + 2.0 * ev.r_mean
+        var = 4.0 * d * q / (1.0 - q) ** 2 + 4.0 * ev.r_var
+    else:
+        mean, var = np.broadcast_to(d, ev.weight.shape), np.zeros_like(ev.weight)
+    shape = (2, n, ev.weight.shape[1])
+    by_winner = _mix_arrays(ev.weight.reshape(shape), mean.reshape(shape), var.reshape(shape), axis=1)
+    overall = _mix_arrays(*by_winner, axis=0)
+    return tuple(np.vstack([w, u]) for w, u in zip(by_winner, overall))
+
+
+def _aggregate(system: ScoringSystem, probs: RallyProbs, config: GameConfig) -> DurationAggregates:
+    """Aggregates of both scoring systems from one kernel evaluation over
+    the two first servers."""
+    total, mean, var = _server_moments(
+        system, config.n, np.array([probs.p_a, probs.p_b]), np.array([probs.p_b, probs.p_a])
+    )
     by_server_winner = {}
-    for key, parts in score_moments.items():
-        by_server_winner[key] = _mix_moments(parts)
+    win_probs = {}
     by_server = {}
-    for server in Player:
-        by_server[server] = _mix_moments(
-            [
-                (win_probs[(server, winner)], by_server_winner[(server, winner)])
-                for winner in Player
-            ]
-        )
-    s = {Player.A: s_a, Player.B: 1.0 - s_a}
+    for i, server in enumerate(Player):
+        for row, winner in enumerate((server, server.other)):
+            if total[row, i] <= _TINY:
+                raise ConditioningError("conditioning event has vanished")
+            by_server_winner[(server, winner)] = Moments(float(mean[row, i]), float(var[row, i]))
+            win_probs[(server, winner)] = float(total[row, i])
+        by_server[server] = Moments(float(mean[2, i]), float(var[2, i]))
+    s = {Player.A: config.s_a, Player.B: config.s_b}
     by_winner = {}
     for winner in Player:
         by_winner[winner] = _mix_moments(
@@ -344,40 +346,7 @@ def aggregate_moments(probs: RallyProbs, config: GameConfig) -> DurationAggregat
     (server, winner), per server, per winner, and overall."""
     validate(probs, config)
     _require_sideout(config)
-    n = config.n
-    score_moments = {}
-    win_probs = {}
-    for server in Player:
-        pr = probs if server is Player.A else probs.swapped()
-        q = pr.q
-        win_w, loss_w = _score_weights(pr, n)
-        win_parts = []
-        loss_parts = []
-        for k in range(n):
-            win_parts.append(
-                (
-                    float(win_w[k]),
-                    Moments(
-                        expected_duration_conditional(n, k, Player.A, q),
-                        variance_duration_conditional(n, k, Player.A, q),
-                    ),
-                )
-            )
-            loss_parts.append(
-                (
-                    float(loss_w[k]),
-                    Moments(
-                        expected_duration_conditional(k, n, Player.B, q),
-                        variance_duration_conditional(k, n, Player.B, q),
-                    ),
-                )
-            )
-        # role A in pr-coordinates is the actual first server
-        score_moments[(server, server)] = win_parts
-        score_moments[(server, server.other)] = loss_parts
-        win_probs[(server, server)] = float(win_w.sum())
-        win_probs[(server, server.other)] = float(loss_w.sum())
-    return _aggregate_from_parts(score_moments, win_probs, config.s_a)
+    return _aggregate(ScoringSystem.SIDE_OUT, probs, config)
 
 
 def _server_duration_parts(
@@ -386,15 +355,11 @@ def _server_duration_parts(
     """(weight, PMF) pairs per winner for a fixed first server."""
     n = config.n
     pr = probs if server is Player.A else probs.swapped()
-    win_w, loss_w = _score_weights(pr, n)
+    win_w, loss_w = kernel.terminal_weights(ScoringSystem.SIDE_OUT, pr, n, Player.A)
     parts = {server: [], server.other: []}
     for k in range(n):
-        parts[server].append(
-            (float(win_w[k]), duration_pmf_conditional(n, k, Player.A, pr, epsilon))
-        )
-        parts[server.other].append(
-            (float(loss_w[k]), duration_pmf_conditional(k, n, Player.B, pr, epsilon))
-        )
+        parts[server].append((float(win_w[k]), _conditional_pmf(n, k, Player.A, pr.q, epsilon)))
+        parts[server.other].append((float(loss_w[k]), _conditional_pmf(k, n, Player.B, pr.q, epsilon)))
     return parts
 
 

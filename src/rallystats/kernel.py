@@ -1,0 +1,242 @@
+"""The interruption polynomial shared by both scoring systems.
+
+Every score probability of a game sums over the number of interruptions
+(serve transitions in which the server's side scores nothing).  For a
+tally (alpha, beta) of the first server and the receiver, write j for the
+power of the exchange probability q a path carries: j = r when the first
+server scores last, j = r - 1 when the receiver does.  The coefficients
+are
+
+    C(alpha, j) * C(beta - 1, j - 1),  j = min(beta, 1) .. min(alpha, beta)
+    C(alpha, j) * C(beta - 1, j),      j = 0 .. min(alpha, beta - 1)
+
+for the two last scorers (with C(-1, -1) = 1 for the shutout).  This module
+is the only place they are built.  A set of tallies becomes a `Rows` table
+of log-coefficients indexed from the smallest feasible j, cached per
+target score; `evaluate` weighs the table against arrays of rally
+probabilities for either scoring system.
+
+Evaluation is in scaled form: every term is a logarithm, each row is
+shifted by its largest term before exponentiating, and the shift is added
+back in the log domain.  Coefficients of size C(1000, 500)^2 and
+probabilities of size 1e-400 stay finite, which the direct product of
+binomials and powers does not.  Only `math` and NumPy are used.
+"""
+
+from __future__ import annotations
+
+import functools
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from .core import ConfigError, DomainError, Player, RallyProbs, ScoringSystem
+
+# Elements of one (rows x terms x probabilities) block of evaluation; keeps
+# the temporaries of a large table or grid to a few megabytes.
+_BLOCK = 1 << 16
+
+
+@dataclass(frozen=True)
+class Rows:
+    """Log-coefficients of a set of tallies, in first-server coordinates.
+
+    Row i is the tally (alpha[i], beta[i]) with the first server scoring
+    last when server_last[i]; logc[i, s] is the log-coefficient of
+    q^(j0[i] + s) for s = 0 .. top[i] - j0[i], and -inf beyond.
+    """
+
+    alpha: np.ndarray
+    beta: np.ndarray
+    server_last: np.ndarray
+    j0: np.ndarray
+    top: np.ndarray
+    logc: np.ndarray
+
+
+@dataclass(frozen=True)
+class Evaluation:
+    """Per row and per parameter point: the probability of the tally and
+    the mean and variance of the interruption count R given the tally."""
+
+    weight: np.ndarray
+    r_mean: np.ndarray
+    r_var: np.ndarray
+
+
+@functools.lru_cache(maxsize=8)
+def _log_binom(m: int) -> np.ndarray:
+    """log C(a, b) for 0 <= b <= a <= m, -inf elsewhere: the logarithm of
+    each exact integer of Pascal's triangle, so every entry is accurate to
+    an ulp whatever the size of the coefficient."""
+    out = np.full((m + 1, m + 1), -np.inf)
+    row = [1]
+    for a in range(m + 1):
+        out[a, : a + 1] = [math.log(c) for c in row]
+        row = [1, *(x + y for x, y in zip(row, row[1:])), 1]
+    out.setflags(write=False)
+    return out
+
+
+def _build(tallies: list[tuple[int, int, bool]]) -> Rows:
+    alpha, beta, server_last = (np.array(col) for col in zip(*tallies))
+    server_last = server_last.astype(bool)
+    lb = _log_binom(int(max(alpha.max(), beta.max(), 1)))
+    j0 = np.where(server_last, np.minimum(beta, 1), 0)
+    top = np.where(server_last, np.minimum(alpha, beta), np.minimum(alpha, beta - 1))
+    j = j0[:, None] + np.arange(int((top - j0).max()) + 1)
+    # second binomial: C(beta-1, j-1) when the server scores last, else C(beta-1, j)
+    k = j - server_last[:, None]
+    m = lb.shape[0] - 1
+    logc = np.where(
+        j <= top[:, None],
+        lb[alpha[:, None], np.minimum(j, m)] + lb[np.maximum(beta - 1, 0)[:, None], np.clip(k, 0, m)],
+        -np.inf,
+    )
+    logc[server_last & (beta == 0), 0] = 0.0  # C(alpha, 0) * C(-1, -1) = 1
+    rows = Rows(alpha, beta, server_last, j0, top, logc)
+    for arr in (alpha, beta, server_last, j0, top, logc):
+        arr.setflags(write=False)
+    return rows
+
+
+@functools.lru_cache(maxsize=32)
+def table(n: int) -> Rows:
+    """The 2n terminal tallies of a game to n: rows k = 0..n-1 are (n, k)
+    won by the first server, rows n + k are (k, n) won by the receiver."""
+    return _build([(n, k, True) for k in range(n)] + [(k, n, False) for k in range(n)])
+
+
+@functools.lru_cache(maxsize=4096)
+def tally(alpha: int, beta: int, server_last: bool) -> Rows:
+    """A one-row table for any reachable tally of the first server and the
+    receiver."""
+    if alpha < 0 or beta < 0:
+        raise DomainError(f"negative score ({alpha}, {beta})")
+    if server_last and alpha < 1:
+        raise ConfigError("last scorer A requires alpha >= 1")
+    if not server_last and beta < 1:
+        raise ConfigError("last scorer B requires beta >= 1")
+    return _build([(alpha, beta, server_last)])
+
+
+def coefficient(rows: Rows, j: int) -> float:
+    """Coefficient of q^j in row 0 (zero outside the feasible range)."""
+    j0, top = int(rows.j0[0]), int(rows.top[0])
+    if not (j0 <= j <= top):
+        return 0.0
+    return math.exp(rows.logc[0, j - j0])
+
+
+def _log(x: np.ndarray) -> np.ndarray:
+    with np.errstate(divide="ignore"):
+        return np.log(x)
+
+
+def _xlog(e: np.ndarray, log_z: np.ndarray) -> np.ndarray:
+    """e * log z with 0 * log 0 = 0, since z^0 = 1 even at z = 0."""
+    e, log_z = np.broadcast_arrays(e, log_z)
+    return np.multiply(e, log_z, out=np.zeros(e.shape), where=e != 0)
+
+
+def _scaled_terms(rows: Rows, log_v: np.ndarray, log_u: np.ndarray | None):
+    """Terms c_s u^(top - j0 - s) v^s of each row at each parameter point,
+    divided by the row's largest term: returns (log of that term (m, P),
+    scaled terms (m, w, P)), every scaled term in [0, 1]."""
+    s = np.arange(rows.logc.shape[1])[None, :, None]
+    log_t = rows.logc[:, :, None] + _xlog(s, log_v[None, None, :])
+    if log_u is not None:
+        # padding (s past the row's top) is -inf already; clamp its exponent
+        e_u = np.maximum((rows.top - rows.j0)[:, None, None] - s, 0)
+        log_t = log_t + _xlog(e_u, log_u[None, None, :])
+    shift = log_t.max(axis=1)
+    shift = np.where(np.isfinite(shift), shift, 0.0)
+    return shift, np.exp(log_t - shift[:, None, :])
+
+
+def _slice_rows(rows: Rows, sl: slice) -> Rows:
+    return Rows(*(getattr(rows, f)[sl] for f in ("alpha", "beta", "server_last", "j0", "top", "logc")))
+
+
+def _evaluate_block(system: ScoringSystem, rows: Rows, p_a: np.ndarray, p_b: np.ndarray):
+    q_a, q_b = 1.0 - p_a, 1.0 - p_b
+    q = q_a * q_b
+    receiver_last = (~rows.server_last).astype(int)[:, None]
+    j0 = rows.j0[:, None]
+    if system is ScoringSystem.SIDE_OUT:
+        # x^alpha y^beta q_a^[receiver last] q^j, with x = p_a/(1-q), y = p_b/(1-q)
+        log_v, log_u = _log(q), None
+        log_pre = (
+            _xlog(rows.alpha[:, None], _log(p_a / (1.0 - q)))
+            + _xlog(rows.beta[:, None], _log(p_b / (1.0 - q)))
+            + _xlog(receiver_last, _log(q_a))
+            + _xlog(j0, log_v)
+        )
+    else:
+        # p_a^(alpha - j) p_b^(beta - d - j) q_a^d q^j with d = [receiver last]
+        # = p_a^(alpha - top) p_b^(beta - d - top) q_a^d h^top u^(top - j) v^j,
+        # h = p_a p_b + q, u = p_a p_b / h, v = q / h; u, v in [0, 1] keep
+        # every logarithm finite or -inf, also where p_a or p_b vanishes.
+        h = p_a * p_b + q
+        with np.errstate(invalid="ignore", divide="ignore"):
+            log_u = np.where(h > 0.0, np.log(p_a * p_b / h), 0.0)
+            log_v = np.where(h > 0.0, np.log(q / h), 0.0)
+        top = rows.top[:, None]
+        log_pre = (
+            _xlog(rows.alpha[:, None] - top, _log(p_a))
+            + _xlog(rows.beta[:, None] - receiver_last - top, _log(p_b))
+            + _xlog(receiver_last, _log(q_a))
+            + _xlog(top, _log(h))
+            + _xlog(j0, log_v)
+        )
+    shift, terms = _scaled_terms(rows, log_v, log_u)
+    total = terms.sum(axis=1)
+    with np.errstate(divide="ignore"):
+        weight = np.exp(log_pre + shift + np.log(total))
+    s = np.arange(terms.shape[1])[None, :, None]
+    with np.errstate(invalid="ignore"):
+        s_mean = np.where(total > 0.0, (s * terms).sum(axis=1) / total, 0.0)
+        s_var = np.where(total > 0.0, ((s - s_mean[:, None, :]) ** 2 * terms).sum(axis=1) / total, 0.0)
+    return weight, j0 + receiver_last + s_mean, s_var
+
+
+def evaluate(system: ScoringSystem, rows: Rows, p_a, p_b) -> Evaluation:
+    """Probability of every tally of `rows` in a game first served by the
+    side with rally-winning probability p_a, at each point of the arrays
+    (p_a, p_b), under the given scoring system; plus the mean and variance
+    of the interruption count given each tally.  Results have shape
+    (rows, points).  The law of R comes from the polynomial's terms alone,
+    so it stays defined where a factor common to all terms (and with it
+    the tally's probability) vanishes; where every term vanishes its
+    moments read 0."""
+    p_a, p_b = np.broadcast_arrays(np.atleast_1d(np.asarray(p_a, dtype=float)), np.asarray(p_b, dtype=float))
+    m, w = rows.logc.shape
+    out = [np.empty((m, p_a.size)) for _ in range(3)]
+    row_step = max(1, _BLOCK // w)
+    p_step = max(1, _BLOCK // (w * min(m, row_step)))
+    for r in range(0, m, row_step):
+        block = _slice_rows(rows, slice(r, r + row_step))
+        for c in range(0, p_a.size, p_step):
+            parts = _evaluate_block(system, block, p_a[c : c + p_step], p_b[c : c + p_step])
+            for dst, src in zip(out, parts):
+                dst[r : r + row_step, c : c + p_step] = src
+    return Evaluation(*out)
+
+
+def terminal_weights(system: ScoringSystem, probs: RallyProbs, n: int, server: Player) -> tuple[np.ndarray, np.ndarray]:
+    """Probabilities of (n, k) won by A and of (k, n) won by B, k = 0..n-1,
+    in a game to n first served by `server`."""
+    pr = probs if server is Player.A else probs.swapped()
+    w = evaluate(system, table(n), pr.p_a, pr.p_b).weight[:, 0]
+    first, receiver = w[:n], w[n:]
+    return (first, receiver) if server is Player.A else (receiver, first)
+
+
+def interruption_law(rows: Rows, q: float) -> np.ndarray:
+    """Normalized weights of j = j0 .. top of row 0 at exchange probability
+    q: the law of the interruption count given the tally (the score weight
+    factors out of it)."""
+    _, terms = _scaled_terms(rows, _log(np.array([q])), None)
+    w = terms[0, : int(rows.top[0] - rows.j0[0]) + 1, 0]
+    return w / w.sum()

@@ -2,9 +2,9 @@
 
 Every rally scores a point, so exchanges cannot occur and the rally count
 of a game is a function of the final tally alone: D = alpha + beta.  Score
-probabilities keep the interruption structure of the side-out analysis;
-they are evaluated through the factored r-sum with powers
-p_a^(alpha-r) p_b^(beta-r) (q_a q_b)^r, which stays finite when p_a or p_b
+probabilities keep the interruption structure of the side-out analysis:
+the r-sum with powers p_a^(alpha-r) p_b^(beta-r) (q_a q_b)^r, evaluated by
+the shared kernel (`kernel.evaluate`), which stays finite when p_a or p_b
 vanishes (the t_a = q_a/p_a form does not).
 """
 
@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import kernel
 from .core import (
     ConditioningError,
     ConfigError,
     GameConfig,
-    GammaBounds,
     Player,
     RallyProbs,
     ScoringSystem,
@@ -28,8 +28,7 @@ from .duration import (
     _TINY,
     DurationAggregates,
     DurationPMF,
-    Moments,
-    _aggregate_from_parts,
+    _aggregate,
     _mix_pmfs,
 )
 from .sideout import ScoreDistribution
@@ -45,50 +44,24 @@ def score_prob_r(alpha: int, beta: int, last_scorer: Player, r: int, probs: Rall
     `last_scorer` taking the last point through exactly r A-interruptions.
     Zero outside the feasible r range."""
     validate(probs)
-    g = GammaBounds.for_score(alpha, beta)
-    p_a, p_b, q_a, q_b = probs.p_a, probs.p_b, probs.q_a, probs.q_b
-    if last_scorer is Player.A:
-        if alpha < 1:
-            raise ConfigError("last scorer A requires alpha >= 1")
-        if not (g.gamma0 <= r <= g.gamma1):
-            return 0.0
-        return (
-            binom(alpha, r)
-            * binom(beta - 1, r - 1)
-            * p_a ** (alpha - r)
-            * p_b ** (beta - r)
-            * (q_a * q_b) ** r
-        )
-    if beta < 1:
-        raise ConfigError("last scorer B requires beta >= 1")
-    if not (1 <= r <= g.gamma2 + 1):
+    rows = kernel.tally(alpha, beta, last_scorer is Player.A)
+    # the kernel indexes by the power of q = q_a q_b the interruptions carry
+    d = int(last_scorer is Player.B)
+    c = kernel.coefficient(rows, r - d)
+    if c == 0.0:
         return 0.0
-    return (
-        binom(alpha, r - 1)
-        * binom(beta - 1, r - 1)
-        * p_a ** (alpha - r + 1)
-        * p_b ** (beta - r)
-        * q_a
-        * (q_a * q_b) ** (r - 1)
-    )
-
-
-def _score_prob_a_game(alpha: int, beta: int, last_scorer: Player, probs: RallyProbs) -> float:
-    g = GammaBounds.for_score(alpha, beta)
-    if last_scorer is Player.A:
-        lo, hi = g.gamma0, g.gamma1
-    else:
-        lo, hi = 1, g.gamma2 + 1
-    return sum(score_prob_r(alpha, beta, last_scorer, r, probs) for r in range(lo, hi + 1))
+    j = r - d
+    return c * probs.p_a ** (alpha - j) * probs.p_b ** (beta - d - j) * probs.q_a**d * probs.q**j
 
 
 def score_prob(alpha: int, beta: int, last_scorer: Player, server: Player, probs: RallyProbs) -> float:
     """Exact rally-point probability of a final tally with the given last
     scorer and first server."""
     validate(probs)
-    if server is Player.A:
-        return _score_prob_a_game(alpha, beta, last_scorer, probs)
-    return _score_prob_a_game(beta, alpha, last_scorer.other, probs.swapped())
+    if server is not Player.A:
+        alpha, beta, last_scorer, probs = beta, alpha, last_scorer.other, probs.swapped()
+    rows = kernel.tally(alpha, beta, last_scorer is Player.A)
+    return float(kernel.evaluate(ScoringSystem.RALLY_POINT, rows, probs.p_a, probs.p_b).weight[0, 0])
 
 
 def no_server_score_prob(alpha: int, beta: int, last_scorer: Player, p: float) -> float:
@@ -110,11 +83,9 @@ def score_distribution(
     n = config.n
 
     def single(sv: Player) -> dict[TerminalScore, float]:
-        out = {}
-        for k in range(n):
-            out[TerminalScore(n, k, Player.A)] = score_prob(n, k, Player.A, sv, probs)
-        for k in range(n):
-            out[TerminalScore(k, n, Player.B)] = score_prob(k, n, Player.B, sv, probs)
+        a_win, b_win = kernel.terminal_weights(ScoringSystem.RALLY_POINT, probs, n, sv)
+        out = {TerminalScore(n, k, Player.A): float(a_win[k]) for k in range(n)}
+        out.update({TerminalScore(k, n, Player.B): float(b_win[k]) for k in range(n)})
         return out
 
     if server is not None:
@@ -129,16 +100,8 @@ def game_win_prob(winner: Player, server: Player, probs: RallyProbs, config: Gam
     first server."""
     validate(probs, config)
     _require_rallypoint(config)
-    n = config.n
-    if winner is Player.A:
-        return sum(score_prob(n, k, Player.A, server, probs) for k in range(n))
-    return sum(score_prob(k, n, Player.B, server, probs) for k in range(n))
-
-
-def _score_weights(probs: RallyProbs, n: int, server: Player) -> tuple[np.ndarray, np.ndarray]:
-    a_win = np.array([score_prob(n, k, Player.A, server, probs) for k in range(n)])
-    b_win = np.array([score_prob(k, n, Player.B, server, probs) for k in range(n)])
-    return a_win, b_win
+    a_win, b_win = kernel.terminal_weights(ScoringSystem.RALLY_POINT, probs, config.n, server)
+    return float((a_win if winner is Player.A else b_win).sum())
 
 
 def aggregate_moments(probs: RallyProbs, config: GameConfig) -> DurationAggregates:
@@ -147,25 +110,12 @@ def aggregate_moments(probs: RallyProbs, config: GameConfig) -> DurationAggregat
     randomness comes from the score distribution."""
     validate(probs, config)
     _require_rallypoint(config)
-    n = config.n
-    score_moments = {}
-    win_probs = {}
-    for server in Player:
-        a_win, b_win = _score_weights(probs, n, server)
-        score_moments[(server, Player.A)] = [
-            (float(a_win[k]), Moments(n + k, 0.0)) for k in range(n)
-        ]
-        score_moments[(server, Player.B)] = [
-            (float(b_win[k]), Moments(n + k, 0.0)) for k in range(n)
-        ]
-        win_probs[(server, Player.A)] = float(a_win.sum())
-        win_probs[(server, Player.B)] = float(b_win.sum())
-    return _aggregate_from_parts(score_moments, win_probs, config.s_a)
+    return _aggregate(ScoringSystem.RALLY_POINT, probs, config)
 
 
 def _winner_pmf(probs: RallyProbs, config: GameConfig, winner: Player, server: Player) -> tuple[float, DurationPMF]:
     n = config.n
-    a_win, b_win = _score_weights(probs, n, server)
+    a_win, b_win = kernel.terminal_weights(ScoringSystem.RALLY_POINT, probs, n, server)
     w = a_win if winner is Player.A else b_win
     total = float(w.sum())
     masses = np.array(w, dtype=float)
@@ -215,6 +165,6 @@ def duration_pmf_unconditional(
     for sv, s_wt in servers.items():
         if s_wt == 0.0:
             continue
-        a_win, b_win = _score_weights(probs, n, sv)
+        a_win, b_win = kernel.terminal_weights(ScoringSystem.RALLY_POINT, probs, n, sv)
         masses += s_wt * (a_win + b_win)
     return DurationPMF(offset=n, masses=masses, truncation_bound=0.0)

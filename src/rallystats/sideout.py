@@ -15,12 +15,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import kernel
 from .core import (
     ConfigError,
     GameConfig,
-    GammaBounds,
     Player,
     RallyProbs,
+    ScoringSystem,
     TerminalScore,
     binom,
     validate,
@@ -44,57 +45,28 @@ def prob_score_r_j(
     validate(probs)
     if j < 0:
         return 0.0
-    g = GammaBounds.for_score(alpha, beta)
-    p_a, p_b, q_a, q = probs.p_a, probs.p_b, probs.q_a, probs.q
-    if last_scorer is Player.A:
-        if alpha < 1:
-            raise ConfigError("last scorer A requires alpha >= 1")
-        if not (g.gamma0 <= r <= g.gamma1):
-            return 0.0
-        return (
-            binom(alpha + beta + j - 1, j)
-            * binom(alpha, r)
-            * binom(beta - 1, r - 1)
-            * p_a**alpha
-            * p_b**beta
-            * q ** (r + j)
-        )
-    if beta < 1:
-        raise ConfigError("last scorer B requires beta >= 1")
-    if not (1 <= r <= g.gamma2 + 1):
+    rows = kernel.tally(alpha, beta, last_scorer is Player.A)
+    # the kernel indexes by the power of q the interruptions carry
+    receiver_last = int(last_scorer is Player.B)
+    c = kernel.coefficient(rows, r - receiver_last)
+    if c == 0.0:
         return 0.0
     return (
         binom(alpha + beta + j - 1, j)
-        * binom(alpha, r - 1)
-        * binom(beta - 1, r - 1)
-        * p_a**alpha
-        * p_b**beta
-        * q_a
-        * q ** (r + j - 1)
+        * c
+        * probs.p_a**alpha
+        * probs.p_b**beta
+        * probs.q_a**receiver_last
+        * probs.q ** (r - receiver_last + j)
     )
 
 
-def _score_prob_a_game(alpha: int, beta: int, last_scorer: Player, probs: RallyProbs) -> float:
-    # Per-point factors p_a/(1-q) and p_b/(1-q) never exceed 1, so the
-    # products stay in range even for extreme parameters (e.g. p ~ 1e-2,
-    # n = 15 gives probabilities near 1e-31 without underflow).
-    p_a, p_b, q_a, q = probs.p_a, probs.p_b, probs.q_a, probs.q
-    g = GammaBounds.for_score(alpha, beta)
-    x = p_a / (1.0 - q)
-    y = p_b / (1.0 - q)
-    if last_scorer is Player.A:
-        if alpha < 1:
-            raise ConfigError("last scorer A requires alpha >= 1")
-        s = 0.0
-        for r in range(g.gamma0, g.gamma1 + 1):
-            s += binom(alpha, r) * binom(beta - 1, r - 1) * q**r
-        return x**alpha * y**beta * s
-    if beta < 1:
-        raise ConfigError("last scorer B requires beta >= 1")
-    s = 0.0
-    for r in range(1, g.gamma2 + 2):
-        s += binom(alpha, r - 1) * binom(beta - 1, r - 1) * q ** (r - 1)
-    return x**alpha * y**beta * q_a * s
+def _score_prob(alpha: int, beta: int, last_scorer: Player, server: Player, probs: RallyProbs) -> float:
+    if server is not Player.A:
+        # B-game: exchange the player roles (p_a <-> p_b, alpha <-> beta).
+        alpha, beta, last_scorer, probs = beta, alpha, last_scorer.other, probs.swapped()
+    rows = kernel.tally(alpha, beta, last_scorer is Player.A)
+    return float(kernel.evaluate(ScoringSystem.SIDE_OUT, rows, probs.p_a, probs.p_b).weight[0, 0])
 
 
 def score_prob(
@@ -107,10 +79,7 @@ def score_prob(
     """Exact probability that a game with the given first server passes
     through final tally (alpha, beta) with `last_scorer` scoring last."""
     validate(probs)
-    if server is Player.A:
-        return _score_prob_a_game(alpha, beta, last_scorer, probs)
-    # B-game: exchange the player roles (p_a <-> p_b, alpha <-> beta).
-    return _score_prob_a_game(beta, alpha, last_scorer.other, probs.swapped())
+    return _score_prob(alpha, beta, last_scorer, server, probs)
 
 
 @dataclass(frozen=True)
@@ -132,18 +101,22 @@ class ScoreDistribution:
         return sum(self.entries.values())
 
 
-def _terminal_scores(config: GameConfig) -> list[TerminalScore]:
-    n = config.n
-    if config.tiebreak is None:
-        out = [TerminalScore(n, k, Player.A) for k in range(n)]
-        out += [TerminalScore(k, n, Player.B) for k in range(n)]
-        return out
+def _tiebreak_score_prob(k: int, winner: Player, server: Player, probs: RallyProbs, config: GameConfig) -> float:
     ell = config.tiebreak
-    out = [TerminalScore(n, k, Player.A) for k in range(n - 1)]
-    out += [TerminalScore(k, n, Player.B) for k in range(n - 1)]
-    out += [TerminalScore(n + ell - 1, n + k - 1, Player.A) for k in range(ell)]
-    out += [TerminalScore(n + k - 1, n + ell - 1, Player.B) for k in range(ell)]
-    return out
+    if ell is None:
+        raise ConfigError("config has no tie-break extension")
+    if config.n < 2:
+        raise ConfigError("tie-break requires n >= 2")
+    if not (0 <= k <= ell - 1):
+        raise ConfigError(f"tie-break loser score k={k} outside 0..{ell - 1}")
+    n = config.n
+    total = 0.0
+    for tier in Player:
+        # the extension is an ell-point game first served by whoever tied
+        tie = _score_prob(n - 1, n - 1, tier, server, probs)
+        a_wins, b_wins = kernel.terminal_weights(ScoringSystem.SIDE_OUT, probs, ell, tier)
+        total += tie * (a_wins if winner is Player.A else b_wins)[k]
+    return float(total)
 
 
 def tiebreak_score_prob(
@@ -160,34 +133,21 @@ def tiebreak_score_prob(
     which is what two-stage conditioning on the tie event encodes.
     """
     validate(probs, config)
-    ell = config.tiebreak
-    if ell is None:
-        raise ConfigError("config has no tie-break extension")
-    if config.n < 2:
-        raise ConfigError("tie-break requires n >= 2")
-    if not (0 <= k <= ell - 1):
-        raise ConfigError(f"tie-break loser score k={k} outside 0..{ell - 1}")
-    n = config.n
-    tie_a = score_prob(n - 1, n - 1, Player.A, server, probs)
-    tie_b = score_prob(n - 1, n - 1, Player.B, server, probs)
-    if winner is Player.A:
-        return tie_a * score_prob(ell, k, Player.A, Player.A, probs) + tie_b * score_prob(
-            ell, k, Player.A, Player.B, probs
-        )
-    return tie_a * score_prob(k, ell, Player.B, Player.A, probs) + tie_b * score_prob(
-        k, ell, Player.B, Player.B, probs
-    )
+    return _tiebreak_score_prob(k, winner, server, probs, config)
 
 
 def _single_server_distribution(probs: RallyProbs, config: GameConfig, server: Player) -> ScoreDistribution:
-    entries: dict[TerminalScore, float] = {}
-    n = config.n
-    for score in _terminal_scores(config):
-        if config.tiebreak is not None and max(score.alpha, score.beta) > n:
-            k = score.points(score.winner.other) - (n - 1)
-            entries[score] = tiebreak_score_prob(k, score.winner, server, probs, config)
-        else:
-            entries[score] = score_prob(score.alpha, score.beta, score.last_scorer, server, probs)
+    n, ell = config.n, config.tiebreak
+    a_wins, b_wins = kernel.terminal_weights(ScoringSystem.SIDE_OUT, probs, n, server)
+    # with a tie-break, play goes on from n-1 all instead of ending at n to n-1
+    regular = n if ell is None else n - 1
+    entries = {TerminalScore(n, k, Player.A): float(a_wins[k]) for k in range(regular)}
+    entries.update({TerminalScore(k, n, Player.B): float(b_wins[k]) for k in range(regular)})
+    for winner in Player:
+        for k in range(ell or 0):
+            hi, lo = n + ell - 1, n + k - 1
+            score = TerminalScore(hi, lo, winner) if winner is Player.A else TerminalScore(lo, hi, winner)
+            entries[score] = _tiebreak_score_prob(k, winner, server, probs, config)
     return ScoreDistribution(config, server, entries)
 
 
@@ -213,12 +173,10 @@ def score_distribution(
 def game_win_prob(winner: Player, server: Player, probs: RallyProbs, config: GameConfig) -> float:
     """Probability that `winner` takes a game whose first server is `server`."""
     validate(probs, config)
-    n = config.n
     if config.tiebreak is not None:
         return _single_server_distribution(probs, config, server).win_prob(winner)
-    if winner is Player.A:
-        return sum(score_prob(n, k, Player.A, server, probs) for k in range(n))
-    return sum(score_prob(k, n, Player.B, server, probs) for k in range(n))
+    a_wins, b_wins = kernel.terminal_weights(ScoringSystem.SIDE_OUT, probs, config.n, server)
+    return float((a_wins if winner is Player.A else b_wins).sum())
 
 
 def mixed_server_probs(probs: RallyProbs, config: GameConfig) -> tuple[ScoreDistribution, dict[Player, float]]:

@@ -8,6 +8,7 @@ active mass drops below `tol` (reported back to the caller).
 """
 
 from collections import defaultdict
+from math import comb
 
 from rallystats import Player
 
@@ -122,3 +123,62 @@ def enumerate_trajectories(p_a, p_b, n, server=A, max_rallies=40, min_mass=0.0):
             else:
                 stack.append((npath, na, nb, winner, wmass))
     return done, unresolved
+
+
+def backward_induction_win_prob(p_a, p_b, n, server=A, rally_point=False):
+    """P[A wins] of a game to n by backward induction over (a, b, server)
+    states, in float64.
+
+    Side-out: from (a, b) with A serving, A scores with p_a or hands the
+    serve to B, who scores with p_b or hands it back; solving that pair of
+    equations gives x = (p_a u + q_a p_b w) / (1 - q) for the state A
+    serves, where u is the value after A scores and w after B scores.
+    Rally-point: every rally scores and the scorer serves next.  Every step
+    is a convex combination of values in [0, 1], so nothing can overflow
+    or cancel, whatever n.
+    """
+    q_a, q_b = 1.0 - p_a, 1.0 - p_b
+    q = q_a * q_b
+    # row[b] = (value with A serving, value with B serving) at (a, b)
+    nxt = [(1.0, 1.0)] * (n + 1)  # a = n: A has won
+    for a in range(n - 1, -1, -1):
+        row = [(0.0, 0.0)] * (n + 1)  # b = n: B has won
+        for b in range(n - 1, -1, -1):
+            u = nxt[b][0]  # A scored, A serves on
+            w = row[b + 1][1]  # B scored, B serves on
+            if rally_point:
+                x = p_a * u + q_a * w
+                y = p_b * w + q_b * u
+            else:
+                x = (p_a * u + q_a * p_b * w) / (1.0 - q)
+                y = p_b * w + q_b * x
+            row[b] = (x, y)
+        nxt = row
+    return nxt[0][0] if server is A else nxt[0][1]
+
+
+def closed_form_score_prob(alpha, beta, last, p_a, p_b, rally_point=False):
+    """Term-by-term sum over the interruption count r of an A-game tally,
+    with exact integer coefficients: the scalar loop the shared kernel
+    replaced, kept as a reference for it."""
+    q_a, q_b = 1.0 - p_a, 1.0 - p_b
+    q = q_a * q_b
+
+    def c(top, r):  # binom(top, r) with the binom(-1, -1) = 1 convention
+        return 1 if top == r == -1 else (comb(top, r) if 0 <= r <= top else 0)
+
+    if last is A:
+        terms = [
+            (c(alpha, r) * c(beta - 1, r - 1), r, 0) for r in range(min(beta, 1), min(alpha, beta) + 1)
+        ]
+    else:
+        terms = [(c(alpha, r - 1) * c(beta - 1, r - 1), r, 1) for r in range(1, min(alpha, beta - 1) + 2)]
+    total = 0.0
+    for coef, r, d in terms:
+        j = r - d  # power of q
+        if rally_point:
+            total += coef * p_a ** (alpha - j) * p_b ** (beta - d - j) * q_a**d * q**j
+        else:
+            x, y = p_a / (1.0 - q), p_b / (1.0 - q)
+            total += coef * x**alpha * y**beta * q_a**d * q**j
+    return total

@@ -96,6 +96,20 @@ class TestConfigs:
         with pytest.raises(ConfigError):
             GameConfig(n=21, system=ScoringSystem.RALLY_POINT, tiebreak=2)
 
+    def test_non_integer_target_rejected(self):
+        with pytest.raises(ConfigError, match="integer"):
+            GameConfig(n=15.5)
+
+    def test_non_integer_tiebreak_rejected(self):
+        with pytest.raises(ConfigError, match="integer"):
+            GameConfig(n=9, tiebreak=2.5)
+
+    def test_non_integer_score_rejected(self):
+        with pytest.raises(DomainError, match="integer"):
+            TerminalScore(15.0, 7, Player.A)
+        with pytest.raises(DomainError, match="integer"):
+            TerminalScore(15, 7.5, Player.A)
+
     def test_terminal_score_invariants(self):
         with pytest.raises(DomainError):
             TerminalScore(0, 3, Player.A)

@@ -1,0 +1,129 @@
+"""The shared interruption-polynomial kernel: whole-grid evaluation against
+the per-point public functions, against the term-by-term loop it replaced,
+and against backward induction where that loop overflows (n = 1000)."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from rallystats import (
+    ConditioningError,
+    GameConfig,
+    Player,
+    RallyProbs,
+    ScoringSystem,
+    TerminalScore,
+    duration,
+    kernel,
+    rallypoint,
+    sideout,
+)
+
+from oracles import backward_induction_win_prob, closed_form_score_prob
+
+A, B = Player.A, Player.B
+EPS = np.finfo(float).eps
+# p_a = 1 (q = 0), p_b = 0, and the rare-event point p = .0085 of the
+# no-server model, where an A-game to 15 is won by A with probability 3.5e-31
+EDGES = [(1.0, 0.5), (0.5, 0.0), (0.0085, 0.9915)]
+ENGINES = {
+    ScoringSystem.SIDE_OUT: (sideout.score_distribution, duration.aggregate_moments),
+    ScoringSystem.RALLY_POINT: (rallypoint.score_distribution, rallypoint.aggregate_moments),
+}
+
+probability = st.floats(0.0, 1.0)
+
+
+def close(got, want):
+    """Agreement of two evaluations of one probability.  Scaled evaluation
+    exponentiates sums of logarithms, so an ulp in a logarithm moves the
+    result by |log w| ulps; below 1e-300 (where the engines treat an event
+    as vanished) the direct product of powers underflows."""
+    want = np.asarray(want, dtype=float)
+    log_w = np.abs(np.log(np.where(want > 0.0, want, 1.0)))
+    return np.all(np.abs(np.asarray(got) - want) <= 64 * EPS * (1.0 + log_w) * want + 1e-300)
+
+interior = st.tuples(probability, probability).filter(lambda p: (1.0 - p[0]) * (1.0 - p[1]) < 1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 25),
+    system=st.sampled_from(list(ScoringSystem)),
+    points=st.lists(interior, min_size=1, max_size=5),
+)
+def test_grid_evaluation_matches_per_point_functions(n, system, points):
+    points = EDGES + points
+    p_a = np.array([pa for pa, _ in points])
+    p_b = np.array([pb for _, pb in points])
+    weights = kernel.evaluate(system, kernel.table(n), p_a, p_b).weight
+    win, mean, var = duration._server_moments(system, n, p_a, p_b)
+    score_distribution, aggregate_moments = ENGINES[system]
+    for i, (pa, pb) in enumerate(points):
+        probs, config = RallyProbs(pa, pb), GameConfig(n=n, system=system)
+        dist = score_distribution(probs, config, server=A)
+        expected = [dist.entries[TerminalScore(n, k, A)] for k in range(n)]
+        expected += [dist.entries[TerminalScore(k, n, B)] for k in range(n)]
+        assert close(weights[:, i], expected)
+        try:
+            agg = aggregate_moments(probs, config)
+        except ConditioningError:
+            # a conditioning event of the A-game or of the B-game vanished
+            b_win, _, _ = duration._server_moments(system, n, pb, pa)
+            assert min(win[:2, i].min(), b_win[:2].min()) <= duration._TINY
+            continue
+        for row, winner in enumerate((A, B)):
+            assert close(win[row, i], agg.win_probs[(A, winner)])
+            moments = agg.by_server_winner[(A, winner)]
+            assert mean[row, i] == pytest.approx(moments.mean, rel=1e-12)
+            assert var[row, i] == pytest.approx(moments.variance, rel=1e-12, abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 25), rally_point=st.booleans(), point=interior)
+def test_kernel_matches_term_by_term_loop(n, rally_point, point):
+    pa, pb = point
+    system = ScoringSystem.RALLY_POINT if rally_point else ScoringSystem.SIDE_OUT
+    weights = kernel.evaluate(system, kernel.table(n), pa, pb).weight[:, 0]
+    expected = [closed_form_score_prob(n, k, A, pa, pb, rally_point) for k in range(n)]
+    expected += [closed_form_score_prob(k, n, B, pa, pb, rally_point) for k in range(n)]
+    assert close(weights, expected)
+
+
+def test_rare_event_value_against_backward_induction():
+    value = sideout.game_win_prob(A, A, RallyProbs.no_server(0.0085), GameConfig(n=15))
+    expected = backward_induction_win_prob(0.0085, 1.0 - 0.0085, 15)
+    assert value == pytest.approx(expected, rel=1e-12)
+    assert value == pytest.approx(3.5e-31, rel=0.01)
+
+
+@pytest.mark.parametrize("system", list(ScoringSystem))
+def test_game_win_prob_at_n_1000(system):
+    probs = RallyProbs(0.55, 0.5)
+    config = GameConfig(n=1000, system=system)
+    game_win_prob = sideout.game_win_prob if system is ScoringSystem.SIDE_OUT else rallypoint.game_win_prob
+    rally_point = system is ScoringSystem.RALLY_POINT
+    for server in Player:
+        value = game_win_prob(A, server, probs, config)
+        assert math.isfinite(value)
+        expected = backward_induction_win_prob(0.55, 0.5, 1000, server=server, rally_point=rally_point)
+        assert value == pytest.approx(expected, abs=1e-10)
+        assert game_win_prob(B, server, probs, config) == pytest.approx(1.0 - expected, abs=1e-10)
+
+
+def test_table_is_cached_and_read_only():
+    assert kernel.table(7) is kernel.table(7)
+    with pytest.raises(ValueError):
+        kernel.table(7).logc[0, 0] = 1.0
+
+
+def test_table_starts_at_smallest_feasible_power():
+    rows = kernel.table(3)
+    # (3, 0) shutout: q^0 only; (3, k >= 1) won by the server: j from 1
+    assert list(rows.j0[:3]) == [0, 1, 1]
+    # (k, 3) won by the receiver: j from 0
+    assert list(rows.j0[3:]) == [0, 0, 0]
+    # (3, 2) server last: C(3, j) C(1, j - 1) for j = 1, 2 -> 3, 3
+    assert np.exp(rows.logc[2, :2]) == pytest.approx([3.0, 3.0], rel=1e-15)

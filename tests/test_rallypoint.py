@@ -60,7 +60,8 @@ class TestScoreProbs:
                     assert lhs == pytest.approx(rhs, abs=1e-15)
 
     def test_matches_enumeration(self):
-        for pa, pb in [(0.5, 0.5), (0.7, 0.3), (0.9, 0.15)]:
+        # (.6, 0): B never wins a rally on serve
+        for pa, pb in [(0.5, 0.5), (0.7, 0.3), (0.9, 0.15), (0.6, 0.0)]:
             pr = RallyProbs(pa, pb)
             for n in (1, 2, 3, 4):
                 outcomes, _ = enumerate_rallypoint(pa, pb, n, server=A)

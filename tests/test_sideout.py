@@ -70,12 +70,13 @@ class TestScoreProb:
         )
 
     def test_matches_enumeration_n3(self):
-        pr = RallyProbs(0.6, 0.45)
-        outcomes, leftover = enumerate_sideout(pr.p_a, pr.p_b, 3, server=A, tol=1e-15)
-        assert leftover < 1e-14
-        marg = score_marginal(outcomes)
-        for (a, b, last), mass in marg.items():
-            assert sideout.score_prob(a, b, last, A, pr) == pytest.approx(mass, abs=1e-12)
+        # (1, .3): the certain server, q = 0
+        for pr in (RallyProbs(0.6, 0.45), RallyProbs(1.0, 0.3)):
+            outcomes, leftover = enumerate_sideout(pr.p_a, pr.p_b, 3, server=A, tol=1e-15)
+            assert leftover < 1e-14
+            marg = score_marginal(outcomes)
+            for (a, b, last), mass in marg.items():
+                assert sideout.score_prob(a, b, last, A, pr) == pytest.approx(mass, abs=1e-12)
 
     @pytest.mark.parametrize("n", [1, 5, 15, 30])
     @pytest.mark.parametrize("pa,pb", [(0.5, 0.5), (0.9, 0.05), (0.2, 0.7), (0.99, 0.99)])
