@@ -22,7 +22,6 @@ import numpy as np
 
 from .core import GameConfig, Player, RallyProbs, ScoringSystem
 from .duration import DurationPMF, Moments, duration_pmf_winner
-from .rallypoint import duration_pmf_winner as rp_duration_pmf_winner
 
 
 class Direction(enum.Enum):
@@ -109,14 +108,9 @@ def convergence_check(
     an extreme p, so callers choose the p range accordingly.
     """
     target = limit_pmf(system, winner, direction, n)
+    config = GameConfig(n=n, system=system)
     out = []
     for p in p_sequence:
-        probs = RallyProbs.no_server(p)
-        if system is ScoringSystem.SIDE_OUT:
-            config = GameConfig(n=n, system=system)
-            pmf = duration_pmf_winner(probs, config, winner, epsilon=epsilon, server=Player.A)
-        else:
-            config = GameConfig(n=n, system=system)
-            pmf = rp_duration_pmf_winner(probs, config, winner, server=Player.A)
+        pmf = duration_pmf_winner(RallyProbs.no_server(p), config, winner, epsilon=epsilon, server=Player.A)
         out.append(tv_distance(pmf, target))
     return np.array(out)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import click
 import numpy as np
 
-from . import asymptotics, duration, estimate, matchlevel, rallypoint, sideout, simulate
+from . import asymptotics, duration, estimate, matchlevel, sideout, simulate
 from .core import (
     ConditioningError,
     ConfigError,
@@ -128,10 +128,7 @@ def cmd_score_dist(system, n, pa, pb, server, sa, tiebreak, fmt, out):
     """Probability of every terminal score."""
     config, fixed = _build_config(system, n, sa, server, tiebreak)
     probs = RallyProbs(pa, pb)
-    if config.system is ScoringSystem.SIDE_OUT:
-        dist = sideout.score_distribution(probs, config, server=fixed)
-    else:
-        dist = rallypoint.score_distribution(probs, config, server=fixed)
+    dist = sideout.score_distribution(probs, config, server=fixed)
     rows = [
         [score.alpha, score.beta, score.winner.value, prob]
         for score, prob in dist.entries.items()
@@ -140,10 +137,7 @@ def cmd_score_dist(system, n, pa, pb, server, sa, tiebreak, fmt, out):
 
 
 def _moment_rows(probs, config, server):
-    if config.system is ScoringSystem.SIDE_OUT:
-        agg = duration.aggregate_moments(probs, config)
-    else:
-        agg = rallypoint.aggregate_moments(probs, config)
+    agg = duration.aggregate_moments(probs, config)
     if server is not None:
         rows = [
             ["winner=A", agg.by_server_winner[(server, Player.A)]],
@@ -168,13 +162,9 @@ def _conditional_pmf(probs, config, server, winner, score, epsilon):
         return duration.duration_pmf_conditional(
             alpha, beta, last, probs, epsilon, server=server
         )
-    if config.system is ScoringSystem.SIDE_OUT:
-        if winner is None:
-            return duration.duration_pmf_unconditional(probs, config, epsilon, server=server)
-        return duration.duration_pmf_winner(probs, config, winner, epsilon, server=server)
     if winner is None:
-        return rallypoint.duration_pmf_unconditional(probs, config, server=server)
-    return rallypoint.duration_pmf_winner(probs, config, winner, server=server)
+        return duration.duration_pmf_unconditional(probs, config, epsilon, server=server)
+    return duration.duration_pmf_winner(probs, config, winner, epsilon, server=server)
 
 
 @main.command("duration")

@@ -1,13 +1,17 @@
-"""Distribution of the rally count D of a side-out game.
+"""Distribution of the rally count D of a game under either scoring system.
 
-Conditional on a final tally and the first server, D decomposes into the
-points scored, the serve transitions of the interruptions, and the
-exchanges.  The exchange count is negative-binomial, the interruption
-count R has a finite combinatorial weight law, and both enter D through
-twice their value.  This gives closed-form conditional moments (depending
-on the rally probabilities only through the exchange probability q) and an
-exact PMF as the convolution of the two laws, with a certified truncation
-bound for the infinite exchange series.
+Under side-out scoring, conditional on a final tally and the first server,
+D decomposes into the points scored, the serve transitions of the
+interruptions, and the exchanges.  The exchange count is
+negative-binomial, the interruption count R has a finite combinatorial
+weight law, and both enter D through twice their value.  This gives
+closed-form conditional moments (depending on the rally probabilities only
+through the exchange probability q) and an exact PMF as the convolution of
+the two laws, with a certified truncation bound for the infinite exchange
+series.  Under rally-point scoring every rally scores, so D = alpha + beta
+given the tally.  The aggregate moments and the winner-conditional and
+unconditional PMFs read the system from the `GameConfig` and mix these
+per-tally laws over the score distribution.
 
 Tie-break-extended games are out of scope here; compose tie probabilities
 from `sideout` at a higher level if needed.
@@ -247,9 +251,7 @@ def _mix_pmfs(parts: list[tuple[float, DurationPMF]]) -> DurationPMF:
     return DurationPMF(offset=start, masses=masses, truncation_bound=bound)
 
 
-def _require_sideout(config: GameConfig) -> None:
-    if config.system is not ScoringSystem.SIDE_OUT:
-        raise ConfigError("this operation is for side-out scoring; see rallypoint module")
+def _require_no_tiebreak(config: GameConfig) -> None:
     if config.tiebreak is not None:
         raise ConfigError("durations of tie-break-extended games are not supported")
 
@@ -311,11 +313,10 @@ def _server_moments(system: ScoringSystem, n: int, p_a, p_b):
     return tuple(np.vstack([w, u]) for w, u in zip(by_winner, overall))
 
 
-def _aggregate(system: ScoringSystem, probs: RallyProbs, config: GameConfig) -> DurationAggregates:
-    """Aggregates of both scoring systems from one kernel evaluation over
-    the two first servers."""
+def _aggregate(probs: RallyProbs, config: GameConfig) -> DurationAggregates:
+    """Aggregates from one kernel evaluation over the two first servers."""
     total, mean, var = _server_moments(
-        system, config.n, np.array([probs.p_a, probs.p_b]), np.array([probs.p_b, probs.p_a])
+        config.system, config.n, np.array([probs.p_a, probs.p_b]), np.array([probs.p_b, probs.p_a])
     )
     by_server_winner = {}
     win_probs = {}
@@ -342,24 +343,50 @@ def _aggregate(system: ScoringSystem, probs: RallyProbs, config: GameConfig) -> 
 
 
 def aggregate_moments(probs: RallyProbs, config: GameConfig) -> DurationAggregates:
-    """Expectation and variance of D for every conditioning level: per
-    (server, winner), per server, per winner, and overall."""
+    """Expectation and variance of D under `config.system` for every
+    conditioning level: per (server, winner), per server, per winner, and
+    overall."""
     validate(probs, config)
-    _require_sideout(config)
-    return _aggregate(ScoringSystem.SIDE_OUT, probs, config)
+    _require_no_tiebreak(config)
+    return _aggregate(probs, config)
+
+
+def _tally_pmf(
+    system: ScoringSystem, alpha: int, beta: int, last_scorer: Player, q: float, epsilon: float
+) -> DurationPMF:
+    """Law of D given an A-game tally: the side-out convolution, or the
+    point mass at alpha + beta of a rally-point game."""
+    if system is ScoringSystem.SIDE_OUT:
+        return _conditional_pmf(alpha, beta, last_scorer, q, epsilon)
+    return DurationPMF(offset=alpha + beta, masses=np.array([1.0]), truncation_bound=0.0)
 
 
 def _server_duration_parts(
     probs: RallyProbs, config: GameConfig, server: Player, epsilon: float
 ) -> dict[Player, list[tuple[float, DurationPMF]]]:
     """(weight, PMF) pairs per winner for a fixed first server."""
-    n = config.n
+    n, system = config.n, config.system
     pr = probs if server is Player.A else probs.swapped()
-    win_w, loss_w = kernel.terminal_weights(ScoringSystem.SIDE_OUT, pr, n, Player.A)
+    win_w, loss_w = kernel.terminal_weights(system, pr, n, Player.A)
     parts = {server: [], server.other: []}
     for k in range(n):
-        parts[server].append((float(win_w[k]), _conditional_pmf(n, k, Player.A, pr.q, epsilon)))
-        parts[server.other].append((float(loss_w[k]), _conditional_pmf(k, n, Player.B, pr.q, epsilon)))
+        parts[server].append((float(win_w[k]), _tally_pmf(system, n, k, Player.A, pr.q, epsilon)))
+        parts[server.other].append((float(loss_w[k]), _tally_pmf(system, k, n, Player.B, pr.q, epsilon)))
+    return parts
+
+
+def _mixed_parts(
+    probs: RallyProbs, config: GameConfig, server: Player | None, epsilon: float, winners: tuple[Player, ...]
+) -> list[tuple[float, DurationPMF]]:
+    """(weight, PMF) pairs of the tallies won by `winners`, over the first
+    server `server`, or over both with weights (s_a, s_b) when it is None."""
+    s = {server: 1.0} if server is not None else {Player.A: config.s_a, Player.B: config.s_b}
+    parts = []
+    for sv, s_wt in s.items():
+        if s_wt == 0.0:
+            continue
+        per_winner = _server_duration_parts(probs, config, sv, epsilon)
+        parts.extend((s_wt * wt, pmf) for winner in winners for wt, pmf in per_winner[winner])
     return parts
 
 
@@ -370,18 +397,13 @@ def duration_pmf_winner(
     epsilon: float = 1e-12,
     server: Player | None = None,
 ) -> DurationPMF:
-    """PMF of D conditional on the game winner; `server=None` mixes the
-    first server out with the posterior weights given that winner."""
+    """PMF of D under `config.system` conditional on the game winner;
+    `server=None` mixes the first server out with the posterior weights
+    given that winner.  Rally-point PMFs are exact (`epsilon` is unused and
+    the truncation bound is zero)."""
     validate(probs, config)
-    _require_sideout(config)
-    servers = [server] if server is not None else [Player.A, Player.B]
-    s = {Player.A: config.s_a, Player.B: config.s_b} if server is None else {server: 1.0}
-    parts = []
-    for sv in servers:
-        if s[sv] == 0.0:
-            continue
-        for wt, pmf in _server_duration_parts(probs, config, sv, epsilon)[winner]:
-            parts.append((s[sv] * wt, pmf))
+    _require_no_tiebreak(config)
+    parts = _mixed_parts(probs, config, server, epsilon, (winner,))
     total = sum(wt for wt, _ in parts)
     if total <= _TINY:
         raise ConditioningError(f"P[{winner} wins] underflowed")
@@ -394,20 +416,12 @@ def duration_pmf_unconditional(
     epsilon: float = 1e-12,
     server: Player | None = None,
 ) -> DurationPMF:
-    """PMF of D mixed over all terminal scores and winners; `server=None`
-    additionally mixes the first server with weights (s_a, s_b)."""
+    """PMF of D under `config.system` mixed over all terminal scores and
+    winners; `server=None` additionally mixes the first server with weights
+    (s_a, s_b)."""
     validate(probs, config)
-    _require_sideout(config)
-    servers = [server] if server is not None else [Player.A, Player.B]
-    s = {Player.A: config.s_a, Player.B: config.s_b} if server is None else {server: 1.0}
-    parts = []
-    for sv in servers:
-        if s[sv] == 0.0:
-            continue
-        per_winner = _server_duration_parts(probs, config, sv, epsilon)
-        for winner in Player:
-            parts.extend((s[sv] * wt, pmf) for wt, pmf in per_winner[winner])
-    return _mix_pmfs(parts)
+    _require_no_tiebreak(config)
+    return _mix_pmfs(_mixed_parts(probs, config, server, epsilon, tuple(Player)))
 
 
 def quantile(pmf: DurationPMF, level: float, mode: QuantileMode = QuantileMode.STANDARD) -> float:

@@ -31,8 +31,10 @@ from .core import (
     InfeasibleData,
     NonConvergence,
     Player,
+    RallyProbs,
     TerminalScore,
 )
+from .sideout import game_win_prob
 
 _BOUND_DELTA = 1e-9
 _PARAM_TOL = 1e-7
@@ -373,16 +375,8 @@ class RallyWinProbMLE:
         return self
 
     def predict_win_prob(self, config, server: Player = Player.A, winner: Player = Player.A) -> float:
-        """Game-winning probability at the fitted parameters."""
-        from .core import RallyProbs, ScoringSystem
-        from . import rallypoint, sideout
-
+        """Game-winning probability at the fitted parameters, under
+        `config.system`."""
         if not hasattr(self, "result_"):
             raise DomainError("estimator is not fitted")
-        probs = RallyProbs(self.p_a_, self.p_b_)
-        f = (
-            sideout.game_win_prob
-            if config.system is ScoringSystem.SIDE_OUT
-            else rallypoint.game_win_prob
-        )
-        return f(winner, server, probs, config)
+        return game_win_prob(winner, server, RallyProbs(self.p_a_, self.p_b_), config)

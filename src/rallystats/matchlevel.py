@@ -18,9 +18,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import rallypoint as rp
 from . import sideout
-from .core import ConfigError, GameConfig, Player, RallyProbs, ScoringSystem, validate
+from .core import ConfigError, GameConfig, Player, RallyProbs, validate
 from .duration import DurationPMF, duration_pmf_winner
 
 
@@ -44,9 +43,8 @@ class MatchConfig:
 
 def _game_win_probs(probs: RallyProbs, config: GameConfig) -> dict[Player, dict[Player, float]]:
     """win[server][winner] for a single game."""
-    f = sideout.game_win_prob if config.system is ScoringSystem.SIDE_OUT else rp.game_win_prob
     return {
-        server: {winner: f(winner, server, probs, config) for winner in Player}
+        server: {winner: sideout.game_win_prob(winner, server, probs, config) for winner in Player}
         for server in Player
     }
 
@@ -91,19 +89,10 @@ def _game_duration_pmfs(
     probs: RallyProbs, config: GameConfig, epsilon: float
 ) -> dict[Player, dict[Player, DurationPMF]]:
     """pmf[server][winner] of the rally count of a single game."""
-    out: dict[Player, dict[Player, DurationPMF]] = {}
-    for server in Player:
-        if config.system is ScoringSystem.SIDE_OUT:
-            out[server] = {
-                winner: duration_pmf_winner(probs, config, winner, epsilon, server=server)
-                for winner in Player
-            }
-        else:
-            out[server] = {
-                winner: rp.duration_pmf_winner(probs, config, winner, server=server)
-                for winner in Player
-            }
-    return out
+    return {
+        server: {winner: duration_pmf_winner(probs, config, winner, epsilon, server=server) for winner in Player}
+        for server in Player
+    }
 
 
 def match_duration_pmf(

@@ -1,4 +1,4 @@
-"""Exact score probabilities and durations under rally-point scoring.
+"""Exact score probabilities of rally-point tallies.
 
 Every rally scores a point, so exchanges cannot occur and the rally count
 of a game is a function of the final tally alone: D = alpha + beta.  Score
@@ -6,37 +6,20 @@ probabilities keep the interruption structure of the side-out analysis:
 the r-sum with powers p_a^(alpha-r) p_b^(beta-r) (q_a q_b)^r, evaluated by
 the shared kernel (`kernel.evaluate`), which stays finite when p_a or p_b
 vanishes (the t_a = q_a/p_a form does not).
+
+The game-level laws are shared with side-out scoring and read the system
+from the `GameConfig`; `score_distribution`, `game_win_prob` and
+`aggregate_moments` are re-exported here under their usual names.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from . import kernel
-from .core import (
-    ConditioningError,
-    ConfigError,
-    GameConfig,
-    Player,
-    RallyProbs,
-    ScoringSystem,
-    TerminalScore,
-    binom,
-    validate,
-)
-from .duration import (
-    _TINY,
-    DurationAggregates,
-    DurationPMF,
-    _aggregate,
-    _mix_pmfs,
-)
-from .sideout import ScoreDistribution
+from .core import Player, RallyProbs, ScoringSystem, binom, validate
 
-
-def _require_rallypoint(config: GameConfig) -> None:
-    if config.system is not ScoringSystem.RALLY_POINT:
-        raise ConfigError("this operation is for rally-point scoring; see sideout module")
+# the shared game-level laws, under the names rally-point callers know
+from .duration import aggregate_moments  # noqa: F401
+from .sideout import game_win_prob, score_distribution  # noqa: F401
 
 
 def score_prob_r(alpha: int, beta: int, last_scorer: Player, r: int, probs: RallyProbs) -> float:
@@ -71,100 +54,3 @@ def no_server_score_prob(alpha: int, beta: int, last_scorer: Player, p: float) -
     if last_scorer is Player.A:
         return binom(alpha + beta - 1, beta) * p**alpha * (1.0 - p) ** beta
     return binom(alpha + beta - 1, alpha) * p**alpha * (1.0 - p) ** beta
-
-
-def score_distribution(
-    probs: RallyProbs, config: GameConfig, server: Player | None = None
-) -> ScoreDistribution:
-    """Distribution over the 2n terminal scores; `server=None` mixes the
-    first server with weights (s_a, s_b)."""
-    validate(probs, config)
-    _require_rallypoint(config)
-    n = config.n
-
-    def single(sv: Player) -> dict[TerminalScore, float]:
-        a_win, b_win = kernel.terminal_weights(ScoringSystem.RALLY_POINT, probs, n, sv)
-        out = {TerminalScore(n, k, Player.A): float(a_win[k]) for k in range(n)}
-        out.update({TerminalScore(k, n, Player.B): float(b_win[k]) for k in range(n)})
-        return out
-
-    if server is not None:
-        return ScoreDistribution(config, server, single(server))
-    ea, eb = single(Player.A), single(Player.B)
-    entries = {sc: config.s_a * ea[sc] + config.s_b * eb[sc] for sc in ea}
-    return ScoreDistribution(config, None, entries)
-
-
-def game_win_prob(winner: Player, server: Player, probs: RallyProbs, config: GameConfig) -> float:
-    """Probability that `winner` takes a rally-point game with the given
-    first server."""
-    validate(probs, config)
-    _require_rallypoint(config)
-    a_win, b_win = kernel.terminal_weights(ScoringSystem.RALLY_POINT, probs, config.n, server)
-    return float((a_win if winner is Player.A else b_win).sum())
-
-
-def aggregate_moments(probs: RallyProbs, config: GameConfig) -> DurationAggregates:
-    """Moments of D per (server, winner), per server, per winner and
-    overall.  Given the score, D is deterministic (alpha + beta), so all
-    randomness comes from the score distribution."""
-    validate(probs, config)
-    _require_rallypoint(config)
-    return _aggregate(ScoringSystem.RALLY_POINT, probs, config)
-
-
-def _winner_pmf(probs: RallyProbs, config: GameConfig, winner: Player, server: Player) -> tuple[float, DurationPMF]:
-    n = config.n
-    a_win, b_win = kernel.terminal_weights(ScoringSystem.RALLY_POINT, probs, n, server)
-    w = a_win if winner is Player.A else b_win
-    total = float(w.sum())
-    masses = np.array(w, dtype=float)
-    return total, DurationPMF(offset=n, masses=masses, truncation_bound=0.0)
-
-
-def duration_pmf_winner(
-    probs: RallyProbs,
-    config: GameConfig,
-    winner: Player,
-    server: Player | None = None,
-) -> DurationPMF:
-    """Pushforward of the score distribution under alpha + beta,
-    conditional on the winner.  Exact: truncation bound is zero."""
-    validate(probs, config)
-    _require_rallypoint(config)
-    if server is not None:
-        total, pmf = _winner_pmf(probs, config, winner, server)
-        if total <= _TINY:
-            raise ConditioningError(f"P[{winner} wins] underflowed")
-        return DurationPMF(pmf.offset, pmf.masses / total, 0.0)
-    s = {Player.A: config.s_a, Player.B: config.s_b}
-    parts = []
-    for sv in Player:
-        if s[sv] == 0.0:
-            continue
-        total, pmf = _winner_pmf(probs, config, winner, sv)
-        if s[sv] * total > 0.0:
-            parts.append((s[sv] * total, DurationPMF(pmf.offset, pmf.masses / total, 0.0)))
-    grand = sum(wt for wt, _ in parts)
-    if grand <= _TINY:
-        raise ConditioningError(f"P[{winner} wins] underflowed")
-    return _mix_pmfs([(wt / grand, p) for wt, p in parts])
-
-
-def duration_pmf_unconditional(
-    probs: RallyProbs,
-    config: GameConfig,
-    server: Player | None = None,
-) -> DurationPMF:
-    """PMF of D over all scores and winners (exact, zero truncation)."""
-    validate(probs, config)
-    _require_rallypoint(config)
-    n = config.n
-    servers = {server: 1.0} if server is not None else {Player.A: config.s_a, Player.B: config.s_b}
-    masses = np.zeros(n)
-    for sv, s_wt in servers.items():
-        if s_wt == 0.0:
-            continue
-        a_win, b_win = kernel.terminal_weights(ScoringSystem.RALLY_POINT, probs, n, sv)
-        masses += s_wt * (a_win + b_win)
-    return DurationPMF(offset=n, masses=masses, truncation_bound=0.0)

@@ -1,10 +1,13 @@
-"""Exact score probabilities for games under side-out scoring.
+"""Exact score probabilities: side-out tallies and the game-level laws of
+both scoring systems.
 
-A game is described rally by rally through interruption counts r and
-exchange counts j.  Summing the elementary event probabilities over r and
-j gives closed forms for the probability of every final tally, from which
-game-winning probabilities, tie-break extensions and first-server mixing
-follow.
+A side-out game is described rally by rally through interruption counts r
+and exchange counts j.  Summing the elementary event probabilities over r
+and j gives closed forms for the probability of every final tally, from
+which tie-break extensions follow.  `score_distribution` and
+`game_win_prob` read the scoring system from the `GameConfig`: both
+systems share the interruption polynomial (`kernel.terminal_weights`), and
+rally-point tallies differ only in how it is weighted (see `rallypoint`).
 
 All quantities are stated for A-games (A serves first); B-game quantities
 are obtained by swapping the player roles, which keeps a single code path
@@ -138,7 +141,7 @@ def tiebreak_score_prob(
 
 def _single_server_distribution(probs: RallyProbs, config: GameConfig, server: Player) -> ScoreDistribution:
     n, ell = config.n, config.tiebreak
-    a_wins, b_wins = kernel.terminal_weights(ScoringSystem.SIDE_OUT, probs, n, server)
+    a_wins, b_wins = kernel.terminal_weights(config.system, probs, n, server)
     # with a tie-break, play goes on from n-1 all instead of ending at n to n-1
     regular = n if ell is None else n - 1
     entries = {TerminalScore(n, k, Player.A): float(a_wins[k]) for k in range(regular)}
@@ -156,8 +159,9 @@ def score_distribution(
     config: GameConfig,
     server: Player | None = None,
 ) -> ScoreDistribution:
-    """Full distribution over terminal scores; `server=None` mixes A- and
-    B-games with weights (s_a, s_b) from the config."""
+    """Full distribution over the terminal scores of a game under
+    `config.system`; `server=None` mixes A- and B-games with weights
+    (s_a, s_b) from the config."""
     validate(probs, config)
     if server is not None:
         return _single_server_distribution(probs, config, server)
@@ -171,17 +175,11 @@ def score_distribution(
 
 
 def game_win_prob(winner: Player, server: Player, probs: RallyProbs, config: GameConfig) -> float:
-    """Probability that `winner` takes a game whose first server is `server`."""
+    """Probability that `winner` takes a game under `config.system` whose
+    first server is `server`."""
     validate(probs, config)
     if config.tiebreak is not None:
         return _single_server_distribution(probs, config, server).win_prob(winner)
-    a_wins, b_wins = kernel.terminal_weights(ScoringSystem.SIDE_OUT, probs, config.n, server)
+    a_wins, b_wins = kernel.terminal_weights(config.system, probs, config.n, server)
     return float((a_wins if winner is Player.A else b_wins).sum())
 
-
-def mixed_server_probs(probs: RallyProbs, config: GameConfig) -> tuple[ScoreDistribution, dict[Player, float]]:
-    """Score distribution and win probabilities unconditional on the first
-    server, weighted by (s_a, s_b)."""
-    dist = score_distribution(probs, config, server=None)
-    wins = {Player.A: dist.win_prob(Player.A), Player.B: dist.win_prob(Player.B)}
-    return dist, wins

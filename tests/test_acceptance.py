@@ -101,8 +101,8 @@ def test_criterion_04_simmons_bounds():
 
 def test_criterion_05_rallypoint_symmetry_and_closed_form():
     pr = RallyProbs(0.5, 0.5)
-    w_a = rallypoint.game_win_prob(A, A, pr, RP_CFG)
-    w_b = rallypoint.game_win_prob(A, B, pr, RP_CFG)
+    w_a = sideout.game_win_prob(A, A, pr, RP_CFG)
+    w_b = sideout.game_win_prob(A, B, pr, RP_CFG)
     ok = abs(w_a - 0.5) <= 1e-12 and abs(w_b - 0.5) <= 1e-12
     worst = 0.0
     for p in (0.2, 0.5, 0.73):
@@ -124,7 +124,7 @@ def test_criterion_05_rallypoint_symmetry_and_closed_form():
 def test_criterion_06_winning_probability_comparison():
     def ratio(p):
         pr = RallyProbs.no_server(p)
-        return rallypoint.game_win_prob(A, A, pr, RP_CFG) / sideout.game_win_prob(A, A, pr, SO_CFG)
+        return sideout.game_win_prob(A, A, pr, RP_CFG) / sideout.game_win_prob(A, A, pr, SO_CFG)
 
     hi = np.arange(0.5, 1.0, 0.0005)
     hi_vals = np.array([ratio(p) for p in hi])
@@ -147,7 +147,7 @@ def test_criterion_07_duration_endpoints_and_dominance():
     for p in np.arange(0.05, 0.951, 0.05):
         pr = RallyProbs.no_server(p)
         so_sd = duration.aggregate_moments(pr, SO_CFG).by_server[A].sd
-        rp_sd = rallypoint.aggregate_moments(pr, RP_CFG).by_server[A].sd
+        rp_sd = duration.aggregate_moments(pr, RP_CFG).by_server[A].sd
         dominated = dominated and rp_sd <= so_sd
     ok = ok and dominated
     report(7, ok, f"e endpoints {e_lo:.4f} / {e_hi:.4f}; rally-point sd dominated: {dominated}")
@@ -157,7 +157,7 @@ def test_criterion_08_limit_laws():
     tv = asymptotics.convergence_check(
         ScoringSystem.SIDE_OUT, B, Direction.P_TO_1, 15, [1 - 1e-4]
     )[0]
-    agg = rallypoint.aggregate_moments(RallyProbs.no_server(1e-4), RP_CFG)
+    agg = duration.aggregate_moments(RallyProbs.no_server(1e-4), RP_CFG)
     m = agg.by_server_winner[(A, A)]
     lim = asymptotics.limit_moments(ScoringSystem.RALLY_POINT, A, Direction.P_TO_0, 21)
     ok = tv < 0.01 and abs(m.mean - lim.mean) <= 0.05 and abs(m.variance - lim.variance) <= 0.05

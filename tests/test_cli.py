@@ -2,10 +2,11 @@ import csv
 import io
 import json
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from rallystats import GameConfig, Player, RallyProbs
+from rallystats import GameConfig, Player, RallyProbs, ScoringSystem, TerminalScore
 from rallystats import duration, matchlevel, sideout
 from rallystats.cli import main
 
@@ -220,6 +221,86 @@ class TestMatchAndPlan:
             return float(parse_csv(out)[0]["rallies"])
 
         assert median(4) > 3 * median(1)
+
+
+def cell(value):
+    """A float as the CSV tables print it."""
+    return f"{float(value):.12g}"
+
+
+class TestRallyPoint:
+    """The rally-point paths of the game-level commands, row by row against
+    the engine functions they call."""
+
+    PROBS = RallyProbs(0.6, 0.45)
+    ARGS = ["--system", "rallypoint", "--n", "11", "--pa", ".6", "--pb", ".45"]
+
+    @staticmethod
+    def config(server):
+        return GameConfig(n=11, system=ScoringSystem.RALLY_POINT, s_a=1.0 if server == "A" else 0.0)
+
+    @pytest.mark.parametrize("server", ["A", "B"])
+    def test_score_dist(self, runner, server):
+        rows = parse_csv(run_ok(runner, ["score-dist", *self.ARGS, "--server", server]))
+        dist = sideout.score_distribution(self.PROBS, self.config(server), server=Player(server))
+        assert len(rows) == 22
+        for r in rows:
+            score = TerminalScore(int(r["alpha"]), int(r["beta"]), Player(r["winner"]))
+            assert r["probability"] == cell(dist.entries[score])
+
+    @pytest.mark.parametrize("server", ["A", "B"])
+    @pytest.mark.parametrize("winner", [None, "A"])
+    @pytest.mark.parametrize("stat", ["moments", "pmf", "quantiles"])
+    def test_duration(self, runner, stat, winner, server):
+        args = ["duration", *self.ARGS, "--server", server, "--stat", stat]
+        rows = parse_csv(run_ok(runner, args + (["--winner", winner] if winner else [])))
+        config, sv = self.config(server), Player(server)
+        if stat == "moments":
+            agg = duration.aggregate_moments(self.PROBS, config)
+            expected = [agg.by_server_winner[(sv, A)], agg.by_server_winner[(sv, B)], agg.by_server[sv]]
+            assert [r["conditioning"] for r in rows] == ["winner=A", "winner=B", "unconditional"]
+            for r, m in zip(rows, expected):
+                assert [r["mean"], r["sd"], r["variance"]] == [cell(m.mean), cell(m.sd), cell(m.variance)]
+            return
+        if winner is None:
+            pmf = duration.duration_pmf_unconditional(self.PROBS, config, server=sv)
+        else:
+            pmf = duration.duration_pmf_winner(self.PROBS, config, Player(winner), server=sv)
+        if stat == "pmf":
+            assert [int(r["rallies"]) for r in rows] == list(pmf.offset + np.arange(len(pmf.masses)))
+            assert [r["probability"] for r in rows] == [cell(m) for m in pmf.masses]
+            assert {r["truncation_bound"] for r in rows} == {"0"}
+        else:
+            for r in rows:
+                assert r["rallies"] == cell(duration.quantile(pmf, float(r["level"])))
+
+    def test_match(self, runner):
+        row = parse_csv(run_ok(runner, ["match", *self.ARGS, "--server", "A", "-m", "3"]))[0]
+        mc = matchlevel.MatchConfig(3)
+        win_a = matchlevel.match_win_prob(self.PROBS, self.config("A"), mc)
+        moments = matchlevel.match_duration_pmf(self.PROBS, self.config("A"), mc).moments()
+        assert [row["match_win_a"], row["e_rallies"], row["sd_rallies"]] == [
+            cell(win_a), cell(moments.mean), cell(moments.sd)
+        ]
+        assert row["truncation_bound"] == "0"
+
+    def test_plan(self, runner):
+        rows = parse_csv(run_ok(runner, ["plan", *self.ARGS, "--server", "A", "-m", "2", "--matches", "4"]))
+        single = matchlevel.match_duration_pmf(self.PROBS, self.config("A"), matchlevel.MatchConfig(2))
+        masses = single.masses
+        for _ in range(3):
+            masses = np.convolve(masses, single.masses)
+        total = duration.DurationPMF(4 * single.offset, masses, 0.0)
+        for r in rows:
+            assert r["rallies"] == cell(duration.quantile(total, float(r["level"])))
+
+    def test_degenerate_pmf_stops_at_last_nonzero_row(self, runner):
+        # a certain server wins 15-0: one row, as under side-out scoring
+        out = run_ok(runner, [
+            "duration", "--system", "rallypoint", "--n", "15", "--pa", "1", "--pb", "0",
+            "--server", "A", "--stat", "pmf",
+        ])
+        assert out == "rallies,probability,truncation_bound\n15,1,0\n"
 
 
 class TestExitCodes:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rallystats import DomainError, GameConfig, Player, RallyProbs, SeedSpec
+from rallystats import DomainError, GameConfig, Player, RallyProbs, ScoringSystem, SeedSpec
 from rallystats import duration, simulate
 from rallystats.duration import QuantileMode
 
@@ -249,18 +249,20 @@ class TestAggregates:
             assert m.mean == pytest.approx(e, abs=0.05)
             assert m.sd == pytest.approx(sd, abs=0.05)
 
-    def test_law_of_total_expectation(self):
+    @pytest.mark.parametrize("system", list(ScoringSystem))
+    def test_law_of_total_expectation(self, system):
         pr = RallyProbs(0.6, 0.5)
-        cfg = GameConfig(n=15, s_a=0.7)
+        cfg = GameConfig(n=15, system=system, s_a=0.7)
         agg = duration.aggregate_moments(pr, cfg)
         pmf = duration.duration_pmf_unconditional(pr, cfg, epsilon=1e-14)
         m = pmf.moments()
         assert m.mean == pytest.approx(agg.overall.mean, abs=1e-8)
         assert m.variance == pytest.approx(agg.overall.variance, abs=1e-6)
 
-    def test_winner_pmf_mean_matches_aggregate(self):
+    @pytest.mark.parametrize("system", list(ScoringSystem))
+    def test_winner_pmf_mean_matches_aggregate(self, system):
         pr = RallyProbs(0.6, 0.5)
-        cfg = GameConfig(n=15)
+        cfg = GameConfig(n=15, system=system)
         agg = duration.aggregate_moments(pr, cfg)
         for winner in (A, B):
             pmf = duration.duration_pmf_winner(pr, cfg, winner, epsilon=1e-14, server=A)
@@ -280,9 +282,10 @@ class TestUnconditionalPMF:
         assert pmf.prob(n + 2) == pytest.approx(n * q * p_a**n + p_a * q_a * p_b**n, rel=1e-12)
         assert pmf.prob(n - 1) == 0.0
 
-    def test_server_mixture(self):
+    @pytest.mark.parametrize("system", list(ScoringSystem))
+    def test_server_mixture(self, system):
         pr = RallyProbs(0.6, 0.45)
-        cfg = GameConfig(n=7, s_a=0.3)
+        cfg = GameConfig(n=7, system=system, s_a=0.3)
         mixed = duration.duration_pmf_unconditional(pr, cfg, epsilon=1e-13)
         pa = duration.duration_pmf_unconditional(pr, cfg, epsilon=1e-13, server=A)
         pb = duration.duration_pmf_unconditional(pr, cfg, epsilon=1e-13, server=B)

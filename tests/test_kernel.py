@@ -17,7 +17,6 @@ from rallystats import (
     TerminalScore,
     duration,
     kernel,
-    rallypoint,
     sideout,
 )
 
@@ -28,10 +27,6 @@ EPS = np.finfo(float).eps
 # p_a = 1 (q = 0), p_b = 0, and the rare-event point p = .0085 of the
 # no-server model, where an A-game to 15 is won by A with probability 3.5e-31
 EDGES = [(1.0, 0.5), (0.5, 0.0), (0.0085, 0.9915)]
-ENGINES = {
-    ScoringSystem.SIDE_OUT: (sideout.score_distribution, duration.aggregate_moments),
-    ScoringSystem.RALLY_POINT: (rallypoint.score_distribution, rallypoint.aggregate_moments),
-}
 
 probability = st.floats(0.0, 1.0)
 
@@ -60,15 +55,14 @@ def test_grid_evaluation_matches_per_point_functions(n, system, points):
     p_b = np.array([pb for _, pb in points])
     weights = kernel.evaluate(system, kernel.table(n), p_a, p_b).weight
     win, mean, var = duration._server_moments(system, n, p_a, p_b)
-    score_distribution, aggregate_moments = ENGINES[system]
     for i, (pa, pb) in enumerate(points):
         probs, config = RallyProbs(pa, pb), GameConfig(n=n, system=system)
-        dist = score_distribution(probs, config, server=A)
+        dist = sideout.score_distribution(probs, config, server=A)
         expected = [dist.entries[TerminalScore(n, k, A)] for k in range(n)]
         expected += [dist.entries[TerminalScore(k, n, B)] for k in range(n)]
         assert close(weights[:, i], expected)
         try:
-            agg = aggregate_moments(probs, config)
+            agg = duration.aggregate_moments(probs, config)
         except ConditioningError:
             # a conditioning event of the A-game or of the B-game vanished
             b_win, _, _ = duration._server_moments(system, n, pb, pa)
@@ -103,14 +97,13 @@ def test_rare_event_value_against_backward_induction():
 def test_game_win_prob_at_n_1000(system):
     probs = RallyProbs(0.55, 0.5)
     config = GameConfig(n=1000, system=system)
-    game_win_prob = sideout.game_win_prob if system is ScoringSystem.SIDE_OUT else rallypoint.game_win_prob
     rally_point = system is ScoringSystem.RALLY_POINT
     for server in Player:
-        value = game_win_prob(A, server, probs, config)
+        value = sideout.game_win_prob(A, server, probs, config)
         assert math.isfinite(value)
         expected = backward_induction_win_prob(0.55, 0.5, 1000, server=server, rally_point=rally_point)
         assert value == pytest.approx(expected, abs=1e-10)
-        assert game_win_prob(B, server, probs, config) == pytest.approx(1.0 - expected, abs=1e-10)
+        assert sideout.game_win_prob(B, server, probs, config) == pytest.approx(1.0 - expected, abs=1e-10)
 
 
 def test_table_is_cached_and_read_only():

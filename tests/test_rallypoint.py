@@ -4,7 +4,7 @@ import pytest
 from rallystats import GameConfig, Player, RallyProbs, ScoringSystem, SeedSpec
 from rallystats import duration, rallypoint, sideout, simulate
 
-from oracles import enumerate_rallypoint, score_marginal
+from oracles import duration_marginal, enumerate_rallypoint, score_marginal
 
 A, B = Player.A, Player.B
 RP = ScoringSystem.RALLY_POINT
@@ -70,10 +70,15 @@ class TestScoreProbs:
                     assert rallypoint.score_prob(a, b, last, A, pr) == pytest.approx(
                         mass, abs=1e-12
                     )
+                # the game ends within 2n - 1 rallies, so these durations are exact
+                durations, _ = duration_marginal(outcomes)
+                pmf = duration.duration_pmf_unconditional(pr, rp_config(n), server=A)
+                for d, mass in durations.items():
+                    assert pmf.prob(d) == pytest.approx(mass, abs=1e-12)
 
     def test_normalization(self):
         for n in (1, 9, 21):
-            dist = rallypoint.score_distribution(RallyProbs(0.62, 0.48), rp_config(n), server=A)
+            dist = sideout.score_distribution(RallyProbs(0.62, 0.48), rp_config(n), server=A)
             assert dist.total_mass == pytest.approx(1.0, abs=1e-12)
 
 
@@ -81,8 +86,8 @@ class TestWinProbs:
     def test_even_strength_is_fair(self):
         cfg = rp_config(21)
         pr = RallyProbs(0.5, 0.5)
-        assert rallypoint.game_win_prob(A, A, pr, cfg) == pytest.approx(0.5, abs=1e-12)
-        assert rallypoint.game_win_prob(A, B, pr, cfg) == pytest.approx(0.5, abs=1e-12)
+        assert sideout.game_win_prob(A, A, pr, cfg) == pytest.approx(0.5, abs=1e-12)
+        assert sideout.game_win_prob(A, B, pr, cfg) == pytest.approx(0.5, abs=1e-12)
 
     def test_ratio_to_sideout_vanishes_at_small_p(self):
         so_cfg = GameConfig(n=15)
@@ -90,7 +95,7 @@ class TestWinProbs:
 
         def ratio(p):
             pr = RallyProbs.no_server(p)
-            return rallypoint.game_win_prob(A, A, pr, rp_cfg) / sideout.game_win_prob(
+            return sideout.game_win_prob(A, A, pr, rp_cfg) / sideout.game_win_prob(
                 A, A, pr, so_cfg
             )
 
@@ -108,7 +113,7 @@ class TestWinProbs:
         for n in range(19, 30):
             cfg = rp_config(n)
             worst[n] = max(
-                abs(rallypoint.game_win_prob(A, A, RallyProbs.no_server(p), cfg) / so_win[p] - 1)
+                abs(sideout.game_win_prob(A, A, RallyProbs.no_server(p), cfg) / so_win[p] - 1)
                 for p in grid
             )
         assert min(worst, key=worst.get) == 27
@@ -116,26 +121,26 @@ class TestWinProbs:
 
 class TestDurations:
     def test_conditional_duration_is_deterministic(self):
-        agg = rallypoint.aggregate_moments(RallyProbs(0.6, 0.5), rp_config(5))
+        agg = duration.aggregate_moments(RallyProbs(0.6, 0.5), rp_config(5))
         # winner-conditional variance comes from the score spread only;
         # per-score it is zero, which the pushforward PMF shows directly
-        pmf = rallypoint.duration_pmf_winner(RallyProbs(0.6, 0.5), rp_config(5), A, server=A)
+        pmf = duration.duration_pmf_winner(RallyProbs(0.6, 0.5), rp_config(5), A, server=A)
         assert pmf.truncation_bound == 0.0
         assert agg.by_server_winner[(A, A)].variance >= 0.0
 
     def test_unconditional_mean_symmetric_in_no_server_model(self):
         cfg = rp_config(21)
         for p in (0.1, 0.3, 0.45):
-            m1 = rallypoint.aggregate_moments(RallyProbs.no_server(p), cfg).by_server[A]
-            m2 = rallypoint.aggregate_moments(RallyProbs.no_server(1 - p), cfg).by_server[A]
+            m1 = duration.aggregate_moments(RallyProbs.no_server(p), cfg).by_server[A]
+            m2 = duration.aggregate_moments(RallyProbs.no_server(1 - p), cfg).by_server[A]
             assert m1.mean == pytest.approx(m2.mean, abs=1e-10)
             assert m1.sd == pytest.approx(m2.sd, abs=1e-10)
 
     def test_pushforward_matches_score_distribution(self):
         pr = RallyProbs(0.6, 0.45)
         cfg = rp_config(6)
-        pmf = rallypoint.duration_pmf_unconditional(pr, cfg, server=A)
-        dist = rallypoint.score_distribution(pr, cfg, server=A)
+        pmf = duration.duration_pmf_unconditional(pr, cfg, server=A)
+        dist = sideout.score_distribution(pr, cfg, server=A)
         for d in range(6, 12):
             expect = sum(p for s, p in dist.entries.items() if s.alpha + s.beta == d)
             assert pmf.prob(d) == pytest.approx(expect, abs=1e-14)
@@ -144,7 +149,7 @@ class TestDurations:
     def test_pushforward_against_monte_carlo(self):
         pr = RallyProbs(0.6, 0.5)
         cfg = rp_config(21)
-        pmf = rallypoint.duration_pmf_unconditional(pr, cfg, server=A)
+        pmf = duration.duration_pmf_unconditional(pr, cfg, server=A)
         sample = simulate.sample_games(pr, cfg, 200_000, SeedSpec(42, 5))
         total = len(sample.duration)
         counts = np.bincount(sample.duration, minlength=pmf.offset + len(pmf.masses))
@@ -161,7 +166,7 @@ class TestDurations:
         from rallystats import ConditioningError
 
         with pytest.raises(ConditioningError):
-            rallypoint.duration_pmf_winner(RallyProbs(1.0, 0.0), rp_config(15), B, server=A)
+            duration.duration_pmf_winner(RallyProbs(1.0, 0.0), rp_config(15), B, server=A)
 
     def test_sd_dominance_over_sideout(self):
         so_cfg = GameConfig(n=15)
@@ -169,5 +174,5 @@ class TestDurations:
         for p in np.arange(0.05, 0.951, 0.05):
             pr = RallyProbs.no_server(p)
             so_sd = duration.aggregate_moments(pr, so_cfg).by_server[A].sd
-            rp_sd = rallypoint.aggregate_moments(pr, rp_cfg).by_server[A].sd
+            rp_sd = duration.aggregate_moments(pr, rp_cfg).by_server[A].sd
             assert rp_sd <= so_sd

@@ -135,28 +135,28 @@ class TestMixedServer:
     def test_degenerate_mixture_equals_fixed_server(self):
         pr = RallyProbs(0.6, 0.5)
         cfg = GameConfig(n=15, s_a=1.0)
-        dist_mixed, wins = sideout.mixed_server_probs(pr, cfg)
+        dist_mixed = sideout.score_distribution(pr, cfg, server=None)
         dist_a = sideout.score_distribution(pr, cfg, server=A)
         for score, p in dist_a.entries.items():
             assert dist_mixed.entries[score] == pytest.approx(p, abs=1e-15)
-        assert wins[A] == pytest.approx(dist_a.win_prob(A), abs=1e-15)
+        assert dist_mixed.win_prob(A) == pytest.approx(dist_a.win_prob(A), abs=1e-15)
 
     def test_even_mixture_is_average(self):
         pr = RallyProbs(0.55, 0.55)
         cfg = GameConfig(n=11, s_a=0.5)
-        _, wins = sideout.mixed_server_probs(pr, cfg)
+        win_a = sideout.score_distribution(pr, cfg, server=None).win_prob(A)
         p_aa = sideout.game_win_prob(A, A, pr, cfg)
         p_ba = sideout.game_win_prob(A, B, pr, cfg)
-        assert wins[A] == pytest.approx((p_aa + p_ba) / 2.0, abs=1e-14)
+        assert win_a == pytest.approx((p_aa + p_ba) / 2.0, abs=1e-14)
 
     def test_against_monte_carlo(self):
         pr = RallyProbs(0.6, 0.5)
         cfg = GameConfig(n=15, s_a=0.5)
-        _, wins = sideout.mixed_server_probs(pr, cfg)
+        win_a = sideout.score_distribution(pr, cfg, server=None).win_prob(A)
         sample = simulate.sample_games(pr, cfg, 200_000, SeedSpec(11, 0))
         p_hat = sample.winner_a.mean()
-        sd = np.sqrt(wins[A] * (1 - wins[A]) / len(sample.winner_a))
-        assert abs(p_hat - wins[A]) < 3 * sd
+        sd = np.sqrt(win_a * (1 - win_a) / len(sample.winner_a))
+        assert abs(p_hat - win_a) < 3 * sd
 
 
 class TestTiebreak:
