@@ -302,9 +302,11 @@ def _server_moments(system: ScoringSystem, n: int, p_a, p_b):
     if system is ScoringSystem.SIDE_OUT:
         # expected_duration_conditional and variance_duration_conditional,
         # for every terminal tally at once
-        q = (1.0 - np.asarray(p_a)) * (1.0 - np.asarray(p_b))
-        mean = d * (1.0 + q) / (1.0 - q) - (~rows.server_last)[:, None] + 2.0 * ev.r_mean
-        var = 4.0 * d * q / (1.0 - q) ** 2 + 4.0 * ev.r_var
+        q_a = 1.0 - np.asarray(p_a)
+        q = q_a * (1.0 - np.asarray(p_b))
+        one_minus_q = p_a + q_a * p_b  # does not cancel as q -> 1
+        mean = d * (1.0 + q) / one_minus_q - (~rows.server_last)[:, None] + 2.0 * ev.r_mean
+        var = 4.0 * d * q / one_minus_q**2 + 4.0 * ev.r_var
     else:
         mean, var = np.broadcast_to(d, ev.weight.shape), np.zeros_like(ev.weight)
     shape = (2, n, ev.weight.shape[1])

@@ -131,7 +131,7 @@ def coefficient(rows: Rows, j: int) -> float:
 
 def _log(x: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore"):
-        return np.log(x)
+        return np.log(x).astype(float)
 
 
 def _xlog(e: np.ndarray, log_z: np.ndarray) -> np.ndarray:
@@ -160,16 +160,22 @@ def _slice_rows(rows: Rows, sl: slice) -> Rows:
 
 
 def _evaluate_block(system: ScoringSystem, rows: Rows, p_a: np.ndarray, p_b: np.ndarray):
+    # The bases are formed in extended precision (where the platform has
+    # it), so each logarithm is the rounded logarithm of the exact base; a
+    # base rounded to double, such as 1 - p, errs by half an ulp per power.
+    p_a, p_b = p_a.astype(np.longdouble), p_b.astype(np.longdouble)
     q_a, q_b = 1.0 - p_a, 1.0 - p_b
     q = q_a * q_b
     receiver_last = (~rows.server_last).astype(int)[:, None]
     j0 = rows.j0[:, None]
     if system is ScoringSystem.SIDE_OUT:
-        # x^alpha y^beta q_a^[receiver last] q^j, with x = p_a/(1-q), y = p_b/(1-q)
+        # x^alpha y^beta q_a^[receiver last] q^j, with x = p_a/(1-q), y = p_b/(1-q);
+        # 1 - q = p_a + q_a p_b does not cancel as q -> 1
+        one_minus_q = p_a + q_a * p_b
         log_v, log_u = _log(q), None
         log_pre = (
-            _xlog(rows.alpha[:, None], _log(p_a / (1.0 - q)))
-            + _xlog(rows.beta[:, None], _log(p_b / (1.0 - q)))
+            _xlog(rows.alpha[:, None], _log(p_a / one_minus_q))
+            + _xlog(rows.beta[:, None], _log(p_b / one_minus_q))
             + _xlog(receiver_last, _log(q_a))
             + _xlog(j0, log_v)
         )
@@ -180,8 +186,8 @@ def _evaluate_block(system: ScoringSystem, rows: Rows, p_a: np.ndarray, p_b: np.
         # every logarithm finite or -inf, also where p_a or p_b vanishes.
         h = p_a * p_b + q
         with np.errstate(invalid="ignore", divide="ignore"):
-            log_u = np.where(h > 0.0, np.log(p_a * p_b / h), 0.0)
-            log_v = np.where(h > 0.0, np.log(q / h), 0.0)
+            log_u = np.where(h > 0.0, _log(p_a * p_b / h), 0.0)
+            log_v = np.where(h > 0.0, _log(q / h), 0.0)
         top = rows.top[:, None]
         log_pre = (
             _xlog(rows.alpha[:, None] - top, _log(p_a))

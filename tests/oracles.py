@@ -10,6 +10,8 @@ active mass drops below `tol` (reported back to the caller).
 from collections import defaultdict
 from math import comb
 
+import mpmath
+
 from rallystats import Player
 
 A, B = Player.A, Player.B
@@ -134,11 +136,11 @@ def backward_induction_win_prob(p_a, p_b, n, server=A, rally_point=False):
     equations gives x = (p_a u + q_a p_b w) / (1 - q) for the state A
     serves, where u is the value after A scores and w after B scores.
     Rally-point: every rally scores and the scorer serves next.  Every step
-    is a convex combination of values in [0, 1], so nothing can overflow
-    or cancel, whatever n.
+    is a convex combination of values in [0, 1], so nothing can overflow,
+    whatever n; 1 - q is taken as p_a + q_a p_b, which does not cancel as
+    q -> 1.
     """
     q_a, q_b = 1.0 - p_a, 1.0 - p_b
-    q = q_a * q_b
     # row[b] = (value with A serving, value with B serving) at (a, b)
     nxt = [(1.0, 1.0)] * (n + 1)  # a = n: A has won
     for a in range(n - 1, -1, -1):
@@ -150,7 +152,7 @@ def backward_induction_win_prob(p_a, p_b, n, server=A, rally_point=False):
                 x = p_a * u + q_a * w
                 y = p_b * w + q_b * u
             else:
-                x = (p_a * u + q_a * p_b * w) / (1.0 - q)
+                x = (p_a * u + q_a * p_b * w) / (p_a + q_a * p_b)
                 y = p_b * w + q_b * x
             row[b] = (x, y)
         nxt = row
@@ -179,6 +181,49 @@ def closed_form_score_prob(alpha, beta, last, p_a, p_b, rally_point=False):
         if rally_point:
             total += coef * p_a ** (alpha - j) * p_b ** (beta - d - j) * q_a**d * q**j
         else:
-            x, y = p_a / (1.0 - q), p_b / (1.0 - q)
+            x, y = p_a / (p_a + q_a * p_b), p_b / (p_a + q_a * p_b)
             total += coef * x**alpha * y**beta * q_a**d * q**j
     return total
+
+
+def mp_sideout_win_prob(p_a, p_b, n, server=A, dps=40):
+    """P[A wins] of a side-out game to n by backward induction in
+    `dps`-digit arithmetic.  At each (a, b) the values x (A serving) and
+    y (B serving) solve the pair x = p_a u + q_a y, y = p_b w + q_b x,
+    with u the value after A scores and w after B scores."""
+    with mpmath.workdps(dps):
+        pa, pb = mpmath.mpf(p_a), mpmath.mpf(p_b)
+        qa, qb = 1 - pa, 1 - pb
+        one, zero = mpmath.mpf(1), mpmath.mpf(0)
+        nxt = [(one, one)] * (n + 1)  # a = n: A has won
+        for a in range(n - 1, -1, -1):
+            row = [(zero, zero)] * (n + 1)  # b = n: B has won
+            for b in range(n - 1, -1, -1):
+                u, w = nxt[b][0], row[b + 1][1]
+                x = (pa * u + qa * pb * w) / (1 - qa * qb)
+                row[b] = (x, pb * w + qb * x)
+            nxt = row
+        return nxt[0][0] if server is A else nxt[0][1]
+
+
+def mp_rallypoint_win_prob(p_a, p_b, n, server=A, dps=40):
+    """P[A wins] of a rally-point game to n as the binomial sum over the
+    terminal tallies and interruption counts, in `dps`-digit arithmetic.
+    With the first server's tally alpha and the receiver's beta, a tally
+    won by the server carries C(alpha, j) C(beta - 1, j - 1) paths with j
+    exchanges of serve back and forth, one won by the receiver
+    C(alpha, j) C(beta - 1, j)."""
+    with mpmath.workdps(dps):
+        ps, pr = (mpmath.mpf(p_a), mpmath.mpf(p_b)) if server is A else (mpmath.mpf(p_b), mpmath.mpf(p_a))
+        qs, q = 1 - ps, (1 - ps) * (1 - pr)
+        server_wins = ps**n + mpmath.fsum(
+            comb(n, j) * comb(k - 1, j - 1) * ps ** (n - j) * pr ** (k - j) * q**j
+            for k in range(1, n)
+            for j in range(1, min(n, k) + 1)
+        )
+        receiver_wins = mpmath.fsum(
+            comb(k, j) * comb(n - 1, j) * ps ** (k - j) * pr ** (n - 1 - j) * qs * q**j
+            for k in range(n)
+            for j in range(min(k, n - 1) + 1)
+        )
+        return server_wins if server is A else receiver_wins

@@ -1,6 +1,7 @@
 """The shared interruption-polynomial kernel: whole-grid evaluation against
 the per-point public functions, against the term-by-term loop it replaced,
-and against backward induction where that loop overflows (n = 1000)."""
+against backward induction where that loop overflows (n = 1000), and
+against 40-digit references at extreme parameters."""
 
 import math
 
@@ -20,7 +21,12 @@ from rallystats import (
     sideout,
 )
 
-from oracles import backward_induction_win_prob, closed_form_score_prob
+from oracles import (
+    backward_induction_win_prob,
+    closed_form_score_prob,
+    mp_rallypoint_win_prob,
+    mp_sideout_win_prob,
+)
 
 A, B = Player.A, Player.B
 EPS = np.finfo(float).eps
@@ -104,6 +110,26 @@ def test_game_win_prob_at_n_1000(system):
         expected = backward_induction_win_prob(0.55, 0.5, 1000, server=server, rally_point=rally_point)
         assert value == pytest.approx(expected, abs=1e-10)
         assert sideout.game_win_prob(B, server, probs, config) == pytest.approx(1.0 - expected, abs=1e-10)
+
+
+# q -> 1 with one side certain to lose its serve, q -> 1 with both
+# nearly so, a side that never wins on serve, and the rare-event point
+MP_POINTS = [(0.0, 1e-7), (1e-9, 1e-7), (0.2, 0.0), (1e-4, 1e-4), (0.0085, 0.9915)]
+MP_REFERENCE = {ScoringSystem.SIDE_OUT: mp_sideout_win_prob, ScoringSystem.RALLY_POINT: mp_rallypoint_win_prob}
+
+
+@pytest.mark.parametrize("system", list(ScoringSystem))
+@pytest.mark.parametrize("n", [1, 15])
+@pytest.mark.parametrize("point", MP_POINTS, ids=str)
+def test_win_probs_against_mpmath(point, n, system):
+    reference = MP_REFERENCE[system]
+    probs, config = RallyProbs(*point), GameConfig(n=n, system=system)
+    for server in Player:
+        # B wins the game as the A of the game with roles swapped
+        want = [float(reference(*point, n, server)), float(reference(*point[::-1], n, server.other))]
+        got = [sideout.game_win_prob(winner, server, probs, config) for winner in Player]
+        assert close(got, want), (server, got, want)
+        assert got[0] + got[1] <= 1.0 + 2 * EPS
 
 
 def test_table_is_cached_and_read_only():
