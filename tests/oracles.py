@@ -209,9 +209,10 @@ def mp_sideout_win_prob(p_a, p_b, n, server=A, dps=40):
 def mp_rallypoint_win_prob(p_a, p_b, n, server=A, dps=40):
     """P[A wins] of a rally-point game to n as the binomial sum over the
     terminal tallies and interruption counts, in `dps`-digit arithmetic.
-    With the first server's tally alpha and the receiver's beta, a tally
-    won by the server carries C(alpha, j) C(beta - 1, j - 1) paths with j
-    exchanges of serve back and forth, one won by the receiver
+    With the first server's tally alpha and the receiver's beta and j
+    round trips of the serve (lost by the first server, then won back,
+    each weighing q = q_a q_b), a tally won by the server carries
+    C(alpha, j) C(beta - 1, j - 1) paths and one won by the receiver
     C(alpha, j) C(beta - 1, j)."""
     with mpmath.workdps(dps):
         ps, pr = (mpmath.mpf(p_a), mpmath.mpf(p_b)) if server is A else (mpmath.mpf(p_b), mpmath.mpf(p_a))

@@ -112,8 +112,9 @@ def test_game_win_prob_at_n_1000(system):
         assert sideout.game_win_prob(B, server, probs, config) == pytest.approx(1.0 - expected, abs=1e-10)
 
 
-# q -> 1 with one side certain to lose its serve, q -> 1 with both
-# nearly so, a side that never wins on serve, and the rare-event point
+# q -> 1 with one side certain to lose its serve (0, 1e-7) or both nearly
+# so (1e-9, 1e-7), (1e-4, 1e-4); a side that never wins on serve (0.2, 0);
+# the rare-event point
 MP_POINTS = [(0.0, 1e-7), (1e-9, 1e-7), (0.2, 0.0), (1e-4, 1e-4), (0.0085, 0.9915)]
 MP_REFERENCE = {ScoringSystem.SIDE_OUT: mp_sideout_win_prob, ScoringSystem.RALLY_POINT: mp_rallypoint_win_prob}
 
@@ -127,6 +128,7 @@ def test_win_probs_against_mpmath(point, n, system):
     for server in Player:
         # B wins the game as the A of the game with roles swapped
         want = [float(reference(*point, n, server)), float(reference(*point[::-1], n, server.other))]
+        assert abs(want[0] + want[1] - 1.0) <= 2 * EPS  # the references themselves
         got = [sideout.game_win_prob(winner, server, probs, config) for winner in Player]
         assert close(got, want), (server, got, want)
         assert got[0] + got[1] <= 1.0 + 2 * EPS
