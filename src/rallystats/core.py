@@ -145,20 +145,6 @@ class TerminalScore:
         return self.alpha if player is Player.A else self.beta
 
 
-@dataclass(frozen=True)
-class GammaBounds:
-    """Interruption-count ranges attached to a final tally (alpha, beta):
-    gamma0..gamma1 when A scores last, 1..gamma2+1 when B does."""
-
-    gamma0: int
-    gamma1: int
-    gamma2: int
-
-    @staticmethod
-    def for_score(alpha: int, beta: int) -> "GammaBounds":
-        return GammaBounds(min(beta, 1), min(alpha, beta), min(alpha, beta - 1))
-
-
 def binom(m: int, k: int) -> float:
     """Binomial coefficient in double precision, with binom(-1, -1) := 1.
 

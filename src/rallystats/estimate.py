@@ -5,9 +5,16 @@ Two likelihoods are offered: score-only (the final tally of each game) and
 score-plus-duration (tally times the conditional probability of the
 observed rally count).  The joint score/duration probability collapses to
 p_a^alpha p_b^beta q_a^delta q^m H(m) with a parameter-free combinatorial
-count H(m), so adding durations removes the awkward q-polynomial of the
-score-only likelihood.  Estimation is numeric either way: bounded L-BFGS-B
-from a small multistart grid, which is deterministic given the data.
+count H(m), so with durations the log-likelihood is
+
+    k_pa log p_a + k_qa log q_a + k_pb log p_b + k_qb log q_b + const
+
+and its maximizer is a ratio of counts: rallies won on serve over rallies
+served, for each player (one pooled ratio in the no-server model).  The
+score-only likelihood keeps the q-polynomial of each tally and is
+maximized numerically: bounded L-BFGS-B from a small multistart grid,
+which is deterministic given the data.  Both take their interruption
+coefficients from `rallystats.kernel`.
 
 Duration information enters the conditional duration law only through q,
 so in the two-parameter server model the duration term mostly sharpens q;
@@ -19,15 +26,15 @@ from __future__ import annotations
 import enum
 import json
 import math
+import numbers
 from dataclasses import dataclass
-from math import comb
 
 import numpy as np
 from scipy.optimize import minimize
 
+from . import kernel
 from .core import (
     DomainError,
-    GammaBounds,
     InfeasibleData,
     NonConvergence,
     Player,
@@ -52,6 +59,15 @@ class FitModel(enum.Enum):
     NO_SERVER = "no-server"
 
 
+def _count(d: dict, key: str) -> int:
+    value = d[key]
+    if isinstance(value, bool) or not (
+        isinstance(value, numbers.Integral) or (isinstance(value, float) and value.is_integer())
+    ):
+        raise ValueError(f"{key}={value!r} is not an integer")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class GameRecord:
     """One observed game: who served first, the final tally, and
@@ -74,10 +90,12 @@ class GameRecord:
 
     @staticmethod
     def from_dict(d: dict) -> "GameRecord":
+        if not isinstance(d, dict):
+            raise ValueError(f"expected a JSON object, got {type(d).__name__}")
         return GameRecord(
             first_server=Player(d["first_server"]),
-            score=TerminalScore(int(d["alpha"]), int(d["beta"]), Player(d["last_scorer"])),
-            duration=int(d["duration"]) if d.get("duration") is not None else None,
+            score=TerminalScore(_count(d, "alpha"), _count(d, "beta"), Player(d["last_scorer"])),
+            duration=_count(d, "duration") if d.get("duration") is not None else None,
         )
 
 
@@ -115,148 +133,89 @@ def records_from_sample(sample) -> list[GameRecord]:
     return out
 
 
-def _comb_conv(m: int, k: int) -> int:
-    # binomial with the binom(-1,-1) := 1 convention, exact integers
-    if m == -1 and k == -1:
-        return 1
-    if k < 0 or m < 0 or k > m:
-        return 0
-    return comb(m, k)
-
-
-def _h_count(a: int, b: int, last: Player, m: int) -> int:
-    """Number-weight of trajectories with m extra rally pairs beyond the
-    a+b scored points: convolution of the exchange and interruption
-    placement counts."""
-    g = GammaBounds.for_score(a, b)
-    total = 0
-    if last is Player.A:
-        lo = max(0, m - g.gamma1)
-        for l in range(lo, m + 1):
-            total += _comb_conv(a + b + l - 1, l) * _comb_conv(a, m - l) * _comb_conv(b - 1, m - l - 1)
-    else:
-        lo = max(0, m - g.gamma2)
-        for l in range(lo, m + 1):
-            total += _comb_conv(a + b + l - 1, l) * _comb_conv(a, m - l) * _comb_conv(b - 1, m - l)
-    return total
-
-
-@dataclass(frozen=True)
-class _Compiled:
-    """Per-record constants, in A-game coordinates (swap = server was B)."""
-
-    swap: bool
-    a: int
-    b: int
-    delta: int  # 1 when the receiving side scored last
-    q_coeffs: np.ndarray  # score-only: coefficients of q^(k) in the r-sum
-    m: int | None  # extra rally pairs implied by the observed duration
-    log_h: float | None
-
-
-def _compile_record(index: int, rec: GameRecord, need_duration: bool) -> _Compiled:
-    swap = rec.first_server is Player.B
-    if not swap:
-        a, b, last = rec.score.alpha, rec.score.beta, rec.score.last_scorer
-    else:
-        a, b, last = rec.score.beta, rec.score.alpha, rec.score.last_scorer.other
-    win_pts = a if last is Player.A else b
-    lose_pts = b if last is Player.A else a
-    if win_pts <= lose_pts:
-        raise InfeasibleData(
-            f"record {index}: last scorer of a completed game must hold the higher tally "
-            f"({rec.score.alpha}, {rec.score.beta})"
-        )
-    g = GammaBounds.for_score(a, b)
-    delta = 1 if last is Player.B else 0
-    if last is Player.A:
-        coeffs = np.array(
-            [float(_comb_conv(a, r) * _comb_conv(b - 1, r - 1)) for r in range(g.gamma0, g.gamma1 + 1)]
-        )
-        degree0 = g.gamma0
-    else:
-        coeffs = np.array(
-            [float(_comb_conv(a, r - 1) * _comb_conv(b - 1, r - 1)) for r in range(1, g.gamma2 + 2)]
-        )
-        degree0 = 0
-    poly = np.zeros(degree0 + len(coeffs))
-    poly[degree0:] = coeffs
-    m = None
-    log_h = None
-    if need_duration:
-        if rec.duration is None:
-            raise InfeasibleData(f"record {index}: duration required for score-and-duration fit")
-        span = rec.duration - a - b - delta
-        if span < 0 or span % 2 != 0:
-            raise InfeasibleData(
-                f"record {index}: duration {rec.duration} infeasible for tally "
-                f"({rec.score.alpha}, {rec.score.beta}) with first server "
-                f"{rec.first_server.value} (wrong parity or too short)"
-            )
-        m = span // 2
-        h = _h_count(a, b, last, m)
-        if h == 0:
-            raise InfeasibleData(
-                f"record {index}: duration {rec.duration} carries zero probability"
-            )
-        log_h = math.log(h)
-    return _Compiled(swap, a, b, delta, poly, m, log_h)
+def _log_h(rows: kernel.Rows, m: int) -> float:
+    """log H(m): the number-weight of trajectories with m extra rally pairs
+    beyond the scored points, a convolution over the l exchanges of
+    C(a+b+l-1, l) with the kernel coefficient of q^(m-l).  The exchange
+    count is summed as log C(a+b-1+l, a+b-1) = sum_i log1p(l/i), i < a+b,
+    which stays accurate to a few ulps for any l (a difference of lgamma
+    values loses ulps of lgamma(l), 5e-10 relative at l = 1e5)."""
+    j0 = int(rows.j0[0])
+    j = np.arange(j0, min(int(rows.top[0]), m) + 1)
+    if j.size == 0:
+        return -math.inf
+    points = int(rows.alpha[0] + rows.beta[0])
+    log_exchanges = np.log1p((m - j)[:, None] / np.arange(1, points)).sum(axis=1)
+    return float(np.logaddexp.reduce(log_exchanges + rows.logc[0, j - j0]))
 
 
 class _Likelihood:
-    """Vectorized log-likelihood over a compiled record batch."""
+    """Log-likelihood of a record batch, reduced to exponent totals (and,
+    score-only, one q-polynomial per record)."""
 
     def __init__(self, records, mode: FitMode):
         if not records:
             raise InfeasibleData("no records")
-        need_dur = mode is FitMode.SCORE_DURATION
-        comp = [_compile_record(i, r, need_dur) for i, r in enumerate(records)]
         self.mode = mode
-        # exponent totals per swap group: ps = server-side prob, pr = receiver
-        self.e_ps = [0.0, 0.0]
-        self.e_pr = [0.0, 0.0]
-        self.e_qs = [0.0, 0.0]
-        self.m_total = 0.0
+        # exponents of log p_a, log q_a, log p_b, log q_b
+        self.k = [0, 0, 0, 0]
         self.log_h_total = 0.0
-        self.points_total = 0.0
+        self.points_total = 0
         polys = []
-        for c in comp:
-            grp = 1 if c.swap else 0
-            self.e_ps[grp] += c.a
-            self.e_pr[grp] += c.b
-            self.e_qs[grp] += c.delta
-            if need_dur:
-                self.m_total += c.m
-                self.log_h_total += c.log_h
+        for i, rec in enumerate(records):
+            swap = rec.first_server is Player.B
+            a, b = (rec.score.beta, rec.score.alpha) if swap else (rec.score.alpha, rec.score.beta)
+            server_last = rec.score.last_scorer is rec.first_server
+            win_pts, lose_pts = (a, b) if server_last else (b, a)
+            if win_pts <= lose_pts:
+                raise InfeasibleData(
+                    f"record {i}: last scorer of a completed game must hold the higher tally "
+                    f"({rec.score.alpha}, {rec.score.beta})"
+                )
+            delta = 0 if server_last else 1  # the receiving side scored last
+            server, receiver = (2, 0) if swap else (0, 2)
+            self.k[server] += a
+            self.k[receiver] += b
+            self.k[server + 1] += delta
+            rows = kernel.tally(a, b, server_last)
+            if mode is FitMode.SCORE_DURATION:
+                if rec.duration is None:
+                    raise InfeasibleData(f"record {i}: duration required for score-and-duration fit")
+                span = rec.duration - a - b - delta
+                if span < 0 or span % 2 != 0:
+                    raise InfeasibleData(
+                        f"record {i}: duration {rec.duration} infeasible for tally "
+                        f"({rec.score.alpha}, {rec.score.beta}) with first server "
+                        f"{rec.first_server.value} (wrong parity or too short)"
+                    )
+                m = span // 2
+                log_h = _log_h(rows, m)
+                if log_h == -math.inf:
+                    raise InfeasibleData(f"record {i}: duration {rec.duration} carries zero probability")
+                self.k[1] += m
+                self.k[3] += m
+                self.log_h_total += log_h
             else:
-                self.points_total += c.a + c.b
-                polys.append(c.q_coeffs)
-        if not need_dur:
-            width = max(len(p) for p in polys)
-            self.poly = np.zeros((len(polys), width))
+                self.points_total += a + b
+                poly = np.zeros(int(rows.top[0]) + 1)
+                poly[int(rows.j0[0]) :] = np.exp(rows.logc[0])
+                polys.append(poly)
+        if polys:
+            self.poly = np.zeros((len(polys), max(len(p) for p in polys)))
             for i, p in enumerate(polys):
                 self.poly[i, : len(p)] = p
-        else:
-            self.poly = None
 
     def __call__(self, p_a: float, p_b: float) -> float:
         if not (0.0 < p_a < 1.0 and 0.0 < p_b < 1.0):
             return -np.inf
-        q = (1.0 - p_a) * (1.0 - p_b)
-        lpa, lpb = math.log(p_a), math.log(p_b)
-        lqa, lqb = math.log(1.0 - p_a), math.log(1.0 - p_b)
-        out = (
-            self.e_ps[0] * lpa
-            + self.e_pr[0] * lpb
-            + self.e_qs[0] * lqa
-            + self.e_ps[1] * lpb
-            + self.e_pr[1] * lpa
-            + self.e_qs[1] * lqb
-        )
+        q_a, q_b = 1.0 - p_a, 1.0 - p_b
+        k_pa, k_qa, k_pb, k_qb = self.k
+        out = k_pa * math.log(p_a) + k_qa * math.log(q_a) + k_pb * math.log(p_b) + k_qb * math.log(q_b)
         if self.mode is FitMode.SCORE_DURATION:
-            return out + self.m_total * math.log(q) + self.log_h_total
-        out -= self.points_total * math.log(1.0 - q)
-        qpow = q ** np.arange(self.poly.shape[1])
+            return out + self.log_h_total
+        # 1 - q = p_a + q_a p_b does not cancel as q -> 1
+        out -= self.points_total * math.log(p_a + q_a * p_b)
+        qpow = (q_a * q_b) ** np.arange(self.poly.shape[1])
         sums = self.poly @ qpow
         if np.any(sums <= 0.0):
             return -np.inf
@@ -289,12 +248,15 @@ class FitResult:
         return self.p_a
 
 
-def fit(records, mode: FitMode = FitMode.SCORE_DURATION, model: FitModel = FitModel.SERVER) -> FitResult:
-    """Maximize the selected log-likelihood over [delta, 1-delta]^2 (or the
-    no-server diagonal p_a = 1 - p_b), multistarted to dodge local maxima.
-    Deterministic given the data."""
-    lik = _Likelihood(records, mode)
-    lo, hi = _BOUND_DELTA, 1.0 - _BOUND_DELTA
+def _ratio(won: int, lost: int) -> float:
+    """won / (won + lost); 0.5 when the player never served a rally, since
+    the likelihood is then flat in that coordinate."""
+    return won / (won + lost) if won + lost > 0 else 0.5
+
+
+def _multistart(lik: _Likelihood, model: FitModel, lo: float, hi: float) -> tuple[np.ndarray, bool]:
+    """Score-only maximizer: bounded L-BFGS-B from each point of a small
+    grid of starts, keeping the best."""
     if model is FitModel.SERVER:
         starts = [np.array([x, y]) for x in _STARTS_1D for y in _STARTS_1D]
         bounds = [(lo, hi), (lo, hi)]
@@ -327,18 +289,33 @@ def fit(records, mode: FitMode = FitMode.SCORE_DURATION, model: FitModel = FitMo
             best_converged = bool(res.success)
     if not any_converged:
         raise NonConvergence(f"no start converged within {_EVAL_BUDGET} evaluations")
-    x = best.x
-    if model is FitModel.SERVER:
-        p_a, p_b = float(x[0]), float(x[1])
+    return best.x, best_converged
+
+
+def fit(records, mode: FitMode = FitMode.SCORE_DURATION, model: FitModel = FitModel.SERVER) -> FitResult:
+    """Maximize the selected log-likelihood over [delta, 1-delta]^2 (or the
+    no-server diagonal p_a = 1 - p_b).  Score and duration: the ratio of
+    counts, clamped to that box.  Score only: multistarted L-BFGS-B.
+    Deterministic given the data."""
+    lik = _Likelihood(records, mode)
+    lo, hi = _BOUND_DELTA, 1.0 - _BOUND_DELTA
+    if mode is FitMode.SCORE_DURATION:
+        k_pa, k_qa, k_pb, k_qb = lik.k
+        if model is FitModel.SERVER:
+            x = [_ratio(k_pa, k_qa), _ratio(k_pb, k_qb)]
+        else:
+            x = [_ratio(k_pa + k_qb, k_qa + k_pb)]
+        x, converged = np.clip(x, lo, hi), True
     else:
-        p_a = float(x[0])
-        p_b = 1.0 - p_a
+        x, converged = _multistart(lik, model, lo, hi)
+    p_a = float(x[0])
+    p_b = float(x[1]) if model is FitModel.SERVER else 1.0 - p_a
     boundary = any(min(v - lo, hi - v) <= _PARAM_TOL for v in x)
     return FitResult(
         p_a=p_a,
         p_b=p_b,
-        log_likelihood=-float(best.fun),
-        converged=best_converged,
+        log_likelihood=lik(p_a, p_b),
+        converged=converged,
         boundary=boundary,
         mode=mode,
         model=model,

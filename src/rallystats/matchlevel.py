@@ -13,6 +13,7 @@ probabilities; this invariance is kept as a test property.
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -35,6 +36,8 @@ class MatchConfig:
     server_rule: ServerRule = ServerRule.WINNER_SERVES_NEXT
 
     def __post_init__(self):
+        if not isinstance(self.games_to_win, numbers.Integral):
+            raise ConfigError(f"games_to_win={self.games_to_win!r} must be an integer")
         if self.games_to_win < 1:
             raise ConfigError(f"games_to_win={self.games_to_win} must be >= 1")
         if self.games_to_win > 20:

@@ -186,6 +186,23 @@ def closed_form_score_prob(alpha, beta, last, p_a, p_b, rally_point=False):
     return total
 
 
+def exact_h_count(alpha, beta, last, m):
+    """H(m) of an A-game tally in exact integers: the number-weight of
+    trajectories with m rally pairs beyond the scored points, a
+    convolution over the exchange count l of C(alpha+beta+l-1, l) with the
+    interruption coefficient of q^(m-l).  The loop the estimator's
+    log-space sum replaced, kept as a reference for it."""
+
+    def c(top, r):  # binom(top, r) with the binom(-1, -1) = 1 convention
+        return 1 if top == r == -1 else (comb(top, r) if 0 <= r <= top else 0)
+
+    shift = 1 if last is A else 0
+    return sum(
+        c(alpha + beta + l - 1, l) * c(alpha, m - l) * c(beta - 1, m - l - shift)
+        for l in range(max(0, m - min(alpha, beta)), m + 1)
+    )
+
+
 def mp_sideout_win_prob(p_a, p_b, n, server=A, dps=40):
     """P[A wins] of a side-out game to n by backward induction in
     `dps`-digit arithmetic.  At each (a, b) the values x (A serving) and

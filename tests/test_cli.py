@@ -187,6 +187,14 @@ class TestSimulateAndEstimate:
         assert result.exit_code == 3
         assert "record 1" in result.output
 
+    @pytest.mark.parametrize("bad", ['{"first_server": "A", "alpha": null, "beta": 3, "last_scorer": "A"}', "[1, 2]"])
+    def test_estimate_malformed_record_exits_3(self, runner, tmp_path, bad):
+        records = tmp_path / "bad.jsonl"
+        records.write_text(bad + "\n")
+        result = runner.invoke(main, ["estimate", "--input", str(records)])
+        assert result.exit_code == 3
+        assert "record 0" in result.output
+
 
 class TestMatchAndPlan:
     def test_match_values_match_library(self, runner):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -11,10 +12,10 @@ from rallystats import (
     SeedSpec,
     TerminalScore,
 )
-from rallystats import estimate, simulate
+from rallystats import estimate, kernel, simulate
 from rallystats.estimate import FitMode, FitModel, GameRecord, RallyWinProbMLE
 
-from oracles import enumerate_sideout, score_marginal
+from oracles import enumerate_sideout, exact_h_count, score_marginal
 
 A, B = Player.A, Player.B
 
@@ -32,10 +33,11 @@ def simulated_records(pa, pb, n, count, seed, s_a=0.5):
 
 class TestScoreLikelihood:
     def test_shutout_closed_form(self):
-        n, p_a, p_b = 7, 0.62, 0.47
-        q = (1 - p_a) * (1 - p_b)
-        got = estimate.loglik_score([rec(A, n, 0, A)], p_a, p_b)
-        assert got == pytest.approx(n * math.log(p_a) - n * math.log(1 - q), abs=1e-12)
+        # at (1e-9, 1e-7), q is within 1.01e-7 of 1, where 1 - q cancels
+        for n, p_a, p_b in [(7, 0.62, 0.47), (15, 1e-9, 1e-7)]:
+            one_minus_q = p_a + (1 - p_a) * p_b
+            got = estimate.loglik_score([rec(A, n, 0, A)], p_a, p_b)
+            assert got == pytest.approx(n * math.log(p_a) - n * math.log(one_minus_q), abs=1e-12)
 
     def test_permutation_invariance(self):
         records = simulated_records(0.6, 0.5, 9, 40, SeedSpec(21, 0))
@@ -82,6 +84,24 @@ class TestJointLikelihood:
         got = estimate.loglik_score_duration(records, p_a, p_b)
         assert got == pytest.approx(expected, abs=1e-10)
 
+    def test_log_h_matches_exact_integers(self):
+        # long durations (q near 1) give large m, where a difference of
+        # lgamma values would lose ulps of lgamma(m)
+        for a in range(16):
+            for b in range(16):
+                for last in (A, B):
+                    win, lose = (a, b) if last is A else (b, a)
+                    if win <= lose:
+                        continue
+                    rows = kernel.tally(a, b, last is A)
+                    for m in [*range(12), 1_000, 100_000]:
+                        exact = exact_h_count(a, b, last, m)
+                        got = estimate._log_h(rows, m)
+                        if exact == 0:
+                            assert got == -math.inf
+                        else:
+                            assert got == pytest.approx(math.log(exact), rel=1e-14, abs=1e-14)
+
     def test_wrong_parity_infeasible(self):
         # first server A, A wins: the rally count must share the parity of
         # alpha + beta (the server-effect)
@@ -105,7 +125,9 @@ class TestJointLikelihood:
 def _joint_argmax(records):
     """Analytic maximizer of the joint likelihood: the exponents of p_a,
     1-p_a, p_b, 1-p_b are separable, so each coordinate is a beta-style
-    fraction.  Independent oracle for the numeric optimizer."""
+    fraction; in the no-server model (p_b = 1 - p_a) the fraction pools
+    both players.  Returns (p_a, p_b, p).  Counts the exponents from the
+    records directly, independently of the estimator."""
     k_pa = k_qa = k_pb = k_qb = 0.0
     for r in records:
         delta = 1 if r.score.last_scorer is not r.first_server else 0
@@ -114,7 +136,7 @@ def _joint_argmax(records):
         k_pb += r.score.beta
         k_qa += m + (1 if (r.first_server is A and delta) else 0)
         k_qb += m + (1 if (r.first_server is B and delta) else 0)
-    return k_pa / (k_pa + k_qa), k_pb / (k_pb + k_qb)
+    return k_pa / (k_pa + k_qa), k_pb / (k_pb + k_qb), (k_pa + k_qb) / (k_pa + k_qa + k_pb + k_qb)
 
 
 class TestFit:
@@ -136,9 +158,23 @@ class TestFit:
     def test_matches_analytic_joint_argmax(self):
         records = simulated_records(0.63, 0.41, 11, 60, SeedSpec(102, 3))
         res = estimate.fit(records, FitMode.SCORE_DURATION, FitModel.SERVER)
-        pa_star, pb_star = _joint_argmax(records)
-        assert res.p_a == pytest.approx(pa_star, abs=1e-5)
-        assert res.p_b == pytest.approx(pb_star, abs=1e-5)
+        pa_star, pb_star, p_star = _joint_argmax(records)
+        assert res.p_a == pytest.approx(pa_star, abs=1e-12)
+        assert res.p_b == pytest.approx(pb_star, abs=1e-12)
+        res = estimate.fit(records, FitMode.SCORE_DURATION, FitModel.NO_SERVER)
+        assert res.p == pytest.approx(p_star, abs=1e-12)
+        assert res.p_b == pytest.approx(1 - p_star, abs=1e-12)
+
+    def test_score_duration_fit_uses_no_optimizer(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("score-and-duration fit called the optimizer")
+
+        monkeypatch.setattr(estimate, "minimize", refuse)
+        records = simulated_records(0.6, 0.5, 9, 40, SeedSpec(109, 9))
+        for model in FitModel:
+            res = estimate.fit(records, FitMode.SCORE_DURATION, model)
+            assert res.converged
+            assert 0.0 < res.p_a < 1.0
 
     def test_no_server_model(self):
         records = simulated_records(0.58, 0.42, 15, 300, SeedSpec(103, 4))
@@ -151,6 +187,8 @@ class TestFit:
         res = estimate.fit(records, FitMode.SCORE_DURATION, FitModel.SERVER)
         assert res.boundary
         assert res.p_a > 1 - 1e-6
+        # B never serves, so the likelihood is flat in p_b
+        assert res.p_b == 0.5
 
     def test_label_symmetry(self):
         records = simulated_records(0.6, 0.45, 9, 80, SeedSpec(104, 5))
@@ -206,6 +244,31 @@ class TestRecordsIO:
     def test_parse_error_names_record(self):
         with pytest.raises(InfeasibleData, match="record 1"):
             estimate.records_from_json_lines(['{"first_server": "A", "alpha": 3, "beta": 0, "last_scorer": "A"}', "{bad"])
+
+    @pytest.mark.parametrize("field, value", [("alpha", 15.9), ("beta", "3"), ("duration", 40.5), ("alpha", True)])
+    def test_non_integral_count_rejected(self, field, value):
+        d = {"first_server": "A", "alpha": 15, "beta": 3, "last_scorer": "A", "duration": 40, field: value}
+        with pytest.raises(InfeasibleData, match=f"record 0: .*{field}"):
+            estimate.records_from_json_lines([json.dumps(d)])
+
+    def test_integral_float_count_accepted(self):
+        line = '{"first_server": "A", "alpha": 15.0, "beta": 3, "last_scorer": "A", "duration": 40}'
+        assert estimate.records_from_json_lines([line])[0].score.alpha == 15
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"first_server": "A", "alpha": null, "beta": 3, "last_scorer": "A"}',
+            '{"first_server": null, "alpha": 15, "beta": 3, "last_scorer": "A"}',
+            "[15, 3]",
+            "7",
+            "null",
+        ],
+    )
+    def test_null_field_or_non_object_rejected(self, line):
+        good = '{"first_server": "A", "alpha": 15, "beta": 3, "last_scorer": "A"}'
+        with pytest.raises(InfeasibleData, match="record 1"):
+            estimate.records_from_json_lines([good, line])
 
 
 class TestEstimatorAPI:

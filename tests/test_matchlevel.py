@@ -1,12 +1,19 @@
 import numpy as np
 import pytest
 
-from rallystats import GameConfig, Player, RallyProbs, ScoringSystem, SeedSpec
+from rallystats import ConfigError, GameConfig, Player, RallyProbs, ScoringSystem, SeedSpec
 from rallystats import duration, matchlevel, rallypoint, sideout, simulate
 from rallystats.matchlevel import MatchConfig, ServerRule
 
 A, B = Player.A, Player.B
 WSN, ALT, CFE = ServerRule.WINNER_SERVES_NEXT, ServerRule.ALTERNATE, ServerRule.COIN_FLIP_EACH
+
+
+class TestMatchConfig:
+    @pytest.mark.parametrize("games", [2.5, "2"])
+    def test_non_integer_games_to_win_rejected(self, games):
+        with pytest.raises(ConfigError, match="integer"):
+            MatchConfig(games)
 
 
 class TestMatchWinProb:
