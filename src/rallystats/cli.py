@@ -204,9 +204,8 @@ def cmd_duration(system, n, pa, pb, server, sa, tiebreak, stat, winner, score, l
             else:
                 pr = probs if fixed is Player.A else probs.swapped()
                 a, b, c = (alpha, beta, last) if fixed is Player.A else (beta, alpha, last.other)
-                mean = duration.expected_duration_conditional(a, b, c, pr.q)
-                var = duration.variance_duration_conditional(a, b, c, pr.q)
-                rows = [[f"score={alpha}-{beta}", mean, var**0.5, var]]
+                m = duration._conditional_moments(a, b, c, pr.q, pr.p_a + pr.q_a * pr.p_b)
+                rows = [[f"score={alpha}-{beta}", m.mean, m.sd, m.variance]]
         else:
             rows = _moment_rows(probs, config, fixed)
         _emit(OutputTable(["conditioning", "mean", "sd", "variance"], rows), fmt, out)

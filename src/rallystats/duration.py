@@ -11,7 +11,8 @@ the two laws, with a certified truncation bound for the infinite exchange
 series.  Under rally-point scoring every rally scores, so D = alpha + beta
 given the tally.  The aggregate moments and the winner-conditional and
 unconditional PMFs read the system from the `GameConfig` and mix these
-per-tally laws over the score distribution.
+per-tally laws over the score distribution; the PMFs build one exchange
+series per point total alpha + beta, shared by all tallies and servers.
 
 Tie-break-extended games are out of scope here; compose tie probabilities
 from `sideout` at a higher level if needed.
@@ -133,7 +134,7 @@ def interruption_weights(alpha: int, beta: int, last_scorer: Player, q: float) -
     rows = kernel.tally(alpha, beta, last_scorer is Player.A)
     # j is the power of q (pair shift); r = j + 1 when the receiver scores last
     shift = np.arange(int(rows.j0[0]), int(rows.top[0]) + 1)
-    return InterruptionWeights(shift + int(last_scorer is Player.B), kernel.interruption_law(rows, q), shift)
+    return InterruptionWeights(shift + int(last_scorer is Player.B), kernel.interruption_law(rows, q)[0], shift)
 
 
 def mgf_conditional(alpha: int, beta: int, last_scorer: Player, q: float, t: float) -> float:
@@ -151,69 +152,108 @@ def mgf_conditional(alpha: int, beta: int, last_scorer: Player, q: float, t: flo
     return base * float(np.dot(w.weights, np.exp(t * (2.0 * w.rs - delta))))
 
 
-def expected_duration_conditional(alpha: int, beta: int, last_scorer: Player, q: float) -> float:
-    """Exact conditional expectation of D: the shutout value
-    (alpha+beta)(1+q)/(1-q) plus twice the mean interruption count (minus
-    one when the receiver side scores last)."""
+def _conditional_moments(alpha: int, beta: int, last_scorer: Player, q: float, one_minus_q: float) -> Moments:
+    """Exact conditional mean and variance of D for an A-game tally, given
+    1 - q apart from q since it cancels as q -> 1.  The mean is the shutout
+    value (alpha+beta)(1+q)/(1-q) plus twice the mean interruption count
+    (minus one when the receiver side scores last); the variance is
+    4(alpha+beta)q/(1-q)^2 plus four times the interruption-count variance."""
     w = interruption_weights(alpha, beta, last_scorer, q)
     delta = 1 if last_scorer is Player.B else 0
-    return (alpha + beta) * (1.0 + q) / (1.0 - q) - delta + 2.0 * w.mean()
+    mean = (alpha + beta) * (1.0 + q) / one_minus_q - delta + 2.0 * w.mean()
+    return Moments(mean, 4.0 * (alpha + beta) * q / one_minus_q**2 + 4.0 * w.variance())
+
+
+def expected_duration_conditional(alpha: int, beta: int, last_scorer: Player, q: float) -> float:
+    """Exact conditional expectation of D (see `_conditional_moments`)."""
+    return _conditional_moments(alpha, beta, last_scorer, q, 1.0 - q).mean
 
 
 def variance_duration_conditional(alpha: int, beta: int, last_scorer: Player, q: float) -> float:
-    """Exact conditional variance of D: 4(alpha+beta)q/(1-q)^2 plus four
-    times the interruption-count variance."""
-    w = interruption_weights(alpha, beta, last_scorer, q)
-    return 4.0 * (alpha + beta) * q / (1.0 - q) ** 2 + 4.0 * w.variance()
+    """Exact conditional variance of D (see `_conditional_moments`)."""
+    return _conditional_moments(alpha, beta, last_scorer, q, 1.0 - q).variance
 
 
-def _exchange_pmf(m0: int, q: float, epsilon: float) -> tuple[np.ndarray, float]:
-    """Negative-binomial law of the exchange count for m0 scored points:
-    P[J = l] = binom(m0+l-1, l) q^l (1-q)^m0.
+def _exchange_pmf(m0: int, probs: RallyProbs, epsilon: float) -> tuple[np.ndarray, float]:
+    """Negative-binomial law of the exchange count for m0 scored points,
+    P[J = l] = binom(m0+l-1, l) q^l (1-q)^m0, and a bound on what it leaves out.
 
-    Truncated at the first index past the peak where the geometric tail
-    bound drops below epsilon times the accumulated mass; the bound uses
-    the current term ratio, which decreases towards q, so it is certified.
+    The terms are running products of the ratios q(m0+l)/(l+1) in the
+    rounded q, in chunks of the mean plus twelve standard deviations (which
+    reach 1e-12 from m0 = 15 on).  The exact q enters through the base
+    (1-q)^m0, with 1 - q = p_a + q_a p_b, and a factor exp(l (log q - log
+    q_rounded)), both formed in extended precision.  The series stops at the
+    first index past the peak where the geometric tail bound drops below
+    epsilon times the accumulated mass; that bound uses the current term
+    ratio, which decreases towards q, so it is certified.
     """
     if epsilon <= 0.0:
         raise DomainError("epsilon must be > 0")
+    q = probs.q
     if q == 0.0:
         return np.array([1.0]), 0.0
-    base = (1.0 - q) ** m0
+    p_a, p_b = np.longdouble(probs.p_a), np.longdouble(probs.p_b)
+    one_minus_q = p_a + (1.0 - p_a) * p_b
+    base = float(one_minus_q**m0)
     if base <= 0.0:
         raise DomainError(f"q={q} too close to 1: exchange series underflows for {m0} points")
-    vals = [base]
-    cum = base
-    term = base
-    l = 0
-    while True:
-        ratio = q * (m0 + l) / (l + 1)
-        nxt = term * ratio
-        if ratio < 1.0:
+    drift = float(np.log1p(-p_a) + np.log1p(-p_b) - np.log(np.longdouble(q)))
+    mean = m0 * q / float(one_minus_q)
+    size = min(int(mean + 12.0 * math.sqrt(mean / float(one_minus_q))) + 64, 1 << 20)
+    pieces, term, cum = [], base, 0.0
+    for start in range(0, 10_000_000, size):
+        l = np.arange(start, start + size, dtype=float)
+        ratio = q * (m0 + l) / (l + 1.0)
+        nxt = term * np.cumprod(ratio) * np.exp((l + 1.0 - start) * drift)
+        terms = np.concatenate(([term], nxt[:-1]))
+        total = cum + np.cumsum(terms)
+        with np.errstate(divide="ignore"):
             tail = nxt / (1.0 - ratio)
-            if tail <= epsilon * cum:
-                bound = min(tail, max(1.0 - cum, 0.0))
-                return np.array(vals), bound
-        l += 1
-        term = nxt
-        vals.append(term)
-        cum += term
-        if l > 10_000_000:
-            raise DomainError("exchange series failed to converge")
+        stop = np.flatnonzero((ratio < 1.0) & (tail <= epsilon * total))
+        if stop.size:
+            pieces.append(terms[: stop[0] + 1])
+            return np.concatenate(pieces), float(tail[stop[0]])
+        pieces.append(terms)
+        term, cum = nxt[-1], total[-1]
+    raise DomainError("exchange series failed to converge")
 
 
-def _conditional_pmf(alpha: int, beta: int, last_scorer: Player, q: float, epsilon: float) -> DurationPMF:
-    """`duration_pmf_conditional` for an A-game tally."""
-    w = interruption_weights(alpha, beta, last_scorer, q)
-    nb, bound = _exchange_pmf(alpha + beta, q, epsilon)
-    delta = 1 if last_scorer is Player.B else 0
-    shift_max = int(w.pair_shift.max())
-    pairs = np.zeros(len(nb) + shift_max)
-    for weight, shift in zip(w.weights, w.pair_shift):
-        pairs[shift : shift + len(nb)] += weight * nb
-    masses = np.zeros(2 * len(pairs) - 1)
-    masses[::2] = pairs
-    return DurationPMF(offset=alpha + beta + delta, masses=masses, truncation_bound=bound)
+def _mixture_pmfs(
+    system: ScoringSystem, rows: kernel.Rows, probs: RallyProbs, coef: np.ndarray, epsilon: float
+) -> list[DurationPMF]:
+    """Laws of D mixed over the tallies of `rows` (first-server
+    coordinates), row r weighing coef[i, r] in mixture i.
+
+    Given a side-out tally, D = alpha + beta + delta + 2(j + l), with delta
+    = [receiver scores last], j the interruption pair shift and l the
+    exchange count.  A row is one (m0 = alpha + beta, delta) group: its
+    weighted interruption law is convolved once with the one series of its
+    m0 and written at stride 2.  A rally-point tally is the point mass at
+    alpha + beta: series [1.0], one interruption weight at shift 0."""
+    m0 = rows.alpha + rows.beta
+    if system is ScoringSystem.SIDE_OUT:
+        law = kernel.interruption_law(rows, probs.q)
+        delta, lo, hi = (~rows.server_last).astype(int), rows.j0, rows.top
+        used = (coef > 0.0).any(axis=0)
+        series = {m: _exchange_pmf(m, probs, epsilon) for m in set(m0[used].tolist())}
+    else:
+        law = np.ones((len(m0), 1))
+        delta = lo = hi = np.zeros_like(m0)
+        series = dict.fromkeys(m0.tolist(), (np.array([1.0]), 0.0))
+    pmfs = []
+    for c in coef:
+        rs = np.flatnonzero(c > 0.0)
+        if rs.size == 0:
+            raise ConditioningError("mixture carries no mass")
+        start = int((m0 + delta)[rs].min())
+        stop = max(int(m0[r] + delta[r] + 2 * (hi[r] + len(series[m0[r]][0])) - 1) for r in rs)
+        masses = np.zeros(stop - start)
+        for r in rs:
+            pairs = np.convolve(c[r] * law[r, : hi[r] - lo[r] + 1], series[m0[r]][0])
+            i = m0[r] + delta[r] + 2 * lo[r] - start
+            masses[i : i + 2 * len(pairs) - 1 : 2] += pairs
+        pmfs.append(DurationPMF(start, masses, float(sum(c[r] * series[m0[r]][1] for r in rs))))
+    return pmfs
 
 
 def duration_pmf_conditional(
@@ -233,22 +273,8 @@ def duration_pmf_conditional(
     validate(probs)
     if server is not Player.A:
         alpha, beta, last_scorer = beta, alpha, last_scorer.other
-    return _conditional_pmf(alpha, beta, last_scorer, probs.q, epsilon)
-
-
-def _mix_pmfs(parts: list[tuple[float, DurationPMF]]) -> DurationPMF:
-    parts = [(wt, pmf) for wt, pmf in parts if wt > 0.0]
-    if not parts:
-        raise ConditioningError("mixture carries no mass")
-    start = min(pmf.offset for _, pmf in parts)
-    stop = max(pmf.offset + len(pmf.masses) for _, pmf in parts)
-    masses = np.zeros(stop - start)
-    bound = 0.0
-    for wt, pmf in parts:
-        i = pmf.offset - start
-        masses[i : i + len(pmf.masses)] += wt * pmf.masses
-        bound += wt * pmf.truncation_bound
-    return DurationPMF(offset=start, masses=masses, truncation_bound=bound)
+    rows = kernel.tally(alpha, beta, last_scorer is Player.A)
+    return _mixture_pmfs(ScoringSystem.SIDE_OUT, rows, probs, np.ones((1, 1)), epsilon)[0]
 
 
 def _require_no_tiebreak(config: GameConfig) -> None:
@@ -353,43 +379,30 @@ def aggregate_moments(probs: RallyProbs, config: GameConfig) -> DurationAggregat
     return _aggregate(probs, config)
 
 
-def _tally_pmf(
-    system: ScoringSystem, alpha: int, beta: int, last_scorer: Player, q: float, epsilon: float
-) -> DurationPMF:
-    """Law of D given an A-game tally: the side-out convolution, or the
-    point mass at alpha + beta of a rally-point game."""
-    if system is ScoringSystem.SIDE_OUT:
-        return _conditional_pmf(alpha, beta, last_scorer, q, epsilon)
-    return DurationPMF(offset=alpha + beta, masses=np.array([1.0]), truncation_bound=0.0)
-
-
-def _server_duration_parts(
-    probs: RallyProbs, config: GameConfig, server: Player, epsilon: float
-) -> dict[Player, list[tuple[float, DurationPMF]]]:
-    """(weight, PMF) pairs per winner for a fixed first server."""
-    n, system = config.n, config.system
-    pr = probs if server is Player.A else probs.swapped()
-    win_w, loss_w = kernel.terminal_weights(system, pr, n, Player.A)
-    parts = {server: [], server.other: []}
-    for k in range(n):
-        parts[server].append((float(win_w[k]), _tally_pmf(system, n, k, Player.A, pr.q, epsilon)))
-        parts[server.other].append((float(loss_w[k]), _tally_pmf(system, k, n, Player.B, pr.q, epsilon)))
-    return parts
-
-
-def _mixed_parts(
-    probs: RallyProbs, config: GameConfig, server: Player | None, epsilon: float, winners: tuple[Player, ...]
-) -> list[tuple[float, DurationPMF]]:
-    """(weight, PMF) pairs of the tallies won by `winners`, over the first
-    server `server`, or over both with weights (s_a, s_b) when it is None."""
-    s = {server: 1.0} if server is not None else {Player.A: config.s_a, Player.B: config.s_b}
-    parts = []
-    for sv, s_wt in s.items():
-        if s_wt == 0.0:
-            continue
-        per_winner = _server_duration_parts(probs, config, sv, epsilon)
-        parts.extend((s_wt * wt, pmf) for winner in winners for wt, pmf in per_winner[winner])
-    return parts
+def _game_pmfs(
+    probs: RallyProbs, config: GameConfig, epsilon: float, events: list[tuple[Player | None, Player | None]]
+) -> list[DurationPMF]:
+    """Laws of D for each (first server, winner) of `events` from one pass
+    over the terminal tallies; a server of None mixes both with weights
+    (s_a, s_b), a winner of None both winners.  Both first servers share
+    each tally's law in their own coordinates, so their weights add up."""
+    validate(probs, config)
+    _require_no_tiebreak(config)
+    rows = kernel.table(config.n)
+    # weight[i, r]: probability of row r when A (i = 0) or B (i = 1) serves first
+    weight = kernel.evaluate(config.system, rows, [probs.p_a, probs.p_b], [probs.p_b, probs.p_a]).weight.T
+    first_won, is_a = np.arange(2 * config.n) < config.n, np.array([[True], [False]])
+    coef = []
+    for server, winner in events:
+        c = weight * (np.array([[config.s_a], [config.s_b]]) if server is None else is_a == (server is Player.A))
+        if winner is not None:
+            c = c * (first_won == (is_a == (winner is Player.A)))
+            total = c.sum()
+            if total <= _TINY:
+                raise ConditioningError(f"P[{winner} wins] underflowed")
+            c = c / total
+        coef.append(c.sum(axis=0))
+    return _mixture_pmfs(config.system, rows, probs, np.array(coef), epsilon)
 
 
 def duration_pmf_winner(
@@ -403,13 +416,16 @@ def duration_pmf_winner(
     `server=None` mixes the first server out with the posterior weights
     given that winner.  Rally-point PMFs are exact (`epsilon` is unused and
     the truncation bound is zero)."""
-    validate(probs, config)
-    _require_no_tiebreak(config)
-    parts = _mixed_parts(probs, config, server, epsilon, (winner,))
-    total = sum(wt for wt, _ in parts)
-    if total <= _TINY:
-        raise ConditioningError(f"P[{winner} wins] underflowed")
-    return _mix_pmfs([(wt / total, pmf) for wt, pmf in parts])
+    return _game_pmfs(probs, config, epsilon, [(server, winner)])[0]
+
+
+def duration_pmfs_by_server_winner(
+    probs: RallyProbs, config: GameConfig, epsilon: float = 1e-12
+) -> dict[tuple[Player, Player], DurationPMF]:
+    """`duration_pmf_winner` for every (first server, winner), from one
+    shared set of exchange series."""
+    keys = [(server, winner) for server in Player for winner in Player]
+    return dict(zip(keys, _game_pmfs(probs, config, epsilon, keys)))
 
 
 def duration_pmf_unconditional(
@@ -421,9 +437,7 @@ def duration_pmf_unconditional(
     """PMF of D under `config.system` mixed over all terminal scores and
     winners; `server=None` additionally mixes the first server with weights
     (s_a, s_b)."""
-    validate(probs, config)
-    _require_no_tiebreak(config)
-    return _mix_pmfs(_mixed_parts(probs, config, server, epsilon, tuple(Player)))
+    return _game_pmfs(probs, config, epsilon, [(server, None)])[0]
 
 
 def quantile(pmf: DurationPMF, level: float, mode: QuantileMode = QuantileMode.STANDARD) -> float:

@@ -240,9 +240,9 @@ def terminal_weights(system: ScoringSystem, probs: RallyProbs, n: int, server: P
 
 
 def interruption_law(rows: Rows, q: float) -> np.ndarray:
-    """Normalized weights of j = j0 .. top of row 0 at exchange probability
-    q: the law of the interruption count given the tally (the score weight
-    factors out of it)."""
-    _, terms = _scaled_terms(rows, _log(np.array([q])), None)
-    w = terms[0, : int(rows.top[0] - rows.j0[0]) + 1, 0]
-    return w / w.sum()
+    """Normalized weights of j = j0 .. top of every row at exchange
+    probability q, shape (rows, terms) with zeros past each row's top: the
+    law of the interruption count given the tally (the score weight factors
+    out of it)."""
+    terms = _scaled_terms(rows, _log(np.array([q])), None)[1][:, :, 0]
+    return terms / terms.sum(axis=1, keepdims=True)

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import sideout
 from .core import ConfigError, GameConfig, Player, RallyProbs, validate
-from .duration import DurationPMF, duration_pmf_winner
+from .duration import DurationPMF, duration_pmfs_by_server_winner
 
 
 class ServerRule(enum.Enum):
@@ -88,16 +88,6 @@ def match_win_prob(
     return p_match_a if winner is Player.A else 1.0 - p_match_a
 
 
-def _game_duration_pmfs(
-    probs: RallyProbs, config: GameConfig, epsilon: float
-) -> dict[Player, dict[Player, DurationPMF]]:
-    """pmf[server][winner] of the rally count of a single game."""
-    return {
-        server: {winner: duration_pmf_winner(probs, config, winner, epsilon, server=server) for winner in Player}
-        for server in Player
-    }
-
-
 def match_duration_pmf(
     probs: RallyProbs,
     game_config: GameConfig,
@@ -112,14 +102,14 @@ def match_duration_pmf(
     s_a = game_config.s_a
     max_games = 2 * m - 1
     win = _game_win_probs(probs, game_config)
-    gpmf = _game_duration_pmfs(probs, game_config, epsilon / max_games)
+    gpmf = duration_pmfs_by_server_winner(probs, game_config, epsilon / max_games)
 
     # state -> (offset, masses) holding P[state] * P[rallies so far]
     states: dict[tuple[int, int, Player], tuple[int, np.ndarray]] = {}
     for server, wt in ((Player.A, s_a), (Player.B, 1.0 - s_a)):
         if wt > 0.0:
             states[(0, 0, server)] = (0, np.array([wt]))
-    done: list[tuple[int, np.ndarray]] = []
+    done: dict[None, tuple[int, np.ndarray]] = {}  # the finished matches, under one key
     bound = 0.0
 
     def add(store, key, offset, masses):
@@ -143,14 +133,14 @@ def match_duration_pmf(
                 wt = win[server][game_winner]
                 if wt == 0.0:
                     continue
-                g = gpmf[server][game_winner]
+                g = gpmf[(server, game_winner)]
                 bound += masses.sum() * wt * g.truncation_bound
                 conv = np.convolve(masses, g.masses) * wt
                 off = offset + g.offset
                 na = a + (game_winner is Player.A)
                 nb = b + (game_winner is Player.B)
                 if na == m or nb == m:
-                    done.append((off, conv))
+                    add(done, None, off, conv)
                     continue
                 if rule is ServerRule.WINNER_SERVES_NEXT:
                     add(states, (na, nb, game_winner), off, conv)
@@ -162,9 +152,5 @@ def match_duration_pmf(
                     if s_a < 1.0:
                         add(states, (na, nb, Player.B), off, conv * (1.0 - s_a))
 
-    start = min(off for off, _ in done)
-    stop = max(off + len(m_) for off, m_ in done)
-    masses = np.zeros(stop - start)
-    for off, m_ in done:
-        masses[off - start : off - start + len(m_)] += m_
+    start, masses = done[None]
     return DurationPMF(offset=start, masses=masses, truncation_bound=bound)

@@ -11,8 +11,9 @@ from collections import defaultdict
 from math import comb
 
 import mpmath
+import numpy as np
 
-from rallystats import Player
+from rallystats import Player, ScoringSystem, duration
 
 A, B = Player.A, Player.B
 
@@ -184,6 +185,55 @@ def closed_form_score_prob(alpha, beta, last, p_a, p_b, rally_point=False):
             x, y = p_a / (p_a + q_a * p_b), p_b / (p_a + q_a * p_b)
             total += coef * x**alpha * y**beta * q_a**d * q**j
     return total
+
+
+def _tally_duration_law(alpha, beta, last, probs, epsilon, rally_point):
+    """(offset, masses, truncation bound) of D given an A-game tally: the
+    exchange series shifted by each interruption count and summed with its
+    weight, then spread over every other rally count."""
+    if rally_point:
+        return alpha + beta, np.array([1.0]), 0.0
+    w = duration.interruption_weights(alpha, beta, last, probs.q)
+    nb, bound = duration._exchange_pmf(alpha + beta, probs, epsilon)
+    pairs = np.zeros(len(nb) + int(w.pair_shift.max()))
+    for weight, shift in zip(w.weights, w.pair_shift):
+        pairs[shift : shift + len(nb)] += weight * nb
+    masses = np.zeros(2 * len(pairs) - 1)
+    masses[::2] = pairs
+    return alpha + beta + (last is B), masses, bound
+
+
+def per_tally_duration_pmf(probs, config, winners, server=None, epsilon=1e-12):
+    """Law of D as a mixture of one law per terminal tally and first
+    server, weighted by `closed_form_score_prob` and placed by its offset;
+    with a single winner the weights are normalized over that winner's
+    tallies.  The per-score mixture the grouped exchange series replaced,
+    kept as a reference for it.  Returns (offset, masses, truncation
+    bound)."""
+    rally_point = config.system is ScoringSystem.RALLY_POINT
+    n = config.n
+    servers = {server: 1.0} if server is not None else {A: config.s_a, B: config.s_b}
+    parts = []
+    for sv, s_wt in servers.items():
+        pr = probs if sv is A else probs.swapped()
+        for k in range(n):
+            for alpha, beta, last in ((n, k, A), (k, n, B)):
+                winner = sv if last is A else sv.other
+                if s_wt == 0.0 or winner not in winners:
+                    continue
+                wt = s_wt * closed_form_score_prob(alpha, beta, last, pr.p_a, pr.p_b, rally_point)
+                parts.append((wt, _tally_duration_law(alpha, beta, last, pr, epsilon, rally_point)))
+    if len(winners) == 1:
+        total = sum(wt for wt, _ in parts)
+        parts = [(wt / total, law) for wt, law in parts]
+    parts = [(wt, law) for wt, law in parts if wt > 0.0]
+    start = min(off for _, (off, _, _) in parts)
+    masses = np.zeros(max(off + len(m) for _, (off, m, _) in parts) - start)
+    bound = 0.0
+    for wt, (off, m, b) in parts:
+        masses[off - start : off - start + len(m)] += wt * m
+        bound += wt * b
+    return start, masses, bound
 
 
 def exact_h_count(alpha, beta, last, m):

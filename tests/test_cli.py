@@ -2,6 +2,7 @@ import csv
 import io
 import json
 
+import mpmath
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -107,6 +108,21 @@ class TestDuration:
         ])
         rows = parse_csv(out)
         assert float(rows[0]["mean"]) == pytest.approx(21.29, abs=0.01)
+
+    def test_score_conditional_moments_near_q_one(self, runner):
+        # taken from q alone, 1 - q cancels here and the mean was 9e-10 off
+        pa, pb = 1e-9, 1e-7
+        out = run_ok(runner, [
+            "duration", "--n", "15", "--pa", str(pa), "--pb", str(pb),
+            "--server", "A", "--stat", "moments", "--score", "15,0",
+        ])
+        row = parse_csv(out)[0]
+        with mpmath.workdps(40):
+            q = (1 - mpmath.mpf(pa)) * (1 - mpmath.mpf(pb))
+            exact = {"mean": 15 * (1 + q) / (1 - q), "variance": 60 * q / (1 - q) ** 2}
+        for col, value in exact.items():
+            # the table prints 12 significant digits; round the reference alike
+            assert float(row[col]) == pytest.approx(float(f"{float(value):.12g}"), rel=1e-12)
 
     def test_score_conditioning_needs_fixed_server(self, runner):
         result = runner.invoke(main, [

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -5,7 +6,7 @@ from rallystats import DomainError, GameConfig, Player, RallyProbs, ScoringSyste
 from rallystats import duration, simulate
 from rallystats.duration import QuantileMode
 
-from oracles import enumerate_sideout, duration_marginal
+from oracles import enumerate_sideout, duration_marginal, per_tally_duration_pmf
 
 A, B = Player.A, Player.B
 
@@ -222,6 +223,72 @@ class TestConditionalPMF:
             p2 = duration.duration_pmf_conditional(a, b, c, RallyProbs(0.75, 0.0))
             assert p1.offset == p2.offset
             np.testing.assert_allclose(p1.masses, p2.masses, atol=1e-15)
+
+
+class TestExchangeSeries:
+    @pytest.mark.parametrize("m0", [15, 29])
+    def test_terms_against_mpmath(self, m0):
+        # q = .99980001 needs the exact q in the powers q^l, l up to 4e5
+        pr = RallyProbs(1e-4, 1e-4)
+        terms, _ = duration._exchange_pmf(m0, pr, 1e-12)
+        with mpmath.workdps(40):
+            q = (1 - mpmath.mpf(pr.p_a)) * (1 - mpmath.mpf(pr.p_b))
+            for l in (0, int(m0 * q / (1 - q)), len(terms) - 1):
+                exact = mpmath.binomial(m0 + l - 1, l) * q**l * (1 - q) ** m0
+                assert terms[l] == pytest.approx(float(exact), rel=1e-12)
+
+    @pytest.mark.parametrize("p", [0.05, 0.01, 1e-3, 1e-4])
+    @pytest.mark.parametrize("m0", [15, 29])
+    def test_truncation_bound_covers_discarded_mass(self, p, m0):
+        # P[J > L] = I_q(L + 1, m0), the regularized incomplete beta function
+        terms, bound = duration._exchange_pmf(m0, RallyProbs(p, p), 1e-12)
+        with mpmath.workdps(40):
+            q = (1 - mpmath.mpf(p)) ** 2
+            exact = mpmath.betainc(len(terms), m0, 0, q, regularized=True)
+        assert exact <= bound <= 1e-12
+
+    def test_one_series_per_point_total(self, monkeypatch):
+        built = []
+        exchange_pmf = duration._exchange_pmf
+        monkeypatch.setattr(
+            duration, "_exchange_pmf", lambda m0, *args: built.append(m0) or exchange_pmf(m0, *args)
+        )
+        duration.duration_pmfs_by_server_winner(RallyProbs(0.3, 0.4), GameConfig(n=15, s_a=0.5))
+        assert sorted(built) == list(range(15, 30))
+
+
+class TestGroupedPMF:
+    @pytest.mark.parametrize("system", list(ScoringSystem))
+    @pytest.mark.parametrize("server", [None, A, B])
+    @pytest.mark.parametrize("winner", [A, B, None])
+    def test_matches_per_tally_mixture(self, system, server, winner):
+        pr = RallyProbs(0.3, 0.45)
+        cfg = GameConfig(n=15, system=system, s_a=0.3)
+        if winner is None:
+            pmf = duration.duration_pmf_unconditional(pr, cfg, server=server)
+            offset, masses, bound = per_tally_duration_pmf(pr, cfg, (A, B), server)
+        else:
+            pmf = duration.duration_pmf_winner(pr, cfg, winner, server=server)
+            offset, masses, bound = per_tally_duration_pmf(pr, cfg, (winner,), server)
+        assert pmf.offset == offset
+        assert len(pmf.masses) == len(masses)
+        np.testing.assert_array_equal(pmf.masses == 0.0, masses == 0.0)
+        nonzero = masses > 0.0
+        np.testing.assert_allclose(pmf.masses[nonzero], masses[nonzero], rtol=1e-12, atol=0)
+        assert pmf.truncation_bound == pytest.approx(bound, rel=1e-12, abs=0)
+
+    def test_server_winner_pmfs_equal_single_calls(self):
+        pr, cfg = RallyProbs(0.05, 0.1), GameConfig(n=15)
+        for (server, winner), pmf in duration.duration_pmfs_by_server_winner(pr, cfg).items():
+            single = duration.duration_pmf_winner(pr, cfg, winner, server=server)
+            assert pmf.offset == single.offset
+            np.testing.assert_array_equal(pmf.masses, single.masses)
+            assert pmf.truncation_bound == single.truncation_bound
+
+    @pytest.mark.parametrize("p", [0.05, 0.01, 1e-3, 1e-4])
+    def test_mass_deficit_within_bound(self, p):
+        pmf = duration.duration_pmf_unconditional(RallyProbs(p, p), GameConfig(n=15, s_a=0.5))
+        assert abs(1.0 - pmf.total_mass) <= pmf.truncation_bound + 1e-14
 
 
 class TestAggregates:
