@@ -286,18 +286,11 @@ def cmd_compare(sideout_n, rallypoint_n, p_grid, fmt, out):
 @click.option("--seed", type=int, required=True)
 @click.option("--stream", type=int, default=0)
 @click.option("--records-out", type=str, default=None, help="Also write game records (JSON lines).")
-@click.option(
-    "--threads",
-    type=int,
-    default=1,
-    help="Scheduling hint only; output is identical for any value (stream-indexed RNG).",
-)
 @_common_flags
 @engine_errors
 def cmd_simulate(system, n, pa, pb, server, sa, tiebreak, replications, seed, stream,
-                 records_out, threads, fmt, out):
+                 records_out, fmt, out):
     """Monte Carlo replications of a game with the standard estimators."""
-    del threads  # vectorized engine; accepted for interface stability
     config, _ = _build_config(system, n, sa, server, tiebreak)
     probs = RallyProbs(pa, pb)
     spec = simulate.SeedSpec(seed, stream)

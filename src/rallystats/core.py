@@ -28,7 +28,7 @@ class InfeasibleData(ValueError):
 
 
 class NonConvergence(RuntimeError):
-    """The optimizer exhausted its evaluation budget without converging."""
+    """A fit did not converge within its iteration cap."""
 
 
 class Player(enum.Enum):

@@ -334,8 +334,8 @@ def _server_moments(system: ScoringSystem, n: int, p_a, p_b):
         mean = d * (1.0 + q) / one_minus_q - (~rows.server_last)[:, None] + 2.0 * ev.r_mean
         var = 4.0 * d * q / one_minus_q**2 + 4.0 * ev.r_var
     else:
-        mean, var = np.broadcast_to(d, ev.weight.shape), np.zeros_like(ev.weight)
-    shape = (2, n, ev.weight.shape[1])
+        mean, var = np.broadcast_to(d, ev.log_weight.shape), np.zeros_like(ev.log_weight)
+    shape = (2, n, ev.log_weight.shape[1])
     by_winner = _mix_arrays(ev.weight.reshape(shape), mean.reshape(shape), var.reshape(shape), axis=1)
     overall = _mix_arrays(*by_winner, axis=0)
     return tuple(np.vstack([w, u]) for w, u in zip(by_winner, overall))
@@ -420,12 +420,10 @@ def duration_pmf_winner(
 
 
 def duration_pmfs_by_server_winner(
-    probs: RallyProbs, config: GameConfig, epsilon: float = 1e-12
+    probs: RallyProbs, config: GameConfig, events: list[tuple[Player, Player]], epsilon: float = 1e-12
 ) -> dict[tuple[Player, Player], DurationPMF]:
-    """`duration_pmf_winner` for every (first server, winner), from one
-    shared set of exchange series."""
-    keys = [(server, winner) for server in Player for winner in Player]
-    return dict(zip(keys, _game_pmfs(probs, config, epsilon, keys)))
+    """`duration_pmf_winner` for each (first server, winner) of `events`, sharing exchange series."""
+    return dict(zip(events, _game_pmfs(probs, config, epsilon, events)))
 
 
 def duration_pmf_unconditional(

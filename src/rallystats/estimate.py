@@ -5,16 +5,14 @@ Two likelihoods are offered: score-only (the final tally of each game) and
 score-plus-duration (tally times the conditional probability of the
 observed rally count).  The joint score/duration probability collapses to
 p_a^alpha p_b^beta q_a^delta q^m H(m) with a parameter-free combinatorial
-count H(m), so with durations the log-likelihood is
-
-    k_pa log p_a + k_qa log q_a + k_pb log p_b + k_qb log q_b + const
-
-and its maximizer is a ratio of counts: rallies won on serve over rallies
-served, for each player (one pooled ratio in the no-server model).  The
-score-only likelihood keeps the q-polynomial of each tally and is
-maximized numerically: bounded L-BFGS-B from a small multistart grid,
-which is deterministic given the data.  Both take their interruption
-coefficients from `rallystats.kernel`.
+count H(m) of the m extra rally pairs, so with durations the
+log-likelihood is k_pa log p_a + k_qa log q_a + k_pb log p_b + k_qb log q_b
++ const and its maximizer is a ratio of counts: rallies won on serve over
+rallies served, for each player (one pooled ratio in the no-server model).
+Score only, m is missing data: one `rallystats.kernel` evaluation per
+target score gives the log-likelihood and the mean and variance of m,
+hence the exact score (Fisher's identity) and information (Louis's
+formula) for grid-started projected Newton steps.
 
 Duration information enters the conditional duration law only through q,
 so in the two-parameter server model the duration term mostly sharpens q;
@@ -30,7 +28,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import kernel
 from .core import (
@@ -39,14 +36,17 @@ from .core import (
     NonConvergence,
     Player,
     RallyProbs,
+    ScoringSystem,
     TerminalScore,
 )
 from .sideout import game_win_prob
 
 _BOUND_DELTA = 1e-9
 _PARAM_TOL = 1e-7
-_EVAL_BUDGET = 10_000
-_STARTS_1D = (0.25, 0.5, 0.75)
+_GRID = np.linspace(-8.0, 8.0, 17)  # Newton starts, logit of each coordinate
+_MAX_STEPS = 100
+_STEP_TOL = 1e-10  # logit units
+_GAIN_TOL = 1e-14  # relative to 1 + |log-likelihood|
 
 
 class FitMode(enum.Enum):
@@ -150,18 +150,16 @@ def _log_h(rows: kernel.Rows, m: int) -> float:
 
 
 class _Likelihood:
-    """Log-likelihood of a record batch, reduced to exponent totals (and,
-    score-only, one q-polynomial per record)."""
+    """A record batch reduced to exponent totals, and either the extra rally
+    pairs with log H(m) or tally counts per target score n and first server."""
 
     def __init__(self, records, mode: FitMode):
         if not records:
             raise InfeasibleData("no records")
         self.mode = mode
-        # exponents of log p_a, log q_a, log p_b, log q_b
-        self.k = [0, 0, 0, 0]
-        self.log_h_total = 0.0
-        self.points_total = 0
-        polys = []
+        self.k = [0, 0, 0, 0]  # exponents of log p_a, log q_a, log p_b, log q_b, less m
+        self.m, self.log_h_total = 0, 0.0  # extra rally pairs and log H(m), with durations
+        self.tallies: dict[int, np.ndarray] = {}  # n -> counts over (kernel.table(n) rows, first server)
         for i, rec in enumerate(records):
             swap = rec.first_server is Player.B
             a, b = (rec.score.beta, rec.score.alpha) if swap else (rec.score.alpha, rec.score.beta)
@@ -177,7 +175,6 @@ class _Likelihood:
             self.k[server] += a
             self.k[receiver] += b
             self.k[server + 1] += delta
-            rows = kernel.tally(a, b, server_last)
             if mode is FitMode.SCORE_DURATION:
                 if rec.duration is None:
                     raise InfeasibleData(f"record {i}: duration required for score-and-duration fit")
@@ -189,37 +186,38 @@ class _Likelihood:
                         f"{rec.first_server.value} (wrong parity or too short)"
                     )
                 m = span // 2
-                log_h = _log_h(rows, m)
+                log_h = _log_h(kernel.tally(a, b, server_last), m)
                 if log_h == -math.inf:
                     raise InfeasibleData(f"record {i}: duration {rec.duration} carries zero probability")
-                self.k[1] += m
-                self.k[3] += m
+                self.m += m
                 self.log_h_total += log_h
             else:
-                self.points_total += a + b
-                poly = np.zeros(int(rows.top[0]) + 1)
-                poly[int(rows.j0[0]) :] = np.exp(rows.logc[0])
-                polys.append(poly)
-        if polys:
-            self.poly = np.zeros((len(polys), max(len(p) for p in polys)))
-            for i, p in enumerate(polys):
-                self.poly[i, : len(p)] = p
+                counts = self.tallies.setdefault(win_pts, np.zeros((2 * win_pts, 2)))
+                counts[b if server_last else win_pts + a, int(swap)] += 1
+
+    def e_step(self, p_a, p_b):
+        """Score-only log-likelihood at each point of the arrays (p_a, p_b), and
+        the mean and variance of the extra rally pairs M given the tallies: per
+        tally, the kernel's interruption count less [receiver scores last] plus
+        NB(alpha + beta, q) exchanges (both totals are exponents in self.k)."""
+        p_a, p_b = np.broadcast_arrays(np.atleast_1d(np.asarray(p_a, dtype=float)), np.asarray(p_b, dtype=float))
+        both_servers, sums = (np.concatenate([p_a, p_b]), np.concatenate([p_b, p_a])), 0.0
+        for n, counts in self.tallies.items():  # sum the records' log-weights, r_mean and r_var
+            ev = kernel.evaluate(ScoringSystem.SIDE_OUT, kernel.table(n), *both_servers)
+            stats = np.reshape([ev.log_weight, ev.r_mean, ev.r_var], (3, 2 * n, 2, -1))
+            sums = sums + np.einsum("rs,xrsp->xp", counts, stats)
+        k_pa, k_qa, k_pb, k_qb = self.k
+        one_minus_q = p_a + (1.0 - p_a) * p_b  # does not cancel as q -> 1
+        odds = (1.0 - p_a) * (1.0 - p_b) / one_minus_q
+        return sums[0], sums[1] - k_qa - k_qb + (k_pa + k_pb) * odds, sums[2] + (k_pa + k_pb) * odds / one_minus_q
 
     def __call__(self, p_a: float, p_b: float) -> float:
         if not (0.0 < p_a < 1.0 and 0.0 < p_b < 1.0):
             return -np.inf
-        q_a, q_b = 1.0 - p_a, 1.0 - p_b
-        k_pa, k_qa, k_pb, k_qb = self.k
-        out = k_pa * math.log(p_a) + k_qa * math.log(q_a) + k_pb * math.log(p_b) + k_qb * math.log(q_b)
-        if self.mode is FitMode.SCORE_DURATION:
-            return out + self.log_h_total
-        # 1 - q = p_a + q_a p_b does not cancel as q -> 1
-        out -= self.points_total * math.log(p_a + q_a * p_b)
-        qpow = (q_a * q_b) ** np.arange(self.poly.shape[1])
-        sums = self.poly @ qpow
-        if np.any(sums <= 0.0):
-            return -np.inf
-        return out + float(np.log(sums).sum())
+        if self.mode is FitMode.SCORE_ONLY:
+            return float(self.e_step(p_a, p_b)[0][0])
+        won, served = _serve_counts(self.k, self.m, FitModel.SERVER)
+        return float(won @ np.log([p_a, p_b]) + (served - won) @ np.log1p([-p_a, -p_b])) + self.log_h_total
 
 
 def loglik_score(records, p_a: float, p_b: float) -> float:
@@ -248,78 +246,88 @@ class FitResult:
         return self.p_a
 
 
-def _ratio(won: int, lost: int) -> float:
-    """won / (won + lost); 0.5 when the player never served a rally, since
-    the likelihood is then flat in that coordinate."""
-    return won / (won + lost) if won + lost > 0 else 0.5
-
-
-def _multistart(lik: _Likelihood, model: FitModel, lo: float, hi: float) -> tuple[np.ndarray, bool]:
-    """Score-only maximizer: bounded L-BFGS-B from each point of a small
-    grid of starts, keeping the best."""
+def _serve_counts(k, m, model: FitModel) -> tuple[np.ndarray, np.ndarray]:
+    """Rallies won on serve and rallies served per parameter, given m extra
+    rally pairs: their ratio is the complete-data maximizer.  In the
+    no-server model a rally lost on B's serve is won by A."""
+    k_pa, k_qa, k_pb, k_qb = k
     if model is FitModel.SERVER:
-        starts = [np.array([x, y]) for x in _STARTS_1D for y in _STARTS_1D]
-        bounds = [(lo, hi), (lo, hi)]
+        return np.array([k_pa, k_pb]), np.array([k_pa + k_qa + m, k_pb + k_qb + m])
+    return np.array([k_pa + k_qb + m]), np.array([k_pa + k_qa + k_pb + k_qb + 2 * m])
 
-        def nll(x):
-            return -lik(x[0], x[1])
 
-    else:
-        starts = [np.array([x]) for x in _STARTS_1D]
-        bounds = [(lo, hi)]
+def _probs(x, model: FitModel):
+    """(p_a, p_b) of a parameter vector (or of its columns)."""
+    return (x[0], x[1]) if model is FitModel.SERVER else (x[0], 1.0 - x[0])
 
-        def nll(x):
-            return -lik(x[0], 1.0 - x[0])
 
-    budget = _EVAL_BUDGET // len(starts)
-    best = None
-    best_converged = False
-    any_converged = False
-    for x0 in starts:
-        res = minimize(
-            nll,
-            x0,
-            method="L-BFGS-B",
-            bounds=bounds,
-            options={"maxfun": budget, "ftol": 1e-13, "gtol": 1e-9},
-        )
-        any_converged = any_converged or bool(res.success)
-        if best is None or res.fun < best.fun:
-            best = res
-            best_converged = bool(res.success)
-    if not any_converged:
-        raise NonConvergence(f"no start converged within {_EVAL_BUDGET} evaluations")
-    return best.x, best_converged
+def _score_information(k, x, mean, var, model: FitModel) -> tuple[np.ndarray, np.ndarray]:
+    """Score-only logit score won - served p at E[M] (Fisher's identity) and
+    observed information diag(served p (1 - p)) - Var[M] w w^T, w the
+    derivative of that score in M (Louis's formula)."""
+    won, served = _serve_counts(k, mean, model)
+    w = -x if model is FitModel.SERVER else 1.0 - 2.0 * x
+    return won - served * x, np.diag(served * x * (1.0 - x)) - var * np.outer(w, w)
+
+
+def _newton(lik: _Likelihood, model: FitModel, lo: float, hi: float) -> np.ndarray:
+    """Projected Newton steps in logit coordinates on [lo, hi] from the best
+    point of a grid (the likelihood can have a second maximum on a ray to a
+    corner), holding a coordinate on a bound while its score points out."""
+    bounds = np.array([-1.0, 1.0]) * math.log(hi / lo)
+    grid = np.stack([g.ravel() for g in np.meshgrid(*[_GRID] * (2 if model is FitModel.SERVER else 1))])
+    ll, mean, var = lik.e_step(*_probs(1.0 / (1.0 + np.exp(-grid)), model))
+    best = np.argmax(ll)
+    theta, ll, mean, var = grid[:, best], ll[best], mean[best], var[best]
+    x = 1.0 / (1.0 + np.exp(-theta))
+    for _ in range(_MAX_STEPS):
+        score, info = _score_information(lik.k, x, mean, var, model)
+        free = ~((theta <= bounds[0]) & (score < 0.0) | (theta >= bounds[1]) & (score > 0.0))
+        step = np.zeros_like(x)
+        if free.any():
+            h = info[np.ix_(free, free)]
+            floor, low = 1e-12 * (1.0 + np.trace(h)), np.linalg.eigvalsh(h)[0]
+            if low < floor:  # not positive definite: shift it
+                h = h + (floor - 2.0 * min(low, 0.0)) * np.eye(len(h))
+            step[free] = np.linalg.solve(h, score[free])
+        # end the step just past the first bound it meets, where the clip holds that coordinate
+        inside = (step != 0.0) & (theta > bounds[0]) & (theta < bounds[1])
+        room = (np.where(step < 0.0, bounds[0], bounds[1]) - theta)[inside] / step[inside]
+        t = min(1.0, 1.000001 * room.min(initial=np.inf))
+        # gains below the rounding of the log-likelihood cannot be resolved
+        tol = _GAIN_TOL * (1.0 + abs(ll))
+        while True:
+            theta_new = np.clip(theta + t * step, *bounds)
+            x_new = 1.0 / (1.0 + np.exp(-theta_new))
+            ll_new, mean_new, var_new = (v[0] for v in lik.e_step(*_probs(x_new, model)))
+            if ll_new >= ll - tol:
+                break
+            t /= 2.0  # the likelihood dropped
+            if t * np.abs(step).max() < _STEP_TOL:
+                return x
+        gain, moved = ll_new - ll, np.abs(theta_new - theta).max()
+        theta, x, ll, mean, var = theta_new, x_new, ll_new, mean_new, var_new
+        if moved < _STEP_TOL or gain <= tol:
+            return x
+    raise NonConvergence(f"no convergence within {_MAX_STEPS} Newton steps")
 
 
 def fit(records, mode: FitMode = FitMode.SCORE_DURATION, model: FitModel = FitModel.SERVER) -> FitResult:
     """Maximize the selected log-likelihood over [delta, 1-delta]^2 (or the
     no-server diagonal p_a = 1 - p_b).  Score and duration: the ratio of
-    counts, clamped to that box.  Score only: multistarted L-BFGS-B.
-    Deterministic given the data."""
+    counts, clamped to that box (0.5 for a player who never served).
+    Score only: grid-started projected Newton.  Deterministic given the
+    data."""
     lik = _Likelihood(records, mode)
     lo, hi = _BOUND_DELTA, 1.0 - _BOUND_DELTA
     if mode is FitMode.SCORE_DURATION:
-        k_pa, k_qa, k_pb, k_qb = lik.k
-        if model is FitModel.SERVER:
-            x = [_ratio(k_pa, k_qa), _ratio(k_pb, k_qb)]
-        else:
-            x = [_ratio(k_pa + k_qb, k_qa + k_pb)]
-        x, converged = np.clip(x, lo, hi), True
+        won, served = _serve_counts(lik.k, lik.m, model)
+        x = np.clip(np.divide(won, served, out=np.full(len(won), 0.5), where=served > 0), lo, hi)
     else:
-        x, converged = _multistart(lik, model, lo, hi)
-    p_a = float(x[0])
-    p_b = float(x[1]) if model is FitModel.SERVER else 1.0 - p_a
-    boundary = any(min(v - lo, hi - v) <= _PARAM_TOL for v in x)
-    return FitResult(
-        p_a=p_a,
-        p_b=p_b,
-        log_likelihood=lik(p_a, p_b),
-        converged=converged,
-        boundary=boundary,
-        mode=mode,
-        model=model,
-    )
+        x = _newton(lik, model, lo, hi)
+    p_a, p_b = (float(v) for v in _probs(x, model))
+    boundary = bool(np.any(np.minimum(x - lo, hi - x) <= _PARAM_TOL))
+    return FitResult(p_a, p_b, lik(p_a, p_b), converged=True, boundary=boundary, mode=mode, model=model)
 
 
 class RallyWinProbMLE:

@@ -57,12 +57,16 @@ class Rows:
 
 @dataclass(frozen=True)
 class Evaluation:
-    """Per row and per parameter point: the probability of the tally and
-    the mean and variance of the interruption count R given the tally."""
+    """Per row and per parameter point: the log-probability of the tally,
+    finite where it underflows, and the mean and variance of R given it."""
 
-    weight: np.ndarray
+    log_weight: np.ndarray
     r_mean: np.ndarray
     r_var: np.ndarray
+
+    @property
+    def weight(self) -> np.ndarray:
+        return np.exp(self.log_weight)
 
 
 @functools.lru_cache(maxsize=8)
@@ -199,16 +203,16 @@ def _evaluate_block(system: ScoringSystem, rows: Rows, p_a: np.ndarray, p_b: np.
     shift, terms = _scaled_terms(rows, log_v, log_u)
     total = terms.sum(axis=1)
     with np.errstate(divide="ignore"):
-        weight = np.exp(log_pre + shift + np.log(total))
+        log_weight = log_pre + shift + np.log(total)
     s = np.arange(terms.shape[1])[None, :, None]
     with np.errstate(invalid="ignore"):
         s_mean = np.where(total > 0.0, (s * terms).sum(axis=1) / total, 0.0)
         s_var = np.where(total > 0.0, ((s - s_mean[:, None, :]) ** 2 * terms).sum(axis=1) / total, 0.0)
-    return weight, j0 + receiver_last + s_mean, s_var
+    return log_weight, j0 + receiver_last + s_mean, s_var
 
 
 def evaluate(system: ScoringSystem, rows: Rows, p_a, p_b) -> Evaluation:
-    """Probability of every tally of `rows` in a game first served by the
+    """Log-probability of every tally of `rows` in a game first served by the
     side with rally-winning probability p_a, at each point of the arrays
     (p_a, p_b), under the given scoring system; plus the mean and variance
     of the interruption count given each tally.  Results have shape

@@ -52,6 +52,15 @@ def _game_win_probs(probs: RallyProbs, config: GameConfig) -> dict[Player, dict[
     }
 
 
+def _next_servers(rule: ServerRule, server: Player | None, game_winner: Player | None, s_a: float):
+    """(first server, probability > 0) pairs of the next game after one
+    first served by `server` and won by `game_winner`, or of game one when
+    `server` is None."""
+    if server is None or rule is ServerRule.COIN_FLIP_EACH:
+        return [(first, wt) for first, wt in ((Player.A, s_a), (Player.B, 1.0 - s_a)) if wt > 0.0]
+    return [(game_winner if rule is ServerRule.WINNER_SERVES_NEXT else server.other, 1.0)]
+
+
 def match_win_prob(
     probs: RallyProbs,
     game_config: GameConfig,
@@ -76,15 +85,11 @@ def match_win_prob(
         def after(game_winner: Player) -> float:
             na = a + (game_winner is Player.A)
             nb = b + (game_winner is Player.B)
-            if rule is ServerRule.WINNER_SERVES_NEXT:
-                return prob_a(na, nb, game_winner)
-            if rule is ServerRule.ALTERNATE:
-                return prob_a(na, nb, server.other)
-            return s_a * prob_a(na, nb, Player.A) + (1.0 - s_a) * prob_a(na, nb, Player.B)
+            return sum(wt * prob_a(na, nb, first) for first, wt in _next_servers(rule, server, game_winner, s_a))
 
         return win[server][Player.A] * after(Player.A) + win[server][Player.B] * after(Player.B)
 
-    p_match_a = s_a * prob_a(0, 0, Player.A) + (1.0 - s_a) * prob_a(0, 0, Player.B)
+    p_match_a = sum(wt * prob_a(0, 0, first) for first, wt in _next_servers(rule, None, None, s_a))
     return p_match_a if winner is Player.A else 1.0 - p_match_a
 
 
@@ -102,13 +107,12 @@ def match_duration_pmf(
     s_a = game_config.s_a
     max_games = 2 * m - 1
     win = _game_win_probs(probs, game_config)
-    gpmf = duration_pmfs_by_server_winner(probs, game_config, epsilon / max_games)
+    # a game law conditions on its winner: request only those of positive probability
+    events = [(server, winner) for server in Player for winner in Player if win[server][winner] > 0.0]
+    gpmf = duration_pmfs_by_server_winner(probs, game_config, events, epsilon / max_games)
 
     # state -> (offset, masses) holding P[state] * P[rallies so far]
-    states: dict[tuple[int, int, Player], tuple[int, np.ndarray]] = {}
-    for server, wt in ((Player.A, s_a), (Player.B, 1.0 - s_a)):
-        if wt > 0.0:
-            states[(0, 0, server)] = (0, np.array([wt]))
+    states = {(0, 0, first): (0, np.array([wt])) for first, wt in _next_servers(rule, None, None, s_a)}
     done: dict[None, tuple[int, np.ndarray]] = {}  # the finished matches, under one key
     bound = 0.0
 
@@ -142,15 +146,8 @@ def match_duration_pmf(
                 if na == m or nb == m:
                     add(done, None, off, conv)
                     continue
-                if rule is ServerRule.WINNER_SERVES_NEXT:
-                    add(states, (na, nb, game_winner), off, conv)
-                elif rule is ServerRule.ALTERNATE:
-                    add(states, (na, nb, server.other), off, conv)
-                else:
-                    if s_a > 0.0:
-                        add(states, (na, nb, Player.A), off, conv * s_a)
-                    if s_a < 1.0:
-                        add(states, (na, nb, Player.B), off, conv * (1.0 - s_a))
+                for first, first_wt in _next_servers(rule, server, game_winner, s_a):
+                    add(states, (na, nb, first), off, conv * first_wt)
 
     start, masses = done[None]
     return DurationPMF(offset=start, masses=masses, truncation_bound=bound)

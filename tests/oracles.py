@@ -12,6 +12,7 @@ from math import comb
 
 import mpmath
 import numpy as np
+from scipy.optimize import minimize
 
 from rallystats import Player, ScoringSystem, duration
 
@@ -295,3 +296,120 @@ def mp_rallypoint_win_prob(p_a, p_b, n, server=A, dps=40):
             for j in range(min(k, n - 1) + 1)
         )
         return server_wins if server is A else receiver_wins
+
+
+def score_loglik(records):
+    """Score-only log-likelihood of a record batch as a function of
+    (p_a, p_b): the exponent totals plus, per distinct tally in
+    first-server coordinates, its q-polynomial with exact integer
+    coefficients, summed in plain floating point.  The form the kernel
+    evaluation replaced, kept as a reference for it."""
+
+    def c(top, r):  # binom(top, r) with the binom(-1, -1) = 1 convention
+        return 1 if top == r == -1 else (comb(top, r) if 0 <= r <= top else 0)
+
+    k = [0, 0, 0, 0]  # exponents of log p_a, log q_a, log p_b, log q_b
+    tallies = defaultdict(int)
+    for r in records:
+        swap = r.first_server is B
+        a, b = (r.score.beta, r.score.alpha) if swap else (r.score.alpha, r.score.beta)
+        server_last = r.score.last_scorer is r.first_server
+        server, receiver = (2, 0) if swap else (0, 2)
+        k[server] += a
+        k[receiver] += b
+        k[server + 1] += 0 if server_last else 1
+        tallies[(a, b, server_last)] += 1
+    counts = np.array(list(tallies.values()))
+    points = sum(n * (a + b) for (a, b, _), n in tallies.items())
+    width = max(min(a, b) for a, b, _ in tallies) + 1
+    poly = np.array(
+        [[c(a, j) * c(b - 1, j - 1 if last else j) for j in range(width)] for a, b, last in tallies],
+        dtype=float,
+    )
+
+    def loglik(p_a, p_b):
+        if not (0.0 < p_a < 1.0 and 0.0 < p_b < 1.0):
+            return -np.inf
+        q_a, q_b = 1.0 - p_a, 1.0 - p_b
+        sums = poly @ (q_a * q_b) ** np.arange(width)
+        if np.any(sums <= 0.0):
+            return -np.inf
+        return (
+            k[0] * np.log(p_a) + k[1] * np.log(q_a) + k[2] * np.log(p_b) + k[3] * np.log(q_b)
+            - points * np.log(p_a + q_a * p_b)
+            + counts @ np.log(sums)
+        )
+
+    return loglik
+
+
+def multistart_score_fit(records, server_model=True):
+    """Score-only MLE by bounded L-BFGS-B with finite-difference gradients
+    from each start of a 3 x 3 grid (3 starts in the no-server model, p_b =
+    1 - p_a), keeping the best: the optimizer the Newton fit replaced,
+    kept as a reference for it.  Returns (p_a, p_b, log-likelihood)."""
+    loglik = score_loglik(records)
+    lo, starts_1d = 1e-9, (0.25, 0.5, 0.75)
+    if server_model:
+        starts = [(x, y) for x in starts_1d for y in starts_1d]
+
+        def nll(x):
+            return -loglik(x[0], x[1])
+
+    else:
+        starts = [(x,) for x in starts_1d]
+
+        def nll(x):
+            return -loglik(x[0], 1.0 - x[0])
+
+    best = min(
+        (
+            minimize(nll, np.array(x0), method="L-BFGS-B", bounds=[(lo, 1.0 - lo)] * len(x0),
+                     options={"maxfun": 10_000 // len(starts), "ftol": 1e-13, "gtol": 1e-9})
+            for x0 in starts
+        ),
+        key=lambda res: res.fun,
+    )
+    p_a = float(best.x[0])
+    p_b = float(best.x[1]) if server_model else 1.0 - p_a
+    return p_a, p_b, -float(best.fun)
+
+
+def compose_match_durations(p_a, p_b, n, m, rule, s_a, rally_point=False):
+    """Law of a match's total rally count, {duration: probability}, by
+    composing enumerated game laws game by game over (games won by A,
+    games won by B, first server) with plain dictionaries.  `rule` is a
+    `ServerRule` value string: "winner-serves-next", "alternate" or
+    "coin-flip-each"."""
+    games = {}
+    for server in (A, B):
+        if rally_point:
+            outcomes, _ = enumerate_rallypoint(p_a, p_b, n, server=server)
+        else:
+            outcomes, _ = enumerate_sideout(p_a, p_b, n, server=server, tol=1e-15)
+        law = defaultdict(float)
+        for (_, _, winner, rallies), mass in outcomes.items():
+            law[(winner, rallies)] += mass
+        games[server] = law
+    coin = [(A, s_a), (B, 1.0 - s_a)]
+    states = {(0, 0, server): {0: wt} for server, wt in coin if wt > 0.0}
+    total = defaultdict(float)
+    for _ in range(2 * m - 1):
+        nxt = defaultdict(lambda: defaultdict(float))
+        for (a, b, server), law in states.items():
+            for (winner, rallies), mass in games[server].items():
+                na, nb = a + (winner is A), b + (winner is B)
+                if rule == "winner-serves-next":
+                    servers = [(winner, 1.0)]
+                elif rule == "alternate":
+                    servers = [(server.other, 1.0)]
+                else:
+                    servers = coin
+                for d, prior in law.items():
+                    if na == m or nb == m:
+                        total[d + rallies] += prior * mass
+                        continue
+                    for nxt_server, wt in servers:
+                        nxt[(na, nb, nxt_server)][d + rallies] += prior * mass * wt
+        states = nxt
+    return dict(total)

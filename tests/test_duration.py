@@ -9,6 +9,7 @@ from rallystats.duration import QuantileMode
 from oracles import enumerate_sideout, duration_marginal, per_tally_duration_pmf
 
 A, B = Player.A, Player.B
+EVENTS = [(server, winner) for server in Player for winner in Player]
 
 
 class TestInterruptionWeights:
@@ -253,7 +254,7 @@ class TestExchangeSeries:
         monkeypatch.setattr(
             duration, "_exchange_pmf", lambda m0, *args: built.append(m0) or exchange_pmf(m0, *args)
         )
-        duration.duration_pmfs_by_server_winner(RallyProbs(0.3, 0.4), GameConfig(n=15, s_a=0.5))
+        duration.duration_pmfs_by_server_winner(RallyProbs(0.3, 0.4), GameConfig(n=15, s_a=0.5), EVENTS)
         assert sorted(built) == list(range(15, 30))
 
 
@@ -279,7 +280,7 @@ class TestGroupedPMF:
 
     def test_server_winner_pmfs_equal_single_calls(self):
         pr, cfg = RallyProbs(0.05, 0.1), GameConfig(n=15)
-        for (server, winner), pmf in duration.duration_pmfs_by_server_winner(pr, cfg).items():
+        for (server, winner), pmf in duration.duration_pmfs_by_server_winner(pr, cfg, EVENTS).items():
             single = duration.duration_pmf_winner(pr, cfg, winner, server=server)
             assert pmf.offset == single.offset
             np.testing.assert_array_equal(pmf.masses, single.masses)

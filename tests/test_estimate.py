@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -15,7 +18,7 @@ from rallystats import (
 from rallystats import estimate, kernel, simulate
 from rallystats.estimate import FitMode, FitModel, GameRecord, RallyWinProbMLE
 
-from oracles import enumerate_sideout, exact_h_count, score_marginal
+from oracles import enumerate_sideout, exact_h_count, multistart_score_fit, score_loglik, score_marginal
 
 A, B = Player.A, Player.B
 
@@ -33,8 +36,9 @@ def simulated_records(pa, pb, n, count, seed, s_a=0.5):
 
 class TestScoreLikelihood:
     def test_shutout_closed_form(self):
-        # at (1e-9, 1e-7), q is within 1.01e-7 of 1, where 1 - q cancels
-        for n, p_a, p_b in [(7, 0.62, 0.47), (15, 1e-9, 1e-7)]:
+        # at (1e-9, 1e-7), q is within 1.01e-7 of 1, where 1 - q cancels;
+        # at (1e-9, .999) the 40-0 tally's probability underflows to 0
+        for n, p_a, p_b in [(7, 0.62, 0.47), (15, 1e-9, 1e-7), (40, 1e-9, 0.999)]:
             one_minus_q = p_a + (1 - p_a) * p_b
             got = estimate.loglik_score([rec(A, n, 0, A)], p_a, p_b)
             assert got == pytest.approx(n * math.log(p_a) - n * math.log(one_minus_q), abs=1e-12)
@@ -57,9 +61,40 @@ class TestScoreLikelihood:
         )
         assert estimate.loglik_score(records, p_a, p_b) == pytest.approx(expected, abs=1e-10)
 
+    def test_matches_reference_polynomials(self):
+        records = simulated_records(0.6, 0.5, 15, 200, SeedSpec(110, 0))
+        records += simulated_records(0.4, 0.7, 9, 30, SeedSpec(110, 1))
+        reference = score_loglik(records)
+        for p_a, p_b in [(0.6, 0.5), (0.05, 0.9), (0.97, 0.01)]:
+            assert estimate.loglik_score(records, p_a, p_b) == pytest.approx(reference(p_a, p_b), rel=1e-13)
+
     def test_malformed_record_rejected(self):
         with pytest.raises(InfeasibleData, match="record 0"):
             estimate.loglik_score([rec(A, 3, 5, A)], 0.5, 0.5)
+
+    @pytest.mark.parametrize("model", list(FitModel))
+    def test_score_and_information_match_finite_differences(self, model):
+        # logit coordinates; central differences of the reference
+        # likelihood, away from the optimum so the score is not small
+        records = simulated_records(0.6, 0.5, 15, 100, SeedSpec(111, 0))
+        reference = score_loglik(records)
+        lik = estimate._Likelihood(records, FitMode.SCORE_ONLY)
+        x = np.array([0.55, 0.4] if model is FitModel.SERVER else [0.45])
+
+        def ll(theta):
+            return reference(*estimate._probs(1.0 / (1.0 + np.exp(-theta)), model))
+
+        _, mean, var = lik.e_step(*estimate._probs(x, model))
+        score, info = estimate._score_information(lik.k, x, mean[0], var[0], model)
+        theta, h = np.log(x / (1.0 - x)), 1e-4
+        eye = np.eye(len(x)) * h
+        fd_score = [(ll(theta + e) - ll(theta - e)) / (2 * h) for e in eye]
+        fd_info = [
+            [(ll(theta + e - f) + ll(theta - e + f) - ll(theta + e + f) - ll(theta - e - f)) / (4 * h * h) for f in eye]
+            for e in eye
+        ]
+        np.testing.assert_allclose(score, fd_score, rtol=1e-6)
+        np.testing.assert_allclose(info, fd_info, rtol=1e-5)
 
 
 class TestJointLikelihood:
@@ -165,16 +200,24 @@ class TestFit:
         assert res.p == pytest.approx(p_star, abs=1e-12)
         assert res.p_b == pytest.approx(1 - p_star, abs=1e-12)
 
-    def test_score_duration_fit_uses_no_optimizer(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("score-and-duration fit called the optimizer")
-
-        monkeypatch.setattr(estimate, "minimize", refuse)
-        records = simulated_records(0.6, 0.5, 9, 40, SeedSpec(109, 9))
-        for model in FitModel:
-            res = estimate.fit(records, FitMode.SCORE_DURATION, model)
-            assert res.converged
-            assert 0.0 < res.p_a < 1.0
+    def test_fits_leave_scipy_unloaded(self):
+        # a fresh process: the test session itself has scipy loaded
+        code = (
+            "import sys\n"
+            "from rallystats import GameConfig, RallyProbs, SeedSpec, estimate, simulate\n"
+            "sample = simulate.sample_games(RallyProbs(0.6, 0.5), GameConfig(n=9, s_a=0.5), 40, SeedSpec(109, 9))\n"
+            "records = estimate.records_from_sample(sample)\n"
+            "for mode in estimate.FitMode:\n"
+            "    for model in estimate.FitModel:\n"
+            "        res = estimate.fit(records, mode, model)\n"
+            "        assert res.converged and 0.0 < res.p_a < 1.0, res\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert out.stdout.strip() == "[]"
 
     def test_no_server_model(self):
         records = simulated_records(0.58, 0.42, 15, 300, SeedSpec(103, 4))
@@ -212,6 +255,49 @@ class TestFit:
             records = simulated_records(0.6, 0.5, 9, 50, SeedSpec(105, seed))
             res = estimate.fit(records, mode, FitModel.SERVER)
             assert res.log_likelihood >= lik(records, 0.6, 0.5) - 1e-9
+
+    def test_ray_batch_ends_on_the_boundary(self):
+        # the likelihood rises along a ray towards (0, 0); L-BFGS-B stopped
+        # inside at -135.02029 and reported no boundary
+        records = simulated_records(0.3, 0.2, 15, 50, SeedSpec(43, 0))
+        res = estimate.fit(records, FitMode.SCORE_ONLY, FitModel.SERVER)
+        assert res.boundary
+        assert res.log_likelihood >= -135.01836
+        assert min(res.p_a, res.p_b) == pytest.approx(1e-9, rel=1e-12)
+
+    def test_two_maxima_batch_reaches_the_interior_optimum(self):
+        # Newton started at (.5, .5) climbs a ray to (0, 0) and stops at
+        # -455.2; the interior maximum is higher
+        records = simulated_records(0.5, 0.9, 15, 200, SeedSpec(77, 200))
+        res = estimate.fit(records, FitMode.SCORE_ONLY, FitModel.SERVER)
+        p_a, p_b, ll = multistart_score_fit(records)
+        assert not res.boundary
+        assert res.log_likelihood == pytest.approx(ll, abs=1e-9)
+        assert (res.p_a, res.p_b) == pytest.approx((0.4962, 0.8944), abs=1e-4)
+
+    def test_score_only_matches_multistart_oracle(self):
+        # 120 batches of 1 to 200 games, both models: the Newton fit is
+        # never worse than L-BFGS-B, stationary where it is interior, and
+        # equal to it where both are accurate
+        worst_gap = worst_score = 0.0
+        for p_a, p_b in [(0.05, 0.05), (0.2, 0.6), (0.6, 0.5), (0.9, 0.1), (0.5, 0.9), (0.99, 0.98)]:
+            for games in (1, 5, 20, 50, 200):
+                for seed in range(4):
+                    records = simulated_records(p_a, p_b, 15, games, SeedSpec(120 + seed, games))
+                    lik = estimate._Likelihood(records, FitMode.SCORE_ONLY)
+                    for model in FitModel:
+                        res = estimate.fit(records, FitMode.SCORE_ONLY, model)
+                        ref = multistart_score_fit(records, model is FitModel.SERVER)
+                        worst_gap = max(worst_gap, ref[2] - res.log_likelihood)
+                        x = np.array([res.p_a, res.p_b][: 2 if model is FitModel.SERVER else 1])
+                        _, mean, var = lik.e_step(res.p_a, res.p_b)
+                        score = estimate._score_information(lik.k, x, mean[0], var[0], model)[0]
+                        if not res.boundary:
+                            worst_score = max(worst_score, float(np.abs(score).max()))
+                        if (p_a, p_b, games) == (0.6, 0.5, 200):
+                            assert (res.p_a, res.p_b) == pytest.approx(ref[:2], abs=1e-6)
+        assert worst_gap <= 1e-9
+        assert worst_score <= 1e-6
 
     def test_duration_information_shrinks_mse(self):
         # the duration-augmented estimator beats the score-only one in

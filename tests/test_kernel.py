@@ -5,6 +5,7 @@ against 40-digit references at extreme parameters."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -97,6 +98,16 @@ def test_rare_event_value_against_backward_induction():
     expected = backward_induction_win_prob(0.0085, 1.0 - 0.0085, 15)
     assert value == pytest.approx(expected, rel=1e-12)
     assert value == pytest.approx(3.5e-31, rel=0.01)
+
+
+def test_log_weight_finite_where_weight_underflows():
+    # the 40-0 shutout by a server at 1e-9 against .999 has probability
+    # (p_a / (1 - q))^40, about 1e-360
+    p_a, p_b = 1e-9, 0.999
+    ev = kernel.evaluate(ScoringSystem.SIDE_OUT, kernel.table(40), p_a, p_b)
+    want = 40 * mpmath.log(mpmath.mpf(p_a) / (p_a + (1 - mpmath.mpf(p_a)) * p_b))
+    assert ev.weight[0, 0] == 0.0
+    assert ev.log_weight[0, 0] == pytest.approx(float(want), rel=1e-14)
 
 
 @pytest.mark.parametrize("system", list(ScoringSystem))

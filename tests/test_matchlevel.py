@@ -5,6 +5,8 @@ from rallystats import ConfigError, GameConfig, Player, RallyProbs, ScoringSyste
 from rallystats import duration, matchlevel, rallypoint, sideout, simulate
 from rallystats.matchlevel import MatchConfig, ServerRule
 
+from oracles import compose_match_durations
+
 A, B = Player.A, Player.B
 WSN, ALT, CFE = ServerRule.WINNER_SERVES_NEXT, ServerRule.ALTERNATE, ServerRule.COIN_FLIP_EACH
 
@@ -107,6 +109,22 @@ class TestMatchDuration:
         expect = expected_total(0, 0, A)
         pmf = matchlevel.match_duration_pmf(pr, cfg, mc, epsilon=1e-13)
         assert pmf.moments().mean == pytest.approx(expect, abs=1e-8)
+
+    @pytest.mark.parametrize("system", list(ScoringSystem))
+    @pytest.mark.parametrize("rule", list(ServerRule))
+    @pytest.mark.parametrize("pa, pb", [(0.6, 0.45), (1.0, 0.5), (0.3, 0.0)])
+    def test_matches_composed_game_laws(self, system, rule, pa, pb):
+        # (1, .5) and (.3, 0) make some (server, winner) game impossible,
+        # so its winner-conditioned law does not exist
+        for s_a in (1.0, 0.4):
+            cfg = GameConfig(n=3, system=system, s_a=s_a)
+            pmf = matchlevel.match_duration_pmf(RallyProbs(pa, pb), cfg, MatchConfig(2, rule), epsilon=1e-13)
+            law = compose_match_durations(pa, pb, 3, 2, rule.value, s_a, system is ScoringSystem.RALLY_POINT)
+            hi = max(max(law) + 1, pmf.offset + len(pmf.masses))
+            expect = np.array([law.get(d, 0.0) for d in range(hi)])
+            got = np.array([pmf.prob(d) for d in range(hi)])
+            np.testing.assert_allclose(got, expect, rtol=0, atol=1e-13)
+            assert pmf.total_mass == pytest.approx(1.0, abs=1e-12)
 
     def test_mass_accounting(self):
         pr = RallyProbs(0.6, 0.5)
