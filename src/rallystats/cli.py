@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import click
 import numpy as np
 
-from . import asymptotics, duration, estimate, matchlevel, sideout, simulate
+from . import asymptotics, duration, estimate, kernel, matchlevel, sideout, simulate
 from .core import (
     ConditioningError,
     ConfigError,
@@ -140,17 +140,18 @@ def _moment_rows(probs, config, server):
     agg = duration.aggregate_moments(probs, config)
     if server is not None:
         rows = [
-            ["winner=A", agg.by_server_winner[(server, Player.A)]],
-            ["winner=B", agg.by_server_winner[(server, Player.B)]],
+            ["winner=A", agg.by_server_winner.get((server, Player.A))],
+            ["winner=B", agg.by_server_winner.get((server, Player.B))],
             ["unconditional", agg.by_server[server]],
         ]
     else:
         rows = [
-            ["winner=A", agg.by_winner[Player.A]],
-            ["winner=B", agg.by_winner[Player.B]],
+            ["winner=A", agg.by_winner.get(Player.A)],
+            ["winner=B", agg.by_winner.get(Player.B)],
             ["unconditional", agg.overall],
         ]
-    return [[label, m.mean, m.sd, m.variance] for label, m in rows]
+    # an event of probability zero has no moments: empty cells
+    return [[label, *((m.mean, m.sd, m.variance) if m is not None else (None,) * 3)] for label, m in rows]
 
 
 def _conditional_pmf(probs, config, server, winner, score, epsilon):
@@ -251,12 +252,14 @@ def cmd_compare(sideout_n, rallypoint_n, p_grid, fmt, out):
 
     def grid_columns(cfg):
         # the whole grid in one kernel evaluation: no-server model (p_a = p,
-        # p_b = 1 - p), first server A; rows: A wins, B wins, unconditional
-        win, mean, var = duration._server_moments(cfg.system, cfg.n, p, 1.0 - p)
-        if (win[:2] <= duration._TINY).any():
+        # p_b = 1 - p), first server A
+        weight, mean, var = duration._row_moments(cfg.system, kernel.table(cfg.n), p, 1.0 - p)
+        weight = np.stack([weight, np.zeros_like(weight)])  # no B-first games
+        mix = {w: duration._mix(duration.event_weights(weight, (1.0, 0.0), w), mean, var) for w in (*Player, None)}
+        if any((mix[w][0] <= duration._TINY).any() for w in Player):
             raise ConditioningError("conditioning event has vanished")
-        sd = np.sqrt(var)
-        return win[0], [mean[2], sd[2]], [mean[0], sd[0], mean[1], sd[1]]
+        cols = {w: [m, np.sqrt(v)] for w, (_, m, v) in mix.items()}
+        return mix[Player.A][0], cols[None], cols[Player.A] + cols[Player.B]
 
     so_win, so_unc, so_by_winner = grid_columns(so_cfg)
     rp_win, rp_unc, rp_by_winner = grid_columns(rp_cfg)

@@ -9,10 +9,19 @@ closed-form conditional moments (depending on the rally probabilities only
 through the exchange probability q) and an exact PMF as the convolution of
 the two laws, with a certified truncation bound for the infinite exchange
 series.  Under rally-point scoring every rally scores, so D = alpha + beta
-given the tally.  The aggregate moments and the winner-conditional and
-unconditional PMFs read the system from the `GameConfig` and mix these
-per-tally laws over the score distribution; the PMFs build one exchange
-series per point total alpha + beta, shared by all tallies and servers.
+given the tally.
+
+The law of D given a tally depends on q alone, so it is the same for both
+first servers.  The law given any event (first server, game winner),
+either of which may be mixed out, is then a mixture of the per-tally laws
+with the weights `event_weights` takes from one kernel evaluation of the
+tallies' probabilities for both first servers.  The aggregate moments and
+the PMFs read the system from the `GameConfig`.  An event of probability
+zero has no conditional law: the aggregates leave it out, and only
+`duration_pmf_winner`, which normalizes, raises `ConditioningError`.  The
+PMFs build one exchange series per point total alpha + beta, shared by all
+tallies and servers; `duration_pmfs_by_server_winner` gives the laws
+jointly with the winner that the match pass composes.
 
 Tie-break-extended games are out of scope here; compose tie probabilities
 from `sideout` at a higher level if needed.
@@ -152,16 +161,24 @@ def mgf_conditional(alpha: int, beta: int, last_scorer: Player, q: float, t: flo
     return base * float(np.dot(w.weights, np.exp(t * (2.0 * w.rs - delta))))
 
 
+def _side_out_moments(points, receiver_last, q, one_minus_q, r_mean, r_var):
+    """Exact conditional mean and variance of D given a side-out tally with
+    `points` = alpha + beta, from the mean and variance of its interruption
+    count R, elementwise over arrays; 1 - q is given apart from q since it
+    cancels as q -> 1.  The mean is the shutout value points (1+q)/(1-q)
+    plus twice the mean interruption count (minus one when the receiver
+    side scores last); the variance is 4 points q/(1-q)^2 plus four times
+    the interruption-count variance."""
+    mean = points * (1.0 + q) / one_minus_q - receiver_last + 2.0 * r_mean
+    return mean, 4.0 * points * q / one_minus_q**2 + 4.0 * r_var
+
+
 def _conditional_moments(alpha: int, beta: int, last_scorer: Player, q: float, one_minus_q: float) -> Moments:
-    """Exact conditional mean and variance of D for an A-game tally, given
-    1 - q apart from q since it cancels as q -> 1.  The mean is the shutout
-    value (alpha+beta)(1+q)/(1-q) plus twice the mean interruption count
-    (minus one when the receiver side scores last); the variance is
-    4(alpha+beta)q/(1-q)^2 plus four times the interruption-count variance."""
+    """Exact conditional mean and variance of D for an A-game tally (see
+    `_side_out_moments`)."""
     w = interruption_weights(alpha, beta, last_scorer, q)
-    delta = 1 if last_scorer is Player.B else 0
-    mean = (alpha + beta) * (1.0 + q) / one_minus_q - delta + 2.0 * w.mean()
-    return Moments(mean, 4.0 * (alpha + beta) * q / one_minus_q**2 + 4.0 * w.variance())
+    receiver_last = int(last_scorer is Player.B)
+    return Moments(*_side_out_moments(alpha + beta, receiver_last, q, one_minus_q, w.mean(), w.variance()))
 
 
 def expected_duration_conditional(alpha: int, beta: int, last_scorer: Player, q: float) -> float:
@@ -243,8 +260,6 @@ def _mixture_pmfs(
     pmfs = []
     for c in coef:
         rs = np.flatnonzero(c > 0.0)
-        if rs.size == 0:
-            raise ConditioningError("mixture carries no mass")
         start = int((m0 + delta)[rs].min())
         stop = max(int(m0[r] + delta[r] + 2 * (hi[r] + len(series[m0[r]][0])) - 1) for r in rs)
         masses = np.zeros(stop - start)
@@ -282,23 +297,68 @@ def _require_no_tiebreak(config: GameConfig) -> None:
         raise ConfigError("durations of tie-break-extended games are not supported")
 
 
-def _mix_arrays(w: np.ndarray, mean: np.ndarray, var: np.ndarray, axis: int):
-    """Mix the laws of the parts along `axis` with weights w: the total
-    weight, mean and variance of each mixture (NaN moments where a mixture
-    carries no weight)."""
-    total = w.sum(axis=axis)
+def event_weights(weight: np.ndarray, servers, winner: Player | None = None) -> np.ndarray:
+    """Unnormalized weight of each terminal tally of a game to n in the
+    event (first server, winner).
+
+    weight[i, r] is the probability of row r of `kernel.table(n)` when A
+    (i = 0) or B (i = 1) serves first, optionally with a trailing axis of
+    parameter points; rows r < n are won by the first server.  `servers`
+    weighs the two first servers: (1, 0), (0, 1) or (s_a, s_b).  `winner`
+    None keeps both winners.  The law of D given a tally depends on q
+    alone, the same for both first servers, so the law of D given any
+    event is the mixture of the rows' laws with these weights, and their
+    sum is the probability of the event."""
+    servers = np.reshape(servers, (2,) + (1,) * (weight.ndim - 1))
+    if winner is not None:
+        n = weight.shape[1] // 2
+        # won by `winner`: rows r < n when it serves first, rows r >= n when it receives
+        won = (np.arange(2 * n) < n) == (np.array([[True], [False]]) == (winner is Player.A))
+        weight = np.where(won.reshape(won.shape + (1,) * (weight.ndim - 2)), weight, 0.0)
+    return (servers * weight).sum(axis=0)
+
+
+def _row_moments(system: ScoringSystem, rows: kernel.Rows, p_a, p_b):
+    """Probability and conditional mean and variance of D of every tally
+    of `rows` in a game first served by the side with rally probability
+    p_a, over arrays of (p_a, p_b); each of shape (rows, points)."""
+    ev = kernel.evaluate(system, rows, p_a, p_b)
+    d = (rows.alpha + rows.beta)[:, None].astype(float)
+    if system is ScoringSystem.RALLY_POINT:
+        return ev.weight, np.broadcast_to(d, ev.r_mean.shape), np.zeros_like(ev.r_mean)
+    q_a = 1.0 - np.asarray(p_a)
+    q = q_a * (1.0 - np.asarray(p_b))
+    one_minus_q = p_a + q_a * p_b  # does not cancel as q -> 1
+    receiver_last = (~rows.server_last)[:, None]
+    return ev.weight, *_side_out_moments(d, receiver_last, q, one_minus_q, ev.r_mean, ev.r_var)
+
+
+def _mix(c: np.ndarray, mean: np.ndarray, var: np.ndarray):
+    """Total weight, mean and variance of the mixture of the rows' laws
+    (axis 0) with weights c; NaN moments where c carries no weight."""
+    total = c.sum(axis=0)
     with np.errstate(invalid="ignore", divide="ignore"):
-        m = (w * mean).sum(axis=axis) / total
-        second = (w * (var + mean**2)).sum(axis=axis) / total
+        m = (c * mean).sum(axis=0) / total
+        second = (c * (var + mean**2)).sum(axis=0) / total
     return total, m, np.maximum(second - m * m, 0.0)
 
 
-def _mix_moments(parts: list[tuple[float, Moments]]) -> Moments:
-    w, mean, var = (np.array(col) for col in zip(*((wt, m.mean, m.variance) for wt, m in parts)))
-    total, mean, var = _mix_arrays(w, mean, var, axis=0)
-    if total <= _TINY:
-        raise ConditioningError("conditioning event has vanished")
-    return Moments(float(mean), float(var))
+def _servers(config: GameConfig, server: Player | None) -> tuple[float, float]:
+    """Weights of the two first servers: `server`, or (s_a, s_b) for None."""
+    if server is None:
+        return config.s_a, config.s_b
+    return (1.0, 0.0) if server is Player.A else (0.0, 1.0)
+
+
+def _game_rows(probs: RallyProbs, config: GameConfig):
+    """The table of a game to n, weight[i, r] of its rows when A (i = 0)
+    or B (i = 1) serves first, and the rows' duration moments, from one
+    kernel evaluation."""
+    validate(probs, config)
+    _require_no_tiebreak(config)
+    rows = kernel.table(config.n)
+    weight, mean, var = _row_moments(config.system, rows, [probs.p_a, probs.p_b], [probs.p_b, probs.p_a])
+    return rows, weight.T, mean[:, 0], var[:, 0]
 
 
 @dataclass(frozen=True)
@@ -307,7 +367,10 @@ class DurationAggregates:
 
     Keys of `by_server_winner` are (first server, game winner); `by_winner`
     mixes the first server out with the posterior server weights given the
-    winner, and `overall` is unconditional on everything.
+    winner, and `overall` is unconditional on everything.  An event of
+    probability zero (or below 1e-300) has no moments and no entry in
+    `by_server_winner` or `by_winner`; `win_probs` lists every (first
+    server, winner) pair.
     """
 
     by_server_winner: dict[tuple[Player, Player], Moments]
@@ -317,92 +380,39 @@ class DurationAggregates:
     win_probs: dict[tuple[Player, Player], float]
 
 
-def _server_moments(system: ScoringSystem, n: int, p_a, p_b):
-    """Moments of D in games to n first served by the side with rally
-    probability p_a, over arrays of (p_a, p_b).  Returns (probability,
-    mean, variance), each of shape (3, points): row 0 conditions on a win
-    by the first server, row 1 on a win by the receiver, row 2 on nothing."""
-    rows = kernel.table(n)
-    ev = kernel.evaluate(system, rows, p_a, p_b)
-    d = (rows.alpha + rows.beta)[:, None].astype(float)
-    if system is ScoringSystem.SIDE_OUT:
-        # expected_duration_conditional and variance_duration_conditional,
-        # for every terminal tally at once
-        q_a = 1.0 - np.asarray(p_a)
-        q = q_a * (1.0 - np.asarray(p_b))
-        one_minus_q = p_a + q_a * p_b  # does not cancel as q -> 1
-        mean = d * (1.0 + q) / one_minus_q - (~rows.server_last)[:, None] + 2.0 * ev.r_mean
-        var = 4.0 * d * q / one_minus_q**2 + 4.0 * ev.r_var
-    else:
-        mean, var = np.broadcast_to(d, ev.log_weight.shape), np.zeros_like(ev.log_weight)
-    shape = (2, n, ev.log_weight.shape[1])
-    by_winner = _mix_arrays(ev.weight.reshape(shape), mean.reshape(shape), var.reshape(shape), axis=1)
-    overall = _mix_arrays(*by_winner, axis=0)
-    return tuple(np.vstack([w, u]) for w, u in zip(by_winner, overall))
-
-
-def _aggregate(probs: RallyProbs, config: GameConfig) -> DurationAggregates:
-    """Aggregates from one kernel evaluation over the two first servers."""
-    total, mean, var = _server_moments(
-        config.system, config.n, np.array([probs.p_a, probs.p_b]), np.array([probs.p_b, probs.p_a])
-    )
-    by_server_winner = {}
-    win_probs = {}
-    by_server = {}
-    for i, server in enumerate(Player):
-        for row, winner in enumerate((server, server.other)):
-            if total[row, i] <= _TINY:
-                raise ConditioningError("conditioning event has vanished")
-            by_server_winner[(server, winner)] = Moments(float(mean[row, i]), float(var[row, i]))
-            win_probs[(server, winner)] = float(total[row, i])
-        by_server[server] = Moments(float(mean[2, i]), float(var[2, i]))
-    s = {Player.A: config.s_a, Player.B: config.s_b}
-    by_winner = {}
-    for winner in Player:
-        by_winner[winner] = _mix_moments(
-            [
-                (s[server] * win_probs[(server, winner)], by_server_winner[(server, winner)])
-                for server in Player
-                if s[server] > 0.0
-            ]
-        )
-    overall = _mix_moments([(s[server], by_server[server]) for server in Player if s[server] > 0.0])
-    return DurationAggregates(by_server_winner, by_server, by_winner, overall, win_probs)
-
-
 def aggregate_moments(probs: RallyProbs, config: GameConfig) -> DurationAggregates:
     """Expectation and variance of D under `config.system` for every
     conditioning level: per (server, winner), per server, per winner, and
     overall."""
-    validate(probs, config)
-    _require_no_tiebreak(config)
-    return _aggregate(probs, config)
+    _, weight, mean, var = _game_rows(probs, config)
+
+    def mixture(server, winner) -> tuple[float, Moments | None]:
+        total, m, v = _mix(event_weights(weight, _servers(config, server), winner), mean, var)
+        return float(total), (Moments(float(m), float(v)) if total > _TINY else None)
+
+    events = {(s, w): mixture(s, w) for s in Player for w in Player}
+    by_server_winner = {event: m for event, (_, m) in events.items() if m is not None}
+    by_winner = {w: m for w in Player if (m := mixture(None, w)[1]) is not None}
+    by_server = {s: mixture(s, None)[1] for s in Player}
+    win_probs = {event: total for event, (total, _) in events.items()}
+    return DurationAggregates(by_server_winner, by_server, by_winner, mixture(None, None)[1], win_probs)
 
 
-def _game_pmfs(
+def _joint_pmfs(
     probs: RallyProbs, config: GameConfig, epsilon: float, events: list[tuple[Player | None, Player | None]]
-) -> list[DurationPMF]:
-    """Laws of D for each (first server, winner) of `events` from one pass
-    over the terminal tallies; a server of None mixes both with weights
-    (s_a, s_b), a winner of None both winners.  Both first servers share
-    each tally's law in their own coordinates, so their weights add up."""
-    validate(probs, config)
-    _require_no_tiebreak(config)
-    rows = kernel.table(config.n)
-    # weight[i, r]: probability of row r when A (i = 0) or B (i = 1) serves first
-    weight = kernel.evaluate(config.system, rows, [probs.p_a, probs.p_b], [probs.p_b, probs.p_a]).weight.T
-    first_won, is_a = np.arange(2 * config.n) < config.n, np.array([[True], [False]])
-    coef = []
-    for server, winner in events:
-        c = weight * (np.array([[config.s_a], [config.s_b]]) if server is None else is_a == (server is Player.A))
-        if winner is not None:
-            c = c * (first_won == (is_a == (winner is Player.A)))
-            total = c.sum()
-            if total <= _TINY:
-                raise ConditioningError(f"P[{winner} wins] underflowed")
-            c = c / total
-        coef.append(c.sum(axis=0))
-    return _mixture_pmfs(config.system, rows, probs, np.array(coef), epsilon)
+) -> dict[tuple[Player | None, Player | None], tuple[DurationPMF, float]]:
+    """Law of D jointly with each (first server, winner) of `events` that
+    has positive probability, from one pass over the terminal tallies:
+    {event: (law, probability of the event)}, the law's mass being that
+    probability.  A server of None mixes both with weights (s_a, s_b), a
+    winner of None both winners."""
+    rows, weight, _, _ = _game_rows(probs, config)
+    coef = {event: event_weights(weight, _servers(config, event[0]), event[1]) for event in events}
+    coef = {event: c for event, c in coef.items() if c.sum() > 0.0}
+    if not coef:
+        return {}
+    pmfs = _mixture_pmfs(config.system, rows, probs, np.array(list(coef.values())), epsilon)
+    return {event: (pmf, float(c.sum())) for (event, c), pmf in zip(coef.items(), pmfs)}
 
 
 def duration_pmf_winner(
@@ -416,14 +426,20 @@ def duration_pmf_winner(
     `server=None` mixes the first server out with the posterior weights
     given that winner.  Rally-point PMFs are exact (`epsilon` is unused and
     the truncation bound is zero)."""
-    return _game_pmfs(probs, config, epsilon, [(server, winner)])[0]
+    joint, total = _joint_pmfs(probs, config, epsilon, [(server, winner)]).get((server, winner), (None, 0.0))
+    if total <= _TINY:
+        raise ConditioningError(f"P[{winner} wins] underflowed")
+    return DurationPMF(joint.offset, joint.masses / total, joint.truncation_bound / total)
 
 
 def duration_pmfs_by_server_winner(
-    probs: RallyProbs, config: GameConfig, events: list[tuple[Player, Player]], epsilon: float = 1e-12
+    probs: RallyProbs, config: GameConfig, epsilon: float = 1e-12
 ) -> dict[tuple[Player, Player], DurationPMF]:
-    """`duration_pmf_winner` for each (first server, winner) of `events`, sharing exchange series."""
-    return dict(zip(events, _game_pmfs(probs, config, epsilon, events)))
+    """Law of D jointly with the winner for each first server, sharing
+    exchange series: {(first server, winner): law of mass P[winner |
+    server]} over the pairs of positive probability."""
+    events = [(server, winner) for server in Player for winner in Player]
+    return {event: joint for event, (joint, _) in _joint_pmfs(probs, config, epsilon, events).items()}
 
 
 def duration_pmf_unconditional(
@@ -435,7 +451,7 @@ def duration_pmf_unconditional(
     """PMF of D under `config.system` mixed over all terminal scores and
     winners; `server=None` additionally mixes the first server with weights
     (s_a, s_b)."""
-    return _game_pmfs(probs, config, epsilon, [(server, None)])[0]
+    return _joint_pmfs(probs, config, epsilon, [(server, None)])[(server, None)][0]
 
 
 def quantile(pmf: DurationPMF, level: float, mode: QuantileMode = QuantileMode.STANDARD) -> float:

@@ -125,14 +125,6 @@ def tally(alpha: int, beta: int, server_last: bool) -> Rows:
     return _build([(alpha, beta, server_last)])
 
 
-def coefficient(rows: Rows, j: int) -> float:
-    """Coefficient of q^j in row 0 (zero outside the feasible range)."""
-    j0, top = int(rows.j0[0]), int(rows.top[0])
-    if not (j0 <= j <= top):
-        return 0.0
-    return math.exp(rows.logc[0, j - j0])
-
-
 def _log(x: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore"):
         return np.log(x).astype(float)

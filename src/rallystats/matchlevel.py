@@ -1,10 +1,13 @@
 """Match-level composition: first player to win M games takes the match.
 
 Games are independent given the sequence of first servers, which is driven
-by a configurable rule.  Winning probabilities follow from a dynamic
-program over (games won by A, games won by B, next first server); the
-match duration distribution convolves per-game duration PMFs along the
-same dynamic program.
+by a configurable rule.  One forward pass over (games won by A, games won
+by B, next first server) carries, per state, the probability of reaching
+it by total rallies so far: it convolves the law of each game's rallies
+jointly with its winner (`duration.duration_pmfs_by_server_winner`) and
+returns the finished mass per match winner.  The match duration law
+merges the two winners; the match-winning probability runs the same pass
+on one-point laws, the game-winning probabilities.
 
 The winner-serves-next and alternating rules give identical match-winning
 probabilities; this invariance is kept as a test property.
@@ -13,9 +16,9 @@ probabilities; this invariance is kept as a test property.
 from __future__ import annotations
 
 import enum
+import functools
 import numbers
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -44,14 +47,6 @@ class MatchConfig:
             raise ConfigError("games_to_win > 20 unsupported (state-space guard)")
 
 
-def _game_win_probs(probs: RallyProbs, config: GameConfig) -> dict[Player, dict[Player, float]]:
-    """win[server][winner] for a single game."""
-    return {
-        server: {winner: sideout.game_win_prob(winner, server, probs, config) for winner in Player}
-        for server in Player
-    }
-
-
 def _next_servers(rule: ServerRule, server: Player | None, game_winner: Player | None, s_a: float):
     """(first server, probability > 0) pairs of the next game after one
     first served by `server` and won by `game_winner`, or of game one when
@@ -61,6 +56,47 @@ def _next_servers(rule: ServerRule, server: Player | None, game_winner: Player |
     return [(game_winner if rule is ServerRule.WINNER_SERVES_NEXT else server.other, 1.0)]
 
 
+def _merge(left: tuple[int, np.ndarray], right: tuple[int, np.ndarray]) -> tuple[int, np.ndarray]:
+    """Sum of two (offset, masses) laws."""
+    start = min(left[0], right[0])
+    merged = np.zeros(max(left[0] + len(left[1]), right[0] + len(right[1])) - start)
+    for offset, masses in (left, right):
+        merged[offset - start : offset - start + len(masses)] += masses
+    return start, merged
+
+
+def _finished_matches(games: dict[tuple[Player, Player], DurationPMF], match_config: MatchConfig, s_a: float):
+    """Forward pass over (games won by A, games won by B, next first
+    server).  `games[(server, winner)]` is the law of a game's rallies
+    jointly with its winner when `server` serves first (mass P[winner |
+    server]; absent where that is zero).  Returns the mass of the finished
+    matches by total rallies, {match winner: (offset, masses)}, and the sum
+    of the games' truncation bounds weighted by the probability of
+    reaching them."""
+    m, rule = match_config.games_to_win, match_config.server_rule
+    # state -> (offset, masses) holding P[state] * P[rallies so far]
+    states = {(0, 0, first): (0, np.array([wt])) for first, wt in _next_servers(rule, None, None, s_a)}
+    done: dict[Player, tuple[int, np.ndarray]] = {}
+    bound = 0.0
+    for total in range(2 * m - 1):
+        for a, b, server in [k for k in states if k[0] + k[1] == total]:
+            offset, masses = states.pop((a, b, server))
+            for game_winner in Player:
+                game = games.get((server, game_winner))
+                if game is None:
+                    continue
+                bound += masses.sum() * game.truncation_bound
+                law = (offset + game.offset, np.convolve(masses, game.masses))
+                na, nb = a + (game_winner is Player.A), b + (game_winner is Player.B)
+                if na == m or nb == m:
+                    done[game_winner] = _merge(done[game_winner], law) if game_winner in done else law
+                    continue
+                for first, wt in _next_servers(rule, server, game_winner, s_a):
+                    key, nxt = (na, nb, first), (law[0], law[1] * wt)
+                    states[key] = _merge(states[key], nxt) if key in states else nxt
+    return done, bound
+
+
 def match_win_prob(
     probs: RallyProbs,
     game_config: GameConfig,
@@ -68,29 +104,17 @@ def match_win_prob(
     winner: Player = Player.A,
 ) -> float:
     """Exact probability that `winner` takes the match; the first server
-    of game one is A with probability s_a from the game config."""
+    of game one is A with probability s_a from the game config.  Runs the
+    match pass on one-point game laws, so tie-break games are supported."""
     validate(probs, game_config)
-    win = _game_win_probs(probs, game_config)
-    m = match_config.games_to_win
-    rule = match_config.server_rule
-    s_a = game_config.s_a
-
-    @lru_cache(maxsize=None)
-    def prob_a(a: int, b: int, server: Player) -> float:
-        if a == m:
-            return 1.0
-        if b == m:
-            return 0.0
-
-        def after(game_winner: Player) -> float:
-            na = a + (game_winner is Player.A)
-            nb = b + (game_winner is Player.B)
-            return sum(wt * prob_a(na, nb, first) for first, wt in _next_servers(rule, server, game_winner, s_a))
-
-        return win[server][Player.A] * after(Player.A) + win[server][Player.B] * after(Player.B)
-
-    p_match_a = sum(wt * prob_a(0, 0, first) for first, wt in _next_servers(rule, None, None, s_a))
-    return p_match_a if winner is Player.A else 1.0 - p_match_a
+    games = {}
+    for server in Player:
+        for game_winner in Player:
+            p = sideout.game_win_prob(game_winner, server, probs, game_config)
+            if p > 0.0:
+                games[(server, game_winner)] = DurationPMF(0, np.array([p]), 0.0)
+    done, _ = _finished_matches(games, match_config, game_config.s_a)
+    return float(done[winner][1].sum()) if winner in done else 0.0
 
 
 def match_duration_pmf(
@@ -99,55 +123,10 @@ def match_duration_pmf(
     match_config: MatchConfig,
     epsilon: float = 1e-12,
 ) -> DurationPMF:
-    """PMF of the total rally count of a match, convolving per-game
-    duration PMFs along the win/loss dynamic program."""
+    """PMF of the total rally count of a match, convolving the joint
+    (rallies, winner) game laws along the match pass."""
     validate(probs, game_config)
-    m = match_config.games_to_win
-    rule = match_config.server_rule
-    s_a = game_config.s_a
-    max_games = 2 * m - 1
-    win = _game_win_probs(probs, game_config)
-    # a game law conditions on its winner: request only those of positive probability
-    events = [(server, winner) for server in Player for winner in Player if win[server][winner] > 0.0]
-    gpmf = duration_pmfs_by_server_winner(probs, game_config, events, epsilon / max_games)
-
-    # state -> (offset, masses) holding P[state] * P[rallies so far]
-    states = {(0, 0, first): (0, np.array([wt])) for first, wt in _next_servers(rule, None, None, s_a)}
-    done: dict[None, tuple[int, np.ndarray]] = {}  # the finished matches, under one key
-    bound = 0.0
-
-    def add(store, key, offset, masses):
-        if key in store:
-            off0, m0 = store[key]
-            start = min(off0, offset)
-            stop = max(off0 + len(m0), offset + len(masses))
-            merged = np.zeros(stop - start)
-            merged[off0 - start : off0 - start + len(m0)] += m0
-            merged[offset - start : offset - start + len(masses)] += masses
-            store[key] = (start, merged)
-        else:
-            store[key] = (offset, masses)
-
-    for total in range(max_games):
-        layer = [k for k in states if k[0] + k[1] == total]
-        for key in layer:
-            a, b, server = key
-            offset, masses = states.pop(key)
-            for game_winner in Player:
-                wt = win[server][game_winner]
-                if wt == 0.0:
-                    continue
-                g = gpmf[(server, game_winner)]
-                bound += masses.sum() * wt * g.truncation_bound
-                conv = np.convolve(masses, g.masses) * wt
-                off = offset + g.offset
-                na = a + (game_winner is Player.A)
-                nb = b + (game_winner is Player.B)
-                if na == m or nb == m:
-                    add(done, None, off, conv)
-                    continue
-                for first, first_wt in _next_servers(rule, server, game_winner, s_a):
-                    add(states, (na, nb, first), off, conv * first_wt)
-
-    start, masses = done[None]
+    games = duration_pmfs_by_server_winner(probs, game_config, epsilon / (2 * match_config.games_to_win - 1))
+    done, bound = _finished_matches(games, match_config, game_config.s_a)
+    start, masses = functools.reduce(_merge, done.values())
     return DurationPMF(offset=start, masses=masses, truncation_bound=bound)

@@ -15,26 +15,11 @@ from the `GameConfig`; `score_distribution`, `game_win_prob` and
 from __future__ import annotations
 
 from . import kernel
-from .core import Player, RallyProbs, ScoringSystem, binom, validate
+from .core import Player, RallyProbs, ScoringSystem, validate
 
 # the shared game-level laws, under the names rally-point callers know
 from .duration import aggregate_moments  # noqa: F401
 from .sideout import game_win_prob, score_distribution  # noqa: F401
-
-
-def score_prob_r(alpha: int, beta: int, last_scorer: Player, r: int, probs: RallyProbs) -> float:
-    """Probability, in an A-game, of final tally (alpha, beta) with
-    `last_scorer` taking the last point through exactly r A-interruptions.
-    Zero outside the feasible r range."""
-    validate(probs)
-    rows = kernel.tally(alpha, beta, last_scorer is Player.A)
-    # the kernel indexes by the power of q = q_a q_b the interruptions carry
-    d = int(last_scorer is Player.B)
-    c = kernel.coefficient(rows, r - d)
-    if c == 0.0:
-        return 0.0
-    j = r - d
-    return c * probs.p_a ** (alpha - j) * probs.p_b ** (beta - d - j) * probs.q_a**d * probs.q**j
 
 
 def score_prob(alpha: int, beta: int, last_scorer: Player, server: Player, probs: RallyProbs) -> float:
@@ -45,12 +30,3 @@ def score_prob(alpha: int, beta: int, last_scorer: Player, server: Player, probs
         alpha, beta, last_scorer, probs = beta, alpha, last_scorer.other, probs.swapped()
     rows = kernel.tally(alpha, beta, last_scorer is Player.A)
     return float(kernel.evaluate(ScoringSystem.RALLY_POINT, rows, probs.p_a, probs.p_b).weight[0, 0])
-
-
-def no_server_score_prob(alpha: int, beta: int, last_scorer: Player, p: float) -> float:
-    """Negative-binomial closed form in the no-server model p_a = 1 - p_b:
-    binom(alpha+beta-1, beta) p^alpha (1-p)^beta when A scores last, and
-    binom(alpha+beta-1, alpha) p^alpha (1-p)^beta when B does."""
-    if last_scorer is Player.A:
-        return binom(alpha + beta - 1, beta) * p**alpha * (1.0 - p) ** beta
-    return binom(alpha + beta - 1, alpha) * p**alpha * (1.0 - p) ** beta

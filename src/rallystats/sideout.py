@@ -26,42 +26,8 @@ from .core import (
     RallyProbs,
     ScoringSystem,
     TerminalScore,
-    binom,
     validate,
 )
-
-
-def prob_score_r_j(
-    alpha: int,
-    beta: int,
-    last_scorer: Player,
-    r: int,
-    j: int,
-    probs: RallyProbs,
-) -> float:
-    """Probability, in an A-game, of final tally (alpha, beta) with
-    `last_scorer` taking the last point through exactly r A-interruptions
-    and j exchanges.
-
-    Returns 0 for any (r, j) outside the feasible ranges.
-    """
-    validate(probs)
-    if j < 0:
-        return 0.0
-    rows = kernel.tally(alpha, beta, last_scorer is Player.A)
-    # the kernel indexes by the power of q the interruptions carry
-    receiver_last = int(last_scorer is Player.B)
-    c = kernel.coefficient(rows, r - receiver_last)
-    if c == 0.0:
-        return 0.0
-    return (
-        binom(alpha + beta + j - 1, j)
-        * c
-        * probs.p_a**alpha
-        * probs.p_b**beta
-        * probs.q_a**receiver_last
-        * probs.q ** (r - receiver_last + j)
-    )
 
 
 def _score_prob(alpha: int, beta: int, last_scorer: Player, server: Player, probs: RallyProbs) -> float:

@@ -14,9 +14,57 @@ import mpmath
 import numpy as np
 from scipy.optimize import minimize
 
-from rallystats import Player, ScoringSystem, duration
+from rallystats import Player, ScoringSystem, binom, duration
 
 A, B = Player.A, Player.B
+
+
+def _placements(alpha, beta, receiver_last, r):
+    """Number of ways to place r A-interruptions in an A-game ending
+    (alpha, beta): C(alpha, r) C(beta - 1, r - 1) when A scores last,
+    C(alpha, r - 1) C(beta - 1, r - 1) when B does (binom(-1, -1) = 1)."""
+    return binom(alpha, r - receiver_last) * binom(beta - 1, r - 1)
+
+
+def prob_score_r_j(alpha, beta, last_scorer, r, j, probs):
+    """The paper's elementary side-out probability, in an A-game, of final
+    tally (alpha, beta) with `last_scorer` taking the last point through
+    exactly r A-interruptions and j exchanges; 0 outside the feasible
+    ranges."""
+    receiver_last = int(last_scorer is B)
+    c = _placements(alpha, beta, receiver_last, r)
+    if j < 0 or c == 0.0:
+        return 0.0
+    return (
+        binom(alpha + beta + j - 1, j)
+        * c
+        * probs.p_a**alpha
+        * probs.p_b**beta
+        * probs.q_a**receiver_last
+        * probs.q ** (r - receiver_last + j)
+    )
+
+
+def score_prob_r(alpha, beta, last_scorer, r, probs):
+    """The paper's elementary rally-point probability, in an A-game, of
+    final tally (alpha, beta) with `last_scorer` taking the last point
+    through exactly r A-interruptions; 0 outside the feasible range."""
+    d = int(last_scorer is B)
+    c = _placements(alpha, beta, d, r)
+    if c == 0.0:
+        return 0.0
+    j = r - d
+    return c * probs.p_a ** (alpha - j) * probs.p_b ** (beta - d - j) * probs.q_a**d * probs.q**j
+
+
+def no_server_score_prob(alpha, beta, last_scorer, p):
+    """Negative-binomial closed form of a rally-point tally in the
+    no-server model p_a = 1 - p_b: binom(alpha+beta-1, beta) p^alpha
+    (1-p)^beta when A scores last, and binom(alpha+beta-1, alpha) p^alpha
+    (1-p)^beta when B does."""
+    if last_scorer is A:
+        return binom(alpha + beta - 1, beta) * p**alpha * (1.0 - p) ** beta
+    return binom(alpha + beta - 1, alpha) * p**alpha * (1.0 - p) ** beta
 
 
 def enumerate_sideout(p_a, p_b, n, server=A, tol=1e-14, max_rallies=100_000):
@@ -375,12 +423,12 @@ def multistart_score_fit(records, server_model=True):
     return p_a, p_b, -float(best.fun)
 
 
-def compose_match_durations(p_a, p_b, n, m, rule, s_a, rally_point=False):
-    """Law of a match's total rally count, {duration: probability}, by
-    composing enumerated game laws game by game over (games won by A,
-    games won by B, first server) with plain dictionaries.  `rule` is a
-    `ServerRule` value string: "winner-serves-next", "alternate" or
-    "coin-flip-each"."""
+def compose_match(p_a, p_b, n, m, rule, s_a, rally_point=False):
+    """Finished mass of a match by match winner and total rally count,
+    {(winner, duration): probability}, by composing enumerated game laws
+    game by game over (games won by A, games won by B, first server) with
+    plain dictionaries.  `rule` is a `ServerRule` value string:
+    "winner-serves-next", "alternate" or "coin-flip-each"."""
     games = {}
     for server in (A, B):
         if rally_point:
@@ -407,9 +455,27 @@ def compose_match_durations(p_a, p_b, n, m, rule, s_a, rally_point=False):
                     servers = coin
                 for d, prior in law.items():
                     if na == m or nb == m:
-                        total[d + rallies] += prior * mass
+                        total[(winner, d + rallies)] += prior * mass
                         continue
                     for nxt_server, wt in servers:
                         nxt[(na, nb, nxt_server)][d + rallies] += prior * mass * wt
         states = nxt
     return dict(total)
+
+
+def compose_match_durations(p_a, p_b, n, m, rule, s_a, rally_point=False):
+    """Law of a match's total rally count, {duration: probability}, from
+    `compose_match`."""
+    law = defaultdict(float)
+    for (_, d), mass in compose_match(p_a, p_b, n, m, rule, s_a, rally_point).items():
+        law[d] += mass
+    return dict(law)
+
+
+def compose_match_win_probs(p_a, p_b, n, m, rule, s_a, rally_point=False):
+    """Probability that each player takes the match, {winner: probability},
+    from `compose_match`."""
+    wins = {A: 0.0, B: 0.0}
+    for (winner, _), mass in compose_match(p_a, p_b, n, m, rule, s_a, rally_point).items():
+        wins[winner] += mass
+    return wins

@@ -16,6 +16,7 @@ from oracles import (
     duration_marginal,
     enumerate_rallypoint,
     enumerate_sideout,
+    no_server_score_prob,
     score_marginal,
 )
 
@@ -114,7 +115,7 @@ def test_criterion_05_rallypoint_symmetry_and_closed_form():
                         continue
                     diff = abs(
                         rallypoint.score_prob(alpha, beta, last, A, ns)
-                        - rallypoint.no_server_score_prob(alpha, beta, last, p)
+                        - no_server_score_prob(alpha, beta, last, p)
                     )
                     worst = max(worst, diff)
     ok = ok and worst <= 1e-12

@@ -124,6 +124,20 @@ class TestDuration:
             # the table prints 12 significant digits; round the reference alike
             assert float(row[col]) == pytest.approx(float(f"{float(value):.12g}"), rel=1e-12)
 
+    def test_impossible_winner_prints_empty_cells(self, runner):
+        # a server with p_a = 1 never loses its A-game: the winner=B row has
+        # no moments, while the other rows do
+        out = run_ok(runner, [
+            "duration", "--n", "15", "--pa", "1", "--pb", ".5",
+            "--server", "A", "--stat", "moments",
+        ])
+        assert out == (
+            "conditioning,mean,sd,variance\n"
+            "winner=A,15,0,0\n"
+            "winner=B,,,\n"
+            "unconditional,15,0,0\n"
+        )
+
     def test_score_conditioning_needs_fixed_server(self, runner):
         result = runner.invoke(main, [
             "duration", "--n", "15", "--pa", ".6", "--pb", ".5", "--sa", ".5",

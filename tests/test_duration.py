@@ -6,7 +6,7 @@ from rallystats import DomainError, GameConfig, Player, RallyProbs, ScoringSyste
 from rallystats import duration, simulate
 from rallystats.duration import QuantileMode
 
-from oracles import enumerate_sideout, duration_marginal, per_tally_duration_pmf
+from oracles import enumerate_rallypoint, enumerate_sideout, duration_marginal, per_tally_duration_pmf
 
 A, B = Player.A, Player.B
 EVENTS = [(server, winner) for server in Player for winner in Player]
@@ -254,7 +254,7 @@ class TestExchangeSeries:
         monkeypatch.setattr(
             duration, "_exchange_pmf", lambda m0, *args: built.append(m0) or exchange_pmf(m0, *args)
         )
-        duration.duration_pmfs_by_server_winner(RallyProbs(0.3, 0.4), GameConfig(n=15, s_a=0.5), EVENTS)
+        duration.duration_pmfs_by_server_winner(RallyProbs(0.3, 0.4), GameConfig(n=15, s_a=0.5))
         assert sorted(built) == list(range(15, 30))
 
 
@@ -279,12 +279,16 @@ class TestGroupedPMF:
         assert pmf.truncation_bound == pytest.approx(bound, rel=1e-12, abs=0)
 
     def test_server_winner_pmfs_equal_single_calls(self):
+        # joint (duration, winner) laws of mass P[winner | server]
         pr, cfg = RallyProbs(0.05, 0.1), GameConfig(n=15)
-        for (server, winner), pmf in duration.duration_pmfs_by_server_winner(pr, cfg, EVENTS).items():
+        win_probs = duration.aggregate_moments(pr, cfg).win_probs
+        joint = duration.duration_pmfs_by_server_winner(pr, cfg)
+        assert list(joint) == EVENTS
+        for (server, winner), pmf in joint.items():
             single = duration.duration_pmf_winner(pr, cfg, winner, server=server)
             assert pmf.offset == single.offset
-            np.testing.assert_array_equal(pmf.masses, single.masses)
-            assert pmf.truncation_bound == single.truncation_bound
+            np.testing.assert_array_equal(pmf.masses / win_probs[(server, winner)], single.masses)
+            assert pmf.truncation_bound / win_probs[(server, winner)] == single.truncation_bound
 
     @pytest.mark.parametrize("p", [0.05, 0.01, 1e-3, 1e-4])
     def test_mass_deficit_within_bound(self, p):
@@ -337,6 +341,35 @@ class TestAggregates:
             assert pmf.moments().mean == pytest.approx(
                 agg.by_server_winner[(A, winner)].mean, abs=1e-8
             )
+
+
+# p_a = 1, p_b = 0, p_a = 0 and q = 0: some (first server, winner) game is
+# impossible at each point
+IMPOSSIBLE_EVENT_POINTS = [(1.0, 0.5), (0.3, 0.0), (0.0, 0.4), (1.0, 1.0)]
+
+
+class TestImpossibleEvents:
+    @pytest.mark.parametrize("system", list(ScoringSystem))
+    @pytest.mark.parametrize("s_a", [1.0, 0.5])
+    @pytest.mark.parametrize("point", IMPOSSIBLE_EVENT_POINTS, ids=str)
+    def test_aggregates_leave_out_impossible_events(self, point, s_a, system):
+        pr, cfg = RallyProbs(*point), GameConfig(n=5, system=system, s_a=s_a)
+        agg = duration.aggregate_moments(pr, cfg)
+        laws = [(agg.overall, None)] + [(agg.by_server[server], server) for server in Player]
+        for got, server in laws:
+            want = duration.duration_pmf_unconditional(pr, cfg, 1e-14, server=server).moments()
+            assert got.mean == pytest.approx(want.mean, rel=1e-10)
+            assert got.variance == pytest.approx(want.variance, rel=1e-10, abs=1e-12)
+        enumerate_game = enumerate_rallypoint if system is ScoringSystem.RALLY_POINT else enumerate_sideout
+        possible = set()
+        for server in Player:
+            outcomes, _ = enumerate_game(*point, 5, server=server)
+            possible |= {(server, last) for (_, _, last, _), mass in outcomes.items() if mass > 0.0}
+        assert possible != set(EVENTS)
+        assert set(agg.by_server_winner) == possible
+        assert all(agg.win_probs[event] == 0.0 for event in set(EVENTS) - possible)
+        weight = {A: cfg.s_a, B: cfg.s_b}
+        assert set(agg.by_winner) == {winner for server, winner in possible if weight[server] > 0.0}
 
 
 class TestUnconditionalPMF:

@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rallystats import (
-    ConditioningError,
     GameConfig,
     Player,
     RallyProbs,
@@ -60,26 +59,25 @@ def test_grid_evaluation_matches_per_point_functions(n, system, points):
     points = EDGES + points
     p_a = np.array([pa for pa, _ in points])
     p_b = np.array([pb for _, pb in points])
-    weights = kernel.evaluate(system, kernel.table(n), p_a, p_b).weight
-    win, mean, var = duration._server_moments(system, n, p_a, p_b)
+    weights, row_mean, row_var = duration._row_moments(system, kernel.table(n), p_a, p_b)
+    a_first = np.stack([weights, np.zeros_like(weights)])
+    by_winner = [duration._mix(duration.event_weights(a_first, (1.0, 0.0), w), row_mean, row_var) for w in (A, B)]
     for i, (pa, pb) in enumerate(points):
         probs, config = RallyProbs(pa, pb), GameConfig(n=n, system=system)
         dist = sideout.score_distribution(probs, config, server=A)
         expected = [dist.entries[TerminalScore(n, k, A)] for k in range(n)]
         expected += [dist.entries[TerminalScore(k, n, B)] for k in range(n)]
         assert close(weights[:, i], expected)
-        try:
-            agg = duration.aggregate_moments(probs, config)
-        except ConditioningError:
-            # a conditioning event of the A-game or of the B-game vanished
-            b_win, _, _ = duration._server_moments(system, n, pb, pa)
-            assert min(win[:2, i].min(), b_win[:2].min()) <= duration._TINY
-            continue
-        for row, winner in enumerate((A, B)):
-            assert close(win[row, i], agg.win_probs[(A, winner)])
+        agg = duration.aggregate_moments(probs, config)
+        for winner, (win, mean, var) in zip((A, B), by_winner):
+            assert close(win[i], agg.win_probs[(A, winner)])
+            if win[i] <= duration._TINY:
+                # an impossible (or underflowed) event has no moments
+                assert (A, winner) not in agg.by_server_winner
+                continue
             moments = agg.by_server_winner[(A, winner)]
-            assert mean[row, i] == pytest.approx(moments.mean, rel=1e-12)
-            assert var[row, i] == pytest.approx(moments.variance, rel=1e-12, abs=1e-12)
+            assert mean[i] == pytest.approx(moments.mean, rel=1e-12)
+            assert var[i] == pytest.approx(moments.variance, rel=1e-12, abs=1e-12)
 
 
 @settings(max_examples=60, deadline=None)

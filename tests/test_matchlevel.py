@@ -5,7 +5,7 @@ from rallystats import ConfigError, GameConfig, Player, RallyProbs, ScoringSyste
 from rallystats import duration, matchlevel, rallypoint, sideout, simulate
 from rallystats.matchlevel import MatchConfig, ServerRule
 
-from oracles import compose_match_durations
+from oracles import compose_match_durations, compose_match_win_probs
 
 A, B = Player.A, Player.B
 WSN, ALT, CFE = ServerRule.WINNER_SERVES_NEXT, ServerRule.ALTERNATE, ServerRule.COIN_FLIP_EACH
@@ -72,6 +72,21 @@ class TestMatchWinProb:
         exact = matchlevel.match_win_prob(pr, cfg, mc)
         sample = simulate.sample_matches(pr, cfg, mc, 50_000, SeedSpec(2719, 1))
         assert abs(sample.winner_a.mean() - exact) < 3 * np.sqrt(exact * (1 - exact) / 50_000)
+
+
+    @pytest.mark.parametrize("system", list(ScoringSystem))
+    @pytest.mark.parametrize("rule", list(ServerRule))
+    @pytest.mark.parametrize("pa, pb", [(0.6, 0.45), (1.0, 0.5), (0.3, 0.0)])
+    def test_matches_composed_win_probs(self, system, rule, pa, pb):
+        # (1, .5) and (.3, 0) make some (server, winner) game impossible
+        rally_point = system is ScoringSystem.RALLY_POINT
+        for m in (1, 2, 3):
+            for s_a in (1.0, 0.4):
+                cfg = GameConfig(n=3, system=system, s_a=s_a)
+                want = compose_match_win_probs(pa, pb, 3, m, rule.value, s_a, rally_point)
+                for winner in Player:
+                    got = matchlevel.match_win_prob(RallyProbs(pa, pb), cfg, MatchConfig(m, rule), winner)
+                    assert got == pytest.approx(want[winner], rel=0, abs=1e-13), (m, s_a, winner)
 
 
 class TestMatchDuration:

@@ -4,7 +4,7 @@ import pytest
 from rallystats import GameConfig, Player, RallyProbs, ScoringSystem, SeedSpec
 from rallystats import duration, rallypoint, sideout, simulate
 
-from oracles import duration_marginal, enumerate_rallypoint, score_marginal
+from oracles import duration_marginal, enumerate_rallypoint, no_server_score_prob, score_marginal, score_prob_r
 
 A, B = Player.A, Player.B
 RP = ScoringSystem.RALLY_POINT
@@ -16,12 +16,12 @@ def rp_config(n):
 
 class TestScoreProbs:
     def test_single_rally(self):
-        assert rallypoint.score_prob_r(1, 0, A, 0, RallyProbs(0.5, 0.5)) == pytest.approx(0.5)
+        assert score_prob_r(1, 0, A, 0, RallyProbs(0.5, 0.5)) == pytest.approx(0.5)
 
     def test_interruptions_need_serve_loss(self):
         pr = RallyProbs(1.0, 0.5)
         for r in (1, 2, 3):
-            assert rallypoint.score_prob_r(5, 3, A, r, pr) == 0.0
+            assert score_prob_r(5, 3, A, r, pr) == 0.0
 
     def test_r_sum_equals_total(self):
         pr = RallyProbs(0.6, 0.45)
@@ -31,7 +31,7 @@ class TestScoreProbs:
                     if (last is A and alpha < 1) or (last is B and beta < 1):
                         continue
                     total = sum(
-                        rallypoint.score_prob_r(alpha, beta, last, r, pr)
+                        score_prob_r(alpha, beta, last, r, pr)
                         for r in range(0, max(alpha, beta) + 2)
                     )
                     assert total == pytest.approx(
@@ -48,7 +48,7 @@ class TestScoreProbs:
                         if (last is A and alpha < 1) or (last is B and beta < 1):
                             continue
                         lhs = rallypoint.score_prob(alpha, beta, last, A, pr)
-                        rhs = rallypoint.no_server_score_prob(alpha, beta, last, p)
+                        rhs = no_server_score_prob(alpha, beta, last, p)
                         assert lhs == pytest.approx(rhs, abs=1e-12)
 
     def test_no_server_reflection_symmetry(self):

@@ -5,31 +5,31 @@ from hypothesis import given, settings, strategies as st
 from rallystats import ConfigError, GameConfig, Player, RallyProbs, SeedSpec
 from rallystats import sideout, simulate
 
-from oracles import enumerate_sideout, score_marginal
+from oracles import enumerate_sideout, prob_score_r_j, score_marginal
 
 A, B = Player.A, Player.B
 
 
 class TestLemmaLevel:
     def test_single_rally_game(self):
-        assert sideout.prob_score_r_j(1, 0, A, 0, 0, RallyProbs(0.5, 0.5)) == pytest.approx(0.5)
+        assert prob_score_r_j(1, 0, A, 0, 0, RallyProbs(0.5, 0.5)) == pytest.approx(0.5)
 
     def test_two_one_with_one_interruption(self):
         # C(2,0)=1 exchange placements, C(2,1)C(0,0)=2 interruption placements,
         # p_a^2 p_b q = .25 * .5 * .25
-        val = sideout.prob_score_r_j(2, 1, A, 1, 0, RallyProbs(0.5, 0.5))
+        val = prob_score_r_j(2, 1, A, 1, 0, RallyProbs(0.5, 0.5))
         assert val == pytest.approx(0.0625, abs=1e-15)
 
     def test_exchanges_impossible_when_q_zero(self):
-        assert sideout.prob_score_r_j(5, 2, A, 1, 1, RallyProbs(1.0, 0.5)) == 0.0
-        assert sideout.prob_score_r_j(5, 2, A, 1, 3, RallyProbs(0.5, 1.0)) == 0.0
+        assert prob_score_r_j(5, 2, A, 1, 1, RallyProbs(1.0, 0.5)) == 0.0
+        assert prob_score_r_j(5, 2, A, 1, 3, RallyProbs(0.5, 1.0)) == 0.0
 
     def test_out_of_range_r_is_zero(self):
         pr = RallyProbs(0.5, 0.5)
-        assert sideout.prob_score_r_j(3, 2, A, 0, 0, pr) == 0.0  # below gamma0
-        assert sideout.prob_score_r_j(3, 2, A, 3, 0, pr) == 0.0  # above gamma1
-        assert sideout.prob_score_r_j(3, 2, B, 0, 0, pr) == 0.0
-        assert sideout.prob_score_r_j(3, 2, B, 4, 0, pr) == 0.0
+        assert prob_score_r_j(3, 2, A, 0, 0, pr) == 0.0  # below gamma0
+        assert prob_score_r_j(3, 2, A, 3, 0, pr) == 0.0  # above gamma1
+        assert prob_score_r_j(3, 2, B, 0, 0, pr) == 0.0
+        assert prob_score_r_j(3, 2, B, 4, 0, pr) == 0.0
 
     def test_sums_to_closed_form(self):
         # summing the (r, j) grid reproduces the closed-form score probability
@@ -43,7 +43,7 @@ class TestLemmaLevel:
                     for r in range(0, max(alpha, beta) + 2):
                         j = 0
                         while True:
-                            term = sideout.prob_score_r_j(alpha, beta, last, r, j, pr)
+                            term = prob_score_r_j(alpha, beta, last, r, j, pr)
                             total += term
                             j += 1
                             if j > 20 and (term == 0.0 or term < 1e-16 * total):
