@@ -93,8 +93,9 @@ class DurationPMF:
             raise ConditioningError("PMF carries no mass")
         d = self.offset + np.arange(len(self.masses))
         mean = float(np.dot(d, self.masses)) / total
-        second = float(np.dot(d * d, self.masses)) / total
-        return Moments(mean, max(second - mean * mean, 0.0))
+        # deviations about the mean: E[D^2] - E[D]^2 cancels when the
+        # variance is far below the squared mean
+        return Moments(mean, float(np.dot((d - mean) ** 2, self.masses)) / total)
 
     @property
     def mean(self) -> float:
@@ -127,8 +128,7 @@ class InterruptionWeights:
         return float(np.dot(self.rs, self.weights))
 
     def variance(self) -> float:
-        m = self.mean()
-        return max(float(np.dot(self.rs * self.rs, self.weights)) - m * m, 0.0)
+        return float(np.dot((self.rs - self.mean()) ** 2, self.weights))
 
 
 def interruption_weights(alpha: int, beta: int, last_scorer: Player, q: float) -> InterruptionWeights:
@@ -335,12 +335,14 @@ def _row_moments(system: ScoringSystem, rows: kernel.Rows, p_a, p_b):
 
 def _mix(c: np.ndarray, mean: np.ndarray, var: np.ndarray):
     """Total weight, mean and variance of the mixture of the rows' laws
-    (axis 0) with weights c; NaN moments where c carries no weight."""
+    (axis 0) with weights c; NaN moments where c carries no weight.  The
+    variance sums each row's variance and squared deviation from the
+    mixture mean, so it does not cancel when far below the squared mean."""
     total = c.sum(axis=0)
     with np.errstate(invalid="ignore", divide="ignore"):
         m = (c * mean).sum(axis=0) / total
-        second = (c * (var + mean**2)).sum(axis=0) / total
-    return total, m, np.maximum(second - m * m, 0.0)
+        v = (c * (var + (mean - m) ** 2)).sum(axis=0) / total
+    return total, m, v
 
 
 def _servers(config: GameConfig, server: Player | None) -> tuple[float, float]:

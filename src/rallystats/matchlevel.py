@@ -109,8 +109,7 @@ def match_win_prob(
     validate(probs, game_config)
     games = {}
     for server in Player:
-        for game_winner in Player:
-            p = sideout.game_win_prob(game_winner, server, probs, game_config)
+        for game_winner, p in zip(Player, sideout.game_win_probs(server, probs, game_config)):
             if p > 0.0:
                 games[(server, game_winner)] = DurationPMF(0, np.array([p]), 0.0)
     done, _ = _finished_matches(games, match_config, game_config.s_a)

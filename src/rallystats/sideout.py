@@ -4,10 +4,11 @@ both scoring systems.
 A side-out game is described rally by rally through interruption counts r
 and exchange counts j.  Summing the elementary event probabilities over r
 and j gives closed forms for the probability of every final tally, from
-which tie-break extensions follow.  `score_distribution` and
-`game_win_prob` read the scoring system from the `GameConfig`: both
-systems share the interruption polynomial (`kernel.terminal_weights`), and
-rally-point tallies differ only in how it is weighted (see `rallypoint`).
+which tie-break extensions follow.  `score_distribution`,
+`game_win_probs` and `game_win_prob` read the scoring system from the
+`GameConfig`: both systems share the interruption polynomial
+(`kernel.terminal_weights`), and rally-point tallies differ only in how it
+is weighted (see `rallypoint`).
 
 All quantities are stated for A-games (A serves first); B-game quantities
 are obtained by swapping the player roles, which keeps a single code path
@@ -140,12 +141,20 @@ def score_distribution(
     return ScoreDistribution(config, None, entries)
 
 
+def game_win_probs(server: Player, probs: RallyProbs, config: GameConfig) -> tuple[float, float]:
+    """Probabilities that A and that B take a game under `config.system`
+    whose first server is `server`, from one kernel evaluation (or one
+    score distribution with a tie-break)."""
+    validate(probs, config)
+    if config.tiebreak is not None:
+        dist = _single_server_distribution(probs, config, server)
+        return dist.win_prob(Player.A), dist.win_prob(Player.B)
+    a_wins, b_wins = kernel.terminal_weights(config.system, probs, config.n, server)
+    return float(a_wins.sum()), float(b_wins.sum())
+
+
 def game_win_prob(winner: Player, server: Player, probs: RallyProbs, config: GameConfig) -> float:
     """Probability that `winner` takes a game under `config.system` whose
     first server is `server`."""
-    validate(probs, config)
-    if config.tiebreak is not None:
-        return _single_server_distribution(probs, config, server).win_prob(winner)
-    a_wins, b_wins = kernel.terminal_weights(config.system, probs, config.n, server)
-    return float((a_wins if winner is Player.A else b_wins).sum())
+    return game_win_probs(server, probs, config)[winner is Player.B]
 

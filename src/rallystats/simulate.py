@@ -3,9 +3,13 @@
 Streams are split with numpy's SeedSequence, so a (master seed, stream
 index) pair pins every uniform deviate: runs are reproducible bit for bit
 and sweep points own independent streams regardless of evaluation order.
-Game batches are simulated with vectorized state arrays; the scalar
-`simulate_game` follows the same transition rules rally by rally and can
-retain the full trajectory.
+Game batches are simulated with vectorized state arrays that hold only the
+games still in play: each rally step draws one uniform per live game, in
+game index order, and a finished game leaves the arrays.  That is the
+same sequence of deviates a loop over all games with a mask of the live
+ones draws, so batch results are the same, bit for bit, for every
+`SeedSpec`.  The scalar `simulate_game` follows the same transition rules
+rally by rally and can retain the full trajectory.
 """
 
 from __future__ import annotations
@@ -129,45 +133,59 @@ def _batch_games(
     rng: np.random.Generator,
     first_server_a: np.ndarray | None = None,
 ) -> GameSample:
-    p_a, p_b = probs.p_a, probs.p_b
-    n = config.n
+    """Play `count` games side by side, one rally per step, on arrays of
+    the games still in play: server flag, both scores and, with a
+    tie-break, the target.  A finished game's outcome is written out once,
+    by index, and the game leaves the arrays."""
+    n, ell = config.n, config.tiebreak
     sideout = config.system is ScoringSystem.SIDE_OUT
     if first_server_a is None:
         first_server_a = rng.random(count) < config.s_a
-    server_a = first_server_a.copy()
-    score_a = np.zeros(count, dtype=np.int64)
-    score_b = np.zeros(count, dtype=np.int64)
+    alpha = np.zeros(count, dtype=np.int64)
+    beta = np.zeros(count, dtype=np.int64)
     duration = np.zeros(count, dtype=np.int64)
-    target = np.full(count, n, dtype=np.int64)
-    active = np.ones(count, dtype=bool)
-    while True:
-        idx = np.nonzero(active)[0]
-        if idx.size == 0:
-            break
-        sa = server_a[idx]
-        server_won = rng.random(idx.size) < np.where(sa, p_a, p_b)
-        duration[idx] += 1
+    # A deviate below both serve probabilities is a rally won by either
+    # server; one between them is won only by the server with the higher.
+    lo, hi = sorted((probs.p_a, probs.p_b))
+    a_high = probs.p_a >= probs.p_b
+    score_dtype = np.min_scalar_type(n if ell is None else n - 1 + ell)
+    ids = np.arange(count)
+    server_a = first_server_a.copy()
+    score_a = np.zeros(count, dtype=score_dtype)
+    score_b = np.zeros(count, dtype=score_dtype)
+    target = None if ell is None else np.full(count, n, dtype=score_dtype)
+    rally = 0
+    while ids.size:
+        rally += 1
+        u = rng.random(ids.size)
+        server_won = (u < lo) | ((u < hi) & (server_a == a_high))
+        a_rally = server_a == server_won  # A won the rally
         if sideout:
-            a_scores = sa & server_won
-            b_scores = ~sa & server_won
+            score_a += a_rally & server_won
+            score_b += ~a_rally & server_won
         else:
-            a_scores = sa == server_won
-            b_scores = ~a_scores
-        score_a[idx[a_scores]] += 1
-        score_b[idx[b_scores]] += 1
-        server_a[idx] = np.where(server_won, sa, ~sa)
-        if config.tiebreak is not None:
-            tie = idx[(score_a[idx] == n - 1) & (score_b[idx] == n - 1) & (target[idx] == n)]
-            target[tie] = n - 1 + config.tiebreak
-        finished = idx[(score_a[idx] >= target[idx]) | (score_b[idx] >= target[idx])]
-        active[finished] = False
-    return GameSample(
-        first_server_a=first_server_a,
-        alpha=score_a,
-        beta=score_b,
-        winner_a=score_a >= target,
-        duration=duration,
-    )
+            score_a += a_rally
+            score_b += ~a_rally
+        server_a = a_rally
+        if target is not None and rally >= 2 * n - 2:  # no n-1 all before
+            target[(score_a == n - 1) & (score_b == n - 1)] = n - 1 + ell
+        if rally < n:  # no game ends before its n-th rally
+            continue
+        goal = n if target is None else target
+        done = (score_a >= goal) | (score_b >= goal)
+        if not done.any():
+            continue
+        fin = np.flatnonzero(done)
+        out = ids[fin]
+        alpha[out] = score_a[fin]
+        beta[out] = score_b[fin]
+        duration[out] = rally
+        keep = ~done
+        ids, server_a, score_a, score_b = ids[keep], server_a[keep], score_a[keep], score_b[keep]
+        if target is not None:
+            target = target[keep]
+    # the winner reached the target, the loser stayed below it
+    return GameSample(first_server_a, alpha, beta, alpha > beta, duration)
 
 
 def sample_games(probs: RallyProbs, config: GameConfig, replications: int, seed: SeedSpec) -> GameSample:

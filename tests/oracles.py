@@ -14,7 +14,8 @@ import mpmath
 import numpy as np
 from scipy.optimize import minimize
 
-from rallystats import Player, ScoringSystem, binom, duration
+from rallystats import GameConfig, Player, RallyProbs, ScoringSystem, binom, duration
+from rallystats.simulate import GameSample
 
 A, B = Player.A, Player.B
 
@@ -346,6 +347,29 @@ def mp_rallypoint_win_prob(p_a, p_b, n, server=A, dps=40):
         return server_wins if server is A else receiver_wins
 
 
+def mp_rallypoint_duration_moments(p_a, p_b, n, s_a, dps=50):
+    """Mean and variance of the rally count of a rally-point game to n
+    whose first server is A with probability s_a, by a forward pass over
+    (score of A, score of B, server) in `dps`-digit arithmetic; a
+    rally-point game lasts alpha + beta rallies."""
+    with mpmath.workdps(dps):
+        p = {A: mpmath.mpf(p_a), B: mpmath.mpf(p_b)}
+        states = {(0, 0, A): mpmath.mpf(s_a), (0, 0, B): 1 - mpmath.mpf(s_a)}
+        law = defaultdict(lambda: mpmath.mpf(0))
+        for _ in range(2 * n - 1):
+            nxt = defaultdict(lambda: mpmath.mpf(0))
+            for (a, b, server), mass in states.items():
+                for winner, wt in ((server, p[server]), (server.other, 1 - p[server])):
+                    na, nb = a + (winner is A), b + (winner is B)
+                    if max(na, nb) == n:
+                        law[na + nb] += mass * wt
+                    else:
+                        nxt[(na, nb, winner)] += mass * wt
+            states = nxt
+        mean = mpmath.fsum(d * w for d, w in law.items())
+        return mean, mpmath.fsum((d - mean) ** 2 * w for d, w in law.items())
+
+
 def score_loglik(records):
     """Score-only log-likelihood of a record batch as a function of
     (p_a, p_b): the exponent totals plus, per distinct tally in
@@ -479,3 +503,56 @@ def compose_match_win_probs(p_a, p_b, n, m, rule, s_a, rally_point=False):
     for (winner, _), mass in compose_match(p_a, p_b, n, m, rule, s_a, rally_point).items():
         wins[winner] += mass
     return wins
+
+
+def reference_batch_games(
+    probs: RallyProbs,
+    config: GameConfig,
+    count: int,
+    rng: np.random.Generator,
+    first_server_a: np.ndarray | None = None,
+) -> GameSample:
+    """The batch simulator's original per-rally loop: full-length state
+    arrays, with the live games found by `np.nonzero` at every rally.  It
+    draws one uniform per live game in index order and picks each game's
+    serve probability with `np.where`, so the compacted loop in `simulate`
+    must return exactly the same arrays for the same generator."""
+    p_a, p_b = probs.p_a, probs.p_b
+    n = config.n
+    sideout = config.system is ScoringSystem.SIDE_OUT
+    if first_server_a is None:
+        first_server_a = rng.random(count) < config.s_a
+    server_a = first_server_a.copy()
+    score_a = np.zeros(count, dtype=np.int64)
+    score_b = np.zeros(count, dtype=np.int64)
+    duration = np.zeros(count, dtype=np.int64)
+    target = np.full(count, n, dtype=np.int64)
+    active = np.ones(count, dtype=bool)
+    while True:
+        idx = np.nonzero(active)[0]
+        if idx.size == 0:
+            break
+        sa = server_a[idx]
+        server_won = rng.random(idx.size) < np.where(sa, p_a, p_b)
+        duration[idx] += 1
+        if sideout:
+            a_scores = sa & server_won
+            b_scores = ~sa & server_won
+        else:
+            a_scores = sa == server_won
+            b_scores = ~a_scores
+        score_a[idx[a_scores]] += 1
+        score_b[idx[b_scores]] += 1
+        server_a[idx] = np.where(server_won, sa, ~sa)
+        if config.tiebreak is not None:
+            tie = idx[(score_a[idx] == n - 1) & (score_b[idx] == n - 1) & (target[idx] == n)]
+            target[tie] = n - 1 + config.tiebreak
+        finished = idx[(score_a[idx] >= target[idx]) | (score_b[idx] >= target[idx])]
+        active[finished] = False
+    return GameSample(
+        first_server_a=first_server_a,
+        alpha=score_a,
+        beta=score_b,
+        winner_a=score_a >= target,
+        duration=duration,
+    )

@@ -6,7 +6,13 @@ from rallystats import DomainError, GameConfig, Player, RallyProbs, ScoringSyste
 from rallystats import duration, simulate
 from rallystats.duration import QuantileMode
 
-from oracles import enumerate_rallypoint, enumerate_sideout, duration_marginal, per_tally_duration_pmf
+from oracles import (
+    duration_marginal,
+    enumerate_rallypoint,
+    enumerate_sideout,
+    mp_rallypoint_duration_moments,
+    per_tally_duration_pmf,
+)
 
 A, B = Player.A, Player.B
 EVENTS = [(server, winner) for server in Player for winner in Player]
@@ -42,6 +48,17 @@ class TestInterruptionWeights:
         assert w.weights[0] == pytest.approx(1.0)
         wb = duration.interruption_weights(3, 5, B, 0.0)
         assert wb.rs[np.argmax(wb.weights)] == 1
+
+    @pytest.mark.parametrize("q", [1e-9, 0.37, 1 - 1e-9])
+    def test_variance_against_mpmath(self, q):
+        # at q = 1e-9 the variance is 6.3e-8 about a mean of 1, and
+        # E[R^2] - E[R]^2 loses 2e-9 of it
+        w = duration.interruption_weights(15, 10, A, q)
+        with mpmath.workdps(50):
+            weights = [mpmath.mpf(float(x)) for x in w.weights]
+            mean = mpmath.fsum(int(r) * x for r, x in zip(w.rs, weights)) / mpmath.fsum(weights)
+            var = mpmath.fsum((int(r) - mean) ** 2 * x for r, x in zip(w.rs, weights)) / mpmath.fsum(weights)
+        assert w.variance() == pytest.approx(float(var), rel=1e-12, abs=0.0)
 
     def test_against_trajectory_frequencies(self):
         # an A-interruption is a maximal scoring run by B (scoreless serve
@@ -341,6 +358,17 @@ class TestAggregates:
             assert pmf.moments().mean == pytest.approx(
                 agg.by_server_winner[(A, winner)].mean, abs=1e-8
             )
+
+    @pytest.mark.parametrize("p_a, p_b", [(1e-9, 1e-9), (1e-9, 0.5), (0.6, 0.45), (1 - 1e-9, 1e-9)])
+    @pytest.mark.parametrize("n", [1, 7])
+    def test_rallypoint_variance_against_mpmath(self, n, p_a, p_b):
+        # at (1e-9, 1e-9) the game lasts 2n - 1 rallies almost surely, and
+        # a variance taken as E[D^2] - E[D]^2 is rounding noise
+        pr, cfg = RallyProbs(p_a, p_b), GameConfig(n=n, system=ScoringSystem.RALLY_POINT, s_a=0.5)
+        mean, var = mp_rallypoint_duration_moments(p_a, p_b, n, 0.5)
+        for m in (duration.aggregate_moments(pr, cfg).overall, duration.duration_pmf_unconditional(pr, cfg).moments()):
+            assert m.mean == pytest.approx(float(mean), rel=1e-14, abs=0.0)
+            assert m.variance == pytest.approx(float(var), rel=1e-12, abs=1e-300)
 
 
 # p_a = 1, p_b = 0, p_a = 0 and q = 0: some (first server, winner) game is

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rallystats import ConfigError, GameConfig, Player, RallyProbs, ScoringSystem, SeedSpec
-from rallystats import duration, matchlevel, rallypoint, sideout, simulate
+from rallystats import duration, kernel, matchlevel, rallypoint, sideout, simulate
 from rallystats.matchlevel import MatchConfig, ServerRule
 
 from oracles import compose_match_durations, compose_match_win_probs
@@ -87,6 +87,36 @@ class TestMatchWinProb:
                 for winner in Player:
                     got = matchlevel.match_win_prob(RallyProbs(pa, pb), cfg, MatchConfig(m, rule), winner)
                     assert got == pytest.approx(want[winner], rel=0, abs=1e-13), (m, s_a, winner)
+
+    @pytest.mark.parametrize("s_a", [1.0, 0.5])
+    @pytest.mark.parametrize("system", list(ScoringSystem))
+    def test_one_kernel_evaluation_per_first_server(self, monkeypatch, system, s_a):
+        pr, cfg = RallyProbs(0.6, 0.5), GameConfig(n=15, system=system, s_a=s_a)
+        want = matchlevel.match_win_prob(pr, cfg, MatchConfig(2))
+        calls = []
+        evaluate = kernel.evaluate
+
+        def counting(*args):
+            calls.append(args)
+            return evaluate(*args)
+
+        monkeypatch.setattr(kernel, "evaluate", counting)
+        assert matchlevel.match_win_prob(pr, cfg, MatchConfig(2)) == want
+        assert len(calls) == 2
+
+
+class TestGameWinProbs:
+    @pytest.mark.parametrize(
+        "cfg",
+        [GameConfig(n=15), GameConfig(n=11, system=ScoringSystem.RALLY_POINT), GameConfig(n=5, tiebreak=3)],
+    )
+    @pytest.mark.parametrize("pa, pb", [(0.6, 0.45), (1.0, 0.5), (0.3, 0.0), (1e-9, 1e-7)])
+    def test_agree_with_score_distribution(self, cfg, pa, pb):
+        pr = RallyProbs(pa, pb)
+        for server in Player:
+            dist = sideout.score_distribution(pr, cfg, server)
+            both = sideout.game_win_probs(server, pr, cfg)
+            assert both == pytest.approx([dist.win_prob(w) for w in Player], rel=1e-14, abs=1e-300)
 
 
 class TestMatchDuration:

@@ -1,29 +1,37 @@
 """Public engine functions return finite, non-negative values or raise one
 of the package's typed errors, never NaN or inf: edge rally probabilities
-(0 and 1) and interior ones, both scoring systems, every first-server mix."""
+(0 and 1) and interior ones, both scoring systems, every first-server mix,
+tie-break configurations, the simulator and the estimators fitted to its
+samples."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from rallystats import (
     ConditioningError,
     ConfigError,
     DomainError,
     GameConfig,
+    InfeasibleData,
     MatchConfig,
+    NonConvergence,
     Player,
     RallyProbs,
     ScoringSystem,
+    SeedSpec,
     duration,
+    estimate,
     matchlevel,
     sideout,
+    simulate,
     validate,
 )
+from rallystats.duration import QuantileMode
 
-TYPED = (DomainError, ConfigError, ConditioningError)
+TYPED = (DomainError, ConfigError, ConditioningError, InfeasibleData, NonConvergence)
 probability = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.02, 0.98))
 
 
@@ -33,7 +41,39 @@ def finite_non_negative(values):
 
 
 def pmf_values(pmf):
-    return [*pmf.masses, pmf.truncation_bound]
+    """Masses, truncation bound and quantiles of a PMF; a quantile level
+    beyond the computed mass raises DomainError and is left out."""
+    values = [*pmf.masses, pmf.truncation_bound]
+    for level in (0.05, 0.5, 0.95):
+        for mode in QuantileMode:
+            try:
+                values.append(duration.quantile(pmf, level, mode))
+            except DomainError:
+                assert level > pmf.total_mass
+    return values
+
+
+def check_simulator_and_fits(probs, config, match, seed):
+    """Finite, non-negative simulated games and matches; finite estimates
+    in [0, 1] from both fit modes and both models."""
+    games = simulate.sample_games(probs, config, 30, seed)
+    assert finite_non_negative(np.concatenate([games.alpha, games.beta, games.duration]))
+    assert np.all(games.alpha + games.beta <= games.duration)
+    assert np.all(np.where(games.winner_a, games.alpha, games.beta) >= config.n)
+    matches = simulate.sample_matches(probs, config, match, 30, seed)
+    assert finite_non_negative(np.concatenate([matches.total_rallies, matches.games_played]))
+    m = match.games_to_win
+    assert np.all((m <= matches.games_played) & (matches.games_played <= 2 * m - 1))
+    assert np.all(matches.total_rallies >= matches.games_played * config.n)
+    records = estimate.records_from_sample(games)
+    for mode in estimate.FitMode:
+        for model in estimate.FitModel:
+            try:
+                fit = estimate.fit(records, mode, model)
+            except TYPED:
+                continue
+            assert 0.0 <= fit.p_a <= 1.0 and 0.0 <= fit.p_b <= 1.0
+            assert math.isfinite(fit.log_likelihood) and fit.log_likelihood <= 0.0
 
 
 @settings(max_examples=400, deadline=None)
@@ -61,6 +101,8 @@ def test_finite_values_or_typed_errors(p_a, p_b, n, s_a, system, winner, games_t
             lambda: duration.duration_pmf_winner(probs, config, winner),
             lambda: matchlevel.match_win_prob(probs, config, match, winner),
             lambda: matchlevel.match_duration_pmf(probs, config, match),
+            lambda: simulate.sample_games(probs, config, 1, SeedSpec(0)),
+            lambda: simulate.sample_matches(probs, config, match, 1, SeedSpec(0)),
         ]
         for call in calls:
             with pytest.raises(TYPED):
@@ -81,3 +123,56 @@ def test_finite_values_or_typed_errors(p_a, p_b, n, s_a, system, winner, games_t
     win = matchlevel.match_win_prob(probs, config, match, winner)
     assert math.isfinite(win) and 0.0 <= win <= 1.0 + 1e-12
     assert finite_non_negative(pmf_values(matchlevel.match_duration_pmf(probs, config, match)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    p_a=probability,
+    p_b=probability,
+    n=st.integers(1, 7),
+    s_a=st.sampled_from([0.0, 0.5, 1.0]),
+    system=st.sampled_from(list(ScoringSystem)),
+    games_to_win=st.integers(1, 2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_simulator_and_fits(p_a, p_b, n, s_a, system, games_to_win, seed):
+    probs, config = RallyProbs(p_a, p_b), GameConfig(n=n, system=system, s_a=s_a)
+    assume(probs.q < 1.0)
+    check_simulator_and_fits(probs, config, MatchConfig(games_to_win), SeedSpec(seed))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    p_a=probability,
+    p_b=probability,
+    n=st.integers(1, 7),
+    tiebreak=st.integers(2, 3),
+    s_a=st.sampled_from([0.0, 0.5, 1.0]),
+    winner=st.sampled_from(list(Player)),
+    games_to_win=st.integers(1, 2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_tiebreak_configurations(p_a, p_b, n, tiebreak, s_a, winner, games_to_win, seed):
+    probs, config = RallyProbs(p_a, p_b), GameConfig(n=n, tiebreak=tiebreak, s_a=s_a)
+    match = MatchConfig(games_to_win)
+    # the duration laws do not cover tie-breaks yet, and say so
+    for call in (
+        lambda: duration.aggregate_moments(probs, config),
+        lambda: duration.duration_pmf_unconditional(probs, config),
+        lambda: matchlevel.match_duration_pmf(probs, config, match),
+    ):
+        with pytest.raises(TYPED):
+            call()
+    try:
+        dist = sideout.score_distribution(probs, config)
+    except TYPED:
+        # q = 1, or a tie-break on a game to 1, which has no n-1 all to extend
+        with pytest.raises(TYPED):
+            sideout.game_win_probs(Player.A, probs, config)
+        return
+    assert finite_non_negative(dist.entries.values())
+    for server in Player:
+        assert finite_non_negative(sideout.game_win_probs(server, probs, config))
+    win = matchlevel.match_win_prob(probs, config, match, winner)
+    assert math.isfinite(win) and 0.0 <= win <= 1.0 + 1e-12
+    check_simulator_and_fits(probs, config, match, SeedSpec(seed))

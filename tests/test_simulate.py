@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy import stats
 
-from rallystats import GameConfig, Player, RallyProbs, ScoringSystem, SeedSpec
+from rallystats import GameConfig, MatchConfig, Player, RallyProbs, ScoringSystem, SeedSpec, ServerRule
 from rallystats import sideout, simulate
 
-from oracles import enumerate_trajectories
+from oracles import enumerate_trajectories, reference_batch_games
 
 A, B = Player.A, Player.B
 
@@ -158,3 +159,81 @@ class TestTrajectoryLevel:
         chi2 = sum((o - e) ** 2 / e for o, e in zip(obs, exp))
         pvalue = stats.chi2.sf(chi2, df=len(obs) - 1)
         assert pvalue > 1e-3
+
+
+SAMPLE_FIELDS = ("first_server_a", "alpha", "beta", "winner_a", "duration")
+probability = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.02, 0.98))
+
+
+def assert_samples_equal(got, want):
+    for field in SAMPLE_FIELDS:
+        x, y = getattr(got, field), getattr(want, field)
+        assert x.dtype == y.dtype, field
+        np.testing.assert_array_equal(x, y, err_msg=field)
+
+
+class TestAgainstReferenceLoop:
+    """The compacted batch loop draws the same deviates as the original
+    full-array loop (`oracles.reference_batch_games`) and returns the same
+    arrays, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        system=st.sampled_from(list(ScoringSystem)),
+        tiebreak=st.sampled_from([None, 2, 3]),
+        n=st.sampled_from([1, 2, 7, 15]),
+        p_a=probability,
+        p_b=probability,
+        s_a=st.sampled_from([0.0, 0.5, 1.0]),
+        count=st.integers(1, 300),
+        pass_servers=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_batch_equals_reference(self, system, tiebreak, n, p_a, p_b, s_a, count, pass_servers, seed):
+        assume(p_a > 0.0 or p_b > 0.0)  # q = 1 never ends, and validate refuses it
+        probs = RallyProbs(p_a, p_b)
+        tiebreak = tiebreak if system is ScoringSystem.SIDE_OUT else None  # side-out only
+        config = GameConfig(n=n, system=system, tiebreak=tiebreak, s_a=s_a)
+        servers = np.random.default_rng(seed).random(count) < 0.5 if pass_servers else None
+        got = simulate._batch_games(probs, config, count, np.random.default_rng(seed), servers)
+        want = reference_batch_games(probs, config, count, np.random.default_rng(seed), servers)
+        assert_samples_equal(got, want)
+
+    @pytest.mark.parametrize("n", [1, 15, 300])
+    @pytest.mark.parametrize("system", list(ScoringSystem))
+    def test_sample_games_equals_reference(self, system, n):
+        # n = 300 keeps its scores in 16 bits
+        probs, config = RallyProbs(0.6, 0.5), GameConfig(n=n, system=system, s_a=0.5)
+        seed = SeedSpec(8, n)
+        want = reference_batch_games(probs, config, 2_000, seed.generator())
+        assert_samples_equal(simulate.sample_games(probs, config, 2_000, seed), want)
+
+    @pytest.mark.parametrize("tiebreak", [None, 3])
+    @pytest.mark.parametrize("rule", list(ServerRule))
+    def test_sample_matches_equals_reference(self, monkeypatch, rule, tiebreak):
+        probs, config = RallyProbs(0.55, 0.45), GameConfig(n=7, tiebreak=tiebreak, s_a=0.5)
+        match = MatchConfig(3, rule)
+        got = simulate.sample_matches(probs, config, match, 3_000, SeedSpec(12, 1))
+        monkeypatch.setattr(simulate, "_batch_games", reference_batch_games)
+        want = simulate.sample_matches(probs, config, match, 3_000, SeedSpec(12, 1))
+        for field in ("winner_a", "total_rallies", "games_played"):
+            np.testing.assert_array_equal(getattr(got, field), getattr(want, field), err_msg=field)
+
+    @pytest.mark.parametrize(
+        "probs, config",
+        [
+            (RallyProbs(0.6, 0.5), GameConfig(n=15, s_a=0.5)),
+            (RallyProbs(0.55, 0.5), GameConfig(n=5, tiebreak=3, s_a=0.5)),
+            (RallyProbs(0.6, 0.45), GameConfig(n=11, system=ScoringSystem.RALLY_POINT, s_a=0.5)),
+        ],
+    )
+    def test_single_game_equals_batch_of_one(self, probs, config):
+        # `simulate_game` draws its first server and every rally from the
+        # same stream as a one-game batch
+        for master in range(300):
+            seed = SeedSpec(master, 4)
+            game = simulate.simulate_game(probs, config, seed)
+            batch = simulate.sample_games(probs, config, 1, seed)
+            assert (game.score.alpha, game.score.beta) == (batch.alpha[0], batch.beta[0])
+            assert (game.winner is A) == batch.winner_a[0]
+            assert game.duration == batch.duration[0]
