@@ -203,9 +203,9 @@ def cmd_duration(system, n, pa, pb, server, sa, tiebreak, stat, winner, score, l
             if config.system is ScoringSystem.RALLY_POINT:
                 rows = [[f"score={alpha}-{beta}", float(alpha + beta), 0.0, 0.0]]
             else:
-                pr = probs if fixed is Player.A else probs.swapped()
+                # first-server coordinates; the law depends on q alone
                 a, b, c = (alpha, beta, last) if fixed is Player.A else (beta, alpha, last.other)
-                m = duration._conditional_moments(a, b, c, pr.q, pr.p_a + pr.q_a * pr.p_b)
+                m = duration._conditional_moments(a, b, c, probs.q, probs.p_a + probs.q_a * probs.p_b)
                 rows = [[f"score={alpha}-{beta}", m.mean, m.sd, m.variance]]
         else:
             rows = _moment_rows(probs, config, fixed)
@@ -253,8 +253,10 @@ def cmd_compare(sideout_n, rallypoint_n, p_grid, fmt, out):
     def grid_columns(cfg):
         # the whole grid in one kernel evaluation: no-server model (p_a = p,
         # p_b = 1 - p), first server A
-        weight, mean, var = duration._row_moments(cfg.system, kernel.table(cfg.n), p, 1.0 - p)
-        weight = np.stack([weight, np.zeros_like(weight)])  # no B-first games
+        rows = kernel.table(cfg.n)
+        ev = kernel.evaluate(cfg.system, rows, p, 1.0 - p)
+        mean, var = duration._row_moments(cfg.system, rows, ev.r_mean, ev.r_var, p, 1.0 - p)
+        weight = np.stack([ev.weight, np.zeros_like(ev.weight)])  # no B-first games
         mix = {w: duration._mix(duration.event_weights(weight, (1.0, 0.0), w), mean, var) for w in (*Player, None)}
         if any((mix[w][0] <= duration._TINY).any() for w in Player):
             raise ConditioningError("conditioning event has vanished")

@@ -108,6 +108,8 @@ class GameConfig:
                 raise ConfigError(f"tie-break extension l={self.tiebreak!r} must be an integer")
             if self.tiebreak < 2:
                 raise ConfigError(f"tie-break extension l={self.tiebreak} must be >= 2")
+            if self.n < 2:
+                raise ConfigError("tie-break requires n >= 2: a game to 1 has no n-1 all to extend")
             if self.system is not ScoringSystem.SIDE_OUT:
                 raise ConfigError("tie-break extension only applies to side-out scoring")
         if not (0.0 <= self.s_a <= 1.0):
@@ -170,9 +172,8 @@ def validate(probs: RallyProbs, config: GameConfig | None = None, *, exact: bool
 
     `exact=True` requires q < 1 (with q = 1 no rally ever scores and the
     game never terminates); this is also what the simulation engine needs.
+    A `GameConfig` checks itself on construction, so `config` adds no check.
     Public engine functions call this once, never per terminal score.
     """
     if exact and probs.q >= 1.0:
         raise DomainError("q=1, game never terminates (p_a=0 and p_b=0)")
-    if config is not None and config.n < 1:
-        raise ConfigError(f"target score n={config.n} must be >= 1")

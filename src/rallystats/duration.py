@@ -303,34 +303,30 @@ def event_weights(weight: np.ndarray, servers, winner: Player | None = None) -> 
 
     weight[i, r] is the probability of row r of `kernel.table(n)` when A
     (i = 0) or B (i = 1) serves first, optionally with a trailing axis of
-    parameter points; rows r < n are won by the first server.  `servers`
-    weighs the two first servers: (1, 0), (0, 1) or (s_a, s_b).  `winner`
-    None keeps both winners.  The law of D given a tally depends on q
-    alone, the same for both first servers, so the law of D given any
-    event is the mixture of the rows' laws with these weights, and their
-    sum is the probability of the event."""
+    parameter points.  `servers` weighs the two first servers: (1, 0),
+    (0, 1) or (s_a, s_b).  `winner` None keeps both winners.  The law of D
+    given a tally depends on q alone, the same for both first servers, so
+    the law of D given any event is the mixture of the rows' laws with
+    these weights, and their sum is the probability of the event."""
     servers = np.reshape(servers, (2,) + (1,) * (weight.ndim - 1))
     if winner is not None:
-        n = weight.shape[1] // 2
-        # won by `winner`: rows r < n when it serves first, rows r >= n when it receives
-        won = (np.arange(2 * n) < n) == (np.array([[True], [False]]) == (winner is Player.A))
+        won = kernel.scored_last(weight.shape[1] // 2)[:, int(winner is Player.B)]
         weight = np.where(won.reshape(won.shape + (1,) * (weight.ndim - 2)), weight, 0.0)
     return (servers * weight).sum(axis=0)
 
 
-def _row_moments(system: ScoringSystem, rows: kernel.Rows, p_a, p_b):
-    """Probability and conditional mean and variance of D of every tally
-    of `rows` in a game first served by the side with rally probability
-    p_a, over arrays of (p_a, p_b); each of shape (rows, points)."""
-    ev = kernel.evaluate(system, rows, p_a, p_b)
+def _row_moments(system: ScoringSystem, rows: kernel.Rows, r_mean, r_var, p_a, p_b):
+    """Conditional mean and variance of D of every tally of `rows`, from
+    the mean and variance of its interruption count (shape (rows, points))
+    at the points of the arrays (p_a, p_b)."""
     d = (rows.alpha + rows.beta)[:, None].astype(float)
     if system is ScoringSystem.RALLY_POINT:
-        return ev.weight, np.broadcast_to(d, ev.r_mean.shape), np.zeros_like(ev.r_mean)
+        return np.broadcast_to(d, r_mean.shape), np.zeros_like(r_mean)
     q_a = 1.0 - np.asarray(p_a)
     q = q_a * (1.0 - np.asarray(p_b))
     one_minus_q = p_a + q_a * p_b  # does not cancel as q -> 1
     receiver_last = (~rows.server_last)[:, None]
-    return ev.weight, *_side_out_moments(d, receiver_last, q, one_minus_q, ev.r_mean, ev.r_var)
+    return _side_out_moments(d, receiver_last, q, one_minus_q, r_mean, r_var)
 
 
 def _mix(c: np.ndarray, mean: np.ndarray, var: np.ndarray):
@@ -355,12 +351,14 @@ def _servers(config: GameConfig, server: Player | None) -> tuple[float, float]:
 def _game_rows(probs: RallyProbs, config: GameConfig):
     """The table of a game to n, weight[i, r] of its rows when A (i = 0)
     or B (i = 1) serves first, and the rows' duration moments, from one
-    kernel evaluation."""
+    kernel evaluation.  The law of D given a tally depends on q alone, so
+    the A-first evaluation gives the moments."""
     validate(probs, config)
     _require_no_tiebreak(config)
     rows = kernel.table(config.n)
-    weight, mean, var = _row_moments(config.system, rows, [probs.p_a, probs.p_b], [probs.p_b, probs.p_a])
-    return rows, weight.T, mean[:, 0], var[:, 0]
+    ev = kernel.evaluate_servers(config.system, rows, probs.p_a, probs.p_b)
+    mean, var = _row_moments(config.system, rows, ev.r_mean[:, 0], ev.r_var[:, 0], probs.p_a, probs.p_b)
+    return rows, ev.weight[:, :, 0].T, mean[:, 0], var[:, 0]
 
 
 @dataclass(frozen=True)

@@ -201,11 +201,10 @@ class _Likelihood:
         tally, the kernel's interruption count less [receiver scores last] plus
         NB(alpha + beta, q) exchanges (both totals are exponents in self.k)."""
         p_a, p_b = np.broadcast_arrays(np.atleast_1d(np.asarray(p_a, dtype=float)), np.asarray(p_b, dtype=float))
-        both_servers, sums = (np.concatenate([p_a, p_b]), np.concatenate([p_b, p_a])), 0.0
+        sums = 0.0
         for n, counts in self.tallies.items():  # sum the records' log-weights, r_mean and r_var
-            ev = kernel.evaluate(ScoringSystem.SIDE_OUT, kernel.table(n), *both_servers)
-            stats = np.reshape([ev.log_weight, ev.r_mean, ev.r_var], (3, 2 * n, 2, -1))
-            sums = sums + np.einsum("rs,xrsp->xp", counts, stats)
+            ev = kernel.evaluate_servers(ScoringSystem.SIDE_OUT, kernel.table(n), p_a, p_b)
+            sums = sums + np.einsum("rs,xrsp->xp", counts, np.stack([ev.log_weight, ev.r_mean, ev.r_var]))
         k_pa, k_qa, k_pb, k_qb = self.k
         one_minus_q = p_a + (1.0 - p_a) * p_b  # does not cancel as q -> 1
         odds = (1.0 - p_a) * (1.0 - p_b) / one_minus_q
@@ -232,6 +231,9 @@ def loglik_score_duration(records, p_a: float, p_b: float) -> float:
 
 @dataclass(frozen=True)
 class FitResult:
+    """Estimates and their log-likelihood.  `converged` is always true: a
+    fit that does not converge raises `NonConvergence` instead."""
+
     p_a: float
     p_b: float
     log_likelihood: float

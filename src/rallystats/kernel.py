@@ -14,7 +14,9 @@ for the two last scorers (with C(-1, -1) = 1 for the shutout).  This module
 is the only place they are built.  A set of tallies becomes a `Rows` table
 of log-coefficients indexed from the smallest feasible j, cached per
 target score; `evaluate` weighs the table against arrays of rally
-probabilities for either scoring system.
+probabilities for either scoring system.  Tallies are in first-server
+coordinates: `evaluate_servers` takes a table at both first servers at
+once, and `scored_last` tells who scored last in each row of either game.
 
 Evaluation is in scaled form: every term is a logarithm, each row is
 shifted by its largest term before exponentiating, and the shift is added
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, DomainError, Player, RallyProbs, ScoringSystem
+from .core import ConfigError, DomainError, ScoringSystem
 
 # Elements of one (rows x terms x probabilities) block of evaluation; keeps
 # the temporaries of a large table or grid to a few megabytes.
@@ -110,6 +112,13 @@ def table(n: int) -> Rows:
     """The 2n terminal tallies of a game to n: rows k = 0..n-1 are (n, k)
     won by the first server, rows n + k are (k, n) won by the receiver."""
     return _build([(n, k, True) for k in range(n)] + [(k, n, False) for k in range(n)])
+
+
+@functools.lru_cache(maxsize=32)
+def tied(m: int) -> Rows:
+    """The two ways to reach m all: row 0 tied by a point of the first
+    server, row 1 by a point of the receiver."""
+    return _build([(m, m, True), (m, m, False)])
 
 
 @functools.lru_cache(maxsize=4096)
@@ -226,13 +235,20 @@ def evaluate(system: ScoringSystem, rows: Rows, p_a, p_b) -> Evaluation:
     return Evaluation(*out)
 
 
-def terminal_weights(system: ScoringSystem, probs: RallyProbs, n: int, server: Player) -> tuple[np.ndarray, np.ndarray]:
-    """Probabilities of (n, k) won by A and of (k, n) won by B, k = 0..n-1,
-    in a game to n first served by `server`."""
-    pr = probs if server is Player.A else probs.swapped()
-    w = evaluate(system, table(n), pr.p_a, pr.p_b).weight[:, 0]
-    first, receiver = w[:n], w[n:]
-    return (first, receiver) if server is Player.A else (receiver, first)
+def evaluate_servers(system: ScoringSystem, rows: Rows, p_a, p_b) -> Evaluation:
+    """`evaluate` at (p_a, p_b) and (p_b, p_a) in one call: games first
+    served by A and by B, with shape (rows, 2 first servers, points)."""
+    p_a, p_b = np.broadcast_arrays(np.atleast_1d(np.asarray(p_a, dtype=float)), np.asarray(p_b, dtype=float))
+    ev = evaluate(system, rows, np.concatenate([p_a, p_b]), np.concatenate([p_b, p_a]))
+    return Evaluation(*(x.reshape(len(rows.alpha), 2, -1) for x in (ev.log_weight, ev.r_mean, ev.r_var)))
+
+
+def scored_last(h: int) -> np.ndarray:
+    """scored_last(h)[s, w, r]: whether player w (A, B) scores the last
+    point of row r of `table(h)`, or of `tied(m)` for h = 1, when s (A, B)
+    serves first; the first server does in the first h rows."""
+    first = np.arange(2 * h) < h
+    return np.array([[first, ~first], [~first, first]])
 
 
 def interruption_law(rows: Rows, q: float) -> np.ndarray:

@@ -107,11 +107,9 @@ def match_win_prob(
     of game one is A with probability s_a from the game config.  Runs the
     match pass on one-point game laws, so tie-break games are supported."""
     validate(probs, game_config)
-    games = {}
-    for server in Player:
-        for game_winner, p in zip(Player, sideout.game_win_probs(server, probs, game_config)):
-            if p > 0.0:
-                games[(server, game_winner)] = DurationPMF(0, np.array([p]), 0.0)
+    wins = sideout._table(probs, game_config)[2].ravel()  # [first server, game winner]
+    events = [(server, game_winner) for server in Player for game_winner in Player]
+    games = {event: DurationPMF(0, np.array([p]), 0.0) for event, p in zip(events, wins) if p > 0.0}
     done, _ = _finished_matches(games, match_config, game_config.s_a)
     return float(done[winner][1].sum()) if winner in done else 0.0
 

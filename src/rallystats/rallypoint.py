@@ -14,8 +14,8 @@ from the `GameConfig`; `score_distribution`, `game_win_prob` and
 
 from __future__ import annotations
 
-from . import kernel
-from .core import Player, RallyProbs, ScoringSystem, validate
+from . import sideout
+from .core import Player, RallyProbs, ScoringSystem
 
 # the shared game-level laws, under the names rally-point callers know
 from .duration import aggregate_moments  # noqa: F401
@@ -25,8 +25,4 @@ from .sideout import game_win_prob, score_distribution  # noqa: F401
 def score_prob(alpha: int, beta: int, last_scorer: Player, server: Player, probs: RallyProbs) -> float:
     """Exact rally-point probability of a final tally with the given last
     scorer and first server."""
-    validate(probs)
-    if server is not Player.A:
-        alpha, beta, last_scorer, probs = beta, alpha, last_scorer.other, probs.swapped()
-    rows = kernel.tally(alpha, beta, last_scorer is Player.A)
-    return float(kernel.evaluate(ScoringSystem.RALLY_POINT, rows, probs.p_a, probs.p_b).weight[0, 0])
+    return sideout._tally_prob(ScoringSystem.RALLY_POINT, alpha, beta, last_scorer, server, probs)

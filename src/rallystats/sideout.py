@@ -5,51 +5,34 @@ A side-out game is described rally by rally through interruption counts r
 and exchange counts j.  Summing the elementary event probabilities over r
 and j gives closed forms for the probability of every final tally, from
 which tie-break extensions follow.  `score_distribution`,
-`game_win_probs` and `game_win_prob` read the scoring system from the
-`GameConfig`: both systems share the interruption polynomial
-(`kernel.terminal_weights`), and rally-point tallies differ only in how it
-is weighted (see `rallypoint`).
-
-All quantities are stated for A-games (A serves first); B-game quantities
-are obtained by swapping the player roles, which keeps a single code path
-and makes the symmetry testable for free.
+`game_win_probs`, `game_win_prob`, `tiebreak_score_prob` and
+`match_win_prob` all read one terminal-score table per game, taken from
+the shared interruption polynomial for both first servers at once; the
+scoring system comes from the `GameConfig`, and rally-point tallies differ
+only in how the polynomial is weighted (see `rallypoint`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import kernel
-from .core import (
-    ConfigError,
-    GameConfig,
-    Player,
-    RallyProbs,
-    ScoringSystem,
-    TerminalScore,
-    validate,
-)
+from .core import ConfigError, GameConfig, Player, RallyProbs, ScoringSystem, TerminalScore, validate
 
 
-def _score_prob(alpha: int, beta: int, last_scorer: Player, server: Player, probs: RallyProbs) -> float:
-    if server is not Player.A:
-        # B-game: exchange the player roles (p_a <-> p_b, alpha <-> beta).
-        alpha, beta, last_scorer, probs = beta, alpha, last_scorer.other, probs.swapped()
-    rows = kernel.tally(alpha, beta, last_scorer is Player.A)
-    return float(kernel.evaluate(ScoringSystem.SIDE_OUT, rows, probs.p_a, probs.p_b).weight[0, 0])
+def _tally_prob(system: ScoringSystem, alpha: int, beta: int, last: Player, server: Player, probs: RallyProbs) -> float:
+    validate(probs)
+    first, receiver = (alpha, beta) if server is Player.A else (beta, alpha)
+    rows = kernel.tally(first, receiver, last is server)
+    return float(kernel.evaluate_servers(system, rows, probs.p_a, probs.p_b).weight[0, int(server is Player.B), 0])
 
 
-def score_prob(
-    alpha: int,
-    beta: int,
-    last_scorer: Player,
-    server: Player,
-    probs: RallyProbs,
-) -> float:
+def score_prob(alpha: int, beta: int, last_scorer: Player, server: Player, probs: RallyProbs) -> float:
     """Exact probability that a game with the given first server passes
     through final tally (alpha, beta) with `last_scorer` scoring last."""
-    validate(probs)
-    return _score_prob(alpha, beta, last_scorer, server, probs)
+    return _tally_prob(ScoringSystem.SIDE_OUT, alpha, beta, last_scorer, server, probs)
 
 
 @dataclass(frozen=True)
@@ -71,31 +54,50 @@ class ScoreDistribution:
         return sum(self.entries.values())
 
 
-def _tiebreak_score_prob(k: int, winner: Player, server: Player, probs: RallyProbs, config: GameConfig) -> float:
-    ell = config.tiebreak
+def _scores(top: int, losers: range) -> list[TerminalScore]:
+    """`top` points against each loser score, won by A and then by B."""
+    return [TerminalScore(top, k, Player.A) for k in losers] + [TerminalScore(k, top, Player.B) for k in losers]
+
+
+def _table(probs: RallyProbs, config: GameConfig) -> tuple[list[TerminalScore], np.ndarray, np.ndarray]:
+    """The terminal scores of a game in `score_distribution` order, their
+    probabilities when A (row 0) and B (row 1) serve first, and P[winner |
+    first server] as wins[server, winner], from one kernel evaluation per
+    table for both first servers.  With a tie-break, play goes on from n-1
+    all, and the extension is an l-point game first served by whoever tied:
+    the tie probabilities by tying scorer weigh the table of that game."""
+    n, ell = config.n, config.tiebreak
+
+    def by_last_scorer(rows: kernel.Rows) -> np.ndarray:  # [first server, last scorer, k]
+        weight = kernel.evaluate_servers(config.system, rows, probs.p_a, probs.p_b).weight[:, :, 0]
+        last = kernel.scored_last(len(rows.alpha) // 2)
+        return np.array([[weight[last[s, w], s] for w in range(2)] for s in range(2)])
+
+    regular = by_last_scorer(kernel.table(n))
     if ell is None:
-        raise ConfigError("config has no tie-break extension")
-    if config.n < 2:
-        raise ConfigError("tie-break requires n >= 2")
-    if not (0 <= k <= ell - 1):
-        raise ConfigError(f"tie-break loser score k={k} outside 0..{ell - 1}")
-    n = config.n
-    total = 0.0
-    for tier in Player:
-        # the extension is an ell-point game first served by whoever tied
-        tie = _score_prob(n - 1, n - 1, tier, server, probs)
-        a_wins, b_wins = kernel.terminal_weights(ScoringSystem.SIDE_OUT, probs, ell, tier)
-        total += tie * (a_wins if winner is Player.A else b_wins)[k]
-    return float(total)
+        return _scores(n, range(n)), regular.reshape(2, -1), regular.sum(axis=2)
+    regular = regular[:, :, : n - 1]  # n to n-1 is not an end: play goes on from n-1 all
+    tie = by_last_scorer(kernel.tied(n - 1))[:, :, 0]  # [first server, tying scorer]
+    ext = by_last_scorer(kernel.table(ell))  # [tying scorer, winner, k]
+    extension = tie[:, 0, None, None] * ext[0] + tie[:, 1, None, None] * ext[1]
+    wins = regular.sum(axis=2)
+    for k in range(ell):  # P[winner] in regular play, then each extension score in turn
+        wins = wins + extension[:, :, k]
+    scores = _scores(n, range(n - 1)) + _scores(n + ell - 1, range(n - 1, n + ell - 1))
+    return scores, np.concatenate([regular.reshape(2, -1), extension.reshape(2, -1)], axis=1), wins
 
 
-def tiebreak_score_prob(
-    k: int,
-    winner: Player,
-    server: Player,
-    probs: RallyProbs,
-    config: GameConfig,
-) -> float:
+def score_distribution(probs: RallyProbs, config: GameConfig, server: Player | None = None) -> ScoreDistribution:
+    """Full distribution over the terminal scores of a game under
+    `config.system`; `server=None` mixes A- and B-games with weights
+    (s_a, s_b) from the config."""
+    validate(probs, config)
+    scores, weight, _ = _table(probs, config)
+    s_a, s_b = (config.s_a, config.s_b) if server is None else (float(server is Player.A), float(server is Player.B))
+    return ScoreDistribution(config, server, dict(zip(scores, (s_a * weight[0] + s_b * weight[1]).tolist())))
+
+
+def tiebreak_score_prob(k: int, winner: Player, server: Player, probs: RallyProbs, config: GameConfig) -> float:
     """Probability of the extended score reached when the game, tied at
     n-1 all, is set to l further points and the winner finishes l to k.
 
@@ -103,58 +105,24 @@ def tiebreak_score_prob(
     which is what two-stage conditioning on the tie event encodes.
     """
     validate(probs, config)
-    return _tiebreak_score_prob(k, winner, server, probs, config)
-
-
-def _single_server_distribution(probs: RallyProbs, config: GameConfig, server: Player) -> ScoreDistribution:
-    n, ell = config.n, config.tiebreak
-    a_wins, b_wins = kernel.terminal_weights(config.system, probs, n, server)
-    # with a tie-break, play goes on from n-1 all instead of ending at n to n-1
-    regular = n if ell is None else n - 1
-    entries = {TerminalScore(n, k, Player.A): float(a_wins[k]) for k in range(regular)}
-    entries.update({TerminalScore(k, n, Player.B): float(b_wins[k]) for k in range(regular)})
-    for winner in Player:
-        for k in range(ell or 0):
-            hi, lo = n + ell - 1, n + k - 1
-            score = TerminalScore(hi, lo, winner) if winner is Player.A else TerminalScore(lo, hi, winner)
-            entries[score] = _tiebreak_score_prob(k, winner, server, probs, config)
-    return ScoreDistribution(config, server, entries)
-
-
-def score_distribution(
-    probs: RallyProbs,
-    config: GameConfig,
-    server: Player | None = None,
-) -> ScoreDistribution:
-    """Full distribution over the terminal scores of a game under
-    `config.system`; `server=None` mixes A- and B-games with weights
-    (s_a, s_b) from the config."""
-    validate(probs, config)
-    if server is not None:
-        return _single_server_distribution(probs, config, server)
-    dist_a = _single_server_distribution(probs, config, Player.A)
-    dist_b = _single_server_distribution(probs, config, Player.B)
-    entries = {
-        score: config.s_a * dist_a.entries[score] + config.s_b * dist_b.entries[score]
-        for score in dist_a.entries
-    }
-    return ScoreDistribution(config, None, entries)
+    ell = config.tiebreak
+    if ell is None:
+        raise ConfigError("config has no tie-break extension")
+    if not (0 <= k <= ell - 1):
+        raise ConfigError(f"tie-break loser score k={k} outside 0..{ell - 1}")
+    hi, lo = config.n + ell - 1, config.n + k - 1
+    score = TerminalScore(hi, lo, winner) if winner is Player.A else TerminalScore(lo, hi, winner)
+    return score_distribution(probs, config, server).entries[score]
 
 
 def game_win_probs(server: Player, probs: RallyProbs, config: GameConfig) -> tuple[float, float]:
     """Probabilities that A and that B take a game under `config.system`
-    whose first server is `server`, from one kernel evaluation (or one
-    score distribution with a tie-break)."""
+    whose first server is `server`."""
     validate(probs, config)
-    if config.tiebreak is not None:
-        dist = _single_server_distribution(probs, config, server)
-        return dist.win_prob(Player.A), dist.win_prob(Player.B)
-    a_wins, b_wins = kernel.terminal_weights(config.system, probs, config.n, server)
-    return float(a_wins.sum()), float(b_wins.sum())
+    return tuple(_table(probs, config)[2][int(server is Player.B)].tolist())
 
 
 def game_win_prob(winner: Player, server: Player, probs: RallyProbs, config: GameConfig) -> float:
     """Probability that `winner` takes a game under `config.system` whose
     first server is `server`."""
     return game_win_probs(server, probs, config)[winner is Player.B]
-

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GameConfig, Player, RallyProbs, ScoringSystem, TerminalScore, validate
+from .core import ConfigError, GameConfig, Player, RallyProbs, ScoringSystem, TerminalScore, validate
 
 
 @dataclass(frozen=True)
@@ -28,6 +28,10 @@ class SeedSpec:
     master: int
     stream: int = 0
 
+    def __post_init__(self):
+        if min(self.master, self.stream) < 0:
+            raise ConfigError(f"seed master={self.master} and stream={self.stream} must be non-negative")
+
     def generator(self) -> np.random.Generator:
         return np.random.default_rng(np.random.SeedSequence([self.master, self.stream]))
 
@@ -35,7 +39,7 @@ class SeedSpec:
         # distinct stream per (stream, index) pair for index < 1_000_003;
         # count enforced so sweep streams cannot collide with each other
         if not (0 <= index < 1_000_003):
-            raise ValueError("child index out of range")
+            raise ConfigError("child index out of range")
         return SeedSpec(self.master, self.stream * 1_000_003 + index + 1)
 
 
@@ -192,7 +196,7 @@ def sample_games(probs: RallyProbs, config: GameConfig, replications: int, seed:
     """Simulate `replications` independent games as outcome arrays."""
     validate(probs, config)
     if replications < 1:
-        raise ValueError("replications must be >= 1")
+        raise ConfigError(f"replications={replications} must be >= 1")
     return _batch_games(probs, config, replications, seed.generator())
 
 
@@ -271,6 +275,8 @@ def sample_matches(
     from .matchlevel import ServerRule
 
     validate(probs, game_config)
+    if replications < 1:
+        raise ConfigError(f"replications={replications} must be >= 1")
     rng = seed.generator()
     count = replications
     wins_a = np.zeros(count, dtype=np.int64)

@@ -19,6 +19,9 @@ from rallystats.simulate import GameSample
 
 A, B = Player.A, Player.B
 
+# rally probabilities of the tie-break oracle checks: edges and interior, q < 1
+ORACLE_PROBS = [(pa, pb) for pa in (0.0, 0.3, 0.6, 1.0) for pb in (0.0, 0.3, 0.6, 1.0) if pa + pb > 0.0]
+
 
 def _placements(alpha, beta, receiver_last, r):
     """Number of ways to place r A-interruptions in an A-game ending
@@ -68,9 +71,11 @@ def no_server_score_prob(alpha, beta, last_scorer, p):
     return binom(alpha + beta - 1, alpha) * p**alpha * (1.0 - p) ** beta
 
 
-def enumerate_sideout(p_a, p_b, n, server=A, tol=1e-14, max_rallies=100_000):
+def enumerate_sideout(p_a, p_b, n, server=A, tol=1e-14, max_rallies=100_000, tiebreak=None):
     """Joint law of (alpha, beta, last scorer, duration) for a side-out
     game, by exhaustive level-by-level enumeration of rally sequences.
+    With a tie-break l, a game that reaches n-1 all is set to l further
+    points: from then on (both scores at least n-1) the target is n-1+l.
 
     Returns (outcomes, leftover): a dict keyed by (alpha, beta, last,
     duration) and the active probability mass never resolved.
@@ -82,17 +87,18 @@ def enumerate_sideout(p_a, p_b, n, server=A, tol=1e-14, max_rallies=100_000):
         rallies += 1
         nxt = defaultdict(float)
         for (a, b, srv), mass in active.items():
+            target = n - 1 + tiebreak if tiebreak is not None and min(a, b) >= n - 1 else n
             if srv is A:
                 win, stay = p_a * mass, (1.0 - p_a) * mass
-                if a + 1 == n:
-                    outcomes[(n, b, A, rallies)] += win
+                if a + 1 == target:
+                    outcomes[(target, b, A, rallies)] += win
                 else:
                     nxt[(a + 1, b, A)] += win
                 nxt[(a, b, B)] += stay
             else:
                 win, stay = p_b * mass, (1.0 - p_b) * mass
-                if b + 1 == n:
-                    outcomes[(a, n, B, rallies)] += win
+                if b + 1 == target:
+                    outcomes[(a, target, B, rallies)] += win
                 else:
                     nxt[(a, b + 1, B)] += win
                 nxt[(a, b, A)] += stay
@@ -447,22 +453,24 @@ def multistart_score_fit(records, server_model=True):
     return p_a, p_b, -float(best.fun)
 
 
-def compose_match(p_a, p_b, n, m, rule, s_a, rally_point=False):
-    """Finished mass of a match by match winner and total rally count,
-    {(winner, duration): probability}, by composing enumerated game laws
-    game by game over (games won by A, games won by B, first server) with
-    plain dictionaries.  `rule` is a `ServerRule` value string:
-    "winner-serves-next", "alternate" or "coin-flip-each"."""
+def _game_laws(p_a, p_b, n, rally_point, tiebreak):
+    """Enumerated law of a game's (winner, rallies) for each first server."""
     games = {}
     for server in (A, B):
         if rally_point:
             outcomes, _ = enumerate_rallypoint(p_a, p_b, n, server=server)
         else:
-            outcomes, _ = enumerate_sideout(p_a, p_b, n, server=server, tol=1e-15)
+            outcomes, _ = enumerate_sideout(p_a, p_b, n, server=server, tol=1e-15, tiebreak=tiebreak)
         law = defaultdict(float)
         for (_, _, winner, rallies), mass in outcomes.items():
             law[(winner, rallies)] += mass
         games[server] = law
+    return games
+
+
+def _compose(games, m, rule, s_a):
+    """Finished mass of a match, {(winner, duration): probability}, from the
+    game laws {first server: {(winner, rallies): probability}}."""
     coin = [(A, s_a), (B, 1.0 - s_a)]
     states = {(0, 0, server): {0: wt} for server, wt in coin if wt > 0.0}
     total = defaultdict(float)
@@ -487,6 +495,16 @@ def compose_match(p_a, p_b, n, m, rule, s_a, rally_point=False):
     return dict(total)
 
 
+def compose_match(p_a, p_b, n, m, rule, s_a, rally_point=False, tiebreak=None):
+    """Finished mass of a match by match winner and total rally count,
+    {(winner, duration): probability}, by composing enumerated game laws
+    game by game over (games won by A, games won by B, first server) with
+    plain dictionaries.  `rule` is a `ServerRule` value string:
+    "winner-serves-next", "alternate" or "coin-flip-each"; `tiebreak` is
+    the side-out extension l or None."""
+    return _compose(_game_laws(p_a, p_b, n, rally_point, tiebreak), m, rule, s_a)
+
+
 def compose_match_durations(p_a, p_b, n, m, rule, s_a, rally_point=False):
     """Law of a match's total rally count, {duration: probability}, from
     `compose_match`."""
@@ -496,11 +514,17 @@ def compose_match_durations(p_a, p_b, n, m, rule, s_a, rally_point=False):
     return dict(law)
 
 
-def compose_match_win_probs(p_a, p_b, n, m, rule, s_a, rally_point=False):
-    """Probability that each player takes the match, {winner: probability},
-    from `compose_match`."""
+def compose_match_win_probs(p_a, p_b, n, m, rule, s_a, rally_point=False, tiebreak=None):
+    """Probability that each player takes the match, {winner: probability}:
+    `compose_match` on the enumerated game laws with their durations
+    summed out."""
+    games = {}
+    for server, law in _game_laws(p_a, p_b, n, rally_point, tiebreak).items():
+        games[server] = defaultdict(float)
+        for (winner, _), mass in law.items():
+            games[server][(winner, 0)] += mass
     wins = {A: 0.0, B: 0.0}
-    for (winner, _), mass in compose_match(p_a, p_b, n, m, rule, s_a, rally_point).items():
+    for (winner, _), mass in _compose(games, m, rule, s_a).items():
         wins[winner] += mass
     return wins
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rallystats import ConditioningError, GameConfig, Player, RallyProbs, ScoringSystem
+from rallystats import ConditioningError, ConfigError, GameConfig, Player, RallyProbs, ScoringSystem
 from rallystats import asymptotics, duration
 from rallystats.asymptotics import Direction
 
@@ -101,3 +101,10 @@ class TestConvergence:
     def test_underflowed_conditioning_raises(self):
         with pytest.raises(ConditioningError):
             asymptotics.convergence_check(SO, B, TO1, 15, [1.0])
+
+    @pytest.mark.parametrize("system", [SO, RP])
+    def test_target_below_one_raises_config_error(self, system):
+        with pytest.raises(ConfigError, match="n=0"):
+            asymptotics.limit_moments(system, A, TO1, 0)
+        with pytest.raises(ConfigError, match="n=0"):
+            asymptotics.limit_pmf(system, B, TO0, 0)

@@ -353,6 +353,15 @@ class TestExitCodes:
         assert result.exit_code == 3
         assert "error" in result.output
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["-j", "0", "--seed", "1"], ["-j", "3", "--seed", "-1"], ["-j", "3", "--seed", "1", "--stream", "-1"]],
+    )
+    def test_bad_simulator_inputs_are_3(self, runner, flags):
+        result = runner.invoke(main, ["simulate", "--n", "5", "--pa", ".5", "--pb", ".5", *flags])
+        assert result.exit_code == 3
+        assert result.output.startswith("error: ") and result.output.count("\n") == 1, result.output
+
     def test_io_error_is_4(self, runner):
         result = runner.invoke(main, ["estimate", "--input", "/nonexistent/path.jsonl"])
         assert result.exit_code == 4

@@ -100,6 +100,13 @@ class TestConfigs:
         with pytest.raises(ConfigError, match="integer"):
             GameConfig(n=15.5)
 
+    @pytest.mark.parametrize("tiebreak", [2, 3])
+    def test_tiebreak_on_a_game_to_one_rejected(self, tiebreak):
+        # a game to 1 has no n-1 all to extend
+        with pytest.raises(ConfigError, match="n >= 2"):
+            GameConfig(n=1, tiebreak=tiebreak)
+        assert GameConfig(n=2, tiebreak=tiebreak).tiebreak == tiebreak
+
     def test_non_integer_tiebreak_rejected(self):
         with pytest.raises(ConfigError, match="integer"):
             GameConfig(n=9, tiebreak=2.5)

@@ -59,7 +59,9 @@ def test_grid_evaluation_matches_per_point_functions(n, system, points):
     points = EDGES + points
     p_a = np.array([pa for pa, _ in points])
     p_b = np.array([pb for _, pb in points])
-    weights, row_mean, row_var = duration._row_moments(system, kernel.table(n), p_a, p_b)
+    ev = kernel.evaluate(system, kernel.table(n), p_a, p_b)
+    weights = ev.weight
+    row_mean, row_var = duration._row_moments(system, kernel.table(n), ev.r_mean, ev.r_var, p_a, p_b)
     a_first = np.stack([weights, np.zeros_like(weights)])
     by_winner = [duration._mix(duration.event_weights(a_first, (1.0, 0.0), w), row_mean, row_var) for w in (A, B)]
     for i, (pa, pb) in enumerate(points):

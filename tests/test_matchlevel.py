@@ -5,7 +5,7 @@ from rallystats import ConfigError, GameConfig, Player, RallyProbs, ScoringSyste
 from rallystats import duration, kernel, matchlevel, rallypoint, sideout, simulate
 from rallystats.matchlevel import MatchConfig, ServerRule
 
-from oracles import compose_match_durations, compose_match_win_probs
+from oracles import ORACLE_PROBS, compose_match_durations, compose_match_win_probs
 
 A, B = Player.A, Player.B
 WSN, ALT, CFE = ServerRule.WINNER_SERVES_NEXT, ServerRule.ALTERNATE, ServerRule.COIN_FLIP_EACH
@@ -88,6 +88,17 @@ class TestMatchWinProb:
                     got = matchlevel.match_win_prob(RallyProbs(pa, pb), cfg, MatchConfig(m, rule), winner)
                     assert got == pytest.approx(want[winner], rel=0, abs=1e-13), (m, s_a, winner)
 
+    @pytest.mark.parametrize("n, ell", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (4, 3)])
+    @pytest.mark.parametrize("pa, pb", ORACLE_PROBS)
+    def test_tiebreak_matches_composed_win_probs(self, n, ell, pa, pb):
+        for rule in ServerRule:
+            for m in (1, 2, 3):
+                cfg = GameConfig(n=n, tiebreak=ell, s_a=0.4)
+                want = compose_match_win_probs(pa, pb, n, m, rule.value, 0.4, tiebreak=ell)
+                for winner in Player:
+                    got = matchlevel.match_win_prob(RallyProbs(pa, pb), cfg, MatchConfig(m, rule), winner)
+                    assert got == pytest.approx(want[winner], rel=1e-13, abs=0), (rule, m, winner)
+
     @pytest.mark.parametrize("s_a", [1.0, 0.5])
     @pytest.mark.parametrize("system", list(ScoringSystem))
     def test_one_kernel_evaluation_per_first_server(self, monkeypatch, system, s_a):
@@ -102,7 +113,7 @@ class TestMatchWinProb:
 
         monkeypatch.setattr(kernel, "evaluate", counting)
         assert matchlevel.match_win_prob(pr, cfg, MatchConfig(2)) == want
-        assert len(calls) == 2
+        assert len(calls) == 1  # one evaluation covers both first servers
 
 
 class TestGameWinProbs:

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rallystats import ConfigError, GameConfig, Player, RallyProbs, SeedSpec
-from rallystats import sideout, simulate
+from rallystats import ConfigError, GameConfig, MatchConfig, Player, RallyProbs, ScoringSystem, SeedSpec
+from rallystats import kernel, matchlevel, sideout, simulate
 
-from oracles import enumerate_sideout, prob_score_r_j, score_marginal
+from oracles import ORACLE_PROBS, enumerate_sideout, prob_score_r_j, score_marginal
 
 A, B = Player.A, Player.B
 
@@ -191,3 +191,75 @@ class TestTiebreak:
     def test_requires_tiebreak_config(self):
         with pytest.raises(ConfigError):
             sideout.tiebreak_score_prob(0, A, A, RallyProbs(0.5, 0.5), GameConfig(n=9))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("ell", [2, 3])
+@pytest.mark.parametrize("pa, pb", ORACLE_PROBS)
+def test_tiebreak_against_enumeration(n, ell, pa, pb):
+    """Every terminal score, the win probabilities and the extension scores
+    of a set-to-l game against rally-by-rally enumeration of the game."""
+    pr, cfg = RallyProbs(pa, pb), GameConfig(n=n, tiebreak=ell, s_a=0.3)
+    laws = {}
+    for server in Player:
+        outcomes, leftover = enumerate_sideout(pa, pb, n, server=server, tol=1e-30, tiebreak=ell)
+        assert leftover < 1e-30
+        laws[server] = score_marginal(outcomes)
+    laws[None] = {
+        key: 0.3 * laws[A].get(key, 0.0) + 0.7 * laws[B].get(key, 0.0) for key in {*laws[A], *laws[B]}
+    }
+    for server, law in laws.items():
+        entries = sideout.score_distribution(pr, cfg, server).entries
+        assert {key for key, mass in law.items() if mass > 0.0} <= {(s.alpha, s.beta, s.last_scorer) for s in entries}
+        for score, p in entries.items():
+            want = law.get((score.alpha, score.beta, score.last_scorer), 0.0)
+            assert p == pytest.approx(want, rel=1e-13, abs=0), (server, score)
+        if server is None:
+            continue
+        wins = sideout.game_win_probs(server, pr, cfg)
+        for winner, got in zip(Player, wins):
+            want = sum(mass for (_, _, last), mass in law.items() if last is winner)
+            assert got == pytest.approx(want, rel=1e-13, abs=0), (server, winner)
+        for winner in Player:
+            for k in range(ell):
+                hi, lo = n + ell - 1, n + k - 1
+                want = law.get((hi, lo, A) if winner is A else (lo, hi, B), 0.0)
+                got = sideout.tiebreak_score_prob(k, winner, server, pr, cfg)
+                assert got == pytest.approx(want, rel=1e-13, abs=0), (server, winner, k)
+
+
+class TestKernelEvaluations:
+    """A game's terminal-score table takes one kernel evaluation per table
+    (the game's, and with a tie-break the tie's and the extension's), each
+    covering both first servers."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        evaluate = kernel.evaluate
+
+        def counting(*args):
+            calls.append(args)
+            return evaluate(*args)
+
+        monkeypatch.setattr(kernel, "evaluate", counting)
+        return calls
+
+    @pytest.mark.parametrize("system", list(ScoringSystem))
+    def test_plain_score_distribution_takes_one(self, calls, system):
+        # match_win_prob: test_matchlevel.py::TestMatchWinProb::test_one_kernel_evaluation_per_first_server
+        sideout.score_distribution(RallyProbs(0.6, 0.5), GameConfig(n=15, system=system, s_a=0.5), server=None)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda pr, cfg: sideout.score_distribution(pr, cfg, server=None),
+            lambda pr, cfg: sideout.game_win_probs(B, pr, cfg),
+            lambda pr, cfg: matchlevel.match_win_prob(pr, cfg, MatchConfig(3)),
+        ],
+        ids=["score_distribution", "game_win_probs", "match_win_prob"],
+    )
+    def test_tiebreak_game_takes_at_most_four(self, calls, call):
+        call(RallyProbs(0.6, 0.5), GameConfig(n=15, tiebreak=3, s_a=0.5))
+        assert len(calls) <= 4

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy import stats
 
-from rallystats import GameConfig, MatchConfig, Player, RallyProbs, ScoringSystem, SeedSpec, ServerRule
+from rallystats import ConfigError, GameConfig, MatchConfig, Player, RallyProbs, ScoringSystem, SeedSpec, ServerRule
 from rallystats import sideout, simulate
 
 from oracles import enumerate_trajectories, reference_batch_games
@@ -74,6 +74,21 @@ class TestBatches:
         sample = simulate.sample_games(pr, cfg, 100_000, SeedSpec(321, 2))
         p_hat = sample.winner_a.mean()
         assert abs(p_hat - exact) < 3 * np.sqrt(exact * (1 - exact) / 100_000)
+
+    @pytest.mark.parametrize("replications", [0, -1])
+    def test_bad_replications_raise_config_error(self, replications):
+        pr, cfg = RallyProbs(0.6, 0.5), GameConfig(n=5)
+        with pytest.raises(ConfigError, match="replications"):
+            simulate.sample_games(pr, cfg, replications, SeedSpec(1))
+        with pytest.raises(ConfigError, match="replications"):
+            simulate.sample_matches(pr, cfg, MatchConfig(2), replications, SeedSpec(1))
+
+    @pytest.mark.parametrize("master, stream", [(-1, 0), (1, -1)])
+    def test_bad_seed_raises_config_error(self, master, stream):
+        with pytest.raises(ConfigError, match="seed"):
+            SeedSpec(master, stream)
+        with pytest.raises(ConfigError, match="child"):
+            SeedSpec(1).child(-1)
 
 
 class TestEstimatorReport:
@@ -193,6 +208,11 @@ class TestAgainstReferenceLoop:
         assume(p_a > 0.0 or p_b > 0.0)  # q = 1 never ends, and validate refuses it
         probs = RallyProbs(p_a, p_b)
         tiebreak = tiebreak if system is ScoringSystem.SIDE_OUT else None  # side-out only
+        if tiebreak is not None and n == 1:
+            # a game to 1 has no n-1 all to extend
+            with pytest.raises(ConfigError):
+                GameConfig(n=n, system=system, tiebreak=tiebreak, s_a=s_a)
+            return
         config = GameConfig(n=n, system=system, tiebreak=tiebreak, s_a=s_a)
         servers = np.random.default_rng(seed).random(count) < 0.5 if pass_servers else None
         got = simulate._batch_games(probs, config, count, np.random.default_rng(seed), servers)
