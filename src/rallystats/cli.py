@@ -359,11 +359,11 @@ def cmd_match(system, n, pa, pb, server, sa, tiebreak, games_to_win, server_rule
     config, _ = _build_config(system, n, sa, server, tiebreak)
     probs = RallyProbs(pa, pb)
     mc = matchlevel.MatchConfig(games_to_win, matchlevel.ServerRule(server_rule))
-    win_a = matchlevel.match_win_prob(probs, config, mc)
+    wins = [matchlevel.match_win_prob(probs, config, mc, winner) for winner in Player]
     pmf = matchlevel.match_duration_pmf(probs, config, mc, epsilon)
     moments = pmf.moments()
     columns = ["match_win_a", "match_win_b", "e_rallies", "sd_rallies", "truncation_bound"]
-    rows = [[win_a, 1.0 - win_a, moments.mean, moments.sd, pmf.truncation_bound]]
+    rows = [[*wins, moments.mean, moments.sd, pmf.truncation_bound]]
     _emit(OutputTable(columns, rows), fmt, out)
 
 

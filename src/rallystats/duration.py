@@ -20,8 +20,10 @@ the PMFs read the system from the `GameConfig`.  An event of probability
 zero has no conditional law: the aggregates leave it out, and only
 `duration_pmf_winner`, which normalizes, raises `ConditioningError`.  The
 PMFs build one exchange series per point total alpha + beta, shared by all
-tallies and servers; `duration_pmfs_by_server_winner` gives the laws
-jointly with the winner that the match pass composes.
+tallies and servers.  For matches, `pre_exchange_laws` gives each game's
+law before its exchanges, over (points, shift), jointly with the winner,
+and `exchange_mixture` applies the exchange law once to a sum of such
+laws.
 
 Tie-break-extended games are out of scope here; compose tie probabilities
 from `sideout` at a higher level if needed.
@@ -48,6 +50,8 @@ from .core import (
 )
 
 _TINY = 1e-300  # below this a conditioning event counts as underflowed
+_CHUNK = 1 << 20  # longest chunk of exchange-series terms built at once
+_MAX_TERMS = 10_000_000  # an exchange series this long counts as not converging
 
 
 @dataclass(frozen=True)
@@ -195,30 +199,43 @@ def _exchange_pmf(m0: int, probs: RallyProbs, epsilon: float) -> tuple[np.ndarra
     """Negative-binomial law of the exchange count for m0 scored points,
     P[J = l] = binom(m0+l-1, l) q^l (1-q)^m0, and a bound on what it leaves out.
 
-    The terms are running products of the ratios q(m0+l)/(l+1) in the
-    rounded q, in chunks of the mean plus twelve standard deviations (which
-    reach 1e-12 from m0 = 15 on).  The exact q enters through the base
-    (1-q)^m0, with 1 - q = p_a + q_a p_b, and a factor exp(l (log q - log
-    q_rounded)), both formed in extended precision.  The series stops at the
-    first index past the peak where the geometric tail bound drops below
-    epsilon times the accumulated mass; that bound uses the current term
-    ratio, which decreases towards q, so it is certified.
+    The series starts from the base (1-q)^m0, with 1 - q = p_a + q_a p_b
+    formed in extended precision, and stops by `_exchange_terms`' rule.
     """
     if epsilon <= 0.0:
         raise DomainError("epsilon must be > 0")
-    q = probs.q
-    if q == 0.0:
+    if probs.q == 0.0:
         return np.array([1.0]), 0.0
     p_a, p_b = np.longdouble(probs.p_a), np.longdouble(probs.p_b)
-    one_minus_q = p_a + (1.0 - p_a) * p_b
-    base = float(one_minus_q**m0)
+    base = float((p_a + (1.0 - p_a) * p_b) ** m0)
     if base <= 0.0:
-        raise DomainError(f"q={q} too close to 1: exchange series underflows for {m0} points")
+        raise DomainError(f"q={probs.q} too close to 1: exchange series underflows for {m0} points")
+    return _exchange_terms(m0, probs, epsilon, 0, base, 0.0)
+
+
+def _exchange_terms(
+    m0: int, probs: RallyProbs, epsilon: float, first: int, term: float, cum: float
+) -> tuple[np.ndarray, float]:
+    """Terms first, first + 1, ... of the exchange series for m0 points, in
+    the scale where term `first` is `term` and the terms before it sum to
+    `cum`, and a bound on the terms left out, in the same scale.
+
+    The terms are running products of the ratios q(m0+l)/(l+1) in the
+    rounded q, in chunks of the mean plus twelve standard deviations (which
+    reach 1e-12 from m0 = 15 on).  The exact q enters through a factor
+    exp(l (log q - log q_rounded)), formed in extended precision.  The
+    series stops at the first index past the peak where the geometric tail
+    bound drops below epsilon times the accumulated mass; that bound uses
+    the current term ratio, which decreases towards q, so it is certified.
+    """
+    q = probs.q
+    p_a, p_b = np.longdouble(probs.p_a), np.longdouble(probs.p_b)
+    one_minus_q = p_a + (1.0 - p_a) * p_b
     drift = float(np.log1p(-p_a) + np.log1p(-p_b) - np.log(np.longdouble(q)))
     mean = m0 * q / float(one_minus_q)
-    size = min(int(mean + 12.0 * math.sqrt(mean / float(one_minus_q))) + 64, 1 << 20)
-    pieces, term, cum = [], base, 0.0
-    for start in range(0, 10_000_000, size):
+    size = min(int(mean + 12.0 * math.sqrt(mean / float(one_minus_q))) + 64, _CHUNK)
+    pieces = []
+    for start in range(first, first + _MAX_TERMS, size):
         l = np.arange(start, start + size, dtype=float)
         ratio = q * (m0 + l) / (l + 1.0)
         nxt = term * np.cumprod(ratio) * np.exp((l + 1.0 - start) * drift)
@@ -233,6 +250,35 @@ def _exchange_pmf(m0: int, probs: RallyProbs, epsilon: float) -> tuple[np.ndarra
         pieces.append(terms)
         term, cum = nxt[-1], total[-1]
     raise DomainError("exchange series failed to converge")
+
+
+def _exchange_cut(m0: int, probs: RallyProbs, epsilon: float) -> tuple[int, float]:
+    """Length of `_exchange_pmf`'s series for m0 points and a bound on the
+    probability it leaves out, without its base (1-q)^m0, which underflows
+    once m0 log10(1/(1-q)) passes 308.
+
+    The terms are taken relative to the one at the mode: the terms below it
+    are running products of the inverse ratios, in chunks, until they
+    underflow; the rest follow from `_exchange_terms`.  The stop rule
+    compares the tail with the mass summed so far, so it is the same in any
+    scale, and the tail over that mass bounds the left-out probability."""
+    q = probs.q
+    if q == 0.0:
+        return 1, 0.0
+    p_a, p_b = np.longdouble(probs.p_a), np.longdouble(probs.p_b)
+    drift = float(np.log1p(-p_a) + np.log1p(-p_b) - np.log(np.longdouble(q)))
+    mode = int((m0 - 1) * q / float(p_a + (1.0 - p_a) * p_b))
+    if mode >= _MAX_TERMS:
+        raise DomainError("exchange series failed to converge")
+    below, term = 0.0, 1.0
+    for top in range(mode, 0, -_CHUNK):
+        l = np.arange(top - 1, max(top - _CHUNK, 0) - 1, -1, dtype=float)
+        terms = term * np.cumprod((l + 1.0) / (q * (m0 + l)) * math.exp(-drift))
+        below, term = below + float(terms.sum()), float(terms[-1])
+        if term == 0.0:
+            break
+    terms, tail = _exchange_terms(m0, probs, epsilon, mode, 1.0, below)
+    return mode + len(terms), tail / (below + float(terms.sum()))
 
 
 def _mixture_pmfs(
@@ -432,16 +478,6 @@ def duration_pmf_winner(
     return DurationPMF(joint.offset, joint.masses / total, joint.truncation_bound / total)
 
 
-def duration_pmfs_by_server_winner(
-    probs: RallyProbs, config: GameConfig, epsilon: float = 1e-12
-) -> dict[tuple[Player, Player], DurationPMF]:
-    """Law of D jointly with the winner for each first server, sharing
-    exchange series: {(first server, winner): law of mass P[winner |
-    server]} over the pairs of positive probability."""
-    events = [(server, winner) for server in Player for winner in Player]
-    return {event: joint for event, (joint, _) in _joint_pmfs(probs, config, epsilon, events).items()}
-
-
 def duration_pmf_unconditional(
     probs: RallyProbs,
     config: GameConfig,
@@ -452,6 +488,113 @@ def duration_pmf_unconditional(
     winners; `server=None` additionally mixes the first server with weights
     (s_a, s_b)."""
     return _joint_pmfs(probs, config, epsilon, [(server, None)])[(server, None)][0]
+
+
+def pre_exchange_laws(
+    probs: RallyProbs, config: GameConfig
+) -> dict[tuple[Player, Player], tuple[int, int, np.ndarray]]:
+    """A game's law before its exchanges, jointly with the winner, for each
+    (first server, winner) of positive probability: {event: (n, delta,
+    law)} with law[k, j] the probability, given the first server, that the
+    winner takes the game with n + k points scored and delta + 2j other
+    rallies: delta = [the receiver wins] is fixed by the event, j is the
+    interruption pair shift, and j <= k.
+
+    The rallies of the game are then n + k + delta + 2j + 2L with L ~
+    NB(n + k, q), and the exchange counts of independent games add:
+    `exchange_mixture` applies them once to any sum of such laws.  A
+    rally-point law has delta = 0, the one column j = 0 and no exchanges."""
+    rows, weight, _, _ = _game_rows(probs, config)
+    n, side_out = config.n, config.system is ScoringSystem.SIDE_OUT
+    law = kernel.interruption_law(rows, probs.q) if side_out else np.ones((2 * n, 1))
+    j0 = rows.j0 if side_out else np.zeros(2 * n, dtype=int)
+    j = j0[:, None] + np.arange(law.shape[1])  # past a row's top, law is 0
+    laws = {}
+    for server in Player:
+        for winner in Player:
+            c = event_weights(weight, _servers(config, server), winner)
+            if c.sum() <= 0.0:
+                continue
+            # the first server wins in rows 0..n-1 and the receiver in rows
+            # n..2n-1, both indexed by the loser's score k
+            lost = int(winner is not server)
+            rows_k = slice(lost * n, (lost + 1) * n)
+            sub = np.zeros((n, int(j.max()) + 1))
+            sub[np.arange(n)[:, None], j[rows_k]] = c[rows_k, None] * law[rows_k]
+            laws[(server, winner)] = (n, lost if side_out else 0, sub[:, : n if side_out else 1])
+    return laws
+
+
+def exchange_mixture(
+    points: int, law: np.ndarray, probs: RallyProbs, system: ScoringSystem, epsilon: float = 1e-12
+) -> DurationPMF:
+    """Law of D = M + s + 2L from a law before exchanges: law[M - points, s]
+    weighs M points scored and s other rallies, and L ~ NB(M, q) given M.
+
+    NB(M, q) is M geometric exchange counts, so the law is a Horner pass
+    over M of the filter y[d] = q y[d-2] + (1-q) x[d]: from the largest M
+    down, filter what has been gathered and add the rallies of the next M.
+    The filter runs along each parity class of the rallies as scaled
+    cumulative sums (`_GeometricFilter`).  The window ends where the
+    component with the most rallies before exchanges still keeps the length
+    of `_exchange_cut`'s series for the largest M; every component keeps at
+    least that many exchange counts, and NB(M) lies below NB(M') for M <=
+    M', so the mass times that series' tail bounds what the window leaves
+    out.  Rally-point laws, and side-out laws at q = 0, have no exchanges:
+    D = M + s exactly."""
+    if epsilon <= 0.0:
+        raise DomainError("epsilon must be > 0")
+    k, s = np.nonzero(law > 0.0)
+    if not k.size:
+        raise ConditioningError("law carries no mass")
+    top, exchanges = points + int(k.max()), system is ScoringSystem.SIDE_OUT and probs.q > 0.0
+    length, tail = _exchange_cut(top, probs, epsilon) if exchanges else (1, 0.0)
+    start = points + int((k + s).min())
+    stop = points + int((k + s).max()) + 2 * (length - 1)
+    # acc[i % 2, i // 2] holds rallies start + i: the filter runs along each
+    # parity class; rallies past `stop` are dropped at the end
+    rows = (max(stop, top + law.shape[1] - 1) - start) // 2 + 1
+    filt = _GeometricFilter(probs, rows) if exchanges else None
+    acc = np.zeros((2, filt.rows if exchanges else rows))
+    for m in range(top, -1 if exchanges else points - 1, -1):
+        if exchanges and m < top:
+            acc = filt(acc)
+        if m >= points:
+            for e in (0, 1):
+                masses = law[m - points, e::2]
+                first = m - start + e
+                i = first // 2
+                acc[first % 2, max(i, 0) : i + len(masses)] += masses[max(-i, 0) :]
+    return DurationPMF(start, acc.T.reshape(-1)[: stop - start + 1], float(law.sum()) * tail)
+
+
+class _GeometricFilter:
+    """y[i] = q y[i-1] + (1-q) x[i] along the last axis of an array of two
+    rows (the parity classes of the rallies), with the exact 1 - q = p_a +
+    q_a p_b.  It is solved in blocks of C entries, over which q^-C stays
+    below e^350: y[t] = (1-q) q^t cumsum(q^-t x[t]) within a block, plus
+    q^(t+1) times the last y of the block before, carried from block to
+    block."""
+
+    _RANGE = 350.0
+
+    def __init__(self, probs: RallyProbs, rows: int):
+        p_a, p_b = np.longdouble(probs.p_a), np.longdouble(probs.p_b)
+        log_q = np.log1p(-p_a) + np.log1p(-p_b)
+        self.block = min(rows, math.ceil(self._RANGE / -float(log_q)))
+        self.rows = -(-rows // self.block) * self.block
+        t = np.arange(self.block + 1, dtype=np.longdouble)
+        self.pw = np.exp(t * log_q).astype(float)
+        self.ipw = np.exp(-t[:-1] * log_q).astype(float)
+        self.scale = float(p_a + (1.0 - p_a) * p_b) * self.pw[:-1]
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        y = x.reshape(2, -1, self.block) * self.ipw
+        np.cumsum(y, axis=2, out=y)
+        y *= self.scale
+        for b in range(1, y.shape[1]):
+            y[:, b] += self.pw[1:] * y[:, b - 1, -1:]
+        return y.reshape(2, -1)
 
 
 def quantile(pmf: DurationPMF, level: float, mode: QuantileMode = QuantileMode.STANDARD) -> float:

@@ -7,6 +7,7 @@ games can last arbitrarily long; enumeration stops once the surviving
 active mass drops below `tol` (reported back to the caller).
 """
 
+import functools
 from collections import defaultdict
 from math import comb
 
@@ -527,6 +528,56 @@ def compose_match_win_probs(p_a, p_b, n, m, rule, s_a, rally_point=False, tiebre
     for (winner, _), mass in _compose(games, m, rule, s_a).items():
         wins[winner] += mass
     return wins
+
+
+def duration_pmfs_by_server_winner(probs, config, epsilon=1e-12):
+    """Law of a game's rallies jointly with the winner for each first
+    server, sharing exchange series: {(first server, winner): law of mass
+    P[winner | server]} over the pairs of positive probability."""
+    events = [(server, winner) for server in (A, B) for winner in (A, B)]
+    return {event: joint for event, (joint, _) in duration._joint_pmfs(probs, config, epsilon, events).items()}
+
+
+def _merge(left, right):
+    """Sum of two (offset, masses) laws."""
+    start = min(left[0], right[0])
+    merged = np.zeros(max(left[0] + len(left[1]), right[0] + len(right[1])) - start)
+    for offset, masses in (left, right):
+        merged[offset - start : offset - start + len(masses)] += masses
+    return start, merged
+
+
+def reference_match_duration_pmf(probs, game_config, match_config, epsilon=1e-12):
+    """Law of a match's total rally count by the direct composition: a
+    forward pass over (games won by A, games won by B, next first server)
+    that `np.convolve`s the running law with each game's joint (rallies,
+    winner) law, every game series cut at epsilon / (2M - 1); the
+    truncation bound sums the games' bounds weighted by the probability of
+    reaching them."""
+    from rallystats.matchlevel import _next_servers
+
+    games = duration_pmfs_by_server_winner(probs, game_config, epsilon / (2 * match_config.games_to_win - 1))
+    m, rule, s_a = match_config.games_to_win, match_config.server_rule, game_config.s_a
+    states = {(0, 0, first): (0, np.array([wt])) for first, wt in _next_servers(rule, None, None, s_a)}
+    done, bound = [], 0.0
+    for total in range(2 * m - 1):
+        for a, b, server in [k for k in states if k[0] + k[1] == total]:
+            offset, masses = states.pop((a, b, server))
+            for winner in (A, B):
+                game = games.get((server, winner))
+                if game is None:
+                    continue
+                bound += masses.sum() * game.truncation_bound
+                law = (offset + game.offset, np.convolve(masses, game.masses))
+                na, nb = a + (winner is A), b + (winner is B)
+                if na == m or nb == m:
+                    done.append(law)
+                    continue
+                for first, wt in _next_servers(rule, server, winner, s_a):
+                    key, nxt = (na, nb, first), (law[0], law[1] * wt)
+                    states[key] = _merge(states[key], nxt) if key in states else nxt
+    start, masses = functools.reduce(_merge, done)
+    return duration.DurationPMF(start, masses, bound)
 
 
 def reference_batch_games(

@@ -238,6 +238,17 @@ class TestMatchAndPlan:
         expect = matchlevel.match_win_prob(pr, cfg, matchlevel.MatchConfig(2))
         assert float(row["match_win_a"]) == pytest.approx(expect, rel=1e-10)
 
+    def test_match_win_b_does_not_cancel(self, runner):
+        # A is a heavy favourite: 1 - match_win_a would lose B's digits
+        out = run_ok(runner, [
+            "match", "--n", "21", "--pa", ".7423", "--pb", ".3564", "-m", "3",
+            "--server", "B", "--server-rule", "alternate",
+        ])
+        row = parse_csv(out)[0]
+        mc = matchlevel.MatchConfig(3, matchlevel.ServerRule.ALTERNATE)
+        expect = matchlevel.match_win_prob(RallyProbs(0.7423, 0.3564), GameConfig(n=21, s_a=0.0), mc, B)
+        assert row["match_win_b"] == cell(expect) == "3.24067138364e-10"
+
     def test_plan_single_match_median_is_match_median(self, runner):
         out = run_ok(runner, [
             "plan", "--n", "15", "--pa", ".6", "--pb", ".5", "--server", "A",

@@ -8,6 +8,7 @@ from rallystats.duration import QuantileMode
 
 from oracles import (
     duration_marginal,
+    duration_pmfs_by_server_winner,
     enumerate_rallypoint,
     enumerate_sideout,
     mp_rallypoint_duration_moments,
@@ -271,8 +272,52 @@ class TestExchangeSeries:
         monkeypatch.setattr(
             duration, "_exchange_pmf", lambda m0, *args: built.append(m0) or exchange_pmf(m0, *args)
         )
-        duration.duration_pmfs_by_server_winner(RallyProbs(0.3, 0.4), GameConfig(n=15, s_a=0.5))
+        duration_pmfs_by_server_winner(RallyProbs(0.3, 0.4), GameConfig(n=15, s_a=0.5))
         assert sorted(built) == list(range(15, 30))
+
+    @pytest.mark.parametrize("p", [0.6, 0.05, 0.01, 1e-3])
+    @pytest.mark.parametrize("m0", [1, 15, 145])
+    def test_cut_from_the_mode(self, p, m0):
+        # the length of `_exchange_pmf`'s series where its base (1-q)^m0 is a
+        # double, and a certified tail also where it underflows (1e-3, 145)
+        pr = RallyProbs(p, 0.9 * p)
+        length, tail = duration._exchange_cut(m0, pr, 1e-12)
+        if (pr.p_a + pr.q_a * pr.p_b) ** m0 > 0.0:
+            assert length == len(duration._exchange_pmf(m0, pr, 1e-12)[0])
+        with mpmath.workdps(40):
+            q = (1 - mpmath.mpf(pr.p_a)) * (1 - mpmath.mpf(pr.p_b))
+            exact = mpmath.betainc(length, m0, 0, q, regularized=True)
+        assert exact <= tail <= 1e-12
+
+
+class TestExchangeMixture:
+    @pytest.mark.parametrize("p", [0.999, 0.9, 0.6, 0.05, 0.01])
+    def test_against_one_series_per_point_total(self, p):
+        # law[M - points, s] of random (points, shift) masses, long enough for
+        # the filter to carry from block to block at large p; the reference
+        # convolves each M's shifts with its own series, written at stride 2
+        pr, points = RallyProbs(p, 0.9 * p), 12
+        law = np.random.default_rng(5).random((60, 40)) * (np.arange(40) % 3 != 1)
+        law /= law.sum()
+        pmf = duration.exchange_mixture(points, law, pr, ScoringSystem.SIDE_OUT, 1e-12)
+        want = np.zeros(len(pmf.masses) + 100_000)
+        for k, row in enumerate(law):
+            series, _ = duration._exchange_pmf(points + k, pr, 1e-16)
+            for s, mass in enumerate(row):
+                first = points + k + s - pmf.offset
+                want[first : first + 2 * len(series) : 2] += mass * series
+        assert pmf.offset == points
+        assert pmf.truncation_bound <= 1e-12
+        assert np.abs(pmf.masses - want[: len(pmf.masses)]).sum() <= 1e-14
+        assert want[len(pmf.masses) :].sum() <= pmf.truncation_bound
+        assert 1.0 - pmf.total_mass <= pmf.truncation_bound + 1e-14
+
+    def test_rally_point_and_q_zero_add_no_exchanges(self):
+        law = np.array([[0.25, 0.0, 0.25], [0.0, 0.5, 0.0]])
+        cases = ((ScoringSystem.RALLY_POINT, RallyProbs(0.3, 0.4)), (ScoringSystem.SIDE_OUT, RallyProbs(1.0, 0.4)))
+        for system, pr in cases:
+            pmf = duration.exchange_mixture(15, law, pr, system)
+            assert (pmf.offset, pmf.masses.tolist(), pmf.truncation_bound) == (15, [0.25, 0.0, 0.75], 0.0)
 
 
 class TestGroupedPMF:
@@ -299,7 +344,7 @@ class TestGroupedPMF:
         # joint (duration, winner) laws of mass P[winner | server]
         pr, cfg = RallyProbs(0.05, 0.1), GameConfig(n=15)
         win_probs = duration.aggregate_moments(pr, cfg).win_probs
-        joint = duration.duration_pmfs_by_server_winner(pr, cfg)
+        joint = duration_pmfs_by_server_winner(pr, cfg)
         assert list(joint) == EVENTS
         for (server, winner), pmf in joint.items():
             single = duration.duration_pmf_winner(pr, cfg, winner, server=server)

@@ -5,7 +5,7 @@ from rallystats import ConfigError, GameConfig, Player, RallyProbs, ScoringSyste
 from rallystats import duration, kernel, matchlevel, rallypoint, sideout, simulate
 from rallystats.matchlevel import MatchConfig, ServerRule
 
-from oracles import ORACLE_PROBS, compose_match_durations, compose_match_win_probs
+from oracles import ORACLE_PROBS, compose_match_durations, compose_match_win_probs, reference_match_duration_pmf
 
 A, B = Player.A, Player.B
 WSN, ALT, CFE = ServerRule.WINNER_SERVES_NEXT, ServerRule.ALTERNATE, ServerRule.COIN_FLIP_EACH
@@ -216,3 +216,46 @@ class TestMatchDuration:
         assert pmf.truncation_bound == 0.0
         assert pmf.total_mass == pytest.approx(1.0, abs=1e-12)
         assert pmf.offset >= 22  # at least two 11-point shutouts
+
+
+def _aligned(*pmfs):
+    """The masses of PMFs on one common range of rally counts."""
+    lo = min(pmf.offset for pmf in pmfs)
+    hi = max(pmf.offset + len(pmf.masses) for pmf in pmfs)
+    out = []
+    for pmf in pmfs:
+        masses = np.zeros(hi - lo)
+        masses[pmf.offset - lo : pmf.offset - lo + len(pmf.masses)] = pmf.masses
+        out.append(masses)
+    return out
+
+
+class TestAgainstReferenceComposition:
+    """The (points, shift) pass with one exchange law against the direct
+    convolution of the games' joint (rallies, winner) laws.  The two laws
+    cut their exchange series at different places, so they are compared in
+    L1 within the sum of both truncation bounds."""
+
+    @staticmethod
+    def check(pr, cfg, mc):
+        pmf = matchlevel.match_duration_pmf(pr, cfg, mc, epsilon=1e-12)
+        ref = reference_match_duration_pmf(pr, cfg, mc, epsilon=1e-12)
+        assert pmf.truncation_bound <= 1e-12
+        got, want = _aligned(pmf, ref)
+        assert np.abs(got - want).sum() <= pmf.truncation_bound + ref.truncation_bound + 1e-13
+        assert pmf.mean == pytest.approx(ref.mean, rel=1e-10, abs=0)
+        assert pmf.variance == pytest.approx(ref.variance, rel=1e-10, abs=0)
+
+    @pytest.mark.parametrize("system", list(ScoringSystem))
+    @pytest.mark.parametrize("rule", list(ServerRule))
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("pa, pb", [(0.6, 0.45), (0.05, 0.045)])
+    def test_matches_reference(self, system, rule, m, pa, pb):
+        self.check(RallyProbs(pa, pb), GameConfig(n=15, system=system, s_a=0.4), MatchConfig(m, rule))
+
+    def test_best_of_five_at_small_p(self):
+        self.check(RallyProbs(0.01, 0.009), GameConfig(n=15, s_a=0.5), MatchConfig(3, WSN))
+
+    def test_best_of_five_at_large_p(self):
+        # q = .02: the exchange filter runs in several blocks
+        self.check(RallyProbs(0.9, 0.8), GameConfig(n=21, s_a=0.5), MatchConfig(3, ALT))

@@ -182,3 +182,36 @@ def test_tiebreak_configurations(p_a, p_b, n, tiebreak, s_a, winner, games_to_wi
     win = matchlevel.match_win_prob(probs, config, match, winner)
     assert math.isfinite(win) and 0.0 <= win <= 1.0 + 1e-12
     check_simulator_and_fits(probs, config, match, SeedSpec(seed))
+
+
+def _expected_match_rallies(probs, config, m):
+    """Mean rally count of a winner-serves-next match to m games by the law
+    of total expectation over the match tree, from per-(first server,
+    winner) game means."""
+    agg = duration.aggregate_moments(probs, config)
+
+    def expected(a, b, server):
+        if a == m or b == m:
+            return 0.0
+        out = 0.0
+        for w in Player:
+            p = agg.win_probs[(server, w)]
+            if p > 0.0:
+                rest = expected(a + (w is Player.A), b + (w is Player.B), w)
+                out += p * (agg.by_server_winner[(server, w)].mean + rest)
+        return out
+
+    return config.s_a * expected(0, 0, Player.A) + config.s_b * expected(0, 0, Player.B)
+
+
+@pytest.mark.parametrize("p", [0.05, 0.01, 1e-3])
+def test_match_duration_pmf_near_q_one(p):
+    # at 1e-3 the exchange series of a best-of-5 match starts near
+    # (1-q)^145 ~ 1e-391, below the smallest double
+    probs, config = RallyProbs(p, p), GameConfig(n=15, s_a=0.5)
+    pmf = matchlevel.match_duration_pmf(probs, config, MatchConfig(3), epsilon=1e-12)
+    assert pmf.truncation_bound <= 1e-12
+    assert abs(1.0 - pmf.total_mass) <= pmf.truncation_bound + 1e-13
+    assert finite_non_negative(pmf.masses)
+    if p == 1e-3:
+        assert pmf.mean == pytest.approx(_expected_match_rallies(probs, config, 3), rel=1e-10, abs=0)
