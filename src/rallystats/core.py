@@ -78,10 +78,6 @@ class RallyProbs:
         """Probability of an exchange: serve gained and immediately lost."""
         return self.q_a * self.q_b
 
-    def swapped(self) -> "RallyProbs":
-        """Same game seen from the other player's side."""
-        return RallyProbs(self.p_b, self.p_a)
-
     @staticmethod
     def no_server(p: float) -> "RallyProbs":
         """Sub-model in which serving confers no advantage: p_a = p = 1 - p_b."""

@@ -18,12 +18,16 @@ with the weights `event_weights` takes from one kernel evaluation of the
 tallies' probabilities for both first servers.  The aggregate moments and
 the PMFs read the system from the `GameConfig`.  An event of probability
 zero has no conditional law: the aggregates leave it out, and only
-`duration_pmf_winner`, which normalizes, raises `ConditioningError`.  The
-PMFs build one exchange series per point total alpha + beta, shared by all
-tallies and servers.  For matches, `pre_exchange_laws` gives each game's
-law before its exchanges, over (points, shift), jointly with the winner,
-and `exchange_mixture` applies the exchange law once to a sum of such
-laws.
+`duration_pmf_winner`, which normalizes, raises `ConditioningError`.
+
+Every PMF comes from one engine.  `pre_exchange_laws` gives a game's law
+before its exchanges, over (points, shift), jointly with the winner; a
+game PMF mixes the laws of its events on one such array (a score PMF is a
+one-row law, a match PMF the sum the match pass composes), and
+`exchange_mixture` applies the exchange law once: a Horner pass over the
+points of geometric filters, each a two-level vectorized scan in scaled
+coordinates.  Its window and truncation bound come from the exchange
+series of the largest point total (`_exchange_cut`).
 
 Tie-break-extended games are out of scope here; compose tie probabilities
 from `sideout` at a higher level if needed.
@@ -32,6 +36,7 @@ from `sideout` at a higher level if needed.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -81,6 +86,11 @@ class DurationPMF:
     @property
     def total_mass(self) -> float:
         return float(self.masses.sum())
+
+    @functools.cached_property
+    def cdf(self) -> np.ndarray:
+        """Cumulative masses: cdf[i] is the probability of at most offset + i."""
+        return np.cumsum(self.masses)
 
     def support(self) -> np.ndarray:
         return self.offset + np.nonzero(self.masses > 0.0)[0]
@@ -150,18 +160,20 @@ def interruption_weights(alpha: int, beta: int, last_scorer: Player, q: float) -
     return InterruptionWeights(shift + int(last_scorer is Player.B), kernel.interruption_law(rows, q)[0], shift)
 
 
-def mgf_conditional(alpha: int, beta: int, last_scorer: Player, q: float, t: float) -> float:
+def mgf_conditional(alpha: int, beta: int, last_scorer: Player, q: float, one_minus_q: float, t: float) -> float:
     """Moment generating function of D given the tally, the last scorer
     and first server A, evaluated at t.  Finite only while q*e^(2t) < 1.
-    """
+    1 - q is given apart from q since it cancels as q -> 1 (p_a + q_a p_b
+    from the rally probabilities), and 1 - q e^(2t) is formed from it as
+    (1 - q) - q (e^(2t) - 1)."""
     if not (0.0 <= q < 1.0):
         raise DomainError(f"q={q} outside [0, 1)")
-    qe = q * math.exp(2.0 * t)
-    if qe >= 1.0:
-        raise DomainError(f"MGF diverges: q*e^(2t) = {qe} >= 1")
+    room = one_minus_q - q * math.expm1(2.0 * t)
+    if room <= 0.0:
+        raise DomainError(f"MGF diverges: q*e^(2t) = {q * math.exp(2.0 * t)} >= 1")
     w = interruption_weights(alpha, beta, last_scorer, q)
     delta = 1 if last_scorer is Player.B else 0
-    base = ((1.0 - q) * math.exp(t) / (1.0 - qe)) ** (alpha + beta)
+    base = (one_minus_q * math.exp(t) / room) ** (alpha + beta)
     return base * float(np.dot(w.weights, np.exp(t * (2.0 * w.rs - delta))))
 
 
@@ -193,24 +205,6 @@ def expected_duration_conditional(alpha: int, beta: int, last_scorer: Player, q:
 def variance_duration_conditional(alpha: int, beta: int, last_scorer: Player, q: float) -> float:
     """Exact conditional variance of D (see `_conditional_moments`)."""
     return _conditional_moments(alpha, beta, last_scorer, q, 1.0 - q).variance
-
-
-def _exchange_pmf(m0: int, probs: RallyProbs, epsilon: float) -> tuple[np.ndarray, float]:
-    """Negative-binomial law of the exchange count for m0 scored points,
-    P[J = l] = binom(m0+l-1, l) q^l (1-q)^m0, and a bound on what it leaves out.
-
-    The series starts from the base (1-q)^m0, with 1 - q = p_a + q_a p_b
-    formed in extended precision, and stops by `_exchange_terms`' rule.
-    """
-    if epsilon <= 0.0:
-        raise DomainError("epsilon must be > 0")
-    if probs.q == 0.0:
-        return np.array([1.0]), 0.0
-    p_a, p_b = np.longdouble(probs.p_a), np.longdouble(probs.p_b)
-    base = float((p_a + (1.0 - p_a) * p_b) ** m0)
-    if base <= 0.0:
-        raise DomainError(f"q={probs.q} too close to 1: exchange series underflows for {m0} points")
-    return _exchange_terms(m0, probs, epsilon, 0, base, 0.0)
 
 
 def _exchange_terms(
@@ -253,9 +247,10 @@ def _exchange_terms(
 
 
 def _exchange_cut(m0: int, probs: RallyProbs, epsilon: float) -> tuple[int, float]:
-    """Length of `_exchange_pmf`'s series for m0 points and a bound on the
-    probability it leaves out, without its base (1-q)^m0, which underflows
-    once m0 log10(1/(1-q)) passes 308.
+    """Length of the exchange series for m0 points that `_exchange_terms`'
+    rule keeps when started from its base (1-q)^m0, and a bound on the
+    probability it leaves out, without that base, which underflows once m0
+    log10(1/(1-q)) passes 308.
 
     The terms are taken relative to the one at the mode: the terms below it
     are running products of the inverse ratios, in chunks, until they
@@ -281,42 +276,6 @@ def _exchange_cut(m0: int, probs: RallyProbs, epsilon: float) -> tuple[int, floa
     return mode + len(terms), tail / (below + float(terms.sum()))
 
 
-def _mixture_pmfs(
-    system: ScoringSystem, rows: kernel.Rows, probs: RallyProbs, coef: np.ndarray, epsilon: float
-) -> list[DurationPMF]:
-    """Laws of D mixed over the tallies of `rows` (first-server
-    coordinates), row r weighing coef[i, r] in mixture i.
-
-    Given a side-out tally, D = alpha + beta + delta + 2(j + l), with delta
-    = [receiver scores last], j the interruption pair shift and l the
-    exchange count.  A row is one (m0 = alpha + beta, delta) group: its
-    weighted interruption law is convolved once with the one series of its
-    m0 and written at stride 2.  A rally-point tally is the point mass at
-    alpha + beta: series [1.0], one interruption weight at shift 0."""
-    m0 = rows.alpha + rows.beta
-    if system is ScoringSystem.SIDE_OUT:
-        law = kernel.interruption_law(rows, probs.q)
-        delta, lo, hi = (~rows.server_last).astype(int), rows.j0, rows.top
-        used = (coef > 0.0).any(axis=0)
-        series = {m: _exchange_pmf(m, probs, epsilon) for m in set(m0[used].tolist())}
-    else:
-        law = np.ones((len(m0), 1))
-        delta = lo = hi = np.zeros_like(m0)
-        series = dict.fromkeys(m0.tolist(), (np.array([1.0]), 0.0))
-    pmfs = []
-    for c in coef:
-        rs = np.flatnonzero(c > 0.0)
-        start = int((m0 + delta)[rs].min())
-        stop = max(int(m0[r] + delta[r] + 2 * (hi[r] + len(series[m0[r]][0])) - 1) for r in rs)
-        masses = np.zeros(stop - start)
-        for r in rs:
-            pairs = np.convolve(c[r] * law[r, : hi[r] - lo[r] + 1], series[m0[r]][0])
-            i = m0[r] + delta[r] + 2 * lo[r] - start
-            masses[i : i + 2 * len(pairs) - 1 : 2] += pairs
-        pmfs.append(DurationPMF(start, masses, float(sum(c[r] * series[m0[r]][1] for r in rs))))
-    return pmfs
-
-
 def duration_pmf_conditional(
     alpha: int,
     beta: int,
@@ -326,7 +285,9 @@ def duration_pmf_conditional(
     server: Player = Player.A,
 ) -> DurationPMF:
     """Exact PMF of D given the tally, the last scorer and the first
-    server, as the convolution of the interruption and exchange laws.
+    server, as the convolution of the interruption and exchange laws: the
+    one-row law of alpha + beta points and delta + 2j other rallies through
+    `exchange_mixture`.
 
     Mass sits only on alpha+beta+2j when the first server scores last and
     on alpha+beta+2j+1 otherwise (the server-effect parity).
@@ -334,8 +295,11 @@ def duration_pmf_conditional(
     validate(probs)
     if server is not Player.A:
         alpha, beta, last_scorer = beta, alpha, last_scorer.other
-    rows = kernel.tally(alpha, beta, last_scorer is Player.A)
-    return _mixture_pmfs(ScoringSystem.SIDE_OUT, rows, probs, np.ones((1, 1)), epsilon)[0]
+    w = interruption_weights(alpha, beta, last_scorer, probs.q)
+    delta = int(last_scorer is Player.B)
+    law = np.zeros((1, delta + 2 * int(w.pair_shift[-1]) + 1))
+    law[0, delta + 2 * w.pair_shift] = w.weights
+    return exchange_mixture(alpha + beta, law, probs, ScoringSystem.SIDE_OUT, epsilon)
 
 
 def _require_no_tiebreak(config: GameConfig) -> None:
@@ -444,21 +408,18 @@ def aggregate_moments(probs: RallyProbs, config: GameConfig) -> DurationAggregat
     return DurationAggregates(by_server_winner, by_server, by_winner, mixture(None, None)[1], win_probs)
 
 
-def _joint_pmfs(
-    probs: RallyProbs, config: GameConfig, epsilon: float, events: list[tuple[Player | None, Player | None]]
-) -> dict[tuple[Player | None, Player | None], tuple[DurationPMF, float]]:
-    """Law of D jointly with each (first server, winner) of `events` that
-    has positive probability, from one pass over the terminal tallies:
-    {event: (law, probability of the event)}, the law's mass being that
-    probability.  A server of None mixes both with weights (s_a, s_b), a
-    winner of None both winners."""
-    rows, weight, _, _ = _game_rows(probs, config)
-    coef = {event: event_weights(weight, _servers(config, event[0]), event[1]) for event in events}
-    coef = {event: c for event, c in coef.items() if c.sum() > 0.0}
-    if not coef:
-        return {}
-    pmfs = _mixture_pmfs(config.system, rows, probs, np.array(list(coef.values())), epsilon)
-    return {event: (pmf, float(c.sum())) for (event, c), pmf in zip(coef.items(), pmfs)}
+def _event_law(probs: RallyProbs, config: GameConfig, server: Player | None, winner: Player | None) -> np.ndarray:
+    """A game's law before its exchanges jointly with the event (first
+    server, winner), as law[points - n, shift] with shift = delta + 2j: the
+    `pre_exchange_laws` of the event's (first server, winner) pairs, a
+    server of None mixing both with weights (s_a, s_b) and a winner of
+    None both winners.  Its sum is the probability of the event."""
+    weights = dict(zip(Player, _servers(config, server)))
+    law = np.zeros((config.n, 2 * config.n))
+    for (first, won), (_, delta, sub) in pre_exchange_laws(probs, config).items():
+        if winner in (None, won):
+            law[:, delta : delta + 2 * sub.shape[1] : 2] += weights[first] * sub
+    return law
 
 
 def duration_pmf_winner(
@@ -470,12 +431,13 @@ def duration_pmf_winner(
 ) -> DurationPMF:
     """PMF of D under `config.system` conditional on the game winner;
     `server=None` mixes the first server out with the posterior weights
-    given that winner.  Rally-point PMFs are exact (`epsilon` is unused and
-    the truncation bound is zero)."""
-    joint, total = _joint_pmfs(probs, config, epsilon, [(server, winner)]).get((server, winner), (None, 0.0))
+    given that winner.  Rally-point PMFs are exact (the truncation bound is
+    zero)."""
+    law = _event_law(probs, config, server, winner)
+    total = float(law.sum())
     if total <= _TINY:
         raise ConditioningError(f"P[{winner} wins] underflowed")
-    return DurationPMF(joint.offset, joint.masses / total, joint.truncation_bound / total)
+    return exchange_mixture(config.n, law / total, probs, config.system, epsilon)
 
 
 def duration_pmf_unconditional(
@@ -487,7 +449,7 @@ def duration_pmf_unconditional(
     """PMF of D under `config.system` mixed over all terminal scores and
     winners; `server=None` additionally mixes the first server with weights
     (s_a, s_b)."""
-    return _joint_pmfs(probs, config, epsilon, [(server, None)])[(server, None)][0]
+    return exchange_mixture(config.n, _event_law(probs, config, server, None), probs, config.system, epsilon)
 
 
 def pre_exchange_laws(
@@ -534,10 +496,10 @@ def exchange_mixture(
     NB(M, q) is M geometric exchange counts, so the law is a Horner pass
     over M of the filter y[d] = q y[d-2] + (1-q) x[d]: from the largest M
     down, filter what has been gathered and add the rallies of the next M.
-    The filter runs along each parity class of the rallies as scaled
-    cumulative sums (`_GeometricFilter`).  The window ends where the
-    component with the most rallies before exchanges still keeps the length
-    of `_exchange_cut`'s series for the largest M; every component keeps at
+    The filter runs along each parity class of the rallies as a two-level
+    scan (`_GeometricFilter`).  The window ends where the component with
+    the most rallies before exchanges still keeps the length of
+    `_exchange_cut`'s series for the largest M; every component keeps at
     least that many exchange counts, and NB(M) lies below NB(M') for M <=
     M', so the mass times that series' tail bounds what the window leaves
     out.  Rally-point laws, and side-out laws at q = 0, have no exchanges:
@@ -551,79 +513,115 @@ def exchange_mixture(
     length, tail = _exchange_cut(top, probs, epsilon) if exchanges else (1, 0.0)
     start = points + int((k + s).min())
     stop = points + int((k + s).max()) + 2 * (length - 1)
-    # acc[i % 2, i // 2] holds rallies start + i: the filter runs along each
-    # parity class; rallies past `stop` are dropped at the end
-    rows = (max(stop, top + law.shape[1] - 1) - start) // 2 + 1
-    filt = _GeometricFilter(probs, rows) if exchanges else None
-    acc = np.zeros((2, filt.rows if exchanges else rows))
-    for m in range(top, -1 if exchanges else points - 1, -1):
-        if exchanges and m < top:
-            acc = filt(acc)
+    i = points + k + s - start  # rallies start + i before exchanges
+    if not exchanges:
+        return DurationPMF(start, np.bincount(i, law[k, s], stop - start + 1), 0.0)
+    filt = _GeometricFilter(probs, (stop - start) // 2 + 1)
+    # entries of the accumulator, in its layout and scale; row k of the law
+    # holds entries rows[k]:rows[k + 1]
+    flat, masses = filt.place(i, law[k, s])
+    rows = np.searchsorted(k, np.arange(int(k.max()) + 2))
+    for m in range(top, -1, -1):
+        if m < top:
+            filt()
         if m >= points:
-            for e in (0, 1):
-                masses = law[m - points, e::2]
-                first = m - start + e
-                i = first // 2
-                acc[first % 2, max(i, 0) : i + len(masses)] += masses[max(-i, 0) :]
-    return DurationPMF(start, acc.T.reshape(-1)[: stop - start + 1], float(law.sum()) * tail)
+            take = slice(rows[m - points], rows[m - points + 1])
+            filt.flat[flat[take]] += masses[take]
+    return DurationPMF(start, filt.unscale()[: stop - start + 1], float(law.sum()) * tail)
 
 
 class _GeometricFilter:
-    """y[i] = q y[i-1] + (1-q) x[i] along the last axis of an array of two
-    rows (the parity classes of the rallies), with the exact 1 - q = p_a +
-    q_a p_b.  It is solved in blocks of C entries, over which q^-C stays
-    below e^350: y[t] = (1-q) q^t cumsum(q^-t x[t]) within a block, plus
-    q^(t+1) times the last y of the block before, carried from block to
-    block."""
+    """y[t] = q y[t-1] + (1-q) x[t] along both parity classes of the
+    rallies, with the exact 1 - q = p_a + q_a p_b, as a two-level scan of
+    an accumulator it holds.
+
+    Layout: acc[i, b, e] holds t = bC + i of parity class e, so column b
+    of a class holds C consecutive t.  Scale: a value at t is kept times
+    q^-(t - t0), t0 the first t of its block of G columns, over which that
+    factor stays below e^350; its powers are the products of q^-i and
+    q^-(C (b mod G)).  In these coordinates the filter is (1-q) times a
+    prefix sum: C - 1 row adds across all columns, then each column gets
+    the sum of the columns before it in its block, and each block the carry
+    K = q y[t0 - 1] / (1 - q) of the block before, the scalar recurrence
+    K' = q^(GC) (K + sum of the block's columns).  C grows as the square
+    root of the length, so that the row adds amortize their dispatch."""
 
     _RANGE = 350.0
 
-    def __init__(self, probs: RallyProbs, rows: int):
+    def __init__(self, probs: RallyProbs, length: int):
         p_a, p_b = np.longdouble(probs.p_a), np.longdouble(probs.p_b)
         log_q = np.log1p(-p_a) + np.log1p(-p_b)
-        self.block = min(rows, math.ceil(self._RANGE / -float(log_q)))
-        self.rows = -(-rows // self.block) * self.block
-        t = np.arange(self.block + 1, dtype=np.longdouble)
-        self.pw = np.exp(t * log_q).astype(float)
-        self.ipw = np.exp(-t[:-1] * log_q).astype(float)
-        self.scale = float(p_a + (1.0 - p_a) * p_b) * self.pw[:-1]
+        reach = self._RANGE / -float(log_q)  # t spanned by one scale block
+        c = max(1, min(math.isqrt(length // 256), int(reach)))
+        g = max(1, min(-(-length // c), int(reach / c)))
+        blocks = -(-length // (c * g))
+        self.acc = np.zeros((c, blocks * g, 2))
+        self.flat = self.acc.reshape(-1)
+        # column sums by block, and the sums of the columns before each
+        self.sums = self.acc[-1].reshape(blocks, g, 2)
+        self.before = np.zeros((blocks, g, 2))
+        self.carried = self.before.reshape(-1, 2)
+        i = np.arange(c) * log_q
+        col = np.arange(g) * (c * log_q)
+        self.row_up, self.col_up = np.exp(-i).astype(float), np.exp(-col).astype(float)
+        self.down = np.outer(np.exp(i).astype(float), np.tile(np.exp(col).astype(float), blocks))
+        self.hop = float(np.exp(c * g * log_q))  # q^(GC)
+        self.keep = float(p_a + (1.0 - p_a) * p_b)
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        y = x.reshape(2, -1, self.block) * self.ipw
-        np.cumsum(y, axis=2, out=y)
-        y *= self.scale
-        for b in range(1, y.shape[1]):
-            y[:, b] += self.pw[1:] * y[:, b - 1, -1:]
-        return y.reshape(2, -1)
+    def place(self, i: np.ndarray, masses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Flat accumulator index of rally offsets i, and masses scaled to
+        their place."""
+        c, cols, _ = self.acc.shape
+        t, row = i // 2, (i // 2) % c
+        col = t // c
+        return (row * cols + col) * 2 + i % 2, masses * self.row_up[row] * self.col_up[col % len(self.col_up)]
+
+    def __call__(self) -> None:
+        """Filter the accumulator in place."""
+        acc, before = self.acc, self.before
+        for i in range(1, len(acc)):
+            acc[i] += acc[i - 1]
+        np.add.accumulate(self.sums[:, :-1], axis=1, out=before[:, 1:])
+        for b in range(1, len(before)):  # before[b - 1] holds its block's carry
+            carry = self.hop * (self.sums[b - 1, -1] + before[b - 1, -1])
+            before[b, 0] = carry
+            before[b, 1:] += carry
+        acc += self.carried
+        acc *= self.keep
+
+    def unscale(self) -> np.ndarray:
+        """The rallies start, start + 1, ... of the accumulator."""
+        self.acc *= self.down[:, :, None]
+        return self.acc.transpose(1, 0, 2).reshape(-1)
 
 
 def quantile(pmf: DurationPMF, level: float, mode: QuantileMode = QuantileMode.STANDARD) -> float:
     """Quantile of a duration PMF.
 
-    STANDARD returns the smallest support point whose CDF reaches `level`.
+    STANDARD returns the smallest support point whose CDF reaches `level`:
+    the first bin whose CDF reaches it, which always carries mass.
     INTERPOLATED inverts the piecewise-linear curve through the support
     points anchored at mid-jump CDF values (cumulative mass below a point
     plus half its own mass), clamped at the extremes; between two
     consecutive same-parity support points d and d+2 this interpolates
     linearly across the window, avoiding the empty parity class in
-    between.
+    between.  Both read the PMF's one cached CDF.
     """
     if not (0.0 < level < 1.0):
         raise DomainError(f"quantile level {level} outside (0, 1)")
-    idx = np.nonzero(pmf.masses > 0.0)[0]
-    if len(idx) == 0:
+    cdf = pmf.cdf
+    if not len(cdf) or cdf[-1] <= 0.0:
         raise ConditioningError("PMF carries no mass")
-    support = pmf.offset + idx
-    w = pmf.masses[idx]
-    cdf = np.cumsum(w)
     if level > cdf[-1]:
         raise DomainError(
             f"level {level} unreachable: computed mass {cdf[-1]:.17g} "
             f"(truncation bound {pmf.truncation_bound:.3g})"
         )
     if mode is QuantileMode.STANDARD:
-        return float(support[np.searchsorted(cdf, level)])
-    mid = cdf - 0.5 * w
+        return float(pmf.offset + np.searchsorted(cdf, level))
+    idx = np.flatnonzero(pmf.masses > 0.0)
+    support, w = pmf.offset + idx, pmf.masses[idx]
+    mid = cdf[idx] - 0.5 * w
     if level <= mid[0]:
         return float(support[0])
     if level >= mid[-1]:

@@ -9,8 +9,12 @@ exchanges, jointly with its winner (`duration.pre_exchange_laws`), and
 returns the finished mass per match winner.  The exchange counts of all
 the games add up to one negative binomial of the match's points, so the
 match duration law merges the two winners and applies that exchange law
-once (`duration.exchange_mixture`).  The match-winning probability runs
-the same pass on 1 x 1 laws, the game-winning probabilities.
+once (`duration.exchange_mixture`, the one engine of every duration PMF:
+a Horner pass over the points of geometric filters, each a two-level
+vectorized scan, with the game laws' bound: the mass times the tail of
+the exchange series of the largest point total).  The
+match-winning probability runs the same pass on 1 x 1 laws, the
+game-winning probabilities.
 
 The winner-serves-next and alternating rules give identical match-winning
 probabilities; this invariance is kept as a test property.

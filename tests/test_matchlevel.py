@@ -5,7 +5,14 @@ from rallystats import ConfigError, GameConfig, Player, RallyProbs, ScoringSyste
 from rallystats import duration, kernel, matchlevel, rallypoint, sideout, simulate
 from rallystats.matchlevel import MatchConfig, ServerRule
 
-from oracles import ORACLE_PROBS, compose_match_durations, compose_match_win_probs, reference_match_duration_pmf
+from oracles import (
+    ORACLE_PROBS,
+    check_against_reference,
+    compose_match_durations,
+    compose_match_win_probs,
+    per_point_total_mixture,
+    reference_match_duration_pmf,
+)
 
 A, B = Player.A, Player.B
 WSN, ALT, CFE = ServerRule.WINNER_SERVES_NEXT, ServerRule.ALTERNATE, ServerRule.COIN_FLIP_EACH
@@ -259,3 +266,17 @@ class TestAgainstReferenceComposition:
     def test_best_of_five_at_large_p(self):
         # q = .02: the exchange filter runs in several blocks
         self.check(RallyProbs(0.9, 0.8), GameConfig(n=21, s_a=0.5), MatchConfig(3, ALT))
+
+    def test_best_of_39_scan_against_per_point_total(self, monkeypatch):
+        # 20 games to win at p = .05, of games to 4: the window spans two
+        # scale blocks of the exchange scan, and every point total keeps its
+        # base (1-q)^M a double, so the series of each M can serve as the
+        # reference for the law the match pass hands to `exchange_mixture`
+        pr, cfg, mc = RallyProbs(0.05, 0.05), GameConfig(n=4, s_a=0.5), MatchConfig(20, WSN)
+        calls = []
+        mixture = duration.exchange_mixture
+        monkeypatch.setattr(duration, "exchange_mixture", lambda *args: calls.append(args) or mixture(*args))
+        pmf = matchlevel.match_duration_pmf(pr, cfg, mc, 1e-12)
+        ((points, law, *_),) = calls
+        assert len(duration._GeometricFilter(pr, len(pmf.masses) // 2 + 1).before) > 1
+        check_against_reference(pmf, per_point_total_mixture(points, law, pr, 1e-16, len(pmf.masses)), 1e-12)

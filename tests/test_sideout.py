@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from rallystats import ConfigError, GameConfig, MatchConfig, Player, RallyProbs, ScoringSystem, SeedSpec
 from rallystats import kernel, matchlevel, sideout, simulate
 
-from oracles import ORACLE_PROBS, enumerate_sideout, prob_score_r_j, score_marginal
+from oracles import ORACLE_PROBS, enumerate_sideout, prob_score_r_j, score_marginal, swapped
 
 A, B = Player.A, Player.B
 
@@ -99,7 +99,7 @@ class TestScoreProb:
             alpha, beta = max(alpha, 1), max(beta, 1)
         pr = RallyProbs(pa, pb)
         lhs = sideout.score_prob(alpha, beta, last, B, pr)
-        rhs = sideout.score_prob(beta, alpha, last.other, A, pr.swapped())
+        rhs = sideout.score_prob(beta, alpha, last.other, A, swapped(pr))
         assert lhs == rhs  # exact: same code path by construction
 
 
