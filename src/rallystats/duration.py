@@ -25,9 +25,9 @@ before its exchanges, over (points, shift), jointly with the winner; a
 game PMF mixes the laws of its events on one such array (a score PMF is a
 one-row law, a match PMF the sum the match pass composes), and
 `exchange_mixture` applies the exchange law once: a Horner pass over the
-points of geometric filters, each a two-level vectorized scan in scaled
-coordinates.  Its window and truncation bound come from the exchange
-series of the largest point total (`_exchange_cut`).
+points of geometric filters, each a two-level scan of two sweeps in
+scaled coordinates.  Its window and truncation bound come from the
+exchange series of the largest point total, cut in closed form.
 
 Tie-break-extended games are out of scope here; compose tie probabilities
 from `sideout` at a higher level if needed.
@@ -55,7 +55,6 @@ from .core import (
 )
 
 _TINY = 1e-300  # below this a conditioning event counts as underflowed
-_CHUNK = 1 << 20  # longest chunk of exchange-series terms built at once
 _MAX_TERMS = 10_000_000  # an exchange series this long counts as not converging
 
 
@@ -207,73 +206,60 @@ def variance_duration_conditional(alpha: int, beta: int, last_scorer: Player, q:
     return _conditional_moments(alpha, beta, last_scorer, q, 1.0 - q).variance
 
 
-def _exchange_terms(
-    m0: int, probs: RallyProbs, epsilon: float, first: int, term: float, cum: float
-) -> tuple[np.ndarray, float]:
-    """Terms first, first + 1, ... of the exchange series for m0 points, in
-    the scale where term `first` is `term` and the terms before it sum to
-    `cum`, and a bound on the terms left out, in the same scale.
-
-    The terms are running products of the ratios q(m0+l)/(l+1) in the
-    rounded q, in chunks of the mean plus twelve standard deviations (which
-    reach 1e-12 from m0 = 15 on).  The exact q enters through a factor
-    exp(l (log q - log q_rounded)), formed in extended precision.  The
-    series stops at the first index past the peak where the geometric tail
-    bound drops below epsilon times the accumulated mass; that bound uses
-    the current term ratio, which decreases towards q, so it is certified.
-    """
-    q = probs.q
-    p_a, p_b = np.longdouble(probs.p_a), np.longdouble(probs.p_b)
-    one_minus_q = p_a + (1.0 - p_a) * p_b
-    drift = float(np.log1p(-p_a) + np.log1p(-p_b) - np.log(np.longdouble(q)))
-    mean = m0 * q / float(one_minus_q)
-    size = min(int(mean + 12.0 * math.sqrt(mean / float(one_minus_q))) + 64, _CHUNK)
-    pieces = []
-    for start in range(first, first + _MAX_TERMS, size):
-        l = np.arange(start, start + size, dtype=float)
-        ratio = q * (m0 + l) / (l + 1.0)
-        nxt = term * np.cumprod(ratio) * np.exp((l + 1.0 - start) * drift)
-        terms = np.concatenate(([term], nxt[:-1]))
-        total = cum + np.cumsum(terms)
-        with np.errstate(divide="ignore"):
-            tail = nxt / (1.0 - ratio)
-        stop = np.flatnonzero((ratio < 1.0) & (tail <= epsilon * total))
-        if stop.size:
-            pieces.append(terms[: stop[0] + 1])
-            return np.concatenate(pieces), float(tail[stop[0]])
-        pieces.append(terms)
-        term, cum = nxt[-1], total[-1]
-    raise DomainError("exchange series failed to converge")
-
-
 def _exchange_cut(m0: int, probs: RallyProbs, epsilon: float) -> tuple[int, float]:
-    """Length of the exchange series for m0 points that `_exchange_terms`'
-    rule keeps when started from its base (1-q)^m0, and a bound on the
-    probability it leaves out, without that base, which underflows once m0
-    log10(1/(1-q)) passes 308.
-
-    The terms are taken relative to the one at the mode: the terms below it
-    are running products of the inverse ratios, in chunks, until they
-    underflow; the rest follow from `_exchange_terms`.  The stop rule
-    compares the tail with the mass summed so far, so it is the same in any
-    scale, and the tail over that mass bounds the left-out probability."""
+    """Length of the exchange series L ~ NB(m0, q), f(l) = C(m0-1+l, l) q^l
+    (1-q)^m0, and a bound on what it leaves out: it stops at the first s
+    from the mode where r(s) = q(m0+s)/(s+1) < 1 and f(s+1)/(1 - r(s)) <=
+    epsilon.  Past the mode r falls, so that tail bounds P[L > s] and falls
+    with s: Newton steps with lgamma guess s, and a bracket grown from it
+    and bisected finds it.  The tails there are sums of logs (of
+    `kernel.log_exchange_binom`, and of the exact q and 1 - q in extended
+    precision) plus their rounding error, so (1-q)^m0 may underflow; NB(m0)
+    sums to 1, so a tail bounds a probability."""
     q = probs.q
-    if q == 0.0:
+    if q == 0.0 or m0 == 0:
         return 1, 0.0
     p_a, p_b = np.longdouble(probs.p_a), np.longdouble(probs.p_b)
-    drift = float(np.log1p(-p_a) + np.log1p(-p_b) - np.log(np.longdouble(q)))
-    mode = int((m0 - 1) * q / float(p_a + (1.0 - p_a) * p_b))
+    keep = p_a + (1.0 - p_a) * p_b
+    log_q, log_keep, keep = float(np.log1p(-p_a) + np.log1p(-p_b)), float(np.log(keep)), float(keep)
+    mode = int((m0 - 1) * q / keep)
     if mode >= _MAX_TERMS:
         raise DomainError("exchange series failed to converge")
-    below, term = 0.0, 1.0
-    for top in range(mode, 0, -_CHUNK):
-        l = np.arange(top - 1, max(top - _CHUNK, 0) - 1, -1, dtype=float)
-        terms = term * np.cumprod((l + 1.0) / (q * (m0 + l)) * math.exp(-drift))
-        below, term = below + float(terms.sum()), float(terms[-1])
-        if term == 0.0:
+    limit, ulp = mode + _MAX_TERMS, np.finfo(float).eps
+
+    def log_tail(s, log_c: float) -> float:
+        # log f(s+1)/(1 - r(s)) from log C(m0+s, s+1), plus its rounding error:
+        # m0 ulps of log C, two of each part and of the condition of `room`
+        room = (s + 1) * keep - (m0 - 1) * q  # (s + 1)(1 - r(s))
+        if room <= 0.0:
+            return math.inf
+        parts = (log_c, m0 * log_keep, (s + 1) * log_q, -math.log(room / (s + 1)))
+        cond = ((s + 1) * keep + (m0 - 1) * q) / room
+        return sum(parts) + ulp * (m0 * log_c + 2.0 * sum(map(abs, parts)) + 2.0 * cond + 4.0)
+
+    @functools.lru_cache(maxsize=None)
+    def tail(s: int) -> float:
+        return math.exp(log_tail(s, float(kernel.log_exchange_binom(m0, [s + 1])[0]))) if s >= mode else math.inf
+
+    x = mode + math.sqrt(m0 * q) / keep
+    for _ in range(64):  # with the slope log r(x + 1/2), below 0 from the mode on
+        value = log_tail(x, math.lgamma(m0 + x + 1) - math.lgamma(x + 2) - math.lgamma(m0))
+        step = (value - math.log(epsilon)) / -math.log(q * (m0 + x + 0.5) / (x + 1.5))
+        if not abs(step) >= 0.25:
             break
-    terms, tail = _exchange_terms(m0, probs, epsilon, mode, 1.0, below)
-    return mode + len(terms), tail / (below + float(terms.sum()))
+        x = min(max(x + step, mode), limit)
+    # the first stop lies in (lo, hi]: grow that bracket, then bisect it
+    lo, hi, step = math.ceil(x) - 1, math.ceil(x), 1
+    while tail(hi) > epsilon:
+        if hi == limit:
+            raise DomainError("exchange series failed to converge")
+        lo, hi, step = hi, min(hi + step, limit), 2 * step
+    while tail(lo) <= epsilon:
+        lo, hi, step = max(lo - step, mode - 1), lo, 2 * step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if tail(mid) <= epsilon else (mid, hi)
+    return hi + 1, tail(hi)
 
 
 def duration_pmf_conditional(
@@ -497,13 +483,13 @@ def exchange_mixture(
     over M of the filter y[d] = q y[d-2] + (1-q) x[d]: from the largest M
     down, filter what has been gathered and add the rallies of the next M.
     The filter runs along each parity class of the rallies as a two-level
-    scan (`_GeometricFilter`).  The window ends where the component with
-    the most rallies before exchanges still keeps the length of
-    `_exchange_cut`'s series for the largest M; every component keeps at
-    least that many exchange counts, and NB(M) lies below NB(M') for M <=
-    M', so the mass times that series' tail bounds what the window leaves
-    out.  Rally-point laws, and side-out laws at q = 0, have no exchanges:
-    D = M + s exactly."""
+    scan of two sweeps (`_GeometricFilter`).  The window ends where the
+    component with the most rallies before exchanges still keeps the
+    length of the series for the largest M cut by `_exchange_cut`; every
+    component keeps at least that many exchange counts, and NB(M) lies
+    below NB(M') for M <= M', so the mass times that series' tail bounds
+    what the window leaves out.  Rally-point laws, and side-out laws at q
+    = 0, have no exchanges: D = M + s exactly."""
     if epsilon <= 0.0:
         raise DomainError("epsilon must be > 0")
     k, s = np.nonzero(law > 0.0)
@@ -519,14 +505,13 @@ def exchange_mixture(
     filt = _GeometricFilter(probs, (stop - start) // 2 + 1)
     # entries of the accumulator, in its layout and scale; row k of the law
     # holds entries rows[k]:rows[k + 1]
-    flat, masses = filt.place(i, law[k, s])
+    flat, masses = filt.place(i, law[k, s], top - points - k)
     rows = np.searchsorted(k, np.arange(int(k.max()) + 2))
-    for m in range(top, -1, -1):
-        if m < top:
-            filt()
+    for m in range(top, 0, -1):
         if m >= points:
             take = slice(rows[m - points], rows[m - points + 1])
             filt.flat[flat[take]] += masses[take]
+        filt()
     return DurationPMF(start, filt.unscale()[: stop - start + 1], float(law.sum()) * tail)
 
 
@@ -544,9 +529,13 @@ class _GeometricFilter:
     the sum of the columns before it in its block, and each block the carry
     K = q y[t0 - 1] / (1 - q) of the block before, the scalar recurrence
     K' = q^(GC) (K + sum of the block's columns).  C grows as the square
-    root of the length, so that the row adds amortize their dispatch."""
+    root of the length, so that the row adds amortize their dispatch.  A
+    pass sweeps twice, row adds and carries, and leaves out the factor 1 -
+    q: after e passes values are kept times (1-q)^-e, and `unscale`, or a
+    pass before it passes e^(700 - 350), multiplies the power back in."""
 
     _RANGE = 350.0
+    _HEADROOM = 700.0  # e^700 is below the largest double, e^-700 above the least normal one
 
     def __init__(self, probs: RallyProbs, length: int):
         p_a, p_b = np.longdouble(probs.p_a), np.longdouble(probs.p_b)
@@ -564,21 +553,28 @@ class _GeometricFilter:
         i = np.arange(c) * log_q
         col = np.arange(g) * (c * log_q)
         self.row_up, self.col_up = np.exp(-i).astype(float), np.exp(-col).astype(float)
-        self.down = np.outer(np.exp(i).astype(float), np.tile(np.exp(col).astype(float), blocks))
+        self.row_down, self.col_down = np.exp(i).astype(float), np.tile(np.exp(col).astype(float), blocks)
         self.hop = float(np.exp(c * g * log_q))  # q^(GC)
-        self.keep = float(p_a + (1.0 - p_a) * p_b)
+        self.log_keep = np.log(p_a + (1.0 - p_a) * p_b)  # log(1 - q)
+        self.span = max(1, int(min((self._HEADROOM - self._RANGE) / max(-float(self.log_keep), 1e-300), _MAX_TERMS)))
+        self.passes = 0  # since the last fold: values are kept times (1-q)^-passes
 
-    def place(self, i: np.ndarray, masses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def place(self, i: np.ndarray, masses: np.ndarray, after: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Flat accumulator index of rally offsets i, and masses scaled to
-        their place."""
+        their place and by (1-q)^-passes when added after `after` passes."""
         c, cols, _ = self.acc.shape
         t, row = i // 2, (i // 2) % c
         col = t // c
-        return (row * cols + col) * 2 + i % 2, masses * self.row_up[row] * self.col_up[col % len(self.col_up)]
+        done = np.arange(int(after.max()) + 1)  # passes; min(...) counts those since the last fold
+        lift = np.exp(-np.minimum(done, (done - 1) % self.span + 1) * self.log_keep).astype(float)[after]
+        return (row * cols + col) * 2 + i % 2, masses * lift * self.row_up[row] * self.col_up[col % len(self.col_up)]
 
     def __call__(self) -> None:
         """Filter the accumulator in place."""
         acc, before = self.acc, self.before
+        if self.passes >= self.span:
+            acc *= float(np.exp(self.passes * self.log_keep))
+            self.passes = 0
         for i in range(1, len(acc)):
             acc[i] += acc[i - 1]
         np.add.accumulate(self.sums[:, :-1], axis=1, out=before[:, 1:])
@@ -587,12 +583,15 @@ class _GeometricFilter:
             before[b, 0] = carry
             before[b, 1:] += carry
         acc += self.carried
-        acc *= self.keep
+        self.passes += 1
 
     def unscale(self) -> np.ndarray:
         """The rallies start, start + 1, ... of the accumulator."""
-        self.acc *= self.down[:, :, None]
-        return self.acc.transpose(1, 0, 2).reshape(-1)
+        acc = self.acc.reshape(len(self.acc), -1)
+        acc *= self.row_down[:, None]
+        acc *= np.repeat(self.col_down * float(np.exp(self.passes * self.log_keep)), 2)
+        # one complex per t, of both parity classes, makes the transpose fast
+        return np.ascontiguousarray(acc.view(np.complex128).T).view(float).reshape(-1)
 
 
 def quantile(pmf: DurationPMF, level: float, mode: QuantileMode = QuantileMode.STANDARD) -> float:

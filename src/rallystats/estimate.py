@@ -136,16 +136,13 @@ def records_from_sample(sample) -> list[GameRecord]:
 def _log_h(rows: kernel.Rows, m: int) -> float:
     """log H(m): the number-weight of trajectories with m extra rally pairs
     beyond the scored points, a convolution over the l exchanges of
-    C(a+b+l-1, l) with the kernel coefficient of q^(m-l).  The exchange
-    count is summed as log C(a+b-1+l, a+b-1) = sum_i log1p(l/i), i < a+b,
-    which stays accurate to a few ulps for any l (a difference of lgamma
-    values loses ulps of lgamma(l), 5e-10 relative at l = 1e5)."""
+    C(a+b+l-1, l) with the kernel coefficient of q^(m-l)
+    (`kernel.log_exchange_binom`)."""
     j0 = int(rows.j0[0])
     j = np.arange(j0, min(int(rows.top[0]), m) + 1)
     if j.size == 0:
         return -math.inf
-    points = int(rows.alpha[0] + rows.beta[0])
-    log_exchanges = np.log1p((m - j)[:, None] / np.arange(1, points)).sum(axis=1)
+    log_exchanges = kernel.log_exchange_binom(int(rows.alpha[0] + rows.beta[0]), m - j)
     return float(np.logaddexp.reduce(log_exchanges + rows.logc[0, j - j0]))
 
 

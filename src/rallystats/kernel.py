@@ -251,6 +251,17 @@ def scored_last(h: int) -> np.ndarray:
     return np.array([[first, ~first], [~first, first]])
 
 
+def log_exchange_binom(points: int, l) -> np.ndarray:
+    """log C(points - 1 + l, l) for each entry of the array l: the number
+    of ways to place l exchanges among `points` scored points, the
+    negative-binomial coefficient.  It is summed as sum_i log1p(l/i), i <
+    points, which stays accurate to a few ulps for any l (a difference of
+    lgamma values loses ulps of lgamma(l), 5e-10 relative at l = 1e5): each
+    term errs by at most two ulps and the sum of the points - 1 positive
+    terms by at most points - 2 more."""
+    return np.log1p(np.asarray(l)[:, None] / np.arange(1, points)).sum(axis=1)
+
+
 def interruption_law(rows: Rows, q: float) -> np.ndarray:
     """Normalized weights of j = j0 .. top of every row at exchange
     probability q, shape (rows, terms) with zeros past each row's top: the

@@ -249,22 +249,59 @@ def swapped(probs):
     return RallyProbs(probs.p_b, probs.p_a)
 
 
+def _exchange_terms(m0, probs, epsilon, term):
+    """The exchange series for m0 points from its base `term` = (1-q)^m0,
+    and a bound on the terms left out, term by term.
+
+    The terms are running products of the ratios q(m0+l)/(l+1) in the
+    rounded q, in chunks of the mean plus twelve standard deviations (which
+    reach 1e-12 from m0 = 15 on).  The exact q enters through a factor
+    exp(l (log q - log q_rounded)), formed in extended precision.  The
+    series stops at the first index past the peak where the geometric tail
+    bound drops below epsilon times the accumulated mass; that bound uses
+    the current term ratio, which decreases towards q, so it is certified.
+    This walk was the engine's before `duration._exchange_cut` found the
+    same stop in closed form."""
+    q = probs.q
+    p_a, p_b = np.longdouble(probs.p_a), np.longdouble(probs.p_b)
+    one_minus_q = p_a + (1.0 - p_a) * p_b
+    drift = float(np.log1p(-p_a) + np.log1p(-p_b) - np.log(np.longdouble(q)))
+    mean = m0 * q / float(one_minus_q)
+    size = min(int(mean + 12.0 * np.sqrt(mean / float(one_minus_q))) + 64, 1 << 20)
+    pieces, cum = [], 0.0
+    for start in range(0, duration._MAX_TERMS, size):
+        l = np.arange(start, start + size, dtype=float)
+        ratio = q * (m0 + l) / (l + 1.0)
+        nxt = term * np.cumprod(ratio) * np.exp((l + 1.0 - start) * drift)
+        terms = np.concatenate(([term], nxt[:-1]))
+        total = cum + np.cumsum(terms)
+        with np.errstate(divide="ignore"):
+            tail = nxt / (1.0 - ratio)
+        stop = np.flatnonzero((ratio < 1.0) & (tail <= epsilon * total))
+        if stop.size:
+            pieces.append(terms[: stop[0] + 1])
+            return np.concatenate(pieces), float(tail[stop[0]])
+        pieces.append(terms)
+        term, cum = nxt[-1], total[-1]
+    raise DomainError("exchange series failed to converge")
+
+
 def exchange_pmf(m0, probs, epsilon):
     """Negative-binomial law of the exchange count for m0 scored points,
     P[J = l] = binom(m0+l-1, l) q^l (1-q)^m0, and a bound on what it leaves
-    out: the series the engine's `_exchange_terms` builds from the base
-    (1-q)^m0, with 1 - q = p_a + q_a p_b formed in extended precision.  The
-    one series per point total the game PMFs were built from, kept as a
-    reference for `duration.exchange_mixture`."""
+    out: the series `_exchange_terms` builds from the base (1-q)^m0, with
+    1 - q = p_a + q_a p_b formed in extended precision.  The one series per
+    point total the game PMFs were built from, kept as a reference for
+    `duration.exchange_mixture`."""
     if epsilon <= 0.0:
         raise DomainError("epsilon must be > 0")
-    if probs.q == 0.0:
+    if probs.q == 0.0 or m0 == 0:
         return np.array([1.0]), 0.0
     p_a, p_b = np.longdouble(probs.p_a), np.longdouble(probs.p_b)
     base = float((p_a + (1.0 - p_a) * p_b) ** m0)
     if base <= 0.0:
         raise DomainError(f"q={probs.q} too close to 1: exchange series underflows for {m0} points")
-    return duration._exchange_terms(m0, probs, epsilon, 0, base, 0.0)
+    return _exchange_terms(m0, probs, epsilon, base)
 
 
 def nb_terms(m0, probs, length):
@@ -549,6 +586,48 @@ def mp_rallypoint_duration_moments(p_a, p_b, n, s_a, dps=50):
             states = nxt
         mean = mpmath.fsum(d * w for d, w in law.items())
         return mean, mpmath.fsum((d - mean) ** 2 * w for d, w in law.items())
+
+
+def mp_sideout_duration_moments(p_a, p_b, n, s_a, dps=50):
+    """Mean and variance of the rally count of a side-out game to n whose
+    first server is A with probability s_a, overall and given each winner
+    ({winner: (mean, variance)}), by a forward pass over (score of A, score
+    of B, server) in `dps`-digit arithmetic.  From server s the next point
+    goes to s after 1 + 2G rallies and to the receiver after 2 + 2G, with
+    G the exchanges before it: P[G = g, s scores] = q^g p_s and P[G = g,
+    receiver scores] = q^g q_s p_r, so G ~ Geometric(1 - q) whoever
+    scores.  Each state carries its mass and the first two moments of the
+    rallies so far, times that mass."""
+    with mpmath.workdps(dps):
+        p = {A: mpmath.mpf(p_a), B: mpmath.mpf(p_b)}
+        q = (1 - p[A]) * (1 - p[B])
+        g1 = q / (1 - q)  # E[G]
+        g2 = q * (1 + q) / (1 - q) ** 2  # E[G^2]
+        # E[X] and E[X^2] of X = c + 2G rallies for c = 1, 2
+        step = {c: (c + 2 * g1, c * c + 4 * c * g1 + 4 * g2) for c in (1, 2)}
+        zero = (mpmath.mpf(0),) * 3
+        states = {(0, 0, A): (mpmath.mpf(s_a), 0, 0), (0, 0, B): (1 - mpmath.mpf(s_a), 0, 0)}
+        ends = {A: zero, B: zero}
+        for _ in range(2 * n - 1):
+            nxt = defaultdict(lambda: zero)
+            for (a, b, server), (m0, m1, m2) in states.items():
+                receiver = server.other
+                for winner, c, w in ((server, 1, p[server]), (receiver, 2, (1 - p[server]) * p[receiver])):
+                    w, (e1, e2) = w / (1 - q), step[c]
+                    moved = (w * m0, w * (m1 + m0 * e1), w * (m2 + 2 * m1 * e1 + m0 * e2))
+                    na, nb = a + (winner is A), b + (winner is B)
+                    key = winner if max(na, nb) == n else (na, nb, winner)
+                    target = ends if max(na, nb) == n else nxt
+                    target[key] = tuple(x + y for x, y in zip(target[key], moved))
+            states = nxt
+
+        def moments(m0, m1, m2):
+            mean = m1 / m0
+            return mean, m2 / m0 - mean**2
+
+        out = {w: moments(*ends[w]) for w in Player}
+        out[None] = moments(*(x + y for x, y in zip(ends[A], ends[B])))
+        return out
 
 
 def score_loglik(records):

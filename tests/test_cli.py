@@ -373,6 +373,14 @@ class TestExitCodes:
         assert result.exit_code == 3
         assert result.output.startswith("error: ") and result.output.count("\n") == 1, result.output
 
+    def test_exchange_series_past_the_term_guard_is_3(self, runner):
+        result = runner.invoke(main, [
+            "duration", "--stat", "pmf", "--n", "15", "--pa", "1e-6", "--pb", "1e-6", "--server", "A",
+        ])
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1, result.stderr
+
     def test_io_error_is_4(self, runner):
         result = runner.invoke(main, ["estimate", "--input", "/nonexistent/path.jsonl"])
         assert result.exit_code == 4

@@ -14,6 +14,7 @@ from oracles import (
     enumerate_sideout,
     exchange_pmf,
     mp_rallypoint_duration_moments,
+    mp_sideout_duration_moments,
     mp_sideout_duration_prob,
     per_point_total_mixture,
     per_point_total_pmf,
@@ -309,19 +310,33 @@ class TestExchangeSeries:
         ]
         assert len(calls) == len(pmfs)
 
-    @pytest.mark.parametrize("p", [0.6, 0.05, 0.01, 1e-3])
-    @pytest.mark.parametrize("m0", [1, 15, 145])
-    def test_cut_from_the_mode(self, p, m0):
+    @pytest.mark.parametrize(
+        "m0, p",
+        [(m0, p) for m0 in (0, 1, 15, 145) for p in (0.6, 0.05, 0.01, 1e-3, 1e-4)] + [(2320, 0.05), (2320, 1e-3)],
+    )
+    def test_cut_from_the_mode(self, m0, p):
         # the length of `exchange_pmf`'s series where its base (1-q)^m0 is a
-        # double, and a certified tail also where it underflows (1e-3, 145)
+        # double, and a certified tail also where it underflows (145 from
+        # 1e-3 on, and 2320 points, the scale of `plan`)
         pr = RallyProbs(p, 0.9 * p)
         length, tail = duration._exchange_cut(m0, pr, 1e-12)
         if (pr.p_a + pr.q_a * pr.p_b) ** m0 > 0.0:
             assert length == len(exchange_pmf(m0, pr, 1e-12)[0])
+        if m0 == 0:  # NB(0, q) is the point mass at 0
+            assert (length, tail) == (1, 0.0)
+            return
         with mpmath.workdps(40):
             q = (1 - mpmath.mpf(pr.p_a)) * (1 - mpmath.mpf(pr.p_b))
             exact = mpmath.betainc(length, m0, 0, q, regularized=True)
         assert exact <= tail <= 1e-12
+
+    def test_refused_past_the_term_guard(self):
+        # modes of 1.4e7 (29 points at 1e-6) and 1.16e7 (2320 points at
+        # 1e-4) exchanges pass the 1e7 terms a series may reach
+        with pytest.raises(DomainError, match="failed to converge"):
+            duration.duration_pmf_unconditional(RallyProbs(1e-6, 1e-6), LADDER)
+        with pytest.raises(DomainError, match="failed to converge"):
+            duration._exchange_cut(2320, RallyProbs(1e-4, 1e-4), 1e-12)
 
 
 class TestExchangeMixture:
@@ -348,6 +363,16 @@ class TestExchangeMixture:
         pmf = duration.duration_pmf_unconditional(pr, LADDER)
         blocks = len(duration._GeometricFilter(pr, len(pmf.masses) // 2 + 1).before)
         assert blocks > 1 or scale_range == 350.0
+        check_against_reference(pmf, per_point_total_pmf(pr, LADDER, None, None, 1e-16, len(pmf.masses)), 1e-12)
+
+    @pytest.mark.parametrize("p", [0.3, 0.05, 1e-3])
+    def test_keep_power_folds_against_per_point_total(self, p, monkeypatch):
+        # a headroom of e^5 over the scan's scale folds the power of 1 - q
+        # into the accumulator every sixth pass at .3, every second at .05
+        # and every pass at 1e-3 (-log(1-q) = .72, 2.4 and 6.3)
+        monkeypatch.setattr(duration._GeometricFilter, "_HEADROOM", duration._GeometricFilter._RANGE + 5.0)
+        pr = RallyProbs(p, 0.9 * p)
+        pmf = duration.duration_pmf_unconditional(pr, LADDER)
         check_against_reference(pmf, per_point_total_pmf(pr, LADDER, None, None, 1e-16, len(pmf.masses)), 1e-12)
 
     def test_mpmath_spot_checks_near_q_one(self):
@@ -453,6 +478,16 @@ class TestAggregates:
             assert pmf.moments().mean == pytest.approx(
                 agg.by_server_winner[(A, winner)].mean, abs=1e-8
             )
+
+    @pytest.mark.parametrize("p", [1e-6, 1e-4])
+    def test_sideout_moments_against_mpmath_near_q_one(self, p):
+        # 1 - q = 2e-6 and 2e-4: the mean is about 2.6e7 and 2.6e5 rallies,
+        # and each moment rests on the exact 1 - q = p_a + q_a p_b
+        agg = duration.aggregate_moments(RallyProbs(p, p), LADDER)
+        ref = mp_sideout_duration_moments(p, p, LADDER.n, LADDER.s_a)
+        for got, (mean, var) in [(agg.overall, ref[None])] + [(agg.by_winner[w], ref[w]) for w in Player]:
+            assert got.mean == pytest.approx(float(mean), rel=1e-14, abs=0.0)
+            assert got.variance == pytest.approx(float(var), rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("p_a, p_b", [(1e-9, 1e-9), (1e-9, 0.5), (0.6, 0.45), (1 - 1e-9, 1e-9)])
     @pytest.mark.parametrize("n", [1, 7])
