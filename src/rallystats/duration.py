@@ -347,13 +347,13 @@ def _servers(config: GameConfig, server: Player | None) -> tuple[float, float]:
 def _game_rows(probs: RallyProbs, config: GameConfig):
     """The table of a game to n, weight[i, r] of its rows when A (i = 0)
     or B (i = 1) serves first, and the rows' duration moments, from one
-    kernel evaluation.  The law of D given a tally depends on q alone, so
-    the A-first evaluation gives the moments."""
+    kernel evaluation.  The law of D given a tally depends on q alone, the
+    same for both first servers."""
     validate(probs, config)
     _require_no_tiebreak(config)
     rows = kernel.table(config.n)
     ev = kernel.evaluate_servers(config.system, rows, probs.p_a, probs.p_b)
-    mean, var = _row_moments(config.system, rows, ev.r_mean[:, 0], ev.r_var[:, 0], probs.p_a, probs.p_b)
+    mean, var = _row_moments(config.system, rows, ev.r_mean, ev.r_var, probs.p_a, probs.p_b)
     return rows, ev.weight[:, :, 0].T, mean[:, 0], var[:, 0]
 
 

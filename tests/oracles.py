@@ -675,6 +675,56 @@ def score_loglik(records):
     return loglik
 
 
+def log_h(rows, m):
+    """log H(m) of one record: the tally's (a one-row `kernel` table)
+    number-weight of trajectories with m extra rally pairs, a convolution
+    over the l exchanges of C(a+b+l-1, l) with the kernel coefficient of
+    q^(m-l).  The per-record form `estimate._log_h` replaced, kept as a
+    reference for it."""
+    j0 = int(rows.j0[0])
+    j = np.arange(j0, min(int(rows.top[0]), m) + 1)
+    if j.size == 0:
+        return -np.inf
+    log_exchanges = kernel.log_exchange_binom(int(rows.alpha[0] + rows.beta[0]), m - j)
+    return float(np.logaddexp.reduce(log_exchanges + rows.logc[0, j - j0]))
+
+
+def per_server_e_step(records):
+    """The score-only E-step of a record batch as a function of the arrays
+    (p_a, p_b): log-likelihood and the mean and variance of the extra rally
+    pairs M, from one whole-table kernel evaluation per target score and
+    first server, (p_a, p_b) for A-first games and (p_b, p_a) for B-first
+    ones, contracted with the tally counts.  The form the q-only E-step
+    replaced, kept as a reference for it."""
+    k = [0, 0, 0, 0]  # exponents of log p_a, log q_a, log p_b, log q_b, less m
+    tallies = {}  # n -> counts over (kernel.table(n) rows, first server)
+    for r in records:
+        swap = r.first_server is B
+        a, b = (r.score.beta, r.score.alpha) if swap else (r.score.alpha, r.score.beta)
+        server_last = r.score.last_scorer is r.first_server
+        win_pts = a if server_last else b
+        server, receiver = (2, 0) if swap else (0, 2)
+        k[server] += a
+        k[receiver] += b
+        k[server + 1] += 0 if server_last else 1
+        counts = tallies.setdefault(win_pts, np.zeros((2 * win_pts, 2)))
+        counts[b if server_last else win_pts + a, int(swap)] += 1
+
+    def e_step(p_a, p_b):
+        p_a, p_b = np.broadcast_arrays(np.atleast_1d(np.asarray(p_a, dtype=float)), np.asarray(p_b, dtype=float))
+        sums = 0.0
+        for n, counts in tallies.items():
+            evs = [kernel.evaluate(ScoringSystem.SIDE_OUT, kernel.table(n), x, y) for x, y in ((p_a, p_b), (p_b, p_a))]
+            by_server = np.stack([np.stack([ev.log_weight, ev.r_mean, ev.r_var]) for ev in evs], axis=2)
+            sums = sums + np.einsum("rs,xrsp->xp", counts, by_server)
+        k_pa, k_qa, k_pb, k_qb = k
+        one_minus_q = p_a + (1.0 - p_a) * p_b
+        odds = (1.0 - p_a) * (1.0 - p_b) / one_minus_q
+        return sums[0], sums[1] - k_qa - k_qb + (k_pa + k_pb) * odds, sums[2] + (k_pa + k_pb) * odds / one_minus_q
+
+    return e_step
+
+
 def multistart_score_fit(records, server_model=True):
     """Score-only MLE by bounded L-BFGS-B with finite-difference gradients
     from each start of a 3 x 3 grid (3 starts in the no-server model, p_b =

@@ -18,7 +18,15 @@ from rallystats import (
 from rallystats import estimate, kernel, simulate
 from rallystats.estimate import FitMode, FitModel, GameRecord, RallyWinProbMLE
 
-from oracles import enumerate_sideout, exact_h_count, multistart_score_fit, score_loglik, score_marginal
+from oracles import (
+    enumerate_sideout,
+    exact_h_count,
+    log_h,
+    multistart_score_fit,
+    per_server_e_step,
+    score_loglik,
+    score_marginal,
+)
 
 A, B = Player.A, Player.B
 
@@ -97,6 +105,35 @@ class TestScoreLikelihood:
         np.testing.assert_allclose(info, fd_info, rtol=1e-5)
 
 
+    @pytest.mark.parametrize("model", list(FitModel))
+    @pytest.mark.parametrize("n", [5, 15, 21])
+    def test_e_step_matches_per_server_oracle(self, n, model):
+        # the q-only E-step against whole-table evaluations per first server,
+        # also where one side is nearly certain to win or lose a rally
+        edges = [1e-9, 0.3, 0.7, 1 - 1e-9]
+        for i, truth in enumerate([(0.6, 0.5), (0.2, 0.9), (0.05, 0.05)]):
+            records = simulated_records(*truth, n, 150, SeedSpec(130 + n, i))
+            if model is FitModel.SERVER:
+                p_a, p_b = (g.ravel() for g in np.meshgrid(edges, edges))
+            else:
+                p_a = np.array(edges)
+                p_b = 1.0 - p_a
+            got = estimate._Likelihood(records, FitMode.SCORE_ONLY).e_step(p_a, p_b)
+            want = per_server_e_step(records)(p_a, p_b)
+            for g, w in zip(got, want):
+                np.testing.assert_allclose(g, w, rtol=1e-13, atol=0)
+
+    def test_e_step_point_gets_the_same_bits_alone_and_in_the_grid(self):
+        records = simulated_records(0.6, 0.5, 15, 200, SeedSpec(131, 0))
+        lik = estimate._Likelihood(records, FitMode.SCORE_ONLY)
+        x = 1.0 / (1.0 + np.exp(-estimate._GRID))
+        p_a, p_b = (g.ravel() for g in np.meshgrid(x, x))
+        grid = lik.e_step(p_a, p_b)
+        for i in (0, 5, 144, 200, 288):
+            alone = lik.e_step(p_a[i], p_b[i])
+            assert all(np.array_equal(a, g[i : i + 1]) for a, g in zip(alone, grid)), i
+
+
 class TestJointLikelihood:
     def test_minimum_duration_single_term(self):
         # D = alpha + beta means no interruptions are possible: shutout term
@@ -122,20 +159,48 @@ class TestJointLikelihood:
     def test_log_h_matches_exact_integers(self):
         # long durations (q near 1) give large m, where a difference of
         # lgamma values would lose ulps of lgamma(m)
+        ms = [*range(12), 1_000, 100_000]
         for a in range(16):
             for b in range(16):
                 for last in (A, B):
                     win, lose = (a, b) if last is A else (b, a)
                     if win <= lose:
                         continue
-                    rows = kernel.tally(a, b, last is A)
-                    for m in [*range(12), 1_000, 100_000]:
+                    got = estimate._log_h(kernel.tally(a, b, last is A), ms)
+                    for m, value in zip(ms, got):
                         exact = exact_h_count(a, b, last, m)
-                        got = estimate._log_h(rows, m)
                         if exact == 0:
-                            assert got == -math.inf
+                            assert value == -math.inf
                         else:
-                            assert got == pytest.approx(math.log(exact), rel=1e-14, abs=1e-14)
+                            assert value == pytest.approx(math.log(exact), rel=1e-14, abs=1e-14)
+
+    def test_log_h_per_tally_equals_per_record_oracle(self):
+        # one (records, j) array per tally gives each record the bits of its
+        # own reduction, and the batch total adds them in record order
+        for n, (p_a, p_b) in [(5, (0.6, 0.5)), (15, (0.6, 0.5)), (21, (0.05, 0.05)), (15, (0.97, 0.3))]:
+            records = simulated_records(p_a, p_b, n, 200, SeedSpec(132, n))
+            rows, ms, total = [], [], 0.0
+            for r in records:
+                swap = r.first_server is B
+                a, b = (r.score.beta, r.score.alpha) if swap else (r.score.alpha, r.score.beta)
+                server_last = r.score.last_scorer is r.first_server
+                rows.append(kernel.tally(a, b, server_last))
+                ms.append((r.duration - a - b - (0 if server_last else 1)) // 2)
+            want = np.array([log_h(t, m) for t, m in zip(rows, ms)])
+            got = np.array([estimate._log_h(t, [m])[0] for t, m in zip(rows, ms)])
+            assert np.array_equal(got, want)
+            for t in {id(t): t for t in rows}.values():  # every record of a tally at once
+                which = [i for i, u in enumerate(rows) if u is t]
+                assert np.array_equal(estimate._log_h(t, np.array(ms)[which]), want[which])
+            for value in want:
+                total += value
+            assert estimate._Likelihood(records, FitMode.SCORE_DURATION).log_h_total == total
+
+    def test_zero_probability_duration_names_the_record(self):
+        # a server winning 5-2 must have lost the serve at least once
+        records = [rec(A, 5, 2, A, duration=9), rec(B, 2, 5, B, duration=7)]
+        with pytest.raises(InfeasibleData, match="record 1: duration 7 carries zero probability"):
+            estimate.loglik_score_duration(records, 0.6, 0.5)
 
     def test_wrong_parity_infeasible(self):
         # first server A, A wins: the rally count must share the parity of
@@ -298,6 +363,43 @@ class TestFit:
                             assert (res.p_a, res.p_b) == pytest.approx(ref[:2], abs=1e-6)
         assert worst_gap <= 1e-9
         assert worst_score <= 1e-6
+
+    @pytest.mark.parametrize("model", list(FitModel))
+    @pytest.mark.parametrize("n", [5, 15, 21])
+    def test_fit_matches_fit_on_per_server_oracle(self, monkeypatch, n, model):
+        # the same Newton path on the old E-step: same estimates and steps
+        for seed, truth in enumerate([(0.6, 0.5), (0.3, 0.2), (0.5, 0.9)]):
+            records = simulated_records(*truth, n, 200, SeedSpec(133 + seed, n))
+            res = estimate.fit(records, FitMode.SCORE_ONLY, model)
+            ref_e_step = per_server_e_step(records)
+            with monkeypatch.context() as m:
+                m.setattr(estimate._Likelihood, "e_step", lambda self, p_a, p_b: ref_e_step(p_a, p_b))
+                ref = estimate.fit(records, FitMode.SCORE_ONLY, model)
+            assert (res.p_a, res.p_b) == pytest.approx((ref.p_a, ref.p_b), abs=1e-10)
+            assert res.log_likelihood == pytest.approx(ref.log_likelihood, rel=1e-13)
+            assert res.newton_steps == ref.newton_steps
+            assert res.evaluations == ref.evaluations
+            assert res.boundary == ref.boundary
+
+    @pytest.mark.parametrize("model", list(FitModel))
+    def test_fit_reports_steps_and_evaluations(self, monkeypatch, model):
+        records = simulated_records(0.6, 0.5, 15, 200, SeedSpec(134, 0))
+        res = estimate.fit(records, FitMode.SCORE_DURATION, model)
+        assert (res.newton_steps, res.evaluations) == (0, 1)
+        points = []
+        e_step = estimate._Likelihood.e_step
+
+        def counting(self, p_a, p_b):
+            points.append(np.size(p_a))
+            return e_step(self, p_a, p_b)
+
+        monkeypatch.setattr(estimate._Likelihood, "e_step", counting)
+        res = estimate.fit(records, FitMode.SCORE_ONLY, model)
+        assert points[0] == (289 if model is FitModel.SERVER else 17)
+        assert res.evaluations == sum(points)
+        assert 1 <= res.newton_steps <= len(points) - 1
+        # the reported log-likelihood is the last accepted point's, not a re-evaluation
+        assert res.log_likelihood == estimate.loglik_score(records, res.p_a, res.p_b)
 
     def test_duration_information_shrinks_mse(self):
         # the duration-augmented estimator beats the score-only one in

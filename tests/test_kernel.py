@@ -159,3 +159,69 @@ def test_table_starts_at_smallest_feasible_power():
     assert list(rows.j0[3:]) == [0, 0, 0]
     # (3, 2) server last: C(3, j) C(1, j - 1) for j = 1, 2 -> 3, 3
     assert np.exp(rows.logc[2, :2]) == pytest.approx([3.0, 3.0], rel=1e-15)
+
+
+LOGIT_GRID = 1.0 / (1.0 + np.exp(-np.linspace(-8.0, 8.0, 17)))
+
+
+@pytest.mark.parametrize("system", list(ScoringSystem))
+@pytest.mark.parametrize("n", [5, 15, 21])
+def test_a_point_gets_the_same_bits_alone_in_a_pair_and_in_a_grid(n, system):
+    # row sums run in one order whatever the number of points, so no last
+    # bit depends on the company a point keeps
+    rows = kernel.table(n)
+    grid = np.meshgrid(LOGIT_GRID, LOGIT_GRID)
+    p_a, p_b = grid[0].ravel(), grid[1].ravel()
+    whole = kernel.evaluate(system, rows, p_a, p_b)
+    both = kernel.evaluate_servers(system, rows, p_a, p_b)
+    for i in (0, 7, 100, 144, 288):
+        pair = [i, (i + 1) % p_a.size]
+        for evaluate, ev_grid in ((kernel.evaluate, whole), (kernel.evaluate_servers, both)):
+            ev_pair = evaluate(system, rows, p_a[pair], p_b[pair])
+            ev_alone = evaluate(system, rows, p_a[i], p_b[i])
+            for field in ("log_weight", "r_mean", "r_var"):
+                want = getattr(ev_grid, field)[..., i]
+                assert np.array_equal(getattr(ev_pair, field)[..., 0], want), (field, i)
+                assert np.array_equal(getattr(ev_alone, field)[..., 0], want), (field, i)
+    if system is ScoringSystem.SIDE_OUT:
+        q = np.asarray(1.0 - p_a, dtype=np.longdouble) * np.asarray(1.0 - p_b, dtype=np.longdouble)
+        poly = kernel.interruption_polynomial(rows, q)
+        for i in (0, 7, 100, 144, 288):
+            for got, want in zip(kernel.interruption_polynomial(rows, q[i]), poly):
+                assert np.array_equal(got[:, 0], want[:, i])
+
+
+@pytest.mark.parametrize("system", list(ScoringSystem))
+def test_both_first_servers_share_one_polynomial(system):
+    # B-first games are A-first games with the players swapped, and the law
+    # of R given a tally is the same for both first servers
+    rows = kernel.table(15)
+    p_a, p_b = np.array([1e-9, 0.3, 0.6, 1 - 1e-9]), np.array([0.5, 1 - 1e-9, 0.45, 1e-9])
+    both = kernel.evaluate_servers(system, rows, p_a, p_b)
+    for s, (x, y) in enumerate([(p_a, p_b), (p_b, p_a)]):
+        one = kernel.evaluate(system, rows, x, y)
+        assert np.array_equal(both.log_weight[:, s], one.log_weight)
+        assert np.array_equal(both.r_mean, one.r_mean)
+        assert np.array_equal(both.r_var, one.r_var)
+
+
+@pytest.mark.parametrize("n", [5, 15, 21])
+def test_side_out_weight_is_closed_form_times_polynomial_in_q(n):
+    rows = kernel.table(n)
+    for p_a, p_b in [(1e-9, 0.4), (0.6, 0.5), (0.3, 1 - 1e-9), (1 - 1e-9, 1 - 1e-9)]:
+        ev = kernel.evaluate(ScoringSystem.SIDE_OUT, rows, p_a, p_b)
+        q_a, q_b = 1 - mpmath.mpf(p_a), 1 - mpmath.mpf(p_b)
+        q = q_a * q_b
+        log_p, s_mean, s_var = kernel.interruption_polynomial(rows, np.longdouble(1 - p_a) * np.longdouble(1 - p_b))
+        receiver_last = ~rows.server_last
+        closed = [
+            float(
+                a * mpmath.log(p_a / (1 - q)) + b * mpmath.log(p_b / (1 - q))
+                + d * mpmath.log(q_a) + j0 * mpmath.log(q)
+            )
+            for a, b, d, j0 in zip(rows.alpha, rows.beta, receiver_last, rows.j0)
+        ]
+        # log-weights near 0 (a near-certain tally) are sums of terms of size 20
+        np.testing.assert_allclose(ev.log_weight[:, 0], np.array(closed) + log_p[:, 0], rtol=1e-13, atol=1e-13)
+        assert np.array_equal(ev.r_mean[:, 0], rows.j0 + receiver_last + s_mean[:, 0])
+        assert np.array_equal(ev.r_var[:, 0], s_var[:, 0])

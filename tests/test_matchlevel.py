@@ -112,15 +112,15 @@ class TestMatchWinProb:
         pr, cfg = RallyProbs(0.6, 0.5), GameConfig(n=15, system=system, s_a=s_a)
         want = matchlevel.match_win_prob(pr, cfg, MatchConfig(2))
         calls = []
-        evaluate = kernel.evaluate
+        polynomial = kernel._polynomial
 
         def counting(*args):
             calls.append(args)
-            return evaluate(*args)
+            return polynomial(*args)
 
-        monkeypatch.setattr(kernel, "evaluate", counting)
+        monkeypatch.setattr(kernel, "_polynomial", counting)
         assert matchlevel.match_win_prob(pr, cfg, MatchConfig(2)) == want
-        assert len(calls) == 1  # one evaluation covers both first servers
+        assert len(calls) == 1  # one polynomial evaluation covers both first servers
 
 
 class TestGameWinProbs:

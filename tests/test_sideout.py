@@ -231,18 +231,19 @@ def test_tiebreak_against_enumeration(n, ell, pa, pb):
 class TestKernelEvaluations:
     """A game's terminal-score table takes one kernel evaluation per table
     (the game's, and with a tie-break the tie's and the extension's), each
-    covering both first servers."""
+    covering both first servers with one evaluation of the interruption
+    polynomial."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
         calls = []
-        evaluate = kernel.evaluate
+        polynomial = kernel._polynomial
 
         def counting(*args):
             calls.append(args)
-            return evaluate(*args)
+            return polynomial(*args)
 
-        monkeypatch.setattr(kernel, "evaluate", counting)
+        monkeypatch.setattr(kernel, "_polynomial", counting)
         return calls
 
     @pytest.mark.parametrize("system", list(ScoringSystem))
