@@ -21,7 +21,7 @@ from .core import (
     validate,
 )
 from .duration import DurationPMF, Moments, QuantileMode, quantile
-from .estimate import FitMode, FitModel, FitResult, GameRecord, RallyWinProbMLE, fit
+from .estimate import FitMode, FitModel, FitResult, GameRecord, RallyWinProbMLE, RecordBatch, fit
 from .matchlevel import MatchConfig, ServerRule, match_duration_pmf, match_win_prob
 from .simulate import EstimatorReport, SeedSpec, SimResult, run_experiment, simulate_game
 
@@ -44,6 +44,7 @@ __all__ = [
     "QuantileMode",
     "RallyProbs",
     "RallyWinProbMLE",
+    "RecordBatch",
     "ScoringSystem",
     "SeedSpec",
     "ServerRule",

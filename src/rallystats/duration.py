@@ -206,29 +206,25 @@ def variance_duration_conditional(alpha: int, beta: int, last_scorer: Player, q:
     return _conditional_moments(alpha, beta, last_scorer, q, 1.0 - q).variance
 
 
-def _exchange_cut(m0: int, probs: RallyProbs, epsilon: float) -> tuple[int, float]:
-    """Length of the exchange series L ~ NB(m0, q), f(l) = C(m0-1+l, l) q^l
-    (1-q)^m0, and a bound on what it leaves out: it stops at the first s
-    from the mode where r(s) = q(m0+s)/(s+1) < 1 and f(s+1)/(1 - r(s)) <=
-    epsilon.  Past the mode r falls, so that tail bounds P[L > s] and falls
-    with s: Newton steps with lgamma guess s, and a bracket grown from it
-    and bisected finds it.  The tails there are sums of logs (of
+def _exchange_tail(m0: int, probs: RallyProbs):
+    """The bound of the stop rule of the exchange series L ~ NB(m0, q),
+    f(l) = C(m0-1+l, l) q^l (1-q)^m0, for m0 > 0 points at q > 0: the
+    mode, the last s a series may reach, the exact 1 - q rounded, and
+    log_tail(s, log_c), the log of f(s+1)/(1 - r(s)) with r(s) =
+    q(m0+s)/(s+1) from log_c = log C(m0+s, s+1), plus its rounding error
+    (inf where r(s) >= 1).  It is a sum of logs (of
     `kernel.log_exchange_binom`, and of the exact q and 1 - q in extended
-    precision) plus their rounding error, so (1-q)^m0 may underflow; NB(m0)
-    sums to 1, so a tail bounds a probability."""
+    precision), so (1-q)^m0 may underflow."""
     q = probs.q
-    if q == 0.0 or m0 == 0:
-        return 1, 0.0
     p_a, p_b = np.longdouble(probs.p_a), np.longdouble(probs.p_b)
     keep = p_a + (1.0 - p_a) * p_b
     log_q, log_keep, keep = float(np.log1p(-p_a) + np.log1p(-p_b)), float(np.log(keep)), float(keep)
     mode = int((m0 - 1) * q / keep)
     if mode >= _MAX_TERMS:
         raise DomainError("exchange series failed to converge")
-    limit, ulp = mode + _MAX_TERMS, np.finfo(float).eps
+    ulp = np.finfo(float).eps
 
     def log_tail(s, log_c: float) -> float:
-        # log f(s+1)/(1 - r(s)) from log C(m0+s, s+1), plus its rounding error:
         # m0 ulps of log C, two of each part and of the condition of `room`
         room = (s + 1) * keep - (m0 - 1) * q  # (s + 1)(1 - r(s))
         if room <= 0.0:
@@ -237,14 +233,35 @@ def _exchange_cut(m0: int, probs: RallyProbs, epsilon: float) -> tuple[int, floa
         cond = ((s + 1) * keep + (m0 - 1) * q) / room
         return sum(parts) + ulp * (m0 * log_c + 2.0 * sum(map(abs, parts)) + 2.0 * cond + 4.0)
 
+    return mode, mode + _MAX_TERMS, keep, log_tail
+
+
+def _exchange_cut(m0: int, probs: RallyProbs, epsilon: float) -> tuple[int, float]:
+    """Length of the exchange series L ~ NB(m0, q) and a bound on what it
+    leaves out: it stops at the first s from the mode where r(s) < 1 and
+    f(s+1)/(1 - r(s)) <= epsilon (`_exchange_tail`).  Past the mode r
+    falls, so that tail bounds P[L > s] and falls with s: Newton steps
+    with lgamma guess s, and a bracket grown from it and bisected finds
+    it.  NB(m0) sums to 1, so a tail bounds a probability."""
+    q = probs.q
+    if q == 0.0 or m0 == 0:
+        return 1, 0.0
+    mode, limit, keep, log_tail = _exchange_tail(m0, probs)
+
     @functools.lru_cache(maxsize=None)
     def tail(s: int) -> float:
         return math.exp(log_tail(s, float(kernel.log_exchange_binom(m0, [s + 1])[0]))) if s >= mode else math.inf
 
     x = mode + math.sqrt(m0 * q) / keep
-    for _ in range(64):  # with the slope log r(x + 1/2), below 0 from the mode on
+    for _ in range(64):
         value = log_tail(x, math.lgamma(m0 + x + 1) - math.lgamma(x + 2) - math.lgamma(m0))
-        step = (value - math.log(epsilon)) / -math.log(q * (m0 + x + 0.5) / (x + 1.5))
+        room = (x + 1) * keep - (m0 - 1) * q
+        if not room > 0.0:
+            break
+        # the slope of log f, log r(x + 1/2), and of -log(1 - r), which
+        # dominates near the mode, where large epsilons stop
+        slope = math.log(q * (m0 + x + 0.5) / (x + 1.5)) - keep / room + 1.0 / (x + 1)
+        step = (value - math.log(epsilon)) / -slope
         if not abs(step) >= 0.25:
             break
         x = min(max(x + step, mode), limit)

@@ -16,14 +16,23 @@ is k_pa log(p_a/(1-q)) + k_pb log(p_b/(1-q)) + k_qa log q_a + k_qb log q_b
 interruption polynomial (`kernel.interruption_polynomial`).  Only the last
 term needs the kernel, and it depends on (p_a, p_b) through q = q_a q_b
 alone: it is evaluated once per distinct q over the observed tallies,
-153 values for the 17 x 17 start grid (whose transposed points share q)
-and one per Newton point.  The polynomials also give the mean and
+and one per Newton point.  The 17 x 17 start grid is fixed, and so are
+its 153 distinct q (transposed points share q): each tally's polynomial
+there is computed once, by one kernel call over all the tallies a batch
+adds, and kept read-only.  The polynomials also give the mean and
 variance of m, hence the exact score (Fisher's identity) and
 information (Louis's formula) for grid-started projected Newton steps.
-For 200 games to 15 on a shared 2-core machine, in-process, the grid
-step takes 1.3-2.0 ms and a Newton point 0.07-0.15 ms, against 6.3-6.9
-and 0.24-0.40 ms when each first server took a whole-table kernel
-evaluation; the score-only fit takes 3.5-4.9 ms instead of 12.8-13.1.
+
+Records reach the likelihood as a `RecordBatch`, aligned columns that
+`records_from_sample` takes from a simulated batch as they are; its set-up
+is column arithmetic, and log H(m) of all records is one reduction.  For
+200 games to 15 on a shared 2-core machine, in-process, the records take
+0.03 ms (0.85-0.98 as `GameRecord`s), the score-only set-up 0.21 ms and
+the score-and-duration set-up 0.8 ms (0.25-0.31 and 1.35-1.46 record by
+record), the grid step 0.09 ms from the cached polynomials (1.7 ms when
+the kernel evaluates them, as for a tally not seen before) and a Newton
+point 0.08-0.15 ms; the score-only fit takes 2.4-2.6 ms and the
+score-and-duration fit 0.9 ms, against 3.7-4.1 and 1.4-1.6 ms before.
 
 Duration information enters the conditional duration law only through q,
 so in the two-parameter server model the duration term mostly sharpens q;
@@ -33,10 +42,11 @@ identification of the pair still rests on the score component.
 from __future__ import annotations
 
 import enum
+import functools
 import json
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -57,6 +67,7 @@ _GRID = np.linspace(-8.0, 8.0, 17)  # Newton starts, logit of each coordinate
 _MAX_STEPS = 100
 _STEP_TOL = 1e-10  # logit units
 _GAIN_TOL = 1e-14  # relative to 1 + |log-likelihood|
+_GRID_ROWS = 1024  # tallies whose start-grid polynomials a model keeps (3.7 kB each)
 
 
 class FitMode(enum.Enum):
@@ -126,93 +137,242 @@ def records_from_json_lines(lines) -> list[GameRecord]:
     return out
 
 
-def records_from_sample(sample) -> list[GameRecord]:
-    """Convert a simulate.GameSample batch into GameRecords."""
-    out = []
-    for server_a, alpha, beta, winner_a, dur in zip(
-        sample.first_server_a, sample.alpha, sample.beta, sample.winner_a, sample.duration
-    ):
-        winner = Player.A if winner_a else Player.B
-        out.append(
-            GameRecord(
-                first_server=Player.A if server_a else Player.B,
-                score=TerminalScore(int(alpha), int(beta), winner),
-                duration=int(dur),
-            )
+def _column(values, dtype, kinds: str, what: str) -> np.ndarray:
+    col = np.asarray(values)
+    if col.ndim != 1 or (col.size and col.dtype.kind not in kinds):
+        raise DomainError(f"{what} must be a 1-D array of kind {kinds!r}, got {col.dtype} of shape {col.shape}")
+    col = col.astype(dtype, copy=False).view()
+    col.setflags(write=False)  # a read-only view: the caller's array keeps its flags
+    return col
+
+
+@dataclass(frozen=True, eq=False)
+class RecordBatch:
+    """Observed games as aligned read-only columns: whether A served first,
+    the final tally (alpha for A, beta for B), whether A scored last, and
+    the rally count (NaN where it was not observed).  It is a sequence of
+    `GameRecord`s: `len`, iteration and indexing give records, slicing
+    gives a batch, and it equals a list or batch of the same records.
+    Scores are checked as `TerminalScore` checks them, and durations must
+    be whole numbers or NaN."""
+
+    first_server_a: np.ndarray
+    alpha: np.ndarray
+    beta: np.ndarray
+    last_scorer_a: np.ndarray
+    duration: np.ndarray
+
+    def __post_init__(self):
+        cols = (
+            _column(self.first_server_a, bool, "b", "first_server_a"),
+            _column(self.alpha, np.int64, "iu", "alpha"),
+            _column(self.beta, np.int64, "iu", "beta"),
+            _column(self.last_scorer_a, bool, "b", "last_scorer_a"),
+            _column(self.duration, float, "iuf", "duration"),
         )
-    return out
+        if len({len(c) for c in cols}) > 1:
+            raise DomainError(f"columns of unequal lengths {[len(c) for c in cols]}")
+        for name, col in zip(("first_server_a", "alpha", "beta", "last_scorer_a", "duration"), cols):
+            object.__setattr__(self, name, col)
+        _, alpha, beta, last_a, dur = cols
+        bad = (alpha < 0) | (beta < 0) | (np.where(last_a, alpha, beta) < 1)
+        bad |= ~np.isnan(dur) & (np.isinf(dur) | (dur != np.floor(dur)))
+        if bad.any():
+            i = int(np.argmax(bad))
+            try:
+                TerminalScore(int(alpha[i]), int(beta[i]), Player.A if last_a[i] else Player.B)
+            except DomainError as exc:
+                raise DomainError(f"record {i}: {exc}") from None
+            raise DomainError(f"record {i}: duration {dur[i]} is not a whole number")
+
+    @staticmethod
+    def from_records(records) -> "RecordBatch":
+        """The batch of a sequence of `GameRecord`s (a batch is returned as it is)."""
+        if isinstance(records, RecordBatch):
+            return records
+        rows = [
+            (r.first_server is Player.A, r.score.alpha, r.score.beta, r.score.last_scorer is Player.A,
+             math.nan if r.duration is None else r.duration)
+            for r in records
+        ]
+        cols = list(zip(*rows)) or [()] * 5
+        return RecordBatch(*(np.array(c, dtype=t) for c, t in zip(cols, (bool, np.int64, np.int64, bool, float))))
+
+    def __len__(self) -> int:
+        return len(self.alpha)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return RecordBatch(*(getattr(self, f.name)[index] for f in fields(self)))
+        i = range(len(self))[index]
+        d = self.duration[i]
+        return GameRecord(
+            Player.A if self.first_server_a[i] else Player.B,
+            TerminalScore(int(self.alpha[i]), int(self.beta[i]), Player.A if self.last_scorer_a[i] else Player.B),
+            None if np.isnan(d) else int(d),
+        )
+
+    def __iter__(self):
+        cols = (getattr(self, f.name).tolist() for f in fields(self))
+        for first_a, alpha, beta, last_a, d in zip(*cols):
+            yield GameRecord(
+                Player.A if first_a else Player.B,
+                TerminalScore(alpha, beta, Player.A if last_a else Player.B),
+                None if math.isnan(d) else int(d),
+            )
+
+    def __add__(self, other) -> "RecordBatch":
+        other = RecordBatch.from_records(other)
+        return RecordBatch(*(np.concatenate([getattr(self, f.name), getattr(other, f.name)]) for f in fields(self)))
+
+    def __eq__(self, other):
+        if not isinstance(other, (RecordBatch, list, tuple)):
+            return NotImplemented
+        return list(self) == list(other)
 
 
-def _log_h(rows: kernel.Rows, m) -> np.ndarray:
-    """log H(m) of one tally (a one-row table) at each entry of the array m:
-    the number-weight of trajectories with m extra rally pairs beyond the
-    scored points, a convolution over the l exchanges of C(a+b+l-1, l)
-    (`kernel.log_exchange_binom`) with the kernel coefficient of q^(m-l).
-    The terms of all entries form one (entries, j) array, -inf past each
-    entry's last j = min(top, m), reduced in the order of j."""
+def records_from_sample(sample) -> RecordBatch:
+    """The record batch of a simulate.GameSample batch, column for column."""
+    return RecordBatch(sample.first_server_a, sample.alpha, sample.beta, sample.winner_a, sample.duration)
+
+
+def _log_h(rows: kernel.Rows, m, row=0) -> np.ndarray:
+    """log H(m) at each entry of the array m of the tally in row `row` of
+    `rows` (one index, or one per entry): the number-weight of
+    trajectories with m extra rally pairs beyond the scored points, a
+    convolution over the l exchanges of C(a+b+l-1, l)
+    (`kernel.log_exchange_binom`, formed once for each points total a+b)
+    with the kernel coefficient of q^(m-l).  The terms of all entries form
+    one (entries, j) array, -inf outside each entry's j = j0 .. min(top,
+    m), reduced in the order of j; a -inf term leaves a sum of logs
+    unchanged to the last bit, so each entry gets the bits of its own
+    terms alone."""
     m = np.atleast_1d(np.asarray(m))
-    j0 = int(rows.j0[0])
-    j = np.arange(j0, max(j0, min(int(rows.top[0]), int(m.max()))) + 1)
-    l = m[:, None] - j
-    # log C(a+b-1+l, l) once for each exchange count l
-    log_exchanges = kernel.log_exchange_binom(int(rows.alpha[0] + rows.beta[0]), np.arange(max(l.max(), 0) + 1))
-    terms = np.where(l >= 0, log_exchanges[np.maximum(l, 0)] + rows.logc[0, j - j0], -np.inf)
-    return np.logaddexp.reduce(terms, axis=1)
+    row = np.broadcast_to(row, m.shape)
+    j0, top, points = rows.j0[row], rows.top[row], rows.alpha[row] + rows.beta[row]
+    j = np.arange(int(np.minimum(top, m).max()) + 1)
+    l, s = m[:, None] - j, j - j0[:, None]
+    totals, which = np.unique(points, return_inverse=True)
+    exchanges = np.arange(max(int(l.max()), 0) + 1)
+    binom = np.stack([kernel.log_exchange_binom(total, exchanges) for total in totals.tolist()])
+    log_exchanges = binom[which[:, None], np.maximum(l, 0)]
+    inside = (s >= 0) & (j <= top[:, None]) & (l >= 0)
+    logc = rows.logc[row[:, None], np.clip(s, 0, rows.logc.shape[1] - 1)]
+    return np.logaddexp.reduce(np.where(inside, log_exchanges + logc, -np.inf), axis=1)
+
+
+def _infeasible(rec: GameRecord, check: int) -> str:
+    """Why `rec` fails check `check` of `_Likelihood`, in the order checked."""
+    tally = f"({rec.score.alpha}, {rec.score.beta})"
+    return (
+        f"last scorer of a completed game must hold the higher tally {tally}",
+        "duration required for score-and-duration fit",
+        f"duration {rec.duration} infeasible for tally {tally} with first server "
+        f"{rec.first_server.value} (wrong parity or too short)",
+        f"duration {rec.duration} carries zero probability",
+    )[check]
+
+
+def _bases(p_a, p_b):
+    """q at each point of the arrays (p_a, p_b), and the closed-form terms
+    of the E-step there: log(p_a/(1-q)), log(p_b/(1-q)), log q_a, log q_b,
+    log q, q/(1-q) and q/(1-q)^2.  The bases are exact in extended
+    precision, as in the kernel."""
+    x, y = np.asarray(p_a, dtype=np.longdouble), np.asarray(p_b, dtype=np.longdouble)
+    q_a, q_b = 1.0 - x, 1.0 - y
+    q = np.atleast_1d(q_a * q_b)
+    one_minus_q = x + q_a * y  # does not cancel as q -> 1
+    logs = (np.log(v).astype(float) for v in (x / one_minus_q, y / one_minus_q, q_a, q_b, q))
+    odds = (q / one_minus_q).astype(float)
+    return q, (*logs, odds, (odds / one_minus_q).astype(float))
+
+
+@dataclass(frozen=True)
+class _StartGrid:
+    """A model's start grid: its points in logit coordinates, the distinct
+    q among them with each point's index into those, the `_bases` of the
+    points, and the interruption polynomials of the tallies fitted so far
+    at those q (`polynomial`)."""
+
+    theta: np.ndarray
+    q: np.ndarray
+    where: np.ndarray
+    bases: tuple
+    rows: dict
+
+    def polynomial(self, tallies: list[tuple[int, int, bool]]) -> np.ndarray:
+        """log P, and the mean and variance of s, of each tally's polynomial
+        at the grid's distinct q, shape (tallies, 3, q): the rows
+        `kernel.interruption_polynomial` gives, read-only and cached per
+        tally.  All misses come from one kernel call; a row's bits do not
+        depend on the rows evaluated with it."""
+        missing = [t for t in tallies if t not in self.rows]
+        if len(self.rows) + len(missing) > _GRID_ROWS:  # a full cache starts again
+            self.rows.clear()
+            missing = tallies
+        if missing:
+            poly = np.stack(kernel.interruption_polynomial(kernel.tallies(missing), self.q), axis=1)
+            poly.setflags(write=False)
+            self.rows.update(zip(missing, poly))
+        return np.stack([self.rows[t] for t in tallies])
+
+
+@functools.lru_cache(maxsize=None)
+def _start_grid(model: FitModel) -> _StartGrid:
+    theta = np.stack([g.ravel() for g in np.meshgrid(*[_GRID] * (2 if model is FitModel.SERVER else 1))])
+    q, bases = _bases(*_probs(1.0 / (1.0 + np.exp(-theta)), model))
+    distinct, where = np.unique(q, return_inverse=True)
+    for arr in (theta, distinct, where, *bases):
+        arr.setflags(write=False)
+    return _StartGrid(theta, distinct, where, bases, {})
 
 
 class _Likelihood:
-    """A record batch reduced to exponent totals, and either the extra rally
-    pairs with log H(m) or the counts of its distinct tallies (in
-    first-server coordinates, summed over first servers)."""
+    """A record batch reduced by column arithmetic to exponent totals, and
+    either the extra rally pairs with log H(m) or the counts of its
+    distinct tallies (in first-server coordinates, first servers pooled,
+    in first-seen order).  Any sequence of `GameRecord`s is made a
+    `RecordBatch` first."""
 
     def __init__(self, records, mode: FitMode):
-        if not records:
+        batch = RecordBatch.from_records(records)
+        if not len(batch):
             raise InfeasibleData("no records")
         self.mode = mode
-        self.k = [0, 0, 0, 0]  # exponents of log p_a, log q_a, log p_b, log q_b, less m
-        self.m, self.log_h_total = 0, 0.0  # extra rally pairs and log H(m), with durations
-        tallies: dict[tuple[int, int, bool], list[int]] = {}  # tally -> its records
-        spans = []
-        for i, rec in enumerate(records):
-            swap = rec.first_server is Player.B
-            a, b = (rec.score.beta, rec.score.alpha) if swap else (rec.score.alpha, rec.score.beta)
-            server_last = rec.score.last_scorer is rec.first_server
-            win_pts, lose_pts = (a, b) if server_last else (b, a)
-            if win_pts <= lose_pts:
-                raise InfeasibleData(
-                    f"record {i}: last scorer of a completed game must hold the higher tally "
-                    f"({rec.score.alpha}, {rec.score.beta})"
-                )
-            delta = 0 if server_last else 1  # the receiving side scored last
-            server, receiver = (2, 0) if swap else (0, 2)
-            self.k[server] += a
-            self.k[receiver] += b
-            self.k[server + 1] += delta
-            if mode is FitMode.SCORE_DURATION:
-                if rec.duration is None:
-                    raise InfeasibleData(f"record {i}: duration required for score-and-duration fit")
-                span = rec.duration - a - b - delta
-                if span < 0 or span % 2 != 0:
-                    raise InfeasibleData(
-                        f"record {i}: duration {rec.duration} infeasible for tally "
-                        f"({rec.score.alpha}, {rec.score.beta}) with first server "
-                        f"{rec.first_server.value} (wrong parity or too short)"
-                    )
-                # H(m) vanishes below the tally's fewest interruption pairs
-                if span // 2 < kernel.tally(a, b, server_last).j0[0]:
-                    raise InfeasibleData(f"record {i}: duration {rec.duration} carries zero probability")
-                spans.append(span // 2)
-            tallies.setdefault((a, b, server_last), []).append(i)
+        first_a = batch.first_server_a
+        a = np.where(first_a, batch.alpha, batch.beta)  # the first server's points
+        b = np.where(first_a, batch.beta, batch.alpha)  # the receiver's
+        server_last = batch.last_scorer_a == first_a
+        receiver_last = ~server_last
+        # exponents of log p_a, log q_a, log p_b, log q_b, less m
+        self.k = [
+            int(batch.alpha.sum()), int(np.sum(receiver_last & first_a)),
+            int(batch.beta.sum()), int(np.sum(receiver_last & ~first_a)),
+        ]
+        failed = [np.where(server_last, a <= b, b <= a)]  # the last scorer must lead
         if mode is FitMode.SCORE_DURATION:
-            m = np.array(spans)
-            log_h = np.empty(len(m))
-            for key, which in tallies.items():
-                log_h[which] = _log_h(kernel.tally(*key), m[which])
-            self.m = int(m.sum())
-            self.log_h_total = float(np.add.accumulate(log_h)[-1])  # in record order
+            missing = np.isnan(batch.duration)
+            span = np.where(missing, 0.0, batch.duration) - a - b - receiver_last
+            j0 = server_last & (b > 0)  # the tally's fewest interruption pairs, below which H(m) vanishes
+            failed += [missing, ~missing & ((span < 0) | (span % 2 != 0)), ~missing & (span // 2 < j0)]
+        failed = np.stack(failed)
+        if failed.any():
+            i = int(np.argmax(failed.any(axis=0)))
+            raise InfeasibleData(f"record {i}: {_infeasible(batch[i], int(np.argmax(failed[:, i])))}")
+        # distinct tallies in first-seen order, and each record's among them
+        key = (a * (int(b.max()) + 1) + b) * 2 + server_last
+        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        tally = np.argsort(order)[inverse]
+        seen = first[order]
+        self.tallies = list(zip(a[seen].tolist(), b[seen].tolist(), server_last[seen].tolist()))
+        self.rows = kernel.tallies(self.tallies)
+        if mode is FitMode.SCORE_DURATION:
+            m = (span // 2).astype(np.int64)
+            self.m = int(m.sum())  # extra rally pairs
+            self.log_h_total = float(np.add.accumulate(_log_h(self.rows, m, tally))[-1])  # in record order
         else:
-            self.rows = kernel.tallies(list(tallies))
-            self.counts = np.array([len(which) for which in tallies.values()], dtype=float)
+            self.counts = np.bincount(tally).astype(float)
             self.j0_total = float(self.counts @ self.rows.j0)
 
     def e_step(self, p_a, p_b):
@@ -223,22 +383,28 @@ class _Likelihood:
         The kernel evaluates the tallies' polynomials once per distinct q (see
         the module notes), and rows add in a fixed order, so a point's
         results do not depend on the other points."""
-        # exact bases in extended precision, as in the kernel
-        x, y = np.asarray(p_a, dtype=np.longdouble), np.asarray(p_b, dtype=np.longdouble)
-        q_a, q_b = 1.0 - x, 1.0 - y
-        q = np.atleast_1d(q_a * q_b)
-        one_minus_q = x + q_a * y  # does not cancel as q -> 1
+        q, bases = _bases(p_a, p_b)
         distinct, where = np.unique(q, return_inverse=True) if q.size > 1 else (q, slice(None))
+        return self._combine(bases, np.stack(kernel.interruption_polynomial(self.rows, distinct), axis=1), where)
+
+    def grid_e_step(self, model: FitModel):
+        """`e_step` at every point of the model's start grid, from what the
+        grid caches: the same bits."""
+        grid = _start_grid(model)
+        return self._combine(grid.bases, grid.polynomial(self.tallies), grid.where)
+
+    def _combine(self, bases, poly, where):
+        """The E-step from the closed-form `_bases` of the points, the
+        tallies' polynomials at the distinct q of the points (log P, mean
+        and variance of s; shape (tallies, 3, distinct q)) and each
+        point's index `where` into those q."""
         # rows first: axis 0 is not the fast axis, so rows add in order
-        poly = np.stack(kernel.interruption_polynomial(self.rows, distinct), axis=1)
         sums = (self.counts[:, None, None] * poly).sum(axis=0)[:, where]  # log P, mean and variance of s
         k_pa, k_qa, k_pb, k_qb = self.k
-        bases = (x / one_minus_q, y / one_minus_q, q_a, q_b, q)
-        log_x, log_y, log_qa, log_qb, log_q = (np.log(v).astype(float) for v in bases)
+        log_x, log_y, log_qa, log_qb, log_q, odds, odds_var = bases
         ll = k_pa * log_x + k_pb * log_y + k_qa * log_qa + k_qb * log_qb + self.j0_total * log_q + sums[0]
-        odds = (q / one_minus_q).astype(float)
         mean = self.j0_total + sums[1] + (k_pa + k_pb) * odds
-        return ll, mean, sums[2] + (k_pa + k_pb) * (odds / one_minus_q).astype(float)
+        return ll, mean, sums[2] + (k_pa + k_pb) * odds_var
 
     def __call__(self, p_a: float, p_b: float) -> float:
         if not (0.0 < p_a < 1.0 and 0.0 < p_b < 1.0):
@@ -314,8 +480,8 @@ def _newton(lik: _Likelihood, model: FitModel, lo: float, hi: float) -> tuple[np
     Returns the estimate, its log-likelihood, the steps taken and the
     points evaluated."""
     bounds = np.array([-1.0, 1.0]) * math.log(hi / lo)
-    grid = np.stack([g.ravel() for g in np.meshgrid(*[_GRID] * (2 if model is FitModel.SERVER else 1))])
-    ll, mean, var = lik.e_step(*_probs(1.0 / (1.0 + np.exp(-grid)), model))
+    grid = _start_grid(model).theta
+    ll, mean, var = lik.grid_e_step(model)
     evaluations = grid.shape[1]
     best = np.argmax(ll)
     theta, ll, mean, var = grid[:, best], ll[best], mean[best], var[best]

@@ -28,9 +28,10 @@ the tally, depends on the players only through products of the two
 sides, so it is the same for both first servers to the last bit:
 `evaluate_servers` evaluates it once for both, and
 `interruption_polynomial` gives it alone as a function of q, which is
-all the score-only likelihood of `estimate` needs from the kernel (its
-start grid of a 200-game batch to 15 takes 1.3-2.0 ms that way, against
-6.3-6.9 ms through `evaluate_servers` on whole tables).
+all the score-only likelihood of `estimate` needs from the kernel (one
+call gives the start grid of a 200-game batch to 15 in about 1.7 ms,
+against 6.3-6.9 ms through `evaluate_servers` on whole tables; `estimate`
+keeps the rows, so a batch of tallies seen before takes 0.09 ms).
 
 Evaluation is in scaled form: every term is a logarithm, each row is
 shifted by its largest term before exponentiating, and the shift is added

@@ -8,6 +8,7 @@ active mass drops below `tol` (reported back to the caller).
 """
 
 import functools
+import math
 from collections import defaultdict
 from math import comb
 
@@ -15,7 +16,18 @@ import mpmath
 import numpy as np
 from scipy.optimize import minimize
 
-from rallystats import DomainError, GameConfig, Player, RallyProbs, ScoringSystem, binom, duration, kernel
+from rallystats import (
+    DomainError,
+    GameConfig,
+    InfeasibleData,
+    Player,
+    RallyProbs,
+    ScoringSystem,
+    binom,
+    duration,
+    estimate,
+    kernel,
+)
 from rallystats.simulate import GameSample
 
 A, B = Player.A, Player.B
@@ -283,6 +295,24 @@ def _exchange_terms(m0, probs, epsilon, term):
             return np.concatenate(pieces), float(tail[stop[0]])
         pieces.append(terms)
         term, cum = nxt[-1], total[-1]
+    raise DomainError("exchange series failed to converge")
+
+
+def exchange_cut_walk(m0, probs, epsilon):
+    """`duration._exchange_cut` by a walk over s up from the mode, with
+    `kernel.log_exchange_binom` formed for blocks of s at once: the first s
+    whose certified tail (`duration._exchange_tail`) is at most epsilon
+    gives the series length s + 1 and that tail.  The reference for the
+    cut's search by Newton steps and bisection."""
+    if probs.q == 0.0 or m0 == 0:
+        return 1, 0.0
+    mode, limit, _, log_tail = duration._exchange_tail(m0, probs)
+    for start in range(mode, limit + 1, 1024):
+        s = np.arange(start, min(start + 1024, limit + 1))
+        for si, log_c in zip(s.tolist(), kernel.log_exchange_binom(m0, s + 1).tolist()):
+            tail = math.exp(log_tail(si, log_c))
+            if tail <= epsilon:
+                return si + 1, tail
     raise DomainError("exchange series failed to converge")
 
 
@@ -687,6 +717,103 @@ def log_h(rows, m):
         return -np.inf
     log_exchanges = kernel.log_exchange_binom(int(rows.alpha[0] + rows.beta[0]), m - j)
     return float(np.logaddexp.reduce(log_exchanges + rows.logc[0, j - j0]))
+
+
+def start_grid_probs(model):
+    """(p_a, p_b) at the points of `estimate.fit`'s start grid."""
+    grid = np.stack([g.ravel() for g in np.meshgrid(*[estimate._GRID] * (2 if model is estimate.FitModel.SERVER else 1))])
+    return estimate._probs(1.0 / (1.0 + np.exp(-grid)), model)
+
+
+class RecordLikelihood:
+    """A batch of `GameRecord`s reduced record by record to exponent totals,
+    and either the extra rally pairs with log H(m) or the counts of its
+    distinct tallies (first-server coordinates, first servers pooled, in
+    first-seen order): the per-record set-up `estimate._Likelihood`
+    replaced with column arithmetic, kept as a reference for it.  It has
+    the same methods, so `estimate.fit` runs on it when patched in; its
+    start grid is evaluated by the kernel, without the grid cache."""
+
+    def __init__(self, records, mode):
+        if not records:
+            raise InfeasibleData("no records")
+        self.mode = mode
+        self.k = [0, 0, 0, 0]  # exponents of log p_a, log q_a, log p_b, log q_b, less m
+        self.m, self.log_h_total = 0, 0.0  # extra rally pairs and log H(m), with durations
+        tallies = {}  # tally -> its records
+        spans = []
+        for i, rec in enumerate(records):
+            swap = rec.first_server is B
+            a, b = (rec.score.beta, rec.score.alpha) if swap else (rec.score.alpha, rec.score.beta)
+            server_last = rec.score.last_scorer is rec.first_server
+            win_pts, lose_pts = (a, b) if server_last else (b, a)
+            if win_pts <= lose_pts:
+                raise InfeasibleData(
+                    f"record {i}: last scorer of a completed game must hold the higher tally "
+                    f"({rec.score.alpha}, {rec.score.beta})"
+                )
+            delta = 0 if server_last else 1  # the receiving side scored last
+            server, receiver = (2, 0) if swap else (0, 2)
+            self.k[server] += a
+            self.k[receiver] += b
+            self.k[server + 1] += delta
+            if mode is estimate.FitMode.SCORE_DURATION:
+                if rec.duration is None:
+                    raise InfeasibleData(f"record {i}: duration required for score-and-duration fit")
+                span = rec.duration - a - b - delta
+                if span < 0 or span % 2 != 0:
+                    raise InfeasibleData(
+                        f"record {i}: duration {rec.duration} infeasible for tally "
+                        f"({rec.score.alpha}, {rec.score.beta}) with first server "
+                        f"{rec.first_server.value} (wrong parity or too short)"
+                    )
+                # H(m) vanishes below the tally's fewest interruption pairs
+                if span // 2 < kernel.tally(a, b, server_last).j0[0]:
+                    raise InfeasibleData(f"record {i}: duration {rec.duration} carries zero probability")
+                spans.append(span // 2)
+            tallies.setdefault((a, b, server_last), []).append(i)
+        if mode is estimate.FitMode.SCORE_DURATION:
+            m = np.array(spans)
+            log_h_values = np.empty(len(m))
+            for key, which in tallies.items():
+                log_h_values[which] = estimate._log_h(kernel.tally(*key), m[which])
+            self.m = int(m.sum())
+            self.log_h_total = float(np.add.accumulate(log_h_values)[-1])  # in record order
+        else:
+            self.rows = kernel.tallies(list(tallies))
+            self.counts = np.array([len(which) for which in tallies.values()], dtype=float)
+            self.j0_total = float(self.counts @ self.rows.j0)
+
+    def e_step(self, p_a, p_b):
+        """Score-only log-likelihood, and mean and variance of the extra
+        rally pairs, at each point of the arrays (p_a, p_b), from one
+        kernel evaluation of the tallies' polynomials per distinct q."""
+        x, y = np.asarray(p_a, dtype=np.longdouble), np.asarray(p_b, dtype=np.longdouble)
+        q_a, q_b = 1.0 - x, 1.0 - y
+        q = np.atleast_1d(q_a * q_b)
+        one_minus_q = x + q_a * y  # does not cancel as q -> 1
+        distinct, where = np.unique(q, return_inverse=True) if q.size > 1 else (q, slice(None))
+        poly = np.stack(kernel.interruption_polynomial(self.rows, distinct), axis=1)
+        sums = (self.counts[:, None, None] * poly).sum(axis=0)[:, where]  # log P, mean and variance of s
+        k_pa, k_qa, k_pb, k_qb = self.k
+        bases = (x / one_minus_q, y / one_minus_q, q_a, q_b, q)
+        log_x, log_y, log_qa, log_qb, log_q = (np.log(v).astype(float) for v in bases)
+        ll = k_pa * log_x + k_pb * log_y + k_qa * log_qa + k_qb * log_qb + self.j0_total * log_q + sums[0]
+        odds = (q / one_minus_q).astype(float)
+        mean = self.j0_total + sums[1] + (k_pa + k_pb) * odds
+        return ll, mean, sums[2] + (k_pa + k_pb) * (odds / one_minus_q).astype(float)
+
+    def grid_e_step(self, model):
+        """`e_step` at every point of the fit's start grid."""
+        return self.e_step(*start_grid_probs(model))
+
+    def __call__(self, p_a, p_b):
+        if not (0.0 < p_a < 1.0 and 0.0 < p_b < 1.0):
+            return -np.inf
+        if self.mode is estimate.FitMode.SCORE_ONLY:
+            return float(self.e_step(p_a, p_b)[0][0])
+        won, served = estimate._serve_counts(self.k, self.m, estimate.FitModel.SERVER)
+        return float(won @ np.log([p_a, p_b]) + (served - won) @ np.log1p([-p_a, -p_b])) + self.log_h_total
 
 
 def per_server_e_step(records):

@@ -1,6 +1,8 @@
 import csv
+import hashlib
 import io
 import json
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -12,6 +14,7 @@ from rallystats import duration, matchlevel, sideout
 from rallystats.cli import main
 
 A, B = Player.A, Player.B
+GOLDEN = Path(__file__).parent / "golden" / "cli_estimate.json"
 
 
 @pytest.fixture
@@ -216,6 +219,16 @@ class TestSimulateAndEstimate:
         result = runner.invoke(main, ["estimate", "--input", str(records)])
         assert result.exit_code == 3
         assert "record 1" in result.output
+
+    @pytest.mark.parametrize("case", json.loads(GOLDEN.read_text()), ids=["n15", "n9-server-b"])
+    def test_simulate_and_estimate_match_golden_text(self, runner, tmp_path, case):
+        # stdout recorded from the per-record likelihood, records file by hash:
+        # both stay byte-identical on record columns
+        records = tmp_path / "games.jsonl"
+        assert run_ok(runner, ["simulate", *case["simulate"], "--records-out", str(records)]) == case["simulate_stdout"]
+        assert hashlib.sha256(records.read_bytes()).hexdigest() == case["records_sha256"]
+        for run in case["estimate"]:
+            assert run_ok(runner, ["estimate", "--input", str(records), *run["args"]]) == run["stdout"], run["args"]
 
     @pytest.mark.parametrize("bad", ['{"first_server": "A", "alpha": null, "beta": 3, "last_scorer": "A"}', "[1, 2]"])
     def test_estimate_malformed_record_exits_3(self, runner, tmp_path, bad):

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from rallystats import DomainError, GameConfig, Player, RallyProbs, ScoringSystem, SeedSpec
-from rallystats import duration, simulate
+from rallystats import duration, kernel, simulate
 from rallystats.duration import QuantileMode
 
 from oracles import (
@@ -12,6 +12,7 @@ from oracles import (
     duration_pmfs_by_server_winner,
     enumerate_rallypoint,
     enumerate_sideout,
+    exchange_cut_walk,
     exchange_pmf,
     mp_rallypoint_duration_moments,
     mp_sideout_duration_moments,
@@ -329,6 +330,34 @@ class TestExchangeSeries:
             q = (1 - mpmath.mpf(pr.p_a)) * (1 - mpmath.mpf(pr.p_b))
             exact = mpmath.betainc(length, m0, 0, q, regularized=True)
         assert exact <= tail <= 1e-12
+
+    @pytest.mark.parametrize("epsilon", [0.5, 1e-3, 1e-12])
+    def test_few_certified_tails_at_any_epsilon(self, monkeypatch, epsilon):
+        # the Newton guess carries the slope of -log(1 - r), so a large
+        # epsilon, whose stop lies near the mode, takes as few certified
+        # tails as a small one (up to 39 did with the slope of log f alone)
+        calls = []
+        binom = kernel.log_exchange_binom
+        monkeypatch.setattr(kernel, "log_exchange_binom", lambda points, l: calls.append(points) or binom(points, l))
+        rng = np.random.default_rng(17)
+        worst = 0
+        for _ in range(1000):
+            p_a, p_b = 10 ** rng.uniform(-3.5, 0.0, 2)
+            m0 = int(10 ** rng.uniform(0.0, 3.4))
+            calls.clear()
+            duration._exchange_cut(m0, RallyProbs(p_a, p_b), epsilon)
+            worst = max(worst, len(calls))
+        assert worst <= 4
+
+    @pytest.mark.parametrize("epsilon", [0.5, 1e-3, 1e-12])
+    def test_cut_equals_the_walk(self, epsilon):
+        rng = np.random.default_rng(18)
+        cases = [(m0, RallyProbs(p, 0.9 * p)) for m0 in (1, 2, 15) for p in (0.9, 0.3, 0.05)]
+        for _ in range(60):
+            p_a, p_b = 10 ** rng.uniform(-1.5, 0.0, 2)
+            cases.append((int(10 ** rng.uniform(0.0, 2.5)), RallyProbs(p_a, p_b)))
+        for m0, pr in cases:
+            assert duration._exchange_cut(m0, pr, epsilon) == exchange_cut_walk(m0, pr, epsilon), (m0, pr)
 
     def test_refused_past_the_term_guard(self):
         # modes of 1.4e7 (29 points at 1e-6) and 1.16e7 (2320 points at

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from rallystats import (
+    DomainError,
     GameConfig,
     InfeasibleData,
     Player,
@@ -19,6 +20,7 @@ from rallystats import estimate, kernel, simulate
 from rallystats.estimate import FitMode, FitModel, GameRecord, RallyWinProbMLE
 
 from oracles import (
+    RecordLikelihood,
     enumerate_sideout,
     exact_h_count,
     log_h,
@@ -26,6 +28,7 @@ from oracles import (
     per_server_e_step,
     score_loglik,
     score_marginal,
+    start_grid_probs,
 )
 
 A, B = Player.A, Player.B
@@ -192,6 +195,10 @@ class TestJointLikelihood:
             for t in {id(t): t for t in rows}.values():  # every record of a tally at once
                 which = [i for i, u in enumerate(rows) if u is t]
                 assert np.array_equal(estimate._log_h(t, np.array(ms)[which]), want[which])
+            # every record of the batch at once, from one table of its tallies
+            keys = list({(int(t.alpha[0]), int(t.beta[0]), bool(t.server_last[0])): None for t in rows})
+            index = [keys.index((int(t.alpha[0]), int(t.beta[0]), bool(t.server_last[0]))) for t in rows]
+            assert np.array_equal(estimate._log_h(kernel.tallies(keys), np.array(ms), np.array(index)), want)
             for value in want:
                 total += value
             assert estimate._Likelihood(records, FitMode.SCORE_DURATION).log_h_total == total
@@ -374,6 +381,7 @@ class TestFit:
             ref_e_step = per_server_e_step(records)
             with monkeypatch.context() as m:
                 m.setattr(estimate._Likelihood, "e_step", lambda self, p_a, p_b: ref_e_step(p_a, p_b))
+                m.setattr(estimate._Likelihood, "grid_e_step", lambda self, model: ref_e_step(*start_grid_probs(model)))
                 ref = estimate.fit(records, FitMode.SCORE_ONLY, model)
             assert (res.p_a, res.p_b) == pytest.approx((ref.p_a, ref.p_b), abs=1e-10)
             assert res.log_likelihood == pytest.approx(ref.log_likelihood, rel=1e-13)
@@ -387,13 +395,19 @@ class TestFit:
         res = estimate.fit(records, FitMode.SCORE_DURATION, model)
         assert (res.newton_steps, res.evaluations) == (0, 1)
         points = []
-        e_step = estimate._Likelihood.e_step
+        e_step, grid_e_step = estimate._Likelihood.e_step, estimate._Likelihood.grid_e_step
 
         def counting(self, p_a, p_b):
             points.append(np.size(p_a))
             return e_step(self, p_a, p_b)
 
+        def counting_grid(self, model):
+            out = grid_e_step(self, model)
+            points.append(out[0].size)
+            return out
+
         monkeypatch.setattr(estimate._Likelihood, "e_step", counting)
+        monkeypatch.setattr(estimate._Likelihood, "grid_e_step", counting_grid)
         res = estimate.fit(records, FitMode.SCORE_ONLY, model)
         assert points[0] == (289 if model is FitModel.SERVER else 17)
         assert res.evaluations == sum(points)
@@ -487,3 +501,225 @@ class TestEstimatorAPI:
         est = RallyWinProbMLE().fit(records)
         p = est.predict_win_prob(GameConfig(n=15), server=A, winner=A)
         assert 0.5 < p < 1.0  # A is the stronger side in truth
+
+
+def record_oracle_fit(records, mode, model):
+    """`estimate.fit` on the per-record likelihood of a list of records."""
+    saved = estimate._Likelihood
+    estimate._Likelihood = RecordLikelihood
+    try:
+        return estimate.fit(list(records), mode, model)
+    finally:
+        estimate._Likelihood = saved
+
+
+def random_batch(seed):
+    """A seeded batch of 1 to 200 games to 5..21, some with a tie-break."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.choice([5, 9, 15, 21]))
+    tiebreak = int(rng.choice([2, 3])) if n > 5 and rng.random() < 0.25 else None
+    config = GameConfig(n=n, s_a=float(rng.uniform(0.2, 0.8)), tiebreak=tiebreak)
+    probs = RallyProbs(*(float(v) for v in rng.uniform(0.05, 0.95, 2)))
+    games = int(rng.choice([1, 7, 50, 200]))
+    return estimate.records_from_sample(simulate.sample_games(probs, config, games, SeedSpec(140, seed)))
+
+
+class TestRecordBatch:
+    def test_from_sample_column_for_column(self):
+        sample = simulate.sample_games(RallyProbs(0.6, 0.5), GameConfig(n=9, s_a=0.5), 30, SeedSpec(141, 0))
+        batch = estimate.records_from_sample(sample)
+        assert isinstance(batch, estimate.RecordBatch) and len(batch) == 30
+        for name, col in [("first_server_a", sample.first_server_a), ("alpha", sample.alpha), ("beta", sample.beta),
+                          ("last_scorer_a", sample.winner_a), ("duration", sample.duration)]:
+            assert np.array_equal(getattr(batch, name), col)
+            assert not getattr(batch, name).flags.writeable
+        assert sample.alpha.flags.writeable  # the sample's own arrays keep their flags
+        with pytest.raises(ValueError):
+            batch.alpha[0] = 3
+
+    def test_iteration_indexing_and_slicing(self):
+        batch = simulated_records(0.6, 0.5, 9, 25, SeedSpec(141, 1))
+        records = list(batch)
+        assert all(isinstance(r, GameRecord) for r in records)
+        assert all(type(r.score.alpha) is int and type(r.duration) is int for r in records)
+        assert batch[3] == records[3] and batch[-1] == records[-1]
+        with pytest.raises(IndexError):
+            batch[25]
+        for sl in (slice(None, None, -1), slice(2, 7), slice(None, None, 3), slice(30, 40)):
+            part = batch[sl]
+            assert isinstance(part, estimate.RecordBatch)
+            assert list(part) == records[sl]
+        assert batch[::-1] == records[::-1] and batch != records[::-1]
+        assert batch[:10] + records[10:] == batch
+
+    def test_from_records_round_trip(self):
+        batch = simulated_records(0.4, 0.7, 15, 40, SeedSpec(141, 2))
+        again = estimate.RecordBatch.from_records(list(batch))
+        assert estimate.RecordBatch.from_records(batch) is batch
+        for name in ("first_server_a", "alpha", "beta", "last_scorer_a", "duration"):
+            assert np.array_equal(getattr(again, name), getattr(batch, name))
+        assert again == batch
+        empty = estimate.RecordBatch.from_records([])
+        assert len(empty) == 0 and list(empty) == []
+
+    def test_json_round_trip(self):
+        batch = simulated_records(0.6, 0.5, 9, 25, SeedSpec(141, 3))
+        text = estimate.records_to_json_lines(batch)
+        assert text == estimate.records_to_json_lines(list(batch))
+        back = estimate.records_from_json_lines(text.splitlines())
+        assert back == batch
+        assert estimate.RecordBatch.from_records(back) == batch
+
+    def test_missing_durations(self):
+        records = [rec(A, 9, 3, A, 20), rec(B, 4, 9, B), rec(B, 9, 7, A, 25)]
+        batch = estimate.RecordBatch.from_records(records)
+        assert np.isnan(batch.duration[1]) and list(batch) == records
+        text = estimate.records_to_json_lines(batch)
+        assert "duration" not in text.splitlines()[1]
+        assert estimate.fit(batch, FitMode.SCORE_ONLY) == estimate.fit(records, FitMode.SCORE_ONLY)
+        with pytest.raises(InfeasibleData, match="^record 1: duration required"):
+            estimate.fit(batch, FitMode.SCORE_DURATION)
+
+    @pytest.mark.parametrize(
+        "columns, match",
+        [
+            (([True, True], [9, 3], [3, 9], [True, False], [20.0, 21.0]), None),
+            (([True, True], [9, -1], [3, 9], [True, False], [20, 21]), "record 1: negative score"),
+            (([True, True], [9, 3], [3, 0], [True, False], [20, 21]), "record 1: last scorer B requires beta >= 1"),
+            (([True, True], [9, 3], [3, 9], [True, False], [20, 21.5]), "record 1: duration 21.5 is not a whole"),
+            (([True, True], [9, 3], [3, 9], [True, False], [np.inf, 21]), "record 0: duration inf"),
+            (([True, True], [9.0, 3], [3, 9], [True, False], [20, 21]), "alpha must be"),
+            (([True], [9, 3], [3, 9], [True, False], [20, 21]), "unequal lengths"),
+        ],
+    )
+    def test_columns_checked(self, columns, match):
+        if match is None:
+            assert len(estimate.RecordBatch(*(np.array(c) for c in columns))) == 2
+            return
+        with pytest.raises(DomainError, match=match):
+            estimate.RecordBatch(*(np.array(c) for c in columns))
+
+
+class TestBatchAgainstRecordOracle:
+    def test_fits_equal_the_record_oracle(self):
+        # 40 seeded batches, both modes and both models: the column set-up,
+        # the grid cache and log H over all records at once give the
+        # per-record likelihood's fits to the last bit
+        for seed in range(40):
+            batch = random_batch(seed)
+            for mode in FitMode:
+                for model in FitModel:
+                    assert estimate.fit(batch, mode, model) == record_oracle_fit(batch, mode, model), (seed, mode, model)
+
+    def test_likelihoods_equal_the_record_oracle(self):
+        for seed in range(40, 50):
+            batch = random_batch(seed)
+            for mode in FitMode:
+                lik, ref = estimate._Likelihood(batch, mode), RecordLikelihood(list(batch), mode)
+                assert lik.k == ref.k
+                for p_a, p_b in [(0.6, 0.5), (1e-9, 0.3), (0.97, 1 - 1e-9)]:
+                    assert lik(p_a, p_b) == ref(p_a, p_b)
+                if mode is FitMode.SCORE_DURATION:
+                    assert (lik.m, lik.log_h_total) == (ref.m, ref.log_h_total)
+
+    @pytest.mark.parametrize(
+        "records",
+        [
+            [rec(A, 5, 2, A, 9), rec(A, 5, 2, A, 8)],  # wrong parity
+            [rec(A, 5, 2, A, 9), rec(B, 2, 5, B, 5)],  # too short
+            [rec(A, 5, 2, A, 9), rec(B, 5, 2, B, -3)],  # negative, and the last scorer trails
+            [rec(A, 5, 2, A, 9), rec(A, 2, 5, A, 9)],  # the last scorer trails
+            [rec(A, 5, 2, A, 9), rec(B, 3, 3, B, 9)],  # a tie is not a completed game
+            [rec(A, 5, 2, A, 9), rec(A, 5, 2, A), rec(A, 5, 2, A, 8)],  # no duration
+            [rec(A, 5, 2, A, 9), rec(B, 2, 5, B, 7), rec(A, 5, 2, A, 8)],  # zero probability first
+            [rec(A, 5, 2, A, 9)] * 3 + [rec(B, 2, 5, B, 8), rec(A, 2, 5, A, 9)],
+        ],
+    )
+    def test_infeasible_data_names_the_first_record(self, records):
+        for mode in FitMode:
+            try:
+                RecordLikelihood(records, mode)
+            except InfeasibleData as exc:
+                want = str(exc)
+            else:
+                want = None
+            if want is None:
+                estimate._Likelihood(records, mode)
+                continue
+            assert want.startswith("record ")
+            for data in (records, estimate.RecordBatch.from_records(records)):
+                with pytest.raises(InfeasibleData) as info:
+                    estimate._Likelihood(data, mode)
+                assert str(info.value) == want
+
+    def test_no_records(self):
+        for data in ([], estimate.RecordBatch.from_records([])):
+            with pytest.raises(InfeasibleData, match="no records"):
+                estimate.fit(data, FitMode.SCORE_ONLY)
+
+
+class TestStartGridCache:
+    def test_cached_rows_equal_one_kernel_call(self):
+        # rows filled in three batches (all misses, some, none) against one
+        # kernel call over every tally, bit for bit
+        estimate._start_grid.cache_clear()
+        batches = [random_batch(seed) for seed in (60, 61, 62, 60)]
+        for model in FitModel:
+            seen = {}
+            for batch in batches:
+                lik = estimate._Likelihood(batch, FitMode.SCORE_ONLY)
+                seen.update(dict.fromkeys(lik.tallies))
+                lik.grid_e_step(model)
+            grid = estimate._start_grid(model)
+            tallies = list(seen)
+            assert set(grid.rows) == set(tallies)
+            want = np.stack(kernel.interruption_polynomial(kernel.tallies(tallies), grid.q), axis=1)
+            assert np.array_equal(grid.polynomial(tallies), want)
+            assert np.array_equal(grid.polynomial(tallies[::-1]), want[::-1])
+
+    @pytest.mark.parametrize("model", list(FitModel))
+    def test_grid_e_step_equals_e_step_on_the_grid(self, model):
+        for seed in (63, 64):
+            lik = estimate._Likelihood(random_batch(seed), FitMode.SCORE_ONLY)
+            for got, want in zip(lik.grid_e_step(model), lik.e_step(*start_grid_probs(model))):
+                assert np.array_equal(got, want)
+
+    def test_cold_and_warm_fits_equal(self, monkeypatch):
+        batches = [random_batch(seed) for seed in range(65, 71)]
+        for model in FitModel:
+            estimate._start_grid.cache_clear()
+            cold = []
+            for batch in batches:
+                estimate._start_grid.cache_clear()
+                cold.append(estimate.fit(batch, FitMode.SCORE_ONLY, model))
+            warm = [estimate.fit(batch, FitMode.SCORE_ONLY, model) for batch in batches]
+            monkeypatch.setattr(estimate, "_GRID_ROWS", 8)  # a full cache starts again
+            estimate._start_grid.cache_clear()
+            small = []
+            for batch in batches:
+                small.append(estimate.fit(batch, FitMode.SCORE_ONLY, model))
+                tallies = estimate._Likelihood(batch, FitMode.SCORE_ONLY).tallies
+                assert len(estimate._start_grid(model).rows) <= max(8, len(tallies))
+            monkeypatch.undo()
+            assert cold == warm == small
+
+    def test_cached_arrays_are_read_only(self):
+        estimate.fit(random_batch(72), FitMode.SCORE_ONLY)
+        grid = estimate._start_grid(FitModel.SERVER)
+        arrays = [grid.theta, grid.q, grid.where, *grid.bases, *grid.rows.values()]
+        assert arrays and not any(a.flags.writeable for a in arrays)
+        with pytest.raises(ValueError):
+            next(iter(grid.rows.values()))[0, 0] = 0.0
+
+    def test_cache_empty_after_import(self):
+        # a fresh process: nothing is evaluated at import
+        code = (
+            "import rallystats\n"
+            "from rallystats import estimate\n"
+            "print(estimate._start_grid.cache_info().currsize)\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert out.stdout.strip() == "0"
