@@ -24,15 +24,20 @@ variance of m, hence the exact score (Fisher's identity) and
 information (Louis's formula) for grid-started projected Newton steps.
 
 Records reach the likelihood as a `RecordBatch`, aligned columns that
-`records_from_sample` takes from a simulated batch as they are; its set-up
-is column arithmetic, and log H(m) of all records is one reduction.  For
-200 games to 15 on a shared 2-core machine, in-process, the records take
-0.03 ms (0.85-0.98 as `GameRecord`s), the score-only set-up 0.21 ms and
-the score-and-duration set-up 0.8 ms (0.25-0.31 and 1.35-1.46 record by
-record), the grid step 0.09 ms from the cached polynomials (1.7 ms when
-the kernel evaluates them, as for a tally not seen before) and a Newton
-point 0.08-0.15 ms; the score-only fit takes 2.4-2.6 ms and the
-score-and-duration fit 0.9 ms, against 3.7-4.1 and 1.4-1.6 ms before.
+`records_from_sample` takes from a simulated batch as they are and
+`records_from_json_lines` parses into; its set-up is column arithmetic,
+and log H(m) of all records is one reduction over exchange binomials kept
+per points total.  Newton carries its iterate, score and information as
+Python floats and solves the 2 x 2 (or 1 x 1) system in closed form.
+For 200 games to 15 at (.6, .5) on a shared 2-core machine, in-process
+medians of 600 replications: the records take 0.03 ms, the
+score-and-duration set-up 0.55-0.7 ms (0.75-0.95 with the binomials
+formed per fit), the grid step 0.08-0.14 ms from the cached polynomials
+(1.7 ms when the kernel evaluates them, as for a tally not seen before)
+and a Newton point 0.1-0.2 ms, nearly all of it the E-step (the step's
+own algebra takes about 0.01 ms, 0.11 ms with numpy's `eigvalsh` and
+`solve`); the score-only fit takes 1.9-2.2 ms and the score-and-duration
+fit 0.85-1.05 ms, against 2.8-3.0 and 1.1-1.2 ms before.
 
 Duration information enters the conditional duration law only through q,
 so in the two-parameter server model the duration term mostly sharpens q;
@@ -68,6 +73,7 @@ _MAX_STEPS = 100
 _STEP_TOL = 1e-10  # logit units
 _GAIN_TOL = 1e-14  # relative to 1 + |log-likelihood|
 _GRID_ROWS = 1024  # tallies whose start-grid polynomials a model keeps (3.7 kB each)
+_DTYPES = (bool, np.int64, np.int64, bool, float)  # of the `RecordBatch` columns
 
 
 class FitMode(enum.Enum):
@@ -86,6 +92,8 @@ def _count(d: dict, key: str) -> int:
         isinstance(value, numbers.Integral) or (isinstance(value, float) and value.is_integer())
     ):
         raise ValueError(f"{key}={value!r} is not an integer")
+    if not -(2**63) <= value < 2**63:  # the int64 columns of a `RecordBatch`
+        raise ValueError(f"{key}={value!r} is out of range")
     return int(value)
 
 
@@ -109,32 +117,36 @@ class GameRecord:
             out["duration"] = self.duration
         return out
 
-    @staticmethod
-    def from_dict(d: dict) -> "GameRecord":
-        if not isinstance(d, dict):
-            raise ValueError(f"expected a JSON object, got {type(d).__name__}")
-        return GameRecord(
-            first_server=Player(d["first_server"]),
-            score=TerminalScore(_count(d, "alpha"), _count(d, "beta"), Player(d["last_scorer"])),
-            duration=_count(d, "duration") if d.get("duration") is not None else None,
-        )
-
 
 def records_to_json_lines(records) -> str:
     return "".join(json.dumps(r.to_dict(), sort_keys=True) + "\n" for r in records)
 
 
-def records_from_json_lines(lines) -> list[GameRecord]:
-    out = []
+def records_from_json_lines(lines) -> RecordBatch:
+    """The record batch of JSON lines, one object per game as `GameRecord.to_dict`
+    writes it (blank lines are skipped), parsed straight into columns.  A
+    line that does not parse, or whose score `TerminalScore` refuses,
+    raises `InfeasibleData` naming it."""
+    cols = ([], [], [], [], [])
     for i, line in enumerate(lines):
         line = line.strip()
         if not line:
             continue
         try:
-            out.append(GameRecord.from_dict(json.loads(line)))
+            d = json.loads(line)
+            if not isinstance(d, dict):
+                raise ValueError(f"expected a JSON object, got {type(d).__name__}")
+            first_a = Player(d["first_server"]) is Player.A
+            alpha, beta = _count(d, "alpha"), _count(d, "beta")
+            last_a = Player(d["last_scorer"]) is Player.A
+            if min(alpha, beta) < 0 or (alpha if last_a else beta) < 1:
+                TerminalScore(alpha, beta, Player.A if last_a else Player.B)  # raises its DomainError
+            duration = _count(d, "duration") if d.get("duration") is not None else math.nan
         except (KeyError, ValueError) as exc:
             raise InfeasibleData(f"record {i}: cannot parse ({exc})") from exc
-    return out
+        for col, value in zip(cols, (first_a, alpha, beta, last_a, duration)):
+            col.append(value)
+    return RecordBatch(*(np.array(c, dtype=t) for c, t in zip(cols, _DTYPES)))
 
 
 def _column(values, dtype, kinds: str, what: str) -> np.ndarray:
@@ -196,7 +208,7 @@ class RecordBatch:
             for r in records
         ]
         cols = list(zip(*rows)) or [()] * 5
-        return RecordBatch(*(np.array(c, dtype=t) for c, t in zip(cols, (bool, np.int64, np.int64, bool, float))))
+        return RecordBatch(*(np.array(c, dtype=t) for c, t in zip(cols, _DTYPES)))
 
     def __len__(self) -> int:
         return len(self.alpha)
@@ -236,25 +248,36 @@ def records_from_sample(sample) -> RecordBatch:
     return RecordBatch(sample.first_server_a, sample.alpha, sample.beta, sample.winner_a, sample.duration)
 
 
+@functools.lru_cache(maxsize=128)
+def _exchange_row(total: int, length: int) -> np.ndarray:
+    """log C(total - 1 + l, l) for l = 0 .. length - 1, the
+    `kernel.log_exchange_binom` row of a points total, read-only: each
+    entry depends on the total and l alone, so rows are kept across fits
+    (lengths are powers of two, so few of them serve every batch; a row
+    takes 8 bytes per entry: 32 entries for games to 15 at (.6, .5))."""
+    row = kernel.log_exchange_binom(total, np.arange(length))
+    row.setflags(write=False)
+    return row
+
+
 def _log_h(rows: kernel.Rows, m, row=0) -> np.ndarray:
     """log H(m) at each entry of the array m of the tally in row `row` of
     `rows` (one index, or one per entry): the number-weight of
     trajectories with m extra rally pairs beyond the scored points, a
-    convolution over the l exchanges of C(a+b+l-1, l)
-    (`kernel.log_exchange_binom`, formed once for each points total a+b)
-    with the kernel coefficient of q^(m-l).  The terms of all entries form
-    one (entries, j) array, -inf outside each entry's j = j0 .. min(top,
-    m), reduced in the order of j; a -inf term leaves a sum of logs
-    unchanged to the last bit, so each entry gets the bits of its own
-    terms alone."""
+    convolution over the l exchanges of C(a+b+l-1, l) (`_exchange_row`
+    of each points total a+b) with the kernel coefficient of q^(m-l).
+    The terms of all entries form one (entries, j) array, -inf outside
+    each entry's j = j0 .. min(top, m), reduced in the order of j; a -inf
+    term leaves a sum of logs unchanged to the last bit, so each entry
+    gets the bits of its own terms alone."""
     m = np.atleast_1d(np.asarray(m))
     row = np.broadcast_to(row, m.shape)
     j0, top, points = rows.j0[row], rows.top[row], rows.alpha[row] + rows.beta[row]
     j = np.arange(int(np.minimum(top, m).max()) + 1)
     l, s = m[:, None] - j, j - j0[:, None]
     totals, which = np.unique(points, return_inverse=True)
-    exchanges = np.arange(max(int(l.max()), 0) + 1)
-    binom = np.stack([kernel.log_exchange_binom(total, exchanges) for total in totals.tolist()])
+    length = 1 << max(int(l.max()), 15).bit_length()  # a power of two above the largest l, at least 16
+    binom = np.stack([_exchange_row(total, length) for total in totals.tolist()])
     log_exchanges = binom[which[:, None], np.maximum(l, 0)]
     inside = (s >= 0) & (j <= top[:, None]) & (l >= 0)
     logc = rows.logc[row[:, None], np.clip(s, 0, rows.logc.shape[1] - 1)]
@@ -464,55 +487,96 @@ def _probs(x, model: FitModel):
     return (x[0], x[1]) if model is FitModel.SERVER else (x[0], 1.0 - x[0])
 
 
-def _score_information(k, x, mean, var, model: FitModel) -> tuple[np.ndarray, np.ndarray]:
+def _score_information(k, x, mean: float, var: float, model: FitModel) -> tuple[tuple, tuple]:
     """Score-only logit score won - served p at E[M] (Fisher's identity) and
     observed information diag(served p (1 - p)) - Var[M] w w^T, w the
-    derivative of that score in M (Louis's formula)."""
-    won, served = _serve_counts(k, mean, model)
-    w = -x if model is FitModel.SERVER else 1.0 - 2.0 * x
-    return won - served * x, np.diag(served * x * (1.0 - x)) - var * np.outer(w, w)
+    derivative of that score in M (Louis's formula), on floats: the score
+    as a tuple and the information as a tuple of rows, in (p_a, p_b) with
+    w = -x in the server model and in p with w = 1 - 2p in the no-server
+    model."""
+    k_pa, k_qa, k_pb, k_qb = k
+    if model is FitModel.SERVER:
+        x_a, x_b = x
+        served_a, served_b = k_pa + k_qa + mean, k_pb + k_qb + mean
+        cross = -(var * (x_a * x_b))
+        return (k_pa - served_a * x_a, k_pb - served_b * x_b), (
+            (served_a * x_a * (1.0 - x_a) - var * (x_a * x_a), cross),
+            (cross, served_b * x_b * (1.0 - x_b) - var * (x_b * x_b)),
+        )
+    (x_a,) = x
+    served, w = k_pa + k_qa + k_pb + k_qb + 2 * mean, 1.0 - 2.0 * x_a
+    return (k_pa + k_qb + mean - served * x_a,), ((served * x_a * (1.0 - x_a) - var * (w * w),),)
 
 
-def _newton(lik: _Likelihood, model: FitModel, lo: float, hi: float) -> tuple[np.ndarray, float, int, int]:
+def _newton_step(score: tuple, info: tuple, free: list[bool]) -> list[float]:
+    """The Newton step, info^-1 score on the free coordinates and 0 on the
+    others, in closed form.  An information block whose smallest eigenvalue
+    lies below 1e-12 (1 + its trace) is shifted up by that floor less twice
+    the eigenvalue where it is negative; that eigenvalue is the entry of a
+    1 x 1 block and tr/2 - hypot((a - d)/2, b) of a 2 x 2 block [[a, b],
+    [b, d]], which is then solved by Cramer's rule."""
+    step = [0.0] * len(score)
+    idx = [i for i, f in enumerate(free) if f]
+    if len(idx) == 1:
+        (i,) = idx
+        a = info[i][i]
+        floor = 1e-12 * (1.0 + a)
+        if a < floor:
+            a += floor - 2.0 * min(a, 0.0)
+        step[i] = score[i] / a
+    elif idx:
+        (a, b), (_, d) = info
+        tr = a + d
+        floor, low = 1e-12 * (1.0 + tr), tr / 2.0 - math.hypot((a - d) / 2.0, b)
+        if low < floor:
+            shift = floor - 2.0 * min(low, 0.0)
+            a, d = a + shift, d + shift
+        det = a * d - b * b
+        step = [(score[0] * d - b * score[1]) / det, (a * score[1] - b * score[0]) / det]
+    return step
+
+
+def _logistic(theta: list[float]) -> list[float]:
+    return [1.0 / (1.0 + math.exp(-v)) for v in theta]
+
+
+def _newton(lik: _Likelihood, model: FitModel, lo: float, hi: float) -> tuple[list[float], float, int, int]:
     """Projected Newton steps in logit coordinates on [lo, hi] from the best
     point of a grid (the likelihood can have a second maximum on a ray to a
     corner), holding a coordinate on a bound while its score points out.
-    Returns the estimate, its log-likelihood, the steps taken and the
-    points evaluated."""
-    bounds = np.array([-1.0, 1.0]) * math.log(hi / lo)
+    The iterate, score and information are Python floats.  Returns the
+    estimate, its log-likelihood, the steps taken and the points
+    evaluated."""
+    bound = math.log(hi / lo)  # on the logit scale, [lo, hi] is [-bound, bound]
     grid = _start_grid(model).theta
     ll, mean, var = lik.grid_e_step(model)
     evaluations = grid.shape[1]
-    best = np.argmax(ll)
-    theta, ll, mean, var = grid[:, best], ll[best], mean[best], var[best]
-    x = 1.0 / (1.0 + np.exp(-theta))
+    best = int(np.argmax(ll))
+    theta, ll, mean, var = grid[:, best].tolist(), float(ll[best]), float(mean[best]), float(var[best])
+    x = _logistic(theta)
     for steps in range(1, _MAX_STEPS + 1):
         score, info = _score_information(lik.k, x, mean, var, model)
-        free = ~((theta <= bounds[0]) & (score < 0.0) | (theta >= bounds[1]) & (score > 0.0))
-        step = np.zeros_like(x)
-        if free.any():
-            h = info[np.ix_(free, free)]
-            floor, low = 1e-12 * (1.0 + np.trace(h)), np.linalg.eigvalsh(h)[0]
-            if low < floor:  # not positive definite: shift it
-                h = h + (floor - 2.0 * min(low, 0.0)) * np.eye(len(h))
-            step[free] = np.linalg.solve(h, score[free])
+        free = [not (v <= -bound and g < 0.0 or v >= bound and g > 0.0) for v, g in zip(theta, score)]
+        step = _newton_step(score, info, free)
         # end the step just past the first bound it meets, where the clip holds that coordinate
-        inside = (step != 0.0) & (theta > bounds[0]) & (theta < bounds[1])
-        room = (np.where(step < 0.0, bounds[0], bounds[1]) - theta)[inside] / step[inside]
-        t = min(1.0, 1.000001 * room.min(initial=np.inf))
+        room = min(
+            (((bound if s > 0.0 else -bound) - v) / s for v, s in zip(theta, step) if s != 0.0 and -bound < v < bound),
+            default=math.inf,
+        )
+        t = min(1.0, 1.000001 * room)
         # gains below the rounding of the log-likelihood cannot be resolved
         tol = _GAIN_TOL * (1.0 + abs(ll))
         while True:
-            theta_new = np.clip(theta + t * step, *bounds)
-            x_new = 1.0 / (1.0 + np.exp(-theta_new))
-            ll_new, mean_new, var_new = (v[0] for v in lik.e_step(*_probs(x_new, model)))
+            theta_new = [min(max(v + t * s, -bound), bound) for v, s in zip(theta, step)]
+            x_new = _logistic(theta_new)
+            ll_new, mean_new, var_new = (float(v[0]) for v in lik.e_step(*_probs(x_new, model)))
             evaluations += 1
             if ll_new >= ll - tol:
                 break
             t /= 2.0  # the likelihood dropped
-            if t * np.abs(step).max() < _STEP_TOL:
+            if t * max(map(abs, step)) < _STEP_TOL:
                 return x, ll, steps, evaluations
-        gain, moved = ll_new - ll, np.abs(theta_new - theta).max()
+        gain, moved = ll_new - ll, max(abs(u - v) for u, v in zip(theta_new, theta))
         theta, x, ll, mean, var = theta_new, x_new, ll_new, mean_new, var_new
         if moved < _STEP_TOL or gain <= tol:
             return x, ll, steps, evaluations
@@ -534,7 +598,7 @@ def fit(records, mode: FitMode = FitMode.SCORE_DURATION, model: FitModel = FitMo
     else:
         x, ll, steps, evaluations = _newton(lik, model, lo, hi)
     p_a, p_b = (float(v) for v in _probs(x, model))
-    boundary = bool(np.any(np.minimum(x - lo, hi - x) <= _PARAM_TOL))
+    boundary = any(min(v - lo, hi - v) <= _PARAM_TOL for v in x)
     return FitResult(
         p_a, p_b, float(ll), converged=True, boundary=boundary, mode=mode, model=model,
         newton_steps=steps, evaluations=evaluations,

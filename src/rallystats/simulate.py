@@ -8,8 +8,14 @@ games still in play: each rally step draws one uniform per live game, in
 game index order, and a finished game leaves the arrays.  That is the
 same sequence of deviates a loop over all games with a mask of the live
 ones draws, so batch results are the same, bit for bit, for every
-`SeedSpec`.  The scalar `simulate_game` follows the same transition rules
-rally by rally and can retain the full trajectory.
+`SeedSpec`.  The batch labels the players by serve strength, h the
+stronger server and l the weaker: a deviate below both serve
+probabilities is a rally won by either server, one between them a rally
+won by h on serve, so a step is one comparison chain on the flag "h
+serves", the scores of h and l, and one end test on their maximum; the
+scores go back to A and B once the batch is done.  The scalar
+`simulate_game` follows the same transition rules rally by rally and can
+retain the full trajectory.
 """
 
 from __future__ import annotations
@@ -138,56 +144,55 @@ def _batch_games(
     first_server_a: np.ndarray | None = None,
 ) -> GameSample:
     """Play `count` games side by side, one rally per step, on arrays of
-    the games still in play: server flag, both scores and, with a
-    tie-break, the target.  A finished game's outcome is written out once,
-    by index, and the game leaves the arrays."""
+    the games still in play: whether the stronger server serves, both
+    scores and, with a tie-break, the target.  A finished game's outcome
+    is written out once, by index, and the game leaves the arrays."""
     n, ell = config.n, config.tiebreak
     sideout = config.system is ScoringSystem.SIDE_OUT
     if first_server_a is None:
         first_server_a = rng.random(count) < config.s_a
-    alpha = np.zeros(count, dtype=np.int64)
-    beta = np.zeros(count, dtype=np.int64)
-    duration = np.zeros(count, dtype=np.int64)
-    # A deviate below both serve probabilities is a rally won by either
-    # server; one between them is won only by the server with the higher.
+    # h serves with the higher probability (A on a tie), l with the lower
     lo, hi = sorted((probs.p_a, probs.p_b))
     a_high = probs.p_a >= probs.p_b
+    final_h = np.zeros(count, dtype=np.int64)
+    final_l = np.zeros(count, dtype=np.int64)
+    duration = np.zeros(count, dtype=np.int64)
     score_dtype = np.min_scalar_type(n if ell is None else n - 1 + ell)
     ids = np.arange(count)
-    server_a = first_server_a.copy()
-    score_a = np.zeros(count, dtype=score_dtype)
-    score_b = np.zeros(count, dtype=score_dtype)
+    server_h = first_server_a == a_high
+    score_h = np.zeros(count, dtype=score_dtype)
+    score_l = np.zeros(count, dtype=score_dtype)
     target = None if ell is None else np.full(count, n, dtype=score_dtype)
     rally = 0
     while ids.size:
         rally += 1
         u = rng.random(ids.size)
-        server_won = (u < lo) | ((u < hi) & (server_a == a_high))
-        a_rally = server_a == server_won  # A won the rally
+        server_won = (u < lo) | ((u < hi) & server_h)
+        h_rally = server_h == server_won  # h won the rally
         if sideout:
-            score_a += a_rally & server_won
-            score_b += ~a_rally & server_won
+            score_h += h_rally & server_won
+            score_l += server_won > h_rally  # l served and won
         else:
-            score_a += a_rally
-            score_b += ~a_rally
-        server_a = a_rally
+            score_h += h_rally
+            score_l += ~h_rally
+        server_h = h_rally
         if target is not None and rally >= 2 * n - 2:  # no n-1 all before
-            target[(score_a == n - 1) & (score_b == n - 1)] = n - 1 + ell
+            target[(score_h == n - 1) & (score_l == n - 1)] = n - 1 + ell
         if rally < n:  # no game ends before its n-th rally
             continue
-        goal = n if target is None else target
-        done = (score_a >= goal) | (score_b >= goal)
+        done = np.maximum(score_h, score_l) >= (n if target is None else target)
         if not done.any():
             continue
         fin = np.flatnonzero(done)
         out = ids[fin]
-        alpha[out] = score_a[fin]
-        beta[out] = score_b[fin]
+        final_h[out] = score_h[fin]
+        final_l[out] = score_l[fin]
         duration[out] = rally
         keep = ~done
-        ids, server_a, score_a, score_b = ids[keep], server_a[keep], score_a[keep], score_b[keep]
+        ids, server_h, score_h, score_l = ids[keep], server_h[keep], score_h[keep], score_l[keep]
         if target is not None:
             target = target[keep]
+    alpha, beta = (final_h, final_l) if a_high else (final_l, final_h)
     # the winner reached the target, the loser stayed below it
     return GameSample(first_server_a, alpha, beta, alpha > beta, duration)
 

@@ -816,6 +816,64 @@ class RecordLikelihood:
         return float(won @ np.log([p_a, p_b]) + (served - won) @ np.log1p([-p_a, -p_b])) + self.log_h_total
 
 
+def reference_score_information(k, x, mean, var, model):
+    """Score-only logit score won - served p at E[M] (Fisher's identity) and
+    observed information diag(served p (1 - p)) - Var[M] w w^T, w the
+    derivative of that score in M (Louis's formula), as numpy arrays: the
+    form `estimate._score_information` replaced with floats, kept as a
+    reference for it."""
+    won, served = estimate._serve_counts(k, mean, model)
+    w = -x if model is estimate.FitModel.SERVER else 1.0 - 2.0 * x
+    return won - served * x, np.diag(served * x * (1.0 - x)) - var * np.outer(w, w)
+
+
+def reference_newton(lik, model, lo, hi):
+    """Projected Newton steps in logit coordinates on [lo, hi] from the best
+    point of the start grid, on numpy arrays with `np.linalg.eigvalsh` and
+    `np.linalg.solve`: the form `estimate._newton` replaced with
+    closed-form algebra on floats, kept as a reference for it (patch it in
+    as `estimate._newton`).  Returns the estimate, its log-likelihood, the
+    steps taken and the points evaluated."""
+    bounds = np.array([-1.0, 1.0]) * math.log(hi / lo)
+    grid = estimate._start_grid(model).theta
+    ll, mean, var = lik.grid_e_step(model)
+    evaluations = grid.shape[1]
+    best = np.argmax(ll)
+    theta, ll, mean, var = grid[:, best], ll[best], mean[best], var[best]
+    x = 1.0 / (1.0 + np.exp(-theta))
+    for steps in range(1, estimate._MAX_STEPS + 1):
+        score, info = reference_score_information(lik.k, x, mean, var, model)
+        free = ~((theta <= bounds[0]) & (score < 0.0) | (theta >= bounds[1]) & (score > 0.0))
+        step = np.zeros_like(x)
+        if free.any():
+            h = info[np.ix_(free, free)]
+            floor, low = 1e-12 * (1.0 + np.trace(h)), np.linalg.eigvalsh(h)[0]
+            if low < floor:  # not positive definite: shift it
+                h = h + (floor - 2.0 * min(low, 0.0)) * np.eye(len(h))
+            step[free] = np.linalg.solve(h, score[free])
+        # end the step just past the first bound it meets, where the clip holds that coordinate
+        inside = (step != 0.0) & (theta > bounds[0]) & (theta < bounds[1])
+        room = (np.where(step < 0.0, bounds[0], bounds[1]) - theta)[inside] / step[inside]
+        t = min(1.0, 1.000001 * room.min(initial=np.inf))
+        # gains below the rounding of the log-likelihood cannot be resolved
+        tol = estimate._GAIN_TOL * (1.0 + abs(ll))
+        while True:
+            theta_new = np.clip(theta + t * step, *bounds)
+            x_new = 1.0 / (1.0 + np.exp(-theta_new))
+            ll_new, mean_new, var_new = (v[0] for v in lik.e_step(*estimate._probs(x_new, model)))
+            evaluations += 1
+            if ll_new >= ll - tol:
+                break
+            t /= 2.0  # the likelihood dropped
+            if t * np.abs(step).max() < estimate._STEP_TOL:
+                return x, ll, steps, evaluations
+        gain, moved = ll_new - ll, np.abs(theta_new - theta).max()
+        theta, x, ll, mean, var = theta_new, x_new, ll_new, mean_new, var_new
+        if moved < estimate._STEP_TOL or gain <= tol:
+            return x, ll, steps, evaluations
+    raise estimate.NonConvergence(f"no convergence within {estimate._MAX_STEPS} Newton steps")
+
+
 def per_server_e_step(records):
     """The score-only E-step of a record batch as a function of the arrays
     (p_a, p_b): log-likelihood and the mean and variance of the extra rally

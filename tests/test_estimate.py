@@ -26,6 +26,8 @@ from oracles import (
     log_h,
     multistart_score_fit,
     per_server_e_step,
+    reference_newton,
+    reference_score_information,
     score_loglik,
     score_marginal,
     start_grid_probs,
@@ -96,7 +98,7 @@ class TestScoreLikelihood:
             return reference(*estimate._probs(1.0 / (1.0 + np.exp(-theta)), model))
 
         _, mean, var = lik.e_step(*estimate._probs(x, model))
-        score, info = estimate._score_information(lik.k, x, mean[0], var[0], model)
+        score, info = estimate._score_information(lik.k, x.tolist(), float(mean[0]), float(var[0]), model)
         theta, h = np.log(x / (1.0 - x)), 1e-4
         eye = np.eye(len(x)) * h
         fd_score = [(ll(theta + e) - ll(theta - e)) / (2 * h) for e in eye]
@@ -431,6 +433,82 @@ class TestFit:
         assert mse[FitMode.SCORE_DURATION][1] < mse[FitMode.SCORE_ONLY][1]
 
 
+class TestNewtonAgainstReference:
+    """The closed-form Newton on floats against the numpy form it replaced
+    (`oracles.reference_newton`): 315 seeded score-only batches, games to
+    n in {3, 5, 9, 15, 21}, 5, 20 or 200 games, s_a in {0, .5, 1}, each
+    fitted in both models."""
+
+    @staticmethod
+    def corpus():
+        for n in (3, 5, 9, 15, 21):
+            for games in (5, 20, 200):
+                for s_a in (0.0, 0.5, 1.0):
+                    for seed in range(7):
+                        rng = np.random.default_rng([n, games, int(2 * s_a), seed])
+                        p_a, p_b = (float(v) for v in rng.uniform(0.02, 0.98, 2))
+                        yield simulated_records(p_a, p_b, n, games, SeedSpec(150, seed), s_a)
+
+    def test_fits_equal_the_reference(self, monkeypatch):
+        fits = 0
+        for records in self.corpus():
+            lik = estimate._Likelihood(records, FitMode.SCORE_ONLY)
+            for model in FitModel:
+                got = estimate.fit(records, FitMode.SCORE_ONLY, model)
+                with monkeypatch.context() as m:
+                    m.setattr(estimate, "_newton", reference_newton)
+                    want = estimate.fit(records, FitMode.SCORE_ONLY, model)
+                case = (records, model, got, want)
+                assert (got.newton_steps, got.evaluations, got.boundary) == (
+                    want.newton_steps, want.evaluations, want.boundary), case
+                # the halving search resolves gains to _GAIN_TOL (1 + |ll|); a
+                # pure relative bound is void where ray fits end at ll ~ -6e-14
+                assert abs(got.log_likelihood - want.log_likelihood) <= 1e-14 * (1.0 + abs(want.log_likelihood)), case
+                # the same score and information at the reference's estimate, to the bit
+                x = np.array([want.p_a, want.p_b][: 2 if model is FitModel.SERVER else 1])
+                _, mean, var = lik.e_step(*estimate._probs(x, model))
+                score, info = estimate._score_information(lik.k, x.tolist(), float(mean[0]), float(var[0]), model)
+                ref_score, ref_info = reference_score_information(lik.k, x, mean[0], var[0], model)
+                assert np.array_equal(score, ref_score) and np.array_equal(info, ref_info), case
+                if all(1e-6 <= v <= 1.0 - 1e-6 for v in (want.p_a, want.p_b)):
+                    # rounding of the score moves the maximizer along the
+                    # information's weakest direction as 1/lambda: 1e-12 down
+                    # to lambda = 1e-3, proportionally more below it
+                    low = np.linalg.eigvalsh(ref_info)[0]
+                    tol = 1e-12 * max(1.0, 1e-3 / low)
+                else:
+                    tol = estimate._PARAM_TOL
+                assert max(abs(got.p_a - want.p_a), abs(got.p_b - want.p_b)) <= tol, case
+                fits += 1
+        assert fits == 630
+
+    def test_step_equals_the_reference_solve(self):
+        # the closed-form 2 x 2 and 1 x 1 solves, shifts included, against
+        # `np.linalg.solve` on the shifted block, to within its condition
+        # number times rounding
+        rng = np.random.default_rng(7)
+        for _ in range(2000):
+            a, d = rng.uniform(-1.0, 5.0, 2) * 10.0 ** rng.integers(-6, 3, 2)
+            b = rng.uniform(-1.0, 1.0) * math.sqrt(abs(a * d)) * rng.choice([0.5, 1.0, 1.5])
+            score = rng.normal(size=2)
+            info = ((a, b), (b, d))
+            for free in ([True, True], [True, False], [False, True], [False, False]):
+                got = estimate._newton_step(tuple(score), info, free)
+                idx = np.flatnonzero(free)
+                h = np.array(info)[np.ix_(idx, idx)]
+                if idx.size:
+                    floor, low = 1e-12 * (1.0 + np.trace(h)), np.linalg.eigvalsh(h)[0]
+                    if low < floor:
+                        h = h + (floor - 2.0 * min(low, 0.0)) * np.eye(len(h))
+                want = np.zeros(2)
+                if idx.size:
+                    want[idx] = np.linalg.solve(h, score[idx])
+                    cond = np.linalg.cond(h)
+                    assert np.abs(np.subtract(got, want)).max() <= 1e-14 * cond * np.abs(want).max(), (info, free)
+                else:
+                    assert got == [0.0, 0.0]
+
+
 class TestRecordsIO:
     def test_round_trip(self):
         records = simulated_records(0.6, 0.5, 9, 25, SeedSpec(106, 6))
@@ -447,10 +525,35 @@ class TestRecordsIO:
         with pytest.raises(InfeasibleData, match="record 1"):
             estimate.records_from_json_lines(['{"first_server": "A", "alpha": 3, "beta": 0, "last_scorer": "A"}', "{bad"])
 
+    def test_lines_parse_into_a_batch(self):
+        # blank lines are skipped but still counted when a record is named
+        lines = ["", '{"first_server": "B", "alpha": 2, "beta": 9, "last_scorer": "B", "duration": 30}', "  ",
+                 '{"first_server": "A", "alpha": 9, "beta": 0, "last_scorer": "A"}']
+        batch = estimate.records_from_json_lines(lines)
+        assert isinstance(batch, estimate.RecordBatch)
+        assert batch == [rec(B, 2, 9, B, 30), rec(A, 9, 0, A)]
+        assert np.isnan(batch.duration[1])
+        assert len(estimate.records_from_json_lines(["", " "])) == 0
+
+    @pytest.mark.parametrize("alpha, beta, last", [(-1, 3, "B"), (0, 4, "A"), (4, 0, "B")])
+    def test_bad_score_named_as_terminal_score_names_it(self, alpha, beta, last):
+        with pytest.raises(DomainError) as want:
+            TerminalScore(alpha, beta, Player(last))
+        line = json.dumps({"first_server": "A", "alpha": alpha, "beta": beta, "last_scorer": last})
+        with pytest.raises(InfeasibleData) as got:
+            estimate.records_from_json_lines(["", line])
+        assert str(got.value) == f"record 1: cannot parse ({want.value})"
+
     @pytest.mark.parametrize("field, value", [("alpha", 15.9), ("beta", "3"), ("duration", 40.5), ("alpha", True)])
     def test_non_integral_count_rejected(self, field, value):
         d = {"first_server": "A", "alpha": 15, "beta": 3, "last_scorer": "A", "duration": 40, field: value}
         with pytest.raises(InfeasibleData, match=f"record 0: .*{field}"):
+            estimate.records_from_json_lines([json.dumps(d)])
+
+    @pytest.mark.parametrize("field, value", [("alpha", 2**63), ("beta", -(2**63) - 1), ("alpha", 1e30)])
+    def test_count_beyond_int64_rejected(self, field, value):
+        d = {"first_server": "A", "alpha": 15, "beta": 3, "last_scorer": "A", field: value}
+        with pytest.raises(InfeasibleData, match=f"record 0: .*{field}=.* is out of range"):
             estimate.records_from_json_lines([json.dumps(d)])
 
     def test_integral_float_count_accepted(self):
@@ -658,6 +761,47 @@ class TestBatchAgainstRecordOracle:
                 estimate.fit(data, FitMode.SCORE_ONLY)
 
 
+def fresh_process_output(code):
+    """Stdout of `code` run in a new interpreter on this test's path."""
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    ).stdout.strip()
+
+
+class TestExchangeBinomialCache:
+    def test_rows_equal_the_kernel_bit_for_bit(self, monkeypatch):
+        estimate._exchange_row.cache_clear()
+        cached, keys = estimate._exchange_row, set()
+        monkeypatch.setattr(estimate, "_exchange_row", lambda total, length: keys.add((total, length)) or cached(total, length))
+        for seed in range(80, 90):
+            estimate.fit(random_batch(seed), FitMode.SCORE_DURATION)
+        estimate.fit(simulated_records(0.05, 0.05, 15, 20, SeedSpec(151, 0)), FitMode.SCORE_DURATION)  # long rows
+        assert len(keys) == cached.cache_info().currsize > 0
+        assert max(length for _, length in keys) >= 256
+        for total, length in keys:
+            row = cached(total, length)
+            assert row.shape == (length,) and length & (length - 1) == 0
+            assert np.array_equal(row, kernel.log_exchange_binom(total, np.arange(length)))
+            assert all(v == kernel.log_exchange_binom(total, [l])[0] for l, v in enumerate(row.tolist()))
+
+    def test_rows_are_read_only_and_the_cache_is_bounded(self):
+        estimate._exchange_row.cache_clear()
+        maxsize = estimate._exchange_row.cache_info().maxsize
+        assert maxsize is not None
+        for total in range(1, maxsize + 20):
+            row = estimate._exchange_row(total, 16)
+            assert not row.flags.writeable
+        assert estimate._exchange_row.cache_info().currsize == maxsize
+        with pytest.raises(ValueError):
+            row[0] = 0.0
+
+    def test_cache_empty_after_import(self):
+        # a fresh process: nothing is computed at import
+        code = "import rallystats\nfrom rallystats import estimate\nprint(estimate._exchange_row.cache_info().currsize)\n"
+        assert fresh_process_output(code) == "0"
+
+
 class TestStartGridCache:
     def test_cached_rows_equal_one_kernel_call(self):
         # rows filled in three batches (all misses, some, none) against one
@@ -713,13 +857,5 @@ class TestStartGridCache:
 
     def test_cache_empty_after_import(self):
         # a fresh process: nothing is evaluated at import
-        code = (
-            "import rallystats\n"
-            "from rallystats import estimate\n"
-            "print(estimate._start_grid.cache_info().currsize)\n"
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
-        )
-        assert out.stdout.strip() == "0"
+        code = "import rallystats\nfrom rallystats import estimate\nprint(estimate._start_grid.cache_info().currsize)\n"
+        assert fresh_process_output(code) == "0"

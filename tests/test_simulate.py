@@ -219,19 +219,22 @@ class TestAgainstReferenceLoop:
         want = reference_batch_games(probs, config, count, np.random.default_rng(seed), servers)
         assert_samples_equal(got, want)
 
+    # the batch relabels the players by serve strength: A serves better, B does, or neither
+    @pytest.mark.parametrize("p_a, p_b", [(0.6, 0.5), (0.5, 0.6), (0.55, 0.55)])
     @pytest.mark.parametrize("n", [1, 15, 300])
     @pytest.mark.parametrize("system", list(ScoringSystem))
-    def test_sample_games_equals_reference(self, system, n):
+    def test_sample_games_equals_reference(self, system, n, p_a, p_b):
         # n = 300 keeps its scores in 16 bits
-        probs, config = RallyProbs(0.6, 0.5), GameConfig(n=n, system=system, s_a=0.5)
+        probs, config = RallyProbs(p_a, p_b), GameConfig(n=n, system=system, s_a=0.5)
         seed = SeedSpec(8, n)
         want = reference_batch_games(probs, config, 2_000, seed.generator())
         assert_samples_equal(simulate.sample_games(probs, config, 2_000, seed), want)
 
+    @pytest.mark.parametrize("p_a, p_b", [(0.55, 0.45), (0.45, 0.55), (0.5, 0.5)])
     @pytest.mark.parametrize("tiebreak", [None, 3])
     @pytest.mark.parametrize("rule", list(ServerRule))
-    def test_sample_matches_equals_reference(self, monkeypatch, rule, tiebreak):
-        probs, config = RallyProbs(0.55, 0.45), GameConfig(n=7, tiebreak=tiebreak, s_a=0.5)
+    def test_sample_matches_equals_reference(self, monkeypatch, rule, tiebreak, p_a, p_b):
+        probs, config = RallyProbs(p_a, p_b), GameConfig(n=7, tiebreak=tiebreak, s_a=0.5)
         match = MatchConfig(3, rule)
         got = simulate.sample_matches(probs, config, match, 3_000, SeedSpec(12, 1))
         monkeypatch.setattr(simulate, "_batch_games", reference_batch_games)
