@@ -17,7 +17,6 @@ from .core import (
     RallyProbs,
     ScoringSystem,
     TerminalScore,
-    binom,
     validate,
 )
 from .duration import DurationPMF, Moments, QuantileMode, quantile
@@ -50,7 +49,6 @@ __all__ = [
     "ServerRule",
     "SimResult",
     "TerminalScore",
-    "binom",
     "fit",
     "match_duration_pmf",
     "match_win_prob",

@@ -1,4 +1,4 @@
-"""Shared domain types, parameter validation and binomial utilities.
+"""Shared domain types and parameter validation.
 
 Everything here is an immutable value or a pure function, so the whole
 package is safe to use from concurrent callers.
@@ -141,25 +141,6 @@ class TerminalScore:
 
     def points(self, player: Player) -> int:
         return self.alpha if player is Player.A else self.beta
-
-
-def binom(m: int, k: int) -> float:
-    """Binomial coefficient in double precision, with binom(-1, -1) := 1.
-
-    Outside that special case the coefficient is zero whenever k < 0 or
-    k > m.  Computed by a multiplicative recurrence (relative error a few
-    ulp per factor).  The interruption coefficients, which overflow double
-    precision for large games, are built in log form in `kernel` instead.
-    """
-    if m == -1 and k == -1:
-        return 1.0
-    if k < 0 or k > m:
-        return 0.0
-    k = min(k, m - k)
-    out = 1.0
-    for i in range(k):
-        out = out * (m - i) / (i + 1)
-    return out
 
 
 def validate(probs: RallyProbs, config: GameConfig | None = None, *, exact: bool = True) -> None:

@@ -25,9 +25,11 @@ before its exchanges, over (points, shift), jointly with the winner; a
 game PMF mixes the laws of its events on one such array (a score PMF is a
 one-row law, a match PMF the sum the match pass composes), and
 `exchange_mixture` applies the exchange law once: a Horner pass over the
-points of geometric filters, each a two-level scan of two sweeps in
-scaled coordinates.  Its window and truncation bound come from the
-exchange series of the largest point total, cut in closed form.
+points of geometric filters, each a scan in scaled coordinates, over the
+short head of the window that holds the law, and past it a closed form
+of the head's last value after each pass, two matrix products.  Its
+window and truncation bound come from the exchange series of the largest
+point total, cut in closed form.
 
 Tie-break-extended games are out of scope here; compose tie probabilities
 from `sideout` at a higher level if needed.
@@ -248,9 +250,12 @@ def _exchange_cut(m0: int, probs: RallyProbs, epsilon: float) -> tuple[int, floa
         return 1, 0.0
     mode, limit, keep, log_tail = _exchange_tail(m0, probs)
 
-    @functools.lru_cache(maxsize=None)
+    tails: dict[int, float] = {}
+
     def tail(s: int) -> float:
-        return math.exp(log_tail(s, float(kernel.log_exchange_binom(m0, [s + 1])[0]))) if s >= mode else math.inf
+        if s not in tails:
+            tails[s] = math.exp(log_tail(s, float(kernel.log_exchange_binom(m0, [s + 1])[0]))) if s >= mode else math.inf
+        return tails[s]
 
     x = mode + math.sqrt(m0 * q) / keep
     for _ in range(64):
@@ -499,14 +504,18 @@ def exchange_mixture(
     NB(M, q) is M geometric exchange counts, so the law is a Horner pass
     over M of the filter y[d] = q y[d-2] + (1-q) x[d]: from the largest M
     down, filter what has been gathered and add the rallies of the next M.
-    The filter runs along each parity class of the rallies as a two-level
-    scan of two sweeps (`_GeometricFilter`).  The window ends where the
-    component with the most rallies before exchanges still keeps the
-    length of the series for the largest M cut by `_exchange_cut`; every
-    component keeps at least that many exchange counts, and NB(M) lies
-    below NB(M') for M <= M', so the mass times that series' tail bounds
-    what the window leaves out.  Rally-point laws, and side-out laws at q
-    = 0, have no exchanges: D = M + s exactly."""
+    Every entry of the law lies in a short head of the window (points + r
+    rallies, r = M - points + s <= 43 for a game to 15), past which a pass
+    adds nothing, only filters.  So the passes run over the head alone, as
+    a scaled scan along each parity class (`_GeometricFilter`), and the
+    rest of the window is the closed form of the head's last value after
+    each pass (`_GeometricFilter.tail`).  The window ends where the
+    component with the most rallies before exchanges still keeps the length
+    of the series for the largest M cut by `_exchange_cut`; every component
+    keeps at least that many exchange counts, and NB(M) lies below NB(M')
+    for M <= M', so the mass times that series' tail bounds what the window
+    leaves out.  Rally-point laws, and side-out laws at q = 0, have no
+    exchanges: D = M + s exactly."""
     if epsilon <= 0.0:
         raise DomainError("epsilon must be > 0")
     k, s = np.nonzero(law > 0.0)
@@ -514,101 +523,139 @@ def exchange_mixture(
         raise ConditioningError("law carries no mass")
     top, exchanges = points + int(k.max()), system is ScoringSystem.SIDE_OUT and probs.q > 0.0
     length, tail = _exchange_cut(top, probs, epsilon) if exchanges else (1, 0.0)
-    start = points + int((k + s).min())
-    stop = points + int((k + s).max()) + 2 * (length - 1)
-    i = points + k + s - start  # rallies start + i before exchanges
+    r = k + s  # rallies points + r before exchanges, of which the window holds r >= lo
+    lo, last = int(r.min()), int(r.max())
+    bins = last - lo + 2 * (length - 1) + 1
     if not exchanges:
-        return DurationPMF(start, np.bincount(i, law[k, s], stop - start + 1), 0.0)
-    filt = _GeometricFilter(probs, (stop - start) // 2 + 1)
-    # entries of the accumulator, in its layout and scale; row k of the law
-    # holds entries rows[k]:rows[k + 1]
-    flat, masses = filt.place(i, law[k, s], top - points - k)
-    rows = np.searchsorted(k, np.arange(int(k.max()) + 2))
+        return DurationPMF(points + lo, np.bincount(r - lo, law[k, s], bins), 0.0)
+    law = law[: top - points + 1, : int(s.max()) + 1]
+    head = last // 2 + 1  # t = r // 2 of both parity classes up to the law's last r
+    filt = _GeometricFilter(probs, (len(law) + law.shape[1]) // 2, head - 1, top)
+    lifted, width = filt.place(law), law.shape[1]
     for m in range(top, 0, -1):
         if m >= points:
-            take = slice(rows[m - points], rows[m - points + 1])
-            filt.flat[flat[take]] += masses[take]
+            filt.flat[m - points : m - points + width] += lifted[m - points]
         filt()
-    return DurationPMF(start, filt.unscale()[: stop - start + 1], float(law.sum()) * tail)
+    # the window is t < head + length - 1, in columns of c t past the head
+    c = filt.columns(length - 1)
+    blocks = -(-(length - 1) // c)
+    out = np.empty(2 * (head + blocks * c))
+    out[: 2 * head] = filt.unscale()[: 2 * head]
+    filt.tail(out[2 * head :].reshape(blocks, 2 * c))
+    return DurationPMF(points + lo, out[lo : lo + bins], float(law.sum()) * tail)
 
 
 class _GeometricFilter:
     """y[t] = q y[t-1] + (1-q) x[t] along both parity classes of the
-    rallies, with the exact 1 - q = p_a + q_a p_b, as a two-level scan of
-    an accumulator it holds.
+    rallies, with the exact 1 - q = p_a + q_a p_b, as a scan of an
+    accumulator it holds, and the closed form of what its passes carry past
+    the accumulator.
 
-    Layout: acc[i, b, e] holds t = bC + i of parity class e, so column b
-    of a class holds C consecutive t.  Scale: a value at t is kept times
-    q^-(t - t0), t0 the first t of its block of G columns, over which that
-    factor stays below e^350; its powers are the products of q^-i and
-    q^-(C (b mod G)).  In these coordinates the filter is (1-q) times a
-    prefix sum: C - 1 row adds across all columns, then each column gets
-    the sum of the columns before it in its block, and each block the carry
-    K = q y[t0 - 1] / (1 - q) of the block before, the scalar recurrence
-    K' = q^(GC) (K + sum of the block's columns).  C grows as the square
-    root of the length, so that the row adds amortize their dispatch.  A
-    pass sweeps twice, row adds and carries, and leaves out the factor 1 -
-    q: after e passes values are kept times (1-q)^-e, and `unscale`, or a
-    pass before it passes e^(700 - 350), multiplies the power back in."""
+    Layout: acc[b, i, e] holds t = bG + i of parity class e, so that `flat`
+    is in rally order r = 2t + e.  Scale: a value at t is kept times q^-i,
+    a factor below e^350 over a block of G.  In these coordinates the
+    filter is (1-q) times a prefix sum within each block, and each block
+    gets the carry K = q y[t0 - 1] / (1 - q) of the block before it, which
+    is q^G times that block's last value.  A pass leaves out the factor
+    1 - q: after e passes values are kept times (1-q)^-e, and `unscale`, or
+    the pass that takes the power to e^(700 - 350), multiplies it back in.
+    Each of its `passes` passes keeps the value at t = `last` for `tail`."""
 
     _RANGE = 350.0
     _HEADROOM = 700.0  # e^700 is below the largest double, e^-700 above the least normal one
 
-    def __init__(self, probs: RallyProbs, length: int):
+    def __init__(self, probs: RallyProbs, length: int, last: int, passes: int):
         p_a, p_b = np.longdouble(probs.p_a), np.longdouble(probs.p_b)
-        log_q = np.log1p(-p_a) + np.log1p(-p_b)
-        reach = self._RANGE / -float(log_q)  # t spanned by one scale block
-        c = max(1, min(math.isqrt(length // 256), int(reach)))
-        g = max(1, min(-(-length // c), int(reach / c)))
-        blocks = -(-length // (c * g))
-        self.acc = np.zeros((c, blocks * g, 2))
+        log_q, keep = np.log1p(-p_a) + np.log1p(-p_b), p_a + (1.0 - p_a) * p_b  # keep = 1 - q
+        self.reach = max(1, int(self._RANGE / -float(log_q)))  # t over which q^-t stays below e^350
+        g = min(length, self.reach)  # t of a scale block
+        self.acc = np.zeros((-(-length // g), g, 2))
         self.flat = self.acc.reshape(-1)
-        # column sums by block, and the sums of the columns before each
-        self.sums = self.acc[-1].reshape(blocks, g, 2)
-        self.before = np.zeros((blocks, g, 2))
-        self.carried = self.before.reshape(-1, 2)
-        i = np.arange(c) * log_q
-        col = np.arange(g) * (c * log_q)
-        self.row_up, self.col_up = np.exp(-i).astype(float), np.exp(-col).astype(float)
-        self.row_down, self.col_down = np.exp(i).astype(float), np.tile(np.exp(col).astype(float), blocks)
-        self.hop = float(np.exp(c * g * log_q))  # q^(GC)
-        self.log_keep = np.log(p_a + (1.0 - p_a) * p_b)  # log(1 - q)
-        self.span = max(1, int(min((self._HEADROOM - self._RANGE) / max(-float(self.log_keep), 1e-300), _MAX_TERMS)))
-        self.passes = 0  # since the last fold: values are kept times (1-q)^-passes
+        self.down = np.exp(np.arange(g) * log_q).astype(float)  # q^i
+        self.hop = float(np.exp(g * log_q))  # q^G
+        self.log_q, self.keep = float(log_q), float(keep)
+        log_keep = np.log(keep)
+        self.span = max(1, int(min((self._HEADROOM - self._RANGE) / max(-float(log_keep), 1e-300), _MAX_TERMS)))
+        self.power = np.exp(np.arange(min(passes, self.span) + 1) * log_keep).astype(float)  # (1-q)^e
+        self.unfolded = 0  # passes since the last fold: values are kept times (1-q)^-unfolded
+        self.last, self.last_down = self.acc.reshape(-1, 2)[last], self.down[last % g]
+        self.kept, self.count = np.empty((passes, 2)), 0
 
-    def place(self, i: np.ndarray, masses: np.ndarray, after: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Flat accumulator index of rally offsets i, and masses scaled to
-        their place and by (1-q)^-passes when added after `after` passes."""
-        c, cols, _ = self.acc.shape
-        t, row = i // 2, (i // 2) % c
-        col = t // c
-        done = np.arange(int(after.max()) + 1)  # passes; min(...) counts those since the last fold
-        lift = np.exp(-np.minimum(done, (done - 1) % self.span + 1) * self.log_keep).astype(float)[after]
-        return (row * cols + col) * 2 + i % 2, masses * lift * self.row_up[row] * self.col_up[col % len(self.col_up)]
+    def place(self, law: np.ndarray) -> np.ndarray:
+        """law[k, s] scaled to its place r = k + s and by (1-q)^-e for row k,
+        added after the passes of the rows above it, e of them since the
+        last fold."""
+        i = np.add.outer(np.arange(len(law)), np.arange(law.shape[1])) // 2 % len(self.down)
+        return law / (self.power[np.arange(len(law))[::-1] % self.span, None] * self.down[i])
 
     def __call__(self) -> None:
         """Filter the accumulator in place."""
-        acc, before = self.acc, self.before
-        if self.passes >= self.span:
-            acc *= float(np.exp(self.passes * self.log_keep))
-            self.passes = 0
-        for i in range(1, len(acc)):
-            acc[i] += acc[i - 1]
-        np.add.accumulate(self.sums[:, :-1], axis=1, out=before[:, 1:])
-        for b in range(1, len(before)):  # before[b - 1] holds its block's carry
-            carry = self.hop * (self.sums[b - 1, -1] + before[b - 1, -1])
-            before[b, 0] = carry
-            before[b, 1:] += carry
-        acc += self.carried
-        self.passes += 1
+        acc = self.acc
+        np.add.accumulate(acc, axis=1, out=acc)
+        for b in range(1, len(acc)):
+            acc[b] += self.hop * acc[b - 1, -1]
+        self.unfolded += 1
+        if self.unfolded == self.span:
+            acc *= self.power[self.span]
+            self.unfolded = 0
+        self.kept[self.count] = self.last
+        self.count += 1
 
     def unscale(self) -> np.ndarray:
-        """The rallies start, start + 1, ... of the accumulator."""
-        acc = self.acc.reshape(len(self.acc), -1)
-        acc *= self.row_down[:, None]
-        acc *= np.repeat(self.col_down * float(np.exp(self.passes * self.log_keep)), 2)
-        # one complex per t, of both parity classes, makes the transpose fast
-        return np.ascontiguousarray(acc.view(np.complex128).T).view(float).reshape(-1)
+        """The accumulator's values in rally order."""
+        self.acc *= (self.down * self.power[self.unfolded])[:, None]
+        return self.flat
+
+    def columns(self, length: int) -> int:
+        """The t per column of `tail` over `length` t: about twice the square
+        root, so that the factors of the columns and of the rows cost about
+        the same, or all of a tail of up to 64 t, whose cost is in the count
+        of array operations rather than their size; at most a scale block."""
+        return max(1, min(length, self.reach, max(2 * math.isqrt(length), 64)))
+
+    def tail(self, out: np.ndarray) -> None:
+        """The values the passes leave past t = `last`, in rally order.
+
+        After the pass that leaves r passes to go, the value at `last` is
+        s[r] (per parity class); past it the input of every pass is zero,
+        so tau >= 1 past `last` the passes leave R[tau] = sum_r s[r] q^tau
+        (1-q)^r C(tau+r-1, r): the value carried on by q^tau, then r passes
+        each of which convolves with (1-q) q^u.  With tau = 1 + bc + i
+        (column b, row i < c) and C(tau+r-1, r) = sum_j C(bc+j-1, j)
+        C(i+r-j, r-j), R = (P Hankel(s)) Q with P[b, j] = q^(bc) (1-q)^j
+        C(bc+j-1, j) and Q[u, i] = q^(1+i) (1-q)^u C(i+u, u): negative-
+        binomial terms in [0, 1] built by their term ratios from log q,
+        summed from log1p, and the exact 1 - q, so that every sum is of
+        nonnegative terms.  Row b of P Hankel(s) is the s of t = `last` +
+        bc, so the columns run in scale blocks, each from the s the one
+        before it leaves, and q^(bc) stays above e^-350.  `out` is
+        (columns, 2c) with out[b, 2i + e] = R[1 + bc + i] of class e, which
+        the product writes through a block-diagonal Q."""
+        top, (blocks, c) = len(self.kept), (len(out), out.shape[1] // 2)
+        if not blocks:
+            return
+        s = np.zeros((2 * top - 1, 2))
+        hankel = np.ndarray((top, 2 * top), float, s, 0, (s.strides[0], s.itemsize))  # [j, 2u + e] = s[j + u, e]
+        # the value after pass n of top was kept times (1-q)^-(n % span)
+        s[top - 1 :: -1] = self.kept * (self.last_down * self.power[np.arange(1, top + 1) % self.span])[:, None]
+        j, bc = np.arange(1.0, top), np.arange(0.0, (min(blocks, max(1, self.reach // c)) + 1) * c, c)
+        ratio = self.keep / j
+        pm = np.empty((len(bc), top))
+        pm[:, 0] = np.exp(bc * self.log_q)
+        pm[:, 1:] = np.add.outer(bc, j - 1.0) * ratio
+        np.multiply.accumulate(pm, axis=1, out=pm)
+        qm = np.zeros((top, 2, c, 2))
+        row = qm[:, 0, :, 0]
+        row[0] = np.exp(np.arange(1.0, c + 1) * self.log_q)
+        row[1:] = np.add.outer(j, np.arange(c)) * ratio[:, None]
+        np.multiply.accumulate(row, out=row)
+        qm[:, 1, :, 1] = row
+        per = len(bc) - 1  # columns of a scale block
+        for b in range(0, blocks, per):
+            n = min(per, blocks - b)
+            cols = pm[: n + 1] @ hankel
+            np.matmul(cols[:n], qm.reshape(2 * top, 2 * c), out=out[b : b + n])
+            s[:top] = cols[n].reshape(top, 2)
 
 
 def quantile(pmf: DurationPMF, level: float, mode: QuantileMode = QuantileMode.STANDARD) -> float:

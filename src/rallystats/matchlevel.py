@@ -10,11 +10,14 @@ returns the finished mass per match winner.  The exchange counts of all
 the games add up to one negative binomial of the match's points, so the
 match duration law merges the two winners and applies that exchange law
 once (`duration.exchange_mixture`, the one engine of every duration PMF:
-a Horner pass over the points of geometric filters, each a two-level
-vectorized scan, with the game laws' bound: the mass times the tail of
-the exchange series of the largest point total).  The
-match-winning probability runs the same pass on 1 x 1 laws, the
-game-winning probabilities.
+a Horner pass over the points of geometric filters on the law's short
+head, and the rest of the window in closed form, with the game laws'
+bound: the mass times the tail of the exchange series of the largest
+point total).  A step of the pass (`_play`) weighs copies of a state
+shifted along its points by every column of the games' laws in one
+matrix product, and adds each column's block as contiguous rows at its
+shift.  The match-winning probability runs the same pass on 1 x 1 laws,
+the game-winning probabilities.
 
 The winner-serves-next and alternating rules give identical match-winning
 probabilities; this invariance is kept as a test property.
@@ -78,31 +81,23 @@ def _play(state: np.ndarray, games: list[tuple[int, np.ndarray]]) -> list[np.nda
     all arrays from offset 0: out[S + delta + 2j, K + k] = sum state[S, K]
     law[k, j] for a game (delta, law[k, j]); the games' laws have one shape.
 
-    The shifts of a game have the one parity delta, so the games share the
-    state's copies shifted by 2j, one per j (the shorter axis: n, against
-    up to 2n(2M - 1) shifts), and a state whose shifts have one parity too
-    is taken on that parity alone.  One matrix product weighs the copies by
-    every row of every game, and the rows are then added at their point
-    offsets."""
-    parity = [p for p in (0, 1) if state[p::2].any()]
-    if len(parity) == 1:  # shifts parity + 2i: copies shifted by j, written at stride 2
-        state, step, first, stride = state[parity[0] :: 2], 1, parity[0], 2
-    else:
-        step, first, stride = 2, 0, 1
-    weights = np.concatenate([law for _, law in games])  # [rows k of every game, j]
-    span = weights.shape[1]
-    reach = step * (span - 1)
-    height, rows = state.shape[0] + reach, state.shape[1]
-    padded = np.zeros((height + reach, rows))
-    padded[reach : reach + state.shape[0]] = state
-    copies = padded[reach - step * np.arange(span)[:, None] + np.arange(height)]  # [j, i, K]
-    parts = iter((weights @ copies.reshape(span, -1)).reshape(len(weights), height, rows))
+    The games share the state's copies shifted along the points by k, one
+    per row k of their laws.  One matrix product over k weighs the copies
+    by every column j of every game, and each (game, j) block is then added
+    as contiguous rows at shift delta + 2j."""
+    rows, span = games[0][1].shape
+    shifts, points = state.shape
+    width = points + rows - 1
+    copies = np.zeros((rows, shifts, width))
+    for k in range(rows):
+        copies[k, :, k : k + points] = state
+    weights = np.concatenate([law.T for _, law in games])  # [columns j of every game, k]
+    blocks = iter((weights @ copies.reshape(rows, -1)).reshape(len(weights), shifts, width))
     out = []
-    for delta, law in games:
-        summed = np.zeros((first + delta + stride * (height - 1) + 1, rows + len(law) - 1))
-        target = summed[first + delta :: stride]
-        for k in range(len(law)):
-            target[:, k : k + rows] += next(parts)
+    for delta, _ in games:
+        summed = np.zeros((delta + 2 * (span - 1) + shifts, width))
+        for j in range(span):
+            summed[delta + 2 * j : delta + 2 * j + shifts] += next(blocks)
         out.append(summed)
     return out
 

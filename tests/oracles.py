@@ -23,7 +23,6 @@ from rallystats import (
     Player,
     RallyProbs,
     ScoringSystem,
-    binom,
     duration,
     estimate,
     kernel,
@@ -34,6 +33,25 @@ A, B = Player.A, Player.B
 
 # rally probabilities of the tie-break oracle checks: edges and interior, q < 1
 ORACLE_PROBS = [(pa, pb) for pa in (0.0, 0.3, 0.6, 1.0) for pb in (0.0, 0.3, 0.6, 1.0) if pa + pb > 0.0]
+
+
+def binom(m: int, k: int) -> float:
+    """Binomial coefficient in double precision, with binom(-1, -1) := 1.
+
+    Outside that special case the coefficient is zero whenever k < 0 or
+    k > m.  Computed by a multiplicative recurrence (relative error a few
+    ulp per factor).  The interruption coefficients, which overflow double
+    precision for large games, are built in log form in `kernel` instead.
+    """
+    if m == -1 and k == -1:
+        return 1.0
+    if k < 0 or k > m:
+        return 0.0
+    k = min(k, m - k)
+    out = 1.0
+    for i in range(k):
+        out = out * (m - i) / (i + 1)
+    return out
 
 
 def _placements(alpha, beta, receiver_last, r):
@@ -417,6 +435,132 @@ def per_point_total_mixture(points, law, probs, epsilon, terms=0):
             masses[k + e : k + e + 2 * len(pairs) : 2] += pairs
         bound += law[k].sum() * tail
     return duration.DurationPMF(points, masses, bound)
+
+
+def reference_exchange_mixture(points, law, probs, system, epsilon=1e-12):
+    """`duration.exchange_mixture` as a Horner pass of full-window filters:
+    from the largest M down, filter the whole window and add the rallies of
+    the next M, every pass along both parity classes as a two-level scan
+    (`_FullWindowFilter`).  The same window and truncation bound as the
+    engine, which runs the passes over the law's head alone."""
+    k, s = np.nonzero(law > 0.0)
+    top, exchanges = points + int(k.max()), system is ScoringSystem.SIDE_OUT and probs.q > 0.0
+    length, tail = duration._exchange_cut(top, probs, epsilon) if exchanges else (1, 0.0)
+    start = points + int((k + s).min())
+    stop = points + int((k + s).max()) + 2 * (length - 1)
+    i = points + k + s - start
+    if not exchanges:
+        return duration.DurationPMF(start, np.bincount(i, law[k, s], stop - start + 1), 0.0)
+    filt = _FullWindowFilter(probs, (stop - start) // 2 + 1)
+    flat, masses = filt.place(i, law[k, s], top - points - k)
+    rows = np.searchsorted(k, np.arange(int(k.max()) + 2))
+    for m in range(top, 0, -1):
+        if m >= points:
+            take = slice(rows[m - points], rows[m - points + 1])
+            filt.flat[flat[take]] += masses[take]
+        filt()
+    return duration.DurationPMF(start, filt.unscale()[: stop - start + 1], float(law.sum()) * tail)
+
+
+class _FullWindowFilter:
+    """y[t] = q y[t-1] + (1-q) x[t] along both parity classes over a whole
+    window, as a two-level scan.  Layout: acc[i, b, e] holds t = bC + i of
+    class e.  Scale: a value at t is kept times q^-(t - t0), t0 the first t
+    of its block of G columns, so that the filter is (1-q) times a prefix
+    sum: C - 1 row adds, a prefix sum of each block's column totals, and
+    the carry K' = q^(GC) (K + the block's sum) from block to block.  The
+    factor 1 - q of each pass is kept as a running power, folded into the
+    values before it passes e^(700 - 350)."""
+
+    _RANGE = 350.0
+    _HEADROOM = 700.0
+
+    def __init__(self, probs, length):
+        p_a, p_b = np.longdouble(probs.p_a), np.longdouble(probs.p_b)
+        log_q = np.log1p(-p_a) + np.log1p(-p_b)
+        reach = self._RANGE / -float(log_q)
+        c = max(1, min(math.isqrt(length // 256), int(reach)))
+        g = max(1, min(-(-length // c), int(reach / c)))
+        blocks = -(-length // (c * g))
+        self.acc = np.zeros((c, blocks * g, 2))
+        self.flat = self.acc.reshape(-1)
+        self.sums = self.acc[-1].reshape(blocks, g, 2)
+        self.before = np.zeros((blocks, g, 2))
+        self.carried = self.before.reshape(-1, 2)
+        i = np.arange(c) * log_q
+        col = np.arange(g) * (c * log_q)
+        self.row_up, self.col_up = np.exp(-i).astype(float), np.exp(-col).astype(float)
+        self.row_down, self.col_down = np.exp(i).astype(float), np.tile(np.exp(col).astype(float), blocks)
+        self.hop = float(np.exp(c * g * log_q))
+        self.log_keep = np.log(p_a + (1.0 - p_a) * p_b)
+        self.span = max(1, int(min((self._HEADROOM - self._RANGE) / max(-float(self.log_keep), 1e-300), duration._MAX_TERMS)))
+        self.passes = 0
+
+    def place(self, i, masses, after):
+        c, cols, _ = self.acc.shape
+        t, row = i // 2, (i // 2) % c
+        col = t // c
+        done = np.arange(int(after.max()) + 1)
+        lift = np.exp(-np.minimum(done, (done - 1) % self.span + 1) * self.log_keep).astype(float)[after]
+        return (row * cols + col) * 2 + i % 2, masses * lift * self.row_up[row] * self.col_up[col % len(self.col_up)]
+
+    def __call__(self):
+        acc, before = self.acc, self.before
+        if self.passes >= self.span:
+            acc *= float(np.exp(self.passes * self.log_keep))
+            self.passes = 0
+        for i in range(1, len(acc)):
+            acc[i] += acc[i - 1]
+        np.add.accumulate(self.sums[:, :-1], axis=1, out=before[:, 1:])
+        for b in range(1, len(before)):
+            carry = self.hop * (self.sums[b - 1, -1] + before[b - 1, -1])
+            before[b, 0] = carry
+            before[b, 1:] += carry
+        acc += self.carried
+        self.passes += 1
+
+    def unscale(self):
+        acc = self.acc.reshape(len(self.acc), -1)
+        acc *= self.row_down[:, None]
+        acc *= np.repeat(self.col_down * float(np.exp(self.passes * self.log_keep)), 2)
+        return np.ascontiguousarray(acc.view(np.complex128).T).view(float).reshape(-1)
+
+
+def mixture_calls(monkeypatch):
+    """The arguments of every `duration.exchange_mixture` call from here
+    on, in order."""
+    calls, mixture = [], duration.exchange_mixture
+    monkeypatch.setattr(duration, "exchange_mixture", lambda *args: calls.append(args) or mixture(*args))
+    return calls
+
+
+def built_filters(monkeypatch):
+    """Every `duration._GeometricFilter` built from here on, with the
+    shape of the array its `tail` fills, in order: [(filter, shape)]."""
+    built, init, tail = [], duration._GeometricFilter.__init__, duration._GeometricFilter.tail
+
+    def spy_init(self, *args):
+        init(self, *args)
+        built.append([self, None])
+
+    def spy_tail(self, out):
+        next(entry for entry in built if entry[0] is self)[1] = out.shape
+        tail(self, out)
+
+    monkeypatch.setattr(duration._GeometricFilter, "__init__", spy_init)
+    monkeypatch.setattr(duration._GeometricFilter, "tail", spy_tail)
+    return built
+
+
+def check_against_full_window(pmf, ref):
+    """A PMF of `duration.exchange_mixture` against
+    `reference_exchange_mixture` of the same law: the same window and
+    truncation bound, the same zero pattern and 1e-12 relative agreement on
+    every nonzero bin."""
+    assert (pmf.offset, len(pmf.masses), pmf.truncation_bound) == (ref.offset, len(ref.masses), ref.truncation_bound)
+    np.testing.assert_array_equal(pmf.masses == 0.0, ref.masses == 0.0)
+    nonzero = ref.masses > 0.0
+    np.testing.assert_allclose(pmf.masses[nonzero], ref.masses[nonzero], rtol=1e-12, atol=0)
 
 
 def mp_sideout_duration_prob(p_a, p_b, n, server, d, dps=30):

@@ -11,11 +11,10 @@ from rallystats import (
     RallyProbs,
     ScoringSystem,
     TerminalScore,
-    binom,
     validate,
 )
 
-from oracles import swapped
+from oracles import binom, swapped
 
 
 class TestBinom:

@@ -1,12 +1,17 @@
+import math
+
 import mpmath
 import numpy as np
 import pytest
 
 from rallystats import DomainError, GameConfig, Player, RallyProbs, ScoringSystem, SeedSpec
-from rallystats import duration, kernel, simulate
+from rallystats import duration, kernel, matchlevel, simulate
 from rallystats.duration import QuantileMode
+from rallystats.matchlevel import MatchConfig
 
 from oracles import (
+    built_filters,
+    check_against_full_window,
     check_against_reference,
     duration_marginal,
     duration_pmfs_by_server_winner,
@@ -14,12 +19,14 @@ from oracles import (
     enumerate_sideout,
     exchange_cut_walk,
     exchange_pmf,
+    mixture_calls,
     mp_rallypoint_duration_moments,
     mp_sideout_duration_moments,
     mp_sideout_duration_prob,
     per_point_total_mixture,
     per_point_total_pmf,
     per_tally_duration_pmf,
+    reference_exchange_mixture,
     reference_quantile,
     swapped,
 )
@@ -385,31 +392,62 @@ class TestExchangeMixture:
     @pytest.mark.parametrize("scale_range", [350.0, 2.0])
     @pytest.mark.parametrize("p", [0.999, 0.9, 1e-4])
     def test_scan_blocks_against_per_point_total(self, p, scale_range, monkeypatch):
-        # a scale range of e^2 puts several blocks of columns in every
-        # window, and at p = .999 every t is its own block even at e^350
+        # a scale range of e^2 makes every t of the head of 22 t (r <= 43)
+        # its own block at .999 and .9; at 1e-4 a block spans 10.5k t, and
+        # the tail's 334 columns of 1332 t run in scale blocks of 7
         monkeypatch.setattr(duration._GeometricFilter, "_RANGE", scale_range)
+        filters = built_filters(monkeypatch)
         pr = RallyProbs(p, 0.9 * p)
         pmf = duration.duration_pmf_unconditional(pr, LADDER)
-        blocks = len(duration._GeometricFilter(pr, len(pmf.masses) // 2 + 1).before)
-        assert blocks > 1 or scale_range == 350.0
+        ((filt, (columns, width)),) = filters
+        assert len(filt.acc) > 1 or columns > filt.reach // (width // 2) or scale_range == 350.0
         check_against_reference(pmf, per_point_total_pmf(pr, LADDER, None, None, 1e-16, len(pmf.masses)), 1e-12)
 
     @pytest.mark.parametrize("p", [0.3, 0.05, 1e-3])
     def test_keep_power_folds_against_per_point_total(self, p, monkeypatch):
         # a headroom of e^5 over the scan's scale folds the power of 1 - q
-        # into the accumulator every sixth pass at .3, every second at .05
-        # and every pass at 1e-3 (-log(1-q) = .72, 2.4 and 6.3)
+        # into the head every sixth pass at .3, every second at .05 and
+        # every pass at 1e-3 (-log(1-q) = .72, 2.4 and 6.3), and the values
+        # the tail starts from were kept at every phase of the folds
         monkeypatch.setattr(duration._GeometricFilter, "_HEADROOM", duration._GeometricFilter._RANGE + 5.0)
+        filters = built_filters(monkeypatch)
         pr = RallyProbs(p, 0.9 * p)
         pmf = duration.duration_pmf_unconditional(pr, LADDER)
+        ((filt, _),) = filters
+        assert filt.span == {0.3: 6, 0.05: 2, 1e-3: 1}[p] and filt.count == 29
         check_against_reference(pmf, per_point_total_pmf(pr, LADDER, None, None, 1e-16, len(pmf.masses)), 1e-12)
 
-    def test_mpmath_spot_checks_near_q_one(self):
+    @pytest.mark.parametrize("p", [0.6, 0.01, 1e-4])
+    def test_tail_in_many_columns(self, p, monkeypatch):
+        # columns of three t, in scale blocks of e^2: 13 columns in 13
+        # blocks at .6, 1468 in 44 at .01 and 148k in 43 at 1e-4; each
+        # block starts from the values the one before it leaves
+        pr = RallyProbs(p, 0.9 * p)
+        monkeypatch.setattr(duration._GeometricFilter, "_RANGE", 2.0)
+        monkeypatch.setattr(duration._GeometricFilter, "columns", lambda self, length: max(1, min(3, length)))
+        calls, filters = mixture_calls(monkeypatch), built_filters(monkeypatch)
+        pmf = duration.duration_pmf_unconditional(pr, LADDER)
+        ((filt, (columns, width)),) = filters
+        assert width == 6 and columns > max(1, filt.reach // 3)
+        check_against_full_window(pmf, reference_exchange_mixture(*calls[0]))
+        check_against_reference(pmf, per_point_total_pmf(pr, LADDER, None, None, 1e-16, len(pmf.masses)), 1e-12)
+
+    def test_mpmath_spot_checks_near_q_one(self, monkeypatch):
         # p = 1e-4: the mode and three tail bins of the benchmark's deepest
-        # game law, against the paper's elementary probabilities in mpmath
+        # game law, and the seam of the engine: the last bin of the head the
+        # passes run over and the first bins past it, and the bins on each
+        # side of the first two column boundaries of the closed-form tail,
+        # against the paper's elementary probabilities in mpmath
+        calls, filters = mixture_calls(monkeypatch), built_filters(monkeypatch)
         pmf = duration.duration_pmf_unconditional(RallyProbs(1e-4, 1e-4), LADDER)
+        ((points, law, *_),), ((_, (_, width)),) = calls, filters
+        k, s = np.nonzero(law > 0.0)
+        lo, head, c = int((k + s).min()), int((k + s).max()) // 2 + 1, width // 2
+        assert c > 1
+        seam = [2 * head - lo + e for e in (-2, -1, 0, 1)]
+        columns = [2 * (head + b * c + i) - lo + e for b in (1, 2) for i in (-1, 0) for e in (0, 1)]
         tail = np.searchsorted(pmf.cdf, [1 - 1e-4, 1 - 1e-9])
-        for i in [int(np.argmax(pmf.masses)), *tail, len(pmf.masses) - 1]:
+        for i in [int(np.argmax(pmf.masses)), *tail, len(pmf.masses) - 1, *seam, *columns]:
             d = pmf.offset + int(i)
             want = sum(0.5 * mp_sideout_duration_prob(1e-4, 1e-4, 15, server, d) for server in Player)
             assert pmf.masses[i] == pytest.approx(float(want), rel=1e-12)
@@ -420,6 +458,50 @@ class TestExchangeMixture:
         for system, pr in cases:
             pmf = duration.exchange_mixture(15, law, pr, system)
             assert (pmf.offset, pmf.masses.tolist(), pmf.truncation_bound) == (15, [0.25, 0.0, 0.75], 0.0)
+
+
+class TestAgainstFullWindowEngine:
+    """The engine, which runs the filter passes over the law's head and
+    puts the rest of the window in closed form, against the same Horner
+    pass over the whole window, bin by bin."""
+
+    @staticmethod
+    def check(monkeypatch, build):
+        calls = mixture_calls(monkeypatch)
+        pmf = build()
+        ((points, law, probs, system, epsilon),) = calls
+        check_against_full_window(pmf, reference_exchange_mixture(points, law, probs, system, epsilon))
+
+    @pytest.mark.parametrize("p", [0.999, 0.9, 0.6, 0.3, 0.05, 0.01, 1e-3, 1e-4])
+    def test_game(self, p, monkeypatch):
+        self.check(monkeypatch, lambda: duration.duration_pmf_unconditional(RallyProbs(p, 0.9 * p), LADDER))
+
+    @pytest.mark.parametrize("p", [0.999, 0.9, 0.6, 0.3, 0.05, 0.01, 1e-3, 1e-4])
+    def test_score(self, p, monkeypatch):
+        self.check(monkeypatch, lambda: duration.duration_pmf_conditional(15, 9, A, RallyProbs(p, 0.9 * p)))
+
+    @pytest.mark.parametrize("p", [0.999, 0.9, 0.6, 0.3, 0.05, 0.01, 1e-3, 1e-4])
+    def test_best_of_five(self, p, monkeypatch):
+        # 2.3M bins at 1e-4, from 145 passes over a head of 123 t
+        pr, cfg = RallyProbs(p, 0.9 * p), GameConfig(n=15, s_a=0.5)
+        self.check(monkeypatch, lambda: matchlevel.match_duration_pmf(pr, cfg, MatchConfig(3)))
+
+    def test_best_of_39(self, monkeypatch):
+        pr, cfg = RallyProbs(0.05, 0.05), GameConfig(n=4, s_a=0.5)
+        self.check(monkeypatch, lambda: matchlevel.match_duration_pmf(pr, cfg, MatchConfig(20)))
+
+    def test_window_past_the_scale_of_one_block(self, monkeypatch):
+        # 700 to 719 points at .3: q^t falls to e^-730 over the tail, whose
+        # 16 columns of 64 t then run in three scale blocks
+        pr, points = RallyProbs(0.3, 0.3), 700
+        law = np.random.default_rng(8).random((20, 30))
+        law /= law.sum()
+        filters = built_filters(monkeypatch)
+        pmf = duration.exchange_mixture(points, law, pr, ScoringSystem.SIDE_OUT)
+        ((filt, (columns, width)),) = filters
+        assert columns * width // 2 * -math.log(pr.q) > 2 * duration._GeometricFilter._RANGE
+        check_against_full_window(pmf, reference_exchange_mixture(points, law, pr, ScoringSystem.SIDE_OUT))
+        check_against_reference(pmf, per_point_total_mixture(points, law, pr, 1e-16, len(pmf.masses)), 1e-12)
 
 
 class TestGroupedPMF:

@@ -7,9 +7,11 @@ from rallystats.matchlevel import MatchConfig, ServerRule
 
 from oracles import (
     ORACLE_PROBS,
+    built_filters,
     check_against_reference,
     compose_match_durations,
     compose_match_win_probs,
+    mixture_calls,
     per_point_total_mixture,
     reference_match_duration_pmf,
 )
@@ -138,6 +140,22 @@ class TestGameWinProbs:
 
 
 class TestMatchDuration:
+    @pytest.mark.parametrize("parities", [(0, 1), (0,), (1,)])
+    def test_play_against_the_sum_it_defines(self, parities):
+        # out[S + delta + 2j, K + k] = sum state[S, K] law[k, j], on states
+        # with shifts of both parities and of one, as a match's states are
+        # at a fixed first server
+        rng = np.random.default_rng(len(parities) + parities[0])
+        state = rng.random((9, 5)) * np.isin(np.arange(9) % 2, parities)[:, None]
+        games = [(0, rng.random((4, 3))), (1, rng.random((4, 3)))]
+        for (delta, law), got in zip(games, matchlevel._play(state, games)):
+            want = np.zeros(got.shape)
+            for (s, k_state), mass in np.ndenumerate(state):
+                for (k, j), weight in np.ndenumerate(law):
+                    want[s + delta + 2 * j, k_state + k] += mass * weight
+            assert got.shape == (delta + 4 + 9, 5 + 4 - 1)
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+
     def test_single_game_match_equals_game_pmf(self):
         pr = RallyProbs(0.6, 0.5)
         cfg = GameConfig(n=15, s_a=0.5)
@@ -268,15 +286,15 @@ class TestAgainstReferenceComposition:
         self.check(RallyProbs(0.9, 0.8), GameConfig(n=21, s_a=0.5), MatchConfig(3, ALT))
 
     def test_best_of_39_scan_against_per_point_total(self, monkeypatch):
-        # 20 games to win at p = .05, of games to 4: the window spans two
-        # scale blocks of the exchange scan, and every point total keeps its
-        # base (1-q)^M a double, so the series of each M can serve as the
-        # reference for the law the match pass hands to `exchange_mixture`
+        # 20 games to win at p = .05, of games to 4: a scale range of e^2
+        # splits the head the filter passes run over into blocks of 19 t,
+        # and every point total keeps its base (1-q)^M a double, so the
+        # series of each M can serve as the reference for the law the match
+        # pass hands to `exchange_mixture`
         pr, cfg, mc = RallyProbs(0.05, 0.05), GameConfig(n=4, s_a=0.5), MatchConfig(20, WSN)
-        calls = []
-        mixture = duration.exchange_mixture
-        monkeypatch.setattr(duration, "exchange_mixture", lambda *args: calls.append(args) or mixture(*args))
+        monkeypatch.setattr(duration._GeometricFilter, "_RANGE", 2.0)
+        calls, filters = mixture_calls(monkeypatch), built_filters(monkeypatch)
         pmf = matchlevel.match_duration_pmf(pr, cfg, mc, 1e-12)
-        ((points, law, *_),) = calls
-        assert len(duration._GeometricFilter(pr, len(pmf.masses) // 2 + 1).before) > 1
+        ((points, law, *_),), ((filt, _),) = calls, filters
+        assert filt.acc.shape[1] == 19 and len(filt.acc) > 2
         check_against_reference(pmf, per_point_total_mixture(points, law, pr, 1e-16, len(pmf.masses)), 1e-12)
