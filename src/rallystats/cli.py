@@ -4,6 +4,9 @@ engine capability.
 Exit codes: 0 success, 2 usage error, 3 domain/conditioning error, 4 I/O
 error.  All commands are deterministic given their flags (plus --seed
 where randomness is involved).
+
+Each command imports the engine modules it calls when it runs, so a
+process loads only those (and `--help` none of them).
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from dataclasses import dataclass
 import click
 import numpy as np
 
-from . import asymptotics, duration, estimate, kernel, matchlevel, sideout, simulate
 from .core import (
     ConditioningError,
     ConfigError,
@@ -28,8 +30,8 @@ from .core import (
     Player,
     RallyProbs,
     ScoringSystem,
+    ServerRule,
 )
-from .duration import QuantileMode
 
 
 @dataclass
@@ -126,6 +128,8 @@ def main():
 @engine_errors
 def cmd_score_dist(system, n, pa, pb, server, sa, tiebreak, fmt, out):
     """Probability of every terminal score."""
+    from . import sideout
+
     config, fixed = _build_config(system, n, sa, server, tiebreak)
     probs = RallyProbs(pa, pb)
     dist = sideout.score_distribution(probs, config, server=fixed)
@@ -137,6 +141,8 @@ def cmd_score_dist(system, n, pa, pb, server, sa, tiebreak, fmt, out):
 
 
 def _moment_rows(probs, config, server):
+    from . import duration
+
     agg = duration.aggregate_moments(probs, config)
     if server is not None:
         rows = [
@@ -155,6 +161,8 @@ def _moment_rows(probs, config, server):
 
 
 def _conditional_pmf(probs, config, server, winner, score, epsilon):
+    from . import duration
+
     if score is not None:
         alpha, beta = score
         last = Player.A if alpha > beta else Player.B
@@ -185,6 +193,8 @@ def _conditional_pmf(probs, config, server, winner, score, epsilon):
 def cmd_duration(system, n, pa, pb, server, sa, tiebreak, stat, winner, score, levels,
                  quantile_mode, epsilon, fmt, out):
     """Rally-count distribution: moments, PMF or quantiles."""
+    from . import duration
+
     config, fixed = _build_config(system, n, sa, server, tiebreak)
     probs = RallyProbs(pa, pb)
     win = Player(winner) if winner is not None else None
@@ -219,7 +229,7 @@ def cmd_duration(system, n, pa, pb, server, sa, tiebreak, stat, winner, score, l
         ]
         _emit(OutputTable(["rallies", "probability", "truncation_bound"], rows), fmt, out)
         return
-    mode = QuantileMode(quantile_mode)
+    mode = duration.QuantileMode(quantile_mode)
     level_values = [float(x) for x in levels.split(",") if x]
     rows = [[lv, duration.quantile(pmf, lv, mode), mode.value] for lv in level_values]
     _emit(OutputTable(["level", "rallies", "mode"], rows), fmt, out)
@@ -234,6 +244,8 @@ def cmd_duration(system, n, pa, pb, server, sa, tiebreak, stat, winner, score, l
 def cmd_compare(sideout_n, rallypoint_n, p_grid, fmt, out):
     """Side-out vs rally-point in the no-server model: win probabilities
     and duration summaries per p, with limit reference rows at p = 0, 1."""
+    from . import asymptotics, duration, kernel
+
     try:
         start, stop, step = (float(x) for x in p_grid.split(":"))
     except ValueError as exc:
@@ -296,11 +308,15 @@ def cmd_compare(sideout_n, rallypoint_n, p_grid, fmt, out):
 def cmd_simulate(system, n, pa, pb, server, sa, tiebreak, replications, seed, stream,
                  records_out, fmt, out):
     """Monte Carlo replications of a game with the standard estimators."""
+    from . import simulate
+
     config, _ = _build_config(system, n, sa, server, tiebreak)
     probs = RallyProbs(pa, pb)
     spec = simulate.SeedSpec(seed, stream)
     sample = simulate.sample_games(probs, config, replications, spec)
     if records_out is not None:
+        from . import estimate
+
         records = estimate.records_from_sample(sample)
         with open(records_out, "w", encoding="utf-8") as fh:
             fh.write(estimate.records_to_json_lines(records))
@@ -327,6 +343,8 @@ def cmd_simulate(system, n, pa, pb, server, sa, tiebreak, replications, seed, st
 @engine_errors
 def cmd_estimate(input_path, mode, model, fmt, out):
     """Maximum-likelihood estimates of (p_a, p_b) from observed games."""
+    from . import estimate
+
     with open(input_path, "r", encoding="utf-8") as fh:
         records = estimate.records_from_json_lines(fh)
     result = estimate.fit(records, estimate.FitMode(mode), estimate.FitModel(model))
@@ -342,8 +360,8 @@ def _match_flags(fn):
     fn = click.option("--games-to-win", "-m", type=int, required=True)(fn)
     fn = click.option(
         "--server-rule",
-        type=click.Choice([r.value for r in matchlevel.ServerRule]),
-        default=matchlevel.ServerRule.WINNER_SERVES_NEXT.value,
+        type=click.Choice([r.value for r in ServerRule]),
+        default=ServerRule.WINNER_SERVES_NEXT.value,
     )(fn)
     fn = click.option("--epsilon", type=float, default=1e-12)(fn)
     return fn
@@ -356,9 +374,11 @@ def _match_flags(fn):
 @engine_errors
 def cmd_match(system, n, pa, pb, server, sa, tiebreak, games_to_win, server_rule, epsilon, fmt, out):
     """Match-winning probability and match duration summary."""
+    from . import matchlevel
+
     config, _ = _build_config(system, n, sa, server, tiebreak)
     probs = RallyProbs(pa, pb)
-    mc = matchlevel.MatchConfig(games_to_win, matchlevel.ServerRule(server_rule))
+    mc = matchlevel.MatchConfig(games_to_win, ServerRule(server_rule))
     wins = [matchlevel.match_win_prob(probs, config, mc, winner) for winner in Player]
     pmf = matchlevel.match_duration_pmf(probs, config, mc, epsilon)
     moments = pmf.moments()
@@ -383,11 +403,13 @@ def cmd_plan(system, n, pa, pb, server, sa, tiebreak, games_to_win, server_rule,
              matches, quantile_levels, quantile_mode, fmt, out):
     """Quantiles of the total rally count of a block of matches, for event
     planning at a chosen tolerance level."""
+    from . import duration, matchlevel
+
     if matches < 1:
         raise click.UsageError("--matches must be >= 1")
     config, _ = _build_config(system, n, sa, server, tiebreak)
     probs = RallyProbs(pa, pb)
-    mc = matchlevel.MatchConfig(games_to_win, matchlevel.ServerRule(server_rule))
+    mc = matchlevel.MatchConfig(games_to_win, ServerRule(server_rule))
     single = matchlevel.match_duration_pmf(probs, config, mc, epsilon / matches)
     masses = single.masses
     offset = single.offset
@@ -397,7 +419,7 @@ def cmd_plan(system, n, pa, pb, server, sa, tiebreak, games_to_win, server_rule,
     total = duration.DurationPMF(
         offset=offset, masses=masses, truncation_bound=matches * single.truncation_bound
     )
-    mode = QuantileMode(quantile_mode)
+    mode = duration.QuantileMode(quantile_mode)
     level_values = [float(x) for x in quantile_levels.split(",") if x]
     rows = [
         [matches, lv, duration.quantile(total, lv, mode), mode.value]

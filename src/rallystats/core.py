@@ -48,6 +48,14 @@ class ScoringSystem(enum.Enum):
     RALLY_POINT = "rallypoint"
 
 
+class ServerRule(enum.Enum):
+    """Who serves first in each game of a match after the first."""
+
+    WINNER_SERVES_NEXT = "winner-serves-next"
+    ALTERNATE = "alternate"
+    COIN_FLIP_EACH = "coin-flip-each"
+
+
 @dataclass(frozen=True)
 class RallyProbs:
     """Rally-winning probabilities on serve for players A and B.

@@ -64,7 +64,6 @@ from .core import (
     RallyProbs,
     TerminalScore,
 )
-from .sideout import game_win_prob
 
 _BOUND_DELTA = 1e-9
 _PARAM_TOL = 1e-7
@@ -639,4 +638,6 @@ class RallyWinProbMLE:
         `config.system`."""
         if not hasattr(self, "result_"):
             raise DomainError("estimator is not fitted")
+        from .sideout import game_win_prob
+
         return game_win_prob(winner, server, RallyProbs(self.p_a_, self.p_b_), config)

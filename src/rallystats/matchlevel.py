@@ -16,31 +16,29 @@ bound: the mass times the tail of the exchange series of the largest
 point total).  A step of the pass (`_play`) weighs copies of a state
 shifted along its points by every column of the games' laws in one
 matrix product, and adds each column's block as contiguous rows at its
-shift.  The match-winning probability runs the same pass on 1 x 1 laws,
-the game-winning probabilities.
+shift.  The match-winning probability runs the same pass on plain floats,
+the game-winning probabilities, adding in the same order as the pass on
+1 x 1 laws would.
 
-The winner-serves-next and alternating rules give identical match-winning
+The first server of each game after the first follows a `ServerRule`,
+defined in `core` so that the command line can offer its choices without
+loading this module; `matchlevel.ServerRule` is the same class.  The
+winner-serves-next and alternating rules give identical match-winning
 probabilities; this invariance is kept as a test property.
 """
 
 from __future__ import annotations
 
-import enum
 import functools
 import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import duration, sideout
-from .core import ConfigError, GameConfig, Player, RallyProbs, validate
+from .core import ConfigError, GameConfig, Player, RallyProbs, ServerRule, validate
 from .duration import DurationPMF
-
-
-class ServerRule(enum.Enum):
-    WINNER_SERVES_NEXT = "winner-serves-next"
-    ALTERNATE = "alternate"
-    COIN_FLIP_EACH = "coin-flip-each"
 
 
 @dataclass(frozen=True)
@@ -66,14 +64,43 @@ def _next_servers(rule: ServerRule, server: Player | None, game_winner: Player |
     return [(game_winner if rule is ServerRule.WINNER_SERVES_NEXT else server.other, 1.0)]
 
 
-def _add(left: tuple[int, np.ndarray], right: tuple[int, np.ndarray]) -> tuple[int, np.ndarray]:
-    """Sum of two (points offset, law[shift, points]) laws."""
-    start = min(left[0], right[0])
-    stop = max(left[0] + left[1].shape[1], right[0] + right[1].shape[1])
-    out = np.zeros((max(left[1].shape[0], right[1].shape[0]), stop - start))
-    for offset, law in (left, right):
-        out[: law.shape[0], offset - start : offset - start + law.shape[1]] += law
-    return start, out
+@dataclass(frozen=True)
+class _Law:
+    """Joint law of a state's summed shifts and points, law[shift, points]
+    from points `offset` on; it adds and scales as the plain probabilities
+    of the match-winning pass do."""
+
+    offset: int
+    law: np.ndarray
+
+    def __add__(self, other: "_Law") -> "_Law":
+        start = min(self.offset, other.offset)
+        stop = max(self.offset + self.law.shape[1], other.offset + other.law.shape[1])
+        out = np.zeros((max(self.law.shape[0], other.law.shape[0]), stop - start))
+        for part in (self, other):
+            out[: part.law.shape[0], part.offset - start : part.offset - start + part.law.shape[1]] += part.law
+        return _Law(start, out)
+
+    def __mul__(self, weight: float) -> "_Law":
+        return _Law(self.offset, self.law * weight)
+
+
+_UNIT = _Law(0, np.ones((1, 1)))
+
+
+def _game_player(games: dict[tuple[Player, Player], tuple[int, int, np.ndarray]]):
+    """`play` of the match pass over `_Law` states.  `games[(server,
+    winner)]` is the law of a game jointly with its winner when `server`
+    serves first, as (points offset, delta, law[points, j]) of mass
+    P[winner | server] over shifts delta + 2j; absent where that is
+    zero."""
+
+    def play(state: _Law, server: Player) -> list[tuple[Player, _Law]]:
+        winners = [w for w in Player if (server, w) in games]
+        sums = _play(state.law, [games[(server, w)][1:] for w in winners])
+        return [(w, _Law(state.offset + games[(server, w)][0], law)) for w, law in zip(winners, sums)]
+
+    return play
 
 
 def _play(state: np.ndarray, games: list[tuple[int, np.ndarray]]) -> list[np.ndarray]:
@@ -102,34 +129,27 @@ def _play(state: np.ndarray, games: list[tuple[int, np.ndarray]]) -> list[np.nda
     return out
 
 
-def _finished_matches(
-    games: dict[tuple[Player, Player], tuple[int, int, np.ndarray]], match_config: MatchConfig, s_a: float
-):
+def _finished_matches(play, match_config: MatchConfig, s_a: float, unit):
     """Forward pass over (games won by A, games won by B, next first
-    server).  `games[(server, winner)]` is the law of a game jointly with
-    its winner when `server` serves first, as (points offset, delta,
-    law[points, j]) of mass P[winner | server] over shifts delta + 2j;
-    absent where that is zero.  Returns the law of the finished matches'
-    summed shifts and points by match winner, {match winner: (points
-    offset, law[shift, points])}."""
+    server).  A state carries the probability of reaching it, jointly with
+    whatever `unit` (the certain state) records; `play(state, server)`
+    lists (game winner, state times the game's law jointly with that
+    winner) for each winner of positive probability when `server` serves
+    first, and states reached more than once are added in the order they
+    are reached.  Returns the finished state per match winner."""
     m, rule = match_config.games_to_win, match_config.server_rule
-    # state -> (offset, law) holding P[state] * P[shifts, points so far]
-    states = {(0, 0, first): (0, np.array([[wt]])) for first, wt in _next_servers(rule, None, None, s_a)}
-    done: dict[Player, tuple[int, np.ndarray]] = {}
+    states = {(0, 0, first): unit * wt for first, wt in _next_servers(rule, None, None, s_a)}
+    done = {}
     for total in range(2 * m - 1):
         for a, b, server in [k for k in states if k[0] + k[1] == total]:
-            offset, law = states.pop((a, b, server))
-            winners = [w for w in Player if (server, w) in games]
-            sums = _play(law, [games[(server, w)][1:] for w in winners])
-            for game_winner, summed_law in zip(winners, sums):
-                summed = (offset + games[(server, game_winner)][0], summed_law)
+            for game_winner, summed in play(states.pop((a, b, server)), server):
                 na, nb = a + (game_winner is Player.A), b + (game_winner is Player.B)
                 if na == m or nb == m:
-                    done[game_winner] = _add(done[game_winner], summed) if game_winner in done else summed
+                    done[game_winner] = done[game_winner] + summed if game_winner in done else summed
                     continue
                 for first, wt in _next_servers(rule, server, game_winner, s_a):
-                    key, nxt = (na, nb, first), (summed[0], summed[1] * wt)
-                    states[key] = _add(states[key], nxt) if key in states else nxt
+                    key, nxt = (na, nb, first), summed * wt
+                    states[key] = states[key] + nxt if key in states else nxt
     return done
 
 
@@ -141,13 +161,15 @@ def match_win_prob(
 ) -> float:
     """Exact probability that `winner` takes the match; the first server
     of game one is A with probability s_a from the game config.  Runs the
-    match pass on one-point game laws, so tie-break games are supported."""
+    match pass on floats, the game-winning probabilities, so tie-break
+    games are supported."""
     validate(probs, game_config)
-    wins = sideout._table(probs, game_config)[2].ravel()  # [first server, game winner]
-    events = [(server, game_winner) for server in Player for game_winner in Player]
-    games = {event: (0, 0, np.array([[p]])) for event, p in zip(events, wins) if p > 0.0}
-    done = _finished_matches(games, match_config, game_config.s_a)
-    return float(done[winner][1].sum()) if winner in done else 0.0
+    wins = sideout._table(probs, game_config)[2].tolist()  # [first server][game winner]
+
+    def play(reach: float, server: Player) -> list[tuple[Player, float]]:
+        return [(w, reach * p) for w, p in zip(Player, wins[server is Player.B]) if p > 0.0]
+
+    return _finished_matches(play, match_config, game_config.s_a, 1.0).get(winner, 0.0)
 
 
 def match_duration_pmf(
@@ -164,6 +186,8 @@ def match_duration_pmf(
     `duration.exchange_mixture` applies once, with the one truncation bound
     of its longest exchange series."""
     validate(probs, game_config)
-    done = _finished_matches(duration.pre_exchange_laws(probs, game_config), match_config, game_config.s_a)
-    points, law = functools.reduce(_add, done.values())
-    return duration.exchange_mixture(points, law.T, probs, game_config.system, epsilon)
+    done = _finished_matches(
+        _game_player(duration.pre_exchange_laws(probs, game_config)), match_config, game_config.s_a, _UNIT
+    )
+    total = functools.reduce(operator.add, done.values())
+    return duration.exchange_mixture(total.offset, total.law.T, probs, game_config.system, epsilon)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, GameConfig, Player, RallyProbs, ScoringSystem, TerminalScore, validate
+from .core import ConfigError, GameConfig, Player, RallyProbs, ScoringSystem, ServerRule, TerminalScore, validate
 
 
 @dataclass(frozen=True)
@@ -277,8 +277,6 @@ def sample_matches(
 ) -> MatchSample:
     """Simulate first-to-M-games matches under the configured rule for the
     first server of each game (`match_config` from the matchlevel module)."""
-    from .matchlevel import ServerRule
-
     validate(probs, game_config)
     if replications < 1:
         raise ConfigError(f"replications={replications} must be >= 1")

@@ -26,6 +26,8 @@ from rallystats import (
     duration,
     estimate,
     kernel,
+    matchlevel,
+    sideout,
 )
 from rallystats.simulate import GameSample
 
@@ -1218,6 +1220,18 @@ def reference_match_duration_pmf(probs, game_config, match_config, epsilon=1e-12
                     states[key] = _merge(states[key], nxt) if key in states else nxt
     start, masses = functools.reduce(_merge, done)
     return duration.DurationPMF(start, masses, bound)
+
+
+def reference_match_win_probs(probs, game_config, match_config):
+    """Match-winning probabilities {winner: probability} by the match pass
+    on 1 x 1 laws, the game-winning probabilities, as `match_duration_pmf`
+    runs it on whole game laws; the float pass of
+    `matchlevel.match_win_prob` must equal them bit for bit."""
+    wins = sideout._table(probs, game_config)[2].ravel()  # [first server, game winner]
+    events = [(server, game_winner) for server in (A, B) for game_winner in (A, B)]
+    games = {event: (0, 0, np.array([[p]])) for event, p in zip(events, wins) if p > 0.0}
+    done = matchlevel._finished_matches(matchlevel._game_player(games), match_config, game_config.s_a, matchlevel._UNIT)
+    return {winner: float(done[winner].law.sum()) if winner in done else 0.0 for winner in (A, B)}
 
 
 def reference_batch_games(

@@ -15,6 +15,7 @@ from rallystats.cli import main
 
 A, B = Player.A, Player.B
 GOLDEN = Path(__file__).parent / "golden" / "cli_estimate.json"
+COMMANDS = json.loads((Path(__file__).parent / "golden" / "cli_commands.json").read_text())
 
 
 @pytest.fixture
@@ -405,3 +406,13 @@ class TestExitCodes:
             "--out", str(target),
         ])
         assert target.read_text().startswith("alpha,beta,winner,probability")
+
+
+class TestGoldenText:
+    @pytest.mark.parametrize("case", COMMANDS, ids=[case["name"] for case in COMMANDS])
+    def test_commands_match_golden_text(self, runner, case):
+        # stdout (and the error of a failing command) as the CLI printed it
+        # when the engines were imported up front
+        result = runner.invoke(main, case["args"])
+        assert (result.exit_code, result.stdout) == (case["exit_code"], case["stdout"])
+        assert result.stderr == case.get("stderr", "")

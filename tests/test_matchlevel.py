@@ -1,3 +1,6 @@
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,7 @@ from oracles import (
     mixture_calls,
     per_point_total_mixture,
     reference_match_duration_pmf,
+    reference_match_win_probs,
 )
 
 A, B = Player.A, Player.B
@@ -123,6 +127,22 @@ class TestMatchWinProb:
         monkeypatch.setattr(kernel, "_polynomial", counting)
         assert matchlevel.match_win_prob(pr, cfg, MatchConfig(2)) == want
         assert len(calls) == 1  # one polynomial evaluation covers both first servers
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [GameConfig(n=15), GameConfig(n=5, tiebreak=3), GameConfig(n=21, system=ScoringSystem.RALLY_POINT)],
+        ids=["to-15", "tiebreak", "rally-point"],
+    )
+    @pytest.mark.parametrize("rule", list(ServerRule))
+    def test_float_pass_equals_the_pass_on_1x1_laws(self, cfg, rule):
+        # (1, .5) and (.3, 0) make some (server, winner) game impossible
+        for s_a, m, (pa, pb) in itertools.product(
+            (0.0, 1.0), (1, 2, 3, 4, 7, 20), [(0.6, 0.5), (1.0, 0.5), (0.3, 0.0), (0.45, 0.7), (0.05, 0.05), (0.9, 0.2)]
+        ):
+            pr, game, mc = RallyProbs(pa, pb), dataclasses.replace(cfg, s_a=s_a), MatchConfig(m, rule)
+            want = reference_match_win_probs(pr, game, mc)
+            for winner in Player:
+                assert matchlevel.match_win_prob(pr, game, mc, winner) == want[winner], (s_a, m, pa, pb, winner)
 
 
 class TestGameWinProbs:
