@@ -15,6 +15,7 @@ import csv
 import functools
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -91,6 +92,40 @@ def engine_errors(fn):
     return wrapper
 
 
+class Numbers(click.ParamType):
+    """Comma-separated numbers of type `kind` (empty items skipped), exactly
+    `size` of them when it is given; or, with `grid`, the inclusive grid
+    START:STOP:STEP as the array start + i * step.  Floats must be finite
+    and a grid's step nonzero."""
+
+    def __init__(self, kind=float, size: int | None = None, grid: bool = False):
+        self.kind, self.size, self.grid = kind, 3 if grid else size, grid
+        self.name = "grid" if grid else "integers" if kind is int else "numbers"
+
+    def convert(self, value, param, ctx):
+        if not isinstance(value, str):
+            return value
+        parts = value.split(":") if self.grid else [x for x in value.split(",") if x]
+        try:
+            numbers = [self.kind(x) for x in parts]
+        except ValueError:
+            numbers = None
+        if numbers is None or self.size not in (None, len(numbers)):
+            form = "START:STOP:STEP" if self.grid else f"{self.size or ''} comma-separated {self.name}".lstrip()
+            self.fail(f"expected {form}, got {value!r}", param, ctx)
+        if self.kind is float and not all(map(math.isfinite, numbers)):
+            self.fail(f"{value!r} holds a number that is not finite", param, ctx)
+        if not self.grid:
+            return numbers
+        start, stop, step = numbers
+        if step == 0.0:
+            self.fail(f"the step of {value!r} is 0", param, ctx)
+        try:
+            return start + np.arange(max(int(round((stop - start) / step)) + 1, 0)) * step
+        except (ValueError, OverflowError, MemoryError):
+            self.fail(f"the grid {value!r} is too large to build", param, ctx)
+
+
 def _common_flags(fn):
     fn = click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")(fn)
     fn = click.option("--out", type=str, default=None, help="Write the table to this file.")(fn)
@@ -116,7 +151,7 @@ def _build_config(system, n, sa, server, tiebreak) -> tuple[GameConfig, Player |
     return GameConfig(n=n, system=sys_enum, tiebreak=tiebreak, s_a=1.0 if fixed is Player.A else 0.0), fixed
 
 
-@click.group()
+@click.group(name="rallystats")
 def main():
     """Exact probabilities, durations, simulation and estimation for
     side-out and rally-point games."""
@@ -165,12 +200,11 @@ def _conditional_pmf(probs, config, server, winner, score, epsilon):
 
     if score is not None:
         alpha, beta = score
-        last = Player.A if alpha > beta else Player.B
         if config.system is ScoringSystem.RALLY_POINT:
-            raise ConfigError("score-conditional rally-point durations are deterministic: d = alpha + beta")
-        return duration.duration_pmf_conditional(
-            alpha, beta, last, probs, epsilon, server=server
-        )
+            # every rally scores a point: the duration is alpha + beta
+            return duration.DurationPMF(offset=alpha + beta, masses=np.ones(1), truncation_bound=0.0)
+        last = Player.A if alpha > beta else Player.B
+        return duration.duration_pmf_conditional(alpha, beta, last, probs, epsilon, server=server)
     if winner is None:
         return duration.duration_pmf_unconditional(probs, config, epsilon, server=server)
     return duration.duration_pmf_winner(probs, config, winner, epsilon, server=server)
@@ -180,8 +214,8 @@ def _conditional_pmf(probs, config, server, winner, score, epsilon):
 @_game_flags
 @click.option("--stat", type=click.Choice(["moments", "pmf", "quantiles"]), default="moments")
 @click.option("--winner", type=click.Choice(["A", "B"]), default=None)
-@click.option("--score", type=str, default=None, help="Condition on a final tally 'alpha,beta'.")
-@click.option("--levels", type=str, default="0.01,0.05,0.25,0.5,0.75,0.95,0.99")
+@click.option("--score", type=Numbers(int, size=2), default=None, help="Condition on a final tally 'alpha,beta'.")
+@click.option("--levels", type=Numbers(), default="0.01,0.05,0.25,0.5,0.75,0.95,0.99")
 @click.option(
     "--quantile-mode",
     type=click.Choice(["standard", "interpolated"]),
@@ -198,17 +232,15 @@ def cmd_duration(system, n, pa, pb, server, sa, tiebreak, stat, winner, score, l
     config, fixed = _build_config(system, n, sa, server, tiebreak)
     probs = RallyProbs(pa, pb)
     win = Player(winner) if winner is not None else None
-    tally = None
     if score is not None:
-        parts = score.split(",")
-        if len(parts) != 2:
-            raise click.UsageError("--score expects 'alpha,beta'")
-        tally = (int(parts[0]), int(parts[1]))
         if fixed is None:
             raise click.UsageError("--score conditions on a fixed first server; use --server")
+        duration._require_no_tiebreak(config)
+        if not 0 <= min(score) < max(score) == n:
+            raise ConfigError(f"score {score[0]},{score[1]} is not an end score of a game to {n}")
     if stat == "moments":
-        if tally is not None:
-            alpha, beta = tally
+        if score is not None:
+            alpha, beta = score
             last = Player.A if alpha > beta else Player.B
             if config.system is ScoringSystem.RALLY_POINT:
                 rows = [[f"score={alpha}-{beta}", float(alpha + beta), 0.0, 0.0]]
@@ -221,7 +253,7 @@ def cmd_duration(system, n, pa, pb, server, sa, tiebreak, stat, winner, score, l
             rows = _moment_rows(probs, config, fixed)
         _emit(OutputTable(["conditioning", "mean", "sd", "variance"], rows), fmt, out)
         return
-    pmf = _conditional_pmf(probs, config, fixed, win, tally, epsilon)
+    pmf = _conditional_pmf(probs, config, fixed, win, score, epsilon)
     if stat == "pmf":
         rows = [
             [int(pmf.offset + i), float(mass), pmf.truncation_bound]
@@ -230,15 +262,14 @@ def cmd_duration(system, n, pa, pb, server, sa, tiebreak, stat, winner, score, l
         _emit(OutputTable(["rallies", "probability", "truncation_bound"], rows), fmt, out)
         return
     mode = duration.QuantileMode(quantile_mode)
-    level_values = [float(x) for x in levels.split(",") if x]
-    rows = [[lv, duration.quantile(pmf, lv, mode), mode.value] for lv in level_values]
+    rows = [[lv, duration.quantile(pmf, lv, mode), mode.value] for lv in levels]
     _emit(OutputTable(["level", "rallies", "mode"], rows), fmt, out)
 
 
 @main.command("compare")
 @click.option("--sideout-n", type=int, default=15)
 @click.option("--rallypoint-n", type=int, default=21)
-@click.option("--p-grid", type=str, default="0.01:0.99:0.01", help="START:STOP:STEP inclusive grid.")
+@click.option("--p-grid", type=Numbers(grid=True), default="0.01:0.99:0.01", help="START:STOP:STEP inclusive grid.")
 @_common_flags
 @engine_errors
 def cmd_compare(sideout_n, rallypoint_n, p_grid, fmt, out):
@@ -246,10 +277,6 @@ def cmd_compare(sideout_n, rallypoint_n, p_grid, fmt, out):
     and duration summaries per p, with limit reference rows at p = 0, 1."""
     from . import asymptotics, duration, kernel
 
-    try:
-        start, stop, step = (float(x) for x in p_grid.split(":"))
-    except ValueError as exc:
-        raise click.UsageError(f"bad --p-grid {p_grid!r}: {exc}") from exc
     so_cfg = GameConfig(n=sideout_n, system=ScoringSystem.SIDE_OUT)
     rp_cfg = GameConfig(n=rallypoint_n, system=ScoringSystem.RALLY_POINT)
     columns = [
@@ -258,9 +285,7 @@ def cmd_compare(sideout_n, rallypoint_n, p_grid, fmt, out):
         "sideout_e_win_a", "sideout_sd_win_a", "sideout_e_win_b", "sideout_sd_win_b",
         "rallypoint_e_win_a", "rallypoint_sd_win_a", "rallypoint_e_win_b", "rallypoint_sd_win_b",
     ]
-    count = int(round((stop - start) / step)) + 1
-    p = start + np.arange(max(count, 0)) * step
-    p = p[(0.0 < p) & (p < 1.0)]
+    p = p_grid[(0.0 < p_grid) & (p_grid < 1.0)]
 
     def grid_columns(cfg):
         # the whole grid in one kernel evaluation: no-server model (p_a = p,
@@ -391,7 +416,7 @@ def cmd_match(system, n, pa, pb, server, sa, tiebreak, games_to_win, server_rule
 @_game_flags
 @_match_flags
 @click.option("--matches", type=int, required=True, help="Number of independent matches to schedule.")
-@click.option("--quantile-levels", type=str, default="0.5,0.9,0.95,0.99")
+@click.option("--quantile-levels", type=Numbers(), default="0.5,0.9,0.95,0.99")
 @click.option(
     "--quantile-mode",
     type=click.Choice(["standard", "interpolated"]),
@@ -420,13 +445,12 @@ def cmd_plan(system, n, pa, pb, server, sa, tiebreak, games_to_win, server_rule,
         offset=offset, masses=masses, truncation_bound=matches * single.truncation_bound
     )
     mode = duration.QuantileMode(quantile_mode)
-    level_values = [float(x) for x in quantile_levels.split(",") if x]
     rows = [
         [matches, lv, duration.quantile(total, lv, mode), mode.value]
-        for lv in level_values
+        for lv in quantile_levels
     ]
     _emit(OutputTable(["matches", "level", "rallies", "mode"], rows), fmt, out)
 
 
 if __name__ == "__main__":
-    main()
+    main(prog_name="rallystats")

@@ -151,14 +151,14 @@ class TerminalScore:
         return self.alpha if player is Player.A else self.beta
 
 
-def validate(probs: RallyProbs, config: GameConfig | None = None, *, exact: bool = True) -> None:
+def validate(probs: RallyProbs, config: GameConfig | None = None) -> None:
     """Check the invariants the engines rely on beyond those `RallyProbs`
     and `GameConfig` enforce on construction; raise DomainError otherwise.
 
-    `exact=True` requires q < 1 (with q = 1 no rally ever scores and the
-    game never terminates); this is also what the simulation engine needs.
-    A `GameConfig` checks itself on construction, so `config` adds no check.
-    Public engine functions call this once, never per terminal score.
+    It requires q < 1: with q = 1 no rally ever scores and the game never
+    terminates.  A `GameConfig` checks itself on construction, so `config`
+    adds no check.  Public engine functions call this once, never per
+    terminal score.
     """
-    if exact and probs.q >= 1.0:
+    if probs.q >= 1.0:
         raise DomainError("q=1, game never terminates (p_a=0 and p_b=0)")

@@ -254,7 +254,7 @@ def _exchange_cut(m0: int, probs: RallyProbs, epsilon: float) -> tuple[int, floa
 
     def tail(s: int) -> float:
         if s not in tails:
-            tails[s] = math.exp(log_tail(s, float(kernel.log_exchange_binom(m0, [s + 1])[0]))) if s >= mode else math.inf
+            tails[s] = math.exp(log_tail(s, float(kernel.log_exchange_binom(m0, [s + 1])[0, -1]))) if s >= mode else math.inf
         return tails[s]
 
     x = mode + math.sqrt(m0 * q) / keep

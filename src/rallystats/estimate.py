@@ -26,18 +26,21 @@ information (Louis's formula) for grid-started projected Newton steps.
 Records reach the likelihood as a `RecordBatch`, aligned columns that
 `records_from_sample` takes from a simulated batch as they are and
 `records_from_json_lines` parses into; its set-up is column arithmetic,
-and log H(m) of all records is one reduction over exchange binomials kept
-per points total.  Newton carries its iterate, score and information as
-Python floats and solves the 2 x 2 (or 1 x 1) system in closed form.
-For 200 games to 15 at (.6, .5) on a shared 2-core machine, in-process
-medians of 600 replications: the records take 0.03 ms, the
-score-and-duration set-up 0.55-0.7 ms (0.75-0.95 with the binomials
-formed per fit), the grid step 0.08-0.14 ms from the cached polynomials
+and log H(m) of all records is one reduction over one table of exchange
+binomials, formed per set-up at the distinct l the records need, so it
+takes the same memory at any duration (a fit of one record peaks at
+13 kB under `tracemalloc` from 10^3 to 10^9 rallies).  Newton carries
+its iterate, score and information as Python floats and solves the 2 x 2
+(or 1 x 1) system in closed form.  For 200 games to 15 at (.6, .5) on a
+shared 2-core machine, in-process medians of 600 replications: the
+records take 0.03 ms, the score-and-duration set-up 0.6-0.85 ms (log
+H(m) 0.3-0.4 ms of it, 0.05-0.1 ms more than from binomial rows kept
+across fits), the grid step 0.08-0.14 ms from the cached polynomials
 (1.7 ms when the kernel evaluates them, as for a tally not seen before)
 and a Newton point 0.1-0.2 ms, nearly all of it the E-step (the step's
 own algebra takes about 0.01 ms, 0.11 ms with numpy's `eigvalsh` and
 `solve`); the score-only fit takes 1.9-2.2 ms and the score-and-duration
-fit 0.85-1.05 ms, against 2.8-3.0 and 1.1-1.2 ms before.
+fit 0.65-0.95 ms.
 
 Duration information enters the conditional duration law only through q,
 so in the two-parameter server model the duration term mostly sharpens q;
@@ -247,37 +250,26 @@ def records_from_sample(sample) -> RecordBatch:
     return RecordBatch(sample.first_server_a, sample.alpha, sample.beta, sample.winner_a, sample.duration)
 
 
-@functools.lru_cache(maxsize=128)
-def _exchange_row(total: int, length: int) -> np.ndarray:
-    """log C(total - 1 + l, l) for l = 0 .. length - 1, the
-    `kernel.log_exchange_binom` row of a points total, read-only: each
-    entry depends on the total and l alone, so rows are kept across fits
-    (lengths are powers of two, so few of them serve every batch; a row
-    takes 8 bytes per entry: 32 entries for games to 15 at (.6, .5))."""
-    row = kernel.log_exchange_binom(total, np.arange(length))
-    row.setflags(write=False)
-    return row
-
-
 def _log_h(rows: kernel.Rows, m, row=0) -> np.ndarray:
     """log H(m) at each entry of the array m of the tally in row `row` of
     `rows` (one index, or one per entry): the number-weight of
     trajectories with m extra rally pairs beyond the scored points, a
-    convolution over the l exchanges of C(a+b+l-1, l) (`_exchange_row`
-    of each points total a+b) with the kernel coefficient of q^(m-l).
-    The terms of all entries form one (entries, j) array, -inf outside
-    each entry's j = j0 .. min(top, m), reduced in the order of j; a -inf
-    term leaves a sum of logs unchanged to the last bit, so each entry
-    gets the bits of its own terms alone."""
+    convolution over the l exchanges of C(a+b+l-1, l) with the kernel
+    coefficient of q^(m-l).  The binomials are one
+    `kernel.log_exchange_binom` table at the distinct l the entries need,
+    read at each entry's points total a+b (a column has the same bits
+    whatever the table's width).  The terms of all entries form one
+    (entries, j) array, -inf outside each entry's j = j0 .. min(top, m),
+    reduced in the order of j; a -inf term leaves a sum of logs unchanged
+    to the last bit, so each entry gets the bits of its own terms alone."""
     m = np.atleast_1d(np.asarray(m))
     row = np.broadcast_to(row, m.shape)
     j0, top, points = rows.j0[row], rows.top[row], rows.alpha[row] + rows.beta[row]
     j = np.arange(int(np.minimum(top, m).max()) + 1)
     l, s = m[:, None] - j, j - j0[:, None]
-    totals, which = np.unique(points, return_inverse=True)
-    length = 1 << max(int(l.max()), 15).bit_length()  # a power of two above the largest l, at least 16
-    binom = np.stack([_exchange_row(total, length) for total in totals.tolist()])
-    log_exchanges = binom[which[:, None], np.maximum(l, 0)]
+    distinct = np.unique(np.maximum(np.unique(m)[:, None] - j, 0))  # every entry's l, from its distinct m
+    binom = kernel.log_exchange_binom(int(points.max()), distinct)
+    log_exchanges = binom[np.searchsorted(distinct, np.maximum(l, 0)), points[:, None] - 1]
     inside = (s >= 0) & (j <= top[:, None]) & (l >= 0)
     logc = rows.logc[row[:, None], np.clip(s, 0, rows.logc.shape[1] - 1)]
     return np.logaddexp.reduce(np.where(inside, log_exchanges + logc, -np.inf), axis=1)
@@ -327,16 +319,19 @@ class _StartGrid:
         at the grid's distinct q, shape (tallies, 3, q): the rows
         `kernel.interruption_polynomial` gives, read-only and cached per
         tally.  All misses come from one kernel call; a row's bits do not
-        depend on the rows evaluated with it."""
-        missing = [t for t in tallies if t not in self.rows]
-        if len(self.rows) + len(missing) > _GRID_ROWS:  # a full cache starts again
-            self.rows.clear()
-            missing = tallies
+        depend on the rows evaluated with it.  The stack is taken from the
+        rows this call found or computed, so another thread that clears
+        the cache meanwhile takes none of them away."""
+        found = {t: self.rows.get(t) for t in tallies}
+        missing = [t for t, row in found.items() if row is None]
         if missing:
             poly = np.stack(kernel.interruption_polynomial(kernel.tallies(missing), self.q), axis=1)
             poly.setflags(write=False)
-            self.rows.update(zip(missing, poly))
-        return np.stack([self.rows[t] for t in tallies])
+            found.update(zip(missing, poly))
+            if len(self.rows) + len(missing) > _GRID_ROWS:  # a full cache starts again
+                self.rows.clear()
+            self.rows.update(found)
+        return np.stack([found[t] for t in tallies])
 
 
 @functools.lru_cache(maxsize=None)

@@ -348,14 +348,20 @@ def scored_last(h: int) -> np.ndarray:
 
 
 def log_exchange_binom(points: int, l) -> np.ndarray:
-    """log C(points - 1 + l, l) for each entry of the array l: the number
-    of ways to place l exchanges among `points` scored points, the
-    negative-binomial coefficient.  It is summed as sum_i log1p(l/i), i <
-    points, which stays accurate to a few ulps for any l (a difference of
-    lgamma values loses ulps of lgamma(l), 5e-10 relative at l = 1e5): each
-    term errs by at most two ulps and the sum of the points - 1 positive
-    terms by at most points - 2 more."""
-    return np.log1p(np.asarray(l)[:, None] / np.arange(1, points)).sum(axis=1)
+    """log C(t - 1 + l, l) for each entry of the array l and every points
+    total t = 1 .. points, in column t - 1 (shape (entries, points)): the
+    number of ways to place l exchanges among t scored points, the
+    negative-binomial coefficient.  Column t - 1 is the running sum of
+    log1p(l/i) over i < t, so the last column is the total `points` and
+    a column has the same bits however many columns are formed.  It stays
+    accurate to a few ulps for any l (a difference of lgamma values loses
+    ulps of lgamma(l), 5e-10 relative at l = 1e5): each term errs by at
+    most two ulps and the sum of the t - 1 positive terms by at most t - 2
+    more."""
+    l = np.asarray(l, dtype=float)
+    terms = np.zeros((l.size, points))
+    np.log1p(l[:, None] / np.arange(1, points), out=terms[:, 1:])
+    return np.add.accumulate(terms, axis=1)
 
 
 def interruption_law(rows: Rows, q: float) -> np.ndarray:

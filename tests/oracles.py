@@ -329,7 +329,7 @@ def exchange_cut_walk(m0, probs, epsilon):
     mode, limit, _, log_tail = duration._exchange_tail(m0, probs)
     for start in range(mode, limit + 1, 1024):
         s = np.arange(start, min(start + 1024, limit + 1))
-        for si, log_c in zip(s.tolist(), kernel.log_exchange_binom(m0, s + 1).tolist()):
+        for si, log_c in zip(s.tolist(), kernel.log_exchange_binom(m0, s + 1)[:, -1].tolist()):
             tail = math.exp(log_tail(si, log_c))
             if tail <= epsilon:
                 return si + 1, tail
@@ -861,7 +861,7 @@ def log_h(rows, m):
     j = np.arange(j0, min(int(rows.top[0]), m) + 1)
     if j.size == 0:
         return -np.inf
-    log_exchanges = kernel.log_exchange_binom(int(rows.alpha[0] + rows.beta[0]), m - j)
+    log_exchanges = kernel.log_exchange_binom(int(rows.alpha[0] + rows.beta[0]), m - j)[:, -1]
     return float(np.logaddexp.reduce(log_exchanges + rows.logc[0, j - j0]))
 
 

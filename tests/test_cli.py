@@ -142,6 +142,16 @@ class TestDuration:
             "unconditional,15,0,0\n"
         )
 
+    def test_score_must_end_a_game_to_n(self, runner):
+        # (3, k) and (k, 3) with 0 <= k < 3 end a game to 3; no other tally does
+        for alpha in range(-1, 5):
+            for beta in range(-1, 5):
+                result = runner.invoke(main, [
+                    "duration", "--n", "3", "--pa", ".6", "--pb", ".5", "--score", f"{alpha},{beta}",
+                ])
+                end = max(alpha, beta) == 3 and 0 <= min(alpha, beta) < 3
+                assert result.exit_code == (0 if end else 3), (alpha, beta, result.output)
+
     def test_score_conditioning_needs_fixed_server(self, runner):
         result = runner.invoke(main, [
             "duration", "--n", "15", "--pa", ".6", "--pb", ".5", "--sa", ".5",

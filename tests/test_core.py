@@ -82,9 +82,6 @@ class TestValidate:
         with pytest.raises(DomainError, match="never terminates"):
             validate(RallyProbs(0.0, 0.0))
 
-    def test_q_equal_one_allowed_when_not_exact(self):
-        validate(RallyProbs(0.0, 0.0), exact=False)
-
 
 class TestConfigs:
     def test_game_config_validation(self):

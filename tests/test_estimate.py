@@ -3,6 +3,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -204,6 +206,20 @@ class TestJointLikelihood:
             for value in want:
                 total += value
             assert estimate._Likelihood(records, FitMode.SCORE_DURATION).log_h_total == total
+
+    def test_long_record_fits_in_constant_memory(self, monkeypatch):
+        # one game of 10^9 rallies: the exchange binomials are formed at the
+        # few l its terms need, whatever the duration
+        record = [rec(A, 15, 7, A, duration=10**9)]
+        tracemalloc.start()
+        try:
+            got = estimate.fit(record, FitMode.SCORE_DURATION)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+        monkeypatch.setattr(estimate, "_log_h", lambda rows, m, row: np.array([log_h(rows, int(m[0]))]))
+        assert got == estimate.fit(record, FitMode.SCORE_DURATION)
 
     def test_zero_probability_duration_names_the_record(self):
         # a server winning 5-2 must have lost the serve at least once
@@ -769,39 +785,6 @@ def fresh_process_output(code):
     ).stdout.strip()
 
 
-class TestExchangeBinomialCache:
-    def test_rows_equal_the_kernel_bit_for_bit(self, monkeypatch):
-        estimate._exchange_row.cache_clear()
-        cached, keys = estimate._exchange_row, set()
-        monkeypatch.setattr(estimate, "_exchange_row", lambda total, length: keys.add((total, length)) or cached(total, length))
-        for seed in range(80, 90):
-            estimate.fit(random_batch(seed), FitMode.SCORE_DURATION)
-        estimate.fit(simulated_records(0.05, 0.05, 15, 20, SeedSpec(151, 0)), FitMode.SCORE_DURATION)  # long rows
-        assert len(keys) == cached.cache_info().currsize > 0
-        assert max(length for _, length in keys) >= 256
-        for total, length in keys:
-            row = cached(total, length)
-            assert row.shape == (length,) and length & (length - 1) == 0
-            assert np.array_equal(row, kernel.log_exchange_binom(total, np.arange(length)))
-            assert all(v == kernel.log_exchange_binom(total, [l])[0] for l, v in enumerate(row.tolist()))
-
-    def test_rows_are_read_only_and_the_cache_is_bounded(self):
-        estimate._exchange_row.cache_clear()
-        maxsize = estimate._exchange_row.cache_info().maxsize
-        assert maxsize is not None
-        for total in range(1, maxsize + 20):
-            row = estimate._exchange_row(total, 16)
-            assert not row.flags.writeable
-        assert estimate._exchange_row.cache_info().currsize == maxsize
-        with pytest.raises(ValueError):
-            row[0] = 0.0
-
-    def test_cache_empty_after_import(self):
-        # a fresh process: nothing is computed at import
-        code = "import rallystats\nfrom rallystats import estimate\nprint(estimate._exchange_row.cache_info().currsize)\n"
-        assert fresh_process_output(code) == "0"
-
-
 class TestStartGridCache:
     def test_cached_rows_equal_one_kernel_call(self):
         # rows filled in three batches (all misses, some, none) against one
@@ -846,6 +829,79 @@ class TestStartGridCache:
                 assert len(estimate._start_grid(model).rows) <= max(8, len(tallies))
             monkeypatch.undo()
             assert cold == warm == small
+
+    def test_an_eviction_by_another_thread_takes_no_row_away(self, monkeypatch):
+        # a call held inside its kernel evaluation while another thread fills
+        # the cache past its size, which clears it, still stacks every row
+        # it found cached before
+        warm = [(7, k, True) for k in range(7)]
+        batch = warm + [(k, 7, False) for k in range(7)]
+        other = [(9, k, True) for k in range(8)]
+        monkeypatch.setattr(estimate, "_GRID_ROWS", len(batch))
+        estimate._start_grid.cache_clear()
+        grid = estimate._start_grid(FitModel.SERVER)
+        grid.polynomial(warm)
+        real, entered, go, out = kernel.interruption_polynomial, threading.Event(), threading.Event(), {}
+
+        def held(rows, q):
+            if threading.current_thread() is worker:
+                entered.set()
+                go.wait(30)
+            return real(rows, q)
+
+        def run():
+            try:
+                out["rows"] = grid.polynomial(batch)
+            except Exception as exc:  # raised again below
+                out["error"] = exc
+
+        monkeypatch.setattr(kernel, "interruption_polynomial", held)
+        worker = threading.Thread(target=run)
+        worker.start()
+        try:
+            assert entered.wait(30)
+            grid.polynomial(other)
+            assert not set(warm) & set(grid.rows)
+        finally:
+            go.set()
+            worker.join(30)
+        assert not worker.is_alive()
+        if "error" in out:
+            raise out["error"]
+        assert np.array_equal(out["rows"], np.stack(real(kernel.tallies(batch), grid.q), axis=1))
+        estimate._start_grid.cache_clear()
+
+    def test_concurrent_fits_equal_serial_ones(self, monkeypatch):
+        # four threads that fill and clear a small cache while switching often;
+        # a row cleared under a call would raise KeyError or change its fit
+        batches = [simulated_records(0.6, 0.5, n, 40, SeedSpec(153, n)) for n in range(7, 22)]
+        serial = [estimate.fit(b, FitMode.SCORE_ONLY) for b in batches]
+        monkeypatch.setattr(estimate, "_GRID_ROWS", 40)
+        estimate._start_grid.cache_clear()
+        results, interval = {}, sys.getswitchinterval()
+
+        def run(k):
+            try:
+                results[k] = [estimate.fit(batches[(k + i) % len(batches)], FitMode.SCORE_ONLY) for i in range(30)]
+            except Exception as exc:  # raised again below
+                results[k] = exc
+
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for k, got in results.items():
+            if isinstance(got, Exception):
+                raise got
+            assert got == [serial[(k + i) % len(batches)] for i in range(30)]
+        assert len(results) == 4
+        estimate._start_grid.cache_clear()
 
     def test_cached_arrays_are_read_only(self):
         estimate.fit(random_batch(72), FitMode.SCORE_ONLY)

@@ -225,3 +225,29 @@ def test_side_out_weight_is_closed_form_times_polynomial_in_q(n):
         np.testing.assert_allclose(ev.log_weight[:, 0], np.array(closed) + log_p[:, 0], rtol=1e-13, atol=1e-13)
         assert np.array_equal(ev.r_mean[:, 0], rows.j0 + receiver_last + s_mean[:, 0])
         assert np.array_equal(ev.r_var[:, 0], s_var[:, 0])
+
+
+EXCHANGES = np.array([0, 1, 2, 7, 100, 12_345, 10**6, 123_456_789, 10**9, 2**53])
+
+
+def test_exchange_binom_column_has_the_bits_of_its_own_total():
+    # column t - 1 is a running sum, so a table formed for a larger total,
+    # or at other l, leaves its bits as they are
+    wide = kernel.log_exchange_binom(400, EXCHANGES)
+    assert wide.shape == (EXCHANGES.size, 400)
+    assert not wide[:, 0].any()
+    for t in [*range(1, 40), 41, 128, 399, 400]:
+        assert np.array_equal(kernel.log_exchange_binom(t, EXCHANGES)[:, -1], wide[:, t - 1])
+        for i in (0, 4, 8):
+            assert kernel.log_exchange_binom(t, EXCHANGES[i : i + 1])[0, -1] == wide[i, t - 1]
+
+
+def test_exchange_binom_against_mpmath():
+    # each of the t - 1 terms errs by at most two ulps and their sum by at
+    # most t - 2 more
+    table = kernel.log_exchange_binom(400, EXCHANGES)
+    with mpmath.workdps(60):
+        for t in [2, 3, 4, 15, 29, 41, 100, 400]:
+            for l, got in zip(EXCHANGES.tolist(), table[:, t - 1].tolist()):
+                exact = float(mpmath.log(mpmath.binomial(t - 1 + l, l)))
+                assert abs(got - exact) <= (3 * t - 4) * np.spacing(exact), (t, l)
