@@ -1,9 +1,10 @@
 """Command-line front end: machine-readable tables (CSV or JSON) for every
 engine capability.
 
-Exit codes: 0 success, 2 usage error, 3 domain/conditioning error, 4 I/O
-error.  All commands are deterministic given their flags (plus --seed
-where randomness is involved).
+Exit codes: 0 success, 2 usage error, 3 domain, conditioning, data or
+non-convergence error (the package's typed errors), 4 I/O error.  All
+commands are deterministic given their flags (plus --seed where
+randomness is involved).
 
 Each command imports the engine modules it calls when it runs, so a
 process loads only those (and `--help` none of them).
@@ -28,6 +29,7 @@ from .core import (
     DomainError,
     GameConfig,
     InfeasibleData,
+    NonConvergence,
     Player,
     RallyProbs,
     ScoringSystem,
@@ -82,7 +84,7 @@ def engine_errors(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except (DomainError, ConfigError, ConditioningError, InfeasibleData) as exc:
+        except (DomainError, ConfigError, ConditioningError, InfeasibleData, NonConvergence) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(3)
         except OSError as exc:
@@ -275,7 +277,7 @@ def cmd_duration(system, n, pa, pb, server, sa, tiebreak, stat, winner, score, l
 def cmd_compare(sideout_n, rallypoint_n, p_grid, fmt, out):
     """Side-out vs rally-point in the no-server model: win probabilities
     and duration summaries per p, with limit reference rows at p = 0, 1."""
-    from . import asymptotics, duration, kernel
+    from . import asymptotics, duration
 
     so_cfg = GameConfig(n=sideout_n, system=ScoringSystem.SIDE_OUT)
     rp_cfg = GameConfig(n=rallypoint_n, system=ScoringSystem.RALLY_POINT)
@@ -288,17 +290,13 @@ def cmd_compare(sideout_n, rallypoint_n, p_grid, fmt, out):
     p = p_grid[(0.0 < p_grid) & (p_grid < 1.0)]
 
     def grid_columns(cfg):
-        # the whole grid in one kernel evaluation: no-server model (p_a = p,
-        # p_b = 1 - p), first server A
-        rows = kernel.table(cfg.n)
-        ev = kernel.evaluate(cfg.system, rows, p, 1.0 - p)
-        mean, var = duration._row_moments(cfg.system, rows, ev.r_mean, ev.r_var, p, 1.0 - p)
-        weight = np.stack([ev.weight, np.zeros_like(ev.weight)])  # no B-first games
-        mix = {w: duration._mix(duration.event_weights(weight, (1.0, 0.0), w), mean, var) for w in (*Player, None)}
-        if any((mix[w][0] <= duration._TINY).any() for w in Player):
+        # the whole grid at once: no-server model (p_a = p, p_b = 1 - p),
+        # first server A; a vanished event has NaN moments
+        events = duration._event_moments(cfg, p, 1.0 - p)
+        cols = {w: [m, np.sqrt(v)] for (s, w), (_, m, v) in events.items() if s is Player.A}
+        if np.isnan(cols[Player.A] + cols[Player.B]).any():
             raise ConditioningError("conditioning event has vanished")
-        cols = {w: [m, np.sqrt(v)] for w, (_, m, v) in mix.items()}
-        return mix[Player.A][0], cols[None], cols[Player.A] + cols[Player.B]
+        return events[(Player.A, Player.A)][0], cols[None], cols[Player.A] + cols[Player.B]
 
     so_win, so_unc, so_by_winner = grid_columns(so_cfg)
     rp_win, rp_unc, rp_by_winner = grid_columns(rp_cfg)

@@ -15,10 +15,13 @@ The law of D given a tally depends on q alone, so it is the same for both
 first servers.  The law given any event (first server, game winner),
 either of which may be mixed out, is then a mixture of the per-tally laws
 with the weights `event_weights` takes from one kernel evaluation of the
-tallies' probabilities for both first servers.  The aggregate moments and
-the PMFs read the system from the `GameConfig`.  An event of probability
-zero has no conditional law: the aggregates leave it out, and only
-`duration_pmf_winner`, which normalizes, raises `ConditioningError`.
+tallies' probabilities for both first servers.  The moments of every
+event come from one such mixture, for one point (`aggregate_moments`) or
+a grid of points, with the same bits at a point either way.  The
+aggregate moments and the PMFs read the system from the `GameConfig`.  An
+event of probability zero has no conditional law: the aggregates leave it
+out, and only `duration_pmf_winner`, which normalizes, raises
+`ConditioningError`.
 
 Every PMF comes from one engine.  `pre_exchange_laws` gives a game's law
 before its exchanges, over (points, shift), jointly with the winner; a
@@ -39,6 +42,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -208,6 +212,14 @@ def variance_duration_conditional(alpha: int, beta: int, last_scorer: Player, q:
     return _conditional_moments(alpha, beta, last_scorer, q, 1.0 - q).variance
 
 
+def _exact_q(probs: RallyProbs):
+    """log q and 1 - q of the exchange probability q = q_a q_b, in extended
+    precision (where the platform has it), so that each rounds the exact
+    value; 1 - q is p_a + q_a p_b, which does not cancel as q -> 1."""
+    p_a, p_b = np.longdouble(probs.p_a), np.longdouble(probs.p_b)
+    return np.log1p(-p_a) + np.log1p(-p_b), p_a + (1.0 - p_a) * p_b
+
+
 def _exchange_tail(m0: int, probs: RallyProbs):
     """The bound of the stop rule of the exchange series L ~ NB(m0, q),
     f(l) = C(m0-1+l, l) q^l (1-q)^m0, for m0 > 0 points at q > 0: the
@@ -215,12 +227,11 @@ def _exchange_tail(m0: int, probs: RallyProbs):
     log_tail(s, log_c), the log of f(s+1)/(1 - r(s)) with r(s) =
     q(m0+s)/(s+1) from log_c = log C(m0+s, s+1), plus its rounding error
     (inf where r(s) >= 1).  It is a sum of logs (of
-    `kernel.log_exchange_binom`, and of the exact q and 1 - q in extended
-    precision), so (1-q)^m0 may underflow."""
+    `kernel.log_exchange_binom`, and of `_exact_q`), so (1-q)^m0 may
+    underflow."""
     q = probs.q
-    p_a, p_b = np.longdouble(probs.p_a), np.longdouble(probs.p_b)
-    keep = p_a + (1.0 - p_a) * p_b
-    log_q, log_keep, keep = float(np.log1p(-p_a) + np.log1p(-p_b)), float(np.log(keep)), float(keep)
+    log_q, keep = _exact_q(probs)
+    log_q, log_keep, keep = float(log_q), float(np.log(keep)), float(keep)
     mode = int((m0 - 1) * q / keep)
     if mode >= _MAX_TERMS:
         raise DomainError("exchange series failed to converge")
@@ -326,37 +337,28 @@ def event_weights(weight: np.ndarray, servers, winner: Player | None = None) -> 
     given a tally depends on q alone, the same for both first servers, so
     the law of D given any event is the mixture of the rows' laws with
     these weights, and their sum is the probability of the event."""
-    servers = np.reshape(servers, (2,) + (1,) * (weight.ndim - 1))
+    weight = np.reshape(servers, (2,) + (1,) * (weight.ndim - 1)) * weight
     if winner is not None:
-        won = kernel.scored_last(weight.shape[1] // 2)[:, int(winner is Player.B)]
-        weight = np.where(won.reshape(won.shape + (1,) * (weight.ndim - 2)), weight, 0.0)
-    return (servers * weight).sum(axis=0)
-
-
-def _row_moments(system: ScoringSystem, rows: kernel.Rows, r_mean, r_var, p_a, p_b):
-    """Conditional mean and variance of D of every tally of `rows`, from
-    the mean and variance of its interruption count (shape (rows, points))
-    at the points of the arrays (p_a, p_b)."""
-    d = (rows.alpha + rows.beta)[:, None].astype(float)
-    if system is ScoringSystem.RALLY_POINT:
-        return np.broadcast_to(d, r_mean.shape), np.zeros_like(r_mean)
-    q_a = 1.0 - np.asarray(p_a)
-    q = q_a * (1.0 - np.asarray(p_b))
-    one_minus_q = p_a + q_a * p_b  # does not cancel as q -> 1
-    receiver_last = (~rows.server_last)[:, None]
-    return _side_out_moments(d, receiver_last, q, one_minus_q, r_mean, r_var)
+        # the first server wins in the first half of the rows and the
+        # receiver in the second: drop the half the winner loses in
+        h, w = weight.shape[1] // 2, int(winner is Player.B)
+        weight[0, (1 - w) * h : (2 - w) * h] = weight[1, w * h : (w + 1) * h] = 0.0
+    return weight.sum(axis=0)
 
 
 def _mix(c: np.ndarray, mean: np.ndarray, var: np.ndarray):
     """Total weight, mean and variance of the mixture of the rows' laws
-    (axis 0) with weights c; NaN moments where c carries no weight.  The
-    variance sums each row's variance and squared deviation from the
-    mixture mean, so it does not cancel when far below the squared mean."""
-    total = c.sum(axis=0)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        m = (c * mean).sum(axis=0) / total
-        v = (c * (var + (mean - m) ** 2)).sum(axis=0) / total
-    return total, m, v
+    (axis 0) with weights c; NaN moments where the total is at most 1e-300,
+    an event that counts as vanished.  The variance sums each row's
+    variance and squared deviation from the mixture mean, so it does not
+    cancel when far below the squared mean.  Each sum over the rows is a
+    running sum, in one order whatever the number of points (NumPy sums a
+    lone point's rows pairwise), so a point gets the same bits alone as in
+    a grid."""
+    total = np.add.accumulate(c)[-1]
+    kept = np.where(total > _TINY, total, np.nan)
+    m = np.add.accumulate(c * mean)[-1] / kept
+    return total, m, np.add.accumulate(c * (var + (mean - m) ** 2))[-1] / kept
 
 
 def _servers(config: GameConfig, server: Player | None) -> tuple[float, float]:
@@ -366,17 +368,37 @@ def _servers(config: GameConfig, server: Player | None) -> tuple[float, float]:
     return (1.0, 0.0) if server is Player.A else (0.0, 1.0)
 
 
-def _game_rows(probs: RallyProbs, config: GameConfig):
-    """The table of a game to n, weight[i, r] of its rows when A (i = 0)
-    or B (i = 1) serves first, and the rows' duration moments, from one
-    kernel evaluation.  The law of D given a tally depends on q alone, the
-    same for both first servers."""
-    validate(probs, config)
+def _game_rows(config: GameConfig, p_a, p_b):
+    """The table of a game to n, weight[i, r, point] of its rows when A
+    (i = 0) or B (i = 1) serves first, and the conditional mean and
+    variance of D of each row (rows, points), at each point of the arrays
+    (p_a, p_b) from one kernel evaluation.  The law of D given a tally
+    depends on q alone, the same for both first servers."""
     _require_no_tiebreak(config)
     rows = kernel.table(config.n)
-    ev = kernel.evaluate_servers(config.system, rows, probs.p_a, probs.p_b)
-    mean, var = _row_moments(config.system, rows, ev.r_mean, ev.r_var, probs.p_a, probs.p_b)
-    return rows, ev.weight[:, :, 0].T, mean[:, 0], var[:, 0]
+    ev = kernel.evaluate_servers(config.system, rows, p_a, p_b)
+    weight, d = np.moveaxis(ev.weight, 1, 0), (rows.alpha + rows.beta)[:, None].astype(float)
+    if config.system is ScoringSystem.RALLY_POINT:
+        return rows, weight, np.broadcast_to(d, ev.r_mean.shape), np.zeros_like(ev.r_mean)
+    q_a = 1.0 - np.asarray(p_a)
+    q, one_minus_q = q_a * (1.0 - np.asarray(p_b)), p_a + q_a * p_b  # 1 - q does not cancel as q -> 1
+    return rows, weight, *_side_out_moments(d, (~rows.server_last)[:, None], q, one_minus_q, ev.r_mean, ev.r_var)
+
+
+def _event_moments(config: GameConfig, p_a, p_b):
+    """Probability, mean and variance of D of each event (first server,
+    winner) of a game to n, either of which None mixes out (the first
+    server with weights (s_a, s_b)), at each point of the arrays (p_a,
+    p_b): {event: (probability, mean, variance)}, each of shape (points,).
+    Each event mixes the rows' laws with `event_weights`, adding the rows
+    in one order whatever the number of points, so a point gets the same
+    bits alone as in a grid.  An event of probability at most 1e-300
+    counts as vanished: its moments are NaN."""
+    _, weight, mean, var = _game_rows(config, p_a, p_b)
+    return {
+        (server, winner): _mix(event_weights(weight, _servers(config, server), winner), mean, var)
+        for server, winner in itertools.product((*Player, None), repeat=2)
+    }
 
 
 @dataclass(frozen=True)
@@ -401,19 +423,17 @@ class DurationAggregates:
 def aggregate_moments(probs: RallyProbs, config: GameConfig) -> DurationAggregates:
     """Expectation and variance of D under `config.system` for every
     conditioning level: per (server, winner), per server, per winner, and
-    overall."""
-    _, weight, mean, var = _game_rows(probs, config)
-
-    def mixture(server, winner) -> tuple[float, Moments | None]:
-        total, m, v = _mix(event_weights(weight, _servers(config, server), winner), mean, var)
-        return float(total), (Moments(float(m), float(v)) if total > _TINY else None)
-
-    events = {(s, w): mixture(s, w) for s in Player for w in Player}
-    by_server_winner = {event: m for event, (_, m) in events.items() if m is not None}
-    by_winner = {w: m for w in Player if (m := mixture(None, w)[1]) is not None}
-    by_server = {s: mixture(s, None)[1] for s in Player}
-    win_probs = {event: total for event, (total, _) in events.items()}
-    return DurationAggregates(by_server_winner, by_server, by_winner, mixture(None, None)[1], win_probs)
+    overall.  These are the `_event_moments` of the one point."""
+    validate(probs, config)
+    events = _event_moments(config, probs.p_a, probs.p_b)
+    moments = {e: Moments(float(m[0]), float(v[0])) for e, (_, m, v) in events.items() if not np.isnan(m[0])}
+    return DurationAggregates(
+        by_server_winner={(s, w): moments[(s, w)] for s in Player for w in Player if (s, w) in moments},
+        by_server={s: moments.get((s, None)) for s in Player},
+        by_winner={w: moments[(None, w)] for w in Player if (None, w) in moments},
+        overall=moments.get((None, None)),
+        win_probs={(s, w): float(events[(s, w)][0][0]) for s in Player for w in Player},
+    )
 
 
 def _event_law(probs: RallyProbs, config: GameConfig, server: Player | None, winner: Player | None) -> np.ndarray:
@@ -474,23 +494,24 @@ def pre_exchange_laws(
     NB(n + k, q), and the exchange counts of independent games add:
     `exchange_mixture` applies them once to any sum of such laws.  A
     rally-point law has delta = 0, the one column j = 0 and no exchanges."""
-    rows, weight, _, _ = _game_rows(probs, config)
+    validate(probs, config)
+    rows, weight, _, _ = _game_rows(config, probs.p_a, probs.p_b)
     n, side_out = config.n, config.system is ScoringSystem.SIDE_OUT
     law = kernel.interruption_law(rows, probs.q) if side_out else np.ones((2 * n, 1))
     j0 = rows.j0 if side_out else np.zeros(2 * n, dtype=int)
     j = j0[:, None] + np.arange(law.shape[1])  # past a row's top, law is 0
     laws = {}
-    for server in Player:
+    for i, server in enumerate(Player):
         for winner in Player:
-            c = event_weights(weight, _servers(config, server), winner)
-            if c.sum() <= 0.0:
-                continue
             # the first server wins in rows 0..n-1 and the receiver in rows
             # n..2n-1, both indexed by the loser's score k
             lost = int(winner is not server)
             rows_k = slice(lost * n, (lost + 1) * n)
+            c = weight[i, rows_k, 0]
+            if not c.any():
+                continue
             sub = np.zeros((n, int(j.max()) + 1))
-            sub[np.arange(n)[:, None], j[rows_k]] = c[rows_k, None] * law[rows_k]
+            sub[np.arange(n)[:, None], j[rows_k]] = c[:, None] * law[rows_k]
             laws[(server, winner)] = (n, lost if side_out else 0, sub[:, : n if side_out else 1])
     return laws
 
@@ -516,8 +537,8 @@ def exchange_mixture(
     for M <= M', so the mass times that series' tail bounds what the window
     leaves out.  Rally-point laws, and side-out laws at q = 0, have no
     exchanges: D = M + s exactly."""
-    if epsilon <= 0.0:
-        raise DomainError("epsilon must be > 0")
+    if not (math.isfinite(epsilon) and epsilon > 0.0):
+        raise DomainError(f"epsilon must be finite and > 0, got {epsilon}")
     k, s = np.nonzero(law > 0.0)
     if not k.size:
         raise ConditioningError("law carries no mass")
@@ -565,8 +586,7 @@ class _GeometricFilter:
     _HEADROOM = 700.0  # e^700 is below the largest double, e^-700 above the least normal one
 
     def __init__(self, probs: RallyProbs, length: int, last: int, passes: int):
-        p_a, p_b = np.longdouble(probs.p_a), np.longdouble(probs.p_b)
-        log_q, keep = np.log1p(-p_a) + np.log1p(-p_b), p_a + (1.0 - p_a) * p_b  # keep = 1 - q
+        log_q, keep = _exact_q(probs)  # keep = 1 - q
         self.reach = max(1, int(self._RANGE / -float(log_q)))  # t over which q^-t stays below e^350
         g = min(length, self.reach)  # t of a scale block
         self.acc = np.zeros((-(-length // g), g, 2))

@@ -34,13 +34,11 @@ its iterate, score and information as Python floats and solves the 2 x 2
 (or 1 x 1) system in closed form.  For 200 games to 15 at (.6, .5) on a
 shared 2-core machine, in-process medians of 600 replications: the
 records take 0.03 ms, the score-and-duration set-up 0.6-0.85 ms (log
-H(m) 0.3-0.4 ms of it, 0.05-0.1 ms more than from binomial rows kept
-across fits), the grid step 0.08-0.14 ms from the cached polynomials
-(1.7 ms when the kernel evaluates them, as for a tally not seen before)
-and a Newton point 0.1-0.2 ms, nearly all of it the E-step (the step's
-own algebra takes about 0.01 ms, 0.11 ms with numpy's `eigvalsh` and
-`solve`); the score-only fit takes 1.9-2.2 ms and the score-and-duration
-fit 0.65-0.95 ms.
+H(m) 0.3-0.4 ms of it), the grid step 0.08-0.14 ms from the cached
+polynomials (1.7 ms when the kernel evaluates them, as for a tally not
+seen before) and a Newton point 0.1-0.2 ms, nearly all of it the E-step
+(the step's own algebra takes about 0.01 ms); the score-only fit takes
+1.9-2.2 ms and the score-and-duration fit 0.65-0.95 ms.
 
 Duration information enters the conditional duration law only through q,
 so in the two-parameter server model the duration term mostly sharpens q;
@@ -128,26 +126,33 @@ def records_from_json_lines(lines) -> RecordBatch:
     """The record batch of JSON lines, one object per game as `GameRecord.to_dict`
     writes it (blank lines are skipped), parsed straight into columns.  A
     line that does not parse, or whose score `TerminalScore` refuses,
-    raises `InfeasibleData` naming it."""
+    raises `InfeasibleData` naming it; so does text that does not decode,
+    naming the lines read before it."""
     cols = ([], [], [], [], [])
-    for i, line in enumerate(lines):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            d = json.loads(line)
-            if not isinstance(d, dict):
-                raise ValueError(f"expected a JSON object, got {type(d).__name__}")
-            first_a = Player(d["first_server"]) is Player.A
-            alpha, beta = _count(d, "alpha"), _count(d, "beta")
-            last_a = Player(d["last_scorer"]) is Player.A
-            if min(alpha, beta) < 0 or (alpha if last_a else beta) < 1:
-                TerminalScore(alpha, beta, Player.A if last_a else Player.B)  # raises its DomainError
-            duration = _count(d, "duration") if d.get("duration") is not None else math.nan
-        except (KeyError, ValueError) as exc:
-            raise InfeasibleData(f"record {i}: cannot parse ({exc})") from exc
-        for col, value in zip(cols, (first_a, alpha, beta, last_a, duration)):
-            col.append(value)
+    i = -1
+    try:
+        for i, line in enumerate(lines):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                d = json.loads(line)
+                if not isinstance(d, dict):
+                    raise ValueError(f"expected a JSON object, got {type(d).__name__}")
+                first_a = Player(d["first_server"]) is Player.A
+                alpha, beta = _count(d, "alpha"), _count(d, "beta")
+                last_a = Player(d["last_scorer"]) is Player.A
+                if min(alpha, beta) < 0 or (alpha if last_a else beta) < 1:
+                    TerminalScore(alpha, beta, Player.A if last_a else Player.B)  # raises its DomainError
+                duration = _count(d, "duration") if d.get("duration") is not None else math.nan
+            except (KeyError, ValueError) as exc:
+                raise InfeasibleData(f"record {i}: cannot parse ({exc})") from exc
+            for col, value in zip(cols, (first_a, alpha, beta, last_a, duration)):
+                col.append(value)
+    except UnicodeDecodeError as exc:
+        # a text file decodes a block at a time, so the bad byte is at or
+        # after the line that follows the last one read
+        raise InfeasibleData(f"reading stopped after {i + 1} lines: not {exc.encoding} text ({exc.reason})") from exc
     return RecordBatch(*(np.array(c, dtype=t) for c, t in zip(cols, _DTYPES)))
 
 

@@ -13,10 +13,10 @@ are
 for the two last scorers (with C(-1, -1) = 1 for the shutout).  This module
 is the only place they are built.  A set of tallies becomes a `Rows` table
 of log-coefficients indexed from the smallest feasible j, cached per
-target score; `evaluate` weighs the table against arrays of rally
-probabilities for either scoring system.  Tallies are in first-server
-coordinates: `evaluate_servers` takes a table at both first servers at
-once, and `scored_last` tells who scored last in each row of either game.
+target score; `evaluate_servers` weighs the table against arrays of rally
+probabilities for either scoring system, at both first servers at once.
+Tallies are in first-server coordinates: in `table(n)` the first server
+wins in rows 0..n-1 and the receiver in rows n..2n-1.
 
 A tally's probability is a prefactor times an interruption polynomial.
 Under side-out scoring the prefactor is x^alpha y^beta q_a^[receiver
@@ -77,9 +77,9 @@ class Rows:
 @dataclass(frozen=True)
 class Evaluation:
     """Per row and per parameter point: the log-probability of the tally,
-    finite where it underflows, and the mean and variance of R given it.
-    From `evaluate_servers` the log-probabilities have a first-server axis
-    after the rows; the moments, the same for both, do not."""
+    finite where it underflows, with a first-server axis after the rows,
+    and the mean and variance of R given it, the same for both first
+    servers."""
 
     log_weight: np.ndarray
     r_mean: np.ndarray
@@ -278,7 +278,18 @@ def _blocked(rows: Rows, points: int, shapes, block) -> list[np.ndarray]:
     return out
 
 
-def _evaluate(system: ScoringSystem, rows: Rows, p_a, p_b, servers: int) -> Evaluation:
+def evaluate_servers(system: ScoringSystem, rows: Rows, p_a, p_b) -> Evaluation:
+    """Log-probability of every tally of `rows` in games first served by A
+    and by B, at each point of the arrays (p_a, p_b) of the rally-winning
+    probabilities of A and B, under the given scoring system: shape (rows,
+    2 first servers, points).  The polynomial, and with it the law of the
+    interruption count R given each tally, is symmetric in the players, so
+    it is evaluated once: the mean and variance of R have shape (rows,
+    points) and hold for both first servers.  The law of R comes from the
+    polynomial's terms alone, so it stays defined where a factor common to
+    all terms (and with it the tally's probability) vanishes; where every
+    term vanishes its moments read 0.  Each point's results are the same
+    to the last bit whatever other points are evaluated with it."""
     # The bases are formed in extended precision (where the platform has
     # it), so each logarithm is the rounded logarithm of the exact base; a
     # base rounded to double, such as 1 - p, errs by half an ulp per power.
@@ -291,34 +302,11 @@ def _evaluate(system: ScoringSystem, rows: Rows, p_a, p_b, servers: int) -> Eval
         shift, total, s_mean, s_var = _polynomial(sub, log_v, log_u)
         with np.errstate(divide="ignore"):
             log_total = np.log(total)
-        firsts = [(x, y), (y, x)][:servers]
+        firsts = ((x, y), (y, x))
         log_weight = np.stack([_log_prefactor(system, sub, a, b, log_v) + shift + log_total for a, b in firsts], axis=1)
         return log_weight, sub.j0[:, None] + (~sub.server_last)[:, None] + s_mean, s_var
 
-    return Evaluation(*_blocked(rows, p_a.size, [(servers,), (), ()], block))
-
-
-def evaluate(system: ScoringSystem, rows: Rows, p_a, p_b) -> Evaluation:
-    """Log-probability of every tally of `rows` in a game first served by the
-    side with rally-winning probability p_a, at each point of the arrays
-    (p_a, p_b), under the given scoring system; plus the mean and variance
-    of the interruption count given each tally.  Results have shape
-    (rows, points).  The law of R comes from the polynomial's terms alone,
-    so it stays defined where a factor common to all terms (and with it
-    the tally's probability) vanishes; where every term vanishes its
-    moments read 0.  Each point's results are the same to the last bit
-    whatever other points are evaluated with it."""
-    ev = _evaluate(system, rows, p_a, p_b, 1)
-    return Evaluation(ev.log_weight[:, 0], ev.r_mean, ev.r_var)
-
-
-def evaluate_servers(system: ScoringSystem, rows: Rows, p_a, p_b) -> Evaluation:
-    """`evaluate` at (p_a, p_b) and (p_b, p_a) in one call, games first
-    served by A and by B: log-weights of shape (rows, 2 first servers,
-    points).  The polynomial, and with it the law of R given each tally,
-    is symmetric in the players, so it is evaluated once: the moments have
-    shape (rows, points) and hold for both first servers."""
-    return _evaluate(system, rows, p_a, p_b, 2)
+    return Evaluation(*_blocked(rows, p_a.size, [(2,), (), ()], block))
 
 
 def interruption_polynomial(rows: Rows, q) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -337,14 +325,6 @@ def interruption_polynomial(rows: Rows, q) -> tuple[np.ndarray, np.ndarray, np.n
         return shift + np.log(total), s_mean, s_var
 
     return tuple(_blocked(rows, q.size, [(), (), ()], block))
-
-
-def scored_last(h: int) -> np.ndarray:
-    """scored_last(h)[s, w, r]: whether player w (A, B) scores the last
-    point of row r of `table(h)`, or of `tied(m)` for h = 1, when s (A, B)
-    serves first; the first server does in the first h rows."""
-    first = np.arange(2 * h) < h
-    return np.array([[first, ~first], [~first, first]])
 
 
 def log_exchange_binom(points: int, l) -> np.ndarray:

@@ -4,8 +4,8 @@ Every rally scores a point, so exchanges cannot occur and the rally count
 of a game is a function of the final tally alone: D = alpha + beta.  Score
 probabilities keep the interruption structure of the side-out analysis:
 the r-sum with powers p_a^(alpha-r) p_b^(beta-r) (q_a q_b)^r, evaluated by
-the shared kernel (`kernel.evaluate`), which stays finite when p_a or p_b
-vanishes (the t_a = q_a/p_a form does not).
+the shared kernel (`kernel.evaluate_servers`), which stays finite when p_a
+or p_b vanishes (the t_a = q_a/p_a form does not).
 
 The game-level laws are shared with side-out scoring and read the system
 from the `GameConfig`; `score_distribution`, `game_win_prob` and

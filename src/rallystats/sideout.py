@@ -70,8 +70,10 @@ def _table(probs: RallyProbs, config: GameConfig) -> tuple[list[TerminalScore], 
 
     def by_last_scorer(rows: kernel.Rows) -> np.ndarray:  # [first server, last scorer, k]
         weight = kernel.evaluate_servers(config.system, rows, probs.p_a, probs.p_b).weight[:, :, 0]
-        last = kernel.scored_last(len(rows.alpha) // 2)
-        return np.array([[weight[last[s, w], s] for w in range(2)] for s in range(2)])
+        # the first server scores last in the first half of the rows, the
+        # receiver in the second
+        halves = weight.T.reshape(2, 2, -1)
+        return np.stack([halves[0], halves[1, ::-1]])
 
     regular = by_last_scorer(kernel.table(n))
     if ell is None:

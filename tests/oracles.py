@@ -415,8 +415,8 @@ def per_point_total_pmf(probs, config, server, winner, epsilon, terms=0):
     """Law of a game's D given the event (first server, winner), a None
     mixing both as the engine does, by `mixture_pmfs`; normalized when the
     winner is given."""
-    rows, weight, _, _ = duration._game_rows(probs, config)
-    c = duration.event_weights(weight, duration._servers(config, server), winner)
+    rows, weight, _, _ = duration._game_rows(config, probs.p_a, probs.p_b)
+    c = duration.event_weights(weight[..., 0], duration._servers(config, server), winner)
     pmf = mixture_pmfs(config.system, rows, probs, c[None], epsilon, terms)[0]
     total = 1.0 if winner is None else c.sum()
     return duration.DurationPMF(pmf.offset, pmf.masses / total, pmf.truncation_bound / total)
@@ -1045,8 +1045,10 @@ def per_server_e_step(records):
         p_a, p_b = np.broadcast_arrays(np.atleast_1d(np.asarray(p_a, dtype=float)), np.asarray(p_b, dtype=float))
         sums = 0.0
         for n, counts in tallies.items():
-            evs = [kernel.evaluate(ScoringSystem.SIDE_OUT, kernel.table(n), x, y) for x, y in ((p_a, p_b), (p_b, p_a))]
-            by_server = np.stack([np.stack([ev.log_weight, ev.r_mean, ev.r_var]) for ev in evs], axis=2)
+            ev = kernel.evaluate_servers(ScoringSystem.SIDE_OUT, kernel.table(n), p_a, p_b)
+            # the law of R given a tally is the same for both first servers
+            moments = np.broadcast_arrays(ev.r_mean[:, None], ev.r_var[:, None], ev.log_weight)[:2]
+            by_server = np.stack([ev.log_weight, *moments])
             sums = sums + np.einsum("rs,xrsp->xp", counts, by_server)
         k_pa, k_qa, k_pb, k_qb = k
         one_minus_q = p_a + (1.0 - p_a) * p_b
@@ -1169,11 +1171,11 @@ def duration_pmfs_by_server_winner(probs, config, epsilon=1e-12, terms=0):
     server, from one exchange series per point total (`mixture_pmfs`):
     {(first server, winner): law of mass P[winner | server]} over the
     pairs of positive probability."""
-    rows, weight, _, _ = duration._game_rows(probs, config)
+    rows, weight, _, _ = duration._game_rows(config, probs.p_a, probs.p_b)
     coef = {}
     for server in (A, B):
         for winner in (A, B):
-            c = duration.event_weights(weight, duration._servers(config, server), winner)
+            c = duration.event_weights(weight[..., 0], duration._servers(config, server), winner)
             if c.sum() > 0.0:
                 coef[(server, winner)] = c
     pmfs = mixture_pmfs(config.system, rows, probs, np.array(list(coef.values())), epsilon, terms)

@@ -10,7 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 from rallystats import GameConfig, Player, RallyProbs, ScoringSystem, TerminalScore
-from rallystats import duration, matchlevel, sideout
+from rallystats import duration, estimate, matchlevel, sideout
 from rallystats.cli import main
 
 A, B = Player.A, Player.B
@@ -183,6 +183,19 @@ class TestCompare:
         assert float(lim1["sideout_e"]) == pytest.approx(15.0)
         for r in grid_rows:
             assert float(r["rallypoint_sd"]) <= float(r["sideout_sd"])
+
+    def test_rows_are_the_aggregate_moments_of_each_p(self, runner):
+        rows = [r for r in parse_csv(run_ok(runner, ["compare", "--p-grid", "0.05:0.95:0.15"])) if r["kind"] == "grid"]
+        p = 0.05 + np.arange(7) * 0.15  # the grid as the CLI forms it
+        assert len(rows) == p.size
+        for r, x in zip(rows, p):
+            so = duration.aggregate_moments(RallyProbs.no_server(x), GameConfig(n=15))
+            rp = duration.aggregate_moments(RallyProbs.no_server(x), GameConfig(n=21, system=ScoringSystem.RALLY_POINT))
+            for prefix, agg in (("sideout", so), ("rallypoint", rp)):
+                assert r[f"{prefix}_win_a"] == cell(agg.win_probs[(A, A)])
+                for suffix, m in (("", agg.by_server[A]), ("_win_a", agg.by_server_winner[(A, A)]),
+                                  ("_win_b", agg.by_server_winner[(A, B)])):
+                    assert [r[f"{prefix}_e{suffix}"], r[f"{prefix}_sd{suffix}"]] == [cell(m.mean), cell(m.sd)]
 
     def test_columns_are_documented_order(self, runner):
         out = run_ok(runner, ["compare", "--p-grid", "0.5:0.5:0.1"])
@@ -404,6 +417,35 @@ class TestExitCodes:
         assert result.exit_code == 3
         assert result.stdout == ""
         assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1, result.stderr
+
+    @pytest.mark.parametrize("epsilon", ["nan", "inf"])
+    @pytest.mark.parametrize(
+        "command",
+        [["duration", "--stat", "pmf"], ["match", "-m", "2"], ["plan", "-m", "2", "--matches", "2"]],
+        ids=["duration", "match", "plan"],
+    )
+    def test_non_finite_epsilon_is_3(self, runner, command, epsilon):
+        result = runner.invoke(main, [*command, "--n", "9", "--pa", ".6", "--pb", ".5", "--epsilon", epsilon])
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert result.stderr == f"error: epsilon must be finite and > 0, got {epsilon}\n"
+
+    def test_input_that_is_not_utf8_is_3(self, runner, tmp_path):
+        records = tmp_path / "games.jsonl"
+        records.write_bytes(b'{"first_server": "A", "alpha": 5, "beta": 3, "last_scorer": "A"}\n\xff\n')
+        result = runner.invoke(main, ["estimate", "--input", str(records)])
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert result.stderr == "error: reading stopped after 0 lines: not utf-8 text (invalid start byte)\n"
+
+    def test_non_convergence_is_3(self, runner, tmp_path, monkeypatch):
+        records = tmp_path / "games.jsonl"
+        records.write_text('{"first_server": "A", "alpha": 5, "beta": 3, "last_scorer": "A", "duration": 12}\n')
+        monkeypatch.setattr(estimate, "_MAX_STEPS", 0)
+        result = runner.invoke(main, ["estimate", "--input", str(records), "--mode", "score"])
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert result.stderr == "error: no convergence within 0 Newton steps\n"
 
     def test_io_error_is_4(self, runner):
         result = runner.invoke(main, ["estimate", "--input", "/nonexistent/path.jsonl"])

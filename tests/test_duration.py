@@ -366,6 +366,19 @@ class TestExchangeSeries:
         for m0, pr in cases:
             assert duration._exchange_cut(m0, pr, epsilon) == exchange_cut_walk(m0, pr, epsilon), (m0, pr)
 
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf, 0.0, -1e-12])
+    def test_epsilon_must_be_finite_and_positive(self, epsilon):
+        # an infinite epsilon would keep the cut's bracket growing down
+        # forever: every tail, even the inf of a point before the mode, is
+        # at most epsilon
+        pr = RallyProbs(0.6, 0.5)
+        with pytest.raises(DomainError, match="epsilon must be finite and > 0"):
+            duration.duration_pmf_unconditional(pr, GameConfig(n=15), epsilon)
+        with pytest.raises(DomainError, match="epsilon must be finite and > 0"):
+            duration.duration_pmf_conditional(15, 3, A, pr, epsilon)
+        with pytest.raises(DomainError, match="epsilon must be finite and > 0"):
+            matchlevel.match_duration_pmf(pr, GameConfig(n=9), matchlevel.MatchConfig(2), epsilon)
+
     def test_refused_past_the_term_guard(self):
         # modes of 1.4e7 (29 points at 1e-6) and 1.16e7 (2320 points at
         # 1e-4) exchanges pass the 1e7 terms a series may reach

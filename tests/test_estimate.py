@@ -1,6 +1,8 @@
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -540,6 +542,19 @@ class TestRecordsIO:
     def test_parse_error_names_record(self):
         with pytest.raises(InfeasibleData, match="record 1"):
             estimate.records_from_json_lines(['{"first_server": "A", "alpha": 3, "beta": 0, "last_scorer": "A"}', "{bad"])
+
+    def test_text_that_is_not_utf8_says_where_reading_stopped(self):
+        good = b'{"first_server": "A", "alpha": 15, "beta": 3, "last_scorer": "A"}\n'
+
+        def lines_read(data):
+            with pytest.raises(InfeasibleData, match="not utf-8 text") as err:
+                estimate.records_from_json_lines(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+            return int(re.match(r"reading stopped after (\d+) lines", str(err.value))[1])
+
+        assert lines_read(good + b"\xff\n") == 0
+        # a text file decodes a block at a time: 300 lines fill more than
+        # one, and reading stops after the lines of the blocks before the bad byte
+        assert 0 < lines_read(300 * good + b"caf\xe9\n") < 300
 
     def test_lines_parse_into_a_batch(self):
         # blank lines are skipped but still counted when a record is named

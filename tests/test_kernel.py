@@ -49,37 +49,64 @@ def close(got, want):
 interior = st.tuples(probability, probability).filter(lambda p: (1.0 - p[0]) * (1.0 - p[1]) < 1.0)
 
 
+def aggregate_entry(agg, server, winner):
+    """The moments `aggregate_moments` gives for the event (first server,
+    winner), None mixing either out; None where the event vanished."""
+    if server is None:
+        return agg.overall if winner is None else agg.by_winner.get(winner)
+    return agg.by_server[server] if winner is None else agg.by_server_winner.get((server, winner))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     n=st.integers(1, 25),
     system=st.sampled_from(list(ScoringSystem)),
+    s_a=st.sampled_from([1.0, 0.3]),
     points=st.lists(interior, min_size=1, max_size=5),
 )
-def test_grid_evaluation_matches_per_point_functions(n, system, points):
+def test_grid_evaluation_matches_per_point_functions(n, system, s_a, points):
     points = EDGES + points
     p_a = np.array([pa for pa, _ in points])
     p_b = np.array([pb for _, pb in points])
-    ev = kernel.evaluate(system, kernel.table(n), p_a, p_b)
-    weights = ev.weight
-    row_mean, row_var = duration._row_moments(system, kernel.table(n), ev.r_mean, ev.r_var, p_a, p_b)
-    a_first = np.stack([weights, np.zeros_like(weights)])
-    by_winner = [duration._mix(duration.event_weights(a_first, (1.0, 0.0), w), row_mean, row_var) for w in (A, B)]
+    config = GameConfig(n=n, system=system, s_a=s_a)
+    weights = kernel.evaluate_servers(system, kernel.table(n), p_a, p_b).weight[:, 0]
+    events = duration._event_moments(config, p_a, p_b)
     for i, (pa, pb) in enumerate(points):
-        probs, config = RallyProbs(pa, pb), GameConfig(n=n, system=system)
+        probs = RallyProbs(pa, pb)
         dist = sideout.score_distribution(probs, config, server=A)
         expected = [dist.entries[TerminalScore(n, k, A)] for k in range(n)]
         expected += [dist.entries[TerminalScore(k, n, B)] for k in range(n)]
         assert close(weights[:, i], expected)
         agg = duration.aggregate_moments(probs, config)
-        for winner, (win, mean, var) in zip((A, B), by_winner):
-            assert close(win[i], agg.win_probs[(A, winner)])
-            if win[i] <= duration._TINY:
+        for (server, winner), (prob, mean, var) in events.items():
+            if server is not None and winner is not None:
+                assert prob[i] == agg.win_probs[(server, winner)]
+                assert close(prob[i], sideout.game_win_prob(winner, server, probs, config))
+            moments = aggregate_entry(agg, server, winner)
+            if np.isnan(mean[i]):
                 # an impossible (or underflowed) event has no moments
-                assert (A, winner) not in agg.by_server_winner
+                assert prob[i] <= 1e-300 and moments is None
                 continue
-            moments = agg.by_server_winner[(A, winner)]
-            assert mean[i] == pytest.approx(moments.mean, rel=1e-12)
-            assert var[i] == pytest.approx(moments.variance, rel=1e-12, abs=1e-12)
+            # the same bits at one point as in the grid
+            assert (mean[i], var[i]) == (moments.mean, moments.variance)
+
+
+@pytest.mark.parametrize("s_a", [1.0, 0.4])
+@pytest.mark.parametrize("system", list(ScoringSystem))
+@pytest.mark.parametrize("n", [9, 15, 21])
+def test_aggregates_have_the_bits_of_the_grid_at_their_point(n, system, s_a):
+    # the no-server grid of `compare`, and a grid of the two-parameter model
+    p = 0.01 + np.arange(99) * 0.01
+    config = GameConfig(n=n, system=system, s_a=s_a)
+    for p_a, p_b in [(p, 1.0 - p), (p, 0.9 - 0.8 * p)]:
+        events = duration._event_moments(config, p_a, p_b)
+        for i in range(p.size):
+            agg = duration.aggregate_moments(RallyProbs(p_a[i], p_b[i]), config)
+            for (server, winner), (prob, mean, var) in events.items():
+                moments = aggregate_entry(agg, server, winner)
+                assert (mean[i], var[i]) == (moments.mean, moments.variance), (server, winner, i)
+                if server is not None and winner is not None:
+                    assert prob[i] == agg.win_probs[(server, winner)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -87,7 +114,7 @@ def test_grid_evaluation_matches_per_point_functions(n, system, points):
 def test_kernel_matches_term_by_term_loop(n, rally_point, point):
     pa, pb = point
     system = ScoringSystem.RALLY_POINT if rally_point else ScoringSystem.SIDE_OUT
-    weights = kernel.evaluate(system, kernel.table(n), pa, pb).weight[:, 0]
+    weights = kernel.evaluate_servers(system, kernel.table(n), pa, pb).weight[:, 0, 0]
     expected = [closed_form_score_prob(n, k, A, pa, pb, rally_point) for k in range(n)]
     expected += [closed_form_score_prob(k, n, B, pa, pb, rally_point) for k in range(n)]
     assert close(weights, expected)
@@ -104,10 +131,10 @@ def test_log_weight_finite_where_weight_underflows():
     # the 40-0 shutout by a server at 1e-9 against .999 has probability
     # (p_a / (1 - q))^40, about 1e-360
     p_a, p_b = 1e-9, 0.999
-    ev = kernel.evaluate(ScoringSystem.SIDE_OUT, kernel.table(40), p_a, p_b)
+    ev = kernel.evaluate_servers(ScoringSystem.SIDE_OUT, kernel.table(40), p_a, p_b)
     want = 40 * mpmath.log(mpmath.mpf(p_a) / (p_a + (1 - mpmath.mpf(p_a)) * p_b))
-    assert ev.weight[0, 0] == 0.0
-    assert ev.log_weight[0, 0] == pytest.approx(float(want), rel=1e-14)
+    assert ev.weight[0, 0, 0] == 0.0
+    assert ev.log_weight[0, 0, 0] == pytest.approx(float(want), rel=1e-14)
 
 
 @pytest.mark.parametrize("system", list(ScoringSystem))
@@ -172,17 +199,15 @@ def test_a_point_gets_the_same_bits_alone_in_a_pair_and_in_a_grid(n, system):
     rows = kernel.table(n)
     grid = np.meshgrid(LOGIT_GRID, LOGIT_GRID)
     p_a, p_b = grid[0].ravel(), grid[1].ravel()
-    whole = kernel.evaluate(system, rows, p_a, p_b)
-    both = kernel.evaluate_servers(system, rows, p_a, p_b)
+    whole = kernel.evaluate_servers(system, rows, p_a, p_b)
     for i in (0, 7, 100, 144, 288):
         pair = [i, (i + 1) % p_a.size]
-        for evaluate, ev_grid in ((kernel.evaluate, whole), (kernel.evaluate_servers, both)):
-            ev_pair = evaluate(system, rows, p_a[pair], p_b[pair])
-            ev_alone = evaluate(system, rows, p_a[i], p_b[i])
-            for field in ("log_weight", "r_mean", "r_var"):
-                want = getattr(ev_grid, field)[..., i]
-                assert np.array_equal(getattr(ev_pair, field)[..., 0], want), (field, i)
-                assert np.array_equal(getattr(ev_alone, field)[..., 0], want), (field, i)
+        ev_pair = kernel.evaluate_servers(system, rows, p_a[pair], p_b[pair])
+        ev_alone = kernel.evaluate_servers(system, rows, p_a[i], p_b[i])
+        for field in ("log_weight", "r_mean", "r_var"):
+            want = getattr(whole, field)[..., i]
+            assert np.array_equal(getattr(ev_pair, field)[..., 0], want), (field, i)
+            assert np.array_equal(getattr(ev_alone, field)[..., 0], want), (field, i)
     if system is ScoringSystem.SIDE_OUT:
         q = np.asarray(1.0 - p_a, dtype=np.longdouble) * np.asarray(1.0 - p_b, dtype=np.longdouble)
         poly = kernel.interruption_polynomial(rows, q)
@@ -198,18 +223,17 @@ def test_both_first_servers_share_one_polynomial(system):
     rows = kernel.table(15)
     p_a, p_b = np.array([1e-9, 0.3, 0.6, 1 - 1e-9]), np.array([0.5, 1 - 1e-9, 0.45, 1e-9])
     both = kernel.evaluate_servers(system, rows, p_a, p_b)
-    for s, (x, y) in enumerate([(p_a, p_b), (p_b, p_a)]):
-        one = kernel.evaluate(system, rows, x, y)
-        assert np.array_equal(both.log_weight[:, s], one.log_weight)
-        assert np.array_equal(both.r_mean, one.r_mean)
-        assert np.array_equal(both.r_var, one.r_var)
+    swapped = kernel.evaluate_servers(system, rows, p_b, p_a)
+    assert np.array_equal(both.log_weight[:, ::-1], swapped.log_weight)
+    assert np.array_equal(both.r_mean, swapped.r_mean)
+    assert np.array_equal(both.r_var, swapped.r_var)
 
 
 @pytest.mark.parametrize("n", [5, 15, 21])
 def test_side_out_weight_is_closed_form_times_polynomial_in_q(n):
     rows = kernel.table(n)
     for p_a, p_b in [(1e-9, 0.4), (0.6, 0.5), (0.3, 1 - 1e-9), (1 - 1e-9, 1 - 1e-9)]:
-        ev = kernel.evaluate(ScoringSystem.SIDE_OUT, rows, p_a, p_b)
+        ev = kernel.evaluate_servers(ScoringSystem.SIDE_OUT, rows, p_a, p_b)
         q_a, q_b = 1 - mpmath.mpf(p_a), 1 - mpmath.mpf(p_b)
         q = q_a * q_b
         log_p, s_mean, s_var = kernel.interruption_polynomial(rows, np.longdouble(1 - p_a) * np.longdouble(1 - p_b))
@@ -222,7 +246,7 @@ def test_side_out_weight_is_closed_form_times_polynomial_in_q(n):
             for a, b, d, j0 in zip(rows.alpha, rows.beta, receiver_last, rows.j0)
         ]
         # log-weights near 0 (a near-certain tally) are sums of terms of size 20
-        np.testing.assert_allclose(ev.log_weight[:, 0], np.array(closed) + log_p[:, 0], rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(ev.log_weight[:, 0, 0], np.array(closed) + log_p[:, 0], rtol=1e-13, atol=1e-13)
         assert np.array_equal(ev.r_mean[:, 0], rows.j0 + receiver_last + s_mean[:, 0])
         assert np.array_equal(ev.r_var[:, 0], s_var[:, 0])
 
