@@ -177,39 +177,20 @@ def cmd_score_dist(system, n, pa, pb, server, sa, tiebreak, fmt, out):
     _emit(OutputTable(["alpha", "beta", "winner", "probability"], rows), fmt, out)
 
 
-def _moment_rows(probs, config, server):
-    from . import duration
-
-    agg = duration.aggregate_moments(probs, config)
-    if server is not None:
-        rows = [
-            ["winner=A", agg.by_server_winner.get((server, Player.A))],
-            ["winner=B", agg.by_server_winner.get((server, Player.B))],
-            ["unconditional", agg.by_server[server]],
-        ]
-    else:
-        rows = [
-            ["winner=A", agg.by_winner.get(Player.A)],
-            ["winner=B", agg.by_winner.get(Player.B)],
-            ["unconditional", agg.overall],
-        ]
-    # an event of probability zero has no moments: empty cells
-    return [[label, *((m.mean, m.sd, m.variance) if m is not None else (None,) * 3)] for label, m in rows]
-
-
-def _conditional_pmf(probs, config, server, winner, score, epsilon):
+def _moment_rows(probs, config, server, score):
     from . import duration
 
     if score is not None:
-        alpha, beta = score
-        if config.system is ScoringSystem.RALLY_POINT:
-            # every rally scores a point: the duration is alpha + beta
-            return duration.DurationPMF(offset=alpha + beta, masses=np.ones(1), truncation_bound=0.0)
-        last = Player.A if alpha > beta else Player.B
-        return duration.duration_pmf_conditional(alpha, beta, last, probs, epsilon, server=server)
-    if winner is None:
-        return duration.duration_pmf_unconditional(probs, config, epsilon, server=server)
-    return duration.duration_pmf_winner(probs, config, winner, epsilon, server=server)
+        rows = [(f"score={score[0]}-{score[1]}", duration._score_moments(probs, config, server, score))]
+    else:
+        agg = duration.aggregate_moments(probs, config)
+        if server is not None:
+            moments = [agg.by_server_winner.get((server, w)) for w in Player] + [agg.by_server[server]]
+        else:
+            moments = [agg.by_winner.get(w) for w in Player] + [agg.overall]
+        rows = zip(["winner=A", "winner=B", "unconditional"], moments)
+    # an event of probability zero has no moments: empty cells
+    return [[label, *((m.mean, m.sd, m.variance) if m is not None else (None,) * 3)] for label, m in rows]
 
 
 @main.command("duration")
@@ -233,29 +214,18 @@ def cmd_duration(system, n, pa, pb, server, sa, tiebreak, stat, winner, score, l
 
     config, fixed = _build_config(system, n, sa, server, tiebreak)
     probs = RallyProbs(pa, pb)
-    win = Player(winner) if winner is not None else None
-    if score is not None:
-        if fixed is None:
-            raise click.UsageError("--score conditions on a fixed first server; use --server")
-        duration._require_no_tiebreak(config)
-        if not 0 <= min(score) < max(score) == n:
-            raise ConfigError(f"score {score[0]},{score[1]} is not an end score of a game to {n}")
+    if score is not None and fixed is None:
+        raise click.UsageError("--score conditions on a fixed first server; use --server")
     if stat == "moments":
-        if score is not None:
-            alpha, beta = score
-            last = Player.A if alpha > beta else Player.B
-            if config.system is ScoringSystem.RALLY_POINT:
-                rows = [[f"score={alpha}-{beta}", float(alpha + beta), 0.0, 0.0]]
-            else:
-                # first-server coordinates; the law depends on q alone
-                a, b, c = (alpha, beta, last) if fixed is Player.A else (beta, alpha, last.other)
-                m = duration._conditional_moments(a, b, c, probs.q, probs.p_a + probs.q_a * probs.p_b)
-                rows = [[f"score={alpha}-{beta}", m.mean, m.sd, m.variance]]
-        else:
-            rows = _moment_rows(probs, config, fixed)
+        rows = _moment_rows(probs, config, fixed, score)
         _emit(OutputTable(["conditioning", "mean", "sd", "variance"], rows), fmt, out)
         return
-    pmf = _conditional_pmf(probs, config, fixed, win, score, epsilon)
+    if score is not None:
+        pmf = duration._score_pmf(probs, config, fixed, score, epsilon)
+    elif winner is None:
+        pmf = duration.duration_pmf_unconditional(probs, config, epsilon, server=fixed)
+    else:
+        pmf = duration.duration_pmf_winner(probs, config, Player(winner), epsilon, server=fixed)
     if stat == "pmf":
         rows = [
             [int(pmf.offset + i), float(mass), pmf.truncation_bound]
@@ -292,8 +262,8 @@ def cmd_compare(sideout_n, rallypoint_n, p_grid, fmt, out):
     def grid_columns(cfg):
         # the whole grid at once: no-server model (p_a = p, p_b = 1 - p),
         # first server A; a vanished event has NaN moments
-        events = duration._event_moments(cfg, p, 1.0 - p)
-        cols = {w: [m, np.sqrt(v)] for (s, w), (_, m, v) in events.items() if s is Player.A}
+        events = duration._event_moments(cfg, p, 1.0 - p, [(Player.A, w) for w in (Player.A, Player.B, None)])
+        cols = {w: [m, np.sqrt(v)] for (_, w), (_, m, v) in events.items()}
         if np.isnan(cols[Player.A] + cols[Player.B]).any():
             raise ConditioningError("conditioning event has vanished")
         return events[(Player.A, Player.A)][0], cols[None], cols[Player.A] + cols[Player.B]

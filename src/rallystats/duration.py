@@ -12,15 +12,19 @@ series.  Under rally-point scoring every rally scores, so D = alpha + beta
 given the tally.
 
 The law of D given a tally depends on q alone, so it is the same for both
-first servers.  The law given any event (first server, game winner),
-either of which may be mixed out, is then a mixture of the per-tally laws
-with the weights `event_weights` takes from one kernel evaluation of the
-tallies' probabilities for both first servers.  The moments of every
-event come from one such mixture, for one point (`aggregate_moments`) or
-a grid of points, with the same bits at a point either way.  The
-aggregate moments and the PMFs read the system from the `GameConfig`.  An
-event of probability zero has no conditional law: the aggregates leave it
-out, and only `duration_pmf_winner`, which normalizes, raises
+first servers.  Every game-level law reads the game table of `kernel.game`:
+its terminal components, each with a weight per first server, the points
+M and the law of the shift s, the rallies that are neither points nor
+exchanges.  Given (M, s), D = M + s + 2L with L ~ NB(M, q), so the mean
+of D is M + s + 2Mq/(1-q) and its variance 4Mq/(1-q)^2.  The law given
+any event (first server, game winner), either of which may be mixed out,
+or given an end score, is then a mixture over the components.  The
+moments of every event come from one such mixture, for one point
+(`aggregate_moments`) or a grid of points, with the same bits at a point
+either way.  The aggregate moments and the PMFs read the system and the
+tie-break from the `GameConfig`.  An event of probability zero has no
+conditional law: the aggregates leave it out, and the laws that
+normalize, `duration_pmf_winner` and the law given a score, raise
 `ConditioningError`.
 
 Every PMF comes from one engine.  `pre_exchange_laws` gives a game's law
@@ -32,10 +36,9 @@ points of geometric filters, each a scan in scaled coordinates, over the
 short head of the window that holds the law, and past it a closed form
 of the head's last value after each pass, two matrix products.  Its
 window and truncation bound come from the exchange series of the largest
-point total, cut in closed form.
-
-Tie-break-extended games are out of scope here; compose tie probabilities
-from `sideout` at a higher level if needed.
+point total, cut in closed form.  A tie-break game needs no other path:
+the exchange counts of the tie stage and of the extension add up to one
+negative binomial of the game's points.
 """
 
 from __future__ import annotations
@@ -132,16 +135,11 @@ class QuantileMode(enum.Enum):
 
 @dataclass(frozen=True)
 class InterruptionWeights:
-    """Law of the interruption count R given a tally and last scorer.
-
-    `pair_shift[i]` is the number of extra rally *pairs* contributed by
-    rs[i] interruptions (r pairs when the first server scores last, r - 1
-    when the receiver side does, the final transition being single).
-    """
+    """Law of the interruption count R given a tally and last scorer:
+    weights[i] is the probability of rs[i] interruptions."""
 
     rs: np.ndarray
     weights: np.ndarray
-    pair_shift: np.ndarray
 
     def mean(self) -> float:
         return float(np.dot(self.rs, self.weights))
@@ -160,9 +158,9 @@ def interruption_weights(alpha: int, beta: int, last_scorer: Player, q: float) -
     if not (0.0 <= q < 1.0):
         raise DomainError(f"q={q} outside [0, 1)")
     rows = kernel.tally(alpha, beta, last_scorer is Player.A)
-    # j is the power of q (pair shift); r = j + 1 when the receiver scores last
-    shift = np.arange(int(rows.j0[0]), int(rows.top[0]) + 1)
-    return InterruptionWeights(shift + int(last_scorer is Player.B), kernel.interruption_law(rows, q)[0], shift)
+    # r = j + 1 when the receiver scores last, j the power of q
+    rs = np.arange(int(rows.j0[0]), int(rows.top[0]) + 1) + int(last_scorer is Player.B)
+    return InterruptionWeights(rs, kernel.interruption_law(rows, q)[0])
 
 
 def mgf_conditional(alpha: int, beta: int, last_scorer: Player, q: float, one_minus_q: float, t: float) -> float:
@@ -182,34 +180,30 @@ def mgf_conditional(alpha: int, beta: int, last_scorer: Player, q: float, one_mi
     return base * float(np.dot(w.weights, np.exp(t * (2.0 * w.rs - delta))))
 
 
-def _side_out_moments(points, receiver_last, q, one_minus_q, r_mean, r_var):
-    """Exact conditional mean and variance of D given a side-out tally with
-    `points` = alpha + beta, from the mean and variance of its interruption
-    count R, elementwise over arrays; 1 - q is given apart from q since it
-    cancels as q -> 1.  The mean is the shutout value points (1+q)/(1-q)
-    plus twice the mean interruption count (minus one when the receiver
-    side scores last); the variance is 4 points q/(1-q)^2 plus four times
-    the interruption-count variance."""
-    mean = points * (1.0 + q) / one_minus_q - receiver_last + 2.0 * r_mean
-    return mean, 4.0 * points * q / one_minus_q**2 + 4.0 * r_var
+def _given_shift(points, shift_mean, shift_var, q, one_minus_q):
+    """Exact mean and variance of D given `points` scored and the mean and
+    variance of the shift s, elementwise over arrays: given (M, s), D = M +
+    s + 2L with L ~ NB(M, q), so E[D] = M (1+q)/(1-q) + s and Var[D] =
+    4 M q/(1-q)^2.  1 - q is given apart from q since it cancels as q -> 1."""
+    return points * (1.0 + q) / one_minus_q + shift_mean, 4.0 * points * q / one_minus_q**2 + shift_var
 
 
-def _conditional_moments(alpha: int, beta: int, last_scorer: Player, q: float, one_minus_q: float) -> Moments:
-    """Exact conditional mean and variance of D for an A-game tally (see
-    `_side_out_moments`)."""
+def _conditional_moments(alpha: int, beta: int, last_scorer: Player, q: float) -> Moments:
+    """Exact conditional mean and variance of D for an A-game tally: the
+    shift is 2R - delta, R the interruption count (see `_given_shift`)."""
     w = interruption_weights(alpha, beta, last_scorer, q)
-    receiver_last = int(last_scorer is Player.B)
-    return Moments(*_side_out_moments(alpha + beta, receiver_last, q, one_minus_q, w.mean(), w.variance()))
+    delta = int(last_scorer is Player.B)
+    return Moments(*_given_shift(alpha + beta, 2.0 * w.mean() - delta, 4.0 * w.variance(), q, 1.0 - q))
 
 
 def expected_duration_conditional(alpha: int, beta: int, last_scorer: Player, q: float) -> float:
     """Exact conditional expectation of D (see `_conditional_moments`)."""
-    return _conditional_moments(alpha, beta, last_scorer, q, 1.0 - q).mean
+    return _conditional_moments(alpha, beta, last_scorer, q).mean
 
 
 def variance_duration_conditional(alpha: int, beta: int, last_scorer: Player, q: float) -> float:
     """Exact conditional variance of D (see `_conditional_moments`)."""
-    return _conditional_moments(alpha, beta, last_scorer, q, 1.0 - q).variance
+    return _conditional_moments(alpha, beta, last_scorer, q).variance
 
 
 def _exact_q(probs: RallyProbs):
@@ -314,47 +308,19 @@ def duration_pmf_conditional(
     validate(probs)
     if server is not Player.A:
         alpha, beta, last_scorer = beta, alpha, last_scorer.other
-    w = interruption_weights(alpha, beta, last_scorer, probs.q)
-    delta = int(last_scorer is Player.B)
-    law = np.zeros((1, delta + 2 * int(w.pair_shift[-1]) + 1))
-    law[0, delta + 2 * w.pair_shift] = w.weights
+    law = kernel.shift_laws(ScoringSystem.SIDE_OUT, kernel.tally(alpha, beta, last_scorer is Player.A), probs.q)
     return exchange_mixture(alpha + beta, law, probs, ScoringSystem.SIDE_OUT, epsilon)
 
 
-def _require_no_tiebreak(config: GameConfig) -> None:
-    if config.tiebreak is not None:
-        raise ConfigError("durations of tie-break-extended games are not supported")
-
-
-def event_weights(weight: np.ndarray, servers, winner: Player | None = None) -> np.ndarray:
-    """Unnormalized weight of each terminal tally of a game to n in the
-    event (first server, winner).
-
-    weight[i, r] is the probability of row r of `kernel.table(n)` when A
-    (i = 0) or B (i = 1) serves first, optionally with a trailing axis of
-    parameter points.  `servers` weighs the two first servers: (1, 0),
-    (0, 1) or (s_a, s_b).  `winner` None keeps both winners.  The law of D
-    given a tally depends on q alone, the same for both first servers, so
-    the law of D given any event is the mixture of the rows' laws with
-    these weights, and their sum is the probability of the event."""
-    weight = np.reshape(servers, (2,) + (1,) * (weight.ndim - 1)) * weight
-    if winner is not None:
-        # the first server wins in the first half of the rows and the
-        # receiver in the second: drop the half the winner loses in
-        h, w = weight.shape[1] // 2, int(winner is Player.B)
-        weight[0, (1 - w) * h : (2 - w) * h] = weight[1, w * h : (w + 1) * h] = 0.0
-    return weight.sum(axis=0)
-
-
 def _mix(c: np.ndarray, mean: np.ndarray, var: np.ndarray):
-    """Total weight, mean and variance of the mixture of the rows' laws
-    (axis 0) with weights c; NaN moments where the total is at most 1e-300,
-    an event that counts as vanished.  The variance sums each row's
-    variance and squared deviation from the mixture mean, so it does not
-    cancel when far below the squared mean.  Each sum over the rows is a
-    running sum, in one order whatever the number of points (NumPy sums a
-    lone point's rows pairwise), so a point gets the same bits alone as in
-    a grid."""
+    """Total weight, mean and variance of the mixture of the components'
+    laws (axis 0) with weights c; NaN moments where the total is at most
+    1e-300, an event that counts as vanished.  The variance sums each
+    component's variance and squared deviation from the mixture mean, so it
+    does not cancel when far below the squared mean.  Each sum over the
+    components is a running sum, in one order whatever the number of points
+    (NumPy sums a lone point's rows pairwise), so a point gets the same bits
+    alone as in a grid."""
     total = np.add.accumulate(c)[-1]
     kept = np.where(total > _TINY, total, np.nan)
     m = np.add.accumulate(c * mean)[-1] / kept
@@ -363,42 +329,47 @@ def _mix(c: np.ndarray, mean: np.ndarray, var: np.ndarray):
 
 def _servers(config: GameConfig, server: Player | None) -> tuple[float, float]:
     """Weights of the two first servers: `server`, or (s_a, s_b) for None."""
-    if server is None:
-        return config.s_a, config.s_b
-    return (1.0, 0.0) if server is Player.A else (0.0, 1.0)
+    return (config.s_a, config.s_b) if server is None else (float(server is Player.A), float(server is Player.B))
 
 
-def _game_rows(config: GameConfig, p_a, p_b):
-    """The table of a game to n, weight[i, r, point] of its rows when A
-    (i = 0) or B (i = 1) serves first, and the conditional mean and
-    variance of D of each row (rows, points), at each point of the arrays
-    (p_a, p_b) from one kernel evaluation.  The law of D given a tally
-    depends on q alone, the same for both first servers."""
-    _require_no_tiebreak(config)
-    rows = kernel.table(config.n)
-    ev = kernel.evaluate_servers(config.system, rows, p_a, p_b)
-    weight, d = np.moveaxis(ev.weight, 1, 0), (rows.alpha + rows.beta)[:, None].astype(float)
-    if config.system is ScoringSystem.RALLY_POINT:
-        return rows, weight, np.broadcast_to(d, ev.r_mean.shape), np.zeros_like(ev.r_mean)
-    q_a = 1.0 - np.asarray(p_a)
-    q, one_minus_q = q_a * (1.0 - np.asarray(p_b)), p_a + q_a * p_b  # 1 - q does not cancel as q -> 1
-    return rows, weight, *_side_out_moments(d, (~rows.server_last)[:, None], q, one_minus_q, ev.r_mean, ev.r_var)
+def _moments(config: GameConfig, game: kernel.Game, p_a, p_b):
+    """Mean and variance of D given each component of the game table, each
+    (components, points), with the exact 1 - q = p_a + q_a p_b; rally-point
+    games have no exchanges."""
+    q, one_minus_q = 0.0, 1.0
+    if config.system is ScoringSystem.SIDE_OUT:
+        q_a = 1.0 - np.asarray(p_a)
+        q, one_minus_q = q_a * (1.0 - np.asarray(p_b)), p_a + q_a * p_b
+    return _given_shift((game.alpha + game.beta)[:, None], game.shift_mean, game.shift_var, q, one_minus_q)
 
 
-def _event_moments(config: GameConfig, p_a, p_b):
-    """Probability, mean and variance of D of each event (first server,
-    winner) of a game to n, either of which None mixes out (the first
+# which ends a winner takes, from A's and B's points: at an end they differ
+_WON = {Player.A: np.greater, Player.B: np.less, None: np.not_equal}
+
+
+def _in_event(game: kernel.Game, servers, keep) -> np.ndarray:
+    """Weight of each component of the game table in an event, (components,
+    points): `servers` weighs the two first servers, (1, 0), (0, 1) or
+    (s_a, s_b), and keep(A's points, B's points) says which components
+    count.  Its sum over the components is the probability of the event."""
+    return sum(wt * np.where(keep(*game.scores(i))[:, None], game.weight[:, i], 0.0) for i, wt in enumerate(servers))
+
+
+_EVENTS = tuple(itertools.product((*Player, None), repeat=2))
+
+
+def _event_moments(config: GameConfig, p_a, p_b, events=_EVENTS):
+    """Probability, mean and variance of D of each of the `events` (first
+    server, winner) of a game, either of which None mixes out (the first
     server with weights (s_a, s_b)), at each point of the arrays (p_a,
     p_b): {event: (probability, mean, variance)}, each of shape (points,).
-    Each event mixes the rows' laws with `event_weights`, adding the rows
-    in one order whatever the number of points, so a point gets the same
-    bits alone as in a grid.  An event of probability at most 1e-300
-    counts as vanished: its moments are NaN."""
-    _, weight, mean, var = _game_rows(config, p_a, p_b)
-    return {
-        (server, winner): _mix(event_weights(weight, _servers(config, server), winner), mean, var)
-        for server, winner in itertools.product((*Player, None), repeat=2)
-    }
+    Each event mixes the components of the game table, adding them in one
+    order whatever the number of points, so a point gets the same bits
+    alone as in a grid.  An event of probability at most 1e-300 counts as
+    vanished: its moments are NaN."""
+    game = kernel.game(config, p_a, p_b)
+    mean, var = _moments(config, game, p_a, p_b)
+    return {(s, w): _mix(_in_event(game, _servers(config, s), _WON[w]), mean, var) for s, w in events}
 
 
 @dataclass(frozen=True)
@@ -443,10 +414,12 @@ def _event_law(probs: RallyProbs, config: GameConfig, server: Player | None, win
     server of None mixing both with weights (s_a, s_b) and a winner of
     None both winners.  Its sum is the probability of the event."""
     weights = dict(zip(Player, _servers(config, server)))
-    law = np.zeros((config.n, 2 * config.n))
-    for (first, won), (_, delta, sub) in pre_exchange_laws(probs, config).items():
+    laws = pre_exchange_laws(probs, config)
+    rows, span = next(iter(laws.values()))[2].shape
+    law = np.zeros((rows, 2 * rows))  # j <= k
+    for (first, won), (_, delta, sub) in laws.items():
         if winner in (None, won):
-            law[:, delta : delta + 2 * sub.shape[1] : 2] += weights[first] * sub
+            law[:, delta : delta + 2 * span : 2] += weights[first] * sub
     return law
 
 
@@ -487,33 +460,57 @@ def pre_exchange_laws(
     (first server, winner) of positive probability: {event: (n, delta,
     law)} with law[k, j] the probability, given the first server, that the
     winner takes the game with n + k points scored and delta + 2j other
-    rallies: delta = [the receiver wins] is fixed by the event, j is the
-    interruption pair shift, and j <= k.
+    rallies: delta = [the receiver wins] is fixed by the event, tie-breaks
+    included, j is the interruption pair shift, and j <= k.  The laws of
+    all events have one shape.
 
     The rallies of the game are then n + k + delta + 2j + 2L with L ~
     NB(n + k, q), and the exchange counts of independent games add:
     `exchange_mixture` applies them once to any sum of such laws.  A
     rally-point law has delta = 0, the one column j = 0 and no exchanges."""
     validate(probs, config)
-    rows, weight, _, _ = _game_rows(config, probs.p_a, probs.p_b)
-    n, side_out = config.n, config.system is ScoringSystem.SIDE_OUT
-    law = kernel.interruption_law(rows, probs.q) if side_out else np.ones((2 * n, 1))
-    j0 = rows.j0 if side_out else np.zeros(2 * n, dtype=int)
-    j = j0[:, None] + np.arange(law.shape[1])  # past a row's top, law is 0
+    game = kernel.game(config, probs.p_a, probs.p_b)
+    shifts, k = game.shift_laws(probs.q), game.alpha + game.beta - config.n
+    shifts = np.pad(shifts, ((0, 0), (0, shifts.shape[1] % 2)))  # as many shifts of either parity
     laws = {}
-    for i, server in enumerate(Player):
-        for winner in Player:
-            # the first server wins in rows 0..n-1 and the receiver in rows
-            # n..2n-1, both indexed by the loser's score k
-            lost = int(winner is not server)
-            rows_k = slice(lost * n, (lost + 1) * n)
-            c = weight[i, rows_k, 0]
-            if not c.any():
-                continue
-            sub = np.zeros((n, int(j.max()) + 1))
-            sub[np.arange(n)[:, None], j[rows_k]] = c[:, None] * law[rows_k]
-            laws[(server, winner)] = (n, lost if side_out else 0, sub[:, : n if side_out else 1])
+    for server, winner in itertools.product(Player, Player):
+        c = _in_event(game, _servers(config, server), _WON[winner])[:, 0]
+        if c.any():
+            delta = int(winner is not server and config.system is ScoringSystem.SIDE_OUT)
+            law = np.zeros((int(k.max()) + 1, shifts.shape[1] // 2))
+            np.add.at(law, k, c[:, None] * shifts[:, delta::2])
+            laws[(server, winner)] = (config.n, delta, law)
     return laws
+
+
+def _score_law(probs: RallyProbs, config: GameConfig, server: Player, score) -> tuple[kernel.Game, np.ndarray]:
+    """The game table and the weight of each component in the law given
+    that a game first served by `server` ends at `score` (A's points, B's
+    points), summing to 1: one component, or two for an end of a
+    tie-break's extension, reached by either tying scorer."""
+    validate(probs, config)
+    game = kernel.game(config, probs.p_a, probs.p_b)
+    if tuple(score) not in zip(game.alpha.tolist(), game.beta.tolist()):
+        raise ConfigError(f"score {score[0]},{score[1]} is not an end score of a game to {config.n}")
+    c = _in_event(game, _servers(config, server), lambda a, b: (a == score[0]) & (b == score[1]))[:, 0]
+    if c.sum() <= _TINY:
+        raise ConditioningError(f"P[score {score[0]},{score[1]}] underflowed")
+    return game, c / c.sum()
+
+
+def _score_moments(probs: RallyProbs, config: GameConfig, server: Player, score) -> Moments:
+    """Mean and variance of D given an end score (see `_score_law`)."""
+    game, c = _score_law(probs, config, server, score)
+    _, mean, var = _mix(c[:, None], *_moments(config, game, probs.p_a, probs.p_b))
+    return Moments(float(mean[0]), float(var[0]))
+
+
+def _score_pmf(probs: RallyProbs, config: GameConfig, server: Player, score, epsilon: float) -> DurationPMF:
+    """PMF of D given an end score (see `_score_law`): the mixed shift law
+    of its points through `exchange_mixture`."""
+    game, c = _score_law(probs, config, server, score)
+    law = (c[:, None] * game.shift_laws(probs.q))[c > 0.0].sum(axis=0)
+    return exchange_mixture(sum(score), law[None], probs, config.system, epsilon)
 
 
 def exchange_mixture(

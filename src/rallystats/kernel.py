@@ -16,7 +16,12 @@ of log-coefficients indexed from the smallest feasible j, cached per
 target score; `evaluate_servers` weighs the table against arrays of rally
 probabilities for either scoring system, at both first servers at once.
 Tallies are in first-server coordinates: in `table(n)` the first server
-wins in rows 0..n-1 and the receiver in rows n..2n-1.
+wins in rows 0..n-1 and the receiver in rows n..2n-1.  This module is
+also the only reader of that layout: `game(config, p_a, p_b)` turns the
+tables of a `GameConfig` into its game table (`Game`), the terminal
+components every game-level law reads.  With a tie-break l a component
+is a regular end or the pair of a tie at n-1 all and an end of the l-point
+extension, first served by whoever tied.
 
 A tally's probability is a prefactor times an interruption polynomial.
 Under side-out scoring the prefactor is x^alpha y^beta q_a^[receiver
@@ -47,10 +52,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .core import ConfigError, DomainError, ScoringSystem
+from .core import ConfigError, DomainError, GameConfig, ScoringSystem
 
 # Elements of one (rows x terms x probabilities) block of evaluation; keeps
 # the temporaries of a large table or grid to a few megabytes.
@@ -307,6 +313,93 @@ def evaluate_servers(system: ScoringSystem, rows: Rows, p_a, p_b) -> Evaluation:
         return log_weight, sub.j0[:, None] + (~sub.server_last)[:, None] + s_mean, s_var
 
     return Evaluation(*_blocked(rows, p_a.size, [(2,), (), ()], block))
+
+
+@dataclass(frozen=True)
+class Game:
+    """The game table: every terminal component of a game, in first-server
+    coordinates, at each of P parameter points.
+
+    A component is a row of `table(n)` or, with a tie-break l, one of the
+    rows below n-1 points of the loser, and the pairs of a tie at n-1 all
+    (a row of `tied(n-1)`) and an end of the extension, a game to l first
+    served by whoever tied (a row of `table(l)`).  Component c ends with
+    alpha[c] points of the first server and beta[c] of the receiver, the
+    winner holding more, and has probability weight[c, i, point] when A
+    (i = 0) or B (i = 1) serves first.  Given it, the rallies that
+    are neither points nor exchanges, the shift s = delta + 2j (delta =
+    [the receiver scores last], j the interruption pair count), have mean
+    shift_mean[c, point] and variance shift_var[c, point], the same for
+    both first servers; `shift_laws(q)` builds their law at exchange
+    probability q, law[c, s].  For a pair the weights multiply, the points
+    add, the shift moments add and the shift laws convolve.  Under
+    rally-point scoring every rally scores, so the shift is 0."""
+
+    alpha: np.ndarray
+    beta: np.ndarray
+    weight: np.ndarray
+    shift_mean: np.ndarray
+    shift_var: np.ndarray
+    shift_laws: Callable[[float], np.ndarray]
+
+    def scores(self, server: int) -> tuple[np.ndarray, np.ndarray]:
+        """A's and B's points at each component when A (0) or B (1) serves first."""
+        return (self.alpha, self.beta) if server == 0 else (self.beta, self.alpha)
+
+
+def shift_laws(system: ScoringSystem, rows: Rows, q: float) -> np.ndarray:
+    """law[row, s] of the shift s = delta + 2j given each tally of `rows` at
+    exchange probability q: 0 under rally-point scoring."""
+    if system is ScoringSystem.RALLY_POINT:
+        return np.ones((len(rows.alpha), 1))
+    law = interruption_law(rows, q)
+    j = rows.j0[:, None] + np.arange(law.shape[1])
+    s, real = (~rows.server_last)[:, None] + 2 * j, j <= rows.top[:, None]
+    out = np.zeros((len(law), int(s[real].max()) + 1))
+    out[np.nonzero(real)[0], s[real]] = law[real]
+    return out
+
+
+def _ends(system: ScoringSystem, rows: Rows, p_a, p_b) -> Game:
+    """A table's rows as components, from one kernel evaluation."""
+    ev = evaluate_servers(system, rows, p_a, p_b)
+    mean = var = np.zeros_like(ev.r_var)
+    if system is ScoringSystem.SIDE_OUT:
+        # s = 2R - delta from the interruption count R = j + delta
+        mean, var = 2.0 * ev.r_mean - (~rows.server_last)[:, None], 4.0 * ev.r_var
+    return Game(rows.alpha, rows.beta, ev.weight, mean, var, lambda q: shift_laws(system, rows, q))
+
+
+def game(config: GameConfig, p_a, p_b) -> Game:
+    """The game table of `config` at each point of the arrays (p_a, p_b),
+    from one kernel evaluation per table: `table(n)`, and with a tie-break
+    l also `tied(n-1)` and `table(l)`."""
+    n, ell, system = config.n, config.tiebreak, config.system
+    ends = _ends(system, table(n), p_a, p_b)
+    if ell is None:
+        return ends
+    tie, ext = _ends(system, tied(n - 1), p_a, p_b), _ends(system, table(ell), p_a, p_b)
+    # n to n-1 is not an end: play goes on from n-1 all.  Pair (t, e) is tie
+    # row t and extension row e, first served by whoever tied: by the game's
+    # receiver when t = 1, whose coordinates are then swapped
+    keep = np.flatnonzero(np.minimum(ends.alpha, ends.beta) < n - 1)
+    t, e = np.divmod(np.arange(2 * len(ext.alpha)), len(ext.alpha))
+    swap = t == 1
+    pairs = [
+        n - 1 + np.where(swap, ext.beta[e], ext.alpha[e]),
+        n - 1 + np.where(swap, ext.alpha[e], ext.beta[e]),
+        tie.weight[t] * np.where(swap[:, None, None], ext.weight[e][:, ::-1], ext.weight[e]),
+        tie.shift_mean[t] + ext.shift_mean[e],
+        tie.shift_var[t] + ext.shift_var[e],
+    ]
+
+    def shift_laws(q: float) -> np.ndarray:
+        lt, le, lr = tie.shift_laws(q), ext.shift_laws(q), ends.shift_laws(q)[keep]
+        laws = np.array([np.convolve(lt[i], le[j]) for i, j in zip(t, e)])
+        return np.concatenate([np.pad(lr, ((0, 0), (0, laws.shape[1] - lr.shape[1]))), laws])
+
+    regular = [ends.alpha, ends.beta, ends.weight, ends.shift_mean, ends.shift_var]
+    return Game(*(np.concatenate([x[keep], y]) for x, y in zip(regular, pairs)), shift_laws)
 
 
 def interruption_polynomial(rows: Rows, q) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

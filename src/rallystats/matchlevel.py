@@ -5,7 +5,8 @@ by a configurable rule.  One forward pass over (games won by A, games won
 by B, next first server) carries, per state, the probability of reaching
 it jointly with the points scored and the other rallies played so far, a
 2-D array over (shift, points): it adds the law of each game before its
-exchanges, jointly with its winner (`duration.pre_exchange_laws`), and
+exchanges, jointly with its winner (`duration.pre_exchange_laws`, read
+from the game table of `kernel.game`, tie-break games included), and
 returns the finished mass per match winner.  The exchange counts of all
 the games add up to one negative binomial of the match's points, so the
 match duration law merges the two winners and applies that exchange law
@@ -161,8 +162,7 @@ def match_win_prob(
 ) -> float:
     """Exact probability that `winner` takes the match; the first server
     of game one is A with probability s_a from the game config.  Runs the
-    match pass on floats, the game-winning probabilities, so tie-break
-    games are supported."""
+    match pass on floats, the game-winning probabilities."""
     validate(probs, game_config)
     wins = sideout._table(probs, game_config)[2].tolist()  # [first server][game winner]
 

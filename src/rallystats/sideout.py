@@ -6,10 +6,12 @@ and exchange counts j.  Summing the elementary event probabilities over r
 and j gives closed forms for the probability of every final tally, from
 which tie-break extensions follow.  `score_distribution`,
 `game_win_probs`, `game_win_prob`, `tiebreak_score_prob` and
-`match_win_prob` all read one terminal-score table per game, taken from
-the shared interruption polynomial for both first servers at once; the
-scoring system comes from the `GameConfig`, and rally-point tallies differ
-only in how the polynomial is weighted (see `rallypoint`).
+`match_win_prob` all read the game table of `kernel.game`, whose
+components carry their probabilities for both first servers at once; a
+score sums its components (an end of a tie-break's extension is reached by
+either tying scorer).  The scoring system comes from the `GameConfig`, and
+rally-point tallies differ only in how the polynomial is weighted (see
+`rallypoint`).
 """
 
 from __future__ import annotations
@@ -54,39 +56,23 @@ class ScoreDistribution:
         return sum(self.entries.values())
 
 
-def _scores(top: int, losers: range) -> list[TerminalScore]:
-    """`top` points against each loser score, won by A and then by B."""
-    return [TerminalScore(top, k, Player.A) for k in losers] + [TerminalScore(k, top, Player.B) for k in losers]
-
-
 def _table(probs: RallyProbs, config: GameConfig) -> tuple[list[TerminalScore], np.ndarray, np.ndarray]:
-    """The terminal scores of a game in `score_distribution` order, their
-    probabilities when A (row 0) and B (row 1) serve first, and P[winner |
-    first server] as wins[server, winner], from one kernel evaluation per
-    table for both first servers.  With a tie-break, play goes on from n-1
-    all, and the extension is an l-point game first served by whoever tied:
-    the tie probabilities by tying scorer weigh the table of that game."""
-    n, ell = config.n, config.tiebreak
-
-    def by_last_scorer(rows: kernel.Rows) -> np.ndarray:  # [first server, last scorer, k]
-        weight = kernel.evaluate_servers(config.system, rows, probs.p_a, probs.p_b).weight[:, :, 0]
-        # the first server scores last in the first half of the rows, the
-        # receiver in the second
-        halves = weight.T.reshape(2, 2, -1)
-        return np.stack([halves[0], halves[1, ::-1]])
-
-    regular = by_last_scorer(kernel.table(n))
-    if ell is None:
-        return _scores(n, range(n)), regular.reshape(2, -1), regular.sum(axis=2)
-    regular = regular[:, :, : n - 1]  # n to n-1 is not an end: play goes on from n-1 all
-    tie = by_last_scorer(kernel.tied(n - 1))[:, :, 0]  # [first server, tying scorer]
-    ext = by_last_scorer(kernel.table(ell))  # [tying scorer, winner, k]
-    extension = tie[:, 0, None, None] * ext[0] + tie[:, 1, None, None] * ext[1]
-    wins = regular.sum(axis=2)
-    for k in range(ell):  # P[winner] in regular play, then each extension score in turn
-        wins = wins + extension[:, :, k]
-    scores = _scores(n, range(n - 1)) + _scores(n + ell - 1, range(n - 1, n + ell - 1))
-    return scores, np.concatenate([regular.reshape(2, -1), extension.reshape(2, -1)], axis=1), wins
+    """The terminal scores of a game in `score_distribution` order (by the
+    winner's points, then A's wins before B's, then by the loser's points),
+    their probabilities when A (row 0) and B (row 1) serve first, and
+    P[winner | first server] as wins[server, winner], from the game table
+    (`kernel.game`): a score sums its components, two of them for an end of
+    a tie-break's extension, reached by either tying scorer."""
+    game = kernel.game(config, probs.p_a, probs.p_b)
+    ends = [list(zip(*(points.tolist() for points in game.scores(i)))) for i in range(2)]
+    scores = sorted(set(ends[0]), key=lambda s: (max(s), s[0] < s[1], min(s)))
+    index = {s: i for i, s in enumerate(scores)}
+    weight = np.zeros((2, len(scores)))
+    for i, first in enumerate(ends):
+        np.add.at(weight[i], [index[s] for s in first], game.weight[:, i, 0])
+    won = np.array([a > b for a, b in scores])
+    wins = np.array([[row[won].sum(), row[~won].sum()] for row in weight])
+    return [TerminalScore(a, b, Player.A if a > b else Player.B) for a, b in scores], weight, wins
 
 
 def score_distribution(probs: RallyProbs, config: GameConfig, server: Player | None = None) -> ScoreDistribution:

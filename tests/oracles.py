@@ -411,12 +411,35 @@ def mixture_pmfs(system, rows, probs, coef, epsilon, terms=0):
     return pmfs
 
 
+def _table_weights(probs, config):
+    """`kernel.table(n)` of a game without a tie-break and its rows'
+    probabilities weight[i, r] when A (i = 0) or B (i = 1) serves first."""
+    rows = kernel.table(config.n)
+    return rows, kernel.evaluate_servers(config.system, rows, probs.p_a, probs.p_b).weight[:, :, 0].T
+
+
+def _row_coef(weight, server, winner, s_a):
+    """Each row's weight in the event (first server, winner), a None mixing
+    both first servers with weights (s_a, 1 - s_a) or both winners: the
+    first server wins rows 0..n-1 and the receiver rows n..2n-1."""
+    n = weight.shape[1] // 2
+    coef = np.zeros(2 * n)
+    for i, (first, wt) in enumerate(((A, s_a), (B, 1.0 - s_a))):
+        if server not in (None, first):
+            continue
+        wt = 1.0 if server is not None else wt
+        for half, won in ((0, first), (1, first.other)):
+            if winner in (None, won):
+                coef[half * n : (half + 1) * n] += wt * weight[i, half * n : (half + 1) * n]
+    return coef
+
+
 def per_point_total_pmf(probs, config, server, winner, epsilon, terms=0):
     """Law of a game's D given the event (first server, winner), a None
     mixing both as the engine does, by `mixture_pmfs`; normalized when the
     winner is given."""
-    rows, weight, _, _ = duration._game_rows(config, probs.p_a, probs.p_b)
-    c = duration.event_weights(weight[..., 0], duration._servers(config, server), winner)
+    rows, weight = _table_weights(probs, config)
+    c = _row_coef(weight, server, winner, config.s_a)
     pmf = mixture_pmfs(config.system, rows, probs, c[None], epsilon, terms)[0]
     total = 1.0 if winner is None else c.sum()
     return duration.DurationPMF(pmf.offset, pmf.masses / total, pmf.truncation_bound / total)
@@ -638,9 +661,10 @@ def _tally_duration_law(alpha, beta, last, probs, epsilon, rally_point, terms=0)
     if rally_point:
         return alpha + beta, np.array([1.0]), 0.0
     w = duration.interruption_weights(alpha, beta, last, probs.q)
+    pair_shift = w.rs - (last is B)  # the last side-out of a receiver's win is single
     nb, bound = _series(alpha + beta, probs, epsilon, terms)
-    pairs = np.zeros(len(nb) + int(w.pair_shift.max()))
-    for weight, shift in zip(w.weights, w.pair_shift):
+    pairs = np.zeros(len(nb) + int(pair_shift.max()))
+    for weight, shift in zip(w.weights, pair_shift):
         pairs[shift : shift + len(nb)] += weight * nb
     masses = np.zeros(2 * len(pairs) - 1)
     masses[::2] = pairs
@@ -1142,11 +1166,11 @@ def compose_match(p_a, p_b, n, m, rule, s_a, rally_point=False, tiebreak=None):
     return _compose(_game_laws(p_a, p_b, n, rally_point, tiebreak), m, rule, s_a)
 
 
-def compose_match_durations(p_a, p_b, n, m, rule, s_a, rally_point=False):
+def compose_match_durations(p_a, p_b, n, m, rule, s_a, rally_point=False, tiebreak=None):
     """Law of a match's total rally count, {duration: probability}, from
     `compose_match`."""
     law = defaultdict(float)
-    for (_, d), mass in compose_match(p_a, p_b, n, m, rule, s_a, rally_point).items():
+    for (_, d), mass in compose_match(p_a, p_b, n, m, rule, s_a, rally_point, tiebreak).items():
         law[d] += mass
     return dict(law)
 
@@ -1171,11 +1195,11 @@ def duration_pmfs_by_server_winner(probs, config, epsilon=1e-12, terms=0):
     server, from one exchange series per point total (`mixture_pmfs`):
     {(first server, winner): law of mass P[winner | server]} over the
     pairs of positive probability."""
-    rows, weight, _, _ = duration._game_rows(config, probs.p_a, probs.p_b)
+    rows, weight = _table_weights(probs, config)
     coef = {}
     for server in (A, B):
         for winner in (A, B):
-            c = duration.event_weights(weight[..., 0], duration._servers(config, server), winner)
+            c = _row_coef(weight, server, winner, config.s_a)
             if c.sum() > 0.0:
                 coef[(server, winner)] = c
     pmfs = mixture_pmfs(config.system, rows, probs, np.array(list(coef.values())), epsilon, terms)

@@ -1,7 +1,9 @@
 import csv
 import hashlib
 import io
+import itertools
 import json
+import math
 from pathlib import Path
 
 import mpmath
@@ -12,6 +14,8 @@ from click.testing import CliRunner
 from rallystats import GameConfig, Player, RallyProbs, ScoringSystem, TerminalScore
 from rallystats import duration, estimate, matchlevel, sideout
 from rallystats.cli import main
+
+from oracles import compose_match_durations, compose_match_win_probs, enumerate_sideout
 
 A, B = Player.A, Player.B
 GOLDEN = Path(__file__).parent / "golden" / "cli_estimate.json"
@@ -151,6 +155,51 @@ class TestDuration:
                 ])
                 end = max(alpha, beta) == 3 and 0 <= min(alpha, beta) < 3
                 assert result.exit_code == (0 if end else 3), (alpha, beta, result.output)
+
+    @pytest.mark.parametrize("server", ["A", "B"])
+    def test_score_ending_a_tiebreak_against_enumeration(self, runner, server):
+        # 11,9 ends the extension of a game to 9 tied at 8 all, reached by
+        # either tying scorer
+        args = ["duration", "--n", "9", "--pa", ".6", "--pb", ".5", "--tiebreak", "3", "--server", server, "--score", "11,9"]
+        outcomes, leftover = enumerate_sideout(0.6, 0.5, 9, server=Player(server), tol=1e-30, tiebreak=3)
+        assert leftover < 1e-25
+        law = {d: mass for (a, b, _, d), mass in outcomes.items() if (a, b) == (11, 9)}
+        total = sum(law.values())
+        law = {d: mass / total for d, mass in law.items()}
+        mean = sum(d * mass for d, mass in law.items())
+        var = sum((d - mean) ** 2 * mass for d, mass in law.items())
+        row = parse_csv(run_ok(runner, [*args, "--stat", "moments"]))[0]
+        assert row["conditioning"] == "score=11-9"
+        assert float(row["mean"]) == pytest.approx(float(cell(mean)), rel=1e-11)
+        assert float(row["variance"]) == pytest.approx(float(cell(var)), rel=1e-11)
+        rows = parse_csv(run_ok(runner, [*args, "--stat", "pmf", "--epsilon", "1e-14"]))
+        got = {int(r["rallies"]): float(r["probability"]) for r in rows}
+        # each printed mass is rounded to 12 significant digits, by at most
+        # 5e-12 of itself
+        l1 = sum(abs(got.get(d, 0.0) - law.get(d, 0.0)) for d in set(got) | set(law))
+        assert l1 <= float(rows[0]["truncation_bound"]) + 5e-12 + 1e-14
+
+    def test_score_must_end_a_tiebreak_game(self, runner):
+        # a game to 3 with a tie-break of 2 ends at (3, k) and (k, 3) with
+        # k < 2, and from 2 all at (4, k) and (k, 4) with k in (2, 3)
+        ends = {(3, 0), (3, 1), (4, 2), (4, 3)}
+        for alpha in range(-1, 6):
+            for beta in range(-1, 6):
+                result = runner.invoke(main, [
+                    "duration", "--n", "3", "--pa", ".6", "--pb", ".5", "--tiebreak", "2", "--server", "B",
+                    "--score", f"{alpha},{beta}",
+                ])
+                end = (alpha, beta) in ends or (beta, alpha) in ends
+                assert result.exit_code == (0 if end else 3), (alpha, beta, result.output)
+
+    @pytest.mark.parametrize("stat", ["moments", "pmf"])
+    def test_score_of_probability_zero_is_3(self, runner, stat):
+        # a first server with p_a = 1 never loses its A-game: 3,5 cannot end it
+        result = runner.invoke(main, [
+            "duration", "--n", "5", "--pa", "1", "--pb", ".5", "--server", "A", "--score", "3,5", "--stat", stat,
+        ])
+        assert (result.exit_code, result.stdout) == (3, "")
+        assert result.stderr == "error: P[score 3,5] underflowed\n"
 
     def test_score_conditioning_needs_fixed_server(self, runner):
         result = runner.invoke(main, [
@@ -308,6 +357,25 @@ class TestMatchAndPlan:
 
         assert median(4) > 3 * median(1)
 
+
+    def test_match_and_plan_with_tiebreak_against_composition(self, runner):
+        game = ["--n", "4", "--pa", ".6", "--pb", ".45", "--sa", ".4", "--tiebreak", "2", "-m", "2"]
+        law = compose_match_durations(0.6, 0.45, 4, 2, "winner-serves-next", 0.4, tiebreak=2)
+        wins = compose_match_win_probs(0.6, 0.45, 4, 2, "winner-serves-next", 0.4, tiebreak=2)
+        mean = sum(d * mass for d, mass in law.items())
+        sd = math.sqrt(sum((d - mean) ** 2 * mass for d, mass in law.items()))
+        row = parse_csv(run_ok(runner, ["match", *game]))[0]
+        for column, want in [("match_win_a", wins[A]), ("match_win_b", wins[B]), ("e_rallies", mean), ("sd_rallies", sd)]:
+            assert float(row[column]) == pytest.approx(float(cell(want)), rel=1e-11), column
+        # two matches: the composed law convolved with itself
+        block = np.zeros(2 * max(law) + 1)
+        for (d1, m1), (d2, m2) in itertools.product(law.items(), repeat=2):
+            block[d1 + d2] += m1 * m2
+        cdf = np.cumsum(block)
+        levels = [0.1, 0.5, 0.9, 0.99]
+        rows = parse_csv(run_ok(runner, ["plan", *game, "--matches", "2", "--quantile-levels", ",".join(map(str, levels))]))
+        for level, r in zip(levels, rows):
+            assert float(r["rallies"]) == np.searchsorted(cdf, level)
 
 def cell(value):
     """A float as the CSV tables print it."""

@@ -1,11 +1,12 @@
 import math
+from collections import defaultdict
 
 import mpmath
 import numpy as np
 import pytest
 
 from rallystats import DomainError, GameConfig, Player, RallyProbs, ScoringSystem, SeedSpec
-from rallystats import duration, kernel, matchlevel, simulate
+from rallystats import duration, kernel, matchlevel, sideout, simulate
 from rallystats.duration import QuantileMode
 from rallystats.matchlevel import MatchConfig
 
@@ -745,3 +746,72 @@ class TestQuantiles:
                             pmf = duration.duration_pmf_conditional(k, n, B, pr)
                         values.append(duration.quantile(pmf, level, mode))
                     assert all(x <= y + 1e-9 for x, y in zip(values, values[1:]))
+
+
+# (n, l, p_a, p_b) of tie-break games
+TIEBREAK_GAMES = [(2, 2, 0.6, 0.5), (4, 2, 0.6, 0.5), (5, 3, 0.3, 0.45), (6, 4, 0.55, 0.7), (9, 3, 0.6, 0.5)]
+
+
+class TestTiebreakDurations:
+    """Tie-break games, whose game table pairs a tie at n-1 all with an end
+    of the extension, against exhaustive enumeration of their rallies."""
+
+    @staticmethod
+    def enumerated(pa, pb, n, ell, weights, winner=None):
+        """{rallies: probability} jointly with `winner` (None: either), the
+        first servers mixed with `weights` {server: weight}."""
+        law = defaultdict(float)
+        for server, wt in weights.items():
+            outcomes, leftover = enumerate_sideout(pa, pb, n, server=server, tol=1e-30, tiebreak=ell)
+            assert leftover < 1e-25
+            for (_, _, last, d), mass in outcomes.items():
+                if winner in (None, last):
+                    law[d] += wt * mass
+        return law
+
+    @pytest.mark.parametrize("n, ell, pa, pb", TIEBREAK_GAMES)
+    def test_game_pmfs_against_enumeration(self, n, ell, pa, pb):
+        pr, cfg = RallyProbs(pa, pb), GameConfig(n=n, tiebreak=ell, s_a=0.3)
+        for server in (A, B, None):
+            weights = {A: 0.3, B: 0.7} if server is None else {server: 1.0}
+            for winner in (A, B, None):
+                want = self.enumerated(pa, pb, n, ell, weights, winner)
+                if winner is None:
+                    pmf = duration.duration_pmf_unconditional(pr, cfg, server=server)
+                else:
+                    pmf = duration.duration_pmf_winner(pr, cfg, winner, server=server)
+                    total = sum(want.values())
+                    want = {d: mass / total for d, mass in want.items()}
+                l1 = sum(abs(pmf.prob(d) - want.get(d, 0.0)) for d in set(want) | set(pmf.support().tolist()))
+                assert l1 <= pmf.truncation_bound + 1e-14, (server, winner)
+
+    @pytest.mark.parametrize("n, ell, pa, pb", TIEBREAK_GAMES)
+    def test_aggregate_moments_against_enumeration(self, n, ell, pa, pb):
+        pr, cfg = RallyProbs(pa, pb), GameConfig(n=n, tiebreak=ell, s_a=0.3)
+        agg = duration.aggregate_moments(pr, cfg)
+        mixed = {A: 0.3, B: 0.7}
+        cases = [(agg.by_server_winner[(s, w)], {s: 1.0}, w) for s, w in EVENTS]
+        cases += [(agg.by_server[s], {s: 1.0}, None) for s in Player]
+        cases += [(agg.by_winner[w], mixed, w) for w in Player] + [(agg.overall, mixed, None)]
+        for got, weights, winner in cases:
+            law = self.enumerated(pa, pb, n, ell, weights, winner)
+            total = sum(law.values())
+            mean = sum(d * mass for d, mass in law.items()) / total
+            var = sum((d - mean) ** 2 * mass for d, mass in law.items()) / total
+            assert got.mean == pytest.approx(mean, rel=1e-12, abs=0)
+            assert got.variance == pytest.approx(var, rel=1e-12, abs=0)
+            if len(weights) == 1 and winner is not None:
+                assert agg.win_probs[(next(iter(weights)), winner)] == pytest.approx(total, rel=1e-12, abs=0)
+
+    def test_score_pmfs_sum_to_the_game_pmf(self):
+        # an end of the extension is reached by either tying scorer: its
+        # law mixes two components of the game table
+        pr, cfg = RallyProbs(0.6, 0.5), GameConfig(n=9, tiebreak=3, s_a=1.0)
+        dist = sideout.score_distribution(pr, cfg, server=A)
+        game = duration.duration_pmf_unconditional(pr, cfg, 1e-14, server=A)
+        total = np.zeros(len(game.masses) + 200)
+        for score, prob in dist.entries.items():
+            pmf = duration._score_pmf(pr, cfg, A, (score.alpha, score.beta), 1e-14)
+            i = pmf.offset - game.offset
+            total[i : i + len(pmf.masses)] += prob * pmf.masses
+        assert np.abs(total[: len(game.masses)] - game.masses).sum() + total[len(game.masses) :].sum() <= 1e-13

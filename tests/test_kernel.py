@@ -275,3 +275,40 @@ def test_exchange_binom_against_mpmath():
             for l, got in zip(EXCHANGES.tolist(), table[:, t - 1].tolist()):
                 exact = float(mpmath.log(mpmath.binomial(t - 1 + l, l)))
                 assert abs(got - exact) <= (3 * t - 4) * np.spacing(exact), (t, l)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [GameConfig(n=9), GameConfig(n=9, system=ScoringSystem.RALLY_POINT), GameConfig(n=2, tiebreak=2), GameConfig(n=9, tiebreak=3)],
+    ids=["to-9", "rally-point", "to-2-tiebreak", "to-9-tiebreak"],
+)
+@pytest.mark.parametrize("point", [(0.6, 0.5), (0.3, 0.45), (1.0, 0.5)])
+def test_game_table_is_consistent(config, point):
+    # every component is an end score; its shift law sums to 1, has the
+    # parity of [the receiver wins] under side-out scoring, and the table's
+    # shift moments; for either first server the weights sum to 1 and
+    # give the game-winning probabilities
+    probs = RallyProbs(*point)
+    game = kernel.game(config, *point)
+    winner, loser = np.maximum(game.alpha, game.beta), np.minimum(game.alpha, game.beta)
+    regular = winner == config.n
+    if config.tiebreak is None:
+        assert np.all(regular & (loser < config.n))
+    else:
+        # below n-1 points of the loser, or l points past n-1 all
+        assert np.all(regular | (winner == config.n - 1 + config.tiebreak))
+        assert np.all(np.where(regular, loser < config.n - 1, (config.n - 1 <= loser) & (loser < winner)))
+    laws = game.shift_laws(probs.q)
+    s = np.arange(laws.shape[1])
+    np.testing.assert_allclose(laws.sum(axis=1), 1.0, rtol=1e-14)
+    mean = laws @ s
+    np.testing.assert_allclose(mean, game.shift_mean[:, 0], rtol=1e-13, atol=1e-13)
+    np.testing.assert_allclose(laws @ s**2 - mean**2, game.shift_var[:, 0], rtol=1e-11, atol=1e-11)
+    if config.system is ScoringSystem.SIDE_OUT:
+        receiver_wins = game.alpha < game.beta
+        assert not laws[np.not_equal.outer(receiver_wins, s % 2 == 1)].any()
+    for i, server in enumerate(Player):
+        weight = game.weight[:, i, 0]
+        assert weight.sum() == pytest.approx(1.0, abs=1e-14)
+        a_wins = weight[(game.alpha > game.beta) == (server is A)].sum()
+        assert a_wins == pytest.approx(sideout.game_win_prob(A, server, probs, config), abs=1e-15)

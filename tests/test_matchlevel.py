@@ -227,6 +227,34 @@ class TestMatchDuration:
             np.testing.assert_allclose(got, expect, rtol=0, atol=1e-13)
             assert pmf.total_mass == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("rule", list(ServerRule))
+    @pytest.mark.parametrize("n, ell, pa, pb", [(4, 2, 0.6, 0.45), (3, 3, 0.3, 0.5), (5, 2, 1.0, 0.5)])
+    def test_tiebreak_matches_composed_game_laws(self, rule, n, ell, pa, pb):
+        # the (points, shift) pass over tie-break games against the
+        # enumerated laws of those games, composed game by game
+        for s_a in (1.0, 0.4):
+            cfg = GameConfig(n=n, tiebreak=ell, s_a=s_a)
+            pmf = matchlevel.match_duration_pmf(RallyProbs(pa, pb), cfg, MatchConfig(2, rule), epsilon=1e-13)
+            law = compose_match_durations(pa, pb, n, 2, rule.value, s_a, tiebreak=ell)
+            hi = max(max(law) + 1, pmf.offset + len(pmf.masses))
+            expect = np.array([law.get(d, 0.0) for d in range(hi)])
+            got = np.array([pmf.prob(d) for d in range(hi)])
+            assert np.abs(got - expect).sum() <= pmf.truncation_bound + 1e-13
+            assert pmf.total_mass == pytest.approx(1.0, abs=1e-12)
+
+    def test_tiebreak_against_match_simulation(self):
+        pr, cfg, mc = RallyProbs(0.6, 0.5), GameConfig(n=9, tiebreak=3, s_a=0.5), MatchConfig(2, ALT)
+        m = matchlevel.match_duration_pmf(pr, cfg, mc).moments()
+        win = matchlevel.match_win_prob(pr, cfg, mc)
+        size = 50_000
+        sample = simulate.sample_matches(pr, cfg, mc, size, SeedSpec(2721, 3))
+        assert abs(sample.total_rallies.mean() - m.mean) < 5 * np.sqrt(m.variance / size)
+        assert abs(sample.winner_a.mean() - win) < 5 * np.sqrt(win * (1 - win) / size)
+        # the sample variance has standard error sqrt((mu4 - sigma^4) / size)
+        deviations = sample.total_rallies - m.mean
+        se = np.sqrt((np.mean(deviations**4) - m.variance**2) / size)
+        assert abs(np.mean(deviations**2) - m.variance) < 5 * se
+
     def test_mass_accounting(self):
         pr = RallyProbs(0.6, 0.5)
         cfg = GameConfig(n=15, s_a=0.5)

@@ -87,8 +87,12 @@ def check_simulator_and_fits(probs, config, match, seed):
     games_to_win=st.integers(1, 2),
 )
 def test_finite_values_or_typed_errors(p_a, p_b, n, s_a, system, winner, games_to_win):
-    probs, config = RallyProbs(p_a, p_b), GameConfig(n=n, system=system, s_a=s_a)
-    match = MatchConfig(games_to_win)
+    check_exact_engines(RallyProbs(p_a, p_b), GameConfig(n=n, system=system, s_a=s_a), winner, MatchConfig(games_to_win))
+
+
+def check_exact_engines(probs, config, winner, match):
+    """Finite, non-negative values from every exact engine, or a typed
+    error from each when q = 1; returns whether q < 1."""
     try:
         validate(probs, config)
     except DomainError:
@@ -107,7 +111,7 @@ def test_finite_values_or_typed_errors(p_a, p_b, n, s_a, system, winner, games_t
         for call in calls:
             with pytest.raises(TYPED):
                 call()
-        return
+        return False
     assert finite_non_negative(sideout.score_distribution(probs, config).entries.values())
     assert finite_non_negative(sideout.game_win_prob(winner, server, probs, config) for server in Player)
     agg = duration.aggregate_moments(probs, config)
@@ -119,10 +123,12 @@ def test_finite_values_or_typed_errors(p_a, p_b, n, s_a, system, winner, games_t
         assert finite_non_negative(pmf_values(duration.duration_pmf_winner(probs, config, winner)))
     except ConditioningError:
         # only a winner who cannot win the game has no conditional law
+        s_a = config.s_a
         assert s_a * agg.win_probs[(Player.A, winner)] + (1 - s_a) * agg.win_probs[(Player.B, winner)] <= 1e-300
     win = matchlevel.match_win_prob(probs, config, match, winner)
     assert math.isfinite(win) and 0.0 <= win <= 1.0 + 1e-12
     assert finite_non_negative(pmf_values(matchlevel.match_duration_pmf(probs, config, match)))
+    return True
 
 
 @settings(max_examples=150, deadline=None)
@@ -161,27 +167,8 @@ def test_tiebreak_configurations(p_a, p_b, n, tiebreak, s_a, winner, games_to_wi
         return
     probs, config = RallyProbs(p_a, p_b), GameConfig(n=n, tiebreak=tiebreak, s_a=s_a)
     match = MatchConfig(games_to_win)
-    # the duration laws do not cover tie-breaks yet, and say so
-    for call in (
-        lambda: duration.aggregate_moments(probs, config),
-        lambda: duration.duration_pmf_unconditional(probs, config),
-        lambda: matchlevel.match_duration_pmf(probs, config, match),
-    ):
-        with pytest.raises(TYPED):
-            call()
-    try:
-        dist = sideout.score_distribution(probs, config)
-    except TYPED:
-        # q = 1
-        with pytest.raises(TYPED):
-            sideout.game_win_probs(Player.A, probs, config)
-        return
-    assert finite_non_negative(dist.entries.values())
-    for server in Player:
-        assert finite_non_negative(sideout.game_win_probs(server, probs, config))
-    win = matchlevel.match_win_prob(probs, config, match, winner)
-    assert math.isfinite(win) and 0.0 <= win <= 1.0 + 1e-12
-    check_simulator_and_fits(probs, config, match, SeedSpec(seed))
+    if check_exact_engines(probs, config, winner, match):
+        check_simulator_and_fits(probs, config, match, SeedSpec(seed))
 
 
 def _expected_match_rallies(probs, config, m):
