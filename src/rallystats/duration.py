@@ -471,14 +471,16 @@ def pre_exchange_laws(
     validate(probs, config)
     game = kernel.game(config, probs.p_a, probs.p_b)
     shifts, k = game.shift_laws(probs.q), game.alpha + game.beta - config.n
-    shifts = np.pad(shifts, ((0, 0), (0, shifts.shape[1] % 2)))  # as many shifts of either parity
+    span = (shifts.shape[1] + 1) // 2
     laws = {}
-    for server, winner in itertools.product(Player, Player):
-        c = _in_event(game, _servers(config, server), _WON[winner])[:, 0]
+    for (i, server), winner in itertools.product(enumerate(Player), Player):
+        c = np.where(_WON[winner](*game.scores(i)), game.weight[:, i, 0], 0.0)
         if c.any():
             delta = int(winner is not server and config.system is ScoringSystem.SIDE_OUT)
-            law = np.zeros((int(k.max()) + 1, shifts.shape[1] // 2))
-            np.add.at(law, k, c[:, None] * shifts[:, delta::2])
+            part = c[:, None] * shifts[:, delta::2]
+            # components of one points total add up in their row k
+            cells = k[:, None] * span + np.arange(part.shape[1])
+            law = np.bincount(cells.ravel(), part.ravel(), (int(k.max()) + 1) * span).reshape(-1, span)
             laws[(server, winner)] = (config.n, delta, law)
     return laws
 

@@ -352,12 +352,11 @@ def shift_laws(system: ScoringSystem, rows: Rows, q: float) -> np.ndarray:
     exchange probability q: 0 under rally-point scoring."""
     if system is ScoringSystem.RALLY_POINT:
         return np.ones((len(rows.alpha), 1))
-    law = interruption_law(rows, q)
-    j = rows.j0[:, None] + np.arange(law.shape[1])
-    s, real = (~rows.server_last)[:, None] + 2 * j, j <= rows.top[:, None]
-    out = np.zeros((len(law), int(s[real].max()) + 1))
-    out[np.nonzero(real)[0], s[real]] = law[real]
-    return out
+    law, delta = interruption_law(rows, q), ~rows.server_last
+    s = delta[:, None] + 2 * (rows.j0[:, None] + np.arange(law.shape[1]))
+    out = np.zeros((len(law), int(s.max()) + 1))
+    out[np.arange(len(law))[:, None], s] = law  # zero past a row's top
+    return out[:, : int((delta + 2 * rows.top).max()) + 1]
 
 
 def _ends(system: ScoringSystem, rows: Rows, p_a, p_b) -> Game:

@@ -16,6 +16,7 @@ rally-point tallies differ only in how the polynomial is weighted (see
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,23 +57,30 @@ class ScoreDistribution:
         return sum(self.entries.values())
 
 
-def _table(probs: RallyProbs, config: GameConfig) -> tuple[list[TerminalScore], np.ndarray, np.ndarray]:
-    """The terminal scores of a game in `score_distribution` order (by the
-    winner's points, then A's wins before B's, then by the loser's points),
-    their probabilities when A (row 0) and B (row 1) serve first, and
-    P[winner | first server] as wins[server, winner], from the game table
+@functools.lru_cache(maxsize=32)
+def _scores(alpha: tuple[int, ...], beta: tuple[int, ...]):
+    """The terminal scores of game table components with (alpha, beta)
+    points in first-server coordinates, in `score_distribution` order (by
+    the winner's points, then A's wins before B's, then by the loser's
+    points); the score of each component when A (row 0) and B (row 1)
+    serve first; and which scores A wins."""
+    ends = [list(zip(alpha, beta)), list(zip(beta, alpha))]
+    scores = sorted(set(ends[0]), key=lambda s: (max(s), s[0] < s[1], min(s)))
+    index = {s: i for i, s in enumerate(scores)}
+    terminal = tuple(TerminalScore(a, b, Player.A if a > b else Player.B) for a, b in scores)
+    return terminal, np.array([[index[s] for s in first] for first in ends]), np.array([a > b for a, b in scores])
+
+
+def _table(probs: RallyProbs, config: GameConfig) -> tuple[tuple[TerminalScore, ...], np.ndarray, np.ndarray]:
+    """The terminal scores of a game in `score_distribution` order, their
+    probabilities when A (row 0) and B (row 1) serve first, and P[winner |
+    first server] as wins[server, winner], from the game table
     (`kernel.game`): a score sums its components, two of them for an end of
     a tie-break's extension, reached by either tying scorer."""
     game = kernel.game(config, probs.p_a, probs.p_b)
-    ends = [list(zip(*(points.tolist() for points in game.scores(i)))) for i in range(2)]
-    scores = sorted(set(ends[0]), key=lambda s: (max(s), s[0] < s[1], min(s)))
-    index = {s: i for i, s in enumerate(scores)}
-    weight = np.zeros((2, len(scores)))
-    for i, first in enumerate(ends):
-        np.add.at(weight[i], [index[s] for s in first], game.weight[:, i, 0])
-    won = np.array([a > b for a, b in scores])
-    wins = np.array([[row[won].sum(), row[~won].sum()] for row in weight])
-    return [TerminalScore(a, b, Player.A if a > b else Player.B) for a, b in scores], weight, wins
+    scores, index, won = _scores(tuple(game.alpha.tolist()), tuple(game.beta.tolist()))
+    weight = np.array([np.bincount(index[i], game.weight[:, i, 0], len(scores)) for i in range(2)])
+    return scores, weight, np.array([[row[won].sum(), row[~won].sum()] for row in weight])
 
 
 def score_distribution(probs: RallyProbs, config: GameConfig, server: Player | None = None) -> ScoreDistribution:
