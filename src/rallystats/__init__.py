@@ -32,9 +32,7 @@ from .core import (
 # exported name -> engine module that defines it, imported on first access
 _LAZY = {
     **dict.fromkeys(["DurationPMF", "Moments", "QuantileMode", "quantile"], "duration"),
-    **dict.fromkeys(
-        ["FitMode", "FitModel", "FitResult", "GameRecord", "RallyWinProbMLE", "RecordBatch", "fit"], "estimate"
-    ),
+    **dict.fromkeys(["FitMode", "FitModel", "FitResult", "GameRecord", "RecordBatch", "fit"], "estimate"),
     **dict.fromkeys(["MatchConfig", "match_duration_pmf", "match_win_prob"], "matchlevel"),
     **dict.fromkeys(["EstimatorReport", "SeedSpec", "SimResult", "run_experiment", "simulate_game"], "simulate"),
 }
@@ -57,7 +55,6 @@ __all__ = [
     "Player",
     "QuantileMode",
     "RallyProbs",
-    "RallyWinProbMLE",
     "RecordBatch",
     "ScoringSystem",
     "SeedSpec",

@@ -12,7 +12,12 @@ series.  Under rally-point scoring every rally scores, so D = alpha + beta
 given the tally.
 
 The law of D given a tally depends on q alone, so it is the same for both
-first servers.  Every game-level law reads the game table of `kernel.game`:
+first servers.  The laws of a single tally read its row of the kernel, as
+the game table does for its components: `mgf_conditional` and
+`duration_pmf_conditional` its shift law (`kernel.shift_laws`), the
+conditional mean and variance the moments of its interruption polynomial
+(`kernel.interruption_polynomial`).  Every game-level law reads the game
+table of `kernel.game`:
 its terminal components, each with a weight per first server, the points
 M and the law of the shift s, the rallies that are neither points nor
 exchanges.  Given (M, s), D = M + s + 2L with L ~ NB(M, q), so the mean
@@ -133,51 +138,24 @@ class QuantileMode(enum.Enum):
     INTERPOLATED = "interpolated"
 
 
-@dataclass(frozen=True)
-class InterruptionWeights:
-    """Law of the interruption count R given a tally and last scorer:
-    weights[i] is the probability of rs[i] interruptions."""
-
-    rs: np.ndarray
-    weights: np.ndarray
-
-    def mean(self) -> float:
-        return float(np.dot(self.rs, self.weights))
-
-    def variance(self) -> float:
-        return float(np.dot((self.rs - self.mean()) ** 2, self.weights))
-
-
-def interruption_weights(alpha: int, beta: int, last_scorer: Player, q: float) -> InterruptionWeights:
-    """Normalized weights of the interruption count for an A-game tally.
-
-    The minimal power of q is factored out before normalizing, so the
-    weights are also defined at q = 0, where they become the q -> 0 limit
-    (all mass on the fewest feasible interruptions).
-    """
-    if not (0.0 <= q < 1.0):
-        raise DomainError(f"q={q} outside [0, 1)")
-    rows = kernel.tally(alpha, beta, last_scorer is Player.A)
-    # r = j + 1 when the receiver scores last, j the power of q
-    rs = np.arange(int(rows.j0[0]), int(rows.top[0]) + 1) + int(last_scorer is Player.B)
-    return InterruptionWeights(rs, kernel.interruption_law(rows, q)[0])
-
-
 def mgf_conditional(alpha: int, beta: int, last_scorer: Player, q: float, one_minus_q: float, t: float) -> float:
     """Moment generating function of D given the tally, the last scorer
-    and first server A, evaluated at t.  Finite only while q*e^(2t) < 1.
-    1 - q is given apart from q since it cancels as q -> 1 (p_a + q_a p_b
-    from the rally probabilities), and 1 - q e^(2t) is formed from it as
-    (1 - q) - q (e^(2t) - 1)."""
+    and first server A, evaluated at a finite t: the alpha + beta points
+    with their exchanges, and the tally's shift law (`kernel.shift_laws`).
+    Finite only while q*e^(2t) < 1.  1 - q is given apart from q since it
+    cancels as q -> 1 (p_a + q_a p_b from the rally probabilities), and
+    1 - q e^(2t) is formed from it as (1 - q) - q (e^(2t) - 1)."""
     if not (0.0 <= q < 1.0):
         raise DomainError(f"q={q} outside [0, 1)")
+    # before the shift law's sum: at t = -inf, e^(t * 0) is NaN
+    if not math.isfinite(t):
+        raise DomainError(f"t={t} is not finite")
     room = one_minus_q - q * math.expm1(2.0 * t)
     if room <= 0.0:
         raise DomainError(f"MGF diverges: q*e^(2t) = {q * math.exp(2.0 * t)} >= 1")
-    w = interruption_weights(alpha, beta, last_scorer, q)
-    delta = 1 if last_scorer is Player.B else 0
+    law = kernel.shift_laws(ScoringSystem.SIDE_OUT, kernel.tally(alpha, beta, last_scorer is Player.A), q)[0]
     base = (one_minus_q * math.exp(t) / room) ** (alpha + beta)
-    return base * float(np.dot(w.weights, np.exp(t * (2.0 * w.rs - delta))))
+    return base * float(np.dot(law, np.exp(t * np.arange(len(law)))))
 
 
 def _given_shift(points, shift_mean, shift_var, q, one_minus_q):
@@ -189,11 +167,17 @@ def _given_shift(points, shift_mean, shift_var, q, one_minus_q):
 
 
 def _conditional_moments(alpha: int, beta: int, last_scorer: Player, q: float) -> Moments:
-    """Exact conditional mean and variance of D for an A-game tally: the
-    shift is 2R - delta, R the interruption count (see `_given_shift`)."""
-    w = interruption_weights(alpha, beta, last_scorer, q)
-    delta = int(last_scorer is Player.B)
-    return Moments(*_given_shift(alpha + beta, 2.0 * w.mean() - delta, 4.0 * w.variance(), q, 1.0 - q))
+    """Exact conditional mean and variance of D for an A-game tally (see
+    `_given_shift`), from the moments of the power j0 + s of q under the
+    tally's interruption polynomial (`kernel.interruption_polynomial`), as
+    the game table reads them: the shift delta + 2j has mean delta + 2(j0 +
+    s_mean) and variance 4 s_var."""
+    if not (0.0 <= q < 1.0):
+        raise DomainError(f"q={q} outside [0, 1)")
+    rows = kernel.tally(alpha, beta, last_scorer is Player.A)
+    _, s_mean, s_var = kernel.interruption_polynomial(rows, q)
+    shift_mean = int(last_scorer is Player.B) + 2.0 * (int(rows.j0[0]) + float(s_mean[0, 0]))
+    return Moments(*_given_shift(alpha + beta, shift_mean, 4.0 * float(s_var[0, 0]), q, 1.0 - q))
 
 
 def expected_duration_conditional(alpha: int, beta: int, last_scorer: Player, q: float) -> float:

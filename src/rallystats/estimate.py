@@ -62,7 +62,6 @@ from .core import (
     InfeasibleData,
     NonConvergence,
     Player,
-    RallyProbs,
     TerminalScore,
 )
 
@@ -603,41 +602,3 @@ def fit(records, mode: FitMode = FitMode.SCORE_DURATION, model: FitModel = FitMo
         newton_steps=steps, evaluations=evaluations,
     )
 
-
-class RallyWinProbMLE:
-    """Estimator with the familiar fit/get_params surface.
-
-    Parameters are the fit mode and model; after `fit(records)` the
-    estimates are available as `p_a_`, `p_b_` and `result_`.
-    """
-
-    def __init__(self, mode: FitMode = FitMode.SCORE_DURATION, model: FitModel = FitModel.SERVER):
-        self.mode = mode
-        self.model = model
-
-    def get_params(self, deep: bool = True) -> dict:
-        return {"mode": self.mode, "model": self.model}
-
-    def set_params(self, **params) -> "RallyWinProbMLE":
-        for key, value in params.items():
-            if key not in ("mode", "model"):
-                raise ValueError(f"unknown parameter {key!r}")
-            setattr(self, key, value)
-        return self
-
-    def fit(self, records, y=None) -> "RallyWinProbMLE":
-        result = fit(records, self.mode, self.model)
-        self.result_ = result
-        self.p_a_ = result.p_a
-        self.p_b_ = result.p_b
-        self.log_likelihood_ = result.log_likelihood
-        return self
-
-    def predict_win_prob(self, config, server: Player = Player.A, winner: Player = Player.A) -> float:
-        """Game-winning probability at the fitted parameters, under
-        `config.system`."""
-        if not hasattr(self, "result_"):
-            raise DomainError("estimator is not fitted")
-        from .sideout import game_win_prob
-
-        return game_win_prob(winner, server, RallyProbs(self.p_a_, self.p_b_), config)

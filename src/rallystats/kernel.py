@@ -31,9 +31,12 @@ rally-point scoring the polynomial is in (u, v) = (p_a p_b, q)/(p_a p_b +
 q).  The polynomial, and with it the law of the interruption count given
 the tally, depends on the players only through products of the two
 sides, so it is the same for both first servers to the last bit:
-`evaluate_servers` evaluates it once for both, and
-`interruption_polynomial` gives it alone as a function of q, which is
-all the score-only likelihood of `estimate` needs from the kernel (one
+`evaluate_servers` evaluates it once for both, `shift_laws` gives the
+law of the shift (the rallies that are neither points nor exchanges)
+given each tally from its normalized terms, and `interruption_polynomial`
+gives it alone as a function of q, with the mean and variance of its
+power.  The laws of a single tally in `duration` read these last two,
+and the score-only likelihood of `estimate` needs only the last (one
 call gives the start grid of a 200-game batch to 15 in about 1.7 ms,
 against 6.3-6.9 ms through `evaluate_servers` on whole tables; `estimate`
 keeps the rows, so a batch of tallies seen before takes 0.09 ms).
@@ -51,6 +54,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -148,8 +152,11 @@ def tied(m: int) -> Rows:
 
 def tallies(items: list[tuple[int, int, bool]]) -> Rows:
     """A table of any reachable tallies (alpha, beta, server_last) of the
-    first server and the receiver, in the given order."""
+    first server and the receiver, in the given order; a score that is not
+    an integer, or is negative, raises DomainError."""
     for alpha, beta, server_last in items:
+        if not (isinstance(alpha, numbers.Integral) and isinstance(beta, numbers.Integral)):
+            raise DomainError(f"non-integer score ({alpha!r}, {beta!r})")
         if alpha < 0 or beta < 0:
             raise DomainError(f"negative score ({alpha}, {beta})")
         if server_last and alpha < 1:
@@ -159,10 +166,11 @@ def tallies(items: list[tuple[int, int, bool]]) -> Rows:
     return _build(items)
 
 
-@functools.lru_cache(maxsize=4096)
+@functools.lru_cache(maxsize=4096, typed=True)
 def tally(alpha: int, beta: int, server_last: bool) -> Rows:
     """A one-row table for any reachable tally of the first server and the
-    receiver."""
+    receiver.  The cache is typed, so a score of 2.0 is checked rather than
+    read as the cached 2."""
     return tallies([(alpha, beta, server_last)])
 
 
@@ -349,10 +357,15 @@ class Game:
 
 def shift_laws(system: ScoringSystem, rows: Rows, q: float) -> np.ndarray:
     """law[row, s] of the shift s = delta + 2j given each tally of `rows` at
-    exchange probability q: 0 under rally-point scoring."""
+    exchange probability q: the normalized terms of the row's interruption
+    polynomial, placed at their shifts (the tally's probability factors out
+    of them, so the law is defined at q = 0 too, all its mass on the fewest
+    interruptions); 0 under rally-point scoring.  With R = j + delta the
+    interruption count, s = 2R - delta."""
     if system is ScoringSystem.RALLY_POINT:
         return np.ones((len(rows.alpha), 1))
-    law, delta = interruption_law(rows, q), ~rows.server_last
+    terms, delta = _scaled_terms(rows, _log(np.array([q])), None)[1][:, :, 0], ~rows.server_last
+    law = terms / terms.sum(axis=1, keepdims=True)
     s = delta[:, None] + 2 * (rows.j0[:, None] + np.arange(law.shape[1]))
     out = np.zeros((len(law), int(s.max()) + 1))
     out[np.arange(len(law))[:, None], s] = law  # zero past a row's top
@@ -435,11 +448,3 @@ def log_exchange_binom(points: int, l) -> np.ndarray:
     np.log1p(l[:, None] / np.arange(1, points), out=terms[:, 1:])
     return np.add.accumulate(terms, axis=1)
 
-
-def interruption_law(rows: Rows, q: float) -> np.ndarray:
-    """Normalized weights of j = j0 .. top of every row at exchange
-    probability q, shape (rows, terms) with zeros past each row's top: the
-    law of the interruption count given the tally (the score weight factors
-    out of it)."""
-    terms = _scaled_terms(rows, _log(np.array([q])), None)[1][:, :, 0]
-    return terms / terms.sum(axis=1, keepdims=True)

@@ -373,6 +373,30 @@ def _series(m0, probs, epsilon, terms):
     return (nb_terms(m0, probs, max(terms, len(series))) if terms and probs.q > 0.0 else series), bound
 
 
+@functools.lru_cache(maxsize=4096)
+def interruption_weights(alpha, beta, server_last, q):
+    """Law of the power j of q given a tally (alpha, beta) of the first
+    server and the receiver, from the exact integer coefficients
+    C(alpha, j) C(beta - 1, j - [server last]) (`math.comb`) times q^j in
+    40-digit mpmath, normalized and rounded once: (j, weights), the
+    interruption count being j + [receiver last].  A shutout has the one
+    term j = 0; at q = 0 all the mass is on the least j."""
+    if beta == 0:
+        return np.array([0]), np.array([1.0])
+    d = int(server_last)
+    js = [j for j in range(d, min(alpha, beta) + 1) if comb(alpha, j) * comb(beta - 1, j - d) > 0]
+    with mpmath.workdps(40):
+        q = mpmath.mpf(q)
+        # q^j0 is factored out, so that the law at q = 0 is its limit
+        terms = [comb(alpha, j) * comb(beta - 1, j - d) * q ** (j - js[0]) for j in js]
+        total = mpmath.fsum(terms)
+        weights = np.array([float(t / total) for t in terms])
+    js = np.array(js)
+    for arr in (js, weights):
+        arr.setflags(write=False)  # cached: shared by every caller
+    return js, weights
+
+
 def mixture_pmfs(system, rows, probs, coef, epsilon, terms=0):
     """Laws of D mixed over the tallies of `rows` (first-server
     coordinates), row r weighing coef[i, r] in mixture i, as the
@@ -389,23 +413,25 @@ def mixture_pmfs(system, rows, probs, coef, epsilon, terms=0):
     least `terms` terms (`_series`)."""
     m0 = rows.alpha + rows.beta
     if system is ScoringSystem.SIDE_OUT:
-        law = kernel.interruption_law(rows, probs.q)
-        delta, lo, hi = (~rows.server_last).astype(int), rows.j0, rows.top
+        tallies = zip(rows.alpha.tolist(), rows.beta.tolist(), rows.server_last.tolist())
+        law = [interruption_weights(*t, probs.q) for t in tallies]
+        delta = (~rows.server_last).astype(int)
         used = (coef > 0.0).any(axis=0)
         series = {m: _series(m, probs, epsilon, terms) for m in set(m0[used].tolist())}
     else:
-        law = np.ones((len(m0), 1))
-        delta = lo = hi = np.zeros_like(m0)
+        law = [(np.array([0]), np.array([1.0]))] * len(m0)
+        delta = np.zeros_like(m0)
         series = dict.fromkeys(m0.tolist(), (np.array([1.0]), 0.0))
     pmfs = []
     for c in coef:
         rs = np.flatnonzero(c > 0.0)
         start = int((m0 + delta)[rs].min())
-        stop = max(int(m0[r] + delta[r] + 2 * (hi[r] + len(series[m0[r]][0])) - 1) for r in rs)
+        stop = max(int(m0[r] + delta[r] + 2 * (law[r][0][-1] + len(series[m0[r]][0])) - 1) for r in rs)
         masses = np.zeros(stop - start)
         for r in rs:
-            pairs = np.convolve(c[r] * law[r, : hi[r] - lo[r] + 1], series[m0[r]][0])
-            i = m0[r] + delta[r] + 2 * lo[r] - start
+            js, weights = law[r]
+            pairs = np.convolve(c[r] * weights, series[m0[r]][0])
+            i = m0[r] + delta[r] + 2 * js[0] - start
             masses[i : i + 2 * len(pairs) - 1 : 2] += pairs
         pmfs.append(duration.DurationPMF(start, masses, float(sum(c[r] * series[m0[r]][1] for r in rs))))
     return pmfs
@@ -660,11 +686,11 @@ def _tally_duration_law(alpha, beta, last, probs, epsilon, rally_point, terms=0)
     weight, then spread over every other rally count."""
     if rally_point:
         return alpha + beta, np.array([1.0]), 0.0
-    w = duration.interruption_weights(alpha, beta, last, probs.q)
-    pair_shift = w.rs - (last is B)  # the last side-out of a receiver's win is single
+    # the interruption pairs, j of them: the last side-out of a receiver's win is single
+    pair_shift, weights = interruption_weights(alpha, beta, last is A, probs.q)
     nb, bound = _series(alpha + beta, probs, epsilon, terms)
     pairs = np.zeros(len(nb) + int(pair_shift.max()))
-    for weight, shift in zip(w.weights, pair_shift):
+    for weight, shift in zip(weights, pair_shift):
         pairs[shift : shift + len(nb)] += weight * nb
     masses = np.zeros(2 * len(pairs) - 1)
     masses[::2] = pairs

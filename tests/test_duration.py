@@ -20,6 +20,7 @@ from oracles import (
     enumerate_sideout,
     exchange_cut_walk,
     exchange_pmf,
+    interruption_weights,
     mixture_calls,
     mp_rallypoint_duration_moments,
     mp_sideout_duration_moments,
@@ -37,47 +38,66 @@ EVENTS = [(server, winner) for server in Player for winner in Player]
 LADDER = GameConfig(n=15, s_a=0.5)  # the game of the duration-tail benchmark
 
 
+def interruption_law(alpha, beta, last, q):
+    """(r, weights) of the interruption count R given an A-game tally, read
+    off the kernel's shift law of the tally: the shift is s = 2r - delta."""
+    law = kernel.shift_laws(ScoringSystem.SIDE_OUT, kernel.tally(alpha, beta, last is A), q)[0]
+    s = np.flatnonzero(law)
+    return (s + int(last is B)) // 2, law[s]
+
+
 class TestInterruptionWeights:
     def test_shutout_has_no_interruptions(self):
-        w = duration.interruption_weights(7, 0, A, 0.3)
-        assert list(w.rs) == [0]
-        assert w.weights[0] == pytest.approx(1.0)
+        rs, weights = interruption_law(7, 0, A, 0.3)
+        assert list(rs) == [0]
+        assert weights[0] == pytest.approx(1.0)
 
     def test_one_all_forces_one_interruption(self):
-        w = duration.interruption_weights(1, 1, A, 0.4)
-        assert list(w.rs) == [1]
-        assert w.weights[0] == pytest.approx(1.0)
+        rs, weights = interruption_law(1, 1, A, 0.4)
+        assert list(rs) == [1]
+        assert weights[0] == pytest.approx(1.0)
 
     def test_two_two_values(self):
         # raw weights q^r C(2,r) C(1,r-1): r=1 -> 2q, r=2 -> q^2
-        w = duration.interruption_weights(2, 2, A, 0.25)
-        assert list(w.rs) == [1, 2]
-        assert w.weights[0] == pytest.approx(0.5 / 0.5625, abs=1e-15)
-        assert w.weights[1] == pytest.approx(0.0625 / 0.5625, abs=1e-15)
+        rs, weights = interruption_law(2, 2, A, 0.25)
+        assert list(rs) == [1, 2]
+        assert weights[0] == pytest.approx(0.5 / 0.5625, abs=1e-15)
+        assert weights[1] == pytest.approx(0.0625 / 0.5625, abs=1e-15)
 
     def test_weights_normalized(self):
         for a, b, c in [(15, 7, A), (7, 15, B), (5, 5, A), (5, 5, B)]:
-            w = duration.interruption_weights(a, b, c, 0.37)
-            assert w.weights.sum() == pytest.approx(1.0, abs=1e-12)
-            assert (w.weights >= 0).all()
+            _, weights = interruption_law(a, b, c, 0.37)
+            assert weights.sum() == pytest.approx(1.0, abs=1e-12)
+            assert (weights >= 0).all()
 
     def test_q_zero_limit_concentrates_on_fewest(self):
-        w = duration.interruption_weights(5, 3, A, 0.0)
-        assert w.rs[np.argmax(w.weights)] == 1
-        assert w.weights[0] == pytest.approx(1.0)
-        wb = duration.interruption_weights(3, 5, B, 0.0)
-        assert wb.rs[np.argmax(wb.weights)] == 1
+        rs, weights = interruption_law(5, 3, A, 0.0)
+        assert rs[np.argmax(weights)] == 1
+        assert weights[0] == pytest.approx(1.0)
+        rs, weights = interruption_law(3, 5, B, 0.0)
+        assert rs[np.argmax(weights)] == 1
+
+    @pytest.mark.parametrize("q", [0.0, 1e-9, 0.37, 1 - 1e-9])
+    @pytest.mark.parametrize("a, b, c", [(15, 0, A), (1, 1, A), (15, 10, A), (10, 15, B), (21, 21, B), (40, 33, A)])
+    def test_against_exact_coefficients(self, a, b, c, q):
+        # the exact integer coefficients in 40-digit arithmetic, rounded once
+        js, want = interruption_weights(a, b, c is A, q)
+        rs, weights = interruption_law(a, b, c, q)
+        kept = want > 0.0
+        np.testing.assert_array_equal(rs, js[kept] + int(c is B))
+        np.testing.assert_allclose(weights, want[kept], rtol=1e-13, atol=0)
 
     @pytest.mark.parametrize("q", [1e-9, 0.37, 1 - 1e-9])
     def test_variance_against_mpmath(self, q):
-        # at q = 1e-9 the variance is 6.3e-8 about a mean of 1, and
-        # E[R^2] - E[R]^2 loses 2e-9 of it
-        w = duration.interruption_weights(15, 10, A, q)
+        # the variance the per-tally and game-level moments read: at q =
+        # 1e-9 it is 6.3e-8 about a mean of 1, and E[R^2] - E[R]^2 would
+        # lose 2e-9 of it
+        _, _, var = kernel.interruption_polynomial(kernel.tally(15, 10, True), q)
         with mpmath.workdps(50):
-            weights = [mpmath.mpf(float(x)) for x in w.weights]
-            mean = mpmath.fsum(int(r) * x for r, x in zip(w.rs, weights)) / mpmath.fsum(weights)
-            var = mpmath.fsum((int(r) - mean) ** 2 * x for r, x in zip(w.rs, weights)) / mpmath.fsum(weights)
-        assert w.variance() == pytest.approx(float(var), rel=1e-12, abs=0.0)
+            w = {j: math.comb(15, j) * math.comb(9, j - 1) * mpmath.mpf(q) ** j for j in range(1, 11)}
+            mean = mpmath.fsum(j * x for j, x in w.items()) / mpmath.fsum(w.values())
+            exact = mpmath.fsum((j - mean) ** 2 * x for j, x in w.items()) / mpmath.fsum(w.values())
+        assert float(var[0, 0]) == pytest.approx(float(exact), rel=1e-12, abs=0.0)
 
     def test_against_trajectory_frequencies(self):
         # an A-interruption is a maximal scoring run by B (scoreless serve
@@ -100,8 +120,7 @@ class TestInterruptionWeights:
                 prev = s
             counts[r] += 1
             total += 1
-        w = duration.interruption_weights(3, 2, A, pr.q)
-        for r, weight in zip(w.rs, w.weights):
+        for r, weight in zip(*interruption_law(3, 2, A, pr.q)):
             obs = counts[int(r)] / total
             sd = np.sqrt(weight * (1 - weight) / total)
             assert abs(obs - weight) < 3.5 * sd
@@ -116,6 +135,12 @@ class TestMGF:
         q, t, n = 0.35, 0.1, 6
         expect = ((1 - q) * np.exp(t) / (1 - q * np.exp(2 * t))) ** n
         assert duration.mgf_conditional(n, 0, A, q, 1 - q, t) == pytest.approx(expect, rel=1e-13)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_t_is_a_domain_error(self, t):
+        # at t = -inf the shift law's sum would be NaN: e^(t * 0)
+        with pytest.raises(DomainError, match="not finite"):
+            duration.mgf_conditional(3, 2, A, 0.3, 0.7, t)
 
     def test_divergence_outside_domain(self):
         with pytest.raises(DomainError, match="diverges"):
@@ -281,6 +306,78 @@ class TestConditionalPMF:
             p2 = duration.duration_pmf_conditional(a, b, c, RallyProbs(0.75, 0.0))
             assert p1.offset == p2.offset
             np.testing.assert_allclose(p1.masses, p2.masses, atol=1e-15)
+
+
+PER_TALLY_GAMES = [5, 9, 15, 21]
+
+
+def regular_end_scores(n):
+    """Every end score of a game to n without a tie-break: (A's points, B's
+    points, the winner)."""
+    return [(n, k, A) for k in range(n)] + [(k, n, B) for k in range(n)]
+
+
+class TestPerTallyAgainstPerScore:
+    """The per-tally laws (an A-game tally at q) and the per-score laws of
+    the game table (`duration._score_moments`, `_score_pmf`) read one
+    interruption law: they agree at every regular end score of games to 5,
+    9, 15 and 21, for both first servers, at seeded points."""
+
+    @staticmethod
+    def points(n):
+        rng = np.random.default_rng(2100 + n)
+        return [RallyProbs(*rng.uniform(0.05, 0.95, 2)) for _ in range(3)]
+
+    @pytest.mark.parametrize("n", PER_TALLY_GAMES)
+    def test_moments(self, n):
+        for pr in self.points(n):
+            for alpha, beta, last in regular_end_scores(n):
+                for server in Player:
+                    want = duration._score_moments(pr, GameConfig(n=n), server, (alpha, beta))
+                    # a game first served by B is the A-game of the swapped tally
+                    a, b, c = (alpha, beta, last) if server is A else (beta, alpha, last.other)
+                    mean = duration.expected_duration_conditional(a, b, c, pr.q)
+                    var = duration.variance_duration_conditional(a, b, c, pr.q)
+                    assert mean == pytest.approx(want.mean, rel=2e-15, abs=0)
+                    assert var == pytest.approx(want.variance, rel=2e-15, abs=0)
+
+    @pytest.mark.parametrize("n", PER_TALLY_GAMES)
+    def test_pmfs(self, n):
+        for pr in self.points(n):
+            for alpha, beta, last in regular_end_scores(n):
+                for server in Player:
+                    want = duration._score_pmf(pr, GameConfig(n=n), server, (alpha, beta), 1e-12)
+                    got = duration.duration_pmf_conditional(alpha, beta, last, pr, 1e-12, server)
+                    assert (got.offset, len(got.masses)) == (want.offset, len(want.masses))
+                    # the bound is the law's mass times the series' tail
+                    assert got.truncation_bound == pytest.approx(want.truncation_bound, rel=1e-15, abs=0)
+                    assert np.abs(got.masses - want.masses).sum() <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda a, b: duration.expected_duration_conditional(a, b, A, 0.3),
+        lambda a, b: duration.variance_duration_conditional(a, b, A, 0.3),
+        lambda a, b: duration.mgf_conditional(a, b, A, 0.3, 0.7, 0.1),
+        lambda a, b: duration.duration_pmf_conditional(a, b, A, RallyProbs(0.6, 0.5)),
+        lambda a, b: duration.duration_pmf_conditional(a, b, A, RallyProbs(0.6, 0.5), server=B),
+        lambda a, b: sideout.score_prob(a, b, A, A, RallyProbs(0.6, 0.5)),
+        lambda a, b: sideout.score_prob(a, b, A, B, RallyProbs(0.6, 0.5)),
+    ],
+    ids=["mean", "variance", "mgf", "pmf-server-A", "pmf-server-B", "score-server-A", "score-server-B"],
+)
+@pytest.mark.parametrize("score", [(3, 2.5), (3.0, 2), (3, 2.0), (3, "2"), (3, None)])
+def test_non_integer_score_is_a_domain_error(call, score):
+    call(3, 2)  # the integer tally, cached first, must not stand in for 2.0
+    with pytest.raises(DomainError, match="non-integer score"):
+        call(*score)
+
+
+def test_numpy_integer_scores_are_scores():
+    assert duration.expected_duration_conditional(np.int64(3), np.int64(2), A, 0.3) == (
+        duration.expected_duration_conditional(3, 2, A, 0.3)
+    )
 
 
 class TestExchangeSeries:

@@ -21,7 +21,7 @@ from rallystats import (
     TerminalScore,
 )
 from rallystats import estimate, kernel, simulate
-from rallystats.estimate import FitMode, FitModel, GameRecord, RallyWinProbMLE
+from rallystats.estimate import FitMode, FitModel, GameRecord
 
 from oracles import (
     RecordLikelihood,
@@ -605,36 +605,6 @@ class TestRecordsIO:
         good = '{"first_server": "A", "alpha": 15, "beta": 3, "last_scorer": "A"}'
         with pytest.raises(InfeasibleData, match="record 1"):
             estimate.records_from_json_lines([good, line])
-
-
-class TestEstimatorAPI:
-    def test_params_round_trip(self):
-        est = RallyWinProbMLE()
-        params = est.get_params()
-        assert params == {"mode": FitMode.SCORE_DURATION, "model": FitModel.SERVER}
-        est.set_params(mode=FitMode.SCORE_ONLY)
-        assert est.get_params()["mode"] is FitMode.SCORE_ONLY
-        with pytest.raises(ValueError):
-            est.set_params(bogus=1)
-
-    def test_fit_sets_attributes(self):
-        records = simulated_records(0.6, 0.5, 15, 100, SeedSpec(107, 7))
-        est = RallyWinProbMLE().fit(records)
-        assert est is est.fit(records)
-        assert 0.0 < est.p_a_ < 1.0
-        assert est.result_.mode is FitMode.SCORE_DURATION
-
-    def test_sklearn_clone_compatible(self):
-        sklearn_base = pytest.importorskip("sklearn.base")
-        est = RallyWinProbMLE(mode=FitMode.SCORE_ONLY)
-        clone = sklearn_base.clone(est)
-        assert clone.get_params() == est.get_params()
-
-    def test_predict_win_prob(self):
-        records = simulated_records(0.6, 0.5, 15, 150, SeedSpec(108, 8))
-        est = RallyWinProbMLE().fit(records)
-        p = est.predict_win_prob(GameConfig(n=15), server=A, winner=A)
-        assert 0.5 < p < 1.0  # A is the stronger side in truth
 
 
 def record_oracle_fit(records, mode, model):

@@ -5,6 +5,7 @@ tie-break configurations, the simulator and the estimators fitted to its
 samples."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -91,8 +92,9 @@ def test_finite_values_or_typed_errors(p_a, p_b, n, s_a, system, winner, games_t
 
 
 def check_exact_engines(probs, config, winner, match):
-    """Finite, non-negative values from every exact engine, or a typed
-    error from each when q = 1; returns whether q < 1."""
+    """Finite, non-negative values from every exact engine, the laws of
+    single tallies included, or a typed error from each when q = 1;
+    returns whether q < 1."""
     try:
         validate(probs, config)
     except DomainError:
@@ -107,6 +109,7 @@ def check_exact_engines(probs, config, winner, match):
             lambda: matchlevel.match_duration_pmf(probs, config, match),
             lambda: simulate.sample_games(probs, config, 1, SeedSpec(0)),
             lambda: simulate.sample_matches(probs, config, match, 1, SeedSpec(0)),
+            *per_tally_calls(probs, config.n),
         ]
         for call in calls:
             with pytest.raises(TYPED):
@@ -128,7 +131,27 @@ def check_exact_engines(probs, config, winner, match):
     win = matchlevel.match_win_prob(probs, config, match, winner)
     assert math.isfinite(win) and 0.0 <= win <= 1.0 + 1e-12
     assert finite_non_negative(pmf_values(matchlevel.match_duration_pmf(probs, config, match)))
+    assert finite_non_negative(v for call in per_tally_calls(probs, config.n) for v in np.atleast_1d(call()))
     return True
+
+
+def per_tally_calls(probs, n):
+    """Calls of the side-out laws of single tallies at a shutout, a close
+    end and a receiver's win of a game to n: the tally's probability, the
+    moments of D, its MGF at three points of the domain q e^(2t) < 1, and
+    the values of its PMF, for both first servers."""
+    q, one_minus_q = probs.q, probs.p_a + probs.q_a * probs.p_b
+    ts = (-0.5, 0.0, -math.log(q) / 4 if q > 0.0 else 1.0)
+    calls = []
+    for tally in dict.fromkeys([(n, 0, Player.A), (n, n - 1, Player.A), (n - 1, n, Player.B)]):
+        calls += [partial(duration.expected_duration_conditional, *tally, q)]
+        calls += [partial(duration.variance_duration_conditional, *tally, q)]
+        calls += [partial(duration.mgf_conditional, *tally, q, one_minus_q, t) for t in ts]
+        for server in Player:
+            calls.append(partial(sideout.score_prob, *tally, server, probs))
+            pmf = partial(duration.duration_pmf_conditional, *tally, probs, server=server)
+            calls.append(lambda pmf=pmf: pmf_values(pmf()))
+    return calls
 
 
 @settings(max_examples=150, deadline=None)
