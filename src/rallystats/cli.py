@@ -145,12 +145,12 @@ def _game_flags(fn):
     return fn
 
 
-def _build_config(system, n, sa, server, tiebreak) -> tuple[GameConfig, Player | None]:
+def _build_config(system, n, sa, server, tiebreak) -> GameConfig:
+    """The game config; the first server is A with probability --sa, or
+    surely the --server (A by default)."""
     sys_enum = ScoringSystem.SIDE_OUT if system == "sideout" else ScoringSystem.RALLY_POINT
-    if sa is not None:
-        return GameConfig(n=n, system=sys_enum, tiebreak=tiebreak, s_a=sa), None
-    fixed = Player(server) if server is not None else Player.A
-    return GameConfig(n=n, system=sys_enum, tiebreak=tiebreak, s_a=1.0 if fixed is Player.A else 0.0), fixed
+    s_a = sa if sa is not None else float(server != "B")
+    return GameConfig(n=n, system=sys_enum, tiebreak=tiebreak, s_a=s_a)
 
 
 @click.group(name="rallystats")
@@ -167,9 +167,9 @@ def cmd_score_dist(system, n, pa, pb, server, sa, tiebreak, fmt, out):
     """Probability of every terminal score."""
     from . import sideout
 
-    config, fixed = _build_config(system, n, sa, server, tiebreak)
+    config = _build_config(system, n, sa, server, tiebreak)
     probs = RallyProbs(pa, pb)
-    dist = sideout.score_distribution(probs, config, server=fixed)
+    dist = sideout.score_distribution(probs, config)
     rows = [
         [score.alpha, score.beta, score.winner.value, prob]
         for score, prob in dist.entries.items()
@@ -177,18 +177,14 @@ def cmd_score_dist(system, n, pa, pb, server, sa, tiebreak, fmt, out):
     _emit(OutputTable(["alpha", "beta", "winner", "probability"], rows), fmt, out)
 
 
-def _moment_rows(probs, config, server, score):
+def _moment_rows(probs, config, score):
     from . import duration
 
     if score is not None:
-        rows = [(f"score={score[0]}-{score[1]}", duration._score_moments(probs, config, server, score))]
+        rows = [(f"score={score[0]}-{score[1]}", duration._score_moments(probs, config, score))]
     else:
         agg = duration.aggregate_moments(probs, config)
-        if server is not None:
-            moments = [agg.by_server_winner.get((server, w)) for w in Player] + [agg.by_server[server]]
-        else:
-            moments = [agg.by_winner.get(w) for w in Player] + [agg.overall]
-        rows = zip(["winner=A", "winner=B", "unconditional"], moments)
+        rows = zip(["winner=A", "winner=B", "unconditional"], [agg.by_winner.get(w) for w in Player] + [agg.overall])
     # an event of probability zero has no moments: empty cells
     return [[label, *((m.mean, m.sd, m.variance) if m is not None else (None,) * 3)] for label, m in rows]
 
@@ -212,20 +208,20 @@ def cmd_duration(system, n, pa, pb, server, sa, tiebreak, stat, winner, score, l
     """Rally-count distribution: moments, PMF or quantiles."""
     from . import duration
 
-    config, fixed = _build_config(system, n, sa, server, tiebreak)
+    config = _build_config(system, n, sa, server, tiebreak)
     probs = RallyProbs(pa, pb)
-    if score is not None and fixed is None:
+    if score is not None and sa is not None:
         raise click.UsageError("--score conditions on a fixed first server; use --server")
     if stat == "moments":
-        rows = _moment_rows(probs, config, fixed, score)
+        rows = _moment_rows(probs, config, score)
         _emit(OutputTable(["conditioning", "mean", "sd", "variance"], rows), fmt, out)
         return
     if score is not None:
-        pmf = duration._score_pmf(probs, config, fixed, score, epsilon)
+        pmf = duration._score_pmf(probs, config, score, epsilon)
     elif winner is None:
-        pmf = duration.duration_pmf_unconditional(probs, config, epsilon, server=fixed)
+        pmf = duration.duration_pmf_unconditional(probs, config, epsilon)
     else:
-        pmf = duration.duration_pmf_winner(probs, config, Player(winner), epsilon, server=fixed)
+        pmf = duration.duration_pmf_winner(probs, config, Player(winner), epsilon)
     if stat == "pmf":
         rows = [
             [int(pmf.offset + i), float(mass), pmf.truncation_bound]
@@ -303,7 +299,7 @@ def cmd_simulate(system, n, pa, pb, server, sa, tiebreak, replications, seed, st
     """Monte Carlo replications of a game with the standard estimators."""
     from . import simulate
 
-    config, _ = _build_config(system, n, sa, server, tiebreak)
+    config = _build_config(system, n, sa, server, tiebreak)
     probs = RallyProbs(pa, pb)
     spec = simulate.SeedSpec(seed, stream)
     sample = simulate.sample_games(probs, config, replications, spec)
@@ -369,7 +365,7 @@ def cmd_match(system, n, pa, pb, server, sa, tiebreak, games_to_win, server_rule
     """Match-winning probability and match duration summary."""
     from . import matchlevel
 
-    config, _ = _build_config(system, n, sa, server, tiebreak)
+    config = _build_config(system, n, sa, server, tiebreak)
     probs = RallyProbs(pa, pb)
     mc = matchlevel.MatchConfig(games_to_win, ServerRule(server_rule))
     wins = [matchlevel.match_win_prob(probs, config, mc, winner) for winner in Player]
@@ -400,7 +396,7 @@ def cmd_plan(system, n, pa, pb, server, sa, tiebreak, games_to_win, server_rule,
 
     if matches < 1:
         raise click.UsageError("--matches must be >= 1")
-    config, _ = _build_config(system, n, sa, server, tiebreak)
+    config = _build_config(system, n, sa, server, tiebreak)
     probs = RallyProbs(pa, pb)
     mc = matchlevel.MatchConfig(games_to_win, ServerRule(server_rule))
     single = matchlevel.match_duration_pmf(probs, config, mc, epsilon / matches)

@@ -33,9 +33,10 @@ normalize, `duration_pmf_winner` and the law given a score, raise
 `ConditioningError`.
 
 Every PMF comes from one engine.  `pre_exchange_laws` gives a game's law
-before its exchanges, over (points, shift), jointly with the winner; a
-game PMF mixes the laws of its events on one such array (a score PMF is a
-one-row law, a match PMF the sum the match pass composes), and
+before its exchanges jointly with the winner, law[k, s] over n + k points
+scored and the shift s, on the shift axis of the game table; a game PMF
+sums the laws of its events weighted by the first server (a score PMF is
+a one-row law, a match PMF the sum the match pass composes), and
 `exchange_mixture` applies the exchange law once: a Horner pass over the
 points of geometric filters, each a scan in scaled coordinates, over the
 short head of the window that holds the law, and past it a closed form
@@ -150,12 +151,19 @@ def mgf_conditional(alpha: int, beta: int, last_scorer: Player, q: float, one_mi
     # before the shift law's sum: at t = -inf, e^(t * 0) is NaN
     if not math.isfinite(t):
         raise DomainError(f"t={t} is not finite")
-    room = one_minus_q - q * math.expm1(2.0 * t)
-    if room <= 0.0:
-        raise DomainError(f"MGF diverges: q*e^(2t) = {q * math.exp(2.0 * t)} >= 1")
     law = kernel.shift_laws(ScoringSystem.SIDE_OUT, kernel.tally(alpha, beta, last_scorer is Player.A), q)[0]
-    base = (one_minus_q * math.exp(t) / room) ** (alpha + beta)
-    return base * float(np.dot(law, np.exp(t * np.arange(len(law)))))
+    # a t in the domain may still overflow: e^(2t), the power or the product
+    try:
+        room = one_minus_q - q * math.expm1(2.0 * t)
+        if room <= 0.0:
+            raise DomainError(f"MGF diverges: q*e^(2t) = {q * math.exp(2.0 * t)} >= 1")
+        base = (one_minus_q * math.exp(t) / room) ** (alpha + beta)
+        value = base * float(np.dot(law, np.exp(t * np.arange(len(law)))))
+    except OverflowError:
+        value = math.inf
+    if value == math.inf:
+        raise DomainError(f"the MGF at t={t} overflows a double")
+    return value
 
 
 def _given_shift(points, shift_mean, shift_var, q, one_minus_q):
@@ -283,8 +291,8 @@ def duration_pmf_conditional(
 ) -> DurationPMF:
     """Exact PMF of D given the tally, the last scorer and the first
     server, as the convolution of the interruption and exchange laws: the
-    one-row law of alpha + beta points and delta + 2j other rallies through
-    `exchange_mixture`.
+    one-row law of alpha + beta points and the tally's shift law
+    (`kernel.shift_laws`) through `exchange_mixture`.
 
     Mass sits only on alpha+beta+2j when the first server scores last and
     on alpha+beta+2j+1 otherwise (the server-effect parity).
@@ -393,18 +401,13 @@ def aggregate_moments(probs: RallyProbs, config: GameConfig) -> DurationAggregat
 
 def _event_law(probs: RallyProbs, config: GameConfig, server: Player | None, winner: Player | None) -> np.ndarray:
     """A game's law before its exchanges jointly with the event (first
-    server, winner), as law[points - n, shift] with shift = delta + 2j: the
+    server, winner), as law[points - n, shift]: the sum of the
     `pre_exchange_laws` of the event's (first server, winner) pairs, a
-    server of None mixing both with weights (s_a, s_b) and a winner of
-    None both winners.  Its sum is the probability of the event."""
+    server of None weighing both with (s_a, s_b) and a winner of None
+    taking both winners.  Its sum is the probability of the event."""
     weights = dict(zip(Player, _servers(config, server)))
-    laws = pre_exchange_laws(probs, config)
-    rows, span = next(iter(laws.values()))[2].shape
-    law = np.zeros((rows, 2 * rows))  # j <= k
-    for (first, won), (_, delta, sub) in laws.items():
-        if winner in (None, won):
-            law[:, delta : delta + 2 * span : 2] += weights[first] * sub
-    return law
+    laws = pre_exchange_laws(probs, config).items()
+    return sum(weights[first] * (winner in (None, won)) * law for (first, won), law in laws)
 
 
 def duration_pmf_winner(
@@ -437,64 +440,58 @@ def duration_pmf_unconditional(
     return exchange_mixture(config.n, _event_law(probs, config, server, None), probs, config.system, epsilon)
 
 
-def pre_exchange_laws(
-    probs: RallyProbs, config: GameConfig
-) -> dict[tuple[Player, Player], tuple[int, int, np.ndarray]]:
+def pre_exchange_laws(probs: RallyProbs, config: GameConfig) -> dict[tuple[Player, Player], np.ndarray]:
     """A game's law before its exchanges, jointly with the winner, for each
-    (first server, winner) of positive probability: {event: (n, delta,
-    law)} with law[k, j] the probability, given the first server, that the
-    winner takes the game with n + k points scored and delta + 2j other
-    rallies: delta = [the receiver wins] is fixed by the event, tie-breaks
-    included, j is the interruption pair shift, and j <= k.  The laws of
+    (first server, winner) of positive probability: {event: law} with
+    law[k, s] the probability, given the first server, that the winner
+    takes the game with n + k points scored and s other rallies, on the
+    shift axis of the game table (`kernel.Game.shift_laws`).  The laws of
     all events have one shape.
 
-    The rallies of the game are then n + k + delta + 2j + 2L with L ~
-    NB(n + k, q), and the exchange counts of independent games add:
-    `exchange_mixture` applies them once to any sum of such laws.  A
-    rally-point law has delta = 0, the one column j = 0 and no exchanges."""
+    The rallies of the game are then n + k + s + 2L with L ~ NB(n + k, q),
+    and the exchange counts of independent games add: `exchange_mixture`
+    applies them once to any sum of such laws.  A rally-point law has the
+    one column s = 0 and no exchanges."""
     validate(probs, config)
     game = kernel.game(config, probs.p_a, probs.p_b)
     shifts, k = game.shift_laws(probs.q), game.alpha + game.beta - config.n
-    span = (shifts.shape[1] + 1) // 2
+    # components of one points total add up in their row k
+    cells, size = k[:, None] * shifts.shape[1] + np.arange(shifts.shape[1]), (int(k.max()) + 1) * shifts.shape[1]
     laws = {}
     for (i, server), winner in itertools.product(enumerate(Player), Player):
         c = np.where(_WON[winner](*game.scores(i)), game.weight[:, i, 0], 0.0)
         if c.any():
-            delta = int(winner is not server and config.system is ScoringSystem.SIDE_OUT)
-            part = c[:, None] * shifts[:, delta::2]
-            # components of one points total add up in their row k
-            cells = k[:, None] * span + np.arange(part.shape[1])
-            law = np.bincount(cells.ravel(), part.ravel(), (int(k.max()) + 1) * span).reshape(-1, span)
-            laws[(server, winner)] = (config.n, delta, law)
+            law = np.bincount(cells.ravel(), (c[:, None] * shifts).ravel(), size)
+            laws[(server, winner)] = law.reshape(-1, shifts.shape[1])
     return laws
 
 
-def _score_law(probs: RallyProbs, config: GameConfig, server: Player, score) -> tuple[kernel.Game, np.ndarray]:
+def _score_law(probs: RallyProbs, config: GameConfig, score) -> tuple[kernel.Game, np.ndarray]:
     """The game table and the weight of each component in the law given
-    that a game first served by `server` ends at `score` (A's points, B's
-    points), summing to 1: one component, or two for an end of a
-    tie-break's extension, reached by either tying scorer."""
+    that a game ends at `score` (A's points, B's points), the first server
+    weighed by (s_a, s_b), summing to 1: one component, or two for an end
+    of a tie-break's extension, reached by either tying scorer."""
     validate(probs, config)
     game = kernel.game(config, probs.p_a, probs.p_b)
     if tuple(score) not in zip(game.alpha.tolist(), game.beta.tolist()):
         raise ConfigError(f"score {score[0]},{score[1]} is not an end score of a game to {config.n}")
-    c = _in_event(game, _servers(config, server), lambda a, b: (a == score[0]) & (b == score[1]))[:, 0]
+    c = _in_event(game, (config.s_a, config.s_b), lambda a, b: (a == score[0]) & (b == score[1]))[:, 0]
     if c.sum() <= _TINY:
         raise ConditioningError(f"P[score {score[0]},{score[1]}] underflowed")
     return game, c / c.sum()
 
 
-def _score_moments(probs: RallyProbs, config: GameConfig, server: Player, score) -> Moments:
+def _score_moments(probs: RallyProbs, config: GameConfig, score) -> Moments:
     """Mean and variance of D given an end score (see `_score_law`)."""
-    game, c = _score_law(probs, config, server, score)
+    game, c = _score_law(probs, config, score)
     _, mean, var = _mix(c[:, None], *_moments(config, game, probs.p_a, probs.p_b))
     return Moments(float(mean[0]), float(var[0]))
 
 
-def _score_pmf(probs: RallyProbs, config: GameConfig, server: Player, score, epsilon: float) -> DurationPMF:
+def _score_pmf(probs: RallyProbs, config: GameConfig, score, epsilon: float) -> DurationPMF:
     """PMF of D given an end score (see `_score_law`): the mixed shift law
     of its points through `exchange_mixture`."""
-    game, c = _score_law(probs, config, server, score)
+    game, c = _score_law(probs, config, score)
     law = (c[:, None] * game.shift_laws(probs.q))[c > 0.0].sum(axis=0)
     return exchange_mixture(sum(score), law[None], probs, config.system, epsilon)
 

@@ -3,23 +3,26 @@
 Games are independent given the sequence of first servers, which is driven
 by a configurable rule.  One forward pass over (games won by A, games won
 by B, next first server) carries, per state, the probability of reaching
-it jointly with the points scored and the other rallies played so far, a
-2-D array over (shift, points): it adds the law of each game before its
-exchanges, jointly with its winner (`duration.pre_exchange_laws`, read
-from the game table of `kernel.game`, tie-break games included), and
-returns the finished mass per match winner.  The exchange counts of all
-the games add up to one negative binomial of the match's points, so the
-match duration law merges the two winners and applies that exchange law
-once (`duration.exchange_mixture`, the one engine of every duration PMF:
-a Horner pass over the points of geometric filters on the law's short
-head, and the rest of the window in closed form, with the game laws'
-bound: the mass times the tail of the exchange series of the largest
-point total).  A step of the pass (`_play`) weighs copies of a state
-shifted along its points by every column of the games' laws in one
-matrix product, and adds each column's block as contiguous rows at its
-shift.  The match-winning probability runs the same pass on plain floats,
-the game-winning probabilities, adding in the same order as the pass on
-1 x 1 laws would.
+it jointly with the points scored and the other rallies played so far: a
+plain array over (shift, points past n per game played), of one shape for
+every state at one score.  It adds the law of each game before its
+exchanges jointly with its winner, law[k, s] over n + k points and the
+shift s (`duration.pre_exchange_laws`, read from the game table of
+`kernel.game`, tie-break games included), and returns the (games played,
+state) of each match winner's finished matches.  The exchange counts of
+all the games add up to one negative binomial of the match's points, so
+the match duration law places each g-game match (g - m) n points past the
+shortest, merges the two winners and applies that exchange law once
+(`duration.exchange_mixture`, the one engine of every duration PMF: a
+Horner pass over the points of geometric filters on the law's short head,
+and the rest of the window in closed form, with the game laws' bound: the
+mass times the tail of the exchange series of the largest point total).
+A step of the pass (`_play`) weighs copies of a state shifted along its
+points by every column of the games' laws that holds mass in one matrix
+product, and adds each column's block as contiguous rows at its shift s.
+The match-winning probability runs the same pass on plain floats, the
+game-winning probabilities, adding in the same order as the pass on 1 x 1
+laws would.
 
 The first server of each game after the first follows a `ServerRule`,
 defined in `core` so that the command line can offer its choices without
@@ -30,9 +33,7 @@ probabilities; this invariance is kept as a test property.
 
 from __future__ import annotations
 
-import functools
 import numbers
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,67 +66,30 @@ def _next_servers(rule: ServerRule, server: Player | None, game_winner: Player |
     return [(game_winner if rule is ServerRule.WINNER_SERVES_NEXT else server.other, 1.0)]
 
 
-@dataclass(frozen=True)
-class _Law:
-    """Joint law of a state's summed shifts and points, law[shift, points]
-    from points `offset` on; it adds and scales as the plain probabilities
-    of the match-winning pass do."""
-
-    offset: int
-    law: np.ndarray
-
-    def __add__(self, other: "_Law") -> "_Law":
-        start = min(self.offset, other.offset)
-        stop = max(self.offset + self.law.shape[1], other.offset + other.law.shape[1])
-        out = np.zeros((max(self.law.shape[0], other.law.shape[0]), stop - start))
-        for part in (self, other):
-            out[: part.law.shape[0], part.offset - start : part.offset - start + part.law.shape[1]] += part.law
-        return _Law(start, out)
-
-    def __mul__(self, weight: float) -> "_Law":
-        return _Law(self.offset, self.law * weight)
-
-
-_UNIT = _Law(0, np.ones((1, 1)))
-
-
-def _game_player(games: dict[tuple[Player, Player], tuple[int, int, np.ndarray]]):
-    """`play` of the match pass over `_Law` states.  `games[(server,
-    winner)]` is the law of a game jointly with its winner when `server`
-    serves first, as (points offset, delta, law[points, j]) of mass
-    P[winner | server] over shifts delta + 2j; absent where that is
-    zero."""
-
-    def play(state: _Law, server: Player) -> list[tuple[Player, _Law]]:
-        winners = [w for w in Player if (server, w) in games]
-        sums = _play(state.law, [games[(server, w)][1:] for w in winners])
-        return [(w, _Law(state.offset + games[(server, w)][0], law)) for w, law in zip(winners, sums)]
-
-    return play
-
-
-def _play(state: np.ndarray, games: list[tuple[int, np.ndarray]]) -> list[np.ndarray]:
+def _play(state: np.ndarray, laws: list[np.ndarray]) -> list[np.ndarray]:
     """Laws of the shifts and points of `state` plus those of each game,
-    all arrays from offset 0: out[S + delta + 2j, K + k] = sum state[S, K]
-    law[k, j] for a game (delta, law[k, j]); the games' laws have one shape.
+    all arrays from offset 0: out[S + s, K + k] = sum state[S, K] law[k, s]
+    for a game's law[k, s]; the games' laws have one shape, and so do the
+    outputs.
 
     The games share the state's copies shifted along the points by k, one
     per row k of their laws.  One matrix product over k weighs the copies
-    by every column j of every game, and each (game, j) block is then added
-    as contiguous rows at shift delta + 2j."""
-    rows, span = games[0][1].shape
+    by every column s of every game that holds mass, and each (game, s)
+    block is then added as contiguous rows at shift s."""
+    rows, span = laws[0].shape
     shifts, points = state.shape
     width = points + rows - 1
     copies = np.zeros((rows, shifts, width))
     for k in range(rows):
         copies[k, :, k : k + points] = state
-    weights = np.concatenate([law.T for _, law in games])  # [columns j of every game, k]
+    columns = [np.flatnonzero(law.any(axis=0)).tolist() for law in laws]
+    weights = np.concatenate([law[:, s].T for law, s in zip(laws, columns)])  # [mass columns of every game, k]
     blocks = iter((weights @ copies.reshape(rows, -1)).reshape(len(weights), shifts, width))
     out = []
-    for delta, _ in games:
-        summed = np.zeros((delta + 2 * (span - 1) + shifts, width))
-        for j in range(span):
-            summed[delta + 2 * j : delta + 2 * j + shifts] += next(blocks)
+    for mass in columns:
+        summed = np.zeros((shifts + span - 1, width))
+        for s in mass:
+            summed[s : s + shifts] += next(blocks)
         out.append(summed)
     return out
 
@@ -137,7 +101,8 @@ def _finished_matches(play, match_config: MatchConfig, s_a: float, unit):
     lists (game winner, state times the game's law jointly with that
     winner) for each winner of positive probability when `server` serves
     first, and states reached more than once are added in the order they
-    are reached.  Returns the finished state per match winner."""
+    are reached.  Returns, per match winner, the (games played, state) of
+    its finished matches in the order they finish."""
     m, rule = match_config.games_to_win, match_config.server_rule
     states = {(0, 0, first): unit * wt for first, wt in _next_servers(rule, None, None, s_a)}
     done = {}
@@ -146,7 +111,7 @@ def _finished_matches(play, match_config: MatchConfig, s_a: float, unit):
             for game_winner, summed in play(states.pop((a, b, server)), server):
                 na, nb = a + (game_winner is Player.A), b + (game_winner is Player.B)
                 if na == m or nb == m:
-                    done[game_winner] = done[game_winner] + summed if game_winner in done else summed
+                    done.setdefault(game_winner, []).append((total + 1, summed))
                     continue
                 for first, wt in _next_servers(rule, server, game_winner, s_a):
                     key, nxt = (na, nb, first), summed * wt
@@ -169,7 +134,8 @@ def match_win_prob(
     def play(reach: float, server: Player) -> list[tuple[Player, float]]:
         return [(w, reach * p) for w, p in zip(Player, wins[server is Player.B]) if p > 0.0]
 
-    return _finished_matches(play, match_config, game_config.s_a, 1.0).get(winner, 0.0)
+    finished = _finished_matches(play, match_config, game_config.s_a, 1.0).get(winner, [])
+    return sum((reach for _, reach in finished), 0.0)
 
 
 def match_duration_pmf(
@@ -186,8 +152,21 @@ def match_duration_pmf(
     `duration.exchange_mixture` applies once, with the one truncation bound
     of its longest exchange series."""
     validate(probs, game_config)
-    done = _finished_matches(
-        _game_player(duration.pre_exchange_laws(probs, game_config)), match_config, game_config.s_a, _UNIT
-    )
-    total = functools.reduce(operator.add, done.values())
-    return duration.exchange_mixture(total.offset, total.law.T, probs, game_config.system, epsilon)
+    laws = duration.pre_exchange_laws(probs, game_config)
+
+    def play(state: np.ndarray, server: Player) -> list[tuple[Player, np.ndarray]]:
+        winners = [w for w in Player if (server, w) in laws]
+        return list(zip(winners, _play(state, [laws[(server, w)] for w in winners])))
+
+    done = _finished_matches(play, match_config, game_config.s_a, np.ones((1, 1)))
+    # a g-game match starts (g - m) n points past the shortest match
+    m, n = match_config.games_to_win, game_config.n
+    pairs = [pair for finished in done.values() for pair in finished]
+    shape = max(law.shape[0] for _, law in pairs), max((g - m) * n + law.shape[1] for g, law in pairs)
+    total = np.zeros(shape)
+    for finished in done.values():
+        placed = np.zeros(shape)
+        for g, law in finished:
+            placed[: law.shape[0], (g - m) * n : (g - m) * n + law.shape[1]] += law
+        total += placed
+    return duration.exchange_mixture(m * n, total.T, probs, game_config.system, epsilon)

@@ -205,30 +205,27 @@ def sample_games(probs: RallyProbs, config: GameConfig, replications: int, seed:
     return _batch_games(probs, config, replications, seed.generator())
 
 
+def _mean_var(d: np.ndarray) -> tuple[float | None, float | None]:
+    """Mean and 1/count variance of the durations `d`, or None for no games."""
+    if not len(d):
+        return None, None
+    mean = float(d.mean())
+    return mean, float(((d - mean) ** 2).mean())
+
+
 def _report_from_sample(sample: GameSample) -> EstimatorReport:
     d = sample.duration.astype(float)
     total = len(d)
     wins = {Player.A: int(sample.winner_a.sum())}
     wins[Player.B] = total - wins[Player.A]
-    e_hat = float(d.mean())
-    v_hat = float(((d - e_hat) ** 2).mean())
-    e_w: dict[Player, float | None] = {}
-    v_w: dict[Player, float | None] = {}
-    for player, mask in ((Player.A, sample.winner_a), (Player.B, ~sample.winner_a)):
-        if wins[player] == 0:
-            e_w[player] = None
-            v_w[player] = None
-        else:
-            dc = d[mask]
-            m = float(dc.mean())
-            e_w[player] = m
-            v_w[player] = float(((dc - m) ** 2).mean())
+    e_hat, v_hat = _mean_var(d)
+    by_winner = {p: _mean_var(d[mask]) for p, mask in ((Player.A, sample.winner_a), (Player.B, ~sample.winner_a))}
     return EstimatorReport(
         p_hat={p: wins[p] / total for p in Player},
         e_hat=e_hat,
         v_hat=v_hat,
-        e_hat_winner=e_w,
-        v_hat_winner=v_w,
+        e_hat_winner={p: m[0] for p, m in by_winner.items()},
+        v_hat_winner={p: m[1] for p, m in by_winner.items()},
         replications=total,
         wins=wins,
     )

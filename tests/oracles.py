@@ -1281,9 +1281,14 @@ def reference_match_win_probs(probs, game_config, match_config):
     `matchlevel.match_win_prob` must equal them bit for bit."""
     wins = sideout._table(probs, game_config)[2].ravel()  # [first server, game winner]
     events = [(server, game_winner) for server in (A, B) for game_winner in (A, B)]
-    games = {event: (0, 0, np.array([[p]])) for event, p in zip(events, wins) if p > 0.0}
-    done = matchlevel._finished_matches(matchlevel._game_player(games), match_config, game_config.s_a, matchlevel._UNIT)
-    return {winner: float(done[winner].law.sum()) if winner in done else 0.0 for winner in (A, B)}
+    laws = {event: np.array([[p]]) for event, p in zip(events, wins) if p > 0.0}
+
+    def play(state, server):
+        winners = [w for w in (A, B) if (server, w) in laws]
+        return list(zip(winners, matchlevel._play(state, [laws[(server, w)] for w in winners])))
+
+    done = matchlevel._finished_matches(play, match_config, game_config.s_a, np.ones((1, 1)))
+    return {winner: float(np.sum(sum(state for _, state in done.get(winner, [])))) for winner in (A, B)}
 
 
 def reference_batch_games(

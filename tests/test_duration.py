@@ -146,6 +146,21 @@ class TestMGF:
         with pytest.raises(DomainError, match="diverges"):
             duration.mgf_conditional(5, 3, A, 0.5, 0.5, 0.4)  # q e^{2t} > 1
 
+    @pytest.mark.parametrize("t", [200.0, 400.0])
+    def test_overflow_is_a_domain_error(self, t):
+        # at q = 0 every t is in the domain, but the MGF overflows a double:
+        # in the power at t = 200, in e^(2t) - 1 at t = 400
+        with pytest.raises(DomainError, match="overflows"):
+            duration.mgf_conditional(3, 2, A, 0.0, 1.0, t)
+
+    def test_large_value_in_range(self):
+        # at q = 0 the shift is 2 surely, so the MGF is e^(7t): near the
+        # largest double at t = 100, and the same value as before the
+        # overflow check
+        got = duration.mgf_conditional(3, 2, A, 0.0, 1.0, 100.0)
+        assert got == 1.0142320547350047e304
+        assert got == pytest.approx(math.exp(700.0), rel=1e-15)
+
     @pytest.mark.parametrize("t", [-0.5, -1e-4, 2e-7, 9e-7])
     @pytest.mark.parametrize("a, b, c", [(15, 0, A), (15, 9, A), (6, 15, B)])
     def test_against_mpmath_near_q_one(self, a, b, c, t):
@@ -317,6 +332,32 @@ def regular_end_scores(n):
     return [(n, k, A) for k in range(n)] + [(k, n, B) for k in range(n)]
 
 
+class TestPreExchangeLaws:
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            GameConfig(n=5),
+            GameConfig(n=15),
+            GameConfig(n=9, tiebreak=3),
+            GameConfig(n=7, tiebreak=5),
+            GameConfig(n=11, system=ScoringSystem.RALLY_POINT),
+            GameConfig(n=21, system=ScoringSystem.RALLY_POINT),
+        ],
+    )
+    @pytest.mark.parametrize("pa, pb", [(0.6, 0.5), (0.3, 0.7), (1.0, 0.5), (0.05, 0.05), (0.45, 0.0)])
+    def test_each_law_holds_one_shift_parity(self, cfg, pa, pb):
+        # side-out: the shift is odd exactly when the receiver wins, a
+        # tie-break game too; rally-point: every rally scores, shift 0
+        laws = duration.pre_exchange_laws(RallyProbs(pa, pb), cfg)
+        assert len({law.shape for law in laws.values()}) == 1
+        for (server, winner), law in laws.items():
+            held = np.flatnonzero(law.any(axis=0))
+            if cfg.system is ScoringSystem.RALLY_POINT:
+                assert held.tolist() == [0], (server, winner)
+            else:
+                assert held.size and set(held % 2) == {int(winner is not server)}, (server, winner)
+
+
 class TestPerTallyAgainstPerScore:
     """The per-tally laws (an A-game tally at q) and the per-score laws of
     the game table (`duration._score_moments`, `_score_pmf`) read one
@@ -333,7 +374,7 @@ class TestPerTallyAgainstPerScore:
         for pr in self.points(n):
             for alpha, beta, last in regular_end_scores(n):
                 for server in Player:
-                    want = duration._score_moments(pr, GameConfig(n=n), server, (alpha, beta))
+                    want = duration._score_moments(pr, GameConfig(n=n, s_a=float(server is A)), (alpha, beta))
                     # a game first served by B is the A-game of the swapped tally
                     a, b, c = (alpha, beta, last) if server is A else (beta, alpha, last.other)
                     mean = duration.expected_duration_conditional(a, b, c, pr.q)
@@ -346,7 +387,7 @@ class TestPerTallyAgainstPerScore:
         for pr in self.points(n):
             for alpha, beta, last in regular_end_scores(n):
                 for server in Player:
-                    want = duration._score_pmf(pr, GameConfig(n=n), server, (alpha, beta), 1e-12)
+                    want = duration._score_pmf(pr, GameConfig(n=n, s_a=float(server is A)), (alpha, beta), 1e-12)
                     got = duration.duration_pmf_conditional(alpha, beta, last, pr, 1e-12, server)
                     assert (got.offset, len(got.masses)) == (want.offset, len(want.masses))
                     # the bound is the law's mass times the series' tail
@@ -908,7 +949,7 @@ class TestTiebreakDurations:
         game = duration.duration_pmf_unconditional(pr, cfg, 1e-14, server=A)
         total = np.zeros(len(game.masses) + 200)
         for score, prob in dist.entries.items():
-            pmf = duration._score_pmf(pr, cfg, A, (score.alpha, score.beta), 1e-14)
+            pmf = duration._score_pmf(pr, cfg, (score.alpha, score.beta), 1e-14)
             i = pmf.offset - game.offset
             total[i : i + len(pmf.masses)] += prob * pmf.masses
         assert np.abs(total[: len(game.masses)] - game.masses).sum() + total[len(game.masses) :].sum() <= 1e-13

@@ -162,18 +162,19 @@ class TestGameWinProbs:
 class TestMatchDuration:
     @pytest.mark.parametrize("parities", [(0, 1), (0,), (1,)])
     def test_play_against_the_sum_it_defines(self, parities):
-        # out[S + delta + 2j, K + k] = sum state[S, K] law[k, j], on states
-        # with shifts of both parities and of one, as a match's states are
-        # at a fixed first server
+        # out[S + s, K + k] = sum state[S, K] law[k, s], on states with
+        # shifts of both parities and of one, as a match's states are at a
+        # fixed first server, and on laws that hold one shift parity each,
+        # as a game's laws jointly with the winner do
         rng = np.random.default_rng(len(parities) + parities[0])
         state = rng.random((9, 5)) * np.isin(np.arange(9) % 2, parities)[:, None]
-        games = [(0, rng.random((4, 3))), (1, rng.random((4, 3)))]
-        for (delta, law), got in zip(games, matchlevel._play(state, games)):
+        laws = [rng.random((4, 6)) * (np.arange(6) % 2 == parity) for parity in (0, 1)]
+        for law, got in zip(laws, matchlevel._play(state, laws)):
             want = np.zeros(got.shape)
-            for (s, k_state), mass in np.ndenumerate(state):
-                for (k, j), weight in np.ndenumerate(law):
-                    want[s + delta + 2 * j, k_state + k] += mass * weight
-            assert got.shape == (delta + 4 + 9, 5 + 4 - 1)
+            for (s_state, k_state), mass in np.ndenumerate(state):
+                for (k, s), weight in np.ndenumerate(law):
+                    want[s_state + s, k_state + k] += mass * weight
+            assert got.shape == (9 + 6 - 1, 5 + 4 - 1)
             np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
 
     def test_single_game_match_equals_game_pmf(self):
