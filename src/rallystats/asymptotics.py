@@ -101,7 +101,8 @@ def convergence_check(
     epsilon: float = 1e-12,
 ) -> np.ndarray:
     """Total-variation distance between the exact conditional law of D in
-    an A-game at each p and the limiting law.
+    an A-game (the config's default s_a = 1) at each p and the limiting
+    law.
 
     The distances should decrease along a sequence approaching the limit;
     a ConditioningError propagates if the conditioning event underflows at
@@ -111,6 +112,6 @@ def convergence_check(
     config = GameConfig(n=n, system=system)
     out = []
     for p in p_sequence:
-        pmf = duration_pmf_winner(RallyProbs.no_server(p), config, winner, epsilon=epsilon, server=Player.A)
+        pmf = duration_pmf_winner(RallyProbs.no_server(p), config, winner, epsilon=epsilon)
         out.append(tv_distance(pmf, target))
     return np.array(out)

@@ -148,9 +148,8 @@ def _game_flags(fn):
 def _build_config(system, n, sa, server, tiebreak) -> GameConfig:
     """The game config; the first server is A with probability --sa, or
     surely the --server (A by default)."""
-    sys_enum = ScoringSystem.SIDE_OUT if system == "sideout" else ScoringSystem.RALLY_POINT
     s_a = sa if sa is not None else float(server != "B")
-    return GameConfig(n=n, system=sys_enum, tiebreak=tiebreak, s_a=s_a)
+    return GameConfig(n=n, system=ScoringSystem(system), tiebreak=tiebreak, s_a=s_a)
 
 
 @click.group(name="rallystats")

@@ -31,6 +31,23 @@ class NonConvergence(RuntimeError):
     """A fit did not converge within its iteration cap."""
 
 
+def expect(value, kind: type, name: str, error: type[ValueError] = DomainError):
+    """`value`, if it is an instance of `kind`; else raise `error`.  A
+    string is not read as the enum member of that value, nor a bool as an
+    integer."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise error(f"{name}={value!r} must be {'an integer' if kind is numbers.Integral else 'a ' + kind.__name__}")
+    return value
+
+
+def expect_count(value, name: str, least: int) -> None:
+    """Raise ConfigError unless `value` is an integer (not a bool) of at
+    least `least`."""
+    expect(value, numbers.Integral, name, ConfigError)
+    if value < least:
+        raise ConfigError(f"{name}={value} must be >= {least}")
+
+
 class Player(enum.Enum):
     A = "A"
     B = "B"
@@ -103,15 +120,10 @@ class GameConfig:
     s_a: float = 1.0
 
     def __post_init__(self):
-        if not isinstance(self.n, numbers.Integral):
-            raise ConfigError(f"target score n={self.n!r} must be an integer")
-        if self.n < 1:
-            raise ConfigError(f"target score n={self.n} must be >= 1")
+        expect_count(self.n, "target score n", 1)
+        expect(self.system, ScoringSystem, "system", ConfigError)
         if self.tiebreak is not None:
-            if not isinstance(self.tiebreak, numbers.Integral):
-                raise ConfigError(f"tie-break extension l={self.tiebreak!r} must be an integer")
-            if self.tiebreak < 2:
-                raise ConfigError(f"tie-break extension l={self.tiebreak} must be >= 2")
+            expect_count(self.tiebreak, "tie-break extension l", 2)
             if self.n < 2:
                 raise ConfigError("tie-break requires n >= 2: a game to 1 has no n-1 all to extend")
             if self.system is not ScoringSystem.SIDE_OUT:
@@ -135,6 +147,7 @@ class TerminalScore:
     def __post_init__(self):
         if not (isinstance(self.alpha, numbers.Integral) and isinstance(self.beta, numbers.Integral)):
             raise DomainError(f"non-integer score ({self.alpha!r}, {self.beta!r})")
+        expect(self.last_scorer, Player, "last_scorer")
         if self.alpha < 0 or self.beta < 0:
             raise DomainError(f"negative score ({self.alpha}, {self.beta})")
         if self.last_scorer is Player.A and self.alpha < 1:

@@ -23,20 +23,26 @@ M and the law of the shift s, the rallies that are neither points nor
 exchanges.  Given (M, s), D = M + s + 2L with L ~ NB(M, q), so the mean
 of D is M + s + 2Mq/(1-q) and its variance 4Mq/(1-q)^2.  The law given
 any event (first server, game winner), either of which may be mixed out,
-or given an end score, is then a mixture over the components.  The
-moments of every event come from one such mixture, for one point
-(`aggregate_moments`) or a grid of points, with the same bits at a point
-either way.  The aggregate moments and the PMFs read the system and the
-tie-break from the `GameConfig`.  An event of probability zero has no
+or given an end score, is then a mixture over the components, weighted
+as `kernel.Game.event` selects them.  The moments of every event come
+from one such mixture, for one point (`aggregate_moments`) or a grid of
+points, with the same bits at a point either way.  The aggregate moments
+and the PMFs read the system, the tie-break and the first server from
+the `GameConfig`: the game PMFs mix the first server with (s_a, s_b),
+so s_a = 1 or 0 states it, and the laws of a single tally are those of
+an A-game (a B-game's tally is the A-game tally with the scores and the
+last scorer swapped).  An event of probability zero has no
 conditional law: the aggregates leave it out, and the laws that
 normalize, `duration_pmf_winner` and the law given a score, raise
 `ConditioningError`.
 
-Every PMF comes from one engine.  `pre_exchange_laws` gives a game's law
-before its exchanges jointly with the winner, law[k, s] over n + k points
-scored and the shift s, on the shift axis of the game table; a game PMF
-sums the laws of its events weighted by the first server (a score PMF is
-a one-row law, a match PMF the sum the match pass composes), and
+Every PMF comes from one engine.  A game's law before its exchanges
+jointly with an event, law[k, s] over n + k points scored and the shift
+s on the shift axis of the game table, is one `np.bincount` of the
+event's component weights (`_pre_exchange`): `pre_exchange_laws` gives
+it for each (first server, winner), and a game PMF for its winner with
+the first server weighed by (s_a, s_b) (a score PMF is a one-row law, a
+match PMF the sum the match pass composes), and
 `exchange_mixture` applies the exchange law once: a Horner pass over the
 points of geometric filters, each a scan in scaled coordinates, over the
 short head of the window that holds the law, and past it a closed form
@@ -66,6 +72,7 @@ from .core import (
     Player,
     RallyProbs,
     ScoringSystem,
+    expect,
     validate,
 )
 
@@ -282,24 +289,19 @@ def _exchange_cut(m0: int, probs: RallyProbs, epsilon: float) -> tuple[int, floa
 
 
 def duration_pmf_conditional(
-    alpha: int,
-    beta: int,
-    last_scorer: Player,
-    probs: RallyProbs,
-    epsilon: float = 1e-12,
-    server: Player = Player.A,
+    alpha: int, beta: int, last_scorer: Player, probs: RallyProbs, epsilon: float = 1e-12
 ) -> DurationPMF:
-    """Exact PMF of D given the tally, the last scorer and the first
-    server, as the convolution of the interruption and exchange laws: the
-    one-row law of alpha + beta points and the tally's shift law
-    (`kernel.shift_laws`) through `exchange_mixture`.
+    """Exact PMF of D given the tally, the last scorer and first server A,
+    as the convolution of the interruption and exchange laws: the one-row
+    law of alpha + beta points and the tally's shift law
+    (`kernel.shift_laws`) through `exchange_mixture`.  The law of a B-game
+    tally is that of the swapped tally, (beta, alpha) with the other last
+    scorer: it depends on the rally probabilities through q alone.
 
     Mass sits only on alpha+beta+2j when the first server scores last and
     on alpha+beta+2j+1 otherwise (the server-effect parity).
     """
     validate(probs)
-    if server is not Player.A:
-        alpha, beta, last_scorer = beta, alpha, last_scorer.other
     law = kernel.shift_laws(ScoringSystem.SIDE_OUT, kernel.tally(alpha, beta, last_scorer is Player.A), probs.q)
     return exchange_mixture(alpha + beta, law, probs, ScoringSystem.SIDE_OUT, epsilon)
 
@@ -319,11 +321,6 @@ def _mix(c: np.ndarray, mean: np.ndarray, var: np.ndarray):
     return total, m, np.add.accumulate(c * (var + (mean - m) ** 2))[-1] / kept
 
 
-def _servers(config: GameConfig, server: Player | None) -> tuple[float, float]:
-    """Weights of the two first servers: `server`, or (s_a, s_b) for None."""
-    return (config.s_a, config.s_b) if server is None else (float(server is Player.A), float(server is Player.B))
-
-
 def _moments(config: GameConfig, game: kernel.Game, p_a, p_b):
     """Mean and variance of D given each component of the game table, each
     (components, points), with the exact 1 - q = p_a + q_a p_b; rally-point
@@ -333,18 +330,6 @@ def _moments(config: GameConfig, game: kernel.Game, p_a, p_b):
         q_a = 1.0 - np.asarray(p_a)
         q, one_minus_q = q_a * (1.0 - np.asarray(p_b)), p_a + q_a * p_b
     return _given_shift((game.alpha + game.beta)[:, None], game.shift_mean, game.shift_var, q, one_minus_q)
-
-
-# which ends a winner takes, from A's and B's points: at an end they differ
-_WON = {Player.A: np.greater, Player.B: np.less, None: np.not_equal}
-
-
-def _in_event(game: kernel.Game, servers, keep) -> np.ndarray:
-    """Weight of each component of the game table in an event, (components,
-    points): `servers` weighs the two first servers, (1, 0), (0, 1) or
-    (s_a, s_b), and keep(A's points, B's points) says which components
-    count.  Its sum over the components is the probability of the event."""
-    return sum(wt * np.where(keep(*game.scores(i))[:, None], game.weight[:, i], 0.0) for i, wt in enumerate(servers))
 
 
 _EVENTS = tuple(itertools.product((*Player, None), repeat=2))
@@ -361,7 +346,7 @@ def _event_moments(config: GameConfig, p_a, p_b, events=_EVENTS):
     vanished: its moments are NaN."""
     game = kernel.game(config, p_a, p_b)
     mean, var = _moments(config, game, p_a, p_b)
-    return {(s, w): _mix(_in_event(game, _servers(config, s), _WON[w]), mean, var) for s, w in events}
+    return {(s, w): _mix(game.event(kernel.servers(config, s), kernel.WON[w]), mean, var) for s, w in events}
 
 
 @dataclass(frozen=True)
@@ -399,45 +384,45 @@ def aggregate_moments(probs: RallyProbs, config: GameConfig) -> DurationAggregat
     )
 
 
-def _event_law(probs: RallyProbs, config: GameConfig, server: Player | None, winner: Player | None) -> np.ndarray:
-    """A game's law before its exchanges jointly with the event (first
-    server, winner), as law[points - n, shift]: the sum of the
-    `pre_exchange_laws` of the event's (first server, winner) pairs, a
-    server of None weighing both with (s_a, s_b) and a winner of None
-    taking both winners.  Its sum is the probability of the event."""
-    weights = dict(zip(Player, _servers(config, server)))
-    laws = pre_exchange_laws(probs, config).items()
-    return sum(weights[first] * (winner in (None, won)) * law for (first, won), law in laws)
+def _pre_exchange(config: GameConfig, game: kernel.Game, q: float):
+    """The map from the weight c of each component of the game table in an
+    event (`kernel.Game.event`) to the game's law before its exchanges
+    jointly with the event, law[k, s] over n + k points scored and the
+    shift s, from the components' shift laws at q (`kernel.Game.shift_laws`,
+    evaluated once): components of one points total add up in their row
+    k, in the table's order.  Every event's law has one shape, and its sum
+    is the probability of the event."""
+    shifts = game.shift_laws(q)
+    k, width = game.alpha + game.beta - config.n, shifts.shape[1]
+    cells, size = (k[:, None] * width + np.arange(width)).ravel(), (int(k.max()) + 1) * width
+    return lambda c: np.bincount(cells, (c[:, None] * shifts).ravel(), size).reshape(-1, width)
 
 
-def duration_pmf_winner(
-    probs: RallyProbs,
-    config: GameConfig,
-    winner: Player,
-    epsilon: float = 1e-12,
-    server: Player | None = None,
-) -> DurationPMF:
-    """PMF of D under `config.system` conditional on the game winner;
-    `server=None` mixes the first server out with the posterior weights
-    given that winner.  Rally-point PMFs are exact (the truncation bound is
-    zero)."""
-    law = _event_law(probs, config, server, winner)
+def _event_law(probs: RallyProbs, config: GameConfig, winner: Player | None) -> np.ndarray:
+    """A game's law before its exchanges jointly with its winner, the
+    first server weighed by (s_a, s_b) from the config and a winner of None
+    taking both (see `_pre_exchange`)."""
+    validate(probs, config)
+    game = kernel.game(config, probs.p_a, probs.p_b)
+    return _pre_exchange(config, game, probs.q)(game.event(kernel.servers(config), kernel.WON[winner])[:, 0])
+
+
+def duration_pmf_winner(probs: RallyProbs, config: GameConfig, winner: Player, epsilon: float = 1e-12) -> DurationPMF:
+    """PMF of D under `config.system` conditional on the game winner, the
+    first server A with probability `config.s_a`, mixed out with the
+    posterior weights given that winner.  Rally-point PMFs are exact (the
+    truncation bound is zero)."""
+    law = _event_law(probs, config, expect(winner, Player, "winner"))
     total = float(law.sum())
     if total <= _TINY:
         raise ConditioningError(f"P[{winner} wins] underflowed")
     return exchange_mixture(config.n, law / total, probs, config.system, epsilon)
 
 
-def duration_pmf_unconditional(
-    probs: RallyProbs,
-    config: GameConfig,
-    epsilon: float = 1e-12,
-    server: Player | None = None,
-) -> DurationPMF:
+def duration_pmf_unconditional(probs: RallyProbs, config: GameConfig, epsilon: float = 1e-12) -> DurationPMF:
     """PMF of D under `config.system` mixed over all terminal scores and
-    winners; `server=None` additionally mixes the first server with weights
-    (s_a, s_b)."""
-    return exchange_mixture(config.n, _event_law(probs, config, server, None), probs, config.system, epsilon)
+    winners, the first server A with probability `config.s_a`."""
+    return exchange_mixture(config.n, _event_law(probs, config, None), probs, config.system, epsilon)
 
 
 def pre_exchange_laws(probs: RallyProbs, config: GameConfig) -> dict[tuple[Player, Player], np.ndarray]:
@@ -445,8 +430,8 @@ def pre_exchange_laws(probs: RallyProbs, config: GameConfig) -> dict[tuple[Playe
     (first server, winner) of positive probability: {event: law} with
     law[k, s] the probability, given the first server, that the winner
     takes the game with n + k points scored and s other rallies, on the
-    shift axis of the game table (`kernel.Game.shift_laws`).  The laws of
-    all events have one shape.
+    shift axis of the game table (`kernel.Game.shift_laws`, evaluated
+    once by `_pre_exchange`).  The laws of all events have one shape.
 
     The rallies of the game are then n + k + s + 2L with L ~ NB(n + k, q),
     and the exchange counts of independent games add: `exchange_mixture`
@@ -454,15 +439,11 @@ def pre_exchange_laws(probs: RallyProbs, config: GameConfig) -> dict[tuple[Playe
     one column s = 0 and no exchanges."""
     validate(probs, config)
     game = kernel.game(config, probs.p_a, probs.p_b)
-    shifts, k = game.shift_laws(probs.q), game.alpha + game.beta - config.n
-    # components of one points total add up in their row k
-    cells, size = k[:, None] * shifts.shape[1] + np.arange(shifts.shape[1]), (int(k.max()) + 1) * shifts.shape[1]
-    laws = {}
-    for (i, server), winner in itertools.product(enumerate(Player), Player):
-        c = np.where(_WON[winner](*game.scores(i)), game.weight[:, i, 0], 0.0)
+    law, laws = _pre_exchange(config, game, probs.q), {}
+    for server, winner in itertools.product(Player, Player):
+        c = game.event(kernel.servers(config, server), kernel.WON[winner])[:, 0]
         if c.any():
-            law = np.bincount(cells.ravel(), (c[:, None] * shifts).ravel(), size)
-            laws[(server, winner)] = law.reshape(-1, shifts.shape[1])
+            laws[(server, winner)] = law(c)
     return laws
 
 
@@ -475,7 +456,7 @@ def _score_law(probs: RallyProbs, config: GameConfig, score) -> tuple[kernel.Gam
     game = kernel.game(config, probs.p_a, probs.p_b)
     if tuple(score) not in zip(game.alpha.tolist(), game.beta.tolist()):
         raise ConfigError(f"score {score[0]},{score[1]} is not an end score of a game to {config.n}")
-    c = _in_event(game, (config.s_a, config.s_b), lambda a, b: (a == score[0]) & (b == score[1]))[:, 0]
+    c = game.event(kernel.servers(config), lambda a, b: (a == score[0]) & (b == score[1]))[:, 0]
     if c.sum() <= _TINY:
         raise ConditioningError(f"P[score {score[0]},{score[1]}] underflowed")
     return game, c / c.sum()
@@ -672,6 +653,7 @@ def quantile(pmf: DurationPMF, level: float, mode: QuantileMode = QuantileMode.S
     """
     if not (0.0 < level < 1.0):
         raise DomainError(f"quantile level {level} outside (0, 1)")
+    expect(mode, QuantileMode, "mode")
     cdf = pmf.cdf
     if not len(cdf) or cdf[-1] <= 0.0:
         raise ConditioningError("PMF carries no mass")

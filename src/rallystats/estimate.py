@@ -63,6 +63,7 @@ from .core import (
     NonConvergence,
     Player,
     TerminalScore,
+    expect,
 )
 
 _BOUND_DELTA = 1e-9
@@ -587,6 +588,8 @@ def fit(records, mode: FitMode = FitMode.SCORE_DURATION, model: FitModel = FitMo
     counts, clamped to that box (0.5 for a player who never served).
     Score only: grid-started projected Newton.  Deterministic given the
     data."""
+    expect(mode, FitMode, "mode")
+    expect(model, FitModel, "model")
     lik = _Likelihood(records, mode)
     lo, hi = _BOUND_DELTA, 1.0 - _BOUND_DELTA
     if mode is FitMode.SCORE_DURATION:

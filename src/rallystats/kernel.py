@@ -21,7 +21,10 @@ also the only reader of that layout: `game(config, p_a, p_b)` turns the
 tables of a `GameConfig` into its game table (`Game`), the terminal
 components every game-level law reads.  With a tie-break l a component
 is a regular end or the pair of a tie at n-1 all and an end of the l-point
-extension, first served by whoever tied.
+extension, first served by whoever tied.  `Game.event` is the one
+selector of the components of an event of a game: the first servers
+weighed as `servers` gives them, and the components kept by a predicate
+on the points, such as a winner's (`WON`) or an end score's.
 
 A tally's probability is a prefactor times an interruption polynomial.
 Under side-out scoring the prefactor is x^alpha y^beta q_a^[receiver
@@ -60,7 +63,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import ConfigError, DomainError, GameConfig, ScoringSystem
+from .core import ConfigError, DomainError, GameConfig, Player, ScoringSystem, expect
 
 # Elements of one (rows x terms x probabilities) block of evaluation; keeps
 # the temporaries of a large table or grid to a few megabytes.
@@ -353,6 +356,28 @@ class Game:
     def scores(self, server: int) -> tuple[np.ndarray, np.ndarray]:
         """A's and B's points at each component when A (0) or B (1) serves first."""
         return (self.alpha, self.beta) if server == 0 else (self.beta, self.alpha)
+
+    def event(self, servers, keep) -> np.ndarray:
+        """Weight of each component in an event, (components, points):
+        `servers` weighs the two first servers, (1, 0), (0, 1) or (s_a, s_b)
+        (see `servers`), and keep(A's points, B's points) says which
+        components count.  Its running sum over the components
+        (`np.add.accumulate`, one order whatever the number of points) is
+        the probability of the event.  A first server of weight 0 adds
+        nothing and is skipped."""
+        return sum(wt * np.where(keep(*self.scores(i))[:, None], self.weight[:, i], 0.0) for i, wt in enumerate(servers) if wt)
+
+
+# which components a winner takes, from A's and B's points: at an end they differ
+WON = {Player.A: np.greater, Player.B: np.less, None: np.not_equal}
+
+
+def servers(config: GameConfig, server: Player | None = None) -> tuple[float, float]:
+    """Weights of the two first servers: (1, 0) or (0, 1) for `server`, or
+    (s_a, s_b) from the config for None."""
+    if server is None:
+        return config.s_a, config.s_b
+    return float(expect(server, Player, "server") is Player.A), float(server is Player.B)
 
 
 def shift_laws(system: ScoringSystem, rows: Rows, q: float) -> np.ndarray:

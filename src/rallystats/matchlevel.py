@@ -21,8 +21,9 @@ A step of the pass (`_play`) weighs copies of a state shifted along its
 points by every column of the games' laws that holds mass in one matrix
 product, and adds each column's block as contiguous rows at its shift s.
 The match-winning probability runs the same pass on plain floats, the
-game-winning probabilities, adding in the same order as the pass on 1 x 1
-laws would.
+game-winning probabilities (`sideout._win_probs`, the running sums of the
+game table's events that `duration.aggregate_moments` forms too), adding
+in the same order as the pass on 1 x 1 laws would.
 
 The first server of each game after the first follows a `ServerRule`,
 defined in `core` so that the command line can offer its choices without
@@ -33,13 +34,12 @@ probabilities; this invariance is kept as a test property.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import duration, sideout
-from .core import ConfigError, GameConfig, Player, RallyProbs, ServerRule, validate
+from . import duration, kernel, sideout
+from .core import ConfigError, GameConfig, Player, RallyProbs, ServerRule, expect, expect_count, validate
 from .duration import DurationPMF
 
 
@@ -49,10 +49,8 @@ class MatchConfig:
     server_rule: ServerRule = ServerRule.WINNER_SERVES_NEXT
 
     def __post_init__(self):
-        if not isinstance(self.games_to_win, numbers.Integral):
-            raise ConfigError(f"games_to_win={self.games_to_win!r} must be an integer")
-        if self.games_to_win < 1:
-            raise ConfigError(f"games_to_win={self.games_to_win} must be >= 1")
+        expect_count(self.games_to_win, "games_to_win", 1)
+        expect(self.server_rule, ServerRule, "server_rule", ConfigError)
         if self.games_to_win > 20:
             raise ConfigError("games_to_win > 20 unsupported (state-space guard)")
 
@@ -129,12 +127,13 @@ def match_win_prob(
     of game one is A with probability s_a from the game config.  Runs the
     match pass on floats, the game-winning probabilities."""
     validate(probs, game_config)
-    wins = sideout._table(probs, game_config)[2].tolist()  # [first server][game winner]
+    game = kernel.game(game_config, probs.p_a, probs.p_b)
+    wins = [sideout._win_probs(game, kernel.servers(game_config, s)) for s in Player]  # [first server][game winner]
 
     def play(reach: float, server: Player) -> list[tuple[Player, float]]:
         return [(w, reach * p) for w, p in zip(Player, wins[server is Player.B]) if p > 0.0]
 
-    finished = _finished_matches(play, match_config, game_config.s_a, 1.0).get(winner, [])
+    finished = _finished_matches(play, match_config, game_config.s_a, 1.0).get(expect(winner, Player, "winner"), [])
     return sum((reach for _, reach in finished), 0.0)
 
 

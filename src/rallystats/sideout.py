@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernel
-from .core import ConfigError, GameConfig, Player, RallyProbs, ScoringSystem, TerminalScore, validate
+from .core import ConfigError, GameConfig, Player, RallyProbs, ScoringSystem, TerminalScore, expect, validate
 
 
 def _tally_prob(system: ScoringSystem, alpha: int, beta: int, last: Player, server: Player, probs: RallyProbs) -> float:
@@ -63,33 +63,25 @@ def _scores(alpha: tuple[int, ...], beta: tuple[int, ...]):
     points in first-server coordinates, in `score_distribution` order (by
     the winner's points, then A's wins before B's, then by the loser's
     points); the score of each component when A (row 0) and B (row 1)
-    serve first; and which scores A wins."""
+    serve first."""
     ends = [list(zip(alpha, beta)), list(zip(beta, alpha))]
     scores = sorted(set(ends[0]), key=lambda s: (max(s), s[0] < s[1], min(s)))
     index = {s: i for i, s in enumerate(scores)}
     terminal = tuple(TerminalScore(a, b, Player.A if a > b else Player.B) for a, b in scores)
-    return terminal, np.array([[index[s] for s in first] for first in ends]), np.array([a > b for a, b in scores])
-
-
-def _table(probs: RallyProbs, config: GameConfig) -> tuple[tuple[TerminalScore, ...], np.ndarray, np.ndarray]:
-    """The terminal scores of a game in `score_distribution` order, their
-    probabilities when A (row 0) and B (row 1) serve first, and P[winner |
-    first server] as wins[server, winner], from the game table
-    (`kernel.game`): a score sums its components, two of them for an end of
-    a tie-break's extension, reached by either tying scorer."""
-    game = kernel.game(config, probs.p_a, probs.p_b)
-    scores, index, won = _scores(tuple(game.alpha.tolist()), tuple(game.beta.tolist()))
-    weight = np.array([np.bincount(index[i], game.weight[:, i, 0], len(scores)) for i in range(2)])
-    return scores, weight, np.array([[row[won].sum(), row[~won].sum()] for row in weight])
+    return terminal, np.array([[index[s] for s in first] for first in ends])
 
 
 def score_distribution(probs: RallyProbs, config: GameConfig, server: Player | None = None) -> ScoreDistribution:
     """Full distribution over the terminal scores of a game under
     `config.system`; `server=None` mixes A- and B-games with weights
-    (s_a, s_b) from the config."""
+    (s_a, s_b) from the config.  Each score sums its components of the game
+    table (`kernel.game`), two of them for an end of a tie-break's
+    extension, reached by either tying scorer."""
     validate(probs, config)
-    scores, weight, _ = _table(probs, config)
-    s_a, s_b = (config.s_a, config.s_b) if server is None else (float(server is Player.A), float(server is Player.B))
+    s_a, s_b = kernel.servers(config, server)
+    game = kernel.game(config, probs.p_a, probs.p_b)
+    scores, index = _scores(tuple(game.alpha.tolist()), tuple(game.beta.tolist()))
+    weight = [np.bincount(index[i], game.weight[:, i, 0], len(scores)) for i in range(2)]  # per first server
     return ScoreDistribution(config, server, dict(zip(scores, (s_a * weight[0] + s_b * weight[1]).tolist())))
 
 
@@ -111,14 +103,21 @@ def tiebreak_score_prob(k: int, winner: Player, server: Player, probs: RallyProb
     return score_distribution(probs, config, server).entries[score]
 
 
+def _win_probs(game: kernel.Game, servers) -> list[float]:
+    """Probabilities that A and that B take a game with the first server
+    weighed by `servers` (`kernel.servers`): running sums of the game
+    table's event weights, the sums `duration._mix` forms."""
+    return [float(np.add.accumulate(game.event(servers, kernel.WON[w]))[-1, 0]) for w in Player]
+
+
 def game_win_probs(server: Player, probs: RallyProbs, config: GameConfig) -> tuple[float, float]:
     """Probabilities that A and that B take a game under `config.system`
     whose first server is `server`."""
     validate(probs, config)
-    return tuple(_table(probs, config)[2][int(server is Player.B)].tolist())
+    return tuple(_win_probs(kernel.game(config, probs.p_a, probs.p_b), kernel.servers(config, server)))
 
 
 def game_win_prob(winner: Player, server: Player, probs: RallyProbs, config: GameConfig) -> float:
     """Probability that `winner` takes a game under `config.system` whose
     first server is `server`."""
-    return game_win_probs(server, probs, config)[winner is Player.B]
+    return game_win_probs(server, probs, config)[expect(winner, Player, "winner") is Player.B]

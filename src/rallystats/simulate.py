@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, GameConfig, Player, RallyProbs, ScoringSystem, ServerRule, TerminalScore, validate
+from .core import ConfigError, GameConfig, Player, RallyProbs, ScoringSystem, ServerRule, TerminalScore, expect_count, validate
 
 
 @dataclass(frozen=True)
@@ -35,8 +35,8 @@ class SeedSpec:
     stream: int = 0
 
     def __post_init__(self):
-        if min(self.master, self.stream) < 0:
-            raise ConfigError(f"seed master={self.master} and stream={self.stream} must be non-negative")
+        expect_count(self.master, "seed master", 0)
+        expect_count(self.stream, "seed stream", 0)
 
     def generator(self) -> np.random.Generator:
         return np.random.default_rng(np.random.SeedSequence([self.master, self.stream]))
@@ -44,7 +44,8 @@ class SeedSpec:
     def child(self, index: int) -> "SeedSpec":
         # distinct stream per (stream, index) pair for index < 1_000_003;
         # count enforced so sweep streams cannot collide with each other
-        if not (0 <= index < 1_000_003):
+        expect_count(index, "child index", 0)
+        if index >= 1_000_003:
             raise ConfigError("child index out of range")
         return SeedSpec(self.master, self.stream * 1_000_003 + index + 1)
 
@@ -200,8 +201,7 @@ def _batch_games(
 def sample_games(probs: RallyProbs, config: GameConfig, replications: int, seed: SeedSpec) -> GameSample:
     """Simulate `replications` independent games as outcome arrays."""
     validate(probs, config)
-    if replications < 1:
-        raise ConfigError(f"replications={replications} must be >= 1")
+    expect_count(replications, "replications", 1)
     return _batch_games(probs, config, replications, seed.generator())
 
 
@@ -275,8 +275,7 @@ def sample_matches(
     """Simulate first-to-M-games matches under the configured rule for the
     first server of each game (`match_config` from the matchlevel module)."""
     validate(probs, game_config)
-    if replications < 1:
-        raise ConfigError(f"replications={replications} must be >= 1")
+    expect_count(replications, "replications", 1)
     rng = seed.generator()
     count = replications
     wins_a = np.zeros(count, dtype=np.int64)

@@ -7,6 +7,7 @@ games can last arbitrarily long; enumeration stops once the surviving
 active mass drops below `tol` (reported back to the caller).
 """
 
+import dataclasses
 import functools
 import math
 from collections import defaultdict
@@ -279,6 +280,12 @@ def closed_form_score_prob(alpha, beta, last, p_a, p_b, rally_point=False):
 def swapped(probs):
     """The same game seen from the other player's side."""
     return RallyProbs(probs.p_b, probs.p_a)
+
+
+def served_by(config, server):
+    """`config` with its first server stated in s_a, 1 for A and 0 for B;
+    None keeps the config's s_a."""
+    return config if server is None else dataclasses.replace(config, s_a=float(server is A))
 
 
 def _exchange_terms(m0, probs, epsilon, term):
@@ -1279,7 +1286,7 @@ def reference_match_win_probs(probs, game_config, match_config):
     on 1 x 1 laws, the game-winning probabilities, as `match_duration_pmf`
     runs it on whole game laws; the float pass of
     `matchlevel.match_win_prob` must equal them bit for bit."""
-    wins = sideout._table(probs, game_config)[2].ravel()  # [first server, game winner]
+    wins = [p for server in (A, B) for p in sideout.game_win_probs(server, probs, game_config)]  # [first server, game winner]
     events = [(server, game_winner) for server in (A, B) for game_winner in (A, B)]
     laws = {event: np.array([[p]]) for event, p in zip(events, wins) if p > 0.0}
 

@@ -18,6 +18,7 @@ from oracles import (
     enumerate_sideout,
     no_server_score_prob,
     score_marginal,
+    served_by,
 )
 
 A, B = Player.A, Player.B
@@ -179,9 +180,7 @@ def test_criterion_09_oracle_equivalence():
                 for (a, b, last), mass in score_marginal(outcomes).items():
                     worst = max(worst, abs(sideout.score_prob(a, b, last, A, pr) - mass))
                 uncond, _ = duration_marginal(outcomes)
-                pmf = duration.duration_pmf_unconditional(
-                    pr, GameConfig(n=n), epsilon=1e-13, server=A
-                )
+                pmf = duration.duration_pmf_unconditional(pr, served_by(GameConfig(n=n), A), epsilon=1e-13)
                 for d, mass in uncond.items():
                     worst = max(worst, abs(pmf.prob(d) - mass))
                 rp_out, _ = enumerate_rallypoint(pa, pb, n, server=A)
@@ -212,7 +211,7 @@ def test_criterion_09_oracle_equivalence():
         bins_checked += 1
         if abs(hits - expect) > 3 * np.sqrt(total * mass * (1 - mass)):
             bins_off += 1
-    pmf = duration.duration_pmf_unconditional(pr, cfg, epsilon=1e-12, server=A)
+    pmf = duration.duration_pmf_unconditional(pr, served_by(cfg, A), epsilon=1e-12)
     counts = np.bincount(sample.duration, minlength=pmf.offset + len(pmf.masses))
     for i, mass in enumerate(pmf.masses):
         expect = total * mass
@@ -242,7 +241,9 @@ def test_criterion_10_structural_invariants():
 
     # exact parity zeros
     for a, b, last, server in ((9, 4, A, A), (4, 9, B, A), (9, 4, A, B)):
-        pmf = duration.duration_pmf_conditional(a, b, last, RallyProbs(0.55, 0.45), server=server)
+        # a game first served by B is the A-game of the swapped tally
+        tally = (a, b, last) if server is A else (b, a, last.other)
+        pmf = duration.duration_pmf_conditional(*tally, RallyProbs(0.55, 0.45))
         idx = np.nonzero(pmf.masses > 0.0)[0]
         if len(set((pmf.offset + idx) % 2)) != 1:
             ok = False

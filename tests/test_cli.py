@@ -15,7 +15,7 @@ from rallystats import GameConfig, Player, RallyProbs, ScoringSystem, TerminalSc
 from rallystats import duration, estimate, matchlevel, sideout
 from rallystats.cli import main
 
-from oracles import compose_match_durations, compose_match_win_probs, enumerate_sideout
+from oracles import compose_match_durations, compose_match_win_probs, enumerate_sideout, served_by
 
 A, B = Player.A, Player.B
 GOLDEN = Path(__file__).parent / "golden" / "cli_estimate.json"
@@ -417,9 +417,9 @@ class TestRallyPoint:
                 assert [r["mean"], r["sd"], r["variance"]] == [cell(m.mean), cell(m.sd), cell(m.variance)]
             return
         if winner is None:
-            pmf = duration.duration_pmf_unconditional(self.PROBS, config, server=sv)
+            pmf = duration.duration_pmf_unconditional(self.PROBS, served_by(config, sv))
         else:
-            pmf = duration.duration_pmf_winner(self.PROBS, config, Player(winner), server=sv)
+            pmf = duration.duration_pmf_winner(self.PROBS, served_by(config, sv), Player(winner))
         if stat == "pmf":
             assert [int(r["rallies"]) for r in rows] == list(pmf.offset + np.arange(len(pmf.masses)))
             assert [r["probability"] for r in rows] == [cell(m) for m in pmf.masses]

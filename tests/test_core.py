@@ -109,6 +109,25 @@ class TestConfigs:
         with pytest.raises(ConfigError, match="integer"):
             GameConfig(n=9, tiebreak=2.5)
 
+    @pytest.mark.parametrize("count", [True, False, 9.0, "9"])
+    def test_bool_or_non_integer_counts_rejected(self, count):
+        # True is not a game to 1, nor a tie-break of 1 point
+        with pytest.raises(ConfigError, match="target score n=.* must be an integer"):
+            GameConfig(n=count)
+        with pytest.raises(ConfigError, match="tie-break extension l=.* must be an integer"):
+            GameConfig(n=9, tiebreak=count)
+
+    @pytest.mark.parametrize("tiebreak", [None, 3])
+    def test_system_given_as_its_string_value_rejected(self, tiebreak):
+        # "sideout" is the value of ScoringSystem.SIDE_OUT, not the member: it
+        # must neither compute rally-point laws nor fail the tie-break check
+        with pytest.raises(ConfigError, match="system='sideout' must be a ScoringSystem"):
+            GameConfig(n=15, system="sideout", tiebreak=tiebreak)
+
+    def test_last_scorer_given_as_its_string_value_rejected(self):
+        with pytest.raises(DomainError, match="last_scorer='A' must be a Player"):
+            TerminalScore(3, 2, "A")
+
     def test_non_integer_score_rejected(self):
         with pytest.raises(DomainError, match="integer"):
             TerminalScore(15.0, 7, Player.A)

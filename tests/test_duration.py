@@ -30,7 +30,7 @@ from oracles import (
     per_tally_duration_pmf,
     reference_exchange_mixture,
     reference_quantile,
-    swapped,
+    served_by,
 )
 
 A, B = Player.A, Player.B
@@ -307,13 +307,6 @@ class TestConditionalPMF:
             for d, mass in expected.items():
                 assert pmf.prob(d) == pytest.approx(mass, abs=1e-10)
 
-    def test_server_b_uses_role_swap(self):
-        pr = RallyProbs(0.6, 0.45)
-        pmf_b = duration.duration_pmf_conditional(3, 7, B, pr, server=B)
-        pmf_a = duration.duration_pmf_conditional(7, 3, A, swapped(pr), server=A)
-        assert pmf_b.offset == pmf_a.offset
-        np.testing.assert_allclose(pmf_b.masses, pmf_a.masses, rtol=0, atol=0)
-
     def test_q_only_dependence(self):
         # equal q = .25 from different rally probabilities
         for a, b, c in [(5, 3, A), (3, 5, B), (15, 14, A)]:
@@ -388,7 +381,8 @@ class TestPerTallyAgainstPerScore:
             for alpha, beta, last in regular_end_scores(n):
                 for server in Player:
                     want = duration._score_pmf(pr, GameConfig(n=n, s_a=float(server is A)), (alpha, beta), 1e-12)
-                    got = duration.duration_pmf_conditional(alpha, beta, last, pr, 1e-12, server)
+                    a, b, c = (alpha, beta, last) if server is A else (beta, alpha, last.other)
+                    got = duration.duration_pmf_conditional(a, b, c, pr, 1e-12)
                     assert (got.offset, len(got.masses)) == (want.offset, len(want.masses))
                     # the bound is the law's mass times the series' tail
                     assert got.truncation_bound == pytest.approx(want.truncation_bound, rel=1e-15, abs=0)
@@ -402,7 +396,7 @@ class TestPerTallyAgainstPerScore:
         lambda a, b: duration.variance_duration_conditional(a, b, A, 0.3),
         lambda a, b: duration.mgf_conditional(a, b, A, 0.3, 0.7, 0.1),
         lambda a, b: duration.duration_pmf_conditional(a, b, A, RallyProbs(0.6, 0.5)),
-        lambda a, b: duration.duration_pmf_conditional(a, b, A, RallyProbs(0.6, 0.5), server=B),
+        lambda a, b: duration.duration_pmf_conditional(b, a, B, RallyProbs(0.6, 0.5)),  # (a, b) in a B-game
         lambda a, b: sideout.score_prob(a, b, A, A, RallyProbs(0.6, 0.5)),
         lambda a, b: sideout.score_prob(a, b, A, B, RallyProbs(0.6, 0.5)),
     ],
@@ -450,9 +444,9 @@ class TestExchangeSeries:
         pr, cfg = RallyProbs(0.3, 0.4), GameConfig(n=15, s_a=0.5)
         pmfs = [
             duration.duration_pmf_unconditional(pr, cfg),
-            duration.duration_pmf_unconditional(pr, cfg, server=B),
+            duration.duration_pmf_unconditional(pr, served_by(cfg, B)),
             duration.duration_pmf_winner(pr, cfg, A),
-            duration.duration_pmf_winner(pr, cfg, B, server=A),
+            duration.duration_pmf_winner(pr, served_by(cfg, A), B),
             duration.duration_pmf_conditional(15, 9, A, pr),
         ]
         assert len(calls) == len(pmfs)
@@ -667,9 +661,9 @@ class TestGroupedPMF:
         pr = RallyProbs(0.3, 0.45)
         cfg = GameConfig(n=15, system=system, s_a=0.3)
         if winner is None:
-            pmf = duration.duration_pmf_unconditional(pr, cfg, server=server)
+            pmf = duration.duration_pmf_unconditional(pr, served_by(cfg, server))
         else:
-            pmf = duration.duration_pmf_winner(pr, cfg, winner, server=server)
+            pmf = duration.duration_pmf_winner(pr, served_by(cfg, server), winner)
         terms = len(pmf.masses)
         check_against_reference(pmf, per_point_total_pmf(pr, cfg, server, winner, 1e-16, terms), 1e-12)
         winners = (A, B) if winner is None else (winner,)
@@ -681,7 +675,7 @@ class TestGroupedPMF:
         # series per point total, over the aggregates' win probabilities
         pr, cfg = RallyProbs(0.05, 0.1), GameConfig(n=15)
         win_probs = duration.aggregate_moments(pr, cfg).win_probs
-        singles = {(s, w): duration.duration_pmf_winner(pr, cfg, w, server=s) for s, w in EVENTS}
+        singles = {(s, w): duration.duration_pmf_winner(pr, served_by(cfg, s), w) for s, w in EVENTS}
         joint = duration_pmfs_by_server_winner(pr, cfg, 1e-16, max(len(pmf.masses) for pmf in singles.values()))
         assert list(joint) == EVENTS
         for (server, winner), ref in joint.items():
@@ -737,7 +731,7 @@ class TestAggregates:
         cfg = GameConfig(n=15, system=system)
         agg = duration.aggregate_moments(pr, cfg)
         for winner in (A, B):
-            pmf = duration.duration_pmf_winner(pr, cfg, winner, epsilon=1e-14, server=A)
+            pmf = duration.duration_pmf_winner(pr, served_by(cfg, A), winner, epsilon=1e-14)
             assert pmf.moments().mean == pytest.approx(
                 agg.by_server_winner[(A, winner)].mean, abs=1e-8
             )
@@ -778,7 +772,7 @@ class TestImpossibleEvents:
         agg = duration.aggregate_moments(pr, cfg)
         laws = [(agg.overall, None)] + [(agg.by_server[server], server) for server in Player]
         for got, server in laws:
-            want = duration.duration_pmf_unconditional(pr, cfg, 1e-14, server=server).moments()
+            want = duration.duration_pmf_unconditional(pr, served_by(cfg, server), 1e-14).moments()
             assert got.mean == pytest.approx(want.mean, rel=1e-10)
             assert got.variance == pytest.approx(want.variance, rel=1e-10, abs=1e-12)
         enumerate_game = enumerate_rallypoint if system is ScoringSystem.RALLY_POINT else enumerate_sideout
@@ -793,11 +787,18 @@ class TestImpossibleEvents:
         assert set(agg.by_winner) == {winner for server, winner in possible if weight[server] > 0.0}
 
 
+class TestWinnerPMF:
+    def test_winner_given_as_its_string_value_is_a_domain_error(self):
+        # not a ConditioningError: the event is possible, the argument is wrong
+        with pytest.raises(DomainError, match="winner='A' must be a Player"):
+            duration.duration_pmf_winner(RallyProbs(0.6, 0.5), GameConfig(n=5), "A")
+
+
 class TestUnconditionalPMF:
     def test_small_duration_closed_forms(self):
         pr = RallyProbs(0.6, 0.45)
         n = 5
-        pmf = duration.duration_pmf_unconditional(pr, GameConfig(n=n), epsilon=1e-14, server=A)
+        pmf = duration.duration_pmf_unconditional(pr, served_by(GameConfig(n=n), A), epsilon=1e-14)
         p_a, p_b, q_a, q = pr.p_a, pr.p_b, pr.q_a, pr.q
         assert pmf.prob(n) == pytest.approx(p_a**n, rel=1e-12)
         assert pmf.prob(n + 1) == pytest.approx(q_a * p_b**n, rel=1e-12)
@@ -809,15 +810,15 @@ class TestUnconditionalPMF:
         pr = RallyProbs(0.6, 0.45)
         cfg = GameConfig(n=7, system=system, s_a=0.3)
         mixed = duration.duration_pmf_unconditional(pr, cfg, epsilon=1e-13)
-        pa = duration.duration_pmf_unconditional(pr, cfg, epsilon=1e-13, server=A)
-        pb = duration.duration_pmf_unconditional(pr, cfg, epsilon=1e-13, server=B)
+        pa = duration.duration_pmf_unconditional(pr, served_by(cfg, A), epsilon=1e-13)
+        pb = duration.duration_pmf_unconditional(pr, served_by(cfg, B), epsilon=1e-13)
         for d in range(7, 40):
             assert mixed.prob(d) == pytest.approx(0.3 * pa.prob(d) + 0.7 * pb.prob(d), abs=1e-13)
 
     def test_against_monte_carlo(self):
         pr = RallyProbs(0.6, 0.5)
         cfg = GameConfig(n=15, s_a=1.0)
-        pmf = duration.duration_pmf_unconditional(pr, cfg, epsilon=1e-12, server=A)
+        pmf = duration.duration_pmf_unconditional(pr, served_by(cfg, A), epsilon=1e-12)
         sample = simulate.sample_games(pr, cfg, 300_000, SeedSpec(99, 3))
         counts = np.bincount(sample.duration, minlength=pmf.offset + len(pmf.masses))
         total = len(sample.duration)
@@ -834,6 +835,13 @@ class TestUnconditionalPMF:
 
 
 class TestQuantiles:
+    def test_mode_given_as_its_string_value_is_a_domain_error(self):
+        # the string once took the interpolated branch: 11.74 for 12
+        pmf = duration.duration_pmf_unconditional(RallyProbs(0.6, 0.5), GameConfig(n=5))
+        assert duration.quantile(pmf, 0.5, QuantileMode.STANDARD) == 12.0
+        with pytest.raises(DomainError, match="mode='standard' must be a QuantileMode"):
+            duration.quantile(pmf, 0.5, "standard")
+
     def test_standard_at_first_support_point(self):
         pmf = duration.DurationPMF(offset=10, masses=np.array([0.5, 0.0, 0.5]), truncation_bound=0.0)
         assert duration.quantile(pmf, 0.2, QuantileMode.STANDARD) == 10.0
@@ -915,9 +923,9 @@ class TestTiebreakDurations:
             for winner in (A, B, None):
                 want = self.enumerated(pa, pb, n, ell, weights, winner)
                 if winner is None:
-                    pmf = duration.duration_pmf_unconditional(pr, cfg, server=server)
+                    pmf = duration.duration_pmf_unconditional(pr, served_by(cfg, server))
                 else:
-                    pmf = duration.duration_pmf_winner(pr, cfg, winner, server=server)
+                    pmf = duration.duration_pmf_winner(pr, served_by(cfg, server), winner)
                     total = sum(want.values())
                     want = {d: mass / total for d, mass in want.items()}
                 l1 = sum(abs(pmf.prob(d) - want.get(d, 0.0)) for d in set(want) | set(pmf.support().tolist()))
@@ -946,7 +954,7 @@ class TestTiebreakDurations:
         # law mixes two components of the game table
         pr, cfg = RallyProbs(0.6, 0.5), GameConfig(n=9, tiebreak=3, s_a=1.0)
         dist = sideout.score_distribution(pr, cfg, server=A)
-        game = duration.duration_pmf_unconditional(pr, cfg, 1e-14, server=A)
+        game = duration.duration_pmf_unconditional(pr, served_by(cfg, A), 1e-14)
         total = np.zeros(len(game.masses) + 200)
         for score, prob in dist.entries.items():
             pmf = duration._score_pmf(pr, cfg, (score.alpha, score.beta), 1e-14)

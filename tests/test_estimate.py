@@ -267,6 +267,16 @@ def _joint_argmax(records):
 
 
 class TestFit:
+    def test_mode_given_as_its_string_value_is_a_domain_error(self):
+        # the string once ran the score-only fit and was labelled "score-duration"
+        with pytest.raises(DomainError, match="mode='score-duration' must be a FitMode"):
+            estimate.fit([rec(A, 5, 3, A, 12)], "score-duration")
+
+    def test_model_given_as_its_string_value_is_a_domain_error(self):
+        # the string once fitted the no-server model
+        with pytest.raises(DomainError, match="model='server' must be a FitModel"):
+            estimate.fit([rec(A, 5, 3, A, 12)], model="server")
+
     def test_recovers_truth_with_durations(self):
         records = simulated_records(0.6, 0.5, 15, 200, SeedSpec(100, 1))
         res = estimate.fit(records, FitMode.SCORE_DURATION, FitModel.SERVER)

@@ -4,7 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
-from rallystats import ConfigError, GameConfig, Player, RallyProbs, ScoringSystem, SeedSpec
+from rallystats import ConfigError, DomainError, GameConfig, Player, RallyProbs, ScoringSystem, SeedSpec
 from rallystats import duration, kernel, matchlevel, rallypoint, sideout, simulate
 from rallystats.matchlevel import MatchConfig, ServerRule
 
@@ -25,10 +25,20 @@ WSN, ALT, CFE = ServerRule.WINNER_SERVES_NEXT, ServerRule.ALTERNATE, ServerRule.
 
 
 class TestMatchConfig:
-    @pytest.mark.parametrize("games", [2.5, "2"])
+    @pytest.mark.parametrize("games", [2.5, "2", True, False])
     def test_non_integer_games_to_win_rejected(self, games):
+        # True is not a one-game match
         with pytest.raises(ConfigError, match="integer"):
             MatchConfig(games)
+
+    def test_server_rule_given_as_its_string_value_rejected(self):
+        # the string once ran the alternate rule: 0.78243 for 0.78125
+        with pytest.raises(ConfigError, match="server_rule='coin-flip-each' must be a ServerRule"):
+            MatchConfig(3, "coin-flip-each")
+
+    def test_winner_given_as_its_string_value_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="winner='A' must be a Player"):
+            matchlevel.match_win_prob(RallyProbs(0.6, 0.5), GameConfig(n=5), MatchConfig(2), "A")
 
 
 class TestMatchWinProb:

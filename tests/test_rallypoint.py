@@ -4,7 +4,7 @@ import pytest
 from rallystats import GameConfig, Player, RallyProbs, ScoringSystem, SeedSpec
 from rallystats import duration, rallypoint, sideout, simulate
 
-from oracles import duration_marginal, enumerate_rallypoint, no_server_score_prob, score_marginal, score_prob_r
+from oracles import duration_marginal, enumerate_rallypoint, no_server_score_prob, score_marginal, score_prob_r, served_by
 
 A, B = Player.A, Player.B
 RP = ScoringSystem.RALLY_POINT
@@ -72,7 +72,7 @@ class TestScoreProbs:
                     )
                 # the game ends within 2n - 1 rallies, so these durations are exact
                 durations, _ = duration_marginal(outcomes)
-                pmf = duration.duration_pmf_unconditional(pr, rp_config(n), server=A)
+                pmf = duration.duration_pmf_unconditional(pr, served_by(rp_config(n), A))
                 for d, mass in durations.items():
                     assert pmf.prob(d) == pytest.approx(mass, abs=1e-12)
 
@@ -124,7 +124,7 @@ class TestDurations:
         agg = duration.aggregate_moments(RallyProbs(0.6, 0.5), rp_config(5))
         # winner-conditional variance comes from the score spread only;
         # per-score it is zero, which the pushforward PMF shows directly
-        pmf = duration.duration_pmf_winner(RallyProbs(0.6, 0.5), rp_config(5), A, server=A)
+        pmf = duration.duration_pmf_winner(RallyProbs(0.6, 0.5), served_by(rp_config(5), A), A)
         assert pmf.truncation_bound == 0.0
         assert agg.by_server_winner[(A, A)].variance >= 0.0
 
@@ -139,7 +139,7 @@ class TestDurations:
     def test_pushforward_matches_score_distribution(self):
         pr = RallyProbs(0.6, 0.45)
         cfg = rp_config(6)
-        pmf = duration.duration_pmf_unconditional(pr, cfg, server=A)
+        pmf = duration.duration_pmf_unconditional(pr, served_by(cfg, A))
         dist = sideout.score_distribution(pr, cfg, server=A)
         for d in range(6, 12):
             expect = sum(p for s, p in dist.entries.items() if s.alpha + s.beta == d)
@@ -149,7 +149,7 @@ class TestDurations:
     def test_pushforward_against_monte_carlo(self):
         pr = RallyProbs(0.6, 0.5)
         cfg = rp_config(21)
-        pmf = duration.duration_pmf_unconditional(pr, cfg, server=A)
+        pmf = duration.duration_pmf_unconditional(pr, served_by(cfg, A))
         sample = simulate.sample_games(pr, cfg, 200_000, SeedSpec(42, 5))
         total = len(sample.duration)
         counts = np.bincount(sample.duration, minlength=pmf.offset + len(pmf.masses))
@@ -166,7 +166,7 @@ class TestDurations:
         from rallystats import ConditioningError
 
         with pytest.raises(ConditioningError):
-            duration.duration_pmf_winner(RallyProbs(1.0, 0.0), rp_config(15), B, server=A)
+            duration.duration_pmf_winner(RallyProbs(1.0, 0.0), served_by(rp_config(15), A), B)
 
     def test_sd_dominance_over_sideout(self):
         so_cfg = GameConfig(n=15)

@@ -147,9 +147,10 @@ def per_tally_calls(probs, n):
         calls += [partial(duration.expected_duration_conditional, *tally, q)]
         calls += [partial(duration.variance_duration_conditional, *tally, q)]
         calls += [partial(duration.mgf_conditional, *tally, q, one_minus_q, t) for t in ts]
-        for server in Player:
+        # a game first served by B is the A-game of the swapped tally
+        for server, (a, b, last) in zip(Player, (tally, (tally[1], tally[0], tally[2].other))):
             calls.append(partial(sideout.score_prob, *tally, server, probs))
-            pmf = partial(duration.duration_pmf_conditional, *tally, probs, server=server)
+            pmf = partial(duration.duration_pmf_conditional, a, b, last, probs)
             calls.append(lambda pmf=pmf: pmf_values(pmf()))
     return calls
 

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rallystats import ConfigError, GameConfig, MatchConfig, Player, RallyProbs, ScoringSystem, SeedSpec
-from rallystats import kernel, matchlevel, sideout, simulate
+from rallystats import ConfigError, DomainError, GameConfig, MatchConfig, Player, RallyProbs, ScoringSystem, SeedSpec
+from rallystats import duration, kernel, matchlevel, sideout, simulate
 
 from oracles import ORACLE_PROBS, enumerate_sideout, prob_score_r_j, score_marginal, swapped
 
@@ -129,6 +129,29 @@ class TestGameWinProb:
                 B, server, pr, cfg
             )
             assert total == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "system, tiebreak", [(ScoringSystem.SIDE_OUT, None), (ScoringSystem.SIDE_OUT, 3), (ScoringSystem.RALLY_POINT, None)]
+    )
+    @pytest.mark.parametrize("n", [5, 9, 15, 21])
+    def test_equals_the_aggregate_win_probs_bit_for_bit(self, n, system, tiebreak):
+        # both are running sums of the game table's event weights
+        rng = np.random.default_rng(2300 + n)
+        cfg = GameConfig(n=n, system=system, tiebreak=tiebreak)
+        for pa, pb in rng.uniform(0.02, 0.98, (20, 2)):
+            pr = RallyProbs(pa, pb)
+            win_probs = duration.aggregate_moments(pr, cfg).win_probs
+            for server in Player:
+                assert sideout.game_win_probs(server, pr, cfg) == tuple(win_probs[(server, w)] for w in Player)
+
+    def test_player_given_as_its_string_value_is_a_domain_error(self):
+        pr, cfg = RallyProbs(0.6, 0.5), GameConfig(n=5)
+        with pytest.raises(DomainError, match="winner='B' must be a Player"):
+            sideout.game_win_prob("B", A, pr, cfg)
+        with pytest.raises(DomainError, match="server='B' must be a Player"):
+            sideout.game_win_probs("B", pr, cfg)
+        with pytest.raises(DomainError, match="server='B' must be a Player"):
+            sideout.score_distribution(pr, cfg, server="B")
 
 
 class TestMixedServer:

@@ -83,6 +83,27 @@ class TestBatches:
         with pytest.raises(ConfigError, match="replications"):
             simulate.sample_matches(pr, cfg, MatchConfig(2), replications, SeedSpec(1))
 
+    @pytest.mark.parametrize("replications", [2.5, True])
+    def test_non_integer_replications_raise_config_error(self, replications):
+        pr, cfg = RallyProbs(0.6, 0.5), GameConfig(n=5)
+        with pytest.raises(ConfigError, match="replications=.* must be an integer"):
+            simulate.sample_games(pr, cfg, replications, SeedSpec(1))
+        with pytest.raises(ConfigError, match="replications=.* must be an integer"):
+            simulate.run_experiment(pr, cfg, replications, SeedSpec(1))
+        with pytest.raises(ConfigError, match="replications=.* must be an integer"):
+            simulate.sample_matches(pr, cfg, MatchConfig(2), replications, SeedSpec(1))
+
+    @pytest.mark.parametrize("master, stream", [(1.5, 0), (1, 2.5), (True, 0), (1, False)])
+    def test_non_integer_seed_raises_config_error(self, master, stream):
+        with pytest.raises(ConfigError, match="seed .* must be an integer"):
+            SeedSpec(master, stream)
+
+    @pytest.mark.parametrize("index", [2.5, True])
+    def test_non_integer_child_index_raises_config_error(self, index):
+        # 2.5 was stream 3.5
+        with pytest.raises(ConfigError, match="child index=.* must be an integer"):
+            SeedSpec(1).child(index)
+
     @pytest.mark.parametrize("master, stream", [(-1, 0), (1, -1)])
     def test_bad_seed_raises_config_error(self, master, stream):
         with pytest.raises(ConfigError, match="seed"):

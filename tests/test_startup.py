@@ -1,5 +1,7 @@
 """What a fresh interpreter loads: `import rallystats` and `rallystats.cli`
-import only `core`, and each command imports only the engines it calls.
+import only `core`, each command imports only the engines it calls, and
+nothing loads a module of the test extra (the package depends on numpy
+and click alone).
 
 Inside the test session every engine is already imported, so these checks
 run in new processes; so does one more run of the golden CLI corpus, which
@@ -24,12 +26,14 @@ BASE = {"rallystats", "rallystats.core"}
 GAME = ["--n", "5", "--pa", ".6", "--pb", ".5"]
 RECORD = '{"first_server": "A", "alpha": 5, "beta": 3, "last_scorer": "A", "duration": 12}\n'
 
-# writes the rallystats modules loaded so far, and whether numpy is, to the
-# file named by the first argument
-LIST = """
+TEST_EXTRA = ("scipy", "mpmath", "hypothesis", "pytest")
+# writes the rallystats modules loaded so far, whether numpy is, and the
+# modules of the test extra loaded, to the file named by the first argument
+LIST = f"""
 import json, sys
 modules = sorted(m for m in sys.modules if m.partition(".")[0] == "rallystats")
-json.dump([modules, "numpy" in sys.modules], open(sys.argv[1], "w"))
+extra = sorted(m for m in sys.modules if m.partition(".")[0] in {TEST_EXTRA!r})
+json.dump([modules, "numpy" in sys.modules, extra], open(sys.argv[1], "w"))
 """
 # runs the CLI on the other arguments
 RUN = """
@@ -45,21 +49,23 @@ def fresh(args):
 
 
 def loaded(tmp_path, code, *args):
-    """(rallystats modules, numpy loaded) after `code` in a new interpreter."""
+    """(rallystats modules, numpy loaded, modules of the test extra) after
+    `code` in a new interpreter."""
     out = tmp_path / "modules.json"
     proc = fresh(["-c", code, str(out), *args])
     assert proc.returncode == 0, proc.stderr
-    modules, numpy = json.loads(out.read_text())
-    return set(modules), numpy
+    modules, numpy, extra = json.loads(out.read_text())
+    return set(modules), numpy, extra
 
 
 def test_import_package_loads_core_only(tmp_path):
-    assert loaded(tmp_path, "import rallystats" + LIST) == (BASE, False)
+    assert loaded(tmp_path, "import rallystats" + LIST) == (BASE, False, [])
 
 
 def test_import_cli_adds_only_the_cli(tmp_path):
-    modules, _ = loaded(tmp_path, "import rallystats.cli" + LIST)
+    modules, _, extra = loaded(tmp_path, "import rallystats.cli" + LIST)
     assert modules == BASE | {"rallystats.cli"}
+    assert extra == []
 
 
 @pytest.mark.parametrize(
@@ -80,9 +86,10 @@ def test_each_command_loads_exactly_its_engines(tmp_path, args, engines):
     records = tmp_path / "games.jsonl"
     records.write_text(RECORD)
     args = [a.format(records=records) for a in args]
-    modules, numpy = loaded(tmp_path, RUN + LIST, *args)
+    modules, numpy, extra = loaded(tmp_path, RUN + LIST, *args)
     assert modules == BASE | {"rallystats.cli"} | {f"rallystats.{e}" for e in engines}
     assert numpy
+    assert extra == []  # no module of the test extra at runtime
 
 
 @pytest.mark.parametrize("case", COMMANDS, ids=[case["name"] for case in COMMANDS])
