@@ -20,7 +20,7 @@ from math import comb
 
 import numpy as np
 
-from .core import ConfigError, GameConfig, Player, RallyProbs, ScoringSystem
+from .core import GameConfig, Player, RallyProbs, ScoringSystem, expect, expect_count
 from .duration import DurationPMF, Moments, duration_pmf_winner
 
 
@@ -55,9 +55,10 @@ def _trajectory_law(n: int) -> tuple[Moments, DurationPMF]:
 
 
 def _limit_case(system: ScoringSystem, winner: Player, direction: Direction, n: int):
-    if n < 1:
-        raise ConfigError(f"target score n={n} must be >= 1")
-    if system is ScoringSystem.SIDE_OUT:
+    expect_count(n, "target score n", 1)
+    expect(winner, Player, "winner")
+    expect(direction, Direction, "direction")
+    if expect(system, ScoringSystem, "system") is ScoringSystem.SIDE_OUT:
         if winner is Player.A:
             return _degenerate(n)  # only all-A trajectories survive, either direction
         if direction is Direction.P_TO_0:

@@ -301,14 +301,15 @@ def cmd_simulate(system, n, pa, pb, server, sa, tiebreak, replications, seed, st
     config = _build_config(system, n, sa, server, tiebreak)
     probs = RallyProbs(pa, pb)
     spec = simulate.SeedSpec(seed, stream)
-    sample = simulate.sample_games(probs, config, replications, spec)
-    if records_out is not None:
+    if records_out is None:
+        report = simulate.run_experiment(probs, config, replications, spec)
+    else:
         from . import estimate
 
-        records = estimate.records_from_sample(sample)
+        sample = simulate.sample_games(probs, config, replications, spec)
         with open(records_out, "w", encoding="utf-8") as fh:
-            fh.write(estimate.records_to_json_lines(records))
-    report = simulate._report_from_sample(sample)
+            fh.write(estimate.records_to_json_lines(estimate.records_from_sample(sample)))
+        report = simulate._report_from_sample(sample)
     columns = [
         "replications", "wins_a", "wins_b", "p_hat_a", "p_hat_b",
         "e_hat", "v_hat", "e_hat_win_a", "v_hat_win_a", "e_hat_win_b", "v_hat_win_b",

@@ -158,7 +158,7 @@ def mgf_conditional(alpha: int, beta: int, last_scorer: Player, q: float, one_mi
     # before the shift law's sum: at t = -inf, e^(t * 0) is NaN
     if not math.isfinite(t):
         raise DomainError(f"t={t} is not finite")
-    law = kernel.shift_laws(ScoringSystem.SIDE_OUT, kernel.tally(alpha, beta, last_scorer is Player.A), q)[0]
+    law = kernel.shift_laws(ScoringSystem.SIDE_OUT, kernel.tally(alpha, beta, expect(last_scorer, Player, "last_scorer") is Player.A), q)[0]
     # a t in the domain may still overflow: e^(2t), the power or the product
     try:
         room = one_minus_q - q * math.expm1(2.0 * t)
@@ -189,7 +189,7 @@ def _conditional_moments(alpha: int, beta: int, last_scorer: Player, q: float) -
     s_mean) and variance 4 s_var."""
     if not (0.0 <= q < 1.0):
         raise DomainError(f"q={q} outside [0, 1)")
-    rows = kernel.tally(alpha, beta, last_scorer is Player.A)
+    rows = kernel.tally(alpha, beta, expect(last_scorer, Player, "last_scorer") is Player.A)
     _, s_mean, s_var = kernel.interruption_polynomial(rows, q)
     shift_mean = int(last_scorer is Player.B) + 2.0 * (int(rows.j0[0]) + float(s_mean[0, 0]))
     return Moments(*_given_shift(alpha + beta, shift_mean, 4.0 * float(s_var[0, 0]), q, 1.0 - q))
@@ -302,7 +302,7 @@ def duration_pmf_conditional(
     on alpha+beta+2j+1 otherwise (the server-effect parity).
     """
     validate(probs)
-    law = kernel.shift_laws(ScoringSystem.SIDE_OUT, kernel.tally(alpha, beta, last_scorer is Player.A), probs.q)
+    law = kernel.shift_laws(ScoringSystem.SIDE_OUT, kernel.tally(alpha, beta, expect(last_scorer, Player, "last_scorer") is Player.A), probs.q)
     return exchange_mixture(alpha + beta, law, probs, ScoringSystem.SIDE_OUT, epsilon)
 
 

@@ -27,8 +27,8 @@ from .core import ConfigError, GameConfig, Player, RallyProbs, ScoringSystem, Te
 
 def _tally_prob(system: ScoringSystem, alpha: int, beta: int, last: Player, server: Player, probs: RallyProbs) -> float:
     validate(probs)
-    first, receiver = (alpha, beta) if server is Player.A else (beta, alpha)
-    rows = kernel.tally(first, receiver, last is server)
+    first, receiver = (alpha, beta) if expect(server, Player, "server") is Player.A else (beta, alpha)
+    rows = kernel.tally(first, receiver, expect(last, Player, "last_scorer") is server)
     return float(kernel.evaluate_servers(system, rows, probs.p_a, probs.p_b).weight[0, int(server is Player.B), 0])
 
 

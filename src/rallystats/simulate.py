@@ -3,19 +3,23 @@
 Streams are split with numpy's SeedSequence, so a (master seed, stream
 index) pair pins every uniform deviate: runs are reproducible bit for bit
 and sweep points own independent streams regardless of evaluation order.
-Game batches are simulated with vectorized state arrays that hold only the
-games still in play: each rally step draws one uniform per live game, in
-game index order, and a finished game leaves the arrays.  That is the
-same sequence of deviates a loop over all games with a mask of the live
-ones draws, so batch results are the same, bit for bit, for every
-`SeedSpec`.  The batch labels the players by serve strength, h the
-stronger server and l the weaker: a deviate below both serve
+Games are played by one rally generator, `_rallies`, on vectorized state
+arrays that hold only the games still in play: each rally step draws one
+uniform per live game, in game index order, and a finished game leaves the
+arrays.  That is the same sequence of deviates a loop over all games with
+a mask of the live ones draws, so results are the same, bit for bit, for
+every `SeedSpec`.  The generator labels the players by serve strength, h
+the stronger server and l the weaker: a deviate below both serve
 probabilities is a rally won by either server, one between them a rally
 won by h on serve, so a step is one comparison chain on the flag "h
-serves", the scores of h and l, and one end test on their maximum; the
-scores go back to A and B once the batch is done.  The scalar
-`simulate_game` follows the same transition rules rally by rally and can
-retain the full trajectory.
+serves", the scores of h and l, and one end test on their maximum; it
+yields the games that end in a rally with their scores for A and B.  Its
+consumers keep what they need: `sample_games` (and `sample_matches`)
+write each finished game into per-game outcome arrays, while
+`run_experiment` keeps only each winner's count of games by duration, from
+which the estimators are exact integer sums.  The scalar `simulate_game`
+follows the same transition rules rally by rally and can retain the full
+trajectory.
 """
 
 from __future__ import annotations
@@ -74,7 +78,10 @@ class EstimatorReport:
     """Win-probability and duration estimators of a replication batch.
 
     Conditional entries are None when no game produced the conditioning
-    winner.  Variances use the 1/count normalization."""
+    winner.  Variances use the 1/count normalization.  Each estimator is
+    formed from exact integer sums over the games (count, durations and
+    squared durations) with one division, so it is the correctly rounded
+    value of its formula whatever the number of games."""
 
     p_hat: dict[Player, float]
     e_hat: float
@@ -137,37 +144,28 @@ def simulate_game(
             )
 
 
-def _batch_games(
-    probs: RallyProbs,
-    config: GameConfig,
-    count: int,
-    rng: np.random.Generator,
-    first_server_a: np.ndarray | None = None,
-) -> GameSample:
-    """Play `count` games side by side, one rally per step, on arrays of
-    the games still in play: whether the stronger server serves, both
-    scores and, with a tie-break, the target.  A finished game's outcome
-    is written out once, by index, and the game leaves the arrays."""
+def _rallies(probs: RallyProbs, config: GameConfig, first_server_a: np.ndarray, rng: np.random.Generator):
+    """Play the games of `first_server_a` side by side, one rally per step,
+    on arrays of the games still in play: whether the stronger server
+    serves, both scores and, with a tie-break, the target.  After each
+    rally in which games end, yield the rally number, the indices of the
+    finished games among those in play, the mask of the games that stay,
+    and the final scores alpha and beta of the finished games; these then
+    leave the arrays."""
     n, ell = config.n, config.tiebreak
     sideout = config.system is ScoringSystem.SIDE_OUT
-    if first_server_a is None:
-        first_server_a = rng.random(count) < config.s_a
     # h serves with the higher probability (A on a tie), l with the lower
     lo, hi = sorted((probs.p_a, probs.p_b))
     a_high = probs.p_a >= probs.p_b
-    final_h = np.zeros(count, dtype=np.int64)
-    final_l = np.zeros(count, dtype=np.int64)
-    duration = np.zeros(count, dtype=np.int64)
     score_dtype = np.min_scalar_type(n if ell is None else n - 1 + ell)
-    ids = np.arange(count)
     server_h = first_server_a == a_high
-    score_h = np.zeros(count, dtype=score_dtype)
-    score_l = np.zeros(count, dtype=score_dtype)
-    target = None if ell is None else np.full(count, n, dtype=score_dtype)
+    score_h = np.zeros(server_h.size, dtype=score_dtype)
+    score_l = np.zeros(server_h.size, dtype=score_dtype)
+    target = None if ell is None else np.full(server_h.size, n, dtype=score_dtype)
     rally = 0
-    while ids.size:
+    while server_h.size:
         rally += 1
-        u = rng.random(ids.size)
+        u = rng.random(server_h.size)
         server_won = (u < lo) | ((u < hi) & server_h)
         h_rally = server_h == server_won  # h won the rally
         if sideout:
@@ -184,16 +182,31 @@ def _batch_games(
         done = np.maximum(score_h, score_l) >= (n if target is None else target)
         if not done.any():
             continue
-        fin = np.flatnonzero(done)
-        out = ids[fin]
-        final_h[out] = score_h[fin]
-        final_l[out] = score_l[fin]
-        duration[out] = rally
-        keep = ~done
-        ids, server_h, score_h, score_l = ids[keep], server_h[keep], score_h[keep], score_l[keep]
+        fin, keep = np.flatnonzero(done), ~done
+        final = score_h[fin], score_l[fin]
+        yield rally, fin, keep, *(final if a_high else final[::-1])
+        server_h, score_h, score_l = server_h[keep], score_h[keep], score_l[keep]
         if target is not None:
             target = target[keep]
-    alpha, beta = (final_h, final_l) if a_high else (final_l, final_h)
+
+
+def _batch_games(
+    probs: RallyProbs,
+    config: GameConfig,
+    count: int,
+    rng: np.random.Generator,
+    first_server_a: np.ndarray | None = None,
+) -> GameSample:
+    """Play `count` games (`_rallies`) and write each finished game's
+    outcome once, by index."""
+    if first_server_a is None:
+        first_server_a = rng.random(count) < config.s_a
+    alpha, beta, duration = (np.zeros(count, dtype=np.int64) for _ in range(3))
+    ids = np.arange(count)
+    for rally, fin, keep, final_a, final_b in _rallies(probs, config, first_server_a, rng):
+        out = ids[fin]
+        alpha[out], beta[out], duration[out] = final_a, final_b, rally
+        ids = ids[keep]
     # the winner reached the target, the loser stayed below it
     return GameSample(first_server_a, alpha, beta, alpha > beta, duration)
 
@@ -205,21 +218,20 @@ def sample_games(probs: RallyProbs, config: GameConfig, replications: int, seed:
     return _batch_games(probs, config, replications, seed.generator())
 
 
-def _mean_var(d: np.ndarray) -> tuple[float | None, float | None]:
-    """Mean and 1/count variance of the durations `d`, or None for no games."""
-    if not len(d):
-        return None, None
-    mean = float(d.mean())
-    return mean, float(((d - mean) ** 2).mean())
+def _mean_var(c: int, s1: int, s2: int) -> tuple[float | None, float | None]:
+    """Mean s1 / c and 1/c variance (c s2 - s1^2) / c^2 of c durations from
+    their exact integer sum s1 and sum of squares s2, each one correctly
+    rounded division; None for no games."""
+    return (s1 / c, (c * s2 - s1 * s1) / (c * c)) if c else (None, None)
 
 
-def _report_from_sample(sample: GameSample) -> EstimatorReport:
-    d = sample.duration.astype(float)
-    total = len(d)
-    wins = {Player.A: int(sample.winner_a.sum())}
-    wins[Player.B] = total - wins[Player.A]
-    e_hat, v_hat = _mean_var(d)
-    by_winner = {p: _mean_var(d[mask]) for p, mask in ((Player.A, sample.winner_a), (Player.B, ~sample.winner_a))}
+def _report(games: dict[Player, dict[int, int]]) -> EstimatorReport:
+    """The estimators from each winner's count of games by duration."""
+    sums = {p: [sum(k * d**j for d, k in by_duration.items()) for j in range(3)] for p, by_duration in games.items()}
+    wins = {p: sums[p][0] for p in Player}
+    total = wins[Player.A] + wins[Player.B]
+    e_hat, v_hat = _mean_var(*(a + b for a, b in zip(sums[Player.A], sums[Player.B])))
+    by_winner = {p: _mean_var(*sums[p]) for p in Player}
     return EstimatorReport(
         p_hat={p: wins[p] / total for p in Player},
         e_hat=e_hat,
@@ -231,9 +243,26 @@ def _report_from_sample(sample: GameSample) -> EstimatorReport:
     )
 
 
+def _report_from_sample(sample: GameSample) -> EstimatorReport:
+    return _report({
+        p: dict(enumerate(np.bincount(sample.duration[mask]).tolist()))
+        for p, mask in ((Player.A, sample.winner_a), (Player.B, ~sample.winner_a))
+    })
+
+
 def run_experiment(probs: RallyProbs, config: GameConfig, replications: int, seed: SeedSpec) -> EstimatorReport:
-    """Simulate a batch of games and report the standard estimators."""
-    return _report_from_sample(sample_games(probs, config, replications, seed))
+    """Simulate a batch of games and report the standard estimators.  The
+    games draw the deviates of `sample_games`, but no per-game array is
+    kept: the games that end in a rally add to their winner's count of
+    games of that duration."""
+    validate(probs, config)
+    expect_count(replications, "replications", 1)
+    rng = seed.generator()
+    games = {Player.A: {}, Player.B: {}}
+    for rally, _, _, alpha, beta in _rallies(probs, config, rng.random(replications) < config.s_a, rng):
+        games[Player.A][rally] = won = int(np.count_nonzero(alpha > beta))
+        games[Player.B][rally] = alpha.size - won
+    return _report(games)
 
 
 def sweep(

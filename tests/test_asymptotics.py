@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rallystats import ConditioningError, ConfigError, GameConfig, Player, RallyProbs, ScoringSystem
+from rallystats import ConditioningError, ConfigError, DomainError, GameConfig, Player, RallyProbs, ScoringSystem
 from rallystats import asymptotics, duration
 from rallystats.asymptotics import Direction
 
@@ -108,3 +108,13 @@ class TestConvergence:
             asymptotics.limit_moments(system, A, TO1, 0)
         with pytest.raises(ConfigError, match="n=0"):
             asymptotics.limit_pmf(system, B, TO0, 0)
+
+    @pytest.mark.parametrize("limit", [asymptotics.limit_moments, asymptotics.limit_pmf])
+    def test_enum_given_as_its_string_value_is_a_domain_error(self, limit):
+        # "sideout" took the rally-point branch: a mean of 8.333, not 8.0
+        with pytest.raises(DomainError, match="system='sideout' must be a ScoringSystem"):
+            limit("sideout", B, TO1, 5)
+        with pytest.raises(DomainError, match="winner='B' must be a Player"):
+            limit(SO, "B", TO1, 5)
+        with pytest.raises(DomainError, match="direction='p->1' must be a Direction"):
+            limit(SO, B, "p->1", 5)

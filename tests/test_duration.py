@@ -794,6 +794,21 @@ class TestWinnerPMF:
             duration.duration_pmf_winner(RallyProbs(0.6, 0.5), GameConfig(n=5), "A")
 
 
+@pytest.mark.parametrize(
+    "law",
+    [
+        lambda last, pr: duration.expected_duration_conditional(5, 3, last, pr.q),
+        lambda last, pr: duration.variance_duration_conditional(5, 3, last, pr.q),
+        lambda last, pr: duration.mgf_conditional(5, 3, last, pr.q, 1.0 - pr.q, 0.1),
+        lambda last, pr: duration.duration_pmf_conditional(5, 3, last, pr),
+    ],
+)
+def test_tally_last_scorer_given_as_its_string_value_is_a_domain_error(law):
+    # "A" was read as the receiver scoring last: a mean of 13.647, not 15.021
+    with pytest.raises(DomainError, match="last_scorer='A' must be a Player"):
+        law("A", RallyProbs(0.6, 0.5))
+
+
 class TestUnconditionalPMF:
     def test_small_duration_closed_forms(self):
         pr = RallyProbs(0.6, 0.45)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rallystats import ConfigError, DomainError, GameConfig, MatchConfig, Player, RallyProbs, ScoringSystem, SeedSpec
-from rallystats import duration, kernel, matchlevel, sideout, simulate
+from rallystats import duration, kernel, matchlevel, rallypoint, sideout, simulate
 
 from oracles import ORACLE_PROBS, enumerate_sideout, prob_score_r_j, score_marginal, swapped
 
@@ -152,6 +152,15 @@ class TestGameWinProb:
             sideout.game_win_probs("B", pr, cfg)
         with pytest.raises(DomainError, match="server='B' must be a Player"):
             sideout.score_distribution(pr, cfg, server="B")
+
+    @pytest.mark.parametrize("score_prob", [sideout.score_prob, rallypoint.score_prob])
+    def test_tally_player_given_as_its_string_value_is_a_domain_error(self, score_prob):
+        # "A" was read as server B: 0.06682 where server=A gives 0.10892
+        pr = RallyProbs(0.6, 0.5)
+        with pytest.raises(DomainError, match="server='A' must be a Player"):
+            score_prob(5, 3, A, "A", pr)
+        with pytest.raises(DomainError, match="last_scorer='A' must be a Player"):
+            score_prob(5, 3, "A", A, pr)
 
 
 class TestMixedServer:

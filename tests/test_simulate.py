@@ -1,3 +1,6 @@
+import tracemalloc
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -281,3 +284,63 @@ class TestAgainstReferenceLoop:
             assert (game.score.alpha, game.score.beta) == (batch.alpha[0], batch.beta[0])
             assert (game.winner is A) == batch.winner_a[0]
             assert game.duration == batch.duration[0]
+
+
+def float_mean(d: np.ndarray) -> float | None:
+    """The float mean of the durations `d`, or None for no games."""
+    return float(d.astype(float).mean()) if d.size else None
+
+
+def exact_var(d: np.ndarray) -> float | None:
+    """The 1/count variance of the durations `d` from its definition, in
+    rationals, rounded once; None for no games."""
+    if not d.size:
+        return None
+    mean = Fraction(int(d.sum()), d.size)
+    return float(sum((x - mean) ** 2 for x in d.tolist()) / d.size)
+
+
+class TestExperimentAgainstReferenceLoop:
+    """`run_experiment` sums each finished game into its winner's exact
+    integer moments; its report equals the one computed from the reference
+    loop's arrays."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        system=st.sampled_from(list(ScoringSystem)),
+        tiebreak=st.sampled_from([None, 2, 3]),
+        n=st.sampled_from([1, 2, 7, 15]),
+        p_a=probability,
+        p_b=probability,
+        s_a=st.sampled_from([0.0, 0.5, 1.0]),
+        count=st.integers(1, 300),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_report_equals_reference(self, system, tiebreak, n, p_a, p_b, s_a, count, seed):
+        assume(p_a > 0.0 or p_b > 0.0)
+        tiebreak = tiebreak if system is ScoringSystem.SIDE_OUT and n > 1 else None
+        probs, config = RallyProbs(p_a, p_b), GameConfig(n=n, system=system, tiebreak=tiebreak, s_a=s_a)
+        seed = SeedSpec(seed)
+        report = simulate.run_experiment(probs, config, count, seed)
+        want = reference_batch_games(probs, config, count, seed.generator())
+        d, won = want.duration, {A: want.winner_a, B: ~want.winner_a}
+        wins = {p: int(won[p].sum()) for p in Player}
+        assert (report.replications, report.wins) == (count, wins)
+        assert report.p_hat == {p: wins[p] / count for p in Player}
+        assert (report.e_hat, report.v_hat) == (float_mean(d), exact_var(d))
+        assert report.e_hat_winner == {p: float_mean(d[won[p]]) for p in Player}
+        assert report.v_hat_winner == {p: exact_var(d[won[p]]) for p in Player}
+        assert simulate._report_from_sample(simulate.sample_games(probs, config, count, seed)) == report
+
+    def test_peak_memory_per_game(self):
+        # streaming the moments peaks at 24 bytes per game; building a
+        # GameSample and taking float passes over its durations peaks at 58
+        probs, config, games = RallyProbs(0.6, 0.5), GameConfig(n=15, s_a=0.5), 200_000
+        simulate.run_experiment(probs, config, 100, SeedSpec(0))
+        tracemalloc.start()
+        try:
+            simulate.run_experiment(probs, config, games, SeedSpec(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / games < 40
