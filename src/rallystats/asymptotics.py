@@ -8,14 +8,14 @@ on {n+1, ..., 2n}, and under rally-point scoring a win against the trend
 puts mass proportional to binom(n+k-1, k) on n+k (all trajectories to a
 given score being equally likely in the limit).
 
-These laws double as convergence oracles for the exact engines.  Limit
-PMFs are built from exact rationals, so they sum to one exactly.
+These laws double as convergence oracles for the exact engines.  Each
+limit mass, mean and variance is one ratio of exact integers, divided
+once, so it is the correctly rounded value of its rational.
 """
 
 from __future__ import annotations
 
 import enum
-from fractions import Fraction
 from math import comb
 
 import numpy as np
@@ -35,22 +35,22 @@ def _degenerate(point: int) -> tuple[Moments, DurationPMF]:
 
 
 def _uniform_tail(n: int) -> tuple[Moments, DurationPMF]:
-    masses = np.full(n, float(Fraction(1, n)))
+    masses = np.full(n, 1 / n)
     pmf = DurationPMF(offset=n + 1, masses=masses, truncation_bound=0.0)
     # Discrete uniform on n consecutive integers: variance (n^2 - 1)/12.
     # (Not (n-1)^2/12, which is sometimes quoted but does not match this law.)
-    mean = float(Fraction(3 * n + 1, 2))
-    var = float(Fraction(n * n - 1, 12))
+    mean = (3 * n + 1) / 2
+    var = (n * n - 1) / 12
     return Moments(mean, var), pmf
 
 
 def _trajectory_law(n: int) -> tuple[Moments, DurationPMF]:
     weights = [comb(n + k - 1, k) for k in range(n)]
     total = sum(weights)
-    masses = np.array([float(Fraction(w, total)) for w in weights])
+    masses = np.array([w / total for w in weights])
     pmf = DurationPMF(offset=n, masses=masses, truncation_bound=0.0)
-    mean = float(Fraction(2 * n * n, n + 1))
-    var = float(Fraction(2 * n * n * (n - 1), (n + 1) ** 2 * (n + 2)))
+    mean = 2 * n * n / (n + 1)
+    var = 2 * n * n * (n - 1) / ((n + 1) ** 2 * (n + 2))
     return Moments(mean, var), pmf
 
 
@@ -76,7 +76,8 @@ def limit_moments(system: ScoringSystem, winner: Player, direction: Direction, n
 
 
 def limit_pmf(system: ScoringSystem, winner: Player, direction: Direction, n: int) -> DurationPMF:
-    """Exact limiting PMF for the same conditioning (rational weights)."""
+    """Exact limiting PMF for the same conditioning (rational weights,
+    each rounded once)."""
     return _limit_case(system, winner, direction, n)[1]
 
 

@@ -8,7 +8,15 @@ arrays that hold only the games still in play: each rally step draws one
 uniform per live game, in game index order, and a finished game leaves the
 arrays.  That is the same sequence of deviates a loop over all games with
 a mask of the live ones draws, so results are the same, bit for bit, for
-every `SeedSpec`.  The generator labels the players by serve strength, h
+every `SeedSpec`.  A batch is played in blocks of `_BLOCK` consecutive
+games, each with its own arrays, stepped in game order at every rally.
+With more than one block, a helper thread draws each block's uniforms for
+the next rally while the main thread plays the other blocks (numpy's
+generator releases the interpreter lock while it fills an array).  Each
+draw is exactly the block's live count, and draws run in the order of the
+loop, so the deviates and the generator's final state are those of one
+draw over all live games per rally; a batch of one block draws inline and
+starts no thread.  The generator labels the players by serve strength, h
 the stronger server and l the weaker: a deviate below both serve
 probabilities is a rally won by either server, one between them a rally
 won by h on serve, so a step is one comparison chain on the flag "h
@@ -28,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, GameConfig, Player, RallyProbs, ScoringSystem, ServerRule, TerminalScore, expect_count, validate
+from .core import ConfigError, DomainError, GameConfig, Player, RallyProbs, ScoringSystem, ServerRule, TerminalScore, expect_count, validate
 
 
 @dataclass(frozen=True)
@@ -144,50 +152,81 @@ def simulate_game(
             )
 
 
+_BLOCK = 2**18  # games per block of the rally loop
+
+
 def _rallies(probs: RallyProbs, config: GameConfig, first_server_a: np.ndarray, rng: np.random.Generator):
     """Play the games of `first_server_a` side by side, one rally per step,
-    on arrays of the games still in play: whether the stronger server
-    serves, both scores and, with a tie-break, the target.  After each
-    rally in which games end, yield the rally number, the indices of the
-    finished games among those in play, the mask of the games that stay,
-    and the final scores alpha and beta of the finished games; these then
-    leave the arrays."""
+    in blocks of `_BLOCK` consecutive games.  Each block holds arrays of its
+    games still in play: whether the stronger server serves, both scores
+    and, with a tie-break, the target.  A rally steps the blocks in game
+    order, each on one uniform per live game.  After each rally in which
+    games of a block end, yield the block index, the rally number, the
+    indices of the finished games among the block's live games, the mask of
+    the games that stay, and the final scores alpha and beta of the
+    finished games; these then leave the block.
+
+    Each block draws its uniforms into its own buffer.  With more than one
+    block, a helper thread fills a block's buffer for the next rally as soon
+    as its live count is known, while this thread plays the other blocks;
+    draws are queued in the order of the loop, and each is exactly the live
+    count, so the generator yields the deviates of one draw per rally over
+    all live games and ends in the same state."""
     n, ell = config.n, config.tiebreak
     sideout = config.system is ScoringSystem.SIDE_OUT
     # h serves with the higher probability (A on a tie), l with the lower
     lo, hi = sorted((probs.p_a, probs.p_b))
     a_high = probs.p_a >= probs.p_b
     score_dtype = np.min_scalar_type(n if ell is None else n - 1 + ell)
-    server_h = first_server_a == a_high
-    score_h = np.zeros(server_h.size, dtype=score_dtype)
-    score_l = np.zeros(server_h.size, dtype=score_dtype)
-    target = None if ell is None else np.full(server_h.size, n, dtype=score_dtype)
-    rally = 0
-    while server_h.size:
-        rally += 1
-        u = rng.random(server_h.size)
-        server_won = (u < lo) | ((u < hi) & server_h)
-        h_rally = server_h == server_won  # h won the rally
-        if sideout:
-            score_h += h_rally & server_won
-            score_l += server_won > h_rally  # l served and won
-        else:
-            score_h += h_rally
-            score_l += ~h_rally
-        server_h = h_rally
-        if target is not None and rally >= 2 * n - 2:  # no n-1 all before
-            target[(score_h == n - 1) & (score_l == n - 1)] = n - 1 + ell
-        if rally < n:  # no game ends before its n-th rally
-            continue
-        done = np.maximum(score_h, score_l) >= (n if target is None else target)
-        if not done.any():
-            continue
-        fin, keep = np.flatnonzero(done), ~done
-        final = score_h[fin], score_l[fin]
-        yield rally, fin, keep, *(final if a_high else final[::-1])
-        server_h, score_h, score_l = server_h[keep], score_h[keep], score_l[keep]
-        if target is not None:
-            target = target[keep]
+    blocks = []  # per block: [server_h, score_h, score_l, target or None]
+    for start in range(0, first_server_a.size, _BLOCK):
+        server_h = first_server_a[start : start + _BLOCK] == a_high
+        size = server_h.size
+        target = None if ell is None else np.full(size, n, dtype=score_dtype)
+        blocks.append([server_h, np.zeros(size, dtype=score_dtype), np.zeros(size, dtype=score_dtype), target])
+    buffers = [np.empty(block[0].size) for block in blocks]
+    pool = None
+    if len(blocks) > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
+        pool = ThreadPoolExecutor(1)
+        drawn = [pool.submit(rng.random, out=buffer) for buffer in buffers]
+    try:
+        rally, playing = 0, len(blocks)
+        while playing:
+            rally += 1
+            for b, (server_h, score_h, score_l, target) in enumerate(blocks):
+                live = server_h.size
+                if not live:
+                    continue
+                u = rng.random(out=buffers[b][:live]) if pool is None else drawn[b].result()
+                server_won = (u < lo) | ((u < hi) & server_h)
+                h_rally = server_h == server_won  # h won the rally
+                if sideout:
+                    score_h += h_rally & server_won
+                    score_l += server_won > h_rally  # l served and won
+                else:
+                    score_h += h_rally
+                    score_l += ~h_rally
+                if target is not None and rally >= 2 * n - 2:  # no n-1 all before
+                    target[(score_h == n - 1) & (score_l == n - 1)] = n - 1 + ell
+                # no game ends before its n-th rally
+                done = None if rally < n else np.maximum(score_h, score_l) >= (n if target is None else target)
+                stay = live if done is None else live - np.count_nonzero(done)
+                if pool is not None and stay:
+                    drawn[b] = pool.submit(rng.random, out=buffers[b][:stay])
+                if stay == live:
+                    blocks[b][0] = h_rally
+                    continue
+                if not stay:
+                    playing -= 1
+                fin, keep = np.flatnonzero(done), ~done
+                final = score_h[fin], score_l[fin]
+                yield b, rally, fin, keep, *(final if a_high else final[::-1])
+                blocks[b] = [h_rally[keep], score_h[keep], score_l[keep], None if target is None else target[keep]]
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
 
 def _batch_games(
@@ -202,11 +241,11 @@ def _batch_games(
     if first_server_a is None:
         first_server_a = rng.random(count) < config.s_a
     alpha, beta, duration = (np.zeros(count, dtype=np.int64) for _ in range(3))
-    ids = np.arange(count)
-    for rally, fin, keep, final_a, final_b in _rallies(probs, config, first_server_a, rng):
-        out = ids[fin]
+    ids = [np.arange(start, min(start + _BLOCK, count)) for start in range(0, count, _BLOCK)]
+    for b, rally, fin, keep, final_a, final_b in _rallies(probs, config, first_server_a, rng):
+        out = ids[b][fin]
         alpha[out], beta[out], duration[out] = final_a, final_b, rally
-        ids = ids[keep]
+        ids[b] = ids[b][keep]
     # the winner reached the target, the loser stayed below it
     return GameSample(first_server_a, alpha, beta, alpha > beta, duration)
 
@@ -259,9 +298,10 @@ def run_experiment(probs: RallyProbs, config: GameConfig, replications: int, see
     expect_count(replications, "replications", 1)
     rng = seed.generator()
     games = {Player.A: {}, Player.B: {}}
-    for rally, _, _, alpha, beta in _rallies(probs, config, rng.random(replications) < config.s_a, rng):
-        games[Player.A][rally] = won = int(np.count_nonzero(alpha > beta))
-        games[Player.B][rally] = alpha.size - won
+    for _, rally, _, _, alpha, beta in _rallies(probs, config, rng.random(replications) < config.s_a, rng):
+        won = int(np.count_nonzero(alpha > beta))
+        games[Player.A][rally] = games[Player.A].get(rally, 0) + won
+        games[Player.B][rally] = games[Player.B].get(rally, 0) + alpha.size - won
     return _report(games)
 
 
@@ -280,7 +320,10 @@ def sweep(
 
 
 def no_server_grid(step: float = 0.0005) -> list[RallyProbs]:
-    """No-server parameter grid {step, 2*step, ..., 1 - step}."""
+    """No-server parameter grid {step, 2*step, ..., 1 - step}; raise
+    DomainError for a step that is not finite or lies outside (0, 1)."""
+    if not 0.0 < step < 1.0:  # NaN compares false
+        raise DomainError(f"step={step} outside (0, 1)")
     count = round(1.0 / step) - 1
     return [RallyProbs.no_server(i * step) for i in range(1, count + 1)]
 

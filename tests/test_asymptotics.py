@@ -1,3 +1,6 @@
+from fractions import Fraction
+from math import comb
+
 import numpy as np
 import pytest
 
@@ -80,6 +83,34 @@ class TestLimitPMF:
             RallyProbs.no_server(1 - 1e-4), GameConfig(n=n)
         ).by_server_winner[(A, B)].variance
         assert abs(engine_v - (n * n - 1) / 12) < abs(engine_v - (n - 1) ** 2 / 12)
+
+
+def rational_law(system, winner, direction, n):
+    """Offset, masses, mean and variance of a limit law in rationals, the
+    moments from their definition."""
+    if system is SO:
+        weights = [1] if winner is A or direction is TO0 else [1] * n
+        offset = n if winner is A else n + 1
+    else:
+        weights = [1] if (winner is A) == (direction is TO1) else [comb(n + k - 1, k) for k in range(n)]
+        offset = n
+    masses = [Fraction(w, sum(weights)) for w in weights]
+    mean = sum((offset + i) * m for i, m in enumerate(masses))
+    var = sum((offset + i - mean) ** 2 * m for i, m in enumerate(masses))
+    return offset, masses, mean, var
+
+
+@pytest.mark.parametrize("direction", [TO0, TO1])
+@pytest.mark.parametrize("winner", [A, B])
+@pytest.mark.parametrize("system", [SO, RP])
+def test_limits_are_rounded_rationals(system, winner, direction):
+    # each mass and moment is its rational rounded once to the nearest double
+    for n in range(1, 61):
+        offset, masses, mean, var = rational_law(system, winner, direction, n)
+        pmf = asymptotics.limit_pmf(system, winner, direction, n)
+        assert pmf.offset == offset
+        assert pmf.masses.tolist() == [float(m) for m in masses]
+        assert asymptotics.limit_moments(system, winner, direction, n) == duration.Moments(float(mean), float(var))
 
 
 class TestConvergence:

@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -6,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy import stats
 
-from rallystats import ConfigError, GameConfig, MatchConfig, Player, RallyProbs, ScoringSystem, SeedSpec, ServerRule
+from rallystats import ConfigError, DomainError, GameConfig, MatchConfig, Player, RallyProbs, ScoringSystem, SeedSpec, ServerRule
 from rallystats import sideout, simulate
 
 from oracles import enumerate_trajectories, reference_batch_games
@@ -165,6 +167,12 @@ class TestSweep:
         assert grid[0].p_a == pytest.approx(0.0005)
         assert grid[-1].p_a == pytest.approx(0.9995)
 
+    # 0 divided by zero, NaN failed in round(), the others gave []
+    @pytest.mark.parametrize("step", [0.0, -0.1, 1.0, 1.5, float("nan"), float("inf"), float("-inf")])
+    def test_step_outside_unit_interval_raises_domain_error(self, step):
+        with pytest.raises(DomainError, match="step"):
+            simulate.no_server_grid(step)
+
     def test_points_use_independent_streams(self):
         cfg = GameConfig(n=9)
         grid = simulate.no_server_grid(0.2)
@@ -202,6 +210,15 @@ class TestTrajectoryLevel:
 
 SAMPLE_FIELDS = ("first_server_a", "alpha", "beta", "winner_a", "duration")
 probability = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.02, 0.98))
+# games per block of the rally loop: the default (one block here) and
+# small ones, for which a batch is many blocks drawn by the helper thread
+BLOCKS = [simulate._BLOCK, 64, 7, 1]
+
+
+def in_blocks(count, block):
+    """`count` games, cut to ten blocks: each block costs a thread hand-off
+    per rally."""
+    return min(count, 10 * block)
 
 
 def assert_samples_equal(got, want):
@@ -227,8 +244,9 @@ class TestAgainstReferenceLoop:
         count=st.integers(1, 300),
         pass_servers=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
+        block=st.sampled_from(BLOCKS),
     )
-    def test_batch_equals_reference(self, system, tiebreak, n, p_a, p_b, s_a, count, pass_servers, seed):
+    def test_batch_equals_reference(self, system, tiebreak, n, p_a, p_b, s_a, count, pass_servers, seed, block):
         assume(p_a > 0.0 or p_b > 0.0)  # q = 1 never ends, and validate refuses it
         probs = RallyProbs(p_a, p_b)
         tiebreak = tiebreak if system is ScoringSystem.SIDE_OUT else None  # side-out only
@@ -238,10 +256,16 @@ class TestAgainstReferenceLoop:
                 GameConfig(n=n, system=system, tiebreak=tiebreak, s_a=s_a)
             return
         config = GameConfig(n=n, system=system, tiebreak=tiebreak, s_a=s_a)
+        count = in_blocks(count, block)
         servers = np.random.default_rng(seed).random(count) < 0.5 if pass_servers else None
-        got = simulate._batch_games(probs, config, count, np.random.default_rng(seed), servers)
-        want = reference_batch_games(probs, config, count, np.random.default_rng(seed), servers)
+        rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        # patched in the body: hypothesis refuses function-scoped fixtures
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulate, "_BLOCK", block)
+            got = simulate._batch_games(probs, config, count, rng, servers)
+        want = reference_batch_games(probs, config, count, reference_rng, servers)
         assert_samples_equal(got, want)
+        assert rng.random() == reference_rng.random()  # exactly as many deviates drawn
 
     # the batch relabels the players by serve strength: A serves better, B does, or neither
     @pytest.mark.parametrize("p_a, p_b", [(0.6, 0.5), (0.5, 0.6), (0.55, 0.55)])
@@ -254,15 +278,18 @@ class TestAgainstReferenceLoop:
         want = reference_batch_games(probs, config, 2_000, seed.generator())
         assert_samples_equal(simulate.sample_games(probs, config, 2_000, seed), want)
 
+    @pytest.mark.parametrize("block", BLOCKS)
     @pytest.mark.parametrize("p_a, p_b", [(0.55, 0.45), (0.45, 0.55), (0.5, 0.5)])
     @pytest.mark.parametrize("tiebreak", [None, 3])
     @pytest.mark.parametrize("rule", list(ServerRule))
-    def test_sample_matches_equals_reference(self, monkeypatch, rule, tiebreak, p_a, p_b):
+    def test_sample_matches_equals_reference(self, monkeypatch, rule, tiebreak, p_a, p_b, block):
         probs, config = RallyProbs(p_a, p_b), GameConfig(n=7, tiebreak=tiebreak, s_a=0.5)
         match = MatchConfig(3, rule)
-        got = simulate.sample_matches(probs, config, match, 3_000, SeedSpec(12, 1))
+        matches = in_blocks(3_000, block)
+        monkeypatch.setattr(simulate, "_BLOCK", block)
+        got = simulate.sample_matches(probs, config, match, matches, SeedSpec(12, 1))
         monkeypatch.setattr(simulate, "_batch_games", reference_batch_games)
-        want = simulate.sample_matches(probs, config, match, 3_000, SeedSpec(12, 1))
+        want = simulate.sample_matches(probs, config, match, matches, SeedSpec(12, 1))
         for field in ("winner_a", "total_rallies", "games_played"):
             np.testing.assert_array_equal(getattr(got, field), getattr(want, field), err_msg=field)
 
@@ -315,13 +342,17 @@ class TestExperimentAgainstReferenceLoop:
         s_a=st.sampled_from([0.0, 0.5, 1.0]),
         count=st.integers(1, 300),
         seed=st.integers(0, 2**32 - 1),
+        block=st.sampled_from(BLOCKS),
     )
-    def test_report_equals_reference(self, system, tiebreak, n, p_a, p_b, s_a, count, seed):
+    def test_report_equals_reference(self, system, tiebreak, n, p_a, p_b, s_a, count, seed, block):
         assume(p_a > 0.0 or p_b > 0.0)
         tiebreak = tiebreak if system is ScoringSystem.SIDE_OUT and n > 1 else None
         probs, config = RallyProbs(p_a, p_b), GameConfig(n=n, system=system, tiebreak=tiebreak, s_a=s_a)
-        seed = SeedSpec(seed)
-        report = simulate.run_experiment(probs, config, count, seed)
+        seed, count = SeedSpec(seed), in_blocks(count, block)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulate, "_BLOCK", block)
+            report = simulate.run_experiment(probs, config, count, seed)
+            from_sample = simulate._report_from_sample(simulate.sample_games(probs, config, count, seed))
         want = reference_batch_games(probs, config, count, seed.generator())
         d, won = want.duration, {A: want.winner_a, B: ~want.winner_a}
         wins = {p: int(won[p].sum()) for p in Player}
@@ -330,11 +361,14 @@ class TestExperimentAgainstReferenceLoop:
         assert (report.e_hat, report.v_hat) == (float_mean(d), exact_var(d))
         assert report.e_hat_winner == {p: float_mean(d[won[p]]) for p in Player}
         assert report.v_hat_winner == {p: exact_var(d[won[p]]) for p in Player}
-        assert simulate._report_from_sample(simulate.sample_games(probs, config, count, seed)) == report
+        assert from_sample == report
 
-    def test_peak_memory_per_game(self):
-        # streaming the moments peaks at 24 bytes per game; building a
-        # GameSample and taking float passes over its durations peaks at 58
+    @pytest.mark.parametrize("block", [simulate._BLOCK, 2**14], ids=["one-block", "13-blocks"])
+    def test_peak_memory_per_game(self, monkeypatch, block):
+        # streaming the moments peaks at 19 bytes per game in one block and
+        # 16 in blocks of 2^14; building a GameSample and taking float passes
+        # over its durations peaks at 58
+        monkeypatch.setattr(simulate, "_BLOCK", block)
         probs, config, games = RallyProbs(0.6, 0.5), GameConfig(n=15, s_a=0.5), 200_000
         simulate.run_experiment(probs, config, 100, SeedSpec(0))
         tracemalloc.start()
@@ -344,3 +378,46 @@ class TestExperimentAgainstReferenceLoop:
         finally:
             tracemalloc.stop()
         assert peak / games < 40
+
+
+class TestBlocks:
+    """A batch of one block draws inline; a batch of more blocks draws on
+    one helper thread, which ends with the batch."""
+
+    probs, config = RallyProbs(0.6, 0.5), GameConfig(n=5)
+
+    def rallies(self, count):
+        return simulate._rallies(self.probs, self.config, np.ones(count, dtype=bool), np.random.default_rng(0))
+
+    def test_one_block_starts_no_thread(self):
+        threads = threading.active_count()
+        for _ in self.rallies(1_000):
+            assert threading.active_count() == threads
+
+    def test_helper_thread_ends_with_the_batch(self, monkeypatch):
+        monkeypatch.setattr(simulate, "_BLOCK", 64)
+        threads = threading.active_count()
+        rallies = self.rallies(1_000)
+        next(rallies)
+        assert threading.active_count() == threads + 1
+        for _ in rallies:
+            pass
+        assert threading.active_count() == threads
+        # a batch left before its end joins the helper when it is closed
+        rallies = self.rallies(1_000)
+        next(rallies)
+        rallies.close()
+        assert threading.active_count() == threads
+
+    def test_draws_keep_their_order_under_frequent_thread_switches(self, monkeypatch):
+        monkeypatch.setattr(simulate, "_BLOCK", 7)
+        config = GameConfig(n=15, s_a=0.5)
+        rng, reference_rng = np.random.default_rng(3), np.random.default_rng(3)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = simulate._batch_games(self.probs, config, 200, rng)
+        finally:
+            sys.setswitchinterval(interval)
+        assert_samples_equal(got, reference_batch_games(self.probs, config, 200, reference_rng))
+        assert rng.random() == reference_rng.random()

@@ -92,6 +92,17 @@ def test_each_command_loads_exactly_its_engines(tmp_path, args, engines):
     assert extra == []  # no module of the test extra at runtime
 
 
+# 10 000 games are one block of the rally loop, drawn inline; 300 000 are
+# two, drawn on a helper thread from `concurrent.futures`
+@pytest.mark.parametrize("games, pool", [(10_000, False), (300_000, True)])
+def test_thread_pool_is_loaded_only_for_more_than_one_block(tmp_path, games, pool):
+    out = tmp_path / "pool.json"
+    code = RUN + "\nimport json\njson.dump('concurrent.futures' in sys.modules, open(sys.argv[1], 'w'))"
+    proc = fresh(["-c", code, str(out), "simulate", *GAME, "-j", str(games), "--seed", "1"])
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(out.read_text()) is pool
+
+
 @pytest.mark.parametrize("case", COMMANDS, ids=[case["name"] for case in COMMANDS])
 def test_commands_match_golden_text_in_a_fresh_process(case):
     proc = fresh(["-m", "rallystats.cli", *case["args"]])
