@@ -78,6 +78,8 @@ from .core import (
 
 _TINY = 1e-300  # below this a conditioning event counts as underflowed
 _MAX_TERMS = 10_000_000  # an exchange series this long counts as not converging
+_CHUNK = 1 << 13  # bins per CDF checkpoint of a DurationPMF
+_CUMSUM_BLOCK = 1 << 16  # bins accumulated at once when the checkpoints are built
 
 
 @dataclass(frozen=True)
@@ -90,6 +92,16 @@ class Moments:
         return math.sqrt(self.variance)
 
 
+def _running_sum(masses: np.ndarray, carry: float, buf: np.ndarray | None = None) -> np.ndarray:
+    """carry + masses[0], carry + masses[0] + masses[1], ..., each sum
+    rounded in turn as np.cumsum rounds them: the running sum goes on from
+    `carry` with the bits it has over the whole array.  Formed in `buf`
+    (at least one longer than `masses`) when given."""
+    out = np.empty(len(masses) + 1) if buf is None else buf[: len(masses) + 1]
+    out[0], out[1:] = carry, masses
+    return np.add.accumulate(out, out=out)[1:]
+
+
 @dataclass(frozen=True)
 class DurationPMF:
     """Dense PMF of a rally count, starting at `offset`.
@@ -97,7 +109,9 @@ class DurationPMF:
     masses[i] is the probability of duration offset + i; structurally
     impossible durations (wrong parity) carry an exact 0.  The probability
     mass discarded when truncating an infinite series is bounded above by
-    `truncation_bound`.
+    `truncation_bound`.  Quantiles read the CDF through checkpoints, one
+    per chunk of 2^13 bins (`chunk_cdf`), so they keep O(bins / 2^13)
+    values rather than a PMF-sized CDF.
     """
 
     offset: int
@@ -109,12 +123,33 @@ class DurationPMF:
         return float(self.masses.sum())
 
     @functools.cached_property
-    def cdf(self) -> np.ndarray:
-        """Cumulative masses: cdf[i] is the probability of at most offset + i."""
-        return np.cumsum(self.masses)
+    def checkpoints(self) -> np.ndarray:
+        """The CDF at the last bin of each chunk of `_CHUNK` bins (the last
+        chunk may be shorter), with the bits of np.cumsum(masses): the
+        masses are accumulated in blocks of whole chunks, each onto the
+        running sum the block before it leaves."""
+        chunk, ends, carry = _CHUNK, [np.zeros(0)], 0.0
+        block = chunk * max(1, _CUMSUM_BLOCK // chunk)
+        # one buffer for all blocks: a fresh one would fault in its pages
+        # each time, which costs as much as the sums
+        buf = np.empty(min(block, len(self.masses)) + 1)
+        for lo in range(0, len(self.masses), block):
+            cdf = _running_sum(self.masses[lo : lo + block], carry, buf)
+            ends.append(cdf[chunk - 1 :: chunk].copy())
+            carry = cdf[-1]
+        if len(self.masses) % chunk:
+            ends.append(np.array([carry]))
+        return np.concatenate(ends)
+
+    def chunk_cdf(self, b: int) -> np.ndarray:
+        """The CDF over chunk b, bit for bit np.cumsum(masses) there: the
+        chunk's masses accumulated onto the checkpoint before it."""
+        return _running_sum(self.masses[b * _CHUNK : (b + 1) * _CHUNK], self.checkpoints[b - 1] if b else 0.0)
 
     def support(self) -> np.ndarray:
-        return self.offset + np.nonzero(self.masses > 0.0)[0]
+        out = np.flatnonzero(self.masses)
+        out += self.offset
+        return out
 
     def prob(self, d: int) -> float:
         i = d - self.offset
@@ -639,6 +674,18 @@ class _GeometricFilter:
             s[:top] = cols[n].reshape(top, 2)
 
 
+def _support_before(pmf: DurationPMF, x: int) -> int | None:
+    """The last bin before bin x that carries mass, or None: searched a
+    chunk at a time back from x."""
+    while x > 0:
+        lo = max(0, x - _CHUNK)
+        hit = np.flatnonzero(pmf.masses[lo:x] > 0.0)
+        if hit.size:
+            return lo + int(hit[-1])
+        x = lo
+    return None
+
+
 def quantile(pmf: DurationPMF, level: float, mode: QuantileMode = QuantileMode.STANDARD) -> float:
     """Quantile of a duration PMF.
 
@@ -649,28 +696,49 @@ def quantile(pmf: DurationPMF, level: float, mode: QuantileMode = QuantileMode.S
     plus half its own mass), clamped at the extremes; between two
     consecutive same-parity support points d and d+2 this interpolates
     linearly across the window, avoiding the empty parity class in
-    between.  Both read the PMF's one cached CDF.
+    between.  Both search the PMF's cached CDF checkpoints, one per chunk
+    of 2^13 bins, and accumulate only the chunk where the CDF reaches the
+    level (and the next, should no mid-jump value in it reach the level)
+    with the bits of np.cumsum(masses) (`DurationPMF.chunk_cdf`): they
+    return what a search of the whole CDF returns, in O(bins / 2^13)
+    memory and no PMF-sized temporary.
     """
     if not (0.0 < level < 1.0):
         raise DomainError(f"quantile level {level} outside (0, 1)")
     expect(mode, QuantileMode, "mode")
-    cdf = pmf.cdf
-    if not len(cdf) or cdf[-1] <= 0.0:
+    marks = pmf.checkpoints
+    if not len(marks) or marks[-1] <= 0.0:
         raise ConditioningError("PMF carries no mass")
-    if level > cdf[-1]:
+    if level > marks[-1]:
         raise DomainError(
-            f"level {level} unreachable: computed mass {cdf[-1]:.17g} "
+            f"level {level} unreachable: computed mass {marks[-1]:.17g} "
             f"(truncation bound {pmf.truncation_bound:.3g})"
         )
+    # the chunk of the first bin whose CDF reaches the level: every bin
+    # before it has its CDF, and so its mid-jump value, below the level
+    first = int(np.searchsorted(marks, level))
+    cdf = pmf.chunk_cdf(first)
     if mode is QuantileMode.STANDARD:
-        return float(pmf.offset + np.searchsorted(cdf, level))
-    idx = np.flatnonzero(pmf.masses > 0.0)
-    support, w = pmf.offset + idx, pmf.masses[idx]
-    mid = cdf[idx] - 0.5 * w
-    if level <= mid[0]:
-        return float(support[0])
-    if level >= mid[-1]:
-        return float(support[-1])
-    i = int(np.searchsorted(mid, level)) - 1
-    frac = (level - mid[i]) / (mid[i + 1] - mid[i])
-    return float(support[i] + frac * (support[i + 1] - support[i]))
+        return float(pmf.offset + first * _CHUNK + np.searchsorted(cdf, level))
+    last = _support_before(pmf, len(pmf.masses))
+    # the first support bin x whose mid-jump value reaches the level
+    for b in range(first, len(marks)):
+        cdf = cdf if b == first else pmf.chunk_cdf(b)
+        idx = np.flatnonzero(pmf.masses[b * _CHUNK : (b + 1) * _CHUNK] > 0.0)
+        mid = cdf[idx] - 0.5 * pmf.masses[b * _CHUNK + idx]
+        k = int(np.searchsorted(mid, level))
+        if k < len(mid):
+            x, mid_x = b * _CHUNK + int(idx[k]), mid[k]
+            break
+    else:
+        return float(pmf.offset + last)
+    prev = _support_before(pmf, x)
+    if prev is None:
+        return float(pmf.offset + x)
+    if level >= marks[-1] - 0.5 * pmf.masses[last]:
+        return float(pmf.offset + last)
+    # no mass lies between prev and x, so prev's CDF is the one at x - 1
+    cdf_prev = cdf[x - 1 - b * _CHUNK] if x > b * _CHUNK else marks[b - 1]
+    mid_prev = cdf_prev - 0.5 * pmf.masses[prev]
+    frac = (level - mid_prev) / (mid_x - mid_prev)
+    return float(pmf.offset + prev + frac * (x - prev))

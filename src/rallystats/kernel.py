@@ -26,6 +26,16 @@ selector of the components of an event of a game: the first servers
 weighed as `servers` gives them, and the components kept by a predicate
 on the points, such as a winner's (`WON`) or an end score's.
 
+The laws of one matchup read one game table: `game` keeps the tables of
+the last 16 single points in an LRU cache keyed by (system, n,
+tie-break, p_a, p_b), so configs that differ only in s_a share an entry.
+A cached table's arrays are read-only, and its shift laws are built
+afresh on each call of `shift_laws` (at n = 1000 a table's laws are 2000
+x 2000 doubles), never kept.  A grid of points (arrays of p_a, p_b) is
+evaluated afresh and never enters the cache.  `functools.lru_cache` is
+thread-safe, and what it holds is never written, so the package stays
+safe for concurrent callers.
+
 A tally's probability is a prefactor times an interruption polynomial.
 Under side-out scoring the prefactor is x^alpha y^beta q_a^[receiver
 last] q^j0 with x = p_a/(1-q), y = p_b/(1-q), and the polynomial is
@@ -410,8 +420,25 @@ def _ends(system: ScoringSystem, rows: Rows, p_a, p_b) -> Game:
 def game(config: GameConfig, p_a, p_b) -> Game:
     """The game table of `config` at each point of the arrays (p_a, p_b),
     from one kernel evaluation per table: `table(n)`, and with a tie-break
-    l also `tied(n-1)` and `table(l)`."""
-    n, ell, system = config.n, config.tiebreak, config.system
+    l also `tied(n-1)` and `table(l)`.  The table of a single point comes
+    from a bounded cache (`_point_game`), read-only; a grid is evaluated
+    afresh."""
+    if np.ndim(p_a) == 0 and np.ndim(p_b) == 0:
+        return _point_game(config.system, config.n, config.tiebreak, float(p_a), float(p_b))
+    return _game(config.system, config.n, config.tiebreak, p_a, p_b)
+
+
+@functools.lru_cache(maxsize=16)
+def _point_game(system: ScoringSystem, n: int, ell: int | None, p_a: float, p_b: float) -> Game:
+    """The game table of one point, its arrays read-only; its shift laws
+    are built on each call of `shift_laws`, never kept."""
+    out = _game(system, n, ell, p_a, p_b)
+    for arr in (out.alpha, out.beta, out.weight, out.shift_mean, out.shift_var):
+        arr.setflags(write=False)
+    return out
+
+
+def _game(system: ScoringSystem, n: int, ell: int | None, p_a, p_b) -> Game:
     ends = _ends(system, table(n), p_a, p_b)
     if ell is None:
         return ends

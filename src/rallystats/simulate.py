@@ -321,10 +321,13 @@ def sweep(
 
 def no_server_grid(step: float = 0.0005) -> list[RallyProbs]:
     """No-server parameter grid {step, 2*step, ..., 1 - step}; raise
-    DomainError for a step that is not finite or lies outside (0, 1)."""
+    DomainError for a step that is not finite, lies outside (0, 1) or does
+    not divide 1 (1/step an integer up to rounding)."""
     if not 0.0 < step < 1.0:  # NaN compares false
         raise DomainError(f"step={step} outside (0, 1)")
     count = round(1.0 / step) - 1
+    if abs(1.0 / step - (count + 1)) > 1e-9 * (count + 1):
+        raise DomainError(f"step={step} does not divide 1: 1/step = {1.0 / step!r}")
     return [RallyProbs.no_server(i * step) for i in range(1, count + 1)]
 
 

@@ -18,6 +18,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from rallystats import (
+    ConditioningError,
     DomainError,
     GameConfig,
     InfeasibleData,
@@ -666,6 +667,40 @@ def check_against_reference(pmf, ref, epsilon):
     assert pmf.truncation_bound <= epsilon
     assert beyond <= pmf.truncation_bound
     assert np.abs(pmf.masses - want).sum() + beyond <= pmf.truncation_bound + 1e-14
+
+
+def full_cdf_quantile(pmf):
+    """`duration.quantile` as it read a CDF of the whole PMF, np.cumsum of
+    the masses cached per PMF, before it read CDF checkpoints: the
+    reference the checkpointed search must match bit for bit, errors
+    included.  Returns quantile(level, mode) of the PMF; the CDF and the
+    mid-jump values are formed once."""
+    cdf = np.cumsum(pmf.masses)
+    idx = np.flatnonzero(pmf.masses > 0.0)
+    support, w = pmf.offset + idx, pmf.masses[idx]
+    mid = cdf[idx] - 0.5 * w
+
+    def quantile(level, mode):
+        if not (0.0 < level < 1.0):
+            raise DomainError(f"quantile level {level} outside (0, 1)")
+        if not len(cdf) or cdf[-1] <= 0.0:
+            raise ConditioningError("PMF carries no mass")
+        if level > cdf[-1]:
+            raise DomainError(
+                f"level {level} unreachable: computed mass {cdf[-1]:.17g} "
+                f"(truncation bound {pmf.truncation_bound:.3g})"
+            )
+        if mode is duration.QuantileMode.STANDARD:
+            return float(pmf.offset + np.searchsorted(cdf, level))
+        if level <= mid[0]:
+            return float(support[0])
+        if level >= mid[-1]:
+            return float(support[-1])
+        i = int(np.searchsorted(mid, level)) - 1
+        frac = (level - mid[i]) / (mid[i + 1] - mid[i])
+        return float(support[i] + frac * (support[i + 1] - support[i]))
+
+    return quantile
 
 
 def reference_quantile(pmf, level, mode):

@@ -1,3 +1,4 @@
+import functools
 import math
 from collections import defaultdict
 
@@ -5,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from rallystats import DomainError, GameConfig, Player, RallyProbs, ScoringSystem, SeedSpec
+from rallystats import ConditioningError, DomainError, GameConfig, Player, RallyProbs, ScoringSystem, SeedSpec
 from rallystats import duration, kernel, matchlevel, sideout, simulate
 from rallystats.duration import QuantileMode
 from rallystats.matchlevel import MatchConfig
@@ -20,6 +21,7 @@ from oracles import (
     enumerate_sideout,
     exchange_cut_walk,
     exchange_pmf,
+    full_cdf_quantile,
     interruption_weights,
     mixture_calls,
     mp_rallypoint_duration_moments,
@@ -592,7 +594,7 @@ class TestExchangeMixture:
         assert c > 1
         seam = [2 * head - lo + e for e in (-2, -1, 0, 1)]
         columns = [2 * (head + b * c + i) - lo + e for b in (1, 2) for i in (-1, 0) for e in (0, 1)]
-        tail = np.searchsorted(pmf.cdf, [1 - 1e-4, 1 - 1e-9])
+        tail = np.searchsorted(np.cumsum(pmf.masses), [1 - 1e-4, 1 - 1e-9])
         for i in [int(np.argmax(pmf.masses)), *tail, len(pmf.masses) - 1, *seam, *columns]:
             d = pmf.offset + int(i)
             want = sum(0.5 * mp_sideout_duration_prob(1e-4, 1e-4, 15, server, d) for server in Player)
@@ -885,12 +887,28 @@ class TestQuantiles:
 
     @pytest.mark.parametrize("p", [0.05, 0.01, 1e-3, 1e-4])
     def test_cached_cdf_gives_the_support_cdf_quantiles(self, p):
-        # the benchmark ladder's PMFs: the full-length CDF, searched
-        # directly, against the CDF over the support alone
+        # the benchmark ladder's PMFs: the CDF read through checkpoints
+        # against the CDF over the support alone
         pmf = duration.duration_pmf_unconditional(RallyProbs(p, p), LADDER)
         for mode in QuantileMode:
             for level in (0.01, 0.5, 0.6321, 0.9, 0.99, 0.999, 1 - 1e-9):
                 assert duration.quantile(pmf, level, mode) == reference_quantile(pmf, level, mode)
+
+    def test_unreachable_level_keeps_its_message(self):
+        pmf = duration.DurationPMF(offset=5, masses=np.array([0.6, 0.3]), truncation_bound=0.1)
+        want = "level 0.95 unreachable: computed mass 0.89999999999999991 (truncation bound 0.1)"
+        for mode in QuantileMode:
+            with pytest.raises(DomainError) as got:
+                duration.quantile(pmf, 0.95, mode)
+            assert str(got.value) == want
+
+    @pytest.mark.parametrize("masses", [np.zeros(3), np.zeros(0)], ids=["zeros", "empty"])
+    def test_pmf_without_mass_keeps_its_message(self, masses):
+        pmf = duration.DurationPMF(offset=5, masses=masses, truncation_bound=0.0)
+        for mode in QuantileMode:
+            with pytest.raises(ConditioningError) as got:
+                duration.quantile(pmf, 0.5, mode)
+            assert str(got.value) == "PMF carries no mass"
 
     def test_quantile_curves_monotone_in_k(self):
         # structural reading of the conditional-quantile figure
@@ -907,6 +925,55 @@ class TestQuantiles:
                             pmf = duration.duration_pmf_conditional(k, n, B, pr)
                         values.append(duration.quantile(pmf, level, mode))
                     assert all(x <= y + 1e-9 for x, y in zip(values, values[1:]))
+
+
+@functools.lru_cache(maxsize=None)
+def ladder_pmf(kind, p):
+    """The benchmark ladder's game, winner and best-of-5 match PMFs."""
+    probs = RallyProbs(p, p)
+    if kind == "game":
+        return duration.duration_pmf_unconditional(probs, LADDER)
+    if kind == "winner":
+        return duration.duration_pmf_winner(probs, LADDER, B)
+    return matchlevel.match_duration_pmf(probs, LADDER, MatchConfig(3))
+
+
+def outcome(f, *args):
+    """f's value, or its error's type and text."""
+    try:
+        return f(*args)
+    except (ConditioningError, DomainError) as e:
+        return type(e), str(e)
+
+
+class TestCheckpointedQuantiles:
+    """`quantile` searches CDF checkpoints and accumulates one chunk; it
+    returns what the search of the whole CDF returned (`full_cdf_quantile`),
+    bit for bit, errors included, whatever the chunk size."""
+
+    @pytest.mark.parametrize("kind", ["game", "winner", "match"])
+    @pytest.mark.parametrize("p", [0.3, 0.05, 1e-3, 1e-4])
+    def test_equals_the_search_of_the_whole_cdf(self, monkeypatch, kind, p):
+        pmf = ladder_pmf(kind, p)
+        cdf, reference = np.cumsum(pmf.masses), full_cdf_quantile(pmf)
+        rng = np.random.default_rng(27)
+        # random levels, CDF values at random bins, the far tail and levels
+        # past the computed mass
+        levels = [*rng.uniform(0.0, 1.0, 40), *cdf[rng.integers(0, len(cdf), 40)], *(1 - 10.0 ** -rng.uniform(6, 12, 10))]
+        levels = [x for x in map(float, levels) if 0.0 < x < 1.0] + [1 - 1e-13, 1 - 1e-15]
+        for chunk in (duration._CHUNK, 1, 2, 7):
+            monkeypatch.setattr(duration, "_CHUNK", chunk)
+            fresh = duration.DurationPMF(pmf.offset, pmf.masses, pmf.truncation_bound)
+            assert np.array_equal(fresh.checkpoints, np.append(cdf[chunk - 1 :: chunk], cdf[-1])[: -(-len(cdf) // chunk)])
+            # and levels on the CDF at chunk ends and just past them
+            ends = fresh.checkpoints[rng.integers(0, len(fresh.checkpoints), 20)].tolist()
+            for x in levels + ends + np.nextafter(ends, 1.0).tolist():
+                for mode in QuantileMode:
+                    assert outcome(duration.quantile, fresh, x, mode) == outcome(reference, x, mode), (chunk, x, mode)
+
+    def test_support_is_the_bins_with_mass(self):
+        pmf = ladder_pmf("game", 0.05)
+        assert np.array_equal(pmf.support(), pmf.offset + np.nonzero(pmf.masses > 0.0)[0])
 
 
 # (n, l, p_a, p_b) of tie-break games

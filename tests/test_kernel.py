@@ -312,3 +312,80 @@ def test_game_table_is_consistent(config, point):
         assert weight.sum() == pytest.approx(1.0, abs=1e-14)
         a_wins = weight[(game.alpha > game.beta) == (server is A)].sum()
         assert a_wins == pytest.approx(sideout.game_win_prob(A, server, probs, config), abs=1e-15)
+
+
+GAME_CONFIGS = [GameConfig(n=15, s_a=0.5), GameConfig(n=21, system=ScoringSystem.RALLY_POINT), GameConfig(n=9, tiebreak=3)]
+GAME_IDS = ["sideout", "rally-point", "tiebreak"]
+FIELDS = ("alpha", "beta", "weight", "shift_mean", "shift_var")
+
+
+class TestGameCache:
+    """`kernel.game` keeps the table of a single point in a bounded cache:
+    one evaluation per matchup, read-only, bit for bit the fresh table."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        kernel._point_game.cache_clear()
+        calls = []
+        polynomial = kernel._polynomial
+        monkeypatch.setattr(kernel, "_polynomial", lambda *args: calls.append(args) or polynomial(*args))
+        return calls
+
+    @pytest.mark.parametrize("config", GAME_CONFIGS, ids=GAME_IDS)
+    def test_repeated_call_makes_no_evaluation(self, calls, config):
+        first = kernel.game(config, 0.6, 0.5)
+        evaluations = len(calls)
+        assert evaluations == (1 if config.tiebreak is None else 3)
+        assert kernel.game(config, 0.6, 0.5) is first
+        assert kernel.game(config, np.float64(0.6), 0.5) is first
+        assert len(calls) == evaluations
+
+    @pytest.mark.parametrize("config", GAME_CONFIGS, ids=GAME_IDS)
+    def test_cached_arrays_are_read_only(self, config):
+        game = kernel.game(config, 0.45, 0.7)
+        for name in FIELDS:
+            arr = getattr(game, name)
+            assert not arr.flags.writeable, name
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0
+        # the shift laws are built on each call, not kept
+        assert game.shift_laws(0.2) is not game.shift_laws(0.2)
+
+    @pytest.mark.parametrize("config", GAME_CONFIGS, ids=GAME_IDS)
+    @pytest.mark.parametrize("point", [(0.6, 0.5), (0.05, 0.07), (1e-4, 1e-4), (1.0, 0.5)])
+    def test_cached_table_equals_a_fresh_one(self, config, point):
+        kernel._point_game.cache_clear()
+        cached = kernel.game(config, *point)
+        fresh = kernel._game(config.system, config.n, config.tiebreak, *point)
+        grid = kernel.game(config, np.array([point[0]]), np.array([point[1]]))
+        q = RallyProbs(*point).q
+        for other in (fresh, grid):
+            for name in FIELDS:
+                assert np.array_equal(getattr(cached, name), getattr(other, name)), name
+            assert np.array_equal(cached.shift_laws(q), other.shift_laws(q))
+
+    def test_configs_differing_only_in_s_a_share_one_entry(self, calls):
+        tables = [kernel.game(GameConfig(n=15, s_a=s_a), 0.6, 0.5) for s_a in (1.0, 0.5, 0.0)]
+        assert all(t is tables[0] for t in tables)
+        assert kernel._point_game.cache_info().currsize == 1
+        assert len(calls) == 1
+
+    def test_grids_never_enter_the_cache(self, calls):
+        p = np.array([0.3, 0.6, 0.9])
+        kernel.game(GameConfig(n=15), p, p[::-1])
+        kernel.game(GameConfig(n=9, tiebreak=3), p[:1], p[:1])
+        assert kernel._point_game.cache_info().currsize == 0
+        assert len(calls) == 4
+
+    def test_entries_are_bounded(self, calls):
+        bound = kernel._point_game.cache_info().maxsize
+        assert bound == 16
+        points = [0.01 * i for i in range(1, 2 * bound + 1)]
+        for p in points:
+            kernel.game(GameConfig(n=5), p, 0.5)
+        assert kernel._point_game.cache_info().currsize == bound
+        # the oldest points were evicted, the newest are kept
+        kernel.game(GameConfig(n=5), points[-1], 0.5)
+        assert len(calls) == len(points)
+        kernel.game(GameConfig(n=5), points[0], 0.5)
+        assert len(calls) == len(points) + 1

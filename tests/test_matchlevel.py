@@ -127,6 +127,7 @@ class TestMatchWinProb:
     def test_one_kernel_evaluation_per_first_server(self, monkeypatch, system, s_a):
         pr, cfg = RallyProbs(0.6, 0.5), GameConfig(n=15, system=system, s_a=s_a)
         want = matchlevel.match_win_prob(pr, cfg, MatchConfig(2))
+        kernel._point_game.cache_clear()  # count a point not seen yet
         calls = []
         polynomial = kernel._polynomial
 

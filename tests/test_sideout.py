@@ -268,6 +268,7 @@ class TestKernelEvaluations:
 
     @pytest.fixture
     def calls(self, monkeypatch):
+        kernel._point_game.cache_clear()  # count points not seen yet
         calls = []
         polynomial = kernel._polynomial
 

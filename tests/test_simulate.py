@@ -173,6 +173,18 @@ class TestSweep:
         with pytest.raises(DomainError, match="step"):
             simulate.no_server_grid(step)
 
+    # 0.7 gave [], 0.6 gave [0.6] (above 1 - step), 0.4 gave [0.4]
+    @pytest.mark.parametrize("step", [0.7, 0.6, 0.4, 0.3])
+    def test_step_that_does_not_divide_one_raises_domain_error(self, step):
+        with pytest.raises(DomainError, match="does not divide 1"):
+            simulate.no_server_grid(step)
+
+    @pytest.mark.parametrize("step, points", [(0.25, 3), (0.01, 99), (0.0005, 1999)])
+    def test_step_that_divides_one_up_to_rounding_gives_its_grid(self, step, points):
+        grid = simulate.no_server_grid(step)
+        assert len(grid) == points
+        assert grid[-1].p_a == pytest.approx(1.0 - step)
+
     def test_points_use_independent_streams(self):
         cfg = GameConfig(n=9)
         grid = simulate.no_server_grid(0.2)
