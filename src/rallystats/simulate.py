@@ -10,13 +10,18 @@ arrays.  That is the same sequence of deviates a loop over all games with
 a mask of the live ones draws, so results are the same, bit for bit, for
 every `SeedSpec`.  A batch is played in blocks of `_BLOCK` consecutive
 games, each with its own arrays, stepped in game order at every rally.
-With more than one block, a helper thread draws each block's uniforms for
-the next rally while the main thread plays the other blocks (numpy's
-generator releases the interpreter lock while it fills an array).  Each
-draw is exactly the block's live count, and draws run in the order of the
-loop, so the deviates and the generator's final state are those of one
-draw over all live games per rally; a batch of one block draws inline and
-starts no thread.  The generator labels the players by serve strength, h
+The draw side hands a block one byte per live game, the flags of the
+rallies won by the server: it draws the uniforms `_CHUNK` (2^16) at a
+time into one scratch buffer and turns them into flags at once, so no
+uniform outlives its chunk, and the first servers are drawn the same way.
+With more than one block and more than one CPU to run on, a helper thread
+draws each block's flags for the next rally while the main thread plays
+the other blocks (numpy's generator releases the interpreter lock while
+it fills an array); a batch of one block, or any batch on one CPU, draws
+inline and starts no thread.  Each draw is exactly the block's live
+count, and draws run in the order of the loop, so the deviates, their
+order and the generator's final state are those of one draw over all live
+games per rally.  The generator labels the players by serve strength, h
 the stronger server and l the weaker: a deviate below both serve
 probabilities is a rally won by either server, one between them a rally
 won by h on serve, so a step is one comparison chain on the flag "h
@@ -32,6 +37,7 @@ trajectory.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,6 +159,26 @@ def simulate_game(
 
 
 _BLOCK = 2**18  # games per block of the rally loop
+_CHUNK = 2**16  # deviates per draw into a scratch buffer
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _first_servers(rng: np.random.Generator, count: int, s_a: float) -> np.ndarray:
+    """`count` first-server flags, True where A serves first (a deviate
+    below `s_a`), drawn `_CHUNK` deviates at a time into the flags."""
+    first_server_a = np.empty(count, dtype=bool)
+    scratch = np.empty(min(count, _CHUNK))
+    for start in range(0, count, _CHUNK):
+        u = rng.random(out=scratch[: min(_CHUNK, count - start)])
+        np.less(u, s_a, out=first_server_a[start : start + u.size])
+    return first_server_a
 
 
 def _rallies(probs: RallyProbs, config: GameConfig, first_server_a: np.ndarray, rng: np.random.Generator):
@@ -166,12 +192,16 @@ def _rallies(probs: RallyProbs, config: GameConfig, first_server_a: np.ndarray, 
     the games that stay, and the final scores alpha and beta of the
     finished games; these then leave the block.
 
-    Each block draws its uniforms into its own buffer.  With more than one
-    block, a helper thread fills a block's buffer for the next rally as soon
-    as its live count is known, while this thread plays the other blocks;
-    draws are queued in the order of the loop, and each is exactly the live
-    count, so the generator yields the deviates of one draw per rally over
-    all live games and ends in the same state."""
+    The draw side hands a block one byte per live game, the flags of the
+    rallies won by the server: it draws the uniforms `_CHUNK` at a time
+    into one scratch buffer and turns each chunk into flags at once, so no
+    block keeps a uniform.  With more than one block and more than one CPU, a helper
+    thread draws a block's flags for the next rally as soon as its
+    compacted server flags exist, while this thread plays the other
+    blocks; otherwise this thread draws them itself.  Draws are queued in
+    the order of the loop, and each is exactly the live count, so the
+    generator yields the same deviates in the same order as one draw per
+    rally over all live games and ends in the same state."""
     n, ell = config.n, config.tiebreak
     sideout = config.system is ScoringSystem.SIDE_OUT
     # h serves with the higher probability (A on a tie), l with the lower
@@ -184,13 +214,29 @@ def _rallies(probs: RallyProbs, config: GameConfig, first_server_a: np.ndarray, 
         size = server_h.size
         target = None if ell is None else np.full(size, n, dtype=score_dtype)
         blocks.append([server_h, np.zeros(size, dtype=score_dtype), np.zeros(size, dtype=score_dtype), target])
-    buffers = [np.empty(block[0].size) for block in blocks]
+    scratch = np.empty(min(first_server_a.size, _BLOCK, _CHUNK))
+    del first_server_a  # the blocks hold the server flags
+
+    def server_won(server_h):
+        # a deviate below both serve probabilities is a rally won by either
+        # server, one between them a rally won by h on serve
+        live = server_h.size
+        if live <= _CHUNK:
+            u = rng.random(out=scratch[:live])
+            return ((u < hi) & server_h) | (u < lo)
+        won = np.empty(live, dtype=bool)
+        for start in range(0, live, _CHUNK):
+            h = server_h[start : start + _CHUNK]
+            u = rng.random(out=scratch[: h.size])
+            won[start : start + h.size] = ((u < hi) & h) | (u < lo)
+        return won
+
     pool = None
-    if len(blocks) > 1:
+    if len(blocks) > 1 and _cpus() > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         pool = ThreadPoolExecutor(1)
-        drawn = [pool.submit(rng.random, out=buffer) for buffer in buffers]
+        drawn = [pool.submit(server_won, block[0]) for block in blocks]
     try:
         rally, playing = 0, len(blocks)
         while playing:
@@ -199,12 +245,17 @@ def _rallies(probs: RallyProbs, config: GameConfig, first_server_a: np.ndarray, 
                 live = server_h.size
                 if not live:
                     continue
-                u = rng.random(out=buffers[b][:live]) if pool is None else drawn[b].result()
-                server_won = (u < lo) | ((u < hi) & server_h)
-                h_rally = server_h == server_won  # h won the rally
+                if pool is not None:
+                    won = drawn[b].result()
+                elif live <= _CHUNK:  # server_won's one-chunk draw, without a call per rally
+                    u = rng.random(out=scratch[:live])
+                    won = ((u < hi) & server_h) | (u < lo)
+                else:
+                    won = server_won(server_h)
+                h_rally = server_h == won  # h won the rally
                 if sideout:
-                    score_h += h_rally & server_won
-                    score_l += server_won > h_rally  # l served and won
+                    score_h += h_rally & won
+                    score_l += won > h_rally  # l served and won
                 else:
                     score_h += h_rally
                     score_l += ~h_rally
@@ -213,17 +264,19 @@ def _rallies(probs: RallyProbs, config: GameConfig, first_server_a: np.ndarray, 
                 # no game ends before its n-th rally
                 done = None if rally < n else np.maximum(score_h, score_l) >= (n if target is None else target)
                 stay = live if done is None else live - np.count_nonzero(done)
-                if pool is not None and stay:
-                    drawn[b] = pool.submit(rng.random, out=buffers[b][:stay])
                 if stay == live:
                     blocks[b][0] = h_rally
+                    if pool is not None:
+                        drawn[b] = pool.submit(server_won, h_rally)
                     continue
-                if not stay:
-                    playing -= 1
                 fin, keep = np.flatnonzero(done), ~done
                 final = score_h[fin], score_l[fin]
-                yield b, rally, fin, keep, *(final if a_high else final[::-1])
                 blocks[b] = [h_rally[keep], score_h[keep], score_l[keep], None if target is None else target[keep]]
+                if not stay:
+                    playing -= 1
+                elif pool is not None:
+                    drawn[b] = pool.submit(server_won, blocks[b][0])
+                yield b, rally, fin, keep, *(final if a_high else final[::-1])
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
@@ -239,7 +292,7 @@ def _batch_games(
     """Play `count` games (`_rallies`) and write each finished game's
     outcome once, by index."""
     if first_server_a is None:
-        first_server_a = rng.random(count) < config.s_a
+        first_server_a = _first_servers(rng, count, config.s_a)
     alpha, beta, duration = (np.zeros(count, dtype=np.int64) for _ in range(3))
     ids = [np.arange(start, min(start + _BLOCK, count)) for start in range(0, count, _BLOCK)]
     for b, rally, fin, keep, final_a, final_b in _rallies(probs, config, first_server_a, rng):
@@ -298,7 +351,7 @@ def run_experiment(probs: RallyProbs, config: GameConfig, replications: int, see
     expect_count(replications, "replications", 1)
     rng = seed.generator()
     games = {Player.A: {}, Player.B: {}}
-    for _, rally, _, _, alpha, beta in _rallies(probs, config, rng.random(replications) < config.s_a, rng):
+    for _, rally, _, _, alpha, beta in _rallies(probs, config, _first_servers(rng, replications, config.s_a), rng):
         won = int(np.count_nonzero(alpha > beta))
         games[Player.A][rally] = games[Player.A].get(rally, 0) + won
         games[Player.B][rally] = games[Player.B].get(rally, 0) + alpha.size - won
@@ -357,7 +410,7 @@ def sample_matches(
     wins_b = np.zeros(count, dtype=np.int64)
     rallies = np.zeros(count, dtype=np.int64)
     games = np.zeros(count, dtype=np.int64)
-    server_a = rng.random(count) < game_config.s_a
+    server_a = _first_servers(rng, count, game_config.s_a)
     m = match_config.games_to_win
     active = np.ones(count, dtype=bool)
     while True:
@@ -374,6 +427,6 @@ def sample_matches(
         elif match_config.server_rule is ServerRule.ALTERNATE:
             server_a[idx] = ~server_a[idx]
         else:  # COIN_FLIP_EACH
-            server_a[idx] = rng.random(idx.size) < game_config.s_a
+            server_a[idx] = _first_servers(rng, idx.size, game_config.s_a)
         active[idx] = (wins_a[idx] < m) & (wins_b[idx] < m)
     return MatchSample(winner_a=wins_a >= m, total_rallies=rallies, games_played=games)

@@ -375,13 +375,22 @@ class TestExperimentAgainstReferenceLoop:
         assert report.v_hat_winner == {p: exact_var(d[won[p]]) for p in Player}
         assert from_sample == report
 
-    @pytest.mark.parametrize("block", [simulate._BLOCK, 2**14], ids=["one-block", "13-blocks"])
-    def test_peak_memory_per_game(self, monkeypatch, block):
-        # streaming the moments peaks at 19 bytes per game in one block and
-        # 16 in blocks of 2^14; building a GameSample and taking float passes
-        # over its durations peaks at 58
+    @pytest.mark.parametrize(
+        "block, games, bound",
+        [(simulate._BLOCK, 200_000, 16), (2**14, 200_000, 10), (simulate._BLOCK, 1_000_000, 8)],
+        ids=["one-block", "13-blocks", "four-blocks"],
+    )
+    def test_peak_memory_per_game(self, monkeypatch, block, games, bound):
+        # the draw side hands each block one byte per live game, and the
+        # uniforms pass through one scratch buffer of at most 2^16 doubles:
+        # streaming the moments peaks at 14 bytes per game in one block of
+        # 200 000 games, 9 in blocks of 2^14, and 7 for 10^6 games in four
+        # default blocks, drawn by the helper thread where the process has
+        # a second CPU.  A uniform buffer per block took 19, 13-16 and 14;
+        # building a GameSample and taking float passes over its durations
+        # took 58
         monkeypatch.setattr(simulate, "_BLOCK", block)
-        probs, config, games = RallyProbs(0.6, 0.5), GameConfig(n=15, s_a=0.5), 200_000
+        probs, config = RallyProbs(0.6, 0.5), GameConfig(n=15, s_a=0.5)
         simulate.run_experiment(probs, config, 100, SeedSpec(0))
         tracemalloc.start()
         try:
@@ -389,12 +398,14 @@ class TestExperimentAgainstReferenceLoop:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / games < 40
+        assert peak / games <= bound
 
 
 class TestBlocks:
-    """A batch of one block draws inline; a batch of more blocks draws on
-    one helper thread, which ends with the batch."""
+    """A batch of one block, or any batch on one CPU, draws inline; a batch
+    of more blocks on more CPUs draws on one helper thread, which ends with
+    the batch.  Either way the uniforms pass through a scratch buffer of
+    `_CHUNK` deviates, in the order of one draw per rally."""
 
     probs, config = RallyProbs(0.6, 0.5), GameConfig(n=5)
 
@@ -408,6 +419,8 @@ class TestBlocks:
 
     def test_helper_thread_ends_with_the_batch(self, monkeypatch):
         monkeypatch.setattr(simulate, "_BLOCK", 64)
+        # the helper starts only where the process may run on two CPUs
+        monkeypatch.setattr(simulate.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         threads = threading.active_count()
         rallies = self.rallies(1_000)
         next(rallies)
@@ -423,6 +436,7 @@ class TestBlocks:
 
     def test_draws_keep_their_order_under_frequent_thread_switches(self, monkeypatch):
         monkeypatch.setattr(simulate, "_BLOCK", 7)
+        monkeypatch.setattr(simulate.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         config = GameConfig(n=15, s_a=0.5)
         rng, reference_rng = np.random.default_rng(3), np.random.default_rng(3)
         interval = sys.getswitchinterval()
@@ -433,3 +447,47 @@ class TestBlocks:
             sys.setswitchinterval(interval)
         assert_samples_equal(got, reference_batch_games(self.probs, config, 200, reference_rng))
         assert rng.random() == reference_rng.random()
+
+    def test_one_cpu_starts_no_thread(self, monkeypatch):
+        # on one CPU the helper's draws could only take turns with the loop
+        monkeypatch.setattr(simulate, "_BLOCK", 64)
+        config = GameConfig(n=15, s_a=0.5)
+        rng = np.random.default_rng(4)
+        threaded = simulate._batch_games(self.probs, config, 150, rng)  # three blocks
+        monkeypatch.setattr(simulate.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        threads = threading.active_count()
+        for _ in self.rallies(1_000):
+            assert threading.active_count() == threads
+        inline_rng = np.random.default_rng(4)
+        assert_samples_equal(simulate._batch_games(self.probs, config, 150, inline_rng), threaded)
+        assert inline_rng.bit_generator.state == rng.bit_generator.state
+
+    def test_cpu_count_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(simulate.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 3)
+        assert simulate._cpus() == 3
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: None)  # undetermined
+        assert simulate._cpus() == 1
+
+    @pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one-cpu", "two-cpus"])
+    @pytest.mark.parametrize("chunk", [1, 3, 64])
+    @pytest.mark.parametrize("block", [simulate._BLOCK, 50])
+    def test_chunked_draws_equal_reference(self, monkeypatch, block, chunk, cpus):
+        # chunks of 1, 3 and 64 deviates cut 130 games at every rally, inside
+        # and across the blocks of 50, inline and on the helper thread
+        monkeypatch.setattr(simulate, "_BLOCK", block)
+        monkeypatch.setattr(simulate, "_CHUNK", chunk)
+        monkeypatch.setattr(simulate.os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        probs, config, seed = RallyProbs(0.55, 0.45), GameConfig(n=7, tiebreak=2, s_a=0.5), SeedSpec(9)
+        rng, reference_rng = seed.generator(), seed.generator()
+        want = reference_batch_games(probs, config, 130, reference_rng)
+        assert_samples_equal(simulate._batch_games(probs, config, 130, rng), want)
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+        assert simulate.run_experiment(probs, config, 130, seed) == simulate._report_from_sample(want)
+
+    @pytest.mark.parametrize("count", [1, 6, 7, 8, 300])
+    def test_first_servers_draw_in_chunks(self, monkeypatch, count):
+        monkeypatch.setattr(simulate, "_CHUNK", 7)
+        rng, reference_rng = np.random.default_rng(2), np.random.default_rng(2)
+        np.testing.assert_array_equal(simulate._first_servers(rng, count, 0.3), reference_rng.random(count) < 0.3)
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
