@@ -34,7 +34,7 @@ _LAZY = {
     **dict.fromkeys(["DurationPMF", "Moments", "QuantileMode", "quantile"], "duration"),
     **dict.fromkeys(["FitMode", "FitModel", "FitResult", "GameRecord", "RecordBatch", "fit"], "estimate"),
     **dict.fromkeys(["MatchConfig", "match_duration_pmf", "match_win_prob"], "matchlevel"),
-    **dict.fromkeys(["EstimatorReport", "SeedSpec", "SimResult", "run_experiment", "simulate_game"], "simulate"),
+    **dict.fromkeys(["EstimatorReport", "SeedSpec", "run_experiment"], "simulate"),
 }
 
 __all__ = [
@@ -59,14 +59,12 @@ __all__ = [
     "ScoringSystem",
     "SeedSpec",
     "ServerRule",
-    "SimResult",
     "TerminalScore",
     "fit",
     "match_duration_pmf",
     "match_win_prob",
     "quantile",
     "run_experiment",
-    "simulate_game",
     "validate",
 ]
 

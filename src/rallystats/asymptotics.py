@@ -8,9 +8,11 @@ on {n+1, ..., 2n}, and under rally-point scoring a win against the trend
 puts mass proportional to binom(n+k-1, k) on n+k (all trajectories to a
 given score being equally likely in the limit).
 
-These laws double as convergence oracles for the exact engines.  Each
-limit mass, mean and variance is one ratio of exact integers, divided
-once, so it is the correctly rounded value of its rational.
+These laws double as convergence oracles for the exact engines: the
+law of `duration.duration_pmf_winner` in the no-server model tends to
+`limit_pmf` in total variation.  Each limit mass, mean and variance is one
+ratio of exact integers, divided once, so it is the correctly rounded
+value of its rational.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from math import comb
 
 import numpy as np
 
-from .core import GameConfig, Player, RallyProbs, ScoringSystem, expect, expect_count
-from .duration import DurationPMF, Moments, duration_pmf_winner
+from .core import Player, ScoringSystem, expect, expect_count
+from .duration import DurationPMF, Moments
 
 
 class Direction(enum.Enum):
@@ -79,41 +81,3 @@ def limit_pmf(system: ScoringSystem, winner: Player, direction: Direction, n: in
     """Exact limiting PMF for the same conditioning (rational weights,
     each rounded once)."""
     return _limit_case(system, winner, direction, n)[1]
-
-
-def tv_distance(a: DurationPMF, b: DurationPMF) -> float:
-    """Total-variation distance, counting any truncated mass as misplaced."""
-    start = min(a.offset, b.offset)
-    stop = max(a.offset + len(a.masses), b.offset + len(b.masses))
-    pa = np.zeros(stop - start)
-    pb = np.zeros(stop - start)
-    pa[a.offset - start : a.offset - start + len(a.masses)] = a.masses
-    pb[b.offset - start : b.offset - start + len(b.masses)] = b.masses
-    return 0.5 * float(np.abs(pa - pb).sum()) + 0.5 * (
-        max(1.0 - a.total_mass, 0.0) + max(1.0 - b.total_mass, 0.0)
-    )
-
-
-def convergence_check(
-    system: ScoringSystem,
-    winner: Player,
-    direction: Direction,
-    n: int,
-    p_sequence,
-    epsilon: float = 1e-12,
-) -> np.ndarray:
-    """Total-variation distance between the exact conditional law of D in
-    an A-game (the config's default s_a = 1) at each p and the limiting
-    law.
-
-    The distances should decrease along a sequence approaching the limit;
-    a ConditioningError propagates if the conditioning event underflows at
-    an extreme p, so callers choose the p range accordingly.
-    """
-    target = limit_pmf(system, winner, direction, n)
-    config = GameConfig(n=n, system=system)
-    out = []
-    for p in p_sequence:
-        pmf = duration_pmf_winner(RallyProbs.no_server(p), config, winner, epsilon=epsilon)
-        out.append(tv_distance(pmf, target))
-    return np.array(out)

@@ -180,7 +180,7 @@ def _moment_rows(probs, config, score):
     from . import duration
 
     if score is not None:
-        rows = [(f"score={score[0]}-{score[1]}", duration._score_moments(probs, config, score))]
+        rows = [(f"score={score[0]}-{score[1]}", duration.score_moments(probs, config, score))]
     else:
         agg = duration.aggregate_moments(probs, config)
         rows = zip(["winner=A", "winner=B", "unconditional"], [agg.by_winner.get(w) for w in Player] + [agg.overall])
@@ -216,7 +216,7 @@ def cmd_duration(system, n, pa, pb, server, sa, tiebreak, stat, winner, score, l
         _emit(OutputTable(["conditioning", "mean", "sd", "variance"], rows), fmt, out)
         return
     if score is not None:
-        pmf = duration._score_pmf(probs, config, score, epsilon)
+        pmf = duration.score_pmf(probs, config, score, epsilon)
     elif winner is None:
         pmf = duration.duration_pmf_unconditional(probs, config, epsilon)
     else:

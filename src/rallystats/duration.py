@@ -11,30 +11,25 @@ the two laws, with a certified truncation bound for the infinite exchange
 series.  Under rally-point scoring every rally scores, so D = alpha + beta
 given the tally.
 
-The law of D given a tally depends on q alone, so it is the same for both
-first servers.  The laws of a single tally read its row of the kernel, as
-the game table does for its components: `mgf_conditional` and
-`duration_pmf_conditional` its shift law (`kernel.shift_laws`), the
-conditional mean and variance the moments of its interruption polynomial
-(`kernel.interruption_polynomial`).  Every game-level law reads the game
-table of `kernel.game`:
-its terminal components, each with a weight per first server, the points
-M and the law of the shift s, the rallies that are neither points nor
-exchanges.  Given (M, s), D = M + s + 2L with L ~ NB(M, q), so the mean
-of D is M + s + 2Mq/(1-q) and its variance 4Mq/(1-q)^2.  The law given
-any event (first server, game winner), either of which may be mixed out,
-or given an end score, is then a mixture over the components, weighted
-as `kernel.Game.event` selects them.  The moments of every event come
-from one such mixture, for one point (`aggregate_moments`) or a grid of
-points, with the same bits at a point either way.  The aggregate moments
-and the PMFs read the system, the tie-break and the first server from
-the `GameConfig`: the game PMFs mix the first server with (s_a, s_b),
-so s_a = 1 or 0 states it, and the laws of a single tally are those of
-an A-game (a B-game's tally is the A-game tally with the scores and the
-last scorer swapped).  An event of probability zero has no
-conditional law: the aggregates leave it out, and the laws that
-normalize, `duration_pmf_winner` and the law given a score, raise
-`ConditioningError`.
+Every law of a game reads the game table of `kernel.game`: its terminal
+components, each with a weight per first server, the points M and the law
+of the shift s, the rallies that are neither points nor exchanges.  Given
+(M, s), D = M + s + 2L with L ~ NB(M, q), so the mean of D is M + s +
+2Mq/(1-q) and its variance 4Mq/(1-q)^2.  The law given any event (first
+server, game winner), either of which may be mixed out, or given an end
+score (`score_moments`, `score_pmf`), is then a mixture over the
+components, weighted as `kernel.Game.event` selects them.  The moments of
+every event come from one such mixture, for one point
+(`aggregate_moments`) or a grid of points, with the same bits at a point
+either way.  Every law reads the system, the tie-break and the first
+server from the `GameConfig`, and mixes the first server with (s_a, s_b),
+so s_a = 1 or 0 states it.  Given an end score and a stated first server,
+the law depends on the rally probabilities through q alone.  An event of
+probability zero has no conditional law: the aggregates leave it out, and
+the laws that normalize, `duration_pmf_winner` and the laws given a
+score, raise `ConditioningError`.  `mgf_conditional` is the moment
+generating function given one tally of an A-game, from the tally's shift
+law (`kernel.shift_laws`).
 
 Every PMF comes from one engine.  A game's law before its exchanges
 jointly with an event, law[k, s] over n + k points scored and the shift
@@ -59,6 +54,7 @@ import enum
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -208,38 +204,6 @@ def mgf_conditional(alpha: int, beta: int, last_scorer: Player, q: float, one_mi
     return value
 
 
-def _given_shift(points, shift_mean, shift_var, q, one_minus_q):
-    """Exact mean and variance of D given `points` scored and the mean and
-    variance of the shift s, elementwise over arrays: given (M, s), D = M +
-    s + 2L with L ~ NB(M, q), so E[D] = M (1+q)/(1-q) + s and Var[D] =
-    4 M q/(1-q)^2.  1 - q is given apart from q since it cancels as q -> 1."""
-    return points * (1.0 + q) / one_minus_q + shift_mean, 4.0 * points * q / one_minus_q**2 + shift_var
-
-
-def _conditional_moments(alpha: int, beta: int, last_scorer: Player, q: float) -> Moments:
-    """Exact conditional mean and variance of D for an A-game tally (see
-    `_given_shift`), from the moments of the power j0 + s of q under the
-    tally's interruption polynomial (`kernel.interruption_polynomial`), as
-    the game table reads them: the shift delta + 2j has mean delta + 2(j0 +
-    s_mean) and variance 4 s_var."""
-    if not (0.0 <= q < 1.0):
-        raise DomainError(f"q={q} outside [0, 1)")
-    rows = kernel.tally(alpha, beta, expect(last_scorer, Player, "last_scorer") is Player.A)
-    _, s_mean, s_var = kernel.interruption_polynomial(rows, q)
-    shift_mean = int(last_scorer is Player.B) + 2.0 * (int(rows.j0[0]) + float(s_mean[0, 0]))
-    return Moments(*_given_shift(alpha + beta, shift_mean, 4.0 * float(s_var[0, 0]), q, 1.0 - q))
-
-
-def expected_duration_conditional(alpha: int, beta: int, last_scorer: Player, q: float) -> float:
-    """Exact conditional expectation of D (see `_conditional_moments`)."""
-    return _conditional_moments(alpha, beta, last_scorer, q).mean
-
-
-def variance_duration_conditional(alpha: int, beta: int, last_scorer: Player, q: float) -> float:
-    """Exact conditional variance of D (see `_conditional_moments`)."""
-    return _conditional_moments(alpha, beta, last_scorer, q).variance
-
-
 def _exact_q(probs: RallyProbs):
     """log q and 1 - q of the exchange probability q = q_a q_b, in extended
     precision (where the platform has it), so that each rounds the exact
@@ -323,24 +287,6 @@ def _exchange_cut(m0: int, probs: RallyProbs, epsilon: float) -> tuple[int, floa
     return hi + 1, tail(hi)
 
 
-def duration_pmf_conditional(
-    alpha: int, beta: int, last_scorer: Player, probs: RallyProbs, epsilon: float = 1e-12
-) -> DurationPMF:
-    """Exact PMF of D given the tally, the last scorer and first server A,
-    as the convolution of the interruption and exchange laws: the one-row
-    law of alpha + beta points and the tally's shift law
-    (`kernel.shift_laws`) through `exchange_mixture`.  The law of a B-game
-    tally is that of the swapped tally, (beta, alpha) with the other last
-    scorer: it depends on the rally probabilities through q alone.
-
-    Mass sits only on alpha+beta+2j when the first server scores last and
-    on alpha+beta+2j+1 otherwise (the server-effect parity).
-    """
-    validate(probs)
-    law = kernel.shift_laws(ScoringSystem.SIDE_OUT, kernel.tally(alpha, beta, expect(last_scorer, Player, "last_scorer") is Player.A), probs.q)
-    return exchange_mixture(alpha + beta, law, probs, ScoringSystem.SIDE_OUT, epsilon)
-
-
 def _mix(c: np.ndarray, mean: np.ndarray, var: np.ndarray):
     """Total weight, mean and variance of the mixture of the components'
     laws (axis 0) with weights c; NaN moments where the total is at most
@@ -358,13 +304,16 @@ def _mix(c: np.ndarray, mean: np.ndarray, var: np.ndarray):
 
 def _moments(config: GameConfig, game: kernel.Game, p_a, p_b):
     """Mean and variance of D given each component of the game table, each
-    (components, points), with the exact 1 - q = p_a + q_a p_b; rally-point
-    games have no exchanges."""
+    (components, points): given M points and the shift s, D = M + s + 2L
+    with L ~ NB(M, q), so E[D] = M (1+q)/(1-q) + E[s] and Var[D] = 4 M
+    q/(1-q)^2 + Var[s], with the exact 1 - q = p_a + q_a p_b, which does not
+    cancel as q -> 1; rally-point games have no exchanges."""
     q, one_minus_q = 0.0, 1.0
     if config.system is ScoringSystem.SIDE_OUT:
         q_a = 1.0 - np.asarray(p_a)
         q, one_minus_q = q_a * (1.0 - np.asarray(p_b)), p_a + q_a * p_b
-    return _given_shift((game.alpha + game.beta)[:, None], game.shift_mean, game.shift_var, q, one_minus_q)
+    points = (game.alpha + game.beta)[:, None]
+    return points * (1.0 + q) / one_minus_q + game.shift_mean, 4.0 * points * q / one_minus_q**2 + game.shift_var
 
 
 _EVENTS = tuple(itertools.product((*Player, None), repeat=2))
@@ -488,6 +437,8 @@ def _score_law(probs: RallyProbs, config: GameConfig, score) -> tuple[kernel.Gam
     weighed by (s_a, s_b), summing to 1: one component, or two for an end
     of a tie-break's extension, reached by either tying scorer."""
     validate(probs, config)
+    if not all(isinstance(x, numbers.Integral) for x in score):
+        raise DomainError(f"non-integer score ({score[0]!r}, {score[1]!r})")
     game = kernel.game(config, probs.p_a, probs.p_b)
     if tuple(score) not in zip(game.alpha.tolist(), game.beta.tolist()):
         raise ConfigError(f"score {score[0]},{score[1]} is not an end score of a game to {config.n}")
@@ -497,16 +448,22 @@ def _score_law(probs: RallyProbs, config: GameConfig, score) -> tuple[kernel.Gam
     return game, c / c.sum()
 
 
-def _score_moments(probs: RallyProbs, config: GameConfig, score) -> Moments:
-    """Mean and variance of D given an end score (see `_score_law`)."""
+def score_moments(probs: RallyProbs, config: GameConfig, score) -> Moments:
+    """Mean and variance of D under `config.system` given that the game
+    ends at `score` (A's points, B's points), the first server A with
+    probability `config.s_a` (see `_score_law`).  Raises DomainError for a
+    score that is not two integers, ConfigError for one that is not an end
+    of the game and ConditioningError for one of probability zero."""
     game, c = _score_law(probs, config, score)
     _, mean, var = _mix(c[:, None], *_moments(config, game, probs.p_a, probs.p_b))
     return Moments(float(mean[0]), float(var[0]))
 
 
-def _score_pmf(probs: RallyProbs, config: GameConfig, score, epsilon: float) -> DurationPMF:
-    """PMF of D given an end score (see `_score_law`): the mixed shift law
-    of its points through `exchange_mixture`."""
+def score_pmf(probs: RallyProbs, config: GameConfig, score, epsilon: float = 1e-12) -> DurationPMF:
+    """PMF of D under `config.system` given that the game ends at `score`,
+    as `score_moments` conditions it: the mixed shift law of its points
+    through `exchange_mixture`, the exchange series cut where its tail
+    bound falls to `epsilon`."""
     game, c = _score_law(probs, config, score)
     law = (c[:, None] * game.shift_laws(probs.q))[c > 0.0].sum(axis=0)
     return exchange_mixture(sum(score), law[None], probs, config.system, epsilon)

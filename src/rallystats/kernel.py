@@ -48,7 +48,7 @@ sides, so it is the same for both first servers to the last bit:
 law of the shift (the rallies that are neither points nor exchanges)
 given each tally from its normalized terms, and `interruption_polynomial`
 gives it alone as a function of q, with the mean and variance of its
-power.  The laws of a single tally in `duration` read these last two,
+power.  `duration.mgf_conditional` reads the shift law of one tally,
 and the score-only likelihood of `estimate` needs only the last (one
 call gives the start grid of a 200-game batch to 15 in about 1.7 ms,
 against 6.3-6.9 ms through `evaluate_servers` on whole tables; `estimate`

@@ -1,17 +1,15 @@
-"""Exact score probabilities: side-out tallies and the game-level laws of
-both scoring systems.
+"""Exact score probabilities: the game-level laws of both scoring systems.
 
 A side-out game is described rally by rally through interruption counts r
 and exchange counts j.  Summing the elementary event probabilities over r
 and j gives closed forms for the probability of every final tally, from
 which tie-break extensions follow.  `score_distribution`,
-`game_win_probs`, `game_win_prob`, `tiebreak_score_prob` and
-`match_win_prob` all read the game table of `kernel.game`, whose
-components carry their probabilities for both first servers at once; a
-score sums its components (an end of a tie-break's extension is reached by
-either tying scorer).  The scoring system comes from the `GameConfig`, and
-rally-point tallies differ only in how the polynomial is weighted (see
-`rallypoint`).
+`game_win_probs`, `game_win_prob` and `match_win_prob` all read the game
+table of `kernel.game`, whose components carry their probabilities for
+both first servers at once; a score sums its components (an end of a
+tie-break's extension is reached by either tying scorer).  The scoring
+system comes from the `GameConfig`, and rally-point tallies differ only in
+how the polynomial is weighted (see `rallypoint`).
 """
 
 from __future__ import annotations
@@ -22,20 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernel
-from .core import ConfigError, GameConfig, Player, RallyProbs, ScoringSystem, TerminalScore, expect, validate
-
-
-def _tally_prob(system: ScoringSystem, alpha: int, beta: int, last: Player, server: Player, probs: RallyProbs) -> float:
-    validate(probs)
-    first, receiver = (alpha, beta) if expect(server, Player, "server") is Player.A else (beta, alpha)
-    rows = kernel.tally(first, receiver, expect(last, Player, "last_scorer") is server)
-    return float(kernel.evaluate_servers(system, rows, probs.p_a, probs.p_b).weight[0, int(server is Player.B), 0])
-
-
-def score_prob(alpha: int, beta: int, last_scorer: Player, server: Player, probs: RallyProbs) -> float:
-    """Exact probability that a game with the given first server passes
-    through final tally (alpha, beta) with `last_scorer` scoring last."""
-    return _tally_prob(ScoringSystem.SIDE_OUT, alpha, beta, last_scorer, server, probs)
+from .core import GameConfig, Player, RallyProbs, TerminalScore, expect, validate
 
 
 @dataclass(frozen=True)
@@ -83,24 +68,6 @@ def score_distribution(probs: RallyProbs, config: GameConfig, server: Player | N
     scores, index = _scores(tuple(game.alpha.tolist()), tuple(game.beta.tolist()))
     weight = [np.bincount(index[i], game.weight[:, i, 0], len(scores)) for i in range(2)]  # per first server
     return ScoreDistribution(config, server, dict(zip(scores, (s_a * weight[0] + s_b * weight[1]).tolist())))
-
-
-def tiebreak_score_prob(k: int, winner: Player, server: Player, probs: RallyProbs, config: GameConfig) -> float:
-    """Probability of the extended score reached when the game, tied at
-    n-1 all, is set to l further points and the winner finishes l to k.
-
-    The extension stage is served first by whoever scored the tying point,
-    which is what two-stage conditioning on the tie event encodes.
-    """
-    validate(probs, config)
-    ell = config.tiebreak
-    if ell is None:
-        raise ConfigError("config has no tie-break extension")
-    if not (0 <= k <= ell - 1):
-        raise ConfigError(f"tie-break loser score k={k} outside 0..{ell - 1}")
-    hi, lo = config.n + ell - 1, config.n + k - 1
-    score = TerminalScore(hi, lo, winner) if winner is Player.A else TerminalScore(lo, hi, winner)
-    return score_distribution(probs, config, server).entries[score]
 
 
 def _win_probs(game: kernel.Game, servers) -> list[float]:

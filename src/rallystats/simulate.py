@@ -2,9 +2,10 @@
 
 Streams are split with numpy's SeedSequence, so a (master seed, stream
 index) pair pins every uniform deviate: runs are reproducible bit for bit
-and sweep points own independent streams regardless of evaluation order.
-Games are played by one rally generator, `_rallies`, on vectorized state
-arrays that hold only the games still in play: each rally step draws one
+and the child streams of a spec (`SeedSpec.child`) are independent
+whatever the order they run in.  Games are played by one rally
+generator, `_rallies`, on vectorized state arrays that hold only the
+games still in play: each rally step draws one
 uniform per live game, in game index order, and a finished game leaves the
 arrays.  That is the same sequence of deviates a loop over all games with
 a mask of the live ones draws, so results are the same, bit for bit, for
@@ -30,9 +31,7 @@ yields the games that end in a rally with their scores for A and B.  Its
 consumers keep what they need: `sample_games` (and `sample_matches`)
 write each finished game into per-game outcome arrays, while
 `run_experiment` keeps only each winner's count of games by duration, from
-which the estimators are exact integer sums.  The scalar `simulate_game`
-follows the same transition rules rally by rally and can retain the full
-trajectory.
+which the estimators are exact integer sums.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, DomainError, GameConfig, Player, RallyProbs, ScoringSystem, ServerRule, TerminalScore, expect_count, validate
+from .core import ConfigError, GameConfig, Player, RallyProbs, ScoringSystem, ServerRule, expect_count, validate
 
 
 @dataclass(frozen=True)
@@ -61,19 +60,11 @@ class SeedSpec:
 
     def child(self, index: int) -> "SeedSpec":
         # distinct stream per (stream, index) pair for index < 1_000_003;
-        # count enforced so sweep streams cannot collide with each other
+        # count enforced so the children of different streams cannot collide
         expect_count(index, "child index", 0)
         if index >= 1_000_003:
             raise ConfigError("child index out of range")
         return SeedSpec(self.master, self.stream * 1_000_003 + index + 1)
-
-
-@dataclass(frozen=True)
-class SimResult:
-    score: TerminalScore
-    winner: Player
-    duration: int
-    trajectory: tuple[tuple[Player, Player], ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -104,58 +95,6 @@ class EstimatorReport:
     v_hat_winner: dict[Player, float | None]
     replications: int
     wins: dict[Player, int]
-
-
-def simulate_game(
-    probs: RallyProbs,
-    config: GameConfig,
-    seed: SeedSpec,
-    keep_trajectory: bool = False,
-) -> SimResult:
-    """Play a single game rally by rally.
-
-    Side-out: the server scores on a won rally, otherwise the serve
-    transfers without a point.  Rally-point: the rally winner scores and
-    serves next.  With a tie-break configured, reaching n-1 all raises the
-    target by the extension length.
-    """
-    validate(probs, config)
-    rng = seed.generator()
-    n = config.n
-    sideout = config.system is ScoringSystem.SIDE_OUT
-    server = Player.A if rng.random() < config.s_a else Player.B
-    score = {Player.A: 0, Player.B: 0}
-    target = n
-    extended = False
-    trajectory = [] if keep_trajectory else None
-    duration = 0
-    while True:
-        p_serve = probs.p_a if server is Player.A else probs.p_b
-        server_won = rng.random() < p_serve
-        rally_winner = server if server_won else server.other
-        duration += 1
-        if trajectory is not None:
-            trajectory.append((server, rally_winner))
-        if sideout:
-            if server_won:
-                score[server] += 1
-        else:
-            score[rally_winner] += 1
-        server = rally_winner
-        if (
-            config.tiebreak is not None
-            and not extended
-            and score[Player.A] == n - 1
-            and score[Player.B] == n - 1
-        ):
-            target = n - 1 + config.tiebreak
-            extended = True
-        if score[Player.A] >= target or score[Player.B] >= target:
-            winner = Player.A if score[Player.A] >= target else Player.B
-            final = TerminalScore(score[Player.A], score[Player.B], winner)
-            return SimResult(
-                final, winner, duration, tuple(trajectory) if trajectory is not None else None
-            )
 
 
 _BLOCK = 2**18  # games per block of the rally loop
@@ -294,7 +233,7 @@ def _batch_games(
     if first_server_a is None:
         first_server_a = _first_servers(rng, count, config.s_a)
     alpha, beta, duration = (np.zeros(count, dtype=np.int64) for _ in range(3))
-    ids = [np.arange(start, min(start + _BLOCK, count)) for start in range(0, count, _BLOCK)]
+    ids = [np.arange(start, min(start + _BLOCK, count), dtype=np.min_scalar_type(count)) for start in range(0, count, _BLOCK)]
     for b, rally, fin, keep, final_a, final_b in _rallies(probs, config, first_server_a, rng):
         out = ids[b][fin]
         alpha[out], beta[out], duration[out] = final_a, final_b, rally
@@ -356,32 +295,6 @@ def run_experiment(probs: RallyProbs, config: GameConfig, replications: int, see
         games[Player.A][rally] = games[Player.A].get(rally, 0) + won
         games[Player.B][rally] = games[Player.B].get(rally, 0) + alpha.size - won
     return _report(games)
-
-
-def sweep(
-    probs_grid,
-    config: GameConfig,
-    replications: int,
-    seed: SeedSpec,
-) -> list[EstimatorReport]:
-    """One experiment per grid point, each on its own child stream, so the
-    result is independent of evaluation order."""
-    return [
-        run_experiment(probs, config, replications, seed.child(i))
-        for i, probs in enumerate(probs_grid)
-    ]
-
-
-def no_server_grid(step: float = 0.0005) -> list[RallyProbs]:
-    """No-server parameter grid {step, 2*step, ..., 1 - step}; raise
-    DomainError for a step that is not finite, lies outside (0, 1) or does
-    not divide 1 (1/step an integer up to rounding)."""
-    if not 0.0 < step < 1.0:  # NaN compares false
-        raise DomainError(f"step={step} outside (0, 1)")
-    count = round(1.0 / step) - 1
-    if abs(1.0 / step - (count + 1)) > 1e-9 * (count + 1):
-        raise DomainError(f"step={step} does not divide 1: 1/step = {1.0 / step!r}")
-    return [RallyProbs.no_server(i * step) for i in range(1, count + 1)]
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,8 @@ from rallystats import (
     Player,
     RallyProbs,
     ScoringSystem,
+    TerminalScore,
+    asymptotics,
     duration,
     estimate,
     kernel,
@@ -518,7 +520,9 @@ def reference_exchange_mixture(points, law, probs, system, epsilon=1e-12):
             take = slice(rows[m - points], rows[m - points + 1])
             filt.flat[flat[take]] += masses[take]
         filt()
-    return duration.DurationPMF(start, filt.unscale()[: stop - start + 1], float(law.sum()) * tail)
+    # the law's mass summed over the box of its support, as the engine sums it
+    mass = float(law[: int(k.max()) + 1, : int(s.max()) + 1].sum())
+    return duration.DurationPMF(start, filt.unscale()[: stop - start + 1], mass * tail)
 
 
 class _FullWindowFilter:
@@ -737,6 +741,121 @@ def _tally_duration_law(alpha, beta, last, probs, epsilon, rally_point, terms=0)
     masses = np.zeros(2 * len(pairs) - 1)
     masses[::2] = pairs
     return alpha + beta + (last is B), masses, bound
+
+
+def tally_pmf(alpha, beta, last, probs, epsilon=1e-12):
+    """The law of D given an A-game side-out tally (`_tally_duration_law`)
+    as a DurationPMF: a reference for the law given an end score, and the
+    law of tallies no game ends at."""
+    return duration.DurationPMF(*_tally_duration_law(alpha, beta, last, probs, epsilon, False))
+
+
+def tally_moments(alpha, beta, last, q):
+    """Mean and variance of D given an A-game side-out tally at q, from the
+    law of the power j of q (`interruption_weights`): D = alpha + beta +
+    [B last] + 2j + 2L with L ~ NB(alpha + beta, q), so the mean is (alpha +
+    beta)(1+q)/(1-q) + [B last] + 2E[j] and the variance 4(alpha +
+    beta)q/(1-q)^2 + 4Var[j]."""
+    js, weights = interruption_weights(alpha, beta, last is A, q)
+    mean_j = float(np.dot(weights, js))
+    var_j = float(np.dot(weights, (js - mean_j) ** 2))
+    points = alpha + beta
+    return duration.Moments(
+        points * (1.0 + q) / (1.0 - q) + int(last is B) + 2.0 * mean_j,
+        4.0 * points * q / (1.0 - q) ** 2 + 4.0 * var_j,
+    )
+
+
+def at_q(q):
+    """Even rally probabilities p_a = p_b = 1 - sqrt(q), whose exchange
+    probability is q up to rounding."""
+    p = 1.0 - math.sqrt(q)
+    return RallyProbs(p, p)
+
+
+def no_server_grid(step=0.0005):
+    """The paper's no-server parameter grid {step, 2*step, ..., 1 - step};
+    raise DomainError for a step that is not finite, lies outside (0, 1) or
+    does not divide 1 (1/step an integer up to rounding)."""
+    if not 0.0 < step < 1.0:  # NaN compares false
+        raise DomainError(f"step={step} outside (0, 1)")
+    count = round(1.0 / step) - 1
+    if abs(1.0 / step - (count + 1)) > 1e-9 * (count + 1):
+        raise DomainError(f"step={step} does not divide 1: 1/step = {1.0 / step!r}")
+    return [RallyProbs.no_server(i * step) for i in range(1, count + 1)]
+
+
+def is_end(alpha, beta, last):
+    """Whether a game to max(alpha, beta) can end at the tally: the last
+    scorer reaches it, the other stays below."""
+    return alpha != beta and (alpha if last is A else beta) == max(alpha, beta)
+
+
+def tally_prob(alpha, beta, last, probs, system=ScoringSystem.SIDE_OUT):
+    """Probability of an A-game tally: its entry of the public
+    `sideout.score_distribution` of a game to max(alpha, beta) first served
+    by A where it is an end score, `closed_form_score_prob` otherwise."""
+    if not is_end(alpha, beta, last):
+        return closed_form_score_prob(alpha, beta, last, probs.p_a, probs.p_b, system is ScoringSystem.RALLY_POINT)
+    config = GameConfig(n=max(alpha, beta), system=system)
+    return sideout.score_distribution(probs, config, server=A).entries[TerminalScore(alpha, beta, last)]
+
+
+def _end_config(alpha, beta, last, probs):
+    """The config of the side-out game to max(alpha, beta), first served by
+    A, that ends at the A-game tally with positive probability at `probs`,
+    or None for a tally no such game ends at."""
+    if not is_end(alpha, beta, last) or tally_prob(alpha, beta, last, probs) == 0.0:
+        return None
+    return GameConfig(n=max(alpha, beta))
+
+
+def given_tally_moments(alpha, beta, last, probs):
+    """Mean and variance of D given an A-game side-out tally: the public law
+    given the end score (`duration.score_moments`) where a game ends there
+    with positive probability, `tally_moments` otherwise."""
+    config = _end_config(alpha, beta, last, probs)
+    if config is None:
+        return tally_moments(alpha, beta, last, probs.q)
+    return duration.score_moments(probs, config, (alpha, beta))
+
+
+def given_tally_pmf(alpha, beta, last, probs, epsilon=1e-12):
+    """PMF of D given an A-game side-out tally: `duration.score_pmf` where a
+    game ends there with positive probability, `tally_pmf` otherwise."""
+    config = _end_config(alpha, beta, last, probs)
+    if config is None:
+        return tally_pmf(alpha, beta, last, probs, epsilon)
+    return duration.score_pmf(probs, config, (alpha, beta), epsilon)
+
+
+def aligned(*pmfs):
+    """The masses of DurationPMFs on the union of their windows, one row
+    per PMF."""
+    start = min(pmf.offset for pmf in pmfs)
+    out = np.zeros((len(pmfs), max(pmf.offset + len(pmf.masses) for pmf in pmfs) - start))
+    for row, pmf in zip(out, pmfs):
+        row[pmf.offset - start : pmf.offset - start + len(pmf.masses)] = pmf.masses
+    return out
+
+
+def tv_distance(a, b):
+    """Total-variation distance of two DurationPMFs, counting any truncated
+    mass as misplaced."""
+    pa, pb = aligned(a, b)
+    return 0.5 * float(np.abs(pa - pb).sum()) + 0.5 * (max(1.0 - a.total_mass, 0.0) + max(1.0 - b.total_mass, 0.0))
+
+
+def convergence_check(system, winner, direction, n, p_sequence, epsilon=1e-12):
+    """Total-variation distance between the exact law of D given the winner
+    of an A-game (`duration.duration_pmf_winner`, the config's default s_a =
+    1) in the no-server model at each p and the limiting law
+    (`asymptotics.limit_pmf`).  A ConditioningError propagates where the
+    conditioning event underflows at an extreme p."""
+    target = asymptotics.limit_pmf(system, winner, direction, n)
+    config = GameConfig(n=n, system=system)
+    pmfs = (duration.duration_pmf_winner(RallyProbs.no_server(p), config, winner, epsilon=epsilon) for p in p_sequence)
+    return np.array([tv_distance(pmf, target) for pmf in pmfs])
 
 
 def per_tally_duration_pmf(probs, config, winners, server=None, epsilon=1e-12, terms=0):
@@ -1384,3 +1503,46 @@ def reference_batch_games(
         winner_a=score_a >= target,
         duration=duration,
     )
+
+
+@dataclasses.dataclass(frozen=True)
+class SimResult:
+    score: TerminalScore
+    winner: Player
+    duration: int
+    trajectory: tuple[tuple[Player, Player], ...] | None = None
+
+
+def simulate_game(probs, config, seed, keep_trajectory=False):
+    """Play a single game rally by rally from the generator of the
+    `SeedSpec` `seed`: the scalar reference of the batch simulator, which
+    can retain the trajectory of (server, rally winner) pairs.
+
+    Side-out: the server scores on a won rally, otherwise the serve
+    transfers without a point.  Rally-point: the rally winner scores and
+    serves next.  With a tie-break configured, reaching n-1 all raises the
+    target by the extension length.
+    """
+    rng = seed.generator()
+    n = config.n
+    side_out = config.system is ScoringSystem.SIDE_OUT
+    server = A if rng.random() < config.s_a else B
+    score = {A: 0, B: 0}
+    target = n
+    trajectory = [] if keep_trajectory else None
+    rallies = 0
+    while True:
+        server_won = rng.random() < (probs.p_a if server is A else probs.p_b)
+        rally_winner = server if server_won else server.other
+        rallies += 1
+        if trajectory is not None:
+            trajectory.append((server, rally_winner))
+        if server_won or not side_out:
+            score[rally_winner] += 1
+        server = rally_winner
+        if config.tiebreak is not None and target == n and score[A] == score[B] == n - 1:
+            target = n - 1 + config.tiebreak
+        if max(score.values()) >= target:
+            winner = A if score[A] >= target else B
+            kept = tuple(trajectory) if trajectory is not None else None
+            return SimResult(TerminalScore(score[A], score[B], winner), winner, rallies, kept)

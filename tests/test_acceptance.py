@@ -7,18 +7,23 @@ import numpy as np
 import pytest
 
 from rallystats import GameConfig, Player, RallyProbs, ScoringSystem, SeedSpec
-from rallystats import asymptotics, duration, estimate, matchlevel, rallypoint, sideout, simulate
+from rallystats import asymptotics, duration, estimate, matchlevel, sideout, simulate
 from rallystats.asymptotics import Direction
 from rallystats.estimate import FitMode, FitModel
 from rallystats.matchlevel import MatchConfig, ServerRule
 
 from oracles import (
+    at_q,
+    convergence_check,
     duration_marginal,
     enumerate_rallypoint,
     enumerate_sideout,
+    given_tally_moments,
     no_server_score_prob,
     score_marginal,
     served_by,
+    tally_moments,
+    tally_prob,
 )
 
 A, B = Player.A, Player.B
@@ -91,9 +96,11 @@ def test_criterion_04_simmons_bounds():
     n = 15
     ok = True
     for q in np.arange(0.0, 0.91, 0.1):
+        pr = at_q(q)
         for k in range(n):
-            e = duration.expected_duration_conditional(n, k, A, q)
-            lo = (n + k) * (1 + q) / (1 - q)
+            # the law given the end score; at q = 0 no game ends at k > 0
+            e = given_tally_moments(n, k, A, pr).mean
+            lo = (n + k) * (1 + pr.q) / (1 - pr.q)
             if not (lo - 1e-9 <= e <= lo + 2 * k + 1e-9):
                 ok = False
             if k == 0 and abs(e - lo) > 1e-12:
@@ -115,7 +122,7 @@ def test_criterion_05_rallypoint_symmetry_and_closed_form():
                     if (last is A and alpha < 1) or (last is B and beta < 1):
                         continue
                     diff = abs(
-                        rallypoint.score_prob(alpha, beta, last, A, ns)
+                        tally_prob(alpha, beta, last, ns, ScoringSystem.RALLY_POINT)
                         - no_server_score_prob(alpha, beta, last, p)
                     )
                     worst = max(worst, diff)
@@ -156,7 +163,7 @@ def test_criterion_07_duration_endpoints_and_dominance():
 
 
 def test_criterion_08_limit_laws():
-    tv = asymptotics.convergence_check(
+    tv = convergence_check(
         ScoringSystem.SIDE_OUT, B, Direction.P_TO_1, 15, [1 - 1e-4]
     )[0]
     agg = duration.aggregate_moments(RallyProbs.no_server(1e-4), RP_CFG)
@@ -178,7 +185,7 @@ def test_criterion_09_oracle_equivalence():
                 outcomes, leftover = enumerate_sideout(pa, pb, n, server=A, tol=1e-13)
                 assert leftover < 1e-12
                 for (a, b, last), mass in score_marginal(outcomes).items():
-                    worst = max(worst, abs(sideout.score_prob(a, b, last, A, pr) - mass))
+                    worst = max(worst, abs(tally_prob(a, b, last, pr) - mass))
                 uncond, _ = duration_marginal(outcomes)
                 pmf = duration.duration_pmf_unconditional(pr, served_by(GameConfig(n=n), A), epsilon=1e-13)
                 for d, mass in uncond.items():
@@ -186,7 +193,7 @@ def test_criterion_09_oracle_equivalence():
                 rp_out, _ = enumerate_rallypoint(pa, pb, n, server=A)
                 for (a, b, last), mass in score_marginal(rp_out).items():
                     worst = max(
-                        worst, abs(rallypoint.score_prob(a, b, last, A, pr) - mass)
+                        worst, abs(tally_prob(a, b, last, pr, ScoringSystem.RALLY_POINT) - mass)
                     )
     enum_ok = worst <= 1e-10
 
@@ -241,9 +248,7 @@ def test_criterion_10_structural_invariants():
 
     # exact parity zeros
     for a, b, last, server in ((9, 4, A, A), (4, 9, B, A), (9, 4, A, B)):
-        # a game first served by B is the A-game of the swapped tally
-        tally = (a, b, last) if server is A else (b, a, last.other)
-        pmf = duration.duration_pmf_conditional(*tally, RallyProbs(0.55, 0.45))
+        pmf = duration.score_pmf(RallyProbs(0.55, 0.45), GameConfig(n=9, s_a=float(server is A)), (a, b))
         idx = np.nonzero(pmf.masses > 0.0)[0]
         if len(set((pmf.offset + idx) % 2)) != 1:
             ok = False
@@ -252,18 +257,18 @@ def test_criterion_10_structural_invariants():
     # q-monotonicity of conditional expectations
     grid = np.arange(0.0, 0.951, 0.05)
     for a, b, c in ((15, 7, A), (7, 15, B), (15, 0, A)):
-        vals = [duration.expected_duration_conditional(a, b, c, q) for q in grid]
+        vals = [given_tally_moments(a, b, c, at_q(q)).mean for q in grid]
         if not all(x < y for x, y in zip(vals, vals[1:])):
             ok = False
             notes.append(f"q-monotonicity failed at ({a},{b},{c})")
 
-    # conditional duration laws depend on (p_a, p_b) only through q
-    for a, b, c in ((5, 3, A), (3, 5, B)):
-        p1 = duration.duration_pmf_conditional(a, b, c, RallyProbs(0.5, 0.5))
-        p2 = duration.duration_pmf_conditional(a, b, c, RallyProbs(0.75, 0.0))
+    # duration laws given an end score depend on (p_a, p_b) only through q
+    for score in ((5, 3), (3, 5)):
+        p1 = duration.score_pmf(RallyProbs(0.5, 0.5), GameConfig(n=5), score)
+        p2 = duration.score_pmf(RallyProbs(0.6, 0.375), GameConfig(n=5), score)
         if p1.offset != p2.offset or not np.allclose(p1.masses, p2.masses, atol=1e-15):
             ok = False
-            notes.append(f"q-only dependence failed at ({a},{b},{c})")
+            notes.append(f"q-only dependence failed at {score}")
 
     # Anderson match-rule invariance at n = 15
     cfg = GameConfig(n=15, s_a=1.0)
@@ -299,8 +304,8 @@ def test_criterion_10_structural_invariants():
                 for c in (A, B):
                     if (c is A and a < 1) or (c is B and b < 1) or a + b > 29:
                         continue
-                    e = duration.expected_duration_conditional(a, b, c, q)
-                    v = duration.variance_duration_conditional(a, b, c, q)
+                    want = tally_moments(a, b, c, q)
+                    e, v = want.mean, want.variance
                     fe, fv = fd(a, b, c, q)
                     worst = max(worst, abs(fe - e) / max(1, abs(e)), abs(fv - v) / max(1, abs(v)))
     if worst > 1e-6:

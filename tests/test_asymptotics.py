@@ -8,6 +8,8 @@ from rallystats import ConditioningError, ConfigError, DomainError, GameConfig, 
 from rallystats import asymptotics, duration
 from rallystats.asymptotics import Direction
 
+from oracles import convergence_check
+
 A, B = Player.A, Player.B
 SO, RP = ScoringSystem.SIDE_OUT, ScoringSystem.RALLY_POINT
 TO0, TO1 = Direction.P_TO_0, Direction.P_TO_1
@@ -115,23 +117,23 @@ def test_limits_are_rounded_rationals(system, winner, direction):
 
 class TestConvergence:
     def test_sideout_receiver_win_tv_decreasing_to_uniform(self):
-        tv = asymptotics.convergence_check(SO, B, TO1, 15, [0.9, 0.99, 0.999, 0.9999])
+        tv = convergence_check(SO, B, TO1, 15, [0.9, 0.99, 0.999, 0.9999])
         assert all(x > y for x, y in zip(tv, tv[1:]))
         assert tv[-1] < 0.01
 
     def test_sideout_server_win_tv_to_point_mass(self):
-        tv = asymptotics.convergence_check(SO, A, TO1, 15, [0.99, 0.999, 0.9999])
+        tv = convergence_check(SO, A, TO1, 15, [0.99, 0.999, 0.9999])
         assert all(x > y for x, y in zip(tv, tv[1:]))
         assert tv[-1] < 0.01
 
     def test_rallypoint_upset_tv(self):
-        tv = asymptotics.convergence_check(RP, A, TO0, 21, [0.01, 0.001, 0.0001])
+        tv = convergence_check(RP, A, TO0, 21, [0.01, 0.001, 0.0001])
         assert all(x > y for x, y in zip(tv, tv[1:]))
         assert tv[-1] < 0.01
 
     def test_underflowed_conditioning_raises(self):
         with pytest.raises(ConditioningError):
-            asymptotics.convergence_check(SO, B, TO1, 15, [1.0])
+            convergence_check(SO, B, TO1, 15, [1.0])
 
     @pytest.mark.parametrize("system", [SO, RP])
     def test_target_below_one_raises_config_error(self, system):

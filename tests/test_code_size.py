@@ -45,3 +45,10 @@ def test_main_prints_each_module_and_the_total(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert [line.split("\t")[1] for line in lines] == ["8", "8", "16"]
     assert lines[-1].startswith("total")
+
+
+def test_main_counts_a_single_file(tmp_path, capsys):
+    path = tmp_path / "a.py"
+    path.write_text(SAMPLE, encoding="utf-8")
+    assert code_size.main([str(path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [f"{path}\t8", "total\t8"]

@@ -6,8 +6,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from rallystats import ConditioningError, DomainError, GameConfig, Player, RallyProbs, ScoringSystem, SeedSpec
-from rallystats import duration, kernel, matchlevel, sideout, simulate
+from rallystats import ConditioningError, DomainError, GameConfig, Player, RallyProbs, ScoringSystem, SeedSpec, TerminalScore
+from rallystats import duration, kernel, matchlevel, rallypoint, sideout, simulate
 from rallystats.duration import QuantileMode
 from rallystats.matchlevel import MatchConfig
 
@@ -22,6 +22,8 @@ from oracles import (
     exchange_cut_walk,
     exchange_pmf,
     full_cdf_quantile,
+    given_tally_moments,
+    given_tally_pmf,
     interruption_weights,
     mixture_calls,
     mp_rallypoint_duration_moments,
@@ -31,8 +33,13 @@ from oracles import (
     per_point_total_pmf,
     per_tally_duration_pmf,
     reference_exchange_mixture,
+    aligned,
+    at_q,
     reference_quantile,
     served_by,
+    simulate_game,
+    tally_moments,
+    tally_pmf,
 )
 
 A, B = Player.A, Player.B
@@ -110,7 +117,7 @@ class TestInterruptionWeights:
         counts = {1: 0, 2: 0}
         total = 0
         for i in range(40_000):
-            res = simulate.simulate_game(pr, cfg, SeedSpec(505, i), keep_trajectory=True)
+            res = simulate_game(pr, cfg, SeedSpec(505, i), keep_trajectory=True)
             if (res.score.alpha, res.score.beta) != (3, 2):
                 continue
             scorers = [server for server, winner in res.trajectory if server is winner]
@@ -205,41 +212,43 @@ class TestMGF:
                 for c in (A, B):
                     if (c is A and a < 1) or (c is B and b < 1) or a + b > 29:
                         continue
-                    e = duration.expected_duration_conditional(a, b, c, q)
-                    v = duration.variance_duration_conditional(a, b, c, q)
+                    m = tally_moments(a, b, c, q)
                     fe, fv = fd(a, b, c)
-                    assert abs(fe - e) / max(1.0, abs(e)) < 1e-6
-                    assert abs(fv - v) / max(1.0, abs(v)) < 1e-6
+                    assert abs(fe - m.mean) / max(1.0, abs(m.mean)) < 1e-6
+                    assert abs(fv - m.variance) / max(1.0, abs(m.variance)) < 1e-6
 
 
 class TestConditionalMoments:
+    """The law given an end score of a game first served by A; tallies no
+    game ends at, such as those of a tie or any receiver's point at q = 0,
+    are read from the oracle (`given_tally_moments`, `given_tally_pmf`)."""
+
     def test_receiver_win_range_published_values(self):
-        q = RallyProbs(0.7, 0.5).q
-        assert duration.expected_duration_conditional(0, 15, B, q) == pytest.approx(21.29, abs=0.01)
-        assert duration.expected_duration_conditional(14, 15, B, q) == pytest.approx(47.82, abs=0.01)
+        pr, cfg = RallyProbs(0.7, 0.5), GameConfig(n=15)
+        assert duration.score_moments(pr, cfg, (0, 15)).mean == pytest.approx(21.29, abs=0.01)
+        assert duration.score_moments(pr, cfg, (14, 15)).mean == pytest.approx(47.82, abs=0.01)
 
     def test_q_zero_degenerate_cases_match_pmf(self):
+        pr = RallyProbs(0.4, 1.0)  # q = 0
         # shutout: exactly alpha rallies
-        assert duration.expected_duration_conditional(8, 0, A, 0.0) == pytest.approx(8.0)
-        assert duration.variance_duration_conditional(8, 0, A, 0.0) == pytest.approx(0.0)
+        m = duration.score_moments(pr, GameConfig(n=8), (8, 0))
+        assert (m.mean, m.variance) == pytest.approx((8.0, 0.0))
         # receiver shutout win: one extra rally to regain the serve
-        assert duration.expected_duration_conditional(0, 8, B, 0.0) == pytest.approx(9.0)
+        assert duration.score_moments(pr, GameConfig(n=8), (0, 8)).mean == pytest.approx(9.0)
+        # 5-3 to the first server needs both serves lost: no game ends there at q = 0
         for a, b, c in [(8, 0, A), (0, 8, B), (5, 3, A), (3, 5, B)]:
-            pmf = duration.duration_pmf_conditional(a, b, c, RallyProbs(0.4, 1.0))
-            m = pmf.moments()
-            assert m.mean == pytest.approx(
-                duration.expected_duration_conditional(a, b, c, 0.0), abs=1e-10
-            )
-            assert m.variance == pytest.approx(
-                duration.variance_duration_conditional(a, b, c, 0.0), abs=1e-10
-            )
+            m = given_tally_pmf(a, b, c, pr).moments()
+            want = given_tally_moments(a, b, c, pr)
+            assert m.mean == pytest.approx(want.mean, abs=1e-10)
+            assert m.variance == pytest.approx(want.variance, abs=1e-10)
 
     def test_simmons_sandwich(self):
         n = 15
         for q in np.arange(0.0, 0.91, 0.1):
+            pr = at_q(q)
             for k in range(n):
-                e = duration.expected_duration_conditional(n, k, A, q)
-                lo = (n + k) * (1 + q) / (1 - q)
+                e = given_tally_moments(n, k, A, pr).mean
+                lo = (n + k) * (1 + pr.q) / (1 - pr.q)
                 assert lo - 1e-9 <= e <= lo + 2 * k + 1e-9
                 if k == 0:
                     assert e == pytest.approx(lo, abs=1e-12)
@@ -247,7 +256,7 @@ class TestConditionalMoments:
     def test_q_monotonicity(self):
         grid = np.arange(0.0, 0.951, 0.05)
         for a, b, c in [(15, 7, A), (7, 15, B), (15, 0, A), (0, 15, B), (1, 1, A), (3, 3, B)]:
-            values = [duration.expected_duration_conditional(a, b, c, q) for q in grid]
+            values = [given_tally_moments(a, b, c, at_q(q)).mean for q in grid]
             assert all(x < y for x, y in zip(values, values[1:]))
 
     def test_variance_matches_pmf_across_scores(self):
@@ -257,27 +266,23 @@ class TestConditionalMoments:
                 for c in (A, B):
                     if (c is A and a < 1) or (c is B and b < 1):
                         continue
-                    pmf = duration.duration_pmf_conditional(a, b, c, pr, epsilon=1e-14)
-                    m = pmf.moments()
-                    assert m.variance == pytest.approx(
-                        duration.variance_duration_conditional(a, b, c, pr.q), abs=1e-8
-                    )
-                    assert m.mean == pytest.approx(
-                        duration.expected_duration_conditional(a, b, c, pr.q), abs=1e-8
-                    )
+                    m = given_tally_pmf(a, b, c, pr, epsilon=1e-14).moments()
+                    want = given_tally_moments(a, b, c, pr)
+                    assert m.variance == pytest.approx(want.variance, abs=1e-8)
+                    assert m.mean == pytest.approx(want.mean, abs=1e-8)
 
 
 class TestConditionalPMF:
     def test_parity_structure_exact(self):
-        pr = RallyProbs(0.55, 0.45)
-        pmf_a = duration.duration_pmf_conditional(9, 4, A, pr)
+        pr, cfg = RallyProbs(0.55, 0.45), GameConfig(n=9)
+        pmf_a = duration.score_pmf(pr, cfg, (9, 4))
         for i, mass in enumerate(pmf_a.masses):
             d = pmf_a.offset + i
             if (d - 13) % 2 == 1:
                 assert mass == 0.0
         assert pmf_a.offset == 15  # 9 + 4 + 2: B wins the serve and A wins it back
         assert pmf_a.prob(13) == 0.0
-        pmf_b = duration.duration_pmf_conditional(4, 9, B, pr)
+        pmf_b = duration.score_pmf(pr, cfg, (4, 9))
         for i, mass in enumerate(pmf_b.masses):
             d = pmf_b.offset + i
             if (d - 14) % 2 == 1:
@@ -286,13 +291,13 @@ class TestConditionalPMF:
 
     def test_no_mass_below_points_played(self):
         pr = RallyProbs(0.5, 0.5)
-        pmf = duration.duration_pmf_conditional(6, 3, A, pr)
+        pmf = duration.score_pmf(pr, GameConfig(n=6), (6, 3))
         assert pmf.offset >= 9
         assert pmf.prob(8) == 0.0
 
     def test_mass_within_epsilon(self):
         for eps in (1e-6, 1e-12):
-            pmf = duration.duration_pmf_conditional(15, 9, A, RallyProbs(0.3, 0.25), epsilon=eps)
+            pmf = duration.score_pmf(RallyProbs(0.3, 0.25), GameConfig(n=15), (15, 9), epsilon=eps)
             assert pmf.total_mass <= 1.0 + 1e-12
             assert pmf.total_mass + pmf.truncation_bound >= 1.0 - 1e-12
             assert pmf.truncation_bound <= eps
@@ -305,17 +310,21 @@ class TestConditionalPMF:
             expected, _ = duration_marginal(
                 outcomes, lambda x, y, z: (x, y, z) == (a, b, c)
             )
-            pmf = duration.duration_pmf_conditional(a, b, c, pr, epsilon=1e-14)
+            pmf = duration.score_pmf(pr, GameConfig(n=3), (a, b), epsilon=1e-14)
             for d, mass in expected.items():
                 assert pmf.prob(d) == pytest.approx(mass, abs=1e-10)
 
     def test_q_only_dependence(self):
-        # equal q = .25 from different rally probabilities
-        for a, b, c in [(5, 3, A), (3, 5, B), (15, 14, A)]:
-            p1 = duration.duration_pmf_conditional(a, b, c, RallyProbs(0.5, 0.5))
-            p2 = duration.duration_pmf_conditional(a, b, c, RallyProbs(0.75, 0.0))
+        # equal q = .25 from different rally probabilities; at (.75, 0) B
+        # never scores, so these ends have no law there
+        for score, n in [((5, 3), 5), ((3, 5), 5), ((15, 14), 15)]:
+            cfg = GameConfig(n=n)
+            p1 = duration.score_pmf(RallyProbs(0.5, 0.5), cfg, score)
+            p2 = duration.score_pmf(RallyProbs(0.6, 0.375), cfg, score)
             assert p1.offset == p2.offset
             np.testing.assert_allclose(p1.masses, p2.masses, atol=1e-15)
+            with pytest.raises(ConditioningError):
+                duration.score_pmf(RallyProbs(0.75, 0.0), cfg, score)
 
 
 PER_TALLY_GAMES = [5, 9, 15, 21]
@@ -354,10 +363,11 @@ class TestPreExchangeLaws:
 
 
 class TestPerTallyAgainstPerScore:
-    """The per-tally laws (an A-game tally at q) and the per-score laws of
-    the game table (`duration._score_moments`, `_score_pmf`) read one
-    interruption law: they agree at every regular end score of games to 5,
-    9, 15 and 21, for both first servers, at seeded points."""
+    """The per-score laws of the game table (`duration.score_moments`,
+    `score_pmf`) against the oracle's law of an A-game tally
+    (`tally_moments`, `tally_pmf`, from the 40-digit interruption weights)
+    at every regular end score of games to 5, 9, 15 and 21, for both first
+    servers, at seeded points."""
 
     @staticmethod
     def points(n):
@@ -369,38 +379,75 @@ class TestPerTallyAgainstPerScore:
         for pr in self.points(n):
             for alpha, beta, last in regular_end_scores(n):
                 for server in Player:
-                    want = duration._score_moments(pr, GameConfig(n=n, s_a=float(server is A)), (alpha, beta))
+                    want = duration.score_moments(pr, GameConfig(n=n, s_a=float(server is A)), (alpha, beta))
                     # a game first served by B is the A-game of the swapped tally
                     a, b, c = (alpha, beta, last) if server is A else (beta, alpha, last.other)
-                    mean = duration.expected_duration_conditional(a, b, c, pr.q)
-                    var = duration.variance_duration_conditional(a, b, c, pr.q)
-                    assert mean == pytest.approx(want.mean, rel=2e-15, abs=0)
-                    assert var == pytest.approx(want.variance, rel=2e-15, abs=0)
+                    got = tally_moments(a, b, c, pr.q)
+                    assert got.mean == pytest.approx(want.mean, rel=2e-15, abs=0)
+                    assert got.variance == pytest.approx(want.variance, rel=2e-15, abs=0)
 
     @pytest.mark.parametrize("n", PER_TALLY_GAMES)
     def test_pmfs(self, n):
         for pr in self.points(n):
             for alpha, beta, last in regular_end_scores(n):
                 for server in Player:
-                    want = duration._score_pmf(pr, GameConfig(n=n, s_a=float(server is A)), (alpha, beta), 1e-12)
+                    want = duration.score_pmf(pr, GameConfig(n=n, s_a=float(server is A)), (alpha, beta))
                     a, b, c = (alpha, beta, last) if server is A else (beta, alpha, last.other)
-                    got = duration.duration_pmf_conditional(a, b, c, pr, 1e-12)
-                    assert (got.offset, len(got.masses)) == (want.offset, len(want.masses))
-                    # the bound is the law's mass times the series' tail
-                    assert got.truncation_bound == pytest.approx(want.truncation_bound, rel=1e-15, abs=0)
-                    assert np.abs(got.masses - want.masses).sum() <= 1e-15
+                    got = tally_pmf(a, b, c, pr)
+                    # both windows end past a tail of at most their bound
+                    assert np.abs(np.subtract(*aligned(got, want))).sum() <= got.truncation_bound + want.truncation_bound
+
+
+class TestScoreLawsThroughQ:
+    """The law of D given an end score and a stated first server depends on
+    (p_a, p_b) through q alone, the paper's claim, on the public laws: every
+    end score of a game to 15, and ends of a game to 9 with a 3-point
+    tie-break, the extension's among them, at pairs of points with equal q.
+    It does not hold with a random first server: the weights of the two
+    first servers given the score then carry a lone side-out factor q_a or
+    q_b, and at s_a = .5 the laws of one end at (.9, .1) and (.1, .9) are
+    nearly disjoint (an L1 gap of 1.0 with the tie-break)."""
+
+    PAIRS = [((0.5, 0.5), (0.6, 0.375)), ((0.3, 0.8), (0.8, 0.3)), ((0.9, 0.1), (0.1, 0.9))]
+    GAMES = [
+        (GameConfig(n=15), regular_end_scores(15)),
+        (GameConfig(n=9, tiebreak=3), [(11, 9, A), (9, 11, B), (11, 8, A), (9, 5, A)]),
+    ]
+
+    @pytest.mark.parametrize("s_a", [1.0, 0.0])
+    @pytest.mark.parametrize("pair", PAIRS, ids=["q.25", "q.14", "q.09"])
+    def test_same_law_at_equal_q(self, pair, s_a):
+        one, two = (RallyProbs(*p) for p in pair)
+        assert one.q == two.q
+        for game, scores in self.GAMES:
+            cfg = served_by(game, A if s_a else B)
+            for alpha, beta, _ in scores:
+                m1, m2 = (duration.score_moments(pr, cfg, (alpha, beta)) for pr in (one, two))
+                assert m1.mean == pytest.approx(m2.mean, rel=1e-15, abs=0)
+                assert m1.variance == pytest.approx(m2.variance, rel=1e-15, abs=0)
+                p1, p2 = (duration.score_pmf(pr, cfg, (alpha, beta)) for pr in (one, two))
+                assert np.abs(np.subtract(*aligned(p1, p2))).sum() <= 1e-15
+
+    def test_not_with_a_random_first_server(self):
+        cfg = GameConfig(n=9, tiebreak=3, s_a=0.5)
+        p1, p2 = (duration.score_pmf(RallyProbs(*p), cfg, (11, 9)) for p in self.PAIRS[2])
+        assert np.abs(np.subtract(*aligned(p1, p2))).sum() > 0.5
+
+
+SCORE_PR = RallyProbs(0.6, 0.5)
 
 
 @pytest.mark.parametrize(
     "call",
     [
-        lambda a, b: duration.expected_duration_conditional(a, b, A, 0.3),
-        lambda a, b: duration.variance_duration_conditional(a, b, A, 0.3),
+        lambda a, b: duration.score_moments(SCORE_PR, GameConfig(n=3), (a, b)).mean,
+        lambda a, b: duration.score_moments(SCORE_PR, GameConfig(n=3), (a, b)).variance,
         lambda a, b: duration.mgf_conditional(a, b, A, 0.3, 0.7, 0.1),
-        lambda a, b: duration.duration_pmf_conditional(a, b, A, RallyProbs(0.6, 0.5)),
-        lambda a, b: duration.duration_pmf_conditional(b, a, B, RallyProbs(0.6, 0.5)),  # (a, b) in a B-game
-        lambda a, b: sideout.score_prob(a, b, A, A, RallyProbs(0.6, 0.5)),
-        lambda a, b: sideout.score_prob(a, b, A, B, RallyProbs(0.6, 0.5)),
+        lambda a, b: duration.score_pmf(SCORE_PR, GameConfig(n=3, s_a=1.0), (a, b)),
+        lambda a, b: duration.score_pmf(SCORE_PR, GameConfig(n=3, s_a=0.0), (a, b)),
+        # the probability of an end score is keyed by its TerminalScore
+        lambda a, b: sideout.score_distribution(SCORE_PR, GameConfig(n=3), A).entries[TerminalScore(a, b, A)],
+        lambda a, b: sideout.score_distribution(SCORE_PR, GameConfig(n=3), B).entries[TerminalScore(a, b, A)],
     ],
     ids=["mean", "variance", "mgf", "pmf-server-A", "pmf-server-B", "score-server-A", "score-server-B"],
 )
@@ -412,9 +459,11 @@ def test_non_integer_score_is_a_domain_error(call, score):
 
 
 def test_numpy_integer_scores_are_scores():
-    assert duration.expected_duration_conditional(np.int64(3), np.int64(2), A, 0.3) == (
-        duration.expected_duration_conditional(3, 2, A, 0.3)
+    assert duration.mgf_conditional(np.int64(3), np.int64(2), A, 0.3, 0.7, 0.1) == (
+        duration.mgf_conditional(3, 2, A, 0.3, 0.7, 0.1)
     )
+    pr, cfg = RallyProbs(0.6, 0.5), GameConfig(n=3)
+    assert duration.score_moments(pr, cfg, (np.int64(3), np.int64(2))) == duration.score_moments(pr, cfg, (3, 2))
 
 
 class TestExchangeSeries:
@@ -449,7 +498,7 @@ class TestExchangeSeries:
             duration.duration_pmf_unconditional(pr, served_by(cfg, B)),
             duration.duration_pmf_winner(pr, cfg, A),
             duration.duration_pmf_winner(pr, served_by(cfg, A), B),
-            duration.duration_pmf_conditional(15, 9, A, pr),
+            duration.score_pmf(pr, served_by(GameConfig(n=15), A), (15, 9)),
         ]
         assert len(calls) == len(pmfs)
 
@@ -510,7 +559,7 @@ class TestExchangeSeries:
         with pytest.raises(DomainError, match="epsilon must be finite and > 0"):
             duration.duration_pmf_unconditional(pr, GameConfig(n=15), epsilon)
         with pytest.raises(DomainError, match="epsilon must be finite and > 0"):
-            duration.duration_pmf_conditional(15, 3, A, pr, epsilon)
+            duration.score_pmf(pr, GameConfig(n=15), (15, 3), epsilon)
         with pytest.raises(DomainError, match="epsilon must be finite and > 0"):
             matchlevel.match_duration_pmf(pr, GameConfig(n=9), matchlevel.MatchConfig(2), epsilon)
 
@@ -626,7 +675,7 @@ class TestAgainstFullWindowEngine:
 
     @pytest.mark.parametrize("p", [0.999, 0.9, 0.6, 0.3, 0.05, 0.01, 1e-3, 1e-4])
     def test_score(self, p, monkeypatch):
-        self.check(monkeypatch, lambda: duration.duration_pmf_conditional(15, 9, A, RallyProbs(p, 0.9 * p)))
+        self.check(monkeypatch, lambda: duration.score_pmf(RallyProbs(p, 0.9 * p), GameConfig(n=15), (15, 9)))
 
     @pytest.mark.parametrize("p", [0.999, 0.9, 0.6, 0.3, 0.05, 0.01, 1e-3, 1e-4])
     def test_best_of_five(self, p, monkeypatch):
@@ -799,10 +848,12 @@ class TestWinnerPMF:
 @pytest.mark.parametrize(
     "law",
     [
-        lambda last, pr: duration.expected_duration_conditional(5, 3, last, pr.q),
-        lambda last, pr: duration.variance_duration_conditional(5, 3, last, pr.q),
         lambda last, pr: duration.mgf_conditional(5, 3, last, pr.q, 1.0 - pr.q, 0.1),
-        lambda last, pr: duration.duration_pmf_conditional(5, 3, last, pr),
+        lambda last, pr: TerminalScore(5, 3, last),
+        lambda last, pr: sideout.score_distribution(pr, GameConfig(n=5), A).entries[TerminalScore(5, 3, last)],
+        lambda last, pr: rallypoint.score_distribution(pr, GameConfig(n=5, system=ScoringSystem.RALLY_POINT), A).entries[
+            TerminalScore(5, 3, last)
+        ],
     ],
 )
 def test_tally_last_scorer_given_as_its_string_value_is_a_domain_error(law):
@@ -919,10 +970,7 @@ class TestQuantiles:
                 for family in ("win", "loss"):
                     values = []
                     for k in range(n):
-                        if family == "win":
-                            pmf = duration.duration_pmf_conditional(n, k, A, pr)
-                        else:
-                            pmf = duration.duration_pmf_conditional(k, n, B, pr)
+                        pmf = duration.score_pmf(pr, GameConfig(n=n), (n, k) if family == "win" else (k, n))
                         values.append(duration.quantile(pmf, level, mode))
                     assert all(x <= y + 1e-9 for x, y in zip(values, values[1:]))
 
@@ -1039,7 +1087,7 @@ class TestTiebreakDurations:
         game = duration.duration_pmf_unconditional(pr, served_by(cfg, A), 1e-14)
         total = np.zeros(len(game.masses) + 200)
         for score, prob in dist.entries.items():
-            pmf = duration._score_pmf(pr, cfg, (score.alpha, score.beta), 1e-14)
+            pmf = duration.score_pmf(pr, cfg, (score.alpha, score.beta), 1e-14)
             i = pmf.offset - game.offset
             total[i : i + len(pmf.masses)] += prob * pmf.masses
         assert np.abs(total[: len(game.masses)] - game.masses).sum() + total[len(game.masses) :].sum() <= 1e-13

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from rallystats import GameConfig, Player, RallyProbs, ScoringSystem, SeedSpec
-from rallystats import duration, rallypoint, sideout, simulate
+from rallystats import duration, sideout, simulate
 
-from oracles import duration_marginal, enumerate_rallypoint, no_server_score_prob, score_marginal, score_prob_r, served_by
+from oracles import duration_marginal, enumerate_rallypoint, no_server_score_prob, score_marginal, score_prob_r, served_by, tally_prob
 
 A, B = Player.A, Player.B
 RP = ScoringSystem.RALLY_POINT
@@ -34,9 +34,7 @@ class TestScoreProbs:
                         score_prob_r(alpha, beta, last, r, pr)
                         for r in range(0, max(alpha, beta) + 2)
                     )
-                    assert total == pytest.approx(
-                        rallypoint.score_prob(alpha, beta, last, A, pr), abs=1e-14
-                    )
+                    assert total == pytest.approx(tally_prob(alpha, beta, last, pr, RP), abs=1e-14)
 
     def test_remark_negative_binomial_identity(self):
         # no-server diagonal: closed negative-binomial form to 1e-12
@@ -47,7 +45,7 @@ class TestScoreProbs:
                     for last in (A, B):
                         if (last is A and alpha < 1) or (last is B and beta < 1):
                             continue
-                        lhs = rallypoint.score_prob(alpha, beta, last, A, pr)
+                        lhs = tally_prob(alpha, beta, last, pr, RP)
                         rhs = no_server_score_prob(alpha, beta, last, p)
                         assert lhs == pytest.approx(rhs, abs=1e-12)
 
@@ -55,8 +53,8 @@ class TestScoreProbs:
         for p in (0.3, 0.62):
             for alpha in range(1, 8):
                 for beta in range(0, 8):
-                    lhs = rallypoint.score_prob(alpha, beta, A, A, RallyProbs.no_server(p))
-                    rhs = rallypoint.score_prob(beta, alpha, B, A, RallyProbs.no_server(1 - p))
+                    lhs = tally_prob(alpha, beta, A, RallyProbs.no_server(p), RP)
+                    rhs = tally_prob(beta, alpha, B, RallyProbs.no_server(1 - p), RP)
                     assert lhs == pytest.approx(rhs, abs=1e-15)
 
     def test_matches_enumeration(self):
@@ -67,9 +65,7 @@ class TestScoreProbs:
                 outcomes, _ = enumerate_rallypoint(pa, pb, n, server=A)
                 marg = score_marginal(outcomes)
                 for (a, b, last), mass in marg.items():
-                    assert rallypoint.score_prob(a, b, last, A, pr) == pytest.approx(
-                        mass, abs=1e-12
-                    )
+                    assert tally_prob(a, b, last, pr, RP) == pytest.approx(mass, abs=1e-12)
                 # the game ends within 2n - 1 rallies, so these durations are exact
                 durations, _ = duration_marginal(outcomes)
                 pmf = duration.duration_pmf_unconditional(pr, served_by(rp_config(n), A))

@@ -92,9 +92,9 @@ def test_finite_values_or_typed_errors(p_a, p_b, n, s_a, system, winner, games_t
 
 
 def check_exact_engines(probs, config, winner, match):
-    """Finite, non-negative values from every exact engine, the laws of
-    single tallies included, or a typed error from each when q = 1;
-    returns whether q < 1."""
+    """Finite, non-negative values from every exact engine, the laws given
+    each end score and the MGF of single tallies included, or a typed error
+    from each when q = 1; returns whether q < 1."""
     try:
         validate(probs, config)
     except DomainError:
@@ -109,7 +109,9 @@ def check_exact_engines(probs, config, winner, match):
             lambda: matchlevel.match_duration_pmf(probs, config, match),
             lambda: simulate.sample_games(probs, config, 1, SeedSpec(0)),
             lambda: simulate.sample_matches(probs, config, match, 1, SeedSpec(0)),
-            *per_tally_calls(probs, config.n),
+            lambda: duration.score_moments(probs, config, (config.n, 0)),
+            lambda: duration.score_pmf(probs, config, (config.n, 0)),
+            *mgf_calls(probs, config.n),
         ]
         for call in calls:
             with pytest.raises(TYPED):
@@ -131,28 +133,27 @@ def check_exact_engines(probs, config, winner, match):
     win = matchlevel.match_win_prob(probs, config, match, winner)
     assert math.isfinite(win) and 0.0 <= win <= 1.0 + 1e-12
     assert finite_non_negative(pmf_values(matchlevel.match_duration_pmf(probs, config, match)))
-    assert finite_non_negative(v for call in per_tally_calls(probs, config.n) for v in np.atleast_1d(call()))
+    assert finite_non_negative(call() for call in mgf_calls(probs, config.n))
+    for score, p in sideout.score_distribution(probs, config).entries.items():
+        try:
+            m = duration.score_moments(probs, config, (score.alpha, score.beta))
+            values = pmf_values(duration.score_pmf(probs, config, (score.alpha, score.beta)))
+        except ConditioningError:
+            # only an end no game reaches has no conditional law
+            assert p <= 1e-300
+            continue
+        assert finite_non_negative([m.mean, m.variance, *values])
     return True
 
 
-def per_tally_calls(probs, n):
-    """Calls of the side-out laws of single tallies at a shutout, a close
-    end and a receiver's win of a game to n: the tally's probability, the
-    moments of D, its MGF at three points of the domain q e^(2t) < 1, and
-    the values of its PMF, for both first servers."""
+def mgf_calls(probs, n):
+    """Calls of the MGF of D given a side-out A-game tally, at a shutout, a
+    close end and a receiver's win of a game to n, each at three points of
+    the domain q e^(2t) < 1."""
     q, one_minus_q = probs.q, probs.p_a + probs.q_a * probs.p_b
     ts = (-0.5, 0.0, -math.log(q) / 4 if q > 0.0 else 1.0)
-    calls = []
-    for tally in dict.fromkeys([(n, 0, Player.A), (n, n - 1, Player.A), (n - 1, n, Player.B)]):
-        calls += [partial(duration.expected_duration_conditional, *tally, q)]
-        calls += [partial(duration.variance_duration_conditional, *tally, q)]
-        calls += [partial(duration.mgf_conditional, *tally, q, one_minus_q, t) for t in ts]
-        # a game first served by B is the A-game of the swapped tally
-        for server, (a, b, last) in zip(Player, (tally, (tally[1], tally[0], tally[2].other))):
-            calls.append(partial(sideout.score_prob, *tally, server, probs))
-            pmf = partial(duration.duration_pmf_conditional, a, b, last, probs)
-            calls.append(lambda pmf=pmf: pmf_values(pmf()))
-    return calls
+    tallies = dict.fromkeys([(n, 0, Player.A), (n, n - 1, Player.A), (n - 1, n, Player.B)])
+    return [partial(duration.mgf_conditional, *tally, q, one_minus_q, t) for tally in tallies for t in ts]
 
 
 @settings(max_examples=150, deadline=None)

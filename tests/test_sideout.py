@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rallystats import ConfigError, DomainError, GameConfig, MatchConfig, Player, RallyProbs, ScoringSystem, SeedSpec
-from rallystats import duration, kernel, matchlevel, rallypoint, sideout, simulate
+from rallystats import ConfigError, DomainError, GameConfig, MatchConfig, Player, RallyProbs, ScoringSystem, SeedSpec, TerminalScore
+from rallystats import duration, kernel, matchlevel, sideout, simulate
 
-from oracles import ORACLE_PROBS, enumerate_sideout, prob_score_r_j, score_marginal, swapped
+from oracles import ORACLE_PROBS, enumerate_sideout, prob_score_r_j, score_marginal, swapped, tally_prob
 
 A, B = Player.A, Player.B
 
@@ -48,24 +48,22 @@ class TestLemmaLevel:
                             j += 1
                             if j > 20 and (term == 0.0 or term < 1e-16 * total):
                                 break
-                    assert total == pytest.approx(
-                        sideout.score_prob(alpha, beta, last, A, pr), abs=1e-14
-                    )
+                    assert total == pytest.approx(tally_prob(alpha, beta, last, pr), abs=1e-14)
 
 
 class TestScoreProb:
     def test_shutout_closed_form(self):
         # beta = 0 collapses the r-sum to its r=0 term via binom(-1,-1) = 1
         pr = RallyProbs(0.5, 0.5)
-        assert sideout.score_prob(2, 0, A, A, pr) == pytest.approx(0.25 / 0.5625, abs=1e-15)
+        assert tally_prob(2, 0, A, pr) == pytest.approx(0.25 / 0.5625, abs=1e-15)
         for n in (1, 5, 15):
             pr2 = RallyProbs(0.63, 0.41)
             expect = (pr2.p_a / (1.0 - pr2.q)) ** n
-            assert sideout.score_prob(n, 0, A, A, pr2) == pytest.approx(expect, rel=1e-13)
+            assert tally_prob(n, 0, A, pr2) == pytest.approx(expect, rel=1e-13)
 
     def test_two_one_value(self):
         # brute-force enumeration of n=2 games gives exactly 4/27
-        assert sideout.score_prob(2, 1, A, A, RallyProbs(0.5, 0.5)) == pytest.approx(
+        assert tally_prob(2, 1, A, RallyProbs(0.5, 0.5)) == pytest.approx(
             4.0 / 27.0, abs=1e-14
         )
 
@@ -76,7 +74,7 @@ class TestScoreProb:
             assert leftover < 1e-14
             marg = score_marginal(outcomes)
             for (a, b, last), mass in marg.items():
-                assert sideout.score_prob(a, b, last, A, pr) == pytest.approx(mass, abs=1e-12)
+                assert tally_prob(a, b, last, pr) == pytest.approx(mass, abs=1e-12)
 
     @pytest.mark.parametrize("n", [1, 5, 15, 30])
     @pytest.mark.parametrize("pa,pb", [(0.5, 0.5), (0.9, 0.05), (0.2, 0.7), (0.99, 0.99)])
@@ -89,18 +87,18 @@ class TestScoreProb:
     @given(
         st.floats(0.05, 0.95),
         st.floats(0.05, 0.95),
-        st.integers(0, 6),
+        st.integers(1, 7),
         st.integers(0, 6),
         st.sampled_from([A, B]),
     )
     @settings(max_examples=200)
-    def test_role_symmetry(self, pa, pb, alpha, beta, last):
-        if (last is A and alpha < 1) or (last is B and beta < 1):
-            alpha, beta = max(alpha, 1), max(beta, 1)
-        pr = RallyProbs(pa, pb)
-        lhs = sideout.score_prob(alpha, beta, last, B, pr)
-        rhs = sideout.score_prob(beta, alpha, last.other, A, swapped(pr))
-        assert lhs == rhs  # exact: same code path by construction
+    def test_role_symmetry(self, pa, pb, n, k, last):
+        k = min(k, n - 1)
+        alpha, beta = (n, k) if last is A else (k, n)
+        pr, cfg = RallyProbs(pa, pb), GameConfig(n=n)
+        lhs = sideout.score_distribution(pr, cfg, server=B).entries[TerminalScore(alpha, beta, last)]
+        rhs = sideout.score_distribution(swapped(pr), cfg, server=A).entries[TerminalScore(beta, alpha, last.other)]
+        assert lhs == rhs  # exact: both first servers read one polynomial
 
 
 class TestGameWinProb:
@@ -153,10 +151,20 @@ class TestGameWinProb:
         with pytest.raises(DomainError, match="server='B' must be a Player"):
             sideout.score_distribution(pr, cfg, server="B")
 
-    @pytest.mark.parametrize("score_prob", [sideout.score_prob, rallypoint.score_prob])
+    @staticmethod
+    def score_prob_of(system):
+        def score_prob(alpha, beta, last, server, probs):
+            # the entry of the end score in the score law of a game to 5
+            law = sideout.score_distribution(probs, GameConfig(n=5, system=system), server)
+            return law.entries[TerminalScore(alpha, beta, last)]
+
+        return score_prob
+
+    @pytest.mark.parametrize("score_prob", [score_prob_of(ScoringSystem.SIDE_OUT), score_prob_of(ScoringSystem.RALLY_POINT)])
     def test_tally_player_given_as_its_string_value_is_a_domain_error(self, score_prob):
-        # "A" was read as server B: 0.06682 where server=A gives 0.10892
+        # "A" must not be read as server B: 0.12027 where server=A gives 0.10892
         pr = RallyProbs(0.6, 0.5)
+        assert score_prob(5, 3, A, A, pr) > 0.0
         with pytest.raises(DomainError, match="server='A' must be a Player"):
             score_prob(5, 3, A, "A", pr)
         with pytest.raises(DomainError, match="last_scorer='A' must be a Player"):
@@ -197,7 +205,7 @@ class TestTiebreak:
         cfg = GameConfig(n=9, tiebreak=2)
         dist = sideout.score_distribution(pr, cfg, server=A)
         assert dist.total_mass == pytest.approx(1.0, abs=1e-12)
-        tie_mass = sideout.score_prob(8, 8, A, A, pr) + sideout.score_prob(8, 8, B, A, pr)
+        tie_mass = tally_prob(8, 8, A, pr) + tally_prob(8, 8, B, pr)
         ext_mass = sum(p for s, p in dist.entries.items() if max(s.alpha, s.beta) > 9)
         assert ext_mass == pytest.approx(tie_mass, abs=1e-13)
 
@@ -206,7 +214,7 @@ class TestTiebreak:
         # at the rally level agrees within 3 sigma
         pr = RallyProbs(0.5, 0.5)
         cfg = GameConfig(n=9, tiebreak=2)
-        exact = sideout.tiebreak_score_prob(1, A, A, pr, cfg)
+        exact = sideout.score_distribution(pr, cfg, server=A).entries[TerminalScore(10, 9, A)]
         assert exact == pytest.approx(0.023111787461504107, abs=1e-14)
         sample = simulate.sample_games(pr, cfg, 200_000, SeedSpec(2024, 7))
         hits = ((sample.alpha == 10) & (sample.beta == 9)).mean()
@@ -216,21 +224,25 @@ class TestTiebreak:
     def test_tie_impossible_when_server_perfect(self):
         pr = RallyProbs(1.0, 0.5)
         cfg = GameConfig(n=9, tiebreak=2)
+        entries = sideout.score_distribution(pr, cfg, server=A).entries
         for k in range(2):
-            assert sideout.tiebreak_score_prob(k, A, A, pr, cfg) == 0.0
-            assert sideout.tiebreak_score_prob(k, B, A, pr, cfg) == 0.0
+            assert entries[TerminalScore(10, 8 + k, A)] == 0.0
+            assert entries[TerminalScore(8 + k, 10, B)] == 0.0
 
     def test_requires_tiebreak_config(self):
-        with pytest.raises(ConfigError):
-            sideout.tiebreak_score_prob(0, A, A, RallyProbs(0.5, 0.5), GameConfig(n=9))
+        # an end of the extension is no end of a game without a tie-break
+        for law in (duration.score_moments, duration.score_pmf):
+            with pytest.raises(ConfigError, match="not an end score"):
+                law(RallyProbs(0.5, 0.5), GameConfig(n=9), (10, 8))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 @pytest.mark.parametrize("ell", [2, 3])
 @pytest.mark.parametrize("pa, pb", ORACLE_PROBS)
 def test_tiebreak_against_enumeration(n, ell, pa, pb):
-    """Every terminal score, the win probabilities and the extension scores
-    of a set-to-l game against rally-by-rally enumeration of the game."""
+    """Every terminal score and the win probabilities of a set-to-l game
+    against rally-by-rally enumeration of the game; the scores past n are
+    the ends of the extension."""
     pr, cfg = RallyProbs(pa, pb), GameConfig(n=n, tiebreak=ell, s_a=0.3)
     laws = {}
     for server in Player:
@@ -252,12 +264,9 @@ def test_tiebreak_against_enumeration(n, ell, pa, pb):
         for winner, got in zip(Player, wins):
             want = sum(mass for (_, _, last), mass in law.items() if last is winner)
             assert got == pytest.approx(want, rel=1e-13, abs=0), (server, winner)
-        for winner in Player:
-            for k in range(ell):
-                hi, lo = n + ell - 1, n + k - 1
-                want = law.get((hi, lo, A) if winner is A else (lo, hi, B), 0.0)
-                got = sideout.tiebreak_score_prob(k, winner, server, pr, cfg)
-                assert got == pytest.approx(want, rel=1e-13, abs=0), (server, winner, k)
+        extension = {(s.alpha, s.beta, s.last_scorer) for s in entries if max(s.alpha, s.beta) > n}
+        hi = n + ell - 1
+        assert extension == {(hi, n + k - 1, A) for k in range(ell)} | {(n + k - 1, hi, B) for k in range(ell)}
 
 
 class TestKernelEvaluations:

@@ -11,21 +11,21 @@ from scipy import stats
 from rallystats import ConfigError, DomainError, GameConfig, MatchConfig, Player, RallyProbs, ScoringSystem, SeedSpec, ServerRule
 from rallystats import sideout, simulate
 
-from oracles import enumerate_trajectories, reference_batch_games
+from oracles import enumerate_trajectories, no_server_grid, reference_batch_games, simulate_game
 
 A, B = Player.A, Player.B
 
 
 class TestSingleGame:
     def test_perfect_server_shutout(self):
-        res = simulate.simulate_game(RallyProbs(1.0, 0.5), GameConfig(n=15), SeedSpec(1))
+        res = simulate_game(RallyProbs(1.0, 0.5), GameConfig(n=15), SeedSpec(1))
         assert (res.score.alpha, res.score.beta) == (15, 0)
         assert res.duration == 15
         assert res.winner is A
 
     def test_perfect_receiver_needs_extra_rally(self):
         # B must first regain the serve, hence 16 rallies in an A-game
-        res = simulate.simulate_game(RallyProbs(0.0, 1.0), GameConfig(n=15), SeedSpec(2))
+        res = simulate_game(RallyProbs(0.0, 1.0), GameConfig(n=15), SeedSpec(2))
         assert (res.score.alpha, res.score.beta) == (0, 15)
         assert res.duration == 16
         assert res.winner is B
@@ -33,12 +33,12 @@ class TestSingleGame:
     def test_determinism(self):
         pr = RallyProbs(0.55, 0.48)
         cfg = GameConfig(n=11, s_a=0.5)
-        r1 = simulate.simulate_game(pr, cfg, SeedSpec(77, 3), keep_trajectory=True)
-        r2 = simulate.simulate_game(pr, cfg, SeedSpec(77, 3), keep_trajectory=True)
+        r1 = simulate_game(pr, cfg, SeedSpec(77, 3), keep_trajectory=True)
+        r2 = simulate_game(pr, cfg, SeedSpec(77, 3), keep_trajectory=True)
         assert r1 == r2
 
     def test_trajectory_consistency(self):
-        res = simulate.simulate_game(
+        res = simulate_game(
             RallyProbs(0.6, 0.5), GameConfig(n=9), SeedSpec(5), keep_trajectory=True
         )
         assert len(res.trajectory) == res.duration
@@ -48,7 +48,7 @@ class TestSingleGame:
 
     def test_rallypoint_rules(self):
         cfg = GameConfig(n=21, system=ScoringSystem.RALLY_POINT)
-        res = simulate.simulate_game(RallyProbs(0.6, 0.5), cfg, SeedSpec(8), keep_trajectory=True)
+        res = simulate_game(RallyProbs(0.6, 0.5), cfg, SeedSpec(8), keep_trajectory=True)
         assert res.duration == res.score.alpha + res.score.beta
         assert res.score.points(res.winner) == 21
 
@@ -161,8 +161,11 @@ class TestEstimatorReport:
 
 
 class TestSweep:
+    """A sweep over the no-server grid of the oracles, each point on its
+    own child stream."""
+
     def test_grid_size_matches_step(self):
-        grid = simulate.no_server_grid(0.0005)
+        grid = no_server_grid(0.0005)
         assert len(grid) == 1999
         assert grid[0].p_a == pytest.approx(0.0005)
         assert grid[-1].p_a == pytest.approx(0.9995)
@@ -171,25 +174,27 @@ class TestSweep:
     @pytest.mark.parametrize("step", [0.0, -0.1, 1.0, 1.5, float("nan"), float("inf"), float("-inf")])
     def test_step_outside_unit_interval_raises_domain_error(self, step):
         with pytest.raises(DomainError, match="step"):
-            simulate.no_server_grid(step)
+            no_server_grid(step)
 
     # 0.7 gave [], 0.6 gave [0.6] (above 1 - step), 0.4 gave [0.4]
     @pytest.mark.parametrize("step", [0.7, 0.6, 0.4, 0.3])
     def test_step_that_does_not_divide_one_raises_domain_error(self, step):
         with pytest.raises(DomainError, match="does not divide 1"):
-            simulate.no_server_grid(step)
+            no_server_grid(step)
 
     @pytest.mark.parametrize("step, points", [(0.25, 3), (0.01, 99), (0.0005, 1999)])
     def test_step_that_divides_one_up_to_rounding_gives_its_grid(self, step, points):
-        grid = simulate.no_server_grid(step)
+        grid = no_server_grid(step)
         assert len(grid) == points
         assert grid[-1].p_a == pytest.approx(1.0 - step)
 
     def test_points_use_independent_streams(self):
         cfg = GameConfig(n=9)
-        grid = simulate.no_server_grid(0.2)
-        reports = simulate.sweep(grid, cfg, 200, SeedSpec(777, 0))
-        # recomputing any single point in isolation reproduces its report
+        grid = no_server_grid(0.2)
+        seed = SeedSpec(777, 0)
+        reports = [simulate.run_experiment(probs, cfg, 200, seed.child(i)) for i, probs in enumerate(grid)]
+        # each point on its own child stream: recomputing any single point
+        # in isolation reproduces its report
         solo = simulate.run_experiment(grid[2], cfg, 200, SeedSpec(777, 0).child(2))
         assert reports[2] == solo
 
@@ -205,7 +210,7 @@ class TestTrajectoryLevel:
         replications = 30_000
         observed = {}
         for i in range(replications):
-            res = simulate.simulate_game(pr, cfg, SeedSpec(31_337, i), keep_trajectory=True)
+            res = simulate_game(pr, cfg, SeedSpec(31_337, i), keep_trajectory=True)
             key = tuple(w for _, w in res.trajectory)
             observed[key] = observed.get(key, 0) + 1
         # pool trajectories below a minimum expected count
@@ -314,11 +319,11 @@ class TestAgainstReferenceLoop:
         ],
     )
     def test_single_game_equals_batch_of_one(self, probs, config):
-        # `simulate_game` draws its first server and every rally from the
+        # the scalar reference draws its first server and every rally from the
         # same stream as a one-game batch
         for master in range(300):
             seed = SeedSpec(master, 4)
-            game = simulate.simulate_game(probs, config, seed)
+            game = simulate_game(probs, config, seed)
             batch = simulate.sample_games(probs, config, 1, seed)
             assert (game.score.alpha, game.score.beta) == (batch.alpha[0], batch.beta[0])
             assert (game.winner is A) == batch.winner_a[0]
@@ -376,11 +381,17 @@ class TestExperimentAgainstReferenceLoop:
         assert from_sample == report
 
     @pytest.mark.parametrize(
-        "block, games, bound",
-        [(simulate._BLOCK, 200_000, 16), (2**14, 200_000, 10), (simulate._BLOCK, 1_000_000, 8)],
-        ids=["one-block", "13-blocks", "four-blocks"],
+        "run, block, games, bound",
+        [
+            (simulate.run_experiment, simulate._BLOCK, 200_000, 16),
+            (simulate.run_experiment, 2**14, 200_000, 10),
+            (simulate.run_experiment, simulate._BLOCK, 1_000_000, 8),
+            (simulate.sample_games, simulate._BLOCK, 200_000, 52),
+            (simulate.sample_games, simulate._BLOCK, 1_000_000, 40),
+        ],
+        ids=["one-block", "13-blocks", "four-blocks", "sample-one-block", "sample-four-blocks"],
     )
-    def test_peak_memory_per_game(self, monkeypatch, block, games, bound):
+    def test_peak_memory_per_game(self, monkeypatch, run, block, games, bound):
         # the draw side hands each block one byte per live game, and the
         # uniforms pass through one scratch buffer of at most 2^16 doubles:
         # streaming the moments peaks at 14 bytes per game in one block of
@@ -388,13 +399,16 @@ class TestExperimentAgainstReferenceLoop:
         # default blocks, drawn by the helper thread where the process has
         # a second CPU.  A uniform buffer per block took 19, 13-16 and 14;
         # building a GameSample and taking float passes over its durations
-        # took 58
+        # took 58.  A GameSample's arrays hold 26 bytes per game; with the
+        # game indices of each block in the least integer type that holds
+        # them, `sample_games` peaks at 46 bytes per game in one block and
+        # 37 for 10^6 games, against 54 and 42 with int64 indices
         monkeypatch.setattr(simulate, "_BLOCK", block)
         probs, config = RallyProbs(0.6, 0.5), GameConfig(n=15, s_a=0.5)
-        simulate.run_experiment(probs, config, 100, SeedSpec(0))
+        run(probs, config, 100, SeedSpec(0))
         tracemalloc.start()
         try:
-            simulate.run_experiment(probs, config, games, SeedSpec(1))
+            run(probs, config, games, SeedSpec(1))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

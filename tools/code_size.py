@@ -3,7 +3,8 @@ of code, with docstrings, comments and blank lines left out.
 
 A docstring is a string statement that opens a module, class or function
 body; its lines do not count.  Any other string counts on every line it
-spans.  Run it on the package directory (by default `src/rallystats`):
+spans.  Run it on a package directory (by default `src/rallystats`) or on
+one file:
 
     python tools/code_size.py [path]
 
@@ -46,7 +47,7 @@ def code_lines(path: Path) -> int:
 def main(argv: list[str]) -> int:
     root = Path(argv[0] if argv else "src/rallystats")
     total = 0
-    for path in sorted(root.rglob("*.py")):
+    for path in [root] if root.is_file() else sorted(root.rglob("*.py")):
         count = code_lines(path)
         total += count
         print(f"{path}\t{count}")
