@@ -209,8 +209,6 @@ def cmd_duration(system, n, pa, pb, server, sa, tiebreak, stat, winner, score, l
 
     config = _build_config(system, n, sa, server, tiebreak)
     probs = RallyProbs(pa, pb)
-    if score is not None and sa is not None:
-        raise click.UsageError("--score conditions on a fixed first server; use --server")
     if stat == "moments":
         rows = _moment_rows(probs, config, score)
         _emit(OutputTable(["conditioning", "mean", "sd", "variance"], rows), fmt, out)

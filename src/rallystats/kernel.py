@@ -179,11 +179,9 @@ def tallies(items: list[tuple[int, int, bool]]) -> Rows:
     return _build(items)
 
 
-@functools.lru_cache(maxsize=4096, typed=True)
 def tally(alpha: int, beta: int, server_last: bool) -> Rows:
     """A one-row table for any reachable tally of the first server and the
-    receiver.  The cache is typed, so a score of 2.0 is checked rather than
-    read as the cached 2."""
+    receiver."""
     return tallies([(alpha, beta, server_last)])
 
 

@@ -15,18 +15,20 @@ The draw side hands a block one byte per live game, the flags of the
 rallies won by the server: it draws the uniforms `_CHUNK` (2^16) at a
 time into one scratch buffer and turns them into flags at once, so no
 uniform outlives its chunk, and the first servers are drawn the same way.
-With more than one block and more than one CPU to run on, a helper thread
-draws each block's flags for the next rally while the main thread plays
-the other blocks (numpy's generator releases the interpreter lock while
-it fills an array); a batch of one block, or any batch on one CPU, draws
-inline and starts no thread.  Each draw is exactly the block's live
-count, and draws run in the order of the loop, so the deviates, their
-order and the generator's final state are those of one draw over all live
-games per rally.  The generator labels the players by serve strength, h
-the stronger server and l the weaker: a deviate below both serve
-probabilities is a rally won by either server, one between them a rally
-won by h on serve, so a step is one comparison chain on the flag "h
-serves", the scores of h and l, and one end test on their maximum; it
+A block reads each rally's flags from one draw, armed after the rally
+before.  With more than one block and more than one CPU to run on, a
+helper thread makes the draw at once, while the main thread plays the
+other blocks (numpy's generator releases the interpreter lock while it
+fills an array); a batch of one block, or any batch on one CPU, makes it
+when the block reads it and starts no thread.  Each draw is exactly the
+block's live count, and draws run in the order of the loop, so the
+deviates, their order and the generator's final state are those of one
+draw over all live games per rally.  The generator labels the players by
+serve strength, h the stronger server and l the weaker: a deviate below
+both serve probabilities is a rally won by either server, one between
+them a rally won by h on serve, so a step is one comparison chain on the
+flag "h serves" and the scores of h and l, and an end test on the two
+scores (a tie-break game has passed n-1 all once both reach n-1); it
 yields the games that end in a rally with their scores for A and B.  Its
 consumers keep what they need: `sample_games` (and `sample_matches`)
 write each finished game into per-game outcome arrays, while
@@ -38,6 +40,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -123,36 +126,40 @@ def _first_servers(rng: np.random.Generator, count: int, s_a: float) -> np.ndarr
 def _rallies(probs: RallyProbs, config: GameConfig, first_server_a: np.ndarray, rng: np.random.Generator):
     """Play the games of `first_server_a` side by side, one rally per step,
     in blocks of `_BLOCK` consecutive games.  Each block holds arrays of its
-    games still in play: whether the stronger server serves, both scores
-    and, with a tie-break, the target.  A rally steps the blocks in game
-    order, each on one uniform per live game.  After each rally in which
-    games of a block end, yield the block index, the rally number, the
-    indices of the finished games among the block's live games, the mask of
-    the games that stay, and the final scores alpha and beta of the
-    finished games; these then leave the block.
+    games still in play: whether the stronger server serves and both
+    scores.  A rally steps the blocks in game order, each on one uniform
+    per live game.  After each rally in which games of a block end, yield
+    the block index, the rally number, the indices of the finished games
+    among the block's live games, the mask of the games that stay, and the
+    final scores alpha and beta of the finished games; these then leave
+    the block.
 
-    The draw side hands a block one byte per live game, the flags of the
-    rallies won by the server: it draws the uniforms `_CHUNK` at a time
-    into one scratch buffer and turns each chunk into flags at once, so no
-    block keeps a uniform.  With more than one block and more than one CPU, a helper
-    thread draws a block's flags for the next rally as soon as its
-    compacted server flags exist, while this thread plays the other
-    blocks; otherwise this thread draws them itself.  Draws are queued in
-    the order of the loop, and each is exactly the live count, so the
-    generator yields the same deviates in the same order as one draw per
-    rally over all live games and ends in the same state."""
+    Before n-1 all, whoever reaches n wins the game; so a live game with
+    both scores at n-1 or more has passed that tie, and with a tie-break
+    it ends when one score reaches n-1+l.  The two scores alone tell when a
+    game ends.
+
+    A block reads its flags of the rallies won by the server from one
+    `draw`, armed with its server flags after the rally before.  With more
+    than one block and more than one CPU, a helper thread draws them as
+    soon as they are armed, while this thread plays the other blocks;
+    otherwise this thread draws them when it reads them.  Either way the
+    draws run in the order of the loop, and each is exactly the live
+    count, so the generator yields the same deviates in the same order as
+    one draw per rally over all live games and ends in the same state.
+    `server_won` draws the uniforms `_CHUNK` at a time into one scratch
+    buffer and turns each chunk into flags at once, so no block keeps a
+    uniform."""
     n, ell = config.n, config.tiebreak
     sideout = config.system is ScoringSystem.SIDE_OUT
     # h serves with the higher probability (A on a tie), l with the lower
     lo, hi = sorted((probs.p_a, probs.p_b))
     a_high = probs.p_a >= probs.p_b
     score_dtype = np.min_scalar_type(n if ell is None else n - 1 + ell)
-    blocks = []  # per block: [server_h, score_h, score_l, target or None]
+    blocks = []  # per block: server_h, score_h, score_l
     for start in range(0, first_server_a.size, _BLOCK):
         server_h = first_server_a[start : start + _BLOCK] == a_high
-        size = server_h.size
-        target = None if ell is None else np.full(size, n, dtype=score_dtype)
-        blocks.append([server_h, np.zeros(size, dtype=score_dtype), np.zeros(size, dtype=score_dtype), target])
+        blocks.append((server_h, np.zeros(server_h.size, dtype=score_dtype), np.zeros(server_h.size, dtype=score_dtype)))
     scratch = np.empty(min(first_server_a.size, _BLOCK, _CHUNK))
     del first_server_a  # the blocks hold the server flags
 
@@ -175,22 +182,21 @@ def _rallies(probs: RallyProbs, config: GameConfig, first_server_a: np.ndarray, 
         from concurrent.futures import ThreadPoolExecutor
 
         pool = ThreadPoolExecutor(1)
-        drawn = [pool.submit(server_won, block[0]) for block in blocks]
+
+    def draw(server_h):
+        # a call that returns the flags of the block's next rally, drawn now
+        # on the helper or else when called
+        return partial(server_won, server_h) if pool is None else pool.submit(server_won, server_h).result
+
+    drawn = [draw(block[0]) for block in blocks]
     try:
         rally, playing = 0, len(blocks)
         while playing:
             rally += 1
-            for b, (server_h, score_h, score_l, target) in enumerate(blocks):
-                live = server_h.size
-                if not live:
+            for b, (server_h, score_h, score_l) in enumerate(blocks):
+                if not server_h.size:
                     continue
-                if pool is not None:
-                    won = drawn[b].result()
-                elif live <= _CHUNK:  # server_won's one-chunk draw, without a call per rally
-                    u = rng.random(out=scratch[:live])
-                    won = ((u < hi) & server_h) | (u < lo)
-                else:
-                    won = server_won(server_h)
+                won = drawn[b]()
                 h_rally = server_h == won  # h won the rally
                 if sideout:
                     score_h += h_rally & won
@@ -198,24 +204,20 @@ def _rallies(probs: RallyProbs, config: GameConfig, first_server_a: np.ndarray, 
                 else:
                     score_h += h_rally
                     score_l += ~h_rally
-                if target is not None and rally >= 2 * n - 2:  # no n-1 all before
-                    target[(score_h == n - 1) & (score_l == n - 1)] = n - 1 + ell
-                # no game ends before its n-th rally
-                done = None if rally < n else np.maximum(score_h, score_l) >= (n if target is None else target)
-                stay = live if done is None else live - np.count_nonzero(done)
-                if stay == live:
-                    blocks[b][0] = h_rally
-                    if pool is not None:
-                        drawn[b] = pool.submit(server_won, h_rally)
-                    continue
-                fin, keep = np.flatnonzero(done), ~done
-                final = score_h[fin], score_l[fin]
-                blocks[b] = [h_rally[keep], score_h[keep], score_l[keep], None if target is None else target[keep]]
-                if not stay:
-                    playing -= 1
-                elif pool is not None:
-                    drawn[b] = pool.submit(server_won, blocks[b][0])
-                yield b, rally, fin, keep, *(final if a_high else final[::-1])
+                final = None
+                if rally >= n:  # no game ends before its n-th rally
+                    done = np.maximum(score_h, score_l) >= n
+                    if ell is not None and rally >= 2 * n - 1:  # reaching n past n-1 all takes 2n-1 points
+                        done &= (np.minimum(score_h, score_l) < n - 1) | (np.maximum(score_h, score_l) >= n - 1 + ell)
+                    if np.count_nonzero(done):
+                        fin, keep = np.flatnonzero(done), ~done
+                        final = score_h[fin], score_l[fin]
+                        h_rally, score_h, score_l = h_rally[keep], score_h[keep], score_l[keep]
+                        playing -= not h_rally.size
+                blocks[b] = h_rally, score_h, score_l
+                drawn[b] = draw(h_rally)
+                if final is not None:
+                    yield b, rally, fin, keep, *(final if a_high else final[::-1])
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
@@ -322,7 +324,6 @@ def sample_matches(
     wins_a = np.zeros(count, dtype=np.int64)
     wins_b = np.zeros(count, dtype=np.int64)
     rallies = np.zeros(count, dtype=np.int64)
-    games = np.zeros(count, dtype=np.int64)
     server_a = _first_servers(rng, count, game_config.s_a)
     m = match_config.games_to_win
     active = np.ones(count, dtype=bool)
@@ -332,7 +333,6 @@ def sample_matches(
             break
         batch = _batch_games(probs, game_config, idx.size, rng, first_server_a=server_a[idx])
         rallies[idx] += batch.duration
-        games[idx] += 1
         wins_a[idx[batch.winner_a]] += 1
         wins_b[idx[~batch.winner_a]] += 1
         if match_config.server_rule is ServerRule.WINNER_SERVES_NEXT:
@@ -342,4 +342,4 @@ def sample_matches(
         else:  # COIN_FLIP_EACH
             server_a[idx] = _first_servers(rng, idx.size, game_config.s_a)
         active[idx] = (wins_a[idx] < m) & (wins_b[idx] < m)
-    return MatchSample(winner_a=wins_a >= m, total_rallies=rallies, games_played=games)
+    return MatchSample(winner_a=wins_a >= m, total_rallies=rallies, games_played=wins_a + wins_b)

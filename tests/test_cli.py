@@ -201,12 +201,23 @@ class TestDuration:
         assert (result.exit_code, result.stdout) == (3, "")
         assert result.stderr == "error: P[score 3,5] underflowed\n"
 
-    def test_score_conditioning_needs_fixed_server(self, runner):
-        result = runner.invoke(main, [
-            "duration", "--n", "15", "--pa", ".6", "--pb", ".5", "--sa", ".5",
-            "--stat", "pmf", "--score", "15,3",
-        ])
-        assert result.exit_code == 2
+    def test_score_conditioning_mixes_first_servers_at_sa(self, runner):
+        # --sa mixes the first servers as the library does: at s_a = .3 the
+        # mean given 15-10 (45.5592) lies between A first and B first
+        probs, score = RallyProbs(0.6, 0.5), (15, 10)
+        args = ["duration", "--n", "15", "--pa", ".6", "--pb", ".5", "--sa", ".3", "--score", "15,10"]
+        want = duration.score_moments(probs, GameConfig(n=15, s_a=0.3), score)
+        row = parse_csv(run_ok(runner, [*args, "--stat", "moments"]))[0]
+        assert [row[c] for c in ("mean", "sd", "variance")] == [cell(want.mean), cell(want.sd), cell(want.variance)]
+        by_server = [duration.score_moments(probs, GameConfig(n=15, s_a=s_a), score).mean for s_a in (1.0, 0.0)]
+        assert by_server[0] < want.mean < by_server[1]
+        assert want.mean == pytest.approx(45.5592, abs=1e-4)
+        pmf = duration.score_pmf(probs, GameConfig(n=15, s_a=0.3), score)
+        rows = parse_csv(run_ok(runner, [*args, "--stat", "pmf"]))
+        assert rows == [
+            {"rallies": str(pmf.offset + i), "probability": cell(mass), "truncation_bound": cell(pmf.truncation_bound)}
+            for i, mass in enumerate(pmf.masses)
+        ]
 
     def test_quantiles_ordered(self, runner):
         out = run_ok(runner, [

@@ -380,18 +380,27 @@ class TestExperimentAgainstReferenceLoop:
         assert report.v_hat_winner == {p: exact_var(d[won[p]]) for p in Player}
         assert from_sample == report
 
+    SIDEOUT = RallyProbs(0.6, 0.5), GameConfig(n=15, s_a=0.5)
+    TIEBREAK = RallyProbs(0.55, 0.5), GameConfig(n=9, tiebreak=3, s_a=0.5)
+
     @pytest.mark.parametrize(
-        "run, block, games, bound",
+        "run, game, block, games, bound",
         [
-            (simulate.run_experiment, simulate._BLOCK, 200_000, 16),
-            (simulate.run_experiment, 2**14, 200_000, 10),
-            (simulate.run_experiment, simulate._BLOCK, 1_000_000, 8),
-            (simulate.sample_games, simulate._BLOCK, 200_000, 52),
-            (simulate.sample_games, simulate._BLOCK, 1_000_000, 40),
+            (simulate.run_experiment, SIDEOUT, simulate._BLOCK, 200_000, 16),
+            (simulate.run_experiment, SIDEOUT, 2**14, 200_000, 10),
+            (simulate.run_experiment, SIDEOUT, simulate._BLOCK, 1_000_000, 8),
+            (simulate.sample_games, SIDEOUT, simulate._BLOCK, 200_000, 52),
+            (simulate.sample_games, SIDEOUT, simulate._BLOCK, 1_000_000, 40),
+            (simulate.run_experiment, TIEBREAK, simulate._BLOCK, 200_000, 14.5),
+            (simulate.run_experiment, TIEBREAK, simulate._BLOCK, 1_000_000, 6.75),
+            (simulate.sample_games, TIEBREAK, simulate._BLOCK, 200_000, 46),
         ],
-        ids=["one-block", "13-blocks", "four-blocks", "sample-one-block", "sample-four-blocks"],
+        ids=[
+            "one-block", "13-blocks", "four-blocks", "sample-one-block", "sample-four-blocks",
+            "tiebreak-one-block", "tiebreak-four-blocks", "tiebreak-sample-one-block",
+        ],
     )
-    def test_peak_memory_per_game(self, monkeypatch, run, block, games, bound):
+    def test_peak_memory_per_game(self, monkeypatch, run, game, block, games, bound):
         # the draw side hands each block one byte per live game, and the
         # uniforms pass through one scratch buffer of at most 2^16 doubles:
         # streaming the moments peaks at 14 bytes per game in one block of
@@ -402,9 +411,12 @@ class TestExperimentAgainstReferenceLoop:
         # took 58.  A GameSample's arrays hold 26 bytes per game; with the
         # game indices of each block in the least integer type that holds
         # them, `sample_games` peaks at 46 bytes per game in one block and
-        # 37 for 10^6 games, against 54 and 42 with int64 indices
+        # 37 for 10^6 games, against 54 and 42 with int64 indices.  A
+        # tie-break game to 9 needs no more than the scores: 14 bytes per
+        # game in one block, 5.6-6.4 for 10^6 games and 45 for `sample_games`,
+        # against 16, 6.9-7.8 and 48 with a per-game target
         monkeypatch.setattr(simulate, "_BLOCK", block)
-        probs, config = RallyProbs(0.6, 0.5), GameConfig(n=15, s_a=0.5)
+        probs, config = game
         run(probs, config, 100, SeedSpec(0))
         tracemalloc.start()
         try:
