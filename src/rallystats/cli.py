@@ -6,8 +6,11 @@ non-convergence error (the package's typed errors), 4 I/O error.  All
 commands are deterministic given their flags (plus --seed where
 randomness is involved).
 
-Each command imports the engine modules it calls when it runs, so a
-process loads only those (and `--help` none of them).
+Each command reaches the engines through their public functions only and
+prints what they return: it parses its flags, makes its calls and formats
+the table, with no numerics of its own.  It imports the engine modules it
+calls when it runs, so a process loads only those (and `--help` none of
+them).
 """
 
 from __future__ import annotations
@@ -21,6 +24,10 @@ import sys
 from dataclasses import dataclass
 
 import click
+# imported up front though only `--p-grid` uses it: without numpy, the
+# benchmark's import probe of this module can end before the first 50 ms
+# sample of its host-speed sampler (bench/harness/sampler.py), whose factor
+# then has no sample to read and fails the run
 import numpy as np
 
 from .core import (
@@ -45,12 +52,12 @@ class OutputTable:
     def _cell(self, value, as_json: bool):
         if value is None:
             return None if as_json else ""
-        if isinstance(value, (bool, np.bool_)):
-            return bool(value) if as_json else str(bool(value)).lower()
-        if isinstance(value, (int, np.integer)):
-            return int(value)
-        if isinstance(value, (float, np.floating)):
-            text = f"{float(value):.12g}"
+        if isinstance(value, bool):
+            return value if as_json else str(value).lower()
+        if isinstance(value, int):
+            return value
+        if isinstance(value, float):
+            text = f"{value:.12g}"
             return float(text) if as_json else text
         return str(value)
 
@@ -97,7 +104,7 @@ def engine_errors(fn):
 class Numbers(click.ParamType):
     """Comma-separated numbers of type `kind` (empty items skipped), exactly
     `size` of them when it is given; or, with `grid`, the inclusive grid
-    START:STOP:STEP as the array start + i * step.  Floats must be finite
+    START:STOP:STEP as the list of start + i * step.  Floats must be finite
     and a grid's step nonzero."""
 
     def __init__(self, kind=float, size: int | None = None, grid: bool = False):
@@ -123,7 +130,7 @@ class Numbers(click.ParamType):
         if step == 0.0:
             self.fail(f"the step of {value!r} is 0", param, ctx)
         try:
-            return start + np.arange(max(int(round((stop - start) / step)) + 1, 0)) * step
+            return (start + np.arange(max(int(round((stop - start) / step)) + 1, 0)) * step).tolist()
         except (ValueError, OverflowError, MemoryError):
             self.fail(f"the grid {value!r} is too large to build", param, ctx)
 
@@ -250,20 +257,13 @@ def cmd_compare(sideout_n, rallypoint_n, p_grid, fmt, out):
         "sideout_e_win_a", "sideout_sd_win_a", "sideout_e_win_b", "sideout_sd_win_b",
         "rallypoint_e_win_a", "rallypoint_sd_win_a", "rallypoint_e_win_b", "rallypoint_sd_win_b",
     ]
-    p = p_grid[(0.0 < p_grid) & (p_grid < 1.0)]
-
-    def grid_columns(cfg):
-        # the whole grid at once: no-server model (p_a = p, p_b = 1 - p),
-        # first server A; a vanished event has NaN moments
-        events = duration._event_moments(cfg, p, 1.0 - p, [(Player.A, w) for w in (Player.A, Player.B, None)])
-        cols = {w: [m, np.sqrt(v)] for (_, w), (_, m, v) in events.items()}
-        if np.isnan(cols[Player.A] + cols[Player.B]).any():
-            raise ConditioningError("conditioning event has vanished")
-        return events[(Player.A, Player.A)][0], cols[None], cols[Player.A] + cols[Player.B]
-
-    so_win, so_unc, so_by_winner = grid_columns(so_cfg)
-    rp_win, rp_unc, rp_by_winner = grid_columns(rp_cfg)
-    cols = [p, so_win, rp_win, rp_win / so_win, *so_unc, *rp_unc, *so_by_winner, *rp_by_winner]
+    # the no-server model (p_a = p, p_b = 1 - p) inside (0, 1), first server A
+    p = [x for x in p_grid if 0.0 < x < 1.0]
+    so, rp = (duration.grid_moments(cfg, p, [1.0 - x for x in p]) for cfg in (so_cfg, rp_cfg))
+    a, b = Player.A, Player.B
+    win_ratio = [r / s for r, s in zip(rp[a][0], so[a][0])]
+    cols = [p, so[a][0], rp[a][0], win_ratio, *so[None][1:], *rp[None][1:],
+            *so[a][1:], *so[b][1:], *rp[a][1:], *rp[b][1:]]
     rows = [["grid", *vals] for vals in zip(*cols)]
     for p_lim, direction in ((0.0, asymptotics.Direction.P_TO_0), (1.0, asymptotics.Direction.P_TO_1)):
         so_a = asymptotics.limit_moments(ScoringSystem.SIDE_OUT, Player.A, direction, sideout_n)
@@ -307,7 +307,7 @@ def cmd_simulate(system, n, pa, pb, server, sa, tiebreak, replications, seed, st
         sample = simulate.sample_games(probs, config, replications, spec)
         with open(records_out, "w", encoding="utf-8") as fh:
             fh.write(estimate.records_to_json_lines(estimate.records_from_sample(sample)))
-        report = simulate._report_from_sample(sample)
+        report = simulate.report_from_sample(sample)
     columns = [
         "replications", "wins_a", "wins_b", "p_hat_a", "p_hat_b",
         "e_hat", "v_hat", "e_hat_win_a", "v_hat_win_a", "e_hat_win_b", "v_hat_win_b",
@@ -397,15 +397,7 @@ def cmd_plan(system, n, pa, pb, server, sa, tiebreak, games_to_win, server_rule,
     config = _build_config(system, n, sa, server, tiebreak)
     probs = RallyProbs(pa, pb)
     mc = matchlevel.MatchConfig(games_to_win, ServerRule(server_rule))
-    single = matchlevel.match_duration_pmf(probs, config, mc, epsilon / matches)
-    masses = single.masses
-    offset = single.offset
-    for _ in range(matches - 1):
-        masses = np.convolve(masses, single.masses)
-        offset += single.offset
-    total = duration.DurationPMF(
-        offset=offset, masses=masses, truncation_bound=matches * single.truncation_bound
-    )
+    total = matchlevel.block_duration_pmf(probs, config, mc, matches, epsilon)
     mode = duration.QuantileMode(quantile_mode)
     rows = [
         [matches, lv, duration.quantile(total, lv, mode), mode.value]

@@ -20,10 +20,10 @@ server, game winner), either of which may be mixed out, or given an end
 score (`score_moments`, `score_pmf`), is then a mixture over the
 components, weighted as `kernel.Game.event` selects them.  The moments of
 every event come from one such mixture, for one point
-(`aggregate_moments`) or a grid of points, with the same bits at a point
-either way.  Every law reads the system, the tie-break and the first
-server from the `GameConfig`, and mixes the first server with (s_a, s_b),
-so s_a = 1 or 0 states it.  Given an end score and a stated first server,
+(`aggregate_moments`) or a grid of points (`grid_moments`), with the same
+bits at a point either way.  Every law reads the system, the tie-break
+and the first server from the `GameConfig`, and mixes the first server
+with (s_a, s_b), so s_a = 1 or 0 states it.  Given an end score and a stated first server,
 the law depends on the rally probabilities through q alone.  An event of
 probability zero has no conditional law: the aggregates leave it out, and
 the laws that normalize, `duration_pmf_winner` and the laws given a
@@ -68,6 +68,7 @@ from .core import (
     Player,
     RallyProbs,
     ScoringSystem,
+    TerminalScore,
     expect,
     validate,
 )
@@ -352,6 +353,30 @@ class DurationAggregates:
     win_probs: dict[tuple[Player, Player], float]
 
 
+def grid_moments(config: GameConfig, p_a, p_b) -> dict[Player | None, tuple[tuple[float, ...], ...]]:
+    """Probability, mean and standard deviation of D given the winner at
+    each point of the grid (p_a, p_b), 1-d and of one length, the first
+    server A with probability `config.s_a`: {winner: (probabilities,
+    means, sds)} for A, B and None (either), each a tuple of Python floats
+    with one entry per point.  A point gets the bits `aggregate_moments`
+    gives it alone.  Raises DomainError for a probability outside [0, 1]
+    or a point with q = 1, and ConditioningError where the event of a
+    winner has vanished (probability at most 1e-300)."""
+    p_a, p_b = (np.asarray(p, dtype=float) for p in (p_a, p_b))
+    if p_a.ndim != 1 or p_a.shape != p_b.shape:
+        raise DomainError("p_a and p_b must be 1-d grids of one length")
+    if not ((0.0 <= p_a) & (p_a <= 1.0) & (0.0 <= p_b) & (p_b <= 1.0)).all():
+        raise DomainError("a probability of the grid lies outside [0, 1]")
+    if ((1.0 - p_a) * (1.0 - p_b) >= 1.0).any():
+        raise DomainError("q=1, game never terminates (p_a=0 and p_b=0)")
+    events = _event_moments(config, p_a, p_b, [(None, w) for w in (*Player, None)])
+    if any(np.isnan(moments).any() for _, *moments in events.values()):
+        raise ConditioningError("conditioning event has vanished")
+    return {
+        w: (tuple(prob.tolist()), tuple(m.tolist()), tuple(np.sqrt(v).tolist())) for (_, w), (prob, m, v) in events.items()
+    }
+
+
 def aggregate_moments(probs: RallyProbs, config: GameConfig) -> DurationAggregates:
     """Expectation and variance of D under `config.system` for every
     conditioning level: per (server, winner), per server, per winner, and
@@ -431,30 +456,42 @@ def pre_exchange_laws(probs: RallyProbs, config: GameConfig) -> dict[tuple[Playe
     return laws
 
 
-def _score_law(probs: RallyProbs, config: GameConfig, score) -> tuple[kernel.Game, np.ndarray]:
-    """The game table and the weight of each component in the law given
-    that a game ends at `score` (A's points, B's points), the first server
-    weighed by (s_a, s_b), summing to 1: one component, or two for an end
-    of a tie-break's extension, reached by either tying scorer."""
+def _score_law(probs: RallyProbs, config: GameConfig, score) -> tuple[kernel.Game, np.ndarray, int]:
+    """The game table, the weight of each component in the law given that
+    a game ends at `score`, the first server weighed by (s_a, s_b), summing
+    to 1 (one component, or two for an end of a tie-break's extension,
+    reached by either tying scorer), and the points of that score."""
     validate(probs, config)
-    if not all(isinstance(x, numbers.Integral) for x in score):
-        raise DomainError(f"non-integer score ({score[0]!r}, {score[1]!r})")
+    if isinstance(score, TerminalScore):
+        alpha, beta = score.alpha, score.beta
+        # the last scorer of an end score is the one with more points
+        end = (alpha > beta) == (score.last_scorer is Player.A)
+    else:
+        try:
+            alpha, beta = score
+        except (TypeError, ValueError):
+            raise DomainError(f"score={score!r} must be a pair of integers") from None
+        if not (isinstance(alpha, numbers.Integral) and isinstance(beta, numbers.Integral)):
+            raise DomainError(f"non-integer score ({alpha!r}, {beta!r})")
+        end = True
     game = kernel.game(config, probs.p_a, probs.p_b)
-    if tuple(score) not in zip(game.alpha.tolist(), game.beta.tolist()):
-        raise ConfigError(f"score {score[0]},{score[1]} is not an end score of a game to {config.n}")
-    c = game.event(kernel.servers(config), lambda a, b: (a == score[0]) & (b == score[1]))[:, 0]
+    if not end or (alpha, beta) not in zip(game.alpha.tolist(), game.beta.tolist()):
+        raise ConfigError(f"score {alpha},{beta} is not an end score of a game to {config.n}")
+    c = game.event(kernel.servers(config), lambda a, b: (a == alpha) & (b == beta))[:, 0]
     if c.sum() <= _TINY:
-        raise ConditioningError(f"P[score {score[0]},{score[1]}] underflowed")
-    return game, c / c.sum()
+        raise ConditioningError(f"P[score {alpha},{beta}] underflowed")
+    return game, c / c.sum(), alpha + beta
 
 
 def score_moments(probs: RallyProbs, config: GameConfig, score) -> Moments:
     """Mean and variance of D under `config.system` given that the game
-    ends at `score` (A's points, B's points), the first server A with
-    probability `config.s_a` (see `_score_law`).  Raises DomainError for a
-    score that is not two integers, ConfigError for one that is not an end
-    of the game and ConditioningError for one of probability zero."""
-    game, c = _score_law(probs, config, score)
+    ends at `score`, the first server A with probability `config.s_a` (see
+    `_score_law`).  `score` is a pair (A's points, B's points) or a
+    `TerminalScore`, the key type of `sideout.score_distribution(...).entries`.
+    Raises DomainError for a score that is not a pair of integers,
+    ConfigError for one that is not an end of the game and
+    ConditioningError for one of probability zero."""
+    game, c, _ = _score_law(probs, config, score)
     _, mean, var = _mix(c[:, None], *_moments(config, game, probs.p_a, probs.p_b))
     return Moments(float(mean[0]), float(var[0]))
 
@@ -464,9 +501,9 @@ def score_pmf(probs: RallyProbs, config: GameConfig, score, epsilon: float = 1e-
     as `score_moments` conditions it: the mixed shift law of its points
     through `exchange_mixture`, the exchange series cut where its tail
     bound falls to `epsilon`."""
-    game, c = _score_law(probs, config, score)
+    game, c, points = _score_law(probs, config, score)
     law = (c[:, None] * game.shift_laws(probs.q))[c > 0.0].sum(axis=0)
-    return exchange_mixture(sum(score), law[None], probs, config.system, epsilon)
+    return exchange_mixture(points, law[None], probs, config.system, epsilon)
 
 
 def exchange_mixture(
@@ -490,8 +527,8 @@ def exchange_mixture(
     for M <= M', so the mass times that series' tail bounds what the window
     leaves out.  Rally-point laws, and side-out laws at q = 0, have no
     exchanges: D = M + s exactly."""
-    if not (math.isfinite(epsilon) and epsilon > 0.0):
-        raise DomainError(f"epsilon must be finite and > 0, got {epsilon}")
+    if not (isinstance(epsilon, numbers.Real) and math.isfinite(epsilon) and epsilon > 0.0):
+        raise DomainError(f"epsilon must be finite and > 0, got {epsilon!r}")
     k, s = np.nonzero(law > 0.0)
     if not k.size:
         raise ConditioningError("law carries no mass")
@@ -660,7 +697,7 @@ def quantile(pmf: DurationPMF, level: float, mode: QuantileMode = QuantileMode.S
     return what a search of the whole CDF returns, in O(bins / 2^13)
     memory and no PMF-sized temporary.
     """
-    if not (0.0 < level < 1.0):
+    if not (0.0 < expect(level, numbers.Real, "level") < 1.0):
         raise DomainError(f"quantile level {level} outside (0, 1)")
     expect(mode, QuantileMode, "mode")
     marks = pmf.checkpoints

@@ -23,7 +23,9 @@ product, and adds each column's block as contiguous rows at its shift s.
 The match-winning probability runs the same pass on plain floats, the
 game-winning probabilities (`sideout._win_probs`, the running sums of the
 game table's events that `duration.aggregate_moments` forms too), adding
-in the same order as the pass on 1 x 1 laws would.
+in the same order as the pass on 1 x 1 laws would.  The rally count of
+a block of independent matches (`block_duration_pmf`) is the match law
+convolved with itself, one match at a time.
 
 The first server of each game after the first follows a `ServerRule`,
 defined in `core` so that the command line can offer its choices without
@@ -34,6 +36,7 @@ probabilities; this invariance is kept as a test property.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -169,3 +172,24 @@ def match_duration_pmf(
             placed[: law.shape[0], (g - m) * n : (g - m) * n + law.shape[1]] += law
         total += placed
     return duration.exchange_mixture(m * n, total.T, probs, game_config.system, epsilon)
+
+
+def block_duration_pmf(
+    probs: RallyProbs,
+    game_config: GameConfig,
+    match_config: MatchConfig,
+    matches: int,
+    epsilon: float = 1e-12,
+) -> DurationPMF:
+    """PMF of the total rally count of a block of `matches` independent
+    matches: the law of one match (`match_duration_pmf` at epsilon /
+    matches) convolved with itself matches - 1 times, from matches times
+    its offset, with matches times its truncation bound.  Raises
+    ConfigError for a `matches` that is not a positive integer."""
+    expect_count(matches, "matches", 1)
+    epsilon = expect(epsilon, numbers.Real, "epsilon") / matches
+    single = match_duration_pmf(probs, game_config, match_config, epsilon)
+    masses = single.masses
+    for _ in range(matches - 1):
+        masses = np.convolve(masses, single.masses)
+    return DurationPMF(matches * single.offset, masses, matches * single.truncation_bound)

@@ -30,8 +30,9 @@ them a rally won by h on serve, so a step is one comparison chain on the
 flag "h serves" and the scores of h and l, and an end test on the two
 scores (a tie-break game has passed n-1 all once both reach n-1); it
 yields the games that end in a rally with their scores for A and B.  Its
-consumers keep what they need: `sample_games` (and `sample_matches`)
-write each finished game into per-game outcome arrays, while
+consumers keep what they need: `sample_games` writes each finished game
+into per-game outcome arrays, from which `report_from_sample` forms the
+estimators, while
 `run_experiment` keeps only each winner's count of games by duration, from
 which the estimators are exact integer sums.
 """
@@ -44,7 +45,7 @@ from functools import partial
 
 import numpy as np
 
-from .core import ConfigError, GameConfig, Player, RallyProbs, ScoringSystem, ServerRule, expect_count, validate
+from .core import ConfigError, GameConfig, Player, RallyProbs, ScoringSystem, expect_count, validate
 
 
 @dataclass(frozen=True)
@@ -276,7 +277,9 @@ def _report(games: dict[Player, dict[int, int]]) -> EstimatorReport:
     )
 
 
-def _report_from_sample(sample: GameSample) -> EstimatorReport:
+def report_from_sample(sample: GameSample) -> EstimatorReport:
+    """The estimators of `run_experiment` from a sample of games: equal to
+    its report when the sample is `sample_games` of the same arguments."""
     return _report({
         p: dict(enumerate(np.bincount(sample.duration[mask]).tolist()))
         for p, mask in ((Player.A, sample.winner_a), (Player.B, ~sample.winner_a))
@@ -297,49 +300,3 @@ def run_experiment(probs: RallyProbs, config: GameConfig, replications: int, see
         games[Player.A][rally] = games[Player.A].get(rally, 0) + won
         games[Player.B][rally] = games[Player.B].get(rally, 0) + alpha.size - won
     return _report(games)
-
-
-@dataclass(frozen=True)
-class MatchSample:
-    """Outcome arrays of a batch of independent matches."""
-
-    winner_a: np.ndarray  # bool
-    total_rallies: np.ndarray
-    games_played: np.ndarray
-
-
-def sample_matches(
-    probs: RallyProbs,
-    game_config: GameConfig,
-    match_config,
-    replications: int,
-    seed: SeedSpec,
-) -> MatchSample:
-    """Simulate first-to-M-games matches under the configured rule for the
-    first server of each game (`match_config` from the matchlevel module)."""
-    validate(probs, game_config)
-    expect_count(replications, "replications", 1)
-    rng = seed.generator()
-    count = replications
-    wins_a = np.zeros(count, dtype=np.int64)
-    wins_b = np.zeros(count, dtype=np.int64)
-    rallies = np.zeros(count, dtype=np.int64)
-    server_a = _first_servers(rng, count, game_config.s_a)
-    m = match_config.games_to_win
-    active = np.ones(count, dtype=bool)
-    while True:
-        idx = np.nonzero(active)[0]
-        if idx.size == 0:
-            break
-        batch = _batch_games(probs, game_config, idx.size, rng, first_server_a=server_a[idx])
-        rallies[idx] += batch.duration
-        wins_a[idx[batch.winner_a]] += 1
-        wins_b[idx[~batch.winner_a]] += 1
-        if match_config.server_rule is ServerRule.WINNER_SERVES_NEXT:
-            server_a[idx] = batch.winner_a
-        elif match_config.server_rule is ServerRule.ALTERNATE:
-            server_a[idx] = ~server_a[idx]
-        else:  # COIN_FLIP_EACH
-            server_a[idx] = _first_servers(rng, idx.size, game_config.s_a)
-        active[idx] = (wins_a[idx] < m) & (wins_b[idx] < m)
-    return MatchSample(winner_a=wins_a >= m, total_rallies=rallies, games_played=wins_a + wins_b)

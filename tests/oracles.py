@@ -25,6 +25,7 @@ from rallystats import (
     Player,
     RallyProbs,
     ScoringSystem,
+    ServerRule,
     TerminalScore,
     asymptotics,
     duration,
@@ -32,7 +33,10 @@ from rallystats import (
     kernel,
     matchlevel,
     sideout,
+    simulate,
+    validate,
 )
+from rallystats.core import expect_count
 from rallystats.simulate import GameSample
 
 A, B = Player.A, Player.B
@@ -1546,3 +1550,45 @@ def simulate_game(probs, config, seed, keep_trajectory=False):
             winner = A if score[A] >= target else B
             kept = tuple(trajectory) if trajectory is not None else None
             return SimResult(TerminalScore(score[A], score[B], winner), winner, rallies, kept)
+
+
+@dataclasses.dataclass(frozen=True)
+class MatchSample:
+    """Outcome arrays of a batch of independent matches."""
+
+    winner_a: np.ndarray  # bool
+    total_rallies: np.ndarray
+    games_played: np.ndarray
+
+
+def sample_matches(probs, game_config, match_config, replications, seed) -> MatchSample:
+    """Simulate first-to-M-games matches under the configured rule for the
+    first server of each game, every game of a round played by the batch
+    simulator (`simulate._batch_games`) on one generator: the Monte Carlo
+    reference of the match laws of `matchlevel`."""
+    validate(probs, game_config)
+    expect_count(replications, "replications", 1)
+    rng = seed.generator()
+    count = replications
+    wins_a = np.zeros(count, dtype=np.int64)
+    wins_b = np.zeros(count, dtype=np.int64)
+    rallies = np.zeros(count, dtype=np.int64)
+    server_a = simulate._first_servers(rng, count, game_config.s_a)
+    m = match_config.games_to_win
+    active = np.ones(count, dtype=bool)
+    while True:
+        idx = np.nonzero(active)[0]
+        if idx.size == 0:
+            break
+        batch = simulate._batch_games(probs, game_config, idx.size, rng, first_server_a=server_a[idx])
+        rallies[idx] += batch.duration
+        wins_a[idx[batch.winner_a]] += 1
+        wins_b[idx[~batch.winner_a]] += 1
+        if match_config.server_rule is ServerRule.WINNER_SERVES_NEXT:
+            server_a[idx] = batch.winner_a
+        elif match_config.server_rule is ServerRule.ALTERNATE:
+            server_a[idx] = ~server_a[idx]
+        else:  # COIN_FLIP_EACH
+            server_a[idx] = simulate._first_servers(rng, idx.size, game_config.s_a)
+        active[idx] = (wins_a[idx] < m) & (wins_b[idx] < m)
+    return MatchSample(winner_a=wins_a >= m, total_rallies=rallies, games_played=wins_a + wins_b)

@@ -1,9 +1,11 @@
+import ast
 import csv
 import hashlib
 import io
 import itertools
 import json
 import math
+import pkgutil
 from pathlib import Path
 
 import mpmath
@@ -11,8 +13,9 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import rallystats
 from rallystats import GameConfig, Player, RallyProbs, ScoringSystem, TerminalScore
-from rallystats import duration, estimate, matchlevel, sideout
+from rallystats import cli, duration, estimate, matchlevel, sideout
 from rallystats.cli import main
 
 from oracles import compose_match_durations, compose_match_win_probs, enumerate_sideout, served_by
@@ -537,6 +540,18 @@ class TestExitCodes:
             "--out", str(target),
         ])
         assert target.read_text().startswith("alpha,beta,winner,probability")
+
+
+def test_cli_reaches_engines_through_public_names_only():
+    # the CLI parses flags and formats tables: every engine attribute it
+    # reads is public, and numpy only builds the --p-grid list
+    engines = {m.name for m in pkgutil.iter_modules(rallystats.__path__)} - {"cli", "core"}
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    reads = [(node.value.id, node.attr) for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)]
+    assert [(m, a) for m, a in reads if m in engines and a.startswith("_")] == []
+    assert {a for m, a in reads if m == "np"} == {"arange"}
+    assert {m for m, _ in reads} & engines  # the walk sees the engine calls
 
 
 class TestGoldenText:

@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from rallystats import ConditioningError, DomainError, GameConfig, Player, RallyProbs, ScoringSystem, SeedSpec, TerminalScore
+from rallystats import ConditioningError, ConfigError, DomainError, GameConfig, Player, RallyProbs, ScoringSystem, SeedSpec, TerminalScore
 from rallystats import duration, kernel, matchlevel, rallypoint, sideout, simulate
 from rallystats.duration import QuantileMode
 from rallystats.matchlevel import MatchConfig
@@ -458,6 +458,93 @@ def test_non_integer_score_is_a_domain_error(call, score):
         call(*score)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda x: duration.quantile(duration.duration_pmf_unconditional(SCORE_PR, GameConfig(n=3)), x),
+        lambda x: duration.score_moments(SCORE_PR, GameConfig(n=3), x),
+        lambda x: duration.score_pmf(SCORE_PR, GameConfig(n=3), x),
+    ],
+    ids=["quantile-level", "score-moments", "score-pmf"],
+)
+@pytest.mark.parametrize("value", ["0.5", None, 5, (3,), (3, 2, 1)])
+def test_argument_of_the_wrong_type_is_a_domain_error(call, value):
+    with pytest.raises(DomainError):
+        call(value)
+
+
+@pytest.mark.parametrize("config", [GameConfig(n=5, s_a=0.5), GameConfig(n=5, tiebreak=3, s_a=0.3),
+                                    GameConfig(n=7, system=ScoringSystem.RALLY_POINT, s_a=0.5)])
+def test_score_laws_take_the_terminal_scores_of_the_score_distribution(config):
+    # the keys of `score_distribution(...).entries` give the laws of their pairs
+    for score in sideout.score_distribution(SCORE_PR, config).entries:
+        pair = (score.alpha, score.beta)
+        assert duration.score_moments(SCORE_PR, config, score) == duration.score_moments(SCORE_PR, config, pair)
+        got, want = duration.score_pmf(SCORE_PR, config, score), duration.score_pmf(SCORE_PR, config, pair)
+        assert (got.offset, got.truncation_bound) == (want.offset, want.truncation_bound)
+        np.testing.assert_array_equal(got.masses, want.masses)
+        # the last scorer of an end score has the more points
+        if min(pair) > 0:
+            with pytest.raises(ConfigError, match="not an end score"):
+                duration.score_moments(SCORE_PR, config, TerminalScore(*pair, score.winner.other))
+
+
+class TestGridMoments:
+    CONFIGS = [
+        GameConfig(n=15),
+        GameConfig(n=15, s_a=0.5),
+        GameConfig(n=9, tiebreak=3),
+        GameConfig(n=9, tiebreak=3, s_a=0.5),
+        GameConfig(n=21, system=ScoringSystem.RALLY_POINT),
+        GameConfig(n=21, system=ScoringSystem.RALLY_POINT, s_a=0.5),
+    ]
+    P_A = [0.02, 0.3, 0.5, 0.55, 0.6, 0.9, 0.999, 1e-3]
+    P_B = [0.5, 0.7, 0.5, 0.45, 0.6, 0.1, 0.2, 0.4]
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=str)
+    def test_each_point_has_the_bits_of_aggregate_moments(self, config):
+        grid = duration.grid_moments(config, self.P_A, self.P_B)
+        assert set(grid) == {A, B, None}
+        for i, (p_a, p_b) in enumerate(zip(self.P_A, self.P_B)):
+            pr = RallyProbs(p_a, p_b)
+            agg = duration.aggregate_moments(pr, config)
+            for winner, want in [*agg.by_winner.items(), (None, agg.overall)]:
+                prob, mean, sd = (column[i] for column in grid[winner])
+                assert all(type(x) is float for x in (prob, mean, sd))
+                assert (mean, sd) == (want.mean, want.sd), (winner, p_a, p_b)
+                if winner is not None:
+                    assert prob == sideout.game_win_prob(winner, None, pr, config)
+
+    def test_the_first_server_is_a_at_s_a_one(self):
+        # compare's grid: weights (1, 0) give the bits of first server A
+        config, (p_a, p_b) = GameConfig(n=15), (self.P_A[:6], self.P_B[:6])
+        events = duration._event_moments(config, np.array(p_a), np.array(p_b), [(A, w) for w in (A, B, None)])
+        grid = duration.grid_moments(config, p_a, p_b)
+        for (_, w), (prob, mean, var) in events.items():
+            assert grid[w] == (tuple(prob.tolist()), tuple(mean.tolist()), tuple(np.sqrt(var).tolist()))
+
+    def test_empty_grid(self):
+        assert duration.grid_moments(GameConfig(n=15), [], []) == {w: ((), (), ()) for w in (A, B, None)}
+
+    def test_vanished_event_is_a_conditioning_error(self):
+        # at p = 1e-20 in the no-server model A takes an A-game with
+        # probability 1e-420, below the least double
+        with pytest.raises(ConditioningError, match="^conditioning event has vanished$"):
+            duration.grid_moments(GameConfig(n=21), [0.5, 1e-20], [0.5, 1.0 - 1e-20])
+
+    @pytest.mark.parametrize(
+        "p_a, p_b",
+        [
+            ([0.5, 1.5], [0.5, 0.5]), ([0.5], [-0.1]), ([0.5, math.nan], [0.5, 0.5]),
+            ([0.0], [0.0]), ([0.5], [0.5, 0.5]), (0.5, 0.5),
+        ],
+        ids=["above-one", "negative", "nan", "q-one", "lengths", "scalars"],
+    )
+    def test_bad_points_are_domain_errors(self, p_a, p_b):
+        with pytest.raises(DomainError):
+            duration.grid_moments(GameConfig(n=15), p_a, p_b)
+
+
 def test_numpy_integer_scores_are_scores():
     assert duration.mgf_conditional(np.int64(3), np.int64(2), A, 0.3, 0.7, 0.1) == (
         duration.mgf_conditional(3, 2, A, 0.3, 0.7, 0.1)
@@ -550,7 +637,7 @@ class TestExchangeSeries:
         for m0, pr in cases:
             assert duration._exchange_cut(m0, pr, epsilon) == exchange_cut_walk(m0, pr, epsilon), (m0, pr)
 
-    @pytest.mark.parametrize("epsilon", [math.nan, math.inf, 0.0, -1e-12])
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf, 0.0, -1e-12, "1e-12", None])
     def test_epsilon_must_be_finite_and_positive(self, epsilon):
         # an infinite epsilon would keep the cut's bracket growing down
         # forever: every tail, even the inf of a point before the mode, is

@@ -18,6 +18,7 @@ from oracles import (
     per_point_total_mixture,
     reference_match_duration_pmf,
     reference_match_win_probs,
+    sample_matches,
 )
 
 A, B = Player.A, Player.B
@@ -84,7 +85,7 @@ class TestMatchWinProb:
         cfg = GameConfig(n=15, s_a=1.0)
         mc = MatchConfig(2, WSN)
         exact = matchlevel.match_win_prob(pr, cfg, mc)
-        sample = simulate.sample_matches(pr, cfg, mc, 100_000, SeedSpec(2718, 0))
+        sample = sample_matches(pr, cfg, mc, 100_000, SeedSpec(2718, 0))
         p_hat = sample.winner_a.mean()
         assert abs(p_hat - exact) < 3 * np.sqrt(exact * (1 - exact) / 100_000)
 
@@ -93,7 +94,7 @@ class TestMatchWinProb:
         cfg = GameConfig(n=21, system=ScoringSystem.RALLY_POINT, s_a=0.5)
         mc = MatchConfig(3, ALT)
         exact = matchlevel.match_win_prob(pr, cfg, mc)
-        sample = simulate.sample_matches(pr, cfg, mc, 50_000, SeedSpec(2719, 1))
+        sample = sample_matches(pr, cfg, mc, 50_000, SeedSpec(2719, 1))
         assert abs(sample.winner_a.mean() - exact) < 3 * np.sqrt(exact * (1 - exact) / 50_000)
 
 
@@ -259,7 +260,7 @@ class TestMatchDuration:
         m = matchlevel.match_duration_pmf(pr, cfg, mc).moments()
         win = matchlevel.match_win_prob(pr, cfg, mc)
         size = 50_000
-        sample = simulate.sample_matches(pr, cfg, mc, size, SeedSpec(2721, 3))
+        sample = sample_matches(pr, cfg, mc, size, SeedSpec(2721, 3))
         assert abs(sample.total_rallies.mean() - m.mean) < 5 * np.sqrt(m.variance / size)
         assert abs(sample.winner_a.mean() - win) < 5 * np.sqrt(win * (1 - win) / size)
         # the sample variance has standard error sqrt((mu4 - sigma^4) / size)
@@ -280,7 +281,7 @@ class TestMatchDuration:
         mc = MatchConfig(2, WSN)
         pmf = matchlevel.match_duration_pmf(pr, cfg, mc, epsilon=1e-12)
         m = pmf.moments()
-        sample = simulate.sample_matches(pr, cfg, mc, 100_000, SeedSpec(2720, 2))
+        sample = sample_matches(pr, cfg, mc, 100_000, SeedSpec(2720, 2))
         assert abs(sample.total_rallies.mean() - m.mean) < 3 * np.sqrt(m.variance / 100_000)
         # per-bin agreement
         counts = np.bincount(sample.total_rallies, minlength=pmf.offset + len(pmf.masses))
@@ -301,6 +302,39 @@ class TestMatchDuration:
         assert pmf.truncation_bound == 0.0
         assert pmf.total_mass == pytest.approx(1.0, abs=1e-12)
         assert pmf.offset >= 22  # at least two 11-point shutouts
+
+
+class TestBlockDuration:
+    @pytest.mark.parametrize("matches", [1, 2, 16])
+    @pytest.mark.parametrize(
+        "probs, config",
+        [
+            (RallyProbs(0.3, 0.3), GameConfig(n=15, s_a=0.5)),
+            (RallyProbs(0.6, 0.5), GameConfig(n=9, tiebreak=3, s_a=0.5)),
+            (RallyProbs(0.6, 0.45), GameConfig(n=11, system=ScoringSystem.RALLY_POINT)),
+        ],
+        ids=["sideout", "tiebreak", "rallypoint"],
+    )
+    def test_equals_the_convolution_loop(self, probs, config, matches):
+        # the law of one match at epsilon / K convolved with itself K - 1 times
+        mc, epsilon = MatchConfig(2, ALT), 1e-10
+        single = matchlevel.match_duration_pmf(probs, config, mc, epsilon / matches)
+        masses = single.masses
+        for _ in range(matches - 1):
+            masses = np.convolve(masses, single.masses)
+        block = matchlevel.block_duration_pmf(probs, config, mc, matches, epsilon)
+        assert (block.offset, block.truncation_bound) == (matches * single.offset, matches * single.truncation_bound)
+        np.testing.assert_array_equal(block.masses, masses)
+
+    @pytest.mark.parametrize("matches", [0, -1, 2.5, True, "2"])
+    def test_matches_must_be_a_positive_integer(self, matches):
+        with pytest.raises(ConfigError, match="matches"):
+            matchlevel.block_duration_pmf(RallyProbs(0.6, 0.5), GameConfig(n=5), MatchConfig(2), matches)
+
+    @pytest.mark.parametrize("epsilon", ["1e-12", None])
+    def test_epsilon_must_be_a_real(self, epsilon):
+        with pytest.raises(DomainError, match="epsilon"):
+            matchlevel.block_duration_pmf(RallyProbs(0.6, 0.5), GameConfig(n=5), MatchConfig(2), 2, epsilon)
 
 
 def _aligned(*pmfs):

@@ -32,6 +32,8 @@ from rallystats import (
 )
 from rallystats.duration import QuantileMode
 
+from oracles import sample_matches
+
 TYPED = (DomainError, ConfigError, ConditioningError, InfeasibleData, NonConvergence)
 probability = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.02, 0.98))
 
@@ -61,7 +63,7 @@ def check_simulator_and_fits(probs, config, match, seed):
     assert finite_non_negative(np.concatenate([games.alpha, games.beta, games.duration]))
     assert np.all(games.alpha + games.beta <= games.duration)
     assert np.all(np.where(games.winner_a, games.alpha, games.beta) >= config.n)
-    matches = simulate.sample_matches(probs, config, match, 30, seed)
+    matches = sample_matches(probs, config, match, 30, seed)
     assert finite_non_negative(np.concatenate([matches.total_rallies, matches.games_played]))
     m = match.games_to_win
     assert np.all((m <= matches.games_played) & (matches.games_played <= 2 * m - 1))
@@ -108,7 +110,7 @@ def check_exact_engines(probs, config, winner, match):
             lambda: matchlevel.match_win_prob(probs, config, match, winner),
             lambda: matchlevel.match_duration_pmf(probs, config, match),
             lambda: simulate.sample_games(probs, config, 1, SeedSpec(0)),
-            lambda: simulate.sample_matches(probs, config, match, 1, SeedSpec(0)),
+            lambda: sample_matches(probs, config, match, 1, SeedSpec(0)),
             lambda: duration.score_moments(probs, config, (config.n, 0)),
             lambda: duration.score_pmf(probs, config, (config.n, 0)),
             *mgf_calls(probs, config.n),

@@ -11,7 +11,7 @@ from scipy import stats
 from rallystats import ConfigError, DomainError, GameConfig, MatchConfig, Player, RallyProbs, ScoringSystem, SeedSpec, ServerRule
 from rallystats import sideout, simulate
 
-from oracles import enumerate_trajectories, no_server_grid, reference_batch_games, simulate_game
+from oracles import enumerate_trajectories, no_server_grid, reference_batch_games, sample_matches, simulate_game
 
 A, B = Player.A, Player.B
 
@@ -86,7 +86,7 @@ class TestBatches:
         with pytest.raises(ConfigError, match="replications"):
             simulate.sample_games(pr, cfg, replications, SeedSpec(1))
         with pytest.raises(ConfigError, match="replications"):
-            simulate.sample_matches(pr, cfg, MatchConfig(2), replications, SeedSpec(1))
+            sample_matches(pr, cfg, MatchConfig(2), replications, SeedSpec(1))
 
     @pytest.mark.parametrize("replications", [2.5, True])
     def test_non_integer_replications_raise_config_error(self, replications):
@@ -96,7 +96,7 @@ class TestBatches:
         with pytest.raises(ConfigError, match="replications=.* must be an integer"):
             simulate.run_experiment(pr, cfg, replications, SeedSpec(1))
         with pytest.raises(ConfigError, match="replications=.* must be an integer"):
-            simulate.sample_matches(pr, cfg, MatchConfig(2), replications, SeedSpec(1))
+            sample_matches(pr, cfg, MatchConfig(2), replications, SeedSpec(1))
 
     @pytest.mark.parametrize("master, stream", [(1.5, 0), (1, 2.5), (True, 0), (1, False)])
     def test_non_integer_seed_raises_config_error(self, master, stream):
@@ -304,9 +304,9 @@ class TestAgainstReferenceLoop:
         match = MatchConfig(3, rule)
         matches = in_blocks(3_000, block)
         monkeypatch.setattr(simulate, "_BLOCK", block)
-        got = simulate.sample_matches(probs, config, match, matches, SeedSpec(12, 1))
+        got = sample_matches(probs, config, match, matches, SeedSpec(12, 1))
         monkeypatch.setattr(simulate, "_batch_games", reference_batch_games)
-        want = simulate.sample_matches(probs, config, match, matches, SeedSpec(12, 1))
+        want = sample_matches(probs, config, match, matches, SeedSpec(12, 1))
         for field in ("winner_a", "total_rallies", "games_played"):
             np.testing.assert_array_equal(getattr(got, field), getattr(want, field), err_msg=field)
 
@@ -369,7 +369,7 @@ class TestExperimentAgainstReferenceLoop:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(simulate, "_BLOCK", block)
             report = simulate.run_experiment(probs, config, count, seed)
-            from_sample = simulate._report_from_sample(simulate.sample_games(probs, config, count, seed))
+            from_sample = simulate.report_from_sample(simulate.sample_games(probs, config, count, seed))
         want = reference_batch_games(probs, config, count, seed.generator())
         d, won = want.duration, {A: want.winner_a, B: ~want.winner_a}
         wins = {p: int(won[p].sum()) for p in Player}
@@ -509,7 +509,7 @@ class TestBlocks:
         want = reference_batch_games(probs, config, 130, reference_rng)
         assert_samples_equal(simulate._batch_games(probs, config, 130, rng), want)
         assert rng.bit_generator.state == reference_rng.bit_generator.state
-        assert simulate.run_experiment(probs, config, 130, seed) == simulate._report_from_sample(want)
+        assert simulate.run_experiment(probs, config, 130, seed) == simulate.report_from_sample(want)
 
     @pytest.mark.parametrize("count", [1, 6, 7, 8, 300])
     def test_first_servers_draw_in_chunks(self, monkeypatch, count):
