@@ -32,7 +32,7 @@ from .core import (
 # exported name -> engine module that defines it, imported on first access
 _LAZY = {
     **dict.fromkeys(["DurationPMF", "Moments", "QuantileMode", "quantile"], "duration"),
-    **dict.fromkeys(["FitMode", "FitModel", "FitResult", "GameRecord", "RecordBatch", "fit"], "estimate"),
+    **dict.fromkeys(["FitMode", "FitModel", "FitResult", "RecordBatch", "fit"], "estimate"),
     **dict.fromkeys(["MatchConfig", "match_duration_pmf", "match_win_prob"], "matchlevel"),
     **dict.fromkeys(["EstimatorReport", "SeedSpec", "run_experiment"], "simulate"),
 }
@@ -47,7 +47,6 @@ __all__ = [
     "FitModel",
     "FitResult",
     "GameConfig",
-    "GameRecord",
     "InfeasibleData",
     "MatchConfig",
     "Moments",

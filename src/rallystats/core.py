@@ -85,9 +85,9 @@ class RallyProbs:
     p_b: float
 
     def __post_init__(self):
-        if not (0.0 <= self.p_a <= 1.0):
+        if not (0.0 <= expect(self.p_a, numbers.Real, "p_a") <= 1.0):
             raise DomainError(f"p_a={self.p_a} outside [0, 1]")
-        if not (0.0 <= self.p_b <= 1.0):
+        if not (0.0 <= expect(self.p_b, numbers.Real, "p_b") <= 1.0):
             raise DomainError(f"p_b={self.p_b} outside [0, 1]")
 
     @property
@@ -128,7 +128,7 @@ class GameConfig:
                 raise ConfigError("tie-break requires n >= 2: a game to 1 has no n-1 all to extend")
             if self.system is not ScoringSystem.SIDE_OUT:
                 raise ConfigError("tie-break extension only applies to side-out scoring")
-        if not (0.0 <= self.s_a <= 1.0):
+        if not (0.0 <= expect(self.s_a, numbers.Real, "s_a", ConfigError) <= 1.0):
             raise ConfigError(f"s_a={self.s_a} outside [0, 1]")
 
     @property
@@ -168,10 +168,13 @@ def validate(probs: RallyProbs, config: GameConfig | None = None) -> None:
     """Check the invariants the engines rely on beyond those `RallyProbs`
     and `GameConfig` enforce on construction; raise DomainError otherwise.
 
-    It requires q < 1: with q = 1 no rally ever scores and the game never
-    terminates.  A `GameConfig` checks itself on construction, so `config`
-    adds no check.  Public engine functions call this once, never per
-    terminal score.
+    It requires `probs` to be a `RallyProbs` with q < 1: with q = 1 no
+    rally ever scores and the game never terminates.  A `GameConfig` checks
+    itself on construction, so a given `config` is only checked to be one.
+    Public engine functions call this once, never per terminal score.
     """
+    expect(probs, RallyProbs, "probs")
+    if config is not None:
+        expect(config, GameConfig, "config")
     if probs.q >= 1.0:
         raise DomainError("q=1, game never terminates (p_a=0 and p_b=0)")

@@ -700,7 +700,7 @@ def quantile(pmf: DurationPMF, level: float, mode: QuantileMode = QuantileMode.S
     if not (0.0 < expect(level, numbers.Real, "level") < 1.0):
         raise DomainError(f"quantile level {level} outside (0, 1)")
     expect(mode, QuantileMode, "mode")
-    marks = pmf.checkpoints
+    marks = expect(pmf, DurationPMF, "pmf").checkpoints
     if not len(marks) or marks[-1] <= 0.0:
         raise ConditioningError("PMF carries no mass")
     if level > marks[-1]:

@@ -97,37 +97,27 @@ def _count(d: dict, key: str) -> int:
     return int(value)
 
 
-@dataclass(frozen=True)
-class GameRecord:
-    """One observed game: who served first, the final tally, and
-    optionally how many rallies it took."""
-
-    first_server: Player
-    score: TerminalScore
-    duration: int | None = None
-
-    def to_dict(self) -> dict:
-        out = {
-            "first_server": self.first_server.value,
-            "alpha": self.score.alpha,
-            "beta": self.score.beta,
-            "last_scorer": self.score.last_scorer.value,
-        }
-        if self.duration is not None:
-            out["duration"] = self.duration
-        return out
-
-
-def records_to_json_lines(records) -> str:
-    return "".join(json.dumps(r.to_dict(), sort_keys=True) + "\n" for r in records)
+def records_to_json_lines(records: RecordBatch) -> str:
+    """The JSON lines of a record batch, one object per game with its keys
+    sorted and no `duration` where the rally count is NaN: the lines
+    `records_from_json_lines` reads."""
+    expect(records, RecordBatch, "records")
+    lines = []
+    for first_a, alpha, beta, last_a, duration in zip(*(getattr(records, f.name).tolist() for f in fields(records))):
+        d = {"first_server": "A" if first_a else "B", "alpha": alpha, "beta": beta, "last_scorer": "A" if last_a else "B"}
+        if not math.isnan(duration):
+            d["duration"] = int(duration)
+        lines.append(json.dumps(d, sort_keys=True) + "\n")
+    return "".join(lines)
 
 
 def records_from_json_lines(lines) -> RecordBatch:
-    """The record batch of JSON lines, one object per game as `GameRecord.to_dict`
-    writes it (blank lines are skipped), parsed straight into columns.  A
-    line that does not parse, or whose score `TerminalScore` refuses,
-    raises `InfeasibleData` naming it; so does text that does not decode,
-    naming the lines read before it."""
+    """The record batch of JSON lines, one object per game as
+    `records_to_json_lines` writes it, parsed straight into columns.  Blank
+    lines are skipped and not counted, so record i is the batch's record
+    i.  A line that does not parse, or whose score `TerminalScore`
+    refuses, raises `InfeasibleData` naming its record; text that does
+    not decode raises it naming the lines read before it."""
     cols = ([], [], [], [], [])
     i = -1
     try:
@@ -146,7 +136,7 @@ def records_from_json_lines(lines) -> RecordBatch:
                     TerminalScore(alpha, beta, Player.A if last_a else Player.B)  # raises its DomainError
                 duration = _count(d, "duration") if d.get("duration") is not None else math.nan
             except (KeyError, ValueError) as exc:
-                raise InfeasibleData(f"record {i}: cannot parse ({exc})") from exc
+                raise InfeasibleData(f"record {len(cols[0])}: cannot parse ({exc})") from exc
             for col, value in zip(cols, (first_a, alpha, beta, last_a, duration)):
                 col.append(value)
     except UnicodeDecodeError as exc:
@@ -169,11 +159,9 @@ def _column(values, dtype, kinds: str, what: str) -> np.ndarray:
 class RecordBatch:
     """Observed games as aligned read-only columns: whether A served first,
     the final tally (alpha for A, beta for B), whether A scored last, and
-    the rally count (NaN where it was not observed).  It is a sequence of
-    `GameRecord`s: `len`, iteration and indexing give records, slicing
-    gives a batch, and it equals a list or batch of the same records.
-    Scores are checked as `TerminalScore` checks them, and durations must
-    be whole numbers or NaN."""
+    the rally count (NaN where it was not observed); `len` is the number
+    of games.  Scores are checked as `TerminalScore` checks them, and
+    durations must be whole numbers or NaN."""
 
     first_server_a: np.ndarray
     alpha: np.ndarray
@@ -204,50 +192,8 @@ class RecordBatch:
                 raise DomainError(f"record {i}: {exc}") from None
             raise DomainError(f"record {i}: duration {dur[i]} is not a whole number")
 
-    @staticmethod
-    def from_records(records) -> "RecordBatch":
-        """The batch of a sequence of `GameRecord`s (a batch is returned as it is)."""
-        if isinstance(records, RecordBatch):
-            return records
-        rows = [
-            (r.first_server is Player.A, r.score.alpha, r.score.beta, r.score.last_scorer is Player.A,
-             math.nan if r.duration is None else r.duration)
-            for r in records
-        ]
-        cols = list(zip(*rows)) or [()] * 5
-        return RecordBatch(*(np.array(c, dtype=t) for c, t in zip(cols, _DTYPES)))
-
     def __len__(self) -> int:
         return len(self.alpha)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return RecordBatch(*(getattr(self, f.name)[index] for f in fields(self)))
-        i = range(len(self))[index]
-        d = self.duration[i]
-        return GameRecord(
-            Player.A if self.first_server_a[i] else Player.B,
-            TerminalScore(int(self.alpha[i]), int(self.beta[i]), Player.A if self.last_scorer_a[i] else Player.B),
-            None if np.isnan(d) else int(d),
-        )
-
-    def __iter__(self):
-        cols = (getattr(self, f.name).tolist() for f in fields(self))
-        for first_a, alpha, beta, last_a, d in zip(*cols):
-            yield GameRecord(
-                Player.A if first_a else Player.B,
-                TerminalScore(alpha, beta, Player.A if last_a else Player.B),
-                None if math.isnan(d) else int(d),
-            )
-
-    def __add__(self, other) -> "RecordBatch":
-        other = RecordBatch.from_records(other)
-        return RecordBatch(*(np.concatenate([getattr(self, f.name), getattr(other, f.name)]) for f in fields(self)))
-
-    def __eq__(self, other):
-        if not isinstance(other, (RecordBatch, list, tuple)):
-            return NotImplemented
-        return list(self) == list(other)
 
 
 def records_from_sample(sample) -> RecordBatch:
@@ -280,15 +226,16 @@ def _log_h(rows: kernel.Rows, m, row=0) -> np.ndarray:
     return np.logaddexp.reduce(np.where(inside, log_exchanges + logc, -np.inf), axis=1)
 
 
-def _infeasible(rec: GameRecord, check: int) -> str:
-    """Why `rec` fails check `check` of `_Likelihood`, in the order checked."""
-    tally = f"({rec.score.alpha}, {rec.score.beta})"
+def _infeasible(batch: RecordBatch, i: int, check: int) -> str:
+    """Why record `i` of `batch` fails check `check` of `_Likelihood`, in
+    the order checked."""
+    tally, duration = f"({batch.alpha[i]}, {batch.beta[i]})", f"{batch.duration[i]:.0f}"
     return (
         f"last scorer of a completed game must hold the higher tally {tally}",
         "duration required for score-and-duration fit",
-        f"duration {rec.duration} infeasible for tally {tally} with first server "
-        f"{rec.first_server.value} (wrong parity or too short)",
-        f"duration {rec.duration} carries zero probability",
+        f"duration {duration} infeasible for tally {tally} with first server "
+        f"{'A' if batch.first_server_a[i] else 'B'} (wrong parity or too short)",
+        f"duration {duration} carries zero probability",
     )[check]
 
 
@@ -353,11 +300,10 @@ class _Likelihood:
     """A record batch reduced by column arithmetic to exponent totals, and
     either the extra rally pairs with log H(m) or the counts of its
     distinct tallies (in first-server coordinates, first servers pooled,
-    in first-seen order).  Any sequence of `GameRecord`s is made a
-    `RecordBatch` first."""
+    in first-seen order)."""
 
-    def __init__(self, records, mode: FitMode):
-        batch = RecordBatch.from_records(records)
+    def __init__(self, batch: RecordBatch, mode: FitMode):
+        expect(batch, RecordBatch, "records")
         if not len(batch):
             raise InfeasibleData("no records")
         self.mode = mode
@@ -380,7 +326,7 @@ class _Likelihood:
         failed = np.stack(failed)
         if failed.any():
             i = int(np.argmax(failed.any(axis=0)))
-            raise InfeasibleData(f"record {i}: {_infeasible(batch[i], int(np.argmax(failed[:, i])))}")
+            raise InfeasibleData(f"record {i}: {_infeasible(batch, i, int(np.argmax(failed[:, i])))}")
         # distinct tallies in first-seen order, and each record's among them
         key = (a * (int(b.max()) + 1) + b) * 2 + server_last
         _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
@@ -437,12 +383,12 @@ class _Likelihood:
         return float(won @ np.log([p_a, p_b]) + (served - won) @ np.log1p([-p_a, -p_b])) + self.log_h_total
 
 
-def loglik_score(records, p_a: float, p_b: float) -> float:
+def loglik_score(records: RecordBatch, p_a: float, p_b: float) -> float:
     """Log-likelihood of the final tallies alone."""
     return _Likelihood(records, FitMode.SCORE_ONLY)(p_a, p_b)
 
 
-def loglik_score_duration(records, p_a: float, p_b: float) -> float:
+def loglik_score_duration(records: RecordBatch, p_a: float, p_b: float) -> float:
     """Joint log-likelihood of tallies and observed rally counts."""
     return _Likelihood(records, FitMode.SCORE_DURATION)(p_a, p_b)
 
@@ -582,7 +528,7 @@ def _newton(lik: _Likelihood, model: FitModel, lo: float, hi: float) -> tuple[li
     raise NonConvergence(f"no convergence within {_MAX_STEPS} Newton steps")
 
 
-def fit(records, mode: FitMode = FitMode.SCORE_DURATION, model: FitModel = FitModel.SERVER) -> FitResult:
+def fit(records: RecordBatch, mode: FitMode = FitMode.SCORE_DURATION, model: FitModel = FitModel.SERVER) -> FitResult:
     """Maximize the selected log-likelihood over [delta, 1-delta]^2 (or the
     no-server diagonal p_a = 1 - p_b).  Score and duration: the ratio of
     counts, clamped to that box (0.5 for a player who never served).

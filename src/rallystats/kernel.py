@@ -67,13 +67,12 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .core import ConfigError, DomainError, GameConfig, Player, ScoringSystem, expect
+from .core import GameConfig, Player, ScoringSystem, TerminalScore, expect
 
 # Elements of one (rows x terms x probabilities) block of evaluation; keeps
 # the temporaries of a large table or grid to a few megabytes.
@@ -166,16 +165,10 @@ def tied(m: int) -> Rows:
 def tallies(items: list[tuple[int, int, bool]]) -> Rows:
     """A table of any reachable tallies (alpha, beta, server_last) of the
     first server and the receiver, in the given order; a score that is not
-    an integer, or is negative, raises DomainError."""
+    an integer, or is negative, or whose last scorer has no point raises
+    DomainError, as the `TerminalScore` of an A-first game checks it."""
     for alpha, beta, server_last in items:
-        if not (isinstance(alpha, numbers.Integral) and isinstance(beta, numbers.Integral)):
-            raise DomainError(f"non-integer score ({alpha!r}, {beta!r})")
-        if alpha < 0 or beta < 0:
-            raise DomainError(f"negative score ({alpha}, {beta})")
-        if server_last and alpha < 1:
-            raise ConfigError("last scorer A requires alpha >= 1")
-        if not server_last and beta < 1:
-            raise ConfigError("last scorer B requires beta >= 1")
+        TerminalScore(alpha, beta, Player.A if server_last else Player.B)
     return _build(items)
 
 
@@ -384,7 +377,7 @@ def servers(config: GameConfig, server: Player | None = None) -> tuple[float, fl
     """Weights of the two first servers: (1, 0) or (0, 1) for `server`, or
     (s_a, s_b) from the config for None."""
     if server is None:
-        return config.s_a, config.s_b
+        return expect(config, GameConfig, "config").s_a, config.s_b
     return float(expect(server, Player, "server") is Player.A), float(server is Player.B)
 
 
@@ -421,6 +414,7 @@ def game(config: GameConfig, p_a, p_b) -> Game:
     l also `tied(n-1)` and `table(l)`.  The table of a single point comes
     from a bounded cache (`_point_game`), read-only; a grid is evaluated
     afresh."""
+    expect(config, GameConfig, "config")
     if np.ndim(p_a) == 0 and np.ndim(p_b) == 0:
         return _point_game(config.system, config.n, config.tiebreak, float(p_a), float(p_b))
     return _game(config.system, config.n, config.tiebreak, p_a, p_b)

@@ -104,7 +104,7 @@ def _finished_matches(play, match_config: MatchConfig, s_a: float, unit):
     first, and states reached more than once are added in the order they
     are reached.  Returns, per match winner, the (games played, state) of
     its finished matches in the order they finish."""
-    m, rule = match_config.games_to_win, match_config.server_rule
+    m, rule = expect(match_config, MatchConfig, "match_config").games_to_win, match_config.server_rule
     states = {(0, 0, first): unit * wt for first, wt in _next_servers(rule, None, None, s_a)}
     done = {}
     for total in range(2 * m - 1):

@@ -77,14 +77,17 @@ def _win_probs(game: kernel.Game, servers) -> list[float]:
     return [float(np.add.accumulate(game.event(servers, kernel.WON[w]))[-1, 0]) for w in Player]
 
 
-def game_win_probs(server: Player, probs: RallyProbs, config: GameConfig) -> tuple[float, float]:
+def game_win_probs(server: Player | None, probs: RallyProbs, config: GameConfig) -> tuple[float, float]:
     """Probabilities that A and that B take a game under `config.system`
-    whose first server is `server`."""
+    whose first server is `server`; for None, A serves first with
+    probability `config.s_a`, and the two first servers' probabilities
+    are mixed by it."""
     validate(probs, config)
     return tuple(_win_probs(kernel.game(config, probs.p_a, probs.p_b), kernel.servers(config, server)))
 
 
-def game_win_prob(winner: Player, server: Player, probs: RallyProbs, config: GameConfig) -> float:
+def game_win_prob(winner: Player, server: Player | None, probs: RallyProbs, config: GameConfig) -> float:
     """Probability that `winner` takes a game under `config.system` whose
-    first server is `server`."""
+    first server is `server`; for None, the mixture of both first servers
+    by `config.s_a`, as in `game_win_probs`."""
     return game_win_probs(server, probs, config)[expect(winner, Player, "winner") is Player.B]

@@ -45,7 +45,7 @@ from functools import partial
 
 import numpy as np
 
-from .core import ConfigError, GameConfig, Player, RallyProbs, ScoringSystem, expect_count, validate
+from .core import ConfigError, GameConfig, Player, RallyProbs, ScoringSystem, expect, expect_count, validate
 
 
 @dataclass(frozen=True)
@@ -249,7 +249,7 @@ def sample_games(probs: RallyProbs, config: GameConfig, replications: int, seed:
     """Simulate `replications` independent games as outcome arrays."""
     validate(probs, config)
     expect_count(replications, "replications", 1)
-    return _batch_games(probs, config, replications, seed.generator())
+    return _batch_games(probs, config, replications, expect(seed, SeedSpec, "seed").generator())
 
 
 def _mean_var(c: int, s1: int, s2: int) -> tuple[float | None, float | None]:
@@ -293,7 +293,7 @@ def run_experiment(probs: RallyProbs, config: GameConfig, replications: int, see
     games of that duration."""
     validate(probs, config)
     expect_count(replications, "replications", 1)
-    rng = seed.generator()
+    rng = expect(seed, SeedSpec, "seed").generator()
     games = {Player.A: {}, Player.B: {}}
     for _, rally, _, _, alpha, beta in _rallies(probs, config, _first_servers(rng, replications, config.s_a), rng):
         won = int(np.count_nonzero(alpha > beta))

@@ -1021,6 +1021,14 @@ def mp_sideout_duration_moments(p_a, p_b, n, s_a, dps=50):
         return out
 
 
+def record_rows(batch):
+    """The records of a `RecordBatch` one row at a time, as Python values:
+    (first server, alpha, beta, last scorer, rally count or None)."""
+    cols = (batch.first_server_a, batch.alpha, batch.beta, batch.last_scorer_a, batch.duration)
+    for first_a, alpha, beta, last_a, duration in zip(*(c.tolist() for c in cols)):
+        yield A if first_a else B, alpha, beta, A if last_a else B, None if math.isnan(duration) else int(duration)
+
+
 def score_loglik(records):
     """Score-only log-likelihood of a record batch as a function of
     (p_a, p_b): the exponent totals plus, per distinct tally in
@@ -1033,10 +1041,10 @@ def score_loglik(records):
 
     k = [0, 0, 0, 0]  # exponents of log p_a, log q_a, log p_b, log q_b
     tallies = defaultdict(int)
-    for r in records:
-        swap = r.first_server is B
-        a, b = (r.score.beta, r.score.alpha) if swap else (r.score.alpha, r.score.beta)
-        server_last = r.score.last_scorer is r.first_server
+    for first, alpha, beta, last, _ in record_rows(records):
+        swap = first is B
+        a, b = (beta, alpha) if swap else (alpha, beta)
+        server_last = last is first
         server, receiver = (2, 0) if swap else (0, 2)
         k[server] += a
         k[receiver] += b
@@ -1087,7 +1095,7 @@ def start_grid_probs(model):
 
 
 class RecordLikelihood:
-    """A batch of `GameRecord`s reduced record by record to exponent totals,
+    """A `RecordBatch` reduced row by row to exponent totals,
     and either the extra rally pairs with log H(m) or the counts of its
     distinct tallies (first-server coordinates, first servers pooled, in
     first-seen order): the per-record set-up `estimate._Likelihood`
@@ -1096,22 +1104,21 @@ class RecordLikelihood:
     start grid is evaluated by the kernel, without the grid cache."""
 
     def __init__(self, records, mode):
-        if not records:
+        if not len(records):
             raise InfeasibleData("no records")
         self.mode = mode
         self.k = [0, 0, 0, 0]  # exponents of log p_a, log q_a, log p_b, log q_b, less m
         self.m, self.log_h_total = 0, 0.0  # extra rally pairs and log H(m), with durations
         tallies = {}  # tally -> its records
         spans = []
-        for i, rec in enumerate(records):
-            swap = rec.first_server is B
-            a, b = (rec.score.beta, rec.score.alpha) if swap else (rec.score.alpha, rec.score.beta)
-            server_last = rec.score.last_scorer is rec.first_server
+        for i, (first, alpha, beta, last, duration) in enumerate(record_rows(records)):
+            swap = first is B
+            a, b = (beta, alpha) if swap else (alpha, beta)
+            server_last = last is first
             win_pts, lose_pts = (a, b) if server_last else (b, a)
             if win_pts <= lose_pts:
                 raise InfeasibleData(
-                    f"record {i}: last scorer of a completed game must hold the higher tally "
-                    f"({rec.score.alpha}, {rec.score.beta})"
+                    f"record {i}: last scorer of a completed game must hold the higher tally ({alpha}, {beta})"
                 )
             delta = 0 if server_last else 1  # the receiving side scored last
             server, receiver = (2, 0) if swap else (0, 2)
@@ -1119,18 +1126,17 @@ class RecordLikelihood:
             self.k[receiver] += b
             self.k[server + 1] += delta
             if mode is estimate.FitMode.SCORE_DURATION:
-                if rec.duration is None:
+                if duration is None:
                     raise InfeasibleData(f"record {i}: duration required for score-and-duration fit")
-                span = rec.duration - a - b - delta
+                span = duration - a - b - delta
                 if span < 0 or span % 2 != 0:
                     raise InfeasibleData(
-                        f"record {i}: duration {rec.duration} infeasible for tally "
-                        f"({rec.score.alpha}, {rec.score.beta}) with first server "
-                        f"{rec.first_server.value} (wrong parity or too short)"
+                        f"record {i}: duration {duration} infeasible for tally ({alpha}, {beta}) with first server "
+                        f"{first.value} (wrong parity or too short)"
                     )
                 # H(m) vanishes below the tally's fewest interruption pairs
                 if span // 2 < kernel.tally(a, b, server_last).j0[0]:
-                    raise InfeasibleData(f"record {i}: duration {rec.duration} carries zero probability")
+                    raise InfeasibleData(f"record {i}: duration {duration} carries zero probability")
                 spans.append(span // 2)
             tallies.setdefault((a, b, server_last), []).append(i)
         if mode is estimate.FitMode.SCORE_DURATION:
@@ -1244,10 +1250,10 @@ def per_server_e_step(records):
     replaced, kept as a reference for it."""
     k = [0, 0, 0, 0]  # exponents of log p_a, log q_a, log p_b, log q_b, less m
     tallies = {}  # n -> counts over (kernel.table(n) rows, first server)
-    for r in records:
-        swap = r.first_server is B
-        a, b = (r.score.beta, r.score.alpha) if swap else (r.score.alpha, r.score.beta)
-        server_last = r.score.last_scorer is r.first_server
+    for first, alpha, beta, last, _ in record_rows(records):
+        swap = first is B
+        a, b = (beta, alpha) if swap else (alpha, beta)
+        server_last = last is first
         win_pts = a if server_last else b
         server, receiver = (2, 0) if swap else (0, 2)
         k[server] += a

@@ -94,6 +94,11 @@ class TestConfigs:
         with pytest.raises(ConfigError):
             GameConfig(n=21, system=ScoringSystem.RALLY_POINT, tiebreak=2)
 
+    @pytest.mark.parametrize("s_a", ["x", None, (0.5,)])
+    def test_non_real_first_server_share_rejected(self, s_a):
+        with pytest.raises(ConfigError, match="s_a=.* must be a Real"):
+            GameConfig(n=15, s_a=s_a)
+
     def test_non_integer_target_rejected(self):
         with pytest.raises(ConfigError, match="integer"):
             GameConfig(n=15.5)

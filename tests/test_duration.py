@@ -464,8 +464,17 @@ def test_non_integer_score_is_a_domain_error(call, score):
         lambda x: duration.quantile(duration.duration_pmf_unconditional(SCORE_PR, GameConfig(n=3)), x),
         lambda x: duration.score_moments(SCORE_PR, GameConfig(n=3), x),
         lambda x: duration.score_pmf(SCORE_PR, GameConfig(n=3), x),
+        lambda x: RallyProbs(x, 0.5),
+        lambda x: RallyProbs(0.5, x),
+        lambda x: duration.aggregate_moments(x, GameConfig(n=3)),
+        lambda x: duration.aggregate_moments(SCORE_PR, x),
+        lambda x: sideout.score_distribution(SCORE_PR, x),
+        lambda x: matchlevel.match_win_prob(SCORE_PR, GameConfig(n=3), x),
+        lambda x: simulate.sample_games(SCORE_PR, GameConfig(n=3), 10, x),
+        lambda x: duration.quantile(x, 0.5),
     ],
-    ids=["quantile-level", "score-moments", "score-pmf"],
+    ids=["quantile-level", "score-moments", "score-pmf", "p-a", "p-b", "probs", "config", "score-distribution-config",
+         "match-config", "seed", "pmf"],
 )
 @pytest.mark.parametrize("value", ["0.5", None, 5, (3,), (3, 2, 1)])
 def test_argument_of_the_wrong_type_is_a_domain_error(call, value):

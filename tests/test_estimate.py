@@ -20,8 +20,8 @@ from rallystats import (
     SeedSpec,
     TerminalScore,
 )
-from rallystats import estimate, kernel, simulate
-from rallystats.estimate import FitMode, FitModel, GameRecord
+from rallystats import duration, estimate, kernel, simulate
+from rallystats.estimate import FitMode, FitModel
 
 from oracles import (
     RecordLikelihood,
@@ -30,6 +30,7 @@ from oracles import (
     log_h,
     multistart_score_fit,
     per_server_e_step,
+    record_rows,
     reference_newton,
     reference_score_information,
     score_loglik,
@@ -40,8 +41,23 @@ from oracles import (
 A, B = Player.A, Player.B
 
 
-def rec(server, alpha, beta, last, duration=None):
-    return GameRecord(server, TerminalScore(alpha, beta, last), duration)
+COLUMNS = ("first_server_a", "alpha", "beta", "last_scorer_a", "duration")
+
+
+def make_batch(*rows):
+    """The `RecordBatch` of rows (first server, alpha, beta, last scorer[,
+    duration]), with NaN for a row without a duration."""
+    cols = ([], [], [], [], [])
+    for first, alpha, beta, last, *duration in rows:
+        row = (first is A, alpha, beta, last is A, duration[0] if duration else math.nan)
+        for col, value in zip(cols, row):
+            col.append(value)
+    return estimate.RecordBatch(*(np.array(c, dtype=t) for c, t in zip(cols, estimate._DTYPES)))
+
+
+def assert_same_records(got, want):
+    for name in COLUMNS:
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name), strict=True)
 
 
 def simulated_records(pa, pb, n, count, seed, s_a=0.5):
@@ -57,37 +73,34 @@ class TestScoreLikelihood:
         # at (1e-9, .999) the 40-0 tally's probability underflows to 0
         for n, p_a, p_b in [(7, 0.62, 0.47), (15, 1e-9, 1e-7), (40, 1e-9, 0.999)]:
             one_minus_q = p_a + (1 - p_a) * p_b
-            got = estimate.loglik_score([rec(A, n, 0, A)], p_a, p_b)
+            got = estimate.loglik_score(make_batch((A, n, 0, A)), p_a, p_b)
             assert got == pytest.approx(n * math.log(p_a) - n * math.log(one_minus_q), abs=1e-12)
 
     def test_permutation_invariance(self):
         records = simulated_records(0.6, 0.5, 9, 40, SeedSpec(21, 0))
         lik = estimate.loglik_score(records, 0.57, 0.44)
-        lik_rev = estimate.loglik_score(records[::-1], 0.57, 0.44)
+        reversed_records = estimate.RecordBatch(*(getattr(records, name)[::-1] for name in COLUMNS))
+        lik_rev = estimate.loglik_score(reversed_records, 0.57, 0.44)
         assert lik == pytest.approx(lik_rev, abs=1e-12)
 
     def test_matches_enumeration_probabilities(self):
         p_a, p_b = 0.6, 0.45
         outcomes, _ = enumerate_sideout(p_a, p_b, 3, server=A, tol=1e-16)
         marg = score_marginal(outcomes)
-        records = [
-            rec(A, 3, 0, A), rec(A, 3, 2, A), rec(A, 1, 3, B), rec(A, 3, 2, A),
-        ]
-        expected = sum(
-            math.log(marg[(r.score.alpha, r.score.beta, r.score.last_scorer)]) for r in records
-        )
-        assert estimate.loglik_score(records, p_a, p_b) == pytest.approx(expected, abs=1e-10)
+        rows = [(A, 3, 0, A), (A, 3, 2, A), (A, 1, 3, B), (A, 3, 2, A)]
+        expected = sum(math.log(marg[(alpha, beta, last)]) for _, alpha, beta, last in rows)
+        assert estimate.loglik_score(make_batch(*rows), p_a, p_b) == pytest.approx(expected, abs=1e-10)
 
     def test_matches_reference_polynomials(self):
-        records = simulated_records(0.6, 0.5, 15, 200, SeedSpec(110, 0))
-        records += simulated_records(0.4, 0.7, 9, 30, SeedSpec(110, 1))
+        parts = simulated_records(0.6, 0.5, 15, 200, SeedSpec(110, 0)), simulated_records(0.4, 0.7, 9, 30, SeedSpec(110, 1))
+        records = estimate.RecordBatch(*(np.concatenate([getattr(b, name) for b in parts]) for name in COLUMNS))
         reference = score_loglik(records)
         for p_a, p_b in [(0.6, 0.5), (0.05, 0.9), (0.97, 0.01)]:
             assert estimate.loglik_score(records, p_a, p_b) == pytest.approx(reference(p_a, p_b), rel=1e-13)
 
     def test_malformed_record_rejected(self):
         with pytest.raises(InfeasibleData, match="record 0"):
-            estimate.loglik_score([rec(A, 3, 5, A)], 0.5, 0.5)
+            estimate.loglik_score(make_batch((A, 3, 5, A)), 0.5, 0.5)
 
     @pytest.mark.parametrize("model", list(FitModel))
     def test_score_and_information_match_finite_differences(self, model):
@@ -147,22 +160,15 @@ class TestJointLikelihood:
     def test_minimum_duration_single_term(self):
         # D = alpha + beta means no interruptions are possible: shutout term
         n, p_a, p_b = 5, 0.6, 0.45
-        got = estimate.loglik_score_duration([rec(A, n, 0, A, duration=n)], p_a, p_b)
+        got = estimate.loglik_score_duration(make_batch((A, n, 0, A, n)), p_a, p_b)
         assert got == pytest.approx(n * math.log(p_a), abs=1e-12)
 
     def test_matches_enumeration_joint(self):
         p_a, p_b = 0.6, 0.45
         outcomes, _ = enumerate_sideout(p_a, p_b, 3, server=A, tol=1e-16)
-        records = [
-            rec(A, 3, 0, A, duration=3),
-            rec(A, 3, 2, A, duration=9),
-            rec(A, 1, 3, B, duration=7),
-        ]
-        expected = sum(
-            math.log(outcomes[(r.score.alpha, r.score.beta, r.score.last_scorer, r.duration)])
-            for r in records
-        )
-        got = estimate.loglik_score_duration(records, p_a, p_b)
+        rows = [(A, 3, 0, A, 3), (A, 3, 2, A, 9), (A, 1, 3, B, 7)]
+        expected = sum(math.log(outcomes[(alpha, beta, last, d)]) for _, alpha, beta, last, d in rows)
+        got = estimate.loglik_score_duration(make_batch(*rows), p_a, p_b)
         assert got == pytest.approx(expected, abs=1e-10)
 
     def test_log_h_matches_exact_integers(self):
@@ -189,12 +195,11 @@ class TestJointLikelihood:
         for n, (p_a, p_b) in [(5, (0.6, 0.5)), (15, (0.6, 0.5)), (21, (0.05, 0.05)), (15, (0.97, 0.3))]:
             records = simulated_records(p_a, p_b, n, 200, SeedSpec(132, n))
             rows, ms, total = [], [], 0.0
-            for r in records:
-                swap = r.first_server is B
-                a, b = (r.score.beta, r.score.alpha) if swap else (r.score.alpha, r.score.beta)
-                server_last = r.score.last_scorer is r.first_server
+            for first, alpha, beta, last, d in record_rows(records):
+                a, b = (beta, alpha) if first is B else (alpha, beta)
+                server_last = last is first
                 rows.append(kernel.tally(a, b, server_last))
-                ms.append((r.duration - a - b - (0 if server_last else 1)) // 2)
+                ms.append((d - a - b - (0 if server_last else 1)) // 2)
             want = np.array([log_h(t, m) for t, m in zip(rows, ms)])
             got = np.array([estimate._log_h(t, [m])[0] for t, m in zip(rows, ms)])
             assert np.array_equal(got, want)
@@ -212,7 +217,7 @@ class TestJointLikelihood:
     def test_long_record_fits_in_constant_memory(self, monkeypatch):
         # one game of 10^9 rallies: the exchange binomials are formed at the
         # few l its terms need, whatever the duration
-        record = [rec(A, 15, 7, A, duration=10**9)]
+        record = make_batch((A, 15, 7, A, 10**9))
         tracemalloc.start()
         try:
             got = estimate.fit(record, FitMode.SCORE_DURATION)
@@ -225,7 +230,7 @@ class TestJointLikelihood:
 
     def test_zero_probability_duration_names_the_record(self):
         # a server winning 5-2 must have lost the serve at least once
-        records = [rec(A, 5, 2, A, duration=9), rec(B, 2, 5, B, duration=7)]
+        records = make_batch((A, 5, 2, A, 9), (B, 2, 5, B, 7))
         with pytest.raises(InfeasibleData, match="record 1: duration 7 carries zero probability"):
             estimate.loglik_score_duration(records, 0.6, 0.5)
 
@@ -233,19 +238,19 @@ class TestJointLikelihood:
         # first server A, A wins: the rally count must share the parity of
         # alpha + beta (the server-effect)
         with pytest.raises(InfeasibleData, match="parity or too short"):
-            estimate.loglik_score_duration([rec(A, 5, 2, A, duration=8)], 0.6, 0.5)
+            estimate.loglik_score_duration(make_batch((A, 5, 2, A, 8)), 0.6, 0.5)
 
     def test_too_short_infeasible(self):
         with pytest.raises(InfeasibleData):
-            estimate.loglik_score_duration([rec(A, 5, 2, A, duration=5)], 0.6, 0.5)
+            estimate.loglik_score_duration(make_batch((A, 5, 2, A, 5)), 0.6, 0.5)
 
     def test_missing_duration_infeasible(self):
         with pytest.raises(InfeasibleData, match="duration required"):
-            estimate.loglik_score_duration([rec(A, 5, 2, A)], 0.6, 0.5)
+            estimate.loglik_score_duration(make_batch((A, 5, 2, A)), 0.6, 0.5)
 
     def test_b_game_swaps_roles(self):
-        lik_b = estimate.loglik_score_duration([rec(B, 2, 5, B, duration=9)], 0.6, 0.45)
-        lik_a = estimate.loglik_score_duration([rec(A, 5, 2, A, duration=9)], 0.45, 0.6)
+        lik_b = estimate.loglik_score_duration(make_batch((B, 2, 5, B, 9)), 0.6, 0.45)
+        lik_a = estimate.loglik_score_duration(make_batch((A, 5, 2, A, 9)), 0.45, 0.6)
         assert lik_b == pytest.approx(lik_a, abs=1e-12)
 
 
@@ -256,13 +261,13 @@ def _joint_argmax(records):
     both players.  Returns (p_a, p_b, p).  Counts the exponents from the
     records directly, independently of the estimator."""
     k_pa = k_qa = k_pb = k_qb = 0.0
-    for r in records:
-        delta = 1 if r.score.last_scorer is not r.first_server else 0
-        m = (r.duration - r.score.alpha - r.score.beta - delta) // 2
-        k_pa += r.score.alpha
-        k_pb += r.score.beta
-        k_qa += m + (1 if (r.first_server is A and delta) else 0)
-        k_qb += m + (1 if (r.first_server is B and delta) else 0)
+    for first, alpha, beta, last, d in record_rows(records):
+        delta = 1 if last is not first else 0
+        m = (d - alpha - beta - delta) // 2
+        k_pa += alpha
+        k_pb += beta
+        k_qa += m + (1 if (first is A and delta) else 0)
+        k_qb += m + (1 if (first is B and delta) else 0)
     return k_pa / (k_pa + k_qa), k_pb / (k_pb + k_qb), (k_pa + k_qb) / (k_pa + k_qa + k_pb + k_qb)
 
 
@@ -270,12 +275,27 @@ class TestFit:
     def test_mode_given_as_its_string_value_is_a_domain_error(self):
         # the string once ran the score-only fit and was labelled "score-duration"
         with pytest.raises(DomainError, match="mode='score-duration' must be a FitMode"):
-            estimate.fit([rec(A, 5, 3, A, 12)], "score-duration")
+            estimate.fit(make_batch((A, 5, 3, A, 12)), "score-duration")
 
     def test_model_given_as_its_string_value_is_a_domain_error(self):
         # the string once fitted the no-server model
         with pytest.raises(DomainError, match="model='server' must be a FitModel"):
-            estimate.fit([rec(A, 5, 3, A, 12)], model="server")
+            estimate.fit(make_batch((A, 5, 3, A, 12)), model="server")
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            estimate.fit,
+            lambda records: estimate.loglik_score(records, 0.6, 0.5),
+            lambda records: estimate.loglik_score_duration(records, 0.6, 0.5),
+            estimate.records_to_json_lines,
+        ],
+        ids=["fit", "loglik-score", "loglik-score-duration", "records-to-json-lines"],
+    )
+    @pytest.mark.parametrize("records", [None, [1, 2], [(True, 5, 3, True, 12.0)], []])
+    def test_records_that_are_not_a_batch_are_a_domain_error(self, call, records):
+        with pytest.raises(DomainError, match="must be a RecordBatch"):
+            call(records)
 
     def test_recovers_truth_with_durations(self):
         records = simulated_records(0.6, 0.5, 15, 200, SeedSpec(100, 1))
@@ -328,7 +348,7 @@ class TestFit:
         assert res.p_b == pytest.approx(1 - res.p_a, abs=1e-12)
 
     def test_all_shutouts_pin_boundary(self):
-        records = [rec(A, 15, 0, A, duration=15)] * 5
+        records = make_batch(*[(A, 15, 0, A, 15)] * 5)
         res = estimate.fit(records, FitMode.SCORE_DURATION, FitModel.SERVER)
         assert res.boundary
         assert res.p_a > 1 - 1e-6
@@ -337,14 +357,9 @@ class TestFit:
 
     def test_label_symmetry(self):
         records = simulated_records(0.6, 0.45, 9, 80, SeedSpec(104, 5))
-        swapped = [
-            GameRecord(
-                r.first_server.other,
-                TerminalScore(r.score.beta, r.score.alpha, r.score.last_scorer.other),
-                r.duration,
-            )
-            for r in records
-        ]
+        swapped = estimate.RecordBatch(
+            ~records.first_server_a, records.beta, records.alpha, ~records.last_scorer_a, records.duration
+        )
         res = estimate.fit(records, FitMode.SCORE_DURATION, FitModel.SERVER)
         res_swapped = estimate.fit(swapped, FitMode.SCORE_DURATION, FitModel.SERVER)
         assert res.p_a == pytest.approx(res_swapped.p_b, abs=1e-5)
@@ -542,12 +557,22 @@ class TestRecordsIO:
         records = simulated_records(0.6, 0.5, 9, 25, SeedSpec(106, 6))
         text = estimate.records_to_json_lines(records)
         back = estimate.records_from_json_lines(text.splitlines())
-        assert back == records
+        assert_same_records(back, records)
 
     def test_optional_duration(self):
-        r = GameRecord(A, TerminalScore(9, 3, A))
-        back = estimate.records_from_json_lines([estimate.records_to_json_lines([r]).strip()])
-        assert back[0].duration is None
+        r = make_batch((A, 9, 3, A))
+        back = estimate.records_from_json_lines([estimate.records_to_json_lines(r).strip()])
+        assert np.isnan(back.duration[0])
+
+    def test_lines_written_for_both_first_servers_and_a_missing_duration(self):
+        records = make_batch((B, 2, 9, B, 30), (A, 9, 0, A), (B, 9, 7, A, 25))
+        text = estimate.records_to_json_lines(records)
+        assert text == (
+            '{"alpha": 2, "beta": 9, "duration": 30, "first_server": "B", "last_scorer": "B"}\n'
+            '{"alpha": 9, "beta": 0, "first_server": "A", "last_scorer": "A"}\n'
+            '{"alpha": 9, "beta": 7, "duration": 25, "first_server": "B", "last_scorer": "A"}\n'
+        )
+        assert_same_records(estimate.records_from_json_lines(text.splitlines()), records)
 
     def test_parse_error_names_record(self):
         with pytest.raises(InfeasibleData, match="record 1"):
@@ -567,23 +592,30 @@ class TestRecordsIO:
         assert 0 < lines_read(300 * good + b"caf\xe9\n") < 300
 
     def test_lines_parse_into_a_batch(self):
-        # blank lines are skipped but still counted when a record is named
+        # blank lines are skipped and not counted: a record is named by its
+        # place in the batch, as the fit names it
         lines = ["", '{"first_server": "B", "alpha": 2, "beta": 9, "last_scorer": "B", "duration": 30}', "  ",
                  '{"first_server": "A", "alpha": 9, "beta": 0, "last_scorer": "A"}']
         batch = estimate.records_from_json_lines(lines)
         assert isinstance(batch, estimate.RecordBatch)
-        assert batch == [rec(B, 2, 9, B, 30), rec(A, 9, 0, A)]
+        assert_same_records(batch, make_batch((B, 2, 9, B, 30), (A, 9, 0, A)))
         assert np.isnan(batch.duration[1])
         assert len(estimate.records_from_json_lines(["", " "])) == 0
+        with pytest.raises(InfeasibleData, match=r"^record 2: cannot parse"):
+            estimate.records_from_json_lines([*lines, "", "{bad"])
 
-    @pytest.mark.parametrize("alpha, beta, last", [(-1, 3, "B"), (0, 4, "A"), (4, 0, "B")])
+    @pytest.mark.parametrize("alpha, beta, last", [(-1, 3, "B"), (0, 4, "A"), (4, 0, "B"), (0, 3, "A")])
     def test_bad_score_named_as_terminal_score_names_it(self, alpha, beta, last):
         with pytest.raises(DomainError) as want:
             TerminalScore(alpha, beta, Player(last))
         line = json.dumps({"first_server": "A", "alpha": alpha, "beta": beta, "last_scorer": last})
         with pytest.raises(InfeasibleData) as got:
             estimate.records_from_json_lines(["", line])
-        assert str(got.value) == f"record 1: cannot parse ({want.value})"
+        assert str(got.value) == f"record 0: cannot parse ({want.value})"
+        # the kernel reads an A-first tally as this terminal score: the same error
+        with pytest.raises(DomainError) as tally:
+            duration.mgf_conditional(alpha, beta, Player(last), 0.3, 0.7, 0.1)
+        assert str(tally.value) == str(want.value)
 
     @pytest.mark.parametrize("field, value", [("alpha", 15.9), ("beta", "3"), ("duration", 40.5), ("alpha", True)])
     def test_non_integral_count_rejected(self, field, value):
@@ -599,7 +631,7 @@ class TestRecordsIO:
 
     def test_integral_float_count_accepted(self):
         line = '{"first_server": "A", "alpha": 15.0, "beta": 3, "last_scorer": "A", "duration": 40}'
-        assert estimate.records_from_json_lines([line])[0].score.alpha == 15
+        assert estimate.records_from_json_lines([line]).alpha[0] == 15
 
     @pytest.mark.parametrize(
         "line",
@@ -618,11 +650,11 @@ class TestRecordsIO:
 
 
 def record_oracle_fit(records, mode, model):
-    """`estimate.fit` on the per-record likelihood of a list of records."""
+    """`estimate.fit` on the per-record likelihood of a record batch."""
     saved = estimate._Likelihood
     estimate._Likelihood = RecordLikelihood
     try:
-        return estimate.fit(list(records), mode, model)
+        return estimate.fit(records, mode, model)
     finally:
         estimate._Likelihood = saved
 
@@ -651,46 +683,18 @@ class TestRecordBatch:
         with pytest.raises(ValueError):
             batch.alpha[0] = 3
 
-    def test_iteration_indexing_and_slicing(self):
-        batch = simulated_records(0.6, 0.5, 9, 25, SeedSpec(141, 1))
-        records = list(batch)
-        assert all(isinstance(r, GameRecord) for r in records)
-        assert all(type(r.score.alpha) is int and type(r.duration) is int for r in records)
-        assert batch[3] == records[3] and batch[-1] == records[-1]
-        with pytest.raises(IndexError):
-            batch[25]
-        for sl in (slice(None, None, -1), slice(2, 7), slice(None, None, 3), slice(30, 40)):
-            part = batch[sl]
-            assert isinstance(part, estimate.RecordBatch)
-            assert list(part) == records[sl]
-        assert batch[::-1] == records[::-1] and batch != records[::-1]
-        assert batch[:10] + records[10:] == batch
-
-    def test_from_records_round_trip(self):
-        batch = simulated_records(0.4, 0.7, 15, 40, SeedSpec(141, 2))
-        again = estimate.RecordBatch.from_records(list(batch))
-        assert estimate.RecordBatch.from_records(batch) is batch
-        for name in ("first_server_a", "alpha", "beta", "last_scorer_a", "duration"):
-            assert np.array_equal(getattr(again, name), getattr(batch, name))
-        assert again == batch
-        empty = estimate.RecordBatch.from_records([])
-        assert len(empty) == 0 and list(empty) == []
-
     def test_json_round_trip(self):
         batch = simulated_records(0.6, 0.5, 9, 25, SeedSpec(141, 3))
         text = estimate.records_to_json_lines(batch)
-        assert text == estimate.records_to_json_lines(list(batch))
         back = estimate.records_from_json_lines(text.splitlines())
-        assert back == batch
-        assert estimate.RecordBatch.from_records(back) == batch
+        assert_same_records(back, batch)
 
     def test_missing_durations(self):
-        records = [rec(A, 9, 3, A, 20), rec(B, 4, 9, B), rec(B, 9, 7, A, 25)]
-        batch = estimate.RecordBatch.from_records(records)
-        assert np.isnan(batch.duration[1]) and list(batch) == records
+        batch = make_batch((A, 9, 3, A, 20), (B, 4, 9, B), (B, 9, 7, A, 25))
+        assert np.isnan(batch.duration[1])
         text = estimate.records_to_json_lines(batch)
         assert "duration" not in text.splitlines()[1]
-        assert estimate.fit(batch, FitMode.SCORE_ONLY) == estimate.fit(records, FitMode.SCORE_ONLY)
+        assert estimate.fit(batch, FitMode.SCORE_ONLY).converged
         with pytest.raises(InfeasibleData, match="^record 1: duration required"):
             estimate.fit(batch, FitMode.SCORE_DURATION)
 
@@ -729,7 +733,7 @@ class TestBatchAgainstRecordOracle:
         for seed in range(40, 50):
             batch = random_batch(seed)
             for mode in FitMode:
-                lik, ref = estimate._Likelihood(batch, mode), RecordLikelihood(list(batch), mode)
+                lik, ref = estimate._Likelihood(batch, mode), RecordLikelihood(batch, mode)
                 assert lik.k == ref.k
                 for p_a, p_b in [(0.6, 0.5), (1e-9, 0.3), (0.97, 1 - 1e-9)]:
                     assert lik(p_a, p_b) == ref(p_a, p_b)
@@ -739,17 +743,18 @@ class TestBatchAgainstRecordOracle:
     @pytest.mark.parametrize(
         "records",
         [
-            [rec(A, 5, 2, A, 9), rec(A, 5, 2, A, 8)],  # wrong parity
-            [rec(A, 5, 2, A, 9), rec(B, 2, 5, B, 5)],  # too short
-            [rec(A, 5, 2, A, 9), rec(B, 5, 2, B, -3)],  # negative, and the last scorer trails
-            [rec(A, 5, 2, A, 9), rec(A, 2, 5, A, 9)],  # the last scorer trails
-            [rec(A, 5, 2, A, 9), rec(B, 3, 3, B, 9)],  # a tie is not a completed game
-            [rec(A, 5, 2, A, 9), rec(A, 5, 2, A), rec(A, 5, 2, A, 8)],  # no duration
-            [rec(A, 5, 2, A, 9), rec(B, 2, 5, B, 7), rec(A, 5, 2, A, 8)],  # zero probability first
-            [rec(A, 5, 2, A, 9)] * 3 + [rec(B, 2, 5, B, 8), rec(A, 2, 5, A, 9)],
+            [(A, 5, 2, A, 9), (A, 5, 2, A, 8)],  # wrong parity
+            [(A, 5, 2, A, 9), (B, 2, 5, B, 5)],  # too short
+            [(A, 5, 2, A, 9), (B, 5, 2, B, -3)],  # negative, and the last scorer trails
+            [(A, 5, 2, A, 9), (A, 2, 5, A, 9)],  # the last scorer trails
+            [(A, 5, 2, A, 9), (B, 3, 3, B, 9)],  # a tie is not a completed game
+            [(A, 5, 2, A, 9), (A, 5, 2, A), (A, 5, 2, A, 8)],  # no duration
+            [(A, 5, 2, A, 9), (B, 2, 5, B, 7), (A, 5, 2, A, 8)],  # zero probability first
+            [(A, 5, 2, A, 9)] * 3 + [(B, 2, 5, B, 8), (A, 2, 5, A, 9)],
         ],
     )
     def test_infeasible_data_names_the_first_record(self, records):
+        records = make_batch(*records)
         for mode in FitMode:
             try:
                 RecordLikelihood(records, mode)
@@ -761,15 +766,15 @@ class TestBatchAgainstRecordOracle:
                 estimate._Likelihood(records, mode)
                 continue
             assert want.startswith("record ")
-            for data in (records, estimate.RecordBatch.from_records(records)):
-                with pytest.raises(InfeasibleData) as info:
-                    estimate._Likelihood(data, mode)
-                assert str(info.value) == want
+            with pytest.raises(InfeasibleData) as info:
+                estimate._Likelihood(records, mode)
+            assert str(info.value) == want
 
     def test_no_records(self):
-        for data in ([], estimate.RecordBatch.from_records([])):
-            with pytest.raises(InfeasibleData, match="no records"):
-                estimate.fit(data, FitMode.SCORE_ONLY)
+        empty = make_batch()
+        assert len(empty) == 0
+        with pytest.raises(InfeasibleData, match="no records"):
+            estimate.fit(empty, FitMode.SCORE_ONLY)
 
 
 def fresh_process_output(code):
