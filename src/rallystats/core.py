@@ -164,17 +164,16 @@ class TerminalScore:
         return self.alpha if player is Player.A else self.beta
 
 
-def validate(probs: RallyProbs, config: GameConfig | None = None) -> None:
+def validate(probs: RallyProbs, config: GameConfig) -> None:
     """Check the invariants the engines rely on beyond those `RallyProbs`
     and `GameConfig` enforce on construction; raise DomainError otherwise.
 
     It requires `probs` to be a `RallyProbs` with q < 1: with q = 1 no
     rally ever scores and the game never terminates.  A `GameConfig` checks
-    itself on construction, so a given `config` is only checked to be one.
-    Public engine functions call this once, never per terminal score.
+    itself on construction, so `config` is only checked to be one.  Public
+    engine functions call this once, never per terminal score.
     """
     expect(probs, RallyProbs, "probs")
-    if config is not None:
-        expect(config, GameConfig, "config")
+    expect(config, GameConfig, "config")
     if probs.q >= 1.0:
         raise DomainError("q=1, game never terminates (p_a=0 and p_b=0)")

@@ -27,9 +27,9 @@ with (s_a, s_b), so s_a = 1 or 0 states it.  Given an end score and a stated fir
 the law depends on the rally probabilities through q alone.  An event of
 probability zero has no conditional law: the aggregates leave it out, and
 the laws that normalize, `duration_pmf_winner` and the laws given a
-score, raise `ConditioningError`.  `mgf_conditional` is the moment
-generating function given one tally of an A-game, from the tally's shift
-law (`kernel.shift_laws`).
+score, raise `ConditioningError`.  The moment generating function given
+an end score (`score_mgf`) reads the same mixture of shift laws as
+`score_pmf`.
 
 Every PMF comes from one engine.  A game's law before its exchanges
 jointly with an event, law[k, s] over n + k points scored and the shift
@@ -178,33 +178,6 @@ class QuantileMode(enum.Enum):
     INTERPOLATED = "interpolated"
 
 
-def mgf_conditional(alpha: int, beta: int, last_scorer: Player, q: float, one_minus_q: float, t: float) -> float:
-    """Moment generating function of D given the tally, the last scorer
-    and first server A, evaluated at a finite t: the alpha + beta points
-    with their exchanges, and the tally's shift law (`kernel.shift_laws`).
-    Finite only while q*e^(2t) < 1.  1 - q is given apart from q since it
-    cancels as q -> 1 (p_a + q_a p_b from the rally probabilities), and
-    1 - q e^(2t) is formed from it as (1 - q) - q (e^(2t) - 1)."""
-    if not (0.0 <= q < 1.0):
-        raise DomainError(f"q={q} outside [0, 1)")
-    # before the shift law's sum: at t = -inf, e^(t * 0) is NaN
-    if not math.isfinite(t):
-        raise DomainError(f"t={t} is not finite")
-    law = kernel.shift_laws(ScoringSystem.SIDE_OUT, kernel.tally(alpha, beta, expect(last_scorer, Player, "last_scorer") is Player.A), q)[0]
-    # a t in the domain may still overflow: e^(2t), the power or the product
-    try:
-        room = one_minus_q - q * math.expm1(2.0 * t)
-        if room <= 0.0:
-            raise DomainError(f"MGF diverges: q*e^(2t) = {q * math.exp(2.0 * t)} >= 1")
-        base = (one_minus_q * math.exp(t) / room) ** (alpha + beta)
-        value = base * float(np.dot(law, np.exp(t * np.arange(len(law)))))
-    except OverflowError:
-        value = math.inf
-    if value == math.inf:
-        raise DomainError(f"the MGF at t={t} overflows a double")
-    return value
-
-
 def _exact_q(probs: RallyProbs):
     """log q and 1 - q of the exchange probability q = q_a q_b, in extended
     precision (where the platform has it), so that each rounds the exact
@@ -288,6 +261,15 @@ def _exchange_cut(m0: int, probs: RallyProbs, epsilon: float) -> tuple[int, floa
     return hi + 1, tail(hi)
 
 
+def _reals(values, ndim: int, name: str) -> np.ndarray:
+    """`values` as an `ndim`-d array of floats; DomainError for any other
+    shape, or for values that are not reals."""
+    out = np.asarray(values)
+    if out.ndim != ndim or out.dtype.kind not in "iuf":
+        raise DomainError(f"{name} must be a {ndim}-d array of reals, not {out.dtype} of shape {out.shape}")
+    return out.astype(float, copy=False)
+
+
 def _mix(c: np.ndarray, mean: np.ndarray, var: np.ndarray):
     """Total weight, mean and variance of the mixture of the components'
     laws (axis 0) with weights c; NaN moments where the total is at most
@@ -362,8 +344,8 @@ def grid_moments(config: GameConfig, p_a, p_b) -> dict[Player | None, tuple[tupl
     gives it alone.  Raises DomainError for a probability outside [0, 1]
     or a point with q = 1, and ConditioningError where the event of a
     winner has vanished (probability at most 1e-300)."""
-    p_a, p_b = (np.asarray(p, dtype=float) for p in (p_a, p_b))
-    if p_a.ndim != 1 or p_a.shape != p_b.shape:
+    p_a, p_b = _reals(p_a, 1, "p_a"), _reals(p_b, 1, "p_b")
+    if p_a.shape != p_b.shape:
         raise DomainError("p_a and p_b must be 1-d grids of one length")
     if not ((0.0 <= p_a) & (p_a <= 1.0) & (0.0 <= p_b) & (p_b <= 1.0)).all():
         raise DomainError("a probability of the grid lies outside [0, 1]")
@@ -431,7 +413,8 @@ def duration_pmf_winner(probs: RallyProbs, config: GameConfig, winner: Player, e
 def duration_pmf_unconditional(probs: RallyProbs, config: GameConfig, epsilon: float = 1e-12) -> DurationPMF:
     """PMF of D under `config.system` mixed over all terminal scores and
     winners, the first server A with probability `config.s_a`."""
-    return exchange_mixture(config.n, _event_law(probs, config, None), probs, config.system, epsilon)
+    law = _event_law(probs, config, None)  # checks the config before its n is read
+    return exchange_mixture(config.n, law, probs, config.system, epsilon)
 
 
 def pre_exchange_laws(probs: RallyProbs, config: GameConfig) -> dict[tuple[Player, Player], np.ndarray]:
@@ -506,6 +489,36 @@ def score_pmf(probs: RallyProbs, config: GameConfig, score, epsilon: float = 1e-
     return exchange_mixture(points, law[None], probs, config.system, epsilon)
 
 
+def score_mgf(probs: RallyProbs, config: GameConfig, score, t: float) -> float:
+    """Moment generating function E[e^(tD)] of D under `config.system`
+    given that the game ends at `score`, as `score_moments` conditions it,
+    at a finite t: the points M with their NB(M, q) exchanges, and the
+    mixed shift law of the score (`kernel.Game.shift_laws`).  Under
+    side-out scoring it is finite only while q e^(2t) < 1; the exact 1 - q
+    = p_a + q_a p_b, which does not cancel as q -> 1, gives 1 - q e^(2t) as
+    (1 - q) - q (e^(2t) - 1).  Under rally-point scoring q = 0 and D = M.
+    Raises DomainError for a t that is not a finite real, where the MGF
+    diverges, and where it overflows a double; a score is refused as
+    `score_moments` refuses it."""
+    if not math.isfinite(expect(t, numbers.Real, "t")):
+        raise DomainError(f"t={t} is not finite")
+    game, c, points = _score_law(probs, config, score)
+    law = (c[:, None] * game.shift_laws(probs.q))[c > 0.0].sum(axis=0)
+    s = np.flatnonzero(law)  # e^(ts) may overflow where the law has no mass
+    q, one_minus_q = (probs.q, probs.p_a + probs.q_a * probs.p_b) if config.system is ScoringSystem.SIDE_OUT else (0.0, 1.0)
+    # a t in the domain may still overflow: e^(2t), the power or the product
+    try:
+        room = one_minus_q - q * math.expm1(2.0 * t)
+        if room <= 0.0:
+            raise DomainError(f"MGF diverges: q*e^(2t) = {q * math.exp(2.0 * t)} >= 1")
+        value = (one_minus_q * math.exp(t) / room) ** points * float(np.dot(law[s], np.exp(t * s)))
+    except OverflowError:
+        value = math.inf
+    if value == math.inf:
+        raise DomainError(f"the MGF at t={t} overflows a double")
+    return value
+
+
 def exchange_mixture(
     points: int, law: np.ndarray, probs: RallyProbs, system: ScoringSystem, epsilon: float = 1e-12
 ) -> DurationPMF:
@@ -529,6 +542,10 @@ def exchange_mixture(
     exchanges: D = M + s exactly."""
     if not (isinstance(epsilon, numbers.Real) and math.isfinite(epsilon) and epsilon > 0.0):
         raise DomainError(f"epsilon must be finite and > 0, got {epsilon!r}")
+    expect(points, numbers.Integral, "points")
+    expect(probs, RallyProbs, "probs")
+    expect(system, ScoringSystem, "system")
+    law = _reals(law, 2, "law")
     k, s = np.nonzero(law > 0.0)
     if not k.size:
         raise ConditioningError("law carries no mass")
@@ -699,7 +716,6 @@ def quantile(pmf: DurationPMF, level: float, mode: QuantileMode = QuantileMode.S
     """
     if not (0.0 < expect(level, numbers.Real, "level") < 1.0):
         raise DomainError(f"quantile level {level} outside (0, 1)")
-    expect(mode, QuantileMode, "mode")
     marks = expect(pmf, DurationPMF, "pmf").checkpoints
     if not len(marks) or marks[-1] <= 0.0:
         raise ConditioningError("PMF carries no mass")
@@ -712,7 +728,7 @@ def quantile(pmf: DurationPMF, level: float, mode: QuantileMode = QuantileMode.S
     # before it has its CDF, and so its mid-jump value, below the level
     first = int(np.searchsorted(marks, level))
     cdf = pmf.chunk_cdf(first)
-    if mode is QuantileMode.STANDARD:
+    if expect(mode, QuantileMode, "mode") is QuantileMode.STANDARD:
         return float(pmf.offset + first * _CHUNK + np.searchsorted(cdf, level))
     last = _support_before(pmf, len(pmf.masses))
     # the first support bin x whose mid-jump value reaches the level

@@ -18,8 +18,9 @@ term needs the kernel, and it depends on (p_a, p_b) through q = q_a q_b
 alone: it is evaluated once per distinct q over the observed tallies,
 and one per Newton point.  The 17 x 17 start grid is fixed, and so are
 its 153 distinct q (transposed points share q): each tally's polynomial
-there is computed once, by one kernel call over all the tallies a batch
-adds, and kept read-only.  The polynomials also give the mean and
+there is computed once, by one kernel call, and kept read-only in an LRU
+cache of 1024 tallies per model (`_grid_row`), whose bits a batched call
+would give too.  The polynomials also give the mean and
 variance of m, hence the exact score (Fisher's identity) and
 information (Louis's formula) for grid-started projected Newton steps.
 
@@ -35,8 +36,10 @@ its iterate, score and information as Python floats and solves the 2 x 2
 shared 2-core machine, in-process medians of 600 replications: the
 records take 0.03 ms, the score-and-duration set-up 0.6-0.85 ms (log
 H(m) 0.3-0.4 ms of it), the grid step 0.08-0.14 ms from the cached
-polynomials (1.7 ms when the kernel evaluates them, as for a tally not
-seen before) and a Newton point 0.1-0.2 ms, nearly all of it the E-step
+polynomials (3.5-6.7 ms cold, when the kernel evaluates each of the
+batch's 29 tallies in turn, against 1.9-3.4 ms for one call over all of
+them in the same runs; a tally pays it once per process) and a Newton
+point 0.1-0.2 ms, nearly all of it the E-step
 (the step's own algebra takes about 0.01 ms); the score-only fit takes
 1.9-2.2 ms and the score-and-duration fit 0.65-0.95 ms.
 
@@ -52,6 +55,7 @@ import functools
 import json
 import math
 import numbers
+from collections.abc import Iterable
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -62,6 +66,7 @@ from .core import (
     InfeasibleData,
     NonConvergence,
     Player,
+    RallyProbs,
     TerminalScore,
     expect,
 )
@@ -72,7 +77,6 @@ _GRID = np.linspace(-8.0, 8.0, 17)  # Newton starts, logit of each coordinate
 _MAX_STEPS = 100
 _STEP_TOL = 1e-10  # logit units
 _GAIN_TOL = 1e-14  # relative to 1 + |log-likelihood|
-_GRID_ROWS = 1024  # tallies whose start-grid polynomials a model keeps (3.7 kB each)
 _DTYPES = (bool, np.int64, np.int64, bool, float)  # of the `RecordBatch` columns
 
 
@@ -121,11 +125,11 @@ def records_from_json_lines(lines) -> RecordBatch:
     cols = ([], [], [], [], [])
     i = -1
     try:
-        for i, line in enumerate(lines):
-            line = line.strip()
-            if not line:
-                continue
+        for i, line in enumerate(expect(lines, Iterable, "lines")):
             try:
+                line = expect(line, str, "line").strip()
+                if not line:
+                    continue
                 d = json.loads(line)
                 if not isinstance(d, dict):
                     raise ValueError(f"expected a JSON object, got {type(d).__name__}")
@@ -198,6 +202,9 @@ class RecordBatch:
 
 def records_from_sample(sample) -> RecordBatch:
     """The record batch of a simulate.GameSample batch, column for column."""
+    from .simulate import GameSample  # the estimate command loads no simulator
+
+    expect(sample, GameSample, "sample")
     return RecordBatch(sample.first_server_a, sample.alpha, sample.beta, sample.winner_a, sample.duration)
 
 
@@ -256,34 +263,13 @@ def _bases(p_a, p_b):
 @dataclass(frozen=True)
 class _StartGrid:
     """A model's start grid: its points in logit coordinates, the distinct
-    q among them with each point's index into those, the `_bases` of the
-    points, and the interruption polynomials of the tallies fitted so far
-    at those q (`polynomial`)."""
+    q among them with each point's index into those, and the `_bases` of
+    the points."""
 
     theta: np.ndarray
     q: np.ndarray
     where: np.ndarray
     bases: tuple
-    rows: dict
-
-    def polynomial(self, tallies: list[tuple[int, int, bool]]) -> np.ndarray:
-        """log P, and the mean and variance of s, of each tally's polynomial
-        at the grid's distinct q, shape (tallies, 3, q): the rows
-        `kernel.interruption_polynomial` gives, read-only and cached per
-        tally.  All misses come from one kernel call; a row's bits do not
-        depend on the rows evaluated with it.  The stack is taken from the
-        rows this call found or computed, so another thread that clears
-        the cache meanwhile takes none of them away."""
-        found = {t: self.rows.get(t) for t in tallies}
-        missing = [t for t, row in found.items() if row is None]
-        if missing:
-            poly = np.stack(kernel.interruption_polynomial(kernel.tallies(missing), self.q), axis=1)
-            poly.setflags(write=False)
-            found.update(zip(missing, poly))
-            if len(self.rows) + len(missing) > _GRID_ROWS:  # a full cache starts again
-                self.rows.clear()
-            self.rows.update(found)
-        return np.stack([found[t] for t in tallies])
 
 
 @functools.lru_cache(maxsize=None)
@@ -293,7 +279,18 @@ def _start_grid(model: FitModel) -> _StartGrid:
     distinct, where = np.unique(q, return_inverse=True)
     for arr in (theta, distinct, where, *bases):
         arr.setflags(write=False)
-    return _StartGrid(theta, distinct, where, bases, {})
+    return _StartGrid(theta, distinct, where, bases)
+
+
+@functools.lru_cache(maxsize=1024)
+def _grid_row(model: FitModel, tally: tuple[int, int, bool]) -> np.ndarray:
+    """log P, and the mean and variance of s, of one tally's polynomial at
+    the distinct q of the model's start grid, shape (3, q), read-only: the
+    row `kernel.interruption_polynomial` gives it, whose bits do not depend
+    on the rows evaluated with it (3.7 kB each)."""
+    row = np.stack(kernel.interruption_polynomial(kernel.tallies([tally]), _start_grid(model).q), axis=1)[0]
+    row.setflags(write=False)
+    return row
 
 
 class _Likelihood:
@@ -356,10 +353,11 @@ class _Likelihood:
         return self._combine(bases, np.stack(kernel.interruption_polynomial(self.rows, distinct), axis=1), where)
 
     def grid_e_step(self, model: FitModel):
-        """`e_step` at every point of the model's start grid, from what the
-        grid caches: the same bits."""
+        """`e_step` at every point of the model's start grid, from the
+        cached rows of the tallies (`_grid_row`), stacked in first-seen
+        order: the same bits."""
         grid = _start_grid(model)
-        return self._combine(grid.bases, grid.polynomial(self.tallies), grid.where)
+        return self._combine(grid.bases, np.stack([_grid_row(model, t) for t in self.tallies]), grid.where)
 
     def _combine(self, bases, poly, where):
         """The E-step from the closed-form `_bases` of the points, the
@@ -375,6 +373,7 @@ class _Likelihood:
         return ll, mean, sums[2] + (k_pa + k_pb) * odds_var
 
     def __call__(self, p_a: float, p_b: float) -> float:
+        RallyProbs(p_a, p_b)  # reals in [0, 1], or DomainError
         if not (0.0 < p_a < 1.0 and 0.0 < p_b < 1.0):
             return -np.inf
         if self.mode is FitMode.SCORE_ONLY:
@@ -384,12 +383,15 @@ class _Likelihood:
 
 
 def loglik_score(records: RecordBatch, p_a: float, p_b: float) -> float:
-    """Log-likelihood of the final tallies alone."""
+    """Log-likelihood of the final tallies alone; -inf where p_a or p_b is
+    0 or 1.  Raises DomainError for a p_a or p_b that is not a real in [0,
+    1], as `RallyProbs` does."""
     return _Likelihood(records, FitMode.SCORE_ONLY)(p_a, p_b)
 
 
 def loglik_score_duration(records: RecordBatch, p_a: float, p_b: float) -> float:
-    """Joint log-likelihood of tallies and observed rally counts."""
+    """Joint log-likelihood of tallies and observed rally counts, at p_a and
+    p_b as `loglik_score` takes them."""
     return _Likelihood(records, FitMode.SCORE_DURATION)(p_a, p_b)
 
 

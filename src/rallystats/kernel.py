@@ -13,13 +13,15 @@ are
 for the two last scorers (with C(-1, -1) = 1 for the shutout).  This module
 is the only place they are built.  A set of tallies becomes a `Rows` table
 of log-coefficients indexed from the smallest feasible j, cached per
-target score; `evaluate_servers` weighs the table against arrays of rally
-probabilities for either scoring system, at both first servers at once.
-Tallies are in first-server coordinates: in `table(n)` the first server
-wins in rows 0..n-1 and the receiver in rows n..2n-1.  This module is
+target score (`table`, `tied`); `tallies` builds one for any tallies
+its caller has checked.  Tallies are in first-server coordinates: in
+`table(n)` the first server wins in rows 0..n-1 and the receiver in rows
+n..2n-1.  This module is
 also the only reader of that layout: `game(config, p_a, p_b)` turns the
 tables of a `GameConfig` into its game table (`Game`), the terminal
-components every game-level law reads.  With a tie-break l a component
+components every game-level law reads, each table weighed by one kernel
+evaluation against arrays of rally probabilities for either scoring
+system, at both first servers at once.  With a tie-break l a component
 is a regular end or the pair of a tie at n-1 all and an end of the l-point
 extension, first served by whoever tied.  `Game.event` is the one
 selector of the components of an event of a game: the first servers
@@ -30,9 +32,9 @@ The laws of one matchup read one game table: `game` keeps the tables of
 the last 16 single points in an LRU cache keyed by (system, n,
 tie-break, p_a, p_b), so configs that differ only in s_a share an entry.
 A cached table's arrays are read-only, and its shift laws are built
-afresh on each call of `shift_laws` (at n = 1000 a table's laws are 2000
-x 2000 doubles), never kept.  A grid of points (arrays of p_a, p_b) is
-evaluated afresh and never enters the cache.  `functools.lru_cache` is
+afresh on each call of `Game.shift_laws` (at n = 1000 a table's laws are
+2000 x 2000 doubles), never kept.  A grid of points (arrays of p_a, p_b)
+is evaluated afresh and never enters the cache.  `functools.lru_cache` is
 thread-safe, and what it holds is never written, so the package stays
 safe for concurrent callers.
 
@@ -43,16 +45,15 @@ P(q) = sum_s c_s q^s over the coefficients of q^(j0 + s); under
 rally-point scoring the polynomial is in (u, v) = (p_a p_b, q)/(p_a p_b +
 q).  The polynomial, and with it the law of the interruption count given
 the tally, depends on the players only through products of the two
-sides, so it is the same for both first servers to the last bit:
-`evaluate_servers` evaluates it once for both, `shift_laws` gives the
-law of the shift (the rallies that are neither points nor exchanges)
-given each tally from its normalized terms, and `interruption_polynomial`
-gives it alone as a function of q, with the mean and variance of its
-power.  `duration.mgf_conditional` reads the shift law of one tally,
-and the score-only likelihood of `estimate` needs only the last (one
-call gives the start grid of a 200-game batch to 15 in about 1.7 ms,
-against 6.3-6.9 ms through `evaluate_servers` on whole tables; `estimate`
-keeps the rows, so a batch of tallies seen before takes 0.09 ms).
+sides, so it is the same for both first servers to the last bit: the
+game table's evaluation forms it once for both, `Game.shift_laws` gives
+the law of the shift (the rallies that are neither points nor exchanges)
+given each component from its normalized terms, and
+`interruption_polynomial` gives it alone as a function of q, with the
+mean and variance of its power.  Every law of `duration`, the moment
+generating function given an end score included, reads the game table;
+the score-only likelihood of `estimate` needs only the polynomial, which
+it evaluates per tally at its start grid and keeps (see `estimate`).
 
 Evaluation is in scaled form: every term is a logarithm, each row is
 shifted by its largest term before exponentiating, and the shift is added
@@ -67,12 +68,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
 
-from .core import GameConfig, Player, ScoringSystem, TerminalScore, expect
+from .core import GameConfig, Player, ScoringSystem, expect
 
 # Elements of one (rows x terms x probabilities) block of evaluation; keeps
 # the temporaries of a large table or grid to a few megabytes.
@@ -96,22 +97,6 @@ class Rows:
     logc: np.ndarray
 
 
-@dataclass(frozen=True)
-class Evaluation:
-    """Per row and per parameter point: the log-probability of the tally,
-    finite where it underflows, with a first-server axis after the rows,
-    and the mean and variance of R given it, the same for both first
-    servers."""
-
-    log_weight: np.ndarray
-    r_mean: np.ndarray
-    r_var: np.ndarray
-
-    @property
-    def weight(self) -> np.ndarray:
-        return np.exp(self.log_weight)
-
-
 @functools.lru_cache(maxsize=8)
 def _log_binom(m: int) -> np.ndarray:
     """log C(a, b) for 0 <= b <= a <= m, -inf elsewhere: the logarithm of
@@ -126,8 +111,14 @@ def _log_binom(m: int) -> np.ndarray:
     return out
 
 
-def _build(tallies: list[tuple[int, int, bool]]) -> Rows:
-    alpha, beta, server_last = (np.array(col) for col in zip(*tallies))
+def tallies(items: list[tuple[int, int, bool]]) -> Rows:
+    """A table of any reachable tallies (alpha, beta, server_last) of the
+    first server and the receiver, in the given order.  They are not
+    checked here: a game's tables are reachable by construction, and a
+    record's tally has been checked before it comes here, its score by
+    `estimate.RecordBatch` as `TerminalScore` checks it and its last scorer's
+    lead by the likelihood."""
+    alpha, beta, server_last = (np.array(col) for col in zip(*items))
     server_last = server_last.astype(bool)
     lb = _log_binom(int(max(alpha.max(), beta.max(), 1)))
     j0 = np.where(server_last, np.minimum(beta, 1), 0)
@@ -152,30 +143,14 @@ def _build(tallies: list[tuple[int, int, bool]]) -> Rows:
 def table(n: int) -> Rows:
     """The 2n terminal tallies of a game to n: rows k = 0..n-1 are (n, k)
     won by the first server, rows n + k are (k, n) won by the receiver."""
-    return _build([(n, k, True) for k in range(n)] + [(k, n, False) for k in range(n)])
+    return tallies([(n, k, True) for k in range(n)] + [(k, n, False) for k in range(n)])
 
 
 @functools.lru_cache(maxsize=32)
 def tied(m: int) -> Rows:
     """The two ways to reach m all: row 0 tied by a point of the first
     server, row 1 by a point of the receiver."""
-    return _build([(m, m, True), (m, m, False)])
-
-
-def tallies(items: list[tuple[int, int, bool]]) -> Rows:
-    """A table of any reachable tallies (alpha, beta, server_last) of the
-    first server and the receiver, in the given order; a score that is not
-    an integer, or is negative, or whose last scorer has no point raises
-    DomainError, as the `TerminalScore` of an A-first game checks it."""
-    for alpha, beta, server_last in items:
-        TerminalScore(alpha, beta, Player.A if server_last else Player.B)
-    return _build(items)
-
-
-def tally(alpha: int, beta: int, server_last: bool) -> Rows:
-    """A one-row table for any reachable tally of the first server and the
-    receiver."""
-    return tallies([(alpha, beta, server_last)])
+    return tallies([(m, m, True), (m, m, False)])
 
 
 def _log(x: np.ndarray) -> np.ndarray:
@@ -274,10 +249,6 @@ def _log_prefactor(system: ScoringSystem, rows: Rows, p_a: np.ndarray, p_b: np.n
     )
 
 
-def _slice_rows(rows: Rows, sl: slice) -> Rows:
-    return Rows(*(getattr(rows, f)[sl] for f in ("alpha", "beta", "server_last", "j0", "top", "logc")))
-
-
 def _blocked(rows: Rows, points: int, shapes, block) -> list[np.ndarray]:
     """Run block(rows, points slice) over blocks of at most about _BLOCK
     (rows x terms x points) elements and assemble its arrays, each of shape
@@ -289,42 +260,11 @@ def _blocked(rows: Rows, points: int, shapes, block) -> list[np.ndarray]:
         return list(block(rows, slice(None)))
     out = [np.empty((m, *shape, points)) for shape in shapes]
     for r in range(0, m, row_step):
-        sub = _slice_rows(rows, slice(r, r + row_step))
+        sub = Rows(*(getattr(rows, f.name)[r : r + row_step] for f in fields(rows)))
         for c in range(0, points, p_step):
             for dst, src in zip(out, block(sub, slice(c, c + p_step))):
                 dst[r : r + row_step, ..., c : c + p_step] = src
     return out
-
-
-def evaluate_servers(system: ScoringSystem, rows: Rows, p_a, p_b) -> Evaluation:
-    """Log-probability of every tally of `rows` in games first served by A
-    and by B, at each point of the arrays (p_a, p_b) of the rally-winning
-    probabilities of A and B, under the given scoring system: shape (rows,
-    2 first servers, points).  The polynomial, and with it the law of the
-    interruption count R given each tally, is symmetric in the players, so
-    it is evaluated once: the mean and variance of R have shape (rows,
-    points) and hold for both first servers.  The law of R comes from the
-    polynomial's terms alone, so it stays defined where a factor common to
-    all terms (and with it the tally's probability) vanishes; where every
-    term vanishes its moments read 0.  Each point's results are the same
-    to the last bit whatever other points are evaluated with it."""
-    # The bases are formed in extended precision (where the platform has
-    # it), so each logarithm is the rounded logarithm of the exact base; a
-    # base rounded to double, such as 1 - p, errs by half an ulp per power.
-    p_a, p_b = np.broadcast_arrays(np.atleast_1d(np.asarray(p_a, dtype=float)), np.asarray(p_b, dtype=float))
-    p_a, p_b = p_a.astype(np.longdouble), p_b.astype(np.longdouble)
-
-    def block(sub: Rows, sl: slice):
-        x, y = p_a[sl], p_b[sl]
-        log_v, log_u = _symmetric_bases(system, x, y)
-        shift, total, s_mean, s_var = _polynomial(sub, log_v, log_u)
-        with np.errstate(divide="ignore"):
-            log_total = np.log(total)
-        firsts = ((x, y), (y, x))
-        log_weight = np.stack([_log_prefactor(system, sub, a, b, log_v) + shift + log_total for a, b in firsts], axis=1)
-        return log_weight, sub.j0[:, None] + (~sub.server_last)[:, None] + s_mean, s_var
-
-    return Evaluation(*_blocked(rows, p_a.size, [(2,), (), ()], block))
 
 
 @dataclass(frozen=True)
@@ -381,31 +321,52 @@ def servers(config: GameConfig, server: Player | None = None) -> tuple[float, fl
     return float(expect(server, Player, "server") is Player.A), float(server is Player.B)
 
 
-def shift_laws(system: ScoringSystem, rows: Rows, q: float) -> np.ndarray:
-    """law[row, s] of the shift s = delta + 2j given each tally of `rows` at
-    exchange probability q: the normalized terms of the row's interruption
-    polynomial, placed at their shifts (the tally's probability factors out
-    of them, so the law is defined at q = 0 too, all its mass on the fewest
-    interruptions); 0 under rally-point scoring.  With R = j + delta the
-    interruption count, s = 2R - delta."""
-    if system is ScoringSystem.RALLY_POINT:
-        return np.ones((len(rows.alpha), 1))
-    terms, delta = _scaled_terms(rows, _log(np.array([q])), None)[1][:, :, 0], ~rows.server_last
-    law = terms / terms.sum(axis=1, keepdims=True)
-    s = delta[:, None] + 2 * (rows.j0[:, None] + np.arange(law.shape[1]))
-    out = np.zeros((len(law), int(s.max()) + 1))
-    out[np.arange(len(law))[:, None], s] = law  # zero past a row's top
-    return out[:, : int((delta + 2 * rows.top).max()) + 1]
-
-
 def _ends(system: ScoringSystem, rows: Rows, p_a, p_b) -> Game:
-    """A table's rows as components, from one kernel evaluation."""
-    ev = evaluate_servers(system, rows, p_a, p_b)
-    mean = var = np.zeros_like(ev.r_var)
+    """A table's rows as components at each point of the arrays (p_a, p_b),
+    from one kernel evaluation: the probability of every tally in games
+    first served by A and by B, (rows, 2 first servers, points), formed as
+    a logarithm that stays finite where it underflows.  The polynomial, and
+    with it the law of the interruption count R given each tally, is
+    symmetric in the players, so it is evaluated once: the moments of the
+    shift have shape (rows, points) and hold for both first servers.  The
+    law of R comes from the polynomial's terms alone, so it stays defined
+    where a factor common to all terms (and with it the tally's
+    probability) vanishes; where every term vanishes its moments read 0.
+    Each point's results are the same to the last bit whatever other
+    points are evaluated with it."""
+    # The bases are formed in extended precision (where the platform has
+    # it), so each logarithm is the rounded logarithm of the exact base; a
+    # base rounded to double, such as 1 - p, errs by half an ulp per power.
+    p_a, p_b = np.broadcast_arrays(np.atleast_1d(np.asarray(p_a, np.longdouble)), np.asarray(p_b, np.longdouble))
+
+    def block(sub: Rows, sl: slice):
+        x, y = p_a[sl], p_b[sl]
+        log_v, log_u = _symmetric_bases(system, x, y)
+        shift, total, s_mean, s_var = _polynomial(sub, log_v, log_u)
+        log_total, firsts = _log(total), ((x, y), (y, x))
+        log_weight = np.stack([_log_prefactor(system, sub, a, b, log_v) + shift + log_total for a, b in firsts], axis=1)
+        return log_weight, sub.j0[:, None] + (~sub.server_last)[:, None] + s_mean, s_var
+
+    log_weight, r_mean, r_var = _blocked(rows, p_a.size, [(2,), (), ()], block)
+    mean = var = np.zeros_like(r_var)
     if system is ScoringSystem.SIDE_OUT:
         # s = 2R - delta from the interruption count R = j + delta
-        mean, var = 2.0 * ev.r_mean - (~rows.server_last)[:, None], 4.0 * ev.r_var
-    return Game(rows.alpha, rows.beta, ev.weight, mean, var, lambda q: shift_laws(system, rows, q))
+        mean, var = 2.0 * r_mean - (~rows.server_last)[:, None], 4.0 * r_var
+
+    def row_laws(q: float) -> np.ndarray:
+        # the normalized terms of each row's polynomial at q, placed at their
+        # shifts; the tally's probability factors out of them, so the law is
+        # defined at q = 0 too, all its mass on the fewest interruptions
+        if system is ScoringSystem.RALLY_POINT:
+            return np.ones((len(rows.alpha), 1))
+        terms, delta = _scaled_terms(rows, _log(np.array([q])), None)[1][:, :, 0], ~rows.server_last
+        law = terms / terms.sum(axis=1, keepdims=True)
+        s = delta[:, None] + 2 * (rows.j0[:, None] + np.arange(law.shape[1]))
+        out = np.zeros((len(law), int(s.max()) + 1))
+        out[np.arange(len(law))[:, None], s] = law  # zero past a row's top
+        return out[:, : int((delta + 2 * rows.top).max()) + 1]
+
+    return Game(rows.alpha, rows.beta, np.exp(log_weight), mean, var, row_laws)
 
 
 def game(config: GameConfig, p_a, p_b) -> Game:
@@ -449,13 +410,13 @@ def _game(system: ScoringSystem, n: int, ell: int | None, p_a, p_b) -> Game:
         tie.shift_var[t] + ext.shift_var[e],
     ]
 
-    def shift_laws(q: float) -> np.ndarray:
+    def component_laws(q: float) -> np.ndarray:
         lt, le, lr = tie.shift_laws(q), ext.shift_laws(q), ends.shift_laws(q)[keep]
         laws = np.array([np.convolve(lt[i], le[j]) for i, j in zip(t, e)])
         return np.concatenate([np.pad(lr, ((0, 0), (0, laws.shape[1] - lr.shape[1]))), laws])
 
     regular = [ends.alpha, ends.beta, ends.weight, ends.shift_mean, ends.shift_var]
-    return Game(*(np.concatenate([x[keep], y]) for x, y in zip(regular, pairs)), shift_laws)
+    return Game(*(np.concatenate([x[keep], y]) for x, y in zip(regular, pairs)), component_laws)
 
 
 def interruption_polynomial(rows: Rows, q) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -280,6 +280,7 @@ def _report(games: dict[Player, dict[int, int]]) -> EstimatorReport:
 def report_from_sample(sample: GameSample) -> EstimatorReport:
     """The estimators of `run_experiment` from a sample of games: equal to
     its report when the sample is `sample_games` of the same arguments."""
+    expect(sample, GameSample, "sample")
     return _report({
         p: dict(enumerate(np.bincount(sample.duration[mask]).tolist()))
         for p, mask in ((Player.A, sample.winner_a), (Player.B, ~sample.winner_a))

@@ -455,7 +455,7 @@ def _table_weights(probs, config):
     """`kernel.table(n)` of a game without a tie-break and its rows'
     probabilities weight[i, r] when A (i = 0) or B (i = 1) serves first."""
     rows = kernel.table(config.n)
-    return rows, kernel.evaluate_servers(config.system, rows, probs.p_a, probs.p_b).weight[:, :, 0].T
+    return rows, kernel._ends(config.system, rows, probs.p_a, probs.p_b).weight[:, :, 0].T
 
 
 def _row_coef(weight, server, winner, s_a):
@@ -1135,7 +1135,7 @@ class RecordLikelihood:
                         f"{first.value} (wrong parity or too short)"
                     )
                 # H(m) vanishes below the tally's fewest interruption pairs
-                if span // 2 < kernel.tally(a, b, server_last).j0[0]:
+                if span // 2 < kernel.tallies([(a, b, server_last)]).j0[0]:
                     raise InfeasibleData(f"record {i}: duration {duration} carries zero probability")
                 spans.append(span // 2)
             tallies.setdefault((a, b, server_last), []).append(i)
@@ -1143,7 +1143,7 @@ class RecordLikelihood:
             m = np.array(spans)
             log_h_values = np.empty(len(m))
             for key, which in tallies.items():
-                log_h_values[which] = estimate._log_h(kernel.tally(*key), m[which])
+                log_h_values[which] = estimate._log_h(kernel.tallies([key]), m[which])
             self.m = int(m.sum())
             self.log_h_total = float(np.add.accumulate(log_h_values)[-1])  # in record order
         else:
@@ -1244,9 +1244,9 @@ def reference_newton(lik, model, lo, hi):
 def per_server_e_step(records):
     """The score-only E-step of a record batch as a function of the arrays
     (p_a, p_b): log-likelihood and the mean and variance of the extra rally
-    pairs M, from one whole-table kernel evaluation per target score and
-    first server, (p_a, p_b) for A-first games and (p_b, p_a) for B-first
-    ones, contracted with the tally counts.  The form the q-only E-step
+    pairs M, from the game table of each target score (`kernel.game`, one
+    whole-table kernel evaluation), its components' weights per first
+    server contracted with the tally counts.  The form the q-only E-step
     replaced, kept as a reference for it."""
     k = [0, 0, 0, 0]  # exponents of log p_a, log q_a, log p_b, log q_b, less m
     tallies = {}  # n -> counts over (kernel.table(n) rows, first server)
@@ -1266,10 +1266,13 @@ def per_server_e_step(records):
         p_a, p_b = np.broadcast_arrays(np.atleast_1d(np.asarray(p_a, dtype=float)), np.asarray(p_b, dtype=float))
         sums = 0.0
         for n, counts in tallies.items():
-            ev = kernel.evaluate_servers(ScoringSystem.SIDE_OUT, kernel.table(n), p_a, p_b)
-            # the law of R given a tally is the same for both first servers
-            moments = np.broadcast_arrays(ev.r_mean[:, None], ev.r_var[:, None], ev.log_weight)[:2]
-            by_server = np.stack([ev.log_weight, *moments])
+            game = kernel.game(GameConfig(n), p_a, p_b)
+            # the law of R = (s + delta) / 2 given a tally, from that of the
+            # shift s, is the same for both first servers
+            log_weight, delta = np.log(game.weight), (game.alpha < game.beta)[:, None]
+            r_mean, r_var = (game.shift_mean + delta) / 2.0, game.shift_var / 4.0
+            moments = np.broadcast_arrays(r_mean[:, None], r_var[:, None], log_weight)[:2]
+            by_server = np.stack([log_weight, *moments])
             sums = sums + np.einsum("rs,xrsp->xp", counts, by_server)
         k_pa, k_qa, k_pb, k_qb = k
         one_minus_q = p_a + (1.0 - p_a) * p_b

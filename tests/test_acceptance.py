@@ -282,10 +282,11 @@ def test_criterion_10_structural_invariants():
                     ok = False
                     notes.append(f"Anderson invariance failed at ({pa:.1f},{pb:.1f},M={m})")
 
-    # MGF finite differences vs closed-form moments (Richardson, h = 1e-4)
-    def fd(a, b, c, q, h=1e-4):
+    # MGF finite differences vs closed-form moments (Richardson, h = 1e-4) at
+    # every end of a game to 15 first served by A
+    def fd(pr, score, h=1e-4):
         def m(t):
-            return duration.mgf_conditional(a, b, c, q, 1.0 - q, t)
+            return duration.score_mgf(pr, GameConfig(n=15), score, t)
 
         def d1(hh):
             return (m(hh) - m(-hh)) / (2 * hh)
@@ -299,15 +300,12 @@ def test_criterion_10_structural_invariants():
 
     worst = 0.0
     for q in (0.2, 0.6):
-        for a in range(0, 16):
-            for b in range(0, 15):
-                for c in (A, B):
-                    if (c is A and a < 1) or (c is B and b < 1) or a + b > 29:
-                        continue
-                    want = tally_moments(a, b, c, q)
-                    e, v = want.mean, want.variance
-                    fe, fv = fd(a, b, c, q)
-                    worst = max(worst, abs(fe - e) / max(1, abs(e)), abs(fv - v) / max(1, abs(v)))
+        pr = at_q(q)
+        for score in sideout.score_distribution(pr, GameConfig(n=15)).entries:
+            want = tally_moments(score.alpha, score.beta, score.last_scorer, pr.q)
+            e, v = want.mean, want.variance
+            fe, fv = fd(pr, score)
+            worst = max(worst, abs(fe - e) / max(1, abs(e)), abs(fv - v) / max(1, abs(v)))
     if worst > 1e-6:
         ok = False
         notes.append(f"MGF fd gap {worst:.2e}")

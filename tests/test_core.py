@@ -80,7 +80,12 @@ class TestValidate:
 
     def test_q_equal_one_rejected_for_exact(self):
         with pytest.raises(DomainError, match="never terminates"):
-            validate(RallyProbs(0.0, 0.0))
+            validate(RallyProbs(0.0, 0.0), GameConfig(n=15))
+
+    @pytest.mark.parametrize("config", [None, 15, "15"])
+    def test_config_is_required_and_checked(self, config):
+        with pytest.raises(DomainError, match="config=.* must be a GameConfig"):
+            validate(RallyProbs(0.5, 0.5), config)
 
 
 class TestConfigs:

@@ -49,8 +49,11 @@ LADDER = GameConfig(n=15, s_a=0.5)  # the game of the duration-tail benchmark
 
 def interruption_law(alpha, beta, last, q):
     """(r, weights) of the interruption count R given an A-game tally, read
-    off the kernel's shift law of the tally: the shift is s = 2r - delta."""
-    law = kernel.shift_laws(ScoringSystem.SIDE_OUT, kernel.tally(alpha, beta, last is A), q)[0]
+    off the shift law of the tally as a game-table component (`kernel._ends`;
+    the law depends on q alone, whatever the rally probabilities): the
+    shift is s = 2r - delta."""
+    rows = kernel.tallies([(alpha, beta, last is A)])
+    law = kernel._ends(ScoringSystem.SIDE_OUT, rows, 0.5, 0.5).shift_laws(q)[0]
     s = np.flatnonzero(law)
     return (s + int(last is B)) // 2, law[s]
 
@@ -101,7 +104,7 @@ class TestInterruptionWeights:
         # the variance the per-tally and game-level moments read: at q =
         # 1e-9 it is 6.3e-8 about a mean of 1, and E[R^2] - E[R]^2 would
         # lose 2e-9 of it
-        _, _, var = kernel.interruption_polynomial(kernel.tally(15, 10, True), q)
+        _, _, var = kernel.interruption_polynomial(kernel.tallies([(15, 10, True)]), q)
         with mpmath.workdps(50):
             w = {j: math.comb(15, j) * math.comb(9, j - 1) * mpmath.mpf(q) ** j for j in range(1, 11)}
             mean = mpmath.fsum(j * x for j, x in w.items()) / mpmath.fsum(w.values())
@@ -135,39 +138,78 @@ class TestInterruptionWeights:
             assert abs(obs - weight) < 3.5 * sd
 
 
+def richardson_moments(mgf, h=1e-4):
+    """Mean and variance from Richardson-extrapolated central differences
+    of an MGF at 0, at steps h and h/2."""
+
+    def d1(hh):
+        return (mgf(hh) - mgf(-hh)) / (2 * hh)
+
+    def d2(hh):
+        return (mgf(hh) - 2 * mgf(0.0) + mgf(-hh)) / (hh * hh)
+
+    mean = (4 * d1(h / 2) - d1(h)) / 3
+    return mean, (4 * d2(h / 2) - d2(h)) / 3 - mean * mean
+
+
+# (probs, config, end score) of the MGF's cases: regular ends won by either
+# side, an end of a tie-break's extension (reached by either tying scorer),
+# a rally-point end, a mixed first server and a long game near q = 1
+MGF_CASES = [
+    (RallyProbs(0.6, 0.5), GameConfig(n=15), (15, 9)),
+    (RallyProbs(0.6, 0.5), GameConfig(n=15), (10, 15)),
+    (RallyProbs(0.4, 0.6), GameConfig(n=9, tiebreak=3), (11, 9)),
+    (RallyProbs(0.55, 0.45), GameConfig(n=21, system=ScoringSystem.RALLY_POINT), (21, 17)),
+    (RallyProbs(0.6, 0.5), GameConfig(n=15, s_a=0.3), (13, 15)),
+    (RallyProbs(0.05, 0.05), GameConfig(n=15, s_a=0.5), (15, 12)),
+]
+
+
 class TestMGF:
-    def test_normalization_at_zero(self):
-        for a, b, c in [(15, 3, A), (3, 15, B), (1, 1, A), (4, 0, A)]:
-            assert duration.mgf_conditional(a, b, c, 0.3, 0.7, 0.0) == pytest.approx(1.0, abs=1e-13)
+    @pytest.mark.parametrize("probs, config, score", MGF_CASES)
+    def test_normalization_at_zero(self, probs, config, score):
+        assert duration.score_mgf(probs, config, score, 0.0) == pytest.approx(1.0, abs=1e-13)
 
     def test_shutout_closed_form(self):
-        q, t, n = 0.35, 0.1, 6
+        # A serves first and wins n-0 on serve: n points with their exchanges
+        pr, t, n = RallyProbs(0.5, 0.3), 0.1, 6
+        q = pr.q
         expect = ((1 - q) * np.exp(t) / (1 - q * np.exp(2 * t))) ** n
-        assert duration.mgf_conditional(n, 0, A, q, 1 - q, t) == pytest.approx(expect, rel=1e-13)
+        assert duration.score_mgf(pr, GameConfig(n=n), (n, 0), t) == pytest.approx(expect, rel=1e-13)
+
+    def test_rally_point_is_the_points_alone(self):
+        pr, cfg, t = RallyProbs(0.55, 0.45), GameConfig(n=21, system=ScoringSystem.RALLY_POINT), 0.01
+        assert duration.score_mgf(pr, cfg, (21, 17), t) == pytest.approx(math.exp(38 * t), rel=1e-15)
 
     @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
     def test_non_finite_t_is_a_domain_error(self, t):
         # at t = -inf the shift law's sum would be NaN: e^(t * 0)
         with pytest.raises(DomainError, match="not finite"):
-            duration.mgf_conditional(3, 2, A, 0.3, 0.7, t)
+            duration.score_mgf(RallyProbs(0.6, 0.5), GameConfig(n=5), (5, 3), t)
+
+    @pytest.mark.parametrize("t", ["0.1", None, (0.1,), 1j])
+    def test_non_real_t_is_a_domain_error(self, t):
+        with pytest.raises(DomainError, match="t=.* must be a Real"):
+            duration.score_mgf(RallyProbs(0.6, 0.5), GameConfig(n=5), (5, 3), t)
 
     def test_divergence_outside_domain(self):
         with pytest.raises(DomainError, match="diverges"):
-            duration.mgf_conditional(5, 3, A, 0.5, 0.5, 0.4)  # q e^{2t} > 1
+            duration.score_mgf(RallyProbs(0.3, 0.3), GameConfig(n=5), (5, 3), 0.4)  # q e^{2t} > 1
 
     @pytest.mark.parametrize("t", [200.0, 400.0])
     def test_overflow_is_a_domain_error(self, t):
-        # at q = 0 every t is in the domain, but the MGF overflows a double:
-        # in the power at t = 200, in e^(2t) - 1 at t = 400
+        # at p_a = 1, q = 0: every t is in the domain, but the MGF e^(7t) of
+        # a 7-0 shutout overflows a double: in the power at t = 200, in
+        # e^(2t) - 1 at t = 400
         with pytest.raises(DomainError, match="overflows"):
-            duration.mgf_conditional(3, 2, A, 0.0, 1.0, t)
+            duration.score_mgf(RallyProbs(1.0, 0.5), GameConfig(n=7), (7, 0), t)
 
     def test_large_value_in_range(self):
-        # at q = 0 the shift is 2 surely, so the MGF is e^(7t): near the
-        # largest double at t = 100, and the same value as before the
-        # overflow check
-        got = duration.mgf_conditional(3, 2, A, 0.0, 1.0, 100.0)
-        assert got == 1.0142320547350047e304
+        # at q = 0 a 7-0 shutout takes 7 rallies surely, so the MGF is
+        # e^(7t): near the largest double at t = 100, and the same value as
+        # before the overflow check
+        got = duration.score_mgf(RallyProbs(1.0, 0.5), GameConfig(n=7), (7, 0), 100.0)
+        assert got == 1.014232054735005e304
         assert got == pytest.approx(math.exp(700.0), rel=1e-15)
 
     @pytest.mark.parametrize("t", [-0.5, -1e-4, 2e-7, 9e-7])
@@ -176,7 +218,7 @@ class TestMGF:
         # p_a = p_b = 1e-6: 1.0 - q keeps 10 digits, and 1 - q e^(2t) fewer
         # still as t nears -log(q) / 2 = 1e-6
         pr = RallyProbs(1e-6, 1e-6)
-        got = duration.mgf_conditional(a, b, c, pr.q, pr.p_a + pr.q_a * pr.p_b, t)
+        got = duration.score_mgf(pr, GameConfig(n=15), (a, b), t)
         with mpmath.workdps(50):
             p, t_mp = mpmath.mpf(pr.p_a), mpmath.mpf(t)
             q = (1 - p) ** 2
@@ -190,32 +232,26 @@ class TestMGF:
             want = base * sum(wt * mpmath.exp(t_mp * (2 * r - delta)) for r, wt in w.items()) / sum(w.values())
         assert got == pytest.approx(float(want), rel=1e-12)
 
+    @pytest.mark.parametrize("probs, config, score", MGF_CASES)
+    def test_finite_differences_match_score_moments(self, probs, config, score):
+        # a step of 0.004 / E[D] keeps the truncation below the rounding,
+        # which the variance takes from E[D^2] - E[D]^2
+        m = duration.score_moments(probs, config, score)
+        mean, var = richardson_moments(lambda t: duration.score_mgf(probs, config, score, t), 4e-3 / m.mean)
+        assert mean == pytest.approx(m.mean, rel=1e-10)
+        assert abs(var - m.variance) <= 1e-8 * (m.variance + m.mean**2)
+
     @pytest.mark.parametrize("q", [0.2, 0.6])
     def test_finite_differences_match_closed_moments(self, q):
-        # Richardson-extrapolated central differences at h = 1e-4
-        def fd(a, b, c, h=1e-4):
-            def m(t):
-                return duration.mgf_conditional(a, b, c, q, 1 - q, t)
-
-            def d1(hh):
-                return (m(hh) - m(-hh)) / (2 * hh)
-
-            def d2(hh):
-                return (m(hh) - 2 * m(0.0) + m(-hh)) / (hh * hh)
-
-            mean = (4 * d1(h / 2) - d1(h)) / 3
-            second = (4 * d2(h / 2) - d2(h)) / 3
-            return mean, second - mean * mean
-
-        for a in range(0, 16, 3):
-            for b in range(0, 15, 3):
-                for c in (A, B):
-                    if (c is A and a < 1) or (c is B and b < 1) or a + b > 29:
-                        continue
-                    m = tally_moments(a, b, c, q)
-                    fe, fv = fd(a, b, c)
-                    assert abs(fe - m.mean) / max(1.0, abs(m.mean)) < 1e-6
-                    assert abs(fv - m.variance) / max(1.0, abs(m.variance)) < 1e-6
+        # every end of a game to 15 first served by A, against the moments
+        # of the oracle's law of the interruption power
+        pr = at_q(q)
+        for score in sideout.score_distribution(pr, GameConfig(n=15)).entries:
+            a, b, c = score.alpha, score.beta, score.last_scorer
+            mean, var = richardson_moments(lambda t: duration.score_mgf(pr, GameConfig(n=15), score, t))
+            m = tally_moments(a, b, c, pr.q)
+            assert abs(mean - m.mean) / max(1.0, abs(m.mean)) < 1e-6
+            assert abs(var - m.variance) / max(1.0, abs(m.variance)) < 1e-6
 
 
 class TestConditionalMoments:
@@ -442,7 +478,7 @@ SCORE_PR = RallyProbs(0.6, 0.5)
     [
         lambda a, b: duration.score_moments(SCORE_PR, GameConfig(n=3), (a, b)).mean,
         lambda a, b: duration.score_moments(SCORE_PR, GameConfig(n=3), (a, b)).variance,
-        lambda a, b: duration.mgf_conditional(a, b, A, 0.3, 0.7, 0.1),
+        lambda a, b: duration.score_mgf(SCORE_PR, GameConfig(n=3), (a, b), 0.1),
         lambda a, b: duration.score_pmf(SCORE_PR, GameConfig(n=3, s_a=1.0), (a, b)),
         lambda a, b: duration.score_pmf(SCORE_PR, GameConfig(n=3, s_a=0.0), (a, b)),
         # the probability of an end score is keyed by its TerminalScore
@@ -555,10 +591,8 @@ class TestGridMoments:
 
 
 def test_numpy_integer_scores_are_scores():
-    assert duration.mgf_conditional(np.int64(3), np.int64(2), A, 0.3, 0.7, 0.1) == (
-        duration.mgf_conditional(3, 2, A, 0.3, 0.7, 0.1)
-    )
     pr, cfg = RallyProbs(0.6, 0.5), GameConfig(n=3)
+    assert duration.score_mgf(pr, cfg, (np.int64(3), np.int64(2)), 0.1) == duration.score_mgf(pr, cfg, (3, 2), 0.1)
     assert duration.score_moments(pr, cfg, (np.int64(3), np.int64(2))) == duration.score_moments(pr, cfg, (3, 2))
 
 
@@ -944,7 +978,7 @@ class TestWinnerPMF:
 @pytest.mark.parametrize(
     "law",
     [
-        lambda last, pr: duration.mgf_conditional(5, 3, last, pr.q, 1.0 - pr.q, 0.1),
+        lambda last, pr: duration.score_mgf(pr, GameConfig(n=5), TerminalScore(5, 3, last), 0.1),
         lambda last, pr: TerminalScore(5, 3, last),
         lambda last, pr: sideout.score_distribution(pr, GameConfig(n=5), A).entries[TerminalScore(5, 3, last)],
         lambda last, pr: rallypoint.score_distribution(pr, GameConfig(n=5, system=ScoringSystem.RALLY_POINT), A).entries[

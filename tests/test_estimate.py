@@ -1,3 +1,4 @@
+import functools
 import io
 import json
 import math
@@ -20,7 +21,7 @@ from rallystats import (
     SeedSpec,
     TerminalScore,
 )
-from rallystats import duration, estimate, kernel, simulate
+from rallystats import estimate, kernel, simulate
 from rallystats.estimate import FitMode, FitModel
 
 from oracles import (
@@ -181,7 +182,7 @@ class TestJointLikelihood:
                     win, lose = (a, b) if last is A else (b, a)
                     if win <= lose:
                         continue
-                    got = estimate._log_h(kernel.tally(a, b, last is A), ms)
+                    got = estimate._log_h(kernel.tallies([(a, b, last is A)]), ms)
                     for m, value in zip(ms, got):
                         exact = exact_h_count(a, b, last, m)
                         if exact == 0:
@@ -198,7 +199,7 @@ class TestJointLikelihood:
             for first, alpha, beta, last, d in record_rows(records):
                 a, b = (beta, alpha) if first is B else (alpha, beta)
                 server_last = last is first
-                rows.append(kernel.tally(a, b, server_last))
+                rows.append(kernel.tallies([(a, b, server_last)]))
                 ms.append((d - a - b - (0 if server_last else 1)) // 2)
             want = np.array([log_h(t, m) for t, m in zip(rows, ms)])
             got = np.array([estimate._log_h(t, [m])[0] for t, m in zip(rows, ms)])
@@ -612,10 +613,10 @@ class TestRecordsIO:
         with pytest.raises(InfeasibleData) as got:
             estimate.records_from_json_lines(["", line])
         assert str(got.value) == f"record 0: cannot parse ({want.value})"
-        # the kernel reads an A-first tally as this terminal score: the same error
-        with pytest.raises(DomainError) as tally:
-            duration.mgf_conditional(alpha, beta, Player(last), 0.3, 0.7, 0.1)
-        assert str(tally.value) == str(want.value)
+        # a record batch checks its scores as this terminal score: the same error
+        with pytest.raises(DomainError) as batch:
+            make_batch((A, alpha, beta, Player(last)))
+        assert str(batch.value) == f"record 0: {want.value}"
 
     @pytest.mark.parametrize("field, value", [("alpha", 15.9), ("beta", "3"), ("duration", 40.5), ("alpha", True)])
     def test_non_integral_count_rejected(self, field, value):
@@ -789,7 +790,7 @@ class TestStartGridCache:
     def test_cached_rows_equal_one_kernel_call(self):
         # rows filled in three batches (all misses, some, none) against one
         # kernel call over every tally, bit for bit
-        estimate._start_grid.cache_clear()
+        estimate._grid_row.cache_clear()
         batches = [random_batch(seed) for seed in (60, 61, 62, 60)]
         for model in FitModel:
             seen = {}
@@ -799,10 +800,9 @@ class TestStartGridCache:
                 lik.grid_e_step(model)
             grid = estimate._start_grid(model)
             tallies = list(seen)
-            assert set(grid.rows) == set(tallies)
             want = np.stack(kernel.interruption_polynomial(kernel.tallies(tallies), grid.q), axis=1)
-            assert np.array_equal(grid.polynomial(tallies), want)
-            assert np.array_equal(grid.polynomial(tallies[::-1]), want[::-1])
+            assert np.array_equal(np.stack([estimate._grid_row(model, t) for t in tallies]), want)
+        assert estimate._grid_row.cache_info().currsize == 2 * len(tallies)
 
     @pytest.mark.parametrize("model", list(FitModel))
     def test_grid_e_step_equals_e_step_on_the_grid(self, model):
@@ -814,70 +814,25 @@ class TestStartGridCache:
     def test_cold_and_warm_fits_equal(self, monkeypatch):
         batches = [random_batch(seed) for seed in range(65, 71)]
         for model in FitModel:
-            estimate._start_grid.cache_clear()
+            estimate._grid_row.cache_clear()
             cold = []
             for batch in batches:
-                estimate._start_grid.cache_clear()
+                estimate._grid_row.cache_clear()
                 cold.append(estimate.fit(batch, FitMode.SCORE_ONLY, model))
             warm = [estimate.fit(batch, FitMode.SCORE_ONLY, model) for batch in batches]
-            monkeypatch.setattr(estimate, "_GRID_ROWS", 8)  # a full cache starts again
-            estimate._start_grid.cache_clear()
-            small = []
-            for batch in batches:
-                small.append(estimate.fit(batch, FitMode.SCORE_ONLY, model))
-                tallies = estimate._Likelihood(batch, FitMode.SCORE_ONLY).tallies
-                assert len(estimate._start_grid(model).rows) <= max(8, len(tallies))
+            # a cache of 8 rows evicts most of a batch's rows while it fits
+            monkeypatch.setattr(estimate, "_grid_row", functools.lru_cache(maxsize=8)(estimate._grid_row.__wrapped__))
+            small = [estimate.fit(batch, FitMode.SCORE_ONLY, model) for batch in batches]
+            assert estimate._grid_row.cache_info().currsize <= 8
             monkeypatch.undo()
             assert cold == warm == small
 
-    def test_an_eviction_by_another_thread_takes_no_row_away(self, monkeypatch):
-        # a call held inside its kernel evaluation while another thread fills
-        # the cache past its size, which clears it, still stacks every row
-        # it found cached before
-        warm = [(7, k, True) for k in range(7)]
-        batch = warm + [(k, 7, False) for k in range(7)]
-        other = [(9, k, True) for k in range(8)]
-        monkeypatch.setattr(estimate, "_GRID_ROWS", len(batch))
-        estimate._start_grid.cache_clear()
-        grid = estimate._start_grid(FitModel.SERVER)
-        grid.polynomial(warm)
-        real, entered, go, out = kernel.interruption_polynomial, threading.Event(), threading.Event(), {}
-
-        def held(rows, q):
-            if threading.current_thread() is worker:
-                entered.set()
-                go.wait(30)
-            return real(rows, q)
-
-        def run():
-            try:
-                out["rows"] = grid.polynomial(batch)
-            except Exception as exc:  # raised again below
-                out["error"] = exc
-
-        monkeypatch.setattr(kernel, "interruption_polynomial", held)
-        worker = threading.Thread(target=run)
-        worker.start()
-        try:
-            assert entered.wait(30)
-            grid.polynomial(other)
-            assert not set(warm) & set(grid.rows)
-        finally:
-            go.set()
-            worker.join(30)
-        assert not worker.is_alive()
-        if "error" in out:
-            raise out["error"]
-        assert np.array_equal(out["rows"], np.stack(real(kernel.tallies(batch), grid.q), axis=1))
-        estimate._start_grid.cache_clear()
-
     def test_concurrent_fits_equal_serial_ones(self, monkeypatch):
-        # four threads that fill and clear a small cache while switching often;
-        # a row cleared under a call would raise KeyError or change its fit
+        # four threads that fill and evict a small cache while switching often;
+        # a row evicted under a call would change its fit
         batches = [simulated_records(0.6, 0.5, n, 40, SeedSpec(153, n)) for n in range(7, 22)]
         serial = [estimate.fit(b, FitMode.SCORE_ONLY) for b in batches]
-        monkeypatch.setattr(estimate, "_GRID_ROWS", 40)
-        estimate._start_grid.cache_clear()
+        monkeypatch.setattr(estimate, "_grid_row", functools.lru_cache(maxsize=40)(estimate._grid_row.__wrapped__))
         results, interval = {}, sys.getswitchinterval()
 
         def run(k):
@@ -901,17 +856,21 @@ class TestStartGridCache:
                 raise got
             assert got == [serial[(k + i) % len(batches)] for i in range(30)]
         assert len(results) == 4
-        estimate._start_grid.cache_clear()
 
     def test_cached_arrays_are_read_only(self):
-        estimate.fit(random_batch(72), FitMode.SCORE_ONLY)
+        batch = random_batch(72)
+        estimate.fit(batch, FitMode.SCORE_ONLY)
         grid = estimate._start_grid(FitModel.SERVER)
-        arrays = [grid.theta, grid.q, grid.where, *grid.bases, *grid.rows.values()]
+        rows = [estimate._grid_row(FitModel.SERVER, t) for t in estimate._Likelihood(batch, FitMode.SCORE_ONLY).tallies]
+        arrays = [grid.theta, grid.q, grid.where, *grid.bases, *rows]
         assert arrays and not any(a.flags.writeable for a in arrays)
         with pytest.raises(ValueError):
-            next(iter(grid.rows.values()))[0, 0] = 0.0
+            rows[0][0, 0] = 0.0
 
     def test_cache_empty_after_import(self):
         # a fresh process: nothing is evaluated at import
-        code = "import rallystats\nfrom rallystats import estimate\nprint(estimate._start_grid.cache_info().currsize)\n"
-        assert fresh_process_output(code) == "0"
+        code = (
+            "import rallystats\nfrom rallystats import estimate\n"
+            "print(estimate._start_grid.cache_info().currsize, estimate._grid_row.cache_info().currsize)\n"
+        )
+        assert fresh_process_output(code) == "0 0"

@@ -17,6 +17,7 @@ from rallystats import (
     ScoringSystem,
     TerminalScore,
     duration,
+    estimate,
     kernel,
     sideout,
 )
@@ -69,7 +70,7 @@ def test_grid_evaluation_matches_per_point_functions(n, system, s_a, points):
     p_a = np.array([pa for pa, _ in points])
     p_b = np.array([pb for _, pb in points])
     config = GameConfig(n=n, system=system, s_a=s_a)
-    weights = kernel.evaluate_servers(system, kernel.table(n), p_a, p_b).weight[:, 0]
+    weights = kernel.game(config, p_a, p_b).weight[:, 0]
     events = duration._event_moments(config, p_a, p_b)
     for i, (pa, pb) in enumerate(points):
         probs = RallyProbs(pa, pb)
@@ -114,7 +115,7 @@ def test_aggregates_have_the_bits_of_the_grid_at_their_point(n, system, s_a):
 def test_kernel_matches_term_by_term_loop(n, rally_point, point):
     pa, pb = point
     system = ScoringSystem.RALLY_POINT if rally_point else ScoringSystem.SIDE_OUT
-    weights = kernel.evaluate_servers(system, kernel.table(n), pa, pb).weight[:, 0, 0]
+    weights = kernel.game(GameConfig(n=n, system=system), pa, pb).weight[:, 0, 0]
     expected = [closed_form_score_prob(n, k, A, pa, pb, rally_point) for k in range(n)]
     expected += [closed_form_score_prob(k, n, B, pa, pb, rally_point) for k in range(n)]
     assert close(weights, expected)
@@ -129,12 +130,13 @@ def test_rare_event_value_against_backward_induction():
 
 def test_log_weight_finite_where_weight_underflows():
     # the 40-0 shutout by a server at 1e-9 against .999 has probability
-    # (p_a / (1 - q))^40, about 1e-360
+    # (p_a / (1 - q))^40, about 1e-360: its weight underflows to 0, and its
+    # logarithm, the score-only likelihood of one such game, stays finite
     p_a, p_b = 1e-9, 0.999
-    ev = kernel.evaluate_servers(ScoringSystem.SIDE_OUT, kernel.table(40), p_a, p_b)
     want = 40 * mpmath.log(mpmath.mpf(p_a) / (p_a + (1 - mpmath.mpf(p_a)) * p_b))
-    assert ev.weight[0, 0, 0] == 0.0
-    assert ev.log_weight[0, 0, 0] == pytest.approx(float(want), rel=1e-14)
+    assert kernel.game(GameConfig(n=40), p_a, p_b).weight[0, 0, 0] == 0.0
+    records = estimate.RecordBatch(np.array([True]), np.array([40]), np.array([0]), np.array([True]), np.array([math.nan]))
+    assert estimate.loglik_score(records, p_a, p_b) == pytest.approx(float(want), rel=1e-14)
 
 
 @pytest.mark.parametrize("system", list(ScoringSystem))
@@ -196,18 +198,18 @@ LOGIT_GRID = 1.0 / (1.0 + np.exp(-np.linspace(-8.0, 8.0, 17)))
 def test_a_point_gets_the_same_bits_alone_in_a_pair_and_in_a_grid(n, system):
     # row sums run in one order whatever the number of points, so no last
     # bit depends on the company a point keeps
-    rows = kernel.table(n)
+    rows, config = kernel.table(n), GameConfig(n=n, system=system)
     grid = np.meshgrid(LOGIT_GRID, LOGIT_GRID)
     p_a, p_b = grid[0].ravel(), grid[1].ravel()
-    whole = kernel.evaluate_servers(system, rows, p_a, p_b)
+    whole = kernel.game(config, p_a, p_b)
     for i in (0, 7, 100, 144, 288):
         pair = [i, (i + 1) % p_a.size]
-        ev_pair = kernel.evaluate_servers(system, rows, p_a[pair], p_b[pair])
-        ev_alone = kernel.evaluate_servers(system, rows, p_a[i], p_b[i])
-        for field in ("log_weight", "r_mean", "r_var"):
+        in_pair = kernel.game(config, p_a[pair], p_b[pair])
+        alone = kernel.game(config, p_a[i], p_b[i])
+        for field in ("weight", "shift_mean", "shift_var"):
             want = getattr(whole, field)[..., i]
-            assert np.array_equal(getattr(ev_pair, field)[..., 0], want), (field, i)
-            assert np.array_equal(getattr(ev_alone, field)[..., 0], want), (field, i)
+            assert np.array_equal(getattr(in_pair, field)[..., 0], want), (field, i)
+            assert np.array_equal(getattr(alone, field)[..., 0], want), (field, i)
     if system is ScoringSystem.SIDE_OUT:
         q = np.asarray(1.0 - p_a, dtype=np.longdouble) * np.asarray(1.0 - p_b, dtype=np.longdouble)
         poly = kernel.interruption_polynomial(rows, q)
@@ -220,20 +222,20 @@ def test_a_point_gets_the_same_bits_alone_in_a_pair_and_in_a_grid(n, system):
 def test_both_first_servers_share_one_polynomial(system):
     # B-first games are A-first games with the players swapped, and the law
     # of R given a tally is the same for both first servers
-    rows = kernel.table(15)
+    config = GameConfig(n=15, system=system)
     p_a, p_b = np.array([1e-9, 0.3, 0.6, 1 - 1e-9]), np.array([0.5, 1 - 1e-9, 0.45, 1e-9])
-    both = kernel.evaluate_servers(system, rows, p_a, p_b)
-    swapped = kernel.evaluate_servers(system, rows, p_b, p_a)
-    assert np.array_equal(both.log_weight[:, ::-1], swapped.log_weight)
-    assert np.array_equal(both.r_mean, swapped.r_mean)
-    assert np.array_equal(both.r_var, swapped.r_var)
+    both = kernel.game(config, p_a, p_b)
+    swapped = kernel.game(config, p_b, p_a)
+    assert np.array_equal(both.weight[:, ::-1], swapped.weight)
+    assert np.array_equal(both.shift_mean, swapped.shift_mean)
+    assert np.array_equal(both.shift_var, swapped.shift_var)
 
 
 @pytest.mark.parametrize("n", [5, 15, 21])
 def test_side_out_weight_is_closed_form_times_polynomial_in_q(n):
     rows = kernel.table(n)
     for p_a, p_b in [(1e-9, 0.4), (0.6, 0.5), (0.3, 1 - 1e-9), (1 - 1e-9, 1 - 1e-9)]:
-        ev = kernel.evaluate_servers(ScoringSystem.SIDE_OUT, rows, p_a, p_b)
+        game = kernel.game(GameConfig(n=n), p_a, p_b)
         q_a, q_b = 1 - mpmath.mpf(p_a), 1 - mpmath.mpf(p_b)
         q = q_a * q_b
         log_p, s_mean, s_var = kernel.interruption_polynomial(rows, np.longdouble(1 - p_a) * np.longdouble(1 - p_b))
@@ -246,9 +248,11 @@ def test_side_out_weight_is_closed_form_times_polynomial_in_q(n):
             for a, b, d, j0 in zip(rows.alpha, rows.beta, receiver_last, rows.j0)
         ]
         # log-weights near 0 (a near-certain tally) are sums of terms of size 20
-        np.testing.assert_allclose(ev.log_weight[:, 0, 0], np.array(closed) + log_p[:, 0], rtol=1e-13, atol=1e-13)
-        assert np.array_equal(ev.r_mean[:, 0], rows.j0 + receiver_last + s_mean[:, 0])
-        assert np.array_equal(ev.r_var[:, 0], s_var[:, 0])
+        np.testing.assert_allclose(np.log(game.weight[:, 0, 0]), np.array(closed) + log_p[:, 0], rtol=1e-13, atol=1e-13)
+        # the shift s = 2R - delta, from the interruption count R = j0 + delta + s
+        r_mean = rows.j0 + receiver_last + s_mean[:, 0]
+        assert np.array_equal(game.shift_mean[:, 0], 2.0 * r_mean - receiver_last)
+        assert np.array_equal(game.shift_var[:, 0], 4.0 * s_var[:, 0])
 
 
 EXCHANGES = np.array([0, 1, 2, 7, 100, 12_345, 10**6, 123_456_789, 10**9, 2**53])

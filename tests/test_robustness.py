@@ -4,6 +4,7 @@ of the package's typed errors, never NaN or inf: edge rally probabilities
 tie-break configurations, the simulator and the estimators fitted to its
 samples."""
 
+import inspect
 import math
 from functools import partial
 
@@ -23,6 +24,7 @@ from rallystats import (
     RallyProbs,
     ScoringSystem,
     SeedSpec,
+    asymptotics,
     duration,
     estimate,
     matchlevel,
@@ -30,6 +32,7 @@ from rallystats import (
     simulate,
     validate,
 )
+from rallystats.asymptotics import Direction
 from rallystats.duration import QuantileMode
 
 from oracles import sample_matches
@@ -94,9 +97,9 @@ def test_finite_values_or_typed_errors(p_a, p_b, n, s_a, system, winner, games_t
 
 
 def check_exact_engines(probs, config, winner, match):
-    """Finite, non-negative values from every exact engine, the laws given
-    each end score and the MGF of single tallies included, or a typed error
-    from each when q = 1; returns whether q < 1."""
+    """Finite, non-negative values from every exact engine, the laws and
+    the MGF given each end score included, or a typed error from each when
+    q = 1; returns whether q < 1."""
     try:
         validate(probs, config)
     except DomainError:
@@ -113,7 +116,7 @@ def check_exact_engines(probs, config, winner, match):
             lambda: sample_matches(probs, config, match, 1, SeedSpec(0)),
             lambda: duration.score_moments(probs, config, (config.n, 0)),
             lambda: duration.score_pmf(probs, config, (config.n, 0)),
-            *mgf_calls(probs, config.n),
+            lambda: duration.score_mgf(probs, config, (config.n, 0), 0.0),
         ]
         for call in calls:
             with pytest.raises(TYPED):
@@ -135,11 +138,11 @@ def check_exact_engines(probs, config, winner, match):
     win = matchlevel.match_win_prob(probs, config, match, winner)
     assert math.isfinite(win) and 0.0 <= win <= 1.0 + 1e-12
     assert finite_non_negative(pmf_values(matchlevel.match_duration_pmf(probs, config, match)))
-    assert finite_non_negative(call() for call in mgf_calls(probs, config.n))
     for score, p in sideout.score_distribution(probs, config).entries.items():
         try:
             m = duration.score_moments(probs, config, (score.alpha, score.beta))
             values = pmf_values(duration.score_pmf(probs, config, (score.alpha, score.beta)))
+            values += [call() for call in mgf_calls(probs, config, (score.alpha, score.beta))]
         except ConditioningError:
             # only an end no game reaches has no conditional law
             assert p <= 1e-300
@@ -148,14 +151,12 @@ def check_exact_engines(probs, config, winner, match):
     return True
 
 
-def mgf_calls(probs, n):
-    """Calls of the MGF of D given a side-out A-game tally, at a shutout, a
-    close end and a receiver's win of a game to n, each at three points of
-    the domain q e^(2t) < 1."""
-    q, one_minus_q = probs.q, probs.p_a + probs.q_a * probs.p_b
+def mgf_calls(probs, config, score):
+    """Calls of the MGF of D given an end score at three points of its
+    domain, q e^(2t) < 1 under side-out scoring."""
+    q = probs.q if config.system is ScoringSystem.SIDE_OUT else 0.0
     ts = (-0.5, 0.0, -math.log(q) / 4 if q > 0.0 else 1.0)
-    tallies = dict.fromkeys([(n, 0, Player.A), (n, n - 1, Player.A), (n - 1, n, Player.B)])
-    return [partial(duration.mgf_conditional, *tally, q, one_minus_q, t) for tally in tallies for t in ts]
+    return [partial(duration.score_mgf, probs, config, score, t) for t in ts]
 
 
 @settings(max_examples=150, deadline=None)
@@ -229,3 +230,56 @@ def test_match_duration_pmf_near_q_one(p):
     assert finite_non_negative(pmf.masses)
     if p == 1e-3:
         assert pmf.mean == pytest.approx(_expected_match_rallies(probs, config, 3), rel=1e-10, abs=0)
+
+
+def _public_functions():
+    """Every public function of the engine modules, by name."""
+    for module in (duration, sideout, matchlevel, simulate, estimate, asymptotics):
+        for name, f in vars(module).items():
+            if inspect.isfunction(f) and not name.startswith("_") and f.__module__ == module.__name__:
+                yield f"{module.__name__.rpartition('.')[2]}.{name}", f
+
+
+WALK_PROBS, WALK_CONFIG = RallyProbs(0.6, 0.5), GameConfig(n=5, s_a=0.5)
+WALK_SAMPLE = simulate.sample_games(WALK_PROBS, WALK_CONFIG, 20, SeedSpec(7))
+WALK_RECORDS = estimate.records_from_sample(WALK_SAMPLE)
+# a valid value of every parameter of the walked functions, by name
+WALK_ARGS = {
+    "probs": WALK_PROBS, "config": WALK_CONFIG, "game_config": WALK_CONFIG, "match_config": MatchConfig(2),
+    "winner": Player.A, "server": Player.B, "score": (5, 3), "t": 0.1, "epsilon": 1e-9, "level": 0.5,
+    "replications": 20, "seed": SeedSpec(7), "matches": 2, "system": ScoringSystem.SIDE_OUT,
+    "direction": Direction.P_TO_1, "n": 5, "sample": WALK_SAMPLE, "records": WALK_RECORDS,
+    "lines": estimate.records_to_json_lines(WALK_RECORDS).splitlines(), "p_a": 0.6, "p_b": 0.5,
+    "points": 5, "law": duration.pre_exchange_laws(WALK_PROBS, WALK_CONFIG)[(Player.A, Player.A)],
+    "pmf": duration.duration_pmf_unconditional(WALK_PROBS, WALK_CONFIG),
+}
+WALK_OVERRIDES = {
+    "duration.grid_moments": {"p_a": np.array([0.6, 0.4]), "p_b": np.array([0.5, 0.5])},
+    "duration.quantile": {"mode": QuantileMode.STANDARD},
+    "estimate.fit": {"mode": estimate.FitMode.SCORE_ONLY, "model": estimate.FitModel.SERVER},
+}
+WALKED = dict(_public_functions())
+
+
+@pytest.mark.parametrize("bad", [None, "x", (1,), object(), math.nan], ids=["None", "str", "tuple", "object", "nan"])
+@pytest.mark.parametrize("name", sorted(WALKED))
+def test_public_functions_refuse_bad_arguments_with_typed_errors(name, bad):
+    # one argument at a time: a typed error, or the documented value of a
+    # None where the signature admits it (`server`, for both first servers)
+    f = WALKED[name]
+    params = inspect.signature(f).parameters
+    valid = {**WALK_ARGS, **WALK_OVERRIDES.get(name, {})}
+    args = {p: valid[p] for p in params}
+    f(**args)  # the valid arguments are accepted
+    wrong = []
+    for p in params:
+        try:
+            f(**{**args, p: bad})
+        except TYPED:
+            continue
+        except Exception as exc:
+            wrong.append(f"{p}: {type(exc).__name__}: {exc}")
+            continue
+        if not (bad is None and "None" in str(params[p].annotation)):
+            wrong.append(f"{p}: returned")
+    assert not wrong, f"{name} with {bad!r}: {wrong}"
