@@ -16,32 +16,38 @@ is k_pa log(p_a/(1-q)) + k_pb log(p_b/(1-q)) + k_qa log q_a + k_qb log q_b
 interruption polynomial (`kernel.interruption_polynomial`).  Only the last
 term needs the kernel, and it depends on (p_a, p_b) through q = q_a q_b
 alone: it is evaluated once per distinct q over the observed tallies,
-and one per Newton point.  The 17 x 17 start grid is fixed, and so are
-its 153 distinct q (transposed points share q): each tally's polynomial
-there is computed once, by one kernel call, and kept read-only in an LRU
-cache of 1024 tallies per model (`_grid_row`), whose bits a batched call
-would give too.  The polynomials also give the mean and
-variance of m, hence the exact score (Fisher's identity) and
-information (Louis's formula) for grid-started projected Newton steps.
+and one per Newton point, whose single q takes the kernel's one-q path
+from bases formed as extended-precision scalars (the same element-wise
+operations and running sums as a grid, so the same bits).  The 17 x 17
+start grid is fixed, and so are its 153 distinct q (transposed points
+share q): each tally's polynomial there is computed once, by one kernel
+call, and kept read-only in an LRU cache of 1024 tallies per model
+(`_grid_row`), whose bits a batched call would give too.  The
+polynomials also give the mean and variance of m, hence the exact score
+(Fisher's identity) and information (Louis's formula) for grid-started
+projected Newton steps.
 
 Records reach the likelihood as a `RecordBatch`, aligned columns that
 `records_from_sample` takes from a simulated batch as they are and
-`records_from_json_lines` parses into; its set-up is column arithmetic,
-and log H(m) of all records is one reduction over one table of exchange
-binomials, formed per set-up at the distinct l the records need, so it
-takes the same memory at any duration (a fit of one record peaks at
-13 kB under `tracemalloc` from 10^3 to 10^9 rallies).  Newton carries
-its iterate, score and information as Python floats and solves the 2 x 2
-(or 1 x 1) system in closed form.  For 200 games to 15 at (.6, .5) on a
-shared 2-core machine, in-process medians of 600 replications: the
-records take 0.03 ms, the score-and-duration set-up 0.6-0.85 ms (log
-H(m) 0.3-0.4 ms of it), the grid step 0.08-0.14 ms from the cached
-polynomials (3.5-6.7 ms cold, when the kernel evaluates each of the
-batch's 29 tallies in turn, against 1.9-3.4 ms for one call over all of
-them in the same runs; a tally pays it once per process) and a Newton
-point 0.1-0.2 ms, nearly all of it the E-step
-(the step's own algebra takes about 0.01 ms); the score-only fit takes
-1.9-2.2 ms and the score-and-duration fit 0.65-0.95 ms.
+`records_from_json_lines` parses into; its set-up is column arithmetic.
+log H(m) depends on the tally and m alone, so it is kept per tally in
+blocks of 64 consecutive m, each a read-only row of an LRU cache of 1024
+rows (`_log_h_block`, 512 B a row) that `_log_h` fills when the block is
+first needed.  A set-up reads each record's value from its row and adds
+the values in record order; each is the reduction of its own terms, so
+it has the bits of a batched `_log_h`.  A block takes the same memory at
+any m (a cold fit of one record peaks at 69 kB under `tracemalloc` from
+10^3 to 10^9 rallies, a warm one at 8 kB).  Newton carries its iterate,
+score and information as Python floats and solves the 2 x 2 (or 1 x 1)
+system in closed form.  For 200 games to 15 at (.6, .5) on a shared
+2-core machine, in-process medians of 600 replications in two processes:
+the score-and-duration set-up takes 0.27-0.36 ms, the grid step
+0.14-0.18 ms from the cached polynomials, a Newton point 0.09-0.12 ms,
+the score-only fit 0.93-1.16 ms and the score-and-duration fit
+0.43-0.55 ms.  A cold cache costs once per tally and process: 5-6.6 ms
+for the grid step of the batch's 29 tallies (one kernel call each) and
+6.8-8.4 ms for its score-and-duration set-up (one `_log_h` call per
+tally and block).
 
 Duration information enters the conditional duration law only through q,
 so in the two-parameter server model the duration term mostly sharpens q;
@@ -78,6 +84,7 @@ _MAX_STEPS = 100
 _STEP_TOL = 1e-10  # logit units
 _GAIN_TOL = 1e-14  # relative to 1 + |log-likelihood|
 _DTYPES = (bool, np.int64, np.int64, bool, float)  # of the `RecordBatch` columns
+_H_BLOCK = 64  # consecutive m per cached row of log H(m)
 
 
 class FitMode(enum.Enum):
@@ -165,7 +172,7 @@ class RecordBatch:
     the final tally (alpha for A, beta for B), whether A scored last, and
     the rally count (NaN where it was not observed); `len` is the number
     of games.  Scores are checked as `TerminalScore` checks them, and
-    durations must be whole numbers or NaN."""
+    durations must be whole numbers of the int64 range, or NaN."""
 
     first_server_a: np.ndarray
     alpha: np.ndarray
@@ -187,14 +194,17 @@ class RecordBatch:
             object.__setattr__(self, name, col)
         _, alpha, beta, last_a, dur = cols
         bad = (alpha < 0) | (beta < 0) | (np.where(last_a, alpha, beta) < 1)
-        bad |= ~np.isnan(dur) & (np.isinf(dur) | (dur != np.floor(dur)))
+        # a rally count is a whole number in the int64 range, as the JSON reader takes it
+        out_of_range = ~np.isnan(dur) & ((dur < -(2.0**63)) | (dur >= 2.0**63))
+        bad |= out_of_range | (~np.isnan(dur) & (dur != np.floor(dur)))
         if bad.any():
             i = int(np.argmax(bad))
             try:
                 TerminalScore(int(alpha[i]), int(beta[i]), Player.A if last_a[i] else Player.B)
             except DomainError as exc:
                 raise DomainError(f"record {i}: {exc}") from None
-            raise DomainError(f"record {i}: duration {dur[i]} is not a whole number")
+            why = "out of range" if out_of_range[i] else "not a whole number"
+            raise DomainError(f"record {i}: duration {dur[i]} is {why}")
 
     def __len__(self) -> int:
         return len(self.alpha)
@@ -208,29 +218,35 @@ def records_from_sample(sample) -> RecordBatch:
     return RecordBatch(sample.first_server_a, sample.alpha, sample.beta, sample.winner_a, sample.duration)
 
 
-def _log_h(rows: kernel.Rows, m, row=0) -> np.ndarray:
-    """log H(m) at each entry of the array m of the tally in row `row` of
-    `rows` (one index, or one per entry): the number-weight of
-    trajectories with m extra rally pairs beyond the scored points, a
-    convolution over the l exchanges of C(a+b+l-1, l) with the kernel
-    coefficient of q^(m-l).  The binomials are one
-    `kernel.log_exchange_binom` table at the distinct l the entries need,
-    read at each entry's points total a+b (a column has the same bits
-    whatever the table's width).  The terms of all entries form one
-    (entries, j) array, -inf outside each entry's j = j0 .. min(top, m),
-    reduced in the order of j; a -inf term leaves a sum of logs unchanged
-    to the last bit, so each entry gets the bits of its own terms alone."""
+def _log_h(rows: kernel.Rows, m) -> np.ndarray:
+    """log H(m) at each entry of the array m of the one tally of `rows`:
+    the number-weight of trajectories with m extra rally pairs beyond the
+    scored points, a convolution over the l exchanges of C(a+b+l-1, l)
+    with the kernel coefficient of q^(m-l).  The binomials are one
+    `kernel.log_exchange_binom` table at the distinct l the entries need.
+    The terms of all entries form one (entries, j) array, -inf outside
+    each entry's j = j0 .. min(top, m), reduced in the order of j; a -inf
+    term leaves a sum of logs unchanged to the last bit, so each entry
+    gets the bits of its own terms alone."""
     m = np.atleast_1d(np.asarray(m))
-    row = np.broadcast_to(row, m.shape)
-    j0, top, points = rows.j0[row], rows.top[row], rows.alpha[row] + rows.beta[row]
-    j = np.arange(int(np.minimum(top, m).max()) + 1)
-    l, s = m[:, None] - j, j - j0[:, None]
+    j0, top, points = int(rows.j0[0]), int(rows.top[0]), int(rows.alpha[0] + rows.beta[0])
+    j = np.arange(min(top, int(m.max())) + 1)
+    l, s = m[:, None] - j, j - j0
     distinct = np.unique(np.maximum(np.unique(m)[:, None] - j, 0))  # every entry's l, from its distinct m
-    binom = kernel.log_exchange_binom(int(points.max()), distinct)
-    log_exchanges = binom[np.searchsorted(distinct, np.maximum(l, 0)), points[:, None] - 1]
-    inside = (s >= 0) & (j <= top[:, None]) & (l >= 0)
-    logc = rows.logc[row[:, None], np.clip(s, 0, rows.logc.shape[1] - 1)]
-    return np.logaddexp.reduce(np.where(inside, log_exchanges + logc, -np.inf), axis=1)
+    log_exchanges = kernel.log_exchange_binom(points, distinct)[np.searchsorted(distinct, np.maximum(l, 0)), -1]
+    logc = rows.logc[0, np.clip(s, 0, rows.logc.shape[1] - 1)]
+    return np.logaddexp.reduce(np.where((s >= 0) & (l >= 0), log_exchanges + logc, -np.inf), axis=1)
+
+
+@functools.lru_cache(maxsize=1024)
+def _log_h_block(tally: tuple[int, int, bool], block: int) -> np.ndarray:
+    """log H(m) of one tally at m = block _H_BLOCK .. (block + 1) _H_BLOCK
+    - 1, read-only (512 B each): the entries `_log_h` gives, each the
+    reduction of its own terms, so a record reads the bits a batched call
+    would give it."""
+    row = _log_h(kernel.tallies([tally]), np.arange(block * _H_BLOCK, (block + 1) * _H_BLOCK))
+    row.setflags(write=False)
+    return row
 
 
 def _infeasible(batch: RecordBatch, i: int, check: int) -> str:
@@ -247,17 +263,19 @@ def _infeasible(batch: RecordBatch, i: int, check: int) -> str:
 
 
 def _bases(p_a, p_b):
-    """q at each point of the arrays (p_a, p_b), and the closed-form terms
-    of the E-step there: log(p_a/(1-q)), log(p_b/(1-q)), log q_a, log q_b,
-    log q, q/(1-q) and q/(1-q)^2.  The bases are exact in extended
-    precision, as in the kernel."""
-    x, y = np.asarray(p_a, dtype=np.longdouble), np.asarray(p_b, dtype=np.longdouble)
+    """q at each point of the arrays (p_a, p_b), or at the point of two
+    floats, and the closed-form terms of the E-step there: log(p_a/(1-q)),
+    log(p_b/(1-q)), log q_a, log q_b, log q, q/(1-q) and q/(1-q)^2.  The
+    bases are exact in extended precision, as in the kernel: arrays of
+    `np.longdouble` for arrays, its scalars for floats."""
+    x, y = np.longdouble(p_a), np.longdouble(p_b)
     q_a, q_b = 1.0 - x, 1.0 - y
-    q = np.atleast_1d(q_a * q_b)
+    q = q_a * q_b
     one_minus_q = x + q_a * y  # does not cancel as q -> 1
-    logs = (np.log(v).astype(float) for v in (x / one_minus_q, y / one_minus_q, q_a, q_b, q))
-    odds = (q / one_minus_q).astype(float)
-    return q, (*logs, odds, (odds / one_minus_q).astype(float))
+    # np.float64 rounds a scalar or an array alike, and a scalar in a fifth of the time of astype
+    logs = (np.float64(np.log(v)) for v in (x / one_minus_q, y / one_minus_q, q_a, q_b, q))
+    odds = np.float64(q / one_minus_q)
+    return q, (*logs, odds, np.float64(odds / one_minus_q))
 
 
 @dataclass(frozen=True)
@@ -311,8 +329,8 @@ class _Likelihood:
         receiver_last = ~server_last
         # exponents of log p_a, log q_a, log p_b, log q_b, less m
         self.k = [
-            int(batch.alpha.sum()), int(np.sum(receiver_last & first_a)),
-            int(batch.beta.sum()), int(np.sum(receiver_last & ~first_a)),
+            int(batch.alpha.sum()), int(np.count_nonzero(receiver_last & first_a)),
+            int(batch.beta.sum()), int(np.count_nonzero(receiver_last & ~first_a)),
         ]
         failed = [np.where(server_last, a <= b, b <= a)]  # the last scorer must lead
         if mode is FitMode.SCORE_DURATION:
@@ -331,12 +349,19 @@ class _Likelihood:
         tally = np.argsort(order)[inverse]
         seen = first[order]
         self.tallies = list(zip(a[seen].tolist(), b[seen].tolist(), server_last[seen].tolist()))
-        self.rows = kernel.tallies(self.tallies)
         if mode is FitMode.SCORE_DURATION:
             m = (span // 2).astype(np.int64)
-            self.m = int(m.sum())  # extra rally pairs
-            self.log_h_total = float(np.add.accumulate(_log_h(self.rows, m, tally))[-1])  # in record order
+            self.m = sum(m.tolist())  # extra rally pairs, a Python int: an int64 sum could wrap
+            # each record's log H(m) from its tally's cached block, the pairs
+            # (block, tally) keyed by one integer that the blocks' ranks keep
+            # in range, and the values added in record order
+            blocks, block = np.unique(m // _H_BLOCK, return_inverse=True)
+            keys, key = np.unique(block * len(self.tallies) + tally, return_inverse=True)
+            blocks, pairs = blocks.tolist(), (divmod(k, len(self.tallies)) for k in keys.tolist())
+            table = np.array([_log_h_block(self.tallies[t], blocks[b]) for b, t in pairs])
+            self.log_h_total = float(np.add.accumulate(table[key, m % _H_BLOCK])[-1])
         else:
+            self.rows = kernel.tallies(self.tallies)
             self.counts = np.bincount(tally).astype(float)
             self.j0_total = float(self.counts @ self.rows.j0)
 
@@ -347,45 +372,60 @@ class _Likelihood:
         NB(alpha + beta, q) exchanges (both totals are exponents in self.k).
         The kernel evaluates the tallies' polynomials once per distinct q (see
         the module notes), and rows add in a fixed order, so a point's
-        results do not depend on the other points."""
+        results do not depend on the other points.  Two floats give three
+        floats, from the kernel's one-q path: the same bits."""
         q, bases = _bases(p_a, p_b)
-        distinct, where = np.unique(q, return_inverse=True) if q.size > 1 else (q, slice(None))
-        return self._combine(bases, np.stack(kernel.interruption_polynomial(self.rows, distinct), axis=1), where)
+        if np.ndim(q) == 0:
+            # a running sum over the rows, in the order the grid's rows add
+            sums = [np.add.accumulate(self.counts * v)[-1] for v in kernel.interruption_polynomial(self.rows, q)]
+            return self._combine(bases, sums)
+        distinct, where = np.unique(q, return_inverse=True)
+        return self._grid_combine(bases, np.stack(kernel.interruption_polynomial(self.rows, distinct), axis=1), where)
 
     def grid_e_step(self, model: FitModel):
         """`e_step` at every point of the model's start grid, from the
         cached rows of the tallies (`_grid_row`), stacked in first-seen
         order: the same bits."""
         grid = _start_grid(model)
-        return self._combine(grid.bases, np.stack([_grid_row(model, t) for t in self.tallies]), grid.where)
+        return self._grid_combine(grid.bases, np.array([_grid_row(model, t) for t in self.tallies]), grid.where)
 
-    def _combine(self, bases, poly, where):
-        """The E-step from the closed-form `_bases` of the points, the
-        tallies' polynomials at the distinct q of the points (log P, mean
-        and variance of s; shape (tallies, 3, distinct q)) and each
-        point's index `where` into those q."""
+    def _grid_combine(self, bases, poly, where):
+        """The E-step from the tallies' polynomials at the distinct q of
+        the points (log P, mean and variance of s; shape (tallies, 3,
+        distinct q)) and each point's index `where` into those q."""
         # rows first: axis 0 is not the fast axis, so rows add in order
-        sums = (self.counts[:, None, None] * poly).sum(axis=0)[:, where]  # log P, mean and variance of s
+        return self._combine(bases, (self.counts[:, None, None] * poly).sum(axis=0)[:, where])
+
+    def _combine(self, bases, sums):
+        """The E-step from the closed-form `_bases` of the points and the
+        count-weighted sums over the tallies of log P and of the mean and
+        variance of s there.  A term whose exponent is 0 is 0, also where
+        its base vanishes (0 log 0 = 0)."""
         k_pa, k_qa, k_pb, k_qb = self.k
-        log_x, log_y, log_qa, log_qb, log_q, odds, odds_var = bases
-        ll = k_pa * log_x + k_pb * log_y + k_qa * log_qa + k_qb * log_qb + self.j0_total * log_q + sums[0]
+        *logs, odds, odds_var = bases  # log x, log y, log q_a, log q_b, log q
+        ll = sum(k * v if k else 0.0 for k, v in zip((k_pa, k_pb, k_qa, k_qb, self.j0_total), logs)) + sums[0]
         mean = self.j0_total + sums[1] + (k_pa + k_pb) * odds
         return ll, mean, sums[2] + (k_pa + k_pb) * odds_var
 
     def __call__(self, p_a: float, p_b: float) -> float:
         RallyProbs(p_a, p_b)  # reals in [0, 1], or DomainError
-        if not (0.0 < p_a < 1.0 and 0.0 < p_b < 1.0):
-            return -np.inf
-        if self.mode is FitMode.SCORE_ONLY:
-            return float(self.e_step(p_a, p_b)[0][0])
-        won, served = _serve_counts(self.k, self.m, FitModel.SERVER)
-        return float(won @ np.log([p_a, p_b]) + (served - won) @ np.log1p([-p_a, -p_b])) + self.log_h_total
+        if p_a == p_b == 0.0:
+            return -np.inf  # no rally is ever won, so no game ends
+        with np.errstate(divide="ignore"):  # log 0 = -inf, where a term's exponent is not 0
+            if self.mode is FitMode.SCORE_ONLY:
+                return float(self.e_step(p_a, p_b)[0])
+            won, served = _serve_counts(self.k, self.m, FitModel.SERVER)
+            p = np.array([p_a, p_b])
+            # 0 log 0 = 0: a base whose exponent is 0 is read as 1
+            log_p, log_q = np.log(np.where(won > 0, p, 1.0)), np.log1p(np.where(served > won, -p, 0.0))
+        return float(won @ log_p + (served - won) @ log_q) + self.log_h_total
 
 
 def loglik_score(records: RecordBatch, p_a: float, p_b: float) -> float:
-    """Log-likelihood of the final tallies alone; -inf where p_a or p_b is
-    0 or 1.  Raises DomainError for a p_a or p_b that is not a real in [0,
-    1], as `RallyProbs` does."""
+    """Log-likelihood of the final tallies alone, also where p_a or p_b is
+    0 or 1 (with 0 log 0 = 0; -inf for data that are impossible there).
+    Raises DomainError for a p_a or p_b that is not a real in [0, 1], as
+    `RallyProbs` does."""
     return _Likelihood(records, FitMode.SCORE_ONLY)(p_a, p_b)
 
 
@@ -421,12 +461,13 @@ class FitResult:
 
 def _serve_counts(k, m, model: FitModel) -> tuple[np.ndarray, np.ndarray]:
     """Rallies won on serve and rallies served per parameter, given m extra
-    rally pairs: their ratio is the complete-data maximizer.  In the
-    no-server model a rally lost on B's serve is won by A."""
+    rally pairs, as floats (exact below 2^53): their ratio is the
+    complete-data maximizer.  In the no-server model a rally lost on B's
+    serve is won by A."""
     k_pa, k_qa, k_pb, k_qb = k
     if model is FitModel.SERVER:
-        return np.array([k_pa, k_pb]), np.array([k_pa + k_qa + m, k_pb + k_qb + m])
-    return np.array([k_pa + k_qb + m]), np.array([k_pa + k_qa + k_pb + k_qb + 2 * m])
+        return np.array([k_pa, k_pb], dtype=float), np.array([k_pa + k_qa + m, k_pb + k_qb + m], dtype=float)
+    return np.array([k_pa + k_qb + m], dtype=float), np.array([k_pa + k_qa + k_pb + k_qb + 2 * m], dtype=float)
 
 
 def _probs(x, model: FitModel):
@@ -516,7 +557,7 @@ def _newton(lik: _Likelihood, model: FitModel, lo: float, hi: float) -> tuple[li
         while True:
             theta_new = [min(max(v + t * s, -bound), bound) for v, s in zip(theta, step)]
             x_new = _logistic(theta_new)
-            ll_new, mean_new, var_new = (float(v[0]) for v in lik.e_step(*_probs(x_new, model)))
+            ll_new, mean_new, var_new = (float(v) for v in lik.e_step(*_probs(x_new, model)))
             evaluations += 1
             if ll_new >= ll - tol:
                 break

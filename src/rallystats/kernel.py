@@ -53,7 +53,12 @@ given each component from its normalized terms, and
 mean and variance of its power.  Every law of `duration`, the moment
 generating function given an end score included, reads the game table;
 the score-only likelihood of `estimate` needs only the polynomial, which
-it evaluates per tally at its start grid and keeps (see `estimate`).
+it evaluates per tally at its start grid and keeps (see `estimate`), and
+at one q per Newton point.  A scalar q takes a path of its own: the same
+element-wise operations and running sums on (rows, terms) arrays,
+without the blocks, the masked products of a zero q where q is positive,
+the error-state contexts and the stacking, so a Newton point costs only
+its arithmetic and gets a grid's bits.
 
 Evaluation is in scaled form: every term is a logarithm, each row is
 shifted by its largest term before exponentiating, and the shift is added
@@ -427,7 +432,21 @@ def interruption_polynomial(rows: Rows, q) -> tuple[np.ndarray, np.ndarray, np.n
     log-probability is log P(q) plus alpha log(p_a/(1-q)) + beta
     log(p_b/(1-q)) + [receiver last] log q_a + j0 log q, with p_a the first
     server's: apart from this closed form it depends on (p_a, p_b) through
-    q = q_a q_b alone."""
+    q = q_a q_b alone.
+
+    A scalar q gives arrays of shape (rows,) with a grid's bits (see the
+    module notes); its temporaries are a few copies of the rows' table."""
+    if np.ndim(q) == 0:
+        s = np.arange(rows.logc.shape[1])
+        log_t = rows.logc + (_xlog(s, -math.inf) if q == 0.0 else s * float(np.log(q)))
+        # a reachable tally's first coefficient is at least 1, so each
+        # row's largest term is finite and its scaled sum at least 1
+        shift = log_t.max(axis=1)
+        terms = np.exp(log_t - shift[:, None])
+        total = np.add.accumulate(terms, axis=1)[:, -1]
+        s_mean = np.add.accumulate(s * terms, axis=1)[:, -1] / total
+        s_var = np.add.accumulate((s - s_mean[:, None]) ** 2 * terms, axis=1)[:, -1] / total
+        return shift + np.log(total), s_mean, s_var
     q = np.atleast_1d(np.asarray(q))
 
     def block(sub: Rows, sl: slice):

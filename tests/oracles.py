@@ -1154,7 +1154,8 @@ class RecordLikelihood:
     def e_step(self, p_a, p_b):
         """Score-only log-likelihood, and mean and variance of the extra
         rally pairs, at each point of the arrays (p_a, p_b), from one
-        kernel evaluation of the tallies' polynomials per distinct q."""
+        kernel evaluation of the tallies' polynomials per distinct q; at
+        the point of two floats, three floats."""
         x, y = np.asarray(p_a, dtype=np.longdouble), np.asarray(p_b, dtype=np.longdouble)
         q_a, q_b = 1.0 - x, 1.0 - y
         q = np.atleast_1d(q_a * q_b)
@@ -1168,7 +1169,8 @@ class RecordLikelihood:
         ll = k_pa * log_x + k_pb * log_y + k_qa * log_qa + k_qb * log_qb + self.j0_total * log_q + sums[0]
         odds = (q / one_minus_q).astype(float)
         mean = self.j0_total + sums[1] + (k_pa + k_pb) * odds
-        return ll, mean, sums[2] + (k_pa + k_pb) * (odds / one_minus_q).astype(float)
+        out = ll, mean, sums[2] + (k_pa + k_pb) * (odds / one_minus_q).astype(float)
+        return out if np.ndim(p_a) else tuple(float(v[0]) for v in out)
 
     def grid_e_step(self, model):
         """`e_step` at every point of the fit's start grid."""
@@ -1178,7 +1180,7 @@ class RecordLikelihood:
         if not (0.0 < p_a < 1.0 and 0.0 < p_b < 1.0):
             return -np.inf
         if self.mode is estimate.FitMode.SCORE_ONLY:
-            return float(self.e_step(p_a, p_b)[0][0])
+            return self.e_step(p_a, p_b)[0]
         won, served = estimate._serve_counts(self.k, self.m, estimate.FitModel.SERVER)
         return float(won @ np.log([p_a, p_b]) + (served - won) @ np.log1p([-p_a, -p_b])) + self.log_h_total
 
@@ -1227,7 +1229,7 @@ def reference_newton(lik, model, lo, hi):
         while True:
             theta_new = np.clip(theta + t * step, *bounds)
             x_new = 1.0 / (1.0 + np.exp(-theta_new))
-            ll_new, mean_new, var_new = (v[0] for v in lik.e_step(*estimate._probs(x_new, model)))
+            ll_new, mean_new, var_new = lik.e_step(*estimate._probs(x_new, model))
             evaluations += 1
             if ll_new >= ll - tol:
                 break

@@ -109,7 +109,7 @@ class TestInterruptionWeights:
             w = {j: math.comb(15, j) * math.comb(9, j - 1) * mpmath.mpf(q) ** j for j in range(1, 11)}
             mean = mpmath.fsum(j * x for j, x in w.items()) / mpmath.fsum(w.values())
             exact = mpmath.fsum((j - mean) ** 2 * x for j, x in w.items()) / mpmath.fsum(w.values())
-        assert float(var[0, 0]) == pytest.approx(float(exact), rel=1e-12, abs=0.0)
+        assert float(var[0]) == pytest.approx(float(exact), rel=1e-12, abs=0.0)
 
     def test_against_trajectory_frequencies(self):
         # an A-interruption is a maximal scoring run by B (scoreless serve

@@ -21,7 +21,7 @@ from rallystats import (
     SeedSpec,
     TerminalScore,
 )
-from rallystats import estimate, kernel, simulate
+from rallystats import estimate, kernel, sideout, simulate
 from rallystats.estimate import FitMode, FitModel
 
 from oracles import (
@@ -59,6 +59,11 @@ def make_batch(*rows):
 def assert_same_records(got, want):
     for name in COLUMNS:
         np.testing.assert_array_equal(getattr(got, name), getattr(want, name), strict=True)
+
+
+def same_bits(a, b):
+    """Whether two floats are the same double, signed zeros and NaN told apart by their bits."""
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
 
 
 def simulated_records(pa, pb, n, count, seed, s_a=0.5):
@@ -116,7 +121,7 @@ class TestScoreLikelihood:
             return reference(*estimate._probs(1.0 / (1.0 + np.exp(-theta)), model))
 
         _, mean, var = lik.e_step(*estimate._probs(x, model))
-        score, info = estimate._score_information(lik.k, x.tolist(), float(mean[0]), float(var[0]), model)
+        score, info = estimate._score_information(lik.k, x.tolist(), float(mean), float(var), model)
         theta, h = np.log(x / (1.0 - x)), 1e-4
         eye = np.eye(len(x)) * h
         fd_score = [(ll(theta + e) - ll(theta - e)) / (2 * h) for e in eye]
@@ -153,8 +158,87 @@ class TestScoreLikelihood:
         p_a, p_b = (g.ravel() for g in np.meshgrid(x, x))
         grid = lik.e_step(p_a, p_b)
         for i in (0, 5, 144, 200, 288):
-            alone = lik.e_step(p_a[i], p_b[i])
-            assert all(np.array_equal(a, g[i : i + 1]) for a, g in zip(alone, grid)), i
+            # a one-point array takes the grid's path, two floats the kernel's one-q path
+            one, alone = lik.e_step(p_a[i : i + 1], p_b[i : i + 1]), lik.e_step(p_a[i], p_b[i])
+            assert all(np.array_equal(o, g[i : i + 1]) for o, g in zip(one, grid)), i
+            assert all(same_bits(a, g[i]) for a, g in zip(alone, grid)), i
+
+    @pytest.mark.parametrize("model", list(FitModel))
+    def test_one_point_e_step_has_the_grid_bits_at_the_clip_bounds(self, model):
+        # the box a fit keeps to, its corners included, and points inside
+        lo, hi = estimate._BOUND_DELTA, 1.0 - estimate._BOUND_DELTA
+        edges = np.array([lo, 2 * lo, 0.3, 0.5, 0.7, 1.0 - 2 * lo, hi])
+        dims = 2 if model is FitModel.SERVER else 1
+        p_a, p_b = estimate._probs(np.stack([g.ravel() for g in np.meshgrid(*[edges] * dims)]), model)
+        for seed in (73, 74, 75):
+            lik = estimate._Likelihood(random_batch(seed), FitMode.SCORE_ONLY)
+            grid = lik.e_step(p_a, p_b)
+            assert all(np.isfinite(g).all() for g in grid)
+            for i in range(len(p_a)):
+                alone = lik.e_step(float(p_a[i]), float(p_b[i]))
+                assert all(same_bits(a, g[i]) for a, g in zip(alone, grid)), (seed, p_a[i], p_b[i])
+
+
+# points on the edge of the unit square; at (0, 0) no rally is ever won
+EDGE_POINTS = [(1.0, 0.5), (0.5, 1.0), (1.0, 1.0), (0.0, 0.5), (0.5, 0.0), (1.0, 0.0), (0.0, 1.0), (0.3, 1.0)]
+
+
+class TestLikelihoodOnTheEdge:
+    def test_shutout_at_a_probability_of_one(self):
+        # A serving first at p_a = 1 wins 5-0 in 5 rallies, and no other way
+        for call in (estimate.loglik_score, estimate.loglik_score_duration):
+            assert call(make_batch((A, 5, 0, A, 5)), 1.0, 0.5) == 0.0
+            assert call(make_batch((A, 5, 0, A, 5), (A, 5, 3, A, 10)), 1.0, 0.5) == -math.inf
+            assert call(make_batch((A, 5, 0, A, 5)), 0.0, 0.0) == -math.inf
+
+    @pytest.mark.parametrize("p_a, p_b", EDGE_POINTS)
+    def test_score_likelihood_equals_the_score_distribution(self, p_a, p_b):
+        for server in (A, B):
+            dist = sideout.score_distribution(RallyProbs(p_a, p_b), GameConfig(n=5), server=server)
+            assert dist.total_mass == pytest.approx(1.0, abs=1e-14)
+            for score, prob in dist.entries.items():
+                got = estimate.loglik_score(make_batch((server, score.alpha, score.beta, score.winner)), p_a, p_b)
+                if prob == 0.0:
+                    assert got == -math.inf, (server, score)
+                else:
+                    assert got == pytest.approx(math.log(prob), rel=1e-13, abs=1e-15), (server, score)
+
+    @pytest.mark.parametrize("p_a, p_b", EDGE_POINTS)
+    def test_likelihoods_equal_enumeration(self, p_a, p_b):
+        for server in (A, B):
+            outcomes, _ = enumerate_sideout(p_a, p_b, 3, server=server, tol=1e-18)
+            marginal = score_marginal(outcomes)
+            for (alpha, beta, last, d), mass in outcomes.items():
+                if mass < 1e-12:
+                    continue  # enumeration sums many rounded masses
+                record = make_batch((server, alpha, beta, last, d))
+                for got, want in [
+                    (estimate.loglik_score_duration(record, p_a, p_b), mass),
+                    (estimate.loglik_score(record, p_a, p_b), marginal[alpha, beta, last]),
+                ]:
+                    assert got == pytest.approx(math.log(want), rel=1e-12, abs=1e-14), (server, alpha, beta, last, d)
+            # a record the enumeration never reaches has probability 0
+            for alpha, beta, last in [(3, 1, A), (1, 3, B), (3, 2, A), (2, 3, B)]:
+                for d in range(alpha + beta, alpha + beta + 8):
+                    if outcomes.get((alpha, beta, last, d), 0.0) == 0.0:
+                        try:
+                            got = estimate.loglik_score_duration(make_batch((server, alpha, beta, last, d)), p_a, p_b)
+                        except InfeasibleData:
+                            continue  # refused whatever (p_a, p_b): wrong parity or too short
+                        assert got == -math.inf, (server, alpha, beta, last, d)
+
+    def test_continuous_at_the_edge(self):
+        # records that stay possible at p_a = 1: the likelihoods there are
+        # the limits of those just inside
+        rows = [(A, 5, 0, A, 5), (B, 5, 2, A, 8), (B, 0, 5, B, 5), (B, 5, 4, A, 10)]
+        records = make_batch(*rows)
+        # the same games with the players' names swapped, possible at p_b = 1
+        swapped = make_batch(*((B if f is A else A, beta, alpha, B if w is A else A, d) for f, alpha, beta, w, d in rows))
+        for call in (estimate.loglik_score, estimate.loglik_score_duration):
+            for p in (1e-9, 0.5, 1.0 - 1e-9):
+                edge, inside = call(records, 1.0, p), call(records, 1.0 - 1e-9, p)
+                assert np.isfinite(edge) and edge == pytest.approx(inside, abs=1e-7), (call, p)
+                assert call(swapped, p, 1.0) == pytest.approx(edge, rel=1e-14, abs=1e-14), (call, p)
 
 
 class TestJointLikelihood:
@@ -192,7 +276,8 @@ class TestJointLikelihood:
 
     def test_log_h_per_tally_equals_per_record_oracle(self):
         # one (records, j) array per tally gives each record the bits of its
-        # own reduction, and the batch total adds them in record order
+        # own reduction, and the batch total (read from the cached blocks)
+        # adds them in record order
         for n, (p_a, p_b) in [(5, (0.6, 0.5)), (15, (0.6, 0.5)), (21, (0.05, 0.05)), (15, (0.97, 0.3))]:
             records = simulated_records(p_a, p_b, n, 200, SeedSpec(132, n))
             rows, ms, total = [], [], 0.0
@@ -207,18 +292,15 @@ class TestJointLikelihood:
             for t in {id(t): t for t in rows}.values():  # every record of a tally at once
                 which = [i for i, u in enumerate(rows) if u is t]
                 assert np.array_equal(estimate._log_h(t, np.array(ms)[which]), want[which])
-            # every record of the batch at once, from one table of its tallies
-            keys = list({(int(t.alpha[0]), int(t.beta[0]), bool(t.server_last[0])): None for t in rows})
-            index = [keys.index((int(t.alpha[0]), int(t.beta[0]), bool(t.server_last[0]))) for t in rows]
-            assert np.array_equal(estimate._log_h(kernel.tallies(keys), np.array(ms), np.array(index)), want)
             for value in want:
                 total += value
             assert estimate._Likelihood(records, FitMode.SCORE_DURATION).log_h_total == total
 
     def test_long_record_fits_in_constant_memory(self, monkeypatch):
         # one game of 10^9 rallies: the exchange binomials are formed at the
-        # few l its terms need, whatever the duration
+        # few l its block's terms need, whatever the duration
         record = make_batch((A, 15, 7, A, 10**9))
+        estimate._log_h_block.cache_clear()  # the fit computes its block
         tracemalloc.start()
         try:
             got = estimate.fit(record, FitMode.SCORE_DURATION)
@@ -226,8 +308,20 @@ class TestJointLikelihood:
         finally:
             tracemalloc.stop()
         assert peak < 1e6
-        monkeypatch.setattr(estimate, "_log_h", lambda rows, m, row: np.array([log_h(rows, int(m[0]))]))
-        assert got == estimate.fit(record, FitMode.SCORE_DURATION)
+        # the same fit with the block's entries from the per-record oracle
+        calls = []
+
+        def oracle(rows, m):
+            calls.append(len(m))
+            return np.array([log_h(rows, int(v)) for v in m])
+
+        monkeypatch.setattr(estimate, "_log_h", oracle)
+        estimate._log_h_block.cache_clear()
+        try:
+            assert got == estimate.fit(record, FitMode.SCORE_DURATION)
+        finally:
+            estimate._log_h_block.cache_clear()  # no oracle row outlives the patch
+        assert calls == [estimate._H_BLOCK]
 
     def test_zero_probability_duration_names_the_record(self):
         # a server winning 5-2 must have lost the serve at least once
@@ -409,7 +503,7 @@ class TestFit:
                         worst_gap = max(worst_gap, ref[2] - res.log_likelihood)
                         x = np.array([res.p_a, res.p_b][: 2 if model is FitModel.SERVER else 1])
                         _, mean, var = lik.e_step(res.p_a, res.p_b)
-                        score = estimate._score_information(lik.k, x, mean[0], var[0], model)[0]
+                        score = estimate._score_information(lik.k, x, mean, var, model)[0]
                         if not res.boundary:
                             worst_score = max(worst_score, float(np.abs(score).max()))
                         if (p_a, p_b, games) == (0.6, 0.5, 200):
@@ -426,7 +520,7 @@ class TestFit:
             res = estimate.fit(records, FitMode.SCORE_ONLY, model)
             ref_e_step = per_server_e_step(records)
             with monkeypatch.context() as m:
-                m.setattr(estimate._Likelihood, "e_step", lambda self, p_a, p_b: ref_e_step(p_a, p_b))
+                m.setattr(estimate._Likelihood, "e_step", lambda self, p_a, p_b: [v[0] for v in ref_e_step(p_a, p_b)])
                 m.setattr(estimate._Likelihood, "grid_e_step", lambda self, model: ref_e_step(*start_grid_probs(model)))
                 ref = estimate.fit(records, FitMode.SCORE_ONLY, model)
             assert (res.p_a, res.p_b) == pytest.approx((ref.p_a, ref.p_b), abs=1e-10)
@@ -511,8 +605,8 @@ class TestNewtonAgainstReference:
                 # the same score and information at the reference's estimate, to the bit
                 x = np.array([want.p_a, want.p_b][: 2 if model is FitModel.SERVER else 1])
                 _, mean, var = lik.e_step(*estimate._probs(x, model))
-                score, info = estimate._score_information(lik.k, x.tolist(), float(mean[0]), float(var[0]), model)
-                ref_score, ref_info = reference_score_information(lik.k, x, mean[0], var[0], model)
+                score, info = estimate._score_information(lik.k, x.tolist(), float(mean), float(var), model)
+                ref_score, ref_info = reference_score_information(lik.k, x, mean, var, model)
                 assert np.array_equal(score, ref_score) and np.array_equal(info, ref_info), case
                 if all(1e-6 <= v <= 1.0 - 1e-6 for v in (want.p_a, want.p_b)):
                     # rounding of the score moves the maximizer along the
@@ -690,6 +784,20 @@ class TestRecordBatch:
         back = estimate.records_from_json_lines(text.splitlines())
         assert_same_records(back, batch)
 
+    def test_out_of_range_duration_is_refused_before_a_fit(self):
+        # such a count would wrap in the int64 extra pairs and give a silent p = (.5, .5)
+        with pytest.raises(DomainError, match=r"^record 1: duration 1e\+20 is out of range"):
+            make_batch((A, 15, 7, A, 41), (A, 15, 7, A, 1e20))
+        # the largest double below 2^63 is taken, and fits: both players lose
+        # nearly every rally, so the estimate is the box's corner
+        got = estimate.fit(make_batch((A, 15, 7, A, 2.0**63 - 1024)), FitMode.SCORE_DURATION)
+        assert np.isfinite(got.log_likelihood) and (got.p_a, got.p_b, got.boundary) == (1e-9, 1e-9, True)
+        # three such games hold more extra rally pairs than an int64 counts
+        three = make_batch(*[(A, 15, 7, A, 2.0**63 - 1024)] * 3)
+        one = estimate._Likelihood(make_batch((A, 15, 7, A, 2.0**63 - 1024)), FitMode.SCORE_DURATION).m
+        assert one > 2**61 and estimate._Likelihood(three, FitMode.SCORE_DURATION).m == 3 * one
+        assert estimate.fit(three, FitMode.SCORE_DURATION).log_likelihood == pytest.approx(3 * got.log_likelihood, rel=1e-12)
+
     def test_missing_durations(self):
         batch = make_batch((A, 9, 3, A, 20), (B, 4, 9, B), (B, 9, 7, A, 25))
         assert np.isnan(batch.duration[1])
@@ -706,7 +814,11 @@ class TestRecordBatch:
             (([True, True], [9, -1], [3, 9], [True, False], [20, 21]), "record 1: negative score"),
             (([True, True], [9, 3], [3, 0], [True, False], [20, 21]), "record 1: last scorer B requires beta >= 1"),
             (([True, True], [9, 3], [3, 9], [True, False], [20, 21.5]), "record 1: duration 21.5 is not a whole"),
-            (([True, True], [9, 3], [3, 9], [True, False], [np.inf, 21]), "record 0: duration inf"),
+            (([True, True], [9, 3], [3, 9], [True, False], [np.inf, 21]), "record 0: duration inf is out of range"),
+            # beyond the int64 rally counts the likelihood reads
+            (([True, True], [9, 3], [3, 9], [True, False], [20, 1e20]), r"record 1: duration 1e\+20 is out of range"),
+            (([True, True], [9, 3], [3, 9], [True, False], [2.0**63, 21]), "record 0: duration .* is out of range"),
+            (([True, True], [9, 3], [3, 9], [True, False], [20, -1e20]), "record 1: duration .* is out of range"),
             (([True, True], [9.0, 3], [3, 9], [True, False], [20, 21]), "alpha must be"),
             (([True], [9, 3], [3, 9], [True, False], [20, 21]), "unequal lengths"),
         ],
@@ -871,6 +983,90 @@ class TestStartGridCache:
         # a fresh process: nothing is evaluated at import
         code = (
             "import rallystats\nfrom rallystats import estimate\n"
-            "print(estimate._start_grid.cache_info().currsize, estimate._grid_row.cache_info().currsize)\n"
+            "print(*(f.cache_info().currsize for f in (estimate._start_grid, estimate._grid_row, estimate._log_h_block)))\n"
         )
-        assert fresh_process_output(code) == "0 0"
+        assert fresh_process_output(code) == "0 0 0"
+
+
+# m on both sides of the block edges, and far out
+BLOCK_EDGE_M = [0, 1, 62, 63, 64, 65, 127, 128, 129, 10**9]
+
+
+def long_batches():
+    """Batches whose extra rally pairs cross several blocks of log H(m)."""
+    return [simulated_records(p, p, n, 60, SeedSpec(154, n)) for p, n in [(0.05, 15), (0.1, 5), (0.03, 21)]]
+
+
+class TestLogHBlockCache:
+    def test_block_entries_equal_batched_log_h_and_oracle(self):
+        estimate._log_h_block.cache_clear()
+        tallies = [(15, 7, True), (7, 15, False), (15, 0, True), (0, 15, False), (21, 20, True), (3, 5, False)]
+        for tally in tallies:
+            rows = kernel.tallies([tally])
+            batched = estimate._log_h(rows, np.array(BLOCK_EDGE_M))
+            for m, value in zip(BLOCK_EDGE_M, batched):
+                block = estimate._log_h_block(tally, m // estimate._H_BLOCK)
+                assert block.shape == (estimate._H_BLOCK,) and not block.flags.writeable
+                assert same_bits(block[m % estimate._H_BLOCK], value), (tally, m)
+                assert same_bits(value, log_h(rows, m)), (tally, m)
+        # the set-up reads each record's entry and adds them in record order
+        for batch in long_batches():
+            rows = record_rows(batch)
+            want = 0.0
+            for first, alpha, beta, last, d in rows:
+                a, b = (beta, alpha) if first is B else (alpha, beta)
+                want += log_h(kernel.tallies([(a, b, last is first)]), (d - a - b - (last is not first)) // 2)
+            assert same_bits(estimate._Likelihood(batch, FitMode.SCORE_DURATION).log_h_total, want)
+
+    def test_cold_warm_and_small_cache_fits_equal(self, monkeypatch):
+        batches = [random_batch(seed) for seed in range(76, 80)] + long_batches()
+        for model in FitModel:
+            cold = []
+            for batch in batches:
+                estimate._log_h_block.cache_clear()
+                cold.append(estimate.fit(batch, FitMode.SCORE_DURATION, model))
+            warm = [estimate.fit(batch, FitMode.SCORE_DURATION, model) for batch in batches]
+            # a cache of 8 rows evicts most of a batch's rows while it is set up
+            monkeypatch.setattr(estimate, "_log_h_block", functools.lru_cache(maxsize=8)(estimate._log_h_block.__wrapped__))
+            small = [estimate.fit(batch, FitMode.SCORE_DURATION, model) for batch in batches]
+            assert estimate._log_h_block.cache_info().currsize <= 8
+            monkeypatch.undo()
+            assert cold == warm == small
+
+    def test_concurrent_fits_equal_serial_ones(self, monkeypatch):
+        # four threads that fill and evict a small cache while switching often
+        batches = [simulated_records(0.1, 0.1, n, 40, SeedSpec(155, n)) for n in range(5, 22, 2)]
+        serial = [estimate.fit(b, FitMode.SCORE_DURATION) for b in batches]
+        monkeypatch.setattr(estimate, "_log_h_block", functools.lru_cache(maxsize=16)(estimate._log_h_block.__wrapped__))
+        results, interval = {}, sys.getswitchinterval()
+
+        def run(k):
+            try:
+                results[k] = [estimate.fit(batches[(k + i) % len(batches)], FitMode.SCORE_DURATION) for i in range(20)]
+            except Exception as exc:  # raised again below
+                results[k] = exc
+
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for k, got in results.items():
+            if isinstance(got, Exception):
+                raise got
+            assert got == [serial[(k + i) % len(batches)] for i in range(20)]
+        assert len(results) == 4
+
+    def test_cached_rows_are_read_only(self):
+        batch = long_batches()[0]
+        estimate.fit(batch, FitMode.SCORE_DURATION)
+        lik = estimate._Likelihood(batch, FitMode.SCORE_DURATION)
+        rows = [estimate._log_h_block(t, b) for t in lik.tallies for b in range(3)]
+        assert rows and not any(r.flags.writeable for r in rows)
+        with pytest.raises(ValueError):
+            rows[0][0] = 0.0

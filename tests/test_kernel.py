@@ -214,8 +214,24 @@ def test_a_point_gets_the_same_bits_alone_in_a_pair_and_in_a_grid(n, system):
         q = np.asarray(1.0 - p_a, dtype=np.longdouble) * np.asarray(1.0 - p_b, dtype=np.longdouble)
         poly = kernel.interruption_polynomial(rows, q)
         for i in (0, 7, 100, 144, 288):
-            for got, want in zip(kernel.interruption_polynomial(rows, q[i]), poly):
-                assert np.array_equal(got[:, 0], want[:, i])
+            # a one-point array takes the grid's path, a scalar the one-q path
+            in_array, alone = kernel.interruption_polynomial(rows, q[i : i + 1]), kernel.interruption_polynomial(rows, q[i])
+            for one, got, want in zip(in_array, alone, poly):
+                assert np.array_equal(one[:, 0], want[:, i])
+                assert np.array_equal(got, want[:, i])
+
+
+def test_one_q_path_has_the_grid_bits():
+    # q = 0 (a probability of 1) and q = 1 (both 0) included, on tallies
+    # of both last scorers with up to 21 points
+    tallies = [(a, b, last) for a in range(0, 22, 3) for b in range(1, 22, 4) for last in (False, True)]
+    rows = kernel.tallies([(a, b, last) for a, b, last in tallies if a or not last])
+    q = np.array([0.0, 1e-18, 1e-9, 0.25, 0.5, 1.0 - 1e-9, 1.0], dtype=np.longdouble)
+    grid = kernel.interruption_polynomial(rows, q)
+    for i, v in enumerate(q):
+        for got, want in zip(kernel.interruption_polynomial(rows, v), grid):
+            assert got.shape == (len(rows.alpha),)
+            assert np.array_equal(got.view(np.int64), want[:, i].view(np.int64)), v
 
 
 @pytest.mark.parametrize("system", list(ScoringSystem))
@@ -248,11 +264,11 @@ def test_side_out_weight_is_closed_form_times_polynomial_in_q(n):
             for a, b, d, j0 in zip(rows.alpha, rows.beta, receiver_last, rows.j0)
         ]
         # log-weights near 0 (a near-certain tally) are sums of terms of size 20
-        np.testing.assert_allclose(np.log(game.weight[:, 0, 0]), np.array(closed) + log_p[:, 0], rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(np.log(game.weight[:, 0, 0]), np.array(closed) + log_p, rtol=1e-13, atol=1e-13)
         # the shift s = 2R - delta, from the interruption count R = j0 + delta + s
-        r_mean = rows.j0 + receiver_last + s_mean[:, 0]
+        r_mean = rows.j0 + receiver_last + s_mean
         assert np.array_equal(game.shift_mean[:, 0], 2.0 * r_mean - receiver_last)
-        assert np.array_equal(game.shift_var[:, 0], 4.0 * s_var[:, 0])
+        assert np.array_equal(game.shift_var[:, 0], 4.0 * s_var)
 
 
 EXCHANGES = np.array([0, 1, 2, 7, 100, 12_345, 10**6, 123_456_789, 10**9, 2**53])
