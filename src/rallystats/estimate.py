@@ -16,16 +16,16 @@ is k_pa log(p_a/(1-q)) + k_pb log(p_b/(1-q)) + k_qa log q_a + k_qb log q_b
 interruption polynomial (`kernel.interruption_polynomial`).  Only the last
 term needs the kernel, and it depends on (p_a, p_b) through q = q_a q_b
 alone: it is evaluated once per distinct q over the observed tallies,
-and one per Newton point, whose single q takes the kernel's one-q path
-from bases formed as extended-precision scalars (the same element-wise
-operations and running sums as a grid, so the same bits).  The 17 x 17
-start grid is fixed, and so are its 153 distinct q (transposed points
-share q): each tally's polynomial there is computed once, by one kernel
-call, and kept read-only in an LRU cache of 1024 tallies per model
-(`_grid_row`), whose bits a batched call would give too.  The
-polynomials also give the mean and variance of m, hence the exact score
-(Fisher's identity) and information (Louis's formula) for grid-started
-projected Newton steps.
+and once per Newton point at its one q, an extended-precision scalar,
+which the kernel's one evaluator takes as a point without a point axis
+or blocks (the same element-wise operations and running sums as a grid,
+so the same bits).  The 17 x 17 start grid is fixed, and so are its 153
+distinct q (transposed points share q): each tally's polynomial there is
+computed once, by one kernel call, and kept read-only in an LRU cache of
+1024 tallies per model (`_grid_row`), whose bits a batched call would
+give too.  The polynomials also give the mean and variance of m, hence
+the exact score (Fisher's identity) and information (Louis's formula)
+for grid-started projected Newton steps.
 
 Records reach the likelihood as a `RecordBatch`, aligned columns that
 `records_from_sample` takes from a simulated batch as they are and
@@ -85,6 +85,10 @@ _STEP_TOL = 1e-10  # logit units
 _GAIN_TOL = 1e-14  # relative to 1 + |log-likelihood|
 _DTYPES = (bool, np.int64, np.int64, bool, float)  # of the `RecordBatch` columns
 _H_BLOCK = 64  # consecutive m per cached row of log H(m)
+# the float duration column holds every whole number up to 2^53 in
+# magnitude, and no more: a larger count would be rounded before its parity
+# is checked
+_EXACT = 2**53
 
 
 class FitMode(enum.Enum):
@@ -97,13 +101,15 @@ class FitModel(enum.Enum):
     NO_SERVER = "no-server"
 
 
-def _count(d: dict, key: str) -> int:
+def _count(d: dict, key: str, low: int = -(2**63), high: int = 2**63 - 1) -> int:
+    """The whole number d[key], in [low, high] (by default the range of the
+    int64 columns of a `RecordBatch`), or ValueError."""
     value = d[key]
     if isinstance(value, bool) or not (
         isinstance(value, numbers.Integral) or (isinstance(value, float) and value.is_integer())
     ):
         raise ValueError(f"{key}={value!r} is not an integer")
-    if not -(2**63) <= value < 2**63:  # the int64 columns of a `RecordBatch`
+    if not low <= value <= high:
         raise ValueError(f"{key}={value!r} is out of range")
     return int(value)
 
@@ -126,9 +132,11 @@ def records_from_json_lines(lines) -> RecordBatch:
     """The record batch of JSON lines, one object per game as
     `records_to_json_lines` writes it, parsed straight into columns.  Blank
     lines are skipped and not counted, so record i is the batch's record
-    i.  A line that does not parse, or whose score `TerminalScore`
-    refuses, raises `InfeasibleData` naming its record; text that does
-    not decode raises it naming the lines read before it."""
+    i.  A line that does not parse, whose score `TerminalScore` refuses,
+    or whose duration is not a whole number of magnitude at most 2^53
+    (the counts a `RecordBatch` holds exactly), raises `InfeasibleData`
+    naming its record; text that does not decode raises it naming the
+    lines read before it."""
     cols = ([], [], [], [], [])
     i = -1
     try:
@@ -145,7 +153,7 @@ def records_from_json_lines(lines) -> RecordBatch:
                 last_a = Player(d["last_scorer"]) is Player.A
                 if min(alpha, beta) < 0 or (alpha if last_a else beta) < 1:
                     TerminalScore(alpha, beta, Player.A if last_a else Player.B)  # raises its DomainError
-                duration = _count(d, "duration") if d.get("duration") is not None else math.nan
+                duration = _count(d, "duration", -_EXACT, _EXACT) if d.get("duration") is not None else math.nan
             except (KeyError, ValueError) as exc:
                 raise InfeasibleData(f"record {len(cols[0])}: cannot parse ({exc})") from exc
             for col, value in zip(cols, (first_a, alpha, beta, last_a, duration)):
@@ -172,7 +180,8 @@ class RecordBatch:
     the final tally (alpha for A, beta for B), whether A scored last, and
     the rally count (NaN where it was not observed); `len` is the number
     of games.  Scores are checked as `TerminalScore` checks them, and
-    durations must be whole numbers of the int64 range, or NaN."""
+    durations must be whole numbers of magnitude at most 2^53, which the
+    float column holds exactly, or NaN."""
 
     first_server_a: np.ndarray
     alpha: np.ndarray
@@ -194,8 +203,8 @@ class RecordBatch:
             object.__setattr__(self, name, col)
         _, alpha, beta, last_a, dur = cols
         bad = (alpha < 0) | (beta < 0) | (np.where(last_a, alpha, beta) < 1)
-        # a rally count is a whole number in the int64 range, as the JSON reader takes it
-        out_of_range = ~np.isnan(dur) & ((dur < -(2.0**63)) | (dur >= 2.0**63))
+        # a rally count is a whole number the column holds exactly, as the JSON reader takes it
+        out_of_range = ~np.isnan(dur) & (np.abs(dur) > _EXACT)
         bad |= out_of_range | (~np.isnan(dur) & (dur != np.floor(dur)))
         if bad.any():
             i = int(np.argmax(bad))
@@ -373,7 +382,8 @@ class _Likelihood:
         The kernel evaluates the tallies' polynomials once per distinct q (see
         the module notes), and rows add in a fixed order, so a point's
         results do not depend on the other points.  Two floats give three
-        floats, from the kernel's one-q path: the same bits."""
+        floats, from the kernel's evaluation at their one q: the same
+        bits."""
         q, bases = _bases(p_a, p_b)
         if np.ndim(q) == 0:
             # a running sum over the rows, in the order the grid's rows add

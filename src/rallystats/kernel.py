@@ -54,11 +54,17 @@ mean and variance of its power.  Every law of `duration`, the moment
 generating function given an end score included, reads the game table;
 the score-only likelihood of `estimate` needs only the polynomial, which
 it evaluates per tally at its start grid and keeps (see `estimate`), and
-at one q per Newton point.  A scalar q takes a path of its own: the same
-element-wise operations and running sums on (rows, terms) arrays,
-without the blocks, the masked products of a zero q where q is positive,
-the error-state contexts and the stacking, so a Newton point costs only
-its arithmetic and gets a grid's bits.
+at one q per Newton point.  One evaluator (`_polynomial`) forms the
+polynomial for all of them: the game tables of both systems, tie-break
+parts included, their shift laws, and `interruption_polynomial` at a
+grid of q or at one q.  A grid carries its points on an axis after the
+terms and is evaluated in blocks; one q is a point without that axis and
+without blocks, its logarithm taken outside any floating-point error
+state, so a Newton point costs little more than its arithmetic.  A row
+whose every term vanishes (no reachable tally has one) is guarded by
+floors, not branches: log v and each row's largest log-term are kept
+above -1e300, and the sum that divides the moments above 1, which no row
+with mass is below.
 
 Evaluation is in scaled form: every term is a logarithm, each row is
 shifted by its largest term before exponentiating, and the shift is added
@@ -78,11 +84,15 @@ from typing import Callable
 
 import numpy as np
 
-from .core import GameConfig, Player, ScoringSystem, expect
+from .core import DomainError, GameConfig, Player, ScoringSystem, expect
 
 # Elements of one (rows x terms x probabilities) block of evaluation; keeps
 # the temporaries of a large table or grid to a few megabytes.
 _BLOCK = 1 << 16
+# The evaluator's floor for log v and for a row's largest log-term: below
+# the log of any positive q, and below the largest log-term of any row with
+# mass (at least -(top - j0) log 2)
+_FLOOR = -1e300
 
 
 @dataclass(frozen=True)
@@ -163,49 +173,58 @@ def _log(x: np.ndarray) -> np.ndarray:
         return np.log(x).astype(float)
 
 
+def _log_q(q):
+    """log q of one exchange probability, rounded from q's precision to a
+    float, for the evaluator: at q = 0 its floor."""
+    return np.float64(np.log(q)) if q > 0.0 else _FLOOR
+
+
 def _xlog(e: np.ndarray, log_z: np.ndarray) -> np.ndarray:
     """e * log z with 0 * log 0 = 0, since z^0 = 1 even at z = 0."""
     return np.multiply(e, log_z, out=np.zeros(np.broadcast(e, log_z).shape), where=e != 0)
 
 
 def _row_sum(x: np.ndarray) -> np.ndarray:
-    """Sum of an (m, w, P) array over axis 1, term by term in the order s = 0,
-    1, 2, ... whatever P.  NumPy adds term by term along any axis but the
-    fast one, which it sums pairwise; with one point axis 1 is the fast
-    axis, so it is summed there as a running sum, which is sequential by
-    definition.  A point thus gets the same bits alone as among others."""
-    if x.shape[2] == 1:
+    """Sum of an (m, w, P) or (m, w) array over axis 1, term by term in the
+    order s = 0, 1, 2, ... whatever P.  NumPy adds term by term along any
+    axis but the fast one, which it sums pairwise; with at most one point
+    axis 1 is the fast axis, so it is summed there as a running sum, which
+    is sequential by definition.  A point thus gets the same bits alone as
+    among others, and a grid keeps NumPy's faster sum."""
+    if x.ndim == 2 or x.shape[2] == 1:
         return np.add.accumulate(x, axis=1)[:, -1]
     return x.sum(axis=1)
 
 
-def _scaled_terms(rows: Rows, log_v: np.ndarray, log_u: np.ndarray | None):
-    """Terms c_s u^(top - j0 - s) v^s of each row at each parameter point,
-    divided by the row's largest term: returns (log of that term (m, P),
-    scaled terms (m, w, P)), every scaled term in [0, 1]."""
-    s = np.arange(rows.logc.shape[1])[None, :, None]
-    log_t = rows.logc[:, :, None] + _xlog(s, log_v[None, None, :])
+def _polynomial(rows: Rows, log_v, log_u: np.ndarray | None = None):
+    """The interruption polynomial sum_s c_s u^(top - j0 - s) v^s of each
+    row, the kernel's one evaluator: at each point of the arrays log v and
+    log u (no u under side-out), or at the one point of a scalar log v (at
+    least `_FLOOR`), whose results then have no point axis.  Returns the
+    log of each row's largest term (m, P), the terms divided by it (m, w,
+    P), each in [0, 1], their sum and the mean and variance of s under
+    them (m, P).  The sum is the part of a tally's probability that is the
+    same for both first servers.  A row whose every term vanishes has a
+    sum and moments of 0."""
+    s, log_t = np.arange(rows.logc.shape[1]), rows.logc
+    if isinstance(log_v, np.ndarray):  # the points, on an axis after the terms
+        # a term of v = 0 is -inf or below the floor, 0 once scaled either
+        # way, and the floor keeps 0 log 0 = 0 at s = 0
+        s, log_t, log_v = s[:, None], log_t[:, :, None], np.maximum(log_v, _FLOOR)
+    log_t = log_t + s * log_v
     if log_u is not None:
         # padding (s past the row's top) is -inf already; clamp its exponent
-        e_u = np.maximum((rows.top - rows.j0)[:, None, None] - s, 0)
-        log_t = log_t + _xlog(e_u, log_u[None, None, :])
-    shift = log_t.max(axis=1)
-    shift = np.where(np.isfinite(shift), shift, 0.0)
-    return shift, np.exp(log_t - shift[:, None, :])
-
-
-def _polynomial(rows: Rows, log_v: np.ndarray, log_u: np.ndarray | None):
-    """The interruption polynomial sum_s c_s u^(top - j0 - s) v^s of each
-    row at each point: (log of its largest term, its sum over that term,
-    and the mean and variance of s under its terms), each (m, P): the part
-    of a tally's probability that is the same for both first servers."""
-    shift, terms = _scaled_terms(rows, log_v, log_u)
+        log_t = log_t + _xlog(np.maximum(np.subtract.outer(rows.top - rows.j0, s), 0), log_u)
+    # a row whose every term is -inf takes the floor as its shift, so its
+    # scaled terms are 0 (and not NaN)
+    shift = log_t.max(axis=1, initial=_FLOOR)
+    terms = np.exp(log_t - shift[:, None])
     total = _row_sum(terms)
-    s = np.arange(terms.shape[1])[None, :, None]
-    with np.errstate(invalid="ignore"):
-        s_mean = np.where(total > 0.0, _row_sum(s * terms) / total, 0.0)
-        s_var = np.where(total > 0.0, _row_sum((s - s_mean[:, None, :]) ** 2 * terms) / total, 0.0)
-    return shift, total, s_mean, s_var
+    # a row's largest scaled term is 1, so a row with mass sums to at least
+    # 1, and norm = 1 leaves the moments of a row without mass at 0
+    norm = np.maximum(total, 1.0)
+    s_mean = _row_sum(s * terms) / norm
+    return shift, terms, total, s_mean, _row_sum((s - s_mean[:, None]) ** 2 * terms) / norm
 
 
 def _symmetric_bases(system: ScoringSystem, p_a: np.ndarray, p_b: np.ndarray):
@@ -347,7 +366,7 @@ def _ends(system: ScoringSystem, rows: Rows, p_a, p_b) -> Game:
     def block(sub: Rows, sl: slice):
         x, y = p_a[sl], p_b[sl]
         log_v, log_u = _symmetric_bases(system, x, y)
-        shift, total, s_mean, s_var = _polynomial(sub, log_v, log_u)
+        shift, _, total, s_mean, s_var = _polynomial(sub, log_v, log_u)
         log_total, firsts = _log(total), ((x, y), (y, x))
         log_weight = np.stack([_log_prefactor(system, sub, a, b, log_v) + shift + log_total for a, b in firsts], axis=1)
         return log_weight, sub.j0[:, None] + (~sub.server_last)[:, None] + s_mean, s_var
@@ -364,7 +383,7 @@ def _ends(system: ScoringSystem, rows: Rows, p_a, p_b) -> Game:
         # defined at q = 0 too, all its mass on the fewest interruptions
         if system is ScoringSystem.RALLY_POINT:
             return np.ones((len(rows.alpha), 1))
-        terms, delta = _scaled_terms(rows, _log(np.array([q])), None)[1][:, :, 0], ~rows.server_last
+        terms, delta = _polynomial(rows, _log_q(q))[1], ~rows.server_last
         law = terms / terms.sum(axis=1, keepdims=True)
         s = delta[:, None] + 2 * (rows.j0[:, None] + np.arange(law.shape[1]))
         out = np.zeros((len(law), int(s.max()) + 1))
@@ -434,26 +453,26 @@ def interruption_polynomial(rows: Rows, q) -> tuple[np.ndarray, np.ndarray, np.n
     server's: apart from this closed form it depends on (p_a, p_b) through
     q = q_a q_b alone.
 
-    A scalar q gives arrays of shape (rows,) with a grid's bits (see the
-    module notes); its temporaries are a few copies of the rows' table."""
-    if np.ndim(q) == 0:
-        s = np.arange(rows.logc.shape[1])
-        log_t = rows.logc + (_xlog(s, -math.inf) if q == 0.0 else s * float(np.log(q)))
-        # a reachable tally's first coefficient is at least 1, so each
-        # row's largest term is finite and its scaled sum at least 1
-        shift = log_t.max(axis=1)
-        terms = np.exp(log_t - shift[:, None])
-        total = np.add.accumulate(terms, axis=1)[:, -1]
-        s_mean = np.add.accumulate(s * terms, axis=1)[:, -1] / total
-        s_var = np.add.accumulate((s - s_mean[:, None]) ** 2 * terms, axis=1)[:, -1] / total
-        return shift + np.log(total), s_mean, s_var
-    q = np.atleast_1d(np.asarray(q))
+    A float q (or a 0-d array or integer) gives arrays of shape (rows,)
+    with a grid's bits, from the same evaluator without a point axis or
+    blocks (see the module notes); a float is checked by one comparison.
+    A q that is not a real, or an array of reals, in [0, 1] (NaN
+    included) raises DomainError."""
+    if not isinstance(q, (float, np.floating)):
+        q = np.asarray(q)
+        if q.dtype.kind not in "fiu" or not ((0.0 <= q) & (q <= 1.0)).all():
+            raise DomainError(f"q must be a real or an array of reals in [0, 1], got {q!r}")
+        q = q[()]  # a scalar from a 0-d array
+    elif not 0.0 <= q <= 1.0:  # one comparison, also false at NaN
+        raise DomainError(f"q={q!r} outside [0, 1]")
 
-    def block(sub: Rows, sl: slice):
-        shift, total, s_mean, s_var = _polynomial(sub, _log(q[sl]), None)
+    def evaluate(sub: Rows, log_v):
+        shift, _, total, s_mean, s_var = _polynomial(sub, log_v)
         return shift + np.log(total), s_mean, s_var
 
-    return tuple(_blocked(rows, q.size, [(), (), ()], block))
+    if not isinstance(q, np.ndarray):
+        return evaluate(rows, _log_q(q))
+    return tuple(_blocked(rows, q.size, [(), (), ()], lambda sub, sl: evaluate(sub, _log(q[sl]))))
 
 
 def log_exchange_binom(points: int, l) -> np.ndarray:

@@ -29,6 +29,7 @@ from oracles import (
     mp_rallypoint_duration_moments,
     mp_sideout_duration_moments,
     mp_sideout_duration_prob,
+    mp_sideout_win_prob,
     per_point_total_mixture,
     per_point_total_pmf,
     per_tally_duration_pmf,
@@ -588,6 +589,49 @@ class TestGridMoments:
     def test_bad_points_are_domain_errors(self, p_a, p_b):
         with pytest.raises(DomainError):
             duration.grid_moments(GameConfig(n=15), p_a, p_b)
+
+
+class TestVanishedEvent:
+    """An event of probability at most 1e-300 counts as vanished, in
+    `grid_moments` and `aggregate_moments` alike: A, serving first in a
+    game to 15, wins at p_b = .9 with probability (from mpmath) 1.14e-300
+    at p_a = 6e-21, 8.8e-301 at 5.9e-21 and 2.4e-312 at 1e-21."""
+
+    CONFIG = GameConfig(n=15)
+
+    @pytest.mark.parametrize("p_a", [5.9e-21, 1e-21])
+    def test_below_1e_300_has_no_moments(self, p_a):
+        want = float(mp_sideout_win_prob(p_a, 0.9, 15))
+        assert 0.0 < want <= 1e-300
+        agg = duration.aggregate_moments(RallyProbs(p_a, 0.9), self.CONFIG)
+        assert agg.win_probs[(A, A)] == pytest.approx(want, rel=1e-9)
+        assert A not in agg.by_winner and (A, A) not in agg.by_server_winner
+        with pytest.raises(ConditioningError, match="^conditioning event has vanished$"):
+            duration.grid_moments(self.CONFIG, [0.5, p_a], [0.5, 0.9])
+
+    def test_above_1e_300_has_moments(self):
+        want = float(mp_sideout_win_prob(6e-21, 0.9, 15))
+        assert 1e-300 < want < 1.2e-300
+        agg = duration.aggregate_moments(RallyProbs(6e-21, 0.9), self.CONFIG)
+        moments = agg.by_winner[A]
+        assert agg.by_server_winner[(A, A)] == moments
+        mean, var = mp_sideout_duration_moments(6e-21, 0.9, 15, 1.0)[A]
+        assert (moments.mean, moments.variance) == pytest.approx((float(mean), float(var)), rel=1e-12)
+        prob, mean, sd = (column[1] for column in duration.grid_moments(self.CONFIG, [0.5, 6e-21], [0.5, 0.9])[A])
+        assert prob == pytest.approx(want, rel=1e-9) and (mean, sd) == (moments.mean, moments.sd)
+
+
+class TestDurationPMFProb:
+    def test_bins_at_both_ends_and_past_them(self):
+        pmf = duration.DurationPMF(3, np.array([0.25, 0.0, 0.75]), 0.0)
+        assert [pmf.prob(d) for d in range(0, 8)] == [0.0, 0.0, 0.0, 0.25, 0.0, 0.75, 0.0, 0.0]
+
+    def test_last_bin_of_a_game_pmf(self):
+        # a rally-point game to 21 ends within 41 rallies, and its PMF is exact
+        pmf = duration.duration_pmf_unconditional(RallyProbs(0.6, 0.5), GameConfig(n=21, system=ScoringSystem.RALLY_POINT))
+        assert pmf.offset + len(pmf.masses) - 1 == 41
+        assert pmf.prob(41) == float(pmf.masses[-1]) > 0.0
+        assert pmf.prob(42) == 0.0
 
 
 def test_numpy_integer_scores_are_scores():

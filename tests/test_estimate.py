@@ -724,6 +724,21 @@ class TestRecordsIO:
         with pytest.raises(InfeasibleData, match=f"record 0: .*{field}=.* is out of range"):
             estimate.records_from_json_lines([json.dumps(d)])
 
+    @pytest.mark.parametrize("value", [2**60 + 1, 2**53 + 1, -(2**53) - 1, 2.0**60])
+    def test_duration_beyond_2_53_rejected(self, value):
+        # a float column would round 2^60 + 1 (odd, so infeasible for a 15-7
+        # game) to 2^60 (feasible), and the fit would take it
+        d = {"first_server": "A", "alpha": 15, "beta": 7, "last_scorer": "A", "duration": value}
+        with pytest.raises(InfeasibleData, match=r"^record 1: cannot parse \(duration=.* is out of range\)$"):
+            estimate.records_from_json_lines(['{"first_server": "A", "alpha": 15, "beta": 7, "last_scorer": "A", "duration": 23}', json.dumps(d)])
+
+    def test_duration_of_2_53_accepted_and_written_back(self):
+        lines = [json.dumps({"alpha": 15, "beta": 7, "duration": d, "first_server": "A", "last_scorer": "A"}, sort_keys=True) + "\n"
+                 for d in (2**53, 2**53 - 2, 22)]
+        batch = estimate.records_from_json_lines(lines)
+        assert batch.duration.tolist() == [2.0**53, 2.0**53 - 2, 22.0]
+        assert estimate.records_to_json_lines(batch) == "".join(lines)
+
     def test_integral_float_count_accepted(self):
         line = '{"first_server": "A", "alpha": 15.0, "beta": 3, "last_scorer": "A", "duration": 40}'
         assert estimate.records_from_json_lines([line]).alpha[0] == 15
@@ -788,15 +803,19 @@ class TestRecordBatch:
         # such a count would wrap in the int64 extra pairs and give a silent p = (.5, .5)
         with pytest.raises(DomainError, match=r"^record 1: duration 1e\+20 is out of range"):
             make_batch((A, 15, 7, A, 41), (A, 15, 7, A, 1e20))
-        # the largest double below 2^63 is taken, and fits: both players lose
-        # nearly every rally, so the estimate is the box's corner
-        got = estimate.fit(make_batch((A, 15, 7, A, 2.0**63 - 1024)), FitMode.SCORE_DURATION)
+        # 2^53 + 2 is a double, but the column holds the counts below it
+        # with gaps: refused, as the JSON reader refuses 2^53 + 1
+        with pytest.raises(DomainError, match=r"^record 0: duration 9007199254740994\.0 is out of range"):
+            make_batch((A, 15, 7, A, 2.0**53 + 2), (A, 15, 7, A, 41))
+        # the largest count taken fits: both players lose nearly every
+        # rally, so the estimate is the box's corner
+        got = estimate.fit(make_batch((A, 15, 7, A, 2.0**53)), FitMode.SCORE_DURATION)
         assert np.isfinite(got.log_likelihood) and (got.p_a, got.p_b, got.boundary) == (1e-9, 1e-9, True)
-        # three such games hold more extra rally pairs than an int64 counts
-        three = make_batch(*[(A, 15, 7, A, 2.0**63 - 1024)] * 3)
-        one = estimate._Likelihood(make_batch((A, 15, 7, A, 2.0**63 - 1024)), FitMode.SCORE_DURATION).m
-        assert one > 2**61 and estimate._Likelihood(three, FitMode.SCORE_DURATION).m == 3 * one
-        assert estimate.fit(three, FitMode.SCORE_DURATION).log_likelihood == pytest.approx(3 * got.log_likelihood, rel=1e-12)
+        # the extra rally pairs of many such games are summed exactly
+        many = make_batch(*[(A, 15, 7, A, 2.0**53)] * 2048)
+        one = estimate._Likelihood(make_batch((A, 15, 7, A, 2.0**53)), FitMode.SCORE_DURATION).m
+        assert one == 2**52 - 11 and estimate._Likelihood(many, FitMode.SCORE_DURATION).m == 2048 * one
+        assert estimate.fit(many, FitMode.SCORE_DURATION).log_likelihood == pytest.approx(2048 * got.log_likelihood, rel=1e-12)
 
     def test_missing_durations(self):
         batch = make_batch((A, 9, 3, A, 20), (B, 4, 9, B), (B, 9, 7, A, 25))
@@ -815,8 +834,11 @@ class TestRecordBatch:
             (([True, True], [9, 3], [3, 0], [True, False], [20, 21]), "record 1: last scorer B requires beta >= 1"),
             (([True, True], [9, 3], [3, 9], [True, False], [20, 21.5]), "record 1: duration 21.5 is not a whole"),
             (([True, True], [9, 3], [3, 9], [True, False], [np.inf, 21]), "record 0: duration inf is out of range"),
-            # beyond the int64 rally counts the likelihood reads
+            # beyond the whole numbers the float column holds exactly
             (([True, True], [9, 3], [3, 9], [True, False], [20, 1e20]), r"record 1: duration 1e\+20 is out of range"),
+            (([True, True], [9, 3], [3, 9], [True, False], [20, 2.0**53 + 2]), "record 1: duration .* is out of range"),
+            (([True, True], [9, 3], [3, 9], [True, False], [-(2.0**53) - 2, 21]), "record 0: duration .* is out of range"),
+            (([True, True], [9, 3], [3, 9], [True, False], [2.0**53, -(2.0**53)]), None),
             (([True, True], [9, 3], [3, 9], [True, False], [2.0**63, 21]), "record 0: duration .* is out of range"),
             (([True, True], [9, 3], [3, 9], [True, False], [20, -1e20]), "record 1: duration .* is out of range"),
             (([True, True], [9.0, 3], [3, 9], [True, False], [20, 21]), "alpha must be"),

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rallystats import (
+    DomainError,
     GameConfig,
     Player,
     RallyProbs,
@@ -232,6 +233,50 @@ def test_one_q_path_has_the_grid_bits():
         for got, want in zip(kernel.interruption_polynomial(rows, v), grid):
             assert got.shape == (len(rows.alpha),)
             assert np.array_equal(got.view(np.int64), want[:, i].view(np.int64)), v
+
+
+@pytest.mark.parametrize(
+    "q",
+    [
+        math.nan, -0.1, 1.5, -math.inf, np.longdouble(1.5), "0.3", None, True, 0.5j, np.complex128(0.5),
+        np.array(0.5 + 0.5j), np.array([0.2, math.nan]), np.array([0.2, 1.5]), [0.2, -1e-300], np.array(["0.3"]),
+        np.array([True]),
+    ],
+    ids=repr,
+)
+def test_a_q_that_is_not_a_probability_is_a_domain_error(q):
+    # no NaN arrays, RuntimeWarning or finite nonsense: q is checked first
+    with pytest.raises(DomainError):
+        kernel.interruption_polynomial(kernel.table(5), q)
+
+
+def test_a_row_without_mass_has_a_sum_and_moments_of_0():
+    # (0, 3) with the first server scoring last is unreachable, so every term
+    # of its row is -inf: at a scalar log v, on a grid with v = 0 and with
+    # rally-point bases with u = 0 it keeps 0s, with no floating-point warning
+    rows = kernel.tallies([(0, 3, True), (4, 2, True)])
+    for log_v, log_u in [
+        (np.float64(np.log(0.3)), None),
+        (kernel._FLOOR, None),
+        (np.array([-np.inf, -0.5]), None),
+        (np.array([0.0, -0.7]), np.array([-np.inf, -0.7])),
+    ]:
+        _, terms, total, s_mean, s_var = kernel._polynomial(rows, log_v, log_u)
+        assert not (terms[0].any() or total[0].any() or s_mean[0].any() or s_var[0].any())
+        assert (total[1] >= 1.0).all() and np.isfinite([s_mean[1], s_var[1]]).all()
+
+
+def test_every_real_form_of_q_takes_its_path():
+    # a float, an extended-precision scalar, an integer and a 0-d array give
+    # the one-q arrays; a list gives a grid
+    rows = kernel.table(7)
+    grid = kernel.interruption_polynomial(rows, np.array([0.0, 0.3, 1.0]))
+    for i, forms in enumerate([(0.0, 0, np.array(0.0)), (0.3, np.float64(0.3), np.array(0.3)), (1.0, 1, np.longdouble(1))]):
+        for q in forms:
+            for got, want in zip(kernel.interruption_polynomial(rows, q), grid):
+                assert got.shape == (len(rows.alpha),) and np.array_equal(got, want[:, i]), q
+    for got, want in zip(kernel.interruption_polynomial(rows, [0.0, 0.3, 1]), grid):
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("system", list(ScoringSystem))
