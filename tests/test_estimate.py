@@ -811,11 +811,13 @@ class TestRecordBatch:
         # rally, so the estimate is the box's corner
         got = estimate.fit(make_batch((A, 15, 7, A, 2.0**53)), FitMode.SCORE_DURATION)
         assert np.isfinite(got.log_likelihood) and (got.p_a, got.p_b, got.boundary) == (1e-9, 1e-9, True)
-        # the extra rally pairs of many such games are summed exactly
-        many = make_batch(*[(A, 15, 7, A, 2.0**53)] * 2048)
+        # 4096 such games hold more extra rally pairs than an int64 counts
+        # (4096 * (2^52 - 11) > 2^63), and they are summed exactly
+        many = make_batch(*[(A, 15, 7, A, 2.0**53)] * 4096)
         one = estimate._Likelihood(make_batch((A, 15, 7, A, 2.0**53)), FitMode.SCORE_DURATION).m
-        assert one == 2**52 - 11 and estimate._Likelihood(many, FitMode.SCORE_DURATION).m == 2048 * one
-        assert estimate.fit(many, FitMode.SCORE_DURATION).log_likelihood == pytest.approx(2048 * got.log_likelihood, rel=1e-12)
+        total = estimate._Likelihood(many, FitMode.SCORE_DURATION).m
+        assert one == 2**52 - 11 and total == 4096 * one and total > 2**63
+        assert estimate.fit(many, FitMode.SCORE_DURATION).log_likelihood == pytest.approx(4096 * got.log_likelihood, rel=1e-12)
 
     def test_missing_durations(self):
         batch = make_batch((A, 9, 3, A, 20), (B, 4, 9, B), (B, 9, 7, A, 25))
