@@ -1,16 +1,20 @@
 """Command-line front end: machine-readable tables (CSV or JSON) for every
 engine capability.
 
-Exit codes: 0 success, 2 usage error, 3 domain, conditioning, data or
-non-convergence error (the package's typed errors), 4 I/O error.  All
-commands are deterministic given their flags (plus --seed where
-randomness is involved).
+A command is a function of its parsed flags that returns one table, its
+columns and its rows; one wrapper (`_table_command`) registers it,
+prints the table as CSV or JSON to stdout or `--out`, and maps errors to
+exit codes: 0 success, 2 usage error, 3 domain, conditioning, data or
+non-convergence error (the package's typed errors), 4 I/O error.  A
+command that plays one game gets the built `GameConfig` and `RallyProbs`
+of its game flags (`_game_flags`), not the flags.  All commands are
+deterministic given their flags (plus --seed where randomness is
+involved).
 
 Each command reaches the engines through their public functions only and
-prints what they return: it parses its flags, makes its calls and formats
-the table, with no numerics of its own.  It imports the engine modules it
-calls when it runs, so a process loads only those (and `--help` none of
-them).
+returns what they give: it makes its calls and lays out the rows, with
+no numerics of its own.  It imports the engine modules it calls when it
+runs, so a process loads only those (and `--help` none of them).
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import click
 # imported up front though only `--p-grid` uses it: without numpy, the
@@ -44,61 +47,69 @@ from .core import (
 )
 
 
-@dataclass
-class OutputTable:
-    columns: list[str]
-    rows: list[list]
-
-    def _cell(self, value, as_json: bool):
-        if value is None:
-            return None if as_json else ""
-        if isinstance(value, bool):
-            return value if as_json else str(value).lower()
-        if isinstance(value, int):
-            return value
-        if isinstance(value, float):
-            text = f"{value:.12g}"
-            return float(text) if as_json else text
-        return str(value)
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(self.columns)
-        for row in self.rows:
-            writer.writerow([self._cell(v, as_json=False) for v in row])
-        return buf.getvalue()
-
-    def to_json(self) -> str:
-        payload = {
-            "columns": self.columns,
-            "rows": [[self._cell(v, as_json=True) for v in row] for row in self.rows],
-        }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _cell(value, as_json: bool):
+    """A table cell as the format prints it: floats to 12 significant
+    digits, None as an empty CSV cell or JSON null."""
+    if value is None:
+        return None if as_json else ""
+    if isinstance(value, bool):
+        return value if as_json else str(value).lower()
+    if isinstance(value, int):
+        return value
+    if isinstance(value, float):
+        text = f"{value:.12g}"
+        return float(text) if as_json else text
+    return str(value)
 
 
-def _emit(table: OutputTable, fmt: str, out: str | None) -> None:
-    text = table.to_json() if fmt == "json" else table.to_csv()
-    if out is None:
-        click.echo(text, nl=False)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+def _table_text(columns: list[str], rows: list[list], fmt: str) -> str:
+    """The table as CSV (a header row, then the rows) or as JSON."""
+    cells = [[_cell(v, as_json=fmt == "json") for v in row] for row in rows]
+    if fmt == "json":
+        return json.dumps({"columns": columns, "rows": cells}, indent=2, sort_keys=True) + "\n"
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([columns, *cells])
+    return buf.getvalue()
 
 
-def engine_errors(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except (DomainError, ConfigError, ConditioningError, InfeasibleData, NonConvergence) as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(3)
-        except OSError as exc:
-            click.echo(f"i/o error: {exc}", err=True)
-            sys.exit(4)
+@click.group(name="rallystats")
+def main():
+    """Exact probabilities, durations, simulation and estimation for
+    side-out and rally-point games."""
 
-    return wrapper
+
+def _table_command(name: str):
+    """Register `fn`, a function of its flags that returns a table
+    (columns, rows), as the command `name`, with `--format` and `--out`
+    as its last options.  The command prints the table as CSV or JSON to
+    stdout or the `--out` file; a typed error of the package exits 3 and
+    an OSError 4, each with its message on stderr."""
+
+    def register(fn):
+        @main.command(name)
+        @functools.wraps(fn)
+        def command(fmt, out, **flags):
+            try:
+                text = _table_text(*fn(**flags), fmt)
+                if out is None:
+                    click.echo(text, nl=False)
+                else:
+                    with open(out, "w", encoding="utf-8") as fh:
+                        fh.write(text)
+            except (DomainError, ConfigError, ConditioningError, InfeasibleData, NonConvergence) as exc:
+                click.echo(f"error: {exc}", err=True)
+                sys.exit(3)
+            except OSError as exc:
+                click.echo(f"i/o error: {exc}", err=True)
+                sys.exit(4)
+
+        command.params += [
+            click.Option(["--out"], type=str, default=None, help="Write the table to this file."),
+            click.Option(["--format", "fmt"], type=click.Choice(["csv", "json"]), default="csv"),
+        ]
+        return command
+
+    return register
 
 
 class Numbers(click.ParamType):
@@ -135,52 +146,47 @@ class Numbers(click.ParamType):
             self.fail(f"the grid {value!r} is too large to build", param, ctx)
 
 
-def _common_flags(fn):
-    fn = click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")(fn)
-    fn = click.option("--out", type=str, default=None, help="Write the table to this file.")(fn)
-    return fn
-
-
 def _game_flags(fn):
-    fn = click.option("--system", type=click.Choice(["sideout", "rallypoint"]), default="sideout")(fn)
-    fn = click.option("--n", type=int, required=True, help="Target score of a game.")(fn)
-    fn = click.option("--pa", type=float, required=True)(fn)
-    fn = click.option("--pb", type=float, required=True)(fn)
-    fn = click.option("--server", type=click.Choice(["A", "B"]), default=None)(fn)
-    fn = click.option("--sa", type=float, default=None, help="P[first server is A]; overrides --server.")(fn)
-    fn = click.option("--tiebreak", type=int, default=None)(fn)
-    return fn
+    """The flags of one game, passed to `fn` as its built `config` and
+    `probs`; the config is built first, so its errors come first.  The
+    first server is A with probability --sa, or surely the --server (A by
+    default)."""
+
+    @functools.wraps(fn)
+    def play(system, n, pa, pb, server, sa, tiebreak, **flags):
+        s_a = sa if sa is not None else float(server != "B")
+        config = GameConfig(n=n, system=ScoringSystem(system), tiebreak=tiebreak, s_a=s_a)
+        return fn(config=config, probs=RallyProbs(pa, pb), **flags)
+
+    play = click.option("--system", type=click.Choice(["sideout", "rallypoint"]), default="sideout")(play)
+    play = click.option("--n", type=int, required=True, help="Target score of a game.")(play)
+    play = click.option("--pa", type=float, required=True)(play)
+    play = click.option("--pb", type=float, required=True)(play)
+    play = click.option("--server", type=click.Choice(["A", "B"]), default=None)(play)
+    play = click.option("--sa", type=float, default=None, help="P[first server is A]; overrides --server.")(play)
+    play = click.option("--tiebreak", type=int, default=None)(play)
+    return play
 
 
-def _build_config(system, n, sa, server, tiebreak) -> GameConfig:
-    """The game config; the first server is A with probability --sa, or
-    surely the --server (A by default)."""
-    s_a = sa if sa is not None else float(server != "B")
-    return GameConfig(n=n, system=ScoringSystem(system), tiebreak=tiebreak, s_a=s_a)
+_quantile_mode = click.option(
+    "--quantile-mode",
+    type=click.Choice(["standard", "interpolated"]),
+    default="standard",
+)
 
 
-@click.group(name="rallystats")
-def main():
-    """Exact probabilities, durations, simulation and estimation for
-    side-out and rally-point games."""
-
-
-@main.command("score-dist")
+@_table_command("score-dist")
 @_game_flags
-@_common_flags
-@engine_errors
-def cmd_score_dist(system, n, pa, pb, server, sa, tiebreak, fmt, out):
+def cmd_score_dist(config, probs):
     """Probability of every terminal score."""
     from . import sideout
 
-    config = _build_config(system, n, sa, server, tiebreak)
-    probs = RallyProbs(pa, pb)
     dist = sideout.score_distribution(probs, config)
     rows = [
         [score.alpha, score.beta, score.winner.value, prob]
         for score, prob in dist.entries.items()
     ]
-    _emit(OutputTable(["alpha", "beta", "winner", "probability"], rows), fmt, out)
+    return ["alpha", "beta", "winner", "probability"], rows
 
 
 def _moment_rows(probs, config, score):
@@ -195,31 +201,20 @@ def _moment_rows(probs, config, score):
     return [[label, *((m.mean, m.sd, m.variance) if m is not None else (None,) * 3)] for label, m in rows]
 
 
-@main.command("duration")
+@_table_command("duration")
 @_game_flags
 @click.option("--stat", type=click.Choice(["moments", "pmf", "quantiles"]), default="moments")
 @click.option("--winner", type=click.Choice(["A", "B"]), default=None)
 @click.option("--score", type=Numbers(int, size=2), default=None, help="Condition on a final tally 'alpha,beta'.")
 @click.option("--levels", type=Numbers(), default="0.01,0.05,0.25,0.5,0.75,0.95,0.99")
-@click.option(
-    "--quantile-mode",
-    type=click.Choice(["standard", "interpolated"]),
-    default="standard",
-)
+@_quantile_mode
 @click.option("--epsilon", type=float, default=1e-12, help="Tail tolerance for PMF truncation.")
-@_common_flags
-@engine_errors
-def cmd_duration(system, n, pa, pb, server, sa, tiebreak, stat, winner, score, levels,
-                 quantile_mode, epsilon, fmt, out):
+def cmd_duration(config, probs, stat, winner, score, levels, quantile_mode, epsilon):
     """Rally-count distribution: moments, PMF or quantiles."""
     from . import duration
 
-    config = _build_config(system, n, sa, server, tiebreak)
-    probs = RallyProbs(pa, pb)
     if stat == "moments":
-        rows = _moment_rows(probs, config, score)
-        _emit(OutputTable(["conditioning", "mean", "sd", "variance"], rows), fmt, out)
-        return
+        return ["conditioning", "mean", "sd", "variance"], _moment_rows(probs, config, score)
     if score is not None:
         pmf = duration.score_pmf(probs, config, score, epsilon)
     elif winner is None:
@@ -231,20 +226,16 @@ def cmd_duration(system, n, pa, pb, server, sa, tiebreak, stat, winner, score, l
             [int(pmf.offset + i), float(mass), pmf.truncation_bound]
             for i, mass in enumerate(pmf.masses)
         ]
-        _emit(OutputTable(["rallies", "probability", "truncation_bound"], rows), fmt, out)
-        return
+        return ["rallies", "probability", "truncation_bound"], rows
     mode = duration.QuantileMode(quantile_mode)
-    rows = [[lv, duration.quantile(pmf, lv, mode), mode.value] for lv in levels]
-    _emit(OutputTable(["level", "rallies", "mode"], rows), fmt, out)
+    return ["level", "rallies", "mode"], [[lv, duration.quantile(pmf, lv, mode), mode.value] for lv in levels]
 
 
-@main.command("compare")
+@_table_command("compare")
 @click.option("--sideout-n", type=int, default=15)
 @click.option("--rallypoint-n", type=int, default=21)
 @click.option("--p-grid", type=Numbers(grid=True), default="0.01:0.99:0.01", help="START:STOP:STEP inclusive grid.")
-@_common_flags
-@engine_errors
-def cmd_compare(sideout_n, rallypoint_n, p_grid, fmt, out):
+def cmd_compare(sideout_n, rallypoint_n, p_grid):
     """Side-out vs rally-point in the no-server model: win probabilities
     and duration summaries per p, with limit reference rows at p = 0, 1."""
     from . import asymptotics, duration
@@ -265,39 +256,31 @@ def cmd_compare(sideout_n, rallypoint_n, p_grid, fmt, out):
     cols = [p, so[a][0], rp[a][0], win_ratio, *so[None][1:], *rp[None][1:],
             *so[a][1:], *so[b][1:], *rp[a][1:], *rp[b][1:]]
     rows = [["grid", *vals] for vals in zip(*cols)]
-    for p_lim, direction in ((0.0, asymptotics.Direction.P_TO_0), (1.0, asymptotics.Direction.P_TO_1)):
-        so_a = asymptotics.limit_moments(ScoringSystem.SIDE_OUT, Player.A, direction, sideout_n)
-        so_b = asymptotics.limit_moments(ScoringSystem.SIDE_OUT, Player.B, direction, sideout_n)
-        rp_a = asymptotics.limit_moments(ScoringSystem.RALLY_POINT, Player.A, direction, rallypoint_n)
-        rp_b = asymptotics.limit_moments(ScoringSystem.RALLY_POINT, Player.B, direction, rallypoint_n)
-        # unconditional limits equal the moments above the almost-sure winner
-        so_unc = so_b if direction is asymptotics.Direction.P_TO_0 else so_a
-        rp_unc = rp_b if direction is asymptotics.Direction.P_TO_0 else rp_a
-        win_a = 0.0 if direction is asymptotics.Direction.P_TO_0 else 1.0
-        rows.append([
-            "limit", p_lim, win_a, win_a, None,
-            so_unc.mean, so_unc.sd, rp_unc.mean, rp_unc.sd,
-            so_a.mean, so_a.sd, so_b.mean, so_b.sd,
-            rp_a.mean, rp_a.sd, rp_b.mean, rp_b.sd,
-        ])
-    _emit(OutputTable(columns, rows), fmt, out)
+    so_sys, rp_sys = ScoringSystem.SIDE_OUT, ScoringSystem.RALLY_POINT
+    for p_lim, direction, sure in ((0.0, asymptotics.Direction.P_TO_0, b), (1.0, asymptotics.Direction.P_TO_1, a)):
+        limit = {
+            (system, w): asymptotics.limit_moments(system, w, direction, target)
+            for system, target in ((so_sys, sideout_n), (rp_sys, rallypoint_n))
+            for w in Player
+        }
+        # A wins with probability p_lim in the limit, and the unconditional
+        # limits equal the moments above the almost-sure winner
+        keys = [(so_sys, sure), (rp_sys, sure), (so_sys, a), (so_sys, b), (rp_sys, a), (rp_sys, b)]
+        cells = [x for key in keys for x in (limit[key].mean, limit[key].sd)]
+        rows.append(["limit", p_lim, p_lim, p_lim, None, *cells])
+    return columns, rows
 
 
-@main.command("simulate")
+@_table_command("simulate")
 @_game_flags
 @click.option("--replications", "-j", type=int, required=True)
 @click.option("--seed", type=int, required=True)
 @click.option("--stream", type=int, default=0)
 @click.option("--records-out", type=str, default=None, help="Also write game records (JSON lines).")
-@_common_flags
-@engine_errors
-def cmd_simulate(system, n, pa, pb, server, sa, tiebreak, replications, seed, stream,
-                 records_out, fmt, out):
+def cmd_simulate(config, probs, replications, seed, stream, records_out):
     """Monte Carlo replications of a game with the standard estimators."""
     from . import simulate
 
-    config = _build_config(system, n, sa, server, tiebreak)
-    probs = RallyProbs(pa, pb)
     spec = simulate.SeedSpec(seed, stream)
     if records_out is None:
         report = simulate.run_experiment(probs, config, replications, spec)
@@ -319,16 +302,14 @@ def cmd_simulate(system, n, pa, pb, server, sa, tiebreak, replications, seed, st
         report.e_hat_winner[Player.A], report.v_hat_winner[Player.A],
         report.e_hat_winner[Player.B], report.v_hat_winner[Player.B],
     ]]
-    _emit(OutputTable(columns, rows), fmt, out)
+    return columns, rows
 
 
-@main.command("estimate")
+@_table_command("estimate")
 @click.option("--input", "input_path", type=str, required=True, help="Game records, one JSON object per line.")
 @click.option("--mode", type=click.Choice(["score", "score-duration"]), default="score-duration")
 @click.option("--model", type=click.Choice(["server", "no-server"]), default="server")
-@_common_flags
-@engine_errors
-def cmd_estimate(input_path, mode, model, fmt, out):
+def cmd_estimate(input_path, mode, model):
     """Maximum-likelihood estimates of (p_a, p_b) from observed games."""
     from . import estimate
 
@@ -340,7 +321,7 @@ def cmd_estimate(input_path, mode, model, fmt, out):
         result.p_a, result.p_b, result.log_likelihood,
         result.converged, result.boundary, result.mode.value, result.model.value,
     ]]
-    _emit(OutputTable(columns, rows), fmt, out)
+    return columns, rows
 
 
 def _match_flags(fn):
@@ -354,48 +335,40 @@ def _match_flags(fn):
     return fn
 
 
-@main.command("match")
+@_table_command("match")
 @_game_flags
 @_match_flags
-@_common_flags
-@engine_errors
-def cmd_match(system, n, pa, pb, server, sa, tiebreak, games_to_win, server_rule, epsilon, fmt, out):
+def cmd_match(config, probs, games_to_win, server_rule, epsilon):
     """Match-winning probability and match duration summary."""
     from . import matchlevel
 
-    config = _build_config(system, n, sa, server, tiebreak)
-    probs = RallyProbs(pa, pb)
     mc = matchlevel.MatchConfig(games_to_win, ServerRule(server_rule))
     wins = [matchlevel.match_win_prob(probs, config, mc, winner) for winner in Player]
     pmf = matchlevel.match_duration_pmf(probs, config, mc, epsilon)
     moments = pmf.moments()
     columns = ["match_win_a", "match_win_b", "e_rallies", "sd_rallies", "truncation_bound"]
-    rows = [[*wins, moments.mean, moments.sd, pmf.truncation_bound]]
-    _emit(OutputTable(columns, rows), fmt, out)
+    return columns, [[*wins, moments.mean, moments.sd, pmf.truncation_bound]]
 
 
-@main.command("plan")
+def _at_least_one(ctx, param, value):
+    """A count of at least one, checked as the flags are parsed."""
+    if value < 1:
+        raise click.UsageError(f"--{param.name} must be >= 1")
+    return value
+
+
+@_table_command("plan")
 @_game_flags
 @_match_flags
-@click.option("--matches", type=int, required=True, help="Number of independent matches to schedule.")
+@click.option("--matches", type=int, required=True, callback=_at_least_one,
+              help="Number of independent matches to schedule.")
 @click.option("--quantile-levels", type=Numbers(), default="0.5,0.9,0.95,0.99")
-@click.option(
-    "--quantile-mode",
-    type=click.Choice(["standard", "interpolated"]),
-    default="standard",
-)
-@_common_flags
-@engine_errors
-def cmd_plan(system, n, pa, pb, server, sa, tiebreak, games_to_win, server_rule, epsilon,
-             matches, quantile_levels, quantile_mode, fmt, out):
+@_quantile_mode
+def cmd_plan(config, probs, games_to_win, server_rule, epsilon, matches, quantile_levels, quantile_mode):
     """Quantiles of the total rally count of a block of matches, for event
     planning at a chosen tolerance level."""
     from . import duration, matchlevel
 
-    if matches < 1:
-        raise click.UsageError("--matches must be >= 1")
-    config = _build_config(system, n, sa, server, tiebreak)
-    probs = RallyProbs(pa, pb)
     mc = matchlevel.MatchConfig(games_to_win, ServerRule(server_rule))
     total = matchlevel.block_duration_pmf(probs, config, mc, matches, epsilon)
     mode = duration.QuantileMode(quantile_mode)
@@ -403,7 +376,7 @@ def cmd_plan(system, n, pa, pb, server, sa, tiebreak, games_to_win, server_rule,
         [matches, lv, duration.quantile(total, lv, mode), mode.value]
         for lv in quantile_levels
     ]
-    _emit(OutputTable(["matches", "level", "rallies", "mode"], rows), fmt, out)
+    return ["matches", "level", "rallies", "mode"], rows
 
 
 if __name__ == "__main__":

@@ -342,15 +342,12 @@ def grid_moments(config: GameConfig, p_a, p_b) -> dict[Player | None, tuple[tupl
     means, sds)} for A, B and None (either), each a tuple of Python floats
     with one entry per point.  A point gets the bits `aggregate_moments`
     gives it alone.  Raises DomainError for a probability outside [0, 1]
-    or a point with q = 1, and ConditioningError where the event of a
-    winner has vanished (probability at most 1e-300)."""
+    or a point with q = 1 (`kernel.game` checks both), and
+    ConditioningError where the event of a winner has vanished
+    (probability at most 1e-300)."""
     p_a, p_b = _reals(p_a, 1, "p_a"), _reals(p_b, 1, "p_b")
     if p_a.shape != p_b.shape:
         raise DomainError("p_a and p_b must be 1-d grids of one length")
-    if not ((0.0 <= p_a) & (p_a <= 1.0) & (0.0 <= p_b) & (p_b <= 1.0)).all():
-        raise DomainError("a probability of the grid lies outside [0, 1]")
-    if ((1.0 - p_a) * (1.0 - p_b) >= 1.0).any():
-        raise DomainError("q=1, game never terminates (p_a=0 and p_b=0)")
     events = _event_moments(config, p_a, p_b, [(None, w) for w in (*Player, None)])
     if any(np.isnan(moments).any() for _, *moments in events.values()):
         raise ConditioningError("conditioning event has vanished")

@@ -398,11 +398,36 @@ def game(config: GameConfig, p_a, p_b) -> Game:
     from one kernel evaluation per table: `table(n)`, and with a tie-break
     l also `tied(n-1)` and `table(l)`.  The table of a single point comes
     from a bounded cache (`_point_game`), read-only; a grid is evaluated
-    afresh."""
+    afresh.  A p_a or p_b that is not a real, or a 1-d array of reals, in
+    [0, 1] (NaN included), arrays of two lengths and a point with q = 1
+    raise DomainError before any evaluation, so none enters the cache; a
+    pair of floats is checked by comparisons alone."""
     expect(config, GameConfig, "config")
-    if np.ndim(p_a) == 0 and np.ndim(p_b) == 0:
+    floats = isinstance(p_a, float) and isinstance(p_b, float)  # np.float64 included
+    if not (floats and 0.0 <= p_a <= 1.0 and 0.0 <= p_b <= 1.0 and (1.0 - p_a) * (1.0 - p_b) < 1.0):
+        _check_points(p_a, p_b)
+    if floats or (np.ndim(p_a) == 0 and np.ndim(p_b) == 0):
         return _point_game(config.system, config.n, config.tiebreak, float(p_a), float(p_b))
     return _game(config.system, config.n, config.tiebreak, p_a, p_b)
+
+
+def _check_points(p_a, p_b) -> None:
+    """Raise DomainError unless p_a and p_b are reals or 1-d arrays of
+    reals (of one length if both are arrays) in [0, 1], with q < 1 at
+    every point."""
+    arrays = []
+    for name, p in (("p_a", p_a), ("p_b", p_b)):
+        arr = np.asarray(p)
+        if arr.ndim > 1 or arr.dtype.kind not in "iuf":
+            raise DomainError(f"{name} must be a real or a 1-d array of reals, got {p!r}")
+        if not ((0.0 <= arr) & (arr <= 1.0)).all():
+            grid = "a probability of the grid lies outside [0, 1]"
+            raise DomainError(grid if arr.ndim else f"{name}={p!r} outside [0, 1]")
+        arrays.append(arr)
+    if arrays[0].ndim == arrays[1].ndim == 1 and arrays[0].shape != arrays[1].shape:
+        raise DomainError("p_a and p_b must be reals or 1-d arrays of one length")
+    if ((1.0 - arrays[0]) * (1.0 - arrays[1]) >= 1.0).any():
+        raise DomainError("q=1, game never terminates (p_a=0 and p_b=0)")
 
 
 @functools.lru_cache(maxsize=16)

@@ -533,6 +533,30 @@ class TestExitCodes:
         result = runner.invoke(main, ["estimate", "--input", "/nonexistent/path.jsonl"])
         assert result.exit_code == 4
 
+    def test_out_into_a_missing_directory_is_4(self, runner, tmp_path):
+        target = tmp_path / "missing" / "table.csv"
+        result = runner.invoke(main, ["match", "--n", "5", "--pa", ".6", "--pb", ".5", "-m", "2", "--out", str(target)])
+        assert (result.exit_code, result.stdout) == (4, "")
+        assert result.stderr.startswith("i/o error: ") and result.stderr.count("\n") == 1, result.stderr
+        assert not target.parent.exists()
+
+    def test_json_out_file_written(self, runner, tmp_path):
+        target = tmp_path / "table.json"
+        args = ["match", "--n", "5", "--pa", ".6", "--pb", ".5", "-m", "2", "--server-rule", "alternate"]
+        assert run_ok(runner, [*args, "--format", "json", "--out", str(target)]) == ""
+        payload = json.loads(target.read_text())
+        assert payload == json.loads(run_ok(runner, [*args, "--format", "json"]))
+        assert payload["columns"] == ["match_win_a", "match_win_b", "e_rallies", "sd_rallies", "truncation_bound"]
+        mc = matchlevel.MatchConfig(2, matchlevel.ServerRule.ALTERNATE)
+        win_a = matchlevel.match_win_prob(RallyProbs(0.6, 0.5), GameConfig(n=5), mc)
+        assert payload["rows"][0][0] == float(cell(win_a))
+
+    def test_zero_matches_is_a_usage_error_before_a_domain_error(self, runner):
+        # --pa 2 is a domain error, but the count of matches is checked first
+        result = runner.invoke(main, ["plan", "--n", "9", "--pa", "2", "--pb", ".5", "-m", "2", "--matches", "0"])
+        assert (result.exit_code, result.stdout) == (2, "")
+        assert result.stderr.endswith("\nError: --matches must be >= 1\n"), result.stderr
+
     def test_out_file_written(self, runner, tmp_path):
         target = tmp_path / "table.csv"
         run_ok(runner, [

@@ -454,3 +454,21 @@ class TestGameCache:
         assert len(calls) == len(points)
         kernel.game(GameConfig(n=5), points[0], 0.5)
         assert len(calls) == len(points) + 1
+
+    @pytest.mark.parametrize(
+        "p_a, p_b",
+        [
+            (1.5, 0.5), (-0.1, 0.5), (math.nan, 0.5), (0.5, math.nan), (0.0, 0.0), (0, 0), (1e-20, 1e-20),
+            (None, 0.5), ("x", 0.5), (object(), 0.5), (True, 0.5), (0.5, "0.5"),
+            (np.array([0.5, 1.5]), np.array([0.5, 0.5])), ([0.5, math.nan], [0.5, 0.5]), (np.array([0.0, 0.5]), 0.0),
+            (np.array([[0.5]]), 0.5), (np.array(["x"]), 0.5), (np.array([0.5, 0.4]), np.array([0.5])),
+        ],
+    )
+    def test_refused_points_make_no_evaluation_or_entry(self, calls, p_a, p_b):
+        # a point outside [0, 1], NaN, q = 1 or not a real is refused before
+        # its table is formed: no NaN weights, no cache entry
+        for config in GAME_CONFIGS:
+            with pytest.raises(DomainError):
+                kernel.game(config, p_a, p_b)
+        assert kernel._point_game.cache_info().currsize == 0
+        assert calls == []

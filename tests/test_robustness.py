@@ -2,8 +2,10 @@
 of the package's typed errors, never NaN or inf: edge rally probabilities
 (0 and 1) and interior ones, both scoring systems, every first-server mix,
 tie-break configurations, the simulator and the estimators fitted to its
-samples."""
+samples.  A bad argument of a public function, or a bad field of a config
+class, raises one of those typed errors."""
 
+import dataclasses
 import inspect
 import math
 from functools import partial
@@ -24,6 +26,8 @@ from rallystats import (
     RallyProbs,
     ScoringSystem,
     SeedSpec,
+    ServerRule,
+    TerminalScore,
     asymptotics,
     duration,
     estimate,
@@ -283,3 +287,41 @@ def test_public_functions_refuse_bad_arguments_with_typed_errors(name, bad):
         if not (bad is None and "None" in str(params[p].annotation)):
             wrong.append(f"{p}: returned")
     assert not wrong, f"{name} with {bad!r}: {wrong}"
+
+
+# a valid value of every field of the config classes, by class
+FIELD_ARGS = {
+    GameConfig: {"n": 5, "system": ScoringSystem.SIDE_OUT, "tiebreak": 2, "s_a": 0.5},
+    RallyProbs: {"p_a": 0.6, "p_b": 0.5},
+    TerminalScore: {"alpha": 5, "beta": 3, "last_scorer": Player.A},
+    MatchConfig: {"games_to_win": 2, "server_rule": ServerRule.ALTERNATE},
+    SeedSpec: {"master": 7, "stream": 1},
+    estimate.RecordBatch: {
+        "first_server_a": [True], "alpha": [5], "beta": [3], "last_scorer_a": [True], "duration": [9.0],
+    },
+}
+# (1,) is a valid one-game column of a batch of one game: an integer score
+# or rally count, though not a bool column
+ACCEPTED = {(estimate.RecordBatch, name, (1,)) for name in ("alpha", "beta", "duration")}
+
+
+@pytest.mark.parametrize("bad", [None, "x", (1,), object(), math.nan], ids=["None", "str", "tuple", "object", "nan"])
+@pytest.mark.parametrize("cls", list(FIELD_ARGS), ids=[cls.__name__ for cls in FIELD_ARGS])
+def test_config_classes_refuse_bad_fields_with_typed_errors(cls, bad):
+    # one field at a time: a typed error, or acceptance of a None where the
+    # field's type admits it (a tie-break) and of the listed valid values
+    valid = FIELD_ARGS[cls]
+    cls(**valid)  # the valid fields are accepted
+    wrong = []
+    for field in dataclasses.fields(cls):
+        try:
+            cls(**{**valid, field.name: bad})
+        except TYPED:
+            continue
+        except Exception as exc:
+            wrong.append(f"{field.name}: {type(exc).__name__}: {exc}")
+            continue
+        listed = isinstance(bad, tuple) and (cls, field.name, bad) in ACCEPTED
+        if not (listed or (bad is None and "None" in str(field.type))):
+            wrong.append(f"{field.name}: accepted")
+    assert not wrong, f"{cls.__name__} with {bad!r}: {wrong}"
