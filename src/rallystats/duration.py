@@ -27,7 +27,10 @@ with (s_a, s_b), so s_a = 1 or 0 states it.  Given an end score and a stated fir
 the law depends on the rally probabilities through q alone.  An event of
 probability zero has no conditional law: the aggregates leave it out, and
 the laws that normalize, `duration_pmf_winner` and the laws given a
-score, raise `ConditioningError`.  The moment generating function given
+score, raise `ConditioningError`.  The probability of an event, and so
+what every law given it divides by, is the kernel's one sum of the
+event's component weights (`kernel.total`): P[winner] has the bits of
+`sideout.game_win_probs` in the moments and the PMFs alike.  The moment generating function given
 an end score (`score_mgf`) reads the same mixture of shift laws as
 `score_pmf`.
 
@@ -179,11 +182,11 @@ class QuantileMode(enum.Enum):
 
 
 def _exact_q(probs: RallyProbs):
-    """log q and 1 - q of the exchange probability q = q_a q_b, in extended
-    precision (where the platform has it), so that each rounds the exact
-    value; 1 - q is p_a + q_a p_b, which does not cancel as q -> 1."""
+    """log q and 1 - q (`kernel.one_minus_q`) of the exchange probability
+    q = q_a q_b, in extended precision (where the platform has it), so
+    that each rounds the exact value."""
     p_a, p_b = np.longdouble(probs.p_a), np.longdouble(probs.p_b)
-    return np.log1p(-p_a) + np.log1p(-p_b), p_a + (1.0 - p_a) * p_b
+    return np.log1p(-p_a) + np.log1p(-p_b), kernel.one_minus_q(p_a, p_b)
 
 
 def _exchange_tail(m0: int, probs: RallyProbs):
@@ -276,27 +279,26 @@ def _mix(c: np.ndarray, mean: np.ndarray, var: np.ndarray):
     1e-300, an event that counts as vanished.  The variance sums each
     component's variance and squared deviation from the mixture mean, so it
     does not cancel when far below the squared mean.  Each sum over the
-    components is a running sum, in one order whatever the number of points
-    (NumPy sums a lone point's rows pairwise), so a point gets the same bits
-    alone as in a grid."""
-    total = np.add.accumulate(c)[-1]
+    components is the kernel's sum of an event's weights (`kernel.total`),
+    so the total is the event's probability, and a point gets the same
+    bits alone as in a grid."""
+    total = kernel.total(c)
     kept = np.where(total > _TINY, total, np.nan)
-    m = np.add.accumulate(c * mean)[-1] / kept
-    return total, m, np.add.accumulate(c * (var + (mean - m) ** 2))[-1] / kept
+    m = kernel.total(c * mean) / kept
+    return total, m, kernel.total(c * (var + (mean - m) ** 2)) / kept
 
 
 def _moments(config: GameConfig, game: kernel.Game, p_a, p_b):
     """Mean and variance of D given each component of the game table, each
     (components, points): given M points and the shift s, D = M + s + 2L
     with L ~ NB(M, q), so E[D] = M (1+q)/(1-q) + E[s] and Var[D] = 4 M
-    q/(1-q)^2 + Var[s], with the exact 1 - q = p_a + q_a p_b, which does not
-    cancel as q -> 1; rally-point games have no exchanges."""
-    q, one_minus_q = 0.0, 1.0
+    q/(1-q)^2 + Var[s], with the exact 1 - q (`kernel.one_minus_q`);
+    rally-point games have no exchanges."""
+    q, keep = 0.0, 1.0
     if config.system is ScoringSystem.SIDE_OUT:
-        q_a = 1.0 - np.asarray(p_a)
-        q, one_minus_q = q_a * (1.0 - np.asarray(p_b)), p_a + q_a * p_b
+        q, keep = (1.0 - np.asarray(p_a)) * (1.0 - np.asarray(p_b)), kernel.one_minus_q(p_a, p_b)
     points = (game.alpha + game.beta)[:, None]
-    return points * (1.0 + q) / one_minus_q + game.shift_mean, 4.0 * points * q / one_minus_q**2 + game.shift_var
+    return points * (1.0 + q) / keep + game.shift_mean, 4.0 * points * q / keep**2 + game.shift_var
 
 
 _EVENTS = tuple(itertools.product((*Player, None), repeat=2))
@@ -386,32 +388,34 @@ def _pre_exchange(config: GameConfig, game: kernel.Game, q: float):
     return lambda c: np.bincount(cells, (c[:, None] * shifts).ravel(), size).reshape(-1, width)
 
 
-def _event_law(probs: RallyProbs, config: GameConfig, winner: Player | None) -> np.ndarray:
-    """A game's law before its exchanges jointly with its winner, the
-    first server weighed by (s_a, s_b) from the config and a winner of None
-    taking both (see `_pre_exchange`)."""
-    validate(probs, config)
+def _event_pmf(probs: RallyProbs, config: GameConfig, winner: Player | None, epsilon: float) -> DurationPMF:
+    """PMF of D jointly with the game's winner, the first server weighed by
+    (s_a, s_b) from the config, through `exchange_mixture`: for a winner
+    given that winner, its law before exchanges (`_pre_exchange`) divided
+    by the probability of the event (`kernel.total`, the bits of
+    `sideout.game_win_probs`), and for None the law of every game."""
+    validate(probs, config)  # before the config's n is read
     game = kernel.game(config, probs.p_a, probs.p_b)
-    return _pre_exchange(config, game, probs.q)(game.event(kernel.servers(config), kernel.WON[winner])[:, 0])
+    c = game.event(kernel.servers(config), kernel.WON[winner])[:, 0]
+    total = 1.0 if winner is None else float(kernel.total(c))
+    if total <= _TINY:
+        raise ConditioningError(f"P[{winner} wins] underflowed")
+    return exchange_mixture(config.n, _pre_exchange(config, game, probs.q)(c) / total, probs, config.system, epsilon)
 
 
 def duration_pmf_winner(probs: RallyProbs, config: GameConfig, winner: Player, epsilon: float = 1e-12) -> DurationPMF:
     """PMF of D under `config.system` conditional on the game winner, the
     first server A with probability `config.s_a`, mixed out with the
-    posterior weights given that winner.  Rally-point PMFs are exact (the
-    truncation bound is zero)."""
-    law = _event_law(probs, config, expect(winner, Player, "winner"))
-    total = float(law.sum())
-    if total <= _TINY:
-        raise ConditioningError(f"P[{winner} wins] underflowed")
-    return exchange_mixture(config.n, law / total, probs, config.system, epsilon)
+    posterior weights given that winner; the probability of the winner it
+    divides by is the one `sideout.game_win_probs` gives.  Rally-point
+    PMFs are exact (the truncation bound is zero)."""
+    return _event_pmf(probs, config, expect(winner, Player, "winner"), epsilon)
 
 
 def duration_pmf_unconditional(probs: RallyProbs, config: GameConfig, epsilon: float = 1e-12) -> DurationPMF:
     """PMF of D under `config.system` mixed over all terminal scores and
     winners, the first server A with probability `config.s_a`."""
-    law = _event_law(probs, config, None)  # checks the config before its n is read
-    return exchange_mixture(config.n, law, probs, config.system, epsilon)
+    return _event_pmf(probs, config, None, epsilon)
 
 
 def pre_exchange_laws(probs: RallyProbs, config: GameConfig) -> dict[tuple[Player, Player], np.ndarray]:
@@ -440,7 +444,8 @@ def _score_law(probs: RallyProbs, config: GameConfig, score) -> tuple[kernel.Gam
     """The game table, the weight of each component in the law given that
     a game ends at `score`, the first server weighed by (s_a, s_b), summing
     to 1 (one component, or two for an end of a tie-break's extension,
-    reached by either tying scorer), and the points of that score."""
+    reached by either tying scorer) divided by the probability of the
+    score (`kernel.total`), and the points of that score."""
     validate(probs, config)
     if isinstance(score, TerminalScore):
         alpha, beta = score.alpha, score.beta
@@ -458,9 +463,10 @@ def _score_law(probs: RallyProbs, config: GameConfig, score) -> tuple[kernel.Gam
     if not end or (alpha, beta) not in zip(game.alpha.tolist(), game.beta.tolist()):
         raise ConfigError(f"score {alpha},{beta} is not an end score of a game to {config.n}")
     c = game.event(kernel.servers(config), lambda a, b: (a == alpha) & (b == beta))[:, 0]
-    if c.sum() <= _TINY:
+    total = kernel.total(c)
+    if total <= _TINY:
         raise ConditioningError(f"P[score {alpha},{beta}] underflowed")
-    return game, c / c.sum(), alpha + beta
+    return game, c / total, alpha + beta
 
 
 def score_moments(probs: RallyProbs, config: GameConfig, score) -> Moments:
@@ -492,8 +498,7 @@ def score_mgf(probs: RallyProbs, config: GameConfig, score, t: float) -> float:
     at a finite t: the points M with their NB(M, q) exchanges, and the
     mixed shift law of the score (`kernel.Game.shift_laws`).  Under
     side-out scoring it is finite only while q e^(2t) < 1; the exact 1 - q
-    = p_a + q_a p_b, which does not cancel as q -> 1, gives 1 - q e^(2t) as
-    (1 - q) - q (e^(2t) - 1).  Under rally-point scoring q = 0 and D = M.
+    (`kernel.one_minus_q`) gives 1 - q e^(2t) as (1 - q) - q (e^(2t) - 1).  Under rally-point scoring q = 0 and D = M.
     Raises DomainError for a t that is not a finite real, where the MGF
     diverges, and where it overflows a double; a score is refused as
     `score_moments` refuses it."""
@@ -502,13 +507,13 @@ def score_mgf(probs: RallyProbs, config: GameConfig, score, t: float) -> float:
     game, c, points = _score_law(probs, config, score)
     law = (c[:, None] * game.shift_laws(probs.q))[c > 0.0].sum(axis=0)
     s = np.flatnonzero(law)  # e^(ts) may overflow where the law has no mass
-    q, one_minus_q = (probs.q, probs.p_a + probs.q_a * probs.p_b) if config.system is ScoringSystem.SIDE_OUT else (0.0, 1.0)
+    q, keep = (probs.q, kernel.one_minus_q(probs.p_a, probs.p_b)) if config.system is ScoringSystem.SIDE_OUT else (0.0, 1.0)
     # a t in the domain may still overflow: e^(2t), the power or the product
     try:
-        room = one_minus_q - q * math.expm1(2.0 * t)
+        room = keep - q * math.expm1(2.0 * t)
         if room <= 0.0:
             raise DomainError(f"MGF diverges: q*e^(2t) = {q * math.exp(2.0 * t)} >= 1")
-        value = (one_minus_q * math.exp(t) / room) ** points * float(np.dot(law[s], np.exp(t * s)))
+        value = (keep * math.exp(t) / room) ** points * float(np.dot(law[s], np.exp(t * s)))
     except OverflowError:
         value = math.inf
     if value == math.inf:
@@ -572,7 +577,7 @@ def exchange_mixture(
 
 class _GeometricFilter:
     """y[t] = q y[t-1] + (1-q) x[t] along both parity classes of the
-    rallies, with the exact 1 - q = p_a + q_a p_b, as a scan of an
+    rallies, with the exact 1 - q (`kernel.one_minus_q`), as a scan of an
     accumulator it holds, and the closed form of what its passes carry past
     the accumulator.
 

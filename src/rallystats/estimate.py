@@ -279,8 +279,7 @@ def _bases(p_a, p_b):
     `np.longdouble` for arrays, its scalars for floats."""
     x, y = np.longdouble(p_a), np.longdouble(p_b)
     q_a, q_b = 1.0 - x, 1.0 - y
-    q = q_a * q_b
-    one_minus_q = x + q_a * y  # does not cancel as q -> 1
+    q, one_minus_q = q_a * q_b, kernel.one_minus_q(x, y)
     # np.float64 rounds a scalar or an array alike, and a scalar in a fifth of the time of astype
     logs = (np.float64(np.log(v)) for v in (x / one_minus_q, y / one_minus_q, q_a, q_b, q))
     odds = np.float64(q / one_minus_q)

@@ -26,7 +26,9 @@ is a regular end or the pair of a tie at n-1 all and an end of the l-point
 extension, first served by whoever tied.  `Game.event` is the one
 selector of the components of an event of a game: the first servers
 weighed as `servers` gives them, and the components kept by a predicate
-on the points, such as a winner's (`WON`) or an end score's.
+on the points, such as a winner's (`WON`) or an end score's, and `total`
+the one sum of its weights that is the event's probability
+(`Game.probability`).
 
 The laws of one matchup read one game table: `game` keeps the tables of
 the last 16 single points in an LRU cache keyed by (system, n,
@@ -244,6 +246,13 @@ def _symmetric_bases(system: ScoringSystem, p_a: np.ndarray, p_b: np.ndarray):
     return log_v, log_u
 
 
+def one_minus_q(p_a, p_b):
+    """1 - q for the exchange probability q = (1 - p_a)(1 - p_b), as p_a +
+    (1 - p_a) p_b in the dtype of p_a and p_b: it does not cancel as q -> 1.
+    Every `1 - q` of the package is this one expression."""
+    return p_a + (1.0 - p_a) * p_b
+
+
 def _log_prefactor(system: ScoringSystem, rows: Rows, p_a: np.ndarray, p_b: np.ndarray, log_v: np.ndarray):
     """The log of the factor of each tally's probability outside the
     polynomial, for the first server with rally-winning probability p_a."""
@@ -251,12 +260,11 @@ def _log_prefactor(system: ScoringSystem, rows: Rows, p_a: np.ndarray, p_b: np.n
     receiver_last = (~rows.server_last).astype(int)[:, None]
     j0 = rows.j0[:, None]
     if system is ScoringSystem.SIDE_OUT:
-        # x^alpha y^beta q_a^[receiver last] q^j, with x = p_a/(1-q), y = p_b/(1-q);
-        # 1 - q = p_a + q_a p_b does not cancel as q -> 1
-        one_minus_q = p_a + q_a * p_b
+        # x^alpha y^beta q_a^[receiver last] q^j, with x = p_a/(1-q), y = p_b/(1-q)
+        keep = one_minus_q(p_a, p_b)
         return (
-            _xlog(rows.alpha[:, None], _log(p_a / one_minus_q))
-            + _xlog(rows.beta[:, None], _log(p_b / one_minus_q))
+            _xlog(rows.alpha[:, None], _log(p_a / keep))
+            + _xlog(rows.beta[:, None], _log(p_b / keep))
             + _xlog(receiver_last, _log(q_a))
             + _xlog(j0, log_v)
         )
@@ -318,19 +326,28 @@ class Game:
     shift_var: np.ndarray
     shift_laws: Callable[[float], np.ndarray]
 
-    def scores(self, server: int) -> tuple[np.ndarray, np.ndarray]:
-        """A's and B's points at each component when A (0) or B (1) serves first."""
-        return (self.alpha, self.beta) if server == 0 else (self.beta, self.alpha)
-
     def event(self, servers, keep) -> np.ndarray:
         """Weight of each component in an event, (components, points):
         `servers` weighs the two first servers, (1, 0), (0, 1) or (s_a, s_b)
         (see `servers`), and keep(A's points, B's points) says which
-        components count.  Its running sum over the components
-        (`np.add.accumulate`, one order whatever the number of points) is
-        the probability of the event.  A first server of weight 0 adds
-        nothing and is skipped."""
-        return sum(wt * np.where(keep(*self.scores(i))[:, None], self.weight[:, i], 0.0) for i, wt in enumerate(servers) if wt)
+        components count.  A first server of weight 0 adds nothing and is
+        skipped."""
+        ends = ((self.alpha, self.beta), (self.beta, self.alpha))  # A's and B's points when A, B serves first
+        return sum(wt * np.where(keep(*ends[i])[:, None], self.weight[:, i], 0.0) for i, wt in enumerate(servers) if wt)
+
+    def probability(self, servers, keep) -> np.ndarray:
+        """The probability of the event `event(servers, keep)` at each
+        point, (points,): the `total` of its weights."""
+        return total(self.event(servers, keep))
+
+
+def total(weights: np.ndarray) -> np.ndarray:
+    """The probability of an event from the weights of its components on
+    axis 0 (`Game.event`): their running sum (`np.add.accumulate`), added
+    in one order whatever the number of points, so a point gets the same
+    bits alone as in a grid.  Every probability of an event that the
+    package forms or divides by is this sum."""
+    return np.add.accumulate(weights)[-1]
 
 
 # which components a winner takes, from A's and B's points: at an end they differ

@@ -21,9 +21,9 @@ A step of the pass (`_play`) weighs copies of a state shifted along its
 points by every column of the games' laws that holds mass in one matrix
 product, and adds each column's block as contiguous rows at its shift s.
 The match-winning probability runs the same pass on plain floats, the
-game-winning probabilities (`sideout._win_probs`, the running sums of the
-game table's events that `duration.aggregate_moments` forms too), adding
-in the same order as the pass on 1 x 1 laws would.  The rally count of
+game-winning probabilities (`sideout.game_win_probs`, the kernel's
+probabilities of the game table's events that `duration.aggregate_moments`
+reads too), adding in the same order as the pass on 1 x 1 laws would.  The rally count of
 a block of independent matches (`block_duration_pmf`) is the match law
 convolved with itself, one match at a time.
 
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import duration, kernel, sideout
+from . import duration, sideout
 from .core import ConfigError, GameConfig, Player, RallyProbs, ServerRule, expect, expect_count, validate
 from .duration import DurationPMF
 
@@ -129,9 +129,7 @@ def match_win_prob(
     """Exact probability that `winner` takes the match; the first server
     of game one is A with probability s_a from the game config.  Runs the
     match pass on floats, the game-winning probabilities."""
-    validate(probs, game_config)
-    game = kernel.game(game_config, probs.p_a, probs.p_b)
-    wins = [sideout._win_probs(game, kernel.servers(game_config, s)) for s in Player]  # [first server][game winner]
+    wins = [sideout.game_win_probs(s, probs, game_config) for s in Player]  # [first server][game winner]
 
     def play(reach: float, server: Player) -> list[tuple[Player, float]]:
         return [(w, reach * p) for w, p in zip(Player, wins[server is Player.B]) if p > 0.0]

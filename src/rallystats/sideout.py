@@ -7,7 +7,9 @@ which tie-break extensions follow.  `score_distribution`,
 `game_win_probs`, `game_win_prob` and `match_win_prob` all read the game
 table of `kernel.game`, whose components carry their probabilities for
 both first servers at once; a score sums its components (an end of a
-tie-break's extension is reached by either tying scorer).  The scoring
+tie-break's extension is reached by either tying scorer), and a winner's
+probability is the kernel's one sum of its components
+(`kernel.Game.probability`).  The scoring
 system comes from the `GameConfig`, and rally-point tallies differ only in
 how the polynomial is weighted (see `rallypoint`).
 """
@@ -70,20 +72,16 @@ def score_distribution(probs: RallyProbs, config: GameConfig, server: Player | N
     return ScoreDistribution(config, server, dict(zip(scores, (s_a * weight[0] + s_b * weight[1]).tolist())))
 
 
-def _win_probs(game: kernel.Game, servers) -> list[float]:
-    """Probabilities that A and that B take a game with the first server
-    weighed by `servers` (`kernel.servers`): running sums of the game
-    table's event weights, the sums `duration._mix` forms."""
-    return [float(np.add.accumulate(game.event(servers, kernel.WON[w]))[-1, 0]) for w in Player]
-
-
 def game_win_probs(server: Player | None, probs: RallyProbs, config: GameConfig) -> tuple[float, float]:
     """Probabilities that A and that B take a game under `config.system`
     whose first server is `server`; for None, A serves first with
-    probability `config.s_a`, and the two first servers' probabilities
-    are mixed by it."""
+    probability `config.s_a`, and the game table's components are weighed
+    by it.  Each is the kernel's probability of the event
+    (`kernel.Game.probability`), the one every law given a winner divides
+    by."""
     validate(probs, config)
-    return tuple(_win_probs(kernel.game(config, probs.p_a, probs.p_b), kernel.servers(config, server)))
+    game, servers = kernel.game(config, probs.p_a, probs.p_b), kernel.servers(config, server)
+    return tuple(float(game.probability(servers, kernel.WON[w])[0]) for w in Player)
 
 
 def game_win_prob(winner: Player, server: Player | None, probs: RallyProbs, config: GameConfig) -> float:

@@ -621,6 +621,75 @@ class TestVanishedEvent:
         assert prob == pytest.approx(want, rel=1e-9) and (mean, sd) == (moments.mean, moments.sd)
 
 
+def probability_corpus():
+    """312 seeded (config, probs): side-out games, side-out games with a
+    tie-break and rally-point games to 2..12, each with s_a in {0, .3, .5,
+    1}, at rally probabilities drawn from [.02, .98]."""
+    rng, out = np.random.default_rng(38), []
+    for i in range(312):
+        kind, s_a = (i // 4) % 3, (0.0, 0.3, 0.5, 1.0)[i % 4]
+        system = ScoringSystem.RALLY_POINT if kind == 2 else ScoringSystem.SIDE_OUT
+        tiebreak = int(rng.integers(2, 4)) if kind == 1 else None
+        config = GameConfig(n=int(rng.integers(2, 13)), system=system, tiebreak=tiebreak, s_a=s_a)
+        out.append((config, RallyProbs(*(float(p) for p in rng.uniform(0.02, 0.98, 2)))))
+    return out
+
+
+class TestOneProbabilityPerEvent:
+    """The probability of an event has one set of bits, the kernel's
+    running sum of its component weights (`kernel.total`).  P[winner] is
+    the same from `sideout.game_win_probs`, from the duration moments
+    (`aggregate_moments` for a stated first server, `grid_moments` for the
+    s_a mixture, both from one mixture of the game table) and as the
+    probability `duration_pmf_winner` divides its law by; P[score] is what
+    the laws given an end score divide by.  The weights of the law before
+    exchanges and of the score law are recorded as the engines form them,
+    and the exchange law is not applied."""
+
+    CORPUS = probability_corpus()
+
+    @pytest.fixture
+    def recorded(self, monkeypatch):
+        raw, passed, scored = [], [], []
+        pre_exchange, score_law = duration._pre_exchange, duration._score_law
+
+        def recording_pre_exchange(*args):
+            law = pre_exchange(*args)
+            return lambda c: raw.append(law(c)) or raw[-1]
+
+        monkeypatch.setattr(duration, "_pre_exchange", recording_pre_exchange)
+        monkeypatch.setattr(duration, "_score_law", lambda *args: scored.append(score_law(*args)) or scored[-1])
+        monkeypatch.setattr(duration, "exchange_mixture", lambda points, law, *rest: passed.append(law))
+        return raw, passed, scored
+
+    def test_winner(self, recorded):
+        raw, passed, _ = recorded
+        for config, probs in self.CORPUS:
+            mixed = sideout.game_win_probs(None, probs, config)
+            grid = duration.grid_moments(config, [probs.p_a], [probs.p_b])
+            stated = duration.aggregate_moments(probs, config).win_probs
+            for i, winner in enumerate(Player):
+                assert grid[winner][0] == (mixed[i],)
+                assert all(sideout.game_win_probs(s, probs, config)[i] == stated[(s, winner)] for s in Player)
+                duration.duration_pmf_winner(probs, config, winner)
+                assert np.array_equal(passed[-1], raw[-1] / mixed[i]), (config, probs, winner)
+
+    def test_score(self, recorded):
+        # every end score through score_moments, the first also through the
+        # PMF and the MGF: the three read one `_score_law`
+        *_, scored = recorded
+        laws = (duration.score_moments, duration.score_pmf, functools.partial(duration.score_mgf, t=0.0))
+        for config, probs in self.CORPUS:
+            game, servers = kernel.game(config, probs.p_a, probs.p_b), kernel.servers(config)
+            for i, (alpha, beta) in enumerate(sorted(set(zip(game.alpha.tolist(), game.beta.tolist())))):
+                keep = functools.partial(lambda alpha, beta, a, b: (a == alpha) & (b == beta), alpha, beta)
+                total = float(game.probability(servers, keep)[0])
+                assert total == float(np.add.accumulate(game.event(servers, keep))[-1, 0])
+                for law in laws if i == 0 else laws[:1]:
+                    law(probs, config, (alpha, beta))
+                    assert np.array_equal(scored[-1][1], game.event(servers, keep)[:, 0] / total), (config, probs)
+
+
 class TestDurationPMFProb:
     def test_bins_at_both_ends_and_past_them(self):
         pmf = duration.DurationPMF(3, np.array([0.25, 0.0, 0.75]), 0.0)
