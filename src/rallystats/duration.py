@@ -111,12 +111,23 @@ class DurationPMF:
     mass discarded when truncating an infinite series is bounded above by
     `truncation_bound`.  Quantiles read the CDF through checkpoints, one
     per chunk of 2^13 bins (`chunk_cdf`), so they keep O(bins / 2^13)
-    values rather than a PMF-sized CDF.
+    values rather than a PMF-sized CDF.  An offset that is not an integer
+    >= 0, masses that are not a 1-d float array and a bound that is not a
+    finite real >= 0 raise DomainError; the masses are not scanned.
     """
 
     offset: int
     masses: np.ndarray
     truncation_bound: float
+
+    def __post_init__(self):
+        if expect(self.offset, numbers.Integral, "offset") < 0:
+            raise DomainError(f"offset={self.offset} must be >= 0")
+        masses = self.masses
+        if not (isinstance(masses, np.ndarray) and masses.ndim == 1 and masses.dtype.kind == "f"):
+            raise DomainError(f"masses must be a 1-d array of floats, got {type(masses).__name__} {np.shape(masses)}")
+        if not 0.0 <= expect(self.truncation_bound, numbers.Real, "truncation_bound") < math.inf:
+            raise DomainError(f"truncation_bound={self.truncation_bound} must be finite and >= 0")
 
     @property
     def total_mass(self) -> float:
@@ -143,7 +154,10 @@ class DurationPMF:
 
     def chunk_cdf(self, b: int) -> np.ndarray:
         """The CDF over chunk b, bit for bit np.cumsum(masses) there: the
-        chunk's masses accumulated onto the checkpoint before it."""
+        chunk's masses accumulated onto the checkpoint before it.  A b that
+        is not the index of a chunk raises DomainError."""
+        if not 0 <= expect(b, numbers.Integral, "b") < -(-len(self.masses) // _CHUNK):
+            raise DomainError(f"b={b} is not a chunk of {len(self.masses)} bins")
         return _running_sum(self.masses[b * _CHUNK : (b + 1) * _CHUNK], self.checkpoints[b - 1] if b else 0.0)
 
     def support(self) -> np.ndarray:
@@ -152,13 +166,17 @@ class DurationPMF:
         return out
 
     def prob(self, d: int) -> float:
-        i = d - self.offset
+        """P[D = d], 0 outside the bins; DomainError for a d that is not an
+        integer."""
+        i = expect(d, numbers.Integral, "d") - self.offset
         if i < 0 or i >= len(self.masses):
             return 0.0
         return float(self.masses[i])
 
     def moments(self) -> Moments:
         total = self.total_mass
+        if not math.isfinite(total):
+            raise DomainError(f"PMF mass {total} is not finite")
         if total <= _TINY:
             raise ConditioningError("PMF carries no mass")
         d = self.offset + np.arange(len(self.masses))
@@ -541,10 +559,12 @@ def exchange_mixture(
     keeps at least that many exchange counts, and NB(M) lies below NB(M')
     for M <= M', so the mass times that series' tail bounds what the window
     leaves out.  Rally-point laws, and side-out laws at q = 0, have no
-    exchanges: D = M + s exactly."""
+    exchanges: D = M + s exactly.  A `points` below 1 raises DomainError:
+    a law of no points would skip every pass, and its mass with them."""
     if not (isinstance(epsilon, numbers.Real) and math.isfinite(epsilon) and epsilon > 0.0):
         raise DomainError(f"epsilon must be finite and > 0, got {epsilon!r}")
-    expect(points, numbers.Integral, "points")
+    if expect(points, numbers.Integral, "points") < 1:
+        raise DomainError(f"points={points} must be >= 1")
     expect(probs, RallyProbs, "probs")
     expect(system, ScoringSystem, "system")
     law = _reals(law, 2, "law")
@@ -719,6 +739,8 @@ def quantile(pmf: DurationPMF, level: float, mode: QuantileMode = QuantileMode.S
     if not (0.0 < expect(level, numbers.Real, "level") < 1.0):
         raise DomainError(f"quantile level {level} outside (0, 1)")
     marks = expect(pmf, DurationPMF, "pmf").checkpoints
+    if len(marks) and not math.isfinite(marks[-1]):
+        raise DomainError(f"PMF mass {marks[-1]} is not finite")
     if not len(marks) or marks[-1] <= 0.0:
         raise ConditioningError("PMF carries no mass")
     if level > marks[-1]:

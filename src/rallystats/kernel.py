@@ -81,6 +81,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, fields
 from typing import Callable
 
@@ -498,8 +499,9 @@ def interruption_polynomial(rows: Rows, q) -> tuple[np.ndarray, np.ndarray, np.n
     A float q (or a 0-d array or integer) gives arrays of shape (rows,)
     with a grid's bits, from the same evaluator without a point axis or
     blocks (see the module notes); a float is checked by one comparison.
-    A q that is not a real, or an array of reals, in [0, 1] (NaN
-    included) raises DomainError."""
+    A `rows` that is not a `Rows`, or a q that is not a real, or an array
+    of reals, in [0, 1] (NaN included) raises DomainError."""
+    expect(rows, Rows, "rows")
     if not isinstance(q, (float, np.floating)):
         q = np.asarray(q)
         if q.dtype.kind not in "fiu" or not ((0.0 <= q) & (q <= 1.0)).all():
@@ -527,8 +529,14 @@ def log_exchange_binom(points: int, l) -> np.ndarray:
     accurate to a few ulps for any l (a difference of lgamma values loses
     ulps of lgamma(l), 5e-10 relative at l = 1e5): each term errs by at
     most two ulps and the sum of the t - 1 positive terms by at most t - 2
-    more."""
-    l = np.asarray(l, dtype=float)
+    more.  A `points` that is not a positive integer, or an l that is not a
+    1-d array of finite reals >= 0, raises DomainError."""
+    if expect(points, numbers.Integral, "points") < 1:
+        raise DomainError(f"points={points} must be >= 1")
+    l = np.asarray(l)
+    if l.ndim != 1 or l.dtype.kind not in "iuf" or not ((0 <= l) & (l < np.inf)).all():
+        raise DomainError(f"l must be a 1-d array of finite reals >= 0, got {l!r}")
+    l = l.astype(float, copy=False)
     terms = np.zeros((l.size, points))
     np.log1p(l[:, None] / np.arange(1, points), out=terms[:, 1:])
     return np.add.accumulate(terms, axis=1)

@@ -37,6 +37,10 @@ class ScoreDistribution:
     entries: dict[TerminalScore, float]
 
     def win_prob(self, player: Player) -> float:
+        """The sum of the printed entries that `player` wins, in their
+        order: not the kernel's one sum of the event (`game_win_probs`), so
+        it may differ from it in the last bits."""
+        expect(player, Player, "player")
         return sum(p for score, p in self.entries.items() if score.winner is player)
 
     @property

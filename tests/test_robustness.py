@@ -2,12 +2,13 @@
 of the package's typed errors, never NaN or inf: edge rally probabilities
 (0 and 1) and interior ones, both scoring systems, every first-server mix,
 tie-break configurations, the simulator and the estimators fitted to its
-samples.  A bad argument of a public function, or a bad field of a config
-class, raises one of those typed errors."""
+samples.  A bad argument of a public function or method, or a bad field of
+a config or result class, raises one of those typed errors."""
 
 import dataclasses
 import inspect
 import math
+import numbers
 from functools import partial
 
 import numpy as np
@@ -31,6 +32,7 @@ from rallystats import (
     asymptotics,
     duration,
     estimate,
+    kernel,
     matchlevel,
     sideout,
     simulate,
@@ -236,15 +238,33 @@ def test_match_duration_pmf_near_q_one(p):
         assert pmf.mean == pytest.approx(_expected_match_rallies(probs, config, 3), rel=1e-10, abs=0)
 
 
+WALK_PROBS, WALK_CONFIG = RallyProbs(0.6, 0.5), GameConfig(n=5, s_a=0.5)
+# a result of each class whose public methods are walked
+WALK_RESULTS = (
+    duration.duration_pmf_unconditional(WALK_PROBS, WALK_CONFIG),
+    sideout.score_distribution(WALK_PROBS, WALK_CONFIG),
+)
+
+
 def _public_functions():
-    """Every public function of the engine modules, by name."""
+    """Every public function of the engine modules, the kernel's entry
+    points that check their arguments, and the public methods of the
+    result classes, by name.  The kernel's `tallies` (and `table`, `tied`)
+    take tallies their callers have checked, as documented, and
+    `one_minus_q`, `total` and `servers` are arithmetic on checked values
+    inside the engines; they are not walked."""
     for module in (duration, sideout, matchlevel, simulate, estimate, asymptotics):
         for name, f in vars(module).items():
             if inspect.isfunction(f) and not name.startswith("_") and f.__module__ == module.__name__:
                 yield f"{module.__name__.rpartition('.')[2]}.{name}", f
+    for name in ("game", "interruption_polynomial", "log_exchange_binom"):
+        yield f"kernel.{name}", getattr(kernel, name)
+    for result in WALK_RESULTS:
+        for name, f in inspect.getmembers(result, inspect.ismethod):
+            if not name.startswith("_"):
+                yield f"{type(result).__name__}.{name}", f
 
 
-WALK_PROBS, WALK_CONFIG = RallyProbs(0.6, 0.5), GameConfig(n=5, s_a=0.5)
 WALK_SAMPLE = simulate.sample_games(WALK_PROBS, WALK_CONFIG, 20, SeedSpec(7))
 WALK_RECORDS = estimate.records_from_sample(WALK_SAMPLE)
 # a valid value of every parameter of the walked functions, by name
@@ -255,7 +275,7 @@ WALK_ARGS = {
     "direction": Direction.P_TO_1, "n": 5, "sample": WALK_SAMPLE, "records": WALK_RECORDS,
     "lines": estimate.records_to_json_lines(WALK_RECORDS).splitlines(), "p_a": 0.6, "p_b": 0.5,
     "points": 5, "law": duration.pre_exchange_laws(WALK_PROBS, WALK_CONFIG)[(Player.A, Player.A)],
-    "pmf": duration.duration_pmf_unconditional(WALK_PROBS, WALK_CONFIG),
+    "pmf": WALK_RESULTS[0], "rows": kernel.table(5), "q": 0.3, "l": [0, 3], "d": 7, "b": 0, "player": Player.B,
 }
 WALK_OVERRIDES = {
     "duration.grid_moments": {"p_a": np.array([0.6, 0.4]), "p_b": np.array([0.5, 0.5])},
@@ -263,13 +283,36 @@ WALK_OVERRIDES = {
     "estimate.fit": {"mode": estimate.FitMode.SCORE_ONLY, "model": estimate.FitModel.SERVER},
 }
 WALKED = dict(_public_functions())
+# the substitutes for one argument or field: -1 and 0.5 only where the valid
+# value is an integer
+BAD = [
+    pytest.param(value, id=name)
+    for name, value in (("None", None), ("str", "x"), ("tuple", (1,)), ("object", object()), ("nan", math.nan), ("minus_one", -1), ("half", 0.5))
+]
 
 
-@pytest.mark.parametrize("bad", [None, "x", (1,), object(), math.nan], ids=["None", "str", "tuple", "object", "nan"])
+def substitutes(bad, valid) -> bool:
+    """Whether `bad` stands in for the valid value `valid`."""
+    integer = isinstance(valid, numbers.Integral) and not isinstance(valid, bool)
+    return integer or not (type(bad) in (int, float) and not math.isnan(bad))
+
+
+# cases of the function walk that stay valid, with the reason
+ACCEPTED_ARGUMENTS = {
+    ("kernel.game", "p_a", (1,)): "a one-point grid, p_a = 1",
+    ("kernel.game", "p_b", (1,)): "a one-point grid, p_b = 1",
+    ("kernel.interruption_polynomial", "q", (1,)): "a one-point grid, q = 1",
+    ("kernel.log_exchange_binom", "l", (1,)): "one exchange count, 1",
+    ("DurationPMF.prob", "d", -1): "a rally count outside the bins has probability 0",
+}
+
+
+@pytest.mark.parametrize("bad", BAD)
 @pytest.mark.parametrize("name", sorted(WALKED))
 def test_public_functions_refuse_bad_arguments_with_typed_errors(name, bad):
-    # one argument at a time: a typed error, or the documented value of a
-    # None where the signature admits it (`server`, for both first servers)
+    # one argument at a time: a typed error, the documented value of a
+    # None where the signature admits it (`server`, for both first servers),
+    # or a listed valid case
     f = WALKED[name]
     params = inspect.signature(f).parameters
     valid = {**WALK_ARGS, **WALK_OVERRIDES.get(name, {})}
@@ -277,6 +320,8 @@ def test_public_functions_refuse_bad_arguments_with_typed_errors(name, bad):
     f(**args)  # the valid arguments are accepted
     wrong = []
     for p in params:
+        if not substitutes(bad, args[p]):
+            continue
         try:
             f(**{**args, p: bad})
         except TYPED:
@@ -284,7 +329,8 @@ def test_public_functions_refuse_bad_arguments_with_typed_errors(name, bad):
         except Exception as exc:
             wrong.append(f"{p}: {type(exc).__name__}: {exc}")
             continue
-        if not (bad is None and "None" in str(params[p].annotation)):
+        listed = isinstance(bad, (tuple, int)) and (name, p, bad) in ACCEPTED_ARGUMENTS
+        if not (listed or (bad is None and "None" in str(params[p].annotation))):
             wrong.append(f"{p}: returned")
     assert not wrong, f"{name} with {bad!r}: {wrong}"
 
@@ -299,13 +345,14 @@ FIELD_ARGS = {
     estimate.RecordBatch: {
         "first_server_a": [True], "alpha": [5], "beta": [3], "last_scorer_a": [True], "duration": [9.0],
     },
+    duration.DurationPMF: {"offset": 3, "masses": np.array([0.25, 0.75]), "truncation_bound": 0.0},
 }
 # (1,) is a valid one-game column of a batch of one game: an integer score
 # or rally count, though not a bool column
 ACCEPTED = {(estimate.RecordBatch, name, (1,)) for name in ("alpha", "beta", "duration")}
 
 
-@pytest.mark.parametrize("bad", [None, "x", (1,), object(), math.nan], ids=["None", "str", "tuple", "object", "nan"])
+@pytest.mark.parametrize("bad", BAD)
 @pytest.mark.parametrize("cls", list(FIELD_ARGS), ids=[cls.__name__ for cls in FIELD_ARGS])
 def test_config_classes_refuse_bad_fields_with_typed_errors(cls, bad):
     # one field at a time: a typed error, or acceptance of a None where the
@@ -314,6 +361,8 @@ def test_config_classes_refuse_bad_fields_with_typed_errors(cls, bad):
     cls(**valid)  # the valid fields are accepted
     wrong = []
     for field in dataclasses.fields(cls):
+        if not substitutes(bad, valid[field.name]):
+            continue
         try:
             cls(**{**valid, field.name: bad})
         except TYPED:
@@ -325,3 +374,36 @@ def test_config_classes_refuse_bad_fields_with_typed_errors(cls, bad):
         if not (listed or (bad is None and "None" in str(field.type))):
             wrong.append(f"{field.name}: accepted")
     assert not wrong, f"{cls.__name__} with {bad!r}: {wrong}"
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: duration.DurationPMF(0, np.array([1.0]), 0.0).prob(10.5),
+        lambda: duration.DurationPMF(0, np.array([1.0]), 0.0).prob(None),
+        lambda: duration.quantile(duration.DurationPMF(0, np.array([np.nan]), 0.0), 0.5),
+        lambda: duration.quantile(duration.DurationPMF(0, np.array([np.inf, 1.0]), 0.0), 0.5),
+        lambda: duration.DurationPMF(0, np.array([np.nan]), 0.0).moments(),
+        lambda: sideout.score_distribution(WALK_PROBS, WALK_CONFIG).win_prob("A"),
+        lambda: duration.exchange_mixture(-3, np.ones((1, 1)), WALK_PROBS, ScoringSystem.SIDE_OUT),
+        lambda: duration.exchange_mixture(0, np.ones((1, 1)), WALK_PROBS, ScoringSystem.SIDE_OUT),
+        lambda: kernel.interruption_polynomial(None, 0.3),
+        lambda: duration.DurationPMF("a", np.array([1.0]), 0.0),
+        lambda: duration.DurationPMF(0, [1.0], 0.0),
+        lambda: kernel.log_exchange_binom(-1, [1]),
+        lambda: kernel.log_exchange_binom(5, "x"),
+        lambda: kernel.log_exchange_binom(5, [math.nan]),
+    ],
+    ids=[
+        "prob-of-a-float", "prob-of-None", "quantile-of-nan-mass", "quantile-of-inf-mass", "moments-of-nan-mass",
+        "win-prob-of-a-string", "exchange-mixture-of-negative-points", "exchange-mixture-of-no-points",
+        "polynomial-of-None", "pmf-with-a-string-offset", "pmf-with-a-list-of-masses",
+        "exchange-binom-of-negative-points", "exchange-binom-of-a-string", "exchange-binom-of-nan",
+    ],
+)
+def test_calls_that_failed_untyped_or_returned_a_wrong_value_raise_typed_errors(call):
+    # each raised an untyped error or returned a value (0.0 for the quantile
+    # of a NaN mass, 0 for the win probability of "A", a PMF of no mass for
+    # a law of no points, NaN from the exchange binomial)
+    with pytest.raises(DomainError):
+        call()
