@@ -27,8 +27,7 @@ extension, first served by whoever tied.  `Game.event` is the one
 selector of the components of an event of a game: the first servers
 weighed as `servers` gives them, and the components kept by a predicate
 on the points, such as a winner's (`WON`) or an end score's, and `total`
-the one sum of its weights that is the event's probability
-(`Game.probability`).
+the one sum of its weights that is the event's probability.
 
 The laws of one matchup read one game table: `game` keeps the tables of
 the last 16 single points in an LRU cache keyed by (system, n,
@@ -335,11 +334,6 @@ class Game:
         skipped."""
         ends = ((self.alpha, self.beta), (self.beta, self.alpha))  # A's and B's points when A, B serves first
         return sum(wt * np.where(keep(*ends[i])[:, None], self.weight[:, i], 0.0) for i, wt in enumerate(servers) if wt)
-
-    def probability(self, servers, keep) -> np.ndarray:
-        """The probability of the event `event(servers, keep)` at each
-        point, (points,): the `total` of its weights."""
-        return total(self.event(servers, keep))
 
 
 def total(weights: np.ndarray) -> np.ndarray:

@@ -8,10 +8,10 @@ which tie-break extensions follow.  `score_distribution`,
 table of `kernel.game`, whose components carry their probabilities for
 both first servers at once; a score sums its components (an end of a
 tie-break's extension is reached by either tying scorer), and a winner's
-probability is the kernel's one sum of its components
-(`kernel.Game.probability`).  The scoring
-system comes from the `GameConfig`, and rally-point tallies differ only in
-how the polynomial is weighted (see `rallypoint`).
+probability is the kernel's one sum of its components' weights
+(`kernel.total` of `Game.event`).  The scoring system comes from the
+`GameConfig`, and rally-point tallies differ only in how the polynomial
+is weighted (see `rallypoint`).
 """
 
 from __future__ import annotations
@@ -81,11 +81,11 @@ def game_win_probs(server: Player | None, probs: RallyProbs, config: GameConfig)
     whose first server is `server`; for None, A serves first with
     probability `config.s_a`, and the game table's components are weighed
     by it.  Each is the kernel's probability of the event
-    (`kernel.Game.probability`), the one every law given a winner divides
-    by."""
+    (`kernel.total` of `Game.event`), the one every law given a winner
+    divides by."""
     validate(probs, config)
     game, servers = kernel.game(config, probs.p_a, probs.p_b), kernel.servers(config, server)
-    return tuple(float(game.probability(servers, kernel.WON[w])[0]) for w in Player)
+    return tuple(float(kernel.total(game.event(servers, kernel.WON[w]))[0]) for w in Player)
 
 
 def game_win_prob(winner: Player, server: Player | None, probs: RallyProbs, config: GameConfig) -> float:

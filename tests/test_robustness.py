@@ -378,26 +378,17 @@ def test_config_classes_refuse_bad_fields_with_typed_errors(cls, bad):
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: duration.DurationPMF(0, np.array([1.0]), 0.0).prob(10.5),
-        lambda: duration.DurationPMF(0, np.array([1.0]), 0.0).prob(None),
         lambda: duration.quantile(duration.DurationPMF(0, np.array([np.nan]), 0.0), 0.5),
         lambda: duration.quantile(duration.DurationPMF(0, np.array([np.inf, 1.0]), 0.0), 0.5),
         lambda: duration.DurationPMF(0, np.array([np.nan]), 0.0).moments(),
         lambda: sideout.score_distribution(WALK_PROBS, WALK_CONFIG).win_prob("A"),
-        lambda: duration.exchange_mixture(-3, np.ones((1, 1)), WALK_PROBS, ScoringSystem.SIDE_OUT),
         lambda: duration.exchange_mixture(0, np.ones((1, 1)), WALK_PROBS, ScoringSystem.SIDE_OUT),
-        lambda: kernel.interruption_polynomial(None, 0.3),
-        lambda: duration.DurationPMF("a", np.array([1.0]), 0.0),
         lambda: duration.DurationPMF(0, [1.0], 0.0),
-        lambda: kernel.log_exchange_binom(-1, [1]),
-        lambda: kernel.log_exchange_binom(5, "x"),
         lambda: kernel.log_exchange_binom(5, [math.nan]),
     ],
     ids=[
-        "prob-of-a-float", "prob-of-None", "quantile-of-nan-mass", "quantile-of-inf-mass", "moments-of-nan-mass",
-        "win-prob-of-a-string", "exchange-mixture-of-negative-points", "exchange-mixture-of-no-points",
-        "polynomial-of-None", "pmf-with-a-string-offset", "pmf-with-a-list-of-masses",
-        "exchange-binom-of-negative-points", "exchange-binom-of-a-string", "exchange-binom-of-nan",
+        "quantile-of-nan-mass", "quantile-of-inf-mass", "moments-of-nan-mass", "win-prob-of-a-string",
+        "exchange-mixture-of-no-points", "pmf-with-a-list-of-masses", "exchange-binom-of-nan",
     ],
 )
 def test_calls_that_failed_untyped_or_returned_a_wrong_value_raise_typed_errors(call):

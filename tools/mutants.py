@@ -3,21 +3,23 @@ test strength is a number each change can quote.
 
 Each entry of `MUTANTS` names a module of `src/rallystats`, an exact source
 fragment that must occur there once, its replacement and one line on the
-defect it stands for.  For each entry the tool copies `src`, `tests` and
-`pyproject.toml` of the checkout it sits in to a temporary directory,
-applies the entry there (never to the checkout), and runs the module's
-tests (`tests/test_<module>.py`) with `-x`.  An entry that survives them
-runs against the whole suite (tier-1).  An entry marked equivalent changes
-no output: it is run and reported, but not counted.
+defect it stands for.  The tool first copies the checkout it sits in
+(everything but `.git` and caches, since tier-1 also reads `README.md`,
+`pyproject.toml` and `tools/`) to a temporary directory and checks that
+the unmutated copy imports `rallystats` from itself and passes the whole
+suite (tier-1); otherwise no entry can be judged and it stops.  For each
+entry it then makes a fresh copy, applies the entry there (never to the
+checkout) and runs the module's tests (`tests/test_<module>.py`) with
+`-x`.  An entry that survives them runs against tier-1.  A mutant that
+breaks the import fails the collection of its tests, so it counts as
+killed.
 
-    python tools/mutants.py              # every entry
-    python tools/mutants.py NAME ...     # the named entries
+    python tools/mutants.py
 
 It prints one line per entry (its name, killed or survived, the first
-failing test and the time taken) and then the count of killed entries.
-It exits 0 when every counted entry is killed, and 1 otherwise, also when
-a fragment does not occur exactly once.  Only the standard library and
-pytest are used.
+failing test and the time taken) and then `killed K of N`.  It exits 0
+when every entry is killed, and 1 otherwise, also when a fragment does
+not occur exactly once.  Only the standard library and pytest are used.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ class Mutant:
     old: str
     new: str
     defect: str
-    equivalent: str | None = None
 
 
 MUTANTS = (
@@ -156,22 +157,12 @@ MUTANTS = (
 
 
 def _copy(dest: Path) -> None:
-    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
-    for name in ("src", "tests"):
-        shutil.copytree(ROOT / name, dest / name, ignore=ignore)
-    shutil.copy2(ROOT / "pyproject.toml", dest)
+    ignore = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache")
+    shutil.copytree(ROOT, dest, ignore=ignore, dirs_exist_ok=True)
 
 
 def _env(tree: Path) -> dict[str, str]:
     return {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
-
-
-def _imports_copy(tree: Path) -> bool:
-    """Whether `rallystats` imports from the copy in `tree`, and not from
-    an installed checkout."""
-    cmd = [sys.executable, "-c", "import rallystats; print(rallystats.__file__)"]
-    out = subprocess.run(cmd, cwd=tree, env=_env(tree), capture_output=True, text=True, check=True).stdout
-    return Path(out.strip()).resolve().is_relative_to(tree.resolve())
 
 
 def _pytest(tree: Path, args: list[str]) -> str | None:
@@ -188,9 +179,23 @@ def _pytest(tree: Path, args: list[str]) -> str | None:
     return next((line.split()[1] for line in lines if line.startswith(("FAILED ", "ERROR "))), f"pytest exit {run.returncode}")
 
 
+def baseline() -> str | None:
+    """Why the unmutated copy cannot judge the corpus, or None when it
+    imports `rallystats` from itself and passes tier-1."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        tree = Path(tmp)
+        _copy(tree)
+        cmd = [sys.executable, "-c", "import rallystats; print(rallystats.__file__)"]
+        found = subprocess.run(cmd, cwd=tree, env=_env(tree), capture_output=True, text=True)
+        if found.returncode or not Path(found.stdout.strip()).resolve().is_relative_to(tree.resolve()):
+            return f"rallystats does not import from the copy: {(found.stdout or found.stderr).strip()}"
+        failed = _pytest(tree, ["--continue-on-collection-errors"])
+        return f"tier-1 fails without a mutant, at {failed}" if failed else None
+
+
 def run(mutant: Mutant) -> tuple[str, str]:
     """(outcome, detail) of one entry: killed, survived or stale (the
-    fragment is not in the module once, or the copy is not what imports)."""
+    fragment is not in the module once)."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         tree = Path(tmp)
         _copy(tree)
@@ -199,8 +204,6 @@ def run(mutant: Mutant) -> tuple[str, str]:
         if source.count(mutant.old) != 1:
             return "stale", f"fragment found {source.count(mutant.old)} times in {mutant.module}.py"
         path.write_text(source.replace(mutant.old, mutant.new), encoding="utf-8")
-        if not _imports_copy(tree):
-            return "stale", "rallystats does not import from the mutated copy"
         failed = _pytest(tree, [f"tests/test_{mutant.module}.py"])
         if failed:
             return "killed", f"by {failed}"
@@ -208,27 +211,21 @@ def run(mutant: Mutant) -> tuple[str, str]:
         return ("killed", f"by {failed} (tier-1)") if failed else ("survived", "module tests and tier-1 pass")
 
 
-def main(argv: list[str]) -> int:
-    chosen = [m for m in MUTANTS if not argv or m.name in argv]
-    if unknown := set(argv) - {m.name for m in MUTANTS}:
-        print(f"unknown entries: {', '.join(sorted(unknown))}", file=sys.stderr)
-        return 2
-    killed = counted = bad = 0
-    for mutant in chosen:
+def main() -> int:
+    start = time.perf_counter()
+    if reason := baseline():
+        print(f"no entry run: {reason}")
+        return 1
+    print(f"baseline: the unmutated copy passes tier-1\t{time.perf_counter() - start:.1f} s", flush=True)
+    killed = 0
+    for mutant in MUTANTS:
         start = time.perf_counter()
         outcome, detail = run(mutant)
-        seconds = time.perf_counter() - start
-        note = f" [equivalent: {mutant.equivalent}]" if mutant.equivalent else ""
-        print(f"{mutant.name}\t{mutant.module}\t{outcome}\t{detail}\t{seconds:.1f} s{note}", flush=True)
-        if mutant.equivalent:
-            continue
-        counted += 1
+        print(f"{mutant.name}\t{mutant.module}\t{outcome}\t{detail}\t{time.perf_counter() - start:.1f} s", flush=True)
         killed += outcome == "killed"
-        bad += outcome == "stale"
-    equivalent = len(chosen) - counted
-    print(f"killed {killed} of {counted} counted entries ({equivalent} equivalent, {bad} stale)")
-    return 0 if killed == counted else 1
+    print(f"killed {killed} of {len(MUTANTS)}")
+    return 0 if killed == len(MUTANTS) else 1
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
