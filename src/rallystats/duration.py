@@ -30,9 +30,9 @@ the laws that normalize, `duration_pmf_winner` and the laws given a
 score, raise `ConditioningError`.  The probability of an event, and so
 what every law given it divides by, is the kernel's one sum of the
 event's component weights (`kernel.total`): P[winner] has the bits of
-`sideout.game_win_probs` in the moments and the PMFs alike.  The moment generating function given
-an end score (`score_mgf`) reads the same mixture of shift laws as
-`score_pmf`.
+`sideout.game_win_probs` in the moments and the PMFs alike.  The moment
+generating function given an end score (`score_mgf`) reads the same
+mixture of shift laws as `score_pmf`.
 
 Every PMF comes from one engine.  A game's law before its exchanges
 jointly with an event, law[k, s] over n + k points scored and the shift
