@@ -213,6 +213,8 @@ def cmd_duration(config, probs, stat, winner, score, levels, quantile_mode, epsi
     """Rally-count distribution: moments, PMF or quantiles."""
     from . import duration
 
+    if score is not None and winner is not None:
+        raise click.UsageError("--score and --winner cannot be given together: an end score fixes the winner")
     if stat == "moments":
         return ["conditioning", "mean", "sd", "variance"], _moment_rows(probs, config, score)
     if score is not None:

@@ -49,6 +49,14 @@ window and truncation bound come from the exchange series of the largest
 point total, cut in closed form.  A tie-break game needs no other path:
 the exchange counts of the tie stage and of the extension add up to one
 negative binomial of the game's points.
+
+A PMF's quantiles read its CDF through checkpoints, one per chunk of 2^13
+bins, each built by accumulating its chunk onto the checkpoint before it
+(`DurationPMF.checkpoints`).  `quantile` makes one search in either mode:
+the checkpoints, then the running sum of the one chunk they point to,
+give the first bin whose CDF reaches the level, and the interpolated mode
+reads one neighbour of that bin, the nearest bin with mass before or
+after it.
 """
 
 from __future__ import annotations
@@ -79,7 +87,6 @@ from .core import (
 _TINY = 1e-300  # below this a conditioning event counts as underflowed
 _MAX_TERMS = 10_000_000  # an exchange series this long counts as not converging
 _CHUNK = 1 << 13  # bins per CDF checkpoint of a DurationPMF
-_CUMSUM_BLOCK = 1 << 16  # bins accumulated at once when the checkpoints are built
 
 
 @dataclass(frozen=True)
@@ -92,12 +99,11 @@ class Moments:
         return math.sqrt(self.variance)
 
 
-def _running_sum(masses: np.ndarray, carry: float, buf: np.ndarray | None = None) -> np.ndarray:
+def _running_sum(masses: np.ndarray, carry: float) -> np.ndarray:
     """carry + masses[0], carry + masses[0] + masses[1], ..., each sum
     rounded in turn as np.cumsum rounds them: the running sum goes on from
-    `carry` with the bits it has over the whole array.  Formed in `buf`
-    (at least one longer than `masses`) when given."""
-    out = np.empty(len(masses) + 1) if buf is None else buf[: len(masses) + 1]
+    `carry` with the bits it has over the whole array."""
+    out = np.empty(len(masses) + 1)
     out[0], out[1:] = carry, masses
     return np.add.accumulate(out, out=out)[1:]
 
@@ -136,21 +142,12 @@ class DurationPMF:
     @functools.cached_property
     def checkpoints(self) -> np.ndarray:
         """The CDF at the last bin of each chunk of `_CHUNK` bins (the last
-        chunk may be shorter), with the bits of np.cumsum(masses): the
-        masses are accumulated in blocks of whole chunks, each onto the
-        running sum the block before it leaves."""
-        chunk, ends, carry = _CHUNK, [np.zeros(0)], 0.0
-        block = chunk * max(1, _CUMSUM_BLOCK // chunk)
-        # one buffer for all blocks: a fresh one would fault in its pages
-        # each time, which costs as much as the sums
-        buf = np.empty(min(block, len(self.masses)) + 1)
-        for lo in range(0, len(self.masses), block):
-            cdf = _running_sum(self.masses[lo : lo + block], carry, buf)
-            ends.append(cdf[chunk - 1 :: chunk].copy())
-            carry = cdf[-1]
-        if len(self.masses) % chunk:
-            ends.append(np.array([carry]))
-        return np.concatenate(ends)
+        chunk may be shorter), with the bits of np.cumsum(masses): each
+        chunk's masses are accumulated onto the checkpoint before it."""
+        marks = np.empty(-(-len(self.masses) // _CHUNK))
+        for b in range(len(marks)):
+            marks[b] = _running_sum(self.masses[b * _CHUNK : (b + 1) * _CHUNK], marks[b - 1] if b else 0.0)[-1]
+        return marks
 
     def chunk_cdf(self, b: int) -> np.ndarray:
         """The CDF over chunk b, bit for bit np.cumsum(masses) there: the
@@ -707,16 +704,17 @@ class _GeometricFilter:
             s[:top] = cols[n].reshape(top, 2)
 
 
-def _support_before(pmf: DurationPMF, x: int) -> int | None:
-    """The last bin before bin x that carries mass, or None: searched a
-    chunk at a time back from x."""
-    while x > 0:
-        lo = max(0, x - _CHUNK)
-        hit = np.flatnonzero(pmf.masses[lo:x] > 0.0)
+def _nearest_mass(masses: np.ndarray, x: int, step: int) -> int | None:
+    """The bin nearest to bin x that carries mass, after it for step 1 and
+    before it for step -1, or None: searched a chunk at a time."""
+    while True:
+        lo, hi = (x + 1, min(x + 1 + _CHUNK, len(masses))) if step > 0 else (max(0, x - _CHUNK), x)
+        if lo >= hi:
+            return None
+        hit = np.flatnonzero(masses[lo:hi] > 0.0)
         if hit.size:
-            return lo + int(hit[-1])
-        x = lo
-    return None
+            return lo + int(hit[0 if step > 0 else -1])
+        x = hi - 1 if step > 0 else lo
 
 
 def quantile(pmf: DurationPMF, level: float, mode: QuantileMode = QuantileMode.STANDARD) -> float:
@@ -729,12 +727,15 @@ def quantile(pmf: DurationPMF, level: float, mode: QuantileMode = QuantileMode.S
     plus half its own mass), clamped at the extremes; between two
     consecutive same-parity support points d and d+2 this interpolates
     linearly across the window, avoiding the empty parity class in
-    between.  Both search the PMF's cached CDF checkpoints, one per chunk
-    of 2^13 bins, and accumulate only the chunk where the CDF reaches the
-    level (and the next, should no mid-jump value in it reach the level)
-    with the bits of np.cumsum(masses) (`DurationPMF.chunk_cdf`): they
-    return what a search of the whole CDF returns, in O(bins / 2^13)
-    memory and no PMF-sized temporary.
+    between.  Both modes make one search: the PMF's cached CDF checkpoints,
+    one per chunk of 2^13 bins, give the chunk of the first bin x whose CDF
+    reaches the level, and that one chunk is accumulated with the bits of
+    np.cumsum(masses) (`DurationPMF.chunk_cdf`).  The first mid-jump value
+    to reach the level is then x's, or else that of the next support point,
+    whose CDF is x's plus its own mass: INTERPOLATED reads x's neighbour
+    before or after it from one search for the nearest bin with mass.  They
+    return what a search of the whole CDF returns, in O(bins / 2^13) memory
+    and no PMF-sized temporary.
     """
     if not (0.0 < expect(level, numbers.Real, "level") < 1.0):
         raise DomainError(f"quantile level {level} outside (0, 1)")
@@ -748,31 +749,28 @@ def quantile(pmf: DurationPMF, level: float, mode: QuantileMode = QuantileMode.S
             f"level {level} unreachable: computed mass {marks[-1]:.17g} "
             f"(truncation bound {pmf.truncation_bound:.3g})"
         )
-    # the chunk of the first bin whose CDF reaches the level: every bin
-    # before it has its CDF, and so its mid-jump value, below the level
-    first = int(np.searchsorted(marks, level))
-    cdf = pmf.chunk_cdf(first)
+    # every bin before x has its CDF, and so its mid-jump value, below the level
+    b = int(np.searchsorted(marks, level))
+    cdf = pmf.chunk_cdf(b)
+    i = int(np.searchsorted(cdf, level))
+    x, masses = b * _CHUNK + i, pmf.masses
     if expect(mode, QuantileMode, "mode") is QuantileMode.STANDARD:
-        return float(pmf.offset + first * _CHUNK + np.searchsorted(cdf, level))
-    last = _support_before(pmf, len(pmf.masses))
-    # the first support bin x whose mid-jump value reaches the level
-    for b in range(first, len(marks)):
-        cdf = cdf if b == first else pmf.chunk_cdf(b)
-        idx = np.flatnonzero(pmf.masses[b * _CHUNK : (b + 1) * _CHUNK] > 0.0)
-        mid = cdf[idx] - 0.5 * pmf.masses[b * _CHUNK + idx]
-        k = int(np.searchsorted(mid, level))
-        if k < len(mid):
-            x, mid_x = b * _CHUNK + int(idx[k]), mid[k]
-            break
-    else:
-        return float(pmf.offset + last)
-    prev = _support_before(pmf, x)
-    if prev is None:
         return float(pmf.offset + x)
-    if level >= marks[-1] - 0.5 * pmf.masses[last]:
+    # clamped at the last support point from its mid-jump value on
+    last = _nearest_mass(masses, len(masses), -1)
+    if level >= marks[-1] - 0.5 * masses[last]:
         return float(pmf.offset + last)
-    # no mass lies between prev and x, so prev's CDF is the one at x - 1
-    cdf_prev = cdf[x - 1 - b * _CHUNK] if x > b * _CHUNK else marks[b - 1]
-    mid_prev = cdf_prev - 0.5 * pmf.masses[prev]
-    frac = (level - mid_prev) / (mid_x - mid_prev)
-    return float(pmf.offset + prev + frac * (x - prev))
+    # mid-jump values of the two support points the level lies between
+    mid = cdf[i] - 0.5 * masses[x]
+    if mid >= level:
+        lo, hi, mid_hi = _nearest_mass(masses, x, -1), x, mid
+        if lo is None:
+            return float(pmf.offset + x)
+        # no mass lies between lo and x, so lo's CDF is the one at x - 1
+        mid_lo = (cdf[i - 1] if i else marks[b - 1]) - 0.5 * masses[lo]
+    else:
+        # below the last support point's mid-jump value, so x is not the last
+        lo, hi, mid_lo = x, _nearest_mass(masses, x, 1), mid
+        mid_hi = (cdf[i] + masses[hi]) - 0.5 * masses[hi]
+    frac = (level - mid_lo) / (mid_hi - mid_lo)
+    return float(pmf.offset + lo + frac * (hi - lo))

@@ -95,6 +95,10 @@ _BLOCK = 1 << 16
 # the log of any positive q, and below the largest log-term of any row with
 # mass (at least -(top - j0) log 2)
 _FLOOR = -1e300
+# The most points a side of a tally may hold: the coefficient table of m
+# points is (m + 1)^2 doubles, 32 MiB at this bound, and the score
+# distribution of a game to 2000 already peaks near 400 MB
+_MAX_POINTS = 2048
 
 
 @dataclass(frozen=True)
@@ -118,7 +122,10 @@ class Rows:
 def _log_binom(m: int) -> np.ndarray:
     """log C(a, b) for 0 <= b <= a <= m, -inf elsewhere: the logarithm of
     each exact integer of Pascal's triangle, so every entry is accurate to
-    an ulp whatever the size of the coefficient."""
+    an ulp whatever the size of the coefficient.  An m above `_MAX_POINTS`
+    raises DomainError before the table is sized."""
+    if m > _MAX_POINTS:
+        raise DomainError(f"a tally of {m} points is more than the {_MAX_POINTS} the coefficient table holds")
     out = np.full((m + 1, m + 1), -np.inf)
     row = [1]
     for a in range(m + 1):

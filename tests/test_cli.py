@@ -529,6 +529,27 @@ class TestExitCodes:
         assert result.stdout == ""
         assert result.stderr == "error: no convergence within 0 Newton steps\n"
 
+    def test_score_with_winner_is_a_usage_error(self, runner):
+        # a 5-2 game was won by A: the law given it once came out for --winner B
+        result = runner.invoke(main, [
+            "duration", "--n", "5", "--pa", ".6", "--pb", ".5", "--stat", "quantiles", "--score", "5,2", "--winner", "B",
+        ])
+        assert (result.exit_code, result.stdout) == (2, "")
+        assert result.stderr.endswith("\nError: --score and --winner cannot be given together: an end score fixes the winner\n")
+
+    @pytest.mark.parametrize("command", ["score-dist", "estimate"])
+    def test_tally_past_the_coefficient_table_is_3(self, runner, tmp_path, command):
+        # once a MemoryError traceback (exit 1) from sizing a 7 TiB table
+        records = tmp_path / "games.jsonl"
+        records.write_text('{"alpha": 1000000, "beta": 3, "first_server": "A", "last_scorer": "A"}\n')
+        args = {
+            "score-dist": ["--n", "1000000", "--pa", ".6", "--pb", ".5"],
+            "estimate": ["--input", str(records), "--mode", "score"],
+        }[command]
+        result = runner.invoke(main, [command, *args])
+        assert (result.exit_code, result.stdout) == (3, "")
+        assert result.stderr == "error: a tally of 1000000 points is more than the 2048 the coefficient table holds\n"
+
     def test_io_error_is_4(self, runner):
         result = runner.invoke(main, ["estimate", "--input", "/nonexistent/path.jsonl"])
         assert result.exit_code == 4

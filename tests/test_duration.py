@@ -1266,6 +1266,49 @@ class TestCheckpointedQuantiles:
         assert np.array_equal(pmf.support(), pmf.offset + np.nonzero(pmf.masses > 0.0)[0])
 
 
+# (bins, support, masses) of PMFs whose support points lie chunks apart at
+# the patched chunk sizes: from the first bin to the last, with empty bins
+# at both ends, a flat stretch of masses below an ulp of the CDF (to the
+# last support point, and between two others), one support point, and
+# random ones
+SPARSE_PMFS = [
+    (141, [0, 23, 24, 61, 95, 140], [0.1, 0.2, 0.05, 0.3, 0.15, 0.1]),
+    (230, [17, 52, 99, 100, 160], [0.3, 0.1, 0.2, 0.25, 0.05]),
+    (160, [10, 40, 70, 100, 130], [0.3, 1e-20, 0.5, 1e-20, 1e-20]),
+    (90, [45], [0.7]),
+    *(
+        (300, sorted(rng.choice(300, 12, replace=False).tolist()), (rng.uniform(0.0, 1.0, 12) ** 4 / 12).tolist())
+        for rng in map(np.random.default_rng, range(4))
+    ),
+]
+
+
+class TestSparseQuantiles:
+    """The one search of `quantile` where support points lie several chunks
+    apart, on both sides of the quantile's bin: it returns what the search
+    of the whole CDF returns (`full_cdf_quantile`), bit for bit, at the
+    mid-jump values and CDF values of the support points and one ulp past
+    each, and it accumulates at most one chunk per call."""
+
+    @pytest.mark.parametrize("bins, support, masses", SPARSE_PMFS)
+    def test_equals_the_search_of_the_whole_cdf(self, monkeypatch, bins, support, masses):
+        pmf = duration.DurationPMF(5, np.zeros(bins), 0.0)
+        pmf.masses[support] = masses
+        cdf, reference = np.cumsum(pmf.masses), full_cdf_quantile(pmf)
+        marks = [*cdf[support], *(cdf[support] - 0.5 * pmf.masses[support])]
+        levels = [x for x in marks + np.nextafter(marks, 1.0).tolist() if 0.0 < x < 1.0]
+        accumulated, chunk_cdf = [], duration.DurationPMF.chunk_cdf
+        monkeypatch.setattr(duration.DurationPMF, "chunk_cdf", lambda pmf, b: accumulated.append(b) or chunk_cdf(pmf, b))
+        for chunk in (duration._CHUNK, 1, 2, 7):
+            monkeypatch.setattr(duration, "_CHUNK", chunk)
+            fresh = duration.DurationPMF(pmf.offset, pmf.masses, pmf.truncation_bound)
+            for x in levels:
+                for mode in QuantileMode:
+                    accumulated.clear()
+                    assert outcome(duration.quantile, fresh, x, mode) == outcome(reference, x, mode), (chunk, x, mode)
+                    assert len(accumulated) <= 1, (chunk, x, mode)
+
+
 # (n, l, p_a, p_b) of tie-break games
 TIEBREAK_GAMES = [(2, 2, 0.6, 0.5), (4, 2, 0.6, 0.5), (5, 3, 0.3, 0.45), (6, 4, 0.55, 0.7), (9, 3, 0.6, 0.5)]
 

@@ -153,6 +153,15 @@ def test_game_win_prob_at_n_1000(system):
         assert sideout.game_win_prob(B, server, probs, config) == pytest.approx(1.0 - expected, abs=1e-10)
 
 
+def test_tally_past_the_coefficient_table_is_a_domain_error():
+    # refused before the (m + 1)^2 table is sized, for a config's tables
+    # and a record's tally alike
+    m = kernel._MAX_POINTS + 1
+    for tables in (lambda: kernel.game(GameConfig(n=m), 0.6, 0.5), lambda: kernel.tallies([(3, m, False)])):
+        with pytest.raises(DomainError, match=f"^a tally of {m} points is more than the {m - 1} the coefficient table holds$"):
+            tables()
+
+
 # q -> 1 with one side certain to lose its serve (0, 1e-7) or both nearly
 # so (1e-9, 1e-7), (1e-4, 1e-4); a side that never wins on serve (0.2, 0);
 # the rare-event point

@@ -58,9 +58,9 @@ MUTANTS = (
         "DurationPMF.prob reads the last bin as 0",
     ),
     Mutant(
-        "support-before-first-hit", "duration",
-        "return lo + int(hit[-1])", "return lo + int(hit[0])",
-        "the last bin with mass before x is read as the first one of its chunk",
+        "nearest-mass-first-hit", "duration",
+        "int(hit[0 if step > 0 else -1])", "int(hit[0])",
+        "the search back for the nearest bin with mass reads the first hit of its chunk, not the last",
     ),
     Mutant(
         "count-admits-2-to-63", "estimate",
@@ -89,8 +89,8 @@ MUTANTS = (
     ),
     Mutant(
         "last-checkpoint-dropped", "duration",
-        "if len(self.masses) % chunk:", "if len(self.masses) % chunk > 1:",
-        "the CDF checkpoint of a last chunk of one bin is missing",
+        "np.empty(-(-len(self.masses) // _CHUNK))", "np.empty(len(self.masses) // _CHUNK)",
+        "the CDF checkpoint of a short last chunk is missing",
     ),
     Mutant(
         "block-bound-once", "matchlevel",
@@ -124,7 +124,7 @@ MUTANTS = (
     ),
     Mutant(
         "interpolated-quantile-wrong-checkpoint", "duration",
-        "else marks[b - 1]", "else marks[b]",
+        "if i else marks[b - 1]", "if i else marks[b]",
         "the interpolated quantile reads the CDF before a chunk edge from the wrong checkpoint",
     ),
     Mutant(
