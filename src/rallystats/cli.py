@@ -215,6 +215,8 @@ def cmd_duration(config, probs, stat, winner, score, levels, quantile_mode, epsi
 
     if score is not None and winner is not None:
         raise click.UsageError("--score and --winner cannot be given together: an end score fixes the winner")
+    if stat == "moments" and winner is not None:
+        raise click.UsageError("--winner selects the law of --stat pmf or quantiles, not of --stat moments")
     if stat == "moments":
         return ["conditioning", "mean", "sd", "variance"], _moment_rows(probs, config, score)
     if score is not None:

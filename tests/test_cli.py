@@ -420,8 +420,12 @@ class TestRallyPoint:
     @pytest.mark.parametrize("winner", [None, "A"])
     @pytest.mark.parametrize("stat", ["moments", "pmf", "quantiles"])
     def test_duration(self, runner, stat, winner, server):
-        args = ["duration", *self.ARGS, "--server", server, "--stat", stat]
-        rows = parse_csv(run_ok(runner, args + (["--winner", winner] if winner else [])))
+        args = ["duration", *self.ARGS, "--server", server, "--stat", stat] + (["--winner", winner] if winner else [])
+        if stat == "moments" and winner:
+            # the moments table has a row per winner: --winner is refused, not ignored
+            assert runner.invoke(main, args).exit_code == 2
+            return
+        rows = parse_csv(run_ok(runner, args))
         config, sv = self.config(server), Player(server)
         if stat == "moments":
             agg = duration.aggregate_moments(self.PROBS, config)
@@ -536,6 +540,12 @@ class TestExitCodes:
         ])
         assert (result.exit_code, result.stdout) == (2, "")
         assert result.stderr.endswith("\nError: --score and --winner cannot be given together: an end score fixes the winner\n")
+
+    def test_winner_with_moments_is_a_usage_error(self, runner):
+        # once ignored: the same three rows came out as without --winner
+        result = runner.invoke(main, ["duration", "--n", "5", "--pa", ".6", "--pb", ".5", "--stat", "moments", "--winner", "B"])
+        assert (result.exit_code, result.stdout) == (2, "")
+        assert result.stderr.endswith("\nError: --winner selects the law of --stat pmf or quantiles, not of --stat moments\n")
 
     @pytest.mark.parametrize("command", ["score-dist", "estimate"])
     def test_tally_past_the_coefficient_table_is_3(self, runner, tmp_path, command):

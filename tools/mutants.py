@@ -153,6 +153,16 @@ MUTANTS = (
         "var = (n * n - 1) / 12", "var = (n - 1) ** 2 / 12",
         "the uniform limit law of upset wins has variance (n - 1)^2 / 12",
     ),
+    Mutant(
+        "typed-error-exits-1", "cli",
+        "sys.exit(3)", "sys.exit(1)",
+        "a typed error of the package exits 1, the code of an uncaught exception, not 3",
+    ),
+    Mutant(
+        "q-equal-one-admitted", "core",
+        "probs.q >= 1.0", "probs.q > 1.0",
+        "an exact law is computed for q = 1, where no game ends",
+    ),
 )
 
 
