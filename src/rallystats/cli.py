@@ -217,6 +217,10 @@ def cmd_duration(config, probs, stat, winner, score, levels, quantile_mode, epsi
         raise click.UsageError("--score and --winner cannot be given together: an end score fixes the winner")
     if stat == "moments" and winner is not None:
         raise click.UsageError("--winner selects the law of --stat pmf or quantiles, not of --stat moments")
+    ctx = click.get_current_context()
+    for name in {"moments": ("epsilon", "levels", "quantile_mode"), "pmf": ("levels", "quantile_mode")}.get(stat, ()):
+        if ctx.get_parameter_source(name) is click.core.ParameterSource.COMMANDLINE:
+            raise click.UsageError(f"--{name.replace('_', '-')} is not read by --stat {stat}")
     if stat == "moments":
         return ["conditioning", "mean", "sd", "variance"], _moment_rows(probs, config, score)
     if score is not None:

@@ -15,17 +15,19 @@ is k_pa log(p_a/(1-q)) + k_pb log(p_b/(1-q)) + k_qa log q_a + k_qb log q_b
 (first servers pooled), J0 the sum of c_r j0_r and P_r the tally's
 interruption polynomial (`kernel.interruption_polynomial`).  Only the last
 term needs the kernel, and it depends on (p_a, p_b) through q = q_a q_b
-alone: it is evaluated once per distinct q over the observed tallies,
-and once per Newton point at its one q, an extended-precision scalar,
-which the kernel's one evaluator takes as a point without a point axis
-or blocks (the same element-wise operations and running sums as a grid,
-so the same bits).  The 17 x 17 start grid is fixed, and so are its 153
-distinct q (transposed points share q): each tally's polynomial there is
-computed once, by one kernel call, and kept read-only in an LRU cache of
-1024 tallies per model (`_grid_row`), whose bits a batched call would
-give too.  The polynomials also give the mean and variance of m, hence
-the exact score (Fisher's identity) and information (Louis's formula)
-for grid-started projected Newton steps.
+alone.  The E-step has one grid path and one point path.  The grid path
+(`grid_e_step`) serves the 17 x 17 start grid, which is fixed, and so are
+its 153 distinct q (transposed points share q): each tally's polynomial
+there is computed once, by one kernel call, and kept read-only in an LRU
+cache of 1024 tallies per model (`_grid_row`), whose bits a batched call
+would give too.  The point path (`e_step`) serves each Newton point: the
+kernel's one evaluator takes its one q, an extended-precision scalar, as
+a point without a point axis or blocks (the same element-wise operations
+and running sums as a grid, so the same bits).  Both add the tallies'
+count-weighted terms with `kernel.total`, so a start-grid point gets the
+same bits on either path.  The polynomials also give the mean and
+variance of m, hence the exact score (Fisher's identity) and information
+(Louis's formula) for grid-started projected Newton steps.
 
 Records reach the likelihood as a `RecordBatch`, aligned columns that
 `records_from_sample` takes from a simulated batch as they are and
@@ -276,7 +278,10 @@ def _bases(p_a, p_b):
     floats, and the closed-form terms of the E-step there: log(p_a/(1-q)),
     log(p_b/(1-q)), log q_a, log q_b, log q, q/(1-q) and q/(1-q)^2.  The
     bases are exact in extended precision, as in the kernel: arrays of
-    `np.longdouble` for arrays, its scalars for floats."""
+    `np.longdouble` for arrays, its scalars for floats.  One set of bases,
+    with 1 - q in A's coordinates, is all the likelihood needs; the
+    kernel's `_bases` forms those of both first servers and more, and
+    would slow each Newton point."""
     x, y = np.longdouble(p_a), np.longdouble(p_b)
     q_a, q_b = 1.0 - x, 1.0 - y
     q, one_minus_q = q_a * q_b, kernel.one_minus_q(x, y)
@@ -373,37 +378,24 @@ class _Likelihood:
             self.counts = np.bincount(tally).astype(float)
             self.j0_total = float(self.counts @ self.rows.j0)
 
-    def e_step(self, p_a, p_b):
-        """Score-only log-likelihood at each point of the arrays (p_a, p_b), and
-        the mean and variance of the extra rally pairs M given the tallies: per
-        tally, the kernel's interruption count less [receiver scores last] plus
-        NB(alpha + beta, q) exchanges (both totals are exponents in self.k).
-        The kernel evaluates the tallies' polynomials once per distinct q (see
-        the module notes), and rows add in a fixed order, so a point's
-        results do not depend on the other points.  Two floats give three
-        floats, from the kernel's evaluation at their one q: the same
-        bits."""
+    def e_step(self, p_a: float, p_b: float):
+        """Score-only log-likelihood at the point of the two floats (p_a, p_b),
+        and the mean and variance of the extra rally pairs M given the
+        tallies: per tally, the kernel's interruption count less [receiver
+        scores last] plus NB(alpha + beta, q) exchanges (both totals are
+        exponents in self.k).  The kernel evaluates the tallies' polynomials
+        at the point's one q, and the rows add in the order of `grid_e_step`,
+        so a point gets the bits it gets there."""
         q, bases = _bases(p_a, p_b)
-        if np.ndim(q) == 0:
-            # a running sum over the rows, in the order the grid's rows add
-            sums = [np.add.accumulate(self.counts * v)[-1] for v in kernel.interruption_polynomial(self.rows, q)]
-            return self._combine(bases, sums)
-        distinct, where = np.unique(q, return_inverse=True)
-        return self._grid_combine(bases, np.stack(kernel.interruption_polynomial(self.rows, distinct), axis=1), where)
+        return self._combine(bases, [kernel.total(self.counts * v) for v in kernel.interruption_polynomial(self.rows, q)])
 
     def grid_e_step(self, model: FitModel):
-        """`e_step` at every point of the model's start grid, from the
-        cached rows of the tallies (`_grid_row`), stacked in first-seen
-        order: the same bits."""
+        """`e_step` at every point of the model's start grid, as arrays, from
+        the cached rows of the tallies (`_grid_row`) stacked in first-seen
+        order and added over the tallies at each distinct q of the grid."""
         grid = _start_grid(model)
-        return self._grid_combine(grid.bases, np.array([_grid_row(model, t) for t in self.tallies]), grid.where)
-
-    def _grid_combine(self, bases, poly, where):
-        """The E-step from the tallies' polynomials at the distinct q of
-        the points (log P, mean and variance of s; shape (tallies, 3,
-        distinct q)) and each point's index `where` into those q."""
-        # rows first: axis 0 is not the fast axis, so rows add in order
-        return self._combine(bases, (self.counts[:, None, None] * poly).sum(axis=0)[:, where])
+        poly = np.array([_grid_row(model, t) for t in self.tallies])  # (tallies, 3, distinct q)
+        return self._combine(grid.bases, kernel.total(self.counts[:, None, None] * poly)[:, grid.where])
 
     def _combine(self, bases, sums):
         """The E-step from the closed-form `_bases` of the points and the

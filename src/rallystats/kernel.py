@@ -16,12 +16,13 @@ of log-coefficients indexed from the smallest feasible j, cached per
 target score (`table`, `tied`); `tallies` builds one for any tallies
 its caller has checked.  Tallies are in first-server coordinates: in
 `table(n)` the first server wins in rows 0..n-1 and the receiver in rows
-n..2n-1.  This module is
-also the only reader of that layout: `game(config, p_a, p_b)` turns the
-tables of a `GameConfig` into its game table (`Game`), the terminal
-components every game-level law reads, each table weighed by one kernel
-evaluation against arrays of rally probabilities for either scoring
-system, at both first servers at once.  With a tie-break l a component
+n..2n-1.  Outside this module only `estimate` reads that layout: its log
+H(m) (`_log_h`) reads a row's points, `logc`, `j0` and `top`, and its
+likelihood (`_Likelihood`) the rows' `j0`.  Here `game(config, p_a, p_b)`
+turns the tables of a `GameConfig` into its game table (`Game`), the
+terminal components every game-level law reads, each table weighed by one
+kernel evaluation against arrays of rally probabilities for either
+scoring system, at both first servers at once.  With a tie-break l a component
 is a regular end or the pair of a tie at n-1 all and an end of the l-point
 extension, first served by whoever tied.  `Game.event` is the one
 selector of the components of an event of a game: the first servers
@@ -40,11 +41,24 @@ thread-safe, and what it holds is never written, so the package stays
 safe for concurrent callers.
 
 A tally's probability is a prefactor times an interruption polynomial.
-Under side-out scoring the prefactor is x^alpha y^beta q_a^[receiver
-last] q^j0 with x = p_a/(1-q), y = p_b/(1-q), and the polynomial is
-P(q) = sum_s c_s q^s over the coefficients of q^(j0 + s); under
-rally-point scoring the polynomial is in (u, v) = (p_a p_b, q)/(p_a p_b +
-q).  The polynomial, and with it the law of the interruption count given
+Write p_1 for the first server's rally-winning probability, p_2 for the
+receiver's, q_1 = 1 - p_1 and d = [receiver last].  Under side-out
+scoring the prefactor is x^alpha y^beta q_1^d q^j0 with x = p_1/(1-q)
+and y = p_2/(1-q), and the polynomial is P(q) = sum_s c_s q^s over the
+coefficients of q^(j0 + s).  Under rally-point scoring the prefactor is
+p_1^(alpha - top) p_2^(beta - d - top) q_1^d h^top v^j0 with h = p_a p_b
++ q, and the polynomial is in (u, v) = (p_a p_b, q)/h.  One function,
+`_bases`, forms the logarithms of all these bases once per block of
+points.  For each first server it gives those of a point that server
+wins (x or p_1), of a point the receiver wins (y or p_2) and of a serve
+that server loses (q_1); under side-out, 1 - q is formed in that
+server's coordinates.  Then come log h and log v, which both first
+servers share.  One formula, `_log_prefactor`, adds the exponents of the
+system times a first server's bases, in the order (alpha, beta, d, j0)
+or (alpha - top, beta - d - top, d, top, j0); choosing between them is
+its only branch.
+
+The polynomial, and with it the law of the interruption count given
 the tally, depends on the players only through products of the two
 sides, so it is the same for both first servers to the last bit: the
 game table's evaluation forms it once for both, `Game.shift_laws` gives
@@ -236,21 +250,29 @@ def _polynomial(rows: Rows, log_v, log_u: np.ndarray | None = None):
     return shift, terms, total, s_mean, _row_sum((s - s_mean[:, None]) ** 2 * terms) / norm
 
 
-def _symmetric_bases(system: ScoringSystem, p_a: np.ndarray, p_b: np.ndarray):
-    """log v and log u of the polynomial (None for u under side-out): v = q
-    under side-out; v = q / h and u = p_a p_b / h with h = p_a p_b + q under
-    rally-point.  Both are symmetric in the players to the last bit, since
-    each is formed from products of the two sides."""
-    q = (1.0 - p_a) * (1.0 - p_b)
+def _bases(system: ScoringSystem, p_a: np.ndarray, p_b: np.ndarray):
+    """The logarithms of the bases of a tally's probability at each point
+    of the arrays (p_a, p_b) (see the module notes): a list of each first
+    server's, A's then B's, in the order of `_log_prefactor`'s exponents,
+    then log u (None under side-out) and log v of the polynomial.  u, v
+    and h are formed from products of the two sides, so they are symmetric
+    in the players to the last bit."""
+    q_a, q_b = 1.0 - p_a, 1.0 - p_b
+    q = q_a * q_b
     if system is ScoringSystem.SIDE_OUT:
-        return _log(q), None
+        log_v = _log(q)
+        keep_a, keep_b = one_minus_q(p_a, p_b), one_minus_q(p_b, p_a)  # 1 - q in each first server's coordinates
+        a_first = (_log(p_a / keep_a), _log(p_b / keep_a), _log(q_a), log_v)
+        b_first = (_log(p_b / keep_b), _log(p_a / keep_b), _log(q_b), log_v)
+        return [a_first, b_first], None, log_v
     # u, v in [0, 1] keep every logarithm finite or -inf, also where p_a or
     # p_b vanishes
     h = p_a * p_b + q
     with np.errstate(invalid="ignore", divide="ignore"):
         log_u = np.where(h > 0.0, _log(p_a * p_b / h), 0.0)
         log_v = np.where(h > 0.0, _log(q / h), 0.0)
-    return log_v, log_u
+    log_pa, log_pb, log_h = _log(p_a), _log(p_b), _log(h)
+    return [(log_pa, log_pb, _log(q_a), log_h, log_v), (log_pb, log_pa, _log(q_b), log_h, log_v)], log_u, log_v
 
 
 def one_minus_q(p_a, p_b):
@@ -260,32 +282,18 @@ def one_minus_q(p_a, p_b):
     return p_a + (1.0 - p_a) * p_b
 
 
-def _log_prefactor(system: ScoringSystem, rows: Rows, p_a: np.ndarray, p_b: np.ndarray, log_v: np.ndarray):
+def _log_prefactor(rows: Rows, bases, first: int):
     """The log of the factor of each tally's probability outside the
-    polynomial, for the first server with rally-winning probability p_a."""
-    q_a = 1.0 - p_a
-    receiver_last = (~rows.server_last).astype(int)[:, None]
-    j0 = rows.j0[:, None]
-    if system is ScoringSystem.SIDE_OUT:
-        # x^alpha y^beta q_a^[receiver last] q^j, with x = p_a/(1-q), y = p_b/(1-q)
-        keep = one_minus_q(p_a, p_b)
-        return (
-            _xlog(rows.alpha[:, None], _log(p_a / keep))
-            + _xlog(rows.beta[:, None], _log(p_b / keep))
-            + _xlog(receiver_last, _log(q_a))
-            + _xlog(j0, log_v)
-        )
-    # p_a^(alpha - j) p_b^(beta - d - j) q_a^d q^j with d = [receiver last]
-    # = p_a^(alpha - top) p_b^(beta - d - top) q_a^d h^top u^(top - j) v^j
-    top = rows.top[:, None]
-    h = p_a * p_b + q_a * (1.0 - p_b)
-    return (
-        _xlog(rows.alpha[:, None] - top, _log(p_a))
-        + _xlog(rows.beta[:, None] - receiver_last - top, _log(p_b))
-        + _xlog(receiver_last, _log(q_a))
-        + _xlog(top, _log(h))
-        + _xlog(j0, log_v)
-    )
+    polynomial, for the first server A (first = 0) or B (first = 1): the
+    exponents of the system times that server's `_bases`, added in order.
+    Under rally-point scoring p_1^(alpha - j) p_2^(beta - d - j) q_1^d q^j
+    is p_1^(alpha - top) p_2^(beta - d - top) q_1^d h^top v^j0 times the
+    polynomial's u^(top - j) v^(j - j0)."""
+    logs, log_u, _ = bases
+    alpha, beta, top, j0 = (getattr(rows, name)[:, None] for name in ("alpha", "beta", "top", "j0"))
+    d = (~rows.server_last).astype(int)[:, None]
+    exponents = (alpha, beta, d, j0) if log_u is None else (alpha - top, beta - d - top, d, top, j0)
+    return functools.reduce(np.add, map(_xlog, exponents, logs[first]))
 
 
 def _blocked(rows: Rows, points: int, shapes, block) -> list[np.ndarray]:
@@ -383,11 +391,11 @@ def _ends(system: ScoringSystem, rows: Rows, p_a, p_b) -> Game:
     p_a, p_b = np.broadcast_arrays(np.atleast_1d(np.asarray(p_a, np.longdouble)), np.asarray(p_b, np.longdouble))
 
     def block(sub: Rows, sl: slice):
-        x, y = p_a[sl], p_b[sl]
-        log_v, log_u = _symmetric_bases(system, x, y)
+        bases = _bases(system, p_a[sl], p_b[sl])
+        _, log_u, log_v = bases
         shift, _, total, s_mean, s_var = _polynomial(sub, log_v, log_u)
-        log_total, firsts = _log(total), ((x, y), (y, x))
-        log_weight = np.stack([_log_prefactor(system, sub, a, b, log_v) + shift + log_total for a, b in firsts], axis=1)
+        log_total = _log(total)
+        log_weight = np.stack([_log_prefactor(sub, bases, i) + shift + log_total for i in (0, 1)], axis=1)
         return log_weight, sub.j0[:, None] + (~sub.server_last)[:, None] + s_mean, s_var
 
     log_weight, r_mean, r_var = _blocked(rows, p_a.size, [(2,), (), ()], block)

@@ -547,6 +547,22 @@ class TestExitCodes:
         assert (result.exit_code, result.stdout) == (2, "")
         assert result.stderr.endswith("\nError: --winner selects the law of --stat pmf or quantiles, not of --stat moments\n")
 
+    @pytest.mark.parametrize(
+        "stat, flag",
+        [
+            ("moments", ["--epsilon", "1e-6"]),
+            ("moments", ["--levels", "0.5"]),
+            ("moments", ["--quantile-mode", "interpolated"]),
+            ("pmf", ["--levels", "0.5"]),
+            ("pmf", ["--quantile-mode", "standard"]),
+        ],
+    )
+    def test_flag_the_stat_does_not_read_is_a_usage_error(self, runner, stat, flag):
+        # once ignored: the table came out as without the flag, even at its default value
+        result = runner.invoke(main, ["duration", "--n", "5", "--pa", ".6", "--pb", ".5", "--stat", stat, *flag])
+        assert (result.exit_code, result.stdout) == (2, "")
+        assert result.stderr.endswith(f"\nError: {flag[0]} is not read by --stat {stat}\n")
+
     @pytest.mark.parametrize("command", ["score-dist", "estimate"])
     def test_tally_past_the_coefficient_table_is_3(self, runner, tmp_path, command):
         # once a MemoryError traceback (exit 1) from sizing a 7 TiB table

@@ -1173,6 +1173,22 @@ class TestQuantiles:
         assert duration.quantile(pmf, 0.26, QuantileMode.STANDARD) == 5.0
         assert duration.quantile(pmf, 0.99, QuantileMode.STANDARD) == 7.0
 
+    def test_pmf_at_offset_0(self):
+        # no game lasts 0 rallies, but a PMF may start there
+        pmf = duration.DurationPMF(offset=0, masses=np.array([0.25, 0.0, 0.75]), truncation_bound=0.0)
+        assert duration.quantile(pmf, 0.25, QuantileMode.STANDARD) == 0.0
+        assert duration.quantile(pmf, 0.5, QuantileMode.STANDARD) == 2.0
+        assert duration.quantile(pmf, 0.5, QuantileMode.INTERPOLATED) == pytest.approx(1.5)
+        assert (pmf.mean, pmf.variance) == (1.5, 0.75)
+
+    @pytest.mark.parametrize("level", [0.0, 1.0])
+    def test_level_0_or_1_is_a_domain_error_at_full_mass(self, level):
+        pmf = duration.DurationPMF(offset=10, masses=np.array([0.5, 0.0, 0.5]), truncation_bound=0.0)
+        assert pmf.checkpoints[-1] == 1.0
+        for mode in QuantileMode:
+            with pytest.raises(DomainError, match=r"^quantile level .* outside \(0, 1\)$"):
+                duration.quantile(pmf, level, mode)
+
     def test_unreachable_level_raises(self):
         pmf = duration.DurationPMF(offset=5, masses=np.array([0.6, 0.3]), truncation_bound=0.1)
         with pytest.raises(DomainError, match="unreachable"):

@@ -146,33 +146,36 @@ class TestScoreLikelihood:
             else:
                 p_a = np.array(edges)
                 p_b = 1.0 - p_a
-            got = estimate._Likelihood(records, FitMode.SCORE_ONLY).e_step(p_a, p_b)
+            lik = estimate._Likelihood(records, FitMode.SCORE_ONLY)
+            got = np.array([lik.e_step(float(a), float(b)) for a, b in zip(p_a, p_b)]).T
             want = per_server_e_step(records)(p_a, p_b)
             for g, w in zip(got, want):
                 np.testing.assert_allclose(g, w, rtol=1e-13, atol=0)
 
     def test_e_step_point_gets_the_same_bits_alone_and_in_the_grid(self):
+        # two floats take the kernel's one-q path, the start grid its cached rows
         records = simulated_records(0.6, 0.5, 15, 200, SeedSpec(131, 0))
         lik = estimate._Likelihood(records, FitMode.SCORE_ONLY)
-        x = 1.0 / (1.0 + np.exp(-estimate._GRID))
-        p_a, p_b = (g.ravel() for g in np.meshgrid(x, x))
-        grid = lik.e_step(p_a, p_b)
-        for i in (0, 5, 144, 200, 288):
-            # a one-point array takes the grid's path, two floats the kernel's one-q path
-            one, alone = lik.e_step(p_a[i : i + 1], p_b[i : i + 1]), lik.e_step(p_a[i], p_b[i])
-            assert all(np.array_equal(o, g[i : i + 1]) for o, g in zip(one, grid)), i
-            assert all(same_bits(a, g[i]) for a, g in zip(alone, grid)), i
+        for model in FitModel:
+            grid = lik.grid_e_step(model)
+            p_a, p_b = start_grid_probs(model)
+            assert len(p_a) == (289 if model is FitModel.SERVER else 17)
+            for i in range(len(p_a)):
+                alone = lik.e_step(float(p_a[i]), float(p_b[i]))
+                assert all(same_bits(a, g[i]) for a, g in zip(alone, grid)), (model, i)
 
     @pytest.mark.parametrize("model", list(FitModel))
     def test_one_point_e_step_has_the_grid_bits_at_the_clip_bounds(self, model):
-        # the box a fit keeps to, its corners included, and points inside
+        # the box a fit keeps to, its corners included, and points inside,
+        # against the reference's E-step over all of them as arrays
         lo, hi = estimate._BOUND_DELTA, 1.0 - estimate._BOUND_DELTA
         edges = np.array([lo, 2 * lo, 0.3, 0.5, 0.7, 1.0 - 2 * lo, hi])
         dims = 2 if model is FitModel.SERVER else 1
         p_a, p_b = estimate._probs(np.stack([g.ravel() for g in np.meshgrid(*[edges] * dims)]), model)
         for seed in (73, 74, 75):
-            lik = estimate._Likelihood(random_batch(seed), FitMode.SCORE_ONLY)
-            grid = lik.e_step(p_a, p_b)
+            batch = random_batch(seed)
+            lik = estimate._Likelihood(batch, FitMode.SCORE_ONLY)
+            grid = RecordLikelihood(batch, FitMode.SCORE_ONLY).e_step(p_a, p_b)
             assert all(np.isfinite(g).all() for g in grid)
             for i in range(len(p_a)):
                 alone = lik.e_step(float(p_a[i]), float(p_b[i]))
@@ -944,7 +947,8 @@ class TestStartGridCache:
     def test_grid_e_step_equals_e_step_on_the_grid(self, model):
         for seed in (63, 64):
             lik = estimate._Likelihood(random_batch(seed), FitMode.SCORE_ONLY)
-            for got, want in zip(lik.grid_e_step(model), lik.e_step(*start_grid_probs(model))):
+            want = [lik.e_step(float(a), float(b)) for a, b in zip(*start_grid_probs(model))]
+            for got, want in zip(lik.grid_e_step(model), np.array(want).T):
                 assert np.array_equal(got, want)
 
     def test_cold_and_warm_fits_equal(self, monkeypatch):

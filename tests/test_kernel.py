@@ -288,12 +288,25 @@ def test_every_real_form_of_q_takes_its_path():
         assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("system", list(ScoringSystem))
-def test_both_first_servers_share_one_polynomial(system):
-    # B-first games are A-first games with the players swapped, and the law
-    # of R given a tally is the same for both first servers
-    config = GameConfig(n=15, system=system)
-    p_a, p_b = np.array([1e-9, 0.3, 0.6, 1 - 1e-9]), np.array([0.5, 1 - 1e-9, 0.45, 1e-9])
+# the game configs of `tools/bits.py`
+BITS_CONFIGS = {
+    "sideout-15": GameConfig(n=15),
+    "rallypoint-21": GameConfig(n=21, system=ScoringSystem.RALLY_POINT),
+    "sideout-9-tiebreak-3": GameConfig(n=9, tiebreak=3),
+    "sideout-5-tiebreak-2": GameConfig(n=5, tiebreak=2),
+}
+
+
+@pytest.mark.parametrize("config", BITS_CONFIGS.values(), ids=BITS_CONFIGS.keys())
+def test_both_first_servers_share_one_polynomial(config):
+    # B-first games are A-first games with the players swapped, to the last
+    # bit, and the law of R given a tally is the same for both first
+    # servers: four points and a seeded sample of 2000, a fifth of whose
+    # coordinates lie within 1e-8 of 0 or of 1
+    rng = np.random.default_rng(41)
+    p, u, edge = rng.uniform(0.0, 1.0, (2, 2000)), rng.uniform(0.0, 1.0, (2, 2000)), rng.uniform(0.0, 1e-8, (2, 2000))
+    p = np.where(u < 0.1, edge, np.where(u < 0.2, 1.0 - edge, p))
+    p_a, p_b = np.concatenate([[1e-9, 0.3, 0.6, 1 - 1e-9], p[0]]), np.concatenate([[0.5, 1 - 1e-9, 0.45, 1e-9], p[1]])
     both = kernel.game(config, p_a, p_b)
     swapped = kernel.game(config, p_b, p_a)
     assert np.array_equal(both.weight[:, ::-1], swapped.weight)
@@ -338,6 +351,12 @@ def test_exchange_binom_column_has_the_bits_of_its_own_total():
         assert np.array_equal(kernel.log_exchange_binom(t, EXCHANGES)[:, -1], wide[:, t - 1])
         for i in (0, 4, 8):
             assert kernel.log_exchange_binom(t, EXCHANGES[i : i + 1])[0, -1] == wide[i, t - 1]
+
+
+def test_exchange_binom_refuses_an_l_that_is_not_finite():
+    for l in ([np.inf], [3.0, np.inf], [-np.inf]):
+        with pytest.raises(DomainError, match="^l must be a 1-d array of finite reals >= 0"):
+            kernel.log_exchange_binom(5, l)
 
 
 def test_exchange_binom_against_mpmath():

@@ -163,6 +163,21 @@ MUTANTS = (
         "probs.q >= 1.0", "probs.q > 1.0",
         "an exact law is computed for q = 1, where no game ends",
     ),
+    Mutant(
+        "exchange-binom-admits-inf", "kernel",
+        "(l < np.inf)", "(l <= np.inf)",
+        "an infinite exchange count is accepted and gives a table of inf",
+    ),
+    Mutant(
+        "pmf-offset-0-refused", "duration",
+        'offset") < 0:', 'offset") < 1:',
+        "a duration PMF that starts at 0 rallies is refused",
+    ),
+    Mutant(
+        "quantile-level-1-admitted", "duration",
+        'level") < 1.0):', 'level") <= 1.0):',
+        "a quantile level of 1, outside the documented (0, 1), is accepted where the PMF's mass reaches 1",
+    ),
 )
 
 
@@ -186,7 +201,9 @@ def _pytest(tree: Path, args: list[str]) -> str | None:
     if run.returncode == 0:
         return None
     lines = run.stdout.splitlines()
-    return next((line.split()[1] for line in lines if line.startswith(("FAILED ", "ERROR "))), f"pytest exit {run.returncode}")
+    # "FAILED <id> - <message>": a parametrized id may hold spaces, so it ends at the separator
+    failed = (line.partition(" ")[2].partition(" - ")[0] for line in lines if line.startswith(("FAILED ", "ERROR ")))
+    return next(failed, f"pytest exit {run.returncode}")
 
 
 def baseline() -> str | None:
