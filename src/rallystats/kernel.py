@@ -353,10 +353,16 @@ class Game:
 
 def total(weights: np.ndarray) -> np.ndarray:
     """The probability of an event from the weights of its components on
-    axis 0 (`Game.event`): their running sum (`np.add.accumulate`), added
-    in one order whatever the number of points, so a point gets the same
-    bits alone as in a grid.  Every probability of an event that the
-    package forms or divides by is this sum."""
+    axis 0 (`Game.event`): their sum added one row at a time, in one order
+    whatever the number of points, so a point gets the same bits alone as
+    in a grid.  NumPy adds a C-contiguous array of more than one column
+    that way with `sum(axis=0)`, off the fast axis; a single column, which
+    `sum` would add pairwise, takes the last row of the running sum
+    (`np.add.accumulate`), which writes every partial sum.  Every
+    probability of an event that the package forms or divides by is this
+    sum."""
+    if weights.ndim > 1 and weights.size > len(weights) and weights.flags.c_contiguous:
+        return weights.sum(axis=0)
     return np.add.accumulate(weights)[-1]
 
 

@@ -231,6 +231,24 @@ def test_a_point_gets_the_same_bits_alone_in_a_pair_and_in_a_grid(n, system):
                 assert np.array_equal(got, want[:, i])
 
 
+@pytest.mark.parametrize(
+    "shape", [(1,), (40,), (40, 1), (40, 2), (40, 153), (29, 3, 153), (40, 1, 1), (7, 2, 1)], ids=str
+)
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble], ids=["double", "longdouble"])
+def test_total_adds_the_rows_in_order(shape, dtype):
+    # one row at a time, whichever path the shape takes, on weights whose
+    # magnitudes differ enough that a pairwise sum rounds differently
+    weights = np.random.default_rng(sum(shape)).lognormal(0.0, 8.0, shape).astype(dtype)
+    want = weights[0].copy()
+    for row in weights[1:]:
+        want = want + row
+    assert np.array_equal(kernel.total(weights), want)
+    columns = weights.reshape(len(weights), -1)
+    if columns.shape[1] > 1:  # a column alone, and columns not C-contiguous, keep the bits
+        assert np.array_equal(kernel.total(columns[:, ::-1])[::-1], want.ravel())
+        assert all(np.array_equal(kernel.total(columns[:, j]), want.ravel()[j]) for j in range(columns.shape[1]))
+
+
 def test_one_q_path_has_the_grid_bits():
     # q = 0 (a probability of 1) and q = 1 (both 0) included, on tallies
     # of both last scorers with up to 21 points

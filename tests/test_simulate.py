@@ -230,6 +230,10 @@ probability = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.02, 0.98))
 # games per block of the rally loop: the default (one block here) and
 # small ones, for which a batch is many blocks drawn by the helper thread
 BLOCKS = [simulate._BLOCK, 64, 7, 1]
+# deviates per draw chunk: a batch of one block that fits one chunk plays
+# masked, so the default (every batch here) and 64 and 7 (batches of at
+# most that many games) reach the masked loop, and larger ones compact
+CHUNKS = [simulate._CHUNK, 64, 7]
 
 
 def in_blocks(count, block):
@@ -246,9 +250,9 @@ def assert_samples_equal(got, want):
 
 
 class TestAgainstReferenceLoop:
-    """The compacted batch loop draws the same deviates as the original
-    full-array loop (`oracles.reference_batch_games`) and returns the same
-    arrays, bit for bit."""
+    """The masked and the compacted batch loops draw the same deviates as
+    the original full-array loop (`oracles.reference_batch_games`) and
+    return the same arrays, bit for bit."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -262,8 +266,9 @@ class TestAgainstReferenceLoop:
         pass_servers=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
         block=st.sampled_from(BLOCKS),
+        chunk=st.sampled_from(CHUNKS),
     )
-    def test_batch_equals_reference(self, system, tiebreak, n, p_a, p_b, s_a, count, pass_servers, seed, block):
+    def test_batch_equals_reference(self, system, tiebreak, n, p_a, p_b, s_a, count, pass_servers, seed, block, chunk):
         assume(p_a > 0.0 or p_b > 0.0)  # q = 1 never ends, and validate refuses it
         probs = RallyProbs(p_a, p_b)
         tiebreak = tiebreak if system is ScoringSystem.SIDE_OUT else None  # side-out only
@@ -279,6 +284,7 @@ class TestAgainstReferenceLoop:
         # patched in the body: hypothesis refuses function-scoped fixtures
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(simulate, "_BLOCK", block)
+            mp.setattr(simulate, "_CHUNK", chunk)
             got = simulate._batch_games(probs, config, count, rng, servers)
         want = reference_batch_games(probs, config, count, reference_rng, servers)
         assert_samples_equal(got, want)
@@ -294,6 +300,31 @@ class TestAgainstReferenceLoop:
         seed = SeedSpec(8, n)
         want = reference_batch_games(probs, config, 2_000, seed.generator())
         assert_samples_equal(simulate.sample_games(probs, config, 2_000, seed), want)
+
+    @pytest.mark.parametrize("count", [63, 64, 65])
+    @pytest.mark.parametrize(
+        "probs, config",
+        [
+            (RallyProbs(0.6, 0.5), GameConfig(n=15, s_a=0.5)),
+            (RallyProbs(0.3, 0.7), GameConfig(n=7, tiebreak=3, s_a=0.5)),
+            (RallyProbs(0.6, 0.5), GameConfig(n=21, system=ScoringSystem.RALLY_POINT, s_a=0.5)),
+        ],
+        ids=["sideout", "tiebreak", "rallypoint"],
+    )
+    def test_both_sides_of_the_masked_bound_equal_reference(self, monkeypatch, probs, config, count):
+        # with chunks of 64 deviates a batch of up to 64 games plays masked
+        # and one of 65 compacts; either way the deviates, the outputs and the
+        # generator's end state are those of the reference loop
+        monkeypatch.setattr(simulate, "_CHUNK", 64)
+        masked = []
+        monkeypatch.setattr(simulate, "_masked", lambda *args, play=simulate._masked: masked.append(args) or play(*args))
+        seed = SeedSpec(11, count)
+        rng, reference_rng = seed.generator(), seed.generator()
+        want = reference_batch_games(probs, config, count, reference_rng)
+        assert_samples_equal(simulate._batch_games(probs, config, count, rng), want)
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+        assert simulate.run_experiment(probs, config, count, seed) == simulate.report_from_sample(want)
+        assert len(masked) == (2 if count <= 64 else 0)
 
     @pytest.mark.parametrize("block", BLOCKS)
     @pytest.mark.parametrize("p_a, p_b", [(0.55, 0.45), (0.45, 0.55), (0.5, 0.5)])
@@ -394,10 +425,13 @@ class TestExperimentAgainstReferenceLoop:
             (simulate.run_experiment, TIEBREAK, simulate._BLOCK, 200_000, 14.5),
             (simulate.run_experiment, TIEBREAK, simulate._BLOCK, 1_000_000, 6.75),
             (simulate.sample_games, TIEBREAK, simulate._BLOCK, 200_000, 46),
+            (simulate.run_experiment, SIDEOUT, simulate._BLOCK, 2**16, 38),
+            (simulate.sample_games, SIDEOUT, simulate._BLOCK, 2**16, 38),
         ],
         ids=[
             "one-block", "13-blocks", "four-blocks", "sample-one-block", "sample-four-blocks",
             "tiebreak-one-block", "tiebreak-four-blocks", "tiebreak-sample-one-block",
+            "masked", "sample-masked",
         ],
     )
     def test_peak_memory_per_game(self, monkeypatch, run, game, block, games, bound):
@@ -414,7 +448,12 @@ class TestExperimentAgainstReferenceLoop:
         # 37 for 10^6 games, against 54 and 42 with int64 indices.  A
         # tie-break game to 9 needs no more than the scores: 14 bytes per
         # game in one block, 5.6-6.4 for 10^6 games and 45 for `sample_games`,
-        # against 16, 6.9-7.8 and 48 with a per-game target
+        # against 16, 6.9-7.8 and 48 with a per-game target.  A batch of 2^16
+        # games plays masked, on whole arrays with 16 bytes of deviates per
+        # game, and `run_experiment` reports from its sample: both peak at
+        # 34 bytes per game (35 with a tie-break), against 19 streamed and
+        # 50 compacted for `sample_games`, and 47 when the deviates were
+        # still held while the scores widened to int64
         monkeypatch.setattr(simulate, "_BLOCK", block)
         probs, config = game
         run(probs, config, 100, SeedSpec(0))

@@ -128,9 +128,20 @@ MUTANTS = (
         "the interpolated quantile reads the CDF before a chunk edge from the wrong checkpoint",
     ),
     Mutant(
-        "chunked-draw-hi-lo-swapped", "simulate",
-        "won[start : start + h.size] = ((u < hi) & h) | (u < lo)", "won[start : start + h.size] = ((u < lo) & h) | (u < hi)",
-        "the chunked draw of a large block swaps the two serve probabilities",
+        "flag-draw-hi-lo-swapped", "simulate",
+        "((u < self.hi) & h) | (u < self.lo)", "((u < self.lo) & h) | (u < self.hi)",
+        "the flags of the rallies won by the server swap the two serve probabilities",
+    ),
+    Mutant(
+        "masked-game-keeps-scoring", "simulate",
+        "score_h += h_rally if live is True else h_rally & live\n            score_l += live > h_rally",
+        "score_h += h_rally\n            score_l += ~h_rally",
+        "a finished rally-point game of a masked batch goes on scoring",
+    ),
+    Mutant(
+        "masked-draw-every-game", "simulate",
+        "u[live] = rng.random(out=scratch[:playing])", "u[live] = rng.random(out=scratch)[live]",
+        "a masked batch draws one uniform per game at every rally, not one per live game",
     ),
     Mutant(
         "winner-normalizer-law-sum", "duration",
