@@ -15,41 +15,55 @@ is k_pa log(p_a/(1-q)) + k_pb log(p_b/(1-q)) + k_qa log q_a + k_qb log q_b
 (first servers pooled), J0 the sum of c_r j0_r and P_r the tally's
 interruption polynomial (`kernel.interruption_polynomial`).  Only the last
 term needs the kernel, and it depends on (p_a, p_b) through q = q_a q_b
-alone.  The E-step has one grid path and one point path.  The grid path
+alone.  A `RecordBatch` owns its columns, so its reduction (`_reduced`:
+first-server coordinates, exponent totals, the lead check, and the
+distinct tallies in first-seen order with each record's index and their
+counts) is formed once, by the first likelihood that needs it, and both
+likelihoods read it.  Each distinct tally has one entry in a cache of
+1024 tallies (`_tallies`): its row of `kernel.tallies` and, once a fit of
+a model needs it, its polynomial at that model's start grid.  A set-up
+fills the entries it misses with one `kernel.tallies` call, and a grid
+step the grid rows it misses with one `kernel.interruption_polynomial`
+call; a row has the same bits whatever rows are evaluated with it.  The
+E-step has one grid path and one point path.  The grid path
 (`grid_e_step`) serves the 17 x 17 start grid, which is fixed, and so are
-its 153 distinct q (transposed points share q): each tally's polynomial
-there is computed once, by one kernel call, and kept read-only in an LRU
-cache of 1024 tallies per model (`_grid_row`), whose bits a batched call
-would give too.  The point path (`e_step`) serves each Newton point: the
-kernel's one evaluator takes its one q, an extended-precision scalar, as
-a point without a point axis or blocks (the same element-wise operations
-and running sums as a grid, so the same bits).  Both add the tallies'
+its 153 distinct q (transposed points share q): it stacks the tallies'
+kept grid rows in first-seen order.  The point path (`e_step`) serves
+each Newton point: the tallies' kernel rows, assembled from their
+entries and padded with -inf as `kernel.tallies` pads them, go to the
+kernel's one evaluator at the point's one q, an extended-precision
+scalar, as a point without a point axis or blocks (the same element-wise
+operations and running sums as a grid, so the same bits), without the
+public function's checks on each point.  Both add the tallies'
 count-weighted terms with `kernel.total`, so a start-grid point gets the
 same bits on either path.  The polynomials also give the mean and
 variance of m, hence the exact score (Fisher's identity) and information
 (Louis's formula) for grid-started projected Newton steps.
 
 Records reach the likelihood as a `RecordBatch`, aligned columns that
-`records_from_sample` takes from a simulated batch as they are and
+`records_from_sample` copies from a simulated batch and
 `records_from_json_lines` parses into; its set-up is column arithmetic.
 log H(m) depends on the tally and m alone, so it is kept per tally in
-blocks of 64 consecutive m, each a read-only row of an LRU cache of 1024
-rows (`_log_h_block`, 512 B a row) that `_log_h` fills when the block is
-first needed.  A set-up reads each record's value from its row and adds
-the values in record order; each is the reduction of its own terms, so
-it has the bits of a batched `_log_h`.  A block takes the same memory at
-any m (a cold fit of one record peaks at 69 kB under `tracemalloc` from
-10^3 to 10^9 rallies, a warm one at 8 kB).  Newton carries its iterate,
+blocks of 64 consecutive m, each a read-only row of a cache of 1024 rows
+(`_log_h_cache`, 512 B a row).  A set-up fills the blocks it misses with
+one batched `_log_h` over their (tally, block) pairs, on the tallies'
+kernel rows from `_tallies`, each entry the reduction of its own terms;
+it reads each record's value from its row and adds the values in record
+order, with the bits of a `_log_h` call on the record's tally alone.  A
+block takes the same memory at any m (a cold fit of one record peaks at
+70 kB under `tracemalloc` from 10^3 to 10^9 rallies, a warm one at 8 kB).
+Both caches evict the entries filled first.  Newton carries its iterate,
 score and information as Python floats and solves the 2 x 2 (or 1 x 1)
 system in closed form.  For 200 games to 15 at (.6, .5) on a shared
-2-core machine, in-process medians of 600 replications in two processes:
-the score-and-duration set-up takes 0.27-0.36 ms, the grid step
-0.14-0.18 ms from the cached polynomials, a Newton point 0.09-0.12 ms,
-the score-only fit 0.93-1.16 ms and the score-and-duration fit
-0.43-0.55 ms.  A cold cache costs once per tally and process: 5-6.6 ms
-for the grid step of the batch's 29 tallies (one kernel call each) and
-6.8-8.4 ms for its score-and-duration set-up (one `_log_h` call per
-tally and block).
+2-core machine, in-process medians of 600 batches, before -> after the
+shared reduction and the batched fills of the per-tally caches (both
+versions timed alternately in one process): the score-only fit takes
+0.63 -> 0.60 ms, a score-and-duration fit of the same batch after it
+0.24 -> 0.15 ms (0.19 ms either way on a batch not yet reduced), the
+grid step 0.073 -> 0.064 ms and a Newton point 0.058 -> 0.057 ms.  With
+both caches empty, the score-only set-up and grid step of the batch's 29
+tallies take 3.0 -> 1.9 ms and its score-and-duration set-up 4.4 -> 2.2
+ms.
 
 Duration information enters the conditional duration law only through q,
 so in the two-parameter server model the duration term mostly sharpens q;
@@ -58,11 +72,14 @@ identification of the pair still rests on the score component.
 
 from __future__ import annotations
 
+import collections
 import enum
 import functools
+import itertools
 import json
 import math
 import numbers
+import threading
 from collections.abc import Iterable
 from dataclasses import dataclass, fields
 
@@ -87,6 +104,7 @@ _STEP_TOL = 1e-10  # logit units
 _GAIN_TOL = 1e-14  # relative to 1 + |log-likelihood|
 _DTYPES = (bool, np.int64, np.int64, bool, float)  # of the `RecordBatch` columns
 _H_BLOCK = 64  # consecutive m per cached row of log H(m)
+_FILL = 1 << 18  # the most (entries x terms) elements of one `_log_h` call filling the cache
 # the float duration column holds every whole number up to 2^53 in
 # magnitude, and no more: a larger count would be rounded before its parity
 # is checked
@@ -171,19 +189,43 @@ def _column(values, dtype, kinds: str, what: str) -> np.ndarray:
     col = np.asarray(values)
     if col.ndim != 1 or (col.size and col.dtype.kind not in kinds):
         raise DomainError(f"{what} must be a 1-D array of kind {kinds!r}, got {col.dtype} of shape {col.shape}")
-    col = col.astype(dtype, copy=False).view()
-    col.setflags(write=False)  # a read-only view: the caller's array keeps its flags
+    # a copy, so a later write to the caller's array leaves the batch as it
+    # was checked, and its reduction as it was cached
+    col = col.astype(dtype)
+    col.setflags(write=False)
     return col
+
+
+@dataclass(frozen=True)
+class _Reduction:
+    """A record batch in first-server coordinates, by column arithmetic:
+    each record's points of the first server (a) and of the receiver (b)
+    and whether the first server scored last; the exponents of log p_a,
+    log q_a, log p_b and log q_b, less m (k); whether each record's last
+    scorer fails to lead (trailing); and the distinct tallies (a, b,
+    server_last) in first-seen order, first servers pooled, with each
+    record's index among them (tally) and their counts."""
+
+    a: np.ndarray
+    b: np.ndarray
+    server_last: np.ndarray
+    k: tuple[int, int, int, int]
+    trailing: np.ndarray
+    tallies: list[tuple[int, int, bool]]
+    tally: np.ndarray
+    counts: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
 class RecordBatch:
-    """Observed games as aligned read-only columns: whether A served first,
-    the final tally (alpha for A, beta for B), whether A scored last, and
-    the rally count (NaN where it was not observed); `len` is the number
-    of games.  Scores are checked as `TerminalScore` checks them, and
-    durations must be whole numbers of magnitude at most 2^53, which the
-    float column holds exactly, or NaN."""
+    """Observed games as aligned read-only columns, copied from the arrays
+    given: whether A served first, the final tally (alpha for A, beta for
+    B), whether A scored last, and the rally count (NaN where it was not
+    observed); `len` is the number of games.  Scores are checked as
+    `TerminalScore` checks them, and durations must be whole numbers of
+    magnitude at most 2^53, which the float column holds exactly, or NaN.
+    Since the batch owns its columns, its reduction (`_reduced`) is
+    formed once, by the first likelihood that needs it."""
 
     first_server_a: np.ndarray
     alpha: np.ndarray
@@ -220,6 +262,31 @@ class RecordBatch:
     def __len__(self) -> int:
         return len(self.alpha)
 
+    @functools.cached_property
+    def _reduced(self) -> _Reduction:
+        """The batch's `_Reduction`, of a batch with records."""
+        first_a = self.first_server_a
+        a = np.where(first_a, self.alpha, self.beta)  # the first server's points
+        b = np.where(first_a, self.beta, self.alpha)  # the receiver's
+        server_last = self.last_scorer_a == first_a
+        receiver_last = ~server_last
+        k = (
+            int(self.alpha.sum()), int(np.count_nonzero(receiver_last & first_a)),
+            int(self.beta.sum()), int(np.count_nonzero(receiver_last & ~first_a)),
+        )
+        trailing = np.where(server_last, a <= b, b <= a)
+        # distinct tallies in first-seen order, and each record's among them
+        key = (a * (int(b.max()) + 1) + b) * 2 + server_last
+        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        tally = np.argsort(order)[inverse]
+        seen = first[order]
+        tallies = list(zip(a[seen].tolist(), b[seen].tolist(), server_last[seen].tolist()))
+        counts = np.bincount(tally).astype(float)
+        for arr in (a, b, server_last, trailing, tally, counts):
+            arr.setflags(write=False)
+        return _Reduction(a, b, server_last, k, trailing, tallies, tally, counts)
+
 
 def records_from_sample(sample) -> RecordBatch:
     """The record batch of a simulate.GameSample batch, column for column."""
@@ -229,35 +296,131 @@ def records_from_sample(sample) -> RecordBatch:
     return RecordBatch(sample.first_server_a, sample.alpha, sample.beta, sample.winner_a, sample.duration)
 
 
-def _log_h(rows: kernel.Rows, m) -> np.ndarray:
-    """log H(m) at each entry of the array m of the one tally of `rows`:
-    the number-weight of trajectories with m extra rally pairs beyond the
+class _Cache:
+    """A map of at most `size` entries, the first filled evicted first,
+    whose misses among a call's keys one call of `fill` computes:
+    fill(keys) gives their values in order.  A hit is one dict read, atomic
+    without a lock; a lock guards the writes, not the fill, so concurrent
+    calls may fill a key twice, with the same value.  A value a call
+    returns stays whole after its eviction."""
+
+    def __init__(self, size: int, fill):
+        self.size, self._fill = size, fill
+        self._map, self._lock = collections.OrderedDict(), threading.Lock()
+
+    def get(self, keys: list) -> list:
+        """The values of distinct keys, in order."""
+        values = [self._map.get(key) for key in keys]
+        missing = [key for key, value in zip(keys, values) if value is None]
+        if missing:
+            filled = self._fill(missing)
+            with self._lock:
+                self._map.update(zip(missing, filled))
+                while len(self._map) > self.size:
+                    self._map.popitem(last=False)
+            filled = iter(filled)
+            values = [next(filled) if value is None else value for value in values]
+        return values
+
+    def clear(self) -> None:
+        with self._lock:
+            self._map.clear()
+
+    def __len__(self) -> int:
+        return len(self._map)
+
+
+@dataclass(frozen=True)
+class _Tally:
+    """A tally's entry of `_tallies`: its row of `kernel.tallies`, the
+    tally (a, b, server_last) with its j0 and top, and the
+    log-coefficients (read-only), and its start-grid polynomial row per
+    model, keyed by the model's value and kept once a fit of that model
+    needs it (`_grid_rows`)."""
+
+    head: tuple[int, int, bool, int, int]
+    logc: np.ndarray
+    grid: dict
+
+
+def _tally_entries(keys: list) -> list[_Tally]:
+    """The `_Tally` entries of tallies, from one `kernel.tallies` call."""
+    rows = kernel.tallies(keys)
+    entries = []
+    for key, logc, j0, top in zip(keys, rows.logc, rows.j0.tolist(), rows.top.tolist()):
+        logc = logc[: top - j0 + 1].copy()
+        logc.setflags(write=False)
+        entries.append(_Tally((*key, j0, top), logc, {}))
+    return entries
+
+
+# 1024 tallies, each a few hundred bytes and 3.7 kB a model once a score-only fit needs it
+_tallies = _Cache(1024, _tally_entries)
+
+
+def _rows(entries: list[_Tally]) -> kernel.Rows:
+    """The kernel rows of tallies' entries, in their order: their
+    log-coefficients padded with -inf to the widest, as `kernel.tallies`
+    pads them."""
+    heads = itertools.chain.from_iterable(e.head for e in entries)
+    alpha, beta, server_last, j0, top = np.fromiter(heads, np.int64, 5 * len(entries)).reshape(-1, 5).T
+    width = top - j0 + 1
+    logc = np.full((len(entries), int(width.max())), -np.inf)
+    # row by row, the first `width` entries of each: the coefficients in order
+    logc[np.arange(logc.shape[1]) < width[:, None]] = np.concatenate([e.logc for e in entries])
+    return kernel.Rows(alpha, beta, server_last.astype(bool), j0, top, logc)
+
+
+def _log_h(rows: kernel.Rows, m, tally=None) -> np.ndarray:
+    """log H(m) at each entry of the array m, of the tally in row tally[i]
+    of `rows` for entry i (row 0 for every entry when tally is None): the
+    number-weight of trajectories with m extra rally pairs beyond the
     scored points, a convolution over the l exchanges of C(a+b+l-1, l)
     with the kernel coefficient of q^(m-l).  The binomials are one
-    `kernel.log_exchange_binom` table at the distinct l the entries need.
-    The terms of all entries form one (entries, j) array, -inf outside
-    each entry's j = j0 .. min(top, m), reduced in the order of j; a -inf
-    term leaves a sum of logs unchanged to the last bit, so each entry
-    gets the bits of its own terms alone."""
+    `kernel.log_exchange_binom` table at the distinct l the entries need,
+    whose column of a points total does not depend on the columns formed
+    with it.  The terms of all entries form one (entries, j) array, -inf
+    outside each entry's j = j0 .. min(top, m), reduced in the order of j;
+    a -inf term leaves a sum of logs unchanged to the last bit, so each
+    entry gets the bits of its own terms alone, whatever entries and
+    tallies share the call."""
     m = np.atleast_1d(np.asarray(m))
-    j0, top, points = int(rows.j0[0]), int(rows.top[0]), int(rows.alpha[0] + rows.beta[0])
-    j = np.arange(min(top, int(m.max())) + 1)
+    tally = np.zeros(len(m), dtype=np.int64) if tally is None else tally
+    j0, top = rows.j0[tally][:, None], rows.top[tally][:, None]
+    points = (rows.alpha + rows.beta)[tally]
+    j = np.arange(min(int(top.max()), int(m.max())) + 1)
     l, s = m[:, None] - j, j - j0
     distinct = np.unique(np.maximum(np.unique(m)[:, None] - j, 0))  # every entry's l, from its distinct m
-    log_exchanges = kernel.log_exchange_binom(points, distinct)[np.searchsorted(distinct, np.maximum(l, 0)), -1]
-    logc = rows.logc[0, np.clip(s, 0, rows.logc.shape[1] - 1)]
-    return np.logaddexp.reduce(np.where((s >= 0) & (l >= 0), log_exchanges + logc, -np.inf), axis=1)
+    exchanges = kernel.log_exchange_binom(int(points.max()), distinct)
+    log_exchanges = exchanges[np.searchsorted(distinct, np.maximum(l, 0)), points[:, None] - 1]
+    logc = rows.logc[tally[:, None], np.clip(s, 0, rows.logc.shape[1] - 1)]
+    return np.logaddexp.reduce(np.where((s >= 0) & (j <= top) & (l >= 0), log_exchanges + logc, -np.inf), axis=1)
 
 
-@functools.lru_cache(maxsize=1024)
-def _log_h_block(tally: tuple[int, int, bool], block: int) -> np.ndarray:
-    """log H(m) of one tally at m = block _H_BLOCK .. (block + 1) _H_BLOCK
-    - 1, read-only (512 B each): the entries `_log_h` gives, each the
-    reduction of its own terms, so a record reads the bits a batched call
-    would give it."""
-    row = _log_h(kernel.tallies([tally]), np.arange(block * _H_BLOCK, (block + 1) * _H_BLOCK))
-    row.setflags(write=False)
-    return row
+def _log_h_blocks(pairs: list) -> list[np.ndarray]:
+    """log H(m) of each pair (a, b, server_last, block), a tally and a
+    block, at m = block _H_BLOCK .. (block + 1) _H_BLOCK - 1, read-only
+    (512 B each), from one batched `_log_h` over the pairs (more only past
+    `_FILL` elements) on their tallies' rows of `_tallies`: each entry is
+    the reduction of its own terms, so a record reads the bits a call on
+    its tally alone gives."""
+    keys = list(dict.fromkeys(pair[:3] for pair in pairs))
+    rows, where = _rows(_tallies.get(keys)), {t: i for i, t in enumerate(keys)}
+    tally = np.array([where[pair[:3]] for pair in pairs])
+    m = np.array([pair[3] for pair in pairs])[:, None] * _H_BLOCK + np.arange(_H_BLOCK)
+    step = max(1, _FILL // (_H_BLOCK * (int(rows.top.max()) + 1)))
+    out = []
+    for i in range(0, len(pairs), step):
+        values = _log_h(rows, m[i : i + step].ravel(), np.repeat(tally[i : i + step], _H_BLOCK))
+        for row in values.reshape(-1, _H_BLOCK):
+            row = row.copy()  # its own memory, as the cache counts it
+            row.setflags(write=False)
+            out.append(row)
+    return out
+
+
+# 1024 blocks, 512 B each
+_log_h_cache = _Cache(1024, _log_h_blocks)
 
 
 def _infeasible(batch: RecordBatch, i: int, check: int) -> str:
@@ -313,69 +476,68 @@ def _start_grid(model: FitModel) -> _StartGrid:
     return _StartGrid(theta, distinct, where, bases)
 
 
-@functools.lru_cache(maxsize=1024)
-def _grid_row(model: FitModel, tally: tuple[int, int, bool]) -> np.ndarray:
-    """log P, and the mean and variance of s, of one tally's polynomial at
-    the distinct q of the model's start grid, shape (3, q), read-only: the
-    row `kernel.interruption_polynomial` gives it, whose bits do not depend
-    on the rows evaluated with it (3.7 kB each)."""
-    row = np.stack(kernel.interruption_polynomial(kernel.tallies([tally]), _start_grid(model).q), axis=1)[0]
-    row.setflags(write=False)
-    return row
+def _grid_rows(entries: list[_Tally], model: FitModel) -> np.ndarray:
+    """log P, and the mean and variance of s, of each tally's polynomial at
+    the distinct q of the model's start grid, (tallies, 3, q): each the
+    row `kernel.interruption_polynomial` gives it, whose bits do not
+    depend on the rows evaluated with it (3.7 kB each).  The entries
+    without one get theirs from one kernel call and keep it, read-only."""
+    key = model.value  # a str, whose hash is kept
+    missing = [e for e in entries if key not in e.grid]
+    if missing:
+        poly = np.stack(kernel.interruption_polynomial(_rows(missing), _start_grid(model).q), axis=1)
+        for e, row in zip(missing, poly):
+            row = row.copy()
+            row.setflags(write=False)
+            e.grid[key] = row
+    return np.array([e.grid[key] for e in entries])
 
 
 class _Likelihood:
-    """A record batch reduced by column arithmetic to exponent totals, and
-    either the extra rally pairs with log H(m) or the counts of its
-    distinct tallies (in first-server coordinates, first servers pooled,
-    in first-seen order)."""
+    """A record batch's reduction (`RecordBatch._reduced`) checked for the
+    mode, and either the extra rally pairs with log H(m) or the counts of
+    its distinct tallies with their kernel rows."""
 
     def __init__(self, batch: RecordBatch, mode: FitMode):
         expect(batch, RecordBatch, "records")
         if not len(batch):
             raise InfeasibleData("no records")
         self.mode = mode
-        first_a = batch.first_server_a
-        a = np.where(first_a, batch.alpha, batch.beta)  # the first server's points
-        b = np.where(first_a, batch.beta, batch.alpha)  # the receiver's
-        server_last = batch.last_scorer_a == first_a
-        receiver_last = ~server_last
-        # exponents of log p_a, log q_a, log p_b, log q_b, less m
-        self.k = [
-            int(batch.alpha.sum()), int(np.count_nonzero(receiver_last & first_a)),
-            int(batch.beta.sum()), int(np.count_nonzero(receiver_last & ~first_a)),
-        ]
-        failed = [np.where(server_last, a <= b, b <= a)]  # the last scorer must lead
+        reduced = batch._reduced
+        self.k, self.tallies = reduced.k, reduced.tallies
+        failed = [reduced.trailing]  # the last scorer must lead
         if mode is FitMode.SCORE_DURATION:
+            a, b, server_last = reduced.a, reduced.b, reduced.server_last
             missing = np.isnan(batch.duration)
-            span = np.where(missing, 0.0, batch.duration) - a - b - receiver_last
+            span = np.where(missing, 0.0, batch.duration) - a - b - ~server_last
+            m = span // 2
             j0 = server_last & (b > 0)  # the tally's fewest interruption pairs, below which H(m) vanishes
-            failed += [missing, ~missing & ((span < 0) | (span % 2 != 0)), ~missing & (span // 2 < j0)]
+            failed += [missing, ~missing & ((span < 0) | (span % 2 != 0)), ~missing & (m < j0)]
         failed = np.stack(failed)
         if failed.any():
             i = int(np.argmax(failed.any(axis=0)))
             raise InfeasibleData(f"record {i}: {_infeasible(batch, i, int(np.argmax(failed[:, i])))}")
-        # distinct tallies in first-seen order, and each record's among them
-        key = (a * (int(b.max()) + 1) + b) * 2 + server_last
-        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-        order = np.argsort(first)
-        tally = np.argsort(order)[inverse]
-        seen = first[order]
-        self.tallies = list(zip(a[seen].tolist(), b[seen].tolist(), server_last[seen].tolist()))
         if mode is FitMode.SCORE_DURATION:
-            m = (span // 2).astype(np.int64)
+            m = m.astype(np.int64)
             self.m = sum(m.tolist())  # extra rally pairs, a Python int: an int64 sum could wrap
-            # each record's log H(m) from its tally's cached block, the pairs
-            # (block, tally) keyed by one integer that the blocks' ranks keep
-            # in range, and the values added in record order
-            blocks, block = np.unique(m // _H_BLOCK, return_inverse=True)
-            keys, key = np.unique(block * len(self.tallies) + tally, return_inverse=True)
-            blocks, pairs = blocks.tolist(), (divmod(k, len(self.tallies)) for k in keys.tolist())
-            table = np.array([_log_h_block(self.tallies[t], blocks[b]) for b, t in pairs])
+            # each record's log H(m) from its tally's cached block: the
+            # records sorted by (block, tally), the first of each pair marked
+            # and each record's pair counted, and the values added in record
+            # order
+            blk, tally = m // _H_BLOCK, reduced.tally
+            order = np.lexsort((tally, blk))
+            blk, tally = blk[order], tally[order]
+            first = np.ones(len(m), dtype=bool)
+            first[1:] = (blk[1:] != blk[:-1]) | (tally[1:] != tally[:-1])
+            key = np.empty(len(m), dtype=np.int64)
+            key[order] = np.cumsum(first) - 1
+            pairs = [(*self.tallies[t], b) for b, t in zip(blk[first].tolist(), tally[first].tolist())]
+            table = np.array(_log_h_cache.get(pairs))
             self.log_h_total = float(np.add.accumulate(table[key, m % _H_BLOCK])[-1])
         else:
-            self.rows = kernel.tallies(self.tallies)
-            self.counts = np.bincount(tally).astype(float)
+            self.entries = _tallies.get(self.tallies)
+            self.rows = _rows(self.entries)
+            self.counts = reduced.counts
             self.j0_total = float(self.counts @ self.rows.j0)
 
     def e_step(self, p_a: float, p_b: float):
@@ -383,19 +545,21 @@ class _Likelihood:
         and the mean and variance of the extra rally pairs M given the
         tallies: per tally, the kernel's interruption count less [receiver
         scores last] plus NB(alpha + beta, q) exchanges (both totals are
-        exponents in self.k).  The kernel evaluates the tallies' polynomials
-        at the point's one q, and the rows add in the order of `grid_e_step`,
-        so a point gets the bits it gets there."""
+        exponents in self.k).  The kernel's evaluator takes the tallies'
+        rows at the point's one q, with no checks (the rows are the
+        kernel's and q is a rally probability's), and the rows add in the
+        order of `grid_e_step`, so a point gets the bits it gets there."""
         q, bases = _bases(p_a, p_b)
-        return self._combine(bases, [kernel.total(self.counts * v) for v in kernel.interruption_polynomial(self.rows, q)])
+        return self._combine(bases, [kernel.total(self.counts * v) for v in kernel._interruption(self.rows, q)])
 
     def grid_e_step(self, model: FitModel):
         """`e_step` at every point of the model's start grid, as arrays, from
-        the cached rows of the tallies (`_grid_row`) stacked in first-seen
-        order and added over the tallies at each distinct q of the grid."""
+        the tallies' kept rows (`_grid_rows`) stacked in first-seen order
+        and added over the tallies at each distinct q of the grid."""
         grid = _start_grid(model)
-        poly = np.array([_grid_row(model, t) for t in self.tallies])  # (tallies, 3, distinct q)
-        return self._combine(grid.bases, kernel.total(self.counts[:, None, None] * poly)[:, grid.where])
+        poly = _grid_rows(self.entries, model)  # (tallies, 3, distinct q), a new array
+        poly *= self.counts[:, None, None]
+        return self._combine(grid.bases, kernel.total(poly)[:, grid.where])
 
     def _combine(self, bases, sums):
         """The E-step from the closed-form `_bases` of the points and the
@@ -415,7 +579,7 @@ class _Likelihood:
         with np.errstate(divide="ignore"):  # log 0 = -inf, where a term's exponent is not 0
             if self.mode is FitMode.SCORE_ONLY:
                 return float(self.e_step(p_a, p_b)[0])
-            won, served = _serve_counts(self.k, self.m, FitModel.SERVER)
+            won, served = (np.array(v, dtype=float) for v in _serve_counts(self.k, self.m, FitModel.SERVER))
             p = np.array([p_a, p_b])
             # 0 log 0 = 0: a base whose exponent is 0 is read as 1
             log_p, log_q = np.log(np.where(won > 0, p, 1.0)), np.log1p(np.where(served > won, -p, 0.0))
@@ -460,15 +624,16 @@ class FitResult:
         return self.p_a
 
 
-def _serve_counts(k, m, model: FitModel) -> tuple[np.ndarray, np.ndarray]:
+def _serve_counts(k, m, model: FitModel) -> tuple[tuple, tuple]:
     """Rallies won on serve and rallies served per parameter, given m extra
-    rally pairs, as floats (exact below 2^53): their ratio is the
-    complete-data maximizer.  In the no-server model a rally lost on B's
-    serve is won by A."""
+    rally pairs, as tuples of Python numbers (whole numbers for an integer
+    m, exact at any size): their ratio is the complete-data maximizer,
+    and int / int rounds it once.  In the no-server model a rally lost on
+    B's serve is won by A."""
     k_pa, k_qa, k_pb, k_qb = k
     if model is FitModel.SERVER:
-        return np.array([k_pa, k_pb], dtype=float), np.array([k_pa + k_qa + m, k_pb + k_qb + m], dtype=float)
-    return np.array([k_pa + k_qb + m], dtype=float), np.array([k_pa + k_qa + k_pb + k_qb + 2 * m], dtype=float)
+        return (k_pa, k_pb), (k_pa + k_qa + m, k_pb + k_qb + m)
+    return (k_pa + k_qb + m,), (k_pa + k_qa + k_pb + k_qb + 2 * m,)
 
 
 def _probs(x, model: FitModel):
@@ -584,7 +749,7 @@ def fit(records: RecordBatch, mode: FitMode = FitMode.SCORE_DURATION, model: Fit
     lo, hi = _BOUND_DELTA, 1.0 - _BOUND_DELTA
     if mode is FitMode.SCORE_DURATION:
         won, served = _serve_counts(lik.k, lik.m, model)
-        x = np.clip(np.divide(won, served, out=np.full(len(won), 0.5), where=served > 0), lo, hi)
+        x = [min(max(w / s, lo), hi) if s > 0 else 0.5 for w, s in zip(won, served)]
         ll, steps, evaluations = lik(*_probs(x, model)), 0, 1
     else:
         x, ll, steps, evaluations = _newton(lik, model, lo, hi)

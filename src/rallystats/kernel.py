@@ -16,9 +16,11 @@ of log-coefficients indexed from the smallest feasible j, cached per
 target score (`table`, `tied`); `tallies` builds one for any tallies
 its caller has checked.  Tallies are in first-server coordinates: in
 `table(n)` the first server wins in rows 0..n-1 and the receiver in rows
-n..2n-1.  Outside this module only `estimate` reads that layout: its log
-H(m) (`_log_h`) reads a row's points, `logc`, `j0` and `top`, and its
-likelihood (`_Likelihood`) the rows' `j0`.  Here `game(config, p_a, p_b)`
+n..2n-1.  Outside this module only `estimate` reads that layout: it keeps
+each tally's row of `tallies` and assembles a batch's rows from the kept
+ones, padded with -inf as `tallies` pads them; its log H(m) (`_log_h`)
+reads a row's points, `logc`, `j0` and `top`, and its likelihood
+(`_Likelihood`) the rows' `j0`.  Here `game(config, p_a, p_b)`
 turns the tables of a `GameConfig` into its game table (`Game`), the
 terminal components every game-level law reads, each table weighed by one
 kernel evaluation against arrays of rally probabilities for either
@@ -68,18 +70,19 @@ given each component from its normalized terms, and
 mean and variance of its power.  Every law of `duration`, the moment
 generating function given an end score included, reads the game table;
 the score-only likelihood of `estimate` needs only the polynomial, which
-it evaluates per tally at its start grid and keeps (see `estimate`), and
-at one q per Newton point.  One evaluator (`_polynomial`) forms the
-polynomial for all of them: the game tables of both systems, tie-break
-parts included, their shift laws, and `interruption_polynomial` at a
-grid of q or at one q.  A grid carries its points on an axis after the
-terms and is evaluated in blocks; one q is a point without that axis and
-without blocks, its logarithm taken outside any floating-point error
-state, so a Newton point costs little more than its arithmetic.  A row
-whose every term vanishes (no reachable tally has one) is guarded by
-floors, not branches: log v and each row's largest log-term are kept
-above -1e300, and the sum that divides the moments above 1, which no row
-with mass is below.
+it evaluates at its start grid for the tallies it has not kept (see
+`estimate`), and at one q per Newton point, through `_interruption`, the
+body of `interruption_polynomial` without its checks.  One evaluator
+(`_polynomial`) forms the polynomial for all of them: the game tables of
+both systems, tie-break parts included, their shift laws, and
+`interruption_polynomial` at a grid of q or at one q.  A grid carries
+its points on an axis after the terms and is evaluated in blocks; one q
+is a point without that axis and without blocks, its logarithm taken
+outside any floating-point error state, so a Newton point costs little
+more than its arithmetic.  A row whose every term vanishes (no reachable
+tally has one) is guarded by floors, not branches: log v and each row's
+largest log-term are kept above -1e300, and the sum that divides the
+moments above 1, which no row with mass is below.
 
 Evaluation is in scaled form: every term is a logarithm, each row is
 shifted by its largest term before exponentiating, and the shift is added
@@ -524,6 +527,12 @@ def interruption_polynomial(rows: Rows, q) -> tuple[np.ndarray, np.ndarray, np.n
         q = q[()]  # a scalar from a 0-d array
     elif not 0.0 <= q <= 1.0:  # one comparison, also false at NaN
         raise DomainError(f"q={q!r} outside [0, 1]")
+    return _interruption(rows, q)
+
+
+def _interruption(rows: Rows, q):
+    """`interruption_polynomial` of arguments its caller has checked, for
+    the point path of `estimate`, which calls it once per Newton point."""
 
     def evaluate(sub: Rows, log_v):
         shift, _, total, s_mean, s_var = _polynomial(sub, log_v)

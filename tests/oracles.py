@@ -1181,7 +1181,7 @@ class RecordLikelihood:
             return -np.inf
         if self.mode is estimate.FitMode.SCORE_ONLY:
             return self.e_step(p_a, p_b)[0]
-        won, served = estimate._serve_counts(self.k, self.m, estimate.FitModel.SERVER)
+        won, served = (np.array(v, dtype=float) for v in estimate._serve_counts(self.k, self.m, estimate.FitModel.SERVER))
         return float(won @ np.log([p_a, p_b]) + (served - won) @ np.log1p([-p_a, -p_b])) + self.log_h_total
 
 
@@ -1191,7 +1191,7 @@ def reference_score_information(k, x, mean, var, model):
     derivative of that score in M (Louis's formula), as numpy arrays: the
     form `estimate._score_information` replaced with floats, kept as a
     reference for it."""
-    won, served = estimate._serve_counts(k, mean, model)
+    won, served = (np.array(v, dtype=float) for v in estimate._serve_counts(k, mean, model))
     w = -x if model is estimate.FitModel.SERVER else 1.0 - 2.0 * x
     return won - served * x, np.diag(served * x * (1.0 - x)) - var * np.outer(w, w)
 

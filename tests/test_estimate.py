@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -64,6 +65,12 @@ def assert_same_records(got, want):
 def same_bits(a, b):
     """Whether two floats are the same double, signed zeros and NaN told apart by their bits."""
     return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+def clear_caches():
+    """Empty the estimator's per-tally and log H(m) caches."""
+    estimate._tallies.clear()
+    estimate._log_h_cache.clear()
 
 
 def simulated_records(pa, pb, n, count, seed, s_a=0.5):
@@ -303,7 +310,7 @@ class TestJointLikelihood:
         # one game of 10^9 rallies: the exchange binomials are formed at the
         # few l its block's terms need, whatever the duration
         record = make_batch((A, 15, 7, A, 10**9))
-        estimate._log_h_block.cache_clear()  # the fit computes its block
+        clear_caches()  # the fit computes its block
         tracemalloc.start()
         try:
             got = estimate.fit(record, FitMode.SCORE_DURATION)
@@ -314,17 +321,17 @@ class TestJointLikelihood:
         # the same fit with the block's entries from the per-record oracle
         calls = []
 
-        def oracle(rows, m):
-            calls.append(len(m))
+        def oracle(rows, m, tally):
+            calls.append((len(rows.j0), len(m)))
             return np.array([log_h(rows, int(v)) for v in m])
 
         monkeypatch.setattr(estimate, "_log_h", oracle)
-        estimate._log_h_block.cache_clear()
+        estimate._log_h_cache.clear()
         try:
             assert got == estimate.fit(record, FitMode.SCORE_DURATION)
         finally:
-            estimate._log_h_block.cache_clear()  # no oracle row outlives the patch
-        assert calls == [estimate._H_BLOCK]
+            estimate._log_h_cache.clear()  # no oracle row outlives the patch
+        assert calls == [(1, estimate._H_BLOCK)]
 
     def test_zero_probability_duration_names_the_record(self):
         # a server winning 5-2 must have lost the serve at least once
@@ -796,6 +803,47 @@ class TestRecordBatch:
         with pytest.raises(ValueError):
             batch.alpha[0] = 3
 
+    def test_columns_are_copies(self):
+        # writes to the arrays a batch was made from, after its checks,
+        # reach neither the batch nor its fits: a score it refuses and a
+        # rally count past 2^53
+        cols = [np.array(c) for c in ([True, False], [9, 3], [3, 9], [True, False], [20.0, 22.0])]
+        batch = estimate.RecordBatch(*cols)
+        fits = [estimate.fit(batch, mode) for mode in FitMode]
+        cols[1][0], cols[4][1] = -7, 2.0**60
+        assert (batch.alpha.tolist(), batch.duration.tolist()) == ([9, 3], [20.0, 22.0])
+        assert not any(np.shares_memory(getattr(batch, name), col) for name, col in zip(COLUMNS, cols))
+        fresh = make_batch((A, 9, 3, A, 20), (B, 3, 9, B, 22))
+        assert [estimate.fit(batch, mode) for mode in FitMode] == fits == [estimate.fit(fresh, mode) for mode in FitMode]
+
+    def test_reduction_is_shared_by_both_modes(self):
+        # a batch is reduced once, and a score-only fit and then a
+        # score-and-duration fit on it give the bits of each on a fresh copy
+        for seed in range(84, 90):
+            batch = random_batch(seed)
+            for model in FitModel:
+                got = [estimate.fit(batch, mode, model) for mode in FitMode]
+                copies = [estimate.RecordBatch(*(getattr(batch, name) for name in COLUMNS)) for _ in FitMode]
+                assert got == [estimate.fit(copy, mode, model) for copy, mode in zip(copies, FitMode)], (seed, model)
+            assert batch._reduced is batch._reduced
+
+    def test_ratio_exact_past_2_to_53(self):
+        # three games of nearly 2^53 rallies: the pooled counts of the
+        # no-server fit pass 2^53, where floats would be rounded before the
+        # division; int / int rounds the ratio once
+        rows = [(A, 15, 7, A, 2**53 - 40), (B, 7, 15, B, 2**53 - 40), (A, 15, 3, A, 2**53 - 38)]
+        k_pa = k_qa = k_pb = k_qb = 0
+        for first, alpha, beta, last, d in rows:
+            delta = int(last is not first)
+            m = (d - alpha - beta - delta) // 2
+            k_pa, k_pb = k_pa + alpha, k_pb + beta
+            k_qa, k_qb = k_qa + m + (first is A) * delta, k_qb + m + (first is B) * delta
+        won, served = k_pa + k_qb, k_pa + k_qa + k_pb + k_qb
+        want = float(Fraction(won, served))
+        assert won > 2**53 and want != float(won) / float(served)  # the rounded counts give another double
+        got = estimate.fit(make_batch(*[(f, a, b, last, float(d)) for f, a, b, last, d in rows]), FitMode.SCORE_DURATION, FitModel.NO_SERVER)
+        assert (got.p_a, got.p_b) == (want, 1.0 - want)
+
     def test_json_round_trip(self):
         batch = simulated_records(0.6, 0.5, 9, 25, SeedSpec(141, 3))
         text = estimate.records_to_json_lines(batch)
@@ -874,7 +922,7 @@ class TestBatchAgainstRecordOracle:
             batch = random_batch(seed)
             for mode in FitMode:
                 lik, ref = estimate._Likelihood(batch, mode), RecordLikelihood(batch, mode)
-                assert lik.k == ref.k
+                assert list(lik.k) == ref.k
                 for p_a, p_b in [(0.6, 0.5), (1e-9, 0.3), (0.97, 1 - 1e-9)]:
                     assert lik(p_a, p_b) == ref(p_a, p_b)
                 if mode is FitMode.SCORE_DURATION:
@@ -925,11 +973,43 @@ def fresh_process_output(code):
     ).stdout.strip()
 
 
+def run_threads(run, count):
+    """Run run(k) for k < count in threads that switch often, and their results."""
+    results, interval = {}, sys.getswitchinterval()
+
+    def call(k):
+        try:
+            results[k] = run(k)
+        except Exception as exc:  # raised again below
+            results[k] = exc
+
+    threads = [threading.Thread(target=call, args=(k,)) for k in range(count)]
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and len(results) == count
+    for got in results.values():
+        if isinstance(got, Exception):
+            raise got
+    return results
+
+
+def mixed_tallies():
+    """The distinct tallies of batches to 5..21, some with a tie-break, in
+    first-seen order: rows of many widths, both j0 and both last scorers."""
+    return list(dict.fromkeys(t for seed in (60, 61, 62, 66) for t in random_batch(seed)._reduced.tallies))
+
+
 class TestStartGridCache:
     def test_cached_rows_equal_one_kernel_call(self):
         # rows filled in three batches (all misses, some, none) against one
         # kernel call over every tally, bit for bit
-        estimate._grid_row.cache_clear()
+        estimate._tallies.clear()
         batches = [random_batch(seed) for seed in (60, 61, 62, 60)]
         for model in FitModel:
             seen = {}
@@ -940,8 +1020,25 @@ class TestStartGridCache:
             grid = estimate._start_grid(model)
             tallies = list(seen)
             want = np.stack(kernel.interruption_polynomial(kernel.tallies(tallies), grid.q), axis=1)
-            assert np.array_equal(np.stack([estimate._grid_row(model, t) for t in tallies]), want)
-        assert estimate._grid_row.cache_info().currsize == 2 * len(tallies)
+            assert np.array_equal(np.stack([e.grid[model.value] for e in estimate._tallies.get(tallies)]), want)
+        assert len(estimate._tallies) == len(tallies)  # one entry per tally, with both models' rows
+
+    def test_batched_fill_equals_tally_by_tally_fills(self):
+        # entries and start-grid rows filled by one kernel call each equal
+        # those filled one tally at a time, and the rows assembled from the
+        # entries equal `kernel.tallies`, padding and dtypes included
+        tallies = mixed_tallies()
+        batched = estimate._tally_entries(tallies)
+        alone = [estimate._tally_entries([t])[0] for t in tallies]
+        for model in FitModel:
+            got = estimate._grid_rows(batched, model)
+            assert np.array_equal(got, np.concatenate([estimate._grid_rows([e], model) for e in alone]))
+        for e, f in zip(batched, alone):
+            assert e.head == f.head and np.array_equal(e.logc, f.logc) and e.logc.size == e.head[4] - e.head[3] + 1
+        for entries in (batched, batched[::-1]):
+            rows, want = estimate._rows(entries), kernel.tallies([e.head[:3] for e in entries])
+            for name in ("alpha", "beta", "server_last", "j0", "top", "logc"):
+                np.testing.assert_array_equal(getattr(rows, name), getattr(want, name), strict=True)
 
     @pytest.mark.parametrize("model", list(FitModel))
     def test_grid_e_step_equals_e_step_on_the_grid(self, model):
@@ -954,54 +1051,38 @@ class TestStartGridCache:
     def test_cold_and_warm_fits_equal(self, monkeypatch):
         batches = [random_batch(seed) for seed in range(65, 71)]
         for model in FitModel:
-            estimate._grid_row.cache_clear()
             cold = []
             for batch in batches:
-                estimate._grid_row.cache_clear()
+                estimate._tallies.clear()
                 cold.append(estimate.fit(batch, FitMode.SCORE_ONLY, model))
             warm = [estimate.fit(batch, FitMode.SCORE_ONLY, model) for batch in batches]
-            # a cache of 8 rows evicts most of a batch's rows while it fits
-            monkeypatch.setattr(estimate, "_grid_row", functools.lru_cache(maxsize=8)(estimate._grid_row.__wrapped__))
+            # a cache of 8 tallies evicts most of a batch's entries while it fits
+            monkeypatch.setattr(estimate, "_tallies", estimate._Cache(8, estimate._tally_entries))
             small = [estimate.fit(batch, FitMode.SCORE_ONLY, model) for batch in batches]
-            assert estimate._grid_row.cache_info().currsize <= 8
+            assert len(estimate._tallies) <= 8
             monkeypatch.undo()
             assert cold == warm == small
 
     def test_concurrent_fits_equal_serial_ones(self, monkeypatch):
-        # four threads that fill and evict a small cache while switching often;
-        # a row evicted under a call would change its fit
+        # four threads that fill and evict a small cache, and fill the
+        # start-grid rows of shared entries, while switching often; an
+        # entry evicted under a call would change its fit
         batches = [simulated_records(0.6, 0.5, n, 40, SeedSpec(153, n)) for n in range(7, 22)]
-        serial = [estimate.fit(b, FitMode.SCORE_ONLY) for b in batches]
-        monkeypatch.setattr(estimate, "_grid_row", functools.lru_cache(maxsize=40)(estimate._grid_row.__wrapped__))
-        results, interval = {}, sys.getswitchinterval()
+        serial = [estimate.fit(b, FitMode.SCORE_ONLY, model) for b in batches for model in FitModel]
+        monkeypatch.setattr(estimate, "_tallies", estimate._Cache(40, estimate._tally_entries))
 
         def run(k):
-            try:
-                results[k] = [estimate.fit(batches[(k + i) % len(batches)], FitMode.SCORE_ONLY) for i in range(30)]
-            except Exception as exc:  # raised again below
-                results[k] = exc
+            return [estimate.fit(batches[(k + i) % len(batches)], FitMode.SCORE_ONLY, model) for i in range(30) for model in FitModel]
 
-        threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]
-        sys.setswitchinterval(1e-6)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        for k, got in results.items():
-            if isinstance(got, Exception):
-                raise got
-            assert got == [serial[(k + i) % len(batches)] for i in range(30)]
-        assert len(results) == 4
+        for k, got in run_threads(run, 4).items():
+            assert got == [serial[2 * ((k + i) % len(batches)) + j] for i in range(30) for j in range(2)]
 
     def test_cached_arrays_are_read_only(self):
         batch = random_batch(72)
         estimate.fit(batch, FitMode.SCORE_ONLY)
         grid = estimate._start_grid(FitModel.SERVER)
-        rows = [estimate._grid_row(FitModel.SERVER, t) for t in estimate._Likelihood(batch, FitMode.SCORE_ONLY).tallies]
+        entries = estimate._tallies.get(batch._reduced.tallies)
+        rows = [e.grid[FitModel.SERVER.value] for e in entries] + [e.logc for e in entries]
         arrays = [grid.theta, grid.q, grid.where, *grid.bases, *rows]
         assert arrays and not any(a.flags.writeable for a in arrays)
         with pytest.raises(ValueError):
@@ -1011,7 +1092,7 @@ class TestStartGridCache:
         # a fresh process: nothing is evaluated at import
         code = (
             "import rallystats\nfrom rallystats import estimate\n"
-            "print(*(f.cache_info().currsize for f in (estimate._start_grid, estimate._grid_row, estimate._log_h_block)))\n"
+            "print(estimate._start_grid.cache_info().currsize, len(estimate._tallies), len(estimate._log_h_cache))\n"
         )
         assert fresh_process_output(code) == "0 0 0"
 
@@ -1025,15 +1106,20 @@ def long_batches():
     return [simulated_records(p, p, n, 60, SeedSpec(154, n)) for p, n in [(0.05, 15), (0.1, 5), (0.03, 21)]]
 
 
+def log_h_block(tally, block):
+    """The cached row of log H(m) of a tally and a block."""
+    return estimate._log_h_cache.get([(*tally, block)])[0]
+
+
 class TestLogHBlockCache:
     def test_block_entries_equal_batched_log_h_and_oracle(self):
-        estimate._log_h_block.cache_clear()
+        estimate._log_h_cache.clear()
         tallies = [(15, 7, True), (7, 15, False), (15, 0, True), (0, 15, False), (21, 20, True), (3, 5, False)]
         for tally in tallies:
             rows = kernel.tallies([tally])
             batched = estimate._log_h(rows, np.array(BLOCK_EDGE_M))
             for m, value in zip(BLOCK_EDGE_M, batched):
-                block = estimate._log_h_block(tally, m // estimate._H_BLOCK)
+                block = log_h_block(tally, m // estimate._H_BLOCK)
                 assert block.shape == (estimate._H_BLOCK,) and not block.flags.writeable
                 assert same_bits(block[m % estimate._H_BLOCK], value), (tally, m)
                 assert same_bits(value, log_h(rows, m)), (tally, m)
@@ -1046,18 +1132,39 @@ class TestLogHBlockCache:
                 want += log_h(kernel.tallies([(a, b, last is first)]), (d - a - b - (last is not first)) // 2)
             assert same_bits(estimate._Likelihood(batch, FitMode.SCORE_DURATION).log_h_total, want)
 
+    @pytest.mark.parametrize("fill", [None, 1])
+    def test_batched_fill_equals_tally_by_tally_fills(self, fill, monkeypatch):
+        # one `_log_h` over the blocks of many tallies (of both j0, many
+        # tops and points totals, the first of j0 = 0 and then of j0 = 1)
+        # gives each block the bits of its tally's own call, and of the
+        # oracle; also split into calls of one block each
+        if fill is not None:
+            monkeypatch.setattr(estimate, "_FILL", fill)
+        tallies = [(7, 15, False), (15, 7, True), *mixed_tallies(), (21, 20, True), (15, 0, True)]
+        pairs = [(*t, b) for i, t in enumerate(dict.fromkeys(tallies)) for b in ({0, i % 3, 10**9 // estimate._H_BLOCK} if i % 4 else {0})]
+        got = estimate._log_h_blocks(pairs)
+        assert len(got) == len(pairs)
+        for pair, row in zip(pairs, got):
+            m = pair[3] * estimate._H_BLOCK + np.arange(estimate._H_BLOCK)
+            rows = kernel.tallies([pair[:3]])
+            assert np.array_equal(row, estimate._log_h(rows, m)), pair
+            assert np.array_equal(row, estimate._log_h_blocks([pair])[0]), pair
+            if pair[3] == 0:
+                assert np.array_equal(row[:12], [log_h(rows, v) for v in range(12)]), pair
+
     def test_cold_warm_and_small_cache_fits_equal(self, monkeypatch):
         batches = [random_batch(seed) for seed in range(76, 80)] + long_batches()
         for model in FitModel:
             cold = []
             for batch in batches:
-                estimate._log_h_block.cache_clear()
+                clear_caches()
                 cold.append(estimate.fit(batch, FitMode.SCORE_DURATION, model))
             warm = [estimate.fit(batch, FitMode.SCORE_DURATION, model) for batch in batches]
-            # a cache of 8 rows evicts most of a batch's rows while it is set up
-            monkeypatch.setattr(estimate, "_log_h_block", functools.lru_cache(maxsize=8)(estimate._log_h_block.__wrapped__))
+            # caches of 8 blocks and 8 tallies evict most of a batch's rows while it is set up
+            monkeypatch.setattr(estimate, "_log_h_cache", estimate._Cache(8, estimate._log_h_blocks))
+            monkeypatch.setattr(estimate, "_tallies", estimate._Cache(8, estimate._tally_entries))
             small = [estimate.fit(batch, FitMode.SCORE_DURATION, model) for batch in batches]
-            assert estimate._log_h_block.cache_info().currsize <= 8
+            assert len(estimate._log_h_cache) <= 8 and len(estimate._tallies) <= 8
             monkeypatch.undo()
             assert cold == warm == small
 
@@ -1065,36 +1172,19 @@ class TestLogHBlockCache:
         # four threads that fill and evict a small cache while switching often
         batches = [simulated_records(0.1, 0.1, n, 40, SeedSpec(155, n)) for n in range(5, 22, 2)]
         serial = [estimate.fit(b, FitMode.SCORE_DURATION) for b in batches]
-        monkeypatch.setattr(estimate, "_log_h_block", functools.lru_cache(maxsize=16)(estimate._log_h_block.__wrapped__))
-        results, interval = {}, sys.getswitchinterval()
+        monkeypatch.setattr(estimate, "_log_h_cache", estimate._Cache(16, estimate._log_h_blocks))
 
         def run(k):
-            try:
-                results[k] = [estimate.fit(batches[(k + i) % len(batches)], FitMode.SCORE_DURATION) for i in range(20)]
-            except Exception as exc:  # raised again below
-                results[k] = exc
+            return [estimate.fit(batches[(k + i) % len(batches)], FitMode.SCORE_DURATION) for i in range(20)]
 
-        threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]
-        sys.setswitchinterval(1e-6)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        for k, got in results.items():
-            if isinstance(got, Exception):
-                raise got
+        for k, got in run_threads(run, 4).items():
             assert got == [serial[(k + i) % len(batches)] for i in range(20)]
-        assert len(results) == 4
 
     def test_cached_rows_are_read_only(self):
         batch = long_batches()[0]
         estimate.fit(batch, FitMode.SCORE_DURATION)
         lik = estimate._Likelihood(batch, FitMode.SCORE_DURATION)
-        rows = [estimate._log_h_block(t, b) for t in lik.tallies for b in range(3)]
+        rows = [log_h_block(t, b) for t in lik.tallies for b in range(3)]
         assert rows and not any(r.flags.writeable for r in rows)
         with pytest.raises(ValueError):
             rows[0][0] = 0.0

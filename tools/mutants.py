@@ -119,8 +119,18 @@ MUTANTS = (
     ),
     Mutant(
         "never-served-start-0.4", "estimate",
-        "np.full(len(won), 0.5)", "np.full(len(won), 0.4)",
+        "else 0.5 for w, s", "else 0.4 for w, s",
         "a player who never served is estimated at 0.4, not 0.5",
+    ),
+    Mutant(
+        "record-columns-share-memory", "estimate",
+        "col = col.astype(dtype)\n", "col = col.astype(dtype, copy=False).view()\n",
+        "a record batch keeps views of the caller's arrays, so a later write changes a checked batch",
+    ),
+    Mutant(
+        "batched-log-h-first-j0", "estimate",
+        "rows.j0[tally][:, None]", "rows.j0[tally[:1]][:, None]",
+        "a batched log H(m) reads every entry's j0 from the first entry's tally",
     ),
     Mutant(
         "interpolated-quantile-wrong-checkpoint", "duration",
