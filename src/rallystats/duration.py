@@ -313,7 +313,7 @@ def _moments(config: GameConfig, game: kernel.Game, p_a, p_b):
     if config.system is ScoringSystem.SIDE_OUT:
         q, keep = (1.0 - np.asarray(p_a)) * (1.0 - np.asarray(p_b)), kernel.one_minus_q(p_a, p_b)
     points = (game.alpha + game.beta)[:, None]
-    return points * (1.0 + q) / keep + game.shift_mean, 4.0 * points * q / keep**2 + game.shift_var
+    return points * (1.0 + q) / keep + game.shift_mean, 4.0 * points * q / (keep * keep) + game.shift_var
 
 
 _EVENTS = tuple(itertools.product((*Player, None), repeat=2))

@@ -390,7 +390,9 @@ def _log_h(rows: kernel.Rows, m, tally=None) -> np.ndarray:
     points = (rows.alpha + rows.beta)[tally]
     j = np.arange(min(int(top.max()), int(m.max())) + 1)
     l, s = m[:, None] - j, j - j0
-    distinct = np.unique(np.maximum(np.unique(m)[:, None] - j, 0))  # every entry's l, from its distinct m
+    # np.unique sorts when asked for counts; without them it hashes and imports numpy.ma
+    m_distinct = np.unique(m, return_counts=True)[0]
+    distinct = np.unique(np.maximum(m_distinct[:, None] - j, 0), return_counts=True)[0]  # every entry's l
     exchanges = kernel.log_exchange_binom(int(points.max()), distinct)
     log_exchanges = exchanges[np.searchsorted(distinct, np.maximum(l, 0)), points[:, None] - 1]
     logc = rows.logc[tally[:, None], np.clip(s, 0, rows.logc.shape[1] - 1)]

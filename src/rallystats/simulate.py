@@ -31,15 +31,13 @@ once both reach n-1).  Two loops play it, chosen by the batch size:
   live game, the flags of the rallies won by the server: it draws the
   uniforms `_CHUNK` (2^16) at a time into one scratch buffer and turns
   them into flags at once, so no uniform outlives its chunk, and the
-  first servers are drawn the same way.  A block reads each rally's flags
-  from one draw, armed after the rally before.  With more than one block
-  and more than one CPU to run on, a helper thread makes the draw at
-  once, while the main thread plays the other blocks (numpy's generator
-  releases the interpreter lock while it fills an array); on one CPU it
-  is made when the block reads it and no thread starts.  Each draw is
-  exactly the block's live count, and draws run in the order of the loop.
-  The generator yields the games that end in a rally with their scores
-  for A and B.
+  first servers are drawn the same way.  A block draws its flags on the
+  calling thread just before it scores the rally, exactly its live count,
+  so the draws run in the order of the loop.  No batch starts a thread: a
+  helper thread drawing one block's flags while the loop played the
+  others did not overlap the two even on two CPUs, and was slower at
+  every batch size.  The generator yields the games that end in a rally
+  with their scores for A and B.
 
 Measured in-process against the compacting loop alone, side-out games to
 15 at (.6, .5): the masked loop takes 0.69-0.80 of its time at 200 games
@@ -53,9 +51,7 @@ of games by duration, from which the estimators are exact integer sums.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -117,14 +113,6 @@ class EstimatorReport:
 
 _BLOCK = 2**18  # games per block of the rally loop
 _CHUNK = 2**16  # deviates per draw into a scratch buffer
-
-
-def _cpus() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
 
 
 def _first_servers(rng: np.random.Generator, count: int, s_a: float) -> np.ndarray:
@@ -240,17 +228,12 @@ def _rallies(probs: RallyProbs, config: GameConfig, first_server_a: np.ndarray, 
     of the games that stay, and the final scores alpha and beta of the
     finished games; these then leave the block.
 
-    A block reads its flags of the rallies won by the server from one
-    `draw`, armed with its server flags after the rally before.  With more
-    than one block and more than one CPU, a helper thread draws them as
-    soon as they are armed, while this thread plays the other blocks;
-    otherwise this thread draws them when it reads them.  Either way the
-    draws run in the order of the loop, and each is exactly the live
-    count, so the generator yields the same deviates in the same order as
-    one draw per rally over all live games and ends in the same state.
-    `server_won` draws the uniforms `_CHUNK` at a time into one scratch
-    buffer and turns each chunk into flags at once, so no block keeps a
-    uniform."""
+    Each block draws its flags of the rallies won by the server on this
+    thread just before it scores the rally, exactly its live count, so the
+    generator yields the same deviates in the same order as one draw per
+    rally over all live games and ends in the same state.  `server_won`
+    draws the uniforms `_CHUNK` at a time into one scratch buffer and turns
+    each chunk into flags at once, so no block keeps a uniform."""
     rules = _Rally(probs, config)
     blocks = []  # per block: server_h, score_h, score_l
     for start in range(0, first_server_a.size, _BLOCK):
@@ -268,39 +251,22 @@ def _rallies(probs: RallyProbs, config: GameConfig, first_server_a: np.ndarray, 
             won[start : start + h.size] = rules.server_won(rng.random(out=scratch[: h.size]), h)
         return won
 
-    pool = None
-    if len(blocks) > 1 and _cpus() > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        pool = ThreadPoolExecutor(1)
-
-    def draw(server_h):
-        # a call that returns the flags of the block's next rally, drawn now
-        # on the helper or else when called
-        return partial(server_won, server_h) if pool is None else pool.submit(server_won, server_h).result
-
-    drawn = [draw(block[0]) for block in blocks]
-    try:
-        rally, playing = 0, len(blocks)
-        while playing:
-            rally += 1
-            for b, (server_h, score_h, score_l) in enumerate(blocks):
-                if not server_h.size:
-                    continue
-                h_rally = rules.score(drawn[b](), server_h, score_h, score_l)
-                done, final = rules.ended(rally, score_h, score_l), None
-                if done is not None and np.count_nonzero(done):
-                    fin, keep = np.flatnonzero(done), ~done
-                    final = score_h[fin], score_l[fin]
-                    h_rally, score_h, score_l = h_rally[keep], score_h[keep], score_l[keep]
-                    playing -= not h_rally.size
-                blocks[b] = h_rally, score_h, score_l
-                drawn[b] = draw(h_rally)
-                if final is not None:
-                    yield b, rally, fin, keep, *rules.by_player(*final)
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+    rally, playing = 0, len(blocks)
+    while playing:
+        rally += 1
+        for b, (server_h, score_h, score_l) in enumerate(blocks):
+            if not server_h.size:
+                continue
+            h_rally = rules.score(server_won(server_h), server_h, score_h, score_l)
+            done, final = rules.ended(rally, score_h, score_l), None
+            if done is not None and np.count_nonzero(done):
+                fin, keep = np.flatnonzero(done), ~done
+                final = score_h[fin], score_l[fin]
+                h_rally, score_h, score_l = h_rally[keep], score_h[keep], score_l[keep]
+                playing -= not h_rally.size
+            blocks[b] = h_rally, score_h, score_l
+            if final is not None:
+                yield b, rally, fin, keep, *rules.by_player(*final)
 
 
 def _batch_games(

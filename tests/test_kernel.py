@@ -8,7 +8,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rallystats import (
     DomainError,
@@ -66,6 +66,9 @@ def aggregate_entry(agg, server, winner):
     s_a=st.sampled_from([1.0, 0.3]),
     points=st.lists(interior, min_size=1, max_size=5),
 )
+# libm's pow squares this 1 - q one ulp away from a product: the variance
+# must not take it as keep**2 at a point and keep * keep in a grid
+@example(n=1, system=ScoringSystem.SIDE_OUT, s_a=1.0, points=[(0.0, 0.5721815203784216)])
 def test_grid_evaluation_matches_per_point_functions(n, system, s_a, points):
     points = EDGES + points
     p_a = np.array([pa for pa, _ in points])

@@ -1,4 +1,3 @@
-import sys
 import threading
 import tracemalloc
 from fractions import Fraction
@@ -228,7 +227,7 @@ class TestTrajectoryLevel:
 SAMPLE_FIELDS = ("first_server_a", "alpha", "beta", "winner_a", "duration")
 probability = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.02, 0.98))
 # games per block of the rally loop: the default (one block here) and
-# small ones, for which a batch is many blocks drawn by the helper thread
+# small ones, for which a batch is many blocks stepped in turn
 BLOCKS = [simulate._BLOCK, 64, 7, 1]
 # deviates per draw chunk: a batch of one block that fits one chunk plays
 # masked, so the default (every batch here) and 64 and 7 (batches of at
@@ -237,8 +236,8 @@ CHUNKS = [simulate._CHUNK, 64, 7]
 
 
 def in_blocks(count, block):
-    """`count` games, cut to ten blocks: each block costs a thread hand-off
-    per rally."""
+    """`count` games, cut to ten blocks: each block costs a step of the
+    Python loop per rally."""
     return min(count, 10 * block)
 
 
@@ -439,8 +438,7 @@ class TestExperimentAgainstReferenceLoop:
         # uniforms pass through one scratch buffer of at most 2^16 doubles:
         # streaming the moments peaks at 14 bytes per game in one block of
         # 200 000 games, 9 in blocks of 2^14, and 7 for 10^6 games in four
-        # default blocks, drawn by the helper thread where the process has
-        # a second CPU.  A uniform buffer per block took 19, 13-16 and 14;
+        # default blocks.  A uniform buffer per block took 19, 13-16 and 14;
         # building a GameSample and taking float passes over its durations
         # took 58.  A GameSample's arrays hold 26 bytes per game; with the
         # game indices of each block in the least integer type that holds
@@ -467,10 +465,9 @@ class TestExperimentAgainstReferenceLoop:
 
 
 class TestBlocks:
-    """A batch of one block, or any batch on one CPU, draws inline; a batch
-    of more blocks on more CPUs draws on one helper thread, which ends with
-    the batch.  Either way the uniforms pass through a scratch buffer of
-    `_CHUNK` deviates, in the order of one draw per rally."""
+    """Every batch draws on the calling thread and starts no other, its
+    uniforms passing through a scratch buffer of `_CHUNK` deviates, in the
+    order of one draw per rally."""
 
     probs, config = RallyProbs(0.6, 0.5), GameConfig(n=5)
 
@@ -482,67 +479,28 @@ class TestBlocks:
         for _ in self.rallies(1_000):
             assert threading.active_count() == threads
 
-    def test_helper_thread_ends_with_the_batch(self, monkeypatch):
-        monkeypatch.setattr(simulate, "_BLOCK", 64)
-        # the helper starts only where the process may run on two CPUs
-        monkeypatch.setattr(simulate.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    def test_many_blocks_start_no_thread(self, monkeypatch):
+        # 200 games in blocks of 7, run to their end and closed at their first yield
+        monkeypatch.setattr(simulate, "_BLOCK", 7)
+        config, servers = GameConfig(n=15), np.ones(200, dtype=bool)
+        rng, reference_rng = np.random.default_rng(3), np.random.default_rng(3)
         threads = threading.active_count()
-        rallies = self.rallies(1_000)
-        next(rallies)
-        assert threading.active_count() == threads + 1
-        for _ in rallies:
-            pass
-        assert threading.active_count() == threads
-        # a batch left before its end joins the helper when it is closed
-        rallies = self.rallies(1_000)
+        for _ in simulate._rallies(self.probs, config, servers, rng):
+            assert threading.active_count() == threads
+        reference_batch_games(self.probs, config, 200, reference_rng, servers)
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+        rallies = simulate._rallies(self.probs, config, servers, rng)
         next(rallies)
         rallies.close()
         assert threading.active_count() == threads
 
-    def test_draws_keep_their_order_under_frequent_thread_switches(self, monkeypatch):
-        monkeypatch.setattr(simulate, "_BLOCK", 7)
-        monkeypatch.setattr(simulate.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        config = GameConfig(n=15, s_a=0.5)
-        rng, reference_rng = np.random.default_rng(3), np.random.default_rng(3)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            got = simulate._batch_games(self.probs, config, 200, rng)
-        finally:
-            sys.setswitchinterval(interval)
-        assert_samples_equal(got, reference_batch_games(self.probs, config, 200, reference_rng))
-        assert rng.random() == reference_rng.random()
-
-    def test_one_cpu_starts_no_thread(self, monkeypatch):
-        # on one CPU the helper's draws could only take turns with the loop
-        monkeypatch.setattr(simulate, "_BLOCK", 64)
-        config = GameConfig(n=15, s_a=0.5)
-        rng = np.random.default_rng(4)
-        threaded = simulate._batch_games(self.probs, config, 150, rng)  # three blocks
-        monkeypatch.setattr(simulate.os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        threads = threading.active_count()
-        for _ in self.rallies(1_000):
-            assert threading.active_count() == threads
-        inline_rng = np.random.default_rng(4)
-        assert_samples_equal(simulate._batch_games(self.probs, config, 150, inline_rng), threaded)
-        assert inline_rng.bit_generator.state == rng.bit_generator.state
-
-    def test_cpu_count_without_affinity(self, monkeypatch):
-        monkeypatch.delattr(simulate.os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 3)
-        assert simulate._cpus() == 3
-        monkeypatch.setattr(simulate.os, "cpu_count", lambda: None)  # undetermined
-        assert simulate._cpus() == 1
-
-    @pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one-cpu", "two-cpus"])
     @pytest.mark.parametrize("chunk", [1, 3, 64])
     @pytest.mark.parametrize("block", [simulate._BLOCK, 50])
-    def test_chunked_draws_equal_reference(self, monkeypatch, block, chunk, cpus):
+    def test_chunked_draws_equal_reference(self, monkeypatch, block, chunk):
         # chunks of 1, 3 and 64 deviates cut 130 games at every rally, inside
-        # and across the blocks of 50, inline and on the helper thread
+        # and across the blocks of 50
         monkeypatch.setattr(simulate, "_BLOCK", block)
         monkeypatch.setattr(simulate, "_CHUNK", chunk)
-        monkeypatch.setattr(simulate.os, "sched_getaffinity", lambda pid: cpus, raising=False)
         probs, config, seed = RallyProbs(0.55, 0.45), GameConfig(n=7, tiebreak=2, s_a=0.5), SeedSpec(9)
         rng, reference_rng = seed.generator(), seed.generator()
         want = reference_batch_games(probs, config, 130, reference_rng)

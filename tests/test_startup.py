@@ -92,15 +92,26 @@ def test_each_command_loads_exactly_its_engines(tmp_path, args, engines):
     assert extra == []  # no module of the test extra at runtime
 
 
-# 10 000 games are one block of the rally loop, drawn inline; 300 000 are
-# two, drawn on a helper thread from `concurrent.futures`
-@pytest.mark.parametrize("games, pool", [(10_000, False), (300_000, True)])
-def test_thread_pool_is_loaded_only_for_more_than_one_block(tmp_path, games, pool):
-    out = tmp_path / "pool.json"
-    code = RUN + "\nimport json\njson.dump('concurrent.futures' in sys.modules, open(sys.argv[1], 'w'))"
-    proc = fresh(["-c", code, str(out), "simulate", *GAME, "-j", str(games), "--seed", "1"])
+# no batch starts a thread, so none loads a thread pool; np.unique without
+# counts or indices imports numpy.ma on first use (9-16 ms), which the
+# score-and-duration fit avoids
+@pytest.mark.parametrize(
+    "module, args",
+    [
+        ("concurrent.futures", ["simulate", *GAME, "-j", "10000", "--seed", "1"]),
+        ("concurrent.futures", ["simulate", *GAME, "-j", "300000", "--seed", "1"]),
+        ("numpy.ma", ["estimate", "--input", "{records}", "--mode", "score-duration"]),
+    ],
+    ids=["one-block-batch", "two-block-batch", "score-duration-fit"],
+)
+def test_command_leaves_module_unloaded(tmp_path, module, args):
+    records = tmp_path / "games.jsonl"
+    records.write_text(RECORD)
+    out = tmp_path / "loaded.json"
+    code = RUN + f"\nimport json\njson.dump({module!r} in sys.modules, open(sys.argv[1], 'w'))"
+    proc = fresh(["-c", code, str(out), *(a.format(records=records) for a in args)])
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(out.read_text()) is pool
+    assert json.loads(out.read_text()) is False
 
 
 @pytest.mark.parametrize("case", COMMANDS, ids=[case["name"] for case in COMMANDS])

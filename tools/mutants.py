@@ -154,6 +154,11 @@ MUTANTS = (
         "a masked batch draws one uniform per game at every rally, not one per live game",
     ),
     Mutant(
+        "compacted-draw-reversed", "simulate",
+        "rules.score(server_won(server_h), ", "rules.score(server_won(server_h[::-1]), ",
+        "a compacted block hands its deviates to its live games in reverse order",
+    ),
+    Mutant(
         "winner-normalizer-law-sum", "duration",
         "_pre_exchange(config, game, probs.q)(c) / total,",
         "(lambda law: law / (float(law.sum()) if winner else 1.0))(_pre_exchange(config, game, probs.q)(c)),",
