@@ -494,14 +494,19 @@ class TestBlocks:
         rallies.close()
         assert threading.active_count() == threads
 
+    @pytest.mark.parametrize(
+        "config",
+        [GameConfig(n=7, tiebreak=2, s_a=0.5), GameConfig(n=7, system=ScoringSystem.RALLY_POINT, s_a=0.5)],
+        ids=["side-out-tiebreak", "rally-point"],
+    )
     @pytest.mark.parametrize("chunk", [1, 3, 64])
     @pytest.mark.parametrize("block", [simulate._BLOCK, 50])
-    def test_chunked_draws_equal_reference(self, monkeypatch, block, chunk):
+    def test_chunked_draws_equal_reference(self, monkeypatch, block, chunk, config):
         # chunks of 1, 3 and 64 deviates cut 130 games at every rally, inside
-        # and across the blocks of 50
+        # and across the blocks of 50, under both scoring systems
         monkeypatch.setattr(simulate, "_BLOCK", block)
         monkeypatch.setattr(simulate, "_CHUNK", chunk)
-        probs, config, seed = RallyProbs(0.55, 0.45), GameConfig(n=7, tiebreak=2, s_a=0.5), SeedSpec(9)
+        probs, seed = RallyProbs(0.55, 0.45), SeedSpec(9)
         rng, reference_rng = seed.generator(), seed.generator()
         want = reference_batch_games(probs, config, 130, reference_rng)
         assert_samples_equal(simulate._batch_games(probs, config, 130, rng), want)

@@ -93,16 +93,17 @@ def test_each_command_loads_exactly_its_engines(tmp_path, args, engines):
 
 
 # no batch starts a thread, so none loads a thread pool; np.unique without
-# counts or indices imports numpy.ma on first use (9-16 ms), which the
-# score-and-duration fit avoids
+# counts or indices imports numpy.ma on first use (9-16 ms), which neither
+# fit mode calls
 @pytest.mark.parametrize(
     "module, args",
     [
         ("concurrent.futures", ["simulate", *GAME, "-j", "10000", "--seed", "1"]),
         ("concurrent.futures", ["simulate", *GAME, "-j", "300000", "--seed", "1"]),
         ("numpy.ma", ["estimate", "--input", "{records}", "--mode", "score-duration"]),
+        ("numpy.ma", ["estimate", "--input", "{records}", "--mode", "score"]),
     ],
-    ids=["one-block-batch", "two-block-batch", "score-duration-fit"],
+    ids=["one-block-batch", "two-block-batch", "score-duration-fit", "score-fit"],
 )
 def test_command_leaves_module_unloaded(tmp_path, module, args):
     records = tmp_path / "games.jsonl"
