@@ -147,6 +147,27 @@ class TestEstimatorReport:
         assert report.e_hat_winner[A] == pytest.approx(da.mean(), abs=1e-12)
         assert report.v_hat_winner[A] == pytest.approx(((da - da.mean()) ** 2).mean(), abs=1e-9)
 
+    # unchecked, these raised ZeroDivisionError, IndexError, numpy's
+    # ValueError and TypeError
+    @pytest.mark.parametrize(
+        "duration, winner_a, match",
+        [
+            ([], [], "empty sample"),
+            ([20, 17], [True], "unequal lengths"),
+            ([20], [True, False], "unequal lengths"),
+            ([20, -1], [True, False], "negative duration"),
+            ([20.0, 17.0], [True, False], "need integers"),
+        ],
+        ids=["empty", "short-winners", "short-durations", "negative", "float"],
+    )
+    def test_malformed_sample_raises_domain_error(self, duration, winner_a, match):
+        sample = simulate.GameSample(
+            np.ones(len(duration), dtype=bool), np.asarray(duration), np.zeros(len(duration), dtype=np.int64),
+            np.asarray(winner_a, dtype=bool), np.asarray(duration),
+        )
+        with pytest.raises(DomainError, match=match):
+            simulate.report_from_sample(sample)
+
     def test_estimates_track_exact_curve(self):
         cfg = GameConfig(n=15)
         from rallystats import duration as dur
@@ -226,12 +247,14 @@ class TestTrajectoryLevel:
 
 SAMPLE_FIELDS = ("first_server_a", "alpha", "beta", "winner_a", "duration")
 probability = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.02, 0.98))
-# games per block of the rally loop: the default (one block here) and
-# small ones, for which a batch is many blocks stepped in turn
+# games per block of the compacting loop: the default (one block here) and
+# small ones, for which a batch is many blocks stepped in turn; with a
+# small block a batch of more than that many games compacts
+# (`table_bound`), so both loops are reached
 BLOCKS = [simulate._BLOCK, 64, 7, 1]
-# deviates per draw chunk: a batch of one block that fits one chunk plays
-# masked, so the default (every batch here) and 64 and 7 (batches of at
-# most that many games) reach the masked loop, and larger ones compact
+# deviates per draw chunk, which also caps a table batch's pool of
+# deviates: the default (one pool for most batches here), and 64 and 7,
+# with which pools refill mid-batch
 CHUNKS = [simulate._CHUNK, 64, 7]
 
 
@@ -239,6 +262,12 @@ def in_blocks(count, block):
     """`count` games, cut to ten blocks: each block costs a step of the
     Python loop per rally."""
     return min(count, 10 * block)
+
+
+def table_bound(block):
+    """The table bound B under blocks of `block` games: the default for
+    the default block, else `block`, so a batch of more games compacts."""
+    return min(block, simulate._TABLE_GAMES)
 
 
 def assert_samples_equal(got, want):
@@ -249,7 +278,7 @@ def assert_samples_equal(got, want):
 
 
 class TestAgainstReferenceLoop:
-    """The masked and the compacted batch loops draw the same deviates as
+    """The table and the compacted batch loops draw the same deviates as
     the original full-array loop (`oracles.reference_batch_games`) and
     return the same arrays, bit for bit."""
 
@@ -283,6 +312,7 @@ class TestAgainstReferenceLoop:
         # patched in the body: hypothesis refuses function-scoped fixtures
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(simulate, "_BLOCK", block)
+            mp.setattr(simulate, "_TABLE_GAMES", table_bound(block))
             mp.setattr(simulate, "_CHUNK", chunk)
             got = simulate._batch_games(probs, config, count, rng, servers)
         want = reference_batch_games(probs, config, count, reference_rng, servers)
@@ -300,7 +330,7 @@ class TestAgainstReferenceLoop:
         want = reference_batch_games(probs, config, 2_000, seed.generator())
         assert_samples_equal(simulate.sample_games(probs, config, 2_000, seed), want)
 
-    @pytest.mark.parametrize("count", [63, 64, 65])
+    @pytest.mark.parametrize("count", [simulate._TABLE_GAMES - 1, simulate._TABLE_GAMES, simulate._TABLE_GAMES + 1])
     @pytest.mark.parametrize(
         "probs, config",
         [
@@ -310,20 +340,19 @@ class TestAgainstReferenceLoop:
         ],
         ids=["sideout", "tiebreak", "rallypoint"],
     )
-    def test_both_sides_of_the_masked_bound_equal_reference(self, monkeypatch, probs, config, count):
-        # with chunks of 64 deviates a batch of up to 64 games plays masked
-        # and one of 65 compacts; either way the deviates, the outputs and the
-        # generator's end state are those of the reference loop
-        monkeypatch.setattr(simulate, "_CHUNK", 64)
-        masked = []
-        monkeypatch.setattr(simulate, "_masked", lambda *args, play=simulate._masked: masked.append(args) or play(*args))
+    def test_both_sides_of_the_table_bound_equal_reference(self, monkeypatch, probs, config, count):
+        # a batch of up to B games plays on the state table and one of B + 1
+        # compacts; either way the deviates, the outputs and the generator's
+        # end state are those of the reference loop
+        on_table = []
+        monkeypatch.setattr(simulate, "_on_table", lambda *args, play=simulate._on_table: on_table.append(args) or play(*args))
         seed = SeedSpec(11, count)
         rng, reference_rng = seed.generator(), seed.generator()
         want = reference_batch_games(probs, config, count, reference_rng)
         assert_samples_equal(simulate._batch_games(probs, config, count, rng), want)
         assert rng.bit_generator.state == reference_rng.bit_generator.state
         assert simulate.run_experiment(probs, config, count, seed) == simulate.report_from_sample(want)
-        assert len(masked) == (2 if count <= 64 else 0)
+        assert len(on_table) == (2 if count <= simulate._TABLE_GAMES else 0)
 
     @pytest.mark.parametrize("block", BLOCKS)
     @pytest.mark.parametrize("p_a, p_b", [(0.55, 0.45), (0.45, 0.55), (0.5, 0.5)])
@@ -334,6 +363,7 @@ class TestAgainstReferenceLoop:
         match = MatchConfig(3, rule)
         matches = in_blocks(3_000, block)
         monkeypatch.setattr(simulate, "_BLOCK", block)
+        monkeypatch.setattr(simulate, "_TABLE_GAMES", table_bound(block))
         got = sample_matches(probs, config, match, matches, SeedSpec(12, 1))
         monkeypatch.setattr(simulate, "_batch_games", reference_batch_games)
         want = sample_matches(probs, config, match, matches, SeedSpec(12, 1))
@@ -398,6 +428,7 @@ class TestExperimentAgainstReferenceLoop:
         seed, count = SeedSpec(seed), in_blocks(count, block)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(simulate, "_BLOCK", block)
+            mp.setattr(simulate, "_TABLE_GAMES", table_bound(block))
             report = simulate.run_experiment(probs, config, count, seed)
             from_sample = simulate.report_from_sample(simulate.sample_games(probs, config, count, seed))
         want = reference_batch_games(probs, config, count, seed.generator())
@@ -430,28 +461,27 @@ class TestExperimentAgainstReferenceLoop:
         ids=[
             "one-block", "13-blocks", "four-blocks", "sample-one-block", "sample-four-blocks",
             "tiebreak-one-block", "tiebreak-four-blocks", "tiebreak-sample-one-block",
-            "masked", "sample-masked",
+            "one-block-2-16", "sample-one-block-2-16",
         ],
     )
     def test_peak_memory_per_game(self, monkeypatch, run, game, block, games, bound):
         # the draw side hands each block one byte per live game, and the
         # uniforms pass through one scratch buffer of at most 2^16 doubles:
-        # streaming the moments peaks at 14 bytes per game in one block of
-        # 200 000 games, 9 in blocks of 2^14, and 7 for 10^6 games in four
+        # streaming the moments peaks at 13 bytes per game in one block of
+        # 200 000 games, 5 in blocks of 2^14, and 5.4 for 10^6 games in four
         # default blocks.  A uniform buffer per block took 19, 13-16 and 14;
         # building a GameSample and taking float passes over its durations
         # took 58.  A GameSample's arrays hold 26 bytes per game; with the
-        # game indices of each block in the least integer type that holds
-        # them, `sample_games` peaks at 46 bytes per game in one block and
-        # 37 for 10^6 games, against 54 and 42 with int64 indices.  A
-        # tie-break game to 9 needs no more than the scores: 14 bytes per
-        # game in one block, 5.6-6.4 for 10^6 games and 45 for `sample_games`,
+        # scores held in their own type and the game ids in the least integer
+        # type that holds them until the batch ends, `sample_games` peaks at
+        # 30 bytes per game in one block and 26 for 10^6 games, against 44
+        # and 35 with int64 scores and 54 and 42 with int64 ids too.  A
+        # tie-break game to 9 needs no more than the scores: 13 bytes per
+        # game in one block, 5.4 for 10^6 games and 30 for `sample_games`,
         # against 16, 6.9-7.8 and 48 with a per-game target.  A batch of 2^16
-        # games plays masked, on whole arrays with 16 bytes of deviates per
-        # game, and `run_experiment` reports from its sample: both peak at
-        # 34 bytes per game (35 with a tie-break), against 19 streamed and
-        # 50 compacted for `sample_games`, and 47 when the deviates were
-        # still held while the scores widened to int64
+        # games compacts: 18 bytes per game streamed and 31 for
+        # `sample_games`, against 34 for both when it played on whole arrays
+        # with 16 bytes of deviates per game and reported from its sample
         monkeypatch.setattr(simulate, "_BLOCK", block)
         probs, config = game
         run(probs, config, 100, SeedSpec(0))
@@ -466,13 +496,14 @@ class TestExperimentAgainstReferenceLoop:
 
 class TestBlocks:
     """Every batch draws on the calling thread and starts no other, its
-    uniforms passing through a scratch buffer of `_CHUNK` deviates, in the
-    order of one draw per rally."""
+    uniforms passing through a scratch buffer or a pool of at most `_CHUNK`
+    deviates, in the order of one draw per rally."""
 
     probs, config = RallyProbs(0.6, 0.5), GameConfig(n=5)
 
     def rallies(self, count):
-        return simulate._rallies(self.probs, self.config, np.ones(count, dtype=bool), np.random.default_rng(0))
+        rules = simulate._Rally(self.probs, self.config)
+        return simulate._rallies(rules, np.ones(count, dtype=bool), np.random.default_rng(0))
 
     def test_one_block_starts_no_thread(self):
         threads = threading.active_count()
@@ -483,13 +514,14 @@ class TestBlocks:
         # 200 games in blocks of 7, run to their end and closed at their first yield
         monkeypatch.setattr(simulate, "_BLOCK", 7)
         config, servers = GameConfig(n=15), np.ones(200, dtype=bool)
+        rules = simulate._Rally(self.probs, config)
         rng, reference_rng = np.random.default_rng(3), np.random.default_rng(3)
         threads = threading.active_count()
-        for _ in simulate._rallies(self.probs, config, servers, rng):
+        for _ in simulate._rallies(rules, servers, rng):
             assert threading.active_count() == threads
         reference_batch_games(self.probs, config, 200, reference_rng, servers)
         assert rng.bit_generator.state == reference_rng.bit_generator.state
-        rallies = simulate._rallies(self.probs, config, servers, rng)
+        rallies = simulate._rallies(rules, servers, rng)
         next(rallies)
         rallies.close()
         assert threading.active_count() == threads
@@ -503,8 +535,10 @@ class TestBlocks:
     @pytest.mark.parametrize("block", [simulate._BLOCK, 50])
     def test_chunked_draws_equal_reference(self, monkeypatch, block, chunk, config):
         # chunks of 1, 3 and 64 deviates cut 130 games at every rally, inside
-        # and across the blocks of 50, under both scoring systems
+        # and across the blocks of 50, under both scoring systems; in one
+        # block the games play on the table, whose pool then refills
         monkeypatch.setattr(simulate, "_BLOCK", block)
+        monkeypatch.setattr(simulate, "_TABLE_GAMES", table_bound(block))
         monkeypatch.setattr(simulate, "_CHUNK", chunk)
         probs, seed = RallyProbs(0.55, 0.45), SeedSpec(9)
         rng, reference_rng = seed.generator(), seed.generator()
@@ -519,3 +553,91 @@ class TestBlocks:
         rng, reference_rng = np.random.default_rng(2), np.random.default_rng(2)
         np.testing.assert_array_equal(simulate._first_servers(rng, count, 0.3), reference_rng.random(count) < 0.3)
         assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+
+TABLE_CONFIGS = (
+    [GameConfig(n=n) for n in (1, 2, 7, 15)]
+    + [GameConfig(n=n, tiebreak=ell) for n in (2, 7, 15) for ell in (2, 3)]
+    + [GameConfig(n=n, system=ScoringSystem.RALLY_POINT) for n in (1, 2, 7, 15)]
+)
+
+
+class TestStateTable:
+    """The state table of a set of rules is `_Rally.score` and
+    `_Rally.ended` on every state, and its batches draw as the reference
+    loop draws however often their pools of deviates refill."""
+
+    @pytest.mark.parametrize(
+        "config", TABLE_CONFIGS, ids=lambda c: f"{c.system.value}-{c.n}" + (f"-tiebreak-{c.tiebreak}" if c.tiebreak else "")
+    )
+    def test_every_state_follows_the_rules(self, config):
+        rules = simulate._Rally(RallyProbs(0.6, 0.5), config)
+        table = simulate._table(config.n, config.system, config.tiebreak)
+        side = rules.top + 1
+        assert table.next.size == 2 * rules.states == 4 * side * side
+        assert not any(column.flags.writeable for column in table)  # one cached table serves every batch
+
+        def one(value, dtype):
+            return np.array([value], dtype=dtype)
+
+        for s in range(rules.states):
+            h, score_h, score_l = s // (side * side), s // side % side, s % side
+            # any rally count past the n-th and the (2n-1)-th
+            ended = rules.ended(4 * config.n, one(score_h, rules.dtype), one(score_l, rules.dtype))[0]
+            for won in (False, True):
+                entry = 2 * s + won
+                assert (table.h[entry], table.score_h[entry], table.score_l[entry]) == (h, score_h, score_l)
+                assert table.end[entry] == ended
+                if ended:  # a finished state absorbs
+                    assert table.next[entry] == 2 * s
+                    continue
+                after_h, after_l = one(score_h, np.int64), one(score_l, np.int64)
+                h_next = rules.score(one(won, bool), one(h, bool), after_h, after_l)[0]
+                assert table.next[entry] == 2 * ((h_next * side + after_h[0]) * side + after_l[0])
+
+    def test_a_top_score_above_180_compacts(self):
+        probs = RallyProbs(0.6, 0.5)
+        rules = [simulate._Rally(probs, GameConfig(n=n)) for n in (180, 181)]
+        assert [rule.states for rule in rules] == [2 * 181**2, 2 * 182**2]
+        assert [simulate._plays_on_table(200, rule) for rule in rules] == [True, False]
+        tiebreak = simulate._Rally(probs, GameConfig(n=179, tiebreak=3))  # top score 181
+        assert not simulate._plays_on_table(200, tiebreak)
+
+    @pytest.mark.parametrize("capacity", [7, 64, None], ids=["7", "64", "draws-minus-1"])
+    @pytest.mark.parametrize(
+        "probs, config",
+        [
+            (RallyProbs(0.6, 0.5), GameConfig(n=15, s_a=0.5)),
+            (RallyProbs(0.3, 0.7), GameConfig(n=7, tiebreak=3, s_a=0.5)),
+            (RallyProbs(0.6, 0.5), GameConfig(n=21, system=ScoringSystem.RALLY_POINT, s_a=0.5)),
+        ],
+        ids=["sideout", "tiebreak", "rallypoint"],
+    )
+    def test_pools_refill_mid_batch(self, monkeypatch, probs, config, capacity):
+        # a pool of at most 7, 64 or all but one of the batch's deviates
+        # refills during the batch; the generator is put back by the deviates
+        # used at each refill and at the end, so it draws and ends as the
+        # reference loop does
+        seed = SeedSpec(21, 4)
+        reference_rng = seed.generator()
+        want = reference_batch_games(probs, config, 200, reference_rng)
+        draws = int(want.duration.sum())
+        monkeypatch.setattr(simulate, "_CHUNK", draws - 1 if capacity is None else capacity)
+        rewinds = []
+        monkeypatch.setattr(simulate, "_rewind", lambda bits, mark, used, rewind=simulate._rewind: rewinds.append(used) or rewind(bits, mark, used))
+        rng = seed.generator()
+        assert_samples_equal(simulate._batch_games(probs, config, 200, rng), want)
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+        assert len(rewinds) >= 2 and sum(rewinds) == draws
+
+    def test_a_buffered_half_word_survives_the_rewind(self):
+        # a 32-bit draw leaves half of a 64-bit output buffered; doubles do
+        # not touch it, and neither may the rewind of a pool
+        probs, config = RallyProbs(0.6, 0.5), GameConfig(n=15, s_a=0.5)
+        rng, reference_rng = np.random.default_rng(5), np.random.default_rng(5)
+        for generator in (rng, reference_rng):
+            generator.integers(2**32, dtype=np.uint32)
+        assert rng.bit_generator.state["has_uint32"] == 1
+        assert_samples_equal(simulate._batch_games(probs, config, 200, rng), reference_batch_games(probs, config, 200, reference_rng))
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+        assert rng.integers(2**32, dtype=np.uint32) == reference_rng.integers(2**32, dtype=np.uint32)

@@ -143,15 +143,14 @@ MUTANTS = (
         "the flags of the rallies won by the server swap the two serve probabilities",
     ),
     Mutant(
-        "masked-game-keeps-scoring", "simulate",
-        "score_h += h_rally if live is True else h_rally & live\n            score_l += live > h_rally",
-        "score_h += h_rally\n            score_l += ~h_rally",
-        "a finished rally-point game of a masked batch goes on scoring",
+        "finished-state-keeps-scoring", "simulate",
+        "nxt[:, int(won)] = 2 * np.where(end, state, scored)", "nxt[:, int(won)] = 2 * scored",
+        "a finished state of the rally state table goes on scoring instead of absorbing",
     ),
     Mutant(
-        "masked-draw-every-game", "simulate",
-        "u[live] = rng.random(out=scratch[:playing])", "u[live] = rng.random(out=scratch)[live]",
-        "a masked batch draws one uniform per game at every rally, not one per live game",
+        "pool-rewind-by-its-length", "simulate",
+        "_rewind(bits, mark, used)\n            mark = bits.state", "_rewind(bits, mark, pool.size)\n            mark = bits.state",
+        "a table batch's refill advances the generator by the pool's length, not by the deviates used",
     ),
     Mutant(
         "compacted-draw-reversed", "simulate",
