@@ -10,6 +10,11 @@ import enum
 import numbers
 from dataclasses import dataclass
 
+# The most points a side of a tally may hold: the coefficient table of m
+# points is (m + 1)^2 doubles, 32 MiB at this bound, and the score
+# distribution of a game to 2000 already peaks near 400 MB
+_MAX_POINTS = 2048
+
 
 class DomainError(ValueError):
     """A parameter violates a model invariant (probability range, q=1, ...)."""
@@ -46,6 +51,13 @@ def expect_count(value, name: str, least: int) -> None:
     expect(value, numbers.Integral, name, ConfigError)
     if value < least:
         raise ConfigError(f"{name}={value} must be >= {least}")
+
+
+def expect_points(m: int) -> None:
+    """Raise DomainError if a side of a tally holds more than `_MAX_POINTS`
+    points, the most the exact engines' coefficient table holds."""
+    if m > _MAX_POINTS:
+        raise DomainError(f"a tally of {m} points is more than the {_MAX_POINTS} the coefficient table holds")
 
 
 class Player(enum.Enum):
@@ -169,11 +181,13 @@ def validate(probs: RallyProbs, config: GameConfig) -> None:
     and `GameConfig` enforce on construction; raise DomainError otherwise.
 
     It requires `probs` to be a `RallyProbs` with q < 1: with q = 1 no
-    rally ever scores and the game never terminates.  A `GameConfig` checks
-    itself on construction, so `config` is only checked to be one.  Public
+    rally ever scores and the game never terminates.  It requires `config`
+    to be a `GameConfig` whose n and tie-break l pass `expect_points`, so
+    the exact engines and the simulator accept the same games.  Public
     engine functions call this once, never per terminal score.
     """
     expect(probs, RallyProbs, "probs")
     expect(config, GameConfig, "config")
     if probs.q >= 1.0:
         raise DomainError("q=1, game never terminates (p_a=0 and p_b=0)")
+    expect_points(max(config.n, config.tiebreak or 0))

@@ -12,27 +12,29 @@ series.  Under rally-point scoring every rally scores, so D = alpha + beta
 given the tally.
 
 Every law of a game reads the game table of `kernel.game`: its terminal
-components, each with a weight per first server, the points M and the law
-of the shift s, the rallies that are neither points nor exchanges.  Given
-(M, s), D = M + s + 2L with L ~ NB(M, q), so the mean of D is M + s +
-2Mq/(1-q) and its variance 4Mq/(1-q)^2.  The law given any event (first
-server, game winner), either of which may be mixed out, or given an end
-score (`score_moments`, `score_pmf`), is then a mixture over the
-components, weighted as `kernel.Game.event` selects them.  The moments of
-every event come from one such mixture, for one point
-(`aggregate_moments`) or a grid of points (`grid_moments`), with the same
-bits at a point either way.  Every law reads the system, the tie-break
-and the first server from the `GameConfig`, and mixes the first server
-with (s_a, s_b), so s_a = 1 or 0 states it.  Given an end score and a stated first server,
-the law depends on the rally probabilities through q alone.  An event of
-probability zero has no conditional law: the aggregates leave it out, and
-the laws that normalize, `duration_pmf_winner` and the laws given a
-score, raise `ConditioningError`.  The probability of an event, and so
-what every law given it divides by, is the kernel's one sum of the
-event's component weights (`kernel.total`): P[winner] has the bits of
-`sideout.game_win_probs` in the moments and the PMFs alike.  The moment
-generating function given an end score (`score_mgf`) reads the same
-mixture of shift laws as `score_pmf`.
+components, each with a weight per first server, the points M and the
+law of the shift s, the rallies that are neither points nor exchanges.
+Given (M, s), D = M + s + 2L with L ~ NB(M, q), so the mean of D is M +
+s + 2Mq/(1-q) and its variance 4Mq/(1-q)^2.  The law given any event
+(first server, game winner), either of which may be mixed out, or given
+an end score (`score_moments`, `score_pmf`), is then a mixture over the
+components, weighted as `kernel.Game.event` selects them.  The moments
+of every event come from one such mixture, for one point
+(`aggregate_moments`) or a grid of points (`grid_moments`), with the
+same bits at a point either way.  Every law reads the system, the
+tie-break and the first server from the `GameConfig`, and mixes the
+first server with (s_a, s_b), so s_a = 1 or 0 states it.  Given an end
+score and a stated first server, the law depends on the rally
+probabilities through q alone.  An event of probability zero has no
+conditional law: the aggregates leave it out, and the laws that
+normalize, `duration_pmf_winner` and the laws given a score, raise
+`ConditioningError`.  The probability of an event, and so what every law
+given it divides by, is the kernel's one sum of the event's component
+weights (`kernel.total`): P[winner] has the bits of
+`sideout.game_win_probs` in the moments and the PMFs alike.  The PMF and
+the moment generating function given an end score (`score_pmf`,
+`score_mgf`) read one mixture of its shift laws (`_score_shifts`), the
+kernel's ordered sum of its components' laws.
 
 Every PMF comes from one engine.  A game's law before its exchanges
 jointly with an event, law[k, s] over n + k points scored and the shift
@@ -484,6 +486,15 @@ def _score_law(probs: RallyProbs, config: GameConfig, score) -> tuple[kernel.Gam
     return game, c / total, alpha + beta
 
 
+def _score_shifts(probs: RallyProbs, config: GameConfig, score) -> tuple[np.ndarray, int]:
+    """The law of the shift given that the game ends at `score`, the
+    components' shift laws (`kernel.Game.shift_laws`) mixed by their
+    weights in `_score_law` with the kernel's ordered sum, and the points
+    of that score."""
+    game, c, points = _score_law(probs, config, score)
+    return kernel.total((c[:, None] * game.shift_laws(probs.q))[c > 0.0]), points
+
+
 def score_moments(probs: RallyProbs, config: GameConfig, score) -> Moments:
     """Mean and variance of D under `config.system` given that the game
     ends at `score`, the first server A with probability `config.s_a` (see
@@ -502,8 +513,7 @@ def score_pmf(probs: RallyProbs, config: GameConfig, score, epsilon: float = 1e-
     as `score_moments` conditions it: the mixed shift law of its points
     through `exchange_mixture`, the exchange series cut where its tail
     bound falls to `epsilon`."""
-    game, c, points = _score_law(probs, config, score)
-    law = (c[:, None] * game.shift_laws(probs.q))[c > 0.0].sum(axis=0)
+    law, points = _score_shifts(probs, config, score)
     return exchange_mixture(points, law[None], probs, config.system, epsilon)
 
 
@@ -519,8 +529,7 @@ def score_mgf(probs: RallyProbs, config: GameConfig, score, t: float) -> float:
     `score_moments` refuses it."""
     if not math.isfinite(expect(t, numbers.Real, "t")):
         raise DomainError(f"t={t} is not finite")
-    game, c, points = _score_law(probs, config, score)
-    law = (c[:, None] * game.shift_laws(probs.q))[c > 0.0].sum(axis=0)
+    law, points = _score_shifts(probs, config, score)
     s = np.flatnonzero(law)  # e^(ts) may overflow where the law has no mass
     q, keep = (probs.q, kernel.one_minus_q(probs.p_a, probs.p_b)) if config.system is ScoringSystem.SIDE_OUT else (0.0, 1.0)
     # a t in the domain may still overflow: e^(2t), the power or the product

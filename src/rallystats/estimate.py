@@ -15,55 +15,45 @@ is k_pa log(p_a/(1-q)) + k_pb log(p_b/(1-q)) + k_qa log q_a + k_qb log q_b
 (first servers pooled), J0 the sum of c_r j0_r and P_r the tally's
 interruption polynomial (`kernel.interruption_polynomial`).  Only the last
 term needs the kernel, and it depends on (p_a, p_b) through q = q_a q_b
-alone.  A `RecordBatch` owns its columns, so its reduction (`_reduced`:
-first-server coordinates, exponent totals, the lead check, and the
-distinct tallies in first-seen order with each record's index and their
-counts) is formed once, by the first likelihood that needs it, and both
-likelihoods read it.  Each distinct tally has one entry in a cache of
-1024 tallies (`_tallies`): its row of `kernel.tallies` and, once a fit of
-a model needs it, its polynomial at that model's start grid.  A set-up
-fills the entries it misses with one `kernel.tallies` call, and a grid
-step the grid rows it misses with one `kernel.interruption_polynomial`
-call; a row has the same bits whatever rows are evaluated with it.  The
-E-step has one grid path and one point path.  The grid path
-(`grid_e_step`) serves the 17 x 17 start grid, which is fixed, and so are
-its 153 distinct q (transposed points share q): it stacks the tallies'
-kept grid rows in first-seen order.  The point path (`e_step`) serves
-each Newton point: the tallies' kernel rows, assembled from their
-entries and padded with -inf as `kernel.tallies` pads them, go to the
-kernel's one evaluator at the point's one q, an extended-precision
-scalar, as a point without a point axis or blocks (the same element-wise
-operations and running sums as a grid, so the same bits), without the
-public function's checks on each point.  Both add the tallies'
-count-weighted terms with `kernel.total`, so a start-grid point gets the
-same bits on either path.  The polynomials also give the mean and
-variance of m, hence the exact score (Fisher's identity) and information
-(Louis's formula) for grid-started projected Newton steps.
+alone.  The polynomials also give the mean and variance of m, hence the
+exact score (Fisher's identity) and information (Louis's formula) for
+grid-started projected Newton steps, which carry their iterate, score and
+information as Python floats and solve the 2 x 2 (or 1 x 1) system in
+closed form.
 
 Records reach the likelihood as a `RecordBatch`, aligned columns that
 `records_from_sample` copies from a simulated batch and
-`records_from_json_lines` parses into; its set-up is column arithmetic.
+`records_from_json_lines` parses into.  A batch owns its columns, so its
+reduction (`_reduced`: first-server coordinates, exponent totals, the
+lead check, and the distinct tallies in first-seen order with each
+record's index and their counts) is formed once, by the first likelihood
+that needs it, and both likelihoods read it.  Each distinct tally has one
+entry in a cache of 1024 tallies (`_tallies`): its row of
+`kernel.tallies` and, once a fit of a model needs it, its polynomial at
+that model's start grid.  A set-up fills the entries it misses with one
+`kernel.tallies` call, and a grid step the grid rows it misses with one
+`kernel.interruption_polynomial` call; a row has the same bits whatever
+rows are evaluated with it.  The E-step has one grid path and one point
+path.  The grid path (`grid_e_step`) serves the 17 x 17 start grid,
+which is fixed, and so are its 153 distinct q (transposed points share
+q): it stacks the tallies' kept grid rows in first-seen order.  The point
+path (`e_step`) serves each Newton point: the tallies' kernel rows,
+assembled from their entries and padded with -inf as `kernel.tallies`
+pads them, go to the kernel's evaluator at the point's one q, an
+extended-precision scalar, without the public function's checks.  Both
+add the tallies' count-weighted terms with `kernel.total`, so a
+start-grid point gets the same bits on either path.
+
 log H(m) depends on the tally and m alone, so it is kept per tally in
 blocks of 64 consecutive m, each a read-only row of a cache of 1024 rows
 (`_log_h_cache`, 512 B a row).  A set-up fills the blocks it misses with
-one batched `_log_h` over their (tally, block) pairs, on the tallies'
-kernel rows from `_tallies`, each entry the reduction of its own terms;
-it reads each record's value from its row and adds the values in record
-order, with the bits of a `_log_h` call on the record's tally alone.  A
-block takes the same memory at any m (a cold fit of one record peaks at
-70 kB under `tracemalloc` from 10^3 to 10^9 rallies, a warm one at 8 kB).
-Both caches evict the entries filled first.  Newton carries its iterate,
-score and information as Python floats and solves the 2 x 2 (or 1 x 1)
-system in closed form.  For 200 games to 15 at (.6, .5) on a shared
-2-core machine, in-process medians of 600 batches, before -> after the
-shared reduction and the batched fills of the per-tally caches (both
-versions timed alternately in one process): the score-only fit takes
-0.63 -> 0.60 ms, a score-and-duration fit of the same batch after it
-0.24 -> 0.15 ms (0.19 ms either way on a batch not yet reduced), the
-grid step 0.073 -> 0.064 ms and a Newton point 0.058 -> 0.057 ms.  With
-both caches empty, the score-only set-up and grid step of the batch's 29
-tallies take 3.0 -> 1.9 ms and its score-and-duration set-up 4.4 -> 2.2
-ms.
+one batched `_log_h` over their (tally, block) pairs, each entry the
+reduction of its own terms, reads each record's value from its row and
+adds the values in record order with `kernel.total`, with the bits of a
+`_log_h` call on the record's tally alone.  A block takes the same memory
+at any m (a cold fit of one record peaks at 70 kB under `tracemalloc`
+from 10^3 to 10^9 rallies, a warm one at 8 kB).  Both caches evict the
+entries filled first.
 
 Duration information enters the conditional duration law only through q,
 so in the two-parameter server model the duration term mostly sharpens q;
@@ -535,7 +525,7 @@ class _Likelihood:
             key[order] = np.cumsum(first) - 1
             pairs = [(*self.tallies[t], b) for b, t in zip(blk[first].tolist(), tally[first].tolist())]
             table = np.array(_log_h_cache.get(pairs))
-            self.log_h_total = float(np.add.accumulate(table[key, m % _H_BLOCK])[-1])
+            self.log_h_total = float(kernel.total(table[key, m % _H_BLOCK]))
         else:
             self.entries = _tallies.get(self.tallies)
             self.rows = _rows(self.entries)

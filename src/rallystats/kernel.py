@@ -10,27 +10,24 @@ are
     C(alpha, j) * C(beta - 1, j - 1),  j = min(beta, 1) .. min(alpha, beta)
     C(alpha, j) * C(beta - 1, j),      j = 0 .. min(alpha, beta - 1)
 
-for the two last scorers (with C(-1, -1) = 1 for the shutout).  This module
-is the only place they are built.  A set of tallies becomes a `Rows` table
-of log-coefficients indexed from the smallest feasible j, cached per
-target score (`table`, `tied`); `tallies` builds one for any tallies
-its caller has checked.  Tallies are in first-server coordinates: in
-`table(n)` the first server wins in rows 0..n-1 and the receiver in rows
-n..2n-1.  Outside this module only `estimate` reads that layout: it keeps
-each tally's row of `tallies` and assembles a batch's rows from the kept
-ones, padded with -inf as `tallies` pads them; its log H(m) (`_log_h`)
-reads a row's points, `logc`, `j0` and `top`, and its likelihood
-(`_Likelihood`) the rows' `j0`.  Here `game(config, p_a, p_b)`
-turns the tables of a `GameConfig` into its game table (`Game`), the
-terminal components every game-level law reads, each table weighed by one
-kernel evaluation against arrays of rally probabilities for either
-scoring system, at both first servers at once.  With a tie-break l a component
-is a regular end or the pair of a tie at n-1 all and an end of the l-point
-extension, first served by whoever tied.  `Game.event` is the one
-selector of the components of an event of a game: the first servers
-weighed as `servers` gives them, and the components kept by a predicate
-on the points, such as a winner's (`WON`) or an end score's, and `total`
-the one sum of its weights that is the event's probability.
+for the two last scorers (with C(-1, -1) = 1 for the shutout).  This
+module is the only place they are built.  A set of tallies becomes a
+`Rows` table of log-coefficients indexed from the smallest feasible j,
+cached per target score (`table`, `tied`); `tallies` builds one for any
+tallies its caller has checked.  Tallies are in first-server
+coordinates: in `table(n)` the first server wins in rows 0..n-1 and the
+receiver in rows n..2n-1.  Outside this module only `estimate` reads
+that layout.  Here `game(config, p_a, p_b)` turns the tables of a
+`GameConfig` into its game table (`Game`), the terminal components every
+game-level law reads, each table weighed by one kernel evaluation
+against arrays of rally probabilities for either scoring system, at both
+first servers at once.  With a tie-break l a component is a regular end
+or the pair of a tie at n-1 all and an end of the l-point extension,
+first served by whoever tied.  `Game.event` is the one selector of the
+components of an event of a game: the first servers weighed as `servers`
+gives them, and the components kept by a predicate on the points, such
+as a winner's (`WON`) or an end score's, and `total` the one sum of its
+weights that is the event's probability.
 
 The laws of one matchup read one game table: `game` keeps the tables of
 the last 16 single points in an LRU cache keyed by (system, n,
@@ -60,37 +57,33 @@ system times a first server's bases, in the order (alpha, beta, d, j0)
 or (alpha - top, beta - d - top, d, top, j0); choosing between them is
 its only branch.
 
-The polynomial, and with it the law of the interruption count given
-the tally, depends on the players only through products of the two
-sides, so it is the same for both first servers to the last bit: the
-game table's evaluation forms it once for both, `Game.shift_laws` gives
-the law of the shift (the rallies that are neither points nor exchanges)
-given each component from its normalized terms, and
-`interruption_polynomial` gives it alone as a function of q, with the
-mean and variance of its power.  Every law of `duration`, the moment
-generating function given an end score included, reads the game table;
-the score-only likelihood of `estimate` needs only the polynomial, which
-it evaluates at its start grid for the tallies it has not kept (see
-`estimate`), and at one q per Newton point, through `_interruption`, the
-body of `interruption_polynomial` without its checks.  One evaluator
-(`_polynomial`) forms the polynomial for all of them: the game tables of
-both systems, tie-break parts included, their shift laws, and
+The polynomial, and with it the law of the interruption count given the
+tally, depends on the players only through products of the two sides, so
+it is the same for both first servers to the last bit: the game table's
+evaluation forms it once for both, `Game.shift_laws` gives the law of
+the shift (the rallies that are neither points nor exchanges) given each
+component from its normalized terms, and `interruption_polynomial` gives
+it alone as a function of q, with the mean and variance of its power
+(`_interruption` without its checks).  One evaluator (`_polynomial`)
+forms the polynomial for all of them: the game tables of both systems,
+tie-break parts included, their shift laws, and
 `interruption_polynomial` at a grid of q or at one q.  A grid carries
 its points on an axis after the terms and is evaluated in blocks; one q
 is a point without that axis and without blocks, its logarithm taken
-outside any floating-point error state, so a Newton point costs little
-more than its arithmetic.  A row whose every term vanishes (no reachable
-tally has one) is guarded by floors, not branches: log v and each row's
-largest log-term are kept above -1e300, and the sum that divides the
-moments above 1, which no row with mass is below.
+outside any floating-point error state, so it costs little more than its
+arithmetic.  A row whose every term vanishes (no reachable tally has
+one) is guarded by floors, not branches: log v and each row's largest
+log-term are kept above -1e300, and the sum that divides the moments
+above 1, which no row with mass is below.
 
 Evaluation is in scaled form: every term is a logarithm, each row is
 shifted by its largest term before exponentiating, and the shift is added
 back in the log domain.  Coefficients of size C(1000, 500)^2 and
 probabilities of size 1e-400 stay finite, which the direct product of
-binomials and powers does not.  Each row's terms are added in one fixed
-order, so a point gets the same bits whatever other points are evaluated
-with it.  Only `math` and NumPy are used.
+binomials and powers does not.  Every sum over a row's terms or an
+event's components is `total`, the package's one sum in index order, so
+a point gets the same bits whatever other points are evaluated with it.
+Only `math` and NumPy are used.
 """
 
 from __future__ import annotations
@@ -103,7 +96,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import DomainError, GameConfig, Player, ScoringSystem, expect
+from .core import _MAX_POINTS, DomainError, GameConfig, Player, ScoringSystem, expect, expect_points
 
 # Elements of one (rows x terms x probabilities) block of evaluation; keeps
 # the temporaries of a large table or grid to a few megabytes.
@@ -112,10 +105,6 @@ _BLOCK = 1 << 16
 # the log of any positive q, and below the largest log-term of any row with
 # mass (at least -(top - j0) log 2)
 _FLOOR = -1e300
-# The most points a side of a tally may hold: the coefficient table of m
-# points is (m + 1)^2 doubles, 32 MiB at this bound, and the score
-# distribution of a game to 2000 already peaks near 400 MB
-_MAX_POINTS = 2048
 
 
 @dataclass(frozen=True)
@@ -141,8 +130,7 @@ def _log_binom(m: int) -> np.ndarray:
     each exact integer of Pascal's triangle, so every entry is accurate to
     an ulp whatever the size of the coefficient.  An m above `_MAX_POINTS`
     raises DomainError before the table is sized."""
-    if m > _MAX_POINTS:
-        raise DomainError(f"a tally of {m} points is more than the {_MAX_POINTS} the coefficient table holds")
+    expect_points(m)
     out = np.full((m + 1, m + 1), -np.inf)
     row = [1]
     for a in range(m + 1):
@@ -210,18 +198,6 @@ def _xlog(e: np.ndarray, log_z: np.ndarray) -> np.ndarray:
     return np.multiply(e, log_z, out=np.zeros(np.broadcast(e, log_z).shape), where=e != 0)
 
 
-def _row_sum(x: np.ndarray) -> np.ndarray:
-    """Sum of an (m, w, P) or (m, w) array over axis 1, term by term in the
-    order s = 0, 1, 2, ... whatever P.  NumPy adds term by term along any
-    axis but the fast one, which it sums pairwise; with at most one point
-    axis 1 is the fast axis, so it is summed there as a running sum, which
-    is sequential by definition.  A point thus gets the same bits alone as
-    among others, and a grid keeps NumPy's faster sum."""
-    if x.ndim == 2 or x.shape[2] == 1:
-        return np.add.accumulate(x, axis=1)[:, -1]
-    return x.sum(axis=1)
-
-
 def _polynomial(rows: Rows, log_v, log_u: np.ndarray | None = None):
     """The interruption polynomial sum_s c_s u^(top - j0 - s) v^s of each
     row, the kernel's one evaluator: at each point of the arrays log v and
@@ -245,12 +221,12 @@ def _polynomial(rows: Rows, log_v, log_u: np.ndarray | None = None):
     # scaled terms are 0 (and not NaN)
     shift = log_t.max(axis=1, initial=_FLOOR)
     terms = np.exp(log_t - shift[:, None])
-    total = _row_sum(terms)
+    sum_terms = total(terms, axis=1)
     # a row's largest scaled term is 1, so a row with mass sums to at least
     # 1, and norm = 1 leaves the moments of a row without mass at 0
-    norm = np.maximum(total, 1.0)
-    s_mean = _row_sum(s * terms) / norm
-    return shift, terms, total, s_mean, _row_sum((s - s_mean[:, None]) ** 2 * terms) / norm
+    norm = np.maximum(sum_terms, 1.0)
+    s_mean = total(s * terms, axis=1) / norm
+    return shift, terms, sum_terms, s_mean, total((s - s_mean[:, None]) ** 2 * terms, axis=1) / norm
 
 
 def _bases(system: ScoringSystem, p_a: np.ndarray, p_b: np.ndarray):
@@ -354,19 +330,20 @@ class Game:
         return sum(wt * np.where(keep(*ends[i])[:, None], self.weight[:, i], 0.0) for i, wt in enumerate(servers) if wt)
 
 
-def total(weights: np.ndarray) -> np.ndarray:
-    """The probability of an event from the weights of its components on
-    axis 0 (`Game.event`): their sum added one row at a time, in one order
-    whatever the number of points, so a point gets the same bits alone as
-    in a grid.  NumPy adds a C-contiguous array of more than one column
-    that way with `sum(axis=0)`, off the fast axis; a single column, which
-    `sum` would add pairwise, takes the last row of the running sum
-    (`np.add.accumulate`), which writes every partial sum.  Every
+def total(x: np.ndarray, axis: int = 0) -> np.ndarray:
+    """The sum of x over `axis` added one entry at a time in index order,
+    so a point gets the same bits alone as in a grid: the package's one
+    ordered sum, of an event's component weights (`Game.event`, axis 0)
+    and of a polynomial's terms (axis 1).  NumPy's `sum` adds in that
+    order along any axis but the fast one, which it sums pairwise; so a
+    C-contiguous array whose axes after `axis` hold more than one element
+    takes `sum`, and any other the last entry of the running sum
+    (`np.add.accumulate`), which is sequential by definition.  Every
     probability of an event that the package forms or divides by is this
     sum."""
-    if weights.ndim > 1 and weights.size > len(weights) and weights.flags.c_contiguous:
-        return weights.sum(axis=0)
-    return np.add.accumulate(weights)[-1]
+    if x.flags.c_contiguous and math.prod(x.shape[axis + 1 :]) > 1:
+        return x.sum(axis=axis)
+    return np.add.accumulate(x, axis=axis).take(-1, axis=axis)
 
 
 # which components a winner takes, from A's and B's points: at an end they differ

@@ -13,19 +13,16 @@ state) of each match winner's finished matches.  The exchange counts of
 all the games add up to one negative binomial of the match's points, so
 the match duration law places each g-game match (g - m) n points past the
 shortest, merges the two winners and applies that exchange law once
-(`duration.exchange_mixture`, the one engine of every duration PMF: a
-Horner pass over the points of geometric filters on the law's short head,
-and the rest of the window in closed form, with the game laws' bound: the
-mass times the tail of the exchange series of the largest point total).
+(`duration.exchange_mixture`, with the game laws' truncation bound).
 A step of the pass (`_play`) weighs copies of a state shifted along its
 points by every column of the games' laws that holds mass in one matrix
 product, and adds each column's block as contiguous rows at its shift s.
 The match-winning probability runs the same pass on plain floats, the
 game-winning probabilities (`sideout.game_win_probs`, the kernel's
 probabilities of the game table's events that `duration.aggregate_moments`
-reads too), adding in the same order as the pass on 1 x 1 laws would.  The rally count of
-a block of independent matches (`block_duration_pmf`) is the match law
-convolved with itself, one match at a time.
+reads too), adding in the same order as the pass on 1 x 1 laws would.
+The rally count of a block of independent matches (`block_duration_pmf`)
+is the match law convolved with itself, one match at a time.
 
 The first server of each game after the first follows a `ServerRule`,
 defined in `core` so that the command line can offer its choices without
@@ -42,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import duration, sideout
-from .core import ConfigError, GameConfig, Player, RallyProbs, ServerRule, expect, expect_count, validate
+from .core import ConfigError, GameConfig, Player, RallyProbs, ServerRule, expect, expect_count
 from .duration import DurationPMF
 
 
@@ -151,8 +148,7 @@ def match_duration_pmf(
     the exchange counts of all the games add up to one NB(points, q), which
     `duration.exchange_mixture` applies once, with the one truncation bound
     of its longest exchange series."""
-    validate(probs, game_config)
-    laws = duration.pre_exchange_laws(probs, game_config)
+    laws = duration.pre_exchange_laws(probs, game_config)  # validates probs and game_config
 
     def play(state: np.ndarray, server: Player) -> list[tuple[Player, np.ndarray]]:
         winners = [w for w in Player if (server, w) in laws]

@@ -25,10 +25,9 @@ batch size and the table size (`_plays_on_table`):
   table index, so a rally is seven numpy calls on whole arrays: place
   the live games' deviates, gather the serve thresholds, compare, add
   the flags to the indices, gather the next states, gather the end flags
-  and count them.  At 200 games a numpy call costs its call overhead, not
-  its elements, and the bool-mask loop this replaced took about 14 per
-  rally.  The deviates come from one pool of doubles, a few n per game
-  and at most `_CHUNK`, taken in the loop's order.  `SeedSpec.generator`
+  and count them; at 200 games a numpy call costs its call overhead, not
+  its elements.  The deviates come from one pool of doubles, a few n per
+  game and at most `_CHUNK`, taken in the loop's order.  `SeedSpec.generator`
   makes a PCG64, which spends one 64-bit output per double and can jump
   ahead in its stream (`advance`; M. E. O'Neill, "PCG: A Family of Simple
   Fast Space-Efficient Statistically Good Algorithms for Random Number
@@ -53,18 +52,6 @@ B is the measured crossover of the two loops: interleaved in process,
 the table loop takes 0.69-0.76 of the compacting loop's time for
 side-out games to 15 at (.6, .5) up to 1600 games and 1.00 at 2000, and
 0.78-0.79 for rally-point games to 21 up to 1600 and 1.25 at 2000.
-Against the loop of whole arrays with a mask of the finished games that
-played every batch of up to 2^16 games before, `sample_games` takes
-(side-out to 15, rally-point to 21, both at (.6, .5); two sessions):
-
-    games        200        1000       2000       4000       10^4       2^16
-    side-out     0.63-0.67  0.82-0.83  1.21-1.23  1.10-1.12  0.94-0.98  0.74-0.79
-    rally-point  0.69       0.89-0.96  1.16       1.10-1.12  1.03-1.05  0.98-0.99
-
-so the band from B to a few thousand games, which now compacts, is
-slower, as are rally-point batches of 10^4, whose games all end within
-n rallies of each other; 10^6 games through `run_experiment` take
-0.95-1.05 of the time.
 
 `sample_games` returns per-game outcome arrays, from which
 `report_from_sample` forms the estimators; `run_experiment` reports a

@@ -82,6 +82,13 @@ class TestValidate:
         with pytest.raises(DomainError, match="never terminates"):
             validate(RallyProbs(0.0, 0.0), GameConfig(n=15))
 
+    def test_points_past_the_coefficient_table_rejected(self):
+        # the target and the tie-break extension each hold up to 2048 points
+        validate(RallyProbs(0.5, 0.5), GameConfig(n=2048, tiebreak=2048))
+        for n, tiebreak in [(2049, None), (15, 2049)]:
+            with pytest.raises(DomainError, match="^a tally of 2049 points is more than the 2048 the coefficient table holds$"):
+                validate(RallyProbs(0.5, 0.5), GameConfig(n=n, tiebreak=tiebreak))
+
     @pytest.mark.parametrize("config", [None, 15, "15"])
     def test_config_is_required_and_checked(self, config):
         with pytest.raises(DomainError, match="config=.* must be a GameConfig"):

@@ -234,22 +234,32 @@ def test_a_point_gets_the_same_bits_alone_in_a_pair_and_in_a_grid(n, system):
                 assert np.array_equal(got, want[:, i])
 
 
-@pytest.mark.parametrize(
-    "shape", [(1,), (40,), (40, 1), (40, 2), (40, 153), (29, 3, 153), (40, 1, 1), (7, 2, 1)], ids=str
-)
+_SUMS = [
+    *((shape, 0) for shape in [(1,), (40,), (40, 1), (40, 2), (40, 153), (29, 3, 153), (40, 1, 1), (7, 2, 1)]),
+    # the evaluator's rows: (rows, terms) at one q, and (rows, terms, points)
+    *((shape, 1) for shape in [(29, 15), (29, 15, 1), (29, 15, 2), (29, 15, 153)]),
+]
+
+
+@pytest.mark.parametrize("shape, axis", _SUMS, ids=[f"{shape}" if not axis else f"{shape}-axis{axis}" for shape, axis in _SUMS])
 @pytest.mark.parametrize("dtype", [np.float64, np.longdouble], ids=["double", "longdouble"])
-def test_total_adds_the_rows_in_order(shape, dtype):
-    # one row at a time, whichever path the shape takes, on weights whose
-    # magnitudes differ enough that a pairwise sum rounds differently
+def test_total_adds_the_rows_in_order(shape, axis, dtype):
+    # one entry at a time along the axis, whichever path the shape takes,
+    # on weights whose magnitudes differ enough that a pairwise sum rounds
+    # differently
     weights = np.random.default_rng(sum(shape)).lognormal(0.0, 8.0, shape).astype(dtype)
-    want = weights[0].copy()
-    for row in weights[1:]:
-        want = want + row
-    assert np.array_equal(kernel.total(weights), want)
-    columns = weights.reshape(len(weights), -1)
-    if columns.shape[1] > 1:  # a column alone, and columns not C-contiguous, keep the bits
-        assert np.array_equal(kernel.total(columns[:, ::-1])[::-1], want.ravel())
-        assert all(np.array_equal(kernel.total(columns[:, j]), want.ravel()[j]) for j in range(columns.shape[1]))
+    want = np.take(weights, 0, axis)
+    for i in range(1, shape[axis]):
+        want = want + np.take(weights, i, axis)
+    assert np.array_equal(kernel.total(weights, axis), want)
+    if axis == 0:
+        columns = weights.reshape(len(weights), -1)
+        if columns.shape[1] > 1:  # a column alone, and columns not C-contiguous, keep the bits
+            assert np.array_equal(kernel.total(columns[:, ::-1])[::-1], want.ravel())
+            assert all(np.array_equal(kernel.total(columns[:, j]), want.ravel()[j]) for j in range(columns.shape[1]))
+    elif weights.ndim == 3 and shape[2] > 1:  # a point alone, and points not C-contiguous, keep the bits
+        assert np.array_equal(kernel.total(weights[..., ::-1], 1)[..., ::-1], want)
+        assert all(np.array_equal(kernel.total(weights[..., i], 1), want[:, i]) for i in range(shape[2]))
 
 
 def test_one_q_path_has_the_grid_bits():

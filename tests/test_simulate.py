@@ -87,6 +87,19 @@ class TestBatches:
         with pytest.raises(ConfigError, match="replications"):
             sample_matches(pr, cfg, MatchConfig(2), replications, SeedSpec(1))
 
+    @pytest.mark.parametrize(
+        "config",
+        [GameConfig(n=3000), GameConfig(n=2049, system=ScoringSystem.RALLY_POINT), GameConfig(n=5, tiebreak=2049)],
+        ids=["sideout", "rallypoint", "tiebreak"],
+    )
+    def test_game_past_the_coefficient_table_raises_domain_error(self, config):
+        # once played, though every exact engine refuses it: the simulator
+        # accepts the configurations the exact engines accept
+        points = max(config.n, config.tiebreak or 0)
+        for play in (simulate.run_experiment, simulate.sample_games):
+            with pytest.raises(DomainError, match=f"^a tally of {points} points is more than the 2048 the coefficient table holds$"):
+                play(RallyProbs(0.55, 0.5), config, 50, SeedSpec(1))
+
     @pytest.mark.parametrize("replications", [2.5, True])
     def test_non_integer_replications_raise_config_error(self, replications):
         pr, cfg = RallyProbs(0.6, 0.5), GameConfig(n=5)

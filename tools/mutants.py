@@ -164,6 +164,11 @@ MUTANTS = (
         "the winner PMF divides by the sum of its law, not by P[winner] from the kernel",
     ),
     Mutant(
+        "ordered-sum-pairwise", "kernel",
+        "return np.add.accumulate(x, axis=axis).take(-1, axis=axis)", "return x.sum(axis=axis)",
+        "the ordered sum adds a fast axis pairwise, so a point alone gets other bits than in a grid",
+    ),
+    Mutant(
         "one-minus-q-cancels", "kernel",
         "return p_a + (1.0 - p_a) * p_b", "return 1.0 - (1.0 - p_a) * (1.0 - p_b)",
         "1 - q is formed by subtraction, which cancels as q -> 1",
