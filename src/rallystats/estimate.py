@@ -25,35 +25,41 @@ Records reach the likelihood as a `RecordBatch`, aligned columns that
 `records_from_sample` copies from a simulated batch and
 `records_from_json_lines` parses into.  A batch owns its columns, so its
 reduction (`_reduced`: first-server coordinates, exponent totals, the
-lead check, and the distinct tallies in first-seen order with each
-record's index and their counts) is formed once, by the first likelihood
-that needs it, and both likelihoods read it.  Each distinct tally has one
-entry in a cache of 1024 tallies (`_tallies`): its row of
-`kernel.tallies` and, once a fit of a model needs it, its polynomial at
-that model's start grid.  A set-up fills the entries it misses with one
-`kernel.tallies` call, and a grid step the grid rows it misses with one
-`kernel.interruption_polynomial` call; a row has the same bits whatever
-rows are evaluated with it.  The E-step has one grid path and one point
-path.  The grid path (`grid_e_step`) serves the 17 x 17 start grid,
-which is fixed, and so are its 153 distinct q (transposed points share
-q): it stacks the tallies' kept grid rows in first-seen order.  The point
-path (`e_step`) serves each Newton point: the tallies' kernel rows,
-assembled from their entries and padded with -inf as `kernel.tallies`
-pads them, go to the kernel's evaluator at the point's one q, an
-extended-precision scalar, without the public function's checks.  Both
-add the tallies' count-weighted terms with `kernel.total`, so a
-start-grid point gets the same bits on either path.
+lead check, and the distinct tallies in first-seen order with their
+counts) is formed once, by the first likelihood that needs it, and both
+likelihoods read it.  For score-only fits each distinct tally has one
+entry in a cache of 1024 tallies (`_tallies`), the entries filled first
+evicted first: its row of `kernel.tallies` and, once a fit of a model
+needs it, its polynomial at that model's start grid.  A set-up fills
+the entries it misses with one `kernel.tallies` call, and a grid step
+the grid rows it misses with one `kernel.interruption_polynomial` call;
+a row has the same bits whatever rows are evaluated with it.  The E-step
+has one grid path and one point path.  The grid path (`grid_e_step`)
+serves the 17 x 17 start grid, which is fixed, and so are its 153
+distinct q (transposed points share q): it stacks the tallies' kept grid
+rows in first-seen order.  The point path (`e_step`) serves each Newton
+point: the tallies' kernel rows, assembled from their entries and padded
+with -inf as `kernel.tallies` pads them, go to the kernel's evaluator at
+the point's one q, an extended-precision scalar, without the public
+function's checks.  Both add the tallies' count-weighted terms with
+`kernel.total`, so a start-grid point gets the same bits on either path.
 
-log H(m) depends on the tally and m alone, so it is kept per tally in
-blocks of 64 consecutive m, each a read-only row of a cache of 1024 rows
-(`_log_h_cache`, 512 B a row).  A set-up fills the blocks it misses with
-one batched `_log_h` over their (tally, block) pairs, each entry the
-reduction of its own terms, reads each record's value from its row and
-adds the values in record order with `kernel.total`, with the bits of a
-`_log_h` call on the record's tally alone.  A block takes the same memory
-at any m (a cold fit of one record peaks at 70 kB under `tracemalloc`
-from 10^3 to 10^9 rallies, a warm one at 8 kB).  Both caches evict the
-entries filled first.
+H(m) has a closed form.  In first-server coordinates (a, b), with
+d = [receiver scored last], a game with m extra rally pairs has m + 1
+serve runs of the first server and m + d of the receiver, and every run
+but the game's last, which holds the last point, may hold no point.  So
+H(m) counts the ways to split each side's points into its serve runs
+(weak compositions):
+
+    H(m) = C(a - 1 + d + m, m) * C(b - d + l, l),  l = max(m - 1 + d, 0),
+
+for m at least the tally's fewest interruption pairs, below which the
+likelihood refuses the record.  `_log_h` reads both factors from one
+`kernel.log_exchange_binom` table at the distinct m and l of its records,
+a few ulps from the log of the exact integer at any m, and a record gets
+the same bits alone as in any batch.  A score-and-duration set-up adds
+the records' values in record order with `kernel.total`; it reads no
+kernel rows and no cache.
 
 Duration information enters the conditional duration law only through q,
 so in the two-parameter server model the duration term mostly sharpens q;
@@ -84,6 +90,7 @@ from .core import (
     RallyProbs,
     TerminalScore,
     expect,
+    expect_points,
 )
 
 _BOUND_DELTA = 1e-9
@@ -93,8 +100,6 @@ _MAX_STEPS = 100
 _STEP_TOL = 1e-10  # logit units
 _GAIN_TOL = 1e-14  # relative to 1 + |log-likelihood|
 _DTYPES = (bool, np.int64, np.int64, bool, float)  # of the `RecordBatch` columns
-_H_BLOCK = 64  # consecutive m per cached row of log H(m)
-_FILL = 1 << 18  # the most (entries x terms) elements of one `_log_h` call filling the cache
 # the float duration column holds every whole number up to 2^53 in
 # magnitude, and no more: a larger count would be rounded before its parity
 # is checked
@@ -193,8 +198,8 @@ class _Reduction:
     and whether the first server scored last; the exponents of log p_a,
     log q_a, log p_b and log q_b, less m (k); whether each record's last
     scorer fails to lead (trailing); and the distinct tallies (a, b,
-    server_last) in first-seen order, first servers pooled, with each
-    record's index among them (tally) and their counts."""
+    server_last) in first-seen order, first servers pooled, with their
+    counts."""
 
     a: np.ndarray
     b: np.ndarray
@@ -202,7 +207,6 @@ class _Reduction:
     k: tuple[int, int, int, int]
     trailing: np.ndarray
     tallies: list[tuple[int, int, bool]]
-    tally: np.ndarray
     counts: np.ndarray
 
 
@@ -265,17 +269,16 @@ class RecordBatch:
             int(self.beta.sum()), int(np.count_nonzero(receiver_last & ~first_a)),
         )
         trailing = np.where(server_last, a <= b, b <= a)
-        # distinct tallies in first-seen order, and each record's among them
+        # distinct tallies in first-seen order, with their counts
         key = (a * (int(b.max()) + 1) + b) * 2 + server_last
-        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+        _, first, counts = np.unique(key, return_index=True, return_counts=True)
         order = np.argsort(first)
-        tally = np.argsort(order)[inverse]
         seen = first[order]
         tallies = list(zip(a[seen].tolist(), b[seen].tolist(), server_last[seen].tolist()))
-        counts = np.bincount(tally).astype(float)
-        for arr in (a, b, server_last, trailing, tally, counts):
+        counts = counts[order].astype(float)
+        for arr in (a, b, server_last, trailing, counts):
             arr.setflags(write=False)
-        return _Reduction(a, b, server_last, k, trailing, tallies, tally, counts)
+        return _Reduction(a, b, server_last, k, trailing, tallies, counts)
 
 
 def records_from_sample(sample) -> RecordBatch:
@@ -361,58 +364,19 @@ def _rows(entries: list[_Tally]) -> kernel.Rows:
     return kernel.Rows(alpha, beta, server_last.astype(bool), j0, top, logc)
 
 
-def _log_h(rows: kernel.Rows, m, tally=None) -> np.ndarray:
-    """log H(m) at each entry of the array m, of the tally in row tally[i]
-    of `rows` for entry i (row 0 for every entry when tally is None): the
-    number-weight of trajectories with m extra rally pairs beyond the
-    scored points, a convolution over the l exchanges of C(a+b+l-1, l)
-    with the kernel coefficient of q^(m-l).  The binomials are one
-    `kernel.log_exchange_binom` table at the distinct l the entries need,
-    whose column of a points total does not depend on the columns formed
-    with it.  The terms of all entries form one (entries, j) array, -inf
-    outside each entry's j = j0 .. min(top, m), reduced in the order of j;
-    a -inf term leaves a sum of logs unchanged to the last bit, so each
-    entry gets the bits of its own terms alone, whatever entries and
-    tallies share the call."""
-    m = np.atleast_1d(np.asarray(m))
-    tally = np.zeros(len(m), dtype=np.int64) if tally is None else tally
-    j0, top = rows.j0[tally][:, None], rows.top[tally][:, None]
-    points = (rows.alpha + rows.beta)[tally]
-    j = np.arange(min(int(top.max()), int(m.max())) + 1)
-    l, s = m[:, None] - j, j - j0
-    # np.unique sorts when asked for counts; without them it hashes and imports numpy.ma
-    m_distinct = np.unique(m, return_counts=True)[0]
-    distinct = np.unique(np.maximum(m_distinct[:, None] - j, 0), return_counts=True)[0]  # every entry's l
-    exchanges = kernel.log_exchange_binom(int(points.max()), distinct)
-    log_exchanges = exchanges[np.searchsorted(distinct, np.maximum(l, 0)), points[:, None] - 1]
-    logc = rows.logc[tally[:, None], np.clip(s, 0, rows.logc.shape[1] - 1)]
-    return np.logaddexp.reduce(np.where((s >= 0) & (j <= top) & (l >= 0), log_exchanges + logc, -np.inf), axis=1)
-
-
-def _log_h_blocks(pairs: list) -> list[np.ndarray]:
-    """log H(m) of each pair (a, b, server_last, block), a tally and a
-    block, at m = block _H_BLOCK .. (block + 1) _H_BLOCK - 1, read-only
-    (512 B each), from one batched `_log_h` over the pairs (more only past
-    `_FILL` elements) on their tallies' rows of `_tallies`: each entry is
-    the reduction of its own terms, so a record reads the bits a call on
-    its tally alone gives."""
-    keys = list(dict.fromkeys(pair[:3] for pair in pairs))
-    rows, where = _rows(_tallies.get(keys)), {t: i for i, t in enumerate(keys)}
-    tally = np.array([where[pair[:3]] for pair in pairs])
-    m = np.array([pair[3] for pair in pairs])[:, None] * _H_BLOCK + np.arange(_H_BLOCK)
-    step = max(1, _FILL // (_H_BLOCK * (int(rows.top.max()) + 1)))
-    out = []
-    for i in range(0, len(pairs), step):
-        values = _log_h(rows, m[i : i + step].ravel(), np.repeat(tally[i : i + step], _H_BLOCK))
-        for row in values.reshape(-1, _H_BLOCK):
-            row = row.copy()  # its own memory, as the cache counts it
-            row.setflags(write=False)
-            out.append(row)
-    return out
-
-
-# 1024 blocks, 512 B each
-_log_h_cache = _Cache(1024, _log_h_blocks)
+def _log_h(a: np.ndarray, b: np.ndarray, server_last: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """log H(m) of each record, of the tally (a[i], b[i], server_last[i]) in
+    first-server coordinates with m[i] extra rally pairs, at least the
+    tally's fewest interruption pairs: the closed form of the module notes,
+    with a record's bits whatever records share the call.  A side of more
+    points than `core.expect_points` allows raises its DomainError before
+    the table is sized."""
+    expect_points(int(max(a.max(), b.max())))
+    d = ~server_last
+    l = np.maximum(m - 1 + d, 0)
+    distinct, where = np.unique(np.concatenate([m, l]), return_inverse=True)
+    table = kernel.log_exchange_binom(int(np.maximum(a + d, b - d + 1).max()), distinct)
+    return table[where[: len(m)], a + d - 1] + table[where[len(m) :], b - d]
 
 
 def _infeasible(batch: RecordBatch, i: int, check: int) -> str:
@@ -512,20 +476,8 @@ class _Likelihood:
         if mode is FitMode.SCORE_DURATION:
             m = m.astype(np.int64)
             self.m = sum(m.tolist())  # extra rally pairs, a Python int: an int64 sum could wrap
-            # each record's log H(m) from its tally's cached block: the
-            # records sorted by (block, tally), the first of each pair marked
-            # and each record's pair counted, and the values added in record
-            # order
-            blk, tally = m // _H_BLOCK, reduced.tally
-            order = np.lexsort((tally, blk))
-            blk, tally = blk[order], tally[order]
-            first = np.ones(len(m), dtype=bool)
-            first[1:] = (blk[1:] != blk[:-1]) | (tally[1:] != tally[:-1])
-            key = np.empty(len(m), dtype=np.int64)
-            key[order] = np.cumsum(first) - 1
-            pairs = [(*self.tallies[t], b) for b, t in zip(blk[first].tolist(), tally[first].tolist())]
-            table = np.array(_log_h_cache.get(pairs))
-            self.log_h_total = float(kernel.total(table[key, m % _H_BLOCK]))
+            # each record's log H(m), added in record order
+            self.log_h_total = float(kernel.total(_log_h(a, b, server_last, m)))
         else:
             self.entries = _tallies.get(self.tallies)
             self.rows = _rows(self.entries)

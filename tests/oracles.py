@@ -900,7 +900,7 @@ def exact_h_count(alpha, beta, last, m):
     trajectories with m rally pairs beyond the scored points, a
     convolution over the exchange count l of C(alpha+beta+l-1, l) with the
     interruption coefficient of q^(m-l).  The loop the estimator's
-    log-space sum replaced, kept as a reference for it."""
+    closed form replaced, kept as an independent reference for it."""
 
     def c(top, r):  # binom(top, r) with the binom(-1, -1) = 1 convention
         return 1 if top == r == -1 else (comb(top, r) if 0 <= r <= top else 0)
@@ -1078,8 +1078,8 @@ def log_h(rows, m):
     """log H(m) of one record: the tally's (a one-row `kernel` table)
     number-weight of trajectories with m extra rally pairs, a convolution
     over the l exchanges of C(a+b+l-1, l) with the kernel coefficient of
-    q^(m-l).  The per-record form `estimate._log_h` replaced, kept as a
-    reference for it."""
+    q^(m-l).  The convolution the closed form `estimate._log_h` replaced,
+    kept as an independent reference for it."""
     j0 = int(rows.j0[0])
     j = np.arange(j0, min(int(rows.top[0]), m) + 1)
     if j.size == 0:
@@ -1110,7 +1110,7 @@ class RecordLikelihood:
         self.k = [0, 0, 0, 0]  # exponents of log p_a, log q_a, log p_b, log q_b, less m
         self.m, self.log_h_total = 0, 0.0  # extra rally pairs and log H(m), with durations
         tallies = {}  # tally -> its records
-        spans = []
+        spans = []  # each record's tally and extra rally pairs, with durations
         for i, (first, alpha, beta, last, duration) in enumerate(record_rows(records)):
             swap = first is B
             a, b = (beta, alpha) if swap else (alpha, beta)
@@ -1137,14 +1137,12 @@ class RecordLikelihood:
                 # H(m) vanishes below the tally's fewest interruption pairs
                 if span // 2 < kernel.tallies([(a, b, server_last)]).j0[0]:
                     raise InfeasibleData(f"record {i}: duration {duration} carries zero probability")
-                spans.append(span // 2)
+                spans.append((a, b, server_last, span // 2))
             tallies.setdefault((a, b, server_last), []).append(i)
         if mode is estimate.FitMode.SCORE_DURATION:
-            m = np.array(spans)
-            log_h_values = np.empty(len(m))
-            for key, which in tallies.items():
-                log_h_values[which] = estimate._log_h(kernel.tallies([key]), m[which])
-            self.m = int(m.sum())
+            # one call per record, each a batch of one
+            log_h_values = [estimate._log_h(*(np.array([v]) for v in record))[0] for record in spans]
+            self.m = sum(record[3] for record in spans)
             self.log_h_total = float(np.add.accumulate(log_h_values)[-1])  # in record order
         else:
             self.rows = kernel.tallies(list(tallies))

@@ -563,16 +563,17 @@ class TestExitCodes:
         assert (result.exit_code, result.stdout) == (2, "")
         assert result.stderr.endswith(f"\nError: {flag[0]} is not read by --stat {stat}\n")
 
-    @pytest.mark.parametrize("command", ["score-dist", "estimate"])
-    def test_tally_past_the_coefficient_table_is_3(self, runner, tmp_path, command):
+    @pytest.mark.parametrize("case", ["score-dist", "estimate", "estimate-score-duration"])
+    def test_tally_past_the_coefficient_table_is_3(self, runner, tmp_path, case):
         # once a MemoryError traceback (exit 1) from sizing a 7 TiB table
         records = tmp_path / "games.jsonl"
-        records.write_text('{"alpha": 1000000, "beta": 3, "first_server": "A", "last_scorer": "A"}\n')
+        records.write_text('{"alpha": 1000000, "beta": 3, "duration": 1000005, "first_server": "A", "last_scorer": "A"}\n')
         args = {
-            "score-dist": ["--n", "1000000", "--pa", ".6", "--pb", ".5"],
-            "estimate": ["--input", str(records), "--mode", "score"],
-        }[command]
-        result = runner.invoke(main, [command, *args])
+            "score-dist": ["score-dist", "--n", "1000000", "--pa", ".6", "--pb", ".5"],
+            "estimate": ["estimate", "--input", str(records), "--mode", "score"],
+            "estimate-score-duration": ["estimate", "--input", str(records), "--mode", "score-duration"],
+        }[case]
+        result = runner.invoke(main, args)
         assert (result.exit_code, result.stdout) == (3, "")
         assert result.stderr == "error: a tally of 1000000 points is more than the 2048 the coefficient table holds\n"
 

@@ -10,6 +10,7 @@ import threading
 import tracemalloc
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -65,12 +66,6 @@ def assert_same_records(got, want):
 def same_bits(a, b):
     """Whether two floats are the same double, signed zeros and NaN told apart by their bits."""
     return np.float64(a).tobytes() == np.float64(b).tobytes()
-
-
-def clear_caches():
-    """Empty the estimator's per-tally and log H(m) caches."""
-    estimate._tallies.clear()
-    estimate._log_h_cache.clear()
 
 
 def simulated_records(pa, pb, n, count, seed, s_a=0.5):
@@ -267,71 +262,74 @@ class TestJointLikelihood:
         assert got == pytest.approx(expected, abs=1e-10)
 
     def test_log_h_matches_exact_integers(self):
-        # long durations (q near 1) give large m, where a difference of
-        # lgamma values would lose ulps of lgamma(m)
-        ms = [*range(12), 1_000, 100_000]
-        for a in range(16):
-            for b in range(16):
+        # every tally with a, b <= 21, both last scorers: long durations (q
+        # near 1) give large m, where a difference of lgamma values would
+        # lose ulps of lgamma(m); H(m) vanishes exactly below j0, where the
+        # likelihood refuses the record
+        ms = np.array([*range(41), 1_000, 100_000, 10**9, 2**50])
+        for a in range(22):
+            for b in range(22):
                 for last in (A, B):
                     win, lose = (a, b) if last is A else (b, a)
                     if win <= lose:
                         continue
-                    got = estimate._log_h(kernel.tallies([(a, b, last is A)]), ms)
-                    for m, value in zip(ms, got):
+                    d, j0 = int(last is B), int(last is A and b > 0)
+                    n = len(ms)
+                    got = estimate._log_h(np.full(n, a), np.full(n, b), np.full(n, last is A), ms)
+                    for m, value in zip(ms.tolist(), got):
                         exact = exact_h_count(a, b, last, m)
-                        if exact == 0:
-                            assert value == -math.inf
-                        else:
-                            assert value == pytest.approx(math.log(exact), rel=1e-14, abs=1e-14)
+                        assert (exact == 0) == (m < j0), (a, b, last, m)
+                        if m < j0:
+                            continue
+                        if m >= 10**9:
+                            l = max(m - 1 + d, 0)
+                            assert exact == math.comb(a - 1 + d + m, m) * math.comb(b - d + l, l), (a, b, last, m)
+                        with mpmath.workprec(256):
+                            want = mpmath.log(exact)
+                        if exact == 1:
+                            assert value == 0.0, (a, b, last, m)
+                            continue
+                        ulps = float(abs(mpmath.mpf(float(value)) - want)) / math.ulp(float(want))
+                        assert ulps <= 4, (a, b, last, m, ulps)
 
-    def test_log_h_per_tally_equals_per_record_oracle(self):
-        # one (records, j) array per tally gives each record the bits of its
-        # own reduction, and the batch total (read from the cached blocks)
-        # adds them in record order
+    def test_log_h_of_a_record_alone_equals_in_any_batch(self):
+        # a record's value has the same bits alone, among its tally's
+        # records, in the whole batch and in the batch reversed (whose
+        # table holds other l and points totals), and the set-up adds the
+        # values in record order; each is near the convolution oracle
         for n, (p_a, p_b) in [(5, (0.6, 0.5)), (15, (0.6, 0.5)), (21, (0.05, 0.05)), (15, (0.97, 0.3))]:
             records = simulated_records(p_a, p_b, n, 200, SeedSpec(132, n))
-            rows, ms, total = [], [], 0.0
+            cols = []
             for first, alpha, beta, last, d in record_rows(records):
                 a, b = (beta, alpha) if first is B else (alpha, beta)
                 server_last = last is first
-                rows.append(kernel.tallies([(a, b, server_last)]))
-                ms.append((d - a - b - (0 if server_last else 1)) // 2)
-            want = np.array([log_h(t, m) for t, m in zip(rows, ms)])
-            got = np.array([estimate._log_h(t, [m])[0] for t, m in zip(rows, ms)])
-            assert np.array_equal(got, want)
-            for t in {id(t): t for t in rows}.values():  # every record of a tally at once
-                which = [i for i, u in enumerate(rows) if u is t]
-                assert np.array_equal(estimate._log_h(t, np.array(ms)[which]), want[which])
-            for value in want:
+                cols.append((a, b, server_last, (d - a - b - (0 if server_last else 1)) // 2))
+            cols.append((3, 20, False, 10**9))  # far out, among the rest
+            a, b, server_last, m = (np.array(c) for c in zip(*cols))
+            alone = np.array([estimate._log_h(*(np.array([v]) for v in col))[0] for col in cols])
+            assert np.array_equal(estimate._log_h(a, b, server_last, m), alone)
+            assert np.array_equal(estimate._log_h(a[::-1], b[::-1], server_last[::-1], m[::-1]), alone[::-1])
+            for tally in {col[:3] for col in cols}:
+                which = [i for i, col in enumerate(cols) if col[:3] == tally]
+                assert np.array_equal(estimate._log_h(a[which], b[which], server_last[which], m[which]), alone[which])
+            total = 0.0
+            for value in alone[:-1]:
                 total += value
-            assert estimate._Likelihood(records, FitMode.SCORE_DURATION).log_h_total == total
+            assert same_bits(estimate._Likelihood(records, FitMode.SCORE_DURATION).log_h_total, total)
+            for col, value in zip(cols, alone):
+                assert value == pytest.approx(log_h(kernel.tallies([col[:3]]), col[3]), rel=1e-14, abs=1e-14), col
 
-    def test_long_record_fits_in_constant_memory(self, monkeypatch):
+    def test_long_record_fits_in_constant_memory(self):
         # one game of 10^9 rallies: the exchange binomials are formed at the
-        # few l its block's terms need, whatever the duration
+        # record's two l, whatever the duration
         record = make_batch((A, 15, 7, A, 10**9))
-        clear_caches()  # the fit computes its block
         tracemalloc.start()
         try:
-            got = estimate.fit(record, FitMode.SCORE_DURATION)
+            estimate.fit(record, FitMode.SCORE_DURATION)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1e6
-        # the same fit with the block's entries from the per-record oracle
-        calls = []
-
-        def oracle(rows, m, tally):
-            calls.append((len(rows.j0), len(m)))
-            return np.array([log_h(rows, int(v)) for v in m])
-
-        monkeypatch.setattr(estimate, "_log_h", oracle)
-        estimate._log_h_cache.clear()
-        try:
-            assert got == estimate.fit(record, FitMode.SCORE_DURATION)
-        finally:
-            estimate._log_h_cache.clear()  # no oracle row outlives the patch
-        assert calls == [(1, estimate._H_BLOCK)]
 
     def test_zero_probability_duration_names_the_record(self):
         # a server winning 5-2 must have lost the serve at least once
@@ -1092,99 +1090,6 @@ class TestStartGridCache:
         # a fresh process: nothing is evaluated at import
         code = (
             "import rallystats\nfrom rallystats import estimate\n"
-            "print(estimate._start_grid.cache_info().currsize, len(estimate._tallies), len(estimate._log_h_cache))\n"
+            "print(estimate._start_grid.cache_info().currsize, len(estimate._tallies))\n"
         )
-        assert fresh_process_output(code) == "0 0 0"
-
-
-# m on both sides of the block edges, and far out
-BLOCK_EDGE_M = [0, 1, 62, 63, 64, 65, 127, 128, 129, 10**9]
-
-
-def long_batches():
-    """Batches whose extra rally pairs cross several blocks of log H(m)."""
-    return [simulated_records(p, p, n, 60, SeedSpec(154, n)) for p, n in [(0.05, 15), (0.1, 5), (0.03, 21)]]
-
-
-def log_h_block(tally, block):
-    """The cached row of log H(m) of a tally and a block."""
-    return estimate._log_h_cache.get([(*tally, block)])[0]
-
-
-class TestLogHBlockCache:
-    def test_block_entries_equal_batched_log_h_and_oracle(self):
-        estimate._log_h_cache.clear()
-        tallies = [(15, 7, True), (7, 15, False), (15, 0, True), (0, 15, False), (21, 20, True), (3, 5, False)]
-        for tally in tallies:
-            rows = kernel.tallies([tally])
-            batched = estimate._log_h(rows, np.array(BLOCK_EDGE_M))
-            for m, value in zip(BLOCK_EDGE_M, batched):
-                block = log_h_block(tally, m // estimate._H_BLOCK)
-                assert block.shape == (estimate._H_BLOCK,) and not block.flags.writeable
-                assert same_bits(block[m % estimate._H_BLOCK], value), (tally, m)
-                assert same_bits(value, log_h(rows, m)), (tally, m)
-        # the set-up reads each record's entry and adds them in record order
-        for batch in long_batches():
-            rows = record_rows(batch)
-            want = 0.0
-            for first, alpha, beta, last, d in rows:
-                a, b = (beta, alpha) if first is B else (alpha, beta)
-                want += log_h(kernel.tallies([(a, b, last is first)]), (d - a - b - (last is not first)) // 2)
-            assert same_bits(estimate._Likelihood(batch, FitMode.SCORE_DURATION).log_h_total, want)
-
-    @pytest.mark.parametrize("fill", [None, 1])
-    def test_batched_fill_equals_tally_by_tally_fills(self, fill, monkeypatch):
-        # one `_log_h` over the blocks of many tallies (of both j0, many
-        # tops and points totals, the first of j0 = 0 and then of j0 = 1)
-        # gives each block the bits of its tally's own call, and of the
-        # oracle; also split into calls of one block each
-        if fill is not None:
-            monkeypatch.setattr(estimate, "_FILL", fill)
-        tallies = [(7, 15, False), (15, 7, True), *mixed_tallies(), (21, 20, True), (15, 0, True)]
-        pairs = [(*t, b) for i, t in enumerate(dict.fromkeys(tallies)) for b in ({0, i % 3, 10**9 // estimate._H_BLOCK} if i % 4 else {0})]
-        got = estimate._log_h_blocks(pairs)
-        assert len(got) == len(pairs)
-        for pair, row in zip(pairs, got):
-            m = pair[3] * estimate._H_BLOCK + np.arange(estimate._H_BLOCK)
-            rows = kernel.tallies([pair[:3]])
-            assert np.array_equal(row, estimate._log_h(rows, m)), pair
-            assert np.array_equal(row, estimate._log_h_blocks([pair])[0]), pair
-            if pair[3] == 0:
-                assert np.array_equal(row[:12], [log_h(rows, v) for v in range(12)]), pair
-
-    def test_cold_warm_and_small_cache_fits_equal(self, monkeypatch):
-        batches = [random_batch(seed) for seed in range(76, 80)] + long_batches()
-        for model in FitModel:
-            cold = []
-            for batch in batches:
-                clear_caches()
-                cold.append(estimate.fit(batch, FitMode.SCORE_DURATION, model))
-            warm = [estimate.fit(batch, FitMode.SCORE_DURATION, model) for batch in batches]
-            # caches of 8 blocks and 8 tallies evict most of a batch's rows while it is set up
-            monkeypatch.setattr(estimate, "_log_h_cache", estimate._Cache(8, estimate._log_h_blocks))
-            monkeypatch.setattr(estimate, "_tallies", estimate._Cache(8, estimate._tally_entries))
-            small = [estimate.fit(batch, FitMode.SCORE_DURATION, model) for batch in batches]
-            assert len(estimate._log_h_cache) <= 8 and len(estimate._tallies) <= 8
-            monkeypatch.undo()
-            assert cold == warm == small
-
-    def test_concurrent_fits_equal_serial_ones(self, monkeypatch):
-        # four threads that fill and evict a small cache while switching often
-        batches = [simulated_records(0.1, 0.1, n, 40, SeedSpec(155, n)) for n in range(5, 22, 2)]
-        serial = [estimate.fit(b, FitMode.SCORE_DURATION) for b in batches]
-        monkeypatch.setattr(estimate, "_log_h_cache", estimate._Cache(16, estimate._log_h_blocks))
-
-        def run(k):
-            return [estimate.fit(batches[(k + i) % len(batches)], FitMode.SCORE_DURATION) for i in range(20)]
-
-        for k, got in run_threads(run, 4).items():
-            assert got == [serial[(k + i) % len(batches)] for i in range(20)]
-
-    def test_cached_rows_are_read_only(self):
-        batch = long_batches()[0]
-        estimate.fit(batch, FitMode.SCORE_DURATION)
-        lik = estimate._Likelihood(batch, FitMode.SCORE_DURATION)
-        rows = [log_h_block(t, b) for t in lik.tallies for b in range(3)]
-        assert rows and not any(r.flags.writeable for r in rows)
-        with pytest.raises(ValueError):
-            rows[0][0] = 0.0
+        assert fresh_process_output(code) == "0 0"

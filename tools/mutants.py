@@ -128,9 +128,9 @@ MUTANTS = (
         "a record batch keeps views of the caller's arrays, so a later write changes a checked batch",
     ),
     Mutant(
-        "batched-log-h-first-j0", "estimate",
-        "rows.j0[tally][:, None]", "rows.j0[tally[:1]][:, None]",
-        "a batched log H(m) reads every entry's j0 from the first entry's tally",
+        "log-h-receiver-drops-d", "estimate",
+        "l = np.maximum(m - 1 + d, 0)", "l = np.maximum(m - 1, 0)",
+        "the receiver's factor of log H(m) counts one serve run too few when the receiver scored last",
     ),
     Mutant(
         "interpolated-quantile-wrong-checkpoint", "duration",
