@@ -319,6 +319,24 @@ class TestJointLikelihood:
             for col, value in zip(cols, alone):
                 assert value == pytest.approx(log_h(kernel.tallies([col[:3]]), col[3]), rel=1e-14, abs=1e-14), col
 
+    @pytest.mark.parametrize("first", [A, B])
+    @pytest.mark.parametrize("last", [A, B])
+    def test_point_cap_holds_for_either_side(self, first, last):
+        # the last scorer, the first server or the receiver, holds the
+        # cap's 2048 points (m = 5, near the log of the exact integer) and
+        # then one point more, refused before any table is sized
+        def record(points, m=5):
+            alpha, beta = (points, 3) if last is A else (3, points)
+            return (first, alpha, beta, last, points + 3 + (last is not first) + 2 * m)
+
+        a, b = (2048, 3) if last is first else (3, 2048)
+        with mpmath.workprec(256):
+            want = mpmath.log(exact_h_count(a, b, A if last is first else B, 5))
+        got = estimate._Likelihood(make_batch(record(2048)), FitMode.SCORE_DURATION).log_h_total
+        assert got == pytest.approx(float(want), rel=1e-14)
+        with pytest.raises(DomainError, match="^a tally of 2049 points is more than the 2048 the coefficient table holds$"):
+            estimate.fit(make_batch(record(2049)), FitMode.SCORE_DURATION)
+
     def test_long_record_fits_in_constant_memory(self):
         # one game of 10^9 rallies: the exchange binomials are formed at the
         # record's two l, whatever the duration
@@ -1093,3 +1111,43 @@ class TestStartGridCache:
             "print(estimate._start_grid.cache_info().currsize, len(estimate._tallies))\n"
         )
         assert fresh_process_output(code) == "0 0"
+
+
+def fresh_copy(batch):
+    """A new batch of the same columns, whose reduction is not yet formed."""
+    return estimate.RecordBatch(*(getattr(batch, name) for name in COLUMNS))
+
+
+class TestScoreDurationSetUp:
+    @pytest.mark.parametrize("model", list(FitModel))
+    def test_set_up_reads_no_kernel_rows_and_no_cache(self, model, monkeypatch):
+        # fits of fresh batches, of batches that a score-only fit reduced and
+        # entered in the tally cache, and of fresh batches with the cache
+        # and the kernel's rows out of reach, all equal
+        batches = [random_batch(seed) for seed in range(76, 82)]
+        fresh = [estimate.fit(fresh_copy(b), FitMode.SCORE_DURATION, model) for b in batches]
+        for batch in batches:
+            estimate.fit(batch, FitMode.SCORE_ONLY, model)
+        warm = [estimate.fit(b, FitMode.SCORE_DURATION, model) for b in batches]
+
+        def refuse(*args):
+            raise AssertionError("read by a score-and-duration fit")
+
+        monkeypatch.setattr(estimate, "_tallies", estimate._Cache(8, refuse))
+        for name in ("tallies", "interruption_polynomial", "_interruption"):
+            monkeypatch.setattr(kernel, name, refuse)
+        bare = [estimate.fit(fresh_copy(b), FitMode.SCORE_DURATION, model) for b in batches]
+        assert fresh == warm == bare
+
+    def test_concurrent_fits_equal_serial_ones(self):
+        # four threads fit the same unreduced batches, so that reductions
+        # and log H are formed while the others switch in
+        batches = [simulated_records(0.1, 0.1, n, 40, SeedSpec(155, n)) for n in range(5, 22, 2)]
+        serial = [estimate.fit(b, FitMode.SCORE_DURATION, model) for b in batches for model in FitModel]
+        shared = [fresh_copy(b) for b in batches]
+
+        def run(k):
+            return [estimate.fit(shared[(k + i) % len(shared)], FitMode.SCORE_DURATION, model) for i in range(20) for model in FitModel]
+
+        for k, got in run_threads(run, 4).items():
+            assert got == [serial[2 * ((k + i) % len(batches)) + j] for i in range(20) for j in range(2)]
